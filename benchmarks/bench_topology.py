@@ -1,8 +1,8 @@
-"""Extension: star coordinator vs multi-tier coordinator tree (Section 6).
+"""Extension: star coordinator vs a two-level merge tree (Section 6).
 
 The paper's future work proposes "a multi-tiered coordinator
 architecture or spanning-tree networks". This bench quantifies the win
-on the group-reduction workload at 16 sites: regional coordinators merge
+on the group-reduction workload at 16 sites: regional combiners merge
 their sites' sub-results by key before forwarding, so the root link
 carries O(regions · |Q|) per round instead of O(sites · |Q|).
 
@@ -18,9 +18,8 @@ from repro.data.tpcr import TPCRConfig, generate_tpcr, nation_partitioner, regis
 from repro.distributed import (
     OptimizationOptions,
     SimulatedCluster,
-    TreeTopology,
     execute_query,
-    execute_query_hierarchical,
+    execute_query_scheduled,
 )
 
 SITES = 16
@@ -59,8 +58,9 @@ def run_topologies():
 
     for region_count in REGION_COUNTS:
         cluster.reset_network()
-        topology = TreeTopology.balanced(cluster.site_ids, region_count)
-        tree = execute_query_hierarchical(cluster, topology, expression, options)
+        tree = execute_query_scheduled(
+            cluster, expression, options, topology=f"hierarchical:{region_count}"
+        )
         assert reference.same_rows_any_order_of_columns(tree.relation)
         busy = tree.stats.root_link_bytes / BENCH_MODEL.bandwidth_bytes_per_s
         rows.append(

@@ -5,9 +5,10 @@ Demonstrates the two main extensions beyond the paper's core system:
 - the **SQL front-end** (the "query generator" role of the paper's
   Figure 1): queries are typed, parsed to GMDJ expressions and planned
   by Egil like any other query;
-- the **multi-tier coordinator** (the paper's future-work architecture,
-  Section 6): the same queries run over a two-level coordinator tree,
-  and we compare how many bytes cross the root's wide-area uplink;
+- the **merge tree** (the paper's future-work architecture, Section 6):
+  the same queries run with two regional combiners under the
+  coordinator, and we compare how many bytes cross the root's wide-area
+  uplink;
 - results are exported to CSV for downstream tools.
 
 Run: ``python examples/sql_session.py``
@@ -27,7 +28,7 @@ from repro.data import (
     nation_partitioner,
     register_tpcr_fds,
 )
-from repro.distributed import TreeTopology, execute_query_hierarchical
+from repro.distributed import execute_query_scheduled
 from repro.relalg import write_csv
 
 SITES = 8
@@ -62,7 +63,6 @@ def build_cluster() -> SimulatedCluster:
 
 def main():
     cluster = build_cluster()
-    topology = TreeTopology.balanced(cluster.site_ids, 2)
     options = OptimizationOptions.all()
 
     for title, sql in QUERIES.items():
@@ -76,7 +76,9 @@ def main():
         assert reference.same_rows_any_order_of_columns(star.relation)
 
         cluster.reset_network()
-        tree = execute_query_hierarchical(cluster, topology, expression, options)
+        tree = execute_query_scheduled(
+            cluster, expression, options, topology="hierarchical:2"
+        )
         assert reference.same_rows_any_order_of_columns(tree.relation)
 
         print(
@@ -85,7 +87,7 @@ def main():
         )
         print(
             f"   tree: root uplink {tree.stats.root_link_bytes} bytes "
-            f"({len(topology.regions)} regions)"
+            f"({tree.stats.topology})"
         )
         print(star.relation.pretty(max_rows=5))
         print()

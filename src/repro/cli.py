@@ -60,9 +60,8 @@ from repro.data.tpcr import (
 from repro.distributed import (
     OptimizationOptions,
     SimulatedCluster,
-    TreeTopology,
     execute_query,
-    execute_query_hierarchical,
+    execute_query_scheduled,
 )
 from repro.distributed.evaluator import ExecutionConfig
 from repro.distributed.executor import EXECUTORS
@@ -94,9 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     sql.add_argument(
         "--topology",
         default="star",
-        help="'star' (flat coordinator merge), 'tree:R' (two-level tree "
-        "with R regions), or a scheduler mode: 'auto' lets the cost "
-        "model pick, 'flat'/'hierarchical:R'/'chain:F' force one",
+        help="merge topology: 'flat' (coordinator star; alias 'star'), "
+        "'hierarchical:R' (R regional combiners; alias 'tree:R'), "
+        "'chain:F' (fanout-F combiner tree), or 'auto' to let the cost "
+        "model pick",
     )
     sql.add_argument("--max-rows", type=int, default=20, help="rows to print")
 
@@ -714,70 +714,41 @@ def run_demo(args, out) -> int:
     return 0
 
 
+def _topology_label(raw: str) -> str:
+    """Map the CLI's older spellings onto the scheduler's vocabulary."""
+    if raw == "star":
+        return "flat"
+    if raw.startswith("tree:"):
+        return "hierarchical:" + raw[len("tree:"):]
+    return raw
+
+
 def run_sql(args, out) -> int:
+    from repro.errors import PlanError
+
     statement = parse_olap_statement(args.query)
-    expression = statement.expression
     cluster = _build_cluster(args)
-
-    if args.topology == "star":
-        result = execute_query(
-            cluster, expression, _options(args), config=_config(args)
+    try:
+        result = execute_query_scheduled(
+            cluster,
+            statement.expression,
+            _options(args),
+            config=_config(args),
+            topology=_topology_label(args.topology),
         )
-        stats_line = (
-            f"syncs={result.plan.synchronization_count} "
-            f"bytes={result.stats.bytes_total} rounds={result.stats.round_count}"
-        )
-        _print_recovery(result.stats, out)
-        plan = result.plan
-    elif args.topology.startswith("tree:"):
-        if args.executor != "serial":
-            print("--executor applies to the star topology only", file=sys.stderr)
-            return 2
-        if args.faults:
-            print("--faults applies to the star topology only", file=sys.stderr)
-            return 2
-        region_count = int(args.topology.split(":", 1)[1])
-        topology = TreeTopology.balanced(cluster.site_ids, region_count)
-        result = execute_query_hierarchical(
-            cluster, topology, expression, _options(args)
-        )
-        stats_line = (
-            f"root-link bytes={result.stats.root_link_bytes} "
-            f"total bytes={result.stats.bytes_total}"
-        )
-        plan = result.plan
-    elif args.topology == "auto" or args.topology == "flat" or (
-        args.topology.split(":", 1)[0] in ("hierarchical", "chain")
-    ):
-        from repro.distributed import execute_query_scheduled
-        from repro.errors import PlanError
-
-        try:
-            result = execute_query_scheduled(
-                cluster,
-                expression,
-                _options(args),
-                config=_config(args),
-                topology=args.topology,
-            )
-        except PlanError as error:
-            print(f"repro sql: {error}", file=sys.stderr)
-            return 2
-        choice = result.topology_choice
-        stats_line = f"merge topology={choice.topology} — {choice.reason}"
-        if choice.measured_root_link_bytes is not None:
-            stats_line += (
-                f"\nroot-link bytes={choice.measured_root_link_bytes} "
-                f"total bytes={result.stats.bytes_total}"
-            )
-        _print_recovery(result.stats, out)
-        plan = result.plan
-    else:
-        print(f"unknown topology {args.topology!r}", file=sys.stderr)
+    except PlanError as error:
+        print(f"repro sql: {error}", file=sys.stderr)
         return 2
-
-    print(plan.describe(), file=out)
-    print(stats_line, file=out)
+    choice = result.topology_choice
+    _print_recovery(result.stats, out)
+    print(result.plan.describe(), file=out)
+    print(
+        f"syncs={result.plan.synchronization_count} "
+        f"bytes={result.stats.bytes_total} rounds={result.stats.round_count} "
+        f"root-link bytes={choice.measured_root_link_bytes}",
+        file=out,
+    )
+    print(f"merge topology={choice.topology} — {choice.reason}", file=out)
     print(statement.apply_post(result.relation).pretty(args.max_rows), file=out)
     return 0
 
@@ -859,7 +830,7 @@ def run_trace(args, out) -> int:
     if args.query is None:
         print("trace: a query (or --flight PATH) is required", file=sys.stderr)
         return 2
-    if args.topology != "star":
+    if _topology_label(args.topology) != "flat":
         print(
             f"tracing supports the star topology only, got {args.topology!r}",
             file=sys.stderr,
@@ -978,7 +949,7 @@ def run_explain(args, out) -> int:
         result = execute_plan_scheduled(
             cluster, plan, config,
             tracer=tracer, metrics=registry, query_id=1,
-            statistics=statistics, topology=args.topology,
+            statistics=statistics, topology=_topology_label(args.topology),
         )
     except PlanError as error:
         print(f"repro explain: {error}", file=sys.stderr)

@@ -18,13 +18,6 @@ from repro.distributed.costing import (
     estimate_plan,
     estimate_topology_costs,
 )
-from repro.distributed.hierarchy import (
-    HierarchicalResult,
-    TreeStats,
-    TreeTopology,
-    execute_plan_hierarchical,
-    execute_query_hierarchical,
-)
 from repro.distributed.incremental import IncrementalView, RefreshResult
 from repro.distributed.evaluator import (
     DistributedResult,
@@ -32,6 +25,7 @@ from repro.distributed.evaluator import (
     execute_plan,
     execute_query,
 )
+from repro.distributed.mergetree import MergeTree, execute_plan_tree, tree_for
 from repro.distributed.optimizer import (
     OptimizationOptions,
     plan_query,
@@ -43,14 +37,6 @@ from repro.distributed.scheduler import (
     choose_topology,
     execute_plan_scheduled,
     execute_query_scheduled,
-)
-from repro.distributed.spanning import (
-    SpanningResult,
-    SpanningStats,
-    TreeNode,
-    chain_tree,
-    execute_plan_spanning,
-    execute_query_spanning,
 )
 from repro.distributed.plan import BaseRound, MDRound, Plan
 from repro.distributed.site import SkallaSite
@@ -68,9 +54,9 @@ __all__ = [
     "DistributedResult",
     "ExecutionConfig",
     "ExecutionStats",
-    "HierarchicalResult",
     "IncrementalView",
     "MDRound",
+    "MergeTree",
     "OptimizationOptions",
     "Plan",
     "RefreshResult",
@@ -81,14 +67,8 @@ __all__ = [
     "SkallaSite",
     "StatisticsStore",
     "TableStatistics",
-    "SpanningResult",
-    "SpanningStats",
     "TopologyChoice",
     "TopologyEstimate",
-    "TreeStats",
-    "TreeNode",
-    "TreeTopology",
-    "chain_tree",
     "choose_topology",
     "compare_plans",
     "check_theorem2",
@@ -96,15 +76,13 @@ __all__ = [
     "estimate_plan",
     "estimate_topology_costs",
     "execute_plan",
-    "execute_plan_hierarchical",
     "execute_plan_scheduled",
+    "execute_plan_tree",
     "execute_query",
-    "execute_query_hierarchical",
-    "execute_plan_spanning",
     "execute_query_scheduled",
-    "execute_query_spanning",
     "plan_query",
     "plan_query_cost_based",
     "plan_query_scheduled",
     "theorem2_bound",
+    "tree_for",
 ]

@@ -34,8 +34,9 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
+from repro.distributed.mergetree import parse_topology, tree_for
 from repro.distributed.plan import Plan
-from repro.errors import CatalogError
+from repro.errors import CatalogError, PlanError
 from repro.gmdj.expression import DistinctBase, LiteralBase
 from repro.net.costmodel import CostModel, WAN
 
@@ -281,24 +282,25 @@ class TopologyEstimate:
 
 
 def _per_round_volumes(plan: Plan, estimate: PlanEstimate):
-    """(site_count, per_site_down, per_site_up, cap) tuples per round.
+    """(sites, per_site_down, per_site_up, cap) tuples per round.
 
-    ``cap`` is |Q| — the most any *merged* stream can carry, since
-    combiners merge sub-results by key before forwarding (every grouping
-    key appears at most once per merged shipment).
+    ``sites`` are the round's participants; ``cap`` is |Q| — the most
+    any *merged* stream can carry, since combiners merge sub-results by
+    key before forwarding (every grouping key appears at most once per
+    merged shipment).
     """
     cap = max(1.0, estimate.group_count)
     volumes = []
     if not plan.base.merged_into_chain and plan.base.is_distributed:
-        site_count = max(1, len(plan.base.sites))
-        volumes.append((site_count, 0.0, estimate.base_tuples / site_count, cap))
+        sites = plan.base.sites
+        volumes.append((sites, 0.0, estimate.base_tuples / len(sites), cap))
     for md_round, round_estimate in zip(plan.rounds, estimate.rounds):
-        site_count = max(1, len(md_round.sites))
+        sites = md_round.sites
         volumes.append(
             (
-                site_count,
-                round_estimate.tuples_down / site_count,
-                round_estimate.tuples_up / site_count,
+                sites,
+                round_estimate.tuples_down / len(sites),
+                round_estimate.tuples_up / len(sites),
                 cap,
             )
         )
@@ -317,95 +319,69 @@ def estimate_topology_costs(
     """Price the plan under every candidate merge topology.
 
     Reuses :func:`estimate_plan` for the per-round tuple volumes, then
-    composes them per topology the same way the measured
-    ``SpanningRoundStats.response_time_s`` / ``TreeRoundStats`` math
-    composes measured bytes:
+    walks each candidate's :class:`~repro.distributed.mergetree.MergeTree`
+    — the very tree :func:`~repro.distributed.mergetree.tree_for` hands
+    the executor — composing them the way the measured
+    ``RoundStats.response_time_s`` composes measured bytes:
 
-    - *flat*: one round trip; the coordinator link serializes every
-      site's down and up stream;
-    - *hierarchical* (r regions, k = ceil(n/r) sites each): the root
-      serializes r region streams — each capped at |Q| because regional
-      combiners merge by key — then regions fan out to their k sites in
-      parallel with each other;
-    - *chain* (fanout f): one hop per tree level; each level's node
-      serializes f child streams, again capped at |Q| once merged.
+        cost(node) = 2·latency + Σ child-edge bytes / bandwidth
+                     + max over children cost(child)
 
-    Returns :class:`TopologyEstimate` per candidate, flat first. Only
-    topologies that change the shape are emitted (a 1-region hierarchy
-    or a chain no deeper than two levels degenerates to flat).
+    A node serializes its children's streams on its one link; subtrees
+    work in parallel. An edge carries its subtree's sites' rows, capped
+    at |Q| below a merge (a combiner forwards each key once). The flat
+    star is the depth-1 case: one round trip, every site's stream on the
+    coordinator's link.
+
+    Returns :class:`TopologyEstimate` per candidate, flat first. A
+    parameter the site count cannot honour, or one whose tree is just
+    the star again, yields no candidate.
     """
     estimate = estimate_plan(plan, statistics, catalog)
     volumes = _per_round_volumes(plan, estimate)
-    site_count = max((n for n, _d, _u, _c in volumes), default=1)
 
-    def flat_cost():
-        time_s = 0.0
-        root_bytes = 0.0
-        for n, down, up, _cap in volumes:
-            round_bytes = n * (down + up) * bytes_per_tuple
-            time_s += 2 * model.latency_s + round_bytes / model.bandwidth_bytes_per_s
-            root_bytes += round_bytes
-        return time_s, root_bytes
-
-    def hierarchical_cost(region_count):
-        time_s = 0.0
-        root_bytes = 0.0
-        for n, down, up, cap in volumes:
-            regions = min(region_count, n)
-            per_region_sites = math.ceil(n / regions)
-            region_down = min(per_region_sites * down, cap if down else 0.0)
-            region_up = min(per_region_sites * up, cap if up else 0.0)
-            root_round = regions * (region_down + region_up) * bytes_per_tuple
-            fan_round = per_region_sites * (down + up) * bytes_per_tuple
-            time_s += (
-                2 * model.latency_s
-                + root_round / model.bandwidth_bytes_per_s
-                + 2 * model.latency_s
-                + fan_round / model.bandwidth_bytes_per_s
+    def price_round(node, sites, down, up, cap):
+        """(seconds, bytes on ``node``'s own link) for one round below it."""
+        if node.is_leaf:
+            return 0.0, 0.0
+        link_bytes = slowest_child = 0.0
+        for child in node.children:
+            below = sum(1 for leaf in child.leaves() if leaf in sites)
+            if not below:
+                continue
+            rows_down, rows_up = below * down, below * up
+            if not child.is_leaf:
+                rows_down, rows_up = min(rows_down, cap), min(rows_up, cap)
+            link_bytes += (rows_down + rows_up) * bytes_per_tuple
+            slowest_child = max(
+                slowest_child, price_round(child, sites, down, up, cap)[0]
             )
-            root_bytes += root_round
-        return time_s, root_bytes
-
-    def chain_cost(fanout):
-        time_s = 0.0
-        root_bytes = 0.0
-        for n, down, up, cap in volumes:
-            depth = max(1, math.ceil(math.log(max(n, 2), fanout)))
-            subtree = float(n)
-            for level in range(depth):
-                edge_down = min(subtree / fanout * down, cap if down else 0.0)
-                edge_up = min(subtree / fanout * up, cap if up else 0.0)
-                level_bytes = fanout * (edge_down + edge_up) * bytes_per_tuple
-                time_s += (
-                    2 * model.latency_s
-                    + level_bytes / model.bandwidth_bytes_per_s
-                )
-                if level == 0:
-                    root_bytes += level_bytes
-                subtree /= fanout
-        return time_s, root_bytes
-
-    flat_time, flat_bytes = flat_cost()
-    candidates = [
-        TopologyEstimate("flat", "flat", 0, flat_time, flat_bytes)
-    ]
-    for region_count in region_counts:
-        if not 1 < region_count < site_count:
-            continue
-        time_s, root_bytes = hierarchical_cost(region_count)
-        candidates.append(
-            TopologyEstimate(
-                f"hierarchical:{region_count}", "hierarchical",
-                region_count, time_s, root_bytes,
-            )
+        return (
+            2 * model.latency_s
+            + link_bytes / model.bandwidth_bytes_per_s
+            + slowest_child,
+            link_bytes,
         )
-    for fanout in fanouts:
-        if fanout < 2 or site_count <= fanout:
+
+    def price(tree):
+        """(response time, root-link bytes) of the whole plan over ``tree``."""
+        rounds = [price_round(tree, *volume) for volume in volumes]
+        return sum(t for t, _b in rounds), sum(b for _t, b in rounds)
+
+    labels = (
+        ["flat"]
+        + [f"hierarchical:{count}" for count in region_counts]
+        + [f"chain:{fanout}" for fanout in fanouts]
+    )
+    candidates = []
+    for label in labels:
+        try:
+            tree = tree_for(label, plan.sites)
+        except PlanError:
             continue
-        time_s, root_bytes = chain_cost(fanout)
-        candidates.append(
-            TopologyEstimate(f"chain:{fanout}", "chain", fanout, time_s, root_bytes)
-        )
+        if tree.is_star and label != "flat":
+            continue
+        candidates.append(TopologyEstimate(label, *parse_topology(label), *price(tree)))
     return tuple(candidates)
 
 

@@ -48,7 +48,7 @@ from repro.errors import PlanError, ReproError
 from repro.gmdj.expression import GMDJExpression, LiteralBase
 from repro.net import message as msg
 from repro.net import serialize
-from repro.net.costmodel import CostModel, WAN
+from repro.net.costmodel import CostModel
 from repro.obs.metrics import MetricsRegistry, activate
 from repro.obs.tracer import NULL_TRACER
 from repro.relalg.engine import ENGINES, use_engine
@@ -230,7 +230,7 @@ class DistributedResult:
             self.stats, len(self.relation), base_sites, round_sites
         )
 
-    def response_time_s(self, model: CostModel = WAN) -> float:
+    def response_time_s(self, model: Optional[CostModel] = None) -> float:
         return self.stats.response_time_s(model)
 
 

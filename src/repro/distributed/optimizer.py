@@ -103,8 +103,8 @@ def plan_query_scheduled(
 ):
     """Plan a query and choose its merge topology in one step.
 
-    Runs the standard rewrite pipeline, then prices flat-star,
-    hierarchical-combiner, and chain-relay merge topologies against the
+    Runs the standard rewrite pipeline, then prices the flat star and
+    the two-level and deeper combiner-tree merge topologies against the
     statistics store and returns ``(plan, TopologyChoice)``.  The choice
     carries every priced candidate so callers (``repro explain
     --analyze``) can report the estimated saving, and feeds straight

@@ -132,6 +132,14 @@ class Plan:
             count += 1
         return count
 
+    @property
+    def sites(self) -> tuple:
+        """Every site some round of the plan touches, in first-use order."""
+        touched = list(self.base.sites)
+        for md_round in self.rounds:
+            touched.extend(md_round.sites)
+        return tuple(dict.fromkeys(touched))
+
     def participating_site_counts(self) -> tuple:
         """``(s_0, [s_1..s_m])`` for Theorem 2's bound."""
         base_sites = (

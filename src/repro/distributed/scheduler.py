@@ -2,32 +2,32 @@
 
 The paper's Section 6 names alternative architectures — multi-tiered
 coordinators and spanning-tree networks — as future work; this repo
-implements both (:mod:`repro.distributed.hierarchy`,
-:mod:`repro.distributed.spanning`) next to the flat star evaluator. This
+models both as one :class:`~repro.distributed.mergetree.MergeTree`. This
 module closes the loop: instead of the *caller* hard-coding a topology,
-the scheduler prices every candidate with the plan's traffic estimate
-(:func:`repro.distributed.costing.estimate_topology_costs`) and executes
-the cheapest one, so ``execute_plan_scheduled`` is the single entry
-point and the topology becomes a planner decision like any other.
+the scheduler prices every candidate tree with the plan's traffic
+estimate (:func:`repro.distributed.costing.estimate_topology_costs`) and
+executes the cheapest one, so ``execute_plan_scheduled`` is the single
+entry point and the topology becomes a planner decision like any other.
 
 Decision inputs, per query:
 
 - the plan's estimated per-round tuple volumes (|Q|, per-site down/up);
 - the cost model (latency/bandwidth of the coordinator's links);
 - the candidate shapes: flat star, two-level hierarchies (region
-  counts), and deeper chain/relay trees (fanouts).
+  counts), and deeper combiner trees (fanouts).
 
 Objective: minimum estimated response time, ties broken by root-link
 bytes (the scarce resource), then by simplicity (flat wins exact ties).
 
 Every topology is result-equivalent for every plan the optimizer emits —
-the hierarchy/spanning tests prove bit-identical relations — so the
+``tests/test_mergetree.py`` proves bit-identical relations — so the
 choice is purely a performance decision and can never change an answer.
 
-Non-flat execution runs in-process against local sites, so the scheduler
-only considers non-flat candidates for simulated clusters on clean runs:
-socket deployments, fault plans, and speculative re-execution all pin
-the topology to flat (where the recovery and transport layers live).
+A star-shaped tree runs on :func:`~repro.distributed.evaluator.execute_plan`;
+any other shape runs on
+:func:`~repro.distributed.mergetree.execute_plan_tree`, in-process
+against local sites, so the scheduler only considers those shapes for
+simulated clusters on clean runs (:func:`_pinned_to_flat_reason`).
 """
 
 from __future__ import annotations
@@ -46,10 +46,8 @@ from repro.distributed.evaluator import (
     ExecutionConfig,
     execute_plan,
 )
-from repro.distributed.hierarchy import TreeTopology, execute_plan_hierarchical
+from repro.distributed.mergetree import execute_plan_tree, parse_topology, tree_for
 from repro.distributed.plan import Plan
-from repro.distributed.spanning import chain_tree, execute_plan_spanning
-from repro.distributed.stats import ExecutionStats
 from repro.errors import PlanError
 from repro.net.costmodel import CostModel, WAN
 
@@ -162,108 +160,8 @@ def choose_topology(
 
 
 # ---------------------------------------------------------------------------
-# TreeStats / SpanningStats -> ExecutionStats views
-# ---------------------------------------------------------------------------
-
-#: Pseudo-site prefix for region-combiner links in converted stats.
-COMBINER_PREFIX = "combiner:"
-#: Pseudo-site prefix for relay-node edges in converted stats.
-RELAY_PREFIX = "relay:"
-
-
-def execution_stats_from_tree(
-    tree_stats, topology_label: str, wire_codec: str = "row", query_id=None
-) -> ExecutionStats:
-    """View a hierarchical run's TreeStats as flat-shaped ExecutionStats.
-
-    Site links keep their site ids; root→region links appear as
-    ``combiner:<region>`` pseudo-sites, so byte totals equal
-    ``TreeStats.bytes_total`` (every link's traffic counted once) and
-    the profile/explain pipeline renders hierarchical runs without a
-    second code path. Response-time math should use the native
-    ``TreeStats`` (the flat max-over-sites formula cannot see the
-    root→region serialization); the scheduler records the native number
-    on its :class:`TopologyChoice`.
-    """
-    stats = ExecutionStats(
-        executor="serial", topology=topology_label,
-        wire_codec=wire_codec, query_id=query_id,
-    )
-    for tree_round in tree_stats.rounds:
-        round_stats = stats.new_round(
-            tree_round.kind,
-            f"regions={len(tree_round.region_links)} "
-            f"sites={len(tree_round.site_links)}",
-        )
-        for (region, site_id), link in tree_round.site_links.items():
-            site = round_stats.site(site_id)
-            site.bytes_down += link.bytes_down
-            site.bytes_up += link.bytes_up
-            site.tuples_down += link.tuples_down
-            site.tuples_up += link.tuples_up
-            site.compute_s += link.compute_s
-            site.row_equiv_bytes_down += link.bytes_down
-            site.row_equiv_bytes_up += link.bytes_up
-        for region, link in tree_round.region_links.items():
-            pseudo = round_stats.site(f"{COMBINER_PREFIX}{region}")
-            pseudo.bytes_down += link.bytes_down
-            pseudo.bytes_up += link.bytes_up
-            pseudo.tuples_down += link.tuples_down
-            pseudo.tuples_up += link.tuples_up
-            pseudo.compute_s += link.compute_s
-            pseudo.row_equiv_bytes_down += link.bytes_down
-            pseudo.row_equiv_bytes_up += link.bytes_up
-        round_stats.coordinator_compute_s += tree_round.root_compute_s
-    return stats
-
-
-def execution_stats_from_spanning(
-    spanning_stats, tree, query_id=None
-) -> ExecutionStats:
-    """View a spanning-tree run's stats as flat-shaped ExecutionStats.
-
-    Leaf edges keep their site ids; relay edges appear as
-    ``relay:<node>`` pseudo-sites. Byte totals equal
-    ``SpanningStats.bytes_total``; see
-    :func:`execution_stats_from_tree` for the response-time caveat.
-    """
-    leaves = set(tree.leaves())
-    depth = tree.depth()
-    stats = ExecutionStats(
-        executor="serial", topology=f"chain:{depth}", query_id=query_id,
-    )
-    for spanning_round in spanning_stats.rounds:
-        round_stats = stats.new_round(
-            spanning_round.kind, f"edges={len(spanning_round.edges)}"
-        )
-        for name, edge in spanning_round.edges.items():
-            label = name if name in leaves else f"{RELAY_PREFIX}{name}"
-            site = round_stats.site(label)
-            site.bytes_down += edge.bytes_down
-            site.bytes_up += edge.bytes_up
-            site.compute_s += edge.compute_s
-            site.row_equiv_bytes_down += edge.bytes_down
-            site.row_equiv_bytes_up += edge.bytes_up
-        round_stats.coordinator_compute_s += spanning_round.root_compute_s
-    return stats
-
-
-# ---------------------------------------------------------------------------
 # Scheduled execution
 # ---------------------------------------------------------------------------
-
-
-def _parse_topology_label(label: str):
-    """``"flat" | "hierarchical:R" | "chain:F"`` -> (kind, parameter)."""
-    if label == "flat":
-        return "flat", 0
-    kind, _, raw = label.partition(":")
-    if kind in ("hierarchical", "chain") and raw.isdigit() and int(raw) > 0:
-        return kind, int(raw)
-    raise PlanError(
-        f"unknown topology {label!r}; expected 'auto', 'flat', "
-        "'hierarchical:<regions>' or 'chain:<fanout>'"
-    )
 
 
 def execute_plan_scheduled(
@@ -279,24 +177,22 @@ def execute_plan_scheduled(
 ) -> DistributedResult:
     """Execute a plan under the scheduler-selected merge topology.
 
-    The drop-in, planner-driven replacement for calling
-    ``execute_plan`` / ``execute_plan_hierarchical`` /
-    ``execute_plan_spanning`` directly: the topology becomes an output
-    of cost-based planning rather than a caller decision. Returns a
+    The topology is an output of cost-based planning rather than a
+    caller decision. Returns a
     :class:`~repro.distributed.evaluator.DistributedResult` whose
-    ``stats.topology`` names the executed shape and whose
-    ``topology_choice`` carries the full decision (candidates, reason,
-    measured-vs-estimated numbers).
+    ``stats.topology`` names the executed shape, whose ``stats.model``
+    is ``model`` (so ``stats.response_time_s()`` reports what the
+    planner priced with), and whose ``topology_choice`` carries the full
+    decision (candidates, reason, measured-vs-estimated numbers).
 
     ``topology`` forces a shape (``"flat"``, ``"hierarchical:2"``,
-    ``"chain:2"``) or lets the cost model decide (``"auto"``). Non-flat
-    shapes need in-process sites and a clean run: socket transports,
-    fault plans and speculation pin the choice to flat (those layers
-    live in the star evaluator), recorded in the choice's reason.
+    ``"chain:2"``) or lets the cost model decide (``"auto"``). Shapes
+    other than the star need in-process sites and a clean run; see
+    :func:`_pinned_to_flat_reason`, whose answer is recorded in the
+    choice's reason (``auto``) or raised (forced).
     """
     config = config or ExecutionConfig()
     pinned_reason = _pinned_to_flat_reason(cluster, config)
-    allow_non_flat = pinned_reason is None
 
     if statistics is None and isinstance(cluster, SimulatedCluster):
         statistics = StatisticsStore.from_cluster(cluster)
@@ -309,28 +205,21 @@ def execute_plan_scheduled(
         else:
             choice = choose_topology(
                 plan, statistics, cluster.catalog, model=model,
-                allow_non_flat=allow_non_flat,
+                allow_non_flat=pinned_reason is None,
             )
             if pinned_reason is not None:
                 choice.reason = f"pinned to flat: {pinned_reason}"
     else:
-        kind, parameter = _parse_topology_label(topology)
-        if kind != "flat" and pinned_reason is not None:
-            raise PlanError(
-                f"topology {topology!r} unavailable: {pinned_reason}"
-            )
+        kind, parameter = parse_topology(topology)
+        candidates = (TopologyEstimate("flat", "flat"),)
         if statistics is not None:
-            priced = choose_topology(
+            candidates = estimate_topology_costs(
                 plan, statistics, cluster.catalog, model=model,
-                allow_non_flat=True,
                 region_counts=(parameter,) if kind == "hierarchical" else (),
                 fanouts=(parameter,) if kind == "chain" else (),
             )
-            candidates = priced.candidates
-        else:
-            candidates = (TopologyEstimate("flat", "flat"),)
         chosen = next(
-            (c for c in candidates if c.kind == kind and c.parameter == parameter),
+            (c for c in candidates if c.label == topology),
             TopologyEstimate(topology, kind, parameter),
         )
         choice = TopologyChoice(
@@ -338,39 +227,23 @@ def execute_plan_scheduled(
             reason=f"topology {topology!r} forced by caller", model=model,
         )
 
-    kind = choice.chosen.kind
-    parameter = choice.chosen.parameter
-    if kind == "hierarchical":
-        tree_topology = TreeTopology.balanced(cluster.site_ids, parameter)
-        outcome = execute_plan_hierarchical(
-            cluster, tree_topology, plan, wire_codec=config.wire_codec,
-            tracer=tracer, metrics=metrics, query_id=query_id, model=model,
-        )
-        stats = execution_stats_from_tree(
-            outcome.stats, choice.chosen.label, config.wire_codec, query_id
-        )
-        choice.measured_response_time_s = outcome.stats.response_time_s()
-        choice.measured_root_link_bytes = outcome.stats.root_link_bytes
-        result = DistributedResult(outcome.relation, stats, plan)
-    elif kind == "chain":
-        tree = chain_tree(list(cluster.site_ids), parameter)
-        outcome = execute_plan_spanning(
-            cluster, tree, plan,
-            tracer=tracer, metrics=metrics, query_id=query_id, model=model,
-        )
-        stats = execution_stats_from_spanning(outcome.stats, tree, query_id)
-        stats.topology = choice.chosen.label
-        choice.measured_response_time_s = outcome.stats.response_time_s()
-        choice.measured_root_link_bytes = outcome.stats.root_edge_bytes(tree)
-        result = DistributedResult(outcome.relation, stats, plan)
-    else:
+    tree = tree_for(choice.chosen.label, plan.sites)
+    if tree.is_star:
         result = execute_plan(
             cluster, plan, config, tracer=tracer, metrics=metrics,
             query_id=query_id,
         )
-        result.stats.topology = "flat"
-        choice.measured_response_time_s = result.stats.response_time_s(model)
-        choice.measured_root_link_bytes = result.stats.bytes_total
+    elif pinned_reason is not None:
+        raise PlanError(f"topology {topology!r} unavailable: {pinned_reason}")
+    else:
+        result = execute_plan_tree(
+            cluster, tree, plan, config, tracer=tracer, metrics=metrics,
+            query_id=query_id,
+        )
+    result.stats.topology = choice.chosen.label
+    result.stats.model = model
+    choice.measured_response_time_s = result.stats.response_time_s()
+    choice.measured_root_link_bytes = result.stats.root_link_bytes
     result.topology_choice = choice
     return result
 
@@ -399,7 +272,12 @@ def execute_query_scheduled(
 
 
 def _pinned_to_flat_reason(cluster, config: ExecutionConfig) -> Optional[str]:
-    """Why this execution context cannot run a non-flat topology."""
+    """Why this execution context cannot run a non-flat topology.
+
+    The one list of what :func:`execute_plan_tree` cannot honour; a
+    setting it can neither honour nor refuse here would be silently
+    dropped.
+    """
     if not isinstance(cluster, SimulatedCluster):
         return "non-flat merging needs in-process sites (simulated cluster)"
     if config.executor == "sockets":
@@ -408,6 +286,8 @@ def _pinned_to_flat_reason(cluster, config: ExecutionConfig) -> Optional[str]:
         return "fault injection targets the flat star's channels"
     if config.speculation:
         return "speculative re-execution lives in the flat star's recovery layer"
+    if config.row_block_size:
+        return "row blocking is implemented on the flat star's channels only"
     return None
 
 

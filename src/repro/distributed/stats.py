@@ -13,13 +13,17 @@ collects exactly those quantities:
   :class:`~repro.net.costmodel.CostModel`.
 
 Response-time composition: within a round, the coordinator fans out to
-sites over independent channels, sites compute in parallel, and the
-round ends when the slowest site's reply has been synchronized. So
+its children over independent channels, subtrees work in parallel, and
+the round ends when the slowest child's reply has been synchronized. So
 
-    round_time = max over sites (down_xfer + site_compute + up_xfer)
-                 + coordinator_compute
+    edge_time(n) = down_xfer + max over n's children (edge_time)
+                   + compute + up_xfer
+    round_time   = max over the root's edges (edge_time)
+                   + coordinator_compute
 
-and the query evaluation time is the sum over rounds. The Figure-5-style
+With no interior nodes (the flat star) every edge is a site and this is
+``max over sites (down_xfer + site_compute + up_xfer)``. The query
+evaluation time is the sum over rounds. The Figure-5-style
 breakdown attributes ``max(down + up)`` to communication and the
 parallel-critical-path site compute to site computation; the breakdown is
 additive and differs from the exact critical path by at most the
@@ -33,17 +37,18 @@ checked by tests and benchmarks on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
-from repro.net.costmodel import CostModel
+from repro.net.costmodel import CostModel, WAN
 
 
 @dataclass
 class SiteRoundStats:
-    """One site's activity within one round."""
+    """One edge's activity within one round: a site, or — under a merge
+    tree — a combiner, keyed by the node at the edge's lower end."""
 
-    bytes_down: int = 0  # coordinator -> site
-    bytes_up: int = 0  # site -> coordinator
+    bytes_down: int = 0  # parent -> node
+    bytes_up: int = 0  # node -> parent
     tuples_down: int = 0
     tuples_up: int = 0
     compute_s: float = 0.0
@@ -78,6 +83,9 @@ class RoundStats:
     kind: str  # "base", "md", "chain"
     description: str = ""
     sites: dict = field(default_factory=dict)  # site_id -> SiteRoundStats
+    #: Merge-tree shape below the root: combiner name -> child names,
+    #: each child again a key of ``sites``. Empty for the flat star.
+    children: dict = field(default_factory=dict)
     coordinator_compute_s: float = 0.0
     #: Measured wall-clock of the whole round (set by the evaluator).
     #: Under a parallel executor this is what actually elapsed, to be
@@ -170,13 +178,32 @@ class RoundStats:
             times.append(down + up)
         return max(times)
 
+    def root_edges(self) -> list:
+        """The edges into the root: every entry no combiner lists as a child."""
+        nested = {name for names in self.children.values() for name in names}
+        return [name for name in self.sites if name not in nested]
+
+    @property
+    def root_link_bytes(self) -> int:
+        """Traffic crossing the root's own link (all of it, for a star)."""
+        return sum(
+            self.sites[name].bytes_down + self.sites[name].bytes_up
+            for name in self.root_edges()
+        )
+
     def response_time_s(self, model: CostModel) -> float:
         """Exact round critical path (overlapping compute and transfers)."""
-        slowest = 0.0
-        for stats in self.sites.values():
+
+        def edge_time(name: str) -> float:
+            stats = self.sites.get(name)
+            if stats is None:  # that subtree sat this round out
+                return 0.0
             down = model.transfer_time(stats.bytes_down) if stats.bytes_down else 0.0
             up = model.transfer_time(stats.bytes_up) if stats.bytes_up else 0.0
-            slowest = max(slowest, down + stats.compute_s + up)
+            below = max(map(edge_time, self.children.get(name, ())), default=0.0)
+            return down + below + stats.compute_s + up
+
+        slowest = max(map(edge_time, self.root_edges()), default=0.0)
         return slowest + self.coordinator_compute_s
 
 
@@ -189,9 +216,13 @@ class ExecutionStats:
     executor: str = "serial"
     #: Which merge topology moved the bytes: ``"flat"`` (coordinator
     #: star), ``"hierarchical:R"`` (R two-level regions) or ``"chain:F"``
-    #: (fanout-F relay tree). Set by the topology scheduler; plain
+    #: (fanout-F combiner tree). Set by the topology scheduler; plain
     #: ``execute_plan`` runs are always flat.
     topology: str = "flat"
+    #: The cost model the run was planned under (set by the scheduler),
+    #: so a no-argument ``response_time_s()`` reports with the model the
+    #: planner priced with instead of silently assuming WAN.
+    model: Optional[CostModel] = None
     #: Which failure mode governed the run (``fail_fast | retry | degrade``).
     failure_mode: str = "fail_fast"
     #: Injected faults observed on the wire, as
@@ -427,8 +458,13 @@ class ExecutionStats:
     def communication_s(self, model: CostModel) -> float:
         return sum(stats.communication_s(model) for stats in self.rounds)
 
-    def response_time_s(self, model: CostModel) -> float:
+    @property
+    def root_link_bytes(self) -> int:
+        return sum(stats.root_link_bytes for stats in self.rounds)
+
+    def response_time_s(self, model: Optional[CostModel] = None) -> float:
         """Exact per-round critical path, summed over rounds."""
+        model = model or self.model or WAN
         return sum(stats.response_time_s(model) for stats in self.rounds)
 
     def breakdown(self, model: CostModel) -> dict:

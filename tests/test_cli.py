@@ -79,11 +79,17 @@ class TestSql:
         assert code == 0
         assert "flows" in output
 
-    def test_bad_topology(self):
+    @pytest.mark.parametrize(
+        "topology", ["ring", "tree:abc", "tree:0", "hierarchical:99"]
+    )
+    def test_bad_topology(self, topology, capsys):
         code, _output = run_cli(
-            ["sql", self.QUERY, "--topology", "ring", "--scale", "0.0002"]
+            ["sql", self.QUERY, "--topology", topology, "--sites", "4",
+             "--scale", "0.0002"]
         )
         assert code == 2
+        message = capsys.readouterr().err
+        assert message.startswith("repro sql: ") and message.count("\n") == 1
 
     def test_bad_sql_raises(self):
         with pytest.raises(SqlError):
@@ -228,6 +234,24 @@ class TestExplain:
         assert "optimizations (measured vs unoptimized estimate)" in output
         assert "+- site0" in output
         assert "+- merge" in output
+
+    def test_analyze_reports_the_chosen_merge_topology(self):
+        code, output = run_cli(
+            ["explain", self.QUERY, "--sites", "8", "--scale", "0.0003",
+             "--analyze"]
+        )
+        assert code == 0, output
+        assert "merge topology [" in output
+
+    def test_analyze_forced_topology_reports_measured_saving(self):
+        code, output = run_cli(
+            ["explain", self.QUERY, "--sites", "8", "--scale", "0.0003",
+             "--analyze", "--topology", "hierarchical:2"]
+        )
+        assert code == 0, output
+        assert "merge topology [hierarchical:2]" in output
+        assert "measured" in output
+        assert "+- combiner:0" in output
 
     def test_analyze_json_profile(self):
         import json

@@ -1,4 +1,4 @@
-"""Cost-driven merge-topology scheduling (scheduler + costing + views)."""
+"""Cost-driven merge-topology scheduling (scheduler + costing)."""
 
 import pytest
 
@@ -11,21 +11,11 @@ from repro.distributed import (
     estimate_topology_costs,
     execute_plan,
     execute_plan_scheduled,
-    execute_query_hierarchical,
     execute_query_scheduled,
-    execute_query_spanning,
     plan_query,
     plan_query_scheduled,
 )
 from repro.distributed.evaluator import ExecutionConfig
-from repro.distributed.hierarchy import TreeTopology
-from repro.distributed.scheduler import (
-    COMBINER_PREFIX,
-    RELAY_PREFIX,
-    execution_stats_from_spanning,
-    execution_stats_from_tree,
-)
-from repro.distributed.spanning import chain_tree
 from repro.errors import PlanError
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
@@ -203,43 +193,6 @@ class TestScheduledExecution:
         )
         assert_relations_equal(reference.relation, result.relation)
 
-    def test_hierarchical_stats_view_matches_native_run(self):
-        cluster = build_cluster(8)
-        plan = plan_query(correlated_expression(), cluster.catalog)
-        scheduled = execute_plan_scheduled(
-            cluster, plan, topology="hierarchical:2"
-        )
-        native = execute_query_hierarchical(
-            build_cluster(8),
-            TreeTopology.balanced(cluster.site_ids, 2),
-            correlated_expression(),
-        )
-        assert scheduled.stats.bytes_total == native.stats.bytes_total
-        sites = {
-            site_id
-            for round_stats in scheduled.stats.rounds
-            for site_id in round_stats.sites
-        }
-        assert any(site_id.startswith(COMBINER_PREFIX) for site_id in sites)
-        assert "site0" in sites
-
-    def test_chain_stats_view_matches_native_run(self):
-        cluster = build_cluster(8)
-        plan = plan_query(correlated_expression(), cluster.catalog)
-        scheduled = execute_plan_scheduled(cluster, plan, topology="chain:2")
-        native = execute_query_spanning(
-            build_cluster(8),
-            chain_tree(list(cluster.site_ids), 2),
-            correlated_expression(),
-        )
-        assert scheduled.stats.bytes_total == native.stats.bytes_total
-        sites = {
-            site_id
-            for round_stats in scheduled.stats.rounds
-            for site_id in round_stats.sites
-        }
-        assert any(site_id.startswith(RELAY_PREFIX) for site_id in sites)
-
     @pytest.mark.parametrize(
         "label", ["bogus", "hierarchical:0", "chain:-2", "tree:2", "chain:x"]
     )
@@ -314,47 +267,6 @@ class TestReportModelAgreement:
     """Regression for the report-time model bug: ``response_time_s``
     used to default to WAN regardless of the model the run was planned
     and executed under."""
-
-    def test_hierarchical_report_uses_execution_model(self):
-        cluster = build_cluster(8)
-        result = execute_query_hierarchical(
-            cluster,
-            TreeTopology.balanced(cluster.site_ids, 2),
-            correlated_expression(),
-            model=LAN,
-        )
-        assert result.stats.response_time_s() == result.stats.response_time_s(
-            LAN
-        )
-        assert result.stats.response_time_s() != result.stats.response_time_s(
-            WAN
-        )
-
-    def test_spanning_report_uses_execution_model(self):
-        cluster = build_cluster(8)
-        result = execute_query_spanning(
-            cluster,
-            chain_tree(list(cluster.site_ids), 2),
-            correlated_expression(),
-            model=LAN,
-        )
-        assert result.stats.response_time_s() == result.stats.response_time_s(
-            LAN
-        )
-        assert result.stats.response_time_s() != result.stats.response_time_s(
-            WAN
-        )
-
-    def test_default_model_stays_wan(self):
-        cluster = build_cluster(4)
-        result = execute_query_hierarchical(
-            cluster,
-            TreeTopology.balanced(cluster.site_ids, 2),
-            correlated_expression(),
-        )
-        assert result.stats.response_time_s() == result.stats.response_time_s(
-            WAN
-        )
 
     def test_scheduled_measurement_uses_requested_model(self):
         cluster = build_cluster(8)
