@@ -528,9 +528,10 @@ def _add_cluster_options(parser) -> None:
         "--executor",
         choices=EXECUTORS,
         default="serial",
-        help="site execution engine (star topology; 'threads'/'processes' "
-        "fan site legs out across a worker pool; 'sockets' runs each site "
-        "as a separate OS process reached over TCP)",
+        help="site execution engine, for any merge topology: "
+        "'threads'/'processes' fan site legs out across a worker pool; "
+        "'sockets' runs each site as a separate OS process reached over "
+        "TCP (flat topology only)",
     )
     parser.add_argument(
         "--cluster-dir",

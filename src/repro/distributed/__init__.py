@@ -25,7 +25,7 @@ from repro.distributed.evaluator import (
     execute_plan,
     execute_query,
 )
-from repro.distributed.mergetree import MergeTree, execute_plan_tree, tree_for
+from repro.distributed.mergetree import MergeTree, tree_for
 from repro.distributed.optimizer import (
     OptimizationOptions,
     plan_query,
@@ -77,7 +77,6 @@ __all__ = [
     "estimate_topology_costs",
     "execute_plan",
     "execute_plan_scheduled",
-    "execute_plan_tree",
     "execute_query",
     "execute_query_scheduled",
     "plan_query",

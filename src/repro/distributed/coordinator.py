@@ -14,6 +14,8 @@ coordinator *assembles* X from the shipped Hᵢ themselves:
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Optional, Sequence
 
 from repro.errors import PlanError
@@ -72,19 +74,24 @@ class Coordinator:
 
     # -- round synchronization ----------------------------------------------------
 
-    def fragment_for_site(self, ship_filter: Optional[Expr]) -> Relation:
-        """The X fragment shipped to one site, after aware group reduction.
+    def fragment_for_site(
+        self, *ship_filters: Optional[Expr], held: Optional[Relation] = None
+    ) -> Relation:
+        """The fragment shipped down one edge, after aware group reduction.
 
-        ``ship_filter`` is the optimizer's ¬ψᵢ over base fields (relvar
-        ``"b"``), or ``None`` to ship all of X.
+        ``ship_filters`` are the optimizer's ¬ψᵢ over base fields (relvar
+        ``"b"``) of the sites the edge leads to — one for a site's own
+        edge, one per site beneath a combiner's — and the fragment is the
+        rows of ``held`` (default: all of X) that *some* of those sites
+        can use. A ``None`` filter means that site needs every row.
         """
-        x = self.x
-        if ship_filter is None:
-            return x
+        held = self.x if held is None else held
+        if any(ship_filter is None for ship_filter in ship_filters):
+            return held
         predicate = compiler.compile_predicate(
-            ship_filter, {BASE_VAR: x.schema}, (BASE_VAR,)
+            reduce(or_, ship_filters), {BASE_VAR: held.schema}, (BASE_VAR,)
         )
-        return x.select_fn(predicate)
+        return held.select_fn(predicate)
 
     def begin_sync(self, blocks: Sequence[MDBlock]) -> operator.SyncSession:
         """Open an incremental synchronization round against current X.

@@ -1,29 +1,40 @@
-"""Alg. GMDJDistribEval: executing a plan on a simulated cluster.
+"""Alg. GMDJDistribEval: executing a plan over a merge tree.
 
 This is the mediator of Fig. 1 in the paper. It drives the plan round by
-round, moving every relation as encoded bytes over the per-site channels
-(so traffic numbers are real wire sizes), timing site and coordinator
-computation separately, and synchronizing via the coordinator.
+round — ship the X fragment down, sites evaluate, ship Hᵢ up,
+synchronize by Theorem 1 — over a
+:class:`~repro.distributed.mergetree.MergeTree`: the paper's star is the
+depth-1 tree, its Section 6 multi-tiered coordinator the same round with
+a merge at interior nodes. One :class:`_RoundWalk` serves both, and one
+edge function serves every parent -> child edge of every round kind, so
+what a run is configured with (leg engine, retry/degrade, speculation,
+row blocking, engine, codec, fault plan) is a property of an edge, not
+of a shape. Every relation moves as encoded bytes over the edge's
+channel, so traffic numbers are real wire sizes.
 
 Attribution rules for the measured times:
 
 - a site is charged for decoding its incoming fragment, evaluating the
   GMDJ step(s), and encoding its sub-result;
-- the coordinator is charged for producing/encoding the per-site
-  fragments, decoding the sub-results, and the Theorem-1 merge;
+- a parent (the coordinator, or a combiner) is charged for
+  producing/encoding its children's fragments and decoding their
+  replies, a combiner also for its merge, the coordinator for the
+  Theorem-1 synchronization;
 - communication *time* is not measured (everything is in-process) — it
   is modeled from the measured bytes by the cost model in
   ``repro.distributed.stats``.
 
 Tracing: pass a live :class:`~repro.obs.tracer.Tracer` to record the
-span tree ``query → round → round.{encode,evaluate,decode,merge}``, and
-a :class:`~repro.obs.metrics.MetricsRegistry` to capture the GMDJ
-operator counters for the run. Both default to no-ops, so the untraced
-hot path pays nothing beyond a handful of no-op calls per round.
+span tree ``query → round → round.{encode,evaluate,decode,merge}`` (with
+one ``combiner.hop`` around everything below an interior node), and a
+:class:`~repro.obs.metrics.MetricsRegistry` to capture the GMDJ operator
+counters for the run. Both default to no-ops, so the untraced hot path
+pays nothing beyond a handful of no-op calls per round.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 import time
@@ -32,7 +43,13 @@ from typing import Optional
 
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.coordinator import Coordinator
-from repro.distributed.executor import EXECUTORS, SiteRequest, create_engine
+from repro.distributed.executor import (
+    EXECUTORS,
+    SiteRequest,
+    create_engine,
+    row_blocks,
+)
+from repro.distributed.mergetree import MergeTree
 from repro.distributed.optimizer import OptimizationOptions, plan_query
 from repro.distributed.plan import Plan
 from repro.distributed.recovery import (
@@ -44,14 +61,17 @@ from repro.distributed.recovery import (
     guard_leg,
 )
 from repro.distributed.stats import ExecutionStats, check_theorem2
-from repro.errors import PlanError, ReproError
+from repro.errors import NetworkError, PlanError, ReproError
 from repro.gmdj.expression import GMDJExpression, LiteralBase
+from repro.gmdj.operator import merge_sub_results
 from repro.net import message as msg
 from repro.net import serialize
+from repro.net.channel import Channel
 from repro.net.costmodel import CostModel
 from repro.obs.metrics import MetricsRegistry, activate
 from repro.obs.tracer import NULL_TRACER
 from repro.relalg.engine import ENGINES, use_engine
+from repro.relalg.operators import union_all
 from repro.relalg.relation import Relation
 
 
@@ -199,15 +219,9 @@ class ExecutionConfig:
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy.from_config(self)
 
-    def blocks_of(self, relation: Relation):
+    def blocks_of(self, relation: Relation) -> list:
         """Split a relation into shipping blocks per this config."""
-        size = self.row_block_size
-        if not size or len(relation) <= size:
-            return [relation]
-        return [
-            Relation(relation.schema, relation.rows[start : start + size])
-            for start in range(0, len(relation), size)
-        ] or [relation]
+        return row_blocks(relation, self.row_block_size)
 
 
 @dataclass
@@ -243,8 +257,16 @@ def execute_plan(
     engine=None,
     network=None,
     query_id=None,
+    tree: Optional[MergeTree] = None,
 ) -> DistributedResult:
     """Run a plan over the cluster and return result + statistics.
+
+    ``tree`` is the merge topology: sites at the leaves, the coordinator
+    at the root, combiners (hosted in this process) in between. ``None``
+    is the flat star over the cluster's sites. Whatever the shape, every
+    round is one :class:`_RoundWalk` and every edge gets the same
+    treatment, so engines, recovery, speculation and row blocking hold
+    for any tree.
 
     ``tracer`` (default: the shared no-op tracer) records the run's span
     tree; ``metrics`` (optional) becomes the active registry for the
@@ -260,26 +282,25 @@ def execute_plan(
     ``cluster.tracer`` concurrently would cross their span trees).
 
     ``query_id`` (optional) tags the run for per-query trace filtering:
-    it lands on the root ``query`` span, on every site-worker span, and
-    on the returned :class:`~repro.distributed.stats.ExecutionStats`.
+    it lands on the root ``query`` span, on every site-worker and
+    combiner span, and on the returned
+    :class:`~repro.distributed.stats.ExecutionStats`.
     """
     if tracer is None:
         tracer = NULL_TRACER
-    if metrics is not None:
-        with activate(metrics):
-            return _execute_plan_traced(
-                cluster, plan, config, tracer, engine, network, query_id
-            )
-    return _execute_plan_traced(cluster, plan, config, tracer, engine, network, query_id)
-
-
-def _execute_plan_traced(
-    cluster, plan, config, tracer, external_engine=None, network=None, query_id=None
-) -> DistributedResult:
     config = config or ExecutionConfig()
-    policy = config.retry_policy()
+    if tree is None:
+        tree = MergeTree.flat(cluster.site_ids)
+    tree.validate()
+    if tree.is_leaf:
+        raise NetworkError("the root of a merge tree must merge, not be a site")
+    missing = set(plan.sites) - set(tree.leaves())
+    if missing:
+        raise PlanError(f"merge tree does not cover sites {sorted(missing)}")
+    watching = activate(metrics) if metrics is not None else contextlib.nullcontext()
     stats = ExecutionStats(
         executor=config.executor,
+        topology="flat" if tree.is_star else f"tree:{tree.depth()}",
         failure_mode=config.failure_mode,
         query_id=query_id,
         wire_codec=config.wire_codec,
@@ -303,63 +324,49 @@ def _execute_plan_traced(
             stats.record_clocks(sync_clocks())
         except ReproError:
             pass
-    engine = external_engine
+    external_engine = engine
     try:
         if engine is None:
             engine = create_engine(
                 config.executor, cluster.sites, tracer, config.max_workers,
                 network=network,
             )
-        query_attrs = {"rounds": len(plan.rounds), "sites": cluster.site_count}
-        if query_id is not None:
-            query_attrs["query_id"] = query_id
+        walk = _RoundWalk(
+            tree, plan, config, tracer, network, engine, coordinator, stats,
+            query_id,
+        )
         # Coordinator-side relational work (fragment slicing, streaming
         # merges) honours the configured engine; sites receive the engine
         # name on their requests because context vars do not cross thread
         # pools or forked workers.
-        with use_engine(config.engine), tracer.span(
-            "query", kind="query", **query_attrs
+        with watching, use_engine(config.engine), tracer.span(
+            "query", kind="query", rounds=len(plan.rounds),
+            sites=cluster.site_count, **walk.ids,
         ):
-            _evaluate_base(
-                cluster, plan, coordinator, stats, config, tracer, engine,
-                policy, network, query_id,
-            )
-            for round_number, md_round in enumerate(plan.rounds, start=1):
-                round_stats = stats.new_round(
+            base = plan.base
+            if base.merged_into_chain:
+                pass  # Proposition 2: round 1 derives B0 at the sites
+            elif base.is_distributed:
+                walk.round(
+                    0, None, base.sites, "base",
+                    f"distributed over {len(base.sites)} sites",
+                )
+            else:
+                if not isinstance(base.source, LiteralBase):
+                    raise PlanError(
+                        f"non-distributed base must be literal, got {base.source!r}"
+                    )
+                round_stats = stats.new_round("base", "literal base at coordinator")
+                started = time.perf_counter()
+                coordinator.set_base(base.source.relation)
+                round_stats.coordinator_compute_s += time.perf_counter() - started
+                round_stats.wall_s = round_stats.coordinator_compute_s
+            for number, md_round in enumerate(plan.rounds, start=1):
+                walk.round(
+                    number, md_round, md_round.sites,
                     "chain" if md_round.is_chain else "md",
                     f"steps={len(md_round.steps)} sites={len(md_round.sites)}",
                 )
-                round_started = time.perf_counter()
-                with tracer.span(
-                    "round",
-                    kind="round",
-                    index=round_stats.index,
-                    round_kind=round_stats.kind,
-                    sites=len(md_round.sites),
-                ) as round_span:
-                    _evaluate_round(
-                        cluster,
-                        plan,
-                        coordinator,
-                        config,
-                        tracer,
-                        engine,
-                        md_round,
-                        round_number,
-                        round_stats,
-                        round_span,
-                        policy,
-                        network,
-                        query_id,
-                    )
-                    round_span.set(
-                        bytes_down=round_stats.bytes_down,
-                        bytes_up=round_stats.bytes_up,
-                        coordinator_compute_s=round_stats.coordinator_compute_s,
-                    )
-                    if round_stats.excluded:
-                        round_span.set(excluded=",".join(round_stats.excluded))
-                round_stats.wall_s = time.perf_counter() - round_started
     finally:
         if owns_cluster_state:
             cluster.tracer = previous_tracer
@@ -384,311 +391,312 @@ def _execute_plan_traced(
     return DistributedResult(coordinator.x, stats, plan)
 
 
-def _evaluate_round(
-    cluster,
-    plan,
-    coordinator,
-    config,
-    tracer,
-    engine,
-    md_round,
-    round_number,
-    round_stats,
-    round_span=None,
-    policy=None,
-    network=None,
-    query_id=None,
-) -> None:
-    """One MD/chain round: fan out, evaluate, stream sub-results back.
+class _RoundWalk:
+    """Alg. GMDJDistribEval's round, walked down the merge tree and merged
+    back up. One walk serves a run; :meth:`round` takes its rounds in turn.
 
-    The per-site work is expressed as one *leg* and handed to the
-    engine, which runs legs inline, on threads, or with forked site
-    workers. Streaming synchronization (Section 3.2): for ordinary
-    rounds the coordinator absorbs each sub-result fragment as it
-    arrives — under parallel engines that is completion order, which the
-    session's per-source banks make order-insensitive. Merged-base
-    rounds must see all fragments to discover the base, so they collect
-    (reassembled in site order for determinism).
+    Base and merged-base (Proposition 2) rounds send only a request
+    header down; ordinary rounds ship the base-result fragment, narrowed
+    at every hop to what the sites below can use.
     """
-    if network is None:
-        network = cluster.network
-    blocks = md_round.all_blocks()
-    session = None if md_round.merged_base else coordinator.begin_sync(blocks)
-    coordinator_lock = threading.Lock()
-    # Pre-create per-site stats in site order so reporting order does not
-    # depend on leg completion order.
-    for site_id in md_round.sites:
-        round_stats.site(site_id)
 
-    def leg(site_id):
-        channel = network.channel(site_id)
-        site_stats = round_stats.site(site_id)
-        # Consume any injected straggler delay for this attempt. The rule
-        # budget ("times") is spent here, so a speculative backup re-run
-        # of the same leg gets 0 and races the sleeping original.
-        compute_delay_s = channel.next_straggle(round_number)
+    def __init__(
+        self, tree, plan, config, tracer, network, engine, coordinator, stats,
+        query_id,
+    ):
+        self.tree = tree
+        self.plan = plan
+        self.config = config
+        self.tracer = tracer
+        self.network = network
+        self.engine = engine
+        self.coordinator = coordinator
+        self.stats = stats
+        self.ids = {} if query_id is None else {"query_id": query_id}
+        #: Combiner name -> child names: the shape below the root.
+        self.combiners = {
+            node.name: tuple(child.name for child in node.children)
+            for node in tree.descendants()
+            if not node.is_leaf
+        }
+        # A combiner's edge is an in-memory channel owned by this run; a
+        # site's edge is always the network's own channel.
+        self.channels = {
+            name: Channel(name, network.metrics) for name in self.combiners
+        }
+        self._lock = threading.Lock()
 
-        if md_round.merged_base:
-            # Proposition 2: no shipment down beyond the request header.
-            request_message = msg.Message(
-                msg.BASE_QUERY, "coordinator", site_id, round_number
+    def round(self, number, md_round, sites, kind, description) -> None:
+        """Walk one round from the root and synchronize what comes back.
+
+        ``md_round`` is None for the base-values round; ``sites`` are the
+        round's participants — a subtree holding none sits the round out.
+        """
+        coordinator = self.coordinator
+        round_stats = self.stats.new_round(kind, description)
+        round_stats.children = dict(self.combiners)
+        self.number, self.md_round, self.round_stats = number, md_round, round_stats
+        self.ships_fragment = md_round is not None and not md_round.merged_base
+        participating = set(sites)
+        #: Node name -> the round's sites at or beneath that node.
+        self.below = {
+            node.name: [
+                site_id for site_id in node.leaves() if site_id in participating
+            ]
+            for node in self.tree.descendants()
+        }
+        # Pre-create the edges' stats in tree order so reporting order
+        # does not depend on leg completion order.
+        for name, below in self.below.items():
+            if below:
+                round_stats.site(name)
+        started = time.perf_counter()
+        with self.tracer.span(
+            "round", kind="round", index=round_stats.index, round_kind=kind,
+            sites=len(sites),
+        ) as round_span:
+            # Section 3.2's streaming merge: the root folds each arriving
+            # block into the session. Base and merged-base rounds must see
+            # every fragment before X exists, so they collect instead.
+            self.session = (
+                coordinator.begin_sync(md_round.all_blocks())
+                if self.ships_fragment
+                else None
             )
-            channel.send_to_site(request_message)
-            site_stats.bytes_down += request_message.size_bytes
-            site_stats.row_equiv_bytes_down += request_message.size_bytes
-            channel.receive_at_site()
-            request = SiteRequest(
-                kind="merged",
-                site_id=site_id,
-                round_number=round_number,
-                steps=tuple(md_round.steps),
-                key_attrs=tuple(plan.expression.key),
-                source=plan.base.source,
-                row_block_size=config.row_block_size,
-                traced=tracer.enabled,
-                query_id=query_id,
-                engine=config.engine,
-                wire_codec=config.wire_codec,
-                compute_delay_s=compute_delay_s,
-            )
-        else:
-            started = time.perf_counter()
-            with tracer.span(
-                "round.encode", kind="coordinator", site=site_id
-            ) as encode_span:
-                fragment = coordinator.fragment_for_site(
-                    md_round.ship_filter(site_id)
+            held = coordinator.x if self.ships_fragment else None
+            collected = self.descend(self.tree, held, round_span)
+            if len(round_stats.excluded) == len(sites):
+                raise PlanError(
+                    f"round {number}: every participating site was excluded "
+                    f"({', '.join(round_stats.excluded)}); nothing to synchronize"
                 )
-                fragment_blocks = list(config.blocks_of(fragment))
-                down_blocks = [
+            merge_started = time.perf_counter()
+            if md_round is None:
+                coordinator.sync_base(collected)
+            elif md_round.merged_base:
+                coordinator.assemble_from_chain(collected, md_round.all_blocks())
+            else:
+                coordinator.commit_sync(
+                    self.session, excluded=tuple(round_stats.excluded)
+                )
+            self._charge(self.tree, time.perf_counter() - merge_started)
+            round_span.set(
+                bytes_down=round_stats.bytes_down,
+                bytes_up=round_stats.bytes_up,
+                coordinator_compute_s=round_stats.coordinator_compute_s,
+            )
+            if round_stats.excluded:
+                round_span.set(excluded=",".join(round_stats.excluded))
+        round_stats.wall_s = time.perf_counter() - started
+
+    def descend(self, node: MergeTree, held: Optional[Relation], span) -> list:
+        """What ``node``'s children answer, each subtree already merged.
+
+        ``held`` is the part of the base-result structure ``node`` holds
+        this round (None when the round ships none). Answers come back in
+        child order whatever order the legs finish in, minus the edges
+        ``degrade`` excluded; the root of a streaming round has absorbed
+        them already and gets placeholders.
+
+        Combiner children run on the calling thread and only site legs go
+        through the engine, so no leg ever waits on another leg of the
+        same bounded pool.
+        """
+        active = {
+            child.name: child for child in node.children if self.below[child.name]
+        }
+        answers = {
+            name: self._edge(node, child, held)
+            for name, child in active.items()
+            if not child.is_leaf
+        }
+        legs = [name for name, child in active.items() if child.is_leaf]
+        if legs:
+            guarded = guard_leg(
+                lambda site_id: self._edge(node, active[site_id], held),
+                policy=self.config.retry_policy(),
+                network=self.network,
+                round_index=self.number,
+                round_stats=self.round_stats,
+                tracer=self.tracer,
+                session=self.session if node is self.tree else None,
+                speculation=self.config.speculation_controller(len(legs)),
+            )
+            answers.update(zip(legs, self.engine.run_legs(legs, guarded, span)))
+        return [
+            answers[name] for name in active if answers[name] is not EXCLUDED
+        ]
+
+    def _edge(self, node: MergeTree, child: MergeTree, held: Optional[Relation]):
+        """One parent -> child edge, both ways: ship down, let the child
+        answer (a site evaluates, a combiner recurses and merges), take
+        the reply in at the parent."""
+        config, number, name = self.config, self.number, child.name
+        codec = config.wire_codec
+        # Parent-side work is the coordinator's at the root, a relay's below.
+        kind = "coordinator" if node is self.tree else "relay"
+        edge = self.round_stats.site(name)
+        channel = (
+            self.network.channel(name) if child.is_leaf else self.channels[name]
+        )
+        # Consume any injected straggler delay for this attempt, before
+        # anything is sent. The rule budget ("times") is spent here, so a
+        # speculative backup re-run of the same leg gets 0 and races the
+        # sleeping original. In-memory combiner channels never straggle.
+        compute_delay_s = channel.next_straggle(number)
+
+        if self.ships_fragment:
+            started = time.perf_counter()
+            with self.tracer.span("round.encode", kind=kind, site=name) as encode_span:
+                fragment = self.coordinator.fragment_for_site(
+                    *map(self.md_round.ship_filter, self.below[name]), held=held
+                )
+                blocks = config.blocks_of(fragment)
+                down = [
                     msg.Message.with_relation(
-                        msg.SHIP_BASE, "coordinator", site_id, round_number,
-                        block, codec=config.wire_codec,
+                        msg.SHIP_BASE, node.name, name, number, block, codec=codec
                     )
-                    for block in fragment_blocks
+                    for block in blocks
                 ]
-                if config.wire_codec == "row":
-                    row_equiv_down = sum(
-                        shipment.size_bytes for shipment in down_blocks
-                    )
-                else:
-                    # Measure (not estimate) what the row codec would have
-                    # shipped for the same blocks, so codec savings in the
-                    # stats are grounded in actual encodings.
-                    row_equiv_down = sum(
-                        serialize.wire_size(block) + msg.HEADER_BYTES
-                        for block in fragment_blocks
-                    )
+                row_equiv_down = _row_codec_bytes(blocks, down, codec)
                 encode_span.set(
                     rows=len(fragment),
-                    messages=len(down_blocks),
-                    bytes=sum(shipment.size_bytes for shipment in down_blocks),
+                    messages=len(down),
+                    bytes=sum(shipment.size_bytes for shipment in down),
                 )
-            elapsed = time.perf_counter() - started
-            with coordinator_lock:
-                round_stats.coordinator_compute_s += elapsed
-            for shipment in down_blocks:
-                channel.send_to_site(shipment)
-                site_stats.bytes_down += shipment.size_bytes
-            site_stats.row_equiv_bytes_down += row_equiv_down
-            site_stats.tuples_down += len(fragment)
-            down_payloads = tuple(
-                channel.receive_at_site().payload for _ in down_blocks
-            )
-            request = SiteRequest(
-                kind="round",
-                site_id=site_id,
-                round_number=round_number,
-                steps=tuple(md_round.steps),
-                key_attrs=tuple(plan.expression.key),
-                independent_reduction=md_round.independent_reduction,
-                row_block_size=config.row_block_size,
-                down_payloads=down_payloads,
-                traced=tracer.enabled,
-                query_id=query_id,
-                engine=config.engine,
-                wire_codec=config.wire_codec,
-                compute_delay_s=compute_delay_s,
-            )
+            self._charge(node, time.perf_counter() - started)
+            tuples_down = len(fragment)
+        else:
+            # Base values / Proposition 2: no shipment down beyond the
+            # request header.
+            down = [msg.Message(msg.BASE_QUERY, node.name, name, number)]
+            row_equiv_down = down[0].size_bytes
+            tuples_down = 0
+        for shipment in down:
+            channel.send_to_site(shipment)
+            edge.bytes_down += shipment.size_bytes
+        edge.row_equiv_bytes_down += row_equiv_down
+        edge.tuples_down += tuples_down
+        received = [channel.receive_at_site() for _shipment in down]
 
-        reply = engine.evaluate(request, channel=channel)
-        site_stats.compute_s += reply.compute_s
-        up_blocks = [
-            msg.Message(msg.SUB_RESULT, site_id, "coordinator", round_number, payload)
-            for payload in reply.payloads
-        ]
-        for reply_message in up_blocks:
+        if child.is_leaf:
+            reply = self.engine.evaluate(
+                self._site_request(name, received, compute_delay_s), channel=channel
+            )
+            edge.compute_s += reply.compute_s
+            up = self._replies(child, node, reply.payloads)
+            row_equiv_up = (
+                reply.row_codec_payload_bytes + msg.HEADER_BYTES * len(up)
+            )
+            tuples_up = reply.rows
+        else:
+            with self.tracer.span(
+                "combiner.hop", kind="relay", node=name,
+                round=self.round_stats.index, children=len(child.children),
+                **self.ids,
+            ) as hop:
+                started = time.perf_counter()
+                held_below = (
+                    union_all([shipment.relation() for shipment in received])
+                    if self.ships_fragment
+                    else None
+                )
+                self._charge(child, time.perf_counter() - started)
+                collected = self.descend(child, held_below, hop)
+                if not collected:
+                    return EXCLUDED  # every site below was
+                started = time.perf_counter()
+                merged = self._merge(collected)
+                blocks = config.blocks_of(merged)
+                up = self._replies(
+                    child, node,
+                    [serialize.encode_relation(block, codec) for block in blocks],
+                )
+                self._charge(child, time.perf_counter() - started)
+                hop.set(bytes_up=sum(reply.size_bytes for reply in up))
+            row_equiv_up = _row_codec_bytes(blocks, up, codec)
+            tuples_up = len(merged)
+        for reply_message in up:
             channel.send_to_coordinator(reply_message)
-            site_stats.bytes_up += reply_message.size_bytes
-        site_stats.row_equiv_bytes_up += (
-            reply.row_codec_payload_bytes + msg.HEADER_BYTES * len(reply.payloads)
-        )
-        site_stats.tuples_up += reply.rows
+            edge.bytes_up += reply_message.size_bytes
+        edge.row_equiv_bytes_up += row_equiv_up
+        edge.tuples_up += tuples_up
 
+        absorbs = self.session is not None and node is self.tree
+        answer = []
         started = time.perf_counter()
-        collected = None
-        with tracer.span("round.decode", kind="coordinator", site=site_id):
-            for _reply in up_blocks:
-                received_h = channel.receive_at_coordinator().relation()
-                if session is None:
-                    collected = (
-                        received_h
-                        if collected is None
-                        else collected.union_all(received_h)
-                    )
-                else:
+        with self.tracer.span("round.decode", kind=kind, site=name):
+            for _reply in up:
+                block = channel.receive_at_coordinator().relation()
+                if absorbs:
                     # Streaming merge: each block synchronizes on arrival.
-                    session.absorb(received_h, source=site_id)
-        elapsed = time.perf_counter() - started
-        with coordinator_lock:
-            round_stats.coordinator_compute_s += elapsed
-        return collected
+                    self.session.absorb(block, source=name)
+                else:
+                    answer.append(block)
+        self._charge(node, time.perf_counter() - started)
+        return union_all(answer) if answer else None
 
-    if policy is None:
-        policy = RetryPolicy()
-    guarded = guard_leg(
-        leg,
-        policy=policy,
-        network=network,
-        round_index=round_number,
-        round_stats=round_stats,
-        tracer=tracer,
-        session=session,
-        speculation=config.speculation_controller(len(md_round.sites)),
-    )
-    results = engine.run_legs(md_round.sites, guarded, round_span)
-    results = [result for result in results if result is not EXCLUDED]
-    if round_stats.excluded and len(round_stats.excluded) == len(md_round.sites):
-        raise PlanError(
-            f"round {round_number}: every participating site was excluded "
-            f"({', '.join(round_stats.excluded)}); no sub-results to merge"
+    def _site_request(self, site_id, received, compute_delay_s) -> SiteRequest:
+        shared = dict(
+            site_id=site_id,
+            round_number=self.number,
+            traced=self.tracer.enabled,
+            query_id=self.ids.get("query_id"),
+            engine=self.config.engine,
+            wire_codec=self.config.wire_codec,
+            compute_delay_s=compute_delay_s,
+        )
+        md_round = self.md_round
+        if md_round is None:
+            return SiteRequest(kind="base", source=self.plan.base.source, **shared)
+        shared.update(
+            steps=tuple(md_round.steps),
+            key_attrs=tuple(self.plan.expression.key),
+            row_block_size=self.config.row_block_size,
+        )
+        if md_round.merged_base:
+            return SiteRequest(kind="merged", source=self.plan.base.source, **shared)
+        return SiteRequest(
+            kind="round",
+            independent_reduction=md_round.independent_reduction,
+            down_payloads=tuple(shipment.payload for shipment in received),
+            **shared,
         )
 
-    started = time.perf_counter()
-    if md_round.merged_base:
-        coordinator.assemble_from_chain(results, blocks)
-    else:
-        coordinator.commit_sync(session, excluded=tuple(round_stats.excluded))
-    round_stats.coordinator_compute_s += time.perf_counter() - started
-
-
-def _evaluate_base(
-    cluster,
-    plan,
-    coordinator,
-    stats,
-    config=None,
-    tracer=NULL_TRACER,
-    engine=None,
-    policy=None,
-    network=None,
-    query_id=None,
-) -> None:
-    if config is None:
-        config = ExecutionConfig()
-    if network is None:
-        network = cluster.network
-    base = plan.base
-    if base.merged_into_chain:
-        return
-    if not base.is_distributed:
-        if not isinstance(base.source, LiteralBase):
-            raise PlanError(
-                f"non-distributed base must be literal, got {base.source!r}"
-            )
-        started = time.perf_counter()
-        coordinator.set_base(base.source.relation)
-        round_stats = stats.new_round("base", "literal base at coordinator")
-        round_stats.coordinator_compute_s += time.perf_counter() - started
-        round_stats.wall_s = round_stats.coordinator_compute_s
-        return
-
-    if engine is None:
-        engine = create_engine("serial", cluster.sites, tracer)
-    round_stats = stats.new_round("base", f"distributed over {len(base.sites)} sites")
-    round_started = time.perf_counter()
-    coordinator_lock = threading.Lock()
-    with tracer.span(
-        "round", kind="round", index=round_stats.index, round_kind="base",
-        sites=len(base.sites),
-    ) as round_span:
-        for site_id in base.sites:
-            round_stats.site(site_id)
-
-        def leg(site_id):
-            channel = network.channel(site_id)
-            site_stats = round_stats.site(site_id)
-            compute_delay_s = channel.next_straggle(0)
-
-            request_message = msg.Message(msg.BASE_QUERY, "coordinator", site_id, 0)
-            channel.send_to_site(request_message)
-            site_stats.bytes_down += request_message.size_bytes
-            site_stats.row_equiv_bytes_down += request_message.size_bytes
-            channel.receive_at_site()
-
-            reply = engine.evaluate(
-                SiteRequest(
-                    kind="base",
-                    site_id=site_id,
-                    round_number=0,
-                    source=base.source,
-                    traced=tracer.enabled,
-                    query_id=query_id,
-                    engine=config.engine,
-                    wire_codec=config.wire_codec,
-                    compute_delay_s=compute_delay_s,
-                ),
-                channel=channel,
-            )
-            site_stats.compute_s += reply.compute_s
-            reply_message = msg.Message(
-                msg.BASE_RESULT, site_id, "coordinator", 0, reply.payloads[0]
-            )
-            channel.send_to_coordinator(reply_message)
-            site_stats.bytes_up += reply_message.size_bytes
-            site_stats.row_equiv_bytes_up += (
-                reply.row_codec_payload_bytes + msg.HEADER_BYTES
-            )
-            site_stats.tuples_up += reply.rows
-
-            started = time.perf_counter()
-            with tracer.span("round.decode", kind="coordinator", site=site_id):
-                fragment = channel.receive_at_coordinator().relation()
-            elapsed = time.perf_counter() - started
-            with coordinator_lock:
-                round_stats.coordinator_compute_s += elapsed
-            return fragment
-
-        guarded = guard_leg(
-            leg,
-            policy=policy if policy is not None else RetryPolicy(),
-            network=network,
-            round_index=0,
-            round_stats=round_stats,
-            tracer=tracer,
-            speculation=config.speculation_controller(len(base.sites)),
-        )
-        fragments = engine.run_legs(base.sites, guarded, round_span)
-        fragments = [
-            fragment for fragment in fragments if fragment is not EXCLUDED
+    def _replies(self, child, node, payloads) -> list:
+        kind = msg.BASE_RESULT if self.md_round is None else msg.SUB_RESULT
+        return [
+            msg.Message(kind, child.name, node.name, self.number, payload)
+            for payload in payloads
         ]
-        if not fragments:
-            raise PlanError(
-                "base round: every participating site was excluded; "
-                "no base fragments to synchronize"
-            )
 
-        started = time.perf_counter()
-        coordinator.sync_base(fragments)
-        round_stats.coordinator_compute_s += time.perf_counter() - started
-        if round_stats.excluded:
-            round_span.set(excluded=",".join(round_stats.excluded))
-        round_span.set(
-            bytes_down=round_stats.bytes_down,
-            bytes_up=round_stats.bytes_up,
-            coordinator_compute_s=round_stats.coordinator_compute_s,
+    def _merge(self, collected) -> Relation:
+        """What a combiner forwards: its children's results, one row per key."""
+        combined = union_all(collected)
+        if self.md_round is None:
+            return combined.distinct()
+        return merge_sub_results(
+            combined, self.plan.expression.key, self.md_round.all_blocks()
         )
-    round_stats.wall_s = time.perf_counter() - round_started
+
+    def _charge(self, node, seconds: float) -> None:
+        """Book compute time to the node that spent it."""
+        with self._lock:  # legs of one parent finish on different threads
+            if node is self.tree:
+                self.round_stats.coordinator_compute_s += seconds
+            else:
+                self.round_stats.site(node.name).compute_s += seconds
+
+
+def _row_codec_bytes(blocks, messages, codec: str) -> int:
+    """What ``messages`` weigh under the row codec.
+
+    Measured (not estimated) by row-encoding the same blocks, so codec
+    savings in the stats are grounded in actual encodings.
+    """
+    if codec == "row":
+        return sum(message.size_bytes for message in messages)
+    return sum(serialize.wire_size(block) + msg.HEADER_BYTES for block in blocks)
 
 
 def execute_query(

@@ -57,6 +57,7 @@ from repro.net import serialize
 from repro.obs.metrics import MetricsRegistry, activate, active_registry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.relalg.engine import use_engine
+from repro.relalg.relation import Relation
 
 EXECUTORS = ("serial", "threads", "processes", "sockets")
 
@@ -122,16 +123,17 @@ class SiteReply:
     telemetry: dict = field(default_factory=dict)
 
 
-def _blocks_of(relation, size: int):
-    """Row blocking, mirroring ``ExecutionConfig.blocks_of``."""
+def row_blocks(relation: Relation, size: int) -> list:
+    """Row blocking: ``relation`` as blocks of at most ``size`` rows.
+
+    ``0`` (unlimited) or a relation that already fits ships whole.
+    """
     if not size or len(relation) <= size:
         return [relation]
-    from repro.relalg.relation import Relation
-
     return [
         Relation(relation.schema, relation.rows[start : start + size])
         for start in range(0, len(relation), size)
-    ] or [relation]
+    ]
 
 
 def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> SiteReply:
@@ -207,7 +209,7 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
         with tracer.span(
             "round.encode", kind="site", site=site_id, **ids
         ) as encode_span:
-            blocks = _blocks_of(h_i, request.row_block_size)
+            blocks = row_blocks(h_i, request.row_block_size)
             payloads = tuple(
                 serialize.encode_relation(block, codec) for block in blocks
             )
@@ -325,24 +327,14 @@ class SerialEngine(_EngineLifecycle):
         self._mark_closed()
 
 
-class ThreadEngine(_EngineLifecycle):
-    """Legs fan out on a thread pool; site work stays in the leg's thread.
+class _ThreadedLegs(_EngineLifecycle):
+    """The fan-out every parallel engine shares: legs on ``self._legs``.
 
     Results come back in *site order* regardless of completion order.
     Failures are collected from *every* leg — a single failed leg
     re-raises its original exception, several raise
     :class:`~repro.errors.MultiLegError` with all failed site ids.
     """
-
-    name = "threads"
-
-    def __init__(self, sites, tracer, max_workers: int = 0):
-        self._sites = sites
-        self._tracer = tracer
-        workers = max_workers or max(len(sites), 1)
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="skalla-site"
-        )
 
     def run_legs(self, site_ids: Sequence[str], leg, parent_span=None) -> list:
         self._check_open()
@@ -352,8 +344,22 @@ class ThreadEngine(_EngineLifecycle):
             with tracer.attach(parent_span):
                 return leg(site_id)
 
-        futures = [self._pool.submit(attached, site_id) for site_id in site_ids]
+        futures = [self._legs.submit(attached, site_id) for site_id in site_ids]
         return _collect_leg_results(site_ids, futures)
+
+
+class ThreadEngine(_ThreadedLegs):
+    """Legs fan out on a thread pool; site work stays in the leg's thread."""
+
+    name = "threads"
+
+    def __init__(self, sites, tracer, max_workers: int = 0):
+        self._sites = sites
+        self._tracer = tracer
+        workers = max_workers or max(len(sites), 1)
+        self._legs = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="skalla-site"
+        )
 
     def evaluate(self, request: SiteRequest, channel=None) -> SiteReply:
         self._check_open()
@@ -363,7 +369,7 @@ class ThreadEngine(_EngineLifecycle):
 
     def close(self) -> None:
         self._mark_closed()
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        self._legs.shutdown(wait=True, cancel_futures=True)
 
 
 #: Sites inherited by forked workers (set by ProcessEngine before the
@@ -403,12 +409,30 @@ def perform_isolated_request(site, request: SiteRequest) -> SiteReply:
     return reply
 
 
+def _replay_remote(tracer, reply: SiteReply, site_id, clock_offset_s: float = 0.0) -> None:
+    """Re-record what an out-of-process site sent back with its reply.
+
+    Spans are replayed under the leg's attached span, shifted by
+    ``clock_offset_s`` (0 for forked workers, which share the machine's
+    monotonic clock); counter deltas go to the active registry.
+    """
+    if reply.spans:
+        tracer.replay(
+            reply.spans, clock_offset_s=clock_offset_s, site_id=site_id,
+            process="site",
+        )
+    if reply.counters:
+        registry = active_registry()
+        for key, value in reply.counters.items():
+            registry.counter(key).inc(value)
+
+
 def _fork_perform(request: SiteRequest) -> SiteReply:
     """Worker-side entry: run the request against the inherited site."""
     return perform_isolated_request(_FORK_SITES[request.site_id], request)
 
 
-class ProcessEngine(_EngineLifecycle):
+class ProcessEngine(_ThreadedLegs):
     """Legs run on threads; site work is dispatched to forked workers.
 
     Fork (not spawn) so workers inherit the simulated warehouses without
@@ -446,32 +470,11 @@ class ProcessEngine(_EngineLifecycle):
             self._pool.shutdown(wait=False, cancel_futures=True)
             raise
 
-    def run_legs(self, site_ids: Sequence[str], leg, parent_span=None) -> list:
-        self._check_open()
-        tracer = self._tracer
-
-        def attached(site_id):
-            with tracer.attach(parent_span):
-                return leg(site_id)
-
-        futures = [self._legs.submit(attached, site_id) for site_id in site_ids]
-        return _collect_leg_results(site_ids, futures)
-
     def evaluate(self, request: SiteRequest, channel=None) -> SiteReply:
         self._check_open()
         reply = self._pool.submit(_fork_perform, request).result()
-        self._replay_remote(reply, request.site_id)
+        _replay_remote(self._tracer, reply, request.site_id)
         return reply
-
-    def _replay_remote(self, reply: SiteReply, site_id=None) -> None:
-        if reply.spans:
-            # Forked workers share the machine's monotonic clock, so no
-            # skew correction — provenance stamping only.
-            self._tracer.replay(reply.spans, site_id=site_id, process="site")
-        if reply.counters:
-            registry = active_registry()
-            for key, value in reply.counters.items():
-                registry.counter(key).inc(value)
 
     def close(self) -> None:
         self._mark_closed()
@@ -481,7 +484,7 @@ class ProcessEngine(_EngineLifecycle):
             self._pool.shutdown(wait=True, cancel_futures=True)
 
 
-class SocketEngine(_EngineLifecycle):
+class SocketEngine(_ThreadedLegs):
     """Legs run on threads; site work runs in site-server *processes*
     reached over the leg's :class:`~repro.net.socket_channel.SocketChannel`.
 
@@ -498,20 +501,9 @@ class SocketEngine(_EngineLifecycle):
     def __init__(self, sites, tracer, max_workers: int = 0):
         self._tracer = tracer
         workers = max_workers or max(len(sites), 1)
-        self._pool = ThreadPoolExecutor(
+        self._legs = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="skalla-socket-leg"
         )
-
-    def run_legs(self, site_ids: Sequence[str], leg, parent_span=None) -> list:
-        self._check_open()
-        tracer = self._tracer
-
-        def attached(site_id):
-            with tracer.attach(parent_span):
-                return leg(site_id)
-
-        futures = [self._pool.submit(attached, site_id) for site_id in site_ids]
-        return _collect_leg_results(site_ids, futures)
 
     def evaluate(self, request: SiteRequest, channel=None) -> SiteReply:
         self._check_open()
@@ -522,20 +514,13 @@ class SocketEngine(_EngineLifecycle):
                 "--executor sockets), not a simulated one"
             )
         reply = channel.ask(request)
-        if reply.spans:
-            # Site-server processes run their own monotonic clock; the
-            # channel's PING-estimated offset (see repro.obs.skew) maps
-            # the shipped timestamps into this process's domain.
-            self._tracer.replay(
-                reply.spans,
-                clock_offset_s=getattr(channel, "clock_offset_s", 0.0),
-                site_id=request.site_id,
-                process="site",
-            )
-        if reply.counters:
-            registry = active_registry()
-            for key, value in reply.counters.items():
-                registry.counter(key).inc(value)
+        # Site-server processes run their own monotonic clock; the
+        # channel's PING-estimated offset (see repro.obs.skew) maps the
+        # shipped timestamps into this process's domain.
+        _replay_remote(
+            self._tracer, reply, request.site_id,
+            getattr(channel, "clock_offset_s", 0.0),
+        )
         if reply.telemetry:
             registry = active_registry()
             for name, value in reply.telemetry.items():
@@ -547,7 +532,7 @@ class SocketEngine(_EngineLifecycle):
 
     def close(self) -> None:
         self._mark_closed()
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        self._legs.shutdown(wait=True, cancel_futures=True)
 
 
 def create_engine(

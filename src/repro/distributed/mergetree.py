@@ -17,44 +17,21 @@ The root runs Theorem-1 synchronization on the merged streams exactly as
 the star does, which is why every tree shape returns the flat star's
 relation for every plan the optimizer emits.
 
-:class:`MergeTree` is the value the cost model prices
-(:func:`repro.distributed.costing.estimate_topology_costs`) and
-:func:`execute_plan_tree` executes; :func:`tree_for` maps a topology
-label to it, so the tree that is priced *is* the tree that runs. The
-flat star is the depth-1 tree (:attr:`MergeTree.is_star`); the scheduler
-hands that shape to :func:`repro.distributed.evaluator.execute_plan`,
-the path that owns engines, recovery and the socket transport.
+:class:`MergeTree` is only that value: the cost model prices it
+(:func:`repro.distributed.costing.estimate_topology_costs`),
+:func:`repro.distributed.evaluator.execute_plan` walks it, and
+:func:`tree_for` maps a topology label to it, so the tree that is priced
+*is* the tree that runs. The flat star is the depth-1 tree
+(:meth:`MergeTree.flat`) and runs through the same walk as any other.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-import time
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.coordinator import Coordinator
-from repro.distributed.evaluator import DistributedResult, ExecutionConfig
-from repro.distributed.executor import SiteRequest, perform_site_request
-from repro.distributed.plan import MDRound, Plan
-from repro.distributed.stats import ExecutionStats, RoundStats
 from repro.errors import NetworkError, PlanError
-from repro.gmdj.expression import LiteralBase
-from repro.gmdj.operator import merge_sub_results
-from repro.net import message as msg
-from repro.net import serialize
-from repro.net.channel import Network
-from repro.obs.metrics import activate
-from repro.obs.tracer import NULL_TRACER
-from repro.relalg import compiler
-from repro.relalg.engine import use_engine
-from repro.relalg.expressions import BASE_VAR
-from repro.relalg.operators import union_all
-from repro.relalg.relation import Relation
 
 #: Name of every tree's root: the query coordinator.
 ROOT_NAME = "coordinator"
@@ -197,293 +174,3 @@ def tree_for(label: str, site_ids: Sequence[str]) -> MergeTree:
     except ValueError as error:
         raise PlanError(f"topology {label!r} unavailable: {error}") from error
 
-
-# ---------------------------------------------------------------------------
-# Execution
-# ---------------------------------------------------------------------------
-
-
-def execute_plan_tree(
-    cluster: SimulatedCluster,
-    tree: MergeTree,
-    plan: Plan,
-    config: Optional[ExecutionConfig] = None,
-    tracer=None,
-    metrics=None,
-    query_id=None,
-) -> DistributedResult:
-    """Run a plan over ``tree``: sites at the leaves, merges inside.
-
-    ``cluster`` supplies the sites (its own star network is not used;
-    every tree edge gets a channel of its own, and every relation
-    crosses it as an encoded :class:`~repro.net.message.Message`).
-    ``config`` contributes the evaluation engine and the wire codec —
-    the tree runs its legs inline, one after another, and reports
-    ``executor="serial"`` whatever ``config.executor`` says; the contexts
-    a tree cannot honour at all are listed in
-    :func:`repro.distributed.scheduler._pinned_to_flat_reason`.
-
-    The span tree is ``query → round → combiner.hop`` (one hop per
-    interior node per round, enclosing everything below it) with the
-    usual ``round.*`` site spans at the leaves; ``metrics`` becomes the
-    active registry for the duration.
-    """
-    if tracer is None:
-        tracer = NULL_TRACER
-    config = config or ExecutionConfig()
-    tree.validate()
-    if tree.is_leaf:
-        raise NetworkError("the root of a merge tree must merge, not be a site")
-    missing = set(plan.sites) - set(tree.leaves())
-    if missing:
-        raise PlanError(f"merge tree does not cover sites {sorted(missing)}")
-    with activate(metrics) if metrics is not None else contextlib.nullcontext():
-        return _execute(cluster, tree, plan, config, tracer, metrics, query_id)
-
-
-def _execute(cluster, tree, plan, config, tracer, metrics, query_id):
-    network = Network([node.name for node in tree.descendants()], metrics=metrics)
-    network.tracer = tracer
-    shape = "flat" if tree.is_star else f"tree:{tree.depth()}"
-    stats = ExecutionStats(
-        executor="serial", topology=shape, query_id=query_id,
-        wire_codec=config.wire_codec,
-    )
-    coordinator = Coordinator(plan.expression.key, tracer)
-    ids = {} if query_id is None else {"query_id": query_id}
-    combiners = {
-        node.name: tuple(child.name for child in node.children)
-        for node in tree.descendants()
-        if not node.is_leaf
-    }
-
-    def run_round(number, kind, description, sites, md_round, synchronize):
-        round_stats = stats.new_round(kind, description)
-        round_stats.children = dict(combiners)
-        walk = _RoundWalk(
-            cluster, tree, plan, config, tracer, network, ids,
-            number, round_stats, md_round, frozenset(sites),
-        )
-        started = time.perf_counter()
-        with tracer.span(
-            "round", kind="round", index=round_stats.index, round_kind=kind,
-            sites=len(sites),
-        ) as round_span:
-            fragment = coordinator.x if walk.ships_fragment else None
-            collected = walk.descend(tree, fragment)
-            merge_started = time.perf_counter()
-            synchronize(collected)
-            round_stats.coordinator_compute_s += time.perf_counter() - merge_started
-            round_span.set(
-                bytes_down=round_stats.bytes_down,
-                bytes_up=round_stats.bytes_up,
-                coordinator_compute_s=round_stats.coordinator_compute_s,
-            )
-        round_stats.wall_s = time.perf_counter() - started
-
-    with use_engine(config.engine), tracer.span(
-        "query", kind="query", rounds=len(plan.rounds),
-        sites=len(tree.leaves()), topology=shape, **ids,
-    ):
-        base = plan.base
-        if base.merged_into_chain:
-            pass
-        elif base.is_distributed:
-            run_round(
-                0, "base", f"distributed over {len(base.sites)} sites",
-                base.sites, None, coordinator.sync_base,
-            )
-        else:
-            if not isinstance(base.source, LiteralBase):
-                raise PlanError(
-                    f"non-distributed base must be literal, got {base.source!r}"
-                )
-            round_stats = stats.new_round("base", "literal base at coordinator")
-            started = time.perf_counter()
-            coordinator.set_base(base.source.relation)
-            round_stats.coordinator_compute_s += time.perf_counter() - started
-            round_stats.wall_s = round_stats.coordinator_compute_s
-
-        for number, md_round in enumerate(plan.rounds, start=1):
-            blocks = md_round.all_blocks()
-            finish = (
-                coordinator.assemble_from_chain
-                if md_round.merged_base
-                else coordinator.synchronize
-            )
-            run_round(
-                number,
-                "chain" if md_round.is_chain else "md",
-                f"steps={len(md_round.steps)} sites={len(md_round.sites)}",
-                md_round.sites,
-                md_round,
-                lambda collected: finish(collected, blocks),
-            )
-    return DistributedResult(coordinator.x, stats, plan)
-
-
-@dataclass
-class _RoundWalk:
-    """One round of the plan, walked down the tree and merged back up.
-
-    ``md_round`` is None for the base-values round. Base and merged-base
-    (Proposition 2) rounds send only a request header down; ordinary
-    rounds ship the base-result fragment, narrowed at every hop to what
-    the sites below can use.
-    """
-
-    cluster: SimulatedCluster
-    tree: MergeTree
-    plan: Plan
-    config: ExecutionConfig
-    tracer: object
-    network: Network
-    ids: dict  # {"query_id": ...} when the run has one
-    number: int
-    round_stats: RoundStats
-    md_round: Optional[MDRound]
-    participating: frozenset
-
-    @property
-    def ships_fragment(self) -> bool:
-        return self.md_round is not None and not self.md_round.merged_base
-
-    def descend(self, node: MergeTree, fragment: Optional[Relation]) -> list:
-        """The sub-results of ``node``'s children, each subtree already merged.
-
-        ``fragment`` is the part of the base-result structure ``node``
-        holds this round (None when the round ships none).
-        """
-        collected = []
-        for child in node.children:
-            below = [
-                site_id
-                for site_id in child.leaves()
-                if site_id in self.participating
-            ]
-            if below:
-                collected.append(self._leg(node, child, below, fragment))
-        return collected
-
-    def _leg(self, node, child, below, fragment) -> Relation:
-        """One edge, both ways: ship down, let the child answer, decode."""
-        codec = self.config.wire_codec
-        edge = self.round_stats.site(child.name)
-        channel = self.network.channel(child.name)
-
-        started = time.perf_counter()
-        if self.ships_fragment:
-            shipped = _restrict(
-                fragment, [self.md_round.ship_filter(site_id) for site_id in below]
-            )
-            down = msg.Message.with_relation(
-                msg.SHIP_BASE, node.name, child.name, self.number, shipped,
-                codec=codec,
-            )
-            edge.tuples_down += len(shipped)
-            edge.row_equiv_bytes_down += _row_codec_bytes(shipped, down, codec)
-        else:
-            down = msg.Message(msg.BASE_QUERY, node.name, child.name, self.number)
-            edge.row_equiv_bytes_down += down.size_bytes
-        self._charge(node, time.perf_counter() - started)
-        channel.send_to_site(down)
-        edge.bytes_down += down.size_bytes
-        received = channel.receive_at_site()
-
-        if child.is_leaf:
-            reply = perform_site_request(
-                self.cluster.site(child.name),
-                self._site_request(child.name, received),
-                self.tracer,
-            )
-            edge.compute_s += reply.compute_s
-            up = self._reply(child, node, reply.payloads[0])
-            edge.row_equiv_bytes_up += msg.HEADER_BYTES + reply.row_codec_payload_bytes
-            edge.tuples_up += reply.rows
-        else:
-            with self.tracer.span(
-                "combiner.hop", kind="relay", node=child.name,
-                round=self.round_stats.index, children=len(child.children),
-                **self.ids,
-            ) as hop:
-                started = time.perf_counter()
-                held = received.relation() if self.ships_fragment else None
-                self._charge(child, time.perf_counter() - started)
-                collected = self.descend(child, held)
-                started = time.perf_counter()
-                merged = self._merge(collected)
-                up = self._reply(
-                    child, node, serialize.encode_relation(merged, codec)
-                )
-                self._charge(child, time.perf_counter() - started)
-                hop.set(bytes_up=up.size_bytes)
-            edge.row_equiv_bytes_up += _row_codec_bytes(merged, up, codec)
-            edge.tuples_up += len(merged)
-        channel.send_to_coordinator(up)
-        edge.bytes_up += up.size_bytes
-
-        started = time.perf_counter()
-        answer = channel.receive_at_coordinator().relation()
-        self._charge(node, time.perf_counter() - started)
-        return answer
-
-    def _site_request(self, site_id: str, received) -> SiteRequest:
-        shared = dict(
-            site_id=site_id,
-            round_number=self.number,
-            traced=self.tracer.enabled,
-            query_id=self.ids.get("query_id"),
-            engine=self.config.engine,
-            wire_codec=self.config.wire_codec,
-        )
-        md_round = self.md_round
-        if md_round is None:
-            return SiteRequest(kind="base", source=self.plan.base.source, **shared)
-        shared.update(
-            steps=tuple(md_round.steps), key_attrs=tuple(self.plan.expression.key)
-        )
-        if md_round.merged_base:
-            return SiteRequest(kind="merged", source=self.plan.base.source, **shared)
-        return SiteRequest(
-            kind="round",
-            independent_reduction=md_round.independent_reduction,
-            down_payloads=(received.payload,),
-            **shared,
-        )
-
-    def _reply(self, child, node, payload) -> msg.Message:
-        kind = msg.BASE_RESULT if self.md_round is None else msg.SUB_RESULT
-        return msg.Message(kind, child.name, node.name, self.number, payload)
-
-    def _merge(self, collected) -> Relation:
-        """What a combiner forwards: its children's results, one row per key."""
-        combined = union_all(collected)
-        if self.md_round is None:
-            return combined.distinct()
-        return merge_sub_results(
-            combined, self.plan.expression.key, self.md_round.all_blocks()
-        )
-
-    def _charge(self, node, seconds: float) -> None:
-        """Book compute time to the node that spent it."""
-        if node is self.tree:
-            self.round_stats.coordinator_compute_s += seconds
-        else:
-            self.round_stats.site(node.name).compute_s += seconds
-
-
-def _restrict(fragment: Relation, ship_filters) -> Relation:
-    """The rows of ``fragment`` some site below can use (aware reduction)."""
-    if any(ship_filter is None for ship_filter in ship_filters):
-        return fragment
-    predicate = compiler.compile_predicate(
-        reduce(or_, ship_filters), {BASE_VAR: fragment.schema}, (BASE_VAR,)
-    )
-    return fragment.select_fn(predicate)
-
-
-def _row_codec_bytes(relation: Relation, message, codec: str) -> int:
-    """What ``message`` weighs under the row codec — measured, as the star does."""
-    if codec == "row":
-        return message.size_bytes
-    return msg.HEADER_BYTES + serialize.wire_size(relation)

@@ -23,11 +23,14 @@ Every topology is result-equivalent for every plan the optimizer emits —
 ``tests/test_mergetree.py`` proves bit-identical relations — so the
 choice is purely a performance decision and can never change an answer.
 
-A star-shaped tree runs on :func:`~repro.distributed.evaluator.execute_plan`;
-any other shape runs on
-:func:`~repro.distributed.mergetree.execute_plan_tree`, in-process
-against local sites, so the scheduler only considers those shapes for
-simulated clusters on clean runs (:func:`_pinned_to_flat_reason`).
+Dispatch is *label -> tree -> one executor*: the chosen label names a
+:class:`~repro.distributed.mergetree.MergeTree`
+(:func:`~repro.distributed.mergetree.tree_for`) and
+:func:`~repro.distributed.evaluator.execute_plan` walks it, the star
+included. The one thing a tree cannot honour is a real transport —
+combiners are hosted in the coordinator process, so over sockets a
+non-flat tree would move no byte off the root link
+(:func:`_pinned_to_flat_reason`).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from repro.distributed.evaluator import (
     ExecutionConfig,
     execute_plan,
 )
-from repro.distributed.mergetree import execute_plan_tree, parse_topology, tree_for
+from repro.distributed.mergetree import parse_topology, tree_for
 from repro.distributed.plan import Plan
 from repro.errors import PlanError
 from repro.net.costmodel import CostModel, WAN
@@ -123,8 +126,7 @@ def choose_topology(
     Ranking key: estimated response time, then root-link bytes, then
     flat-first (an exact tie never buys complexity). With
     ``allow_non_flat=False`` only the flat candidate is priced — used
-    when the execution context (sockets, faults, speculation) pins the
-    topology.
+    when the execution context (a real transport) pins the topology.
     """
     candidates = estimate_topology_costs(
         plan, statistics, catalog, model=model,
@@ -187,7 +189,7 @@ def execute_plan_scheduled(
 
     ``topology`` forces a shape (``"flat"``, ``"hierarchical:2"``,
     ``"chain:2"``) or lets the cost model decide (``"auto"``). Shapes
-    other than the star need in-process sites and a clean run; see
+    other than the star need in-process sites; see
     :func:`_pinned_to_flat_reason`, whose answer is recorded in the
     choice's reason (``auto``) or raised (forced).
     """
@@ -227,19 +229,12 @@ def execute_plan_scheduled(
             reason=f"topology {topology!r} forced by caller", model=model,
         )
 
-    tree = tree_for(choice.chosen.label, plan.sites)
-    if tree.is_star:
-        result = execute_plan(
-            cluster, plan, config, tracer=tracer, metrics=metrics,
-            query_id=query_id,
-        )
-    elif pinned_reason is not None:
+    if pinned_reason is not None and choice.chosen.kind != "flat":
         raise PlanError(f"topology {topology!r} unavailable: {pinned_reason}")
-    else:
-        result = execute_plan_tree(
-            cluster, tree, plan, config, tracer=tracer, metrics=metrics,
-            query_id=query_id,
-        )
+    result = execute_plan(
+        cluster, plan, config, tracer=tracer, metrics=metrics,
+        query_id=query_id, tree=tree_for(choice.chosen.label, plan.sites),
+    )
     result.stats.topology = choice.chosen.label
     result.stats.model = model
     choice.measured_response_time_s = result.stats.response_time_s()
@@ -274,20 +269,16 @@ def execute_query_scheduled(
 def _pinned_to_flat_reason(cluster, config: ExecutionConfig) -> Optional[str]:
     """Why this execution context cannot run a non-flat topology.
 
-    The one list of what :func:`execute_plan_tree` cannot honour; a
-    setting it can neither honour nor refuse here would be silently
-    dropped.
+    Only the transport can: combiners are hosted in the coordinator
+    process, so with sites behind a real wire a tree's merged streams
+    never leave the root link and the cost model's saving would be
+    fiction. Everything else a run can ask for is a property of an edge
+    and holds on any tree.
     """
     if not isinstance(cluster, SimulatedCluster):
         return "non-flat merging needs in-process sites (simulated cluster)"
     if config.executor == "sockets":
         return "socket transport runs the flat star protocol"
-    if getattr(cluster.network, "faults", None) is not None:
-        return "fault injection targets the flat star's channels"
-    if config.speculation:
-        return "speculative re-execution lives in the flat star's recovery layer"
-    if config.row_block_size:
-        return "row blocking is implemented on the flat star's channels only"
     return None
 
 

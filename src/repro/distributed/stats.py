@@ -216,8 +216,8 @@ class ExecutionStats:
     executor: str = "serial"
     #: Which merge topology moved the bytes: ``"flat"`` (coordinator
     #: star), ``"hierarchical:R"`` (R two-level regions) or ``"chain:F"``
-    #: (fanout-F combiner tree). Set by the topology scheduler; plain
-    #: ``execute_plan`` runs are always flat.
+    #: (fanout-F combiner tree), as labelled by the topology scheduler;
+    #: a plain ``execute_plan(tree=...)`` run reports ``tree:<depth>``.
     topology: str = "flat"
     #: The cost model the run was planned under (set by the scheduler),
     #: so a no-argument ``response_time_s()`` reports with the model the
@@ -675,10 +675,20 @@ def verify_against_network(stats: ExecutionStats, network) -> list:
     up = sum(
         network.channel(site_id).upstream.bytes for site_id in network.site_ids
     )
+    # The network owns the site edges only; under a merge tree the
+    # combiners' edges are in-memory channels of the run and stay out.
+    site_edges = [
+        round_stats.sites[site_id]
+        for round_stats in stats.rounds
+        for site_id in network.site_ids
+        if site_id in round_stats.sites
+    ]
     # The channels count abandoned speculative attempts too (the traffic
     # really moved), so the stats side adds its speculative buckets back.
-    stats_down = stats.bytes_down + stats.speculative_bytes_down
-    stats_up = stats.bytes_up + stats.speculative_bytes_up
+    stats_down = sum(
+        edge.bytes_down + edge.speculative_bytes_down for edge in site_edges
+    )
+    stats_up = sum(edge.bytes_up + edge.speculative_bytes_up for edge in site_edges)
     if stats_down != down:
         problems.append(f"bytes_down: stats={stats_down} network={down}")
     if stats_up != up:

@@ -1,7 +1,10 @@
-"""Merge topology as data: MergeTree builders, the one tree evaluator
-(paper future work, Section 6) and the tree-shaped round statistics."""
+"""Merge topology as data: MergeTree builders, the one round walk over
+any tree (paper future work, Section 6) and the tree-shaped round
+statistics."""
 
 import itertools
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -14,19 +17,24 @@ from repro.distributed import (
     SimulatedCluster,
     execute_plan,
     execute_plan_scheduled,
-    execute_plan_tree,
     execute_query,
     plan_query,
     tree_for,
 )
 from repro.distributed.evaluator import ExecutionConfig
 from repro.distributed.site import SkallaSite
-from repro.distributed.stats import ExecutionStats, RoundStats, SiteRoundStats
+from repro.distributed.stats import (
+    ExecutionStats,
+    RoundStats,
+    SiteRoundStats,
+    verify_against_network,
+)
 from repro.errors import NetworkError, PlanError
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
 from repro.gmdj.operator import evaluate, evaluate_sub, merge_sub_results, super_aggregate
 from repro.net.costmodel import LAN, WAN, CostModel
+from repro.net.faults import FaultPlan
 from repro.obs import MetricsRegistry, Tracer
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.engine import active_engine
@@ -71,7 +79,7 @@ def build_cluster(sites=8, partitioner=None):
 
 def run_tree(cluster, tree, options=None, **kwargs):
     plan = plan_query(correlated_expression(), cluster.catalog, options)
-    return execute_plan_tree(cluster, tree, plan, **kwargs)
+    return execute_plan(cluster, plan, tree=tree, **kwargs)
 
 
 class TestMergeTree:
@@ -193,17 +201,6 @@ class TestCorrectness:
         result = run_tree(cluster, MergeTree.regions(cluster.site_ids, 2))
         assert_relations_equal(reference, result.relation)
 
-    def test_star_shaped_tree_is_the_flat_evaluator(self):
-        """The oracle for the depth-1 case: same relation, same bytes."""
-        cluster = build_cluster(8)
-        plan = plan_query(correlated_expression(), cluster.catalog)
-        star = execute_plan(cluster, plan)
-        tree = execute_plan_tree(cluster, MergeTree.flat(cluster.site_ids), plan)
-        assert star.relation.same_rows(tree.relation)
-        assert tree.stats.bytes_total == star.stats.bytes_total
-        assert tree.stats.tuples_total == star.stats.tuples_total
-        assert tree.stats.root_link_bytes == star.stats.root_link_bytes
-
     def test_tree_must_cover_plan_sites(self):
         cluster = build_cluster(4)
         with pytest.raises(PlanError):
@@ -248,19 +245,26 @@ class TestTraffic:
         assert deep.stats.bytes_total > shallow.stats.bytes_total
 
     @pytest.mark.parametrize(
-        "label, bytes_total, root_link_bytes",
-        [("hierarchical:2", 7610, 1618), ("chain:2", 10686, 1618)],
+        "label, options_name, bytes_total, root_link_bytes",
+        [
+            pytest.param("flat", "none", 5992, 5992, id="flat-5992-5992"),
+            pytest.param("flat", "all", 1144, 1144, id="flat-all-1144-1144"),
+            pytest.param(
+                "hierarchical:2", "none", 7610, 1618, id="hierarchical:2-7610-1618"
+            ),
+            pytest.param("chain:2", "none", 10686, 1618, id="chain:2-10686-1618"),
+        ],
     )
     def test_row_codec_byte_totals_are_pinned(
-        self, label, bytes_total, root_link_bytes
+        self, label, options_name, bytes_total, root_link_bytes
     ):
         """Every edge charges HEADER_BYTES + the row encoding: the totals
-        the two former evaluators produced on this fixture, to the byte."""
+        this fixture has always produced, star included, to the byte."""
         cluster = build_cluster(8)
         stats = run_tree(
             cluster,
             tree_for(label, cluster.site_ids),
-            OptimizationOptions.none(),
+            OPTION_SETS[options_name],
             config=ExecutionConfig(wire_codec="row", engine="row"),
         ).stats
         assert (stats.bytes_total, stats.root_link_bytes) == (
@@ -298,23 +302,111 @@ class TestConfigIsHonoured:
             )
             assert_relations_equal(flat.relation, result.relation)
             assert result.stats.wire_codec == codec
-            assert result.stats.executor == "serial"
             bytes_by_codec[codec] = result.stats.bytes_total
         assert seen == {engine}
         assert bytes_by_codec["column"] < bytes_by_codec["row"]
 
-    def test_row_blocking_is_refused_not_ignored(self):
+    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("topology", ["hierarchical:2", "chain:2"])
+    def test_config_reaches_trees(self, topology, executor):
+        cluster = build_cluster(8)
+        plan = plan_query(
+            correlated_expression(), cluster.catalog, OptimizationOptions.none()
+        )
+        flat = execute_plan(cluster, plan, ExecutionConfig(executor="serial"))
+        cluster.reset_network()
+        config = ExecutionConfig(
+            executor=executor, max_workers=2, failure_mode="retry", max_retries=5,
+            leg_timeout_s=1.0,
+        )
+        tracer = Tracer()
+        result = execute_plan_scheduled(
+            cluster, plan, config, tracer=tracer, topology=topology
+        )
+        assert result.relation.same_rows(flat.relation)
+        assert result.stats.executor == executor
+        assert result.stats.failure_mode == "retry"
+        assert verify_against_network(result.stats, cluster.network) == []
+        # The root's own encode/decode work is on the trace, per edge.
+        root_edges = set(result.stats.rounds[1].root_edges())
+        for name in ("round.encode", "round.decode"):
+            traced = {
+                span.attributes["site"]
+                for span in tracer.spans_named(name)
+                if span.kind == "coordinator"
+            }
+            assert traced == root_edges
+
+    def test_row_blocking_costs_only_headers_on_a_tree(self):
         cluster = build_cluster(8)
         plan = plan_query(correlated_expression(), cluster.catalog)
-        blocked = ExecutionConfig(row_block_size=3)
-        with pytest.raises(PlanError, match="row blocking"):
-            execute_plan_scheduled(cluster, plan, blocked, topology="chain:2")
-        auto = execute_plan_scheduled(
-            cluster, plan, blocked,
-            model=CostModel(latency_s=0.0001, bandwidth_bytes_per_s=2.0e4),
+        whole = execute_plan_scheduled(cluster, plan, topology="chain:2")
+        blocked = execute_plan_scheduled(
+            cluster, plan, ExecutionConfig(row_block_size=3), topology="chain:2"
         )
-        assert auto.stats.topology == "flat"
-        assert "row blocking" in auto.topology_choice.reason
+        assert blocked.relation.same_rows(whole.relation)
+        assert blocked.stats.tuples_total == whole.stats.tuples_total
+        # Headers plus the repeated schema of each extra block, per edge.
+        assert blocked.stats.bytes_total > whole.stats.bytes_total
+
+    def test_threaded_legs_under_combiners_stress(self):
+        """More leg threads than cores, switching every 10 µs: a lost
+        update on a shared edge or session bank would change the bytes,
+        the retry count or the relation."""
+        cluster = build_cluster(8)
+        plan = plan_query(
+            correlated_expression(), cluster.catalog, OptimizationOptions.none()
+        )
+        faults = FaultPlan.parse(
+            "drop site=site1 round=1 dir=up; crash site=site5 rounds=0-2 times=2"
+        )
+        tree = tree_for("chain:2", cluster.site_ids)
+
+        def run(executor):
+            cluster.install_faults(faults)
+            config = ExecutionConfig(
+                executor=executor, row_block_size=2, failure_mode="retry",
+                max_retries=4, retry_backoff_s=0.0,
+            )
+            result = execute_plan(cluster, plan, config, tree=tree)
+            assert verify_against_network(result.stats, cluster.network) == []
+            return result
+
+        serial = run("serial")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _attempt in range(10):
+                threaded = run("threads")
+                assert threaded.relation.same_rows(serial.relation)
+                assert threaded.stats.bytes_total == serial.stats.bytes_total
+                assert threaded.stats.retries == serial.stats.retries == 3
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("topology", ["hierarchical:8", "chain:2"])
+    def test_bounded_pool_no_deadlock(self, topology, executor):
+        """More interior nodes than workers: a combiner that held a worker
+        while its own children queued behind it would hang here."""
+        cluster = build_cluster(8)
+        plan = plan_query(correlated_expression(), cluster.catalog)
+        flat = execute_plan(cluster, plan, ExecutionConfig(executor="serial"))
+        finished = []
+        runner = threading.Thread(
+            target=lambda: finished.append(
+                execute_plan_scheduled(
+                    cluster, plan,
+                    ExecutionConfig(executor=executor, max_workers=1),
+                    topology=topology,
+                )
+            ),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), f"{topology} under {executor} deadlocked"
+        assert finished[0].relation.same_rows(flat.relation)
 
 
 class TestHopSpans:
@@ -460,12 +552,18 @@ def merge_trees(draw):
     toggles=st.tuples(
         st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.booleans()
     ),
+    executor=st.sampled_from(["serial", "threads"]),
+    row_block_size=st.sampled_from([0, 3]),
 )
 @settings(max_examples=40, deadline=None)
-def test_random_nesting_matches_centralized(tree, toggles):
+def test_random_nesting_matches_centralized(tree, toggles, executor, row_block_size):
     cluster = build_cluster(len(PROPERTY_SITES))
     registry = MetricsRegistry()
-    result = run_tree(cluster, tree, OptimizationOptions(*toggles), metrics=registry)
+    cluster.reset_network(metrics=registry)
+    result = run_tree(
+        cluster, tree, OptimizationOptions(*toggles), metrics=registry,
+        config=ExecutionConfig(executor=executor, row_block_size=row_block_size),
+    )
     reference = correlated_expression().evaluate_centralized(
         cluster.conceptual_tables()
     )

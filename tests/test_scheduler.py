@@ -203,42 +203,114 @@ class TestScheduledExecution:
             execute_plan_scheduled(cluster, plan, topology=label)
 
 
+class TestEdgesOnTrees:
+    """Recovery, speculation and row blocking are applied per edge, so
+    they neither pin ``auto`` to the star nor refuse a forced tree."""
+
+    #: A dropped sub-result plus a bounded crash schedule on one site.
+    TRANSIENT = "drop site=site1 round=1 dir=up; crash site=site1 rounds=1-2 times=4"
+
+    def test_retry_on_a_tree_equals_fault_free_flat(self):
+        cluster = build_cluster(8)
+        plan = plan_query(
+            correlated_expression(), cluster.catalog, OptimizationOptions.none()
+        )
+        clean = execute_plan(cluster, plan)
+        cluster.install_faults(FaultPlan.parse(self.TRANSIENT))
+        result = execute_plan_scheduled(
+            cluster, plan,
+            ExecutionConfig(failure_mode="retry", max_retries=5, retry_backoff_s=0.0),
+            topology="hierarchical:2",
+        )
+        assert result.relation.same_rows(clean.relation)
+        assert result.stats.retries > 0
+        assert {event.kind for event in result.stats.faults} == {"drop", "crash"}
+        assert not result.stats.degraded
+
+    def test_degrade_on_a_tree_equals_flat_degrade(self):
+        config = ExecutionConfig(
+            failure_mode="degrade", max_retries=1, retry_backoff_s=0.0
+        )
+        results = {}
+        for topology in ("flat", "hierarchical:2"):
+            cluster = build_cluster(8)
+            cluster.install_faults(
+                FaultPlan.parse("crash site=site1 rounds=1-2 times=0")
+            )
+            plan = plan_query(
+                correlated_expression(), cluster.catalog, OptimizationOptions.none()
+            )
+            results[topology] = execute_plan_scheduled(
+                cluster, plan, config, topology=topology
+            )
+        flat, tree = results["flat"], results["hierarchical:2"]
+        assert tree.relation.same_rows(flat.relation)
+        assert tree.stats.excluded_sites == ((1, "site1"), (2, "site1"))
+        assert flat.stats.excluded_sites == tree.stats.excluded_sites
+
+    @pytest.mark.parametrize(
+        "config, faulty",
+        [
+            (ExecutionConfig(failure_mode="retry"), True),
+            (ExecutionConfig(speculation=True), False),
+            (ExecutionConfig(row_block_size=3), False),
+        ],
+        ids=["faults", "speculation", "row_blocking"],
+    )
+    def test_auto_is_not_pinned_by_them(self, config, faulty):
+        cluster = build_cluster(8)
+        if faulty:
+            cluster.install_faults(
+                FaultPlan.stragglers(cluster.site_ids, seed=3, delay_s=0.0)
+            )
+        result = execute_query_scheduled(
+            cluster,
+            correlated_expression(),
+            OptimizationOptions.none(),
+            config=config,
+            model=CONTENDED,
+        )
+        assert result.topology_choice.chosen.kind != "flat"
+        assert "pinned" not in result.topology_choice.reason
+        reference = execute_query_scheduled(
+            build_cluster(8), correlated_expression(), OptimizationOptions.none(),
+            topology="flat",
+        )
+        assert_relations_equal(reference.relation, result.relation)
+
+
+class _Deployment:
+    """Same surface as the cluster it wraps, but not a SimulatedCluster —
+    what the scheduler sees when the sites live behind a real transport."""
+
+    def __init__(self, cluster):
+        self._cluster = cluster
+
+    def __getattr__(self, name):
+        return getattr(self._cluster, name)
+
+
 class TestPinnedContexts:
-    def test_faults_pin_auto_to_flat(self):
+    def test_a_real_transport_pins_auto_and_refuses_a_tree(self):
         cluster = build_cluster(8)
-        cluster.install_faults(
-            FaultPlan.stragglers(cluster.site_ids, seed=3, delay_s=0.0)
+        plan = plan_query(
+            correlated_expression(), cluster.catalog, OptimizationOptions.none()
         )
-        result = execute_query_scheduled(
-            cluster,
-            correlated_expression(),
-            OptimizationOptions.all(),
-            config=ExecutionConfig(failure_mode="retry"),
-            model=CONTENDED,
+        deployment = _Deployment(cluster)
+        auto = execute_plan_scheduled(
+            deployment, plan, model=CONTENDED,
+            statistics=StatisticsStore.from_cluster(cluster),
         )
-        assert result.stats.topology == "flat"
-        assert "pinned to flat" in result.topology_choice.reason
-
-    def test_faults_reject_forced_non_flat(self):
-        cluster = build_cluster(8)
-        cluster.install_faults(
-            FaultPlan.stragglers(cluster.site_ids, seed=3, delay_s=0.0)
-        )
-        plan = plan_query(correlated_expression(), cluster.catalog)
-        with pytest.raises(PlanError, match="fault"):
-            execute_plan_scheduled(cluster, plan, topology="hierarchical:2")
-
-    def test_speculation_pins_auto_to_flat(self):
-        cluster = build_cluster(8)
-        result = execute_query_scheduled(
-            cluster,
-            correlated_expression(),
-            OptimizationOptions.all(),
-            config=ExecutionConfig(speculation=True),
-            model=CONTENDED,
-        )
-        assert result.stats.topology == "flat"
-        assert "speculative" in result.topology_choice.reason
+        assert auto.stats.topology == "flat"
+        assert "pinned to flat" in auto.topology_choice.reason
+        assert "in-process sites" in auto.topology_choice.reason
+        with pytest.raises(PlanError, match="in-process sites"):
+            execute_plan_scheduled(deployment, plan, topology="hierarchical:2")
+        with pytest.raises(PlanError, match="socket transport"):
+            execute_plan_scheduled(
+                cluster, plan, ExecutionConfig(executor="sockets"),
+                topology="hierarchical:2",
+            )
 
 
 class TestPlannerEntryPoint:
