@@ -565,8 +565,9 @@ def _add_cluster_options(parser) -> None:
         "--engine",
         choices=ENGINES,
         default=None,
-        help="relational execution engine: 'row' (tuple-at-a-time oracle) or "
-        "'columnar' (vectorized batch kernels); default $REPRO_ENGINE or row",
+        help="relational execution engine: 'columnar' (vectorized batch "
+        "kernels) or 'row' (tuple-at-a-time oracle); default $REPRO_ENGINE "
+        "or columnar",
     )
     parser.add_argument(
         "--wire-codec",

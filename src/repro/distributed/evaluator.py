@@ -70,7 +70,7 @@ from repro.net.channel import Channel
 from repro.net.costmodel import CostModel
 from repro.obs.metrics import MetricsRegistry, activate
 from repro.obs.tracer import NULL_TRACER
-from repro.relalg.engine import ENGINES, use_engine
+from repro.relalg.engine import DEFAULT_ENGINE, ENGINES, use_engine
 from repro.relalg.operators import union_all
 from repro.relalg.relation import Relation
 
@@ -122,12 +122,13 @@ class ExecutionConfig:
     max_retries: int = 2
     retry_backoff_s: float = 0.05
     leg_timeout_s: float = 0.0  # 0 = no per-leg wall-clock budget
-    #: Evaluation engine (``row | columnar``): ``columnar`` runs GMDJ and
-    #: relational kernels batch-at-a-time over column vectors, with the
-    #: row engine as differential oracle (bit-identical results). Honours
-    #: ``REPRO_ENGINE`` like ``executor`` honours ``REPRO_EXECUTOR``.
+    #: Evaluation engine (``row | columnar``): ``columnar``, the default,
+    #: runs GMDJ and relational kernels batch-at-a-time over column
+    #: vectors; ``row`` is its differential oracle (bit-identical
+    #: results). Honours ``REPRO_ENGINE`` like ``executor`` honours
+    #: ``REPRO_EXECUTOR``.
     engine: str = field(
-        default_factory=lambda: os.environ.get("REPRO_ENGINE", "row")
+        default_factory=lambda: os.environ.get("REPRO_ENGINE", DEFAULT_ENGINE)
     )
     #: Wire codec for shipped relations (``row | column``): ``column``
     #: ships dictionary/delta column blocks (smaller), and byte stats

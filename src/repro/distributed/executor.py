@@ -48,7 +48,7 @@ import os
 import threading
 import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import MultiLegError, PlanError
@@ -56,7 +56,7 @@ from repro.net import message as msg
 from repro.net import serialize
 from repro.obs.metrics import MetricsRegistry, activate, active_registry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.relalg.engine import use_engine
+from repro.relalg.engine import DEFAULT_ENGINE, use_engine
 from repro.relalg.relation import Relation
 
 EXECUTORS = ("serial", "threads", "processes", "sockets")
@@ -89,13 +89,34 @@ class SiteRequest:
     #: Execution engine for the site-side evaluation (``row | columnar``).
     #: Carried on the request because context variables do not cross pool
     #: threads or forked workers.
-    engine: str = "row"
+    engine: str = DEFAULT_ENGINE
     #: Wire codec for the encoded reply payloads (``row | column``).
     wire_codec: str = "row"
     #: Injected straggler delay: the site sleeps this long (real wall
     #: clock) before evaluating. Set from a ``straggle`` fault rule; the
     #: speculative backup attempt gets 0 once the rule's budget is spent.
     compute_delay_s: float = 0.0
+
+    def control(self) -> dict:
+        """The request as a REQ-frame body (the payloads cross as MSG frames).
+
+        An optional field is present only when it differs from its
+        default, so a default's spelling (``engine``'s, say) is never on
+        the wire. The comparison is against the dataclass default, not
+        against anything the coordinator's environment says.
+        """
+        return {
+            spec.name: value
+            for spec in fields(self)
+            if spec.name != "down_payloads"
+            # A required field's default is MISSING, which nothing equals.
+            and (value := getattr(self, spec.name)) != spec.default
+        }
+
+    @classmethod
+    def from_control(cls, control: dict, down_payloads: Sequence[bytes]) -> "SiteRequest":
+        """The site's end of :meth:`control`: absent fields take the same defaults."""
+        return cls(**control, down_payloads=tuple(down_payloads))
 
 
 @dataclass

@@ -405,22 +405,7 @@ class SiteServer:
                     f"payload desync at site {self.site.site_id!r}: "
                     f"expected {expected} shipped blocks, have {len(pending)}"
                 )
-            request = SiteRequest(
-                kind=control["kind"],
-                site_id=control["site_id"],
-                round_number=control["round_number"],
-                steps=tuple(control.get("steps") or ()),
-                key_attrs=tuple(control.get("key_attrs") or ()),
-                source=control.get("source"),
-                independent_reduction=control.get("independent_reduction", False),
-                row_block_size=control.get("row_block_size", 0),
-                down_payloads=tuple(pending),
-                traced=control.get("traced", False),
-                query_id=control.get("query_id"),
-                engine=control.get("engine", "row"),
-                wire_codec=control.get("wire_codec", "row"),
-                compute_delay_s=control.get("compute_delay_s", 0.0),
-            )
+            request = SiteRequest.from_control(control, pending)
             reply = perform_isolated_request(self.site, request)
         except Exception as error:  # noqa: BLE001 - shipped to the coordinator
             self.registry.counter("site.errors").inc()

@@ -72,7 +72,7 @@ from repro.net.message import (
 FRAME_HELLO = 1  # client -> server: {"site_id": ...}
 FRAME_WELCOME = 2  # server -> client: {"site_id": ..., "tables": {...}}
 FRAME_MSG = 3  # either direction: 32-byte message header + payload
-FRAME_REQ = 4  # client -> server: pickled SiteRequest fields (sans payloads)
+FRAME_REQ = 4  # client -> server: pickled SiteRequest.control() (sans payloads)
 FRAME_REPLY = 5  # server -> client: pickled reply metadata
 FRAME_ERROR = 6  # server -> client: pickled {"error": class, "message": str}
 FRAME_RESET = 7  # client -> server: discard buffered down payloads
@@ -447,8 +447,9 @@ class SocketChannel(FaultyChannel):
 
         The down payloads were already streamed as MSG frames by
         :meth:`send_to_site`; the REQ frame carries the request fields
-        (minus payloads) plus the expected payload count so the server
-        can detect desync after a partial failure.
+        that differ from their defaults (minus payloads) plus the expected
+        payload count so the server can detect desync after a partial
+        failure.
 
         While a speculative-abandon predicate is armed (see
         :meth:`~repro.net.channel.Channel.arm_speculation`), the reply
@@ -462,22 +463,8 @@ LegDeadlineExceeded` raised, with any reply messages already fully
 
         if self._doomed:
             self._raise_down(getattr(self, "_attempt_round", 0))
-        control = {
-            "kind": request.kind,
-            "site_id": request.site_id,
-            "round_number": request.round_number,
-            "steps": request.steps,
-            "key_attrs": request.key_attrs,
-            "source": request.source,
-            "independent_reduction": request.independent_reduction,
-            "row_block_size": request.row_block_size,
-            "traced": request.traced,
-            "query_id": request.query_id,
-            "engine": request.engine,
-            "wire_codec": request.wire_codec,
-            "compute_delay_s": getattr(request, "compute_delay_s", 0.0),
-            "expected_payloads": len(request.down_payloads or ()),
-        }
+        control = request.control()
+        control["expected_payloads"] = len(request.down_payloads)
         should_abandon = self._should_abandon
         with self._io_lock:
             self._transmit(FRAME_REQ, pickle.dumps(control))

@@ -1,11 +1,12 @@
 """Columnar storage for relations: per-column value vectors.
 
 A :class:`ColumnarRelation` holds the same multiset of rows as a row-store
-:class:`~repro.relalg.relation.Relation`, transposed into one
-:class:`Column` per attribute.  Batch kernels emitted by
-:mod:`repro.relalg.compiler` iterate these vectors with hoisted locals
-instead of indexing row tuples, and the column-block wire codec
-(:mod:`repro.net.serialize`) encodes them per column.
+:class:`~repro.relalg.relation.Relation`, as one value vector per attribute.
+Batch kernels emitted by :mod:`repro.relalg.compiler` iterate these vectors
+with hoisted locals instead of indexing row tuples, and the column-block
+wire codec (:mod:`repro.net.serialize`) encodes them per column.  Over a row
+store a vector is transposed the first time something indexes it, so a
+query that reads two of fourteen attributes builds two.
 
 Columns keep their values as plain Python lists (the universal
 representation the kernels consume — preserving ``None`` for NULLs), and
@@ -25,6 +26,7 @@ points live on ``Relation`` itself.
 from __future__ import annotations
 
 from array import array
+from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError
@@ -42,7 +44,9 @@ class Column:
     def __init__(self, name: str, type_name: str, values: Sequence):
         self.name = name
         self.type = type_name
-        self.values = list(values)
+        # A list is adopted, not copied: columns are immutable by convention,
+        # and a freshly transposed or decoded vector must not exist twice.
+        self.values = values if type(values) is list else list(values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -95,10 +99,36 @@ class Column:
         return uniques, codes
 
 
-class ColumnarRelation:
-    """A schema plus one :class:`Column` per attribute, all equal length."""
+class _ValueLists:
+    """One value list per attribute of a row store, each built on first use.
 
-    __slots__ = ("schema", "columns", "_length")
+    This is what a batch kernel receives as ``_cols`` and indexes by schema
+    position.  A list is published only once it is complete, so threads
+    racing for the same column each get a whole list (equal ones; the loser's
+    is garbage) and never see a partial one.
+    """
+
+    __slots__ = ("_rows", "_lists")
+
+    def __init__(self, rows: Sequence[tuple], lists: list):
+        self._rows = rows
+        self._lists = lists
+
+    def __len__(self) -> int:
+        return len(self._lists)
+
+    def __getitem__(self, position: int) -> list:
+        values = self._lists[position]
+        if values is None:
+            values = list(map(itemgetter(position), self._rows))
+            self._lists[position] = values
+        return values
+
+
+class ColumnarRelation:
+    """A schema plus one value list per attribute, all equal length."""
+
+    __slots__ = ("schema", "_values", "_length")
 
     def __init__(
         self, schema: Schema, columns: Sequence[Column], length: Optional[int] = None
@@ -116,23 +146,22 @@ class ColumnarRelation:
                     f"expected {length}"
                 )
         self.schema = schema
-        self.columns = tuple(columns)
+        self._values = _ValueLists((), [column.values for column in columns])
         # ``length`` survives the zero-column case (pure row-count relations).
         self._length = length or 0
 
     @classmethod
     def from_rows(cls, schema: Schema, rows: Sequence[tuple]) -> "ColumnarRelation":
-        """Transpose row tuples into columns (one pass via ``zip``)."""
-        attributes = schema.attributes
-        if rows:
-            transposed = zip(*rows)
-            columns = [
-                Column(attribute.name, attribute.type, values)
-                for attribute, values in zip(attributes, transposed)
-            ]
-        else:
-            columns = [Column(attribute.name, attribute.type, ()) for attribute in attributes]
-        return cls(schema, columns, length=len(rows) if not attributes else None)
+        """Columnar view of ``rows`` (kept, not copied); no column is built yet.
+
+        Rows are schema-width tuples, so the columns cannot be ragged and
+        nothing has to be transposed to know it.
+        """
+        columnar = cls.__new__(cls)
+        columnar.schema = schema
+        columnar._values = _ValueLists(rows, [None] * len(schema))
+        columnar._length = len(rows)
+        return columnar
 
     def __len__(self) -> int:
         return self._length
@@ -140,18 +169,36 @@ class ColumnarRelation:
     def __repr__(self) -> str:
         return f"ColumnarRelation({self.schema!r}, {self._length} rows)"
 
-    def column(self, name: str) -> Column:
-        return self.columns[self.schema.position(name)]
+    @property
+    def columns(self) -> Tuple[Column, ...]:
+        """Every attribute as a :class:`Column` (builds the ones not yet built)."""
+        values = self._values
+        return tuple(
+            Column(attribute.name, attribute.type, values[position])
+            for position, attribute in enumerate(self.schema.attributes)
+        )
 
-    def value_lists(self) -> Tuple[list, ...]:
-        """The per-column value lists, in schema order (kernel input)."""
-        return tuple(column.values for column in self.columns)
+    def column(self, name: str) -> Column:
+        position = self.schema.position(name)
+        return Column(name, self.schema.attributes[position].type, self._values[position])
+
+    def value_lists(self) -> _ValueLists:
+        """The per-column value lists, indexable by schema position (kernel input)."""
+        return self._values
+
+    def built_columns(self) -> Tuple[str, ...]:
+        """Names of the attributes whose value list exists, in schema order."""
+        return tuple(
+            attribute.name
+            for attribute, values in zip(self.schema.attributes, self._values._lists)
+            if values is not None
+        )
 
     def to_rows(self) -> List[tuple]:
         """Transpose back to row tuples, preserving row order."""
-        if not self.columns:
+        if not len(self.schema):
             return [()] * self._length
-        return list(zip(*(column.values for column in self.columns)))
+        return list(zip(*self._values))
 
     def gather(self, indices: Iterable[int]) -> "ColumnarRelation":
         """Rows at ``indices`` (ascending order preserves row order)."""

@@ -1,10 +1,11 @@
-"""Execution-engine knob: row-at-a-time oracle vs. columnar batch kernels.
+"""Execution engine: columnar batch kernels, with the row engine as oracle.
 
-The row engine is the differential oracle — it is never removed, and every
-columnar code path must produce bit-identical results against it.  The active
-engine is tracked per-context (thread/task safe) with a lazy fallback to the
-``REPRO_ENGINE`` environment variable so forked workers and test monkeypatches
-both observe the expected default.
+``columnar`` is what runs unless something asks otherwise.  The row engine is
+the differential oracle — it is never removed, and every columnar code path
+must produce bit-identical results against it.  The active engine is tracked
+per-context (thread/task safe) with a lazy fallback to the ``REPRO_ENGINE``
+environment variable so forked workers and test monkeypatches both observe the
+expected default.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from ..errors import PlanError
 
 ENGINES = ("row", "columnar")
 
+#: The engine of every context, config and site request that names none —
+#: the one place the default is spelled.
+DEFAULT_ENGINE = "columnar"
+
 _ACTIVE_ENGINE: ContextVar[Optional[str]] = ContextVar("repro_engine", default=None)
 
 
@@ -28,12 +33,12 @@ def validate_engine(name: str) -> str:
 
 
 def active_engine() -> str:
-    """The engine for the current context (env fallback, default ``row``)."""
+    """The engine for the current context (env fallback, default ``columnar``)."""
 
     current = _ACTIVE_ENGINE.get()
     if current is not None:
         return current
-    return validate_engine(os.environ.get("REPRO_ENGINE", "row"))
+    return validate_engine(os.environ.get("REPRO_ENGINE", DEFAULT_ENGINE))
 
 
 @contextmanager

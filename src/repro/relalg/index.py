@@ -22,11 +22,11 @@ class HashIndex:
         self.key_names = tuple(key_names)
         self._positions = relation.schema.positions(self.key_names)
         self._buckets: dict = {}
-        # Build from the key columns only: zipping the key-attribute value
-        # vectors touches just the indexed columns instead of materializing
-        # (or re-indexing into) every full row tuple.
-        columnar = relation.to_columnar()
-        key_columns = [columnar.columns[position].values for position in self._positions]
+        # Build from the key columns only: the columnar view transposes just
+        # the attributes indexed here, and zipping those vectors avoids
+        # re-indexing into every full row tuple.
+        value_lists = relation.to_columnar().value_lists()
+        key_columns = [value_lists[position] for position in self._positions]
         setdefault = self._buckets.setdefault
         for row_index, key in enumerate(zip(*key_columns)):
             setdefault(key, []).append(row_index)

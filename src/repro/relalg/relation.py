@@ -13,6 +13,7 @@ performance story lives in hash-based GMDJ evaluation, not storage.
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import SchemaError
@@ -79,7 +80,11 @@ class Relation:
         return relation
 
     def to_columnar(self) -> ColumnarRelation:
-        """Columnar view of this relation (cached; relations are immutable)."""
+        """Columnar view of this relation (cached; relations are immutable).
+
+        The view shares ``rows`` and transposes an attribute the first time
+        it is indexed, so asking for it costs nothing until a column is read.
+        """
         columnar = self._columnar
         if columnar is None:
             columnar = ColumnarRelation.from_rows(self.schema, self.rows)
@@ -139,24 +144,20 @@ class Relation:
 
     def distinct(self) -> "Relation":
         """Duplicate elimination, preserving first-seen row order."""
-        seen = set()
-        unique = []
-        for row in self.rows:
-            if row not in seen:
-                seen.add(row)
-                unique.append(row)
-        return Relation(self.schema, unique)
+        return Relation(self.schema, dict.fromkeys(self.rows))
 
     def distinct_project(self, names: Sequence[str]) -> "Relation":
-        """``distinct(project(names))`` in one pass."""
+        """``distinct(project(names))`` in one pass, first-seen order."""
         positions = self.schema.positions(names)
-        seen = set()
-        unique = []
-        for row in self.rows:
-            projected = tuple(row[position] for position in positions)
-            if projected not in seen:
-                seen.add(projected)
-                unique.append(projected)
+        if len(positions) > 1:
+            unique = dict.fromkeys(map(itemgetter(*positions), self.rows))
+        elif positions:
+            # itemgetter of one position yields scalars: dedupe those, then
+            # wrap the survivors (``(1,) == (1.0,)`` exactly when ``1 == 1.0``).
+            scalars = dict.fromkeys(map(itemgetter(positions[0]), self.rows))
+            unique = [(value,) for value in scalars]
+        else:
+            unique = [()] if self.rows else []
         return Relation(self.schema.project(names), unique)
 
     def union_all(self, other: "Relation") -> "Relation":

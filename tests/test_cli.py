@@ -322,9 +322,12 @@ class TestBench:
     def test_bench_report_and_check(self, tmp_path):
         import json
 
+        # Large enough that the traced run (about 10 ms under the columnar
+        # default) dwarfs the fixed 0.1 ms profile build the 5% budget is
+        # measured against; at 1800 rows the run itself is under 2 ms.
         baseline = tmp_path / "baseline.json"
         code, output = run_cli(
-            ["bench", "--sites", "2", "--scale", "0.0003",
+            ["bench", "--sites", "2", "--scale", "0.003",
              "--output", str(baseline)]
         )
         assert code == 0
@@ -337,7 +340,7 @@ class TestBench:
         # gate is pointed at a missing file so this test does not re-run
         # the committed BENCH_slo.json sweep (repro loadgen has its own).
         code, output = run_cli(
-            ["bench", "--sites", "2", "--scale", "0.0003", "--check",
+            ["bench", "--sites", "2", "--scale", "0.003", "--check",
              "--baseline", str(baseline),
              "--slo-baseline", str(tmp_path / "no-slo.json")]
         )

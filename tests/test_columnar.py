@@ -10,6 +10,8 @@ seeded property-style round trips over random relations.
 
 import datetime
 import random
+import sys
+import threading
 
 import pytest
 
@@ -97,6 +99,49 @@ class TestColumnarRelation:
         columnar = ColumnarRelation.from_rows(Schema.of(), [(), (), ()])
         assert len(columnar) == 3
         assert columnar.to_rows() == [(), (), ()]
+
+    def test_from_rows_builds_a_column_only_when_it_is_read(self):
+        relation = random_mixed_relation(30, seed=40)
+        columnar = relation.to_columnar()
+        assert columnar.built_columns() == ()
+        assert columnar.value_lists()[2] == [row[2] for row in relation.rows]
+        assert columnar.built_columns() == ("s",)
+        assert columnar.column("f").values == [row[1] for row in relation.rows]
+        assert columnar.built_columns() == ("f", "s")
+        assert [column.name for column in columnar.columns] == ["i", "f", "s", "b", "d"]
+        assert columnar.built_columns() == ("i", "f", "s", "b", "d")
+
+    def test_a_built_column_is_wrapped_not_copied(self):
+        columnar = random_mixed_relation(10, seed=41).to_columnar()
+        values = columnar.value_lists()[0]
+        assert columnar.column("i").values is values
+        assert columnar.columns[0].values is values
+        assert columnar.value_lists()[0] is values
+
+    def test_racing_threads_get_equal_complete_columns(self):
+        relation = random_mixed_relation(4000, seed=42)
+        expected = [row[1] for row in relation.rows]
+        columnar = relation.to_columnar()
+        start = threading.Barrier(8)
+        seen = []
+
+        def read():
+            start.wait(timeout=10)
+            seen.append(list(columnar.value_lists()[1]))
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [expected] * 8
+        assert columnar.value_lists()[1] == expected
 
     def test_as_array_packs_non_nulls(self):
         column = Column("i", INT, [5, None, -7])
@@ -218,6 +263,27 @@ class TestGMDJColumnar:
         brute = brute_force_gmdj(base_relation, flows, blocks)
         assert columnar_result.schema == brute.schema
 
+    def test_s1_query_builds_exactly_the_columns_it_reads(self):
+        from repro.data.tpcr import TPCRConfig, generate_tpcr
+        from repro.queries.olap import QueryBuilder
+
+        tpcr = generate_tpcr(TPCRConfig(scale=0.0005, seed=7))
+        expression = (
+            QueryBuilder("TPCR", keys=["NationKey"])
+            .stage([AggSpec("avg", detail.Price, "m")])
+            .stage([count_star("above")], extra=detail.Price >= base.m)
+            .build()
+        )
+        with use_engine("columnar"):
+            tpcr.distinct_project(["NationKey"])
+            tpcr.distinct()
+            assert tpcr.to_columnar().built_columns() == ()
+            columnar_result = expression.evaluate_centralized({"TPCR": tpcr})
+        assert set(tpcr.to_columnar().built_columns()) == {"NationKey", "Price"}
+        with use_engine("row"):
+            row_result = expression.evaluate_centralized({"TPCR": tpcr})
+        assert columnar_result.rows == row_result.rows
+
     def test_holistic_aggregates_fall_back_to_row_path(self):
         flows = make_flows(count=100, seed=32)
         base_relation = flows.distinct_project(["SourceAS"])
@@ -264,6 +330,11 @@ class TestColumnarIndex:
                 if (row[0], row[2]) == key
             ]
             assert list(index.lookup(key)) == expected
+
+    def test_build_transposes_only_the_key_columns(self):
+        relation = random_mixed_relation(80, seed=8, null_rate=0.3)
+        HashIndex(relation, ["s", "i"])
+        assert relation.to_columnar().built_columns() == ("i", "s")
 
 
 # ---------------------------------------------------------------------------

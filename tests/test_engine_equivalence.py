@@ -13,6 +13,7 @@ import pytest
 from conftest import make_flows
 from repro.distributed import OptimizationOptions, SimulatedCluster, execute_query
 from repro.distributed.evaluator import ExecutionConfig
+from repro.distributed.executor import SiteRequest
 from repro.distributed.stats import verify_against_network
 from repro.errors import PlanError
 from repro.net.faults import FaultPlan
@@ -26,7 +27,7 @@ from repro.queries import (
     multifeature_query,
 )
 from repro.relalg.aggregates import AggSpec, count_star
-from repro.relalg.engine import active_engine, use_engine
+from repro.relalg.engine import DEFAULT_ENGINE, active_engine, use_engine
 from repro.relalg.expressions import base, detail
 from repro.warehouse.partition import HashPartitioner
 
@@ -202,10 +203,29 @@ def test_unknown_engine_and_codec_are_rejected():
 
 
 def test_use_engine_restores_previous_engine():
-    ambient = active_engine()  # honours $REPRO_ENGINE, defaults to "row"
+    ambient = active_engine()  # honours $REPRO_ENGINE, defaults to "columnar"
     with use_engine("columnar"):
         assert active_engine() == "columnar"
         with use_engine("row"):
             assert active_engine() == "row"
         assert active_engine() == "columnar"
     assert active_engine() == ambient
+
+
+def test_one_default_engine_and_the_environment_overrides_it(monkeypatch):
+    def request(**fields):
+        return SiteRequest(kind="base", site_id="site0", round_number=0, **fields)
+
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    assert DEFAULT_ENGINE == "columnar"
+    assert ExecutionConfig().engine == DEFAULT_ENGINE
+    assert request().engine == DEFAULT_ENGINE
+    assert active_engine() == DEFAULT_ENGINE
+    assert "engine" not in request(engine=ExecutionConfig().engine).control()
+
+    monkeypatch.setenv("REPRO_ENGINE", "row")
+    assert ExecutionConfig().engine == "row"
+    assert active_engine() == "row"
+    # The site hears what the coordinator's environment chose: the REQ body
+    # leaves a field out when it equals the constant, not the environment.
+    assert request(engine=ExecutionConfig().engine).control()["engine"] == "row"

@@ -8,6 +8,9 @@ data, partitionings and optimization toggles:
    partition of the detail relation;
 3. Theorem 3: the full distributed pipeline == centralized evaluation,
    with Theorem 2's traffic bound respected.
+
+The engine under test is one more drawn input; the reference side is
+brute force or the row engine, whatever the ambient default is.
 """
 
 import pytest
@@ -15,17 +18,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_relations_equal, brute_force_gmdj
-from repro.distributed import OptimizationOptions, SimulatedCluster, execute_query
+from repro.distributed import (
+    ExecutionConfig,
+    OptimizationOptions,
+    SimulatedCluster,
+    execute_query,
+)
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
 from repro.gmdj.operator import evaluate, evaluate_sub, super_aggregate
 from repro.relalg.aggregates import AggSpec, count_star
+from repro.relalg.engine import ENGINES, use_engine
 from repro.relalg.expressions import base, detail
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, Schema
 from repro.warehouse.partition import ValueListPartitioner
 
 DETAIL_SCHEMA = Schema.of(("g", INT), ("h", INT), ("v", FLOAT))
+
+engines = st.sampled_from(ENGINES)
 
 detail_rows = st.lists(
     st.tuples(
@@ -79,15 +90,16 @@ def build_blocks(raw):
     return blocks
 
 
-@given(rows=detail_rows, raw_blocks=blocks_strategy)
+@given(rows=detail_rows, raw_blocks=blocks_strategy, engine=engines)
 @settings(max_examples=50, deadline=None)
-def test_hash_evaluation_matches_brute_force(rows, raw_blocks):
+def test_hash_evaluation_matches_brute_force(rows, raw_blocks, engine):
     detail_relation = Relation(DETAIL_SCHEMA, rows)
     base_relation = detail_relation.distinct_project(["g", "h"])
     blocks = build_blocks(raw_blocks)
+    with use_engine(engine):
+        evaluated = evaluate(base_relation, detail_relation, blocks)
     assert_relations_equal(
-        evaluate(base_relation, detail_relation, blocks),
-        brute_force_gmdj(base_relation, detail_relation, blocks),
+        evaluated, brute_force_gmdj(base_relation, detail_relation, blocks)
     )
 
 
@@ -95,9 +107,10 @@ def test_hash_evaluation_matches_brute_force(rows, raw_blocks):
     rows=detail_rows,
     raw_blocks=blocks_strategy,
     assignment=st.lists(st.integers(min_value=0, max_value=3), min_size=60, max_size=60),
+    engine=engines,
 )
 @settings(max_examples=50, deadline=None)
-def test_theorem1_random_partitions(rows, raw_blocks, assignment):
+def test_theorem1_random_partitions(rows, raw_blocks, assignment, engine):
     detail_relation = Relation(DETAIL_SCHEMA, rows)
     base_relation = detail_relation.distinct_project(["g", "h"])
     blocks = build_blocks(raw_blocks)
@@ -105,11 +118,16 @@ def test_theorem1_random_partitions(rows, raw_blocks, assignment):
     for row, site in zip(rows, assignment):
         pieces[site].append(row)
     h = None
-    for piece in pieces:
-        h_i, _touched = evaluate_sub(base_relation, Relation(DETAIL_SCHEMA, piece), blocks)
-        h = h_i if h is None else h.union_all(h_i)
-    merged = super_aggregate(base_relation, h, ["g", "h"], blocks)
-    assert_relations_equal(merged, evaluate(base_relation, detail_relation, blocks))
+    with use_engine(engine):
+        for piece in pieces:
+            h_i, _touched = evaluate_sub(
+                base_relation, Relation(DETAIL_SCHEMA, piece), blocks
+            )
+            h = h_i if h is None else h.union_all(h_i)
+        merged = super_aggregate(base_relation, h, ["g", "h"], blocks)
+    with use_engine("row"):
+        reference = evaluate(base_relation, detail_relation, blocks)
+    assert_relations_equal(merged, reference)
 
 
 @given(
@@ -118,9 +136,12 @@ def test_theorem1_random_partitions(rows, raw_blocks, assignment):
         st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.booleans()
     ),
     correlated=st.booleans(),
+    engine=engines,
 )
 @settings(max_examples=40, deadline=None)
-def test_distributed_matches_centralized_random_options(rows, toggles, correlated):
+def test_distributed_matches_centralized_random_options(
+    rows, toggles, correlated, engine
+):
     detail_relation = Relation(DETAIL_SCHEMA, rows)
     cluster = SimulatedCluster.with_sites(3)
     cluster.load_partitioned(
@@ -140,7 +161,10 @@ def test_distributed_matches_centralized_random_options(rows, toggles, correlate
         )
     expression = GMDJExpression(DistinctBase("T", ["g"]), steps)
     options = OptimizationOptions(*toggles)
-    reference = expression.evaluate_centralized(cluster.conceptual_tables())
-    result = execute_query(cluster, expression, options)
+    with use_engine("row"):
+        reference = expression.evaluate_centralized(cluster.conceptual_tables())
+    result = execute_query(
+        cluster, expression, options, config=ExecutionConfig(engine=engine)
+    )
     assert_relations_equal(reference, result.relation)
     assert result.respects_theorem2()

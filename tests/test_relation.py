@@ -1,6 +1,8 @@
 """Unit tests for the Relation row store."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import SchemaError, TypeMismatchError
 from repro.relalg.expressions import col
@@ -18,6 +20,12 @@ ROWS = [
 
 def make():
     return Relation(SCHEMA, ROWS)
+
+
+def _typed(rows):
+    """Rows with each value's type beside it: ``1``, ``1.0`` and ``True``
+    compare equal, so which of them survived deduplication needs this."""
+    return [tuple((type(value), value) for value in row) for row in rows]
 
 
 class TestConstruction:
@@ -99,6 +107,54 @@ class TestOperators:
     def test_distinct_project(self):
         result = make().distinct_project(["k"])
         assert result.rows == [(1,), (2,)]
+
+    # The loops ``distinct`` / ``distinct_project`` ran before they became
+    # ``dict.fromkeys`` over the rows: the order and key-equality reference.
+
+    @staticmethod
+    def reference_distinct(relation):
+        seen = set()
+        unique = []
+        for row in relation.rows:
+            if row not in seen:
+                seen.add(row)
+                unique.append(row)
+        return unique
+
+    @staticmethod
+    def reference_distinct_project(relation, names):
+        positions = relation.schema.positions(names)
+        seen = set()
+        unique = []
+        for row in relation.rows:
+            projected = tuple(row[position] for position in positions)
+            if projected not in seen:
+                seen.add(projected)
+                unique.append(projected)
+        return unique
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                # 1, 1.0 and True are one key; NULL is an ordinary one.
+                st.sampled_from([None, 0, 1, 1.0, True, False, 2, -0.0, 2.5]),
+                st.sampled_from([None, 0.0, 1, 1.0, 3.5]),
+                st.sampled_from([None, "a", "b", ""]),
+            ),
+            max_size=40,
+        ),
+        names=st.lists(st.sampled_from(["k", "v", "name"]), unique=True, max_size=3),
+    )
+    def test_distinct_and_distinct_project_match_reference_loops(self, rows, names):
+        relation = Relation(SCHEMA, rows)
+        distinct = relation.distinct()
+        assert distinct.schema == SCHEMA
+        assert _typed(distinct.rows) == _typed(self.reference_distinct(relation))
+        projected = relation.distinct_project(names)
+        assert projected.schema.names == tuple(names)
+        assert _typed(projected.rows) == _typed(
+            self.reference_distinct_project(relation, names)
+        )
 
     def test_union_all(self):
         combined = make().union_all(make())

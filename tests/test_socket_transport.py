@@ -13,6 +13,7 @@ partition from disk and heals the answer).
 
 from __future__ import annotations
 
+import pickle
 import socket
 
 import pytest
@@ -21,6 +22,7 @@ from conftest import make_flows
 from repro.distributed import OptimizationOptions, SimulatedCluster, execute_query
 from repro.distributed.deployment import ProcessCluster
 from repro.distributed.evaluator import ExecutionConfig
+from repro.distributed.executor import SiteRequest
 from repro.distributed.siteserver import load_site, write_partition_store
 from repro.distributed.stats import verify_against_network
 from repro.errors import (
@@ -165,6 +167,59 @@ def test_read_frame_raises_on_closed_peer():
             read_frame(right)
     finally:
         right.close()
+
+
+def _req_body(control, request):
+    """What ``SocketChannel.ask`` puts in the REQ frame for ``control``."""
+    return pickle.dumps({**control, "expected_payloads": len(request.down_payloads)})
+
+
+def _req_body_with_every_field(request):
+    """The REQ body as it was when all fourteen fields always crossed."""
+    names = (
+        "kind", "site_id", "round_number", "steps", "key_attrs", "source",
+        "independent_reduction", "row_block_size", "traced", "query_id",
+        "engine", "wire_codec", "compute_delay_s",
+    )
+    return _req_body({name: getattr(request, name) for name in names}, request)
+
+
+@pytest.mark.parametrize(
+    "optional",
+    [
+        {},
+        {"engine": "row"},
+        {"wire_codec": "column"},
+        {"row_block_size": 64, "traced": True},
+        {
+            "engine": "row", "wire_codec": "column", "row_block_size": 7,
+            "traced": True, "query_id": 0, "compute_delay_s": 0.25,
+            "independent_reduction": True,
+        },
+    ],
+    ids=lambda optional: "+".join(optional) or "defaults",
+)
+def test_req_body_carries_only_what_differs_from_the_defaults(optional):
+    request = SiteRequest(
+        kind="round",
+        site_id="site2",
+        round_number=1,
+        steps=tuple(correlated_expression().steps),
+        key_attrs=("SourceAS", "DestAS"),
+        down_payloads=(b"block-1", b"block-2"),
+        **optional,
+    )
+    control = request.control()
+    assert set(control) == {
+        "kind", "site_id", "round_number", "steps", "key_attrs", *optional
+    }
+    body = _req_body(control, request)
+    assert len(body) < len(_req_body_with_every_field(request))
+    received = pickle.loads(body)
+    assert received.pop("expected_payloads") == 2
+    rebuilt = SiteRequest.from_control(received, request.down_payloads)
+    # Not ``==``: the steps hold expressions, whose ``==`` builds an atom.
+    assert repr(rebuilt) == repr(request)
 
 
 def test_remote_errors_map_to_their_local_classes():
