@@ -24,6 +24,7 @@ from repro.gmdj.blocks import MDBlock
 from repro.obs.tracer import NULL_TRACER
 from repro.relalg import compiler
 from repro.relalg.expressions import BASE_VAR, Expr
+from repro.relalg.operators import union_all
 from repro.relalg.relation import Relation
 
 
@@ -65,10 +66,7 @@ class Coordinator:
         with self.tracer.span(
             "round.merge", kind="coordinator", phase="base", fragments=len(fragments)
         ) as span:
-            combined = fragments[0]
-            for fragment in fragments[1:]:
-                combined = combined.union_all(fragment)
-            self._x = combined.distinct()
+            self._x = union_all(fragments).distinct()
             span.set(rows=len(self._x))
         return self._x
 
@@ -108,9 +106,9 @@ class Coordinator:
         """Finalize a sync round.
 
         ``excluded`` names the sites degrade mode dropped from the round
-        (their accumulator banks were already reset by the recovery
-        layer); it is recorded on the merge span so traces show which
-        merges are under-approximations.
+        (their banks were already reset by the recovery layer); it is
+        recorded on the merge span so traces show which merges are
+        under-approximations.
         """
         with self.tracer.span(
             "round.merge", kind="coordinator", phase="commit"
@@ -149,9 +147,7 @@ class Coordinator:
             phase="assemble",
             fragments=len(sub_results),
         ) as span:
-            h = sub_results[0]
-            for fragment in sub_results[1:]:
-                h = h.union_all(fragment)
+            h = union_all(sub_results)
             base = h.distinct_project(self.key_attrs)
             self._x = operator.super_aggregate(base, h, self.key_attrs, blocks)
             span.set(rows=len(self._x))

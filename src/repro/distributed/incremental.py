@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping
 
 from repro.distributed.cluster import SimulatedCluster
@@ -43,6 +44,7 @@ from repro.errors import PlanError, SchemaError
 from repro.gmdj import operator
 from repro.gmdj.expression import DistinctBase, GMDJExpression, LiteralBase
 from repro.net import message as msg
+from repro.relalg.operators import union_all
 from repro.relalg.relation import Relation
 
 
@@ -110,10 +112,9 @@ class IncrementalView:
             detail = site.warehouse.table(self.step.detail)
             h_i, _touched = operator.evaluate_sub(base, detail, self.step.blocks)
             pieces.append(h_i)
-        combined = pieces[0]
-        for piece in pieces[1:]:
-            combined = combined.union_all(piece)
-        return operator.merge_sub_results(combined, self.key_attrs, self.step.blocks)
+        return operator.merge_sub_results(
+            union_all(pieces), self.key_attrs, self.step.blocks
+        )
 
     def _current_base_relation(self, initial: bool = False) -> Relation:
         source = self.expression.base_source
@@ -192,10 +193,7 @@ class IncrementalView:
             h_delta, touched = operator.evaluate_sub(
                 received_base, delta, self.step.blocks
             )
-            reduced = Relation(
-                h_delta.schema,
-                [row for row, touch in zip(h_delta.rows, touched) if touch],
-            )
+            reduced = Relation(h_delta.schema, compress(h_delta.rows, touched))
             reply = msg.Message.with_relation(
                 msg.SUB_RESULT, site_id, "coordinator", 0, reduced
             )
@@ -241,11 +239,8 @@ class IncrementalView:
                 round_stats.coordinator_compute_s += time.perf_counter() - started
 
         started = time.perf_counter()
-        combined = fragments[0]
-        for fragment in fragments[1:]:
-            combined = combined.union_all(fragment)
         self._h = operator.merge_sub_results(
-            combined, self.key_attrs, self.step.blocks
+            union_all(fragments), self.key_attrs, self.step.blocks
         )
         round_stats.coordinator_compute_s += time.perf_counter() - started
         return RefreshResult(self.relation(), stats, len(new_base))

@@ -18,12 +18,14 @@ Per round, a site:
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import add, itemgetter, or_
 from typing import Sequence
 
 from repro.errors import WarehouseError
 from repro.gmdj import operator
 from repro.gmdj.expression import BaseSource, MDStep
-from repro.relalg.relation import Relation
+from repro.relalg.relation import Relation, tuple_getter
 from repro.relalg.schema import Schema
 from repro.warehouse.storage import LocalWarehouse
 
@@ -58,8 +60,11 @@ class SkallaSite:
         """
         detail = self.warehouse.table(steps[0].detail)
         current_base = base_fragment
-        sub_columns: list = []  # row-aligned sub-value tuples per step
-        touched_any = [False] * len(base_fragment.rows)
+        key_of = tuple_getter(base_fragment.schema.positions(key_attrs))
+        # H_i's rows, column group by column group: the key attributes, then
+        # each step's sub columns (its sub-result minus its base's columns).
+        rows = map(key_of, base_fragment.rows)
+        touched_any = None
 
         for index, step in enumerate(steps):
             if step.detail != steps[0].detail:
@@ -69,30 +74,20 @@ class SkallaSite:
             is_last = index == len(steps) - 1
             if is_last:
                 sub, touched = operator.evaluate_sub(current_base, detail, step.blocks)
-                full = None
             else:
                 full, sub, touched = operator.evaluate_both(
                     current_base, detail, step.blocks
                 )
-            base_width = len(current_base.schema)
-            sub_columns.append(
-                [row[base_width:] for row in sub.rows]
+            sub_columns = itemgetter(slice(len(current_base.schema), None))
+            rows = map(add, rows, map(sub_columns, sub.rows))
+            touched_any = (
+                touched if touched_any is None else list(map(or_, touched_any, touched))
             )
-            touched_any = [a or b for a, b in zip(touched_any, touched)]
             if not is_last:
                 current_base = full
 
-        # Assemble H_i: key attributes + concatenated sub columns.
-        key_positions = base_fragment.schema.positions(key_attrs)
-        rows = []
-        for row_index, base_row in enumerate(base_fragment.rows):
-            if independent_reduction and not touched_any[row_index]:
-                continue
-            key = tuple(base_row[position] for position in key_positions)
-            subs: tuple = ()
-            for per_step in sub_columns:
-                subs += per_step[row_index]
-            rows.append(key + subs)
+        if independent_reduction:
+            rows = compress(rows, touched_any)
 
         attributes = list(base_fragment.schema.project(key_attrs).attributes)
         for step in steps:

@@ -9,6 +9,14 @@ candidate pair. Conditions without equality atoms degrade to a
 nested-loop scan — still correct, and exactly why GMDJ groups may
 overlap, unlike SQL ``GROUP BY`` groups.
 
+Aggregate state has one runtime representation: **flat component
+columns**. ``columns[i]`` is the list, over base rows, of the i-th
+sub-aggregate component in ``sub_result_schema`` order — what the site
+kernel accumulates into, what H_i ships as explicit columns (Theorem 1),
+what the coordinator folds arriving fragments into, and what finalize
+reads. Per-group accumulator objects exist only inside the row-engine
+scan (the differential oracle) and for holistic aggregates.
+
 Three entry points:
 
 - :func:`evaluate` — the full operator, producing finalized aggregates
@@ -24,17 +32,17 @@ Three entry points:
 from __future__ import annotations
 
 import threading
+from operator import add
 from typing import Sequence
 
 from repro.errors import HolisticAggregateError
 from repro.gmdj.blocks import MDBlock, result_schema, sub_result_schema
 from repro.obs.metrics import active_registry
 from repro.relalg import compiler
-from repro.relalg.aggregates import ComponentAccumulator
 from repro.relalg.engine import active_engine
 from repro.relalg.expressions import BASE_VAR, DETAIL_VAR
 from repro.relalg.predicates import split_condition
-from repro.relalg.relation import Relation
+from repro.relalg.relation import Relation, tuple_getter
 
 # Cached counter handles for the scan hot path: the registry lookup
 # (string formatting + dict probe) per operator call is measurable at
@@ -58,19 +66,79 @@ def _hot_counters() -> tuple:
     return cache[1], cache[2]
 
 
+def _layout(blocks) -> tuple:
+    """``(slots, components)`` of the blocks' aggregate state columns.
+
+    ``components`` lists the sub-aggregate components in
+    ``sub_result_schema`` order, one per column; ``slots`` holds one
+    ``(function, offset, count)`` per aggregate, whose columns are
+    ``columns[offset:offset + count]``.
+    """
+    slots: list = []
+    components: list = []
+    for block in blocks:
+        for spec in block.aggregates:
+            own = [component for _suffix, component in spec.function.components()]
+            slots.append((spec.function, len(components), len(own)))
+            components.extend(own)
+    return slots, components
+
+
+def _sub_names(blocks) -> list:
+    """Names of the blocks' sub-aggregate columns, in ``_layout`` order."""
+    return [attribute.name for block in blocks for attribute in block.sub_attributes()]
+
+
+def _fresh_bank(components, count: int) -> list:
+    """One column of ``count`` initial values per component."""
+    return [
+        [component.initial()] * count
+        if component.kind in compiler.VECTORIZED_COMPONENT_KINDS
+        # A custom component's initial value may be mutable: one per row.
+        else [component.initial() for _row in range(count)]
+        for component in components
+    ]
+
+
+def _key_index(keys: Sequence, indices: Sequence[int]) -> dict:
+    """Hash index ``key -> indices`` (in order) over row-aligned sequences."""
+    index = dict(zip(keys, zip(indices)))
+    if len(index) != len(indices):  # duplicate keys: keep every index
+        index = {}
+        for key, position in zip(keys, indices):
+            index.setdefault(key, []).append(position)
+    return index
+
+
+def _finalized(slots, columns) -> list:
+    """One finalized column per aggregate of the layout."""
+    return [
+        function.finalize_columns(columns[offset : offset + count])
+        for function, offset, count in slots
+    ]
+
+
+def _extended(base: Relation, schema, columns) -> Relation:
+    """``base`` with one more attribute per row-aligned column."""
+    if not columns:  # no blocks: ``zip()`` of nothing would drop every row
+        return Relation(schema, base.rows)
+    return Relation(schema, map(add, base.rows, zip(*columns)))
+
+
+def _reject_holistic(blocks) -> None:
+    for block in blocks:
+        if block.has_holistic:
+            raise HolisticAggregateError(
+                "holistic aggregates cannot produce shippable sub-results"
+            )
+
+
 def evaluate(base: Relation, detail: Relation, blocks: Sequence[MDBlock]) -> Relation:
     """``MD(B, R, (l_1..l_m), (theta_1..theta_m))`` with finalized aggregates."""
-    accumulators, _touched = _accumulate(base, detail, blocks, track_touch=False)
-    schema = result_schema(base.schema, blocks)
-    rows = []
-    for base_index, base_row in enumerate(base.rows):
-        extra = []
-        for block_index, block in enumerate(blocks):
-            for accumulator in accumulators[block_index][base_index]:
-                extra.append(accumulator.result())
-        rows.append(base_row + tuple(extra))
-    _hot_counters()[1].inc(len(rows))
-    return Relation(schema, rows)
+    slots, columns, _touched = _accumulate(base, detail, blocks, track_touch=False)
+    full = _extended(base, result_schema(base.schema, blocks), _finalized(slots, columns))
+    _hot_counters()[1].inc(len(full.rows))
+    return full
 
 
 def evaluate_sub(
@@ -83,22 +151,11 @@ def evaluate_sub(
     True iff base row ``k`` had ``|RNG(b, R_i, theta_1 v ... v theta_m)| > 0``
     — the Proposition 1 group-reduction test.
     """
-    for block in blocks:
-        if block.has_holistic:
-            raise HolisticAggregateError(
-                "holistic aggregates cannot produce shippable sub-results"
-            )
-    accumulators, touched = _accumulate(base, detail, blocks, track_touch=True)
-    schema = sub_result_schema(base.schema, blocks)
-    rows = []
-    for base_index, base_row in enumerate(base.rows):
-        extra = []
-        for block_index, _block in enumerate(blocks):
-            for accumulator in accumulators[block_index][base_index]:
-                extra.extend(accumulator.sub_values())
-        rows.append(base_row + tuple(extra))
-    _hot_counters()[1].inc(len(rows))
-    return Relation(schema, rows), touched
+    _reject_holistic(blocks)
+    _slots, columns, touched = _accumulate(base, detail, blocks, track_touch=True)
+    sub = _extended(base, sub_result_schema(base.schema, blocks), columns)
+    _hot_counters()[1].inc(len(sub.rows))
+    return sub, touched
 
 
 def evaluate_both(
@@ -113,26 +170,11 @@ def evaluate_both(
     Returns ``(full, sub, touched)``; ``full`` and ``sub`` are row-aligned
     with ``base``.
     """
-    for block in blocks:
-        if block.has_holistic:
-            raise HolisticAggregateError(
-                "holistic aggregates cannot produce shippable sub-results"
-            )
-    accumulators, touched = _accumulate(base, detail, blocks, track_touch=True)
-    full_rows = []
-    sub_rows = []
-    for base_index, base_row in enumerate(base.rows):
-        finals = []
-        subs = []
-        for block_index, _block in enumerate(blocks):
-            for accumulator in accumulators[block_index][base_index]:
-                finals.append(accumulator.result())
-                subs.extend(accumulator.sub_values())
-        full_rows.append(base_row + tuple(finals))
-        sub_rows.append(base_row + tuple(subs))
-    full = Relation(result_schema(base.schema, blocks), full_rows)
-    sub = Relation(sub_result_schema(base.schema, blocks), sub_rows)
-    _hot_counters()[1].inc(len(full_rows))
+    _reject_holistic(blocks)
+    slots, columns, touched = _accumulate(base, detail, blocks, track_touch=True)
+    full = _extended(base, result_schema(base.schema, blocks), _finalized(slots, columns))
+    sub = _extended(base, sub_result_schema(base.schema, blocks), columns)
+    _hot_counters()[1].inc(len(full.rows))
     return full, sub, touched
 
 
@@ -142,38 +184,29 @@ class SyncSession:
     Section 3.2: "the coordinator can synchronize H with those
     sub-results it has already received while receiving blocks of H from
     slower sites, rather than having to wait for all of H to be
-    assembled". A session holds one accumulator set per base row (keyed
-    by K through a hash index), absorbs sub-result fragments in any
-    order, and finalizes once.
+    assembled". A session holds the aggregate state as component columns
+    over the base rows (a *bank*), reached from K through a hash index;
+    it absorbs sub-result fragments in any order and finalizes once.
 
     Fragments are absorbed in *completion* order when site execution is
     parallel, which would make float super-aggregation fold-order
     dependent. To keep results bit-identical across executors, each
-    ``source`` (site) folds into its own accumulator bank, and
-    :meth:`finish` merges the banks in sorted source order — a
-    deterministic combine tree regardless of arrival order. Per-schema
-    absorb plans (key/sub-column positions) are cached so row blocking
-    does not recompute them per fragment.
+    ``source`` (site) folds into its own bank, and :meth:`finish` merges
+    the banks in sorted source order — a deterministic combine tree
+    regardless of arrival order. Per-schema absorb kernels are cached so
+    row blocking does not look them up per fragment.
     """
 
     def __init__(self, base: Relation, key_attrs: Sequence[str], blocks: Sequence[MDBlock]):
         self._base = base
         self._key_attrs = tuple(key_attrs)
         self._blocks = tuple(blocks)
-        key_positions = base.schema.positions(self._key_attrs)
-        self._lookup: dict = {}
-        for base_index, base_row in enumerate(base.rows):
-            key = tuple(base_row[position] for position in key_positions)
-            self._lookup.setdefault(key, []).append(base_index)
-        self._banks: dict = {}  # source -> accumulators[block][base_row][agg]
-        self._plans: dict = {}  # h schema -> (key_positions, sub_positions)
+        self._slots, self._components = _layout(self._blocks)
+        key_of = tuple_getter(base.schema.positions(self._key_attrs))
+        self._index = _key_index(list(map(key_of, base.rows)), range(len(base.rows)))
+        self._banks: dict = {}  # source -> component columns
+        self._kernels: dict = {}  # h schema -> absorb kernel
         self._lock = threading.Lock()
-
-    def _fresh_bank(self) -> list:
-        return [
-            [[spec.accumulator() for spec in block.aggregates] for _row in self._base.rows]
-            for block in self._blocks
-        ]
 
     def _bank_for(self, source: str) -> list:
         bank = self._banks.get(source)
@@ -181,22 +214,21 @@ class SyncSession:
             with self._lock:
                 bank = self._banks.get(source)
                 if bank is None:
-                    bank = self._fresh_bank()
+                    bank = _fresh_bank(self._components, len(self._base.rows))
                     self._banks[source] = bank
         return bank
 
-    def _plan_for(self, schema) -> tuple:
-        plan = self._plans.get(schema)
-        if plan is None:
-            key_positions = schema.positions(self._key_attrs)
-            sub_positions = [
-                [schema.positions(spec.sub_names()) for spec in block.aggregates]
-                for block in self._blocks
-            ]
-            plan = (key_positions, sub_positions)
+    def _kernel_for(self, schema):
+        kernel = self._kernels.get(schema)
+        if kernel is None:
+            kernel = compiler.compile_grouped_combine(
+                self._components,
+                schema.positions(self._key_attrs),
+                schema.positions(_sub_names(self._blocks)),
+            )
             with self._lock:
-                self._plans[schema] = plan
-        return plan
+                self._kernels[schema] = kernel
+        return kernel
 
     def absorb(self, h: Relation, source: str = "") -> None:
         """Fold one sub-result fragment into the session (O(|h|)).
@@ -205,19 +237,7 @@ class SyncSession:
         sharing a source fold together in arrival order, distinct
         sources merge deterministically at :meth:`finish`.
         """
-        key_positions, sub_positions = self._plan_for(h.schema)
-        accumulators = self._bank_for(source)
-        lookup_get = self._lookup.get
-        block_range = range(len(self._blocks))
-        for h_row in h.rows:
-            key = tuple(h_row[position] for position in key_positions)
-            for base_index in lookup_get(key, ()):
-                for block_index in block_range:
-                    block_accumulators = accumulators[block_index][base_index]
-                    for agg_index, positions in enumerate(sub_positions[block_index]):
-                        block_accumulators[agg_index].load_sub_values(
-                            tuple(h_row[position] for position in positions)
-                        )
+        self._kernel_for(h.schema)(h.rows, self._index.get, self._bank_for(source))
 
     def reset_source(self, source: str) -> None:
         """Discard everything absorbed from one source (site).
@@ -234,31 +254,25 @@ class SyncSession:
         """All source banks combined in sorted source order."""
         if len(self._banks) == 1:
             return next(iter(self._banks.values()))
-        merged = self._fresh_bank()
+        count = len(self._base.rows)
+        merged = _fresh_bank(self._components, count)
+        # A bank is a fragment keyed by base position: row ``(i, *values)``
+        # has key ``(i,)``, which is also the base indices it folds into —
+        # so ``tuple`` (the identity on tuples) is the probe.
+        fold = compiler.compile_grouped_combine(
+            self._components, (0,), range(1, len(self._components) + 1)
+        )
         for source in sorted(self._banks):
-            bank = self._banks[source]
-            for block_index in range(len(self._blocks)):
-                merged_block = merged[block_index]
-                bank_block = bank[block_index]
-                for base_index in range(len(self._base.rows)):
-                    for target, partial in zip(
-                        merged_block[base_index], bank_block[base_index]
-                    ):
-                        target.merge(partial)
+            fold(zip(range(count), *self._banks[source]), tuple, merged)
         return merged
 
     def finish(self) -> Relation:
         """Finalize super-aggregates into the next base-result structure."""
-        accumulators = self._merged_bank() if self._banks else self._fresh_bank()
-        schema = result_schema(self._base.schema, self._blocks)
-        rows = []
-        for base_index, base_row in enumerate(self._base.rows):
-            extra = []
-            for block_index, _block in enumerate(self._blocks):
-                for accumulator in accumulators[block_index][base_index]:
-                    extra.append(accumulator.result())
-            rows.append(base_row + tuple(extra))
-        return Relation(schema, rows)
+        return _extended(
+            self._base,
+            result_schema(self._base.schema, self._blocks),
+            _finalized(self._slots, self._merged_bank()),
+        )
 
 
 def super_aggregate(
@@ -293,50 +307,25 @@ def merge_sub_results(
 
     Rows keep the first-seen order of their keys; non-key, non-aggregate
     base attributes (if any) are taken from the first row of each key.
+    The fold is :class:`SyncSession`'s: a bank over the first-seen keys
+    and the same absorb kernel, rows in order.
     """
+    if not h.rows:
+        return h
+    _slots, components = _layout(blocks)
     key_positions = h.schema.positions(key_attrs)
-    sub_positions = []  # per block, per agg: component positions in h
-    for block in blocks:
-        per_agg = []
-        for spec in block.aggregates:
-            per_agg.append(h.schema.positions(spec.sub_names()))
-        sub_positions.append(per_agg)
+    sub_positions = h.schema.positions(_sub_names(blocks))
+    first_rows: dict = {}  # key -> first row carrying it, in first-seen order
+    for key, row in zip(map(tuple_getter(key_positions), h.rows), h.rows):
+        first_rows.setdefault(key, row)
+    bank = _fresh_bank(components, len(first_rows))
+    fold = compiler.compile_grouped_combine(components, key_positions, sub_positions)
+    fold(h.rows, _key_index(first_rows, range(len(first_rows))).get, bank)
 
-    order: list = []
-    first_row: dict = {}
-    accumulators: dict = {}
-    for row in h.rows:
-        key = tuple(row[position] for position in key_positions)
-        if key not in accumulators:
-            order.append(key)
-            first_row[key] = row
-            accumulators[key] = [
-                [spec.accumulator() for spec in block.aggregates] for block in blocks
-            ]
-        per_block = accumulators[key]
-        for block_index, block in enumerate(blocks):
-            for agg_index, _spec in enumerate(block.aggregates):
-                positions = sub_positions[block_index][agg_index]
-                values = tuple(row[position] for position in positions)
-                per_block[block_index][agg_index].load_sub_values(values)
-
-    all_sub_positions = [
-        position
-        for per_agg in sub_positions
-        for positions in per_agg
-        for position in positions
-    ]
-    rows = []
-    for key in order:
-        template = list(first_row[key])
-        flat_values: list = []
-        for per_agg in accumulators[key]:
-            for accumulator in per_agg:
-                flat_values.extend(accumulator.sub_values())
-        for position, value in zip(all_sub_positions, flat_values):
-            template[position] = value
-        rows.append(tuple(template))
-    return Relation(h.schema, rows)
+    merged = list(zip(*first_rows.values()))  # the first rows, as columns
+    for position, column in zip(sub_positions, bank):
+        merged[position] = column
+    return Relation(h.schema, zip(*merged))
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +334,10 @@ def merge_sub_results(
 
 
 def _accumulate(base, detail, blocks, track_touch):
-    """Run the MD-join scan; returns (accumulators, touched).
+    """Run the MD-join scan; returns ``(slots, columns, touched)``.
 
-    ``accumulators[block][base_row][agg]`` holds the per-group state.
+    ``columns`` are the flat component columns of the blocks' aggregate
+    state and ``slots`` their per-aggregate layout (see :func:`_layout`).
     ``touched[base_row]`` is maintained only when ``track_touch``.
 
     The scan's per-row work runs through codegen kernels
@@ -357,6 +347,12 @@ def _accumulate(base, detail, blocks, track_touch):
     function call per row instead of walking the expression AST. The
     interpreter path (:meth:`Expr.compile`) remains the differential
     oracle — see ``tests/test_compiler.py``.
+
+    The row engine below scans with one :class:`Accumulator` per (group,
+    aggregate) — it is the columnar kernels' oracle — and hands its
+    state over as columns at the end. A holistic aggregate has no
+    components: its one column holds the accumulators themselves (the
+    one fallback from plain values, centralized :func:`evaluate` only).
     """
     if active_engine() == "columnar":
         columnar_result = _accumulate_columnar(base, detail, blocks, track_touch)
@@ -481,7 +477,22 @@ def _accumulate(base, detail, blocks, track_touch):
                         accumulator.update(value)
 
     _hot_counters()[0].inc(tuples_examined)
-    return accumulators, touched
+    slots: list = []
+    columns: list = []
+    for block, block_accumulators in zip(blocks, accumulators):
+        for agg_index, spec in enumerate(block.aggregates):
+            per_row = [row[agg_index] for row in block_accumulators]
+            if spec.is_holistic:
+                own = [per_row]
+            else:
+                values = [accumulator.sub_values() for accumulator in per_row]
+                own = [
+                    [row_values[position] for row_values in values]
+                    for position in range(len(spec.function.components()))
+                ]
+            slots.append((spec.function, len(columns), len(own)))
+            columns.extend(own)
+    return slots, columns, touched
 
 
 def _vectorizable(blocks) -> bool:
@@ -511,14 +522,15 @@ def _accumulate_columnar(base, detail, blocks, track_touch):
     input evaluation, component updates) runs inside one fused generated
     kernel (:func:`repro.relalg.compiler.compile_grouped_accumulate`)
     over hoisted column vectors, accumulating into flat per-component
-    lists. Returns ``None`` when a block cannot be vectorized (holistic
-    or unknown custom components), which sends the caller down the row
-    path. Results are bit-identical to the row engine: kernels replicate
-    ``Component.update`` statement-for-statement and scan detail rows in
-    the same order.
+    lists — the state columns themselves. Returns ``None`` when a block
+    cannot be vectorized (holistic or unknown custom components), which
+    sends the caller down the row path. Results are bit-identical to the
+    row engine: kernels replicate ``Component.update``
+    statement-for-statement and scan detail rows in the same order.
     """
     if not _vectorizable(blocks):
         return None
+    slots, components = _layout(blocks)
     base_schemas = {BASE_VAR: base.schema}
     detail_schemas = {DETAIL_VAR: detail.schema, None: detail.schema}
     both_schemas = {BASE_VAR: base.schema, **detail_schemas}
@@ -528,7 +540,8 @@ def _accumulate_columnar(base, detail, blocks, track_touch):
     base_rows = base.rows
     base_count = len(base_rows)
     touched = [False] * base_count if track_touch else None
-    accumulators = []
+    state = _fresh_bank(components, base_count)
+    offset = 0
     tuples_examined = 0
 
     for block in blocks:
@@ -541,8 +554,10 @@ def _accumulate_columnar(base, detail, blocks, track_touch):
             candidate_base = [
                 index for index, row in enumerate(base_rows) if base_admits(row)
             ]
+            candidate_rows = [base_rows[index] for index in candidate_base]
         else:
-            candidate_base = list(range(base_count))
+            candidate_base = range(base_count)
+            candidate_rows = base_rows
 
         if split.detail_only:
             mask = compiler.compile_mask(
@@ -561,12 +576,10 @@ def _accumulate_columnar(base, detail, blocks, track_touch):
             base_key = compiler.compile_values(
                 [atom.base_expr for atom in split.atoms], base_schemas, (BASE_VAR,)
             )
-            table: dict = {}
-            for base_index in candidate_base:
-                key = base_key(base_rows[base_index])
-                if None in key:
-                    continue
-                table.setdefault(key, []).append(base_index)
+            table = _key_index(list(map(base_key, candidate_rows)), candidate_base)
+            # NULL keys never match under SQL equality semantics.
+            for key in [key for key in table if None in key]:
+                del table[key]
             probe = table.get
             key_exprs = [atom.detail_expr for atom in split.atoms]
         else:
@@ -588,26 +601,11 @@ def _accumulate_columnar(base, detail, blocks, track_touch):
             track_touch,
             aliases=detail_aliases,
         )
-        layout = []  # per aggregate: (function, flat offset, component count)
-        flat: list = []
-        for spec in block.aggregates:
-            components = spec.function.components()
-            layout.append((spec.function, len(flat), len(components)))
-            for _suffix, component in components:
-                flat.append([component.initial()] * base_count)
-        kernel(indices, columns, base_rows, probe, flat, touched)
-
-        block_accumulators = [
-            [
-                ComponentAccumulator.from_values(
-                    function,
-                    [flat[offset + position][base_index] for position in range(count)],
-                )
-                for function, offset, count in layout
-            ]
-            for base_index in range(base_count)
-        ]
-        accumulators.append(block_accumulators)
+        width = sum(len(kinds) for kinds in component_kinds)
+        kernel(
+            indices, columns, base_rows, probe, state[offset : offset + width], touched
+        )
+        offset += width
 
     _hot_counters()[0].inc(tuples_examined)
-    return accumulators, touched
+    return slots, state, touched

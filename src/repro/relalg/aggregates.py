@@ -197,58 +197,77 @@ class AggregateFunction:
         """Super-aggregate formula over combined component values."""
         raise NotImplementedError
 
+    def finalize_columns(self, columns: Sequence[list]) -> list:
+        """:meth:`finalize` over component columns: one value per row.
 
-class CountFunction(AggregateFunction):
+        ``columns`` holds this function's component lists, in
+        :meth:`components` order and row-aligned — the runtime
+        representation of aggregate state everywhere outside the
+        row-engine scan.
+        """
+        finalize = self.finalize
+        return [finalize(values) for values in zip(*columns)]
+
+
+class _BuiltinFunction(AggregateFunction):
+    """Components are stateless, so a built-in builds its tuple once."""
+
+    _components: tuple = ()
+
+    def components(self):
+        return self._components
+
+
+class _DistributiveFunction(_BuiltinFunction):
+    """One component whose combined value *is* the aggregate."""
+
+    def finalize(self, component_values):
+        return component_values[0]
+
+    def finalize_columns(self, columns):
+        if type(self).finalize is not _DistributiveFunction.finalize:
+            return super().finalize_columns(columns)  # a subclass changed the formula
+        return columns[0]
+
+
+class CountFunction(_DistributiveFunction):
     name = "count"
     requires_input = False
     result_type = INT
 
     def __init__(self, star: bool):
         self._component = CountStarComponent() if star else CountComponent()
+        self._components = (("", self._component),)
 
-    def components(self):
-        return (("", self._component),)
+    # A REQ frame pickles its steps' AggSpecs, function included: the
+    # derived tuple stays out of it, so the frame's bytes do not move.
+    def __getstate__(self):
+        return {"_component": self._component}
 
-    def finalize(self, component_values):
-        return component_values[0]
+    def __setstate__(self, state):
+        self._component = state["_component"]
+        self._components = (("", self._component),)
 
 
-class SumFunction(AggregateFunction):
+class SumFunction(_DistributiveFunction):
     name = "sum"
-
-    def components(self):
-        return (("", SumComponent()),)
-
-    def finalize(self, component_values):
-        return component_values[0]
+    _components = (("", SumComponent()),)
 
 
-class MinFunction(AggregateFunction):
+class MinFunction(_DistributiveFunction):
     name = "min"
-
-    def components(self):
-        return (("", MinComponent()),)
-
-    def finalize(self, component_values):
-        return component_values[0]
+    _components = (("", MinComponent()),)
 
 
-class MaxFunction(AggregateFunction):
+class MaxFunction(_DistributiveFunction):
     name = "max"
-
-    def components(self):
-        return (("", MaxComponent()),)
-
-    def finalize(self, component_values):
-        return component_values[0]
+    _components = (("", MaxComponent()),)
 
 
-class AvgFunction(AggregateFunction):
+class AvgFunction(_BuiltinFunction):
     name = "avg"
     classification = ALGEBRAIC
-
-    def components(self):
-        return (("sum", SumComponent()), ("count", CountComponent()))
+    _components = (("sum", SumComponent()), ("count", CountComponent()))
 
     def finalize(self, component_values):
         total, count = component_values
@@ -257,18 +276,16 @@ class AvgFunction(AggregateFunction):
         return total / count
 
 
-class VarFunction(AggregateFunction):
+class VarFunction(_BuiltinFunction):
     """Population variance (algebraic: sum, sum of squares, count)."""
 
     name = "var"
     classification = ALGEBRAIC
-
-    def components(self):
-        return (
-            ("sum", SumComponent()),
-            ("sumsq", SumSquaresComponent()),
-            ("count", CountComponent()),
-        )
+    _components = (
+        ("sum", SumComponent()),
+        ("sumsq", SumSquaresComponent()),
+        ("count", CountComponent()),
+    )
 
     def finalize(self, component_values):
         total, total_squares, count = component_values
@@ -303,6 +320,11 @@ class _HolisticFunction(AggregateFunction):
         """Compute the aggregate from the full multiset of input values."""
         raise NotImplementedError
 
+    def finalize_columns(self, columns):
+        """No components: the one state column holds the per-group
+        :class:`HolisticAccumulator` objects themselves."""
+        return [accumulator.result() for accumulator in columns[0]]
+
 
 class MedianFunction(_HolisticFunction):
     name = "median"
@@ -325,7 +347,7 @@ class CountDistinctFunction(_HolisticFunction):
         return len({value for value in values if value is not None})
 
 
-class GeometricMeanFunction(AggregateFunction):
+class GeometricMeanFunction(_BuiltinFunction):
     """Geometric mean — algebraic over (sum of logs, count).
 
     Non-positive inputs have no logarithm; they are skipped like NULLs
@@ -370,11 +392,7 @@ class GeometricMeanFunction(AggregateFunction):
         def combine(self, left, right):
             return left + right
 
-    def components(self):
-        return (
-            ("logsum", self._LogSumComponent()),
-            ("count", self._PositiveCountComponent()),
-        )
+    _components = (("logsum", _LogSumComponent()), ("count", _PositiveCountComponent()))
 
     def finalize(self, component_values):
         log_sum, count = component_values
@@ -555,22 +573,6 @@ class ComponentAccumulator(Accumulator):
         self._function = function
         self._components = tuple(component for _suffix, component in function.components())
         self._values = [component.initial() for component in self._components]
-
-    @classmethod
-    def from_values(cls, function: AggregateFunction, values) -> "ComponentAccumulator":
-        """Wrap already-accumulated component values (columnar engine).
-
-        The vectorized GMDJ scan accumulates into flat per-component lists
-        and rehydrates :class:`ComponentAccumulator` objects only at the
-        end, so downstream merge/finalize code is engine-agnostic.
-        """
-        accumulator = cls.__new__(cls)
-        accumulator._function = function
-        accumulator._components = tuple(
-            component for _suffix, component in function.components()
-        )
-        accumulator._values = list(values)
-        return accumulator
 
     def update(self, value):
         values = self._values

@@ -570,9 +570,11 @@ def compile_batch_scalar(
     return kernel
 
 
-#: Component kinds the fused grouped-accumulate kernel knows how to inline.
-#: Anything else (custom :func:`repro.relalg.aggregates.register_aggregate`
-#: components, holistic accumulators) falls back to the row engine.
+#: Component kinds whose ``update`` and ``combine`` rules the generated
+#: kernels inline. Anything else (custom
+#: :func:`repro.relalg.aggregates.register_aggregate` components, holistic
+#: accumulators) scans with the row engine and combines through
+#: ``Component.combine``.
 VECTORIZED_COMPONENT_KINDS = frozenset(
     ("count_star", "count", "sum", "sumsq", "min", "max", "logsum", "poscount")
 )
@@ -627,6 +629,112 @@ def _emit_component_update(emitter, indent, kind, acc, value_atom):
         emitter.line(indent + 1, f"{slot} += 1")
     else:  # pragma: no cover - guarded by VECTORIZED_COMPONENT_KINDS
         raise ExpressionError(f"cannot vectorize component kind {kind!r}")
+
+
+def _emit_component_combine(emitter, indent, kind, acc, value_atom):
+    """Inline one Component.combine of ``value_atom`` into ``acc`` at ``_b``.
+
+    The twin of :func:`_emit_component_update`: each branch mirrors the
+    corresponding ``Component.combine`` statement-for-statement (left
+    operand the accumulated value, right the absorbed one; ``min``/``max``
+    keep the left operand on ties), so folding shipped sub-aggregates is
+    bit-identical to calling the method.
+    """
+    slot = f"{acc}[_b]"
+    if kind in ("count_star", "count", "poscount"):
+        emitter.line(indent, f"{slot} += {value_atom}")
+    elif kind in ("sum", "sumsq", "logsum"):
+        emitter.line(indent, f"if {value_atom} is not None:")
+        emitter.line(indent + 1, f"_x = {acc}[_b]")
+        emitter.line(
+            indent + 1, f"{slot} = {value_atom} if _x is None else _x + {value_atom}"
+        )
+    elif kind in ("min", "max"):
+        emitter.line(indent, f"if {value_atom} is not None:")
+        emitter.line(indent + 1, f"_x = {acc}[_b]")
+        emitter.line(
+            indent + 1,
+            f"{slot} = {value_atom} if _x is None else {kind}(_x, {value_atom})",
+        )
+    else:  # pragma: no cover - guarded by VECTORIZED_COMPONENT_KINDS
+        raise ExpressionError(f"cannot vectorize component kind {kind!r}")
+
+
+def _combine_loop(components, key_positions, sub_positions) -> Callable:
+    """:func:`compile_grouped_combine` for kinds with no inlined rule."""
+    plan = [
+        (index, position, component.combine)
+        for index, (position, component) in enumerate(zip(sub_positions, components))
+    ]
+
+    def kernel(rows, probe, accs):
+        for row in rows:
+            matches = probe(tuple(row[position] for position in key_positions))
+            if not matches:
+                continue
+            for base_index in matches:
+                for index, position, combine in plan:
+                    acc = accs[index]
+                    acc[base_index] = combine(acc[base_index], row[position])
+
+    return kernel
+
+
+def compile_grouped_combine(
+    components: Sequence, key_positions: Sequence[int], sub_positions: Sequence[int]
+) -> Callable:
+    """Fold sub-aggregate rows into component columns: Theorem 1's θ_K.
+
+    The returned kernel has signature::
+
+        kernel(rows, probe, accs)
+
+    - ``rows``: row tuples carrying a key at ``key_positions`` and one
+      shipped value per component at ``sub_positions``;
+    - ``probe``: maps a key tuple to the base indices holding that key
+      (falsy when there are none) — ``index.get`` of a key index;
+    - ``accs``: the flat component columns, one per component.
+
+    For every row and every base index its key maps to, each column's
+    entry becomes ``component.combine(entry, shipped value)``, rows in
+    order. Kinds in :data:`VECTORIZED_COMPONENT_KINDS` are inlined into
+    one generated loop, cached by (kinds, key positions, sub positions);
+    any other kind sends the whole fold through ``Component.combine``.
+    """
+    kinds = tuple(component.kind for component in components)
+    key_positions = tuple(key_positions)
+    sub_positions = tuple(sub_positions)
+    if not VECTORIZED_COMPONENT_KINDS.issuperset(kinds):
+        return _combine_loop(components, key_positions, sub_positions)
+    key = ("grouped_combine", kinds, key_positions, sub_positions)
+    kernel = _KERNEL_CACHE.get(key)
+    if kernel is not None:
+        return kernel
+
+    emitter = _Emitter({}, {})
+    for index in range(len(kinds)):
+        emitter.line(0, f"_acc{index} = _accs[{index}]")
+    emitter.line(0, "for _r in _rows:")
+    key_tuple = "".join(f"_r[{position}], " for position in key_positions)
+    emitter.line(1, f"_matches = _probe(({key_tuple}))")
+    emitter.line(1, "if not _matches:")
+    emitter.line(2, "continue")
+    for index, position in enumerate(sub_positions):
+        emitter.line(1, f"_v{index} = _r[{position}]")
+    emitter.line(1, "for _b in _matches:")
+    for index, kind in enumerate(kinds):
+        _emit_component_combine(emitter, 2, kind, f"_acc{index}", f"_v{index}")
+
+    source = "def _kernel(_rows, _probe, _accs):\n" + "\n".join(
+        "    " + line for line in emitter.lines
+    )
+    env = emitter.env
+    exec(compile(source, "<relalg-combine-kernel>", "exec"), env)  # noqa: S102
+    kernel = env["_kernel"]
+    kernel.__kernel_source__ = source
+    with _CACHE_LOCK:
+        _KERNEL_CACHE[key] = kernel
+    return kernel
 
 
 def compile_grouped_accumulate(

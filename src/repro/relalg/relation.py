@@ -23,6 +23,15 @@ from repro.relalg.expressions import Expr
 from repro.relalg.schema import Attribute, Schema, infer_type
 
 
+def tuple_getter(positions: Sequence[int]) -> Callable:
+    """``row -> tuple(row[p] for p in positions)`` without a Python frame per row."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return lambda row: ()
+
+
 class Relation:
     """An immutable-by-convention multiset of rows with a fixed schema."""
 
@@ -32,7 +41,7 @@ class Relation:
         if not isinstance(schema, Schema):
             raise SchemaError(f"expected Schema, got {schema!r}")
         self.schema = schema
-        self.rows = [tuple(row) for row in rows]
+        self.rows = list(map(tuple, rows))
         self._columnar = None
         if validate:
             for row in self.rows:
@@ -139,7 +148,7 @@ class Relation:
         positions = self.schema.positions(names)
         return Relation(
             self.schema.project(names),
-            (tuple(row[position] for position in positions) for row in self.rows),
+            map(tuple_getter(positions), self.rows),
         )
 
     def distinct(self) -> "Relation":

@@ -1,6 +1,7 @@
 """Unit tests for aggregate functions and their sub/super decomposition."""
 
 import math
+import pickle
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.relalg.aggregates import (
     DISTRIBUTIVE,
     HOLISTIC,
     AggSpec,
+    SumFunction,
     count_star,
 )
 from repro.relalg.expressions import col, detail
@@ -155,6 +157,58 @@ class TestDecomposition:
         right.update(2.0)
         left.merge(right)
         assert left.result() == 2.0
+
+
+BUILT_IN = ["count_star", "count", "sum", "min", "max", "avg", "var", "std", "geomean"]
+
+
+def built_in_spec(name: str) -> AggSpec:
+    return count_star("a") if name == "count_star" else AggSpec(name, col.x, "a")
+
+
+class TestComponentColumns:
+    GROUPS = [[], [1.0, 4.0], [None], [2.0, -3.0, 0.5, None]]
+
+    @pytest.mark.parametrize("name", BUILT_IN)
+    def test_components_are_built_once(self, name):
+        spec = built_in_spec(name)
+        assert spec.function.components() is spec.function.components()
+
+    @pytest.mark.parametrize("name", BUILT_IN)
+    def test_pickle_carries_no_derived_state(self, name):
+        # A REQ frame pickles its steps' AggSpecs: the cached tuple must not
+        # ride along (wire bytes are pinned per seed by the benchmark).
+        spec = built_in_spec(name)
+        data = pickle.dumps(spec)
+        assert b"_components" not in data
+        clone = pickle.loads(data)
+        assert clone.function.components() is clone.function.components()
+        assert [
+            (suffix, type(component)) for suffix, component in clone.function.components()
+        ] == [(suffix, type(component)) for suffix, component in spec.function.components()]
+
+    @pytest.mark.parametrize("name", BUILT_IN)
+    def test_finalize_columns_equals_finalize_per_row(self, name):
+        spec = built_in_spec(name)
+        accumulators = [spec.accumulator() for _group in self.GROUPS]
+        for accumulator, values in zip(accumulators, self.GROUPS):
+            for value in values:
+                accumulator.update(value)
+        columns = [
+            list(column)
+            for column in zip(*(accumulator.sub_values() for accumulator in accumulators))
+        ]
+        assert spec.function.finalize_columns(columns) == [
+            accumulator.result() for accumulator in accumulators
+        ]
+
+    def test_a_changed_formula_changes_the_column_finalize_too(self):
+        class DoubledSum(SumFunction):
+            def finalize(self, component_values):
+                return 2 * component_values[0]
+
+        assert SumFunction().finalize_columns([[1.0, 2.5]]) == [1.0, 2.5]
+        assert DoubledSum().finalize_columns([[1.0, 2.5]]) == [2.0, 5.0]
 
 
 class TestAggSpec:

@@ -16,6 +16,8 @@ from repro.distributed.evaluator import ExecutionConfig
 from repro.distributed.executor import SiteRequest
 from repro.distributed.stats import verify_against_network
 from repro.errors import PlanError
+from repro.gmdj.blocks import MDBlock
+from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
 from repro.net.faults import FaultPlan
 from repro.queries import (
     Feature,
@@ -26,7 +28,7 @@ from repro.queries import (
     marginal_queries,
     multifeature_query,
 )
-from repro.relalg.aggregates import AggSpec, count_star
+from repro.relalg.aggregates import AggSpec, ComponentAccumulator, count_star
 from repro.relalg.engine import DEFAULT_ENGINE, active_engine, use_engine
 from repro.relalg.expressions import base, detail
 from repro.warehouse.partition import HashPartitioner
@@ -229,3 +231,40 @@ def test_one_default_engine_and_the_environment_overrides_it(monkeypatch):
     # The site hears what the coordinator's environment chose: the REQ body
     # leaves a field out when it equals the constant, not the environment.
     assert request(engine=ExecutionConfig().engine).control()["engine"] == "row"
+
+
+def test_default_path_builds_no_accumulator_objects(monkeypatch):
+    """Aggregate state is component columns end to end under the default engine.
+
+    ``sync_heavy``'s shape — two non-partition grouping attributes, ``AVG``,
+    then a correlated ``COUNT(*)``, so neither round is site-local and both
+    go through ``SyncSession``. The row engine still scans with one
+    accumulator per (group, aggregate): the oracle is still the oracle.
+    """
+    key = (base.DestAS == detail.DestAS) & (base.RouterId == detail.RouterId)
+    expression = GMDJExpression(
+        DistinctBase("Flow", ["DestAS", "RouterId"]),
+        [
+            MDStep(
+                "Flow",
+                [MDBlock([count_star("cnt"), AggSpec("avg", detail.NumBytes, "m")], key)],
+            ),
+            MDStep(
+                "Flow", [MDBlock([count_star("above")], key & (detail.NumBytes >= base.m))]
+            ),
+        ],
+    )
+    built = []
+    original = ComponentAccumulator.__init__
+
+    def counting(self, function):
+        built.append(function)
+        original(self, function)
+
+    monkeypatch.setattr(ComponentAccumulator, "__init__", counting)
+    columnar = run_expression(expression, config_for(DEFAULT_ENGINE))
+    assert columnar.stats.md_round_count() == 2  # no round was site-local
+    assert built == []
+    row = run_expression(expression, config_for("row"))
+    assert built
+    assert row.relation.rows == columnar.relation.rows

@@ -95,6 +95,21 @@ class TestSetOperations:
         with pytest.raises(SchemaError):
             union_all([])
 
+    def test_union_all_keeps_fragment_and_row_order(self):
+        fragments = [
+            Relation(LEFT.schema, [(10 * index + offset, "x") for offset in range(index % 3)])
+            for index in range(8)
+        ]
+        combined = union_all(fragments)
+        assert combined.schema == LEFT.schema
+        assert combined.rows == [row for fragment in fragments for row in fragment.rows]
+
+    def test_union_all_rejects_a_differing_schema_in_the_middle(self):
+        fragments = [LEFT] * 8
+        fragments[4] = RIGHT
+        with pytest.raises(SchemaError, match="incompatible schemas"):
+            union_all(fragments)
+
     def test_difference_multiset(self):
         doubled = LEFT.union_all(LEFT)
         result = difference(doubled, LEFT)

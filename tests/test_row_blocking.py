@@ -105,6 +105,35 @@ class TestBlockedExecution:
         assert extra_messages < whole.stats.tuples_total  # sane magnitude
 
 
+    def test_absorb_receives_one_relation_per_reply_block(self, monkeypatch):
+        # Where bench_e2e reads coordinator.sync_rows_per_s: rows are counted
+        # from the Relation handed to SyncSession.absorb, once per block.
+        absorbed = []
+        original = SyncSession.absorb
+
+        def recording(self, h, source=""):
+            absorbed.append((h, source))
+            original(self, h, source)
+
+        monkeypatch.setattr(SyncSession, "absorb", recording)
+        result = execute_query(
+            build_cluster(),
+            expression(),
+            OptimizationOptions.none(),
+            ExecutionConfig(row_block_size=7),
+        )
+        assert all(isinstance(h, Relation) and 0 < len(h) <= 7 for h, _ in absorbed)
+        assert sum(len(h) for h, _ in absorbed) == result.stats.tuples_up_md()
+        per_leg = [
+            -(-site.tuples_up // 7)
+            for stats in result.stats.rounds
+            if stats.kind != "base"
+            for site in stats.sites.values()
+        ]
+        assert len(absorbed) == sum(per_leg)
+        assert {source for _h, source in absorbed} == set(build_cluster().site_ids)
+
+
 class TestSyncSession:
     BLOCKS = [
         MDBlock([count_star("cnt"), AggSpec("avg", detail.NumBytes, "m")], KEY)
@@ -133,6 +162,31 @@ class TestSyncSession:
         for start in range(0, len(sub.rows), 5):
             blocked.absorb(Relation(sub.schema, sub.rows[start : start + 5]))
         assert_relations_equal(whole.finish(), blocked.finish())
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            [AggSpec("var", detail.NumBytes, "v"), AggSpec("std", detail.NumBytes, "s")],
+            [AggSpec("geomean", detail.NumBytes, "g"), count_star("cnt")],
+        ],
+        ids=["var_std", "geomean"],
+    )
+    def test_multi_component_functions(self, specs):
+        # Three sources, row-blocked: the three-component VAR/STD and the
+        # logsum/poscount pair go through per-source banks and their merge.
+        blocks = [MDBlock(specs, KEY)]
+        base_relation = FLOW.distinct_project(["SourceAS"])
+        session = SyncSession(base_relation, ["SourceAS"], blocks)
+        for site in range(3):
+            piece = Relation(FLOW.schema, FLOW.rows[site::3])
+            sub, _touched = evaluate_sub(base_relation, piece, blocks)
+            for start in range(0, len(sub.rows), 5):
+                session.absorb(
+                    Relation(sub.schema, sub.rows[start : start + 5]), f"site{site}"
+                )
+        assert_relations_equal(
+            session.finish(), evaluate(base_relation, FLOW, blocks), places=6
+        )
 
     def test_no_absorb_gives_empty_aggregates(self):
         base_relation = FLOW.distinct_project(["SourceAS"])

@@ -10,6 +10,7 @@ from repro.gmdj.expression import DistinctBase, MDStep
 from repro.gmdj import operator
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
+from repro.relalg.relation import Relation
 from repro.warehouse.storage import LocalWarehouse
 
 FLOW = make_flows(count=100, seed=21)
@@ -65,8 +66,6 @@ class TestEvaluateRound:
         site = make_site()
         base_fragment = FLOW.distinct_project(KEY_ATTRS)
         # Add groups that cannot exist at this site.
-        from repro.relalg.relation import Relation
-
         padded = base_fragment.union_all(
             Relation(base_fragment.schema, [(777,), (888,)])
         )
@@ -98,6 +97,36 @@ class TestEvaluateRound:
         for row1, row2 in zip(sub1.rows, sub2.rows):
             expected_rows.append(row1 + row2[len(b1.schema):])
         assert sorted(h.rows) == sorted(expected_rows)
+
+    def test_chain_reduction_ors_the_steps_touch_flags(self):
+        site = make_site()
+        base_fragment = FLOW.distinct_project(KEY_ATTRS)
+        padded = base_fragment.union_all(Relation(base_fragment.schema, [(777,)]))
+        steps = [inner_step(), outer_step()]
+        full = site.evaluate_round(padded, steps, KEY_ATTRS, False)
+        reduced = site.evaluate_round(padded, steps, KEY_ATTRS, True)
+        # Every real group is touched by the inner step, whatever the outer
+        # (correlated) step matches; only the padding row goes.
+        assert reduced.rows == [row for row in full.rows if row[0] != 777]
+
+    def test_reaches_the_operator_through_its_module(self, monkeypatch):
+        # bench_e2e counts gmdj.tuples_examined_per_op by wrapping these two
+        # module attributes: a ``from ... import evaluate_sub`` here, or a
+        # private scan called instead, would zero the count silently.
+        calls = []
+        for name in ("evaluate_sub", "evaluate_both"):
+
+            def wrapper(*args, _name=name, _original=getattr(operator, name)):
+                calls.append((_name, args[1]))
+                return _original(*args)
+
+            monkeypatch.setattr(operator, name, wrapper)
+        site = make_site()
+        site.evaluate_round(
+            FLOW.distinct_project(KEY_ATTRS), [inner_step(), outer_step()], KEY_ATTRS, False
+        )
+        assert [name for name, _detail in calls] == ["evaluate_both", "evaluate_sub"]
+        assert all(detail_arg is FLOW for _name, detail_arg in calls)
 
     def test_chain_rejects_mixed_detail_tables(self):
         site = make_site()
