@@ -573,8 +573,9 @@ def _add_cluster_options(parser) -> None:
         "--wire-codec",
         choices=serialize.CODECS,
         default=None,
-        help="relation wire encoding: 'row' (per-value) or 'column' "
-        "(dictionary+delta column blocks); default $REPRO_CODEC or row",
+        help="relation wire encoding: 'column' (fixed-width / dictionary "
+        "column blocks) or 'row' (a tag byte and a varint per value); "
+        f"default $REPRO_CODEC or {serialize.DEFAULT_CODEC}",
     )
 
 

@@ -130,12 +130,14 @@ class ExecutionConfig:
     engine: str = field(
         default_factory=lambda: os.environ.get("REPRO_ENGINE", DEFAULT_ENGINE)
     )
-    #: Wire codec for shipped relations (``row | column``): ``column``
-    #: ships dictionary/delta column blocks (smaller), and byte stats
-    #: then carry the measured saving vs. the row codec. Honours
-    #: ``REPRO_CODEC``.
+    #: Wire codec for shipped relations (``row | column``): ``column``,
+    #: the default, ships fixed-width / dictionary column blocks (smaller
+    #: and faster to pack); ``row`` is format v1. A traced run also
+    #: measures what the other would have cost. Honours ``REPRO_CODEC``.
     wire_codec: str = field(
-        default_factory=lambda: os.environ.get("REPRO_CODEC", "row")
+        default_factory=lambda: os.environ.get(
+            "REPRO_CODEC", serialize.DEFAULT_CODEC
+        )
     )
     #: Speculative straggler re-execution. Once at least half a round's
     #: legs have completed, a deadline arms at ``median completion *
@@ -414,6 +416,10 @@ class _RoundWalk:
         self.coordinator = coordinator
         self.stats = stats
         self.ids = {} if query_id is None else {"query_id": query_id}
+        #: Whether each block is row-encoded a second time to learn what the
+        #: codec saved: only where the saving is shown, a traced run, and
+        #: not under the row codec, which has nothing to be compared with.
+        self.measures_saving = tracer.enabled and config.wire_codec != "row"
         #: Combiner name -> child names: the shape below the root.
         self.combiners = {
             node.name: tuple(child.name for child in node.children)
@@ -559,7 +565,8 @@ class _RoundWalk:
                     )
                     for block in blocks
                 ]
-                row_equiv_down = _row_codec_bytes(blocks, down, codec)
+                if self.measures_saving:
+                    edge.row_equiv_bytes_down += _row_codec_bytes(blocks)
                 encode_span.set(
                     rows=len(fragment),
                     messages=len(down),
@@ -571,12 +578,12 @@ class _RoundWalk:
             # Base values / Proposition 2: no shipment down beyond the
             # request header.
             down = [msg.Message(msg.BASE_QUERY, node.name, name, number)]
-            row_equiv_down = down[0].size_bytes
+            if self.measures_saving:
+                edge.row_equiv_bytes_down += down[0].size_bytes
             tuples_down = 0
         for shipment in down:
             channel.send_to_site(shipment)
             edge.bytes_down += shipment.size_bytes
-        edge.row_equiv_bytes_down += row_equiv_down
         edge.tuples_down += tuples_down
         received = [channel.receive_at_site() for _shipment in down]
 
@@ -586,9 +593,10 @@ class _RoundWalk:
             )
             edge.compute_s += reply.compute_s
             up = self._replies(child, node, reply.payloads)
-            row_equiv_up = (
-                reply.row_codec_payload_bytes + msg.HEADER_BYTES * len(up)
-            )
+            if self.measures_saving:
+                edge.row_equiv_bytes_up += (
+                    reply.row_codec_payload_bytes + msg.HEADER_BYTES * len(up)
+                )
             tuples_up = reply.rows
         else:
             with self.tracer.span(
@@ -613,14 +621,14 @@ class _RoundWalk:
                     child, node,
                     [serialize.encode_relation(block, codec) for block in blocks],
                 )
+                if self.measures_saving:
+                    edge.row_equiv_bytes_up += _row_codec_bytes(blocks)
                 self._charge(child, time.perf_counter() - started)
                 hop.set(bytes_up=sum(reply.size_bytes for reply in up))
-            row_equiv_up = _row_codec_bytes(blocks, up, codec)
             tuples_up = len(merged)
         for reply_message in up:
             channel.send_to_coordinator(reply_message)
             edge.bytes_up += reply_message.size_bytes
-        edge.row_equiv_bytes_up += row_equiv_up
         edge.tuples_up += tuples_up
 
         absorbs = self.session is not None and node is self.tree
@@ -689,15 +697,16 @@ class _RoundWalk:
                 self.round_stats.site(node.name).compute_s += seconds
 
 
-def _row_codec_bytes(blocks, messages, codec: str) -> int:
-    """What ``messages`` weigh under the row codec.
+def _row_codec_bytes(blocks) -> int:
+    """What ``blocks`` weigh as row-codec messages.
 
     Measured (not estimated) by row-encoding the same blocks, so codec
-    savings in the stats are grounded in actual encodings.
+    savings in the stats are grounded in actual encodings — a second
+    encode of every block, which is why only a traced run asks.
     """
-    if codec == "row":
-        return sum(message.size_bytes for message in messages)
-    return sum(serialize.wire_size(block) + msg.HEADER_BYTES for block in blocks)
+    return sum(
+        serialize.wire_size(block, "row") + msg.HEADER_BYTES for block in blocks
+    )
 
 
 def execute_query(

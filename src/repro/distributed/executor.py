@@ -91,7 +91,7 @@ class SiteRequest:
     #: threads or forked workers.
     engine: str = DEFAULT_ENGINE
     #: Wire codec for the encoded reply payloads (``row | column``).
-    wire_codec: str = "row"
+    wire_codec: str = serialize.DEFAULT_CODEC
     #: Injected straggler delay: the site sleeps this long (real wall
     #: clock) before evaluating. Set from a ``straggle`` fault rule; the
     #: speculative backup attempt gets 0 once the rule's budget is spent.
@@ -135,9 +135,10 @@ class SiteReply:
     compute_s: float
     spans: tuple = ()
     counters: dict = field(default_factory=dict)
-    #: What the same payloads would occupy under the row codec (equal to
-    #: ``sum(len(p) for p in payloads)`` when the row codec is active) —
-    #: the measured baseline for the column-block codec's byte saving.
+    #: What the same blocks occupy under the row codec: the measured
+    #: baseline of the active codec's byte saving. 0 = not measured — it
+    #: costs a second encode of every block, so only a traced request
+    #: under another codec pays for it.
     row_codec_payload_bytes: int = 0
     #: Small site-process health snapshot piggybacked on socket replies
     #: (pid, rss_bytes, uptime_s, requests_total); empty elsewhere.
@@ -155,6 +156,13 @@ def row_blocks(relation: Relation, size: int) -> list:
         Relation(relation.schema, relation.rows[start : start + size])
         for start in range(0, len(relation), size)
     ]
+
+
+def _row_codec_bytes(request: SiteRequest, blocks) -> int:
+    """``SiteReply.row_codec_payload_bytes`` for a reply of ``blocks``."""
+    if not request.traced or request.wire_codec == "row":
+        return 0
+    return sum(serialize.wire_size(block, "row") for block in blocks)
 
 
 def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> SiteReply:
@@ -183,11 +191,7 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
                 span.set(rows=len(result))
             with tracer.span("round.encode", kind="site", site=site_id, **ids):
                 payloads = (serialize.encode_relation(result, codec),)
-                row_codec_bytes = (
-                    len(payloads[0])
-                    if codec == "row"
-                    else serialize.wire_size(result)
-                )
+                row_codec_bytes = _row_codec_bytes(request, (result,))
         return SiteReply(
             payloads=payloads,
             rows=len(result),
@@ -234,13 +238,7 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
             payloads = tuple(
                 serialize.encode_relation(block, codec) for block in blocks
             )
-            if codec == "row":
-                row_codec_bytes = sum(len(payload) for payload in payloads)
-            else:
-                # Measured (not estimated) baseline: what the same blocks
-                # cost under the row codec. Only charged when the column
-                # codec is active, so the default path stays untouched.
-                row_codec_bytes = sum(serialize.wire_size(block) for block in blocks)
+            row_codec_bytes = _row_codec_bytes(request, blocks)
             encode_span.set(
                 rows=len(h_i),
                 messages=len(payloads),

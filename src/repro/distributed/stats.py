@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.net.costmodel import CostModel, WAN
+from repro.net.serialize import DEFAULT_CODEC
 
 
 @dataclass
@@ -67,10 +68,11 @@ class SiteRoundStats:
     #: True when a backup attempt (raced after an abandonment) produced
     #: this site's result for the round.
     speculation_won: bool = False
-    #: What the same shipments would have cost under the row wire codec
-    #: (measured by actually row-encoding each block). Equal to
-    #: ``bytes_down``/``bytes_up`` when the row codec is active; the gap
-    #: is the column-block codec's measured byte saving.
+    #: What the same shipments cost under the row wire codec, measured by
+    #: row-encoding each block a second time — so only a traced run under
+    #: another codec pays for it. 0 = not measured: no edge that shipped
+    #: anything weighs nothing. The gap to ``bytes_down``/``bytes_up`` is
+    #: the active codec's measured byte saving.
     row_equiv_bytes_down: int = 0
     row_equiv_bytes_up: int = 0
 
@@ -158,8 +160,10 @@ class RoundStats:
 
     @property
     def codec_saved_bytes(self) -> int:
-        """Measured bytes the active wire codec saved vs. the row codec."""
-        return self.row_equiv_bytes_total - self.bytes_total
+        """Measured bytes the active wire codec saved vs. the row codec
+        (0 when the row-equivalent was not measured)."""
+        row_equiv = self.row_equiv_bytes_total
+        return row_equiv - self.bytes_total if row_equiv else 0
 
     def site_compute_critical_s(self) -> float:
         """Critical-path site compute: the slowest site (parallel sites)."""
@@ -234,7 +238,7 @@ class ExecutionStats:
     #: standalone runs.
     query_id: object = None
     #: Which wire codec encoded the shipped relations (``row | column``).
-    wire_codec: str = "row"
+    wire_codec: str = DEFAULT_CODEC
     #: How the bytes actually moved: ``"memory"`` (simulated in-process
     #: queues) or ``"sockets"`` (real TCP to site-server processes).
     transport: str = "memory"
@@ -526,12 +530,10 @@ class ExecutionStats:
                                 "saving_fraction": (
                                     round_stats.codec_saved_bytes
                                     / round_stats.row_equiv_bytes_total
-                                    if round_stats.row_equiv_bytes_total
-                                    else 0.0
                                 ),
                             }
                         }
-                        if self.wire_codec != "row"
+                        if round_stats.row_equiv_bytes_total
                         else {}
                     ),
                     "sites": {
@@ -582,7 +584,7 @@ class ExecutionStats:
             "coordinator_compute_s": self.coordinator_compute_s(),
             "wall_s": self.wall_time_s(),
         }
-        if self.wire_codec != "row":
+        if self.row_equiv_bytes_total:
             snapshot["row_equiv_bytes_total"] = self.row_equiv_bytes_total
             snapshot["codec_saved_bytes"] = self.codec_saved_bytes
         snapshot["transport"] = self.transport
@@ -616,9 +618,9 @@ class ExecutionStats:
                 f"abandoned bytes down={self.speculative_bytes_down} "
                 f"up={self.speculative_bytes_up}"
             )
-        if self.wire_codec != "row":
-            row_equiv = self.row_equiv_bytes_total
-            fraction = self.codec_saved_bytes / row_equiv if row_equiv else 0.0
+        row_equiv = self.row_equiv_bytes_total
+        if row_equiv:
+            fraction = self.codec_saved_bytes / row_equiv
             lines.append(
                 f"wire codec [{self.wire_codec}]: saved {self.codec_saved_bytes}B "
                 f"vs row codec ({fraction:.1%} of {row_equiv}B)"

@@ -77,7 +77,7 @@ class Message:
         round_index: int,
         relation: Relation,
         info: Optional[dict] = None,
-        codec: str = "row",
+        codec: str = serialize.DEFAULT_CODEC,
     ) -> "Message":
         payload = serialize.encode_relation(relation, codec)
         return cls(kind, sender, recipient, round_index, payload, info or {})

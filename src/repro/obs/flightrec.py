@@ -7,21 +7,31 @@ always-on, and it is the only telemetry that survives a crash: piggy-
 backed spans and TELEMETRY scrapes need a live peer, the flight
 recorder needs only a file.
 
-Persistence model: :meth:`FlightRecorder.dump` writes atomically
-(temp file + ``os.replace``), so a dump is either the previous
-complete snapshot or the new complete snapshot, never a torn write.
-Site servers dump after every handled request — that is what makes a
-``SIGKILL``-ed site debuggable, since no handler gets to run — and
-again from a SIGTERM handler and on shutdown for the graceful paths.
+Persistence model: :meth:`FlightRecorder.dump` *brings the file up to
+date*. Site servers call it after every handled request, before the
+reply goes out — that is what makes a ``SIGKILL``-ed site debuggable,
+since no handler gets to run — and again from a SIGTERM handler and on
+shutdown for the graceful paths; so it has to cost what the request
+added, not what the ring holds. It appends the records taken since this
+recorder last wrote the path, as one ``O_APPEND`` write, and rewrites
+the whole ring atomically (temp file + ``os.replace``) only when there is
+no file yet, the path changed, or the file would pass twice the ring's
+capacity in records. Neither path syncs: the file survives the death of
+the process, not of the machine, as it always did. A ``SIGKILL`` leaves
+either whole lines or, if it lands inside the write, one torn final line,
+which the loader drops; every request whose reply the coordinator saw is
+on disk whole.
 
 File format (JSONL, one object per line):
 
 - line 1: ``{"record": "flight", "flight_version": 1, "process": ...,
   "site_id": ..., "capacity": ..., "dropped": ..., "generator":
-  "repro.obs"}``;
-- following lines: ring records in arrival order, each tagged
+  "repro.obs"}`` — ``dropped`` as of the last rewrite;
+- following lines: records in arrival order, each tagged
   ``"record": "span" | "event" | "fault"`` plus a ``"t_s"`` stamp on
-  the recording process's monotonic clock.
+  the recording process's monotonic clock. Between rewrites there can be
+  up to twice ``capacity`` of them: the ring is the last ``capacity``,
+  and the loader counts the ones before as dropped.
 
 :class:`FlightRecord` loads a dump back; :meth:`FlightRecord.to_event_log`
 converts one (or :func:`load_flight_dir` merges a directory of them)
@@ -55,9 +65,41 @@ __all__ = [
 
 FLIGHT_VERSION = 1
 
-#: Default ring capacity: deep enough for several queries' spans,
-#: shallow enough that a per-request dump stays microseconds.
+#: Default ring capacity: deep enough for several queries' spans. A
+#: per-request dump appends what the request recorded — microseconds —
+#: and rewrites the ring once per ``capacity`` records.
 DEFAULT_CAPACITY = 512
+
+
+def _lines(records) -> str:
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
+def _append_lines(path: str, records) -> bool:
+    """Append ``records`` to the dump at ``path``; False if it is not there.
+
+    One ``O_APPEND`` write: whoever reads the file, or whatever kills this
+    process, finds whole lines and at most one torn last one.
+    """
+    data = _lines(records).encode("utf-8")
+    try:
+        descriptor = os.open(path, os.O_WRONLY | os.O_APPEND)
+    except FileNotFoundError:
+        return False
+    try:
+        while data:  # a short write is legal, if unheard of on a file
+            data = data[os.write(descriptor, data) :]
+    finally:
+        os.close(descriptor)
+    return True
+
+
+def _write_atomically(path: str, text: str) -> None:
+    """Temp file then rename: a reader sees the old dump or the new, whole."""
+    tmp_path = f"{path}.tmp.{os.getpid()}"
+    with open(tmp_path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    os.replace(tmp_path, path)
 
 
 def flight_path(directory, process: str, site_id: Optional[str] = None) -> str:
@@ -89,6 +131,14 @@ class FlightRecorder:
         self._ring: deque = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self.dropped = 0
+        # What dump() last left on disk, so the next one can append: the
+        # path, how many records had ever been taken, how many the file
+        # holds. Re-entrant because the signal handler dumps on whichever
+        # frame the main thread is in — possibly a dump.
+        self._dump_lock = threading.RLock()
+        self._dumped_path: Optional[str] = None
+        self._dumped_total = 0
+        self._file_records = 0
 
     # -- recording ---------------------------------------------------------------
 
@@ -135,25 +185,35 @@ class FlightRecorder:
         }
 
     def dumps(self) -> str:
-        lines = [json.dumps(self.header(), sort_keys=True)]
-        lines.extend(
-            json.dumps(record, sort_keys=True) for record in self.snapshot()
-        )
-        return "\n".join(lines) + "\n"
+        return _lines([self.header()] + self.snapshot())
 
     def dump(self, path) -> str:
-        """Atomically write the ring to ``path``; returns the path.
+        """Bring the dump at ``path`` up to date; returns the path.
 
-        Temp-file-then-rename keeps the dump readable even if this
-        process dies mid-write — the reader sees the previous complete
-        snapshot instead of a torn file.
+        Appends the records taken since this recorder last wrote ``path``;
+        rewrites the ring (temp file then rename, so a reader never sees a
+        half-written one) when there is nothing to append to or the file
+        has grown to twice the ring.
         """
         path = str(path)
-        text = self.dumps()
-        tmp_path = f"{path}.tmp.{os.getpid()}"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
+        with self._dump_lock:
+            with self._lock:
+                ring = list(self._ring)
+                header = self.header()
+            total = header["dropped"] + len(ring)
+            fresh = total - self._dumped_total
+            if (
+                path == self._dumped_path
+                and fresh <= len(ring)  # else some were dropped undumped
+                and self._file_records + fresh <= 2 * self.capacity
+                and _append_lines(path, ring[len(ring) - fresh :])
+            ):
+                self._file_records += fresh
+            else:
+                _write_atomically(path, _lines([header] + ring))
+                self._dumped_path = path
+                self._file_records = len(ring)
+            self._dumped_total = total
         return path
 
     def install_signal_handler(self, path, signals=(signal.SIGTERM,)) -> None:
@@ -202,6 +262,13 @@ class FlightRecord:
 
     @classmethod
     def loads(cls, text: str) -> "FlightRecord":
+        """Load a dump: the ring is the last ``capacity`` records of the file.
+
+        A recorder appends between rewrites, so the file may hold records
+        the ring has since dropped (counted into ``dropped``) and, if the
+        process was killed inside a write, a torn final line (ignored; a
+        malformed line anywhere else is an error).
+        """
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise ObservabilityError("empty flight record: missing header line")
@@ -210,6 +277,8 @@ class FlightRecord:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as error:
+                if 1 < line_number == len(lines):
+                    break
                 raise ObservabilityError(
                     f"flight record line {line_number}: not valid JSON ({error})"
                 ) from None
@@ -230,12 +299,14 @@ class FlightRecord:
                 f"unsupported flight record version {version!r} "
                 f"(this reader understands {FLIGHT_VERSION})"
             )
+        capacity = header.get("capacity", DEFAULT_CAPACITY)
+        outlived = max(0, len(records) - 1 - capacity)
         return cls(
-            records[1:],
+            records[1 + outlived :],
             process=header.get("process", "coordinator"),
             site_id=header.get("site_id"),
-            capacity=header.get("capacity", DEFAULT_CAPACITY),
-            dropped=header.get("dropped", 0),
+            capacity=capacity,
+            dropped=header.get("dropped", 0) + outlived,
         )
 
     @classmethod
@@ -268,18 +339,11 @@ class FlightRecord:
         }
 
     def dumps(self) -> str:
-        lines = [json.dumps(self.header(), sort_keys=True)]
-        lines.extend(
-            json.dumps(record, sort_keys=True) for record in self.records
-        )
-        return "\n".join(lines) + "\n"
+        return _lines([self.header()] + self.records)
 
     def dump(self, path) -> str:
         path = str(path)
-        tmp_path = f"{path}.tmp.{os.getpid()}"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            handle.write(self.dumps())
-        os.replace(tmp_path, path)
+        _write_atomically(path, self.dumps())
         return path
 
     # -- reading -----------------------------------------------------------------

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import ObservabilityError
+from repro.net.serialize import DEFAULT_CODEC
 from repro.obs.timeline import _fmt_bytes, _fmt_seconds, _segment
 
 
@@ -168,7 +169,7 @@ class QueryProfile:
     #: Ground-truth byte total from the stats snapshot.
     stats_bytes_total: int = 0
     #: Wire codec the run shipped relations with ("row" or "column").
-    wire_codec: str = "row"
+    wire_codec: str = DEFAULT_CODEC
     #: Estimated fractional saving of the column codec for this query's
     #: shipped schema (:func:`repro.distributed.costing.estimate_column_codec_saving`);
     #: ``None`` when the caller did not price it.
@@ -219,7 +220,8 @@ class QueryProfile:
         )
 
     def codec_measured_saving(self) -> float:
-        """Measured fractional saving vs the row codec (0.0 for row runs)."""
+        """Measured fractional saving vs the row codec (0.0 when the run
+        did not measure one: untraced, or shipped with the row codec)."""
         row_equiv = self.row_equiv_bytes_total
         if row_equiv <= 0:
             return 0.0
@@ -279,7 +281,7 @@ class QueryProfile:
                     "codec_measured_saving": self.codec_measured_saving(),
                     "codec_estimated_saving": self.codec_estimated_saving,
                 }
-                if self.wire_codec != "row"
+                if self.row_equiv_bytes_total
                 else {}
             ),
         }
@@ -593,7 +595,7 @@ def render_profile(profile: QueryProfile, width: int = 48) -> str:
         f"{_fmt_bytes(profile.stats_bytes_total)} "
         f"({profile.bytes_coverage() * 100:.1f}%)"
     )
-    if profile.wire_codec != "row":
+    if profile.row_equiv_bytes_total:
         codec_line = (
             f"wire codec [{profile.wire_codec}]: measured saving "
             f"{_fmt_bytes(profile.codec_saved_bytes)} of "

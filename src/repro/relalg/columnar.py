@@ -4,9 +4,10 @@ A :class:`ColumnarRelation` holds the same multiset of rows as a row-store
 :class:`~repro.relalg.relation.Relation`, as one value vector per attribute.
 Batch kernels emitted by :mod:`repro.relalg.compiler` iterate these vectors
 with hoisted locals instead of indexing row tuples, and the column-block
-wire codec (:mod:`repro.net.serialize`) encodes them per column.  Over a row
-store a vector is transposed the first time something indexes it, so a
-query that reads two of fourteen attributes builds two.
+wire codec (:mod:`repro.net.serialize`) encodes them per column and hands
+the vectors it decodes straight back (:meth:`ColumnarRelation.from_value_lists`).
+Over a row store a vector is transposed the first time something indexes
+it, so a query that reads two of fourteen attributes builds two.
 
 Columns keep their values as plain Python lists (the universal
 representation the kernels consume — preserving ``None`` for NULLs), and
@@ -26,6 +27,7 @@ points live on ``Relation`` itself.
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -61,8 +63,8 @@ class Column:
         """Typed array over non-NULL values plus a presence list.
 
         Only valid for INT/FLOAT/DATE/BOOL columns.  DATE values are stored
-        as proleptic-Gregorian ordinals and BOOLs as 0/1, matching the wire
-        codec's integer path.  The returned array is ``memoryview``-able.
+        as proleptic-Gregorian ordinals and BOOLs as 0/1, as the wire codec
+        ships them.  The returned array is ``memoryview``-able.
         """
         typecode = _ARRAY_TYPECODES.get(self.type)
         if typecode is None:
@@ -80,8 +82,8 @@ class Column:
         """First-appearance dictionary encoding: ``(uniques, codes)``.
 
         NULL values get code ``-1`` and never enter ``uniques``.  Works for
-        any column type but is only a win for strings (and is what the
-        column-block wire codec ships for STR columns).
+        any column type but is only a win for strings (the column-block wire
+        codec ships the same dictionary for STR columns, built by C loops).
         """
         uniques: List = []
         index: dict = {}
@@ -124,6 +126,25 @@ class _ValueLists:
             self._lists[position] = values
         return values
 
+    def all(self) -> list:
+        """Every attribute's list, the missing ones built in one pass.
+
+        For a reader of the whole relation (the column codec): flattening
+        the rows once and slicing per attribute is about half the work of
+        a ``__getitem__`` per attribute.
+        """
+        lists = self._lists
+        if None in lists:
+            width = len(lists)
+            flat = list(chain.from_iterable(self._rows))
+            if len(flat) != width * len(self._rows):
+                # Rows off the schema's width: let each column say so.
+                return [self[position] for position in range(width)]
+            for position, values in enumerate(lists):
+                if values is None:
+                    lists[position] = flat[position::width]
+        return lists
+
 
 class ColumnarRelation:
     """A schema plus one value list per attribute, all equal length."""
@@ -163,6 +184,21 @@ class ColumnarRelation:
         columnar._length = len(rows)
         return columnar
 
+    @classmethod
+    def from_value_lists(
+        cls, schema: Schema, lists: List[list], length: int
+    ) -> "ColumnarRelation":
+        """Adopt one ready value list per attribute, each ``length`` long.
+
+        What a column-block decoder holds when it is done: nothing is
+        copied or wrapped, and the caller vouches for the lengths.
+        """
+        columnar = cls.__new__(cls)
+        columnar.schema = schema
+        columnar._values = _ValueLists((), lists)
+        columnar._length = length
+        return columnar
+
     def __len__(self) -> int:
         return self._length
 
@@ -172,10 +208,9 @@ class ColumnarRelation:
     @property
     def columns(self) -> Tuple[Column, ...]:
         """Every attribute as a :class:`Column` (builds the ones not yet built)."""
-        values = self._values
         return tuple(
-            Column(attribute.name, attribute.type, values[position])
-            for position, attribute in enumerate(self.schema.attributes)
+            Column(attribute.name, attribute.type, values)
+            for attribute, values in zip(self.schema.attributes, self._values.all())
         )
 
     def column(self, name: str) -> Column:
@@ -198,7 +233,7 @@ class ColumnarRelation:
         """Transpose back to row tuples, preserving row order."""
         if not len(self.schema):
             return [()] * self._length
-        return list(zip(*self._values))
+        return list(zip(*self._values.all()))
 
     def gather(self, indices: Iterable[int]) -> "ColumnarRelation":
         """Rows at ``indices`` (ascending order preserves row order)."""

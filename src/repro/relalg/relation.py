@@ -83,8 +83,11 @@ class Relation:
 
     @classmethod
     def from_columnar(cls, columnar: ColumnarRelation) -> "Relation":
-        """Rehydrate a row relation from columns, seeding the column cache."""
-        relation = cls(columnar.schema, columnar.to_rows())
+        """Rehydrate a row relation from columns, which it adopts as its
+        column cache: a kernel that hoists one of them transposes nothing."""
+        relation = cls.__new__(cls)
+        relation.schema = columnar.schema
+        relation.rows = columnar.to_rows()  # tuples already: no per-row pass
         relation._columnar = columnar
         return relation
 

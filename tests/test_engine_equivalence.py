@@ -18,7 +18,10 @@ from repro.distributed.stats import verify_against_network
 from repro.errors import PlanError
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
+from repro.net import serialize
+from repro.net.channel import DirectionStats
 from repro.net.faults import FaultPlan
+from repro.obs import Tracer
 from repro.queries import (
     Feature,
     combine_lattice_results,
@@ -28,6 +31,7 @@ from repro.queries import (
     marginal_queries,
     multifeature_query,
 )
+from repro.queries.sql import parse_olap_statement
 from repro.relalg.aggregates import AggSpec, ComponentAccumulator, count_star
 from repro.relalg.engine import DEFAULT_ENGINE, active_engine, use_engine
 from repro.relalg.expressions import base, detail
@@ -164,27 +168,75 @@ def test_columnar_engine_survives_fault_retry_bit_identical(executor):
             assert retried.stats.retries >= 1
 
 
-def test_codec_saving_is_reported_and_positive():
-    expression = multifeature_query(
-        "Flow", ["SourceAS"], [Feature(AGGS)]
+def fine_groups_cluster():
+    """``bench_e2e``'s S5 in small: groups on two attributes the data is not
+    partitioned by, ``AVG``, then ``COUNT(*) WHERE x >= m`` — two rounds that
+    each ship the whole base structure to both sites."""
+    cluster = SimulatedCluster.with_sites(2)
+    cluster.load_partitioned(
+        "Flow", make_flows(count=300, seed=23, routers=2),
+        HashPartitioner(["RouterId"], 2),
     )
-    result = run_expression(
-        expression, config_for("columnar", wire_codec="column")
+    statement = parse_olap_statement(
+        "SELECT SourceAS, DestAS, COUNT(*) AS cnt, AVG(NumBytes) AS m FROM Flow "
+        "GROUP BY SourceAS, DestAS THEN SELECT COUNT(*) AS above WHERE NumBytes >= m"
     )
-    stats = result.stats
-    assert stats.wire_codec == "column"
-    assert stats.row_equiv_bytes_total > stats.bytes_total
-    assert stats.codec_saved_bytes > 0
-    snapshot = stats.to_dict()
+    return cluster, statement.expression
+
+
+def test_codec_saving_is_reported_and_positive(monkeypatch):
+    """Each shipped block is encoded once; only a traced run encodes it a
+    second time, under the row codec, and only then is a saving reported."""
+    encodes, shipped = [], []
+    encode, record = serialize.encode_relation, DirectionStats.record
+
+    def counting_encode(relation, codec=serialize.DEFAULT_CODEC):
+        encodes.append(codec)
+        return encode(relation, codec)
+
+    def counting_record(self, message):
+        shipped.append(message.payload is not None)
+        return record(self, message)
+
+    monkeypatch.setattr(serialize, "encode_relation", counting_encode)
+    monkeypatch.setattr(DirectionStats, "record", counting_record)
+    monkeypatch.delenv("REPRO_CODEC", raising=False)
+
+    def run(tracer):
+        cluster, expression = fine_groups_cluster()
+        encodes.clear()
+        shipped.clear()
+        return execute_query(
+            cluster, expression, OptimizationOptions.all(),
+            config=ExecutionConfig(), tracer=tracer,
+        ).stats
+
+    stats = run(None)
+    assert stats.wire_codec == serialize.DEFAULT_CODEC == "column"
+    blocks = sum(shipped)
+    assert blocks >= 6  # 2 sites x (base up, X down + H up, X down + H up)
+    assert encodes == ["column"] * blocks
+    assert stats.row_equiv_bytes_total == 0 and stats.codec_saved_bytes == 0
+    untraced = stats.to_dict()
+    assert "codec_saved_bytes" not in untraced
+    assert all("codec" not in record for record in untraced["rounds"])
+    assert "wire codec" not in stats.summary()
+
+    traced = run(Tracer())
+    assert sum(shipped) == blocks
+    assert sorted(encodes) == ["column"] * blocks + ["row"] * blocks
+    assert traced.bytes_total == stats.bytes_total
+    assert traced.row_equiv_bytes_total > traced.bytes_total
+    assert traced.codec_saved_bytes > 0
+    snapshot = traced.to_dict()
     assert snapshot["wire_codec"] == "column"
-    assert snapshot["codec_saved_bytes"] == stats.codec_saved_bytes
-    round_codecs = [
-        record["codec"] for record in snapshot["rounds"] if "codec" in record
-    ]
-    assert round_codecs and all(
-        entry["wire_codec"] == "column" for entry in round_codecs
+    assert snapshot["codec_saved_bytes"] == traced.codec_saved_bytes
+    round_codecs = [record["codec"] for record in snapshot["rounds"]]
+    assert all(entry["wire_codec"] == "column" for entry in round_codecs)
+    assert sum(entry["saved_bytes"] for entry in round_codecs) == (
+        traced.codec_saved_bytes
     )
-    assert "wire codec [column]" in stats.summary()
+    assert "wire codec [column]" in traced.summary()
 
 
 def test_row_codec_stats_stay_unchanged():

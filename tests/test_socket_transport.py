@@ -34,6 +34,7 @@ from repro.errors import (
 )
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
+from repro.net import serialize
 from repro.net.faults import FaultPlan
 from repro.net.message import HEADER_BYTES, SHIP_BASE
 from repro.net.socket_channel import (
@@ -189,10 +190,10 @@ def _req_body_with_every_field(request):
     [
         {},
         {"engine": "row"},
-        {"wire_codec": "column"},
+        {"wire_codec": "row"},
         {"row_block_size": 64, "traced": True},
         {
-            "engine": "row", "wire_codec": "column", "row_block_size": 7,
+            "engine": "row", "wire_codec": "row", "row_block_size": 7,
             "traced": True, "query_id": 0, "compute_delay_s": 0.25,
             "independent_reduction": True,
         },
@@ -220,6 +221,26 @@ def test_req_body_carries_only_what_differs_from_the_defaults(optional):
     rebuilt = SiteRequest.from_control(received, request.down_payloads)
     # Not ``==``: the steps hold expressions, whose ``==`` builds an atom.
     assert repr(rebuilt) == repr(request)
+
+
+@pytest.mark.parametrize("codec, version", [("row", 1), ("column", 3)])
+def test_site_servers_reply_in_the_codec_the_request_names(
+    deployed, monkeypatch, codec, version
+):
+    """``row`` crosses in the REQ body; ``column``, the default, does not
+    cross at all — the site server's own default has to be the same one."""
+    versions = []
+    decode = serialize.decode_relation
+
+    def recording(data):
+        versions.append(data[4])
+        return decode(data)
+
+    # The coordinator process decodes nothing but the sites' reply blocks.
+    monkeypatch.setattr(serialize, "decode_relation", recording)
+    result = run_query(deployed, correlated_expression(), "sockets", wire_codec=codec)
+    assert result.stats.wire_codec == codec
+    assert versions and set(versions) == {version}
 
 
 def test_remote_errors_map_to_their_local_classes():

@@ -346,6 +346,89 @@ class TestFlightRecorder:
         with pytest.raises(ObservabilityError, match="cannot read"):
             load_flight_dir(tmp_path / "does-not-exist")
 
+    def test_dump_appends_what_was_recorded_since_the_last_dump(self, tmp_path):
+        recorder = FlightRecorder(capacity=4, process="site", site_id="s3")
+        for index in range(6):  # the ring is full and has dropped two
+            recorder.record_event("tick", index=index)
+        path = recorder.dump(flight_path(tmp_path, "site", "s3"))
+        before = os.path.getsize(path)
+        inode = os.stat(path).st_ino
+        added = [recorder.record_event("tick", index=index) for index in (6, 7)]
+        recorder.dump(path)
+        expected = "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in added
+        )
+        assert os.path.getsize(path) - before == len(expected.encode("utf-8"))
+        assert os.stat(path).st_ino == inode  # appended to, not replaced
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read().endswith(expected)
+        # A dump with nothing new leaves the file alone.
+        recorder.dump(path)
+        assert os.path.getsize(path) - before == len(expected.encode("utf-8"))
+        loaded = FlightRecord.load(path)
+        assert loaded.records == recorder.snapshot()
+        assert loaded.dropped == recorder.dropped == 4
+
+    def test_dump_file_stays_within_twice_the_ring(self, tmp_path):
+        capacity = 8
+        recorder = FlightRecorder(capacity=capacity)
+        path = flight_path(tmp_path, "coordinator")
+        rewrites, inode = 0, None
+        for index in range(5 * capacity):
+            recorder.record_event("tick", index=index)
+            if index % 3 == 0:
+                recorder.record_fault(message="x" * index)
+            recorder.dump(path)
+            with open(path, encoding="utf-8") as handle:
+                assert len(handle.read().splitlines()) <= 2 * capacity + 1
+            if os.stat(path).st_ino != inode:
+                rewrites, inode = rewrites + 1, os.stat(path).st_ino
+            # Whatever the file holds, what loads is the ring.
+            loaded = FlightRecord.load(path)
+            assert loaded.records == recorder.snapshot()
+            assert loaded.dropped == recorder.dropped
+        assert 2 <= rewrites <= 8  # about once per ``capacity`` records of 54
+        assert [name for name in os.listdir(tmp_path) if ".tmp." in name] == []
+
+    def test_dump_rewrites_when_it_cannot_append(self, tmp_path):
+        recorder = FlightRecorder(capacity=4)
+        recorder.record_event("one")
+        first = recorder.dump(tmp_path / "a.jsonl")
+        recorder.record_event("two")
+        second = recorder.dump(tmp_path / "b.jsonl")  # another path: whole ring
+        assert len(FlightRecord.load(second).records) == 2
+        assert len(FlightRecord.load(first).records) == 1
+        os.remove(second)
+        recorder.record_event("three")
+        recorder.dump(second)  # the file is gone: whole ring again
+        assert [r["name"] for r in FlightRecord.load(second).records] == [
+            "one", "two", "three"
+        ]
+        # More records than the ring holds since the last dump: appending
+        # the survivors would lose count of the ones in between.
+        for index in range(9):
+            recorder.record_event("burst", index=index)
+        recorder.dump(second)
+        loaded = FlightRecord.load(second)
+        assert loaded.records == recorder.snapshot()
+        assert loaded.dropped == recorder.dropped == 8
+
+    def test_torn_final_line_is_dropped_and_only_that(self, tmp_path):
+        recorder = FlightRecorder(capacity=8)
+        for index in range(3):
+            recorder.record_event("tick", index=index)
+        text = recorder.dumps()
+        torn = text[: len(text) - 9]  # killed inside the last write
+        assert [r["index"] for r in FlightRecord.loads(torn).records] == [0, 1]
+        # Cut between the last line and its newline: nothing is lost.
+        assert len(FlightRecord.loads(text[:-1]).records) == 3
+        lines = text.splitlines()
+        lines[2] = lines[2][:-5]
+        with pytest.raises(ObservabilityError, match="line 3"):
+            FlightRecord.loads("\n".join(lines) + "\n")
+        with pytest.raises(ObservabilityError, match="line 1"):
+            FlightRecord.loads(lines[0][:-5])
+
     def test_unsupported_version_rejected(self):
         text = FlightRecorder().dumps().replace(
             '"flight_version": 1', '"flight_version": 99'
