@@ -15,8 +15,9 @@ coordinator *assembles* X from the shipped Hᵢ themselves:
 from __future__ import annotations
 
 from functools import reduce
+from itertools import chain
 from operator import or_
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.errors import PlanError
 from repro.gmdj import operator
@@ -40,6 +41,9 @@ class Coordinator:
         self.key_attrs = tuple(key_attrs)
         self.tracer = tracer
         self._x: Optional[Relation] = None
+        #: What the last synchronization observed, when it was asked to:
+        #: source -> positions in X of the rows folded from that source.
+        self._touched: Optional[dict] = None
 
     # -- state --------------------------------------------------------------------
 
@@ -57,7 +61,12 @@ class Coordinator:
 
     def set_base(self, relation: Relation) -> None:
         """Install a literal base-values relation."""
-        self._x = relation
+        self._install(relation)
+
+    def _install(self, x: Relation, touched: Optional[dict] = None) -> None:
+        """X and what its synchronization observed change together."""
+        self._x = x
+        self._touched = touched
 
     def sync_base(self, fragments: Sequence[Relation]) -> Relation:
         """Union the sites' base-query results into B₀ (deduplicated)."""
@@ -66,24 +75,41 @@ class Coordinator:
         with self.tracer.span(
             "round.merge", kind="coordinator", phase="base", fragments=len(fragments)
         ) as span:
-            self._x = union_all(fragments).distinct()
+            self._install(union_all(fragments).distinct())
             span.set(rows=len(self._x))
         return self._x
 
     # -- round synchronization ----------------------------------------------------
 
     def fragment_for_site(
-        self, *ship_filters: Optional[Expr], held: Optional[Relation] = None
+        self,
+        *ship_filters: Optional[Expr],
+        held: Optional[Relation] = None,
+        positions: Optional[Iterable[int]] = None,
     ) -> Relation:
         """The fragment shipped down one edge, after aware group reduction.
 
-        ``ship_filters`` are the optimizer's ¬ψᵢ over base fields (relvar
-        ``"b"``) of the sites the edge leads to — one for a site's own
-        edge, one per site beneath a combiner's — and the fragment is the
-        rows of ``held`` (default: all of X) that *some* of those sites
-        can use. A ``None`` filter means that site needs every row.
+        Theorem 4 has two sources for what the sites an edge leads to can
+        use, and both are necessary conditions, so they compose:
+
+        - ``positions`` — the *observed* distribution: row positions in
+          ``held`` of the groups those sites answered with in the round
+          before (:meth:`touched_by`; any order, repeats allowed). The
+          fragment keeps only those rows, in ``held``'s order. ``None``
+          means nothing was observed: every row qualifies.
+        - ``ship_filters`` — the optimizer's ¬ψᵢ over base fields (relvar
+          ``"b"``) from the *declared* φᵢ — one for a site's own edge, one
+          per site beneath a combiner's: a row stays when *some* of those
+          sites can use it. A ``None`` filter means that site needs every
+          row.
+
+        ``held`` defaults to all of X.
         """
         held = self.x if held is None else held
+        if positions is not None:
+            held = Relation(
+                held.schema, map(held.rows.__getitem__, sorted(set(positions)))
+            )
         if any(ship_filter is None for ship_filter in ship_filters):
             return held
         predicate = compiler.compile_predicate(
@@ -91,14 +117,30 @@ class Coordinator:
         )
         return held.select_fn(predicate)
 
-    def begin_sync(self, blocks: Sequence[MDBlock]) -> operator.SyncSession:
+    def touched_by(self, source: str) -> Optional[Iterable[int]]:
+        """Positions in X of the groups ``source`` answered with in the
+        round just synchronized, or ``None`` when that round was not
+        observing or folded nothing from ``source``.
+
+        ``source`` is a root edge: a site, or a combiner — whose set is
+        the union of what its subtree answered, because that is what was
+        folded from it.
+        """
+        matches = (self._touched or {}).get(source)
+        return None if matches is None else chain.from_iterable(matches)
+
+    def begin_sync(
+        self, blocks: Sequence[MDBlock], observes: bool = False
+    ) -> operator.SyncSession:
         """Open an incremental synchronization round against current X.
 
         Fragments (whole site sub-results, or row blocks of them) are
         absorbed as they arrive — Section 3.2's streaming merge — and the
         caller commits the finalized structure with :meth:`commit_sync`.
+        ``observes`` asks the session to remember which rows of X each
+        source folded into (:meth:`touched_by`, for the round after).
         """
-        return operator.SyncSession(self.x, self.key_attrs, blocks)
+        return operator.SyncSession(self.x, self.key_attrs, blocks, observes=observes)
 
     def commit_sync(
         self, session: operator.SyncSession, excluded: Sequence[str] = ()
@@ -113,7 +155,7 @@ class Coordinator:
         with self.tracer.span(
             "round.merge", kind="coordinator", phase="commit"
         ) as span:
-            self._x = session.finish()
+            self._install(session.finish(), session.touched())
             span.set(rows=len(self._x))
             if excluded:
                 span.set(excluded=",".join(sorted(excluded)))
@@ -132,12 +174,17 @@ class Coordinator:
         self,
         sub_results: Sequence[Relation],
         blocks: Sequence[MDBlock],
+        sources: Optional[Sequence[str]] = None,
     ) -> Relation:
         """Proposition 2: build X directly from merged-base sub-results.
 
         The shipped Hᵢ carry the key attributes (here: the full base
         schema, since merged bases are distinct projections), so
         ``π_B(H)`` deduplicated *is* the base-values relation.
+
+        ``sources`` names where each sub-result came from and asks the
+        assembly to observe (:meth:`touched_by`): the same fold over the
+        same rows in the same order, taken one sub-result at a time.
         """
         if not sub_results:
             raise PlanError("no sub-results to assemble")
@@ -149,6 +196,14 @@ class Coordinator:
         ) as span:
             h = union_all(sub_results)
             base = h.distinct_project(self.key_attrs)
-            self._x = operator.super_aggregate(base, h, self.key_attrs, blocks)
+            session = operator.SyncSession(
+                base, self.key_attrs, blocks,
+                observes=sources is not None, in_order=True,
+            )
+            for source, fragment in (
+                [("", h)] if sources is None else zip(sources, sub_results)
+            ):
+                session.absorb(fragment, source)
+            self._install(session.finish(), session.touched())
             span.set(rows=len(self._x))
         return self._x

@@ -14,7 +14,8 @@ Estimation model (tuples; bytes follow with a per-row size estimate):
   partition attribute among the keys the pieces are disjoint (sum = |Q|),
   otherwise each site may hold up to min(|Q|, rows/site) of them;
 - MD round down-leg: per site, |X| without aware reduction, |X|·(site
-  selectivity) with it;
+  selectivity) with declared ship filters, and — observed-distribution
+  reduction — exactly what the site sent up the round before;
 - MD round up-leg: per site, the shipped fragment size without
   independent reduction, fragment·c with it, where c is the estimated
   fraction of received groups the site updates (1/n for grouping on a
@@ -215,10 +216,13 @@ def estimate_plan(
                 # Aware reduction: each site receives only its own share.
                 per_site_down = group_count * max(c, 1.0 / max(1, site_count))
             down = site_count * per_site_down
-            per_site_up = per_site_down
-            if md_round.independent_reduction:
-                per_site_up = per_site_down * c
-            up = site_count * per_site_up
+            up = down * c if md_round.independent_reduction else down
+            if md_round.observed_reduction and round_estimates:
+                # Observed distribution: a site is shipped the groups it
+                # answered with the round before — that round's ``up`` —
+                # and can answer with no more than it was shipped.
+                down = min(down, round_estimates[-1].tuples_up)
+                up = min(up, down)
         round_estimates.append(RoundEstimate(down, up))
 
     return PlanEstimate(group_count, base_tuples, tuple(round_estimates))
@@ -282,18 +286,20 @@ class TopologyEstimate:
 
 
 def _per_round_volumes(plan: Plan, estimate: PlanEstimate):
-    """(sites, per_site_down, per_site_up, cap) tuples per round.
+    """(sites, per_site_down, per_site_up, cap, root_only) tuples per round.
 
     ``sites`` are the round's participants; ``cap`` is |Q| — the most
     any *merged* stream can carry, since combiners merge sub-results by
     key before forwarding (every grouping key appears at most once per
-    merged shipment).
+    merged shipment). ``root_only`` says the per-site down volume holds
+    on the root's edges alone (observed-distribution reduction: below a
+    combiner every child is shipped what the combiner holds).
     """
     cap = max(1.0, estimate.group_count)
     volumes = []
     if not plan.base.merged_into_chain and plan.base.is_distributed:
         sites = plan.base.sites
-        volumes.append((sites, 0.0, estimate.base_tuples / len(sites), cap))
+        volumes.append((sites, 0.0, estimate.base_tuples / len(sites), cap, False))
     for md_round, round_estimate in zip(plan.rounds, estimate.rounds):
         sites = md_round.sites
         volumes.append(
@@ -302,6 +308,7 @@ def _per_round_volumes(plan: Plan, estimate: PlanEstimate):
                 round_estimate.tuples_down / len(sites),
                 round_estimate.tuples_up / len(sites),
                 cap,
+                md_round.observed_reduction,
             )
         )
     return volumes
@@ -340,8 +347,11 @@ def estimate_topology_costs(
     estimate = estimate_plan(plan, statistics, catalog)
     volumes = _per_round_volumes(plan, estimate)
 
-    def price_round(node, sites, down, up, cap):
-        """(seconds, bytes on ``node``'s own link) for one round below it."""
+    def price_round(node, sites, down, up, cap, root_only, held=None):
+        """(seconds, bytes on ``node``'s own link) for one round below it.
+
+        ``held`` is what ``node`` itself was shipped (None at the root).
+        """
         if node.is_leaf:
             return 0.0, 0.0
         link_bytes = slowest_child = 0.0
@@ -352,9 +362,12 @@ def estimate_topology_costs(
             rows_down, rows_up = below * down, below * up
             if not child.is_leaf:
                 rows_down, rows_up = min(rows_down, cap), min(rows_up, cap)
+            if root_only and held is not None:
+                rows_down = held
             link_bytes += (rows_down + rows_up) * bytes_per_tuple
             slowest_child = max(
-                slowest_child, price_round(child, sites, down, up, cap)[0]
+                slowest_child,
+                price_round(child, sites, down, up, cap, root_only, rows_down)[0],
             )
         return (
             2 * model.latency_s

@@ -400,7 +400,9 @@ class _RoundWalk:
 
     Base and merged-base (Proposition 2) rounds send only a request
     header down; ordinary rounds ship the base-result fragment, narrowed
-    at every hop to what the sites below can use.
+    at every hop to what the sites below can use (their ¬ψᵢ), and at the
+    root's edges of an ``observed_reduction`` round also to the groups
+    the sites below answered with in the round before.
     """
 
     def __init__(
@@ -431,6 +433,8 @@ class _RoundWalk:
         self.channels = {
             name: Channel(name, network.metrics) for name in self.combiners
         }
+        #: The sites that answered the round before (not excluded from it).
+        self.answered: frozenset = frozenset()
         self._lock = threading.Lock()
 
     def round(self, number, md_round, sites, kind, description) -> None:
@@ -444,6 +448,11 @@ class _RoundWalk:
         round_stats.children = dict(self.combiners)
         self.number, self.md_round, self.round_stats = number, md_round, round_stats
         self.ships_fragment = md_round is not None and not md_round.merged_base
+        # The round after this one narrows by what this one's fold observes.
+        observes = (
+            number < len(self.plan.rounds)
+            and self.plan.rounds[number].observed_reduction
+        )
         participating = set(sites)
         #: Node name -> the round's sites at or beneath that node.
         self.below = {
@@ -466,12 +475,13 @@ class _RoundWalk:
             # block into the session. Base and merged-base rounds must see
             # every fragment before X exists, so they collect instead.
             self.session = (
-                coordinator.begin_sync(md_round.all_blocks())
+                coordinator.begin_sync(md_round.all_blocks(), observes=observes)
                 if self.ships_fragment
                 else None
             )
             held = coordinator.x if self.ships_fragment else None
-            collected = self.descend(self.tree, held, round_span)
+            answers = self.descend(self.tree, held, round_span)
+            collected = list(answers.values())
             if len(round_stats.excluded) == len(sites):
                 raise PlanError(
                     f"round {number}: every participating site was excluded "
@@ -481,7 +491,10 @@ class _RoundWalk:
             if md_round is None:
                 coordinator.sync_base(collected)
             elif md_round.merged_base:
-                coordinator.assemble_from_chain(collected, md_round.all_blocks())
+                coordinator.assemble_from_chain(
+                    collected, md_round.all_blocks(),
+                    sources=list(answers) if observes else None,
+                )
             else:
                 coordinator.commit_sync(
                     self.session, excluded=tuple(round_stats.excluded)
@@ -494,10 +507,12 @@ class _RoundWalk:
             )
             if round_stats.excluded:
                 round_span.set(excluded=",".join(round_stats.excluded))
+        self.answered = participating.difference(round_stats.excluded)
         round_stats.wall_s = time.perf_counter() - started
 
-    def descend(self, node: MergeTree, held: Optional[Relation], span) -> list:
-        """What ``node``'s children answer, each subtree already merged.
+    def descend(self, node: MergeTree, held: Optional[Relation], span) -> dict:
+        """What ``node``'s children answer, by child name, each subtree
+        already merged.
 
         ``held`` is the part of the base-result structure ``node`` holds
         this round (None when the round ships none). Answers come back in
@@ -530,9 +545,9 @@ class _RoundWalk:
                 speculation=self.config.speculation_controller(len(legs)),
             )
             answers.update(zip(legs, self.engine.run_legs(legs, guarded, span)))
-        return [
-            answers[name] for name in active if answers[name] is not EXCLUDED
-        ]
+        return {
+            name: answers[name] for name in active if answers[name] is not EXCLUDED
+        }
 
     def _edge(self, node: MergeTree, child: MergeTree, held: Optional[Relation]):
         """One parent -> child edge, both ways: ship down, let the child
@@ -556,7 +571,9 @@ class _RoundWalk:
             started = time.perf_counter()
             with self.tracer.span("round.encode", kind=kind, site=name) as encode_span:
                 fragment = self.coordinator.fragment_for_site(
-                    *map(self.md_round.ship_filter, self.below[name]), held=held
+                    *map(self.md_round.ship_filter, self.below[name]),
+                    held=held,
+                    positions=self._observed_positions(node, name),
                 )
                 blocks = config.blocks_of(fragment)
                 down = [
@@ -611,7 +628,7 @@ class _RoundWalk:
                     else None
                 )
                 self._charge(child, time.perf_counter() - started)
-                collected = self.descend(child, held_below, hop)
+                collected = list(self.descend(child, held_below, hop).values())
                 if not collected:
                     return EXCLUDED  # every site below was
                 started = time.perf_counter()
@@ -644,6 +661,25 @@ class _RoundWalk:
                     answer.append(block)
         self._charge(node, time.perf_counter() - started)
         return union_all(answer) if answer else None
+
+    def _observed_positions(self, node: MergeTree, name: str):
+        """Which rows of X the root ships down edge ``name`` in an
+        ``observed_reduction`` round, or None for all of them.
+
+        Only the root narrows (it is who folded the round before), and
+        only an edge whose every site answered that round: a site that was
+        excluded from it, or sat it out, was observed touching nothing
+        without having been asked. The set is read from the committed
+        fold, by name — every attempt at the edge, a speculative backup
+        included, is cut the same fragment.
+        """
+        if (
+            node is self.tree
+            and self.md_round.observed_reduction
+            and self.answered.issuperset(self.below[name])
+        ):
+            return self.coordinator.touched_by(name)
+        return None
 
     def _site_request(self, site_id, received, compute_delay_s) -> SiteRequest:
         shared = dict(

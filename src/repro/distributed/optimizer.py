@@ -13,8 +13,11 @@ can be proved from the distribution catalog:
    additionally the base is a distinct-projection of the same detail
    table and every condition entails key equality, the base round merges
    into the first chain round (Proposition 2, Example 4).
-3. **Distribution-aware group reduction** — per-site ship filters ¬ψᵢ
-   derived from site predicates φᵢ (Theorem 4).
+3. **Distribution-aware group reduction** (Theorem 4) — per-site ship
+   filters ¬ψᵢ derived from the *declared* site predicates φᵢ; and, from
+   the *observed* distribution, a round whose every condition entails
+   some condition of the round before it (same detail table) ships each
+   site only the groups it answered with in that round.
 4. **Distribution-independent group reduction** — sites drop untouched
    groups from their sub-results (Proposition 1); needs no catalog
    knowledge at all.
@@ -30,6 +33,7 @@ from typing import Optional
 
 from repro.errors import HolisticAggregateError, PlanError
 from repro.gmdj.analysis import (
+    conditions_entail,
     derive_ship_filter,
     entailed_partition_attribute,
     site_can_match,
@@ -150,14 +154,19 @@ def plan_query(
 
     if options.aware_group_reduction:
         rounds = [_attach_ship_filters(md_round, catalog, notes) for md_round in rounds]
+        rounds = _mark_observed_reduction(rounds, notes)
         if not any(
-            ship_filter is not None
+            md_round.observed_reduction
+            or any(
+                ship_filter is not None
+                for ship_filter in md_round.ship_filters.values()
+            )
             for md_round in rounds
-            for ship_filter in md_round.ship_filters.values()
         ):
             notes.append(
                 "aware group reduction skipped: no ship filter derivable "
-                "from the registered site predicates"
+                "from the registered site predicates, and no round entails "
+                "the round before it"
             )
     if options.independent_group_reduction:
         rounds = [replace(md_round, independent_reduction=True) for md_round in rounds]
@@ -293,6 +302,11 @@ def _attach_ship_filters(md_round: MDRound, catalog, notes) -> MDRound:
     if not catalog.has_site_predicates(detail):
         return md_round
     conditions = list(md_round.conditions())
+    # What the round's own steps add to X does not exist when the fragment
+    # is cut (a sync-reduced chain reads it in its later steps' θ).
+    generated = [
+        name for block in md_round.all_blocks() for name in block.output_names()
+    ]
     filters = {}
     derived = 0
     for site_id in md_round.sites:
@@ -300,7 +314,7 @@ def _attach_ship_filters(md_round: MDRound, catalog, notes) -> MDRound:
         if phi is None:
             filters[site_id] = None
             continue
-        ship_filter = derive_ship_filter(conditions, phi)
+        ship_filter = derive_ship_filter(conditions, phi, generated)
         filters[site_id] = ship_filter
         if ship_filter is not None:
             derived += 1
@@ -310,3 +324,28 @@ def _attach_ship_filters(md_round: MDRound, catalog, notes) -> MDRound:
             f"{len(md_round.sites)} sites (Theorem 4)"
         )
     return replace(md_round, ship_filters=filters)
+
+
+def _mark_observed_reduction(rounds: list, notes: list) -> list:
+    """Theorem 4 with an observed φᵢ: mark the rounds that may narrow.
+
+    Round k+1 qualifies when it reads the detail table round k read and
+    each of its θ entails some θ of round k
+    (:func:`~repro.gmdj.analysis.conditions_entail`): a group site i left
+    out of its round-k Hᵢ — untouched there, or never shipped to it — is
+    then untouched by site i in round k+1 as well. The first MD round has
+    no MD round before it and never qualifies.
+    """
+    marked = list(rounds)
+    for index in range(1, len(rounds)):
+        earlier, later = rounds[index - 1], rounds[index]
+        if earlier.steps[0].detail == later.steps[0].detail and conditions_entail(
+            later.conditions(), earlier.conditions()
+        ):
+            marked[index] = replace(later, observed_reduction=True)
+            notes.append(
+                f"aware group reduction: round {index + 1} ships each site "
+                f"only the groups it answered with in round {index} "
+                "(Theorem 4, observed distribution)"
+            )
+    return marked

@@ -24,7 +24,9 @@ Two round shapes cover the whole design space of the paper:
 Per-round optimization annotations:
 
 - ``ship_filters`` — per-site base filters ¬ψᵢ (Theorem 4,
-  distribution-aware group reduction);
+  distribution-aware group reduction from a *declared* φᵢ);
+- ``observed_reduction`` — the same theorem from an *observed* φᵢ: each
+  site is shipped only the groups it answered with in the round before;
 - ``independent_reduction`` — drop untouched base tuples from Hᵢ
   (Proposition 1);
 - ``merged_base`` on the first MD round — Proposition 2 applied.
@@ -66,6 +68,10 @@ class MDRound:
     sites: tuple
     #: Per-site ship filter ¬ψᵢ over base fields, or None = ship all.
     ship_filters: dict = field(default_factory=dict)
+    #: Theorem 4, observed φᵢ: every θ of this round entails some θ of the
+    #: round before it (same detail table), so each site is shipped only
+    #: the groups it answered with there.
+    observed_reduction: bool = False
     #: Proposition 1: sites drop base tuples with |RNG| = 0 from Hᵢ.
     independent_reduction: bool = False
     #: Proposition 2: this round also computes B₀ locally at the sites
@@ -180,11 +186,19 @@ OptimizationOptions` fields so cost ablation can toggle each one off —
             for site in md_round.sites
             if md_round.ship_filters.get(site) is not None
         )
+        reductions = []
         if filtered_legs:
-            applied.append((
-                "aware_group_reduction",
-                f"ship filters on {filtered_legs} site leg(s) (Theorem 4)",
-            ))
+            reductions.append(
+                f"ship filters on {filtered_legs} site leg(s) (Theorem 4)"
+            )
+        reductions.extend(
+            f"observed distribution: round {number} ships each site the "
+            f"groups it answered with in round {number - 1}"
+            for number, md_round in enumerate(self.rounds, start=1)
+            if md_round.observed_reduction
+        )
+        if reductions:
+            applied.append(("aware_group_reduction", "; ".join(reductions)))
         if any(md_round.independent_reduction for md_round in self.rounds):
             applied.append((
                 "independent_group_reduction",
@@ -210,6 +224,8 @@ OptimizationOptions` fields so cost ablation can toggle each one off —
                 md_round.ship_filters.get(site) is not None for site in md_round.sites
             ):
                 flags.append("aware group reduction")
+            if md_round.observed_reduction:
+                flags.append("observed-distribution group reduction")
             if md_round.merged_base:
                 flags.append("merged base")
             suffix = f" [{'; '.join(flags)}]" if flags else ""

@@ -6,6 +6,10 @@ Implements the reasoning behind the paper's optimization theorems:
   reduction): from a site predicate φᵢ and the GMDJ conditions, derive
   the base-only condition ¬ψᵢ such that base tuples failing it cannot
   match any detail tuple at site *i* and need not be shipped there.
+- :func:`conditions_entail` — Theorem 4 with an *observed* φᵢ: every
+  condition of round k+1 entails some condition of round k, so a group a
+  site did not answer with in round k cannot be touched by it in round
+  k+1 and need not be shipped there.
 - :func:`theta_entails_key` — Proposition 2's hypothesis: every condition
   entails equality on the base key attributes K.
 - :func:`entailed_partition_attribute` — Corollary 1's hypothesis: every
@@ -59,20 +63,27 @@ _INF = math.inf
 # ---------------------------------------------------------------------------
 
 
-def derive_ship_filter(conditions: Sequence[Expr], phi: Expr) -> Optional[Expr]:
+def derive_ship_filter(
+    conditions: Sequence[Expr], phi: Expr, generated: Sequence[str] = ()
+) -> Optional[Expr]:
     """Derive ¬ψᵢ: a base-only filter for tuples worth shipping to site i.
 
     ``conditions`` are the θ₁..θₘ of the GMDJ (or of all GMDJs covered by
     the shipment); ``phi`` is the site predicate φᵢ over detail
-    attributes. Returns an expression over base fields (relvar ``"b"``),
-    or ``None`` when no useful restriction can be derived (ship all of B).
+    attributes. ``generated`` names the base attributes the shipment's
+    own GMDJs produce (the outputs of a sync-reduced chain's steps): they
+    do not exist yet when the fragment is cut, so a conjunct reading one
+    cannot be decided at ship time and relaxes to TRUE. Returns an
+    expression over base fields (relvar ``"b"``), or ``None`` when no
+    useful restriction can be derived (ship all of B).
     """
     domains = domains_from_predicate(phi, DETAIL_VAR)
     if not domains:
         return None
+    generated = frozenset(generated)
     restrictions = []
     for theta in conditions:
-        restriction = _restrict_condition(theta, domains)
+        restriction = _restrict_condition(theta, domains, generated)
         if restriction is None:
             # One un-analyzable condition forces shipping everything.
             return None
@@ -83,7 +94,9 @@ def derive_ship_filter(conditions: Sequence[Expr], phi: Expr) -> Optional[Expr]:
     return combined
 
 
-def _restrict_condition(theta: Expr, domains: dict) -> Optional[Expr]:
+def _restrict_condition(
+    theta: Expr, domains: dict, generated: frozenset
+) -> Optional[Expr]:
     """Necessary base-only condition for θ to match under the domains.
 
     Returns ``None`` when nothing restrictive can be derived (equivalent
@@ -92,6 +105,12 @@ def _restrict_condition(theta: Expr, domains: dict) -> Optional[Expr]:
     parts = []
     found_restriction = False
     for conjunct in conjuncts(theta):
+        if any(
+            field.relvar == BASE_VAR and field.name in generated
+            for field in conjunct.fields()
+        ):
+            # Undecidable when the fragment is cut: TRUE (ship the row).
+            continue
         relvars = sides(conjunct)
         if relvars <= frozenset([BASE_VAR]):
             # Base-only conjunct: itself a necessary condition on b.
@@ -210,6 +229,41 @@ def _const_value(bound: float):
     if isinstance(bound, float) and bound.is_integer():
         return int(bound)
     return bound
+
+
+# ---------------------------------------------------------------------------
+# Theorem 4 with an observed φᵢ: entailment between consecutive rounds
+# ---------------------------------------------------------------------------
+
+
+def conditions_entail(later: Sequence[Expr], earlier: Sequence[Expr]) -> bool:
+    """True when every condition of ``later`` entails one of ``earlier``.
+
+    The test is syntactic and proved-or-not-applied: θ′ entails θ when
+    the conjuncts of θ are a subset of the conjuncts of θ′ (by structural
+    identity, so ``b.K == r.K`` and ``r.K == b.K`` do not match). A
+    superset of conjuncts is entailment also under three-valued logic: θ′
+    true makes each of its conjuncts true, θ's among them. A disjunctive
+    θ′ that merely *contains* θ as a disjunct is one opaque conjunct and
+    entails nothing here.
+
+    With ``later`` the conditions of round k+1 and ``earlier`` those of
+    round k over the same detail table, a detail tuple that satisfies no
+    θ of round k for a group b satisfies no θ′ of round k+1 for it
+    either: the groups site i left out of its round-k Hᵢ stay untouched
+    by it in round k+1.
+    """
+    earlier_conjuncts = [
+        frozenset(conjunct.key() for conjunct in conjuncts(theta))
+        for theta in earlier
+    ]
+    if not earlier_conjuncts:
+        return False
+    for theta in later:
+        held = {conjunct.key() for conjunct in conjuncts(theta)}
+        if not any(required <= held for required in earlier_conjuncts):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

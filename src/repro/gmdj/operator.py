@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from operator import add
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.errors import HolisticAggregateError
 from repro.gmdj.blocks import MDBlock, result_schema, sub_result_schema
@@ -195,16 +195,38 @@ class SyncSession:
     the banks in sorted source order — a deterministic combine tree
     regardless of arrival order. Per-schema absorb kernels are cached so
     row blocking does not look them up per fragment.
+
+    ``in_order`` is for a caller whose fragments already arrive in a
+    deterministic order (the merged-base assembly, which has collected
+    them all): every source folds into one bank, in arrival order.
+
+    ``observes`` makes the session remember, per source, the base rows
+    each absorbed row folded into — the groups that source answered with,
+    as positions in the base (and so in :meth:`finish`'s relation, which
+    keeps the base's row order). It is what the next round's
+    observed-distribution group reduction ships that source; the fold has
+    the positions in hand, so remembering them is one ``list.append`` per
+    absorbed row and a session that is not asked pays nothing.
     """
 
-    def __init__(self, base: Relation, key_attrs: Sequence[str], blocks: Sequence[MDBlock]):
+    def __init__(
+        self,
+        base: Relation,
+        key_attrs: Sequence[str],
+        blocks: Sequence[MDBlock],
+        observes: bool = False,
+        in_order: bool = False,
+    ):
         self._base = base
         self._key_attrs = tuple(key_attrs)
         self._blocks = tuple(blocks)
         self._slots, self._components = _layout(self._blocks)
         key_of = tuple_getter(base.schema.positions(self._key_attrs))
         self._index = _key_index(list(map(key_of, base.rows)), range(len(base.rows)))
+        self._observes = observes
+        self._in_order = in_order
         self._banks: dict = {}  # source -> component columns
+        self._touched: dict = {}  # source -> base indices of each absorbed row
         self._kernels: dict = {}  # h schema -> absorb kernel
         self._lock = threading.Lock()
 
@@ -225,6 +247,7 @@ class SyncSession:
                 self._components,
                 schema.positions(self._key_attrs),
                 schema.positions(_sub_names(self._blocks)),
+                records_touch=self._observes,
             )
             with self._lock:
                 self._kernels[schema] = kernel
@@ -237,7 +260,11 @@ class SyncSession:
         sharing a source fold together in arrival order, distinct
         sources merge deterministically at :meth:`finish`.
         """
-        self._kernel_for(h.schema)(h.rows, self._index.get, self._bank_for(source))
+        touch = (
+            self._touched.setdefault(source, []).append if self._observes else None
+        )
+        bank = self._bank_for("" if self._in_order else source)
+        self._kernel_for(h.schema)(h.rows, self._index.get, bank, touch)
 
     def reset_source(self, source: str) -> None:
         """Discard everything absorbed from one source (site).
@@ -245,10 +272,18 @@ class SyncSession:
         The retry layer calls this between leg attempts: a failed leg may
         have absorbed a partial fragment before raising, and the re-run
         leg will absorb the full fragment again. Because each source folds
-        into its own bank, dropping the bank is an exact undo.
+        into its own bank, dropping the bank is an exact undo — and what
+        the abandoned attempt was observed to touch goes with it.
         """
         with self._lock:
             self._banks.pop(source, None)
+            self._touched.pop(source, None)
+
+    def touched(self) -> Optional[dict]:
+        """What an observing session saw: per source that answered, the
+        base indices of each row folded from it (one entry per absorbed
+        row, in absorb order). ``None`` when the session was not asked."""
+        return self._touched if self._observes else None
 
     def _merged_bank(self) -> list:
         """All source banks combined in sorted source order."""

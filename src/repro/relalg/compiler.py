@@ -667,11 +667,13 @@ def _combine_loop(components, key_positions, sub_positions) -> Callable:
         for index, (position, component) in enumerate(zip(sub_positions, components))
     ]
 
-    def kernel(rows, probe, accs):
+    def kernel(rows, probe, accs, touch=None):
         for row in rows:
             matches = probe(tuple(row[position] for position in key_positions))
             if not matches:
                 continue
+            if touch is not None:
+                touch(matches)
             for base_index in matches:
                 for index, position, combine in plan:
                     acc = accs[index]
@@ -681,32 +683,39 @@ def _combine_loop(components, key_positions, sub_positions) -> Callable:
 
 
 def compile_grouped_combine(
-    components: Sequence, key_positions: Sequence[int], sub_positions: Sequence[int]
+    components: Sequence,
+    key_positions: Sequence[int],
+    sub_positions: Sequence[int],
+    records_touch: bool = False,
 ) -> Callable:
     """Fold sub-aggregate rows into component columns: Theorem 1's θ_K.
 
     The returned kernel has signature::
 
-        kernel(rows, probe, accs)
+        kernel(rows, probe, accs, touch=None)
 
     - ``rows``: row tuples carrying a key at ``key_positions`` and one
       shipped value per component at ``sub_positions``;
     - ``probe``: maps a key tuple to the base indices holding that key
       (falsy when there are none) — ``index.get`` of a key index;
-    - ``accs``: the flat component columns, one per component.
+    - ``accs``: the flat component columns, one per component;
+    - ``touch``: with ``records_touch``, called once per folded row with
+      the base indices it folded into (``list.append`` of the caller's
+      touched set: the fold has them in hand, no second probe finds them).
 
     For every row and every base index its key maps to, each column's
     entry becomes ``component.combine(entry, shipped value)``, rows in
     order. Kinds in :data:`VECTORIZED_COMPONENT_KINDS` are inlined into
-    one generated loop, cached by (kinds, key positions, sub positions);
-    any other kind sends the whole fold through ``Component.combine``.
+    one generated loop, cached by (kinds, key positions, sub positions,
+    records_touch); any other kind sends the whole fold through
+    ``Component.combine``.
     """
     kinds = tuple(component.kind for component in components)
     key_positions = tuple(key_positions)
     sub_positions = tuple(sub_positions)
     if not VECTORIZED_COMPONENT_KINDS.issuperset(kinds):
         return _combine_loop(components, key_positions, sub_positions)
-    key = ("grouped_combine", kinds, key_positions, sub_positions)
+    key = ("grouped_combine", kinds, key_positions, sub_positions, records_touch)
     kernel = _KERNEL_CACHE.get(key)
     if kernel is not None:
         return kernel
@@ -719,13 +728,15 @@ def compile_grouped_combine(
     emitter.line(1, f"_matches = _probe(({key_tuple}))")
     emitter.line(1, "if not _matches:")
     emitter.line(2, "continue")
+    if records_touch:
+        emitter.line(1, "_touch(_matches)")
     for index, position in enumerate(sub_positions):
         emitter.line(1, f"_v{index} = _r[{position}]")
     emitter.line(1, "for _b in _matches:")
     for index, kind in enumerate(kinds):
         _emit_component_combine(emitter, 2, kind, f"_acc{index}", f"_v{index}")
 
-    source = "def _kernel(_rows, _probe, _accs):\n" + "\n".join(
+    source = "def _kernel(_rows, _probe, _accs, _touch=None):\n" + "\n".join(
         "    " + line for line in emitter.lines
     )
     env = emitter.env

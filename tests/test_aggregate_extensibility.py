@@ -5,20 +5,29 @@ import math
 import pytest
 
 from conftest import assert_relations_equal, make_flows
-from repro.distributed import OptimizationOptions, SimulatedCluster, execute_query
+from repro.distributed import (
+    ExecutionConfig,
+    OptimizationOptions,
+    SimulatedCluster,
+    execute_query,
+)
 from repro.errors import AggregateError
+from repro.gmdj.blocks import MDBlock
+from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
 from repro.queries.olap import group_by_query
 from repro.relalg.aggregates import (
     ALGEBRAIC,
     AggregateFunction,
     AggSpec,
+    Component,
     MaxComponent,
     MinComponent,
+    count_star,
     register_aggregate,
 )
-from repro.relalg.expressions import col, detail
+from repro.relalg.expressions import base, col, detail
 from repro.relalg.schema import INT
-from repro.warehouse.partition import ValueListPartitioner
+from repro.warehouse.partition import RoundRobinPartitioner, ValueListPartitioner
 
 FLOW = make_flows(count=150, seed=151)
 
@@ -144,3 +153,84 @@ class TestRegistration:
         register_aggregate("intspread", lambda star: IntResult(), replace=True)
         spec = AggSpec("intspread", col.x, "s")
         assert spec.result_attribute().type == INT
+
+
+class _AbsMaxComponent(Component):
+    """Largest magnitude seen: a kind the generated kernels do not inline,
+    so both folds of a round run the ``Component.combine`` loop."""
+
+    kind = "absmax"
+
+    def initial(self):
+        return None
+
+    def update(self, accumulator, value):
+        return accumulator if value is None else self.combine(accumulator, abs(value))
+
+    def combine(self, left, right):
+        if left is None or right is None:
+            return right if left is None else left
+        return max(left, right)
+
+
+class _AbsMaxFunction(AggregateFunction):
+    name = "absmax"
+    classification = ALGEBRAIC
+
+    def components(self):
+        return (("", _AbsMaxComponent()),)
+
+    def finalize(self, component_values):
+        return component_values[0]
+
+
+class TestCustomAggregateThroughNarrowedRounds:
+    """Observed-distribution group reduction with a custom component: the
+    round that is observed folds through ``_combine_loop``, which hands
+    over what it touched like the generated kernel does."""
+
+    @pytest.fixture(autouse=True)
+    def register_absmax(self):
+        register_aggregate("absmax", lambda star: _AbsMaxFunction(), replace=True)
+        yield
+
+    def expression(self):
+        key = (base.SourceAS == detail.SourceAS) & (base.DestAS == detail.DestAS)
+        above = key & (detail.NumBytes >= base.m)
+        steps = [
+            MDStep("Flow", [MDBlock([AggSpec("avg", detail.NumBytes, "m")], key)]),
+            MDStep("Flow", [MDBlock([AggSpec("absmax", detail.NumBytes, "top")], above)]),
+            MDStep("Flow", [MDBlock([count_star("n")], above & (base.top > 0))]),
+        ]
+        return GMDJExpression(DistinctBase("Flow", ["SourceAS", "DestAS"]), steps)
+
+    @pytest.mark.parametrize("row_block_size", [0, 4])
+    def test_narrowed_equals_unnarrowed_equals_centralized(self, row_block_size):
+        cluster = SimulatedCluster.with_sites(3)
+        cluster.load_partitioned("Flow", FLOW, RoundRobinPartitioner(3))
+        expression = self.expression()
+        config = ExecutionConfig(row_block_size=row_block_size)
+        narrowed = execute_query(
+            cluster, expression, OptimizationOptions.all(), config=config
+        )
+        plain = execute_query(
+            cluster,
+            expression,
+            OptimizationOptions(aware_group_reduction=False),
+            config=config,
+        )
+        assert [r.observed_reduction for r in narrowed.plan.rounds] == [
+            False, True, True,
+        ]
+        assert narrowed.relation.rows == plain.relation.rows
+        assert_relations_equal(
+            expression.evaluate_centralized(cluster.conceptual_tables()),
+            narrowed.relation,
+        )
+        for round_index in (1, 2):
+            for site_id in cluster.site_ids:
+                assert (
+                    narrowed.stats.rounds[round_index].sites[site_id].tuples_down
+                    == narrowed.stats.rounds[round_index - 1].sites[site_id].tuples_up
+                )
+        assert narrowed.stats.tuples_total < plain.stats.tuples_total

@@ -7,6 +7,7 @@ the specific derivations the paper describes.
 """
 
 from repro.gmdj.analysis import (
+    conditions_entail,
     derive_ship_filter,
     entailed_partition_attribute,
     site_can_match,
@@ -113,6 +114,84 @@ class TestDeriveShipFilter:
         ship_filter = derive_ship_filter([theta], phi)
         assert filter_admits(ship_filter, X=15)
         assert not filter_admits(ship_filter, X=16)
+
+
+class TestGeneratedAttributes:
+    """A conjunct over an attribute the shipment's own GMDJs generate
+    cannot be decided when the fragment is cut: it relaxes to TRUE."""
+
+    PHI = detail.SourceAS.is_in([1, 2, 3])
+    KEY = base.SourceAS == detail.SourceAS
+
+    def test_base_only_conjunct_over_generated_attribute_is_dropped(self):
+        theta = self.KEY & (base.c0 > 1)
+        ship_filter = derive_ship_filter([theta], self.PHI, generated=["c0"])
+        assert {field.name for field in ship_filter.fields()} == {"SourceAS"}
+        assert filter_admits(ship_filter, SourceAS=2)
+        assert not filter_admits(ship_filter, SourceAS=9)
+
+    def test_mixed_conjunct_over_generated_attribute_is_dropped(self):
+        phi = self.PHI & detail.NumBytes.between(0, 100)
+        theta = self.KEY & (base.m <= detail.NumBytes)
+        kept = derive_ship_filter([theta], phi)
+        assert "m" in {field.name for field in kept.fields()}
+        relaxed = derive_ship_filter([theta], phi, generated=["m"])
+        assert {field.name for field in relaxed.fields()} == {"SourceAS"}
+
+    def test_theta_with_nothing_else_to_restrict_ships_everything(self):
+        assert derive_ship_filter([base.c0 > 1], self.PHI, generated=["c0"]) is None
+
+    def test_without_generated_attributes_nothing_changes(self):
+        theta = self.KEY & (base.c0 > 1)
+        assert (
+            derive_ship_filter([theta], self.PHI).key()
+            == derive_ship_filter([theta], self.PHI, generated=[]).key()
+        )
+
+
+class TestConditionsEntail:
+    KEY = base.SourceAS == detail.SourceAS
+    OTHER = base.DestAS == detail.DestAS
+    RESIDUAL = detail.NumBytes >= base.m
+
+    def test_superset_of_conjuncts_entails(self):
+        assert conditions_entail([self.KEY & self.RESIDUAL], [self.KEY])
+        assert conditions_entail([self.KEY], [self.KEY])
+
+    def test_conjunct_order_does_not_matter(self):
+        earlier = [self.KEY & self.OTHER]
+        assert conditions_entail([self.OTHER & self.RESIDUAL & self.KEY], earlier)
+        assert conditions_entail([(self.RESIDUAL & self.OTHER) & self.KEY], earlier)
+
+    def test_every_later_condition_needs_some_earlier_one(self):
+        earlier = [self.KEY, self.OTHER]
+        assert conditions_entail(
+            [self.KEY & self.RESIDUAL, self.OTHER & self.RESIDUAL], earlier
+        )
+        assert not conditions_entail([self.KEY & self.RESIDUAL, self.RESIDUAL], earlier)
+
+    def test_dropping_a_key_conjunct_does_not_entail(self):
+        assert not conditions_entail([self.KEY & self.RESIDUAL], [self.KEY & self.OTHER])
+        assert not conditions_entail([self.RESIDUAL], [self.KEY])
+
+    def test_only_orientation_identical_atoms_match(self):
+        mirrored = detail.SourceAS == base.SourceAS
+        assert conditions_entail([mirrored & self.RESIDUAL], [mirrored])
+        assert not conditions_entail([mirrored & self.RESIDUAL], [self.KEY])
+
+    def test_no_earlier_condition_entails_nothing(self):
+        assert not conditions_entail([self.KEY], [])
+        assert not conditions_entail([], [])
+
+    def test_disjunct_is_not_a_conjunct(self):
+        # (K or residual) is weaker than K, although it contains it.
+        assert not conditions_entail([self.KEY | self.RESIDUAL], [self.KEY])
+        assert not conditions_entail([(self.KEY | self.OTHER) & self.RESIDUAL], [self.KEY])
+
+    def test_different_constants_are_different_conjuncts(self):
+        assert not conditions_entail(
+            [self.KEY & (detail.NumBytes > 5)], [self.KEY & (detail.NumBytes > 4)]
+        )
 
 
 class TestKeyEntailment:

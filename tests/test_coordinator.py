@@ -62,6 +62,131 @@ class TestFragments:
         assert len(fragment) < len(coordinator.x)
         assert all(row[0] < 4 for row in fragment.rows)
 
+    def test_positions_only(self):
+        coordinator = Coordinator(KEY_ATTRS)
+        coordinator.set_base(FLOW.distinct_project(KEY_ATTRS))
+        rows = coordinator.x.rows
+        # Any order, repeats allowed: the fragment is a subsequence of X.
+        fragment = coordinator.fragment_for_site(None, positions=[5, 0, 2, 5])
+        assert fragment.schema == coordinator.x.schema
+        assert fragment.rows == [rows[0], rows[2], rows[5]]
+
+    def test_positions_and_filter_compose(self):
+        coordinator = Coordinator(KEY_ATTRS)
+        coordinator.set_base(FLOW.distinct_project(KEY_ATTRS))
+        rows = coordinator.x.rows
+        positions = range(0, len(rows), 2)
+        fragment = coordinator.fragment_for_site(base.SourceAS < 4, positions=positions)
+        assert fragment.rows == [rows[i] for i in positions if rows[i][0] < 4]
+        # One site beneath the edge needs every row: positions still cut.
+        fragment = coordinator.fragment_for_site(
+            base.SourceAS < 4, None, positions=positions
+        )
+        assert fragment.rows == [rows[i] for i in positions]
+
+    def test_empty_positions_give_an_empty_relation_with_xs_schema(self):
+        coordinator = Coordinator(KEY_ATTRS)
+        coordinator.set_base(FLOW.distinct_project(KEY_ATTRS))
+        for filters in [(None,), (base.SourceAS < 4,)]:
+            fragment = coordinator.fragment_for_site(*filters, positions=[])
+            assert fragment.schema == coordinator.x.schema
+            assert len(fragment) == 0
+
+    def test_positions_index_the_held_relation(self):
+        coordinator = Coordinator(KEY_ATTRS)
+        coordinator.set_base(FLOW.distinct_project(KEY_ATTRS))
+        held = Relation(coordinator.x.schema, coordinator.x.rows[3:8])
+        fragment = coordinator.fragment_for_site(None, held=held, positions=[1, 4])
+        assert fragment.rows == [held.rows[1], held.rows[4]]
+
+
+class TestObservedSets:
+    """What a synchronization remembers when asked: per source, the rows
+    of X its sub-result folded into."""
+
+    def sub_results(self, base_relation):
+        subs = []
+        for piece in split_three():
+            h, touched = operator.evaluate_sub(base_relation, piece, BLOCKS)
+            subs.append(
+                Relation(h.schema, [row for row, hit in zip(h.rows, touched) if hit])
+            )
+        return subs
+
+    def test_not_asked_not_observed(self):
+        coordinator = Coordinator(KEY_ATTRS)
+        coordinator.set_base(FLOW.distinct_project(KEY_ATTRS))
+        coordinator.synchronize(self.sub_results(coordinator.x), BLOCKS)
+        assert coordinator.touched_by("") is None
+
+    def test_streaming_round_observes_each_source(self):
+        coordinator = Coordinator(KEY_ATTRS)
+        coordinator.set_base(FLOW.distinct_project(KEY_ATTRS))
+        subs = self.sub_results(coordinator.x)
+        session = coordinator.begin_sync(BLOCKS, observes=True)
+        for index, h in enumerate(subs):
+            # Two blocks per source, as under row blocking.
+            session.absorb(Relation(h.schema, h.rows[:3]), f"s{index}")
+            session.absorb(Relation(h.schema, h.rows[3:]), f"s{index}")
+        x = coordinator.commit_sync(session)
+        for index, h in enumerate(subs):
+            fragment = coordinator.fragment_for_site(
+                None, positions=coordinator.touched_by(f"s{index}")
+            )
+            assert sorted(row[0] for row in fragment.rows) == sorted(
+                row[0] for row in h.rows
+            )
+            assert fragment.schema == x.schema
+        assert coordinator.touched_by("never-answered") is None
+
+    def test_reset_source_forgets_what_the_attempt_touched(self):
+        coordinator = Coordinator(KEY_ATTRS)
+        coordinator.set_base(FLOW.distinct_project(KEY_ATTRS))
+        first, second, _third = self.sub_results(coordinator.x)
+        session = coordinator.begin_sync(BLOCKS, observes=True)
+        session.absorb(first, "s0")
+        session.reset_source("s0")  # the attempt is abandoned
+        session.absorb(second, "s0")  # the re-run answers
+        session.absorb(first, "s1")
+        session.reset_source("s1")  # excluded: never answers
+        coordinator.commit_sync(session)
+        fragment = coordinator.fragment_for_site(
+            None, positions=coordinator.touched_by("s0")
+        )
+        assert sorted(row[0] for row in fragment.rows) == sorted(
+            row[0] for row in second.rows
+        )
+        assert coordinator.touched_by("s1") is None
+
+    def test_assembly_observes_per_child_and_folds_as_before(self):
+        subs = []
+        for piece in split_three():
+            local_base = piece.distinct_project(KEY_ATTRS)
+            h, _touched = operator.evaluate_sub(local_base, piece, BLOCKS)
+            subs.append(h)
+        plain = Coordinator(KEY_ATTRS).assemble_from_chain(subs, BLOCKS)
+        coordinator = Coordinator(KEY_ATTRS)
+        observed = coordinator.assemble_from_chain(
+            subs, BLOCKS, sources=["s0", "s1", "s2"]
+        )
+        assert observed.rows == plain.rows  # bit-identical, floats included
+        for index, h in enumerate(subs):
+            fragment = coordinator.fragment_for_site(
+                None, positions=coordinator.touched_by(f"s{index}")
+            )
+            assert {row[0] for row in fragment.rows} == {row[0] for row in h.rows}
+            assert len(fragment) == len(h)
+
+    def test_a_new_base_forgets_the_observation(self):
+        coordinator = Coordinator(KEY_ATTRS)
+        coordinator.set_base(FLOW.distinct_project(KEY_ATTRS))
+        session = coordinator.begin_sync(BLOCKS, observes=True)
+        session.absorb(self.sub_results(coordinator.x)[0], "s0")
+        coordinator.commit_sync(session)
+        assert coordinator.touched_by("s0") is not None
+        coordinator.set_base(FLOW.distinct_project(KEY_ATTRS))
+        assert coordinator.touched_by("s0") is None
+
 
 class TestSynchronize:
     def test_matches_centralized(self):

@@ -146,3 +146,84 @@ class TestPlanComparison:
         estimate = estimate_plan(plan, statistics, cluster.catalog)
         assert isinstance(estimate, PlanEstimate)
         assert estimate.bytes_total() > estimate.tuples_total
+
+
+class TestObservedReductionEstimate:
+    """The estimator prices observed-distribution group reduction: a
+    narrowed round ships down what the round before shipped up."""
+
+    S5_KEYS = ["PartKey", "SuppKey"]  # fine groups on non-partition keys
+
+    def build(self, sites):
+        from repro.data.tpcr import nation_partitioner
+        from repro.distributed import SimulatedCluster
+
+        cluster = SimulatedCluster.with_sites(sites)
+        cluster.load_partitioned("TPCR", TPCR, nation_partitioner(sites))
+        return cluster, StatisticsStore.from_cluster(cluster)
+
+    @pytest.mark.parametrize("sites", [2, 8])
+    def test_estimate_within_a_quarter_of_measured(self, sites):
+        cluster, statistics = self.build(sites)
+        plan = plan_query(
+            correlated_query(self.S5_KEYS), cluster.catalog, OptimizationOptions.all()
+        )
+        assert plan.rounds[1].observed_reduction
+        estimate = estimate_plan(plan, statistics, cluster.catalog)
+        first, second = estimate.rounds
+        assert second.tuples_down == first.tuples_up  # the identity
+        measured = execute_plan(cluster, plan).stats
+        assert measured.rounds[1].tuples_down == measured.rounds[0].tuples_up
+        ratio = estimate.tuples_total / measured.tuples_total
+        assert 0.75 < ratio < 1.25, f"{estimate.tuples_total} vs {measured.tuples_total}"
+
+    def test_ablation_and_ranking_see_it(self):
+        from repro.distributed.costing import estimate_optimization_impacts
+
+        cluster, statistics = self.build(8)
+        expression = correlated_query(self.S5_KEYS)
+        narrowed = plan_query(expression, cluster.catalog, OptimizationOptions.all())
+        plain = plan_query(
+            expression, cluster.catalog, OptimizationOptions(aware_group_reduction=False)
+        )
+        ranked = compare_plans(
+            {"plain": plain, "narrowed": narrowed}, statistics, cluster.catalog
+        )
+        assert [name for name, _estimate in ranked] == ["narrowed", "plain"]
+        impacts = {
+            impact.name: impact
+            for impact in estimate_optimization_impacts(
+                expression, cluster.catalog, statistics, plan=narrowed
+            )
+        }
+        aware = impacts["aware_group_reduction"]
+        assert "observed distribution" in aware.description
+        # Round 2 ships 8 x |Q| down without it, about |Q| with it.
+        assert aware.estimated_without_tuples > 2 * aware.estimated_with_tuples
+
+    def test_topology_pricing_narrows_the_root_edges_only(self):
+        from repro.distributed.costing import estimate_topology_costs
+
+        cluster, statistics = self.build(8)
+        expression = correlated_query(self.S5_KEYS)
+        narrowed = plan_query(expression, cluster.catalog, OptimizationOptions.all())
+        plain = plan_query(
+            expression, cluster.catalog, OptimizationOptions(aware_group_reduction=False)
+        )
+
+        def priced(plan):
+            return {
+                estimate.label: estimate
+                for estimate in estimate_topology_costs(plan, statistics, cluster.catalog)
+            }
+
+        with_it, without = priced(narrowed), priced(plain)
+        for label in ("flat", "hierarchical:4"):
+            assert with_it[label].root_link_bytes < without[label].root_link_bytes
+            assert with_it[label].response_time_s < without[label].response_time_s
+        # At the star every edge is a root edge: the whole saving shows.
+        assert (
+            without["flat"].root_link_bytes - with_it["flat"].root_link_bytes
+            > without["hierarchical:4"].root_link_bytes
+            - with_it["hierarchical:4"].root_link_bytes
+        )

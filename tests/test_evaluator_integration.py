@@ -247,3 +247,51 @@ class TestPlanReuse:
         cluster.reset_network()
         second = execute_plan(cluster, plan)
         assert_relations_equal(first.relation, second.relation)
+
+
+class TestChainShipFilter:
+    """A Theorem 4 ship filter over a sync-reduced chain is cut against X
+    as it is *before* the round: it cannot read what the chain generates."""
+
+    def expression(self, base_attrs):
+        steps = [
+            MDStep(
+                "Flow",
+                [MDBlock([count_star("cnt"), AggSpec("avg", detail.NumBytes, "m")], KEY1)],
+            ),
+            MDStep(
+                "Flow",
+                [MDBlock([count_star("c0")], KEY1 & (detail.NumBytes >= base.m))],
+            ),
+            MDStep(
+                "Flow",
+                [
+                    MDBlock(
+                        [AggSpec("max", detail.NumBytes, "mx")],
+                        KEY1 & (detail.NumBytes >= base.m) & (base.c0 > 1),
+                    )
+                ],
+            ),
+        ]
+        return GMDJExpression(DistinctBase("Flow", base_attrs), steps)
+
+    @pytest.mark.parametrize("base_attrs", [["SourceAS", "DestAS"], ["SourceAS"]])
+    def test_base_only_conjunct_over_a_chain_output(self, base_attrs):
+        cluster = SimulatedCluster.with_sites(2)
+        cluster.load_partitioned(
+            "Flow", FLOW, ValueListPartitioner.spread("SourceAS", range(16), 2)
+        )
+        expression = self.expression(base_attrs)
+        plan = plan_query(expression, cluster.catalog, OptimizationOptions.all())
+        (chain,) = plan.rounds
+        assert chain.is_chain and len(chain.steps) == 3
+        # With the wider base Proposition 2 does not apply (θ does not entail
+        # DestAS equality): the chain round ships a filtered fragment.
+        assert chain.merged_base == (base_attrs == ["SourceAS"])
+        assert all(chain.ship_filter(site) is not None for site in chain.sites)
+        result = execute_plan(cluster, plan)
+        assert_relations_equal(
+            expression.evaluate_centralized(cluster.conceptual_tables()),
+            result.relation,
+        )
+        assert result.respects_theorem2()

@@ -579,3 +579,65 @@ def test_random_nesting_matches_centralized(tree, toggles, executor, row_block_s
         if key.startswith("net.bytes{")
     )
     assert result.stats.bytes_total == on_the_wire
+
+
+@given(
+    tree=merge_trees(),
+    toggles=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+    on_the_key=st.booleans(),
+    executor=st.sampled_from(["serial", "threads"]),
+    row_block_size=st.sampled_from([0, 3]),
+)
+@settings(max_examples=30, deadline=None)
+def test_random_nesting_observed_reduction_on_and_off(
+    tree, toggles, on_the_key, executor, row_block_size
+):
+    """Narrowing the root's edges to what each subtree answered with
+    changes what is shipped, on any nesting, and nothing else."""
+    cluster = build_cluster(
+        len(PROPERTY_SITES),
+        None if on_the_key else RoundRobinPartitioner(len(PROPERTY_SITES)),
+    )
+    coalescing, sync_reduction, independent, pruning = toggles
+    config = ExecutionConfig(executor=executor, row_block_size=row_block_size)
+
+    def run(aware):
+        cluster.reset_network()
+        options = OptimizationOptions(
+            coalescing, sync_reduction, aware, independent, pruning
+        )
+        result = run_tree(cluster, tree, options, config=config)
+        assert verify_against_network(result.stats, cluster.network) == []
+        return result
+
+    narrowed, plain = run(True), run(False)
+    assert narrowed.relation.rows == plain.relation.rows
+    assert_relations_equal(
+        correlated_expression().evaluate_centralized(cluster.conceptual_tables()),
+        narrowed.relation,
+    )
+    for with_round, without_round, md_round in zip(
+        narrowed.stats.rounds[-len(narrowed.plan.rounds):],
+        plain.stats.rounds[-len(plain.plan.rounds):],
+        narrowed.plan.rounds,
+    ):
+        for child in tree.children:
+            edge = with_round.sites.get(child.name)
+            if edge is None:
+                continue
+            unnarrowed = without_round.sites[child.name]
+            if md_round.observed_reduction:
+                assert edge.tuples_down <= unnarrowed.tuples_down
+            elif not md_round.ship_filters:
+                assert edge.tuples_down == unnarrowed.tuples_down
+    if len(narrowed.plan.rounds) == 2 and not on_the_key:
+        # Round robin spreads every group over the sites: each root edge of
+        # round 2 carries exactly what came up it in round 1.
+        assert narrowed.plan.rounds[1].observed_reduction
+        first, second = narrowed.stats.rounds[-2:]
+        for child in tree.children:
+            if independent or narrowed.plan.rounds[0].merged_base:
+                assert (
+                    second.sites[child.name].tuples_down
+                    == first.sites[child.name].tuples_up
+                )

@@ -225,3 +225,119 @@ class TestSitePruning:
         plan = plan_query(expression, make_catalog(), options)
         # site s0 holds nations {0, 10}: cannot satisfy nation > 10.
         assert plan.rounds[0].sites == ("s1", "s2")
+
+
+class TestObservedReduction:
+    """Theorem 4 from the observed distribution: proved or not applied."""
+
+    # Non-partition keys (no chain) and no declared φᵢ: S5's shape.
+    CATALOG = dict(partition_attrs=(), with_phi=False)
+
+    def plan(self, expression, options=None, **catalog):
+        return plan_query(
+            expression,
+            make_catalog(**(catalog or self.CATALOG)),
+            options or OptimizationOptions.all(),
+        )
+
+    def test_correlated_second_round_is_marked_and_noted(self):
+        plan = self.plan(correlated_expression())
+        assert [md_round.observed_reduction for md_round in plan.rounds] == [False, True]
+        assert any("observed distribution" in note for note in plan.notes)
+        assert not any("aware group reduction skipped" in note for note in plan.notes)
+        applied = dict(plan.applied_optimizations())
+        assert "observed distribution: round 2" in applied["aware_group_reduction"]
+        assert "observed-distribution group reduction" in plan.describe()
+
+    def test_the_toggle_is_aware_group_reduction(self):
+        options = OptimizationOptions(aware_group_reduction=False)
+        plan = self.plan(correlated_expression(), options)
+        assert not any(md_round.observed_reduction for md_round in plan.rounds)
+        assert "aware_group_reduction" not in dict(plan.applied_optimizations())
+
+    def test_first_round_after_a_base_round_is_never_marked(self):
+        options = OptimizationOptions(sync_reduction=False, coalescing=False)
+        plan = self.plan(correlated_expression(), options)
+        assert not plan.base.merged_into_chain
+        assert [md_round.observed_reduction for md_round in plan.rounds] == [False, True]
+
+    def test_different_detail_table_is_not_marked(self):
+        catalog = make_catalog(**self.CATALOG)
+        catalog.register("U", SITES, None, ())
+        inner = MDStep("T", [MDBlock([count_star("cnt")], KEY)])
+        outer = MDStep("U", [MDBlock([count_star("big")], KEY & (detail.v >= base.cnt))])
+        expression = GMDJExpression(DistinctBase("T", ["nation", "cust"]), [inner, outer])
+        plan = plan_query(expression, catalog, OptimizationOptions.all())
+        assert len(plan.rounds) == 2
+        assert not any(md_round.observed_reduction for md_round in plan.rounds)
+        assert any("aware group reduction skipped" in note for note in plan.notes)
+
+    def test_condition_that_drops_a_key_conjunct_is_not_marked(self):
+        inner = MDStep("T", [MDBlock([AggSpec("avg", detail.v, "m")], KEY)])
+        outer = MDStep(
+            "T",
+            [MDBlock([count_star("big")], (base.nation == detail.nation) & (detail.v >= base.m))],
+        )
+        expression = GMDJExpression(DistinctBase("T", ["nation", "cust"]), [inner, outer])
+        plan = self.plan(expression)
+        assert len(plan.rounds) == 2
+        assert not any(md_round.observed_reduction for md_round in plan.rounds)
+        assert "aware_group_reduction" not in dict(plan.applied_optimizations())
+
+    def test_one_unentailing_block_defeats_the_round(self):
+        inner = MDStep("T", [MDBlock([AggSpec("avg", detail.v, "m")], KEY)])
+        outer = MDStep(
+            "T",
+            [
+                MDBlock([count_star("big")], KEY & (detail.v >= base.m)),
+                MDBlock([count_star("far")], detail.v >= base.m),
+            ],
+        )
+        expression = GMDJExpression(DistinctBase("T", ["nation", "cust"]), [inner, outer])
+        assert not any(md_round.observed_reduction for md_round in self.plan(expression).rounds)
+
+    def test_three_stages_narrow_twice(self):
+        steps = [
+            MDStep("T", [MDBlock([AggSpec("avg", detail.v, "m")], KEY)]),
+            MDStep("T", [MDBlock([count_star("c0")], KEY & (detail.v >= base.m))]),
+            MDStep(
+                "T",
+                [MDBlock([count_star("c1")], (detail.v >= base.m) & KEY & (base.c0 > 1))],
+            ),
+        ]
+        expression = GMDJExpression(DistinctBase("T", ["nation", "cust"]), steps)
+        plan = self.plan(expression)
+        assert [md_round.observed_reduction for md_round in plan.rounds] == [False, True, True]
+
+    def test_declared_and_observed_compose(self):
+        # Partitioned on a non-key attribute of the conditions: no chain, but
+        # ship filters exist — and round 2 still narrows on top of them.
+        plan = self.plan(
+            correlated_expression(),
+            OptimizationOptions(sync_reduction=False),
+            partition_attrs=(),
+            with_phi=True,
+        )
+        second = plan.rounds[1]
+        assert second.observed_reduction
+        assert all(second.ship_filter(site) is not None for site in SITES)
+        described = dict(plan.applied_optimizations())["aware_group_reduction"]
+        assert "ship filters" in described and "observed distribution" in described
+
+    def test_chain_ship_filter_leaves_out_what_the_chain_generates(self):
+        key = base.nation == detail.nation
+        steps = [
+            MDStep("T", [MDBlock([AggSpec("avg", detail.v, "m")], key)]),
+            MDStep("T", [MDBlock([count_star("c0")], key & (detail.v >= base.m))]),
+            MDStep(
+                "T",
+                [MDBlock([count_star("c1")], key & (detail.v >= base.m) & (base.c0 > 1))],
+            ),
+        ]
+        expression = GMDJExpression(DistinctBase("T", ["nation", "cust"]), steps)
+        plan = plan_query(expression, make_catalog(), OptimizationOptions.all())
+        (chain,) = plan.rounds
+        assert chain.is_chain and not chain.merged_base
+        for site in SITES:
+            names = {field.name for field in chain.ship_filter(site).fields()}
+            assert names == {"nation"}

@@ -10,11 +10,11 @@ has empty RNG (count 0 in every block).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gmdj.analysis import derive_ship_filter
+from repro.gmdj.analysis import conditions_entail, derive_ship_filter
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.operator import evaluate
 from repro.relalg.aggregates import count_star
-from repro.relalg.expressions import BASE_VAR, DETAIL_VAR, base, detail
+from repro.relalg.expressions import BASE_VAR, DETAIL_VAR, and_all, base, detail
 from repro.relalg.relation import Relation
 from repro.relalg.schema import INT, Schema
 
@@ -95,3 +95,94 @@ def test_ship_filter_is_sound(rows, groups, theta_indices, phi_index):
                     f"unsound filter: {ship_filter!r} rejected {base_row} "
                     f"which matches at the site"
                 )
+
+
+# A chain's later steps read what its earlier steps generate (``c0``): the
+# ship filter is compiled against X as it is *before* the round, which has
+# no such attribute.
+CHAIN_THETAS = THETAS + [
+    (base.x == detail.p) & (base.c0 > 1),
+    (base.x == detail.p) & (detail.q >= base.c0),
+    base.c0 > 1,
+    (base.y <= detail.q) & (base.c0 + base.x > 3),
+]
+
+
+@given(
+    theta_indices=st.lists(
+        st.integers(min_value=0, max_value=len(CHAIN_THETAS) - 1),
+        min_size=1,
+        max_size=4,
+    ),
+    phi_index=st.integers(min_value=0, max_value=len(PHIS) - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_ship_filter_reads_only_the_schema_it_is_compiled_against(
+    theta_indices, phi_index
+):
+    thetas = [CHAIN_THETAS[index] for index in theta_indices]
+    ship_filter = derive_ship_filter(thetas, PHIS[phi_index], generated=["c0"])
+    if ship_filter is None:
+        return
+    assert ship_filter.relvars() <= {BASE_VAR}
+    assert {field.name for field in ship_filter.fields()} <= set(BASE_SCHEMA.names)
+    ship_filter.compile({BASE_VAR: BASE_SCHEMA})  # raises on an unknown attribute
+
+
+# Atoms the entailment property draws conjunctions from, NULLs included so
+# three-valued logic is exercised.
+ATOMS = [
+    base.x == detail.p,
+    base.y == detail.q,
+    detail.q > 5,
+    base.y <= detail.q,
+    base.x + base.y < detail.p * 2,
+    (base.x == detail.p) | (detail.q > 5),
+    detail.p != base.y,
+]
+
+nullable = st.one_of(st.none(), st.integers(min_value=-6, max_value=8))
+atom_sets = st.lists(
+    st.integers(min_value=0, max_value=len(ATOMS) - 1), min_size=1, max_size=4
+)
+
+
+@given(
+    earlier=st.lists(atom_sets, max_size=3),
+    # Each later condition: extra atoms, on top of (mostly) some earlier
+    # condition's — so the test says yes often enough to be checked.
+    later=st.lists(
+        st.tuples(st.one_of(st.none(), st.integers(0, 2)), atom_sets),
+        min_size=1,
+        max_size=3,
+    ),
+    pairs=st.lists(
+        st.tuples(st.tuples(nullable, nullable), st.tuples(nullable, nullable)),
+        max_size=30,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_conditions_entail_is_sound(earlier, later, pairs):
+    """Whenever the test says yes, no (b, r) satisfies a later condition
+    without satisfying some earlier one."""
+    earlier_thetas = [
+        and_all([ATOMS[index] for index in indices]) for indices in earlier
+    ]
+    later_thetas = []
+    for builds_on, extra in later:
+        indices = list(extra)
+        if builds_on is not None and earlier:
+            indices += earlier[builds_on % len(earlier)]
+        later_thetas.append(and_all([ATOMS[index] for index in indices]))
+    if not conditions_entail(later_thetas, earlier_thetas):
+        return
+    schemas = {BASE_VAR: BASE_SCHEMA, DETAIL_VAR: DETAIL_SCHEMA}
+    later_predicates = [theta.compile(schemas) for theta in later_thetas]
+    earlier_predicates = [theta.compile(schemas) for theta in earlier_thetas]
+    for base_row, detail_row in pairs:
+        bindings = {BASE_VAR: base_row, DETAIL_VAR: detail_row}
+        if any(predicate(bindings) for predicate in later_predicates):
+            assert any(predicate(bindings) for predicate in earlier_predicates), (
+                f"{later_thetas!r} does not entail {earlier_thetas!r} at "
+                f"b={base_row} r={detail_row}"
+            )

@@ -168,3 +168,130 @@ def test_distributed_matches_centralized_random_options(
     )
     assert_relations_equal(reference, result.relation)
     assert result.respects_theorem2()
+
+
+# -- observed-distribution group reduction is invisible in the answer ---------
+
+NESTED_SCHEMA = Schema.of(("g", INT), ("h", INT), ("w", INT), ("v", FLOAT))
+NESTED_KEY = (base.g == detail.g) & (base.h == detail.h)
+
+nested_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.none() | st.floats(min_value=-100, max_value=100, allow_nan=False),
+    ),
+    max_size=60,
+)
+
+
+def nested_residual(kind, step):
+    """One more conjunct for step ``step`` (>= 1), over the step before's outputs."""
+    return [
+        detail.v >= getattr(base, f"m{step - 1}"),
+        getattr(base, f"c{step - 1}") > 1,
+        detail.v < 50,
+        detail.w >= base.h,
+    ][kind]
+
+
+def nested_expression(stages):
+    """``stages``: per step after the first, ``(residual kind, keeps)`` —
+    a step that ``keeps`` conjoins its residual to the step before's whole
+    condition (so it entails it); one that does not starts again from K."""
+    steps = [
+        MDStep(
+            "T",
+            [MDBlock([count_star("c0"), AggSpec("avg", detail.v, "m0")], NESTED_KEY)],
+        )
+    ]
+    condition = NESTED_KEY
+    for step, (kind, keeps) in enumerate(stages, start=1):
+        residual = nested_residual(kind, step)
+        condition = (condition if keeps else NESTED_KEY) & residual
+        steps.append(
+            MDStep(
+                "T",
+                [
+                    MDBlock(
+                        [count_star(f"c{step}"), AggSpec("avg", detail.v, f"m{step}")],
+                        condition,
+                    )
+                ],
+            )
+        )
+    return GMDJExpression(DistinctBase("T", ["g", "h"]), steps)
+
+
+@given(
+    rows=nested_rows,
+    stages=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=3), st.booleans()),
+        min_size=1,
+        max_size=3,
+    ),
+    site_count=st.sampled_from([1, 2, 3, 4, 8]),
+    partition_attr=st.sampled_from(["g", "w"]),  # a key / not a key
+    toggles=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+    engine=engines,
+    executor=st.sampled_from(["serial", "threads"]),
+    row_block_size=st.sampled_from([0, 2]),
+)
+@settings(max_examples=60, deadline=None)
+def test_observed_reduction_changes_traffic_never_the_answer(
+    rows, stages, site_count, partition_attr, toggles, engine, executor,
+    row_block_size,
+):
+    cluster = SimulatedCluster.with_sites(site_count)
+    cluster.load_partitioned(
+        "T",
+        Relation(NESTED_SCHEMA, rows),
+        ValueListPartitioner.spread(partition_attr, range(6), site_count),
+    )
+    expression = nested_expression(stages)
+    coalescing, sync_reduction, independent, pruning = toggles
+    config = ExecutionConfig(
+        engine=engine, executor=executor, row_block_size=row_block_size
+    )
+
+    def run(aware):
+        options = OptimizationOptions(
+            coalescing, sync_reduction, aware, independent, pruning
+        )
+        return execute_query(cluster, expression, options, config=config)
+
+    narrowed, plain = run(True), run(False)
+    with use_engine("row"):
+        reference = expression.evaluate_centralized(cluster.conceptual_tables())
+    assert_relations_equal(reference, narrowed.relation)
+    # Bit for bit, row order included: the fold saw the same rows.
+    assert narrowed.relation.rows == plain.relation.rows
+    assert narrowed.respects_theorem2()
+
+    marked = [md_round.observed_reduction for md_round in narrowed.plan.rounds]
+    assert not any(md_round.observed_reduction for md_round in plain.plan.rounds)
+    # Proved or not applied: a round is marked exactly when its step holds
+    # every residual of the step before (a plan of one step a round here).
+    if len(narrowed.plan.rounds) == len(stages) + 1:
+        expected, held = [False], set()
+        for step, (kind, keeps) in enumerate(stages, start=1):
+            residual = nested_residual(kind, step).key()
+            expected.append(keeps or held <= {residual})
+            held = (held if keeps else set()) | {residual}
+        assert marked == expected
+    for index, (with_stats, without_stats) in enumerate(
+        zip(narrowed.stats.rounds[-len(marked):], plain.stats.rounds[-len(marked):])
+    ):
+        # Proposition 1 already answers with the touched groups only;
+        # without it a site answers with all it was shipped.
+        if independent:
+            assert with_stats.tuples_up == without_stats.tuples_up
+        else:
+            assert with_stats.tuples_up <= without_stats.tuples_up
+        if marked[index]:
+            assert with_stats.tuples_down <= without_stats.tuples_down
+    if not any(marked) and not any(
+        md_round.ship_filters for md_round in narrowed.plan.rounds
+    ):
+        assert narrowed.stats.bytes_total == plain.stats.bytes_total

@@ -51,7 +51,7 @@ from repro.queries.cube import cube_lattice_queries
 from repro.queries.unpivot import marginal_queries
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
-from repro.warehouse.partition import HashPartitioner
+from repro.warehouse.partition import HashPartitioner, RoundRobinPartitioner
 
 SITES = 4
 FLOW = make_flows(count=240, seed=17, routers=8)
@@ -487,6 +487,86 @@ def test_speculation_is_inert_without_stragglers(deployed):
     assert result.stats.speculation_wins == 0
     assert result.stats.speculative_bytes_down == 0
     assert result.stats.socket_parity()
+
+
+# ---------------------------------------------------------------------------
+# Observed-distribution group reduction, byte for byte over TCP
+# ---------------------------------------------------------------------------
+
+KEY2 = (base.SourceAS == detail.SourceAS) & (base.DestAS == detail.DestAS)
+
+
+def fine_groups_expression():
+    """S5's shape: fine groups on keys the data is not partitioned on."""
+    inner = MDStep(
+        "Flow",
+        [MDBlock([count_star("cnt"), AggSpec("avg", detail.NumBytes, "m")], KEY2)],
+    )
+    outer = MDStep(
+        "Flow", [MDBlock([count_star("above")], KEY2 & (detail.NumBytes >= base.m))]
+    )
+    return GMDJExpression(DistinctBase("Flow", ["SourceAS", "DestAS"]), [inner, outer])
+
+
+def run_optimized(cluster, executor, options=None, **config_kwargs):
+    cluster.reset_network()
+    result = execute_query(
+        cluster,
+        fine_groups_expression(),
+        options=options or OptimizationOptions.all(),
+        config=ExecutionConfig(executor=executor, retry_backoff_s=0.0, **config_kwargs),
+    )
+    assert verify_against_network(result.stats, cluster.network) == []
+    return result
+
+
+@pytest.mark.parametrize("sites", [2, 4])
+def test_observed_reduction_is_carried_byte_for_byte(sites, tmp_path):
+    simulated = SimulatedCluster.with_sites(sites)
+    simulated.load_partitioned("Flow", FLOW, RoundRobinPartitioner(sites))
+    oracle = run_optimized(simulated, "serial")
+    assert [r.observed_reduction for r in oracle.plan.rounds] == [False, True]
+    with ProcessCluster.from_simulated(simulated, str(tmp_path)) as cluster:
+        narrowed = run_optimized(cluster, "sockets")
+        plain = run_optimized(
+            cluster, "sockets", OptimizationOptions(aware_group_reduction=False)
+        )
+        # A straggler in the narrowed round: its speculative backup is cut
+        # the fragment its primary was (the sets are per site name).
+        cluster.install_faults(
+            FaultPlan.stragglers(cluster.site_ids, seed=3, delay_s=0.8, rounds=(2,))
+        )
+        try:
+            raced = run_optimized(
+                cluster, "sockets", speculation=True, speculation_factor=2.0
+            )
+        finally:
+            cluster.install_faults(None)
+
+    assert narrowed.relation.rows == oracle.relation.rows == plain.relation.rows
+    stats = narrowed.stats
+    assert (stats.bytes_down, stats.bytes_up) == (
+        oracle.stats.bytes_down, oracle.stats.bytes_up,
+    )
+    assert stats.socket_bytes_down == stats.bytes_down
+    assert stats.socket_bytes_up == stats.bytes_up
+    assert stats.socket_parity() and plain.stats.socket_parity()
+    assert stats.rounds[1].bytes_down < plain.stats.rounds[1].bytes_down
+    assert stats.rounds[1].bytes_up == plain.stats.rounds[1].bytes_up
+    for site_id in simulated.site_ids:
+        assert (
+            stats.rounds[1].sites[site_id].tuples_down
+            == stats.rounds[0].sites[site_id].tuples_up
+        )
+
+    assert raced.relation.rows == oracle.relation.rows
+    assert raced.stats.speculative_legs == 1 and raced.stats.speculation_wins == 1
+    assert raced.stats.socket_parity()
+    for site_id in simulated.site_ids:
+        assert (
+            raced.stats.rounds[1].sites[site_id].tuples_down
+            == stats.rounds[1].sites[site_id].tuples_down
+        )
 
 
 # ---------------------------------------------------------------------------
