@@ -247,8 +247,8 @@ class SimulatedCluster:
         restore a perfect network) and rebuild the channels.
 
         Because the plan itself is stateless and all firing state lives
-        in the fresh :class:`~repro.net.faults.FaultyChannel` objects,
-        installing (or resetting the network under) the same plan replays
+        in the fresh channels' :class:`~repro.net.faults.FaultInjector`
+        policies, installing (or resetting the network under) the same plan replays
         the identical fault schedule.
         """
         self.fault_plan = plan

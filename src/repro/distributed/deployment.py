@@ -396,7 +396,7 @@ class ProcessCluster:
         """
         target = registry if registry is not None else MetricsRegistry()
         for site_id in self.site_ids:
-            channel = self.network._channels[site_id]
+            channel = self.network.channel(site_id)
             try:
                 snapshot = channel.telemetry(("metrics",))
             except (ReproError, OSError):
@@ -413,7 +413,7 @@ class ProcessCluster:
         """``site_id -> bool`` by a PING round trip per site."""
         status = {}
         for site_id in self.site_ids:
-            channel = self.network._channels[site_id]
+            channel = self.network.channel(site_id)
             try:
                 channel.ping(samples=1)
                 status[site_id] = True
@@ -445,7 +445,7 @@ class ProcessCluster:
         self.flight.record_event("dump", root=self.root)
         written = [self.flight.dump(flight_path(directory, "coordinator"))]
         for site_id in self.site_ids:
-            channel = self.network._channels[site_id]
+            channel = self.network.channel(site_id)
             path = flight_path(directory, "site", site_id)
             try:
                 snapshot = channel.telemetry(("flight",))
@@ -495,10 +495,9 @@ class ProcessCluster:
         self._write_spec()
         # Channels reconnect lazily after a failure; give live networks
         # the new address so that reconnect finds the rejoined site.
-        channel = self.network._channels.get(site_id)
-        if channel is not None:
-            channel.close()
-            channel.address = (self.host, port)
+        channel = self.network.channel(site_id)
+        channel.close()
+        channel.address = (self.host, port)
         self.flight.record_event("restart", site=site_id, port=port)
 
     def close(self) -> None:

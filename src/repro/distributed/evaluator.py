@@ -93,7 +93,8 @@ class ExecutionConfig:
     (:mod:`repro.distributed.executor`): ``"serial"`` runs the per-site
     legs one after another, ``"threads"`` fans them out on a thread
     pool, ``"processes"`` additionally dispatches the site compute to
-    forked workers (real multi-core parallelism). All three produce
+    forked workers (real multi-core parallelism), ``"sockets"`` asks
+    ``repro site-server`` processes over TCP. All four executors produce
     bit-identical results, byte counts and trace span sets.
     ``max_workers`` caps the pool size; ``0`` sizes it automatically
     (one thread per site; one process per CPU up to the site count).
@@ -602,20 +603,24 @@ class _RoundWalk:
             channel.send_to_site(shipment)
             edge.bytes_down += shipment.size_bytes
         edge.tuples_down += tuples_down
-        received = [channel.receive_at_site() for _shipment in down]
 
         if child.is_leaf:
+            # Whoever hosts the site plays its end of the channel: the
+            # engine in process, the site's server over TCP.
             reply = self.engine.evaluate(
-                self._site_request(name, received, compute_delay_s), channel=channel
+                self._site_request(name, compute_delay_s), channel
             )
             edge.compute_s += reply.compute_s
-            up = self._replies(child, node, reply.payloads)
+            payloads = reply.payloads
             if self.measures_saving:
                 edge.row_equiv_bytes_up += (
-                    reply.row_codec_payload_bytes + msg.HEADER_BYTES * len(up)
+                    reply.row_codec_payload_bytes
+                    + msg.HEADER_BYTES * len(payloads)
                 )
             tuples_up = reply.rows
         else:
+            # This process hosts the combiner, so it plays the child end.
+            received = channel.take_at_site()
             with self.tracer.span(
                 "combiner.hop", kind="relay", node=name,
                 round=self.round_stats.index, children=len(child.children),
@@ -634,25 +639,26 @@ class _RoundWalk:
                 started = time.perf_counter()
                 merged = self._merge(collected)
                 blocks = config.blocks_of(merged)
-                up = self._replies(
-                    child, node,
-                    [serialize.encode_relation(block, codec) for block in blocks],
-                )
+                payloads = [serialize.encode_relation(block, codec) for block in blocks]
                 if self.measures_saving:
                     edge.row_equiv_bytes_up += _row_codec_bytes(blocks)
                 self._charge(child, time.perf_counter() - started)
-                hop.set(bytes_up=sum(reply.size_bytes for reply in up))
+                hop.set(bytes_up=_message_bytes(payloads))
+            reply_kind = msg.BASE_RESULT if self.md_round is None else msg.SUB_RESULT
+            for payload in payloads:
+                channel.send_to_coordinator(
+                    msg.Message(reply_kind, name, node.name, number, payload)
+                )
             tuples_up = len(merged)
-        for reply_message in up:
-            channel.send_to_coordinator(reply_message)
-            edge.bytes_up += reply_message.size_bytes
+        # RoundStats keeps its own tally of what came up, from the reply.
+        edge.bytes_up += _message_bytes(payloads)
         edge.tuples_up += tuples_up
 
         absorbs = self.session is not None and node is self.tree
         answer = []
         started = time.perf_counter()
         with self.tracer.span("round.decode", kind=kind, site=name):
-            for _reply in up:
+            for _payload in payloads:
                 block = channel.receive_at_coordinator().relation()
                 if absorbs:
                     # Streaming merge: each block synchronizes on arrival.
@@ -681,7 +687,7 @@ class _RoundWalk:
             return self.coordinator.touched_by(name)
         return None
 
-    def _site_request(self, site_id, received, compute_delay_s) -> SiteRequest:
+    def _site_request(self, site_id, compute_delay_s) -> SiteRequest:
         shared = dict(
             site_id=site_id,
             round_number=self.number,
@@ -704,16 +710,8 @@ class _RoundWalk:
         return SiteRequest(
             kind="round",
             independent_reduction=md_round.independent_reduction,
-            down_payloads=tuple(shipment.payload for shipment in received),
             **shared,
         )
-
-    def _replies(self, child, node, payloads) -> list:
-        kind = msg.BASE_RESULT if self.md_round is None else msg.SUB_RESULT
-        return [
-            msg.Message(kind, child.name, node.name, self.number, payload)
-            for payload in payloads
-        ]
 
     def _merge(self, collected) -> Relation:
         """What a combiner forwards: its children's results, one row per key."""
@@ -731,6 +729,11 @@ class _RoundWalk:
                 self.round_stats.coordinator_compute_s += seconds
             else:
                 self.round_stats.site(node.name).compute_s += seconds
+
+
+def _message_bytes(payloads) -> int:
+    """What ``payloads`` weigh as messages, one header each."""
+    return sum(len(payload) + msg.HEADER_BYTES for payload in payloads)
 
 
 def _row_codec_bytes(blocks) -> int:

@@ -1,4 +1,4 @@
-"""Site-execution engines: serial, thread-pool, and process-pool.
+"""Site-execution engines: serial, thread-pool, process-pool and sockets.
 
 Alg. GMDJDistribEval's per-round site work — ship the fragment down,
 evaluate the GMDJ step(s), ship H_i back — is independent across sites,
@@ -22,15 +22,22 @@ decides how legs run:
   for real multi-core speedups. Workers inherit the site warehouses at
   fork time (nothing is re-pickled per round); only the compact
   :class:`SiteRequest`/:class:`SiteReply` payloads cross the process
-  boundary.
+  boundary;
+- ``sockets`` — the sites are ``repro site-server`` processes behind TCP;
+  a leg's site work is one :meth:`~repro.net.socket_channel.\
+SocketChannel.ask`.
 
 The split between a leg and :func:`perform_site_request` is exactly the
 paper's attribution boundary: the leg (parent) does coordinator work —
 fragmenting, message framing, channel accounting, decoding H_i,
 synchronizing — while :func:`perform_site_request` does everything a
-Skalla site would be charged for. All three engines therefore produce
-identical byte counts, identical span *sets*, and (thanks to the
-deterministic bank merge) bit-identical result relations.
+Skalla site would be charged for. Who plays the *site end* of the leg's
+channel is the engine's business and nobody else's: the three in-process
+engines play it themselves (:func:`play_site_end`, differing only in
+where the request is performed), the sockets engine's site end is the
+server process. All four executors therefore produce identical byte
+counts, identical span *sets*, and (thanks to the deterministic bank
+merge) bit-identical result relations.
 
 Process-mode bookkeeping: a worker records spans into a private tracer
 and metric increments into a private registry, and the reply carries
@@ -48,7 +55,7 @@ import os
 import threading
 import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import MultiLegError, PlanError
@@ -252,6 +259,30 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
     )
 
 
+def play_site_end(channel, request: SiteRequest, perform) -> SiteReply:
+    """The site's turn on ``channel``, played in this process.
+
+    Take what the parent shipped (the channel raises if any of it was
+    lost or is late), hand a ``round`` request its fragment blocks,
+    ``perform`` the request, send each reply block up to whoever shipped.
+    """
+    shipped = channel.take_at_site()
+    if request.kind == "round":
+        request = replace(
+            request, down_payloads=tuple(shipment.payload for shipment in shipped)
+        )
+    reply = perform(request)
+    kind = msg.BASE_RESULT if request.kind == "base" else msg.SUB_RESULT
+    for payload in reply.payloads:
+        channel.send_to_coordinator(
+            msg.Message(
+                kind, request.site_id, shipped[0].sender, request.round_number,
+                payload,
+            )
+        )
+    return reply
+
+
 # ---------------------------------------------------------------------------
 # Engines
 # ---------------------------------------------------------------------------
@@ -301,7 +332,7 @@ def _collect_leg_results(site_ids: Sequence[str], futures) -> list:
 
 
 class _EngineLifecycle:
-    """Shared close-once semantics.
+    """Shared close-once semantics, and the in-process site's turn.
 
     Engines used to live for exactly one ``execute_plan`` call; the query
     service keeps one engine alive across many concurrent queries, which
@@ -317,6 +348,16 @@ class _EngineLifecycle:
 
     def _mark_closed(self) -> None:
         self._closed = True
+
+    def evaluate(self, request: SiteRequest, channel) -> SiteReply:
+        """One site's turn of a leg, over the leg's channel."""
+        self._check_open()
+        return play_site_end(channel, request, self._perform)
+
+    def _perform(self, request: SiteRequest) -> SiteReply:
+        return perform_site_request(
+            self._sites[request.site_id], request, self._tracer
+        )
 
 
 class SerialEngine(_EngineLifecycle):
@@ -335,12 +376,6 @@ class SerialEngine(_EngineLifecycle):
         # fail concurrently, aggregate into MultiLegError instead).
         self._check_open()
         return [leg(site_id) for site_id in site_ids]
-
-    def evaluate(self, request: SiteRequest, channel=None) -> SiteReply:
-        self._check_open()
-        return perform_site_request(
-            self._sites[request.site_id], request, self._tracer
-        )
 
     def close(self) -> None:
         self._mark_closed()
@@ -378,12 +413,6 @@ class ThreadEngine(_ThreadedLegs):
         workers = max_workers or max(len(sites), 1)
         self._legs = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="skalla-site"
-        )
-
-    def evaluate(self, request: SiteRequest, channel=None) -> SiteReply:
-        self._check_open()
-        return perform_site_request(
-            self._sites[request.site_id], request, self._tracer
         )
 
     def close(self) -> None:
@@ -489,8 +518,7 @@ class ProcessEngine(_ThreadedLegs):
             self._pool.shutdown(wait=False, cancel_futures=True)
             raise
 
-    def evaluate(self, request: SiteRequest, channel=None) -> SiteReply:
-        self._check_open()
+    def _perform(self, request: SiteRequest) -> SiteReply:
         reply = self._pool.submit(_fork_perform, request).result()
         _replay_remote(self._tracer, reply, request.site_id)
         return reply
@@ -524,21 +552,29 @@ class SocketEngine(_ThreadedLegs):
             max_workers=workers, thread_name_prefix="skalla-socket-leg"
         )
 
-    def evaluate(self, request: SiteRequest, channel=None) -> SiteReply:
+    def evaluate(self, request: SiteRequest, channel) -> SiteReply:
         self._check_open()
-        if channel is None or not hasattr(channel, "ask"):
+        if not hasattr(channel, "ask"):
             raise PlanError(
                 "the sockets engine needs a SocketChannel per leg — run it "
                 "against a deployed process cluster (repro cluster up / "
                 "--executor sockets), not a simulated one"
             )
-        reply = channel.ask(request)
+        meta, payloads = channel.ask(request)
+        reply = SiteReply(
+            payloads=payloads,
+            rows=meta["rows"],
+            compute_s=meta["compute_s"],
+            spans=tuple(meta.get("spans", ())),
+            counters=dict(meta.get("counters", {})),
+            row_codec_payload_bytes=meta.get("row_codec_payload_bytes"),
+            telemetry=dict(meta.get("telemetry", {})),
+        )
         # Site-server processes run their own monotonic clock; the
         # channel's PING-estimated offset (see repro.obs.skew) maps the
         # shipped timestamps into this process's domain.
         _replay_remote(
-            self._tracer, reply, request.site_id,
-            getattr(channel, "clock_offset_s", 0.0),
+            self._tracer, reply, request.site_id, channel.clock_offset_s
         )
         if reply.telemetry:
             registry = active_registry()

@@ -176,34 +176,18 @@ class IncrementalView:
                     f"delta for {site_id!r} has schema {delta.schema!r}, "
                     f"table has {site_schema!r}"
                 )
-            channel = network.channel(site_id)
-            site_stats = round_stats.site(site_id)
 
-            shipment = msg.Message.with_relation(
-                msg.SHIP_BASE, "coordinator", site_id, 0, old_base
-            )
-            channel.send_to_site(shipment)
-            site_stats.bytes_down += shipment.size_bytes
-            site_stats.tuples_down += len(old_base)
-            received_base = channel.receive_at_site().relation()
+            def over_delta(received_base):
+                if apply_appends:
+                    site.warehouse.append(detail_name, delta)
+                h_delta, touched = operator.evaluate_sub(
+                    received_base, delta, self.step.blocks
+                )
+                return Relation(h_delta.schema, compress(h_delta.rows, touched))
 
-            started = time.perf_counter()
-            if apply_appends:
-                site.warehouse.append(detail_name, delta)
-            h_delta, touched = operator.evaluate_sub(
-                received_base, delta, self.step.blocks
+            fragments.append(
+                self._site_round(network, round_stats, site_id, 0, old_base, over_delta)
             )
-            reduced = Relation(h_delta.schema, compress(h_delta.rows, touched))
-            reply = msg.Message.with_relation(
-                msg.SUB_RESULT, site_id, "coordinator", 0, reduced
-            )
-            site_stats.compute_s += time.perf_counter() - started
-            channel.send_to_coordinator(reply)
-            site_stats.bytes_up += reply.size_bytes
-            site_stats.tuples_up += len(reduced)
-            started = time.perf_counter()
-            fragments.append(channel.receive_at_coordinator().relation())
-            round_stats.coordinator_compute_s += time.perf_counter() - started
 
         # New groups must see every site's FULL data, old rows included.
         if len(new_base):
@@ -211,32 +195,20 @@ class IncrementalView:
                 site = self.cluster.site(site_id)
                 if not site.warehouse.has_table(detail_name):
                     continue
-                channel = network.channel(site_id)
-                site_stats = round_stats.site(site_id)
-                shipment = msg.Message.with_relation(
-                    msg.SHIP_BASE, "coordinator", site_id, 1, new_base
-                )
-                channel.send_to_site(shipment)
-                site_stats.bytes_down += shipment.size_bytes
-                site_stats.tuples_down += len(new_base)
-                received_base = channel.receive_at_site().relation()
 
-                started = time.perf_counter()
-                h_new, _touched = operator.evaluate_sub(
-                    received_base,
-                    site.warehouse.table(detail_name),
-                    self.step.blocks,
+                def over_partition(received_base):
+                    h_new, _touched = operator.evaluate_sub(
+                        received_base,
+                        site.warehouse.table(detail_name),
+                        self.step.blocks,
+                    )
+                    return h_new
+
+                fragments.append(
+                    self._site_round(
+                        network, round_stats, site_id, 1, new_base, over_partition
+                    )
                 )
-                reply = msg.Message.with_relation(
-                    msg.SUB_RESULT, site_id, "coordinator", 1, h_new
-                )
-                site_stats.compute_s += time.perf_counter() - started
-                channel.send_to_coordinator(reply)
-                site_stats.bytes_up += reply.size_bytes
-                site_stats.tuples_up += len(h_new)
-                started = time.perf_counter()
-                fragments.append(channel.receive_at_coordinator().relation())
-                round_stats.coordinator_compute_s += time.perf_counter() - started
 
         started = time.perf_counter()
         self._h = operator.merge_sub_results(
@@ -244,6 +216,37 @@ class IncrementalView:
         )
         round_stats.coordinator_compute_s += time.perf_counter() - started
         return RefreshResult(self.relation(), stats, len(new_base))
+
+    def _site_round(
+        self, network, round_stats, site_id, round_index, base, evaluate
+    ) -> Relation:
+        """One site's exchange, both ends: ship ``base`` down, play the
+        site's turn (this process hosts the site: take the shipment,
+        ``evaluate`` it, send the sub-aggregates up), take the reply in."""
+        channel = network.channel(site_id)
+        site_stats = round_stats.site(site_id)
+        shipment = msg.Message.with_relation(
+            msg.SHIP_BASE, "coordinator", site_id, round_index, base
+        )
+        channel.send_to_site(shipment)
+        site_stats.bytes_down += shipment.size_bytes
+        site_stats.tuples_down += len(base)
+
+        (received,) = channel.take_at_site()
+        started = time.perf_counter()
+        answer = evaluate(received.relation())
+        reply = msg.Message.with_relation(
+            msg.SUB_RESULT, site_id, "coordinator", round_index, answer
+        )
+        site_stats.compute_s += time.perf_counter() - started
+        channel.send_to_coordinator(reply)
+        site_stats.bytes_up += reply.size_bytes
+        site_stats.tuples_up += len(answer)
+
+        started = time.perf_counter()
+        fragment = channel.receive_at_coordinator().relation()
+        round_stats.coordinator_compute_s += time.perf_counter() - started
+        return fragment
 
     def _new_groups_base(self, deltas: Mapping[str, Relation]) -> Relation:
         """Groups appearing in the delta but not in the current state."""

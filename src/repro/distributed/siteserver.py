@@ -177,6 +177,17 @@ def load_site(root: str, site_id: str) -> SkallaSite:
 # -- the server --------------------------------------------------------------------
 
 
+def _json_object(body: bytes) -> dict:
+    """A HELLO/TELEMETRY body, which must be a JSON object."""
+    try:
+        value = json.loads(body.decode("utf-8"))
+    except ValueError as error:
+        raise NetworkError(f"control frame body is not JSON: {error}") from None
+    if not isinstance(value, dict):
+        raise NetworkError(f"control frame body is not a JSON object: {value!r}")
+    return value
+
+
 class SiteServer:
     """Serves one site's frame protocol on a listening TCP socket.
 
@@ -199,7 +210,6 @@ class SiteServer:
         self._listener.settimeout(0.5)
         self.host, self.port = self._listener.getsockname()[:2]
         self._stop = threading.Event()
-        self._threads: list = []
         #: Artificial skew added to every externally visible timestamp
         #: (PING samples, shipped spans) — the site's "wrong clock".
         self.clock_offset_s = float(clock_offset_s)
@@ -266,14 +276,12 @@ class SiteServer:
                     continue
                 except OSError:
                     break
-                thread = threading.Thread(
+                threading.Thread(
                     target=self._serve_connection,
                     args=(conn,),
                     daemon=True,
                     name=f"site-conn-{self.site.site_id}",
-                )
-                self._threads.append(thread)
-                thread.start()
+                ).start()
         finally:
             try:
                 self._listener.close()
@@ -292,10 +300,7 @@ class SiteServer:
         self.registry.gauge("site.connections").add(1)
         try:
             while True:
-                try:
-                    frame_type, body = read_frame(conn)
-                except OSError:
-                    return
+                frame_type, body = read_frame(conn)
                 if frame_type == FRAME_PING:
                     # NTP-style exchange: t1 = receive, t2 = send, both
                     # on this site's (possibly skewed) clock.
@@ -307,41 +312,25 @@ class SiteServer:
                             "t2": self._clock(),
                         }
                     ).encode("utf-8")
-                    try:
-                        write_frame(conn, FRAME_PING, pong)
-                    except OSError:
-                        return
+                    write_frame(conn, FRAME_PING, pong)
                 elif frame_type == FRAME_TELEMETRY:
-                    try:
-                        want = tuple(
-                            json.loads(body.decode("utf-8")).get(
-                                "want", ["metrics"]
-                            )
-                        )
-                    except (ValueError, AttributeError):
-                        want = ("metrics",)
-                    try:
-                        write_frame(
-                            conn,
-                            FRAME_TELEMETRY,
-                            json.dumps(
-                                self.telemetry_snapshot(want), sort_keys=True
-                            ).encode("utf-8"),
-                        )
-                    except OSError:
-                        return
+                    want = _json_object(body).get("want", ["metrics"])
+                    if not isinstance(want, list):
+                        raise NetworkError(f"TELEMETRY wants a list, got {want!r}")
+                    write_frame(
+                        conn,
+                        FRAME_TELEMETRY,
+                        json.dumps(
+                            self.telemetry_snapshot(want), sort_keys=True
+                        ).encode("utf-8"),
+                    )
                 elif frame_type == FRAME_HELLO:
-                    info = json.loads(body.decode("utf-8"))
-                    wanted = info.get("site_id")
+                    wanted = _json_object(body).get("site_id")
                     if wanted not in (None, self.site.site_id):
-                        self._send_error(
-                            conn,
-                            NetworkError(
-                                f"this server is site {self.site.site_id!r}, "
-                                f"not {wanted!r}"
-                            ),
+                        raise NetworkError(
+                            f"this server is site {self.site.site_id!r}, "
+                            f"not {wanted!r}"
                         )
-                        return
                     welcome = json.dumps(
                         {
                             "site_id": self.site.site_id,
@@ -380,6 +369,14 @@ class SiteServer:
                     self._send_error(
                         conn, NetworkError(f"unexpected frame type {frame_type}")
                     )
+        except OSError:
+            pass  # the client went away; its reconnect starts clean
+        except NetworkError as error:
+            # A frame this server cannot parse (or is not meant for it):
+            # say so where the socket still allows and close *this*
+            # connection — the stream is out of step, the server is not.
+            self.registry.counter("site.errors").inc()
+            self._send_error(conn, error)
         finally:
             self.registry.gauge("site.connections").add(-1)
             try:
@@ -451,30 +448,26 @@ class SiteServer:
         # on-disk ring is the only telemetry a killed site leaves.
         self._dump_flight()
         up_kind = BASE_RESULT if request.kind == "base" else SUB_RESULT
-        try:
-            for payload in reply.payloads:
-                write_frame(
-                    conn,
-                    FRAME_MSG,
-                    encode_wire_message(up_kind, request.round_number, payload),
-                )
-            meta = {
-                "rows": reply.rows,
-                "compute_s": reply.compute_s,
-                "spans": spans,
-                "counters": dict(reply.counters),
-                "row_codec_payload_bytes": reply.row_codec_payload_bytes,
-                "telemetry": {
-                    "pid": os.getpid(),
-                    "rss_bytes": _rss_bytes(),
-                    "uptime_s": time.perf_counter() - self._started,
-                    "requests_total": self.registry.value_of("site.requests"),
-                },
-            }
-            write_frame(conn, FRAME_REPLY, pickle.dumps(meta))
-        except OSError:
-            # Client went away mid-reply; its reconnect starts clean.
-            raise
+        for payload in reply.payloads:
+            write_frame(
+                conn,
+                FRAME_MSG,
+                encode_wire_message(up_kind, request.round_number, payload),
+            )
+        meta = {
+            "rows": reply.rows,
+            "compute_s": reply.compute_s,
+            "spans": spans,
+            "counters": dict(reply.counters),
+            "row_codec_payload_bytes": reply.row_codec_payload_bytes,
+            "telemetry": {
+                "pid": os.getpid(),
+                "rss_bytes": _rss_bytes(),
+                "uptime_s": time.perf_counter() - self._started,
+                "requests_total": self.registry.value_of("site.requests"),
+            },
+        }
+        write_frame(conn, FRAME_REPLY, pickle.dumps(meta))
 
     def _skewed_span(self, span: dict) -> dict:
         """Shift a shipped span's timestamps onto the site's skewed clock.

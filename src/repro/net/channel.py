@@ -1,18 +1,53 @@
-"""Simulated coordinator<->site channels with byte accounting.
+"""The coordinator<->site edge: one contract, two transports, one ledger.
 
-The coordinator owns one duplex :class:`Channel` per site. All data moves
-as encoded :class:`~repro.net.message.Message` payloads — the receiving
-side *decodes* the bytes into fresh objects, so sites and coordinator
-never share mutable state, exactly as separate machines would not.
+Alg. GMDJDistribEval moves sub-aggregates over coordinator<->site edges
+and Theorem 2 bounds the bytes on them, so an edge and its byte ledger
+exist once. This docstring is the contract's one spec.
 
-Byte/message accounting lives in a
-:class:`~repro.obs.metrics.MetricsRegistry` (one per :class:`Network`,
-or injected so a traced run sees wire traffic next to its spans):
-``net.messages{direction,site}``, ``net.bytes{direction,site}`` and the
-per-round ``net.round.bytes{direction,round,site}`` counters are the
-ground truth behind every "data transferred" number reported by the
-benchmarks. :class:`DirectionStats` keeps its historic ``messages`` /
-``bytes`` / ``by_round`` surface as *views* over those counters.
+A :class:`Channel` is one edge. It has
+
+- a **coordinator end** — ``send_to_site`` ships a message down,
+  ``receive_at_coordinator`` takes the next reply in;
+- a **site end**, played by *whoever hosts the site*. In process that is
+  the calling thread: ``take_at_site`` (everything shipped since the last
+  take), evaluate, ``send_to_coordinator`` per reply block — written once,
+  in the executor's ``play_site_end`` (a combiner's host makes the same
+  two calls for the combiner). Over TCP it is the site's
+  server process, reached by
+  :meth:`repro.net.socket_channel.SocketChannel.ask`;
+- the **recovery hooks** the retry layer drives: ``begin_attempt``,
+  ``next_straggle``, ``arm_speculation``, ``drain_pending``.
+
+Every message, in either direction, on either transport, is handled
+once: validated (it is addressed to, or comes from, this edge's site) ->
+shown once to the channel's **fault policy** -> moved -> recorded once in
+the direction's :class:`DirectionStats`, at the moment its bytes move.
+All data moves as encoded :class:`~repro.net.message.Message` payloads —
+the receiving side *decodes* the bytes into fresh objects, so sites and
+coordinator never share mutable state, exactly as separate machines would
+not.
+
+The fault policy answers one question per message, ``judge(message,
+direction) -> (message to carry, DELIVER | LOST | LATE)`` (raising
+:class:`~repro.errors.SiteUnavailableError` while the site is down for
+the attempt), plus ``require_up``, ``begin_attempt``, ``next_straggle``
+and the ``events`` it fired. A perfect link has :data:`PERFECT_LINK`; a
+:class:`~repro.net.faults.FaultPlan` builds the other kind. What a
+verdict means on the wire is the transport's business: here a LOST
+message is recorded and not queued and a LATE one fails one receive; on
+TCP both cross flagged ``DROPPED`` (the bytes left the sender) and the
+site's turn then fails transiently before it is asked for.
+
+There are two byte ledgers and neither is derived from the other: the
+channel's :class:`DirectionStats` (``net.messages{direction,site}``,
+``net.bytes{direction,site}`` and per-round
+``net.round.bytes{direction,round,site}`` counters in a
+:class:`~repro.obs.metrics.MetricsRegistry`, one per :class:`Network` or
+injected so a traced run sees wire traffic next to its spans) and the
+evaluator's own ``RoundStats`` tally; ``verify_against_network`` compares
+them. That both transports keep the contract alike — same fault events,
+same bytes, same failure at the same step — is a test that runs both
+(``tests/test_channel_contract.py``), not a base class they share.
 """
 
 from __future__ import annotations
@@ -27,6 +62,11 @@ from repro.obs.tracer import NULL_TRACER
 
 DOWN = "down"  # coordinator -> site
 UP = "up"  # site -> coordinator
+
+#: A fault policy's verdicts on one message (see the module docstring).
+DELIVER = "deliver"
+LOST = "lost"
+LATE = "late"
 
 
 class DirectionStats:
@@ -119,31 +159,67 @@ class DirectionStats:
         return counter.value if counter is not None else 0
 
 
-class Channel:
-    """A duplex queue pair between the coordinator and one site.
+class _PerfectLink:
+    """The fault policy of a link on which nothing goes wrong."""
 
-    ``begin_attempt`` and ``drain_pending`` are the recovery hooks used
-    by the evaluator's retry layer: a plain channel has no failure
-    behaviour (``begin_attempt`` is a no-op), while
-    :class:`~repro.net.faults.FaultyChannel` overrides the operations to
-    consult its :class:`~repro.net.faults.FaultPlan`.
+    __slots__ = ()
+    events = ()
+
+    def begin_attempt(self, round_index: int) -> None:
+        pass
+
+    def next_straggle(self, round_index: int) -> float:
+        return 0.0
+
+    def require_up(self) -> None:
+        pass
+
+    def judge(self, message: Message, direction: str) -> tuple:
+        return message, DELIVER
+
+
+#: The one null policy every fault-free channel shares (it has no state).
+PERFECT_LINK = _PerfectLink()
+
+
+class Channel:
+    """One coordinator<->site edge, in memory: a queue per direction.
+
+    ``faults`` is a :class:`~repro.net.faults.FaultPlan` (or None); the
+    channel asks it for its own policy object, so sites fail
+    independently and deterministically whichever engine runs their legs.
+    :class:`~repro.net.socket_channel.SocketChannel` keeps this class's
+    coordinator end and ledger and replaces how a message moves.
     """
 
     #: Span tracer used for fault events (installed per traced run by the
-    #: evaluator via :attr:`Network.tracer`); plain channels never emit.
+    #: evaluator via :attr:`Network.tracer`); a perfect link never emits.
     tracer = NULL_TRACER
 
-    def __init__(self, site_id: str, metrics: Optional[MetricsRegistry] = None):
+    def __init__(
+        self, site_id: str, metrics: Optional[MetricsRegistry] = None, faults=None
+    ):
         self.site_id = site_id
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._to_site: deque = deque()
-        self._to_coordinator: deque = deque()
         self.downstream = DirectionStats(self.metrics, site_id, DOWN)
         self.upstream = DirectionStats(self.metrics, site_id, UP)
+        self.policy = faults.injector(self) if faults else PERFECT_LINK
+        #: Messages in flight, by the direction they travel.
+        self._queues = {DOWN: deque(), UP: deque()}
+        #: Messages sent down since the site end last took its shipment.
+        self._shipped = 0
+        #: Receives that must still fail, one per LATE message, by direction.
+        self._late = {DOWN: 0, UP: 0}
         #: Round-scoped speculative-abandon predicate (see arm_speculation).
         self._should_abandon = None
 
-    def _validate_outbound(self, message: Message, direction: str) -> None:
+    @property
+    def events(self):
+        """The :class:`~repro.net.faults.FaultEvent` s fired on this edge."""
+        return self.policy.events
+
+    def _admit(self, message: Message, direction: str) -> tuple:
+        """Validate an outbound message and show it, once, to the policy."""
         if direction == DOWN and message.recipient != self.site_id:
             raise NetworkError(
                 f"message addressed to {message.recipient!r} on channel to {self.site_id!r}"
@@ -152,37 +228,70 @@ class Channel:
             raise NetworkError(
                 f"message from {message.sender!r} on channel of {self.site_id!r}"
             )
+        return self.policy.judge(message, direction)
+
+    def _enqueue(self, direction: str, message: Message, verdict) -> None:
+        if verdict is LOST:
+            return
+        if verdict is LATE:
+            self._late[direction] += 1
+        self._queues[direction].append(message)
+
+    def _receive(self, direction: str) -> Message:
+        self.policy.require_up()
+        if self._late[direction]:
+            self._late[direction] -= 1
+            raise NetworkError(
+                f"message for channel {self.site_id!r} is delayed in flight"
+            )
+        try:
+            return self._queues[direction].popleft()
+        except IndexError:
+            raise NetworkError(
+                f"no pending {direction} message on channel {self.site_id!r}"
+            ) from None
+
+    # -- coordinator end ---------------------------------------------------------
 
     def send_to_site(self, message: Message) -> None:
-        self._validate_outbound(message, DOWN)
-        self.downstream.record(message)
-        self._to_site.append(message)
-
-    def send_to_coordinator(self, message: Message) -> None:
-        self._validate_outbound(message, UP)
-        self.upstream.record(message)
-        self._to_coordinator.append(message)
-
-    def receive_at_site(self) -> Message:
-        try:
-            return self._to_site.popleft()
-        except IndexError:
-            raise NetworkError(f"no pending message for site {self.site_id!r}") from None
+        carried, verdict = self._admit(message, DOWN)
+        self.downstream.record(carried)
+        self._shipped += 1
+        self._enqueue(DOWN, carried, verdict)
 
     def receive_at_coordinator(self) -> Message:
-        try:
-            return self._to_coordinator.popleft()
-        except IndexError:
-            raise NetworkError(f"no pending message from site {self.site_id!r}") from None
+        return self._receive(UP)
+
+    # -- site end (in process) ---------------------------------------------------
+
+    def receive_at_site(self) -> Message:
+        return self._receive(DOWN)
+
+    def take_at_site(self) -> list:
+        """Everything shipped down since the last take, in order.
+
+        The channel counts its own sends, so a shipment any part of which
+        was lost, or is late, raises :class:`~repro.errors.NetworkError`
+        instead of coming back short.
+        """
+        shipped, self._shipped = self._shipped, 0
+        return [self.receive_at_site() for _message in range(shipped)]
+
+    def send_to_coordinator(self, message: Message) -> None:
+        carried, verdict = self._admit(message, UP)
+        self.upstream.record(carried)
+        self._enqueue(UP, carried, verdict)
 
     # -- recovery hooks ----------------------------------------------------------
 
     def begin_attempt(self, round_index: int) -> None:
-        """Mark the start of one leg attempt (no-op without fault injection)."""
+        """Mark the start of one leg attempt: the policy decides whether
+        the site is down for all of it."""
+        self.policy.begin_attempt(round_index)
 
     def next_straggle(self, round_index: int) -> float:
-        """Injected compute delay for this leg attempt (0 without faults)."""
-        return 0.0
+        """Injected compute delay for this leg attempt (0 on a perfect link)."""
+        return self.policy.next_straggle(round_index)
 
     def arm_speculation(self, should_abandon) -> None:
         """Install (or clear, with None) the round's abandon predicate.
@@ -200,11 +309,12 @@ class Channel:
 
         Called by the retry layer between leg attempts so a re-run leg
         never consumes stale messages from its failed predecessor.
-        Returns the number of queue entries discarded.
+        Returns the number of queued messages discarded.
         """
-        discarded = len(self._to_site) + len(self._to_coordinator)
-        self._to_site.clear()
-        self._to_coordinator.clear()
+        discarded = sum(map(len, self._queues.values()))
+        self._queues = {DOWN: deque(), UP: deque()}
+        self._shipped = 0
+        self._late = {DOWN: 0, UP: 0}
         return discarded
 
     @property
@@ -215,9 +325,10 @@ class Channel:
 class Network:
     """The star topology: one channel per site, coordinator at the hub.
 
-    Construct with a :class:`~repro.net.faults.FaultPlan` to wrap every
-    channel in a :class:`~repro.net.faults.FaultyChannel` injecting the
-    plan's deterministic drop/delay/duplicate/corrupt/crash schedule.
+    Construct with a :class:`~repro.net.faults.FaultPlan` and every
+    channel consults it: the plan's deterministic
+    drop/delay/duplicate/corrupt/crash/straggle schedule, with fresh
+    firing state per channel.
     """
 
     def __init__(
@@ -228,20 +339,14 @@ class Network:
     ):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.faults = faults
-        if faults is not None:
-            from repro.net.faults import FaultyChannel
-
-            self._channels = {
-                site_id: FaultyChannel(site_id, self.metrics, faults)
-                for site_id in site_ids
-            }
-        else:
-            self._channels = {
-                site_id: Channel(site_id, self.metrics) for site_id in site_ids
-            }
+        self._channels = {site_id: self._open(site_id) for site_id in site_ids}
         if not self._channels:
             raise NetworkError("a network needs at least one site")
         self._tracer = NULL_TRACER
+
+    def _open(self, site_id: str) -> Channel:
+        """One site's channel: the only thing a transport's network overrides."""
+        return Channel(site_id, self.metrics, self.faults)
 
     def channel(self, site_id: str) -> Channel:
         try:
@@ -264,7 +369,7 @@ class Network:
         """Every injected-fault event, in per-channel occurrence order."""
         events = []
         for channel in self._channels.values():
-            events.extend(getattr(channel, "events", ()))
+            events.extend(channel.events)
         return events
 
     @property

@@ -16,7 +16,7 @@ The coordinator talks to sites over independent channels: messages to
 *different* sites in the same round overlap (the round's communication
 time is the maximum over sites), while messages on the *same* channel
 serialize. :class:`CostModel` only prices a single transfer;
-aggregation across sites/rounds happens in ``repro.distributed.stats``.
+aggregation across sites/rounds happens in the evaluator's ``stats`` module.
 """
 
 from __future__ import annotations

@@ -5,13 +5,13 @@ distributed evaluation does not get that luxury. This module lets a run
 declare, up front and reproducibly, exactly which messages misbehave:
 
 - ``drop`` — the message leaves the sender (bytes are charged) but never
-  arrives; the receiver sees an empty queue;
+  arrives; the receiver finds nothing waiting;
 - ``delay`` — the message is held in flight: the first receive attempt
   fails transiently, the next one delivers (``delay_s`` is the modeled
   in-flight delay, recorded in ``net.fault.delay_s``);
 - ``duplicate`` — an extra copy crosses the wire (charged to
-  ``net.fault.bytes``); the receiving transport de-duplicates it, so
-  results never change — only traffic;
+  ``net.fault.bytes``); the receiver de-duplicates it
+  (``net.fault.deduplicated``), so results never change — only traffic;
 - ``corrupt`` — the payload's magic byte is flipped so decoding fails
   loudly (never silently wrong data);
 - ``crash`` — the site is down for whole leg attempts: every channel
@@ -27,9 +27,11 @@ declare, up front and reproducibly, exactly which messages misbehave:
   after the first firing runs at full speed.
 
 A :class:`FaultPlan` is an immutable ordered rule list; all firing state
-lives in the :class:`FaultyChannel`, so one plan can drive many
-:class:`~repro.net.channel.Network` instances (benchmark repetitions,
-serial-vs-threads comparisons) with identical schedules. Fault rounds
+lives in the per-channel :class:`FaultInjector` it builds — the fault
+*policy* a channel of either transport consults once per message — so
+one plan can drive many :class:`~repro.net.channel.Network` instances
+(benchmark repetitions, serial-vs-sockets comparisons) with identical
+schedules. Fault rounds
 are *wire* round indices: 0 is the base round, MD/chain rounds count
 from 1 — the same numbers messages carry in ``round_index``.
 
@@ -48,8 +50,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.errors import FaultSpecError, NetworkError, SiteUnavailableError
-from repro.net.channel import DOWN, UP, Channel
+from repro.errors import FaultSpecError, SiteUnavailableError
+from repro.net.channel import DELIVER, DOWN, LATE, LOST, UP
 from repro.net.message import Message
 
 DROP = "drop"
@@ -173,8 +175,8 @@ def _parse_rounds(text: str) -> tuple:
 class FaultPlan:
     """An immutable, ordered schedule of :class:`FaultRule` entries.
 
-    Stateless by design: per-rule firing counts live in each
-    :class:`FaultyChannel`, so the same plan replayed against a fresh
+    Stateless by design: per-rule firing counts live in each channel's
+    :class:`FaultInjector`, so the same plan replayed against a fresh
     network reproduces the exact same fault schedule.
     """
 
@@ -208,6 +210,10 @@ class FaultPlan:
 
     def to_dicts(self) -> list:
         return [rule.to_dict() for rule in self.rules]
+
+    def injector(self, channel) -> "FaultInjector":
+        """A fresh policy object (firing state) for one channel."""
+        return FaultInjector(self, channel)
 
     # -- construction ------------------------------------------------------------
 
@@ -386,50 +392,35 @@ def corrupt_payload(payload: bytes) -> bytes:
     return bytes([payload[0] ^ 0xFF]) + payload[1:]
 
 
-class _Held:
-    """Queue placeholder for a duplicated copy or a delayed message."""
-
-    __slots__ = ("message", "duplicate", "hold")
-
-    def __init__(self, message: Message, duplicate: bool = False, hold: int = 0):
-        self.message = message
-        self.duplicate = duplicate
-        self.hold = hold
-
-
-class FaultyChannel(Channel):
-    """A :class:`~repro.net.channel.Channel` that injects a FaultPlan.
+class FaultInjector:
+    """One channel's fault policy: a :class:`FaultPlan` plus its firing state.
 
     All firing state (per-rule counts, the current attempt's crash flag,
     the fired :class:`FaultEvent` log) is per-channel — sites fail
     independently and deterministically regardless of which engine runs
-    their legs or in what order legs complete.
+    their legs, in what order legs complete, or which transport moves
+    the bytes (see :mod:`repro.net.channel` for the policy contract).
     """
 
-    def __init__(
-        self,
-        site_id: str,
-        metrics=None,
-        plan: Optional[FaultPlan] = None,
-    ):
-        super().__init__(site_id, metrics)
-        self.plan = plan if plan is not None else FaultPlan()
-        self._fired = [0] * len(self.plan.rules)
+    def __init__(self, plan: FaultPlan, channel):
+        self.plan = plan
+        self._channel = channel
+        self._fired = [0] * len(plan.rules)
         self._doomed = False
+        self._attempt_round = 0
         self.events: list = []
-
-    # -- rule bookkeeping --------------------------------------------------------
 
     def _consume(
         self, kinds, round_index: int, direction: str, payload=None
     ) -> Optional[FaultRule]:
         """First unspent matching rule, its firing count consumed."""
+        site_id = self._channel.site_id
         for index, rule in enumerate(self.plan.rules):
             if rule.kind not in kinds:
                 continue
             if rule.kind == CORRUPT and payload is None:
                 continue  # header-only messages have nothing to corrupt
-            if not rule.matches(self.site_id, round_index, direction):
+            if not rule.matches(site_id, round_index, direction):
                 continue
             if rule.times and self._fired[index] >= rule.times:
                 continue
@@ -437,7 +428,7 @@ class FaultyChannel(Channel):
             return rule
         return None
 
-    def _record_fault(
+    def _record(
         self,
         kind: str,
         round_index: int,
@@ -445,40 +436,34 @@ class FaultyChannel(Channel):
         size_bytes: int = 0,
         delay_s: float = 0.0,
     ) -> None:
-        self.events.append(FaultEvent(kind, self.site_id, round_index, direction))
-        self.metrics.counter(
-            "net.fault.injected", kind=kind, site=self.site_id, direction=direction
+        channel = self._channel
+        site_id, metrics = channel.site_id, channel.metrics
+        self.events.append(FaultEvent(kind, site_id, round_index, direction))
+        metrics.counter(
+            "net.fault.injected", kind=kind, site=site_id, direction=direction
         ).inc()
         if size_bytes:
-            self.metrics.counter(
-                "net.fault.bytes", kind=kind, site=self.site_id
-            ).inc(size_bytes)
+            metrics.counter("net.fault.bytes", kind=kind, site=site_id).inc(size_bytes)
         if delay_s:
-            self.metrics.gauge("net.fault.delay_s", site=self.site_id).add(delay_s)
-        with self.tracer.span(
+            metrics.gauge("net.fault.delay_s", site=site_id).add(delay_s)
+        with channel.tracer.span(
             "net.fault",
             kind="fault",
             fault=kind,
-            site=self.site_id,
+            site=site_id,
             round=round_index,
             direction=direction,
         ):
             pass
 
-    def _raise_down(self, round_index: int) -> None:
-        raise SiteUnavailableError(
-            f"site {self.site_id!r} is down (injected crash, round {round_index})"
-        )
-
-    # -- recovery hooks ----------------------------------------------------------
+    # -- per attempt -------------------------------------------------------------
 
     def begin_attempt(self, round_index: int) -> None:
         """Consult crash rules for one leg attempt; doom it if one fires."""
-        rule = self._consume((CRASH,), round_index, ANY)
-        self._doomed = rule is not None
+        self._doomed = self._consume((CRASH,), round_index, ANY) is not None
         self._attempt_round = round_index
         if self._doomed:
-            self._record_fault(CRASH, round_index, ANY)
+            self._record(CRASH, round_index, ANY)
 
     def next_straggle(self, round_index: int) -> float:
         """Real compute delay (seconds) this leg attempt should suffer.
@@ -490,97 +475,48 @@ class FaultyChannel(Channel):
         rule = self._consume((STRAGGLE,), round_index, ANY)
         if rule is None:
             return 0.0
-        self._record_fault(STRAGGLE, round_index, ANY, delay_s=rule.delay_s)
+        self._record(STRAGGLE, round_index, ANY, delay_s=rule.delay_s)
         return rule.delay_s
 
-    # -- sends -------------------------------------------------------------------
-
-    def send_to_site(self, message: Message) -> None:
-        self._apply_send(message, DOWN, self._to_site, self.downstream)
-
-    def send_to_coordinator(self, message: Message) -> None:
-        self._apply_send(message, UP, self._to_coordinator, self.upstream)
-
-    def _apply_send(self, message: Message, direction: str, queue, stats) -> None:
+    def require_up(self) -> None:
+        """Raise if the site is down for the whole of this attempt."""
         if self._doomed:
-            self._raise_down(message.round_index)
-        self._validate_outbound(message, direction)
+            raise SiteUnavailableError(
+                f"site {self._channel.site_id!r} is down "
+                f"(injected crash, round {self._attempt_round})"
+            )
+
+    # -- per message -------------------------------------------------------------
+
+    def judge(self, message: Message, direction: str) -> tuple:
+        """``(message to carry, DELIVER | LOST | LATE)`` for one message."""
+        self.require_up()
+        round_index = message.round_index
         rule = self._consume(
-            _MESSAGE_KINDS, message.round_index, direction, payload=message.payload
+            _MESSAGE_KINDS, round_index, direction, payload=message.payload
         )
         if rule is None:
-            stats.record(message)
-            queue.append(message)
-            return
+            return message, DELIVER
         if rule.kind == DROP:
             # Bytes left the sender's NIC; the message is lost in flight.
-            stats.record(message)
-            self._record_fault(
-                DROP, message.round_index, direction, size_bytes=message.size_bytes
-            )
-            return
+            self._record(DROP, round_index, direction, size_bytes=message.size_bytes)
+            return message, LOST
         if rule.kind == CORRUPT:
-            corrupted = dataclasses.replace(
-                message, payload=corrupt_payload(message.payload)
-            )
-            stats.record(corrupted)
-            queue.append(corrupted)
-            self._record_fault(CORRUPT, message.round_index, direction)
-            return
+            self._record(CORRUPT, round_index, direction)
+            corrupted = corrupt_payload(message.payload)
+            return dataclasses.replace(message, payload=corrupted), DELIVER
         if rule.kind == DUPLICATE:
-            stats.record(message)
-            queue.append(message)
             # The extra copy costs wire bytes (net.fault.bytes, so the
-            # stats/network cross-check stays exact) and is later
-            # de-duplicated by the receiving transport.
-            queue.append(_Held(message, duplicate=True))
-            self._record_fault(
-                DUPLICATE,
-                message.round_index,
-                direction,
-                size_bytes=message.size_bytes,
+            # stats/network cross-check stays exact) and the receiver drops
+            # it unseen, exactly as a sequence-numbered transport would.
+            self._record(
+                DUPLICATE, round_index, direction, size_bytes=message.size_bytes
             )
-            return
+            channel = self._channel
+            channel.metrics.counter(
+                "net.fault.deduplicated", site=channel.site_id
+            ).inc()
+            return message, DELIVER
         # DELAY: delivered, but not before one receive attempt fails.
-        stats.record(message)
-        queue.append(_Held(message, hold=1))
-        self._record_fault(
-            DELAY, message.round_index, direction, delay_s=rule.delay_s
-        )
-
-    # -- receives ----------------------------------------------------------------
-
-    def receive_at_site(self) -> Message:
-        if self._doomed:
-            self._raise_down(getattr(self, "_attempt_round", 0))
-        return self._pop(
-            self._to_site, f"no pending message for site {self.site_id!r}"
-        )
-
-    def receive_at_coordinator(self) -> Message:
-        if self._doomed:
-            self._raise_down(getattr(self, "_attempt_round", 0))
-        return self._pop(
-            self._to_coordinator, f"no pending message from site {self.site_id!r}"
-        )
-
-    def _pop(self, queue, empty_message: str) -> Message:
-        while queue:
-            entry = queue.popleft()
-            if not isinstance(entry, _Held):
-                return entry
-            if entry.duplicate:
-                # Receiver-side de-duplication: the copy is dropped
-                # silently, exactly as a sequence-numbered transport would.
-                self.metrics.counter(
-                    "net.fault.deduplicated", site=self.site_id
-                ).inc()
-                continue
-            if entry.hold > 0:
-                entry.hold -= 1
-                queue.appendleft(entry)
-                raise NetworkError(
-                    f"message for channel {self.site_id!r} is delayed in flight"
-                )
-            return entry.message
-        raise NetworkError(empty_message)
+        self._record(DELAY, round_index, direction, delay_s=rule.delay_s)
+        return message, LATE

@@ -1,19 +1,20 @@
-"""Real TCP transport for process-separated Skalla sites.
+"""The coordinator's end of a channel whose site is a server process.
 
-The simulated :class:`~repro.net.channel.Channel` stays on as the
-byte-accounting oracle: a :class:`SocketChannel` *is* a
-:class:`~repro.net.faults.FaultyChannel` (same queues, same
-``DirectionStats``, same fault schedule), and additionally mirrors every
-message onto a length-prefixed TCP connection to the site's server
-process. Control flow — retries, degrade verdicts, fault events — is
-driven by the simulated side, so verdicts over sockets match the
-in-process engines exactly; the wire side carries the *bytes* so the
-modeled traffic numbers become measurable.
+A :class:`SocketChannel` keeps the :class:`~repro.net.channel.Channel`
+contract (see that module's docstring) over a length-prefixed TCP
+connection: ``send_to_site`` writes one MSG frame per message, and the
+site's turn is one :meth:`SocketChannel.ask` — a REQ frame out, the
+reply's MSG frames and a REPLY (or ERROR) frame back. Each message is
+shown once to the channel's fault policy and recorded once in
+``DirectionStats``, where its frame is written or read; nothing is kept
+in memory on the side except the replies waiting for
+``receive_at_coordinator``.
 
 Wire format (all integers big-endian):
 
 - frame    = ``length(4) | type(1) | body(length-1)`` — ``length``
-  counts the type byte plus the body;
+  counts the type byte plus the body and is checked against
+  :data:`MAX_FRAME_BYTES` before anything is read;
 - MSG body = the 32-byte message header (magic ``SM``, kind code, flags,
   round index, payload length, zero padding — exactly
   :data:`~repro.net.message.HEADER_BYTES` bytes, so a MSG body is
@@ -23,14 +24,14 @@ Wire format (all integers big-endian):
   carry JSON or pickled bodies and are charged entirely to *framing
   overhead*, never to payload bytes.
 
-Parity invariant: for every clean (non-faulted) query, measured MSG body
-bytes per direction equal the modeled ``DirectionStats`` bytes exactly.
-Injected faults keep the invariant by construction: a *dropped* message
-still crosses the wire flagged ``DROPPED`` (the site discards it — the
-bytes left the NIC, which is what DirectionStats models); a *duplicate*
-copy is charged to ``net.fault.bytes`` in the model and is therefore
-*not* re-sent on the wire; *corrupt* replaces the payload with one of
-equal length; *crash* raises before anything is recorded or sent.
+Parity invariant: measured MSG body bytes per direction equal the
+``DirectionStats`` bytes exactly, under every fault kind. A message the
+policy judges LOST or LATE still crosses the wire, flagged ``DROPPED``
+(the bytes left the sender; the site discards it) and the site's turn
+then fails transiently in ``ask``, before REQ; a *duplicate* copy is
+charged to ``net.fault.bytes`` by the policy and not re-sent; *corrupt*
+replaces the payload with one of equal length; *crash* raises before
+anything is recorded or sent.
 
 REQ/REPLY control bodies use :mod:`pickle`, the same trust model as the
 ``processes`` executor (``multiprocessing`` pickles over pipes): site
@@ -55,8 +56,7 @@ from repro.errors import (
     ReproError,
     SiteUnavailableError,
 )
-from repro.net.channel import DOWN, UP, Network
-from repro.net.faults import FaultPlan, FaultyChannel, _Held
+from repro.net.channel import DELIVER, DOWN, UP, Channel, Network
 from repro.net.message import (
     BASE_QUERY,
     BASE_RESULT,
@@ -110,8 +110,9 @@ _KIND_CODES = {
 }
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
-#: Header flag: the simulated plan dropped this message in flight — the
-#: bytes cross the wire (they left the sender), the receiver discards it.
+#: Header flag: the fault policy judged this message lost (or late) in
+#: flight — the bytes cross the wire (they left the sender), the receiver
+#: discards it.
 FLAG_DROPPED = 0x01
 
 _HEADER_STRUCT = struct.Struct(">2sBBII20s")
@@ -170,31 +171,12 @@ def write_frame(sock: socket.socket, frame_type: int, body: bytes = b"") -> int:
     return len(frame)
 
 
-def read_frame(sock: socket.socket) -> Tuple[int, bytes]:
-    """Read one frame; returns ``(frame_type, body)``.
+#: Largest frame either end agrees to read: far above the largest block
+#: the system ships, far below what one flipped length bit would claim.
+MAX_FRAME_BYTES = 1 << 28
 
-    Raises :class:`ConnectionError` (an ``OSError``) on a cleanly closed
-    peer so callers have a single ``except OSError`` path.
-    """
-    prefix = _recv_exact(sock, 4)
-    (length,) = struct.unpack(">I", prefix)
-    if length < 1:
-        raise NetworkError(f"invalid frame length {length}")
-    blob = _recv_exact(sock, length)
-    return blob[0], blob[1:]
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError("peer closed the connection")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
+#: Most bytes asked of one ``recv`` (which allocates what it is asked for).
+_RECV_CHUNK = 1 << 20
 
 #: Receive-poll interval while a speculative-abandon predicate is armed:
 #: short enough that the deadline is enforced promptly, long enough that
@@ -209,6 +191,43 @@ class _AbandonLeg(Exception):
     truthy float) so :meth:`SocketChannel.ask` can surface it on the
     public :class:`~repro.errors.LegDeadlineExceeded`.
     """
+
+
+def read_frame(sock: socket.socket, should_abandon=None) -> Tuple[int, bytes]:
+    """Read one frame; returns ``(frame_type, body)``.
+
+    Raises :class:`ConnectionError` (an ``OSError``) on a cleanly closed
+    peer so callers have a single ``except OSError`` path, and
+    :class:`~repro.errors.NetworkError` on a length no frame can have.
+    With ``should_abandon`` (and a short socket timeout) the predicate is
+    polled on every timeout; partial bytes survive across polls, so a
+    slow frame is never desynced and abandonment can fire at any byte.
+    """
+    (length,) = struct.unpack(">I", _recv_exact(sock, 4, should_abandon))
+    if not 1 <= length <= MAX_FRAME_BYTES:
+        raise NetworkError(f"invalid frame length {length}")
+    blob = _recv_exact(sock, length, should_abandon)
+    return blob[0], blob[1:]
+
+
+def _recv_exact(sock: socket.socket, count: int, should_abandon=None) -> bytes:
+    chunks = []
+    remaining = count
+    while remaining:
+        try:
+            chunk = sock.recv(min(remaining, _RECV_CHUNK))
+        except socket.timeout:
+            if should_abandon is None:
+                raise
+            verdict = should_abandon()
+            if verdict:
+                raise _AbandonLeg(verdict) from None
+            continue
+        if not chunk:
+            raise ConnectionError("peer closed the connection")
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
 
 
 def map_remote_error(name: str, text: str) -> ReproError:
@@ -233,15 +252,13 @@ def map_remote_error(name: str, text: str) -> ReproError:
 # -- the channel -------------------------------------------------------------------
 
 
-class SocketChannel(FaultyChannel):
-    """A faulty channel that mirrors traffic onto a real TCP connection.
+class SocketChannel(Channel):
+    """A channel whose messages cross a real TCP connection.
 
-    The inherited in-memory queues remain the coordinator's source of
-    truth — ``receive_at_coordinator`` pops the local echo, with fault
-    placeholders driving retries exactly as in simulation. The socket
-    side carries the same bytes for real: down messages are transmitted
-    as they are sent, up messages cross during :meth:`ask` (the site
-    server streams MSG frames back before its REPLY).
+    Down messages are written as they are sent; up messages cross during
+    :meth:`ask` (the site server streams MSG frames back before its
+    REPLY) and wait, already judged and recorded, for
+    ``receive_at_coordinator``.
     """
 
     def __init__(
@@ -249,24 +266,25 @@ class SocketChannel(FaultyChannel):
         site_id: str,
         address: Tuple[str, int],
         metrics=None,
-        plan: Optional[FaultPlan] = None,
+        faults=None,
         connect_timeout_s: float = 10.0,
         io_timeout_s: float = 120.0,
     ):
-        super().__init__(site_id, metrics, plan)
+        super().__init__(site_id, metrics, faults)
         self.address = (str(address[0]), int(address[1]))
         self.connect_timeout_s = connect_timeout_s
         self.io_timeout_s = io_timeout_s
         self._sock: Optional[socket.socket] = None
         self._io_lock = threading.RLock()
         self._connected_once = False
-        # Measured wire accounting (mirrored into registry counters).
-        self.measured_payload_down = 0
-        self.measured_payload_up = 0
-        self.framing_bytes = 0
-        self.frames_sent = 0
-        self.frames_received = 0
-        self.reconnects = 0
+        #: SHIP_BASE blocks the server holds since the last REQ/RESET, and
+        #: whether anything shipped since then was lost or is late.
+        self._buffered = 0
+        self._undelivered = False
+        #: Measured wire accounting (mirrored into registry counters).
+        self._totals = dict.fromkeys(
+            ("payload_down", "payload_up", "framing", "frames", "reconnects"), 0
+        )
         # Best (minimum-RTT) NTP-style clock sample against the site
         # process; see repro.obs.skew. Zero until ping() succeeds, which
         # leaves site spans replaying uncorrected rather than wrongly.
@@ -275,52 +293,27 @@ class SocketChannel(FaultyChannel):
 
     # -- accounting --------------------------------------------------------------
 
-    def _count_sent(self, wire_bytes: int, body_bytes: int, frame_type: int) -> None:
-        self.frames_sent += 1
+    def _count(self, direction: str, frame_type: int, body_bytes: int) -> None:
+        """Book one frame: a MSG body is payload, all else is framing."""
+        framing = FRAME_OVERHEAD_BYTES
         if frame_type == FRAME_MSG:
-            self.measured_payload_down += body_bytes
-            framing = wire_bytes - body_bytes
-        else:
-            framing = wire_bytes
-        self.framing_bytes += framing
-        self.metrics.counter(
-            "net.socket.frames", direction=DOWN, site=self.site_id
-        ).inc()
-        if frame_type == FRAME_MSG:
+            self._totals["payload_" + direction] += body_bytes
             self.metrics.counter(
-                "net.socket.bytes", direction=DOWN, site=self.site_id
+                "net.socket.bytes", direction=direction, site=self.site_id
             ).inc(body_bytes)
-        self.metrics.counter("net.socket.framing.bytes", site=self.site_id).inc(
-            framing
-        )
-
-    def _count_received(self, body: bytes, frame_type: int) -> None:
-        self.frames_received += 1
-        if frame_type == FRAME_MSG:
-            self.measured_payload_up += len(body)
-            framing = FRAME_OVERHEAD_BYTES
         else:
-            framing = FRAME_OVERHEAD_BYTES + len(body)
-        self.framing_bytes += framing
+            framing += body_bytes
+        self._totals["frames"] += 1
+        self._totals["framing"] += framing
         self.metrics.counter(
-            "net.socket.frames", direction=UP, site=self.site_id
+            "net.socket.frames", direction=direction, site=self.site_id
         ).inc()
-        if frame_type == FRAME_MSG:
-            self.metrics.counter(
-                "net.socket.bytes", direction=UP, site=self.site_id
-            ).inc(len(body))
         self.metrics.counter("net.socket.framing.bytes", site=self.site_id).inc(
             framing
         )
 
     def socket_totals(self) -> dict:
-        return {
-            "payload_down": self.measured_payload_down,
-            "payload_up": self.measured_payload_up,
-            "framing": self.framing_bytes,
-            "frames": self.frames_sent + self.frames_received,
-            "reconnects": self.reconnects,
-        }
+        return dict(self._totals)
 
     # -- connection management ---------------------------------------------------
 
@@ -332,9 +325,9 @@ class SocketChannel(FaultyChannel):
             except OSError:
                 pass
 
-    def _ensure_connected(self) -> socket.socket:
+    def _ensure_connected(self) -> None:
         if self._sock is not None:
-            return self._sock
+            return
         try:
             sock = socket.create_connection(
                 self.address, timeout=self.connect_timeout_s
@@ -350,16 +343,13 @@ class SocketChannel(FaultyChannel):
         except OSError:
             pass
         if self._connected_once:
-            self.reconnects += 1
+            self._totals["reconnects"] += 1
             self.metrics.counter("net.socket.reconnects", site=self.site_id).inc()
         self._connected_once = True
         self._sock = sock
+        self._send(FRAME_HELLO, json.dumps({"site_id": self.site_id}).encode("utf-8"))
+        frame_type, body = self._read("handshake with")
         try:
-            hello = json.dumps({"site_id": self.site_id}).encode("utf-8")
-            wire = write_frame(sock, FRAME_HELLO, hello)
-            self._count_sent(wire, len(hello), FRAME_HELLO)
-            frame_type, body = read_frame(sock)
-            self._count_received(body, frame_type)
             if frame_type != FRAME_WELCOME:
                 raise NetworkError(
                     f"expected WELCOME from site {self.site_id!r}, got "
@@ -371,205 +361,170 @@ class SocketChannel(FaultyChannel):
                     f"connected to wrong site: wanted {self.site_id!r}, "
                     f"server is {info.get('site_id')!r}"
                 )
+        except NetworkError:
+            self._drop_connection()
+            raise
+
+    def _send(self, frame_type: int, body: bytes = b"") -> None:
+        """Write one frame on the open socket and count it."""
+        try:
+            write_frame(self._sock, frame_type, body)
         except OSError as error:
             self._drop_connection()
             raise NetworkError(
-                f"handshake with site {self.site_id!r} failed: {error}"
+                f"socket to site {self.site_id!r} failed mid-send: {error}"
+            ) from None
+        self._count(DOWN, frame_type, len(body))
+
+    def _read(self, what: str, should_abandon=None) -> Tuple[int, bytes]:
+        """Read one frame and count it; a dead or desynced socket is dropped."""
+        try:
+            frame_type, body = read_frame(self._sock, should_abandon)
+        except OSError as error:
+            self._drop_connection()
+            raise NetworkError(
+                f"{what} site {self.site_id!r} failed: {error}"
             ) from None
         except NetworkError:
             self._drop_connection()
             raise
-        return sock
+        self._count(UP, frame_type, len(body))
+        return frame_type, body
 
-    def _transmit(self, frame_type: int, body: bytes) -> None:
-        """Send one frame, translating socket failures to transient errors."""
+    def _transmit(self, frame_type: int, body: bytes = b"") -> None:
+        """Send one frame, connecting first if need be."""
         with self._io_lock:
-            sock = self._ensure_connected()
-            try:
-                wire = write_frame(sock, frame_type, body)
-            except OSError as error:
-                self._drop_connection()
-                raise NetworkError(
-                    f"socket to site {self.site_id!r} failed mid-send: {error}"
-                ) from None
-            self._count_sent(wire, len(body), frame_type)
+            self._ensure_connected()
+            self._send(frame_type, body)
 
-    # -- channel surface ---------------------------------------------------------
+    def _control(self, frame_type: int, body: bytes, what: str) -> dict:
+        """One control exchange: a frame out, the same type (JSON) back.
+
+        Control frames are charged entirely to framing overhead, so MSG
+        byte parity is untouched.
+        """
+        with self._io_lock:
+            self._transmit(frame_type, body)
+            got, reply = self._read(what)
+        if got != frame_type:
+            raise NetworkError(
+                f"expected {_FRAME_NAMES[frame_type]} from site "
+                f"{self.site_id!r}, got {_FRAME_NAMES.get(got, got)}"
+            )
+        return json.loads(reply.decode("utf-8"))
+
+    # -- coordinator end ---------------------------------------------------------
 
     def send_to_site(self, message: Message) -> None:
-        # Connect *before* the bookkeeping: a site that cannot be
-        # reached is indistinguishable from a crashed one, and the
-        # simulated crash raises before DirectionStats records anything.
-        # Recording first and failing the transmit after would leave the
-        # channel's counters ahead of the evaluator's stats (counters
-        # cannot decrease), breaking verify_against_network for killed
-        # sites. A connection that dies *between* this pre-flight and
-        # the write below is the one unavoidable race; TCP buffering
-        # makes it surface on the next receive instead in practice.
-        if not self._doomed:
-            with self._io_lock:
-                self._ensure_connected()
-        queue = self._to_site
-        before = len(queue)
-        super().send_to_site(message)
-        appended = list(queue)[before:] if len(queue) > before else []
-        if not appended:
-            # The plan dropped it in flight: DirectionStats charged the
-            # bytes (they left the sender), so the same bytes cross the
-            # real wire, flagged so the site discards them unread.
-            body = encode_wire_message(
-                message.kind, message.round_index, message.payload, FLAG_DROPPED
+        # Site down, then connect, then the policy: a site that cannot be
+        # reached is indistinguishable from a crashed one, so it raises
+        # before a rule fires or anything is recorded.
+        self.policy.require_up()
+        with self._io_lock:
+            self._ensure_connected()
+            carried, verdict = self._admit(message, DOWN)
+            delivered = verdict is DELIVER
+            self._send(
+                FRAME_MSG,
+                encode_wire_message(
+                    carried.kind,
+                    carried.round_index,
+                    carried.payload,
+                    0 if delivered else FLAG_DROPPED,
+                ),
             )
-            self._transmit(FRAME_MSG, body)
-            return
-        for entry in appended:
-            if isinstance(entry, _Held):
-                if entry.duplicate:
-                    # Modeled duplicate bytes live in net.fault.bytes,
-                    # not DirectionStats — re-sending on the wire would
-                    # break measured == modeled, so the echo queue alone
-                    # carries the dedup behaviour.
-                    continue
-                wire_message = entry.message  # delayed: delivered late
-            else:
-                wire_message = entry  # plain or corrupted (equal length)
-            body = encode_wire_message(
-                wire_message.kind, wire_message.round_index, wire_message.payload
-            )
-            self._transmit(FRAME_MSG, body)
+        self.downstream.record(carried)
+        if not delivered:
+            self._undelivered = True
+        elif carried.kind == SHIP_BASE:
+            self._buffered += 1
 
-    # send_to_coordinator is inherited unchanged: the real up-direction
-    # bytes cross during ask(), when the site server streams its MSG
-    # frames back; the local echo only feeds receive_at_coordinator.
+    # -- site end: the server process --------------------------------------------
 
-    def ask(self, request) -> "object":
-        """Run one site request remotely; returns a ``SiteReply``.
+    def take_at_site(self) -> list:
+        raise NetworkError(
+            f"site {self.site_id!r} is a server process: ask() plays its end"
+        )
+
+    def ask(self, request) -> tuple:
+        """The site's turn, remotely: ``(REPLY body, payloads as sent)``.
 
         The down payloads were already streamed as MSG frames by
         :meth:`send_to_site`; the REQ frame carries the request fields
-        that differ from their defaults (minus payloads) plus the expected
-        payload count so the server can detect desync after a partial
-        failure.
+        that differ from their defaults (minus payloads) plus the count
+        of blocks the server should be holding, so it can detect desync
+        after a partial failure. If any of the shipment was lost or is
+        late the turn fails here, before REQ. Each reply MSG frame is
+        shown to the policy, recorded and queued for
+        ``receive_at_coordinator`` as it arrives.
 
         While a speculative-abandon predicate is armed (see
         :meth:`~repro.net.channel.Channel.arm_speculation`), the reply
         wait polls it between short receive timeouts; when it fires the
         connection is dropped and :class:`~repro.errors.\
-LegDeadlineExceeded` raised, with any reply messages already fully
-        consumed charged to the simulated upstream oracle (and reported
-        as ``partial_up_bytes``) so every byte ledger still reconciles.
+LegDeadlineExceeded` raised, reporting what ``upstream`` recorded for the
+        attempt as ``partial_up_bytes``.
         """
-        from repro.distributed.executor import SiteReply
-
-        if self._doomed:
-            self._raise_down(getattr(self, "_attempt_round", 0))
+        self.policy.require_up()
+        buffered, undelivered = self._buffered, self._undelivered
+        self._buffered, self._undelivered = 0, False
+        if undelivered:
+            raise NetworkError(
+                f"message for channel {self.site_id!r} was lost or is "
+                "delayed in flight"
+            )
         control = request.control()
-        control["expected_payloads"] = len(request.down_payloads)
+        control["expected_payloads"] = buffered
         should_abandon = self._should_abandon
         with self._io_lock:
             self._transmit(FRAME_REQ, pickle.dumps(control))
-            sock = self._sock
             if should_abandon is not None:
-                sock.settimeout(_SPECULATION_POLL_S)
+                self._sock.settimeout(_SPECULATION_POLL_S)
             payloads = []
-            msg_frames: list = []
+            arrived_up_bytes = 0
             try:
                 while True:
-                    try:
-                        frame_type, body = self._read_frame_polling(
-                            sock, should_abandon
-                        )
-                    except OSError as error:
-                        self._drop_connection()
-                        raise NetworkError(
-                            f"socket to site {self.site_id!r} failed "
-                            f"mid-reply: {error}"
-                        ) from None
-                    self._count_received(body, frame_type)
+                    frame_type, body = self._read("reply from", should_abandon)
                     if frame_type == FRAME_MSG:
                         kind, round_index, _flags, payload = decode_wire_message(
                             body
                         )
-                        payloads.append(payload)
-                        msg_frames.append((kind, round_index, payload))
-                        continue
-                    if frame_type == FRAME_REPLY:
-                        meta = pickle.loads(body)
-                        return SiteReply(
-                            payloads=tuple(payloads),
-                            rows=meta["rows"],
-                            compute_s=meta["compute_s"],
-                            spans=tuple(meta.get("spans", ())),
-                            counters=dict(meta.get("counters", {})),
-                            row_codec_payload_bytes=meta.get(
-                                "row_codec_payload_bytes"
+                        carried, verdict = self._admit(
+                            Message(
+                                kind, self.site_id, "coordinator", round_index,
+                                payload,
                             ),
-                            telemetry=dict(meta.get("telemetry", {})),
+                            UP,
                         )
-                    if frame_type == FRAME_ERROR:
+                        self.upstream.record(carried)
+                        arrived_up_bytes += carried.size_bytes
+                        self._enqueue(UP, carried, verdict)
+                        payloads.append(payload)
+                    elif frame_type == FRAME_REPLY:
+                        return pickle.loads(body), tuple(payloads)
+                    elif frame_type == FRAME_ERROR:
                         detail = pickle.loads(body)
                         raise map_remote_error(
                             detail.get("error", "ReproError"),
                             detail.get("message", "site server failure"),
                         )
-                    raise NetworkError(
-                        f"unexpected {_FRAME_NAMES.get(frame_type, frame_type)} "
-                        f"frame from site {self.site_id!r} during request"
-                    )
+                    else:
+                        raise NetworkError(
+                            f"unexpected {_FRAME_NAMES.get(frame_type, frame_type)} "
+                            f"frame from site {self.site_id!r} during request"
+                        )
             except _AbandonLeg as verdict:
-                # The straggler is abandoned for a backup. Reply messages
-                # already fully received crossed the real wire *and* were
-                # counted measured, so charge them to the simulated
-                # upstream oracle too and tell the guard how many bytes
-                # to book as speculative.
-                partial_up = 0
-                for kind, round_index, payload in msg_frames:
-                    message = Message(
-                        kind, self.site_id, "coordinator", round_index, payload
-                    )
-                    self.upstream.record(message)
-                    partial_up += message.size_bytes
+                # The straggler is abandoned for a backup; the guard books
+                # the reply bytes that did arrive as speculative.
                 self._drop_connection()
-                deadline_s = float(verdict.args[0]) if verdict.args else 0.0
                 raise LegDeadlineExceeded(
-                    self.site_id, deadline_s, partial_up_bytes=partial_up
+                    self.site_id,
+                    float(verdict.args[0]),
+                    partial_up_bytes=arrived_up_bytes,
                 ) from None
             finally:
                 if should_abandon is not None and self._sock is not None:
                     self._sock.settimeout(self.io_timeout_s)
-
-    def _read_frame_polling(self, sock, should_abandon) -> Tuple[int, bytes]:
-        """:func:`read_frame`, polling the abandon predicate on timeouts.
-
-        Partial bytes survive across poll timeouts (the buffer carries
-        over), so a slow frame is never desynced — abandonment can fire
-        at any byte boundary and the connection is then dropped whole.
-        """
-        if should_abandon is None:
-            return read_frame(sock)
-        prefix = self._recv_exact_polling(sock, 4, should_abandon)
-        (length,) = struct.unpack(">I", prefix)
-        if length < 1:
-            raise NetworkError(f"invalid frame length {length}")
-        blob = self._recv_exact_polling(sock, length, should_abandon)
-        return blob[0], blob[1:]
-
-    def _recv_exact_polling(self, sock, count: int, should_abandon) -> bytes:
-        chunks = []
-        remaining = count
-        while remaining:
-            try:
-                chunk = sock.recv(remaining)
-            except socket.timeout:
-                verdict = should_abandon()
-                if verdict:
-                    raise _AbandonLeg(verdict) from None
-                continue
-            if not chunk:
-                raise ConnectionError("peer closed the connection")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
 
     # -- telemetry ---------------------------------------------------------------
 
@@ -579,9 +534,7 @@ LegDeadlineExceeded` raised, with any reply messages already fully
         Runs ``samples`` PING exchanges and keeps the minimum-RTT sample
         (least queueing noise). The stored offset maps site-local
         ``perf_counter`` timestamps into this process's clock domain:
-        ``local_time = site_time - clock_offset_s``. PING frames are
-        control frames, charged entirely to framing overhead, so MSG
-        byte parity is untouched.
+        ``local_time = site_time - clock_offset_s``.
         """
         import time
 
@@ -594,23 +547,8 @@ LegDeadlineExceeded` raised, with any reply messages already fully
         with self._io_lock:
             for _ in range(samples):
                 t0 = read_clock()
-                self._transmit(FRAME_PING, b"{}")
-                sock = self._sock
-                try:
-                    frame_type, body = read_frame(sock)
-                except OSError as error:
-                    self._drop_connection()
-                    raise NetworkError(
-                        f"ping to site {self.site_id!r} failed: {error}"
-                    ) from None
+                info = self._control(FRAME_PING, b"{}", "ping to")
                 t3 = read_clock()
-                self._count_received(body, frame_type)
-                if frame_type != FRAME_PING:
-                    raise NetworkError(
-                        f"expected PING echo from site {self.site_id!r}, got "
-                        f"{_FRAME_NAMES.get(frame_type, frame_type)}"
-                    )
-                info = json.loads(body.decode("utf-8"))
                 sample = estimate_offset(
                     t0, float(info["t1"]), float(info["t2"]), t3
                 )
@@ -629,32 +567,16 @@ LegDeadlineExceeded` raised, with any reply messages already fully
 
         ``want`` selects sections: ``"metrics"`` (the site registry
         snapshot) and/or ``"flight"`` (the site's flight-recorder
-        records). A TELEMETRY exchange is a control-frame pair, charged
-        entirely to framing overhead.
+        records).
         """
         request = json.dumps({"want": list(want)}).encode("utf-8")
-        with self._io_lock:
-            self._transmit(FRAME_TELEMETRY, request)
-            sock = self._sock
-            try:
-                frame_type, body = read_frame(sock)
-            except OSError as error:
-                self._drop_connection()
-                raise NetworkError(
-                    f"telemetry scrape of site {self.site_id!r} failed: {error}"
-                ) from None
-            self._count_received(body, frame_type)
-            if frame_type != FRAME_TELEMETRY:
-                raise NetworkError(
-                    f"expected TELEMETRY from site {self.site_id!r}, got "
-                    f"{_FRAME_NAMES.get(frame_type, frame_type)}"
-                )
-        return json.loads(body.decode("utf-8"))
+        return self._control(FRAME_TELEMETRY, request, "telemetry scrape of")
 
     # -- recovery hooks ----------------------------------------------------------
 
     def drain_pending(self) -> int:
         discarded = super().drain_pending()
+        self._buffered, self._undelivered = 0, False
         # Tell the site server to forget buffered down payloads so the
         # retried attempt starts from a clean slate. Best effort: if the
         # connection is gone, the reconnect gets a fresh per-connection
@@ -662,10 +584,9 @@ LegDeadlineExceeded` raised, with any reply messages already fully
         with self._io_lock:
             if self._sock is not None:
                 try:
-                    wire = write_frame(self._sock, FRAME_RESET, b"")
-                    self._count_sent(wire, 0, FRAME_RESET)
-                except OSError:
-                    self._drop_connection()
+                    self._send(FRAME_RESET)
+                except NetworkError:
+                    pass
         return discarded
 
     def close(self) -> None:
@@ -679,28 +600,21 @@ class SocketNetwork(Network):
         self,
         endpoints: Dict[str, Tuple[str, int]],
         metrics=None,
-        faults: Optional[FaultPlan] = None,
+        faults=None,
         io_timeout_s: float = 120.0,
     ):
-        if not endpoints:
-            raise NetworkError("a network needs at least one site")
-        # Skip Network.__init__'s channel construction; rebuild state here.
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.tracer import NULL_TRACER
+        self._endpoints = dict(endpoints)
+        self._io_timeout_s = io_timeout_s
+        super().__init__(self._endpoints, metrics, faults)
 
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.faults = faults
-        self._channels = {
-            site_id: SocketChannel(
-                site_id,
-                address,
-                self.metrics,
-                faults,
-                io_timeout_s=io_timeout_s,
-            )
-            for site_id, address in endpoints.items()
-        }
-        self._tracer = NULL_TRACER
+    def _open(self, site_id: str) -> SocketChannel:
+        return SocketChannel(
+            site_id,
+            self._endpoints[site_id],
+            self.metrics,
+            self.faults,
+            io_timeout_s=self._io_timeout_s,
+        )
 
     @property
     def transport(self) -> str:

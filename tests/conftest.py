@@ -9,7 +9,9 @@ correctness.
 
 from __future__ import annotations
 
+import contextlib
 import random
+import threading
 
 import pytest
 
@@ -138,3 +140,26 @@ def count_and_sum_blocks(key: str = "SourceAS", measure: str = "NumBytes"):
             condition,
         )
     ]
+
+
+# ---------------------------------------------------------------------------
+# A site server without a process
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def serving(tables: dict, site_id: str = "s0"):
+    """A live ``SiteServer`` for ``tables``, on a thread of this process."""
+    from repro.distributed.site import SkallaSite
+    from repro.distributed.siteserver import SiteServer
+    from repro.warehouse.storage import LocalWarehouse
+
+    server = SiteServer(SkallaSite(site_id, LocalWarehouse(site_id, tables)))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+        assert not thread.is_alive()

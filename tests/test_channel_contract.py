@@ -1,0 +1,273 @@
+"""One ``Channel`` contract, two transports — parity as a test.
+
+The same leg (*send -> site's turn -> receive*) runs over the in-memory
+``Channel`` with the in-process site end and over a ``SocketChannel``
+against a live ``SiteServer``, under the same fault schedule, and must
+leave the same fault events, the same ``DirectionStats``, the same
+``net.fault.*`` counters and the same failure at the same step. Nothing
+in the production code makes that hold "by construction": the transports
+share the coordinator end and the ledger, not a fault base class.
+"""
+
+from __future__ import annotations
+
+import socket
+import threading
+
+import pytest
+
+from conftest import serving
+from repro.distributed.executor import (
+    SiteRequest,
+    perform_site_request,
+    play_site_end,
+    row_blocks,
+)
+from repro.distributed.site import SkallaSite
+from repro.errors import (
+    LegDeadlineExceeded,
+    NetworkError,
+    SerializationError,
+    SiteUnavailableError,
+)
+from repro.gmdj.blocks import MDBlock
+from repro.gmdj.expression import MDStep
+from repro.net.channel import Channel
+from repro.net.faults import FaultEvent, FaultPlan
+from repro.net.message import HEADER_BYTES, SHIP_BASE, SUB_RESULT, Message
+from repro.net.socket_channel import (
+    FRAME_HELLO,
+    FRAME_MSG,
+    FRAME_REQ,
+    FRAME_WELCOME,
+    SocketChannel,
+    encode_wire_message,
+    read_frame,
+    write_frame,
+)
+from repro.relalg.aggregates import AggSpec, count_star
+from repro.relalg.expressions import base, detail
+from repro.relalg.operators import union_all
+from repro.relalg.relation import Relation
+from repro.relalg.schema import INT, Schema
+from repro.warehouse.storage import LocalWarehouse
+
+SITE = "s0"
+ROUND = 1
+BASE = Relation(Schema.of(("k", INT)), [(k,) for k in range(6)])
+TABLES = {
+    "T": Relation(Schema.of(("k", INT), ("v", INT)), [(i % 6, i) for i in range(40)])
+}
+STEP = MDStep(
+    "T",
+    [MDBlock([count_star("cnt"), AggSpec("sum", detail.v, "s")], detail.k == base.k)],
+)
+#: Rows per block: the fragment goes down, and Hᵢ comes up, as two messages.
+BLOCK = 3
+
+TRANSPORTS = ("memory", "socket")
+
+
+@pytest.fixture(scope="module")
+def server():
+    with serving(TABLES, SITE) as live:
+        yield live
+
+
+def open_edge(transport, spec, server):
+    """``(channel, turn)``: one edge and whoever plays its site end."""
+    plan = FaultPlan.parse(spec) if spec else None
+    if transport == "memory":
+        channel = Channel(SITE, faults=plan)
+        site = SkallaSite(SITE, LocalWarehouse(SITE, TABLES))
+
+        def turn(request):
+            return play_site_end(
+                channel, request, lambda filled: perform_site_request(site, filled)
+            ).payloads
+
+    else:
+        channel = SocketChannel(SITE, (server.host, server.port), faults=plan)
+
+        def turn(request):
+            return channel.ask(request)[1]
+
+    return channel, turn
+
+
+def run_leg(channel, turn):
+    """One leg attempt; ``(step it stopped at, error class, delay, rows)``."""
+    step, delay_s = "send", None
+    try:
+        channel.begin_attempt(ROUND)
+        delay_s = channel.next_straggle(ROUND)
+        for block in row_blocks(BASE, BLOCK):
+            channel.send_to_site(
+                Message.with_relation(SHIP_BASE, "coordinator", SITE, ROUND, block)
+            )
+        step = "turn"
+        payloads = turn(
+            SiteRequest(
+                kind="round", site_id=SITE, round_number=ROUND, steps=(STEP,),
+                key_attrs=("k",), row_block_size=BLOCK,
+            )
+        )
+        step = "receive"
+        blocks = [channel.receive_at_coordinator().relation() for _ in payloads]
+    except (NetworkError, SerializationError) as error:
+        return step, type(error), delay_s, None
+    return "done", None, delay_s, sorted(union_all(blocks).rows)
+
+
+def ledger(channel):
+    """Everything the contract says both transports must agree on."""
+    return {
+        "events": list(channel.events),
+        "down": (
+            channel.downstream.bytes,
+            channel.downstream.messages,
+            channel.downstream.by_round,
+        ),
+        "up": (
+            channel.upstream.bytes,
+            channel.upstream.messages,
+            channel.upstream.by_round,
+        ),
+        "fault_counters": {
+            key: snap["value"]
+            for key, snap in channel.metrics.snapshot().items()
+            if key.startswith("net.fault.")
+        },
+    }
+
+
+def observe(transport, spec, server):
+    """A faulted leg, a drain, then a clean leg on the same channel."""
+    channel, turn = open_edge(transport, spec, server)
+    try:
+        first = run_leg(channel, turn)
+        after_first = ledger(channel)
+        channel.drain_pending()
+        second = run_leg(channel, turn)
+        if transport == "socket":
+            totals = channel.socket_totals()
+            assert totals["payload_down"] == channel.downstream.bytes
+            assert totals["payload_up"] == channel.upstream.bytes
+        return first, after_first, second, ledger(channel)
+    finally:
+        if transport == "socket":
+            channel.close()
+
+
+REFERENCE = observe("memory", "", None)[0]
+
+#: spec -> (step the first attempt stops at, the error it stops with).
+SCHEDULE = {
+    "drop site=s0 dir=down": ("turn", NetworkError),
+    "drop site=s0 dir=up": ("receive", NetworkError),
+    "delay site=s0 dir=down": ("turn", NetworkError),
+    "delay site=s0 dir=up": ("receive", NetworkError),
+    "duplicate site=s0 dir=down": ("done", None),
+    "duplicate site=s0 dir=up": ("done", None),
+    "corrupt site=s0 dir=down": ("turn", SerializationError),
+    "corrupt site=s0 dir=up": ("receive", SerializationError),
+    "crash site=s0 times=1": ("send", SiteUnavailableError),
+    "straggle site=s0 delay=0.01": ("done", None),
+}
+
+
+def test_the_fault_free_leg_is_the_reference(server):
+    step, error, delay_s, rows = REFERENCE
+    assert (step, error, delay_s) == ("done", None, 0.0)
+    assert [row[0] for row in rows] == list(range(6))
+    assert observe("socket", "", server)[0] == REFERENCE
+
+
+@pytest.mark.parametrize("spec", SCHEDULE, ids=lambda spec: spec.replace(" ", "_"))
+def test_both_transports_keep_the_contract_alike(spec, server):
+    in_memory = observe("memory", spec, server)
+    over_tcp = observe("socket", spec, server)
+    assert over_tcp == in_memory
+
+    first, after_first, second, final = in_memory
+    kind = spec.split()[0]
+    direction = spec.split("dir=")[1] if "dir=" in spec else "*"
+    assert first[:2] == SCHEDULE[spec]
+    assert after_first["events"] == [FaultEvent(kind, SITE, ROUND, direction)]
+    assert first[2] == (0.01 if kind == "straggle" else 0.0)
+    # The rule's budget is spent and the drain left nothing stale behind
+    # (over TCP: the server's buffer was RESET too, or its block count
+    # would not match the second attempt's): the retry is the clean leg.
+    assert second == REFERENCE
+    assert final["events"] == after_first["events"]
+    if kind == "duplicate":
+        assert final["fault_counters"][
+            "net.fault.deduplicated{site=s0}"
+        ] == 1
+    if kind in ("drop", "duplicate"):
+        charged = final["fault_counters"][f"net.fault.bytes{{kind={kind},site=s0}}"]
+        assert charged > HEADER_BYTES
+
+
+def test_an_unreachable_site_consumes_no_rule_and_records_nothing(server):
+    with socket.socket() as placeholder:
+        placeholder.bind(("127.0.0.1", 0))
+        dead_address = placeholder.getsockname()
+    channel = SocketChannel(
+        SITE, dead_address, faults=FaultPlan.parse("drop site=s0 dir=down")
+    )
+    message = Message.with_relation(SHIP_BASE, "coordinator", SITE, ROUND, BASE)
+    with pytest.raises(SiteUnavailableError):
+        channel.send_to_site(message)
+    assert channel.events == []
+    assert (channel.downstream.bytes, channel.downstream.messages) == (0, 0)
+    assert set(channel.socket_totals().values()) == {0}
+    # The rule is still there for the attempt that does get through.
+    channel.address = (server.host, server.port)
+    try:
+        channel.send_to_site(message)
+        assert channel.events == [FaultEvent("drop", SITE, ROUND, "down")]
+        assert channel.downstream.bytes == message.size_bytes
+    finally:
+        channel.close()
+
+
+def test_an_abandoned_ask_reports_what_upstream_recorded():
+    """A site that streams one reply block and then stalls is abandoned;
+    the bytes that did arrive are in ``upstream`` and in the report."""
+    payload = Message.with_relation(SUB_RESULT, SITE, "coordinator", ROUND, BASE).payload
+    listener = socket.create_server(("127.0.0.1", 0))
+    release = threading.Event()
+
+    def stalling_site():
+        conn, _address = listener.accept()
+        with conn:
+            while True:
+                frame_type, _body = read_frame(conn)
+                if frame_type == FRAME_HELLO:
+                    write_frame(conn, FRAME_WELCOME, b'{"site_id": "s0"}')
+                elif frame_type == FRAME_REQ:
+                    write_frame(
+                        conn, FRAME_MSG, encode_wire_message(SUB_RESULT, ROUND, payload)
+                    )
+                    release.wait(timeout=10)
+                    return
+
+    thread = threading.Thread(target=stalling_site, daemon=True)
+    thread.start()
+    channel = SocketChannel(SITE, listener.getsockname()[:2])
+    verdicts = iter([0.0, 0.5])
+    channel.arm_speculation(lambda: next(verdicts))
+    try:
+        with pytest.raises(LegDeadlineExceeded) as abandoned:
+            channel.ask(SiteRequest(kind="base", site_id=SITE, round_number=ROUND))
+    finally:
+        release.set()
+        thread.join(timeout=5)
+        channel.close()
+        listener.close()
+    assert not thread.is_alive()
+    assert abandoned.value.deadline_s == 0.5
+    assert abandoned.value.partial_up_bytes == HEADER_BYTES + len(payload)
+    assert channel.upstream.bytes == abandoned.value.partial_up_bytes
+    assert channel.socket_totals()["payload_up"] == channel.upstream.bytes

@@ -1,7 +1,7 @@
 """Fault injection, retry/degradation, and failure-path regressions.
 
 Covers the recovery subsystem end to end: the FaultPlan spec formats and
-FaultyChannel semantics per fault kind, message/bookkeeper validation,
+faulted-channel semantics per fault kind, message/bookkeeper validation,
 the evaluator's fail_fast / retry / degrade modes (including the
 acceptance scenario: drop + crash-for-two-rounds on one of four sites),
 engine equivalence under a seeded fault schedule, and the executor
@@ -33,12 +33,12 @@ from repro.errors import (
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
 from repro.net import serialize
-from repro.net.channel import Network
+from repro.net.channel import Channel, Network
 from repro.net.faults import (
     FaultEvent,
     FaultPlan,
+    FaultInjector,
     FaultRule,
-    FaultyChannel,
     corrupt_payload,
 )
 from repro.net.message import BASE_QUERY, HEADER_BYTES, SUB_RESULT, Message
@@ -120,14 +120,14 @@ def test_rule_matching_honours_site_round_direction():
 
 
 # ---------------------------------------------------------------------------
-# FaultyChannel semantics per kind
+# Faulted-channel semantics per kind
 # ---------------------------------------------------------------------------
 
 TINY = Relation(Schema.of(("K", INT)), [(1,), (2,)])
 
 
-def _channel(spec: str) -> FaultyChannel:
-    return FaultyChannel("s0", plan=FaultPlan.parse(spec))
+def _channel(spec: str) -> Channel:
+    return Channel("s0", faults=FaultPlan.parse(spec))
 
 
 def _down(round_index: int = 0, payload=None) -> Message:
@@ -211,7 +211,7 @@ def test_crash_dooms_whole_attempts_until_budget_spent():
 def test_network_builds_faulty_channels_and_collects_events():
     plan = FaultPlan.parse("drop site=a round=0 dir=down times=1")
     network = Network(("a", "b"), faults=plan)
-    assert isinstance(network.channel("a"), FaultyChannel)
+    assert isinstance(network.channel("a").policy, FaultInjector)
     network.channel("a").send_to_site(Message(BASE_QUERY, "coordinator", "a", 0))
     network.channel("b").send_to_site(Message(BASE_QUERY, "coordinator", "b", 0))
     assert network.fault_events() == [FaultEvent("drop", "a", 0, "down")]
@@ -219,7 +219,7 @@ def test_network_builds_faulty_channels_and_collects_events():
 
 
 def test_drain_pending_discards_both_directions():
-    channel = FaultyChannel("s0", plan=FaultPlan.parse("delay site=s0 dir=down"))
+    channel = Channel("s0", faults=FaultPlan.parse("delay site=s0 dir=down"))
     channel.send_to_site(_down())
     channel.send_to_coordinator(_up())
     assert channel.drain_pending() == 2
@@ -262,7 +262,7 @@ class _ForgedMessage:
 
 
 def test_direction_stats_rejects_inconsistent_size():
-    channel = FaultyChannel("s0", plan=FaultPlan())
+    channel = Channel("s0", faults=FaultPlan())
     with pytest.raises(NetworkError, match="malformed message"):
         channel.send_to_coordinator(_ForgedMessage(size_bytes=999))
     with pytest.raises(NetworkError, match="malformed message"):

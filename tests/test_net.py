@@ -1,6 +1,11 @@
 """Unit tests for messages, channels and the cost model."""
 
+import ast
+import pathlib
+
 import pytest
+
+import repro.net
 
 from repro.errors import NetworkError, SerializationError
 from repro.net.channel import Channel, Network
@@ -171,3 +176,17 @@ class TestCostModel:
             CostModel(latency_s=-1)
         with pytest.raises(ValueError):
             CostModel(bandwidth_bytes_per_s=0)
+
+
+def test_the_transport_layer_does_not_import_the_engine_above_it():
+    """``repro.net`` moves bytes; who evaluates them is ``repro.distributed``'s."""
+    for path in sorted(pathlib.Path(repro.net.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                continue
+            for name in imported:
+                assert not name.startswith("repro.distributed"), (path.name, name)
