@@ -18,13 +18,35 @@ Run standalone for the printed report::
 """
 
 from conftest import BENCH_MODEL, PARTICIPATING, SPEEDUP_SCALE, print_series
-from repro.bench import figure4, growth_exponent
+from repro.bench import (
+    LOW_CARDINALITY_KEY,
+    NO_OPTS,
+    SYNC_REDUCED,
+    correlated_query,
+    figure4,
+    growth_exponent,
+    speedup_cluster,
+)
+from repro.data.tpcr import TPCRConfig, generate_tpcr
+from repro.distributed import execute_query
+from repro.obs import MetricsRegistry
 
 
 def run_figure4():
     return figure4(
         scale=SPEEDUP_SCALE, participating=PARTICIPATING, model=BENCH_MODEL
     )
+
+
+def detail_tuples_examined(cluster, options) -> int:
+    """Detail tuples the sites' GMDJ kernels scan for the low-cardinality
+    query under one arm: the deterministic measure of site work."""
+    registry = MetricsRegistry()
+    cluster.reset_network()
+    execute_query(
+        cluster, correlated_query(LOW_CARDINALITY_KEY), options, metrics=registry
+    )
+    return int(registry.value_of("gmdj.tuples_examined"))
 
 
 def test_fig4_sync_reduction(benchmark):
@@ -49,10 +71,15 @@ def test_fig4_sync_reduction(benchmark):
 
     # The paper: low-cardinality site work is "nearly the same" — sync
     # reduction does not cut local computation the way coalescing does.
-    last = low.measurements[-1]
-    plain_site = last["no_sync_reduction"].site_compute_s
-    reduced_site = last["sync_reduction"].site_compute_s
-    assert reduced_site > 0.5 * plain_site
+    # Counted in detail tuples scanned (two passes over R either way), not
+    # in a ratio of two ~1 ms wall-clock readings.
+    tpcr = generate_tpcr(TPCRConfig(scale=SPEEDUP_SCALE))
+    cluster = speedup_cluster(tpcr, PARTICIPATING[-1])
+    assert (
+        detail_tuples_examined(cluster, SYNC_REDUCED)
+        == detail_tuples_examined(cluster, NO_OPTS)
+        == 2 * len(tpcr)
+    )
 
 
 if __name__ == "__main__":

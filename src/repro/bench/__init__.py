@@ -3,11 +3,10 @@
 :mod:`~repro.bench.harness` builds the paper's experimental setups and
 runs optimization "arms" with full verification;
 :mod:`~repro.bench.figures` parameterizes the four experiments of
-Section 5 (Figures 2-5); :mod:`~repro.bench.loadgen` drives the query
-service with seeded closed/open-loop mixes and emits the per-stage SLO
-report behind ``repro loadgen``. The ``benchmarks/`` directory at the
+Section 5 (Figures 2-5). The ``benchmarks/`` directory at the
 repository root wraps these in pytest-benchmark targets and printable
-reports.
+reports. Performance numbers have one home, ``bench_e2e/`` at the
+repository root; nothing here times a run against a pinned baseline.
 """
 
 from repro.bench.figures import (
@@ -33,25 +32,13 @@ from repro.bench.figures import (
 from repro.bench.harness import (
     ArmMeasurement,
     FigureSeries,
-    check_micro_baseline,
-    codec_microbenchmark,
-    columnar_sweep,
     format_table,
     growth_exponent,
     run_arm,
     run_arms,
     scaleup_cluster,
-    service_cache_report,
     speedup_cluster,
     speedup_cluster_range,
-)
-from repro.bench.loadgen import (
-    LoadgenConfig,
-    build_query_pool,
-    check_slo_baseline,
-    render_slo_table,
-    run_loadgen,
-    strip_timings,
 )
 
 __all__ = [
@@ -63,16 +50,10 @@ __all__ = [
     "GROUP_REDUCTION_ONLY",
     "HIGH_CARDINALITY_KEY",
     "LOW_CARDINALITY_KEY",
-    "LoadgenConfig",
     "NO_OPTS",
     "SYNC_REDUCED",
     "TrafficFormulaPoint",
-    "build_query_pool",
-    "check_micro_baseline",
-    "check_slo_baseline",
     "coalescable_query",
-    "codec_microbenchmark",
-    "columnar_sweep",
     "combined_query",
     "correlated_query",
     "executor_sweep",
@@ -83,13 +64,9 @@ __all__ = [
     "figure5",
     "format_table",
     "growth_exponent",
-    "render_slo_table",
     "run_arm",
     "run_arms",
-    "run_loadgen",
     "scaleup_cluster",
-    "service_cache_report",
     "speedup_cluster",
     "speedup_cluster_range",
-    "strip_timings",
 ]

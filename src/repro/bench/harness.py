@@ -10,7 +10,6 @@ and tabulate the measurements the figures plot.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -26,12 +25,9 @@ from repro.distributed import (
     execute_query,
 )
 from repro.distributed.evaluator import ExecutionConfig
-from repro.distributed.executor import EXECUTORS
 from repro.errors import ReproError
 from repro.gmdj.expression import GMDJExpression
 from repro.net.costmodel import CostModel, WAN
-from repro.obs import MetricsRegistry, Tracer, build_trace
-from repro.obs.top import QUANTILES
 from repro.relalg.relation import Relation
 
 
@@ -227,925 +223,6 @@ def run_arms(
 
 
 # ---------------------------------------------------------------------------
-# Traced runs & tracing overhead
-# ---------------------------------------------------------------------------
-
-
-def run_traced(
-    cluster: SimulatedCluster,
-    expression: GMDJExpression,
-    options: OptimizationOptions,
-    model: CostModel = WAN,
-) -> tuple:
-    """Execute once with live tracing; returns ``(result, EventLog)``.
-
-    The channels account into the same registry the operator counters
-    land in, so the emitted JSONL trace is one self-consistent artifact.
-    """
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    cluster.reset_network(metrics=registry)
-    result = execute_query(
-        cluster, expression, options, tracer=tracer, metrics=registry
-    )
-    return result, build_trace(tracer, registry, result.stats, model=model)
-
-
-def measure_tracing_overhead(
-    cluster: SimulatedCluster,
-    expression: GMDJExpression,
-    options: OptimizationOptions,
-    repetitions: int = 3,
-) -> dict:
-    """Wall-clock cost of the tracing layer itself.
-
-    Runs the same query ``repetitions`` times with the default
-    :class:`~repro.obs.tracer.NullTracer` and again with a live tracer +
-    registry, taking the fastest run of each arm (standard micro-bench
-    practice: the minimum is the least-noise estimate). The delta is
-    reported so the tracing tax stays visible — the obs layer's budget
-    is < 5% on real workloads.
-    """
-    if repetitions < 1:
-        raise ShapeCheckError(f"repetitions must be >= 1, got {repetitions}")
-
-    def _time_one(tracer, registry) -> float:
-        cluster.reset_network(metrics=registry)
-        started = time.perf_counter()
-        execute_query(cluster, expression, options, tracer=tracer, metrics=registry)
-        return time.perf_counter() - started
-
-    untraced_s = min(_time_one(None, None) for _ in range(repetitions))
-    traced_s = min(
-        _time_one(Tracer(), MetricsRegistry()) for _ in range(repetitions)
-    )
-    overhead_s = traced_s - untraced_s
-    return {
-        "untraced_s": untraced_s,
-        "traced_s": traced_s,
-        "overhead_s": overhead_s,
-        "overhead_frac": (overhead_s / untraced_s) if untraced_s > 0 else 0.0,
-        "repetitions": repetitions,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Fault-injection recovery check
-# ---------------------------------------------------------------------------
-
-
-def fault_recovery_report(
-    sites: int = 4,
-    scale: float = 0.001,
-    seed: int = 0,
-    executor: str = "serial",
-) -> dict:
-    """The acceptance scenario for the recovery layer, as a self-checking run.
-
-    On a ``sites``-site cluster, one seeded victim site suffers a dropped
-    sub-result plus a crash lasting two rounds. The run asserts (raising
-    :class:`ShapeCheckError` on violation) that
-
-    - ``retry`` mode completes with a result *bit-identical* to the
-      fault-free run, and
-    - ``degrade`` mode completes with the victim recorded as excluded in
-      ``ExecutionStats`` (and a result that differs, since the victim's
-      tuples are missing),
-
-    and that the stats/channel byte accounting agrees in every case.
-    """
-    from repro.distributed.stats import verify_against_network
-    from repro.net.faults import FaultPlan, FaultRule
-    from repro.queries.olap import QueryBuilder
-    from repro.relalg.aggregates import AggSpec, count_star
-    from repro.relalg.expressions import base, detail
-
-    if sites < 2:
-        raise ShapeCheckError(f"fault report needs >= 2 sites, got {sites}")
-    cluster = scaleup_cluster(TPCRConfig(scale=scale), sites=sites)
-    victim = cluster.site_ids[seed % len(cluster.site_ids)]
-    # The un-optimized plan has wire rounds 0 (base), 1 and 2 — the crash
-    # spans MD rounds 1-2. ``times`` counts doomed *leg attempts*: 4 is
-    # two rounds of two attempts under degrade's max_retries=1 budget,
-    # and is healed within round 1 by retry's six-attempt budget.
-    plan = FaultPlan(
-        [
-            FaultRule("drop", site=victim, rounds=(1,), direction="up", times=1),
-            FaultRule("crash", site=victim, rounds=(1, 2), times=4),
-        ],
-        description=f"drop+crash on {victim} (seed={seed})",
-    )
-    expression = (
-        QueryBuilder("TPCR", keys=["NationKey"])
-        .stage([count_star("cnt"), AggSpec("avg", detail.Price, "avg_price")])
-        .stage([count_star("above")], extra=detail.Price >= base.avg_price)
-        .build()
-    )
-
-    def _run(failure_mode: str, max_retries: int, faulty: bool):
-        cluster.install_faults(plan if faulty else None)
-        config = ExecutionConfig(
-            executor=executor,
-            failure_mode=failure_mode,
-            max_retries=max_retries,
-            retry_backoff_s=0.0,
-        )
-        result = execute_query(
-            cluster, expression, OptimizationOptions.none(), config=config
-        )
-        mismatches = verify_against_network(result.stats, cluster.network)
-        if mismatches:
-            raise ShapeCheckError(
-                f"{failure_mode}: stats/channel accounting diverged: {mismatches}"
-            )
-        return result
-
-    clean = _run("fail_fast", 0, faulty=False)
-    retried = _run("retry", 5, faulty=True)
-    degraded = _run("degrade", 1, faulty=True)
-
-    if retried.relation.rows != clean.relation.rows:
-        raise ShapeCheckError("retry mode result differs from the fault-free run")
-    if retried.stats.retries == 0:
-        raise ShapeCheckError("retry mode saw no retries despite injected faults")
-    excluded = degraded.stats.excluded_sites
-    if not excluded or any(site_id != victim for _round, site_id in excluded):
-        raise ShapeCheckError(
-            f"degrade mode should exclude exactly {victim!r}, recorded {excluded}"
-        )
-    if degraded.relation.rows == clean.relation.rows:
-        raise ShapeCheckError(
-            "degrade mode result matches the fault-free run — the exclusion "
-            "had no effect, so the fault schedule did not fire"
-        )
-    return {
-        "sites": sites,
-        "scale": scale,
-        "seed": seed,
-        "executor": executor,
-        "victim": victim,
-        "fault_plan": plan.to_dicts(),
-        "clean_rows": len(clean.relation),
-        "retry": {
-            "identical_to_clean": True,
-            "retries": retried.stats.retries,
-            "faults_injected": retried.stats.fault_count,
-        },
-        "degrade": {
-            "excluded": [list(entry) for entry in excluded],
-            "retries": degraded.stats.retries,
-            "faults_injected": degraded.stats.fault_count,
-            "rows": len(degraded.relation),
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
-# Socket-vs-simulated transport sweep
-# ---------------------------------------------------------------------------
-
-
-def socket_sweep_report(sites: int = 4, scale: float = 0.001) -> dict:
-    """Run every query family over real sockets and over the in-memory
-    transport, asserting the deployment-mode contract per query:
-
-    - the socket result is *bit-identical* to the in-process run;
-    - the modeled ``DirectionStats`` bytes are identical on both
-      transports (the simulation is the oracle, not an approximation);
-    - the measured socket payload bytes equal the modeled bytes exactly,
-      with framing overhead accounted separately.
-
-    Raises :class:`ShapeCheckError` on any violation; returns the
-    comparison table (per-query bytes, framing, wall times) otherwise.
-    """
-    import shutil
-    import tempfile
-
-    from repro.distributed.deployment import ProcessCluster
-    from repro.queries.cube import cube_lattice_queries
-    from repro.queries.olap import QueryBuilder
-    from repro.queries.unpivot import marginal_queries
-    from repro.relalg.aggregates import AggSpec, count_star
-    from repro.relalg.expressions import base, detail
-
-    simulated = scaleup_cluster(TPCRConfig(scale=scale), sites=sites)
-    aggs = [count_star("cnt"), AggSpec("sum", detail.Price, "revenue")]
-    queries = []
-    for subset, expression in cube_lattice_queries(
-        "TPCR", ["NationKey", "OrderYear"], aggs
-    ):
-        queries.append((f"cube:{'+'.join(subset) or 'apex'}", expression))
-    for attribute, expression in marginal_queries(
-        "TPCR", ["NationKey", "SuppKey"], aggs
-    ):
-        queries.append((f"unpivot:{attribute}", expression))
-    queries.append(
-        (
-            "multifeature:price",
-            QueryBuilder("TPCR", keys=["NationKey"])
-            .stage([count_star("cnt"), AggSpec("avg", detail.Price, "avg_price")])
-            .stage([count_star("above")], extra=detail.Price >= base.avg_price)
-            .build(),
-        )
-    )
-
-    def _measure(cluster, executor):
-        measurements = {}
-        for name, expression in queries:
-            cluster.reset_network()
-            started = time.perf_counter()
-            result = execute_query(
-                cluster,
-                expression,
-                OptimizationOptions.none(),
-                config=ExecutionConfig(executor=executor),
-            )
-            measurements[name] = (
-                result,
-                time.perf_counter() - started,
-            )
-        return measurements
-
-    oracle = _measure(simulated, "serial")
-    root = tempfile.mkdtemp(prefix="repro-socket-sweep-")
-    try:
-        with ProcessCluster.from_simulated(simulated, root) as deployed:
-            over_sockets = _measure(deployed, "sockets")
-            rows = []
-            for name, _expression in queries:
-                sim_result, sim_wall = oracle[name]
-                sock_result, sock_wall = over_sockets[name]
-                if sock_result.relation.rows != sim_result.relation.rows:
-                    raise ShapeCheckError(
-                        f"{name}: socket result is not bit-identical to the "
-                        "in-process run"
-                    )
-                sim_stats, sock_stats = sim_result.stats, sock_result.stats
-                if (sim_stats.bytes_down, sim_stats.bytes_up) != (
-                    sock_stats.bytes_down,
-                    sock_stats.bytes_up,
-                ):
-                    raise ShapeCheckError(
-                        f"{name}: modeled bytes diverge between transports: "
-                        f"sim ({sim_stats.bytes_down}, {sim_stats.bytes_up}) "
-                        f"vs sockets ({sock_stats.bytes_down}, "
-                        f"{sock_stats.bytes_up})"
-                    )
-                if not sock_stats.socket_parity():
-                    raise ShapeCheckError(
-                        f"{name}: measured socket payload "
-                        f"({sock_stats.socket_bytes_down}, "
-                        f"{sock_stats.socket_bytes_up}) != modeled "
-                        f"({sock_stats.bytes_down}, {sock_stats.bytes_up})"
-                    )
-                rows.append(
-                    {
-                        "query": name,
-                        "rows": len(sock_result.relation),
-                        "bytes_down": sock_stats.bytes_down,
-                        "bytes_up": sock_stats.bytes_up,
-                        "framing_bytes": sock_stats.socket_framing_bytes,
-                        "frames": sock_stats.socket_frames,
-                        "sim_wall_s": sim_wall,
-                        "socket_wall_s": sock_wall,
-                    }
-                )
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-    return {
-        "sites": sites,
-        "scale": scale,
-        "queries": rows,
-        "totals": {
-            "queries": len(rows),
-            "bytes_modeled": sum(r["bytes_down"] + r["bytes_up"] for r in rows),
-            "framing_bytes": sum(r["framing_bytes"] for r in rows),
-            "frames": sum(r["frames"] for r in rows),
-            "sim_wall_s": sum(r["sim_wall_s"] for r in rows),
-            "socket_wall_s": sum(r["socket_wall_s"] for r in rows),
-        },
-        "parity": True,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Straggler sweep: speculation vs baseline under seeded per-site delays
-# ---------------------------------------------------------------------------
-
-
-def _percentile(samples: Sequence[float], q: float) -> float:
-    ordered = sorted(samples)
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, int(q * len(ordered)))
-    return ordered[index]
-
-
-def straggler_sweep_report(
-    sites: int = 4,
-    scale: float = 0.001,
-    trials: int = 3,
-    delay_s: float = 1.5,
-    seed: int = 11,
-    min_speedup: float = 1.5,
-    speculation_factor: float = 2.0,
-) -> dict:
-    """Prove speculative re-execution under real sockets: seeded one-site
-    compute delays (``FaultPlan.stragglers``) slow one leg per trial;
-    with speculation off the round wall absorbs the full delay, with it
-    on the deadline (median leg time x factor) fires a backup that wins.
-
-    ``delay_s`` must dominate the healthy-leg floor: a backup can never
-    finish before ``deadline + leg_time``, so a delay close to
-    ``(speculation_factor - 1) x`` the slowest healthy leg gains
-    nothing. The defaults (1.5s delay, factor 2) leave the widest query
-    family in the sweep a >=2x margin.
-
-    Contract checked per (trial, mode, query):
-
-    - the socket result is bit-identical to the fault-free simulated
-      flat run (the oracle);
-    - measured socket payload bytes reconcile with the modeled
-      ``DirectionStats`` *including* the abandoned leg's bytes
-      (``ExecutionStats.socket_parity`` adds the speculative buckets);
-    - with speculation on, at least one leg was re-executed across the
-      sweep and the p99 of the slowest-round wall improves by
-      ``min_speedup`` vs the speculation-off baseline.
-
-    Raises :class:`ShapeCheckError` on any violation; returns the sweep
-    table otherwise.
-    """
-    import shutil
-    import tempfile
-
-    from repro.distributed.deployment import ProcessCluster
-    from repro.net.faults import FaultPlan
-    from repro.queries.cube import cube_lattice_queries
-    from repro.queries.olap import QueryBuilder
-    from repro.queries.unpivot import marginal_queries
-    from repro.relalg.aggregates import AggSpec, count_star
-    from repro.relalg.expressions import base, detail
-
-    simulated = scaleup_cluster(TPCRConfig(scale=scale), sites=sites)
-    aggs = [count_star("cnt"), AggSpec("sum", detail.Price, "revenue")]
-    queries = []
-    for subset, expression in cube_lattice_queries(
-        "TPCR", ["NationKey", "OrderYear"], aggs
-    ):
-        queries.append((f"cube:{'+'.join(subset) or 'apex'}", expression))
-    for attribute, expression in marginal_queries(
-        "TPCR", ["NationKey", "SuppKey"], aggs
-    ):
-        queries.append((f"unpivot:{attribute}", expression))
-    queries.append(
-        (
-            "multifeature:price",
-            QueryBuilder("TPCR", keys=["NationKey"])
-            .stage([count_star("cnt"), AggSpec("avg", detail.Price, "avg_price")])
-            .stage([count_star("above")], extra=detail.Price >= base.avg_price)
-            .build(),
-        )
-    )
-
-    # Fault-free simulated flat runs are the oracle for both result rows
-    # and the modeled DirectionStats.
-    oracle = {}
-    for name, expression in queries:
-        simulated.reset_network()
-        oracle[name] = execute_query(
-            simulated,
-            expression,
-            OptimizationOptions.none(),
-            config=ExecutionConfig(executor="serial"),
-        )
-
-    walls = {"baseline": [], "speculation": []}
-    rows = []
-    speculative_legs = 0
-    speculation_wins = 0
-    root = tempfile.mkdtemp(prefix="repro-straggler-sweep-")
-    try:
-        with ProcessCluster.from_simulated(simulated, root) as deployed:
-            for trial in range(trials):
-                for mode in ("baseline", "speculation"):
-                    config = ExecutionConfig(
-                        executor="sockets",
-                        speculation=(mode == "speculation"),
-                        speculation_factor=speculation_factor,
-                    )
-                    for name, expression in queries:
-                        # Fresh fault budget per run: the straggle rule
-                        # fires once, so the speculative backup re-runs
-                        # the leg with the delay already spent.
-                        deployed.install_faults(
-                            FaultPlan.stragglers(
-                                deployed.site_ids,
-                                seed=seed + trial,
-                                delay_s=delay_s,
-                                rounds=(1,),
-                            )
-                        )
-                        result = execute_query(
-                            deployed,
-                            expression,
-                            OptimizationOptions.none(),
-                            config=config,
-                        )
-                        reference = oracle[name]
-                        if result.relation.rows != reference.relation.rows:
-                            raise ShapeCheckError(
-                                f"{mode}/{name} (trial {trial}): socket result "
-                                "is not bit-identical to the fault-free flat run"
-                            )
-                        stats = result.stats
-                        if (stats.bytes_down, stats.bytes_up) != (
-                            reference.stats.bytes_down,
-                            reference.stats.bytes_up,
-                        ):
-                            raise ShapeCheckError(
-                                f"{mode}/{name} (trial {trial}): winning-path "
-                                "modeled bytes diverge from the fault-free "
-                                f"oracle: ({stats.bytes_down}, {stats.bytes_up})"
-                                f" vs ({reference.stats.bytes_down}, "
-                                f"{reference.stats.bytes_up})"
-                            )
-                        if not stats.socket_parity():
-                            raise ShapeCheckError(
-                                f"{mode}/{name} (trial {trial}): measured "
-                                f"socket payload ({stats.socket_bytes_down}, "
-                                f"{stats.socket_bytes_up}) != modeled + "
-                                f"speculative ({stats.bytes_down} + "
-                                f"{stats.speculative_bytes_down}, "
-                                f"{stats.bytes_up} + "
-                                f"{stats.speculative_bytes_up})"
-                            )
-                        slowest = max(
-                            round_stats.wall_s for round_stats in stats.rounds
-                        )
-                        walls[mode].append(slowest)
-                        if mode == "speculation":
-                            speculative_legs += stats.speculative_legs
-                            speculation_wins += stats.speculation_wins
-                        rows.append(
-                            {
-                                "trial": trial,
-                                "mode": mode,
-                                "query": name,
-                                "slowest_round_wall_s": slowest,
-                                "speculative_legs": stats.speculative_legs,
-                                "speculation_wins": stats.speculation_wins,
-                                "speculative_bytes": stats.speculative_bytes_down
-                                + stats.speculative_bytes_up,
-                            }
-                        )
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-    baseline_p99 = _percentile(walls["baseline"], 0.99)
-    speculation_p99 = _percentile(walls["speculation"], 0.99)
-    speedup = (
-        baseline_p99 / speculation_p99 if speculation_p99 > 0 else float("inf")
-    )
-    if not speculative_legs:
-        raise ShapeCheckError(
-            "straggler sweep never triggered speculation: no leg was "
-            "re-executed despite the seeded delays"
-        )
-    if speedup < min_speedup:
-        raise ShapeCheckError(
-            f"speculation cut p99 slowest-round wall by only {speedup:.2f}x "
-            f"({baseline_p99:.3f}s -> {speculation_p99:.3f}s); the gate "
-            f"requires >= {min_speedup:.2f}x"
-        )
-    return {
-        "sites": sites,
-        "scale": scale,
-        "trials": trials,
-        "delay_s": delay_s,
-        "speculation_factor": speculation_factor,
-        "seed": seed,
-        "queries": len(queries),
-        "runs": rows,
-        "baseline_p99_s": baseline_p99,
-        "speculation_p99_s": speculation_p99,
-        "speedup": speedup,
-        "speculative_legs": speculative_legs,
-        "speculation_wins": speculation_wins,
-        "parity": True,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Query-service cache sweep
-# ---------------------------------------------------------------------------
-
-
-def service_cache_report(
-    sites: int = 3,
-    flow_count: int = 600,
-    waves: int = 4,
-    append_every: int = 2,
-    executor: str = "serial",
-    seed: int = 11,
-) -> dict:
-    """Cache-hit-ratio sweep of the query service, self-checking.
-
-    A fixed set of distinct queries is submitted in ``waves`` rounds
-    through one :class:`~repro.service.QueryService`; every
-    ``append_every``-th wave is preceded by an append, so the workload
-    exercises all three serving paths — fresh evaluation, pure cache
-    hit, and sub-aggregate refresh upgrade. The report tabulates the
-    per-wave serving sources, the cumulative hit ratio, and the mean
-    wall-clock per path (the hit/fresh gap is the cache's payoff).
-
-    Self-check: after the final wave, every query's served answer is
-    compared against a cold evaluation on an identically grown cluster;
-    a mismatch raises :class:`ShapeCheckError`.
-    """
-    from repro.data.flows import FlowConfig, generate_flows, router_partitioner
-    from repro.service import FRESH, HIT, REFRESH, QueryService
-
-    if waves < 1:
-        raise ShapeCheckError(f"waves must be >= 1, got {waves}")
-    queries = (
-        "SELECT SourceAS, COUNT(*) AS cnt, SUM(NumPackets) AS packets "
-        "FROM Flow GROUP BY SourceAS",
-        "SELECT DestAS, COUNT(*) AS cnt, MAX(NumPackets) AS biggest "
-        "FROM Flow GROUP BY DestAS",
-        "SELECT RouterId, COUNT(*) AS flows, MIN(StartTime) AS first_seen "
-        "FROM Flow GROUP BY RouterId",
-    )
-
-    def _cluster() -> SimulatedCluster:
-        config = FlowConfig(flow_count=flow_count, router_count=sites, seed=seed)
-        built = SimulatedCluster.with_sites(sites)
-        built.load_partitioned(
-            "Flow", generate_flows(config), router_partitioner(config)
-        )
-        return built
-
-    cluster = _cluster()
-    deltas_applied = []
-    wave_rows = []
-    wall_by_source: dict = {}
-    with QueryService(cluster, ExecutionConfig(executor=executor)) as service:
-        for wave in range(1, waves + 1):
-            if append_every and wave > 1 and (wave - 1) % append_every == 0:
-                delta_config = FlowConfig(
-                    flow_count=max(20, flow_count // 10),
-                    router_count=sites,
-                    seed=seed + wave,
-                )
-                delta = generate_flows(delta_config)
-                per_site = dict(
-                    zip(
-                        cluster.site_ids,
-                        router_partitioner(delta_config).split(delta),
-                    )
-                )
-                service.append("Flow", per_site)
-                deltas_applied.append(per_site)
-            sources = []
-            for sql in queries:
-                result = service.submit(sql)
-                sources.append(result.source)
-                wall_by_source.setdefault(result.source, []).append(result.wall_s)
-            wave_rows.append({"wave": wave, "sources": sources})
-
-        # Self-check: the served state must equal a cold, equally-grown run.
-        reference_cluster = _cluster()
-        for per_site in deltas_applied:
-            for site_id, delta in per_site.items():
-                reference_cluster.site(site_id).warehouse.append("Flow", delta)
-        with QueryService(
-            reference_cluster, ExecutionConfig(executor="serial")
-        ) as reference_service:
-            for sql in queries:
-                expected = reference_service.submit(sql).relation
-                served = service.submit(sql).relation
-                if served.rows != expected.rows:
-                    raise ShapeCheckError(
-                        f"service answer diverged from cold evaluation for: {sql}"
-                    )
-
-        metrics = service.metrics
-        total = metrics.value_of("service.queries")
-        hits = metrics.value_of("service.cache.hit")
-        misses = metrics.value_of("service.cache.miss")
-        refreshes = metrics.value_of("service.cache.refresh")
-        latency = metrics.get("service.latency_s")
-        latency_ms = {
-            label: latency.quantile(q) * 1000.0 for q, label in QUANTILES
-        }
-        latency_ms["mean"] = (
-            (latency.sum / latency.count * 1000.0) if latency.count else 0.0
-        )
-        latency_ms["count"] = latency.count
-
-    def _mean_ms(source: str) -> float:
-        walls = wall_by_source.get(source, [])
-        return (sum(walls) / len(walls) * 1000.0) if walls else 0.0
-
-    return {
-        "sites": sites,
-        "flow_count": flow_count,
-        "waves": waves,
-        "append_every": append_every,
-        "executor": executor,
-        "queries": len(queries),
-        "wave_sources": wave_rows,
-        "totals": {
-            "queries": int(total),
-            "hits": int(hits),
-            "misses": int(misses),
-            "refreshes": int(refreshes),
-        },
-        "hit_ratio": (hits + refreshes) / total if total else 0.0,
-        "mean_wall_ms": {
-            source: _mean_ms(source) for source in (FRESH, HIT, REFRESH)
-        },
-        "latency_ms": latency_ms,
-        "verified": True,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Codec microbenchmark
-# ---------------------------------------------------------------------------
-
-
-def codec_microbenchmark(scale: float = 0.005, repetitions: int = 5) -> dict:
-    """Rows/s of the wire codec: fast path vs the reference implementation.
-
-    Encodes and decodes one TPCR relation with both the row codec's fast
-    path (``repro.net.serialize.encode_relation(relation, "row")``) and the
-    straight-line reference codec, taking the fastest of ``repetitions``
-    runs per arm.
-    The two must be byte-identical (asserted here — this doubles as a
-    differential check), so the ratio is pure overhead removed.
-
-    The ``column`` section measures the column-block codec on the same
-    relation — encode/decode time, wire bytes and the byte saving versus
-    the row codec — after asserting the round trip is value-identical.
-    """
-    if repetitions < 1:
-        raise ShapeCheckError(f"repetitions must be >= 1, got {repetitions}")
-    from repro.net import serialize
-
-    relation = generate_tpcr(TPCRConfig(scale=scale, seed=12))
-    rows = len(relation)
-
-    def _best(fn, *args) -> float:
-        return min(
-            _timed(fn, *args) for _ in range(repetitions)
-        )
-
-    def _timed(fn, *args) -> float:
-        started = time.perf_counter()
-        fn(*args)
-        return time.perf_counter() - started
-
-    fast_payload = serialize.encode_relation(relation, "row")
-    reference_payload = serialize._encode_relation_reference(relation)
-    if fast_payload != reference_payload:
-        raise ShapeCheckError("fast codec output differs from reference codec")
-
-    encode_fast_s = _best(serialize.encode_relation, relation, "row")
-    encode_reference_s = _best(serialize._encode_relation_reference, relation)
-    decode_fast_s = _best(serialize.decode_relation, fast_payload)
-    decode_reference_s = _best(serialize._decode_relation_reference, fast_payload)
-
-    def _rate(seconds: float) -> float:
-        return rows / seconds if seconds > 0 else 0.0
-
-    column_payload = serialize.encode_relation(relation, "column")
-    decoded = serialize.decode_relation(column_payload)
-    if decoded.schema != relation.schema or decoded.rows != relation.rows:
-        raise ShapeCheckError("column codec round trip is not value-identical")
-    # The encoder reads the relation's cached column view, so each timed
-    # encode gets a relation that has none yet — as a shipped block does.
-    column_encode_s = min(
-        _timed(serialize.encode_relation, Relation(relation.schema, relation.rows), "column")
-        for _ in range(repetitions)
-    )
-    column_decode_s = _best(serialize.decode_relation, column_payload)
-
-    return {
-        "rows": rows,
-        "bytes": len(fast_payload),
-        "scale": scale,
-        "repetitions": repetitions,
-        "column": {
-            "bytes": len(column_payload),
-            "row_bytes": len(fast_payload),
-            "saved_bytes": len(fast_payload) - len(column_payload),
-            "saving_fraction": (
-                (len(fast_payload) - len(column_payload)) / len(fast_payload)
-                if fast_payload
-                else 0.0
-            ),
-            "encode_s": column_encode_s,
-            "decode_s": column_decode_s,
-            "encode_rows_per_s": _rate(column_encode_s),
-            "decode_rows_per_s": _rate(column_decode_s),
-            "roundtrip_identical": True,
-        },
-        "encode": {
-            "fast_s": encode_fast_s,
-            "reference_s": encode_reference_s,
-            "fast_rows_per_s": _rate(encode_fast_s),
-            "reference_rows_per_s": _rate(encode_reference_s),
-            "speedup": (
-                encode_reference_s / encode_fast_s if encode_fast_s > 0 else 0.0
-            ),
-        },
-        "decode": {
-            "fast_s": decode_fast_s,
-            "reference_s": decode_reference_s,
-            "fast_rows_per_s": _rate(decode_fast_s),
-            "reference_rows_per_s": _rate(decode_reference_s),
-            "speedup": (
-                decode_reference_s / decode_fast_s if decode_fast_s > 0 else 0.0
-            ),
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
-# Columnar-engine sweep
-# ---------------------------------------------------------------------------
-
-
-def _columnar_workloads(detail_rows: int):
-    """Deterministic (base, detail, blocks) triples for the engine sweep.
-
-    Two shapes matching the paper's query families: a cube-style
-    single-block grouping (hash path) and a multifeature-style pair of
-    blocks whose second block carries a residual base-vs-detail
-    comparison (hash path plus residual filter).
-    """
-    import random as _random
-
-    from repro.gmdj.blocks import MDBlock
-    from repro.relalg.aggregates import AggSpec, count_star
-    from repro.relalg.expressions import Const, base, detail
-    from repro.relalg.schema import FLOAT, INT, Schema
-
-    rng = _random.Random(7)
-    schema = Schema.of(("k1", INT), ("k2", INT), ("v", FLOAT))
-    rows = [
-        (
-            rng.randrange(32),
-            rng.randrange(8),
-            float(rng.randrange(1, 5000)),
-        )
-        for _ in range(detail_rows)
-    ]
-    detail_relation = Relation(schema, rows)
-
-    cube_base = detail_relation.distinct_project(["k1", "k2"])
-    cube_blocks = [
-        MDBlock(
-            [
-                count_star("cnt"),
-                AggSpec("sum", detail.v, "total"),
-                AggSpec("avg", detail.v, "mean"),
-                AggSpec("min", detail.v, "lo"),
-                AggSpec("max", detail.v, "hi"),
-            ],
-            (base.k1 == detail.k1) & (base.k2 == detail.k2),
-        )
-    ]
-
-    multifeature_base = detail_relation.distinct_project(["k1"])
-    multifeature_blocks = [
-        MDBlock(
-            [AggSpec("min", detail.v, "lo"), count_star("cnt")],
-            base.k1 == detail.k1,
-        ),
-        MDBlock(
-            [AggSpec("sum", detail.v, "hi_total"), AggSpec("count", detail.v, "hi_cnt")],
-            (base.k1 == detail.k1) & (detail.v > Const(2500.0)),
-        ),
-    ]
-
-    return {
-        "cube": (cube_base, detail_relation, cube_blocks),
-        "multifeature": (multifeature_base, detail_relation, multifeature_blocks),
-    }
-
-
-def columnar_sweep(detail_rows: int = 60_000, repetitions: int = 3) -> dict:
-    """Row vs columnar GMDJ kernel timings on the cube/multifeature shapes.
-
-    Runs :func:`repro.gmdj.operator.evaluate` under both engines (fastest
-    of ``repetitions`` per arm), asserts the results are bit-identical
-    (the differential-oracle contract), and reports per-workload
-    speedups. The pinned numbers live in ``BENCH_micro.json`` under
-    ``columnar`` and are gated by ``repro bench --check``.
-    """
-    if repetitions < 1:
-        raise ShapeCheckError(f"repetitions must be >= 1, got {repetitions}")
-    from repro.gmdj import operator
-    from repro.relalg.engine import use_engine
-
-    workloads = _columnar_workloads(detail_rows)
-    report = {"detail_rows": detail_rows, "repetitions": repetitions}
-    for name, (base_relation, detail_relation, blocks) in workloads.items():
-        timings = {}
-        results = {}
-        for engine_name in ("row", "columnar"):
-            best = None
-            with use_engine(engine_name):
-                for _ in range(repetitions):
-                    started = time.perf_counter()
-                    result = operator.evaluate(base_relation, detail_relation, blocks)
-                    elapsed = time.perf_counter() - started
-                    best = elapsed if best is None else min(best, elapsed)
-            timings[engine_name] = best
-            results[engine_name] = result
-        if results["row"].rows != results["columnar"].rows or (
-            results["row"].schema != results["columnar"].schema
-        ):
-            raise ShapeCheckError(
-                f"columnar engine diverged from row oracle on {name!r}"
-            )
-        report[name] = {
-            "base_rows": len(base_relation),
-            "row_s": timings["row"],
-            "columnar_s": timings["columnar"],
-            "speedup": (
-                timings["row"] / timings["columnar"]
-                if timings["columnar"] > 0
-                else 0.0
-            ),
-            "identical": True,
-        }
-    return report
-
-
-def check_micro_baseline(
-    micro: dict, baseline: dict, min_speedup: float = 1.3
-) -> list:
-    """Gate a fresh micro report against the pinned ``BENCH_micro.json``.
-
-    Checks structural invariants that hold regardless of machine (codec
-    round trips verified, column codec actually saves bytes, columnar
-    results identical to the row oracle) plus a noise-tolerant floor on
-    the columnar kernel speedups — well under the pinned ~4x so loaded
-    CI machines don't flap, but failing when vectorization is lost.
-    Returns a list of problem strings (empty = pass).
-    """
-    problems = []
-    column = micro.get("column", {})
-    if not column.get("roundtrip_identical"):
-        problems.append("column codec round trip not verified")
-    if column.get("saved_bytes", 0) <= 0:
-        problems.append(
-            f"column codec saves no bytes "
-            f"({column.get('bytes')}B vs row {column.get('row_bytes')}B)"
-        )
-    # The column codec packs and unpacks with C loops, the row fast path
-    # with compiled bytecode per value: on the same relation the gap is
-    # 2.5x encode / 9x decode, and a per-value Python loop creeping back
-    # into a column block closes it (format v2 read 0.54x / 0.62x).
-    for direction in ("encode", "decode"):
-        column_rate = column.get(f"{direction}_rows_per_s", 0.0)
-        row_rate = micro.get(direction, {}).get("fast_rows_per_s", 0.0)
-        if column_rate < 1.5 * row_rate:
-            problems.append(
-                f"column codec {direction} at {column_rate:,.0f} rows/s is under "
-                f"1.5x the row fast path's {row_rate:,.0f}"
-            )
-    baseline_column = baseline.get("column", {})
-    if baseline_column:
-        fresh_saving = column.get("saving_fraction", 0.0)
-        pinned_saving = baseline_column.get("saving_fraction", 0.0)
-        # Byte savings are deterministic for a fixed seed/scale; allow a
-        # small slack for schema evolution of the generator.
-        if fresh_saving < pinned_saving - 0.10:
-            problems.append(
-                f"column codec saving fraction {fresh_saving:.1%} fell more "
-                f"than 10pp under pinned {pinned_saving:.1%}"
-            )
-    columnar = micro.get("columnar", {})
-    for workload in ("cube", "multifeature"):
-        entry = columnar.get(workload)
-        if entry is None:
-            problems.append(f"columnar sweep missing workload {workload!r}")
-            continue
-        if not entry.get("identical"):
-            problems.append(f"columnar {workload} result not verified identical")
-        speedup = entry.get("speedup", 0.0)
-        if speedup < min_speedup:
-            problems.append(
-                f"columnar {workload} kernel speedup {speedup:.2f}x "
-                f"under the {min_speedup:.1f}x floor"
-            )
-    return problems
-
-
-# ---------------------------------------------------------------------------
 # Series & tabulation
 # ---------------------------------------------------------------------------
 
@@ -1232,535 +309,3 @@ def growth_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
     if denominator == 0:
         raise ShapeCheckError("degenerate x values in growth fit")
     return numerator / denominator
-
-
-# ---------------------------------------------------------------------------
-# Standalone harness CLI
-# ---------------------------------------------------------------------------
-
-
-def benchmark_report(
-    sites: int = 4,
-    scale: float = 0.001,
-    model: CostModel = WAN,
-    emit_trace: Optional[str] = None,
-    overhead_repetitions: int = 3,
-    executor: str = "serial",
-) -> dict:
-    """One harness run as a JSON-serializable benchmark report.
-
-    Runs the Section-5 correlated query on a ``sites``-site scale-up
-    cluster under the no-optimizations and all-optimizations arms
-    (reference-checked), measures the tracing layer's own overhead, and
-    — when ``emit_trace`` is given — writes the all-optimizations arm's
-    JSONL trace alongside the benchmark JSON.
-    """
-    from dataclasses import asdict
-
-    from repro.queries.olap import QueryBuilder
-    from repro.relalg.aggregates import AggSpec, count_star
-    from repro.relalg.expressions import base, detail
-
-    cluster = scaleup_cluster(TPCRConfig(scale=scale), sites=sites)
-    expression = (
-        QueryBuilder("TPCR", keys=["NationKey"])
-        .stage([count_star("cnt"), AggSpec("avg", detail.Price, "avg_price")])
-        .stage([count_star("above")], extra=detail.Price >= base.avg_price)
-        .build()
-    )
-    arms = {
-        "no_optimizations": OptimizationOptions.none(),
-        "all_optimizations": OptimizationOptions.all(),
-    }
-    config = ExecutionConfig(executor=executor)
-    measurements = run_arms(cluster, expression, arms, model=model, config=config)
-    overhead = measure_tracing_overhead(
-        cluster,
-        expression,
-        OptimizationOptions.all(),
-        repetitions=overhead_repetitions,
-    )
-    report = {
-        "sites": sites,
-        "scale": scale,
-        "executor": executor,
-        "arms": {name: asdict(arm) for name, arm in measurements.items()},
-        "tracing_overhead": overhead,
-    }
-    if emit_trace:
-        _result, log = run_traced(
-            cluster, expression, OptimizationOptions.all(), model=model
-        )
-        log.dump(emit_trace)
-        report["trace_path"] = emit_trace
-        report["trace_records"] = len(log)
-    return report
-
-
-def profile_benchmark_report(
-    sites: int = 4,
-    scale: float = 0.001,
-    repetitions: int = 3,
-    executor: str = "serial",
-) -> dict:
-    """EXPLAIN ANALYZE acceptance numbers as a JSON-serializable report.
-
-    Runs the Section-5 correlated query fully traced (min of
-    ``repetitions``, same practice as :func:`measure_tracing_overhead`),
-    builds the per-query profile behind ``repro explain --analyze``, and
-    reports the profiler's own cost next to the run it profiles plus the
-    coverage/impact numbers the acceptance criteria pin:
-
-    - ``profiler.overhead_frac`` — profile build time over the traced
-      run it profiles (budget: < 5%);
-    - ``profiler.time_coverage`` — fraction of traced query wall time
-      attributed to plan nodes (bar: >= 95%);
-    - ``profiler.bytes_coverage`` — fraction of shipped bytes attributed
-      (exact by construction: 100%);
-    - ``service.latency_ms`` — the query-service latency quantiles from
-      :func:`service_cache_report`.
-
-    The full query profile is embedded under ``"profile"`` so
-    ``repro diff`` (and the ``--check`` failure report) can attribute a
-    regression to the specific round/site/operator that slowed down.
-
-    ``BENCH_profile.json`` pins one run of this; ``repro bench --check``
-    re-measures and compares via :func:`check_profile_baseline`.
-    """
-    from repro.distributed.costing import (
-        StatisticsStore,
-        estimate_optimization_impacts,
-    )
-    from repro.obs.profile import build_profile
-    from repro.queries.olap import QueryBuilder
-    from repro.relalg.aggregates import AggSpec, count_star
-    from repro.relalg.expressions import base, detail
-
-    if repetitions < 1:
-        raise ShapeCheckError(f"repetitions must be >= 1, got {repetitions}")
-    cluster = scaleup_cluster(TPCRConfig(scale=scale), sites=sites)
-    expression = (
-        QueryBuilder("TPCR", keys=["NationKey"])
-        .stage([count_star("cnt"), AggSpec("avg", detail.Price, "avg_price")])
-        .stage([count_star("above")], extra=detail.Price >= base.avg_price)
-        .build()
-    )
-    options = OptimizationOptions.all()
-    config = ExecutionConfig(executor=executor)
-
-    def _traced_run() -> tuple:
-        tracer = Tracer()
-        registry = MetricsRegistry()
-        cluster.reset_network(metrics=registry)
-        started = time.perf_counter()
-        result = execute_query(
-            cluster, expression, options, config=config,
-            tracer=tracer, metrics=registry, query_id=1,
-        )
-        return time.perf_counter() - started, tracer, result
-
-    best = None
-    for _ in range(repetitions):
-        run = _traced_run()
-        if best is None or run[0] < best[0]:
-            best = run
-    traced_s, tracer, result = best
-
-    statistics = StatisticsStore.from_cluster(cluster)
-    impacts = estimate_optimization_impacts(
-        expression,
-        cluster.catalog,
-        statistics,
-        options=options,
-        measured_stats=result.stats,
-        plan=result.plan,
-    )
-    build_started = time.perf_counter()
-    profile = build_profile(
-        tracer.finished(),
-        result.stats,
-        impacts=impacts,
-        plan_description=result.plan.describe(),
-        notes=result.plan.notes,
-        query_id=1,
-    )
-    profile_build_s = time.perf_counter() - build_started
-
-    service = service_cache_report(executor=executor)
-    socket_profiler = socket_trace_report(sites=sites, scale=scale)
-    return {
-        "sites": sites,
-        "scale": scale,
-        "executor": executor,
-        "repetitions": repetitions,
-        "profiler": {
-            "traced_run_s": traced_s,
-            "profile_build_s": profile_build_s,
-            "overhead_frac": (
-                (profile_build_s / traced_s) if traced_s > 0 else 0.0
-            ),
-            "time_coverage": profile.time_coverage(),
-            "bytes_coverage": profile.bytes_coverage(),
-            "rounds": len(profile.rounds),
-            "optimizations_reported": len(profile.impacts),
-            "optimizations_applied": len(result.plan.applied_optimizations()),
-        },
-        "service": {
-            "hit_ratio": service["hit_ratio"],
-            "latency_ms": service["latency_ms"],
-            "queries": service["totals"]["queries"],
-        },
-        # Full per-round/site/operator breakdown so `repro diff` (and
-        # the bench gate's failure report) can attribute a timing
-        # regression to the operator that caused it.
-        "profile": profile.to_dict(),
-        # Cross-process trace coverage: the same query over real
-        # sockets, profiled from clock-synced replayed site spans.
-        "socket_profiler": socket_profiler,
-    }
-
-
-def socket_trace_report(sites: int = 4, scale: float = 0.001) -> dict:
-    """Trace coverage for a socket-executor (multi-process) run.
-
-    Boots an ephemeral :class:`~repro.distributed.deployment.ProcessCluster`,
-    runs the Section-5 correlated query traced, and reports how much of
-    the run's wall time the profile attributes when every site span
-    crossed a process boundary (shipped in a REPLY frame, skew-corrected
-    on replay). ``repro bench --check`` pins this with its own coverage
-    bar — replayed spans arriving misaligned (or not at all) would show
-    up here as a coverage collapse long before anyone reads a timeline.
-    """
-    import tempfile
-
-    from repro.distributed.costing import (
-        StatisticsStore,
-        estimate_optimization_impacts,
-    )
-    from repro.distributed.deployment import ProcessCluster
-    from repro.obs.profile import build_profile
-    from repro.queries.olap import QueryBuilder
-    from repro.relalg.aggregates import AggSpec, count_star
-    from repro.relalg.expressions import base, detail
-
-    simulated = scaleup_cluster(TPCRConfig(scale=scale), sites=sites)
-    expression = (
-        QueryBuilder("TPCR", keys=["NationKey"])
-        .stage([count_star("cnt"), AggSpec("avg", detail.Price, "avg_price")])
-        .stage([count_star("above")], extra=detail.Price >= base.avg_price)
-        .build()
-    )
-    options = OptimizationOptions.all()
-    deployed = ProcessCluster.from_simulated(
-        simulated, tempfile.mkdtemp(prefix="repro-bench-sockets-"),
-        ephemeral=True,
-    )
-    try:
-        tracer = Tracer()
-        registry = MetricsRegistry()
-        deployed.reset_network(metrics=registry)
-        started = time.perf_counter()
-        result = execute_query(
-            deployed, expression, options,
-            config=ExecutionConfig(executor="sockets"),
-            tracer=tracer, metrics=registry, query_id=1,
-        )
-        traced_s = time.perf_counter() - started
-        statistics = StatisticsStore.from_cluster(deployed)
-        impacts = estimate_optimization_impacts(
-            expression,
-            deployed.catalog,
-            statistics,
-            options=options,
-            measured_stats=result.stats,
-            plan=result.plan,
-        )
-        profile = build_profile(
-            tracer.finished(), result.stats, impacts=impacts, query_id=1
-        )
-        finished = tracer.finished()
-        site_spans = sum(1 for span in finished if span.process == "site")
-        negative = sum(1 for span in finished if span.end_s < span.start_s)
-        return {
-            "sites": sites,
-            "scale": scale,
-            "traced_run_s": traced_s,
-            "time_coverage": profile.time_coverage(),
-            "bytes_coverage": profile.bytes_coverage(),
-            "spans": len(finished),
-            "site_spans": site_spans,
-            "negative_duration_spans": negative,
-            "clock_synced_sites": len(result.stats.clock_offsets),
-        }
-    finally:
-        deployed.close()
-
-
-#: Hard acceptance bars (independent of any baseline file).
-TIME_COVERAGE_FLOOR = 0.95
-BYTES_COVERAGE_FLOOR = 0.999
-PROFILER_OVERHEAD_CEILING = 0.05
-#: Socket (multi-process) runs attribute against replayed site spans;
-#: process boundaries and real I/O leave more unattributed wall, so the
-#: cross-process bar sits below the in-process one.
-SOCKET_TIME_COVERAGE_FLOOR = 0.85
-
-
-def check_profile_baseline(
-    current: dict, baseline: dict, tolerance: float = 0.2
-) -> list:
-    """Compare a fresh profile report against a pinned baseline.
-
-    Returns a list of human-readable problem strings (empty = pass).
-    Coverage and the profiler-overhead budget are *hard* bars from the
-    acceptance criteria; timing comparisons get ``tolerance`` headroom
-    plus small absolute slack so CI-machine jitter does not fail builds.
-    """
-    problems = []
-    profiler = current.get("profiler", {})
-    base_profiler = baseline.get("profiler", {})
-
-    time_coverage = profiler.get("time_coverage", 0.0)
-    if time_coverage < TIME_COVERAGE_FLOOR:
-        problems.append(
-            f"time_coverage {time_coverage:.3f} below the "
-            f"{TIME_COVERAGE_FLOOR:.0%} acceptance floor"
-        )
-    bytes_coverage = profiler.get("bytes_coverage", 0.0)
-    if bytes_coverage < BYTES_COVERAGE_FLOOR:
-        problems.append(
-            f"bytes_coverage {bytes_coverage:.4f} below the "
-            f"{BYTES_COVERAGE_FLOOR} acceptance floor"
-        )
-    overhead = profiler.get("overhead_frac", 0.0)
-    if overhead > PROFILER_OVERHEAD_CEILING:
-        problems.append(
-            f"profiler overhead_frac {overhead:.3f} above the "
-            f"{PROFILER_OVERHEAD_CEILING:.0%} budget"
-        )
-    baseline_overhead = base_profiler.get("overhead_frac")
-    if baseline_overhead is not None:
-        allowed = baseline_overhead + max(tolerance * baseline_overhead, 0.02)
-        if overhead > allowed:
-            problems.append(
-                f"profiler overhead_frac {overhead:.3f} regressed "
-                f">{tolerance:.0%} over baseline {baseline_overhead:.3f}"
-            )
-
-    socket_profiler = current.get("socket_profiler")
-    if socket_profiler is not None:
-        socket_coverage = socket_profiler.get("time_coverage", 0.0)
-        if socket_coverage < SOCKET_TIME_COVERAGE_FLOOR:
-            problems.append(
-                f"socket-executor time_coverage {socket_coverage:.3f} below "
-                f"the {SOCKET_TIME_COVERAGE_FLOOR:.0%} cross-process floor"
-            )
-        if socket_profiler.get("site_spans", 0) < 1:
-            problems.append(
-                "socket-executor run replayed no site-process spans — "
-                "REPLY span shipping is broken"
-            )
-        if socket_profiler.get("negative_duration_spans", 0):
-            problems.append(
-                f"socket-executor run has "
-                f"{socket_profiler['negative_duration_spans']} negative-"
-                "duration span(s) — skew correction is broken"
-            )
-
-    reported = profiler.get("optimizations_reported", 0)
-    applied = profiler.get("optimizations_applied", 0)
-    if reported < applied:
-        problems.append(
-            f"only {reported} of {applied} applied optimizations carry a "
-            "measured-vs-estimated saving"
-        )
-
-    service = current.get("service", {})
-    base_service = baseline.get("service", {})
-    hit_ratio = service.get("hit_ratio", 0.0)
-    baseline_hit_ratio = base_service.get("hit_ratio")
-    if baseline_hit_ratio is not None and hit_ratio < baseline_hit_ratio * (
-        1.0 - tolerance
-    ):
-        problems.append(
-            f"service hit_ratio {hit_ratio:.3f} regressed >{tolerance:.0%} "
-            f"under baseline {baseline_hit_ratio:.3f}"
-        )
-    latency = service.get("latency_ms", {})
-    baseline_latency = base_service.get("latency_ms", {})
-    for label in ("p50", "p90", "p99", "mean"):
-        now_ms = latency.get(label)
-        then_ms = baseline_latency.get(label)
-        if now_ms is None or then_ms is None:
-            continue
-        allowed_ms = then_ms * (1.0 + tolerance) + 5.0
-        if now_ms > allowed_ms:
-            problems.append(
-                f"service latency {label} {now_ms:.1f}ms regressed "
-                f">{tolerance:.0%} over baseline {then_ms:.1f}ms"
-            )
-    return problems
-
-
-def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
-    """``python -m repro.bench.harness``: one benchmark run as JSON."""
-    import argparse
-    import json
-    import sys
-
-    out = out or sys.stdout
-    parser = argparse.ArgumentParser(
-        prog="repro.bench.harness",
-        description="run one reference-checked benchmark and print JSON",
-    )
-    parser.add_argument("--sites", type=int, default=4)
-    parser.add_argument("--scale", type=float, default=0.001)
-    parser.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default="serial",
-        help="site execution engine for the benchmark arms",
-    )
-    parser.add_argument(
-        "--emit-trace",
-        metavar="PATH",
-        help="write the all-optimizations arm's JSONL trace to PATH",
-    )
-    parser.add_argument(
-        "--micro",
-        metavar="PATH",
-        help="run the codec microbenchmark only and write its JSON to PATH",
-    )
-    parser.add_argument(
-        "--fault-report",
-        metavar="PATH",
-        help="run the seeded fault-injection recovery check only (retry "
-        "bit-identical, degrade excludes the victim) and write its JSON to PATH",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="victim-site seed for --fault-report"
-    )
-    parser.add_argument(
-        "--service-report",
-        metavar="PATH",
-        help="run the query-service cache-hit-ratio sweep only (every served "
-        "answer checked against a cold evaluation) and write its JSON to PATH",
-    )
-    parser.add_argument(
-        "--profile-report",
-        metavar="PATH",
-        help="run the EXPLAIN ANALYZE profiler benchmark only (coverage, "
-        "profiler overhead, service latency quantiles) and write its JSON "
-        "to PATH",
-    )
-    parser.add_argument(
-        "--socket-report",
-        metavar="PATH",
-        help="run the socket-vs-simulated transport sweep only (every query "
-        "family bit-identical over real sockets, measured payload bytes "
-        "equal to modeled bytes) and write its JSON to PATH",
-    )
-    parser.add_argument(
-        "--output", metavar="PATH", help="write the benchmark JSON to PATH"
-    )
-    args = parser.parse_args(argv)
-    if args.socket_report:
-        sweep = socket_sweep_report(sites=args.sites, scale=args.scale)
-        with open(args.socket_report, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(sweep, indent=2, sort_keys=True) + "\n")
-        totals = sweep["totals"]
-        print(
-            f"socket sweep: {totals['queries']} queries bit-identical over "
-            f"sockets; payload {totals['bytes_modeled']}B == modeled, "
-            f"framing +{totals['framing_bytes']}B ({totals['frames']} frames); "
-            f"wall sim {totals['sim_wall_s']:.2f}s vs "
-            f"sockets {totals['socket_wall_s']:.2f}s",
-            file=sys.stderr,
-        )
-        return 0
-    if args.profile_report:
-        report = profile_benchmark_report(
-            sites=args.sites, scale=args.scale, executor=args.executor
-        )
-        with open(args.profile_report, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        profiler = report["profiler"]
-        print(
-            f"profiler [{args.executor}]: overhead "
-            f"{profiler['overhead_frac']:.1%}, time coverage "
-            f"{profiler['time_coverage']:.1%}, bytes coverage "
-            f"{profiler['bytes_coverage']:.1%}, "
-            f"{profiler['optimizations_reported']} optimization(s) measured",
-            file=sys.stderr,
-        )
-        return 0
-    if args.service_report:
-        sweep = service_cache_report(sites=args.sites, executor=args.executor)
-        with open(args.service_report, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(sweep, indent=2, sort_keys=True) + "\n")
-        totals = sweep["totals"]
-        print(
-            f"service cache [{args.executor}]: {totals['queries']} queries, "
-            f"hit ratio {sweep['hit_ratio']:.0%} "
-            f"({totals['hits']} hits / {totals['misses']} misses / "
-            f"{totals['refreshes']} refreshes), answers verified",
-            file=sys.stderr,
-        )
-        return 0
-    if args.fault_report:
-        fault = fault_recovery_report(
-            sites=args.sites,
-            scale=args.scale,
-            seed=args.seed,
-            executor=args.executor,
-        )
-        with open(args.fault_report, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(fault, indent=2, sort_keys=True) + "\n")
-        print(
-            f"fault recovery [{args.executor}]: victim={fault['victim']} "
-            f"retry retries={fault['retry']['retries']} (bit-identical), "
-            f"degrade excluded={fault['degrade']['excluded']}",
-            file=sys.stderr,
-        )
-        return 0
-    if args.micro:
-        micro = codec_microbenchmark()
-        micro["columnar"] = columnar_sweep()
-        with open(args.micro, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(micro, indent=2, sort_keys=True) + "\n")
-        print(
-            f"codec: encode {micro['encode']['speedup']:.2f}x, "
-            f"decode {micro['decode']['speedup']:.2f}x over reference "
-            f"({micro['rows']} rows); column codec saves "
-            f"{micro['column']['saving_fraction']:.1%}; columnar kernels "
-            f"cube {micro['columnar']['cube']['speedup']:.2f}x, "
-            f"multifeature {micro['columnar']['multifeature']['speedup']:.2f}x",
-            file=sys.stderr,
-        )
-        return 0
-    report = benchmark_report(
-        sites=args.sites,
-        scale=args.scale,
-        emit_trace=args.emit_trace,
-        executor=args.executor,
-    )
-    text = json.dumps(report, indent=2, sort_keys=True, default=str)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text, file=out)
-    overhead = report["tracing_overhead"]
-    print(
-        f"tracing overhead: {overhead['overhead_s'] * 1000:.2f}ms "
-        f"({overhead['overhead_frac']:.1%}) over "
-        f"{overhead['untraced_s'] * 1000:.2f}ms untraced",
-        file=sys.stderr,
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -24,22 +24,11 @@ Subcommands:
 - ``top`` — poll a ``/metrics`` endpoint and render a terminal
   dashboard (in-flight/queued, cache hit ratio, latency quantiles,
   per-site bytes);
-- ``bench`` — run the EXPLAIN ANALYZE profiler benchmark;
-  ``--check`` compares against the pinned ``BENCH_profile.json``
-  baseline (and, when present, the ``BENCH_slo.json`` SLO baseline),
-  fails on regressions, and prints the trace-diff root-cause table for
-  any failure;
-- ``loadgen`` — the closed/open-loop load generator: seeded
-  deterministic query mixes against the query service, an SLO report
-  (``BENCH_slo.json``) with achieved QPS and per-stage latency
-  quantiles per offered-load step, and an ASCII latency-vs-load table;
-  ``--check`` gates against the pinned baseline, ``--self-test`` runs
-  the acceptance scenario;
 - ``diff BEFORE AFTER`` — compare two observability artifacts (JSONL
-  traces, ``explain --analyze --json`` profiles, ``loadgen`` SLO
-  reports, or ``bench`` reports) and attribute wall-time/byte deltas to
-  rounds, sites, operators, stages and optimizations with thresholded
-  verdicts; exits 1 when anything regressed;
+  traces, flight dumps, or ``explain --analyze --json`` profiles) and
+  attribute wall-time/byte deltas to rounds, sites, operators and
+  optimizations with thresholded verdicts; exits 1 when anything
+  regressed;
 - ``figures [NAME]`` — regenerate the paper's experiments and print
   their reports (fig2, fig2x, fig3, fig4, fig5, or all).
 """
@@ -83,21 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sql = commands.add_parser("sql", help="run an OLAP SQL query distributed")
     sql.add_argument("query", help="query text, e.g. \"SELECT NationKey, COUNT(*) AS c FROM TPCR GROUP BY NationKey\"")
-    _add_cluster_options(sql)
-    sql.add_argument(
-        "--data",
-        choices=("tpcr", "flows"),
-        default="tpcr",
-        help="which synthetic warehouse to build (table name TPCR or Flow)",
-    )
-    sql.add_argument(
-        "--topology",
-        default="star",
-        help="merge topology: 'flat' (coordinator star; alias 'star'), "
-        "'hierarchical:R' (R regional combiners; alias 'tree:R'), "
-        "'chain:F' (fanout-F combiner tree), or 'auto' to let the cost "
-        "model pick",
-    )
+    _add_cluster_options(sql, data="tpcr", topology="star")
     sql.add_argument("--max-rows", type=int, default=20, help="rows to print")
 
     trace = commands.add_parser(
@@ -117,18 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(a flight-*.jsonl file, or a directory written by "
         "'repro cluster dump') instead of running a query",
     )
-    _add_cluster_options(trace)
-    trace.add_argument(
-        "--data",
-        choices=("tpcr", "flows"),
-        default="tpcr",
-        help="which synthetic warehouse to build (table name TPCR or Flow)",
-    )
-    trace.add_argument(
-        "--topology",
-        default="star",
-        help="only 'star' supports tracing today",
-    )
+    _add_cluster_options(trace, data="tpcr", topology="star")
     trace.add_argument(
         "--json",
         action="store_true",
@@ -146,13 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--analyze runs it traced and renders EXPLAIN ANALYZE",
     )
     explain.add_argument("query", help="query text (same dialect as 'sql')")
-    _add_cluster_options(explain)
-    explain.add_argument(
-        "--data",
-        choices=("tpcr", "flows"),
-        default="tpcr",
-        help="which synthetic warehouse to build (table name TPCR or Flow)",
-    )
+    _add_cluster_options(explain, data="tpcr", topology="auto")
     explain.add_argument(
         "--analyze",
         action="store_true",
@@ -169,26 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="with --analyze: also write the run's JSONL trace to PATH",
     )
-    explain.add_argument(
-        "--topology",
-        default="auto",
-        metavar="TOPOLOGY",
-        help="merge topology: 'auto' (cost-model scheduler picks), "
-        "'flat', 'hierarchical:R', or 'chain:F'",
-    )
 
     serve = commands.add_parser(
         "serve",
         help="start the concurrent query service (REPL over stdin, or "
         "--self-test for the concurrency smoke test)",
     )
-    _add_cluster_options(serve)
-    serve.add_argument(
-        "--data",
-        choices=("tpcr", "flows"),
-        default="flows",
-        help="which synthetic warehouse to build (table name TPCR or Flow)",
-    )
+    _add_cluster_options(serve, data="flows")
     serve.add_argument(
         "--self-test",
         action="store_true",
@@ -244,167 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="frames to render before exiting (0 = until interrupted)",
     )
 
-    bench = commands.add_parser(
-        "bench",
-        help="run the EXPLAIN ANALYZE profiler benchmark "
-        "(--check compares against the pinned baseline)",
-    )
-    bench.add_argument("--sites", type=int, default=4)
-    bench.add_argument("--scale", type=float, default=0.001)
-    bench.add_argument(
-        "--executor", choices=EXECUTORS, default="serial",
-        help="site execution engine",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="compare the fresh numbers against --baseline and exit "
-        "non-zero on regression",
-    )
-    bench.add_argument(
-        "--baseline",
-        default="BENCH_profile.json",
-        metavar="PATH",
-        help="pinned baseline JSON for --check",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.2,
-        help="allowed relative regression vs the baseline",
-    )
-    bench.add_argument(
-        "--output", metavar="PATH", help="write the fresh report JSON to PATH"
-    )
-    bench.add_argument(
-        "--slo-baseline",
-        default="BENCH_slo.json",
-        metavar="PATH",
-        help="with --check: also re-run the pinned SLO sweep and gate "
-        "against this baseline (skipped when the file does not exist)",
-    )
-    bench.add_argument(
-        "--slo-threshold",
-        type=float,
-        default=0.5,
-        help="allowed relative SLO regression vs the baseline",
-    )
-    bench.add_argument(
-        "--micro-baseline",
-        default="BENCH_micro.json",
-        metavar="PATH",
-        help="with --check: re-run the codec microbenchmark and columnar "
-        "kernel sweep and gate against this baseline (skipped when the "
-        "file does not exist)",
-    )
-    bench.add_argument(
-        "--min-columnar-speedup",
-        type=float,
-        default=1.3,
-        help="floor on the columnar kernel speedup for the micro gate "
-        "(the pinned numbers are ~4x; the floor absorbs CI timing noise)",
-    )
-    bench.add_argument(
-        "--straggler-sweep",
-        action="store_true",
-        help="run the speculative-re-execution sweep instead: seeded "
-        "per-site compute delays over real sockets, gating that "
-        "speculation cuts the p99 slowest-round wall while every query "
-        "stays bit-identical to the fault-free flat run "
-        "(requires --executor sockets)",
-    )
-    bench.add_argument(
-        "--straggler-delay",
-        type=float,
-        default=1.5,
-        help="seeded per-site compute delay in seconds for --straggler-sweep",
-    )
-    bench.add_argument(
-        "--straggler-trials",
-        type=int,
-        default=3,
-        help="seeds swept per mode for --straggler-sweep",
-    )
-    bench.add_argument(
-        "--straggler-min-speedup",
-        type=float,
-        default=1.5,
-        help="required p99 slowest-round-wall improvement for "
-        "--straggler-sweep",
-    )
-
-    loadgen = commands.add_parser(
-        "loadgen",
-        help="drive the query service with a seeded deterministic query "
-        "mix and emit an SLO report (latency vs offered load)",
-    )
-    loadgen.add_argument(
-        "--mode",
-        choices=("closed", "open"),
-        default="closed",
-        help="closed loop (steps = worker counts) or open loop "
-        "(steps = offered QPS)",
-    )
-    loadgen.add_argument(
-        "--mix",
-        choices=("cube", "multifeature", "unpivot", "mixed"),
-        default="mixed",
-        help="query family blend",
-    )
-    loadgen.add_argument("--seed", type=int, default=17)
-    loadgen.add_argument("--sites", type=int, default=3)
-    loadgen.add_argument("--flow-count", type=int, default=400)
-    loadgen.add_argument(
-        "--executor", choices=EXECUTORS, default="serial",
-        help="site execution engine",
-    )
-    loadgen.add_argument(
-        "--steps",
-        default=None,
-        help="comma-separated offered loads: worker counts (closed) or "
-        "QPS values (open); default 1,2,4",
-    )
-    loadgen.add_argument(
-        "--queries", type=int, default=24, help="submissions per step"
-    )
-    loadgen.add_argument(
-        "--workers", type=int, default=4, help="open-loop client threads"
-    )
-    loadgen.add_argument(
-        "--timeout", type=float, default=30.0, help="per-query timeout (s)"
-    )
-    loadgen.add_argument(
-        "--output", metavar="PATH", help="write the SLO report JSON to PATH"
-    )
-    loadgen.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against --baseline and exit non-zero on regression",
-    )
-    loadgen.add_argument(
-        "--baseline",
-        default="BENCH_slo.json",
-        metavar="PATH",
-        help="pinned SLO baseline for --check",
-    )
-    loadgen.add_argument(
-        "--threshold",
-        type=float,
-        default=0.5,
-        help="allowed relative regression vs the baseline",
-    )
-    loadgen.add_argument(
-        "--self-test",
-        action="store_true",
-        help="run the acceptance scenario: >=3 steps with per-stage "
-        "p50/p99, stage sums within 5% of end-to-end latency, and an "
-        "injected operator slowdown attributed by the trace diff",
-    )
-
     diff = commands.add_parser(
         "diff",
         help="attribute wall-time/byte deltas between two observability "
-        "artifacts (traces, profiles, SLO or bench reports)",
+        "artifacts (traces, flight dumps, explain --analyze profiles)",
     )
     diff.add_argument("before", help="baseline artifact path")
     diff.add_argument("after", help="fresh artifact path")
@@ -432,13 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(--repeat to demonstrate cache hits)",
     )
     query.add_argument("query", help="query text (same dialect as 'sql')")
-    _add_cluster_options(query)
-    query.add_argument(
-        "--data",
-        choices=("tpcr", "flows"),
-        default="tpcr",
-        help="which synthetic warehouse to build (table name TPCR or Flow)",
-    )
+    _add_cluster_options(query, data="tpcr")
     query.add_argument(
         "--repeat", type=int, default=2, help="submissions of the same query"
     )
@@ -515,7 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_cluster_options(parser) -> None:
+def _add_cluster_options(parser, data=None, topology=None) -> None:
+    """The flags every cluster-building subcommand shares.
+
+    ``data`` / ``topology`` are that subcommand's default for ``--data`` /
+    ``--topology``; ``None`` means it does not take the flag.
+    """
     parser.add_argument("--sites", type=int, default=4, help="number of sites")
     parser.add_argument("--scale", type=float, default=0.001, help="TPC-R scale")
     parser.add_argument(
@@ -577,6 +364,22 @@ def _add_cluster_options(parser) -> None:
         "column blocks) or 'row' (a tag byte and a varint per value); "
         f"default $REPRO_CODEC or {serialize.DEFAULT_CODEC}",
     )
+    if data is not None:
+        parser.add_argument(
+            "--data",
+            choices=("tpcr", "flows"),
+            default=data,
+            help="which synthetic warehouse to build (table name TPCR or Flow)",
+        )
+    if topology is not None:
+        parser.add_argument(
+            "--topology",
+            default=topology,
+            help="merge topology: 'flat' (coordinator star; alias 'star'), "
+            "'hierarchical:R' (R regional combiners; alias 'tree:R'), "
+            "'chain:F' (fanout-F combiner tree), or 'auto' to let the cost "
+            "model pick ('repro trace' renders the star only)",
+        )
 
 
 #: Process clusters booted by the current CLI invocation, closed by
@@ -1044,218 +847,6 @@ def run_top(args, out) -> int:
     )
 
 
-def run_bench(args, out) -> int:
-    import json
-    import os
-
-    from repro.bench.harness import (
-        check_profile_baseline,
-        profile_benchmark_report,
-    )
-    from repro.obs.diff import diff_bench, render_diff
-
-    if args.straggler_sweep:
-        from repro.bench.harness import ShapeCheckError, straggler_sweep_report
-
-        if args.executor != "sockets":
-            print(
-                "--straggler-sweep measures real wall time; it requires "
-                "--executor sockets",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            report = straggler_sweep_report(
-                sites=args.sites,
-                scale=args.scale,
-                trials=args.straggler_trials,
-                delay_s=args.straggler_delay,
-                min_speedup=args.straggler_min_speedup,
-            )
-        except ShapeCheckError as error:
-            print(f"straggler sweep FAILED: {error}", file=sys.stderr)
-            return 1
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        else:
-            print(text, file=out)
-        print(
-            f"straggler sweep: speculation cut p99 slowest-round wall "
-            f"{report['speedup']:.2f}x ({report['baseline_p99_s']:.3f}s -> "
-            f"{report['speculation_p99_s']:.3f}s) over {report['queries']} "
-            f"query families x {report['trials']} trial(s); "
-            f"{report['speculative_legs']} leg(s) re-executed, "
-            f"{report['speculation_wins']} backup win(s); all runs "
-            f"bit-identical to the fault-free flat oracle with byte parity",
-            file=out,
-        )
-        return 0
-
-    report = profile_benchmark_report(
-        sites=args.sites, scale=args.scale, executor=args.executor
-    )
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text, file=out)
-    if not args.check:
-        return 0
-    try:
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-    except OSError as error:
-        print(f"cannot read baseline {args.baseline!r}: {error}", file=sys.stderr)
-        return 2
-    failed = False
-    problems = check_profile_baseline(report, baseline, tolerance=args.tolerance)
-    if problems:
-        failed = True
-        for problem in problems:
-            print(f"REGRESSION: {problem}", file=sys.stderr)
-        # Root-cause attribution: which metric/stage/operator moved.
-        print(
-            render_diff(
-                diff_bench(
-                    baseline,
-                    report,
-                    threshold=args.tolerance,
-                    before_label=args.baseline,
-                    after_label="fresh run",
-                )
-            ),
-            file=sys.stderr,
-        )
-    if os.path.exists(args.micro_baseline):
-        from repro.bench.harness import (
-            check_micro_baseline,
-            codec_microbenchmark,
-            columnar_sweep,
-        )
-
-        with open(args.micro_baseline, "r", encoding="utf-8") as handle:
-            micro_baseline = json.load(handle)
-        micro = codec_microbenchmark(repetitions=3)
-        micro["columnar"] = columnar_sweep(detail_rows=30_000, repetitions=2)
-        micro_problems = check_micro_baseline(
-            micro, micro_baseline, min_speedup=args.min_columnar_speedup
-        )
-        if micro_problems:
-            failed = True
-            for problem in micro_problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-        else:
-            print(
-                f"bench --check: codec + columnar kernel bars hold vs "
-                f"{args.micro_baseline} (columnar cube "
-                f"{micro['columnar']['cube']['speedup']:.2f}x, multifeature "
-                f"{micro['columnar']['multifeature']['speedup']:.2f}x, column "
-                f"codec saves {micro['column']['saving_fraction']:.0%})",
-                file=out,
-            )
-    if os.path.exists(args.slo_baseline):
-        from repro.bench.loadgen import (
-            check_slo_baseline,
-            config_from_report,
-            run_loadgen as run_slo_sweep,
-        )
-
-        with open(args.slo_baseline, "r", encoding="utf-8") as handle:
-            slo_baseline = json.load(handle)
-        slo_report = run_slo_sweep(config_from_report(slo_baseline))
-        slo_problems, slo_diff = check_slo_baseline(
-            slo_report, slo_baseline, threshold=args.slo_threshold
-        )
-        if slo_problems:
-            failed = True
-            for problem in slo_problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-            print(render_diff(slo_diff), file=sys.stderr)
-        else:
-            print(
-                f"bench --check: SLO bars hold vs {args.slo_baseline} "
-                f"(threshold {args.slo_threshold:.0%})",
-                file=out,
-            )
-    if failed:
-        return 1
-    print(
-        f"bench --check: no regression vs {args.baseline} "
-        f"(tolerance {args.tolerance:.0%})",
-        file=out,
-    )
-    return 0
-
-
-def run_loadgen(args, out) -> int:
-    import json
-
-    from repro.bench.loadgen import (
-        LoadgenConfig,
-        LoadgenError,
-        check_slo_baseline,
-        render_slo_table,
-        run_loadgen as run_sweep,
-        run_self_test,
-    )
-    from repro.obs.diff import render_diff
-
-    if args.self_test:
-        return run_self_test(out, output=args.output or "BENCH_slo.json")
-    try:
-        steps = (
-            tuple(float(step) for step in args.steps.split(","))
-            if args.steps
-            else (1, 2, 4)
-        )
-        config = LoadgenConfig(
-            mode=args.mode,
-            mix=args.mix,
-            seed=args.seed,
-            sites=args.sites,
-            flow_count=args.flow_count,
-            executor=args.executor,
-            steps=steps,
-            queries_per_step=args.queries,
-            workers=args.workers,
-            timeout_s=args.timeout,
-        )
-    except (LoadgenError, ValueError) as error:
-        print(f"repro loadgen: {error}", file=sys.stderr)
-        return 2
-    report = run_sweep(config)
-    print(render_slo_table(report), file=out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"SLO report written to {args.output}", file=out)
-    if not args.check:
-        return 0
-    try:
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-    except OSError as error:
-        print(f"cannot read baseline {args.baseline!r}: {error}", file=sys.stderr)
-        return 2
-    problems, diff = check_slo_baseline(
-        report, baseline, threshold=args.threshold
-    )
-    if problems:
-        for problem in problems:
-            print(f"REGRESSION: {problem}", file=sys.stderr)
-        print(render_diff(diff), file=sys.stderr)
-        return 1
-    print(
-        f"loadgen --check: SLO bars hold vs {args.baseline} "
-        f"(threshold {args.threshold:.0%})",
-        file=out,
-    )
-    return 0
-
-
 def run_diff(args, out) -> int:
     import json
 
@@ -1506,10 +1097,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return run_serve(args, out)
         if args.command == "top":
             return run_top(args, out)
-        if args.command == "bench":
-            return run_bench(args, out)
-        if args.command == "loadgen":
-            return run_loadgen(args, out)
         if args.command == "diff":
             return run_diff(args, out)
         if args.command == "query":

@@ -7,8 +7,7 @@ Seven pieces, all zero-dependency and import-free of the execution layers
   (:data:`NULL_TRACER`) so untraced runs pay nothing;
 - :mod:`repro.obs.metrics` — process-local counters/gauges/histograms;
 - :mod:`repro.obs.events` — schema-versioned JSONL trace export with a
-  lossless ``dump``/``load`` round trip (v2 adds per-record
-  ``query_id`` and plan records);
+  lossless ``dump``/``load`` round trip;
 - :mod:`repro.obs.timeline` — the ASCII per-round timeline behind the
   ``repro trace`` CLI subcommand;
 - :mod:`repro.obs.profile` — EXPLAIN ANALYZE: per-query profiles
@@ -18,7 +17,7 @@ Seven pieces, all zero-dependency and import-free of the execution layers
   HTTP endpoint behind ``repro serve --metrics-port``;
 - :mod:`repro.obs.top` — the polling terminal dashboard behind
   ``repro top``;
-- :mod:`repro.obs.diff` — trace/profile/SLO comparison with
+- :mod:`repro.obs.diff` — trace/profile comparison with
   per-dimension regression attribution (``repro diff``);
 - :mod:`repro.obs.skew` — NTP-style clock-offset estimation and span
   alignment for merging site-process spans onto the coordinator clock;
@@ -30,9 +29,7 @@ from repro.obs.diff import (
     DiffEntry,
     TraceDiff,
     diff_artifacts,
-    diff_bench,
     diff_profiles,
-    diff_slo,
     load_artifact,
     render_diff,
 )
@@ -130,9 +127,7 @@ __all__ = [
     "cluster_sites",
     "cluster_top_loop",
     "diff_artifacts",
-    "diff_bench",
     "diff_profiles",
-    "diff_slo",
     "estimate_offset",
     "flight_path",
     "histogram_quantile",

@@ -1,11 +1,10 @@
 """Trace-diff regression attribution (``repro diff``).
 
-``repro bench --check`` can say *that* a bar regressed; this module says
-*why*. It compares two observability artifacts — JSONL traces, EXPLAIN
-ANALYZE profiles, SLO reports from the load generator, or whole bench
-reports — and attributes every wall-time/byte delta to a dimension the
-paper's cost analysis argues about: the query total, a round, a site, an
-operator, a service lifecycle stage, or an applied optimization.
+A benchmark or a test can say *that* a run got slower; this module says
+*why*. It compares two observability artifacts — JSONL traces, flight
+dumps or EXPLAIN ANALYZE profiles — and attributes every wall-time/byte
+delta to a dimension the paper's cost analysis argues about: the query
+total, a round, a site, an operator, or an applied optimization.
 
 Each compared series becomes a :class:`DiffEntry` with a thresholded
 verdict (``REGRESSED`` / ``IMPROVED`` / ``UNCHANGED``): a delta counts
@@ -16,14 +15,13 @@ attributed delta — the self-check the tests pin.
 
 Artifact kinds are auto-detected by :func:`load_artifact`:
 
-- a JSONL trace (``repro trace --emit-trace``) — normalized to a
-  profile via :func:`~repro.obs.profile.profile_from_trace`;
-- a profile dict (``repro explain --analyze --json``);
-- an SLO report (``repro loadgen``, ``BENCH_slo.json``);
-- a bench report (``repro bench``, ``BENCH_profile.json``).
+- a JSONL trace (``repro trace --emit-trace``) or a flight-recorder dump
+  (``repro cluster dump``) — normalized to a profile via
+  :func:`~repro.obs.profile.profile_from_trace`;
+- a profile dict (``repro explain --analyze --json``).
 
-Both sides must normalize to the same kind. :func:`render_diff` prints
-the root-cause table CI attaches to a failing ``bench --check``.
+Every artifact normalizes to a profile, so any two may be compared.
+:func:`render_diff` prints the root-cause table.
 """
 
 from __future__ import annotations
@@ -51,20 +49,8 @@ DEFAULT_THRESHOLD = 0.10
 #: ratio (5ms of timer jitter on a 1ms operator is not a 500% regression).
 ABS_SLACK = {
     "s": 0.005,
-    "ms": 5.0,
-    # Tail quantiles (p99) of small samples are order statistics at or
-    # near the max — one cold code path or GC pause moves them tens of
-    # milliseconds without any regression. Wider slack; a real operator
-    # slowdown shifts the whole tail well past it.
-    "ms_tail": 25.0,
     "bytes": 64.0,
-    "count": 0.5,
     "ratio": 0.02,
-    # Cache-hit share of an SLO step: race-dependent under concurrency
-    # (two in-flight submissions of one signature may both miss), so the
-    # slack tolerates a few flipped outcomes per step.
-    "hit_ratio": 0.15,
-    "qps": 0.5,
 }
 
 
@@ -72,7 +58,7 @@ ABS_SLACK = {
 class DiffEntry:
     """One compared series: a metric of one key in one dimension."""
 
-    dimension: str  #: total | round | site | operator | stage | optimization | metric
+    dimension: str  #: total | round | site | operator | optimization | metric
     key: str
     metric: str
     before: float
@@ -154,13 +140,7 @@ class TraceDiff:
     @property
     def attributed_delta_s(self) -> float:
         """Sum of absolute time deltas across every attributed series."""
-        total = 0.0
-        for entry in self.entries:
-            if entry.unit == "s":
-                total += abs(entry.delta)
-            elif entry.unit in ("ms", "ms_tail"):
-                total += abs(entry.delta) / 1000.0
-        return total
+        return sum(abs(entry.delta) for entry in self.entries if entry.unit == "s")
 
     def to_dict(self) -> dict:
         return {
@@ -178,7 +158,7 @@ class TraceDiff:
 
 
 # ---------------------------------------------------------------------------
-# Builders per artifact kind
+# The profile diff
 # ---------------------------------------------------------------------------
 
 
@@ -285,148 +265,6 @@ def diff_profiles(
     )
 
 
-def _slo_step_entries(
-    entries: List[DiffEntry], step_key: str, old: dict, new: dict
-) -> None:
-    entries.append(
-        DiffEntry(
-            "total", step_key, "achieved_qps",
-            old.get("achieved_qps", 0.0), new.get("achieved_qps", 0.0),
-            unit="qps", higher_is_worse=False,
-        )
-    )
-    entries.append(
-        DiffEntry(
-            "total", step_key, "hit_ratio",
-            old.get("hit_ratio", 0.0), new.get("hit_ratio", 0.0),
-            unit="hit_ratio", higher_is_worse=False,
-        )
-    )
-    old_outcomes = old.get("outcomes", {})
-    new_outcomes = new.get("outcomes", {})
-    for outcome in ("rejected", "timeout"):
-        entries.append(
-            DiffEntry(
-                "metric", step_key, outcome,
-                float(old_outcomes.get(outcome, 0)),
-                float(new_outcomes.get(outcome, 0)),
-                unit="count",
-            )
-        )
-    old_latency = old.get("latency_ms", {})
-    new_latency = new.get("latency_ms", {})
-    # p50 is a robust median; p90/p99 of a 24-query step are order
-    # statistics within a couple of ranks of the max, so they gate with
-    # the wider tail slack.
-    for label in ("p50", "p90", "p99"):
-        entries.append(
-            DiffEntry(
-                "total", step_key, f"latency_{label}",
-                old_latency.get(label, 0.0), new_latency.get(label, 0.0),
-                unit="ms" if label == "p50" else "ms_tail",
-            )
-        )
-    old_stages = old.get("stages_ms", {})
-    new_stages = new.get("stages_ms", {})
-    stage_names = list(old_stages)
-    stage_names.extend(name for name in new_stages if name not in old_stages)
-    for stage in stage_names:
-        for label in ("p50", "p99"):
-            entries.append(
-                DiffEntry(
-                    "stage", f"{step_key}/{stage}", f"latency_{label}",
-                    old_stages.get(stage, {}).get(label, 0.0),
-                    new_stages.get(stage, {}).get(label, 0.0),
-                    unit="ms_tail" if label == "p99" else "ms",
-                )
-            )
-
-
-def diff_slo(
-    before: dict,
-    after: dict,
-    threshold: float = DEFAULT_THRESHOLD,
-    before_label: str = "before",
-    after_label: str = "after",
-) -> TraceDiff:
-    """Attribute SLO-report deltas per offered-load step and stage."""
-    entries: List[DiffEntry] = []
-    old_steps = {step.get("label", str(index)): step
-                 for index, step in enumerate(before.get("steps", ()))}
-    new_steps = {step.get("label", str(index)): step
-                 for index, step in enumerate(after.get("steps", ()))}
-    for key, old, new in _paired(old_steps, new_steps):
-        _slo_step_entries(entries, key, old, new)
-    return TraceDiff(
-        kind="slo",
-        before_label=before_label,
-        after_label=after_label,
-        entries=entries,
-        threshold=threshold,
-    )
-
-
-def diff_bench(
-    before: dict,
-    after: dict,
-    threshold: float = DEFAULT_THRESHOLD,
-    before_label: str = "before",
-    after_label: str = "after",
-) -> TraceDiff:
-    """Attribute bench-report deltas; recurses into an embedded profile."""
-    entries: List[DiffEntry] = []
-    old_profiler = before.get("profiler", {})
-    new_profiler = after.get("profiler", {})
-    entries.append(
-        DiffEntry(
-            "metric", "profiler", "overhead_frac",
-            old_profiler.get("overhead_frac", 0.0),
-            new_profiler.get("overhead_frac", 0.0),
-            unit="ratio",
-        )
-    )
-    for label in ("time_coverage", "bytes_coverage"):
-        entries.append(
-            DiffEntry(
-                "metric", "profiler", label,
-                old_profiler.get(label, 1.0), new_profiler.get(label, 1.0),
-                unit="ratio", higher_is_worse=False,
-            )
-        )
-    old_service = before.get("service", {})
-    new_service = after.get("service", {})
-    entries.append(
-        DiffEntry(
-            "metric", "service", "hit_ratio",
-            old_service.get("hit_ratio", 0.0),
-            new_service.get("hit_ratio", 0.0),
-            unit="ratio", higher_is_worse=False,
-        )
-    )
-    old_latency = old_service.get("latency_ms", {})
-    new_latency = new_service.get("latency_ms", {})
-    for label in ("p50", "p90", "p99", "mean"):
-        entries.append(
-            DiffEntry(
-                "stage", "service", f"latency_{label}",
-                old_latency.get(label, 0.0), new_latency.get(label, 0.0),
-                unit="ms_tail" if label == "p99" else "ms",
-            )
-        )
-    if "profile" in before and "profile" in after:
-        nested = diff_profiles(
-            before["profile"], after["profile"], threshold=threshold
-        )
-        entries.extend(nested.entries)
-    return TraceDiff(
-        kind="bench",
-        before_label=before_label,
-        after_label=after_label,
-        entries=entries,
-        threshold=threshold,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Artifact loading & top-level diff
 # ---------------------------------------------------------------------------
@@ -435,10 +273,9 @@ def diff_bench(
 def load_artifact(path: str):
     """Read and classify one artifact; returns ``(kind, payload)``.
 
-    Kinds: ``"trace"`` (payload: :class:`~repro.obs.events.EventLog`),
-    ``"profile"``, ``"slo"``, ``"bench"`` (payload: dict). Flight
-    recorder dumps load as ``"trace"`` via
-    :meth:`~repro.obs.flightrec.FlightRecord.to_event_log`.
+    Kinds: ``"trace"`` (payload: :class:`~repro.obs.events.EventLog`) or
+    ``"profile"`` (payload: dict). Flight recorder dumps load as
+    ``"trace"`` via :meth:`~repro.obs.flightrec.FlightRecord.to_event_log`.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -467,16 +304,11 @@ def load_artifact(path: str):
         )
     if not isinstance(data, dict):
         raise ObservabilityError(f"{path!r} does not hold a JSON object")
-    if "slo_version" in data or ("steps" in data and "mix" in data):
-        return "slo", data
-    if "profiler" in data:
-        return "bench", data
     if "rounds" in data:
         return "profile", data
     raise ObservabilityError(
-        f"cannot classify {path!r}: expected a JSONL trace, a profile "
-        "(repro explain --analyze --json), an SLO report (repro loadgen), "
-        "or a bench report (repro bench)"
+        f"cannot classify {path!r}: expected a JSONL trace, a flight dump, "
+        "or a profile (repro explain --analyze --json)"
     )
 
 
@@ -488,32 +320,19 @@ def diff_artifacts(
 ) -> TraceDiff:
     """Load, classify and diff two artifact files.
 
-    Traces are normalized to profiles (so a trace may be compared
-    against a profile JSON); otherwise both sides must be the same kind.
+    Traces are normalized to profiles, so a trace may be compared
+    against a profile JSON.
     """
     from repro.obs.profile import profile_from_trace
 
-    kind_before, before = load_artifact(before_path)
-    kind_after, after = load_artifact(after_path)
-    if kind_before == "trace":
-        before = profile_from_trace(before, query_id=query_id).to_dict()
-        kind_before = "profile"
-    if kind_after == "trace":
-        after = profile_from_trace(after, query_id=query_id).to_dict()
-        kind_after = "profile"
-    if kind_before != kind_after:
-        raise ObservabilityError(
-            f"cannot diff a {kind_before} against a {kind_after} "
-            f"({before_path!r} vs {after_path!r})"
-        )
-    builder = {
-        "profile": diff_profiles,
-        "slo": diff_slo,
-        "bench": diff_bench,
-    }[kind_before]
-    return builder(
-        before,
-        after,
+    sides = []
+    for path in (before_path, after_path):
+        kind, payload = load_artifact(path)
+        if kind == "trace":
+            payload = profile_from_trace(payload, query_id=query_id).to_dict()
+        sides.append(payload)
+    return diff_profiles(
+        *sides,
         threshold=threshold,
         before_label=before_path,
         after_label=after_path,
@@ -528,14 +347,10 @@ def diff_artifacts(
 def _fmt_value(value: float, unit: str) -> str:
     if unit == "s":
         return f"{value * 1000.0:.2f}ms" if abs(value) < 1.0 else f"{value:.3f}s"
-    if unit in ("ms", "ms_tail"):
-        return f"{value:.1f}ms"
     if unit == "bytes":
         return f"{int(value)}B"
-    if unit in ("ratio", "hit_ratio"):
+    if unit == "ratio":
         return f"{value:.3f}"
-    if unit == "qps":
-        return f"{value:.2f}/s"
     return f"{value:g}"
 
 

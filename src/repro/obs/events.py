@@ -2,7 +2,7 @@
 
 One trace file is a sequence of JSON objects, one per line:
 
-- line 1 is the **header**: ``{"record": "header", "schema_version": 2,
+- line 1 is the **header**: ``{"record": "header", "schema_version": 3,
   "generator": "repro.obs"}``;
 - every following line is a record with a ``"record"`` type tag:
 
@@ -13,25 +13,24 @@ One trace file is a sequence of JSON objects, one per line:
     :class:`~repro.obs.metrics.MetricsRegistry`;
   - ``"stats"`` — the run's :class:`~repro.distributed.stats.ExecutionStats`
     snapshot (``to_dict``), the same numbers the benchmarks report;
-  - ``"plan"`` (v2) — the optimized plan's description and optimizer
-    notes, so a profile can be rebuilt from the file alone.
+  - ``"plan"`` — the optimized plan's description and optimizer
+    notes, so a profile can be rebuilt from the file alone;
+  - ``"clock"`` — the per-site clock offset/RTT map of a socket run.
 
-Schema v2 additionally allows a ``"query_id"`` field on any record, so
-one file holding several service queries can be filtered per query with
-:meth:`EventLog.for_query`. Schema v3 adds cross-process provenance:
-span records may carry ``"process"`` (``"coordinator"``/``"site"``),
-``"site_id"`` and ``"clock_offset_s"`` (the skew correction already
-applied to the span's timestamps — see :mod:`repro.obs.skew`), and a
-``"clock"`` record captures the per-site offset/RTT map of the run.
-v1/v2 files still load; a file whose records disagree on the schema
-version — e.g. two concatenated traces — is rejected with the
-offending line number.
+Any record may carry a ``"query_id"`` field, so one file holding several
+service queries can be filtered per query with
+:meth:`EventLog.for_query`. Span records carry cross-process provenance:
+``"process"`` (``"coordinator"``/``"site"``), ``"site_id"`` and
+``"clock_offset_s"`` (the skew correction already applied to the span's
+timestamps — see :mod:`repro.obs.skew`). A file whose records disagree
+on the schema version — e.g. two concatenated traces — is rejected with
+the offending line number.
 
 The round trip is redaction-free and lossless: ``load(dump(path))``
 returns exactly the records written. Unknown record types are preserved
 (they validate as long as they carry a ``"record"`` tag), so older
-readers skip rather than crash on newer producers *within* a schema
-version; an unsupported ``schema_version`` is rejected loudly.
+readers skip rather than crash on newer producers *within* the schema
+version; any other ``schema_version`` is rejected loudly.
 """
 
 from __future__ import annotations
@@ -46,10 +45,8 @@ from repro.obs.tracer import Span, Tracer
 #: Version of the JSONL record layout. Bump on any breaking change.
 SCHEMA_VERSION = 3
 
-#: Versions this reader can load. v1 lacks query_id/plan records; v2
-#: lacks cross-process provenance (process/site_id/clock_offset_s) and
-#: clock records.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3)
+#: Versions this reader can load: the one it writes.
+SUPPORTED_SCHEMA_VERSIONS = (SCHEMA_VERSION,)
 
 GENERATOR = "repro.obs"
 
@@ -89,7 +86,7 @@ class EventLog:
         return [Span.from_dict(record) for record in self.records_of("span")]
 
     def query_ids(self) -> List:
-        """Distinct query_id values present, sorted (v2 traces)."""
+        """Distinct query_id values present, sorted."""
         seen = set()
         for record in self.records:
             query_id = record.get("query_id")
@@ -148,7 +145,7 @@ class EventLog:
                 f"(this reader understands {SUPPORTED_SCHEMA_VERSIONS})"
             )
         for line_number, record in enumerate(self.records, start=2):
-            _validate_record(record, line_number, self.schema_version)
+            _validate_record(record, line_number)
 
     # -- serialization -----------------------------------------------------------
 
@@ -223,38 +220,20 @@ class EventLog:
         return len(self.records)
 
 
-def _validate_record(
-    record: dict, line_number: int, schema_version: int = SCHEMA_VERSION
-) -> None:
+def _validate_record(record: dict, line_number: int) -> None:
     record_type = record.get("record")
     if not isinstance(record_type, str):
         raise TraceSchemaError(f"line {line_number}: 'record' tag must be a string")
-    if "query_id" in record:
-        if schema_version < 2:
-            raise TraceSchemaError(
-                f"line {line_number}: 'query_id' requires schema version >= 2 "
-                f"(file is version {schema_version})"
-            )
-        if not isinstance(record["query_id"], (int, str)):
-            raise TraceSchemaError(
-                f"line {line_number}: 'query_id' must be an integer or string"
-            )
-    for provenance_field in ("process", "site_id", "clock_offset_s"):
-        if provenance_field in record and schema_version < 3:
-            raise TraceSchemaError(
-                f"line {line_number}: {provenance_field!r} requires schema "
-                f"version >= 3 (file is version {schema_version})"
-            )
+    if "query_id" in record and not isinstance(record["query_id"], (int, str)):
+        raise TraceSchemaError(
+            f"line {line_number}: 'query_id' must be an integer or string"
+        )
     if "process" in record and record["process"] not in ("coordinator", "site"):
         raise TraceSchemaError(
             f"line {line_number}: 'process' must be 'coordinator' or 'site' "
             f"(got {record['process']!r})"
         )
     if record_type == "clock":
-        if schema_version < 3:
-            raise TraceSchemaError(
-                f"line {line_number}: clock records require schema version >= 3"
-            )
         if not isinstance(record.get("sites"), dict):
             raise TraceSchemaError(
                 f"line {line_number}: clock record needs a 'sites' object"
@@ -317,13 +296,13 @@ def build_trace(
     ``stats`` is an :class:`~repro.distributed.stats.ExecutionStats` (kept
     untyped here so ``repro.obs`` stays import-free of the distributed
     layer); ``model`` optionally prices its communication breakdown.
-    ``plan`` (any object with ``describe()`` and ``notes``) adds a v2
+    ``plan`` (any object with ``describe()`` and ``notes``) adds a
     "plan" record; ``query_id`` stamps every emitted record so several
     runs can share one file and be pulled apart with ``for_query``.
     ``clock_map`` (a :class:`~repro.obs.skew.ClockMap`) records the
-    per-site offset/RTT estimates of a socket run as a v3 "clock"
+    per-site offset/RTT estimates of a socket run as a "clock"
     record. Span records without replay provenance are stamped
-    ``process="coordinator"`` — every v3 span says where it ran.
+    ``process="coordinator"`` — every span says where it ran.
     """
     log = EventLog()
     if tracer is not None and getattr(tracer, "enabled", False):

@@ -455,8 +455,8 @@ def build_profile(
 def profile_from_trace(log, query_id=None) -> QueryProfile:
     """Rebuild a profile from a JSONL trace (:class:`~repro.obs.events.EventLog`).
 
-    With ``query_id`` the log is first filtered to that query's records
-    (schema v2); the log must hold a matching ``stats`` record.
+    With ``query_id`` the log is first filtered to that query's records;
+    the log must hold a matching ``stats`` record.
     """
     if query_id is not None:
         log = log.for_query(query_id)

@@ -41,8 +41,8 @@ family. Stage durations are measured on one monotonic clock
 (``time.perf_counter``, the same clock the tracer uses) and *tile* the
 submission — each stage starts where the previous one ended — so they
 are additive: their sum accounts for the submission's end-to-end
-``wall_s`` up to the few statements after the last stage (the load
-harness asserts >= 95%).
+``wall_s`` up to the few statements after the last stage
+(``tests/test_service.py`` asserts >= 95%).
 End-to-end latency is additionally observed per outcome
 (``service.latency_by_outcome_s{outcome=hit|fresh|refresh|degraded|
 rejected|timeout}``) so SLOs can be stated per serving path.

@@ -318,185 +318,62 @@ class TestTop:
         assert "unreachable" in output
 
 
-class TestBench:
-    def test_bench_report_and_check(self, tmp_path, monkeypatch):
-        import json
-
-        from repro.bench import harness
-
-        baseline = tmp_path / "baseline.json"
-        code, output = run_cli(
-            ["bench", "--sites", "2", "--scale", "0.003",
-             "--output", str(baseline)]
-        )
-        assert code == 0
-        report = json.loads(baseline.read_text())
-        assert report["profiler"]["time_coverage"] >= 0.95
-        assert report["profiler"]["bytes_coverage"] == 1.0
-        # What the profile build costs is a ratio of two ~10 ms wall-clock
-        # readings: reported, not gated here. The 5% budget and the
-        # regression thresholds are pinned on synthetic reports below.
-        assert report["profiler"]["overhead_frac"] >= 0.0
-
-        # Checking a fresh run against its own numbers passes, with every
-        # timing comparison given more room than a scheduler hiccup can
-        # take. The SLO gate is pointed at a missing file so this test does
-        # not re-run the committed BENCH_slo.json sweep (repro loadgen has
-        # its own).
-        monkeypatch.setattr(harness, "PROFILER_OVERHEAD_CEILING", float("inf"))
-        code, output = run_cli(
-            ["bench", "--sites", "2", "--scale", "0.003", "--check",
-             "--baseline", str(baseline), "--tolerance", "1000",
-             "--slo-baseline", str(tmp_path / "no-slo.json")]
-        )
-        assert code == 0
-        assert "no regression" in output
-
-    def test_check_fails_on_regression(self, tmp_path):
-        import json
-
-        from repro.bench.harness import check_profile_baseline
-
-        good = {
-            "profiler": {
-                "time_coverage": 0.99,
-                "bytes_coverage": 1.0,
-                "overhead_frac": 0.01,
-                "optimizations_reported": 4,
-                "optimizations_applied": 4,
-            },
-            "service": {
-                "hit_ratio": 0.8,
-                "latency_ms": {"p50": 1.0, "p90": 5.0, "p99": 9.0,
-                               "mean": 2.0},
-            },
-        }
-        bad = json.loads(json.dumps(good))
-        bad["profiler"]["time_coverage"] = 0.5
-        bad["profiler"]["overhead_frac"] = 0.2
-        bad["profiler"]["optimizations_reported"] = 2
-        bad["service"]["hit_ratio"] = 0.1
-        bad["service"]["latency_ms"]["p99"] = 100.0
-        problems = check_profile_baseline(bad, good)
-        text = "\n".join(problems)
-        assert "time_coverage" in text
-        assert "overhead_frac" in text
-        assert "hit_ratio" in text
-        assert "p99" in text
-        assert "applied optimizations" in text
-        assert check_profile_baseline(good, good) == []
-
-    def test_check_missing_baseline_is_an_error(self, tmp_path):
-        code, _output = run_cli(
-            ["bench", "--sites", "2", "--scale", "0.0003", "--check",
-             "--baseline", str(tmp_path / "missing.json"),
-             "--output", str(tmp_path / "fresh.json")]
-        )
-        assert code == 2
-
-
-SMALL_LOADGEN = [
-    "loadgen", "--mix", "cube", "--sites", "2", "--flow-count", "120",
-    "--steps", "1,2", "--queries", "4",
-]
-
-
-class TestLoadgen:
-    def test_sweep_writes_report_and_checks_itself(self, tmp_path):
-        import json
-
-        output = tmp_path / "slo.json"
-        code, text = run_cli(SMALL_LOADGEN + ["--output", str(output)])
-        assert code == 0
-        assert "closed-1w" in text and "closed-2w" in text
-        report = json.loads(output.read_text())
-        assert report["slo_version"] == 1
-        assert len(report["steps"]) == 2
-        for step in report["steps"]:
-            assert "p99" in step["latency_ms"]
-            assert 0.95 <= step["stage_sum_frac"] <= 1.05
-
-        # --check re-measures with the baseline's own config; a generous
-        # threshold soaks up small-sample quantile noise.
-        code, text = run_cli(
-            SMALL_LOADGEN
-            + ["--check", "--baseline", str(output), "--threshold", "4.0"]
-        )
-        assert code == 0
-        assert "SLO bars hold" in text
-
-    def test_unparseable_steps_exit_2(self):
-        code, _text = run_cli(["loadgen", "--steps", "one,two"])
-        assert code == 2
-
-    def test_check_missing_baseline_is_an_error(self, tmp_path):
-        code, _text = run_cli(
-            SMALL_LOADGEN
-            + ["--steps", "1", "--queries", "2", "--check",
-               "--baseline", str(tmp_path / "missing.json")]
-        )
-        assert code == 2
-
-
 class TestDiffCommand:
-    def slo_payload(self, p50=10.0):
-        return {
-            "slo_version": 1,
-            "steps": [
-                {
-                    "label": "closed-1w",
-                    "achieved_qps": 2.0,
-                    "hit_ratio": 0.5,
-                    "outcomes": {"rejected": 0, "timeout": 0},
-                    "latency_ms": {"p50": p50, "p90": p50 * 2, "p99": p50 * 4},
-                    "stages_ms": {"execute": {"p50": p50, "p99": p50 * 3}},
-                }
-            ],
-        }
-
-    def write(self, path, payload):
+    @pytest.fixture(scope="class")
+    def profile(self):
         import json
 
+        code, output = run_cli(
+            ["explain", TestExplain.QUERY, "--sites", "2", "--scale", "0.0003",
+             "--analyze", "--json"]
+        )
+        assert code == 0
+        return json.loads(output)
+
+    def write(self, path, payload, slowed=False):
+        import json
+
+        if slowed:
+            payload = dict(payload, wall_s=payload["wall_s"] * 3.0 + 1.0)
         path.write_text(json.dumps(payload), encoding="utf-8")
         return str(path)
 
-    def test_identical_artifacts_exit_0(self, tmp_path):
-        before = self.write(tmp_path / "a.json", self.slo_payload())
-        after = self.write(tmp_path / "b.json", self.slo_payload())
+    def test_identical_artifacts_exit_0(self, tmp_path, profile):
+        before = self.write(tmp_path / "a.json", profile)
+        after = self.write(tmp_path / "b.json", profile)
         code, text = run_cli(["diff", before, after])
         assert code == 0
         assert "no attributed regressions" in text
 
-    def test_regression_exits_1_and_names_the_cause(self, tmp_path):
-        before = self.write(tmp_path / "a.json", self.slo_payload())
-        after = self.write(tmp_path / "b.json", self.slo_payload(p50=80.0))
+    def test_regression_exits_1_and_names_the_cause(self, tmp_path, profile):
+        before = self.write(tmp_path / "a.json", profile)
+        after = self.write(tmp_path / "b.json", profile, slowed=True)
         code, text = run_cli(["diff", before, after])
         assert code == 1
         assert "REGRESSED" in text
-        assert "top regression:" in text
-        assert "closed-1w" in text
+        assert "top regression: total query wall_s" in text
 
-    def test_json_output_round_trips(self, tmp_path):
+    def test_json_output_round_trips(self, tmp_path, profile):
         import json
 
-        before = self.write(tmp_path / "a.json", self.slo_payload())
-        after = self.write(tmp_path / "b.json", self.slo_payload(p50=80.0))
+        before = self.write(tmp_path / "a.json", profile)
+        after = self.write(tmp_path / "b.json", profile, slowed=True)
         code, text = run_cli(["diff", before, after, "--json"])
         assert code == 1
         payload = json.loads(text)
-        assert payload["kind"] == "slo"
+        assert payload["kind"] == "profile"
         assert payload["regressions"] >= 1
         assert payload["entries"]
 
-    def test_missing_file_exit_2(self, tmp_path):
-        before = self.write(tmp_path / "a.json", self.slo_payload())
+    def test_missing_file_exit_2(self, tmp_path, profile):
+        before = self.write(tmp_path / "a.json", profile)
         code, _text = run_cli(["diff", before, str(tmp_path / "nope.json")])
         assert code == 2
 
-    def test_kind_mismatch_exit_2(self, tmp_path):
-        slo = self.write(tmp_path / "a.json", self.slo_payload())
-        bench = self.write(tmp_path / "b.json", {"profiler": {}})
-        code, _text = run_cli(["diff", slo, bench])
+    def test_unclassifiable_artifact_exit_2(self, tmp_path, profile):
+        before = self.write(tmp_path / "a.json", profile)
+        unknown = self.write(tmp_path / "b.json", {"profiler": {}})
+        code, _text = run_cli(["diff", before, unknown])
         assert code == 2
 
     def test_trace_diffed_against_itself_via_cli(self, tmp_path):

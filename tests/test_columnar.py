@@ -479,68 +479,6 @@ class TestCodecEdgeCases:
 
 
 class TestBenchHooks:
-    def test_columnar_sweep_reports_identical_and_speedup(self):
-        from repro.bench.harness import columnar_sweep
-
-        report = columnar_sweep(detail_rows=4000, repetitions=1)
-        for workload in ("cube", "multifeature"):
-            assert report[workload]["identical"] is True
-            assert report[workload]["columnar_s"] > 0
-
-    def test_check_micro_baseline_flags_lost_vectorization(self):
-        from repro.bench.harness import check_micro_baseline
-
-        good = {
-            "column": {
-                "roundtrip_identical": True,
-                "saved_bytes": 100,
-                "saving_fraction": 0.4,
-            },
-            "columnar": {
-                "cube": {"identical": True, "speedup": 4.0},
-                "multifeature": {"identical": True, "speedup": 4.0},
-            },
-        }
-        baseline = {"column": {"saving_fraction": 0.4}}
-        assert check_micro_baseline(good, baseline) == []
-        slow = {
-            "column": dict(good["column"]),
-            "columnar": {
-                "cube": {"identical": True, "speedup": 1.0},
-                "multifeature": {"identical": True, "speedup": 4.0},
-            },
-        }
-        problems = check_micro_baseline(slow, baseline)
-        assert any("cube" in problem for problem in problems)
-
-    def test_check_micro_baseline_flags_a_per_value_codec_loop(self):
-        from repro.bench.harness import check_micro_baseline
-
-        def report(encode_rate, decode_rate):
-            return {
-                "column": {
-                    "roundtrip_identical": True,
-                    "saved_bytes": 100,
-                    "saving_fraction": 0.4,
-                    "encode_rows_per_s": encode_rate,
-                    "decode_rows_per_s": decode_rate,
-                },
-                "encode": {"fast_rows_per_s": 500_000.0},
-                "decode": {"fast_rows_per_s": 300_000.0},
-                "columnar": {
-                    "cube": {"identical": True, "speedup": 4.0},
-                    "multifeature": {"identical": True, "speedup": 4.0},
-                },
-            }
-
-        baseline = {"column": {"saving_fraction": 0.4}}
-        assert check_micro_baseline(report(1_300_000.0, 2_700_000.0), baseline) == []
-        # Format v2's numbers: 0.54x the row fast path encoding, 0.62x decoding.
-        problems = check_micro_baseline(report(270_000.0, 186_000.0), baseline)
-        assert [problem.split()[2] for problem in problems] == ["encode", "decode"]
-        problems = check_micro_baseline(report(1_300_000.0, 440_000.0), baseline)
-        assert len(problems) == 1 and "decode" in problems[0]
-
     def test_estimated_codec_saving_bounded(self):
         from repro.distributed.costing import estimate_column_codec_saving
 

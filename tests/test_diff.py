@@ -2,15 +2,15 @@
 
 The two contracts the PR pins: an artifact diffed against itself
 reports zero attributed delta and no verdicts, and a genuine slowdown
-is attributed to the dimension that caused it (the loadgen self-test
-covers the injected-operator case end to end).
+is attributed to the dimension that caused it — down to an injected
+operator slowdown on a live run.
 """
 
 import json
+import time
 
 import pytest
 
-from repro.bench.loadgen import build_query_pool
 from repro.data.flows import FlowConfig, generate_flows, router_partitioner
 from repro.distributed import (
     OptimizationOptions,
@@ -18,6 +18,7 @@ from repro.distributed import (
     execute_query,
 )
 from repro.errors import ObservabilityError
+from repro.gmdj.operator import SyncSession
 from repro.obs import MetricsRegistry, Tracer, build_profile, build_trace
 from repro.obs.diff import (
     IMPROVED,
@@ -25,12 +26,14 @@ from repro.obs.diff import (
     UNCHANGED,
     DiffEntry,
     diff_artifacts,
-    diff_bench,
     diff_profiles,
-    diff_slo,
     load_artifact,
     render_diff,
 )
+from repro.queries.cube import cube_lattice_queries
+from repro.queries.multifeature import Feature, multifeature_query
+from repro.relalg.aggregates import AggSpec, count_star
+from repro.relalg.expressions import base, detail
 
 
 def build_cluster(sites: int = 2, flow_count: int = 120) -> SimulatedCluster:
@@ -40,6 +43,14 @@ def build_cluster(sites: int = 2, flow_count: int = 120) -> SimulatedCluster:
         "Flow", generate_flows(config), router_partitioner(config)
     )
     return cluster
+
+
+def cube_query():
+    aggs = [count_star("cnt"), AggSpec("sum", detail.NumBytes, "bytes")]
+    _subset, expression = cube_lattice_queries(
+        "Flow", ["SourceAS", "DestAS"], aggs
+    )[0]
+    return expression
 
 
 def traced_run(cluster, expression):
@@ -57,12 +68,14 @@ def traced_run(cluster, expression):
     return tracer, registry, result
 
 
+def profiled_run(cluster, expression):
+    tracer, _registry, result = traced_run(cluster, expression)
+    return build_profile(tracer.finished(), result.stats, query_id=1)
+
+
 @pytest.fixture(scope="module")
 def profile_dict():
-    cluster = build_cluster()
-    _name, expression = build_query_pool("cube")[0]
-    tracer, _registry, result = traced_run(cluster, expression)
-    return build_profile(tracer.finished(), result.stats, query_id=1).to_dict()
+    return profiled_run(build_cluster(), cube_query()).to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -92,16 +105,16 @@ class TestDiffEntry:
 
     def test_higher_is_better_metrics_invert_direction(self):
         dropped = DiffEntry(
-            "total", "s1", "hit_ratio", 0.5, 0.2,
-            unit="hit_ratio", higher_is_worse=False,
+            "metric", "profile", "time_coverage", 0.99, 0.8,
+            unit="ratio", higher_is_worse=False,
         )
         assert dropped.verdict() == REGRESSED
-        # A few flipped outcomes per step stay inside the 0.15 slack.
-        racy = DiffEntry(
-            "total", "s1", "hit_ratio", 0.5, 0.4,
-            unit="hit_ratio", higher_is_worse=False,
+        # A point of coverage either way stays inside the 0.02 slack.
+        jitter = DiffEntry(
+            "metric", "profile", "time_coverage", 0.99, 0.98,
+            unit="ratio", higher_is_worse=False,
         )
-        assert racy.verdict() == UNCHANGED
+        assert jitter.verdict() == UNCHANGED
 
     def test_severity_ranks_relative_movement(self):
         small_base = DiffEntry("operator", "merge", "seconds", 0.02, 0.1)
@@ -152,91 +165,44 @@ class TestProfileDiff:
         assert diff.attributed_delta_s > 0.0
 
 
-# ---------------------------------------------------------------------------
-# SLO / bench diffs
-# ---------------------------------------------------------------------------
-
-
-def slo_step(label, p50=10.0, p99=20.0, hit=0.5, qps=2.0, rejected=0):
-    return {
-        "label": label,
-        "achieved_qps": qps,
-        "hit_ratio": hit,
-        "outcomes": {"rejected": rejected, "timeout": 0},
-        "latency_ms": {"p50": p50, "p90": (p50 + p99) / 2, "p99": p99},
-        "stages_ms": {"execute": {"p50": p50 * 0.8, "p99": p99 * 0.8}},
-    }
-
-
-class TestSloDiff:
-    def test_self_diff_reports_zero(self):
-        report = {"steps": [slo_step("s1"), slo_step("s2")]}
-        diff = diff_slo(report, report)
-        assert diff.kind == "slo"
-        assert diff.regressions() == []
-        assert diff.attributed_delta_s == 0.0
-
-    def test_latency_regression_is_attributed_to_its_step(self):
-        before = {"steps": [slo_step("s1"), slo_step("s2")]}
-        after = {"steps": [slo_step("s1"), slo_step("s2", p50=40.0, p99=80.0)]}
-        diff = diff_slo(before, after)
-        assert all(entry.key.startswith("s2") for entry in diff.regressions())
-        assert any(
-            entry.metric == "latency_p50" for entry in diff.regressions()
+    def test_injected_operator_slowdown_is_attributed_to_the_operator(
+        self, monkeypatch
+    ):
+        # Unoptimized so the plan keeps its synchronization round: the
+        # coordinator's round.merge operator must be on the hot path.
+        cluster = build_cluster()
+        expression = multifeature_query(
+            "Flow",
+            ["SourceAS"],
+            [
+                Feature(
+                    [
+                        count_star("cnt"),
+                        AggSpec("avg", detail.NumBytes, "avg_bytes"),
+                    ]
+                ),
+                Feature(
+                    [count_star("heavy")],
+                    when=detail.NumBytes >= base.avg_bytes,
+                ),
+            ],
         )
 
-    def test_admission_rejections_count_as_regressions(self):
-        before = {"steps": [slo_step("s1")]}
-        after = {"steps": [slo_step("s1", rejected=4)]}
-        diff = diff_slo(before, after)
-        assert any(entry.metric == "rejected" for entry in diff.regressions())
+        before = profiled_run(cluster, expression)
+        original_finish = SyncSession.finish
 
-    def test_steps_are_matched_by_label_with_zero_fill(self):
-        before = {"steps": [slo_step("s1")]}
-        after = {"steps": [slo_step("s1"), slo_step("s3")]}
-        diff = diff_slo(before, after)
-        keys = {entry.key for entry in diff.entries}
-        assert "s1" in keys and "s3" in keys
+        def slowed_finish(self, *args, **kwargs):
+            # 80 ms against the 5 ms absolute slack: a gate on an injected
+            # delay, not on a ratio of two small timings.
+            time.sleep(0.08)
+            return original_finish(self, *args, **kwargs)
 
-
-class TestBenchDiff:
-    def report(self, overhead=0.01, p50=5.0, profile=None):
-        report = {
-            "profiler": {
-                "overhead_frac": overhead,
-                "time_coverage": 0.99,
-                "bytes_coverage": 1.0,
-            },
-            "service": {
-                "hit_ratio": 0.5,
-                "latency_ms": {
-                    "p50": p50, "p90": p50 * 2, "p99": p50 * 4,
-                    "mean": p50,
-                },
-            },
-        }
-        if profile is not None:
-            report["profile"] = profile
-        return report
-
-    def test_self_diff_reports_zero(self):
-        report = self.report()
-        diff = diff_bench(report, report)
-        assert diff.kind == "bench"
-        assert diff.regressions() == []
-
-    def test_recurses_into_embedded_profile(self, profile_dict):
-        diff = diff_bench(
-            self.report(profile=profile_dict),
-            self.report(profile=profile_dict),
-        )
-        assert any(entry.dimension == "operator" for entry in diff.entries)
-
-    def test_service_latency_regression(self):
-        diff = diff_bench(self.report(), self.report(p50=50.0))
-        assert any(
-            entry.metric == "latency_p50" for entry in diff.regressions()
-        )
+        monkeypatch.setattr(SyncSession, "finish", slowed_finish)
+        after = profiled_run(cluster, expression)
+        top = diff_profiles(before, after).top_regression()
+        assert top is not None
+        assert top.dimension == "operator"
+        assert "round.merge" in top.key
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +217,7 @@ class TestArtifacts:
         return str(path)
 
     def test_classification(self, tmp_path):
-        slo = self.write(tmp_path, "slo.json", {"slo_version": 1, "steps": []})
-        bench = self.write(tmp_path, "bench.json", {"profiler": {}})
         profile = self.write(tmp_path, "profile.json", {"rounds": []})
-        assert load_artifact(slo)[0] == "slo"
-        assert load_artifact(bench)[0] == "bench"
         assert load_artifact(profile)[0] == "profile"
 
     def test_garbage_is_rejected(self, tmp_path):
@@ -270,16 +232,9 @@ class TestArtifacts:
         with pytest.raises(ObservabilityError, match="JSON object"):
             load_artifact(not_object)
 
-    def test_kind_mismatch_is_rejected(self, tmp_path):
-        slo = self.write(tmp_path, "slo.json", {"slo_version": 1, "steps": []})
-        bench = self.write(tmp_path, "bench.json", {"profiler": {}})
-        with pytest.raises(ObservabilityError, match="cannot diff"):
-            diff_artifacts(slo, bench)
-
     def test_trace_diffed_against_itself_is_zero(self, tmp_path):
         cluster = build_cluster()
-        _name, expression = build_query_pool("cube")[0]
-        tracer, registry, result = traced_run(cluster, expression)
+        tracer, registry, result = traced_run(cluster, cube_query())
         log = build_trace(tracer, registry, result.stats, query_id=1)
         before = tmp_path / "before.jsonl"
         after = tmp_path / "after.jsonl"

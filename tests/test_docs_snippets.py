@@ -1,11 +1,15 @@
-"""Executable documentation: the README quickstart must actually run."""
+"""Executable documentation: the README quickstart must actually run,
+and every command the docs name must exist."""
 
+import argparse
+import importlib
 import pathlib
 import re
 
 import pytest
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+DESIGN = README.parent / "DESIGN.md"
 
 
 def extract_python_blocks(text: str) -> list:
@@ -40,3 +44,36 @@ class TestReadme:
         namespace: dict = {}
         exec(compile(code, "repro.__doc__", "exec"), namespace)  # noqa: S102
         assert "NationKey" in capsys.readouterr().out
+
+
+class TestDocRot:
+    """README.md and DESIGN.md only name commands that exist."""
+
+    @pytest.mark.parametrize("doc", [README, DESIGN], ids=lambda path: path.name)
+    def test_named_subcommands_exist(self, doc):
+        from repro.cli import build_parser
+
+        subcommands = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+        # `python -m repro sql ...` and `python -m repro {demo,sql}` forms.
+        mentions = re.findall(
+            r"python -m repro\s+(\{[\w,-]+\}|[a-z][\w-]*)", doc.read_text()
+        )
+        assert mentions, f"{doc.name} no longer shows the CLI"
+        for mention in mentions:
+            for name in mention.strip("{}").split(","):
+                assert name in subcommands, (
+                    f"{doc.name} names `python -m repro {name}`, "
+                    "which is not a subcommand"
+                )
+
+    @pytest.mark.parametrize("doc", [README, DESIGN], ids=lambda path: path.name)
+    def test_named_modules_are_runnable(self, doc):
+        for name in set(re.findall(r"python -m (repro\.[\w.]+\w)", doc.read_text())):
+            module = importlib.import_module(name)
+            assert callable(getattr(module, "main", None)), (
+                f"{doc.name} names `python -m {name}`, which defines no main()"
+            )

@@ -175,50 +175,3 @@ class TestTraceExport:
         path = tmp_path / "run.jsonl"
         log.dump(path)
         assert EventLog.load(path) == log
-
-
-class TestHarnessTracing:
-    def test_run_traced(self):
-        from repro.bench.harness import run_traced
-
-        cluster = build_cluster(2)
-        result, log = run_traced(
-            cluster, expression(), OptimizationOptions.all()
-        )
-        log.validate()
-        assert log.records_of("span")
-        assert log.records_of("stats")[0]["bytes_total"] == result.stats.bytes_total
-
-    def test_measure_tracing_overhead(self):
-        from repro.bench.harness import ShapeCheckError, measure_tracing_overhead
-
-        cluster = build_cluster(2)
-        report = measure_tracing_overhead(
-            cluster, expression(), OptimizationOptions.all(), repetitions=2
-        )
-        assert set(report) == {
-            "untraced_s", "traced_s", "overhead_s", "overhead_frac", "repetitions",
-        }
-        assert report["untraced_s"] > 0
-        assert report["traced_s"] > 0
-        assert report["repetitions"] == 2
-        with pytest.raises(ShapeCheckError):
-            measure_tracing_overhead(
-                cluster, expression(), OptimizationOptions.all(), repetitions=0
-            )
-
-    def test_benchmark_report_includes_overhead(self, tmp_path):
-        from repro.bench.harness import benchmark_report
-
-        trace_path = tmp_path / "bench.jsonl"
-        report = benchmark_report(
-            sites=2,
-            scale=0.0002,
-            emit_trace=str(trace_path),
-            overhead_repetitions=1,
-        )
-        assert "tracing_overhead" in report
-        assert set(report["arms"]) == {"no_optimizations", "all_optimizations"}
-        log = EventLog.load(trace_path)
-        log.validate()
-        assert report["trace_records"] == len(log)

@@ -582,47 +582,6 @@ class TestSchemaV3Provenance:
         assert len(clocks) == 1
         assert clocks[0]["sites"]["site0"]["offset_s"] == pytest.approx(0.05)
 
-    def test_v2_trace_still_loads(self):
-        lines = [
-            {"record": "header", "schema_version": 2, "generator": "repro.obs"},
-            {
-                "record": "span",
-                "name": "query",
-                "kind": "query",
-                "span_id": 1,
-                "parent_id": None,
-                "start_s": 0.0,
-                "end_s": 1.0,
-                "attributes": {},
-                "query_id": 4,
-            },
-        ]
-        text = "\n".join(json.dumps(line, sort_keys=True) for line in lines) + "\n"
-        log = EventLog.loads(text)
-        assert log.schema_version == 2
-        assert log.query_ids() == [4]
-
-    def test_provenance_rejected_below_v3(self):
-        from repro.errors import TraceSchemaError
-
-        lines = [
-            {"record": "header", "schema_version": 2, "generator": "repro.obs"},
-            {
-                "record": "span",
-                "name": "query",
-                "kind": "query",
-                "span_id": 1,
-                "parent_id": None,
-                "start_s": 0.0,
-                "end_s": 1.0,
-                "attributes": {},
-                "process": "site",
-            },
-        ]
-        text = "\n".join(json.dumps(line, sort_keys=True) for line in lines) + "\n"
-        with pytest.raises(TraceSchemaError, match="schema version >= 3"):
-            EventLog.loads(text)
-
 
 # ---------------------------------------------------------------------------
 # Live cluster: skew-corrected tracing with an injected ±50 ms offset
@@ -803,6 +762,21 @@ def test_killed_site_leaves_a_loadable_flight_dump(deployed, tmp_path):
     rendered = out.getvalue()
     assert f"site {victim}" in rendered
     assert "span" in rendered
+
+    # `repro cluster dump` attaches to the same deployment from outside,
+    # names the dead site, and writes a directory `trace --flight` reads.
+    out = io.StringIO()
+    code = main(
+        ["cluster", "dump", "--dir", deployed.root, "--out", str(tmp_path)],
+        out=out,
+    )
+    assert code == 0
+    assert "flight record(s)" in out.getvalue()
+    assert f"dead site(s): {victim}" in out.getvalue()
+    out = io.StringIO()
+    assert main(["trace", "--flight", str(tmp_path)], out=out) == 0
+    assert "flight [coordinator]" in out.getvalue()
+    assert f"flight [site {deployed.site_ids[0]}]" in out.getvalue()
 
     deployed.restart_site(victim)
     assert deployed.dead_sites() == []

@@ -1,5 +1,5 @@
-"""Trace schema versions: query_id stamping (v2), span provenance (v3),
-v1/v2 compatibility, mixed-version rejection."""
+"""Trace schema: query_id stamping, the one supported version,
+mixed-version rejection."""
 
 import json
 
@@ -45,10 +45,10 @@ def traced_query(query_id=None) -> EventLog:
     return build_trace(tracer, registry, plan=FakePlan(), query_id=query_id)
 
 
-def v1_text() -> str:
-    """A handwritten v1 trace: no query_id, no plan records."""
+def versioned_text(version: int) -> str:
+    """A handwritten trace whose header declares ``version``."""
     lines = [
-        {"record": "header", "schema_version": 1, "generator": "repro.obs"},
+        {"record": "header", "schema_version": version, "generator": "repro.obs"},
         {
             "record": "span",
             "name": "query",
@@ -68,15 +68,7 @@ def v1_text() -> str:
 class TestSchemaVersions:
     def test_current_version_is_three(self):
         assert SCHEMA_VERSION == 3
-        assert SUPPORTED_SCHEMA_VERSIONS == (1, 2, 3)
-
-    def test_v1_trace_loads_without_query_id(self):
-        log = EventLog.loads(v1_text())
-        assert log.schema_version == 1
-        assert log.query_ids() == []
-        assert len(log.records_of("span")) == 1
-        # And v1 round-trips losslessly through the v1 header.
-        assert EventLog.loads(log.dumps()) == log
+        assert SUPPORTED_SCHEMA_VERSIONS == (3,)
 
     def test_current_round_trip_is_lossless(self):
         log = traced_query(query_id=7)
@@ -90,13 +82,6 @@ class TestSchemaVersions:
         log = traced_query(query_id="q-42")
         assert all(record.get("query_id") == "q-42" for record in log.records)
 
-    def test_query_id_rejected_in_v1(self):
-        text = v1_text().replace(
-            '"record": "metric"', '"query_id": 9, "record": "metric"'
-        )
-        with pytest.raises(TraceSchemaError, match="line 3.*schema version >= 2"):
-            EventLog.loads(text)
-
     def test_query_id_must_be_int_or_str(self):
         log = traced_query(query_id=1)
         log.records[0]["query_id"] = [1, 2]
@@ -104,7 +89,7 @@ class TestSchemaVersions:
             log.validate()
 
     def test_mixed_versions_rejected_with_line_number(self):
-        concatenated = traced_query(query_id=1).dumps() + v1_text()
+        concatenated = traced_query(query_id=1).dumps() + versioned_text(1)
         with pytest.raises(TraceSchemaError) as excinfo:
             EventLog.loads(concatenated)
         message = str(excinfo.value)
@@ -119,10 +104,16 @@ class TestSchemaVersions:
         with pytest.raises(TraceSchemaError, match="second header"):
             EventLog.loads(doubled)
 
-    def test_unsupported_version_rejected(self):
-        text = v1_text().replace('"schema_version": 1', '"schema_version": 99')
-        with pytest.raises(TraceSchemaError, match="unsupported"):
-            EventLog.loads(text)
+    @pytest.mark.parametrize("version", [1, 2, 99])
+    def test_unsupported_version_rejected(self, version):
+        # The body is valid under every layout there has ever been, so the
+        # header alone earns the rejection — and it names what would load.
+        assert EventLog.loads(versioned_text(SCHEMA_VERSION)).records
+        with pytest.raises(TraceSchemaError) as excinfo:
+            EventLog.loads(versioned_text(version))
+        message = str(excinfo.value)
+        assert f"unsupported trace schema version {version}" in message
+        assert str(SUPPORTED_SCHEMA_VERSIONS) in message
 
 
 class TestForQuery:
