@@ -25,7 +25,7 @@ Subcommands:
   dashboard (in-flight/queued, cache hit ratio, latency quantiles,
   per-site bytes);
 - ``diff BEFORE AFTER`` — compare two observability artifacts (JSONL
-  traces, flight dumps, or ``explain --analyze --json`` profiles) and
+  traces or ``explain --analyze --json`` profiles, in either pairing) and
   attribute wall-time/byte deltas to rounds, sites, operators and
   optimizations with thresholded verdicts; exits 1 when anything
   regressed;
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff = commands.add_parser(
         "diff",
         help="attribute wall-time/byte deltas between two observability "
-        "artifacts (traces, flight dumps, explain --analyze profiles)",
+        "artifacts (traces, explain --analyze profiles)",
     )
     diff.add_argument("before", help="baseline artifact path")
     diff.add_argument("after", help="fresh artifact path")
@@ -284,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_down.add_argument("--dir", required=True, metavar="DIR")
     cluster_dump = cluster_sub.add_parser(
         "dump",
-        help="write coordinator + per-site flight-recorder dumps into the "
-        "deployment directory (dead sites keep their last crash dump)",
+        help="write the coordinator's flight-recorder dump and copy every "
+        "site's (live or killed alike) into --out",
     )
     cluster_dump.add_argument("--dir", required=True, metavar="DIR")
     cluster_dump.add_argument(
@@ -565,32 +565,36 @@ def _run_trace_flight(args, out) -> int:
     import os
 
     from repro.errors import ObservabilityError
-    from repro.obs import FlightRecord, load_flight_dir
+    from repro.obs import EventLog, load_flight_dir
 
     try:
         if os.path.isdir(args.flight):
-            records = load_flight_dir(args.flight)
+            logs = load_flight_dir(args.flight)
         else:
-            records = [FlightRecord.load(args.flight)]
+            logs = [EventLog.load(args.flight)]
+        if any(log.origin is None for log in logs):
+            raise ObservabilityError(
+                f"{args.flight}: a trace, not a flight dump (its header "
+                "names no ring)"
+            )
     except (OSError, ObservabilityError) as error:
         print(f"repro trace --flight: {error}", file=sys.stderr)
         return 2
 
     if args.json:
-        for record in records:
-            out.write(record.to_event_log().dumps())
+        for log in logs:
+            out.write(log.dumps())
         return 0
 
-    for record in records:
-        label = (
-            f"site {record.site_id}" if record.site_id else record.process
-        )
+    for log in logs:
+        ring = log.origin
+        label = f"site {ring['site_id']}" if ring["site_id"] else ring["process"]
         print(
-            f"flight [{label}]: {len(record.records)} records "
-            f"(capacity {record.capacity}, dropped {record.dropped})",
+            f"flight [{label}]: {len(log.records)} records "
+            f"(capacity {ring['capacity']}, dropped {ring['dropped']})",
             file=out,
         )
-        for entry in record.records:
+        for entry in log.records:
             kind = entry.get("record", "event")
             detail = {
                 key: value
@@ -764,13 +768,6 @@ def run_explain(args, out) -> int:
         statement.expression, cluster.catalog, statistics,
         options=options, measured_stats=result.stats, plan=result.plan,
     )
-    codec_estimated = None
-    if config.wire_codec != "row":
-        from repro.distributed.costing import estimate_column_codec_saving
-
-        # Price the codec on the schema the rounds actually ship: the
-        # sub-aggregate relation (== the query's result schema).
-        codec_estimated = estimate_column_codec_saving(result.relation.schema)
     profile = build_profile(
         tracer.finished(),
         result.stats,
@@ -778,7 +775,6 @@ def run_explain(args, out) -> int:
         plan_description=result.plan.describe(),
         notes=result.plan.notes,
         query_id=1,
-        codec_estimated_saving=codec_estimated,
         topology_choice=result.topology_choice,
     )
     if args.emit_trace:

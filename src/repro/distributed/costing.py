@@ -514,51 +514,3 @@ def estimate_optimization_impacts(
             )
         )
     return tuple(impacts)
-
-
-# ---------------------------------------------------------------------------
-# Column-block codec saving estimate
-# ---------------------------------------------------------------------------
-
-#: Expected fraction of row-codec bytes *saved* per attribute type when a
-#: relation is shipped with the column-block codec (format v3) instead of
-#: the per-value row codec. Measured per column on the codec
-#: microbenchmark's TPCR relation and on the flows generator's: a
-#: fixed-width int is its span's 1/2/4 bytes against a tag byte plus a
-#: varint (0.30–0.50: half for counts and small keys, nothing for 32-bit
-#: timestamps); a date is two bytes of span against a tag and a 3-byte
-#: ordinal; doubles only drop the tag byte; the string dictionary runs
-#: from 0.4 (mostly distinct addresses) to 0.9 (dimension labels); bools
-#: are a bit against two bytes.
-COLUMN_CODEC_TYPE_SAVINGS: Mapping[str, float] = {
-    "int": 0.40,
-    "date": 0.50,
-    "float": 0.11,
-    "str": 0.60,
-    "bool": 0.90,
-}
-
-
-def estimate_column_codec_saving(schema) -> float:
-    """Predicted fractional byte saving of the column codec for ``schema``.
-
-    Returns the expected ``saved_bytes / row_codec_bytes`` fraction in
-    ``[0, 1)``, as the unweighted mean of per-attribute type savings (the
-    row codec spends roughly comparable bytes per attribute, so the
-    unweighted mean is a serviceable first-order model). Empty schemas
-    (pure header traffic) save nothing.
-
-    The execution path never uses this number: measured savings in
-    :class:`repro.distributed.stats.ExecutionStats` come from actually
-    row-encoding every shipped block. This estimate exists so that
-    ``repro explain --analyze`` can show predicted-vs-measured codec
-    savings side by side, the same honesty contract as the traffic
-    estimator above.
-    """
-    attributes = tuple(schema)
-    if not attributes:
-        return 0.0
-    total = 0.0
-    for attribute in attributes:
-        total += COLUMN_CODEC_TYPE_SAVINGS.get(attribute.type, 0.10)
-    return total / len(attributes)

@@ -37,7 +37,7 @@ from repro.distributed.siteserver import (
 )
 from repro.errors import DeploymentError, PlanError, ReproError, WarehouseError
 from repro.net.socket_channel import SocketNetwork
-from repro.obs.flightrec import FlightRecord, FlightRecorder, flight_path
+from repro.obs.flightrec import FlightRecorder, flight_path
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.relalg.operators import union_all
@@ -435,32 +435,23 @@ class ProcessCluster:
     def dump_flight(self, directory=None) -> list:
         """Write coordinator + per-site flight records; returns the paths.
 
-        Live sites dump their ring on demand over the TELEMETRY frame;
-        a dead (killed/crashed) site is covered by the per-request dump
-        its process last wrote into the store, which is left untouched
-        here — and reported, so the caller sees the post-mortem file.
+        A site's record is the file in the store its process brings up to
+        date before every reply (and at boot, on a fault, on SIGTERM and on
+        exit), so a live site and a killed one are dumped the same way: by
+        copying that file, when ``directory`` is not the store itself.
         """
         directory = str(directory or self.root)
         os.makedirs(directory, exist_ok=True)
         self.flight.record_event("dump", root=self.root)
         written = [self.flight.dump(flight_path(directory, "coordinator"))]
+        copies = not os.path.samefile(directory, self.root)
         for site_id in self.site_ids:
-            channel = self.network.channel(site_id)
-            path = flight_path(directory, "site", site_id)
-            try:
-                snapshot = channel.telemetry(("flight",))
-            except (ReproError, OSError):
-                self.flight.record_event("dump.site.dead", site=site_id)
-                if os.path.exists(path):
-                    written.append(path)  # the killed site's last dump
-                continue
-            section = snapshot.get("flight")
-            if not section:
-                continue
-            record = FlightRecord.from_snapshot(
-                dict(section, site_id=site_id, process="site")
-            )
-            written.append(record.dump(path))
+            source = flight_path(self.root, "site", site_id)
+            if os.path.exists(source):
+                path = flight_path(directory, "site", site_id)
+                if copies:
+                    shutil.copyfile(source, path)
+                written.append(path)
         return written
 
     # -- lifecycle ---------------------------------------------------------------

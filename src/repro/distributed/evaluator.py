@@ -383,10 +383,11 @@ def execute_plan(
         if flight is not None:
             flight.record_event(
                 "query",
-                query_id=query_id,
                 rounds=len(stats.rounds),
                 bytes_total=stats.bytes_total,
                 faults=len(stats.faults),
+                # The trace schema has no null query_id: unnumbered, no key.
+                **({} if query_id is None else {"query_id": query_id}),
             )
             if tracer.enabled:
                 flight.record_spans(tracer.finished())
@@ -419,10 +420,6 @@ class _RoundWalk:
         self.coordinator = coordinator
         self.stats = stats
         self.ids = {} if query_id is None else {"query_id": query_id}
-        #: Whether each block is row-encoded a second time to learn what the
-        #: codec saved: only where the saving is shown, a traced run, and
-        #: not under the row codec, which has nothing to be compared with.
-        self.measures_saving = tracer.enabled and config.wire_codec != "row"
         #: Combiner name -> child names: the shape below the root.
         self.combiners = {
             node.name: tuple(child.name for child in node.children)
@@ -576,15 +573,12 @@ class _RoundWalk:
                     held=held,
                     positions=self._observed_positions(node, name),
                 )
-                blocks = config.blocks_of(fragment)
                 down = [
                     msg.Message.with_relation(
                         msg.SHIP_BASE, node.name, name, number, block, codec=codec
                     )
-                    for block in blocks
+                    for block in config.blocks_of(fragment)
                 ]
-                if self.measures_saving:
-                    edge.row_equiv_bytes_down += _row_codec_bytes(blocks)
                 encode_span.set(
                     rows=len(fragment),
                     messages=len(down),
@@ -596,8 +590,6 @@ class _RoundWalk:
             # Base values / Proposition 2: no shipment down beyond the
             # request header.
             down = [msg.Message(msg.BASE_QUERY, node.name, name, number)]
-            if self.measures_saving:
-                edge.row_equiv_bytes_down += down[0].size_bytes
             tuples_down = 0
         for shipment in down:
             channel.send_to_site(shipment)
@@ -612,11 +604,6 @@ class _RoundWalk:
             )
             edge.compute_s += reply.compute_s
             payloads = reply.payloads
-            if self.measures_saving:
-                edge.row_equiv_bytes_up += (
-                    reply.row_codec_payload_bytes
-                    + msg.HEADER_BYTES * len(payloads)
-                )
             tuples_up = reply.rows
         else:
             # This process hosts the combiner, so it plays the child end.
@@ -640,8 +627,6 @@ class _RoundWalk:
                 merged = self._merge(collected)
                 blocks = config.blocks_of(merged)
                 payloads = [serialize.encode_relation(block, codec) for block in blocks]
-                if self.measures_saving:
-                    edge.row_equiv_bytes_up += _row_codec_bytes(blocks)
                 self._charge(child, time.perf_counter() - started)
                 hop.set(bytes_up=_message_bytes(payloads))
             reply_kind = msg.BASE_RESULT if self.md_round is None else msg.SUB_RESULT
@@ -734,18 +719,6 @@ class _RoundWalk:
 def _message_bytes(payloads) -> int:
     """What ``payloads`` weigh as messages, one header each."""
     return sum(len(payload) + msg.HEADER_BYTES for payload in payloads)
-
-
-def _row_codec_bytes(blocks) -> int:
-    """What ``blocks`` weigh as row-codec messages.
-
-    Measured (not estimated) by row-encoding the same blocks, so codec
-    savings in the stats are grounded in actual encodings — a second
-    encode of every block, which is why only a traced run asks.
-    """
-    return sum(
-        serialize.wire_size(block, "row") + msg.HEADER_BYTES for block in blocks
-    )
 
 
 def execute_query(

@@ -142,14 +142,6 @@ class SiteReply:
     compute_s: float
     spans: tuple = ()
     counters: dict = field(default_factory=dict)
-    #: What the same blocks occupy under the row codec: the measured
-    #: baseline of the active codec's byte saving. 0 = not measured — it
-    #: costs a second encode of every block, so only a traced request
-    #: under another codec pays for it.
-    row_codec_payload_bytes: int = 0
-    #: Small site-process health snapshot piggybacked on socket replies
-    #: (pid, rss_bytes, uptime_s, requests_total); empty elsewhere.
-    telemetry: dict = field(default_factory=dict)
 
 
 def row_blocks(relation: Relation, size: int) -> list:
@@ -163,13 +155,6 @@ def row_blocks(relation: Relation, size: int) -> list:
         Relation(relation.schema, relation.rows[start : start + size])
         for start in range(0, len(relation), size)
     ]
-
-
-def _row_codec_bytes(request: SiteRequest, blocks) -> int:
-    """``SiteReply.row_codec_payload_bytes`` for a reply of ``blocks``."""
-    if not request.traced or request.wire_codec == "row":
-        return 0
-    return sum(serialize.wire_size(block, "row") for block in blocks)
 
 
 def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> SiteReply:
@@ -198,12 +183,10 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
                 span.set(rows=len(result))
             with tracer.span("round.encode", kind="site", site=site_id, **ids):
                 payloads = (serialize.encode_relation(result, codec),)
-                row_codec_bytes = _row_codec_bytes(request, (result,))
         return SiteReply(
             payloads=payloads,
             rows=len(result),
             compute_s=time.perf_counter() - started,
-            row_codec_payload_bytes=row_codec_bytes,
         )
 
     with use_engine(request.engine):
@@ -241,11 +224,10 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
         with tracer.span(
             "round.encode", kind="site", site=site_id, **ids
         ) as encode_span:
-            blocks = row_blocks(h_i, request.row_block_size)
             payloads = tuple(
-                serialize.encode_relation(block, codec) for block in blocks
+                serialize.encode_relation(block, codec)
+                for block in row_blocks(h_i, request.row_block_size)
             )
-            row_codec_bytes = _row_codec_bytes(request, blocks)
             encode_span.set(
                 rows=len(h_i),
                 messages=len(payloads),
@@ -255,7 +237,6 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
         payloads=payloads,
         rows=len(h_i),
         compute_s=time.perf_counter() - started,
-        row_codec_payload_bytes=row_codec_bytes,
     )
 
 
@@ -567,8 +548,6 @@ class SocketEngine(_ThreadedLegs):
             compute_s=meta["compute_s"],
             spans=tuple(meta.get("spans", ())),
             counters=dict(meta.get("counters", {})),
-            row_codec_payload_bytes=meta.get("row_codec_payload_bytes"),
-            telemetry=dict(meta.get("telemetry", {})),
         )
         # Site-server processes run their own monotonic clock; the
         # channel's PING-estimated offset (see repro.obs.skew) maps the
@@ -576,13 +555,6 @@ class SocketEngine(_ThreadedLegs):
         _replay_remote(
             self._tracer, reply, request.site_id, channel.clock_offset_s
         )
-        if reply.telemetry:
-            registry = active_registry()
-            for name, value in reply.telemetry.items():
-                if name != "pid" and isinstance(value, (int, float)):
-                    registry.gauge(
-                        f"site.{name}", site=request.site_id
-                    ).set(float(value))
         return reply
 
     def close(self) -> None:

@@ -266,7 +266,6 @@ def guard_leg(
             # contribution can be moved to the speculative buckets.
             snap_bytes_down = site_stats.bytes_down
             snap_tuples_down = site_stats.tuples_down
-            snap_row_equiv_down = site_stats.row_equiv_bytes_down
             # Mark where this attempt's spans begin so an abandoned
             # attempt's spans can be tagged speculative (they describe
             # work the backup re-does — profiles must not double-count).
@@ -279,14 +278,13 @@ def guard_leg(
                 # attempt's traffic really crossed the wire, so its byte
                 # charges move (not vanish): down-side to the
                 # speculative bucket, partial up-frames (already counted
-                # by the channel oracle) likewise. Tuple and row-equiv
-                # charges are rolled back — the backup re-ships them.
+                # by the channel oracle) likewise. The tuple charge is
+                # rolled back — the backup re-ships them.
                 site_stats.speculative_bytes_down += (
                     site_stats.bytes_down - snap_bytes_down
                 )
                 site_stats.bytes_down = snap_bytes_down
                 site_stats.tuples_down = snap_tuples_down
-                site_stats.row_equiv_bytes_down = snap_row_equiv_down
                 site_stats.speculative_bytes_up += error.partial_up_bytes
                 site_stats.speculative_attempts += 1
                 abandoned += 1

@@ -257,14 +257,9 @@ class SiteServer:
         snapshot = {
             "site_id": self.site.site_id,
             "pid": os.getpid(),
-            "uptime_s": time.perf_counter() - self._started,
         }
         if "metrics" in want:
             snapshot["metrics"] = self.registry.snapshot()
-        if "flight" in want:
-            header = self.flight.header()
-            header.pop("record", None)
-            snapshot["flight"] = dict(header, records=self.flight.snapshot())
         return snapshot
 
     def serve_forever(self) -> None:
@@ -440,7 +435,8 @@ class SiteServer:
             bytes_down=bytes_down,
             bytes_up=bytes_up,
             elapsed_s=elapsed,
-            query_id=request.query_id,
+            # The trace schema has no null query_id: unnumbered, no key.
+            **({} if request.query_id is None else {"query_id": request.query_id}),
         )
         for span in spans:
             self.flight.record("span", **span)
@@ -459,13 +455,6 @@ class SiteServer:
             "compute_s": reply.compute_s,
             "spans": spans,
             "counters": dict(reply.counters),
-            "row_codec_payload_bytes": reply.row_codec_payload_bytes,
-            "telemetry": {
-                "pid": os.getpid(),
-                "rss_bytes": _rss_bytes(),
-                "uptime_s": time.perf_counter() - self._started,
-                "requests_total": self.registry.value_of("site.requests"),
-            },
         }
         write_frame(conn, FRAME_REPLY, pickle.dumps(meta))
 

@@ -68,13 +68,6 @@ class SiteRoundStats:
     #: True when a backup attempt (raced after an abandonment) produced
     #: this site's result for the round.
     speculation_won: bool = False
-    #: What the same shipments cost under the row wire codec, measured by
-    #: row-encoding each block a second time — so only a traced run under
-    #: another codec pays for it. 0 = not measured: no edge that shipped
-    #: anything weighs nothing. The gap to ``bytes_down``/``bytes_up`` is
-    #: the active codec's measured byte saving.
-    row_equiv_bytes_down: int = 0
-    row_equiv_bytes_up: int = 0
 
 
 @dataclass
@@ -150,20 +143,6 @@ class RoundStats:
     @property
     def speculative_attempts(self) -> int:
         return sum(stats.speculative_attempts for stats in self.sites.values())
-
-    @property
-    def row_equiv_bytes_total(self) -> int:
-        return sum(
-            stats.row_equiv_bytes_down + stats.row_equiv_bytes_up
-            for stats in self.sites.values()
-        )
-
-    @property
-    def codec_saved_bytes(self) -> int:
-        """Measured bytes the active wire codec saved vs. the row codec
-        (0 when the row-equivalent was not measured)."""
-        row_equiv = self.row_equiv_bytes_total
-        return row_equiv - self.bytes_total if row_equiv else 0
 
     def site_compute_critical_s(self) -> float:
         """Critical-path site compute: the slowest site (parallel sites)."""
@@ -418,15 +397,6 @@ class ExecutionStats:
     def tuples_up(self) -> int:
         return sum(stats.tuples_up for stats in self.rounds)
 
-    @property
-    def row_equiv_bytes_total(self) -> int:
-        return sum(stats.row_equiv_bytes_total for stats in self.rounds)
-
-    @property
-    def codec_saved_bytes(self) -> int:
-        """Measured byte saving of the active wire codec vs. the row codec."""
-        return sum(stats.codec_saved_bytes for stats in self.rounds)
-
     def tuples_up_md(self) -> int:
         """Up-shipped tuples in MD/chain rounds only (base round excluded)."""
         return sum(stats.tuples_up for stats in self.rounds if stats.kind != "base")
@@ -520,22 +490,6 @@ class ExecutionStats:
                     "coordinator_compute_s": round_stats.coordinator_compute_s,
                     "wall_s": round_stats.wall_s,
                     "excluded": list(round_stats.excluded),
-                    **(
-                        {
-                            "codec": {
-                                "wire_codec": self.wire_codec,
-                                "bytes": round_stats.bytes_total,
-                                "row_equiv_bytes": round_stats.row_equiv_bytes_total,
-                                "saved_bytes": round_stats.codec_saved_bytes,
-                                "saving_fraction": (
-                                    round_stats.codec_saved_bytes
-                                    / round_stats.row_equiv_bytes_total
-                                ),
-                            }
-                        }
-                        if round_stats.row_equiv_bytes_total
-                        else {}
-                    ),
                     "sites": {
                         site_id: {
                             "bytes_down": site.bytes_down,
@@ -584,9 +538,6 @@ class ExecutionStats:
             "coordinator_compute_s": self.coordinator_compute_s(),
             "wall_s": self.wall_time_s(),
         }
-        if self.row_equiv_bytes_total:
-            snapshot["row_equiv_bytes_total"] = self.row_equiv_bytes_total
-            snapshot["codec_saved_bytes"] = self.codec_saved_bytes
         snapshot["transport"] = self.transport
         if self.transport == "sockets":
             snapshot["socket"] = {
@@ -617,13 +568,6 @@ class ExecutionStats:
                 f"wins={self.speculation_wins} "
                 f"abandoned bytes down={self.speculative_bytes_down} "
                 f"up={self.speculative_bytes_up}"
-            )
-        row_equiv = self.row_equiv_bytes_total
-        if row_equiv:
-            fraction = self.codec_saved_bytes / row_equiv
-            lines.append(
-                f"wire codec [{self.wire_codec}]: saved {self.codec_saved_bytes}B "
-                f"vs row codec ({fraction:.1%} of {row_equiv}B)"
             )
         if self.transport == "sockets":
             lines.extend(self.transport_summary().splitlines())

@@ -565,9 +565,8 @@ LegDeadlineExceeded` raised, reporting what ``upstream`` recorded for the
     def telemetry(self, want=("metrics",)) -> dict:
         """Fetch the site process's telemetry snapshot on demand.
 
-        ``want`` selects sections: ``"metrics"`` (the site registry
-        snapshot) and/or ``"flight"`` (the site's flight-recorder
-        records).
+        ``want`` selects sections; ``"metrics"`` (the site registry
+        snapshot) is the one there is.
         """
         request = json.dumps({"want": list(want)}).encode("utf-8")
         return self._control(FRAME_TELEMETRY, request, "telemetry scrape of")

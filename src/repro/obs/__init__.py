@@ -1,13 +1,15 @@
 """Observability for the Skalla reproduction: spans, metrics, JSONL traces.
 
-Seven pieces, all zero-dependency and import-free of the execution layers
-(so any module may instrument itself without cycles):
+Ten modules, all zero-dependency. None imports ``repro.distributed`` or
+any other execution layer, so any module may instrument itself without
+cycles; from ``repro.net`` they take only constants (the cost model the
+timeline prices bytes with, the default codec's name):
 
 - :mod:`repro.obs.tracer` — span tracing with a no-op default
   (:data:`NULL_TRACER`) so untraced runs pay nothing;
 - :mod:`repro.obs.metrics` — process-local counters/gauges/histograms;
-- :mod:`repro.obs.events` — schema-versioned JSONL trace export with a
-  lossless ``dump``/``load`` round trip;
+- :mod:`repro.obs.events` — the one telemetry file format (traces and
+  flight dumps): schema-versioned JSONL, one loader, one validator;
 - :mod:`repro.obs.timeline` — the ASCII per-round timeline behind the
   ``repro trace`` CLI subcommand;
 - :mod:`repro.obs.profile` — EXPLAIN ANALYZE: per-query profiles
@@ -21,8 +23,8 @@ Seven pieces, all zero-dependency and import-free of the execution layers
   per-dimension regression attribution (``repro diff``);
 - :mod:`repro.obs.skew` — NTP-style clock-offset estimation and span
   alignment for merging site-process spans onto the coordinator clock;
-- :mod:`repro.obs.flightrec` — bounded in-memory flight recorder with
-  atomic crash dumps (``repro cluster dump``).
+- :mod:`repro.obs.flightrec` — bounded in-memory flight recorder whose
+  per-request dump survives ``SIGKILL`` (``repro cluster dump``).
 """
 
 from repro.obs.diff import (
@@ -47,7 +49,6 @@ from repro.obs.export import (
     start_metrics_server,
 )
 from repro.obs.flightrec import (
-    FlightRecord,
     FlightRecorder,
     flight_path,
     load_flight_dir,
@@ -100,7 +101,6 @@ __all__ = [
     "Counter",
     "DiffEntry",
     "EventLog",
-    "FlightRecord",
     "FlightRecorder",
     "GLOBAL_REGISTRY",
     "Gauge",

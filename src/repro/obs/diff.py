@@ -1,8 +1,8 @@
 """Trace-diff regression attribution (``repro diff``).
 
 A benchmark or a test can say *that* a run got slower; this module says
-*why*. It compares two observability artifacts — JSONL traces, flight
-dumps or EXPLAIN ANALYZE profiles — and attributes every wall-time/byte
+*why*. It compares two observability artifacts — JSONL traces or
+EXPLAIN ANALYZE profiles — and attributes every wall-time/byte
 delta to a dimension the paper's cost analysis argues about: the query
 total, a round, a site, an operator, or an applied optimization.
 
@@ -15,12 +15,13 @@ attributed delta — the self-check the tests pin.
 
 Artifact kinds are auto-detected by :func:`load_artifact`:
 
-- a JSONL trace (``repro trace --emit-trace``) or a flight-recorder dump
-  (``repro cluster dump``) — normalized to a profile via
-  :func:`~repro.obs.profile.profile_from_trace`;
+- a JSONL trace (``repro trace --emit-trace``) — normalized to a profile
+  via :func:`~repro.obs.profile.profile_from_trace`;
 - a profile dict (``repro explain --analyze --json``).
 
-Every artifact normalizes to a profile, so any two may be compared.
+Both normalize to a profile, so either may be compared with either. A
+flight-recorder dump loads as a trace too but holds no run's stats, so it
+is refused with a pointer to ``repro trace --flight``.
 :func:`render_diff` prints the root-cause table.
 """
 
@@ -274,8 +275,8 @@ def load_artifact(path: str):
     """Read and classify one artifact; returns ``(kind, payload)``.
 
     Kinds: ``"trace"`` (payload: :class:`~repro.obs.events.EventLog`) or
-    ``"profile"`` (payload: dict). Flight recorder dumps load as
-    ``"trace"`` via :meth:`~repro.obs.flightrec.FlightRecord.to_event_log`.
+    ``"profile"`` (payload: dict). A flight-recorder dump is a
+    ``"trace"`` whose ``origin`` names its ring.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -290,12 +291,6 @@ def load_artifact(path: str):
         from repro.obs.events import EventLog
 
         return "trace", EventLog.loads(text)
-    if isinstance(first, dict) and first.get("record") == "flight":
-        # A flight-recorder dump (repro cluster dump / site crash dump):
-        # surface it as a trace so post-mortems reuse the trace diff path.
-        from repro.obs.flightrec import FlightRecord
-
-        return "trace", FlightRecord.loads(text).to_event_log()
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, ValueError) as error:
@@ -307,8 +302,8 @@ def load_artifact(path: str):
     if "rounds" in data:
         return "profile", data
     raise ObservabilityError(
-        f"cannot classify {path!r}: expected a JSONL trace, a flight dump, "
-        "or a profile (repro explain --analyze --json)"
+        f"cannot classify {path!r}: expected a JSONL trace or a profile "
+        "(repro explain --analyze --json)"
     )
 
 
@@ -329,6 +324,11 @@ def diff_artifacts(
     for path in (before_path, after_path):
         kind, payload = load_artifact(path)
         if kind == "trace":
+            if payload.origin is not None:
+                raise ObservabilityError(
+                    f"{path!r}: a flight dump holds spans and events, not a "
+                    "run's stats — render it with `repro trace --flight`"
+                )
             payload = profile_from_trace(payload, query_id=query_id).to_dict()
         sides.append(payload)
     return diff_profiles(

@@ -1,9 +1,14 @@
-"""Structured JSONL trace export with a versioned schema.
+"""The one telemetry file format: versioned JSONL, one loader, one validator.
 
-One trace file is a sequence of JSON objects, one per line:
+Every telemetry file this package writes — a ``repro trace --emit-trace``
+trace and a flight-recorder dump alike — is a sequence of JSON objects,
+one per line:
 
 - line 1 is the **header**: ``{"record": "header", "schema_version": 3,
-  "generator": "repro.obs"}``;
+  "generator": "repro.obs"}``. A flight dump's header also names the ring
+  it was written from: ``"process"`` (``"coordinator"``/``"site"``),
+  ``"site_id"``, ``"capacity"`` and ``"dropped"`` (records the ring had
+  dropped as of the last whole rewrite) — :attr:`EventLog.origin`;
 - every following line is a record with a ``"record"`` type tag:
 
   - ``"span"`` — one :class:`~repro.obs.tracer.Span` (name, kind, ids,
@@ -15,7 +20,10 @@ One trace file is a sequence of JSON objects, one per line:
     snapshot (``to_dict``), the same numbers the benchmarks report;
   - ``"plan"`` — the optimized plan's description and optimizer
     notes, so a profile can be rebuilt from the file alone;
-  - ``"clock"`` — the per-site clock offset/RTT map of a socket run.
+  - ``"clock"`` — the per-site clock offset/RTT map of a socket run;
+  - ``"event"`` / ``"fault"`` — what a flight ring records beside spans
+    (lifecycle and per-request events, site-side errors), each with a
+    ``"t_s"`` stamp on the recording process's monotonic clock.
 
 Any record may carry a ``"query_id"`` field, so one file holding several
 service queries can be filtered per query with
@@ -31,6 +39,16 @@ returns exactly the records written. Unknown record types are preserved
 (they validate as long as they carry a ``"record"`` tag), so older
 readers skip rather than crash on newer producers *within* the schema
 version; any other ``schema_version`` is rejected loudly.
+
+A flight dump is loaded differently in exactly what follows from how it
+is written. The recorder *appends* to it between whole rewrites (see
+:mod:`repro.obs.flightrec`), so the file may hold up to twice
+``capacity`` records and, if the process was killed inside a write, one
+torn final line: the loader keeps the last ``capacity`` records (the
+ring), counts the ones before into ``dropped``, forgives a final line
+that is not JSON, and stamps each span with the header's
+``process``/``site_id`` where it lacks its own. A trace is written
+whole, so a bad line anywhere in one is an error naming the line.
 """
 
 from __future__ import annotations
@@ -50,6 +68,8 @@ SUPPORTED_SCHEMA_VERSIONS = (SCHEMA_VERSION,)
 
 GENERATOR = "repro.obs"
 
+_PROCESSES = ("coordinator", "site")
+_RING_KEYS = ("process", "site_id", "capacity", "dropped")
 _SPAN_REQUIRED = ("name", "kind", "span_id", "parent_id", "start_s", "end_s")
 _METRIC_REQUIRED = ("name", "type")
 _METRIC_TYPES = ("counter", "gauge", "histogram")
@@ -59,9 +79,13 @@ class EventLog:
     """An in-memory JSONL trace: a list of record dicts plus the header."""
 
     def __init__(self, records: Optional[List[dict]] = None,
-                 schema_version: int = SCHEMA_VERSION):
+                 schema_version: int = SCHEMA_VERSION,
+                 origin: Optional[dict] = None):
         self.schema_version = schema_version
         self.records: List[dict] = list(records or [])
+        #: The ring a flight dump was written from (``process``,
+        #: ``site_id``, ``capacity``, ``dropped``); None for a trace.
+        self.origin = origin
 
     # -- building ----------------------------------------------------------------
 
@@ -100,9 +124,7 @@ class EventLog:
         """A new log holding only records belonging to ``query_id``.
 
         A span belongs if it carries the id (record field or span
-        attribute) or descends from a span that does — site/coordinator
-        operator spans only carry it at the root of their subtree when
-        the producer predates per-record stamping.
+        attribute) or descends from a span that does.
         """
         span_records = self.records_of("span")
         member_ids = set()
@@ -126,13 +148,14 @@ class EventLog:
                     kept.append(record)
             elif record.get("query_id") == query_id:
                 kept.append(record)
-        return EventLog(kept, schema_version=self.schema_version)
+        return EventLog(kept, self.schema_version, self.origin)
 
     def header(self) -> dict:
         return {
             "record": "header",
             "schema_version": self.schema_version,
             "generator": GENERATOR,
+            **(self.origin or {}),
         }
 
     # -- validation --------------------------------------------------------------
@@ -169,6 +192,10 @@ class EventLog:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as error:
+                # Only a ring's file is appended to, so only it can end in
+                # the line its writer was killed inside.
+                if 1 < line_number == len(lines) and "capacity" in records[0]:
+                    break
                 raise TraceSchemaError(
                     f"line {line_number}: not valid JSON ({error})"
                 ) from None
@@ -200,8 +227,18 @@ class EventLog:
                 f"line {line_number}: unexpected second header record; "
                 f"one trace file holds exactly one header on line 1"
             )
-        log = cls(records[1:], schema_version=version)
+        origin = _ring_origin(header)
+        log = cls(records[1:], version, origin)
         log.validate()
+        if origin is not None:
+            # An appended-to dump: cut it back to the ring it records.
+            outlived = max(0, len(log.records) - origin["capacity"])
+            origin["dropped"] += outlived
+            del log.records[:outlived]
+            for record in log.records_of("span"):
+                record.setdefault("process", origin["process"])
+                if origin["site_id"] is not None:
+                    record.setdefault("site_id", origin["site_id"])
         return log
 
     @classmethod
@@ -213,11 +250,32 @@ class EventLog:
         return (
             isinstance(other, EventLog)
             and self.schema_version == other.schema_version
+            and self.origin == other.origin
             and self.records == other.records
         )
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+def _ring_origin(header: dict) -> Optional[dict]:
+    """The ring a header names (its ``capacity`` key says it names one)."""
+    if "capacity" not in header:
+        return None
+    origin = {key: header.get(key) for key in _RING_KEYS}
+    capacity, dropped = origin["capacity"], origin["dropped"]
+    if (
+        origin["process"] not in _PROCESSES
+        or not isinstance(origin["site_id"], (str, type(None)))
+        or type(capacity) is not int
+        or type(dropped) is not int
+        or capacity < 1
+        or dropped < 0
+    ):
+        raise TraceSchemaError(
+            f"line 1: header names a malformed flight ring {origin!r}"
+        )
+    return origin
 
 
 def _validate_record(record: dict, line_number: int) -> None:
@@ -228,7 +286,7 @@ def _validate_record(record: dict, line_number: int) -> None:
         raise TraceSchemaError(
             f"line {line_number}: 'query_id' must be an integer or string"
         )
-    if "process" in record and record["process"] not in ("coordinator", "site"):
+    if "process" in record and record["process"] not in _PROCESSES:
         raise TraceSchemaError(
             f"line {line_number}: 'process' must be 'coordinator' or 'site' "
             f"(got {record['process']!r})"

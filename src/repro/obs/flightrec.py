@@ -22,22 +22,13 @@ either whole lines or, if it lands inside the write, one torn final line,
 which the loader drops; every request whose reply the coordinator saw is
 on disk whole.
 
-File format (JSONL, one object per line):
-
-- line 1: ``{"record": "flight", "flight_version": 1, "process": ...,
-  "site_id": ..., "capacity": ..., "dropped": ..., "generator":
-  "repro.obs"}`` — ``dropped`` as of the last rewrite;
-- following lines: records in arrival order, each tagged
-  ``"record": "span" | "event" | "fault"`` plus a ``"t_s"`` stamp on
-  the recording process's monotonic clock. Between rewrites there can be
-  up to twice ``capacity`` of them: the ring is the last ``capacity``,
-  and the loader counts the ones before as dropped.
-
-:class:`FlightRecord` loads a dump back; :meth:`FlightRecord.to_event_log`
-converts one (or :func:`load_flight_dir` merges a directory of them)
-into a schema-v3 :class:`~repro.obs.events.EventLog` so ``repro trace``
-and :mod:`repro.obs.diff` can post-mortem a killed site with the same
-tooling they use on live traces.
+The file is an :class:`~repro.obs.events.EventLog` whose header names
+this ring — :mod:`repro.obs.events` is the one format spec and
+``EventLog.load`` the one loader (it cuts an appended-to file back to the
+last ``capacity`` records, counts the rest as dropped and forgives the
+torn line). :func:`load_flight_dir` loads a ``repro cluster dump``
+directory, so ``repro trace --flight`` post-mortems a killed site from
+the same records a live trace holds.
 """
 
 from __future__ import annotations
@@ -56,14 +47,10 @@ from repro.obs.tracer import Span
 
 __all__ = [
     "DEFAULT_CAPACITY",
-    "FLIGHT_VERSION",
-    "FlightRecord",
     "FlightRecorder",
     "flight_path",
     "load_flight_dir",
 ]
-
-FLIGHT_VERSION = 1
 
 #: Default ring capacity: deep enough for several queries' spans. A
 #: per-request dump appends what the request recorded — microseconds —
@@ -174,15 +161,14 @@ class FlightRecorder:
             return len(self._ring)
 
     def header(self) -> dict:
-        return {
-            "record": "flight",
-            "flight_version": FLIGHT_VERSION,
-            "generator": "repro.obs",
+        """The dump's first line: the trace header, naming this ring."""
+        origin = {
             "process": self.process,
             "site_id": self.site_id,
             "capacity": self.capacity,
             "dropped": self.dropped,
         }
+        return EventLog(origin=origin).header()
 
     def dumps(self) -> str:
         return _lines([self.header()] + self.snapshot())
@@ -240,155 +226,7 @@ class FlightRecorder:
             previous_handlers[signum] = signal.signal(signum, _dump_and_exit)
 
 
-class FlightRecord:
-    """A loaded flight-recorder dump (or a live snapshot shipped over
-    the TELEMETRY frame)."""
-
-    def __init__(
-        self,
-        records: List[dict],
-        process: str = "coordinator",
-        site_id: Optional[str] = None,
-        capacity: int = DEFAULT_CAPACITY,
-        dropped: int = 0,
-    ):
-        self.records = list(records)
-        self.process = process
-        self.site_id = site_id
-        self.capacity = capacity
-        self.dropped = dropped
-
-    # -- loading -----------------------------------------------------------------
-
-    @classmethod
-    def loads(cls, text: str) -> "FlightRecord":
-        """Load a dump: the ring is the last ``capacity`` records of the file.
-
-        A recorder appends between rewrites, so the file may hold records
-        the ring has since dropped (counted into ``dropped``) and, if the
-        process was killed inside a write, a torn final line (ignored; a
-        malformed line anywhere else is an error).
-        """
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            raise ObservabilityError("empty flight record: missing header line")
-        records = []
-        for line_number, line in enumerate(lines, start=1):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                if 1 < line_number == len(lines):
-                    break
-                raise ObservabilityError(
-                    f"flight record line {line_number}: not valid JSON ({error})"
-                ) from None
-            if not isinstance(record, dict) or "record" not in record:
-                raise ObservabilityError(
-                    f"flight record line {line_number}: every record needs "
-                    f"a 'record' tag"
-                )
-            records.append(record)
-        header = records[0]
-        if header.get("record") != "flight":
-            raise ObservabilityError(
-                "flight record line 1: first record must be the flight header"
-            )
-        version = header.get("flight_version")
-        if version != FLIGHT_VERSION:
-            raise ObservabilityError(
-                f"unsupported flight record version {version!r} "
-                f"(this reader understands {FLIGHT_VERSION})"
-            )
-        capacity = header.get("capacity", DEFAULT_CAPACITY)
-        outlived = max(0, len(records) - 1 - capacity)
-        return cls(
-            records[1 + outlived :],
-            process=header.get("process", "coordinator"),
-            site_id=header.get("site_id"),
-            capacity=capacity,
-            dropped=header.get("dropped", 0) + outlived,
-        )
-
-    @classmethod
-    def load(cls, path) -> "FlightRecord":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.loads(handle.read())
-
-    @classmethod
-    def from_snapshot(cls, payload: dict) -> "FlightRecord":
-        """Build from a TELEMETRY-frame flight section (already parsed)."""
-        return cls(
-            payload.get("records", []),
-            process=payload.get("process", "site"),
-            site_id=payload.get("site_id"),
-            capacity=payload.get("capacity", DEFAULT_CAPACITY),
-            dropped=payload.get("dropped", 0),
-        )
-
-    # -- writing -----------------------------------------------------------------
-
-    def header(self) -> dict:
-        return {
-            "record": "flight",
-            "flight_version": FLIGHT_VERSION,
-            "generator": "repro.obs",
-            "process": self.process,
-            "site_id": self.site_id,
-            "capacity": self.capacity,
-            "dropped": self.dropped,
-        }
-
-    def dumps(self) -> str:
-        return _lines([self.header()] + self.records)
-
-    def dump(self, path) -> str:
-        path = str(path)
-        _write_atomically(path, self.dumps())
-        return path
-
-    # -- reading -----------------------------------------------------------------
-
-    def records_of(self, record_type: str) -> List[dict]:
-        return [
-            record for record in self.records
-            if record.get("record") == record_type
-        ]
-
-    def spans(self) -> List[Span]:
-        spans = []
-        for record in self.records_of("span"):
-            payload = {
-                key: value for key, value in record.items()
-                if key not in ("record", "t_s")
-            }
-            spans.append(Span.from_dict(payload))
-        return spans
-
-    def to_event_log(self) -> EventLog:
-        """A schema-v3 :class:`EventLog` view for trace tooling.
-
-        Span records keep their fields (stamped with this record's
-        process/site provenance when they lack their own); event and
-        fault records pass through — unknown record types are legal
-        within a schema version, so older readers skip them.
-        """
-        log = EventLog()
-        for record in self.records:
-            fields = {
-                key: value for key, value in record.items() if key != "record"
-            }
-            emitted = log.append(record.get("record", "event"), **fields)
-            if record.get("record") == "span":
-                emitted.pop("t_s", None)
-                emitted.setdefault(
-                    "process", "site" if self.site_id is not None else self.process
-                )
-                if self.site_id is not None:
-                    emitted.setdefault("site_id", self.site_id)
-        return log
-
-
-def load_flight_dir(directory) -> List[FlightRecord]:
+def load_flight_dir(directory) -> List[EventLog]:
     """Load every ``flight-*.jsonl`` dump in ``directory``, sorted by name."""
     directory = str(directory)
     try:
@@ -406,4 +244,4 @@ def load_flight_dir(directory) -> List[FlightRecord]:
         raise ObservabilityError(
             f"no flight records (flight-*.jsonl) in {directory}"
         )
-    return [FlightRecord.load(os.path.join(directory, name)) for name in names]
+    return [EventLog.load(os.path.join(directory, name)) for name in names]

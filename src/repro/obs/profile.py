@@ -111,10 +111,6 @@ class RoundProfile:
     excluded: List[str] = field(default_factory=list)
     sites: List[SiteProfile] = field(default_factory=list)
     coordinator_operators: List[OperatorProfile] = field(default_factory=list)
-    #: Wire-codec accounting for this round (the stats round record's
-    #: ``codec`` dict: measured bytes, row-codec-equivalent bytes, saving)
-    #: — only present when a non-row codec was active.
-    codec: Optional[dict] = None
 
     @property
     def bytes_down(self) -> int:
@@ -133,7 +129,7 @@ class RoundProfile:
         return sum(site.tuples_down + site.tuples_up for site in self.sites)
 
     def to_dict(self) -> dict:
-        record = {
+        return {
             "index": self.index,
             "kind": self.kind,
             "description": self.description,
@@ -147,9 +143,6 @@ class RoundProfile:
                 operator.to_dict() for operator in self.coordinator_operators
             ],
         }
-        if self.codec is not None:
-            record["codec"] = dict(self.codec)
-        return record
 
 
 @dataclass
@@ -170,10 +163,6 @@ class QueryProfile:
     stats_bytes_total: int = 0
     #: Wire codec the run shipped relations with ("row" or "column").
     wire_codec: str = DEFAULT_CODEC
-    #: Estimated fractional saving of the column codec for this query's
-    #: shipped schema (:func:`repro.distributed.costing.estimate_column_codec_saving`);
-    #: ``None`` when the caller did not price it.
-    codec_estimated_saving: Optional[float] = None
     #: Merge topology the run executed with ("flat", "hierarchical:R",
     #: "chain:F") — from the stats snapshot.
     topology: str = "flat"
@@ -201,31 +190,6 @@ class QueryProfile:
     @property
     def tuples_total(self) -> int:
         return sum(round_profile.tuples_total for round_profile in self.rounds)
-
-    @property
-    def row_equiv_bytes_total(self) -> int:
-        """What the row codec would have shipped, summed over rounds."""
-        return sum(
-            int(round_profile.codec.get("row_equiv_bytes", 0))
-            for round_profile in self.rounds
-            if round_profile.codec is not None
-        )
-
-    @property
-    def codec_saved_bytes(self) -> int:
-        return sum(
-            int(round_profile.codec.get("saved_bytes", 0))
-            for round_profile in self.rounds
-            if round_profile.codec is not None
-        )
-
-    def codec_measured_saving(self) -> float:
-        """Measured fractional saving vs the row codec (0.0 when the run
-        did not measure one: untraced, or shipped with the row codec)."""
-        row_equiv = self.row_equiv_bytes_total
-        if row_equiv <= 0:
-            return 0.0
-        return self.codec_saved_bytes / row_equiv
 
     def time_coverage(self) -> float:
         """Fraction of traced query wall time attributed to plan nodes."""
@@ -274,16 +238,6 @@ class QueryProfile:
                 if self.speculative_legs
                 else {}
             ),
-            **(
-                {
-                    "row_equiv_bytes_total": self.row_equiv_bytes_total,
-                    "codec_saved_bytes": self.codec_saved_bytes,
-                    "codec_measured_saving": self.codec_measured_saving(),
-                    "codec_estimated_saving": self.codec_estimated_saving,
-                }
-                if self.row_equiv_bytes_total
-                else {}
-            ),
         }
 
 
@@ -321,7 +275,6 @@ def build_profile(
     plan_description: str = "",
     notes=(),
     query_id=None,
-    codec_estimated_saving=None,
     topology_choice=None,
 ) -> QueryProfile:
     """Assemble a :class:`QueryProfile` from spans plus an execution-stats
@@ -368,7 +321,6 @@ def build_profile(
         notes=tuple(notes),
         stats_bytes_total=int(stats.get("bytes_total", 0)),
         wire_codec=stats.get("wire_codec", "row"),
-        codec_estimated_saving=codec_estimated_saving,
         topology=stats.get("topology", "flat"),
         speculative_legs=int(stats.get("speculative_legs", 0)),
         speculation_wins=int(stats.get("speculation_wins", 0)),
@@ -393,7 +345,6 @@ def build_profile(
             wall_s=round_record.get("wall_s", 0.0),
             coordinator_compute_s=round_record.get("coordinator_compute_s", 0.0),
             excluded=list(round_record.get("excluded", ())),
-            codec=round_record.get("codec"),
         )
         site_profiles = {}
         for site_id, site_record in round_record.get("sites", {}).items():
@@ -595,18 +546,6 @@ def render_profile(profile: QueryProfile, width: int = 48) -> str:
         f"{_fmt_bytes(profile.stats_bytes_total)} "
         f"({profile.bytes_coverage() * 100:.1f}%)"
     )
-    if profile.row_equiv_bytes_total:
-        codec_line = (
-            f"wire codec [{profile.wire_codec}]: measured saving "
-            f"{_fmt_bytes(profile.codec_saved_bytes)} of "
-            f"{_fmt_bytes(profile.row_equiv_bytes_total)} row-codec bytes "
-            f"({profile.codec_measured_saving() * 100:.1f}%)"
-        )
-        if profile.codec_estimated_saving is not None:
-            codec_line += (
-                f"; estimated {profile.codec_estimated_saving * 100:.1f}%"
-            )
-        lines.append(codec_line)
     if profile.topology != "flat" or profile.topology_reason:
         topology_line = f"merge topology [{profile.topology}]"
         if (
@@ -647,10 +586,6 @@ def render_profile(profile: QueryProfile, width: int = 48) -> str:
             f"down={_fmt_bytes(round_profile.bytes_down)} "
             f"up={_fmt_bytes(round_profile.bytes_up)}"
         )
-        if round_profile.codec is not None:
-            header += (
-                f" codec_saved={_fmt_bytes(int(round_profile.codec.get('saved_bytes', 0)))}"
-            )
         if round_profile.excluded:
             header += f" EXCLUDED={','.join(round_profile.excluded)}"
         lines.append(header)

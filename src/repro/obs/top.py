@@ -171,11 +171,10 @@ def cluster_sites(samples: Samples) -> dict:
     Reads the families :meth:`repro.distributed.deployment.ProcessCluster.scrape`
     aggregates out of each siteserver's own registry — liveness
     (``site_up``/``site_pid``), request/row/byte counters, queue depth,
-    RSS — keyed by the ``site=`` label. Counters use ``max`` rather than
-    ``+=`` so a family that appears twice in one exposition (merged
-    counter plus reply-piggyback gauge share a sample name) is not
-    double-counted. Empty dict when the exposition has no site families,
-    which is how the dashboard decides whether to show the panel.
+    RSS — keyed by the ``site=`` label; the scrape is the only road these
+    take, so each appears once per site. Empty dict when the exposition
+    has no site families, which is how the dashboard decides whether to
+    show the panel.
     """
     per_site: dict = {}
 
@@ -208,16 +207,14 @@ def cluster_sites(samples: Samples) -> dict:
     for family, field in simple:
         for labels, value in samples.get(family, ()):
             site = labels.get("site")
-            if site is None:
-                continue
-            current = entry(site)[field]
-            entry(site)[field] = max(current or 0, int(value))
+            if site is not None:
+                entry(site)[field] = int(value)
     for labels, value in samples.get("site_bytes_total", ()):
         site, direction = labels.get("site"), labels.get("direction")
         if site is None or direction not in ("down", "up"):
             continue
         field = "down" if direction == "down" else "up_bytes"
-        entry(site)[field] = max(entry(site)[field], int(value))
+        entry(site)[field] = int(value)
     for site in per_site:
         per_site[site]["request_ms"] = latency_quantiles_ms(
             samples, "site_request_seconds", site=site
@@ -362,34 +359,10 @@ def top_loop(
     out=None,
     sleep=time.sleep,
 ) -> int:
-    """Poll + render until ``iterations`` frames (0 = until interrupted).
-
-    Returns 0 when at least one scrape succeeded, 1 when the endpoint
-    never answered. An unreachable endpoint mid-run prints a notice and
-    keeps polling (the service may still be starting).
-    """
-    import sys
-
-    if out is None:
-        out = sys.stdout
-    frame = 0
-    succeeded = False
-    try:
-        while True:
-            frame += 1
-            try:
-                samples = scrape(url)
-            except OSError as error:
-                print(f"repro top — {url} unreachable: {error}", file=out)
-            else:
-                succeeded = True
-                print(render_top(summarize(samples), url, frame), file=out)
-            if iterations and frame >= iterations:
-                break
-            sleep(interval_s)
-    except KeyboardInterrupt:
-        pass
-    return 0 if succeeded else 1
+    """:func:`cluster_top_loop` over one ``/metrics`` endpoint."""
+    return cluster_top_loop(
+        lambda: scrape(url), url, interval_s, iterations, out, sleep
+    )
 
 
 def cluster_top_loop(
@@ -400,14 +373,15 @@ def cluster_top_loop(
     out=None,
     sleep=time.sleep,
 ) -> int:
-    """Like :func:`top_loop`, but over a cluster scrape callable.
+    """Poll + render until ``iterations`` frames (0 = until interrupted).
 
     ``scrape_samples`` is a zero-arg callable returning parsed samples
     (``repro top --cluster`` wires it to ``ProcessCluster.scrape()``
     rendered through the exposition round trip, so the panel sees
-    exactly what a Prometheus server would). A scrape that raises
+    exactly what a Prometheus server would). Returns 0 when at least one
+    scrape succeeded, 1 when none did. A scrape that raises
     :class:`OSError`/:class:`~repro.errors.ReproError` prints a notice
-    and keeps polling, matching :func:`top_loop` semantics.
+    and keeps polling (the service may still be starting).
     """
     import sys
 

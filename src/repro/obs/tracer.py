@@ -74,8 +74,8 @@ class Span:
             "end_s": self.end_s,
             "attributes": dict(self.attributes),
         }
-        # Provenance fields are omitted when unset so pre-v3 span
-        # payloads stay byte-identical.
+        # Provenance fields are omitted when unset: an in-process span
+        # has none, and REPLY ships span dicts every traced round.
         if self.process is not None:
             payload["process"] = self.process
         if self.site_id is not None:

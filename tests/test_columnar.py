@@ -471,17 +471,3 @@ class TestCodecEdgeCases:
             decoded = message.relation()
             assert decoded.schema == MIXED_SCHEMA
             assert decoded.rows == []
-
-
-# ---------------------------------------------------------------------------
-# Bench hooks
-# ---------------------------------------------------------------------------
-
-
-class TestBenchHooks:
-    def test_estimated_codec_saving_bounded(self):
-        from repro.distributed.costing import estimate_column_codec_saving
-
-        assert estimate_column_codec_saving(Schema.of()) == 0.0
-        saving = estimate_column_codec_saving(MIXED_SCHEMA)
-        assert 0.0 < saving < 1.0

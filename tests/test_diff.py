@@ -246,6 +246,24 @@ class TestArtifacts:
         assert diff.regressions() == []
         assert "no attributed regressions" in render_diff(diff)
 
+    def test_a_flight_dump_is_refused_with_a_pointer(self, tmp_path, capsys):
+        """A dump loads as a trace but holds no run's stats: ``repro diff``
+        exits 2 and says which command renders it."""
+        from repro.cli import main
+        from repro.obs import FlightRecorder, flight_path
+
+        recorder = FlightRecorder(process="site", site_id="s0")
+        recorder.record_event("request", kind="round")
+        dump = recorder.dump(flight_path(tmp_path, "site", "s0"))
+        assert load_artifact(dump)[0] == "trace"
+        profile = self.write(tmp_path, "profile.json", {"rounds": []})
+        for pair in ((dump, profile), (profile, dump)):
+            assert main(["diff", *pair]) == 2
+            assert (
+                "a flight dump holds spans and events, not a run's stats — "
+                "render it with `repro trace --flight`"
+            ) in capsys.readouterr().err
+
 
 class TestRendering:
     def test_render_names_the_top_regression(self, profile_dict):

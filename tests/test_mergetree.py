@@ -270,7 +270,6 @@ class TestTraffic:
         assert (stats.bytes_total, stats.root_link_bytes) == (
             bytes_total, root_link_bytes,
         )
-        assert stats.codec_saved_bytes == 0
 
 
 class TestConfigIsHonoured:

@@ -36,7 +36,6 @@ from repro.obs import (
     ClockMap,
     ClockSample,
     EventLog,
-    FlightRecord,
     FlightRecorder,
     MetricsRegistry,
     Tracer,
@@ -295,8 +294,8 @@ class TestFlightRecorder:
         path = recorder.dump(flight_path(tmp_path, "site", "s1"))
         assert os.path.basename(path) == "flight-site-s1.jsonl"
 
-        loaded = FlightRecord.load(path)
-        assert (loaded.process, loaded.site_id) == ("site", "s1")
+        loaded = EventLog.load(path)
+        assert (loaded.origin["process"], loaded.origin["site_id"]) == ("site", "s1")
         assert len(loaded.records) == 3
         assert loaded.records_of("fault")[0]["message"] == "boom"
         spans = loaded.spans()
@@ -304,22 +303,22 @@ class TestFlightRecorder:
         # Atomic write: no leftover temp file next to the dump.
         assert [name for name in os.listdir(tmp_path) if ".tmp." in name] == []
 
-    def test_to_event_log_is_current_schema(self, tmp_path):
+    def test_a_dump_is_a_current_schema_event_log(self, tmp_path):
+        # A fresh recorder's dump is itself loadable: header only.
+        assert EventLog.loads(FlightRecorder().dumps()).records == []
         recorder = FlightRecorder(process="site", site_id="s2")
         tracer = Tracer(clock=iter([1.0, 2.0]).__next__)
         with tracer.span("round.evaluate", kind="site", site="s2"):
             pass
         recorder.record_spans(tracer.finished())
         recorder.record_event("request", kind="round")
-        log = recorder.dumps()
-        record = FlightRecord.loads(log)
-        event_log = record.to_event_log()
+        event_log = EventLog.loads(recorder.dumps())
         assert event_log.schema_version == SCHEMA_VERSION
         span_records = event_log.records_of("span")
         assert len(span_records) == 1
         assert span_records[0]["process"] == "site"
         assert span_records[0]["site_id"] == "s2"
-        # The converted log passes full trace-schema validation.
+        # What the loader returns, written back, is what it loads again.
         assert EventLog.loads(event_log.dumps()) == event_log
 
     def test_diff_load_artifact_classifies_flight_dumps(self, tmp_path):
@@ -337,8 +336,8 @@ class TestFlightRecorder:
         FlightRecorder(process="site", site_id="s0").dump(
             flight_path(tmp_path, "site", "s0")
         )
-        records = load_flight_dir(tmp_path)
-        assert [record.process for record in records] == ["coordinator", "site"]
+        logs = load_flight_dir(tmp_path)
+        assert [log.origin["process"] for log in logs] == ["coordinator", "site"]
         empty = tmp_path / "empty"
         empty.mkdir()
         with pytest.raises(ObservabilityError, match="no flight records"):
@@ -365,9 +364,9 @@ class TestFlightRecorder:
         # A dump with nothing new leaves the file alone.
         recorder.dump(path)
         assert os.path.getsize(path) - before == len(expected.encode("utf-8"))
-        loaded = FlightRecord.load(path)
+        loaded = EventLog.load(path)
         assert loaded.records == recorder.snapshot()
-        assert loaded.dropped == recorder.dropped == 4
+        assert loaded.origin["dropped"] == recorder.dropped == 4
 
     def test_dump_file_stays_within_twice_the_ring(self, tmp_path):
         capacity = 8
@@ -384,9 +383,9 @@ class TestFlightRecorder:
             if os.stat(path).st_ino != inode:
                 rewrites, inode = rewrites + 1, os.stat(path).st_ino
             # Whatever the file holds, what loads is the ring.
-            loaded = FlightRecord.load(path)
+            loaded = EventLog.load(path)
             assert loaded.records == recorder.snapshot()
-            assert loaded.dropped == recorder.dropped
+            assert loaded.origin["dropped"] == recorder.dropped
         assert 2 <= rewrites <= 8  # about once per ``capacity`` records of 54
         assert [name for name in os.listdir(tmp_path) if ".tmp." in name] == []
 
@@ -396,12 +395,12 @@ class TestFlightRecorder:
         first = recorder.dump(tmp_path / "a.jsonl")
         recorder.record_event("two")
         second = recorder.dump(tmp_path / "b.jsonl")  # another path: whole ring
-        assert len(FlightRecord.load(second).records) == 2
-        assert len(FlightRecord.load(first).records) == 1
+        assert len(EventLog.load(second).records) == 2
+        assert len(EventLog.load(first).records) == 1
         os.remove(second)
         recorder.record_event("three")
         recorder.dump(second)  # the file is gone: whole ring again
-        assert [r["name"] for r in FlightRecord.load(second).records] == [
+        assert [r["name"] for r in EventLog.load(second).records] == [
             "one", "two", "three"
         ]
         # More records than the ring holds since the last dump: appending
@@ -409,9 +408,9 @@ class TestFlightRecorder:
         for index in range(9):
             recorder.record_event("burst", index=index)
         recorder.dump(second)
-        loaded = FlightRecord.load(second)
+        loaded = EventLog.load(second)
         assert loaded.records == recorder.snapshot()
-        assert loaded.dropped == recorder.dropped == 8
+        assert loaded.origin["dropped"] == recorder.dropped == 8
 
     def test_torn_final_line_is_dropped_and_only_that(self, tmp_path):
         recorder = FlightRecorder(capacity=8)
@@ -419,22 +418,39 @@ class TestFlightRecorder:
             recorder.record_event("tick", index=index)
         text = recorder.dumps()
         torn = text[: len(text) - 9]  # killed inside the last write
-        assert [r["index"] for r in FlightRecord.loads(torn).records] == [0, 1]
+        assert [r["index"] for r in EventLog.loads(torn).records] == [0, 1]
         # Cut between the last line and its newline: nothing is lost.
-        assert len(FlightRecord.loads(text[:-1]).records) == 3
+        assert len(EventLog.loads(text[:-1]).records) == 3
         lines = text.splitlines()
         lines[2] = lines[2][:-5]
         with pytest.raises(ObservabilityError, match="line 3"):
-            FlightRecord.loads("\n".join(lines) + "\n")
+            EventLog.loads("\n".join(lines) + "\n")
         with pytest.raises(ObservabilityError, match="line 1"):
-            FlightRecord.loads(lines[0][:-5])
+            EventLog.loads(lines[0][:-5])
+        # Only an appended-to file is forgiven its last line: the same
+        # records under a trace's header (one written whole) still raise.
+        as_trace = EventLog(EventLog.loads(text).records).dumps()
+        with pytest.raises(ObservabilityError, match="line 4"):
+            EventLog.loads(as_trace[: len(as_trace) - 9])
 
     def test_unsupported_version_rejected(self):
         text = FlightRecorder().dumps().replace(
-            '"flight_version": 1', '"flight_version": 99'
+            f'"schema_version": {SCHEMA_VERSION}', '"schema_version": 99'
         )
         with pytest.raises(ObservabilityError, match="version"):
-            FlightRecord.loads(text)
+            EventLog.loads(text)
+
+    def test_malformed_ring_header_rejected(self):
+        text = FlightRecorder(capacity=4).dumps()
+        for good, bad in (
+            ('"capacity": 4', '"capacity": 0'),
+            ('"capacity": 4', '"capacity": "4"'),
+            ('"dropped": 0', '"dropped": -1'),
+            ('"process": "coordinator"', '"process": "elsewhere"'),
+        ):
+            assert good in text
+            with pytest.raises(ObservabilityError, match="line 1"):
+                EventLog.loads(text.replace(good, bad))
 
 
 # ---------------------------------------------------------------------------
@@ -641,11 +657,10 @@ def test_scrape_aggregates_per_site_registries(deployed):
     result, _tracer, registry = run_traced(deployed)
     assert result.stats.rounds
 
-    # Reply piggyback: per-site liveness gauges with site= labels landed
-    # in the run's own registry without any extra round trip.
-    piggyback = prometheus_text(registry)
-    assert 'site_requests_total{site="site0"}' in piggyback
-    assert 'site_rss_bytes{site=' in piggyback
+    # Site health takes one road home, the scrape: a run's own registry
+    # holds no site_requests* / site_rss* family.
+    assert "site_requests" not in prometheus_text(registry)
+    assert "site_rss" not in prometheus_text(registry)
 
     scraped = deployed.scrape(MetricsRegistry())
     text = prometheus_text(scraped)
@@ -718,6 +733,31 @@ def test_abandoned_speculative_spans_are_excluded_from_profiles(deployed):
 
 
 # ---------------------------------------------------------------------------
+# Live cluster: what `trace --flight --json` emits is what the loader loads
+# ---------------------------------------------------------------------------
+
+
+def test_flight_json_of_an_unnumbered_query_loads(deployed, tmp_path):
+    from repro.cli import main
+
+    result, _tracer, _registry = run_traced(deployed)  # no query_id
+    assert result.stats.query_id is None
+    # What `cluster dump` calls, on the cluster whose coordinator ring
+    # holds the query (the command attaches with a fresh one).
+    deployed.dump_flight(tmp_path)
+    out = io.StringIO()
+    assert main(["trace", "--flight", str(tmp_path), "--json"], out=out) == 0
+    files = out.getvalue().split('{"capacity"')[1:]
+    assert len(files) == 1 + len(deployed.site_ids)
+    names = set()
+    for text in files:
+        log = EventLog.loads('{"capacity"' + text)
+        names.update(record.get("name") for record in log.records_of("event"))
+        assert all("query_id" not in record for record in log.records)
+    assert {"query", "request"} <= names
+
+
+# ---------------------------------------------------------------------------
 # Live cluster: kill + flight dump post-mortem (keep last: kills a site)
 # ---------------------------------------------------------------------------
 
@@ -736,18 +776,17 @@ def test_killed_site_leaves_a_loadable_flight_dump(deployed, tmp_path):
     assert "flight-coordinator.jsonl" in names
     assert f"flight-site-{victim}.jsonl" in names
 
-    # The dead site's dump is its last per-request crash dump — loadable,
-    # and convertible into trace tooling's EventLog.
+    # The dead site's dump is its last per-request crash dump — loadable
+    # with the one loader trace tooling uses.
     victim_path = next(path for path in paths if victim in path)
-    record = FlightRecord.load(victim_path)
-    assert record.site_id == victim
-    assert record.records_of("request") or record.records_of("event")
-    log = record.to_event_log()
+    log = EventLog.load(victim_path)
+    assert log.origin["site_id"] == victim
+    assert log.records_of("request") or log.records_of("event")
     assert log.schema_version == SCHEMA_VERSION
     assert log.records_of("span"), "crash dump lost the site's spans"
 
     # The coordinator ring recorded the kill and the query lifecycle.
-    coordinator = FlightRecord.load(
+    coordinator = EventLog.load(
         next(path for path in paths if "coordinator" in path)
     )
     events = {record.get("name") for record in coordinator.records_of("event")}
@@ -773,10 +812,18 @@ def test_killed_site_leaves_a_loadable_flight_dump(deployed, tmp_path):
     assert code == 0
     assert "flight record(s)" in out.getvalue()
     assert f"dead site(s): {victim}" in out.getvalue()
+    # The post-mortem the command exists for is in the directory it wrote:
+    # the killed site's dump is copied from the store like a live site's.
+    copied = tmp_path / f"flight-site-{victim}.jsonl"
+    assert copied.exists() and str(copied) in out.getvalue()
+    copied_log = EventLog.load(copied)
+    assert copied_log.origin["site_id"] == victim
+    assert copied_log.records_of("span")
     out = io.StringIO()
     assert main(["trace", "--flight", str(tmp_path)], out=out) == 0
     assert "flight [coordinator]" in out.getvalue()
     assert f"flight [site {deployed.site_ids[0]}]" in out.getvalue()
+    assert f"flight [site {victim}]" in out.getvalue()
 
     deployed.restart_site(victim)
     assert deployed.dead_sites() == []

@@ -203,3 +203,31 @@ class TestSiteServer:
             for _cycle in range(50):
                 assert converse(server, HELLO) == [FRAME_WELCOME]
             settle(server, threads_before)
+
+    def test_the_reply_body_is_the_answer_and_nothing_else(self):
+        """REPLY crosses the wire once per site per round, so it carries the
+        round's answer (``rows``, ``compute_s``) and the request's own
+        ``spans`` and ``counters`` — four keys. Anything else a site knows
+        goes home by the TELEMETRY scrape or its flight dump."""
+
+        def reply_to(server, **asked) -> dict:
+            control = dict(pickle.loads(REQ[5:]), **asked)
+            stream = HELLO + MSG + frame(FRAME_REQ, pickle.dumps(control))
+            with socket.create_connection(
+                (server.host, server.port), timeout=5
+            ) as sock:
+                sock.sendall(stream)
+                for expected in (FRAME_WELCOME, FRAME_MSG, FRAME_REPLY):
+                    frame_type, body = read_frame(sock)
+                    assert frame_type == expected
+                return pickle.loads(body)
+
+        with serving(TABLES) as server:
+            untraced = reply_to(server)
+            traced = reply_to(server, traced=True)
+        assert sorted(untraced) == ["compute_s", "counters", "rows", "spans"]
+        assert untraced["spans"] == ()
+        assert sorted(traced) == sorted(untraced)
+        assert traced["spans"] != ()
+        for key in ("rows", "counters"):
+            assert traced[key] == untraced[key]
