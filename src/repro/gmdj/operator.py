@@ -549,34 +549,30 @@ def _vectorizable(blocks) -> bool:
 
 
 def _accumulate_columnar(base, detail, blocks, track_touch):
-    """Vectorized MD-join scan over the detail relation's columns.
+    """The MD-join scan over whole columns of the detail relation.
 
-    Same algorithm as the row path below — base-only prefilter, hash
-    build over equality atoms, detail scan with residual checks — but the
-    per-detail-row work (selection mask, NULL-key check, probe, aggregate
-    input evaluation, component updates) runs inside one fused generated
-    kernel (:func:`repro.relalg.compiler.compile_grouped_accumulate`)
-    over hoisted column vectors, accumulating into flat per-component
-    lists — the state columns themselves. Returns ``None`` when a block
-    cannot be vectorized (holistic or unknown custom components), which
-    sends the caller down the row path. Results are bit-identical to the
-    row engine: kernels replicate ``Component.update``
-    statement-for-statement and scan detail rows in the same order.
+    Same algorithm as the row path — base-only prefilter, hash build over
+    equality atoms, detail scan with residual checks — but the detail-only
+    conjuncts are one selection vector
+    (:func:`repro.relalg.compiler.compile_mask`) and probe, residuals,
+    aggregate inputs and component folds are one vector kernel per block
+    (:func:`repro.relalg.compiler.compile_grouped_accumulate`) over the
+    relations' cached typed views and key codes, producing the state
+    columns themselves. Returns ``None`` when a block cannot be vectorized
+    (holistic or unknown custom components), which sends the caller down
+    the row path. Results are bit-identical to the row engine: the kernels
+    fold each group's values in detail-row order, by the same rules.
     """
     if not _vectorizable(blocks):
         return None
-    slots, components = _layout(blocks)
+    slots, _components = _layout(blocks)
     base_schemas = {BASE_VAR: base.schema}
-    detail_schemas = {DETAIL_VAR: detail.schema, None: detail.schema}
-    both_schemas = {BASE_VAR: base.schema, **detail_schemas}
+    schemas = {BASE_VAR: base.schema, DETAIL_VAR: detail.schema, None: detail.schema}
     detail_aliases = {None: DETAIL_VAR}
-    columns = detail.to_columnar().value_lists()
-    detail_count = len(detail.rows)
+    detail_columns, base_columns = detail.to_columnar(), base.to_columnar()
     base_rows = base.rows
-    base_count = len(base_rows)
-    touched = [False] * base_count if track_touch else None
-    state = _fresh_bank(components, base_count)
-    offset = 0
+    touched = [False] * len(base_rows) if track_touch else None
+    state = []
     tuples_examined = 0
 
     for block in blocks:
@@ -591,21 +587,14 @@ def _accumulate_columnar(base, detail, blocks, track_touch):
             ]
             candidate_rows = [base_rows[index] for index in candidate_base]
         else:
-            candidate_base = range(base_count)
+            candidate_base = range(len(base_rows))
             candidate_rows = base_rows
 
+        rows = None
         if split.detail_only:
-            mask = compiler.compile_mask(
-                split.detail_only,
-                detail_schemas,
-                (DETAIL_VAR,),
-                DETAIL_VAR,
-                aliases=detail_aliases,
-            )
-            indices = mask(detail_count, columns)
-        else:
-            indices = range(detail_count)
-        tuples_examined += len(indices)
+            mask = compiler.compile_mask(split.detail_only, schemas, detail_aliases)
+            rows = mask(len(detail.rows), {DETAIL_VAR: (detail_columns, None)})
+        tuples_examined += len(detail.rows) if rows is None else len(rows)
 
         if split.hashable:
             base_key = compiler.compile_values(
@@ -621,26 +610,18 @@ def _accumulate_columnar(base, detail, blocks, track_touch):
             probe = candidate_base
             key_exprs = None
 
-        component_kinds = tuple(
-            tuple(component.kind for _suffix, component in spec.function.components())
-            for spec in block.aggregates
-        )
         kernel = compiler.compile_grouped_accumulate(
             key_exprs,
-            tuple(spec.input_expr for spec in block.aggregates),
-            component_kinds,
+            [spec.input_expr for spec in block.aggregates],
+            [
+                [component for _suffix, component in spec.function.components()]
+                for spec in block.aggregates
+            ],
             split.residual,
-            both_schemas,
-            DETAIL_VAR,
-            BASE_VAR,
-            track_touch,
-            aliases=detail_aliases,
+            schemas,
+            detail_aliases,
         )
-        width = sum(len(kinds) for kinds in component_kinds)
-        kernel(
-            indices, columns, base_rows, probe, state[offset : offset + width], touched
-        )
-        offset += width
+        state.extend(kernel(detail_columns, rows, base_columns, probe, touched))
 
     _hot_counters()[0].inc(tuples_examined)
     return slots, state, touched

@@ -1,41 +1,46 @@
-"""Columnar storage for relations: per-column value vectors.
+"""Columnar storage for relations: per-column value vectors and their views.
 
 A :class:`ColumnarRelation` holds the same multiset of rows as a row-store
-:class:`~repro.relalg.relation.Relation`, as one value vector per attribute.
-Batch kernels emitted by :mod:`repro.relalg.compiler` iterate these vectors
-with hoisted locals instead of indexing row tuples, and the column-block
-wire codec (:mod:`repro.net.serialize`) encodes them per column and hands
-the vectors it decodes straight back (:meth:`ColumnarRelation.from_value_lists`).
-Over a row store a vector is transposed the first time something indexes
-it, so a query that reads two of fourteen attributes builds two.
+:class:`~repro.relalg.relation.Relation`, as one value list per attribute
+(``None`` for NULL). The column-block wire codec (:mod:`repro.net.serialize`)
+encodes these lists per column and hands the lists it decodes straight back
+(:meth:`ColumnarRelation.from_value_lists`). Over a row store a list is
+transposed the first time something indexes it.
 
-Columns keep their values as plain Python lists (the universal
-representation the kernels consume — preserving ``None`` for NULLs), and
-additionally expose two compact views:
+What the vector kernels of :mod:`repro.relalg.compiler` consume are two
+cached *views*, built on first use (from the rows, keeping no list) and
+published only when complete:
 
-* :meth:`Column.as_array` — for INT/FLOAT/DATE/BOOL columns, a typed
-  ``array.array`` over the non-NULL values (``memoryview``-friendly; DATEs
-  as ordinals, BOOLs as 0/1) plus the NULL presence bitmap.
-* :meth:`Column.dictionary` — for STR columns, first-appearance-ordered
-  dictionary codes (``uniques``, ``codes``; NULL encoded as code ``-1``).
+* :meth:`ColumnarRelation.typed` — a numpy array per attribute plus a
+  validity mask (``None`` when nothing is NULL): ``int64`` only if every
+  value is an ``int`` (not a ``bool``) with ``|v| <= 2**53``, so int/float
+  mixing stays exact; ``float64`` only if every value is a ``float``; else
+  an ``object`` array of the values themselves (``None`` at NULLs).
+* :meth:`ColumnarRelation.codes` — the first-seen factorization
+  ``(uniques, codes)`` of a tuple of attributes, one ``dict`` pass: keys
+  collapse exactly as a probe ``dict`` collapses them (``1``, ``1.0`` and
+  ``True`` are one key, a NaN object is only itself), a NULL-containing
+  key gets a code of its own, codes take the narrowest integer dtype.
 
 This module deliberately does not import :mod:`repro.relalg.relation`
-(which imports the compiler, which may consume columns) — conversion entry
+(which imports the compiler, which consumes columns) — conversion entry
 points live on ``Relation`` itself.
 """
 
 from __future__ import annotations
 
-from array import array
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import SchemaError
-from repro.relalg.schema import BOOL, DATE, FLOAT, INT, STR, Schema
+import numpy as np
 
-#: array.array typecodes for the numeric path, per attribute type.
-_ARRAY_TYPECODES = {INT: "q", FLOAT: "d", DATE: "q", BOOL: "b"}
+from repro.errors import SchemaError
+from repro.relalg.schema import Schema
+
+#: Integers beyond this magnitude stay Python objects: every int64 value
+#: then converts to float64 exactly, as Python's mixed arithmetic does.
+EXACT_INT = 2**53
 
 
 class Column:
@@ -59,46 +64,38 @@ class Column:
     def null_count(self) -> int:
         return sum(1 for value in self.values if value is None)
 
-    def as_array(self) -> Tuple[array, List[bool]]:
-        """Typed array over non-NULL values plus a presence list.
 
-        Only valid for INT/FLOAT/DATE/BOOL columns.  DATE values are stored
-        as proleptic-Gregorian ordinals and BOOLs as 0/1, as the wire codec
-        ships them.  The returned array is ``memoryview``-able.
-        """
-        typecode = _ARRAY_TYPECODES.get(self.type)
-        if typecode is None:
-            raise SchemaError(f"column {self.name!r} of type {self.type!r} has no array view")
-        present = [value is not None for value in self.values]
-        if self.type == DATE:
-            packed = array(typecode, (v.toordinal() for v in self.values if v is not None))
-        elif self.type == BOOL:
-            packed = array(typecode, (1 if v else 0 for v in self.values if v is not None))
-        else:
-            packed = array(typecode, (v for v in self.values if v is not None))
-        return packed, present
+def _typed_view(values: list) -> tuple:
+    """``(data, valid)`` of a value list: see the module docstring."""
+    kinds = set(map(type, values))
+    objects = valid = None
+    if type(None) in kinds:
+        kinds.discard(type(None))
+        objects = np.array(values, dtype=object)
+        valid = objects != None  # noqa: E711 - elementwise NULL test
+    if kinds == {float} or kinds == {int}:
+        source = values if valid is None else np.where(valid, objects, 0)
+        try:
+            data = np.array(source, dtype=np.float64 if float in kinds else np.int64)
+        except OverflowError:  # an int beyond int64
+            data = None
+        if data is not None and (
+            float in kinds
+            or -EXACT_INT <= data.min(initial=0) and data.max(initial=0) <= EXACT_INT
+        ):
+            return data, valid
+    return (np.array(values, dtype=object) if objects is None else objects), valid
 
-    def dictionary(self) -> Tuple[List, array]:
-        """First-appearance dictionary encoding: ``(uniques, codes)``.
 
-        NULL values get code ``-1`` and never enter ``uniques``.  Works for
-        any column type but is only a win for strings (the column-block wire
-        codec ships the same dictionary for STR columns, built by C loops).
-        """
-        uniques: List = []
-        index: dict = {}
-        codes = array("q")
-        for value in self.values:
-            if value is None:
-                codes.append(-1)
-                continue
-            code = index.get(value)
-            if code is None:
-                code = len(uniques)
-                index[value] = code
-                uniques.append(value)
-            codes.append(code)
-        return uniques, codes
+def factorize(keys: list) -> tuple:
+    """First-seen ``(uniques, codes)`` of ``keys``, one ``dict`` pass."""
+    index: dict = {}
+    # Each row's key's first row, then its rank among those first rows.
+    firsts = np.fromiter(map(index.setdefault, keys, count()), dtype=np.int64, count=len(keys))
+    starts = np.fromiter(index.values(), dtype=np.int64, count=len(index))
+    width = len(index)
+    dtype = np.int8 if width < 2**7 else np.int16 if width < 2**15 else np.int32
+    return list(index), np.searchsorted(starts, firsts).astype(dtype)
 
 
 class _ValueLists:
@@ -126,6 +123,15 @@ class _ValueLists:
             self._lists[position] = values
         return values
 
+    def keys(self, positions: Sequence[int]) -> list:
+        """Each row's values at ``positions`` (scalars for one position,
+        tuples else), keeping no list nothing has built: a view built from
+        them is what a kernel keeps instead."""
+        lists = [self._lists[position] for position in positions]
+        if None in lists:
+            return list(map(itemgetter(*positions), self._rows))
+        return lists[0] if len(lists) == 1 else list(zip(*lists))
+
     def all(self) -> list:
         """Every attribute's list, the missing ones built in one pass.
 
@@ -149,7 +155,7 @@ class _ValueLists:
 class ColumnarRelation:
     """A schema plus one value list per attribute, all equal length."""
 
-    __slots__ = ("schema", "_values", "_length")
+    __slots__ = ("schema", "_values", "_length", "_typed", "_codes")
 
     def __init__(
         self, schema: Schema, columns: Sequence[Column], length: Optional[int] = None
@@ -166,10 +172,16 @@ class ColumnarRelation:
                     f"ragged columns: {column.name!r} has {len(column)} values, "
                     f"expected {length}"
                 )
-        self.schema = schema
-        self._values = _ValueLists((), [column.values for column in columns])
         # ``length`` survives the zero-column case (pure row-count relations).
-        self._length = length or 0
+        self._adopt(schema, _ValueLists((), [column.values for column in columns]), length or 0)
+
+    def _adopt(self, schema: Schema, values: _ValueLists, length: int) -> "ColumnarRelation":
+        self.schema = schema
+        self._values = values
+        self._length = length
+        self._typed: dict = {}  # position -> (data, valid)
+        self._codes: dict = {}  # positions -> (uniques, codes)
+        return self
 
     @classmethod
     def from_rows(cls, schema: Schema, rows: Sequence[tuple]) -> "ColumnarRelation":
@@ -178,11 +190,9 @@ class ColumnarRelation:
         Rows are schema-width tuples, so the columns cannot be ragged and
         nothing has to be transposed to know it.
         """
-        columnar = cls.__new__(cls)
-        columnar.schema = schema
-        columnar._values = _ValueLists(rows, [None] * len(schema))
-        columnar._length = len(rows)
-        return columnar
+        return cls.__new__(cls)._adopt(
+            schema, _ValueLists(rows, [None] * len(schema)), len(rows)
+        )
 
     @classmethod
     def from_value_lists(
@@ -193,11 +203,7 @@ class ColumnarRelation:
         What a column-block decoder holds when it is done: nothing is
         copied or wrapped, and the caller vouches for the lengths.
         """
-        columnar = cls.__new__(cls)
-        columnar.schema = schema
-        columnar._values = _ValueLists((), lists)
-        columnar._length = length
-        return columnar
+        return cls.__new__(cls)._adopt(schema, _ValueLists((), lists), length)
 
     def __len__(self) -> int:
         return self._length
@@ -218,8 +224,26 @@ class ColumnarRelation:
         return Column(name, self.schema.attributes[position].type, self._values[position])
 
     def value_lists(self) -> _ValueLists:
-        """The per-column value lists, indexable by schema position (kernel input)."""
+        """The per-column value lists, indexable by schema position."""
         return self._values
+
+    def typed(self, position: int) -> tuple:
+        """The cached typed view ``(data, valid)`` of one attribute."""
+        view = self._typed.get(position)
+        if view is None:
+            view = _typed_view(self._values.keys((position,)))
+            self._typed[position] = view  # published complete
+        return view
+
+    def codes(self, positions: Sequence[int]) -> tuple:
+        """The cached first-seen factorization ``(uniques, codes)`` of the
+        key tuple at ``positions`` (scalars for one position, tuples else)."""
+        positions = tuple(positions)
+        factorized = self._codes.get(positions)
+        if factorized is None:
+            factorized = factorize(self._values.keys(positions))
+            self._codes[positions] = factorized  # published complete
+        return factorized
 
     def built_columns(self) -> Tuple[str, ...]:
         """Names of the attributes whose value list exists, in schema order."""
@@ -228,6 +252,11 @@ class ColumnarRelation:
             for attribute, values in zip(self.schema.attributes, self._values._lists)
             if values is not None
         )
+
+    def built_views(self) -> Tuple[str, ...]:
+        """Names of the attributes with a typed view or in a factorized key."""
+        positions = set(self._typed).union(*self._codes)
+        return tuple(name for position, name in enumerate(self.schema.names) if position in positions)
 
     def to_rows(self) -> List[tuple]:
         """Transpose back to row tuples, preserving row order."""

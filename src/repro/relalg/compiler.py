@@ -1,48 +1,61 @@
-"""Codegen compiler: scalar AST -> Python kernels over row tuples.
+"""Expression compiler: row kernels for the oracle, vector kernels for the scan.
 
-:meth:`~repro.relalg.expressions.Expr.compile` builds a *closure tree* —
-one Python frame per AST node per evaluated row. That is already much
-faster than :meth:`Expr.eval`, but the GMDJ hot loops (hash build, probe,
-residual checks, aggregate inputs) still pay a call per node per row.
-This module lowers an expression once per block to a single generated
-Python function whose body is straight-line statements over positional
-row arguments, e.g. ``theta = (detail.A == base.A) & (detail.X >= 10)``
-becomes roughly::
+The closed node set of :mod:`repro.relalg.expressions` lowers two ways,
+both with the interpreter's semantics exactly (:meth:`Expr.eval` is the
+oracle, see ``tests/test_compiler.py``): arithmetic over ``None`` and
+``/`` or ``%`` by zero yield ``None``; comparisons, ``BETWEEN`` and ``IN``
+with a ``None`` operand are ``False``; ``&`` / ``|`` never evaluate their
+right operand where the left decides (so a type-incompatible comparison
+guarded by the left side raises in neither engine).
 
-    def _kernel(_row_b, _row_r):
-        _t1 = False if _row_r[0] is None or _row_b[0] is None else _row_r[0] == _row_b[0]
-        if _t1:
-            _t2 = False if _row_r[2] is None else _row_r[2] >= 10
-            _t3 = bool(_t2)
-        else:
-            _t3 = False
-        return _t3
+**Row kernels** (:func:`compile_scalar`, :func:`compile_predicate`,
+:func:`compile_values`) serve the row engine: one generated Python
+function of straight-line statements over positional row tuples, e.g.
+``_t1 = False if _row1[2] is None else _row1[2] >= 10``, called per row.
 
-Semantics are *identical* to the interpreter (the differential-testing
-oracle, see ``tests/test_compiler.py``):
+**Vector kernels** (:func:`compile_mask`, :func:`compile_batch_scalar`,
+:func:`compile_grouped_accumulate`) serve the columnar engine: each node
+runs once per column, as numpy operations over the cached typed views of
+:class:`~repro.relalg.columnar.ColumnarRelation`, on a vector
+``(data, valid)`` whose validity mask carries NULL (``None``: no NULL).
+Every result is the Python value the row engine computes:
 
-- arithmetic over ``None`` yields ``None``; ``/`` and ``%`` by zero yield
-  ``None``;
-- comparisons and ``BETWEEN`` with any ``None`` operand are ``False``;
-- ``IN`` never admits ``None``;
-- ``&`` / ``|`` short-circuit **lazily** — the right operand is not
-  evaluated when the left decides, exactly like ``Expr.eval`` (so a
-  type-incompatible comparison guarded by the left side never raises in
-  either engine).
+- *dtype*: ``int64`` holds ints with ``|v| <= 2**53`` (int/float mixing
+  converts exactly) and moves to ``object`` when a result may leave that
+  range; a ``bool`` operand of arithmetic is an int. ``object`` arrays
+  hold the Python values (``None`` at NULLs) and apply the Python operator
+  per element from numpy's C loop — strings, dates, bools and huge ints
+  included. A dtype choice inside the one path, not a second path;
+- *laziness*: ``&`` / ``|`` run their right operand on the positions the
+  left leaves undecided, conjunct lists and ``BETWEEN`` narrow likewise,
+  and a scan evaluates aggregate inputs only on detail rows that found a
+  base row — every operator sees the rows the row engine shows it;
+- *order*: folds are ordered scatters (``ufunc.at``, ``bincount``) over
+  pairs in detail-row order, the row engine's, so float sums are
+  bit-identical (:func:`compile_grouped_accumulate` has each kind's rule).
 
-Kernels are cached process-wide by (mode, expression key, parameter
-layout, schema signature); repeated rounds over the same block condition
-compile exactly once.
+Row kernels inline literals and are cached by expression; vector kernels
+are cached by *shape*, constants bound at call time; the process-wide
+cache is bounded (:data:`MAX_CACHED_KERNELS`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
+from itertools import chain, repeat
 from typing import Callable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import ExpressionError
+from repro.relalg.columnar import EXACT_INT, factorize
 from repro.relalg.expressions import (
+    _ARITH_OPS,
+    _CMP_OPS,
+    BASE_VAR,
+    DETAIL_VAR,
     And,
     Arith,
     Between,
@@ -245,6 +258,10 @@ class _Emitter:
 # Kernel assembly + cache
 # ---------------------------------------------------------------------------
 
+#: Kernels kept process-wide; past it the oldest goes. Row kernels inline
+#: literals, so a server that keeps seeing new ones must not keep them all.
+MAX_CACHED_KERNELS = 256
+
 _KERNEL_CACHE: dict = {}
 _CACHE_LOCK = threading.Lock()
 
@@ -257,6 +274,18 @@ def clear_kernel_cache() -> None:
 
 def kernel_cache_size() -> int:
     return len(_KERNEL_CACHE)
+
+
+def _cached(key: tuple, build: Callable):
+    """The kernel cached under ``key``, built outside the lock on a miss."""
+    kernel = _KERNEL_CACHE.get(key)
+    if kernel is None:
+        kernel = build()
+        with _CACHE_LOCK:
+            while len(_KERNEL_CACHE) >= MAX_CACHED_KERNELS:
+                del _KERNEL_CACHE[next(iter(_KERNEL_CACHE))]
+            _KERNEL_CACHE[key] = kernel
+    return kernel
 
 
 def _param_map(params: Sequence, aliases: Optional[Mapping]) -> dict:
@@ -327,14 +356,13 @@ def compile_scalar(
     aliases) to its :class:`~repro.relalg.schema.Schema`.
     """
     key = _cache_key("scalar", expr.key(), schemas, params, aliases)
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is None:
+
+    def build():
         emitter = _Emitter(schemas, _param_map(params, aliases))
         atom = emitter.emit(expr, 0)
-        kernel = _assemble(emitter, params, (f"return {atom}",))
-        with _CACHE_LOCK:
-            _KERNEL_CACHE[key] = kernel
-    return kernel
+        return _assemble(emitter, params, (f"return {atom}",))
+
+    return _cached(key, build)
 
 
 def compile_predicate(
@@ -356,17 +384,16 @@ def compile_predicate(
     key = _cache_key(
         "predicate", tuple(c.key() for c in conditions), schemas, params, aliases
     )
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is None:
+
+    def build():
         emitter = _Emitter(schemas, _param_map(params, aliases))
         for condition in conditions:
             atom = emitter.emit(condition, 0)
             emitter.line(0, f"if not {atom}:")
             emitter.line(1, "return False")
-        kernel = _assemble(emitter, params, ("return True",))
-        with _CACHE_LOCK:
-            _KERNEL_CACHE[key] = kernel
-    return kernel
+        return _assemble(emitter, params, ("return True",))
+
+    return _cached(key, build)
 
 
 def compile_values(
@@ -384,194 +411,319 @@ def compile_values(
     key = _cache_key(
         "values", tuple(e.key() for e in exprs), schemas, params, aliases
     )
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is None:
+
+    def build():
         emitter = _Emitter(schemas, _param_map(params, aliases))
         atoms = [emitter.emit(expr, 0) for expr in exprs]
         tail = "(" + ", ".join(atoms) + ("," if len(atoms) == 1 else "") + ")"
-        kernel = _assemble(emitter, params, (f"return {tail}",))
-        with _CACHE_LOCK:
-            _KERNEL_CACHE[key] = kernel
-    return kernel
+        return _assemble(emitter, params, (f"return {tail}",))
+
+    return _cached(key, build)
 
 
 # ---------------------------------------------------------------------------
-# Batch (columnar) kernels
+# Vector kernels (the columnar engine)
 # ---------------------------------------------------------------------------
-#
-# The columnar engine amortizes the per-row call overhead away entirely:
-# instead of ``fn(row) -> value`` closures invoked once per tuple, batch
-# kernels contain the scan loop *inside* the generated function. Fields of
-# the designated columnar relation variable read hoisted column locals
-# (``_dc3[_i]``) rather than indexing a row tuple, so one generated frame
-# processes the whole block. Semantics are identical to the row kernels
-# above — the row engine stays the differential oracle
-# (``tests/test_engine_equivalence.py``).
+
+_BOOL, _INT, _OBJECT = np.dtype(bool), np.dtype(np.int64), np.dtype(object)
+_UFUNCS = {
+    operator.add: np.add, operator.sub: np.subtract, operator.mul: np.multiply,
+    operator.truediv: np.true_divide, operator.mod: np.remainder,
+    operator.eq: np.equal, operator.ne: np.not_equal, operator.lt: np.less,
+    operator.le: np.less_equal, operator.gt: np.greater, operator.ge: np.greater_equal,
+}
+#: operator -> (its ufunc over typed arrays, the Python operator over objects)
+_OPS = {
+    op: (_UFUNCS[function], np.frompyfunc(function, 2, 1))
+    for op, function in {**_ARITH_OPS, **_CMP_OPS}.items()
+}
+_NEGATE = np.frompyfunc(operator.neg, 1, 1)
 
 
-class _ColumnEmitter(_Emitter):
-    """Emitter whose columnar relvars read ``_dc<pos>[_i]`` column locals."""
+class _Frame:
+    """``count`` positions, each one row of every source relation.
 
-    def __init__(self, schemas: Mapping, param_of: Mapping, columnar_relvars):
-        super().__init__(schemas, param_of)
-        self.columnar_relvars = frozenset(columnar_relvars)
-        self.used_columns: set = set()
-
-    def emit(self, node: Expr, indent: int) -> str:
-        if isinstance(node, Field) and node.relvar in self.columnar_relvars:
-            try:
-                schema = self.schemas[node.relvar]
-            except KeyError:
-                raise ExpressionError(
-                    f"no schema for relation variable {node.relvar!r} "
-                    f"(have {sorted(map(repr, self.schemas))})"
-                ) from None
-            position = schema.position(node.name)
-            self.used_columns.add(position)
-            return f"_dc{position}[_i]"
-        return super().emit(node, indent)
-
-
-def _columnar_relvars(columnar, aliases: Optional[Mapping]) -> frozenset:
-    """The columnar relvar plus every alias that targets it."""
-    relvars = {columnar}
-    for alias, target in (aliases or {}).items():
-        if target == columnar:
-            relvars.add(alias)
-    return frozenset(relvars)
-
-
-def _batch_param_map(params: Sequence, columnar, aliases: Optional[Mapping]) -> tuple:
-    """Row-parameter map for a batch kernel: ``(param_of, row_params)``.
-
-    The columnar relvar is excluded — its fields read column locals.
-    Non-columnar params keep positional ``_row{j}`` arguments after the
-    leading ``(_n, _cols)`` pair of every batch kernel.
+    ``sources[relvar]`` is ``(ColumnarRelation, rows)``: position ``i``
+    reads row ``rows[i]``, or row ``i`` when ``rows`` is ``None``.
+    ``consts`` holds the constants of the expression shape being run.
     """
-    if columnar not in params:
+
+    __slots__ = ("count", "sources", "consts")
+
+    def __init__(self, count: int, sources: dict, consts: list):
+        self.count, self.sources, self.consts = count, sources, consts
+
+    def take(self, positions) -> "_Frame":
+        """The sub-frame of ascending ``positions``."""
+        if len(positions) == self.count:
+            return self
+        sources = {
+            relvar: (columnar, _compose(rows, positions))
+            for relvar, (columnar, rows) in self.sources.items()
+        }
+        return _Frame(len(positions), sources, self.consts)
+
+    def field(self, relvar, position: int) -> tuple:
+        columnar, rows = self.sources[relvar]
+        data, valid = columnar.typed(position)
+        return _compose(data, rows), _compose(valid, rows) if valid is not None else None
+
+
+def _compose(outer, inner):
+    """``outer[inner]`` of two index maps, ``None`` being the identity."""
+    if inner is None:
+        return outer
+    return inner if outer is None else outer[inner]
+
+
+def _both(*masks):
+    """The conjunction of validity masks (``None`` = all valid)."""
+    masks = [mask for mask in masks if mask is not None]
+    return np.logical_and.reduce(masks) if masks else None
+
+
+def _objects(vector: tuple) -> np.ndarray:
+    """The vector's Python values, ``None`` at NULLs."""
+    data, valid = vector
+    if data.dtype != _OBJECT:
+        data = data.astype(object)
+        if valid is not None:
+            data[~valid] = None
+    return data
+
+
+def _truthy(vector: tuple) -> np.ndarray:
+    """``bool(value)`` per position (NULL is false)."""
+    data, valid = vector
+    if data.dtype == _OBJECT:
+        return data.astype(bool)
+    truth = data if data.dtype == _BOOL else data != 0
+    return truth if valid is None else truth & valid
+
+
+def _magnitude(data: np.ndarray) -> int:
+    return int(np.abs(data).max()) if len(data) else 0
+
+
+def _const(value, count: int) -> tuple:
+    kind = type(value)
+    if kind is float or kind is bool or (kind is int and abs(value) <= EXACT_INT):
+        return np.full(count, value, dtype=np.int64 if kind is int else kind), None
+    data = np.empty(count, dtype=object)
+    data.fill(value)
+    return data, None if value is not None else np.zeros(count, dtype=bool)
+
+
+def _apply(function, operands: Sequence, where) -> np.ndarray:
+    """An object ufunc on the ``where`` positions only (``None`` elsewhere)."""
+    if where is None:
+        with np.errstate(all="ignore"):
+            return function(*operands)
+    out = np.full(len(where), None, dtype=object)
+    rows = np.flatnonzero(where)
+    if len(rows):
+        with np.errstate(all="ignore"):  # Python's float results, not numpy's flags
+            out[rows] = function(*(operand[rows] for operand in operands))
+    return out
+
+
+def _compare(op: str, left: np.ndarray, right: np.ndarray, where) -> np.ndarray:
+    """``left op right`` as bools, ``False`` outside ``where``."""
+    ufunc, python = _OPS[op]
+    if left.dtype == _OBJECT or right.dtype == _OBJECT:
+        return _apply(python, (left, right), where).astype(bool)
+    truth = ufunc(left, right)
+    return truth if where is None else truth & where
+
+
+def _arith(op: str, left: tuple, right: tuple) -> tuple:
+    (a, a_valid), (b, b_valid) = left, right
+    valid = _both(a_valid, b_valid)
+    if op in "/%":
+        zero = _compare("==", b, np.zeros(len(b), dtype=np.int64), valid)
+        valid = ~zero if valid is None else valid & ~zero
+    ufunc, python = _OPS[op]
+    if a.dtype != _OBJECT and b.dtype != _OBJECT:
+        a, b = (x.astype(np.int64) if x.dtype == _BOOL else x for x in (a, b))
+        ints = a.dtype == _INT and b.dtype == _INT
+        if not (ints and op == "*" and _magnitude(a) * _magnitude(b) > EXACT_INT):
+            with np.errstate(all="ignore"):  # NULL positions may divide by zero
+                data = ufunc(a, b)
+            if data.dtype == _INT:
+                if valid is not None:
+                    data[~valid] = 0
+                if _magnitude(data) > EXACT_INT:
+                    data = _objects((data, valid))
+            return data, valid
+    return _apply(python, (a, b), valid), valid
+
+
+def _lazy(left: tuple, right, frame: _Frame, decides: bool) -> tuple:
+    """``&`` (``decides=False``) / ``|``: ``right`` runs where ``left`` did not decide."""
+    truth = _truthy(left).copy()
+    rows = np.flatnonzero(truth != decides)
+    if len(rows):
+        truth[rows] = _truthy(right(frame.take(rows)))
+    return truth, None
+
+
+def _shape(node: Expr, consts: list) -> tuple:
+    """``node.key()`` with each constant replaced by its slot in ``consts``."""
+    if isinstance(node, Const):
+        consts.append(node.value)
+        return ("const", len(consts) - 1)
+    if isinstance(node, Field):
+        return node.key()
+    if isinstance(node, InSet):
+        consts.append(node.values)
+        return ("in", len(consts) - 1, _shape(node.operand, consts))
+    if isinstance(node, (Arith, Comparison)):
+        return (node.key()[0], node.op, _shape(node.left, consts), _shape(node.right, consts))
+    if isinstance(node, (Neg, And, Or, Not, IsNull, Between)):
+        return (type(node).__name__,) + tuple(_shape(child, consts) for child in node.children())
+    raise ExpressionError(f"cannot compile expression node {node!r}")
+
+
+def _resolve(shape: tuple, schemas: Mapping, aliases: Mapping) -> tuple:
+    """``(source relvar, position)`` a field shape reads."""
+    _tag, relvar, name = shape
+    try:
+        schema = schemas[relvar]
+    except KeyError:
         raise ExpressionError(
-            f"columnar relvar {columnar!r} not among kernel params {params!r}"
-        )
-    row_params = tuple(relvar for relvar in params if relvar != columnar)
-    param_of = {}
-    for index, relvar in enumerate(row_params):
-        param_of[relvar] = f"_row{index}"
-    columnar_set = _columnar_relvars(columnar, aliases)
-    if aliases:
-        for alias, target in aliases.items():
-            if alias in columnar_set:
-                continue
-            if target not in param_of:
-                raise ExpressionError(
-                    f"alias {alias!r} targets unknown parameter relvar {target!r}"
-                )
-            param_of[alias] = param_of[target]
-    return param_of, row_params
+            f"no schema for relation variable {relvar!r} "
+            f"(have {sorted(map(repr, schemas))})"
+        ) from None
+    return aliases.get(relvar, relvar), schema.position(name)
 
 
-def _assemble_batch(
-    emitter: "_ColumnEmitter",
-    row_params: Sequence,
-    extra_args: Sequence[str],
-    body: Sequence[str],
-) -> Callable:
-    """Assemble a batch kernel: hoisted column locals + provided body.
+def _lower(shape: tuple, schemas: Mapping, aliases: Mapping) -> Callable:
+    """``frame -> (data, valid)`` for a shape from :func:`_shape`."""
+    tag = shape[0]
+    if tag == "const":
+        return lambda frame: _const(frame.consts[shape[1]], frame.count)
+    if tag == "field":
+        source, position = _resolve(shape, schemas, aliases)
+        return lambda frame: frame.field(source, position)
+    if tag == "in" and shape[2][0] == "field":
+        # Decided once per distinct value of the column's factorization, so
+        # membership sees the stored objects, as ``in`` does.
+        source, position = _resolve(shape[2], schemas, aliases)
 
-    Signature is ``(_n, _cols, *row_args, *extra_args)`` where ``_cols``
-    is the tuple of per-column value lists of the columnar relation.
-    """
-    args = ["_n", "_cols"]
-    args.extend(f"_row{index}" for index in range(len(row_params)))
-    args.extend(extra_args)
-    prologue = [
-        f"_dc{position} = _cols[{position}]"
-        for position in sorted(emitter.used_columns)
-    ]
-    source = f"def _kernel({', '.join(args)}):\n" + "\n".join(
-        "    " + line for line in prologue + list(body)
+        def member(frame):
+            values, (columnar, rows) = frame.consts[shape[1]], frame.sources[source]
+            uniques, codes = columnar.codes((position,))
+            found = np.array([u is not None and u in values for u in uniques], dtype=bool)
+            return found[_compose(codes, rows)], None
+
+        return member
+    op, parts = (shape[1], shape[2:]) if tag in ("arith", "cmp", "in") else (None, shape[1:])
+    children = [_lower(child, schemas, aliases) for child in parts]
+    first = children[0]
+    if tag == "arith":
+        return lambda frame: _arith(op, first(frame), children[1](frame))
+    if tag == "cmp":
+
+        def compare(frame):
+            (a, a_valid), (b, b_valid) = first(frame), children[1](frame)
+            return _compare(op, a, b, _both(a_valid, b_valid)), None
+
+        return compare
+    if tag == "in":
+
+        def contains(frame):
+            data, valid = first(frame)
+            member = np.frompyfunc(frame.consts[op].__contains__, 1, 1)
+            return _apply(member, (_objects((data, valid)),), valid).astype(bool), None
+
+        return contains
+    if tag == "Neg":
+
+        def negate(frame):
+            data, valid = first(frame)
+            if data.dtype == _OBJECT:
+                return _apply(_NEGATE, (data,), valid), valid
+            return -(data.astype(np.int64) if data.dtype == _BOOL else data), valid
+
+        return negate
+    if tag in ("And", "Or"):
+        return lambda frame: _lazy(first(frame), children[1], frame, tag == "Or")
+    if tag == "Not":
+        return lambda frame: (~_truthy(first(frame)), None)
+    if tag == "IsNull":
+
+        def is_null(frame):
+            valid = first(frame)[1]
+            return (np.zeros(frame.count, dtype=bool) if valid is None else ~valid), None
+
+        return is_null
+
+    def between(frame):  # ``low <= x <= high``: the upper test only where the lower held
+        (data, valid), (low, low_valid), (high, high_valid) = (c(frame) for c in children)
+        above = _compare("<=", low, data, _both(valid, low_valid, high_valid))
+        return _compare("<=", data, high, above), None
+
+    return between
+
+
+def _select(conjuncts: Sequence[Callable], frame: _Frame) -> np.ndarray:
+    """Ascending positions passing every conjunct, each evaluated only on
+    the positions the ones before it left standing."""
+    positions = None  # all of them
+    for conjunct in conjuncts:
+        truth = _truthy(conjunct(frame if positions is None else frame.take(positions)))
+        positions = np.flatnonzero(truth) if positions is None else positions[truth]
+        if not len(positions):
+            break
+    return np.arange(frame.count) if positions is None else positions
+
+
+def _vector_kernel(mode, groups: Sequence, schemas: Mapping, aliases, build) -> tuple:
+    """``(plan, consts)``: ``build(lower, *shapes)`` cached by the shapes of
+    the expressions in ``groups`` (``None`` stays ``None``), constants apart."""
+    consts: list = []
+    shapes = tuple(
+        tuple(None if expr is None else _shape(expr, consts) for expr in group)
+        for group in groups
     )
-    env = emitter.env
-    exec(compile(source, "<relalg-batch-kernel>", "exec"), env)  # noqa: S102
-    kernel = env["_kernel"]
-    kernel.__kernel_source__ = source
-    return kernel
+    aliases = dict(aliases or {})
+
+    def lower(shape):
+        return None if shape is None else _lower(shape, schemas, aliases)
+
+    plan = _cached(_cache_key(mode, shapes, schemas, (), aliases), lambda: build(lower, *shapes))
+    return plan, consts
 
 
-def compile_mask(
-    conditions,
-    schemas: Mapping,
-    params: Sequence,
-    columnar,
-    aliases: Optional[Mapping] = None,
-) -> Callable:
-    """Compile a conjunction to ``fn(n, cols, *rows) -> [passing indices]``.
+def compile_mask(conditions, schemas: Mapping, aliases: Optional[Mapping] = None) -> Callable:
+    """Compile a conjunction to ``mask(count, sources) -> positions``.
 
-    The selection bitmap of the columnar engine: one generated loop over
-    the column vectors returns the ascending indices of rows satisfying
-    every conjunct (same short-circuit order as
-    :func:`compile_predicate`, so both engines evaluate the same atoms).
+    The selection vector of the columnar engine: ``sources`` maps each
+    relation variable to ``(ColumnarRelation, rows)`` as in
+    :class:`_Frame`, and the result is the ascending positions satisfying
+    every conjunct (the early exit of :func:`compile_predicate`).
     """
-    if isinstance(conditions, Expr):
-        conditions = (conditions,)
-    else:
-        conditions = tuple(conditions)
-    key = _cache_key(
-        ("mask", repr(columnar)),
-        tuple(c.key() for c in conditions),
-        schemas,
-        params,
-        aliases,
+    conditions = [conditions] if isinstance(conditions, Expr) else conditions
+    plan, consts = _vector_kernel(
+        "mask", (conditions,), schemas, aliases, lambda lower, shapes: list(map(lower, shapes))
     )
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is None:
-        param_of, row_params = _batch_param_map(params, columnar, aliases)
-        emitter = _ColumnEmitter(schemas, param_of, _columnar_relvars(columnar, aliases))
-        emitter.line(0, "_out = []")
-        emitter.line(0, "_append = _out.append")
-        emitter.line(0, "for _i in range(_n):")
-        for condition in conditions:
-            atom = emitter.emit(condition, 1)
-            emitter.line(1, f"if not {atom}:")
-            emitter.line(2, "continue")
-        emitter.line(1, "_append(_i)")
-        kernel = _assemble_batch(emitter, row_params, (), emitter.lines + ["return _out"])
-        with _CACHE_LOCK:
-            _KERNEL_CACHE[key] = kernel
-    return kernel
+    return lambda count, sources: _select(plan, _Frame(count, sources, consts))
 
 
-def compile_batch_scalar(
-    expr: Expr,
-    schemas: Mapping,
-    params: Sequence,
-    columnar,
-    aliases: Optional[Mapping] = None,
-) -> Callable:
-    """Compile ``expr`` to ``fn(n, cols, *rows) -> [value per row]``.
+def compile_batch_scalar(expr: Expr, schemas: Mapping, aliases: Optional[Mapping] = None) -> Callable:
+    """Compile ``expr`` to ``batch(count, sources) -> [value per position]``.
 
-    The vectorized ``extend``: one generated loop computes the expression
-    for every row of the columnar relation.
+    The vectorized ``extend``: the values are the Python values
+    :func:`compile_scalar` returns, row by row.
     """
-    key = _cache_key(
-        ("batch_scalar", repr(columnar)), expr.key(), schemas, params, aliases
+    plan, consts = _vector_kernel(
+        "batch_scalar", ((expr,),), schemas, aliases, lambda lower, shapes: lower(shapes[0])
     )
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is None:
-        param_of, row_params = _batch_param_map(params, columnar, aliases)
-        emitter = _ColumnEmitter(schemas, param_of, _columnar_relvars(columnar, aliases))
-        emitter.line(0, "_out = []")
-        emitter.line(0, "_append = _out.append")
-        emitter.line(0, "for _i in range(_n):")
-        atom = emitter.emit(expr, 1)
-        emitter.line(1, f"_append({atom})")
-        kernel = _assemble_batch(emitter, row_params, (), emitter.lines + ["return _out"])
-        with _CACHE_LOCK:
-            _KERNEL_CACHE[key] = kernel
-    return kernel
+    return lambda count, sources: _objects(plan(_Frame(count, sources, consts))).tolist()
 
 
-#: Component kinds whose ``update`` and ``combine`` rules the generated
-#: kernels inline. Anything else (custom
+#: Component kinds whose ``update`` and ``combine`` rules the kernels
+#: implement. Anything else (custom
 #: :func:`repro.relalg.aggregates.register_aggregate` components, holistic
 #: accumulators) scans with the row engine and combines through
 #: ``Component.combine``.
@@ -580,65 +732,228 @@ VECTORIZED_COMPONENT_KINDS = frozenset(
 )
 
 
-def _emit_component_update(emitter, indent, kind, acc, value_atom):
-    """Inline one Component.update against flat list ``acc`` at ``_b``.
+def _float_extreme(kind: str, groups: np.ndarray, data: np.ndarray, size: int) -> np.ndarray:
+    """``min``/``max`` as Python folds floats: the first value equal to the
+    extreme wins (ties, ``±0.0``) and a NaN only as a group's first value."""
+    count = len(data)
+    order = np.arange(count)
+    first = np.full(size, count, dtype=np.int64)
+    np.minimum.at(first, groups, order)
+    number = ~np.isnan(data)
+    extreme = np.full(size, np.inf if kind == "min" else -np.inf)
+    (np.minimum if kind == "min" else np.maximum).at(extreme, groups[number], data[number])
+    hit = number & (data == extreme[groups])
+    pick = np.full(size, count, dtype=np.int64)
+    np.minimum.at(pick, groups[hit], order[hit])
+    padded = np.append(data, np.nan)  # position ``count``: a group with no value
+    return padded[np.where(np.isnan(padded[first]), first, pick)]
 
-    Each branch mirrors the corresponding ``Component.update`` in
-    :mod:`repro.relalg.aggregates` statement-for-statement so results are
-    bit-identical to the row engine (including float fold order).
+
+def _scatter(kind: str, groups: np.ndarray, data: np.ndarray, size: int) -> Optional[np.ndarray]:
+    """``sum``/``sumsq``/``min``/``max`` of typed values per group, or
+    ``None`` when the dtype cannot fold them exactly (objects, bools, an
+    int64 total that might overflow)."""
+    if data.dtype == _OBJECT or data.dtype == _BOOL:
+        return None
+    ints = data.dtype == _INT
+    if kind in ("sum", "sumsq"):
+        if ints and _magnitude(data) ** (2 if kind == "sumsq" else 1) * len(data) >= 2**63:
+            return None
+        total = np.zeros(size, dtype=np.int64) if ints else np.full(size, -0.0)
+        np.add.at(total, groups, data * data if kind == "sumsq" else data)
+    elif ints:
+        limits = np.iinfo(np.int64)
+        total = np.full(size, limits.max if kind == "min" else limits.min)
+        (np.minimum if kind == "min" else np.maximum).at(total, groups, data)
+    else:
+        total = _float_extreme(kind, groups, data, size)
+    return total
+
+
+def _fold(component, groups: np.ndarray, data, present: np.ndarray) -> list:
+    """One component column: ``component.update`` of every pair's value
+    into its group, pairs in order (see :func:`compile_grouped_accumulate`).
+    ``groups`` / ``data`` hold the non-NULL values, ``present`` counts them
+    per group."""
+    kind, size = component.kind, len(present)
+    if kind == "count":
+        return present.tolist()
+    if kind in ("logsum", "poscount") and data.dtype != _OBJECT:
+        positive = ~(data <= 0)  # a NaN passes ``value <= 0`` as in Python
+        groups, data = groups[positive], data[positive]
+        present = np.bincount(groups, minlength=size)
+        if kind == "poscount":
+            return present.tolist()
+        # math.log per value: numpy's vector log need not round like libm.
+        data = np.fromiter(map(math.log, data.tolist()), dtype=np.float64, count=len(data))
+        kind = "sum"
+    total = _scatter(kind, groups, data, size) if kind in ("sum", "sumsq", "min", "max") else None
+    if total is None:  # the Python rule per value, in numpy's object loop
+        column = np.full(size, component.initial(), dtype=object)
+        np.frompyfunc(component.update, 2, 1).at(column, groups, data)
+        return column.tolist()
+    column = total.tolist()
+    for group in np.flatnonzero(present == 0).tolist():
+        column[group] = None
+    return column
+
+
+class _ScanPlan:
+    """One block's lowered scan (see :func:`compile_grouped_accumulate`)."""
+
+    def __init__(self, lower, keys, inputs, residuals, schemas: Mapping, aliases: Mapping):
+        # Per key: the (relvar, position) it reads if it is a field, and its lowering.
+        self.keys = keys and [
+            (_resolve(shape, schemas, aliases) if shape[0] == "field" else None, lower(shape))
+            for shape in keys
+        ]
+        self.inputs = list(map(lower, inputs))
+        self.residuals = list(map(lower, residuals))
+
+    def _codes(self, frame: _Frame, detail, rows) -> tuple:
+        """``(keys, codes)``: the distinct probe keys and each position's code."""
+        fields = [field for field, _lowered in self.keys]
+        if all(field and field[0] == DETAIL_VAR for field in fields):
+            uniques, codes = detail.codes([position for _relvar, position in fields])
+            return (zip(uniques) if len(fields) == 1 else uniques), _compose(codes, rows)
+        columns = []
+        for field, lowered in self.keys:
+            if field and field[0] == DETAIL_VAR:  # the stored objects, as the row engine probes
+                values = detail.value_lists().keys(field[1:])
+                columns.append(values if rows is None else list(map(values.__getitem__, rows.tolist())))
+            else:
+                columns.append(_objects(lowered(frame)).tolist())
+        return factorize(list(zip(*columns)))
+
+    def _pairs(self, frame: _Frame, detail, rows, probe) -> tuple:
+        """``(probing, at, bases)``: the positions that found a base row,
+        then per (detail, base) pair, detail-major, its index into
+        ``probing`` and its base row. ``None`` is the identity map."""
+        if self.keys is None:  # nested loop: every position meets every candidate
+            candidates = np.fromiter(probe, dtype=np.int64)
+            at = np.repeat(np.arange(frame.count), len(candidates))
+            return None, at, np.tile(candidates, frame.count)
+        keys, codes = self._codes(frame, detail, rows)
+        # A key with a NULL never matches: the table holds no such key.
+        found = list(map(probe, keys, repeat(())))
+        sizes = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
+        flat = np.fromiter(chain.from_iterable(found), dtype=np.int64, count=sizes.sum())
+        if sizes.max(initial=0) <= 1:
+            firsts = np.full(len(found), -1, dtype=np.int64)
+            firsts[sizes == 1] = flat
+            bases = firsts[codes]
+            probing = np.flatnonzero(bases >= 0)
+            if len(probing) == len(bases):
+                return None, None, bases
+            return probing, None, bases[probing]
+        per_row = sizes[codes]
+        probing = np.flatnonzero(per_row)
+        if len(probing) == len(per_row):
+            probing = None
+        else:
+            codes, per_row = codes[probing], per_row[probing]
+        at = np.repeat(np.arange(len(per_row)), per_row)
+        starts = np.repeat((np.cumsum(sizes) - sizes)[codes] - np.cumsum(per_row) + per_row, per_row)
+        return probing, at, flat[starts + np.arange(len(at))]
+
+    def run(self, consts, components, detail, rows, base, probe, touched) -> list:
+        frame = _Frame(len(detail) if rows is None else len(rows), {DETAIL_VAR: (detail, rows)}, consts)
+        probing, at, bases = self._pairs(frame, detail, rows, probe)
+        if self.residuals:
+            sources = {DETAIL_VAR: (detail, _compose(rows, _compose(probing, at))), BASE_VAR: (base, bases)}
+            keep = _select(self.residuals, _Frame(len(bases), sources, consts))
+            bases, at = bases[keep], _compose(at, keep)
+        pairs = np.bincount(bases, minlength=len(base))  # per base row
+        if touched is not None:
+            for index in np.flatnonzero(pairs).tolist():
+                touched[index] = True
+        inputs = frame if probing is None else frame.take(probing)
+        columns = []
+        for lowered, group in zip(self.inputs, components):
+            groups, data, present = bases, None, pairs
+            if lowered is not None:
+                data, valid = lowered(inputs)
+                data = _compose(data, at)
+                if valid is not None:
+                    valid = _compose(valid, at)
+                    groups, data = bases[valid], data[valid]
+                    present = np.bincount(groups, minlength=len(base))
+            with np.errstate(all="ignore"):  # IEEE results, as Python's floats give
+                columns.extend(
+                    pairs.tolist() if component.kind == "count_star"
+                    else _fold(component, groups, data, present)
+                    for component in group
+                )
+        return columns
+
+
+def compile_grouped_accumulate(
+    key_exprs,
+    input_exprs: Sequence,
+    components: Sequence[Sequence],
+    residual_conjuncts: Sequence,
+    schemas: Mapping,
+    aliases: Optional[Mapping] = None,
+) -> Callable:
+    """The GMDJ scan of one block, whole columns at a time::
+
+        kernel(detail, rows, base, probe, touched) -> columns
+
+    ``detail`` / ``base`` are the :class:`ColumnarRelation` that
+    ``DETAIL_VAR`` (and its aliases) / ``BASE_VAR`` fields read; ``rows``
+    the detail rows to scan (``None``: all); ``probe`` is ``table.get`` of
+    the base hash table over the equality atoms, or the candidate base
+    indices when ``key_exprs is None`` (nested loop); ``touched`` per-base
+    flags set for every base row a pair reaches (``None``: not tracked).
+    The result is one list per component of ``components`` (a tuple of
+    :class:`~repro.relalg.aggregates.Component` per aggregate), one value
+    per base row.
+
+    The probe runs once per *distinct* detail key (the detail's cached
+    factorization when the keys are fields); a key matching several base
+    rows (overlapping groups) expands to (detail, base) pairs in
+    detail-major order. Inputs are evaluated once per detail row that
+    found a match, residual conjuncts over the pairs. Each component folds
+    its pairs' values in pair order, as ``Component.update`` would:
+    ``count_star`` / ``count`` by ``bincount``; ``sum`` / ``sumsq`` by an
+    ordered ``np.add.at`` into ``-0.0`` (IEEE addition's identity, so a
+    group's first value is kept as is), NULL for a group with no value;
+    ``min`` / ``max`` as the value at the first position equal to the
+    group's extreme (ties and ``±0.0`` keep the first seen) and a NaN only
+    as a group's first value; ``logsum`` / ``poscount`` over ``not v <= 0``
+    with ``math.log`` per value. Values no typed dtype folds exactly
+    (objects, bools, an int64 total that might overflow) fold through
+    ``Component.update`` itself, in numpy's ordered object loop.
     """
-    slot = f"{acc}[_b]"
-    if kind == "count_star":
-        emitter.line(indent, f"{slot} += 1")
-    elif kind == "count":
-        emitter.line(indent, f"if {value_atom} is not None:")
-        emitter.line(indent + 1, f"{slot} += 1")
-    elif kind == "sum":
-        emitter.line(indent, f"if {value_atom} is not None:")
-        emitter.line(indent + 1, f"_x = {acc}[_b]")
-        emitter.line(
-            indent + 1, f"{slot} = {value_atom} if _x is None else _x + {value_atom}"
-        )
-    elif kind == "sumsq":
-        emitter.line(indent, f"if {value_atom} is not None:")
-        emitter.line(indent + 1, f"_sq = {value_atom} * {value_atom}")
-        emitter.line(indent + 1, f"_x = {acc}[_b]")
-        emitter.line(indent + 1, f"{slot} = _sq if _x is None else _x + _sq")
-    elif kind == "min":
-        emitter.line(indent, f"if {value_atom} is not None:")
-        emitter.line(indent + 1, f"_x = {acc}[_b]")
-        emitter.line(
-            indent + 1,
-            f"{slot} = {value_atom} if _x is None else min(_x, {value_atom})",
-        )
-    elif kind == "max":
-        emitter.line(indent, f"if {value_atom} is not None:")
-        emitter.line(indent + 1, f"_x = {acc}[_b]")
-        emitter.line(
-            indent + 1,
-            f"{slot} = {value_atom} if _x is None else max(_x, {value_atom})",
-        )
-    elif kind == "logsum":
-        emitter.line(indent, f"if {value_atom} is not None and {value_atom} > 0:")
-        emitter.line(indent + 1, f"_lg = _log({value_atom})")
-        emitter.env.setdefault("_log", math.log)
-        emitter.line(indent + 1, f"_x = {acc}[_b]")
-        emitter.line(indent + 1, f"{slot} = _lg if _x is None else _x + _lg")
-    elif kind == "poscount":
-        emitter.line(indent, f"if {value_atom} is not None and {value_atom} > 0:")
-        emitter.line(indent + 1, f"{slot} += 1")
-    else:  # pragma: no cover - guarded by VECTORIZED_COMPONENT_KINDS
-        raise ExpressionError(f"cannot vectorize component kind {kind!r}")
+    components = tuple(tuple(group) for group in components)
+    kinds = tuple(tuple(component.kind for component in group) for group in components)
+    plan, consts = _vector_kernel(
+        ("grouped_accumulate", key_exprs is None, kinds),
+        (key_exprs or (), input_exprs, residual_conjuncts),
+        schemas,
+        aliases,
+        lambda lower, keys, inputs, residuals: _ScanPlan(
+            lower, None if key_exprs is None else keys, inputs, residuals,
+            schemas, dict(aliases or {}),
+        ),
+    )
+    return lambda detail, rows, base, probe, touched: plan.run(
+        consts, components, detail, rows, base, probe, touched
+    )
+
+
+# ---------------------------------------------------------------------------
+# Coordinator fold (row kernels over shipped sub-aggregates)
+# ---------------------------------------------------------------------------
 
 
 def _emit_component_combine(emitter, indent, kind, acc, value_atom):
     """Inline one Component.combine of ``value_atom`` into ``acc`` at ``_b``.
 
-    The twin of :func:`_emit_component_update`: each branch mirrors the
-    corresponding ``Component.combine`` statement-for-statement (left
-    operand the accumulated value, right the absorbed one; ``min``/``max``
-    keep the left operand on ties), so folding shipped sub-aggregates is
-    bit-identical to calling the method.
+    Each branch mirrors the corresponding ``Component.combine``
+    statement-for-statement (left operand the accumulated value, right the
+    absorbed one; ``min``/``max`` keep the left operand on ties), so folding
+    shipped sub-aggregates is bit-identical to calling the method.
     """
     slot = f"{acc}[_b]"
     if kind in ("count_star", "count", "poscount"):
@@ -741,148 +1056,6 @@ def compile_grouped_combine(
     )
     env = emitter.env
     exec(compile(source, "<relalg-combine-kernel>", "exec"), env)  # noqa: S102
-    kernel = env["_kernel"]
-    kernel.__kernel_source__ = source
-    with _CACHE_LOCK:
-        _KERNEL_CACHE[key] = kernel
-    return kernel
-
-
-def compile_grouped_accumulate(
-    key_exprs,
-    input_exprs: Sequence,
-    component_kinds: Sequence[tuple],
-    residual_conjuncts: Sequence,
-    schemas: Mapping,
-    columnar,
-    base_param,
-    track_touch: bool,
-    aliases: Optional[Mapping] = None,
-) -> Callable:
-    """Fuse the GMDJ probe/update scan into one generated loop.
-
-    The returned kernel has signature::
-
-        kernel(indices, cols, base_rows, probe, accs, touched)
-
-    - ``indices``: detail row indices to scan (post detail-only filter);
-    - ``cols``: the detail relation's column value lists;
-    - ``base_rows``: row tuples of the base relation (residual checks);
-    - ``probe``: hash-path — ``table.get`` of the base hash table built
-      over the equality-atom keys; nested-loop path (``key_exprs is
-      None``) — the list of candidate base indices;
-    - ``accs``: flat accumulator lists, one per (aggregate, component) in
-      block order, each ``len(base_rows)`` long;
-    - ``touched``: per-base-row flags (only written when ``track_touch``).
-
-    Everything the row engine does per detail row — key-tuple closure
-    call, NULL-key check, dict probe, aggregate-input closures, residual
-    closure, ``Accumulator.update`` method dispatch per component — is
-    inlined into straight-line statements, which is where the columnar
-    engine's speedup comes from.
-    """
-    hashable = key_exprs is not None
-    input_exprs = tuple(input_exprs)
-    component_kinds = tuple(tuple(kinds) for kinds in component_kinds)
-    residual_conjuncts = tuple(residual_conjuncts)
-    key = _cache_key(
-        (
-            "grouped_accumulate",
-            repr(columnar),
-            repr(base_param),
-            hashable,
-            track_touch,
-            component_kinds,
-        ),
-        (
-            tuple(e.key() for e in key_exprs) if hashable else None,
-            tuple(None if e is None else e.key() for e in input_exprs),
-            tuple(c.key() for c in residual_conjuncts),
-        ),
-        schemas,
-        (columnar,),
-        aliases,
-    )
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is not None:
-        return kernel
-
-    param_of = {base_param: "_row_b"}
-    if aliases:
-        columnar_set = _columnar_relvars(columnar, aliases)
-        for alias, target in aliases.items():
-            if alias in columnar_set:
-                continue
-            if target == base_param:
-                param_of[alias] = "_row_b"
-    emitter = _ColumnEmitter(schemas, param_of, _columnar_relvars(columnar, aliases))
-
-    acc_names = []
-    flat_index = 0
-    for kinds in component_kinds:
-        for _kind in kinds:
-            acc_names.append(f"_acc{flat_index}")
-            flat_index += 1
-    for index, name in enumerate(acc_names):
-        emitter.line(0, f"{name} = _accs[{index}]")
-    need_base_row = bool(residual_conjuncts)
-
-    emitter.line(0, "for _i in _indices:")
-    if hashable:
-        key_atoms = [emitter.emit(expr, 1) for expr in key_exprs]
-        checks = emitter.null_checks(key_atoms)
-        if checks:
-            emitter.line(1, f"if {' or '.join(checks)}:")
-            emitter.line(2, "continue")
-        key_tuple = "(" + ", ".join(key_atoms) + ("," if len(key_atoms) == 1 else "") + ")"
-        emitter.line(1, f"_matches = _probe({key_tuple})")
-        emitter.line(1, "if not _matches:")
-        emitter.line(2, "continue")
-    else:
-        emitter.line(1, "_matches = _probe")
-
-    value_atoms = []
-    for agg_index, expr in enumerate(input_exprs):
-        if expr is None:
-            value_atoms.append(None)
-        else:
-            atom = emitter.emit(expr, 1)
-            # Pin the value in a stable local: expression temps are reused
-            # across iterations but must survive into the match loop.
-            name = f"_v{agg_index}"
-            emitter.line(1, f"{name} = {atom}")
-            value_atoms.append(name)
-
-    emitter.line(1, "for _b in _matches:")
-    if need_base_row:
-        emitter.line(2, "_row_b = _base_rows[_b]")
-        for conjunct in residual_conjuncts:
-            atom = emitter.emit(conjunct, 2)
-            emitter.line(2, f"if not {atom}:")
-            emitter.line(3, "continue")
-    if track_touch:
-        emitter.line(2, "_touched[_b] = True")
-    flat_index = 0
-    for agg_index, kinds in enumerate(component_kinds):
-        for kind in kinds:
-            _emit_component_update(
-                emitter, 2, kind, acc_names[flat_index], value_atoms[agg_index]
-            )
-            flat_index += 1
-
-    source = (
-        "def _kernel(_indices, _cols, _base_rows, _probe, _accs, _touched):\n"
-        + "\n".join(
-            "    " + line
-            for line in [
-                f"_dc{position} = _cols[{position}]"
-                for position in sorted(emitter.used_columns)
-            ]
-            + emitter.lines
-        )
-    )
-    env = emitter.env
-    exec(compile(source, "<relalg-accumulate-kernel>", "exec"), env)  # noqa: S102
     kernel = env["_kernel"]
     kernel.__kernel_source__ = source
     with _CACHE_LOCK:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from itertools import chain
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.errors import SchemaError
 from repro.relalg import compiler, engine
 from repro.relalg.aggregates import AggSpec
@@ -66,18 +68,19 @@ def theta_join(left: Relation, right: Relation, condition: Expr) -> Relation:
     schema = left.schema.concat(right.schema)
     schemas = {BASE_VAR: left.schema, DETAIL_VAR: right.schema}
     if engine.active_engine() == "columnar":
-        # Vectorized probe: one generated scan over the right relation's
-        # column vectors per left row, instead of a predicate call per pair.
-        mask = compiler.compile_mask(
-            condition, schemas, (BASE_VAR, DETAIL_VAR), DETAIL_VAR
-        )
-        columns = right.to_columnar().value_lists()
+        # One selection vector over the right relation's columns per left row.
+        mask = compiler.compile_mask(condition, schemas)
+        left_columns, right_columns = left.to_columnar(), right.to_columnar()
         right_count = len(right.rows)
         right_rows = right.rows
         rows = []
-        for l_row in left.rows:
-            for index in mask(right_count, columns, l_row):
-                rows.append(l_row + right_rows[index])
+        for index, l_row in enumerate(left.rows):
+            sources = {
+                BASE_VAR: (left_columns, np.full(right_count, index)),
+                DETAIL_VAR: (right_columns, None),
+            }
+            for r_index in mask(right_count, sources).tolist():
+                rows.append(l_row + right_rows[r_index])
         return Relation(schema, rows)
     predicate = compiler.compile_predicate(
         condition, schemas, (BASE_VAR, DETAIL_VAR)

@@ -114,6 +114,10 @@ class Relation:
     def __repr__(self) -> str:
         return f"Relation({self.schema!r}, {len(self.rows)} rows)"
 
+    def __reduce__(self):
+        # The column cache is derived state: a relation pickles as what it is.
+        return Relation, (self.schema, self.rows)
+
     def to_dicts(self) -> list:
         names = self.schema.names
         return [dict(zip(names, row)) for row in self.rows]
@@ -135,10 +139,9 @@ class Relation:
     def select(self, condition: Expr) -> "Relation":
         """Rows satisfying ``condition`` (fields unqualified)."""
         if engine.active_engine() == "columnar":
-            mask = compiler.compile_mask(condition, {None: self.schema}, (None,), None)
-            indices = mask(len(self.rows), self.to_columnar().value_lists())
-            rows = self.rows
-            return Relation(self.schema, (rows[index] for index in indices))
+            mask = compiler.compile_mask(condition, {None: self.schema})
+            indices = mask(len(self.rows), {None: (self.to_columnar(), None)})
+            return Relation(self.schema, map(self.rows.__getitem__, indices.tolist()))
         predicate = compiler.compile_predicate(condition, {None: self.schema}, (None,))
         return Relation(self.schema, (row for row in self.rows if predicate(row)))
 
@@ -159,8 +162,17 @@ class Relation:
         return Relation(self.schema, dict.fromkeys(self.rows))
 
     def distinct_project(self, names: Sequence[str]) -> "Relation":
-        """``distinct(project(names))`` in one pass, first-seen order."""
+        """``distinct(project(names))`` in one pass, first-seen order.
+
+        The columnar engine answers from the cached factorization of the
+        key, which a scan grouping on the same attributes probes with.
+        """
         positions = self.schema.positions(names)
+        if positions and engine.active_engine() == "columnar":
+            uniques, _codes = self.to_columnar().codes(positions)
+            return Relation(
+                self.schema.project(names), zip(uniques) if len(positions) == 1 else uniques
+            )
         if len(positions) > 1:
             unique = dict.fromkeys(map(itemgetter(*positions), self.rows))
         elif positions:
@@ -184,10 +196,8 @@ class Relation:
         """Append a computed column (fields of ``expression`` unqualified)."""
         schema = self.schema.concat(Schema([Attribute(name, type_name)]))
         if engine.active_engine() == "columnar":
-            batch = compiler.compile_batch_scalar(
-                expression, {None: self.schema}, (None,), None
-            )
-            values = batch(len(self.rows), self.to_columnar().value_lists())
+            batch = compiler.compile_batch_scalar(expression, {None: self.schema})
+            values = batch(len(self.rows), {None: (self.to_columnar(), None)})
             return Relation(
                 schema, (row + (value,) for row, value in zip(self.rows, values))
             )

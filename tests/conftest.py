@@ -14,12 +14,18 @@ import random
 import threading
 
 import pytest
+from hypothesis import settings
 
 from repro.gmdj.blocks import MDBlock, result_schema
 from repro.relalg.aggregates import AggSpec
 from repro.relalg.expressions import BASE_VAR, DETAIL_VAR
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, STR, Schema
+
+
+#: ``--hypothesis-profile=equivalence``: the engine-equivalence CI job runs
+#: the properties that leave ``max_examples`` to the profile ten times longer.
+settings.register_profile("equivalence", max_examples=1000)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Columnar storage, batch kernels and the column-block wire codec.
 
-Unit-level coverage for the columnar execution tentpole: the per-column
-relation representation (:mod:`repro.relalg.columnar`), the generated
-batch kernels (:func:`repro.relalg.compiler.compile_mask` and friends),
+Unit-level coverage for the columnar engine: the per-column relation
+representation and its cached typed views and key codes
+(:mod:`repro.relalg.columnar`), the vector kernels
+(:func:`repro.relalg.compiler.compile_mask` and friends),
 the column-array :class:`~repro.relalg.index.HashIndex` build, and the
 fixed-width + dictionary column codec in :mod:`repro.net.serialize` — including
 seeded property-style round trips over random relations.
 """
 
 import datetime
+import os
 import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from conftest import brute_force_gmdj, make_flows
@@ -143,19 +146,82 @@ class TestColumnarRelation:
         assert seen == [expected] * 8
         assert columnar.value_lists()[1] == expected
 
-    def test_as_array_packs_non_nulls(self):
-        column = Column("i", INT, [5, None, -7])
-        values, present = column.as_array()
-        assert values.typecode == "q"
-        assert list(values) == [5, -7]
-        assert present == [True, False, True]
-        assert column.null_count() == 1
+    def test_typed_views_pick_an_exact_dtype(self):
+        relation = Relation(
+            Schema.of(("i", INT), ("f", FLOAT), ("b", INT), ("h", INT), ("s", STR)),
+            [
+                (5, 1.5, True, 2**53 + 1, "x"),
+                (None, None, 2, 1, None),
+                (-7, -0.0, 3, 2, "y"),
+            ],
+        )
+        columnar = relation.to_columnar()
+        data, valid = columnar.typed(0)
+        assert data.dtype == np.int64 and data.tolist() == [5, 0, -7]
+        assert valid.tolist() == [True, False, True]
+        data, valid = columnar.typed(1)
+        assert data.dtype == np.float64 and [repr(v) for v in data[[0, 2]].tolist()] == ["1.5", "-0.0"]
+        # A bool among ints, an int past 2**53, a string: the values themselves.
+        for position in (2, 3, 4):
+            data, valid = columnar.typed(position)
+            assert data.dtype == object
+            assert data.tolist() == [row[position] for row in relation.rows]
+        assert type(columnar.typed(2)[0][0]) is bool
+        assert columnar.typed(0) is columnar.typed(0)  # cached
+        assert Column("i", INT, [5, None, -7]).null_count() == 1
 
-    def test_dictionary_first_appearance_order(self):
-        column = Column("s", STR, ["b", "a", None, "b", "c", "a"])
-        uniques, codes = column.dictionary()
-        assert uniques == ["b", "a", "c"]
-        assert list(codes) == [0, 1, -1, 0, 2, 1]
+    def test_codes_first_appearance_order(self):
+        relation = Relation(
+            Schema.of(("s", STR), ("k", FLOAT)),
+            [("b", 1.0), ("a", 1), (None, True), ("b", 2.0), ("c", None), ("a", 1.0)],
+        )
+        columnar = relation.to_columnar()
+        uniques, codes = columnar.codes([0])
+        assert uniques == ["b", "a", None, "c"]
+        assert codes.tolist() == [0, 1, 2, 0, 3, 1]
+        assert codes.dtype == np.int8
+        # 1, 1.0 and True are one key, as a dict probe sees them.
+        uniques, codes = columnar.codes([1])
+        assert uniques == [1.0, 2.0, None] and codes.tolist() == [0, 0, 0, 1, 2, 0]
+        uniques, codes = columnar.codes([0, 1])
+        assert uniques == [("b", 1.0), ("a", 1), (None, True), ("b", 2.0), ("c", None)]
+        assert codes.tolist() == [0, 1, 2, 3, 4, 1]
+        assert columnar.codes((0,)) is columnar.codes([0])
+        assert columnar.built_views() == ("s", "k")
+
+    def test_racing_threads_get_equal_complete_views(self):
+        relation = random_mixed_relation(20000, seed=43)
+        expected_floats = [row[1] for row in relation.rows]
+        expected_keys = list(dict.fromkeys((row[2], row[3]) for row in relation.rows))
+        columnar = relation.to_columnar()
+        threads_count = 4 * (os.cpu_count() or 1) + 4
+        start = threading.Barrier(threads_count)
+        seen = []
+
+        def read():
+            start.wait(timeout=10)
+            data, valid = columnar.typed(1)
+            uniques, codes = columnar.codes((2, 3))
+            seen.append((
+                [None if not ok else value for value, ok in zip(data.tolist(), valid)],
+                uniques,
+                [uniques[code] for code in codes.tolist()],
+            ))
+
+        threads = [threading.Thread(target=read) for _ in range(threads_count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = (expected_floats, expected_keys, [(row[2], row[3]) for row in relation.rows])
+        assert len(seen) == threads_count
+        assert all(view == expected for view in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -167,35 +233,29 @@ class TestBatchKernels:
     def test_mask_matches_row_predicate(self):
         relation = random_mixed_relation(200, seed=5)
         condition = (col.i > Const(0)) & (col.f < Const(1e7))
-        mask = compiler.compile_mask(
-            condition, {None: relation.schema}, (None,), None
-        )
+        mask = compiler.compile_mask(condition, {None: relation.schema})
         predicate = compiler.compile_predicate(
             condition, {None: relation.schema}, (None,)
         )
-        indices = mask(len(relation), relation.to_columnar().value_lists())
+        indices = mask(len(relation), {None: (relation.to_columnar(), None)})
         expected = [
             index for index, row in enumerate(relation.rows) if predicate(row)
         ]
-        assert indices == expected
+        assert indices.tolist() == expected
 
     def test_mask_null_comparisons_are_false(self):
         relation = Relation(Schema.of(("i", INT)), [(None,), (1,), (-1,)])
-        mask = compiler.compile_mask(
-            col.i > Const(0), {None: relation.schema}, (None,), None
-        )
-        assert mask(3, relation.to_columnar().value_lists()) == [1]
+        mask = compiler.compile_mask(col.i > Const(0), {None: relation.schema})
+        assert mask(3, {None: (relation.to_columnar(), None)}).tolist() == [1]
 
     def test_batch_scalar_matches_row_scalar(self):
         relation = random_mixed_relation(150, seed=6)
         expression = col.i * Const(2) + col.f
-        batch = compiler.compile_batch_scalar(
-            expression, {None: relation.schema}, (None,), None
-        )
+        batch = compiler.compile_batch_scalar(expression, {None: relation.schema})
         scalar = compiler.compile_scalar(
             expression, {None: relation.schema}, (None,)
         )
-        values = batch(len(relation), relation.to_columnar().value_lists())
+        values = batch(len(relation), {None: (relation.to_columnar(), None)})
         assert values == [scalar(row) for row in relation.rows]
 
     def test_select_and_extend_identical_across_engines(self):
@@ -275,11 +335,13 @@ class TestGMDJColumnar:
             .build()
         )
         with use_engine("columnar"):
-            tpcr.distinct_project(["NationKey"])
             tpcr.distinct()
             assert tpcr.to_columnar().built_columns() == ()
             columnar_result = expression.evaluate_centralized({"TPCR": tpcr})
-        assert set(tpcr.to_columnar().built_columns()) == {"NationKey", "Price"}
+        # The base-values query and both scans read NationKey's codes and
+        # Price's typed view; no value list is kept, none is transposed.
+        assert tpcr.to_columnar().built_views() == ("NationKey", "Price")
+        assert tpcr.to_columnar().built_columns() == ()
         with use_engine("row"):
             row_result = expression.evaluate_centralized({"TPCR": tpcr})
         assert columnar_result.rows == row_result.rows

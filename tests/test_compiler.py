@@ -177,3 +177,28 @@ def test_kernel_cache_reuses_compiled_functions():
 def test_kernel_source_is_attached_for_introspection():
     kernel = compile_predicate(base.x > 1.0, _SCHEMAS, _PARAMS)
     assert "def _kernel" in kernel.__kernel_source__
+
+
+def test_new_literals_do_not_grow_the_kernel_cache():
+    """A server that sees a new literal in every statement keeps a bounded
+    cache: vector kernels are cached by shape, row kernels are capped."""
+    from repro.data.flows import FlowConfig, generate_flows, router_partitioner
+    from repro.distributed import ExecutionConfig, SimulatedCluster
+    from repro.relalg import compiler
+    from repro.relalg.engine import use_engine
+    from repro.service import QueryService
+
+    config = FlowConfig(flow_count=300, router_count=2)
+    cluster = SimulatedCluster.with_sites(2)
+    cluster.load_partitioned("FlowSmall", generate_flows(config), router_partitioner(config))
+    compiler.clear_kernel_cache()
+    with use_engine("columnar"), QueryService(cluster, ExecutionConfig(engine="columnar")) as service:
+        for literal in range(400):
+            service.submit(
+                "SELECT SourceAS, COUNT(*) AS cnt, SUM(NumBytes) AS volume FROM FlowSmall "
+                f"WHERE StartTime >= {literal} GROUP BY SourceAS"
+            )
+    assert kernel_cache_size() < 32
+    for literal in range(2 * compiler.MAX_CACHED_KERNELS):
+        compile_predicate(detail.v >= float(literal), _SCHEMAS, _PARAMS)
+    assert kernel_cache_size() <= compiler.MAX_CACHED_KERNELS

@@ -310,3 +310,81 @@ def test_default_path_builds_no_accumulator_objects(monkeypatch):
     row = run_expression(expression, config_for("row"))
     assert built
     assert row.relation.rows == columnar.relation.rows
+
+
+# The benchmark's statements, spelled here so the suite does not import it:
+# scan_heavy runs S1, sync_heavy S5, round_floor S1-S4 with the optimizer off,
+# service_mixed the Flow statements (the FlowSmall one with a new literal
+# every time).
+S1_TO_S5 = (
+    "SELECT NationKey, COUNT(*) AS cnt, AVG(Price) AS m FROM TPCR "
+    "GROUP BY NationKey THEN SELECT COUNT(*) AS above WHERE Price >= m",
+    "SELECT NationKey, OrderYear, COUNT(*) AS cnt, SUM(Price) AS revenue, "
+    "MAX(Price) AS top FROM TPCR GROUP BY NationKey, OrderYear",
+    "SELECT RegionKey, COUNT(*) AS cnt, SUM(Quantity) AS qty FROM TPCR GROUP BY RegionKey",
+    "SELECT OrderMonth, COUNT(*) AS cnt, AVG(Quantity) AS q FROM TPCR "
+    "GROUP BY OrderMonth THEN SELECT COUNT(*) AS above WHERE Quantity >= q",
+    "SELECT PartKey, SuppKey, COUNT(*) AS cnt, AVG(Price) AS m FROM TPCR "
+    "GROUP BY PartKey, SuppKey THEN SELECT COUNT(*) AS above WHERE Price >= m",
+)
+SERVICE_STATEMENTS = (
+    "SELECT SourceAS, COUNT(*) AS cnt, SUM(NumPackets) AS packets FROM Flow GROUP BY SourceAS",
+    "SELECT DestAS, COUNT(*) AS cnt, MAX(NumPackets) AS biggest FROM Flow GROUP BY DestAS",
+    "SELECT RouterId, COUNT(*) AS flows, MIN(StartTime) AS first_seen FROM Flow GROUP BY RouterId",
+    "SELECT SourceAS, DestAS, COUNT(*) AS cnt, SUM(NumBytes) AS volume "
+    "FROM Flow GROUP BY SourceAS, DestAS",
+    "SELECT SourceAS, COUNT(*) AS cnt, SUM(NumBytes) AS volume "
+    "FROM FlowSmall WHERE StartTime >= 40000 GROUP BY SourceAS",
+)
+
+
+def test_benchmark_statements_never_leave_the_vector_path(monkeypatch):
+    """Every scan of every benchmark statement is a vector kernel: no block
+    falls back to the row engine, no accumulator object is built, and the
+    answers are the row engine's, value for value."""
+    from repro.data.flows import FlowConfig, generate_flows, router_partitioner
+    from repro.data.tpcr import TPCRConfig, generate_tpcr, nation_partitioner
+    from repro.gmdj import operator as gmdj_operator
+    from repro.service import QueryService
+
+    tpcr = SimulatedCluster.with_sites(2)
+    tpcr.load_partitioned(
+        "TPCR", generate_tpcr(TPCRConfig(scale=0.0005, seed=7)), nation_partitioner(2)
+    )
+    config = FlowConfig(flow_count=600, router_count=2)
+
+    def answers(engine):
+        flows = SimulatedCluster.with_sites(2)  # appended to below: one per run
+        for table in ("Flow", "FlowSmall"):
+            flows.load_partitioned(table, generate_flows(config), router_partitioner(config))
+        out = []
+        for options in (OptimizationOptions.all(), OptimizationOptions.none()):
+            for sql in S1_TO_S5:
+                out.append(execute_query(
+                    tpcr, parse_olap_statement(sql).expression, options,
+                    config=ExecutionConfig(engine=engine),
+                ).relation)
+        # An incremental view's own scans run on the ambient engine.
+        with use_engine(engine), QueryService(flows, ExecutionConfig(engine=engine)) as service:
+            out.extend(service.submit(sql).relation for sql in SERVICE_STATEMENTS)
+            delta = generate_flows(FlowConfig(flow_count=40, router_count=2, seed=5))
+            service.append("Flow", dict(zip(flows.site_ids, router_partitioner(config).split(delta))))
+            out.extend(service.submit(sql).relation for sql in SERVICE_STATEMENTS[:4])
+        return [[repr(value) for value in row] for relation in out for row in relation.rows]
+
+    expected = answers("row")
+    scans, fallbacks = [], []
+    vector_scan = gmdj_operator._accumulate_columnar
+
+    def watched(base, detail, blocks, track_touch):
+        result = vector_scan(base, detail, blocks, track_touch)
+        (fallbacks if result is None else scans).append(blocks)
+        return result
+
+    def no_accumulators(self, function):
+        raise AssertionError(f"a row-engine accumulator for {function.name}")
+
+    monkeypatch.setattr(gmdj_operator, "_accumulate_columnar", watched)
+    monkeypatch.setattr(ComponentAccumulator, "__init__", no_accumulators)
+    assert answers("columnar") == expected
+    assert scans and not fallbacks

@@ -429,7 +429,12 @@ class TestHopSpans:
             assert {span.attributes["site"] for span in below} == set(
                 result.stats.rounds[0].children[hop.attributes["node"]]
             )
-            assert hop.duration_s >= sum(span.duration_s for span in below) > 0
+            # Enclosed in time: under the threads executor the legs below a
+            # hop overlap (the site kernels release the GIL), so their
+            # durations may add up to more than the hop's wall clock.
+            for span in below:
+                assert hop.start_s <= span.start_s <= span.end_s <= hop.end_s
+            assert sum(span.duration_s for span in below) > 0
 
 
 # -- round statistics: the tree recursion, hand-computed ----------------------

@@ -13,8 +13,10 @@ The engine under test is one more drawn input; the reference side is
 brute force or the row engine, whatever the ambient default is.
 """
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_relations_equal, brute_force_gmdj
@@ -295,3 +297,162 @@ def test_observed_reduction_changes_traffic_never_the_answer(
         md_round.ship_filters for md_round in narrowed.plan.rounds
     ):
         assert narrowed.stats.bytes_total == plain.stats.bytes_total
+
+
+# -- the columnar engine is the row engine, by repr, on adversarial data -------
+
+ADVERSARIAL_SCHEMA = Schema.of(("g", INT), ("h", INT), ("i", INT), ("f", FLOAT))
+
+# Keys collide across types (1, 1.0, True) and are NULL; ints sit at the
+# int64 view's edges; floats carry NaN, both zeros, both infinities and
+# denormals. Half the examples also hide bools among the ints, ints among
+# the floats and ints past 2**53, which turns a column's view to objects.
+_INT_EDGES = [None, 0, 2, -3, 2**53, -(2**53), 2**53 - 1]
+_FLOAT_EDGES = [
+    None, 0.0, -0.0, 1.5, -2.5, math.inf, -math.inf, math.nan, math.nan,
+    5e-324, -5e-324, 1e308, 2.0**53 + 4,
+]
+
+
+@st.composite
+def adversarial_rows(draw):
+    """Rows over a small per-example palette of values per column, so the
+    edge values meet: a NaN first in a group, a group of ``-0.0`` only."""
+    mixed = draw(st.booleans())
+    ints = _INT_EDGES + ([2**53 + 1, 2**62, 2**63 - 1, -(2**63), True, False] if mixed else [])
+    floats = _FLOAT_EDGES + ([3, True] if mixed else [])
+    keys = [None, 0, 1, 2, 3] + ([1.0, True, 2.0] if mixed else [])
+
+    def palette(values, ordinary):
+        return st.sampled_from(
+            draw(st.lists(st.sampled_from(values) | ordinary, min_size=1, max_size=4))
+        )
+
+    row = st.tuples(
+        palette(keys, st.nothing()),
+        palette(keys, st.nothing()),
+        palette(ints, st.integers(-5, 5)),
+        palette(floats, st.floats(-100, 100)),
+    )
+    return draw(st.lists(row, min_size=4, max_size=40))
+
+
+# theta: equality atoms (fields and computed), then one more conjunct over
+# the detail only or over both sides; every node of the closed set occurs.
+ADVERSARIAL_KEYS = [
+    base.g == detail.g,
+    (base.g == detail.g) & (base.h == detail.h),
+    base.h == detail.h * 1,
+    (base.g == detail.g) & (base.h == -(-detail.h)),
+    None,  # no equality atom: the nested loop
+]
+ADVERSARIAL_CONJUNCTS = [
+    None,
+    detail.f > 0,
+    ~detail.f.is_null(),
+    detail.i.is_in([0, 1, 2**53, True]),
+    (detail.i + detail.f).is_in([0.0, 2.0]),
+    detail.f.between(-1, base.h),
+    (detail.i % 3 == 1) | (detail.f != detail.f),
+    ~(detail.i < base.g),
+    -detail.f < 5,
+    detail.f / detail.i >= base.g,
+    detail.i + 3 >= detail.f,  # 2**53 + 3 against 2.0**53 + 4: exact, not rounded
+    (detail.i * detail.i > 2**60) & (detail.f <= 1e300),
+    base.h.is_null() | (detail.i - base.g == 0),
+]
+ADVERSARIAL_INPUTS = [
+    detail.f,
+    detail.f,
+    detail.i,
+    detail.i,
+    (detail.f > 0) + (detail.i < 0),  # True + True is 2
+    detail.f * detail.i,
+    detail.i + detail.i,
+    detail.f / detail.i,
+    detail.i % 7,
+    -detail.f,
+    detail.f > 0,
+    detail.g,
+    detail.i.between(-1, 1),
+]
+ADVERSARIAL_FUNCTIONS = ["count", "sum", "min", "max", "avg", "var", "std", "geomean"]
+
+adversarial_blocks = st.lists(
+    st.tuples(
+        st.integers(0, len(ADVERSARIAL_KEYS) - 1),
+        st.integers(0, len(ADVERSARIAL_CONJUNCTS) - 1),
+        st.lists(
+            st.tuples(
+                st.sampled_from(ADVERSARIAL_FUNCTIONS + ["count_star"]),
+                st.integers(0, len(ADVERSARIAL_INPUTS) - 1),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
+def adversarial_gmdj(raw_blocks):
+    blocks = []
+    for block_index, (key, conjunct, aggs) in enumerate(raw_blocks):
+        parts = [
+            part
+            for part in (ADVERSARIAL_KEYS[key], ADVERSARIAL_CONJUNCTS[conjunct])
+            if part is not None
+        ]
+        if not parts:
+            parts = [detail.i >= base.g]
+        condition = parts[0] if len(parts) == 1 else parts[0] & parts[1]
+        specs = [
+            count_star(f"c{block_index}_{index}")
+            if name == "count_star"
+            else AggSpec(name, ADVERSARIAL_INPUTS[input_index], f"a{block_index}_{index}")
+            for index, (name, input_index) in enumerate(aggs)
+        ]
+        blocks.append(MDBlock(specs, condition))
+    return blocks
+
+
+def outcome(function, *args):
+    try:
+        result = function(*args)
+    except Exception as error:  # noqa: BLE001 - both engines must fail alike
+        return ("raised", type(error).__name__)
+    relations = result if isinstance(result, tuple) else (result,)
+    return [
+        [repr(value) for value in row] if isinstance(relation, Relation) else relation
+        for relation in relations
+        for row in (relation.rows if isinstance(relation, Relation) else [relation])
+    ]
+
+
+_NAN = math.nan
+
+
+@given(rows=adversarial_rows(), raw_blocks=adversarial_blocks, duplicates=st.integers(0, 3))
+@settings(deadline=None)  # max_examples: the hypothesis profile (CI runs more)
+# One pinned example per rule the lowering keeps; the draws explore the rest.
+# A NaN wins MIN/MAX only as a group's first value; -0.0 + -0.0 stays -0.0.
+@example([(0, 0, 1, _NAN), (0, 0, 2, 2.0), (1, 0, 3, -0.0), (1, 0, 4, 0.0), (2, 0, 5, -0.0)],
+         [(0, 0, [("min", 0), ("max", 0), ("sum", 0)])], 0)
+# NaN passes GEOMEAN's ``value <= 0`` test; 2**53 + 3 is not 2.0**53 + 4.
+@example([(0, 0, 2**53, _NAN), (0, 0, 2**53, 2.0**53 + 4), (1, 0, 1, 2.0)],
+         [(0, 10, [("count_star", 0)]), (0, 0, [("geomean", 0)])], 1)
+# Bools: True + True is 2 in arithmetic and in SUM, a lone True stays True.
+@example([(0, 0, True, 1.5), (0, 0, -2, 2.5), (1, 1, True, 0.5)],
+         [(1, 0, [("sum", 4), ("sum", 2), ("max", 2)])], 0)
+def test_columnar_engine_is_the_row_engine_by_repr(rows, raw_blocks, duplicates):
+    detail_relation = Relation(ADVERSARIAL_SCHEMA, rows)
+    distinct = detail_relation.distinct_project(["g", "h"])
+    # Duplicate base keys: one detail row folds into several groups.
+    base_relation = Relation(distinct.schema, distinct.rows + distinct.rows[:duplicates])
+    blocks = adversarial_gmdj(raw_blocks)
+    for run in (evaluate, evaluate_sub):
+        with use_engine("row"):
+            expected = outcome(run, base_relation, detail_relation, blocks)
+        with use_engine("columnar"):
+            assert outcome(run, base_relation, detail_relation, blocks) == expected
