@@ -57,7 +57,6 @@ from repro.distributed.executor import EXECUTORS
 from repro.distributed.recovery import FAILURE_MODES
 from repro.net import serialize
 from repro.queries.sql import parse_olap_statement
-from repro.relalg.engine import ENGINES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,14 +348,6 @@ def _add_cluster_options(parser, data=None, topology=None) -> None:
         help="leg re-runs before a site is declared failed (retry/degrade)",
     )
     parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="relational execution engine: 'columnar' (vectorized batch "
-        "kernels) or 'row' (tuple-at-a-time oracle); default $REPRO_ENGINE "
-        "or columnar",
-    )
-    parser.add_argument(
         "--wire-codec",
         choices=serialize.CODECS,
         default=None,
@@ -461,8 +452,6 @@ def _config(args) -> ExecutionConfig:
         # default that still answers the query correctly.
         failure_mode = "retry" if getattr(args, "faults", None) else "fail_fast"
     overrides = {}
-    if getattr(args, "engine", None) is not None:
-        overrides["engine"] = args.engine
     if getattr(args, "wire_codec", None) is not None:
         overrides["wire_codec"] = args.wire_codec
     return ExecutionConfig(

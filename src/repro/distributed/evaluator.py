@@ -8,7 +8,7 @@ depth-1 tree, its Section 6 multi-tiered coordinator the same round with
 a merge at interior nodes. One :class:`_RoundWalk` serves both, and one
 edge function serves every parent -> child edge of every round kind, so
 what a run is configured with (leg engine, retry/degrade, speculation,
-row blocking, engine, codec, fault plan) is a property of an edge, not
+row blocking, codec, fault plan) is a property of an edge, not
 of a shape. Every relation moves as encoded bytes over the edge's
 channel, so traffic numbers are real wire sizes.
 
@@ -70,7 +70,6 @@ from repro.net.channel import Channel
 from repro.net.costmodel import CostModel
 from repro.obs.metrics import MetricsRegistry, activate
 from repro.obs.tracer import NULL_TRACER
-from repro.relalg.engine import DEFAULT_ENGINE, ENGINES, use_engine
 from repro.relalg.operators import union_all
 from repro.relalg.relation import Relation
 
@@ -123,18 +122,10 @@ class ExecutionConfig:
     max_retries: int = 2
     retry_backoff_s: float = 0.05
     leg_timeout_s: float = 0.0  # 0 = no per-leg wall-clock budget
-    #: Evaluation engine (``row | columnar``): ``columnar``, the default,
-    #: runs GMDJ and relational kernels batch-at-a-time over column
-    #: vectors; ``row`` is its differential oracle (bit-identical
-    #: results). Honours ``REPRO_ENGINE`` like ``executor`` honours
-    #: ``REPRO_EXECUTOR``.
-    engine: str = field(
-        default_factory=lambda: os.environ.get("REPRO_ENGINE", DEFAULT_ENGINE)
-    )
     #: Wire codec for shipped relations (``row | column``): ``column``,
     #: the default, ships fixed-width / dictionary column blocks (smaller
-    #: and faster to pack); ``row`` is format v1. A traced run also
-    #: measures what the other would have cost. Honours ``REPRO_CODEC``.
+    #: and faster to pack); ``row`` is format v1. What the other would
+    #: have cost is two runs and a ``repro diff``. Honours ``REPRO_CODEC``.
     wire_codec: str = field(
         default_factory=lambda: os.environ.get(
             "REPRO_CODEC", serialize.DEFAULT_CODEC
@@ -184,11 +175,6 @@ class ExecutionConfig:
         if self.leg_timeout_s < 0:
             raise PlanError(
                 f"leg_timeout_s must be >= 0, got {self.leg_timeout_s}"
-            )
-        if self.engine not in ENGINES:
-            raise PlanError(
-                f"unknown engine {self.engine!r}; "
-                f"expected one of {', '.join(ENGINES)}"
             )
         if self.wire_codec not in serialize.CODECS:
             raise PlanError(
@@ -339,11 +325,7 @@ def execute_plan(
             tree, plan, config, tracer, network, engine, coordinator, stats,
             query_id,
         )
-        # Coordinator-side relational work (fragment slicing, streaming
-        # merges) honours the configured engine; sites receive the engine
-        # name on their requests because context vars do not cross thread
-        # pools or forked workers.
-        with watching, use_engine(config.engine), tracer.span(
+        with watching, tracer.span(
             "query", kind="query", rounds=len(plan.rounds),
             sites=cluster.site_count, **walk.ids,
         ):
@@ -678,7 +660,6 @@ class _RoundWalk:
             round_number=self.number,
             traced=self.tracer.enabled,
             query_id=self.ids.get("query_id"),
-            engine=self.config.engine,
             wire_codec=self.config.wire_codec,
             compute_delay_s=compute_delay_s,
         )

@@ -14,9 +14,10 @@ decides how legs run:
   tracer are all safe under concurrent writers, and the coordinator's
   :class:`~repro.gmdj.operator.SyncSession` absorbs fragments in
   completion order (Section 3.2's streaming merge) while staying
-  bit-identical via per-source accumulator banks. Python's GIL still
-  serializes the pure-Python compute, so threads mostly help overlap and
-  prove out the concurrency story;
+  bit-identical via per-source accumulator banks. The site scan's numpy
+  kernels release the GIL, so site legs overlap for real; the per-group
+  Python work (the base hash build, the coordinator's fold) still
+  serializes;
 - ``processes`` — the site-attributed work (decode -> evaluate ->
   encode) is dispatched to forked worker processes, sidestepping the GIL
   for real multi-core speedups. Workers inherit the site warehouses at
@@ -63,7 +64,6 @@ from repro.net import message as msg
 from repro.net import serialize
 from repro.obs.metrics import MetricsRegistry, activate, active_registry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.relalg.engine import DEFAULT_ENGINE, use_engine
 from repro.relalg.relation import Relation
 
 EXECUTORS = ("serial", "threads", "processes", "sockets")
@@ -93,10 +93,6 @@ class SiteRequest:
     #: Service-assigned query identity; stamped on the site spans so a
     #: shared trace file can be filtered per query (schema v2).
     query_id: object = None
-    #: Execution engine for the site-side evaluation (``row | columnar``).
-    #: Carried on the request because context variables do not cross pool
-    #: threads or forked workers.
-    engine: str = DEFAULT_ENGINE
     #: Wire codec for the encoded reply payloads (``row | column``).
     wire_codec: str = serialize.DEFAULT_CODEC
     #: Injected straggler delay: the site sleeps this long (real wall
@@ -108,8 +104,8 @@ class SiteRequest:
         """The request as a REQ-frame body (the payloads cross as MSG frames).
 
         An optional field is present only when it differs from its
-        default, so a default's spelling (``engine``'s, say) is never on
-        the wire. The comparison is against the dataclass default, not
+        default, so a default's spelling (``wire_codec``'s, say) is never
+        on the wire. The comparison is against the dataclass default, not
         against anything the coordinator's environment says.
         """
         return {
@@ -175,64 +171,62 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
     ids = {} if request.query_id is None else {"query_id": request.query_id}
 
     if request.kind == "base":
-        with use_engine(request.engine):
-            with tracer.span(
-                "round.evaluate", kind="site", site=site_id, phase="base", **ids
-            ) as span:
-                result = site.compute_base(request.source)
-                span.set(rows=len(result))
-            with tracer.span("round.encode", kind="site", site=site_id, **ids):
-                payloads = (serialize.encode_relation(result, codec),)
+        with tracer.span(
+            "round.evaluate", kind="site", site=site_id, phase="base", **ids
+        ) as span:
+            result = site.compute_base(request.source)
+            span.set(rows=len(result))
+        with tracer.span("round.encode", kind="site", site=site_id, **ids):
+            payloads = (serialize.encode_relation(result, codec),)
         return SiteReply(
             payloads=payloads,
             rows=len(result),
             compute_s=time.perf_counter() - started,
         )
 
-    with use_engine(request.engine):
-        if request.kind == "merged":
-            with tracer.span(
-                "round.evaluate", kind="site", site=site_id, merged_base=True, **ids
-            ) as span:
-                h_i = site.evaluate_merged_round(
-                    request.source, request.steps, request.key_attrs
-                )
-                span.set(rows=len(h_i))
-        elif request.kind == "round":
-            with tracer.span("round.decode", kind="site", site=site_id, **ids):
-                fragment = serialize.decode_relation(request.down_payloads[0])
-                for extra in request.down_payloads[1:]:
-                    fragment = fragment.union_all(serialize.decode_relation(extra))
-            with tracer.span(
-                "round.evaluate",
-                kind="site",
-                site=site_id,
-                steps=len(request.steps),
-                fragment_rows=len(fragment),
-                **ids,
-            ) as span:
-                h_i = site.evaluate_round(
-                    fragment,
-                    request.steps,
-                    request.key_attrs,
-                    request.independent_reduction,
-                )
-                span.set(rows=len(h_i))
-        else:
-            raise PlanError(f"unknown site request kind {request.kind!r}")
-
+    if request.kind == "merged":
         with tracer.span(
-            "round.encode", kind="site", site=site_id, **ids
-        ) as encode_span:
-            payloads = tuple(
-                serialize.encode_relation(block, codec)
-                for block in row_blocks(h_i, request.row_block_size)
+            "round.evaluate", kind="site", site=site_id, merged_base=True, **ids
+        ) as span:
+            h_i = site.evaluate_merged_round(
+                request.source, request.steps, request.key_attrs
             )
-            encode_span.set(
-                rows=len(h_i),
-                messages=len(payloads),
-                bytes=sum(len(payload) + msg.HEADER_BYTES for payload in payloads),
+            span.set(rows=len(h_i))
+    elif request.kind == "round":
+        with tracer.span("round.decode", kind="site", site=site_id, **ids):
+            fragment = serialize.decode_relation(request.down_payloads[0])
+            for extra in request.down_payloads[1:]:
+                fragment = fragment.union_all(serialize.decode_relation(extra))
+        with tracer.span(
+            "round.evaluate",
+            kind="site",
+            site=site_id,
+            steps=len(request.steps),
+            fragment_rows=len(fragment),
+            **ids,
+        ) as span:
+            h_i = site.evaluate_round(
+                fragment,
+                request.steps,
+                request.key_attrs,
+                request.independent_reduction,
             )
+            span.set(rows=len(h_i))
+    else:
+        raise PlanError(f"unknown site request kind {request.kind!r}")
+
+    with tracer.span(
+        "round.encode", kind="site", site=site_id, **ids
+    ) as encode_span:
+        payloads = tuple(
+            serialize.encode_relation(block, codec)
+            for block in row_blocks(h_i, request.row_block_size)
+        )
+        encode_span.set(
+            rows=len(h_i),
+            messages=len(payloads),
+            bytes=sum(len(payload) + msg.HEADER_BYTES for payload in payloads),
+        )
     return SiteReply(
         payloads=payloads,
         rows=len(h_i),

@@ -4,7 +4,7 @@ The evaluation strategy is the hash-based MD-join of Chatziantoniou et
 al. (ICDE 2001), the paper's reference [7]: for each block, the equality
 atoms of the condition build a hash table over the base-values relation;
 a single scan of the detail relation probes it and updates per-base-row
-accumulators, checking any residual (non-equality) conjuncts per
+aggregate state, checking any residual (non-equality) conjuncts per
 candidate pair. Conditions without equality atoms degrade to a
 nested-loop scan — still correct, and exactly why GMDJ groups may
 overlap, unlike SQL ``GROUP BY`` groups.
@@ -14,8 +14,8 @@ columns**. ``columns[i]`` is the list, over base rows, of the i-th
 sub-aggregate component in ``sub_result_schema`` order — what the site
 kernel accumulates into, what H_i ships as explicit columns (Theorem 1),
 what the coordinator folds arriving fragments into, and what finalize
-reads. Per-group accumulator objects exist only inside the row-engine
-scan (the differential oracle) and for holistic aggregates.
+reads. A holistic aggregate (centralized :func:`evaluate` only) has one
+column, each group's input values.
 
 Three entry points:
 
@@ -39,7 +39,6 @@ from repro.errors import HolisticAggregateError
 from repro.gmdj.blocks import MDBlock, result_schema, sub_result_schema
 from repro.obs.metrics import active_registry
 from repro.relalg import compiler
-from repro.relalg.engine import active_engine
 from repro.relalg.expressions import BASE_VAR, DETAIL_VAR
 from repro.relalg.predicates import split_condition
 from repro.relalg.relation import Relation, tuple_getter
@@ -69,7 +68,8 @@ def _hot_counters() -> tuple:
 def _layout(blocks) -> tuple:
     """``(slots, components)`` of the blocks' aggregate state columns.
 
-    ``components`` lists the sub-aggregate components in
+    ``components`` lists the state components (see
+    :meth:`~repro.relalg.aggregates.AggSpec.state_components`) in
     ``sub_result_schema`` order, one per column; ``slots`` holds one
     ``(function, offset, count)`` per aggregate, whose columns are
     ``columns[offset:offset + count]``.
@@ -78,7 +78,7 @@ def _layout(blocks) -> tuple:
     components: list = []
     for block in blocks:
         for spec in block.aggregates:
-            own = [component for _suffix, component in spec.function.components()]
+            own = spec.state_components()
             slots.append((spec.function, len(components), len(own)))
             components.extend(own)
     return slots, components
@@ -364,207 +364,30 @@ def merge_sub_results(
 
 
 # ---------------------------------------------------------------------------
-# Shared accumulation scan
+# The scan
 # ---------------------------------------------------------------------------
 
 
 def _accumulate(base, detail, blocks, track_touch):
     """Run the MD-join scan; returns ``(slots, columns, touched)``.
 
-    ``columns`` are the flat component columns of the blocks' aggregate
-    state and ``slots`` their per-aggregate layout (see :func:`_layout`).
+    ``columns`` are the flat state columns of the blocks' aggregates and
+    ``slots`` their per-aggregate layout (see :func:`_layout`).
     ``touched[base_row]`` is maintained only when ``track_touch``.
 
-    The scan's per-row work runs through codegen kernels
-    (:mod:`repro.relalg.compiler`): predicates, hash keys and aggregate
-    inputs are lowered to positional closures once per block (cached
-    across calls by expression shape), so the inner loops pay a plain
-    function call per row instead of walking the expression AST. The
-    interpreter path (:meth:`Expr.compile`) remains the differential
-    oracle — see ``tests/test_compiler.py``.
-
-    The row engine below scans with one :class:`Accumulator` per (group,
-    aggregate) — it is the columnar kernels' oracle — and hands its
-    state over as columns at the end. A holistic aggregate has no
-    components: its one column holds the accumulators themselves (the
-    one fallback from plain values, centralized :func:`evaluate` only).
-    """
-    if active_engine() == "columnar":
-        columnar_result = _accumulate_columnar(base, detail, blocks, track_touch)
-        if columnar_result is not None:
-            return columnar_result
-
-    base_schemas = {BASE_VAR: base.schema}
-    detail_schemas = {DETAIL_VAR: detail.schema, None: detail.schema}
-    both_schemas = {BASE_VAR: base.schema, **detail_schemas}
-    detail_aliases = {None: DETAIL_VAR}
-    touched = [False] * len(base.rows) if track_touch else None
-    accumulators = []
-    tuples_examined = 0
-
-    for block in blocks:
-        block_accumulators = [
-            [spec.accumulator() for spec in block.aggregates] for _row in base.rows
-        ]
-        accumulators.append(block_accumulators)
-        input_kernels = [
-            None
-            if spec.input_expr is None
-            else compiler.compile_scalar(
-                spec.input_expr, detail_schemas, (DETAIL_VAR,), aliases=detail_aliases
-            )
-            for spec in block.aggregates
-        ]
-        split = split_condition(block.condition, BASE_VAR, DETAIL_VAR)
-
-        # Base rows that can possibly match (base-only conjuncts).
-        if split.base_only:
-            base_admits = compiler.compile_predicate(
-                split.base_only, base_schemas, (BASE_VAR,)
-            )
-            candidate_base = [
-                index for index, row in enumerate(base.rows) if base_admits(row)
-            ]
-        else:
-            candidate_base = range(len(base.rows))
-
-        # Detail rows that can possibly match (detail-only conjuncts).
-        if split.detail_only:
-            detail_admits = compiler.compile_predicate(
-                split.detail_only, detail_schemas, (DETAIL_VAR,), aliases=detail_aliases
-            )
-            detail_rows = [row for row in detail.rows if detail_admits(row)]
-        else:
-            detail_rows = detail.rows
-
-        residual = (
-            compiler.compile_predicate(
-                split.residual,
-                both_schemas,
-                (BASE_VAR, DETAIL_VAR),
-                aliases=detail_aliases,
-            )
-            if split.residual
-            else None
-        )
-        tuples_examined += len(detail_rows)
-        base_rows = base.rows
-
-        if split.hashable:
-            base_key = compiler.compile_values(
-                [atom.base_expr for atom in split.atoms], base_schemas, (BASE_VAR,)
-            )
-            detail_key = compiler.compile_values(
-                [atom.detail_expr for atom in split.atoms],
-                detail_schemas,
-                (DETAIL_VAR,),
-                aliases=detail_aliases,
-            )
-            # NULL keys never match under SQL equality semantics, so rows
-            # with a NULL key component are excluded from build and probe.
-            table: dict = {}
-            for base_index in candidate_base:
-                key = base_key(base_rows[base_index])
-                if None in key:
-                    continue
-                table.setdefault(key, []).append(base_index)
-
-            table_get = table.get
-            for detail_row in detail_rows:
-                key = detail_key(detail_row)
-                if None in key:
-                    continue
-                matches = table_get(key)
-                if not matches:
-                    continue
-                input_values = [
-                    None if kernel is None else kernel(detail_row)
-                    for kernel in input_kernels
-                ]
-                for base_index in matches:
-                    if residual is not None and not residual(
-                        base_rows[base_index], detail_row
-                    ):
-                        continue
-                    if track_touch:
-                        touched[base_index] = True
-                    for accumulator, value in zip(
-                        block_accumulators[base_index], input_values
-                    ):
-                        accumulator.update(value)
-        else:
-            # No equality atoms: nested-loop evaluation, O(|B| * |R|).
-            for detail_row in detail_rows:
-                input_values = [
-                    None if kernel is None else kernel(detail_row)
-                    for kernel in input_kernels
-                ]
-                for base_index in candidate_base:
-                    if residual is not None and not residual(
-                        base_rows[base_index], detail_row
-                    ):
-                        continue
-                    if track_touch:
-                        touched[base_index] = True
-                    for accumulator, value in zip(
-                        block_accumulators[base_index], input_values
-                    ):
-                        accumulator.update(value)
-
-    _hot_counters()[0].inc(tuples_examined)
-    slots: list = []
-    columns: list = []
-    for block, block_accumulators in zip(blocks, accumulators):
-        for agg_index, spec in enumerate(block.aggregates):
-            per_row = [row[agg_index] for row in block_accumulators]
-            if spec.is_holistic:
-                own = [per_row]
-            else:
-                values = [accumulator.sub_values() for accumulator in per_row]
-                own = [
-                    [row_values[position] for row_values in values]
-                    for position in range(len(spec.function.components()))
-                ]
-            slots.append((spec.function, len(columns), len(own)))
-            columns.extend(own)
-    return slots, columns, touched
-
-
-def _vectorizable(blocks) -> bool:
-    """Whether every aggregate's components have inlinable update rules.
-
-    Holistic accumulators and custom components registered via
-    :func:`repro.relalg.aggregates.register_aggregate` with kinds outside
-    :data:`repro.relalg.compiler.VECTORIZED_COMPONENT_KINDS` fall back to
-    the row engine — correctness over speed for extensions.
-    """
-    for block in blocks:
-        for spec in block.aggregates:
-            if spec.is_holistic:
-                return False
-            for _suffix, component in spec.function.components():
-                if component.kind not in compiler.VECTORIZED_COMPONENT_KINDS:
-                    return False
-    return True
-
-
-def _accumulate_columnar(base, detail, blocks, track_touch):
-    """The MD-join scan over whole columns of the detail relation.
-
-    Same algorithm as the row path — base-only prefilter, hash build over
-    equality atoms, detail scan with residual checks — but the detail-only
+    Per block: the base-only conjuncts prefilter the base rows and the
+    equality atoms build a hash table over the survivors; the detail-only
     conjuncts are one selection vector
-    (:func:`repro.relalg.compiler.compile_mask`) and probe, residuals,
-    aggregate inputs and component folds are one vector kernel per block
+    (:func:`repro.relalg.compiler.compile_mask`); probe, residuals,
+    aggregate inputs and component folds are one vector kernel
     (:func:`repro.relalg.compiler.compile_grouped_accumulate`) over the
     relations' cached typed views and key codes, producing the state
-    columns themselves. Returns ``None`` when a block cannot be vectorized
-    (holistic or unknown custom components), which sends the caller down
-    the row path. Results are bit-identical to the row engine: the kernels
-    fold each group's values in detail-row order, by the same rules.
+    columns themselves. Every group folds its values in detail-row order
+    by ``Component.update``'s rule, custom kinds and holistic aggregates
+    included, so the result is bit-identical by ``repr`` to one
+    accumulator per (group, aggregate) fed row by row — the oracle kept
+    in ``tests/oracle/``.
     """
-    if not _vectorizable(blocks):
-        return None
     slots, _components = _layout(blocks)
     base_schemas = {BASE_VAR: base.schema}
     schemas = {BASE_VAR: base.schema, DETAIL_VAR: detail.schema, None: detail.schema}
@@ -613,10 +436,7 @@ def _accumulate_columnar(base, detail, blocks, track_touch):
         kernel = compiler.compile_grouped_accumulate(
             key_exprs,
             [spec.input_expr for spec in block.aggregates],
-            [
-                [component for _suffix, component in spec.function.components()]
-                for spec in block.aggregates
-            ],
+            [spec.state_components() for spec in block.aggregates],
             split.residual,
             schemas,
             detail_aliases,

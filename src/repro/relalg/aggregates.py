@@ -172,6 +172,24 @@ class MaxComponent(Component):
         return max(left, right)
 
 
+class ValuesComponent(Component):
+    """A holistic aggregate's state: the group's input values, NULLs
+    included, in the order they arrived. It never ships (a holistic
+    aggregate has no decomposition), so it has no ``combine``."""
+
+    kind = "values"
+
+    def initial(self):
+        return []
+
+    def update(self, accumulator, value):
+        accumulator.append(value)
+        return accumulator
+
+
+_VALUES = ValuesComponent()
+
+
 # ---------------------------------------------------------------------------
 # Aggregate functions
 # ---------------------------------------------------------------------------
@@ -202,8 +220,7 @@ class AggregateFunction:
 
         ``columns`` holds this function's component lists, in
         :meth:`components` order and row-aligned — the runtime
-        representation of aggregate state everywhere outside the
-        row-engine scan.
+        representation of aggregate state.
         """
         finalize = self.finalize
         return [finalize(values) for values in zip(*columns)]
@@ -321,9 +338,9 @@ class _HolisticFunction(AggregateFunction):
         raise NotImplementedError
 
     def finalize_columns(self, columns):
-        """No components: the one state column holds the per-group
-        :class:`HolisticAccumulator` objects themselves."""
-        return [accumulator.result() for accumulator in columns[0]]
+        """No components: the one state column holds each group's input
+        values (a :class:`ValuesComponent` column)."""
+        return [self.holistic_result(values) for values in columns[0]]
 
 
 class MedianFunction(_HolisticFunction):
@@ -511,6 +528,14 @@ class AggSpec:
         return tuple(attribute.name for attribute in self.sub_attributes())
 
     # -- runtime ------------------------------------------------------------------
+
+    def state_components(self) -> tuple:
+        """The components a scan folds this aggregate into, one state
+        column each: the sub-aggregate components in :meth:`sub_attributes`
+        order, or a holistic aggregate's one :class:`ValuesComponent`."""
+        if self.is_holistic:
+            return (_VALUES,)
+        return tuple(component for _suffix, component in self._function.components())
 
     def accumulator(self) -> "Accumulator":
         if self.is_holistic:

@@ -1,4 +1,4 @@
-"""Expression compiler: row kernels for the oracle, vector kernels for the scan.
+"""Expression compiler: row kernels per tuple, vector kernels for the scan.
 
 The closed node set of :mod:`repro.relalg.expressions` lowers two ways,
 both with the interpreter's semantics exactly (:meth:`Expr.eval` is the
@@ -6,19 +6,25 @@ oracle, see ``tests/test_compiler.py``): arithmetic over ``None`` and
 ``/`` or ``%`` by zero yield ``None``; comparisons, ``BETWEEN`` and ``IN``
 with a ``None`` operand are ``False``; ``&`` / ``|`` never evaluate their
 right operand where the left decides (so a type-incompatible comparison
-guarded by the left side raises in neither engine).
+guarded by the left side raises in neither lowering).
 
 **Row kernels** (:func:`compile_scalar`, :func:`compile_predicate`,
-:func:`compile_values`) serve the row engine: one generated Python
-function of straight-line statements over positional row tuples, e.g.
+:func:`compile_values`): one generated Python function of straight-line
+statements over positional row tuples, e.g.
 ``_t1 = False if _row1[2] is None else _row1[2] >= 10``, called per row.
+They serve what is still per tuple: the coordinator's ¬ψᵢ ship filter
+(:meth:`~repro.distributed.coordinator.Coordinator.fragment_for_site`),
+the scan's base-only prefilter and its base hash key
+(:func:`repro.gmdj.operator._accumulate`) — and the tests' row oracle
+(``tests/oracle/``), which scans with them.
 
 **Vector kernels** (:func:`compile_mask`, :func:`compile_batch_scalar`,
-:func:`compile_grouped_accumulate`) serve the columnar engine: each node
-runs once per column, as numpy operations over the cached typed views of
+:func:`compile_grouped_accumulate`) serve the GMDJ scan and
+``Relation.select`` / ``extend`` / ``theta_join``: each node runs once
+per column, as numpy operations over the cached typed views of
 :class:`~repro.relalg.columnar.ColumnarRelation`, on a vector
 ``(data, valid)`` whose validity mask carries NULL (``None``: no NULL).
-Every result is the Python value the row engine computes:
+Every result is the Python value the row kernels compute:
 
 - *dtype*: ``int64`` holds ints with ``|v| <= 2**53`` (int/float mixing
   converts exactly) and moves to ``object`` when a result may leave that
@@ -29,14 +35,15 @@ Every result is the Python value the row engine computes:
 - *laziness*: ``&`` / ``|`` run their right operand on the positions the
   left leaves undecided, conjunct lists and ``BETWEEN`` narrow likewise,
   and a scan evaluates aggregate inputs only on detail rows that found a
-  base row — every operator sees the rows the row engine shows it;
+  base row — every operator sees the rows a row-at-a-time scan shows it;
 - *order*: folds are ordered scatters (``ufunc.at``, ``bincount``) over
-  pairs in detail-row order, the row engine's, so float sums are
+  pairs in detail-row order, a row-at-a-time scan's, so float sums are
   bit-identical (:func:`compile_grouped_accumulate` has each kind's rule).
 
 Row kernels inline literals and are cached by expression; vector kernels
-are cached by *shape*, constants bound at call time; the process-wide
-cache is bounded (:data:`MAX_CACHED_KERNELS`).
+are cached by *shape*, constants bound at call time; the coordinator's
+combine kernels (:func:`compile_grouped_combine`) by kinds and positions.
+One process-wide cache holds them all, bounded (:data:`MAX_CACHED_KERNELS`).
 """
 
 from __future__ import annotations
@@ -422,7 +429,7 @@ def compile_values(
 
 
 # ---------------------------------------------------------------------------
-# Vector kernels (the columnar engine)
+# Vector kernels
 # ---------------------------------------------------------------------------
 
 _BOOL, _INT, _OBJECT = np.dtype(bool), np.dtype(np.int64), np.dtype(object)
@@ -698,7 +705,7 @@ def _vector_kernel(mode, groups: Sequence, schemas: Mapping, aliases, build) -> 
 def compile_mask(conditions, schemas: Mapping, aliases: Optional[Mapping] = None) -> Callable:
     """Compile a conjunction to ``mask(count, sources) -> positions``.
 
-    The selection vector of the columnar engine: ``sources`` maps each
+    The selection vector of a scan: ``sources`` maps each
     relation variable to ``(ColumnarRelation, rows)`` as in
     :class:`_Frame`, and the result is the ascending positions satisfying
     every conjunct (the early exit of :func:`compile_predicate`).
@@ -723,9 +730,10 @@ def compile_batch_scalar(expr: Expr, schemas: Mapping, aliases: Optional[Mapping
 
 
 #: Component kinds whose ``update`` and ``combine`` rules the kernels
-#: implement. Anything else (custom
-#: :func:`repro.relalg.aggregates.register_aggregate` components, holistic
-#: accumulators) scans with the row engine and combines through
+#: implement. A scan folds any other kind (a custom
+#: :func:`repro.relalg.aggregates.register_aggregate` component) through
+#: ``Component.update`` per pair, NULL included, and gathers a holistic
+#: aggregate's ``values``; the coordinator combines a custom kind through
 #: ``Component.combine``.
 VECTORIZED_COMPONENT_KINDS = frozenset(
     ("count_star", "count", "sum", "sumsq", "min", "max", "logsum", "poscount")
@@ -770,12 +778,18 @@ def _scatter(kind: str, groups: np.ndarray, data: np.ndarray, size: int) -> Opti
     return total
 
 
-def _fold(component, groups: np.ndarray, data, present: np.ndarray) -> list:
-    """One component column: ``component.update`` of every pair's value
-    into its group, pairs in order (see :func:`compile_grouped_accumulate`).
-    ``groups`` / ``data`` hold the non-NULL values, ``present`` counts them
-    per group."""
-    kind, size = component.kind, len(present)
+def _fold(component, groups: np.ndarray, vector: tuple, pairs: np.ndarray) -> list:
+    """One column of a kind in :data:`VECTORIZED_COMPONENT_KINDS`:
+    ``component.update`` of every pair's value into its group, pairs in
+    order (see :func:`compile_grouped_accumulate`). ``groups`` / ``vector``
+    hold each pair's group and value, ``pairs`` counts the pairs per group;
+    these kinds skip NULL, so only the valid values fold."""
+    kind, size = component.kind, len(pairs)
+    data, valid = vector
+    present = pairs
+    if valid is not None:
+        groups, data = groups[valid], data[valid]
+        present = np.bincount(groups, minlength=size)
     if kind == "count":
         return present.tolist()
     if kind in ("logsum", "poscount") and data.dtype != _OBJECT:
@@ -788,26 +802,41 @@ def _fold(component, groups: np.ndarray, data, present: np.ndarray) -> list:
         data = np.fromiter(map(math.log, data.tolist()), dtype=np.float64, count=len(data))
         kind = "sum"
     total = _scatter(kind, groups, data, size) if kind in ("sum", "sumsq", "min", "max") else None
-    if total is None:  # the Python rule per value, in numpy's object loop
-        column = np.full(size, component.initial(), dtype=object)
-        np.frompyfunc(component.update, 2, 1).at(column, groups, data)
-        return column.tolist()
+    if total is None:  # the Python rule per value
+        return _fold_each(component, groups, data, size)
     column = total.tolist()
     for group in np.flatnonzero(present == 0).tolist():
         column[group] = None
     return column
 
 
+def _fold_each(component, groups: np.ndarray, values: np.ndarray, size: int) -> list:
+    """One column by ``component.update`` itself: each value into its
+    group, in order, in numpy's ordered object loop, every group from its
+    own ``initial()`` (a custom kind's may be mutable). A holistic
+    ``values`` column is what that ``update`` builds — each group's values
+    in order — gathered by one stable sort of the values by group."""
+    if component.kind == "values":
+        ends = np.cumsum(np.bincount(groups, minlength=size)).tolist()
+        ordered = values[np.argsort(groups, kind="stable")].tolist()
+        return [ordered[start:end] for start, end in zip([0, *ends], ends)]
+    column = np.empty(size, dtype=object)
+    for group in range(size):
+        column[group] = component.initial()
+    np.frompyfunc(component.update, 2, 1).at(column, groups, values)
+    return column.tolist()
+
+
 class _ScanPlan:
     """One block's lowered scan (see :func:`compile_grouped_accumulate`)."""
 
     def __init__(self, lower, keys, inputs, residuals, schemas: Mapping, aliases: Mapping):
-        # Per key: the (relvar, position) it reads if it is a field, and its lowering.
-        self.keys = keys and [
-            (_resolve(shape, schemas, aliases) if shape[0] == "field" else None, lower(shape))
-            for shape in keys
-        ]
-        self.inputs = list(map(lower, inputs))
+        def field(shape):  # the (relvar, position) a field reads, else None
+            return _resolve(shape, schemas, aliases) if shape and shape[0] == "field" else None
+
+        # Per key and per input: the field it reads, if it is one, and its lowering.
+        self.keys = keys and [(field(shape), lower(shape)) for shape in keys]
+        self.inputs = [(field(shape), lower(shape)) for shape in inputs]
         self.residuals = list(map(lower, residuals))
 
     def _codes(self, frame: _Frame, detail, rows) -> tuple:
@@ -818,7 +847,7 @@ class _ScanPlan:
             return (zip(uniques) if len(fields) == 1 else uniques), _compose(codes, rows)
         columns = []
         for field, lowered in self.keys:
-            if field and field[0] == DETAIL_VAR:  # the stored objects, as the row engine probes
+            if field and field[0] == DETAIL_VAR:  # the stored objects, as a row probe sees them
                 values = detail.value_lists().keys(field[1:])
                 columns.append(values if rows is None else list(map(values.__getitem__, rows.tolist())))
             else:
@@ -869,22 +898,36 @@ class _ScanPlan:
                 touched[index] = True
         inputs = frame if probing is None else frame.take(probing)
         columns = []
-        for lowered, group in zip(self.inputs, components):
-            groups, data, present = bases, None, pairs
+        for (field, lowered), group in zip(self.inputs, components):
+            vector = values = None  # the pairs' values: typed, then as objects
             if lowered is not None:
                 data, valid = lowered(inputs)
-                data = _compose(data, at)
-                if valid is not None:
-                    valid = _compose(valid, at)
-                    groups, data = bases[valid], data[valid]
-                    present = np.bincount(groups, minlength=len(base))
-            with np.errstate(all="ignore"):  # IEEE results, as Python's floats give
-                columns.extend(
-                    pairs.tolist() if component.kind == "count_star"
-                    else _fold(component, groups, data, present)
-                    for component in group
-                )
+                vector = _compose(data, at), None if valid is None else _compose(valid, at)
+            for component in group:
+                if component.kind == "count_star":
+                    columns.append(pairs.tolist())
+                elif vector is not None and component.kind in VECTORIZED_COMPONENT_KINDS:
+                    with np.errstate(all="ignore"):  # IEEE results, as Python's floats give
+                        columns.append(_fold(component, bases, vector, pairs))
+                else:  # every pair's value, NULL included
+                    if values is None:
+                        pair_rows = _compose(rows, _compose(probing, at))
+                        values = self._values(field, vector, detail, pair_rows, len(bases))
+                    columns.append(_fold_each(component, bases, values, len(base)))
         return columns
+
+    @staticmethod
+    def _values(field, vector, detail, pair_rows, count: int) -> np.ndarray:
+        """The pairs' values as Python objects, ``None`` at NULLs; for a
+        detail field the stored objects themselves, as the row kernels
+        read them (a NaN object is equal only to itself)."""
+        if vector is None:  # COUNT(*): no input
+            return np.full(count, None, dtype=object)
+        if field is None or field[0] != DETAIL_VAR:
+            return _objects(vector)
+        stored = detail.value_lists().keys(field[1:])
+        stored = np.fromiter(stored, dtype=object, count=len(stored))
+        return stored if pair_rows is None else stored[pair_rows]
 
 
 def compile_grouped_accumulate(
@@ -923,7 +966,11 @@ def compile_grouped_accumulate(
     as a group's first value; ``logsum`` / ``poscount`` over ``not v <= 0``
     with ``math.log`` per value. Values no typed dtype folds exactly
     (objects, bools, an int64 total that might overflow) fold through
-    ``Component.update`` itself, in numpy's ordered object loop.
+    ``Component.update`` itself, in numpy's ordered object loop. So does
+    every pair's value, NULL included, for a kind the kernels do not know
+    (each group from its own ``initial()``); a holistic ``values`` column
+    lists each group's values, NULL included, in pair order. Those two
+    see a detail field's stored objects, as the row kernels do.
     """
     components = tuple(tuple(group) for group in components)
     kinds = tuple(tuple(component.kind for component in group) for group in components)
@@ -1031,33 +1078,31 @@ def compile_grouped_combine(
     if not VECTORIZED_COMPONENT_KINDS.issuperset(kinds):
         return _combine_loop(components, key_positions, sub_positions)
     key = ("grouped_combine", kinds, key_positions, sub_positions, records_touch)
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is not None:
+
+    def build():
+        emitter = _Emitter({}, {})
+        for index in range(len(kinds)):
+            emitter.line(0, f"_acc{index} = _accs[{index}]")
+        emitter.line(0, "for _r in _rows:")
+        key_tuple = "".join(f"_r[{position}], " for position in key_positions)
+        emitter.line(1, f"_matches = _probe(({key_tuple}))")
+        emitter.line(1, "if not _matches:")
+        emitter.line(2, "continue")
+        if records_touch:
+            emitter.line(1, "_touch(_matches)")
+        for index, position in enumerate(sub_positions):
+            emitter.line(1, f"_v{index} = _r[{position}]")
+        emitter.line(1, "for _b in _matches:")
+        for index, kind in enumerate(kinds):
+            _emit_component_combine(emitter, 2, kind, f"_acc{index}", f"_v{index}")
+
+        source = "def _kernel(_rows, _probe, _accs, _touch=None):\n" + "\n".join(
+            "    " + line for line in emitter.lines
+        )
+        env = emitter.env
+        exec(compile(source, "<relalg-combine-kernel>", "exec"), env)  # noqa: S102
+        kernel = env["_kernel"]
+        kernel.__kernel_source__ = source
         return kernel
 
-    emitter = _Emitter({}, {})
-    for index in range(len(kinds)):
-        emitter.line(0, f"_acc{index} = _accs[{index}]")
-    emitter.line(0, "for _r in _rows:")
-    key_tuple = "".join(f"_r[{position}], " for position in key_positions)
-    emitter.line(1, f"_matches = _probe(({key_tuple}))")
-    emitter.line(1, "if not _matches:")
-    emitter.line(2, "continue")
-    if records_touch:
-        emitter.line(1, "_touch(_matches)")
-    for index, position in enumerate(sub_positions):
-        emitter.line(1, f"_v{index} = _r[{position}]")
-    emitter.line(1, "for _b in _matches:")
-    for index, kind in enumerate(kinds):
-        _emit_component_combine(emitter, 2, kind, f"_acc{index}", f"_v{index}")
-
-    source = "def _kernel(_rows, _probe, _accs, _touch=None):\n" + "\n".join(
-        "    " + line for line in emitter.lines
-    )
-    env = emitter.env
-    exec(compile(source, "<relalg-combine-kernel>", "exec"), env)  # noqa: S102
-    kernel = env["_kernel"]
-    kernel.__kernel_source__ = source
-    with _CACHE_LOCK:
-        _KERNEL_CACHE[key] = kernel
-    return kernel
+    return _cached(key, build)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import SchemaError
-from repro.relalg import compiler, engine
+from repro.relalg import compiler
 from repro.relalg.aggregates import AggSpec
 from repro.relalg.expressions import BASE_VAR, DETAIL_VAR, Expr
 from repro.relalg.relation import Relation
@@ -67,29 +67,19 @@ def theta_join(left: Relation, right: Relation, condition: Expr) -> Relation:
     """Nested-loop join; condition fields use ``base`` (left) / ``detail`` (right)."""
     schema = left.schema.concat(right.schema)
     schemas = {BASE_VAR: left.schema, DETAIL_VAR: right.schema}
-    if engine.active_engine() == "columnar":
-        # One selection vector over the right relation's columns per left row.
-        mask = compiler.compile_mask(condition, schemas)
-        left_columns, right_columns = left.to_columnar(), right.to_columnar()
-        right_count = len(right.rows)
-        right_rows = right.rows
-        rows = []
-        for index, l_row in enumerate(left.rows):
-            sources = {
-                BASE_VAR: (left_columns, np.full(right_count, index)),
-                DETAIL_VAR: (right_columns, None),
-            }
-            for r_index in mask(right_count, sources).tolist():
-                rows.append(l_row + right_rows[r_index])
-        return Relation(schema, rows)
-    predicate = compiler.compile_predicate(
-        condition, schemas, (BASE_VAR, DETAIL_VAR)
-    )
+    # One selection vector over the right relation's columns per left row.
+    mask = compiler.compile_mask(condition, schemas)
+    left_columns, right_columns = left.to_columnar(), right.to_columnar()
+    right_count = len(right.rows)
+    right_rows = right.rows
     rows = []
-    for l_row in left.rows:
-        for r_row in right.rows:
-            if predicate(l_row, r_row):
-                rows.append(l_row + r_row)
+    for index, l_row in enumerate(left.rows):
+        sources = {
+            BASE_VAR: (left_columns, np.full(right_count, index)),
+            DETAIL_VAR: (right_columns, None),
+        }
+        for r_index in mask(right_count, sources).tolist():
+            rows.append(l_row + right_rows[r_index])
     return Relation(schema, rows)
 
 

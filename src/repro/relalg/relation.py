@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import SchemaError
-from repro.relalg import compiler, engine
+from repro.relalg import compiler
 from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.expressions import Expr
 from repro.relalg.schema import Attribute, Schema, infer_type
@@ -138,12 +138,9 @@ class Relation:
 
     def select(self, condition: Expr) -> "Relation":
         """Rows satisfying ``condition`` (fields unqualified)."""
-        if engine.active_engine() == "columnar":
-            mask = compiler.compile_mask(condition, {None: self.schema})
-            indices = mask(len(self.rows), {None: (self.to_columnar(), None)})
-            return Relation(self.schema, map(self.rows.__getitem__, indices.tolist()))
-        predicate = compiler.compile_predicate(condition, {None: self.schema}, (None,))
-        return Relation(self.schema, (row for row in self.rows if predicate(row)))
+        mask = compiler.compile_mask(condition, {None: self.schema})
+        indices = mask(len(self.rows), {None: (self.to_columnar(), None)})
+        return Relation(self.schema, map(self.rows.__getitem__, indices.tolist()))
 
     def select_fn(self, predicate: Callable) -> "Relation":
         """Rows for which ``predicate(row_tuple)`` is truthy."""
@@ -164,25 +161,15 @@ class Relation:
     def distinct_project(self, names: Sequence[str]) -> "Relation":
         """``distinct(project(names))`` in one pass, first-seen order.
 
-        The columnar engine answers from the cached factorization of the
-        key, which a scan grouping on the same attributes probes with.
+        The answer is the cached factorization of the key, which a scan
+        grouping on the same attributes probes with.
         """
         positions = self.schema.positions(names)
-        if positions and engine.active_engine() == "columnar":
-            uniques, _codes = self.to_columnar().codes(positions)
-            return Relation(
-                self.schema.project(names), zip(uniques) if len(positions) == 1 else uniques
-            )
-        if len(positions) > 1:
-            unique = dict.fromkeys(map(itemgetter(*positions), self.rows))
-        elif positions:
-            # itemgetter of one position yields scalars: dedupe those, then
-            # wrap the survivors (``(1,) == (1.0,)`` exactly when ``1 == 1.0``).
-            scalars = dict.fromkeys(map(itemgetter(positions[0]), self.rows))
-            unique = [(value,) for value in scalars]
-        else:
-            unique = [()] if self.rows else []
-        return Relation(self.schema.project(names), unique)
+        schema = self.schema.project(names)
+        if not positions:
+            return Relation(schema, [()] if self.rows else [])
+        uniques, _codes = self.to_columnar().codes(positions)
+        return Relation(schema, zip(uniques) if len(positions) == 1 else uniques)
 
     def union_all(self, other: "Relation") -> "Relation":
         """Multiset union; schemas must be identical."""
@@ -195,14 +182,9 @@ class Relation:
     def extend(self, name: str, type_name: str, expression: Expr) -> "Relation":
         """Append a computed column (fields of ``expression`` unqualified)."""
         schema = self.schema.concat(Schema([Attribute(name, type_name)]))
-        if engine.active_engine() == "columnar":
-            batch = compiler.compile_batch_scalar(expression, {None: self.schema})
-            values = batch(len(self.rows), {None: (self.to_columnar(), None)})
-            return Relation(
-                schema, (row + (value,) for row, value in zip(self.rows, values))
-            )
-        func = compiler.compile_scalar(expression, {None: self.schema}, (None,))
-        return Relation(schema, (row + (func(row),) for row in self.rows))
+        batch = compiler.compile_batch_scalar(expression, {None: self.schema})
+        values = batch(len(self.rows), {None: (self.to_columnar(), None)})
+        return Relation(schema, (row + (value,) for row, value in zip(self.rows, values)))
 
     def rename(self, mapping: dict) -> "Relation":
         return Relation(self.schema.rename(mapping), self.rows)

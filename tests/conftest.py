@@ -16,6 +16,8 @@ import threading
 import pytest
 from hypothesis import settings
 
+import oracle
+from repro.gmdj import operator as gmdj_operator
 from repro.gmdj.blocks import MDBlock, result_schema
 from repro.relalg.aggregates import AggSpec
 from repro.relalg.expressions import BASE_VAR, DETAIL_VAR
@@ -84,6 +86,15 @@ def assert_relations_equal(left: Relation, right: Relation, places: int = 9):
 
 def _sort_key(row):
     return tuple((value is not None, str(type(value)), value) for value in row)
+
+
+@pytest.fixture
+def row_oracle(monkeypatch):
+    """The whole test scans with the row oracle (:mod:`oracle.scan`) in
+    place of the vector scan. It is installed before the test starts, so
+    a ``processes`` executor the test creates forks workers that have it."""
+    monkeypatch.setattr(gmdj_operator, "_accumulate", oracle.accumulate)
+    return oracle.accumulate
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Columnar storage, batch kernels and the column-block wire codec.
 
-Unit-level coverage for the columnar engine: the per-column relation
+Unit-level coverage for the vector scan: the per-column relation
 representation and its cached typed views and key codes
 (:mod:`repro.relalg.columnar`), the vector kernels
 (:func:`repro.relalg.compiler.compile_mask` and friends),
@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_gmdj, make_flows
+from oracle import row_scan
 from repro.errors import SchemaError, SerializationError
 from repro.gmdj import operator
 from repro.gmdj.blocks import MDBlock
@@ -26,7 +27,6 @@ from repro.net import serialize
 from repro.relalg import compiler
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.columnar import Column, ColumnarRelation
-from repro.relalg.engine import use_engine
 from repro.relalg.expressions import BASE_VAR, DETAIL_VAR, Const, base, col, detail
 from repro.relalg.index import HashIndex
 from repro.relalg.relation import Relation
@@ -259,19 +259,22 @@ class TestBatchKernels:
         assert values == [scalar(row) for row in relation.rows]
 
     def test_select_and_extend_identical_across_engines(self):
+        """The vector ``select`` / ``extend`` against the row kernels."""
         relation = random_mixed_relation(120, seed=7)
         condition = col.f > Const(0.0)
         expression = col.f * Const(0.5)
-        with use_engine("row"):
-            row_selected = relation.select(condition)
-            row_extended = relation.extend("half", FLOAT, expression)
-        with use_engine("columnar"):
-            col_selected = relation.select(condition)
-            col_extended = relation.extend("half", FLOAT, expression)
-        assert col_selected.rows == row_selected.rows
-        assert col_extended.rows == row_extended.rows
+        schemas = {None: relation.schema}
+        predicate = compiler.compile_predicate(condition, schemas, (None,))
+        scalar = compiler.compile_scalar(expression, schemas, (None,))
+        assert relation.select(condition).rows == [
+            row for row in relation.rows if predicate(row)
+        ]
+        assert relation.extend("half", FLOAT, expression).rows == [
+            row + (scalar(row),) for row in relation.rows
+        ]
 
     def test_theta_join_identical_across_engines(self):
+        """The vector ``theta_join`` against the row kernels' nested loop."""
         from repro.relalg.operators import theta_join
 
         left = Relation(Schema.of(("k", INT)), [(1,), (2,), (None,)])
@@ -280,11 +283,17 @@ class TestBatchKernels:
             [(1, 10.0), (2, 20.0), (1, 30.0), (None, 40.0)],
         )
         condition = base.k == detail.k2
-        with use_engine("row"):
-            row_joined = theta_join(left, right, condition)
-        with use_engine("columnar"):
-            col_joined = theta_join(left, right, condition)
-        assert col_joined.rows == row_joined.rows
+        predicate = compiler.compile_predicate(
+            condition,
+            {BASE_VAR: left.schema, DETAIL_VAR: right.schema},
+            (BASE_VAR, DETAIL_VAR),
+        )
+        assert theta_join(left, right, condition).rows == [
+            l_row + r_row
+            for l_row in left.rows
+            for r_row in right.rows
+            if predicate(l_row, r_row)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +324,9 @@ class TestGMDJColumnar:
         flows = make_flows(count=300, seed=31)
         base_relation = flows.distinct_project(["SourceAS"])
         blocks = self.blocks()
-        with use_engine("row"):
+        with row_scan():
             row_result = operator.evaluate(base_relation, flows, blocks)
-        with use_engine("columnar"):
-            columnar_result = operator.evaluate(base_relation, flows, blocks)
+        columnar_result = operator.evaluate(base_relation, flows, blocks)
         assert columnar_result.rows == row_result.rows  # bit-identical
         brute = brute_force_gmdj(base_relation, flows, blocks)
         assert columnar_result.schema == brute.schema
@@ -334,43 +342,45 @@ class TestGMDJColumnar:
             .stage([count_star("above")], extra=detail.Price >= base.m)
             .build()
         )
-        with use_engine("columnar"):
-            tpcr.distinct()
-            assert tpcr.to_columnar().built_columns() == ()
-            columnar_result = expression.evaluate_centralized({"TPCR": tpcr})
+        tpcr.distinct()
+        assert tpcr.to_columnar().built_columns() == ()
+        columnar_result = expression.evaluate_centralized({"TPCR": tpcr})
         # The base-values query and both scans read NationKey's codes and
         # Price's typed view; no value list is kept, none is transposed.
         assert tpcr.to_columnar().built_views() == ("NationKey", "Price")
         assert tpcr.to_columnar().built_columns() == ()
-        with use_engine("row"):
+        with row_scan():
             row_result = expression.evaluate_centralized({"TPCR": tpcr})
         assert columnar_result.rows == row_result.rows
 
-    def test_holistic_aggregates_fall_back_to_row_path(self):
+    def test_holistic_aggregates_fold_on_the_vector_scan(self):
         flows = make_flows(count=100, seed=32)
         base_relation = flows.distinct_project(["SourceAS"])
         blocks = [
             MDBlock(
-                [AggSpec("median", detail.NumBytes, "mid"), count_star("cnt")],
+                [
+                    AggSpec("median", detail.NumBytes, "mid"),
+                    AggSpec("count_distinct", detail.DestAS, "dests"),
+                    count_star("cnt"),
+                ],
                 base.SourceAS == detail.SourceAS,
             )
         ]
-        with use_engine("row"):
+        with row_scan():
             row_result = operator.evaluate(base_relation, flows, blocks)
-        with use_engine("columnar"):
-            columnar_result = operator.evaluate(base_relation, flows, blocks)
+        columnar_result = operator.evaluate(base_relation, flows, blocks)
         assert columnar_result.rows == row_result.rows
+        assert columnar_result.rows == brute_force_gmdj(base_relation, flows, blocks).rows
 
     def test_evaluate_sub_touched_flags_identical(self):
         flows = make_flows(count=200, seed=33)
         base_relation = flows.distinct_project(["SourceAS"])
         blocks = self.blocks()
-        with use_engine("row"):
+        with row_scan():
             row_sub, row_touched = operator.evaluate_sub(base_relation, flows, blocks)
-        with use_engine("columnar"):
-            columnar_sub, columnar_touched = operator.evaluate_sub(
-                base_relation, flows, blocks
-            )
+        columnar_sub, columnar_touched = operator.evaluate_sub(
+            base_relation, flows, blocks
+        )
         assert columnar_sub.rows == row_sub.rows
         assert columnar_touched == row_touched
 

@@ -21,6 +21,8 @@ from test_property_expressions import (
 )
 
 from repro.relalg.compiler import (
+    compile_batch_scalar,
+    compile_mask,
     compile_predicate,
     compile_scalar,
     compile_values,
@@ -36,6 +38,7 @@ from repro.relalg.expressions import (
     detail,
 )
 from repro.relalg.predicates import conjuncts
+from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, STR, Schema
 
 _SCHEMAS = {BASE_VAR: BASE_SCHEMA, DETAIL_VAR: DETAIL_SCHEMA}
@@ -96,55 +99,85 @@ def test_values_kernel_matches_scalars(expression, base_row, detail_row):
 
 
 # ---------------------------------------------------------------------------
-# Targeted semantics the corpus cannot reach
+# Targeted semantics the corpus cannot reach, in both lowerings
 # ---------------------------------------------------------------------------
 
 _MIXED = Schema.of(("name", STR), ("score", FLOAT))
+
+
+def _sources(schemas, params, rows):
+    """One row per relation variable, as the vector kernels' sources."""
+    return {
+        relvar: (Relation(schemas[relvar], [row]).to_columnar(), None)
+        for relvar, row in zip(params, rows)
+    }
+
+
+def _vector_predicate(condition, schemas, params):
+    """:func:`compile_mask` behind the row kernel's signature."""
+    mask = compile_mask(condition, schemas)
+    return lambda *rows: len(mask(1, _sources(schemas, params, rows))) == 1
+
+
+def _vector_scalar(expression, schemas, params):
+    """:func:`compile_batch_scalar` behind the row kernel's signature."""
+    batch = compile_batch_scalar(expression, schemas)
+    return lambda *rows: batch(1, _sources(schemas, params, rows))[0]
+
+
+#: Each targeted case runs against the row kernels and the vector kernels.
+PREDICATE_LOWERINGS = (compile_predicate, _vector_predicate)
+SCALAR_LOWERINGS = (compile_scalar, _vector_scalar)
 
 
 def test_and_short_circuits_lazily():
     """The right operand must not be evaluated when the left decides.
 
     ``name < 5`` is a type error for string names; the interpreter never
-    evaluates it when the guard is false, and neither may the kernel.
+    evaluates it when the guard is false, and neither may a kernel.
     """
     guarded = (col.score > 100.0) & (col.name < 5)
-    kernel = compile_predicate(guarded, {None: _MIXED}, (None,))
-    assert kernel(("alice", 1.0)) is False
-    with pytest.raises(TypeError):
-        kernel(("alice", 200.0))  # the interpreter raises here too
+    for lower in PREDICATE_LOWERINGS:
+        kernel = lower(guarded, {None: _MIXED}, (None,))
+        assert kernel(("alice", 1.0)) is False
+        with pytest.raises(TypeError):
+            kernel(("alice", 200.0))  # the interpreter raises here too
     with pytest.raises(TypeError):
         guarded.eval({None: {"name": "alice", "score": 200.0}})
 
 
 def test_or_short_circuits_lazily():
     guarded = (col.score > 100.0) | (col.name < 5)
-    kernel = compile_predicate(guarded, {None: _MIXED}, (None,))
-    assert kernel(("bob", 200.0)) is True
-    with pytest.raises(TypeError):
-        kernel(("bob", 1.0))
+    for lower in PREDICATE_LOWERINGS:
+        kernel = lower(guarded, {None: _MIXED}, (None,))
+        assert kernel(("bob", 200.0)) is True
+        with pytest.raises(TypeError):
+            kernel(("bob", 1.0))
 
 
 def test_division_and_modulo_by_zero_yield_null():
     expr = (detail.u / base.x) + (detail.v % base.y)
-    kernel = compile_scalar(expr, _SCHEMAS, _PARAMS)
-    assert kernel((0.0, 1.0), (3.0, 4.0)) is None  # u / 0
-    assert kernel((2.0, 0.0), (3.0, 4.0)) is None  # v % 0
-    assert kernel((2.0, 3.0), (4.0, 5.0)) == pytest.approx(4.0)
+    for lower in SCALAR_LOWERINGS:
+        kernel = lower(expr, _SCHEMAS, _PARAMS)
+        assert kernel((0.0, 1.0), (3.0, 4.0)) is None  # u / 0
+        assert kernel((2.0, 0.0), (3.0, 4.0)) is None  # v % 0
+        assert kernel((2.0, 3.0), (4.0, 5.0)) == pytest.approx(4.0)
 
 
 def test_null_comparisons_are_false_and_between_needs_all_operands():
     condition = detail.u.between(base.x, base.y)
-    kernel = compile_predicate(condition, _SCHEMAS, _PARAMS)
-    assert kernel((1.0, 5.0), (3.0, 0.0)) is True
-    assert kernel((None, 5.0), (3.0, 0.0)) is False
-    assert kernel((1.0, 5.0), (None, 0.0)) is False
+    for lower in PREDICATE_LOWERINGS:
+        kernel = lower(condition, _SCHEMAS, _PARAMS)
+        assert kernel((1.0, 5.0), (3.0, 0.0)) is True
+        assert kernel((None, 5.0), (3.0, 0.0)) is False
+        assert kernel((1.0, 5.0), (None, 0.0)) is False
 
 
 def test_in_set_never_admits_null():
-    kernel = compile_predicate(detail.u.is_in([1.0, 2.0]), _SCHEMAS, _PARAMS)
-    assert kernel((0.0, 0.0), (1.0, 9.0)) is True
-    assert kernel((0.0, 0.0), (None, 9.0)) is False
+    for lower in PREDICATE_LOWERINGS:
+        kernel = lower(detail.u.is_in([1.0, 2.0]), _SCHEMAS, _PARAMS)
+        assert kernel((0.0, 0.0), (1.0, 9.0)) is True
+        assert kernel((0.0, 0.0), (None, 9.0)) is False
 
 
 def test_aliases_bind_unqualified_fields_to_a_parameter():
@@ -159,10 +192,9 @@ def test_aliases_bind_unqualified_fields_to_a_parameter():
 
 
 def test_non_finite_constants_are_not_inlined():
-    kernel = compile_scalar(
-        Const(float("nan")) + detail.u, _SCHEMAS, _PARAMS
-    )
-    assert math.isnan(kernel((0.0, 0.0), (1.0, 1.0)))
+    for lower in SCALAR_LOWERINGS:
+        kernel = lower(Const(float("nan")) + detail.u, _SCHEMAS, _PARAMS)
+        assert math.isnan(kernel((0.0, 0.0), (1.0, 1.0)))
 
 
 def test_kernel_cache_reuses_compiled_functions():
@@ -181,18 +213,19 @@ def test_kernel_source_is_attached_for_introspection():
 
 def test_new_literals_do_not_grow_the_kernel_cache():
     """A server that sees a new literal in every statement keeps a bounded
-    cache: vector kernels are cached by shape, row kernels are capped."""
+    cache: vector kernels are cached by shape, row kernels and the
+    coordinator's combine kernels are capped."""
     from repro.data.flows import FlowConfig, generate_flows, router_partitioner
     from repro.distributed import ExecutionConfig, SimulatedCluster
     from repro.relalg import compiler
-    from repro.relalg.engine import use_engine
+    from repro.relalg.aggregates import SumComponent
     from repro.service import QueryService
 
     config = FlowConfig(flow_count=300, router_count=2)
     cluster = SimulatedCluster.with_sites(2)
     cluster.load_partitioned("FlowSmall", generate_flows(config), router_partitioner(config))
     compiler.clear_kernel_cache()
-    with use_engine("columnar"), QueryService(cluster, ExecutionConfig(engine="columnar")) as service:
+    with QueryService(cluster, ExecutionConfig()) as service:
         for literal in range(400):
             service.submit(
                 "SELECT SourceAS, COUNT(*) AS cnt, SUM(NumBytes) AS volume FROM FlowSmall "
@@ -201,4 +234,8 @@ def test_new_literals_do_not_grow_the_kernel_cache():
     assert kernel_cache_size() < 32
     for literal in range(2 * compiler.MAX_CACHED_KERNELS):
         compile_predicate(detail.v >= float(literal), _SCHEMAS, _PARAMS)
+    assert kernel_cache_size() <= compiler.MAX_CACHED_KERNELS
+    # A fold per layout of shipped columns: 300 layouts, still capped.
+    for position in range(300):
+        compiler.compile_grouped_combine([SumComponent()], (0,), (position + 1,))
     assert kernel_cache_size() <= compiler.MAX_CACHED_KERNELS

@@ -1,19 +1,20 @@
-"""Row/columnar engine equivalence: the differential-oracle contract.
+"""The scan against its row oracle: the differential contract.
 
-The columnar engine (vectorized batch kernels, ``--engine columnar``)
-must be *bit-identical* to the row engine — same rows in the same order,
-float folds included — on every query family the repo reproduces (cube,
+The GMDJ scan (numpy vector kernels) must be *bit-identical* to the row
+oracle of ``tests/oracle/`` — same rows in the same order, float folds
+included — on every query family the repo reproduces (cube,
 multifeature, unpivot), under every executor, under both wire codecs,
-and while the recovery machinery is retrying faulty legs. The row engine
-is never removed: it is the oracle these tests diff against.
+and while the recovery machinery is retrying faulty legs.
 """
+
+import contextlib
 
 import pytest
 
 from conftest import make_flows
+from oracle import row_scan
 from repro.distributed import OptimizationOptions, SimulatedCluster, execute_query
 from repro.distributed.evaluator import ExecutionConfig
-from repro.distributed.executor import SiteRequest
 from repro.distributed.stats import verify_against_network
 from repro.errors import PlanError
 from repro.gmdj.blocks import MDBlock
@@ -33,7 +34,6 @@ from repro.queries import (
 )
 from repro.queries.sql import parse_olap_statement
 from repro.relalg.aggregates import AggSpec, ComponentAccumulator, count_star
-from repro.relalg.engine import DEFAULT_ENGINE, active_engine, use_engine
 from repro.relalg.expressions import base, detail
 from repro.warehouse.partition import HashPartitioner
 
@@ -53,11 +53,9 @@ def build_cluster(site_count=3, faults=None):
     return cluster
 
 
-def config_for(engine, executor="serial", wire_codec="row", **kwargs):
+def config_for(executor="serial", wire_codec="row", **kwargs):
     kwargs.setdefault("retry_backoff_s", 0.0)
-    return ExecutionConfig(
-        executor=executor, engine=engine, wire_codec=wire_codec, **kwargs
-    )
+    return ExecutionConfig(executor=executor, wire_codec=wire_codec, **kwargs)
 
 
 def run_expression(expression, config, cluster=None, **cluster_kwargs):
@@ -126,17 +124,19 @@ FAMILIES = {
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_columnar_bit_identical_per_family_and_executor(family, executor):
     run = FAMILIES[family]
-    oracle = run(config_for("row", executor="serial"))
-    columnar = run(config_for("columnar", executor=executor))
+    with row_scan():
+        oracle = run(config_for(executor="serial"))
+    columnar = run(config_for(executor=executor))
     assert columnar == oracle  # bit-identical, order included
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_column_codec_does_not_change_any_family(family):
     run = FAMILIES[family]
-    oracle = run(config_for("row", wire_codec="row"))
-    for engine in ("row", "columnar"):
-        assert run(config_for(engine, wire_codec="column")) == oracle
+    with row_scan():
+        oracle = run(config_for(wire_codec="row"))
+        assert run(config_for(wire_codec="column")) == oracle
+    assert run(config_for(wire_codec="column")) == oracle
 
 
 @pytest.mark.parametrize("executor", ("serial", "threads"))
@@ -146,24 +146,23 @@ def test_columnar_engine_survives_fault_retry_bit_identical(executor):
         ["SourceAS"],
         [Feature([count_star("cnt"), AggSpec("sum", detail.NumBytes, "total")])],
     )
-    clean = run_expression(
-        expression, config_for("row", executor="serial")
-    ).relation.rows
+    with row_scan():
+        clean = run_expression(expression, config_for(executor="serial")).relation.rows
     faults = "drop site=site1 round=1 dir=up times=1"
-    for engine in ("row", "columnar"):
+    for scan in (row_scan, contextlib.nullcontext):
         for codec in ("row", "column"):
             cluster = build_cluster(faults=faults)
-            retried = run_expression(
-                expression,
-                config_for(
-                    engine,
-                    executor=executor,
-                    wire_codec=codec,
-                    failure_mode="retry",
-                    max_retries=3,
-                ),
-                cluster,
-            )
+            with scan():
+                retried = run_expression(
+                    expression,
+                    config_for(
+                        executor=executor,
+                        wire_codec=codec,
+                        failure_mode="retry",
+                        max_retries=3,
+                    ),
+                    cluster,
+                )
             assert retried.relation.rows == clean
             assert retried.stats.retries >= 1
 
@@ -232,55 +231,24 @@ def test_each_shipped_block_is_encoded_once(monkeypatch):
 
 def test_row_codec_stats_stay_unchanged():
     expression = multifeature_query("Flow", ["SourceAS"], [Feature(AGGS)])
-    snapshot = run_expression(
-        expression, config_for("row", wire_codec="row")
-    ).stats.to_dict()
+    snapshot = run_expression(expression, config_for(wire_codec="row")).stats.to_dict()
     assert snapshot["wire_codec"] == "row"
     assert all("codec" not in record for record in snapshot["rounds"])
 
 
 def test_unknown_engine_and_codec_are_rejected():
-    with pytest.raises(PlanError):
-        ExecutionConfig(engine="gpu")
+    with pytest.raises(TypeError):  # one scan: there is no engine to name
+        ExecutionConfig(engine="row")
     with pytest.raises(PlanError):
         ExecutionConfig(wire_codec="parquet")
 
 
-def test_use_engine_restores_previous_engine():
-    ambient = active_engine()  # honours $REPRO_ENGINE, defaults to "columnar"
-    with use_engine("columnar"):
-        assert active_engine() == "columnar"
-        with use_engine("row"):
-            assert active_engine() == "row"
-        assert active_engine() == "columnar"
-    assert active_engine() == ambient
-
-
-def test_one_default_engine_and_the_environment_overrides_it(monkeypatch):
-    def request(**fields):
-        return SiteRequest(kind="base", site_id="site0", round_number=0, **fields)
-
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert DEFAULT_ENGINE == "columnar"
-    assert ExecutionConfig().engine == DEFAULT_ENGINE
-    assert request().engine == DEFAULT_ENGINE
-    assert active_engine() == DEFAULT_ENGINE
-    assert "engine" not in request(engine=ExecutionConfig().engine).control()
-
-    monkeypatch.setenv("REPRO_ENGINE", "row")
-    assert ExecutionConfig().engine == "row"
-    assert active_engine() == "row"
-    # The site hears what the coordinator's environment chose: the REQ body
-    # leaves a field out when it equals the constant, not the environment.
-    assert request(engine=ExecutionConfig().engine).control()["engine"] == "row"
-
-
 def test_default_path_builds_no_accumulator_objects(monkeypatch):
-    """Aggregate state is component columns end to end under the default engine.
+    """Aggregate state is component columns end to end.
 
     ``sync_heavy``'s shape — two non-partition grouping attributes, ``AVG``,
     then a correlated ``COUNT(*)``, so neither round is site-local and both
-    go through ``SyncSession``. The row engine still scans with one
+    go through ``SyncSession``. The row oracle still scans with one
     accumulator per (group, aggregate): the oracle is still the oracle.
     """
     key = (base.DestAS == detail.DestAS) & (base.RouterId == detail.RouterId)
@@ -304,10 +272,11 @@ def test_default_path_builds_no_accumulator_objects(monkeypatch):
         original(self, function)
 
     monkeypatch.setattr(ComponentAccumulator, "__init__", counting)
-    columnar = run_expression(expression, config_for(DEFAULT_ENGINE))
+    columnar = run_expression(expression, config_for())
     assert columnar.stats.md_round_count() == 2  # no round was site-local
     assert built == []
-    row = run_expression(expression, config_for("row"))
+    with row_scan():
+        row = run_expression(expression, config_for())
     assert built
     assert row.relation.rows == columnar.relation.rows
 
@@ -339,12 +308,11 @@ SERVICE_STATEMENTS = (
 
 
 def test_benchmark_statements_never_leave_the_vector_path(monkeypatch):
-    """Every scan of every benchmark statement is a vector kernel: no block
-    falls back to the row engine, no accumulator object is built, and the
-    answers are the row engine's, value for value."""
+    """Every scan of every benchmark statement is a vector kernel: no
+    accumulator object is built, and the answers are the row oracle's,
+    value for value."""
     from repro.data.flows import FlowConfig, generate_flows, router_partitioner
     from repro.data.tpcr import TPCRConfig, generate_tpcr, nation_partitioner
-    from repro.gmdj import operator as gmdj_operator
     from repro.service import QueryService
 
     tpcr = SimulatedCluster.with_sites(2)
@@ -353,7 +321,7 @@ def test_benchmark_statements_never_leave_the_vector_path(monkeypatch):
     )
     config = FlowConfig(flow_count=600, router_count=2)
 
-    def answers(engine):
+    def answers():
         flows = SimulatedCluster.with_sites(2)  # appended to below: one per run
         for table in ("Flow", "FlowSmall"):
             flows.load_partitioned(table, generate_flows(config), router_partitioner(config))
@@ -362,29 +330,20 @@ def test_benchmark_statements_never_leave_the_vector_path(monkeypatch):
             for sql in S1_TO_S5:
                 out.append(execute_query(
                     tpcr, parse_olap_statement(sql).expression, options,
-                    config=ExecutionConfig(engine=engine),
+                    config=ExecutionConfig(),
                 ).relation)
-        # An incremental view's own scans run on the ambient engine.
-        with use_engine(engine), QueryService(flows, ExecutionConfig(engine=engine)) as service:
+        with QueryService(flows, ExecutionConfig()) as service:
             out.extend(service.submit(sql).relation for sql in SERVICE_STATEMENTS)
             delta = generate_flows(FlowConfig(flow_count=40, router_count=2, seed=5))
             service.append("Flow", dict(zip(flows.site_ids, router_partitioner(config).split(delta))))
             out.extend(service.submit(sql).relation for sql in SERVICE_STATEMENTS[:4])
         return [[repr(value) for value in row] for relation in out for row in relation.rows]
 
-    expected = answers("row")
-    scans, fallbacks = [], []
-    vector_scan = gmdj_operator._accumulate_columnar
-
-    def watched(base, detail, blocks, track_touch):
-        result = vector_scan(base, detail, blocks, track_touch)
-        (fallbacks if result is None else scans).append(blocks)
-        return result
+    with row_scan():
+        expected = answers()
 
     def no_accumulators(self, function):
-        raise AssertionError(f"a row-engine accumulator for {function.name}")
+        raise AssertionError(f"an accumulator for {function.name}")
 
-    monkeypatch.setattr(gmdj_operator, "_accumulate_columnar", watched)
     monkeypatch.setattr(ComponentAccumulator, "__init__", no_accumulators)
-    assert answers("columnar") == expected
-    assert scans and not fallbacks
+    assert answers() == expected

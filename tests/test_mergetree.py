@@ -30,6 +30,7 @@ from repro.distributed.stats import (
     verify_against_network,
 )
 from repro.errors import NetworkError, PlanError
+from repro.gmdj import operator as gmdj_operator
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
 from repro.gmdj.operator import evaluate, evaluate_sub, merge_sub_results, super_aggregate
@@ -37,7 +38,6 @@ from repro.net.costmodel import LAN, WAN, CostModel
 from repro.net.faults import FaultPlan
 from repro.obs import MetricsRegistry, Tracer
 from repro.relalg.aggregates import AggSpec, count_star
-from repro.relalg.engine import active_engine
 from repro.relalg.expressions import base, detail
 from repro.relalg.relation import Relation
 from repro.warehouse.partition import RoundRobinPartitioner, ValueListPartitioner
@@ -256,7 +256,7 @@ class TestTraffic:
         ],
     )
     def test_row_codec_byte_totals_are_pinned(
-        self, label, options_name, bytes_total, root_link_bytes
+        self, label, options_name, bytes_total, root_link_bytes, row_oracle
     ):
         """Every edge charges HEADER_BYTES + the row encoding: the totals
         this fixture has always produced, star included, to the byte."""
@@ -265,7 +265,7 @@ class TestTraffic:
             cluster,
             tree_for(label, cluster.site_ids),
             OPTION_SETS[options_name],
-            config=ExecutionConfig(wire_codec="row", engine="row"),
+            config=ExecutionConfig(wire_codec="row"),
         ).stats
         assert (stats.bytes_total, stats.root_link_bytes) == (
             bytes_total, root_link_bytes,
@@ -276,13 +276,20 @@ class TestConfigIsHonoured:
     @pytest.mark.parametrize("engine", ["row", "columnar"])
     @pytest.mark.parametrize("topology", ["hierarchical:2", "chain:2", "chain:3"])
     def test_codec_and_engine_reach_every_edge_and_site(
-        self, topology, engine, monkeypatch
+        self, topology, engine, monkeypatch, request
     ):
+        """The codec reaches every edge, and every site scans with the
+        scan in place: the row oracle (the ``row_oracle`` fixture) or the
+        vector scan."""
+        if engine == "row":
+            scan = request.getfixturevalue("row_oracle")
+        else:
+            scan = gmdj_operator._accumulate
         seen = set()
         original = SkallaSite.evaluate_round
 
         def spy(self, *args, **kwargs):
-            seen.add(active_engine())
+            seen.add(gmdj_operator._accumulate)
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(SkallaSite, "evaluate_round", spy)
@@ -296,13 +303,13 @@ class TestConfigIsHonoured:
         for codec in ("row", "column"):
             result = execute_plan_scheduled(
                 cluster, plan,
-                ExecutionConfig(engine=engine, wire_codec=codec),
+                ExecutionConfig(wire_codec=codec),
                 topology=topology,
             )
             assert_relations_equal(flat.relation, result.relation)
             assert result.stats.wire_codec == codec
             bytes_by_codec[codec] = result.stats.bytes_total
-        assert seen == {engine}
+        assert seen == {scan}
         assert bytes_by_codec["column"] < bytes_by_codec["row"]
 
     @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])

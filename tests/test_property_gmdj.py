@@ -9,8 +9,8 @@ data, partitionings and optimization toggles:
 3. Theorem 3: the full distributed pipeline == centralized evaluation,
    with Theorem 2's traffic bound respected.
 
-The engine under test is one more drawn input; the reference side is
-brute force or the row engine, whatever the ambient default is.
+The reference side is brute force or the row oracle scan
+(``tests/oracle/``).
 """
 
 import math
@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_relations_equal, brute_force_gmdj
+from oracle import row_scan
 from repro.distributed import (
     ExecutionConfig,
     OptimizationOptions,
@@ -29,16 +30,22 @@ from repro.distributed import (
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
 from repro.gmdj.operator import evaluate, evaluate_sub, super_aggregate
-from repro.relalg.aggregates import AggSpec, count_star
-from repro.relalg.engine import ENGINES, use_engine
+from repro.relalg.aggregates import (
+    ALGEBRAIC,
+    AggregateFunction,
+    AggSpec,
+    Component,
+    ComponentAccumulator,
+    HolisticAccumulator,
+    count_star,
+    register_aggregate,
+)
 from repro.relalg.expressions import base, detail
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, Schema
 from repro.warehouse.partition import ValueListPartitioner
 
 DETAIL_SCHEMA = Schema.of(("g", INT), ("h", INT), ("v", FLOAT))
-
-engines = st.sampled_from(ENGINES)
 
 detail_rows = st.lists(
     st.tuples(
@@ -92,14 +99,13 @@ def build_blocks(raw):
     return blocks
 
 
-@given(rows=detail_rows, raw_blocks=blocks_strategy, engine=engines)
+@given(rows=detail_rows, raw_blocks=blocks_strategy)
 @settings(max_examples=50, deadline=None)
-def test_hash_evaluation_matches_brute_force(rows, raw_blocks, engine):
+def test_hash_evaluation_matches_brute_force(rows, raw_blocks):
     detail_relation = Relation(DETAIL_SCHEMA, rows)
     base_relation = detail_relation.distinct_project(["g", "h"])
     blocks = build_blocks(raw_blocks)
-    with use_engine(engine):
-        evaluated = evaluate(base_relation, detail_relation, blocks)
+    evaluated = evaluate(base_relation, detail_relation, blocks)
     assert_relations_equal(
         evaluated, brute_force_gmdj(base_relation, detail_relation, blocks)
     )
@@ -109,10 +115,9 @@ def test_hash_evaluation_matches_brute_force(rows, raw_blocks, engine):
     rows=detail_rows,
     raw_blocks=blocks_strategy,
     assignment=st.lists(st.integers(min_value=0, max_value=3), min_size=60, max_size=60),
-    engine=engines,
 )
 @settings(max_examples=50, deadline=None)
-def test_theorem1_random_partitions(rows, raw_blocks, assignment, engine):
+def test_theorem1_random_partitions(rows, raw_blocks, assignment):
     detail_relation = Relation(DETAIL_SCHEMA, rows)
     base_relation = detail_relation.distinct_project(["g", "h"])
     blocks = build_blocks(raw_blocks)
@@ -120,14 +125,13 @@ def test_theorem1_random_partitions(rows, raw_blocks, assignment, engine):
     for row, site in zip(rows, assignment):
         pieces[site].append(row)
     h = None
-    with use_engine(engine):
-        for piece in pieces:
-            h_i, _touched = evaluate_sub(
-                base_relation, Relation(DETAIL_SCHEMA, piece), blocks
-            )
-            h = h_i if h is None else h.union_all(h_i)
-        merged = super_aggregate(base_relation, h, ["g", "h"], blocks)
-    with use_engine("row"):
+    for piece in pieces:
+        h_i, _touched = evaluate_sub(
+            base_relation, Relation(DETAIL_SCHEMA, piece), blocks
+        )
+        h = h_i if h is None else h.union_all(h_i)
+    merged = super_aggregate(base_relation, h, ["g", "h"], blocks)
+    with row_scan():
         reference = evaluate(base_relation, detail_relation, blocks)
     assert_relations_equal(merged, reference)
 
@@ -138,12 +142,9 @@ def test_theorem1_random_partitions(rows, raw_blocks, assignment, engine):
         st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.booleans()
     ),
     correlated=st.booleans(),
-    engine=engines,
 )
 @settings(max_examples=40, deadline=None)
-def test_distributed_matches_centralized_random_options(
-    rows, toggles, correlated, engine
-):
+def test_distributed_matches_centralized_random_options(rows, toggles, correlated):
     detail_relation = Relation(DETAIL_SCHEMA, rows)
     cluster = SimulatedCluster.with_sites(3)
     cluster.load_partitioned(
@@ -163,11 +164,9 @@ def test_distributed_matches_centralized_random_options(
         )
     expression = GMDJExpression(DistinctBase("T", ["g"]), steps)
     options = OptimizationOptions(*toggles)
-    with use_engine("row"):
+    with row_scan():
         reference = expression.evaluate_centralized(cluster.conceptual_tables())
-    result = execute_query(
-        cluster, expression, options, config=ExecutionConfig(engine=engine)
-    )
+    result = execute_query(cluster, expression, options)
     assert_relations_equal(reference, result.relation)
     assert result.respects_theorem2()
 
@@ -236,14 +235,12 @@ def nested_expression(stages):
     site_count=st.sampled_from([1, 2, 3, 4, 8]),
     partition_attr=st.sampled_from(["g", "w"]),  # a key / not a key
     toggles=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
-    engine=engines,
     executor=st.sampled_from(["serial", "threads"]),
     row_block_size=st.sampled_from([0, 2]),
 )
 @settings(max_examples=60, deadline=None)
 def test_observed_reduction_changes_traffic_never_the_answer(
-    rows, stages, site_count, partition_attr, toggles, engine, executor,
-    row_block_size,
+    rows, stages, site_count, partition_attr, toggles, executor, row_block_size,
 ):
     cluster = SimulatedCluster.with_sites(site_count)
     cluster.load_partitioned(
@@ -253,9 +250,7 @@ def test_observed_reduction_changes_traffic_never_the_answer(
     )
     expression = nested_expression(stages)
     coalescing, sync_reduction, independent, pruning = toggles
-    config = ExecutionConfig(
-        engine=engine, executor=executor, row_block_size=row_block_size
-    )
+    config = ExecutionConfig(executor=executor, row_block_size=row_block_size)
 
     def run(aware):
         options = OptimizationOptions(
@@ -264,7 +259,7 @@ def test_observed_reduction_changes_traffic_never_the_answer(
         return execute_query(cluster, expression, options, config=config)
 
     narrowed, plain = run(True), run(False)
-    with use_engine("row"):
+    with row_scan():
         reference = expression.evaluate_centralized(cluster.conceptual_tables())
     assert_relations_equal(reference, narrowed.relation)
     # Bit for bit, row order included: the fold saw the same rows.
@@ -299,7 +294,7 @@ def test_observed_reduction_changes_traffic_never_the_answer(
         assert narrowed.stats.bytes_total == plain.stats.bytes_total
 
 
-# -- the columnar engine is the row engine, by repr, on adversarial data -------
+# -- the scan is the row oracle, by repr, on adversarial data -----------------
 
 ADVERSARIAL_SCHEMA = Schema.of(("g", INT), ("h", INT), ("i", INT), ("f", FLOAT))
 
@@ -376,7 +371,45 @@ ADVERSARIAL_INPUTS = [
     detail.g,
     detail.i.between(-1, 1),
 ]
-ADVERSARIAL_FUNCTIONS = ["count", "sum", "min", "max", "avg", "var", "std", "geomean"]
+
+
+class _NullCount(Component):
+    """Counts the NULLs it is fed into a one-element list, in place: a
+    kind the kernels do not know, so the scan folds it through ``update``
+    — every value, NULL included, each group from its own list."""
+
+    kind = "nullcount"
+
+    def initial(self):
+        return [0]
+
+    def update(self, accumulator, value):
+        if value is None:
+            accumulator[0] += 1
+        return accumulator
+
+    def combine(self, left, right):
+        return [left[0] + right[0]]
+
+
+class _NullCountFunction(AggregateFunction):
+    name = "nullcount"
+    classification = ALGEBRAIC
+    result_type = INT
+
+    def components(self):
+        return (("", _NullCount()),)
+
+    def finalize(self, component_values):
+        return component_values[0][0]
+
+
+register_aggregate("nullcount", lambda star: _NullCountFunction(), replace=True)
+
+ADVERSARIAL_FUNCTIONS = [
+    "count", "sum", "min", "max", "avg", "var", "std", "geomean",
+    "median", "count_distinct", "nullcount",
+]
 
 adversarial_blocks = st.lists(
     st.tuples(
@@ -420,7 +453,7 @@ def adversarial_gmdj(raw_blocks):
 def outcome(function, *args):
     try:
         result = function(*args)
-    except Exception as error:  # noqa: BLE001 - both engines must fail alike
+    except Exception as error:  # noqa: BLE001 - both scans must fail alike
         return ("raised", type(error).__name__)
     relations = result if isinstance(result, tuple) else (result,)
     return [
@@ -445,14 +478,27 @@ _NAN = math.nan
 # Bools: True + True is 2 in arithmetic and in SUM, a lone True stays True.
 @example([(0, 0, True, 1.5), (0, 0, -2, 2.5), (1, 1, True, 0.5)],
          [(1, 0, [("sum", 4), ("sum", 2), ("max", 2)])], 0)
-def test_columnar_engine_is_the_row_engine_by_repr(rows, raw_blocks, duplicates):
+# A custom kind sees every NULL, each group counting into its own list.
+@example([(0, 0, None, 1.0), (0, 0, 1, 2.0), (1, 0, 2, 3.0)],
+         [(0, 0, [("nullcount", 2)])], 0)
+# Holistic: each group's values in order, NULL included; a field's NaN is
+# one object, so COUNT_DISTINCT counts it once, a computed NaN each time.
+@example([(0, 0, 1, _NAN), (0, 0, 2, _NAN), (0, 0, None, None), (1, 0, 1, -0.0), (1, 0, 2, 0.0)],
+         [(0, 0, [("count_distinct", 0), ("median", 0), ("count_distinct", 9)])], 1)
+def test_the_scan_is_the_oracle_by_repr(rows, raw_blocks, duplicates):
     detail_relation = Relation(ADVERSARIAL_SCHEMA, rows)
     distinct = detail_relation.distinct_project(["g", "h"])
     # Duplicate base keys: one detail row folds into several groups.
     base_relation = Relation(distinct.schema, distinct.rows + distinct.rows[:duplicates])
     blocks = adversarial_gmdj(raw_blocks)
+
+    def no_accumulators(self, function):
+        raise AssertionError(f"the scan built an accumulator for {function.name}")
+
     for run in (evaluate, evaluate_sub):
-        with use_engine("row"):
+        with row_scan():
             expected = outcome(run, base_relation, detail_relation, blocks)
-        with use_engine("columnar"):
+        with pytest.MonkeyPatch.context() as patch:
+            for accumulator in (ComponentAccumulator, HolisticAccumulator):
+                patch.setattr(accumulator, "__init__", no_accumulators)
             assert outcome(run, base_relation, detail_relation, blocks) == expected

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError, TypeMismatchError
-from repro.relalg.engine import use_engine
 from repro.relalg.expressions import col
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, STR, Schema
@@ -228,9 +227,8 @@ class TestPickle:
     def test_a_relation_pickles_as_schema_and_rows_not_its_column_cache(self):
         relation = Relation(Schema.of(("k", INT)), [(index % 7,) for index in range(1000)])
         cold = pickle.dumps(relation)
-        with use_engine("columnar"):
-            relation.select(col.k > 3)  # a typed view
-            relation.distinct_project(["k"])  # key codes
+        relation.select(col.k > 3)  # a typed view
+        relation.distinct_project(["k"])  # key codes
         relation.to_columnar().value_lists()[0]  # a transposed column
         warm = pickle.dumps(relation)
         assert len(warm) == len(cold)

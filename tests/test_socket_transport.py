@@ -176,11 +176,11 @@ def _req_body(control, request):
 
 
 def _req_body_with_every_field(request):
-    """The REQ body as it was when all fourteen fields always crossed."""
+    """The REQ body as it would be if every field always crossed."""
     names = (
         "kind", "site_id", "round_number", "steps", "key_attrs", "source",
         "independent_reduction", "row_block_size", "traced", "query_id",
-        "engine", "wire_codec", "compute_delay_s",
+        "wire_codec", "compute_delay_s",
     )
     return _req_body({name: getattr(request, name) for name in names}, request)
 
@@ -189,11 +189,10 @@ def _req_body_with_every_field(request):
     "optional",
     [
         {},
-        {"engine": "row"},
         {"wire_codec": "row"},
         {"row_block_size": 64, "traced": True},
         {
-            "engine": "row", "wire_codec": "row", "row_block_size": 7,
+            "wire_codec": "row", "row_block_size": 7,
             "traced": True, "query_id": 0, "compute_delay_s": 0.25,
             "independent_reduction": True,
         },
