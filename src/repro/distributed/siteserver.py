@@ -19,7 +19,7 @@ Store layout under ``root``::
     cluster.json                 {"version": 1, "site_ids": [...]}
     catalog.pickle               the pickled DistributionCatalog
     sites/<site_id>/manifest.json
-    sites/<site_id>/<nnn>.skrl   row-codec encoded partition relations
+    sites/<site_id>/<nnn>.skrl   partition relations, column codec (format v3)
 """
 
 from __future__ import annotations
@@ -88,10 +88,12 @@ def _rss_bytes() -> int:
 def write_partition_store(cluster, root: str) -> None:
     """Persist a simulated cluster's placement so site servers can serve it.
 
-    Every site partition is written with the row codec (the reference
-    codec — decoding it is the loudest-failing path), plus a manifest
-    carrying row counts and data versions, the pickled distribution
-    catalog, and the cluster spec listing the member sites.
+    Every site partition is written with the column codec (format v3,
+    the blocks the wire ships, one relation per file), so a site server
+    loads its large numeric columns straight into the typed arrays its
+    scan reads and builds no rows. Beside them go a manifest carrying row
+    counts and data versions, the pickled distribution catalog, and the
+    cluster spec listing the member sites.
     """
     os.makedirs(root, exist_ok=True)
     with open(os.path.join(root, CLUSTER_SPEC), "w", encoding="utf-8") as handle:
@@ -107,7 +109,7 @@ def write_partition_store(cluster, root: str) -> None:
             relation = warehouse.table(table_name)
             file_name = f"{index:03d}.skrl"
             with open(os.path.join(site_dir, file_name), "wb") as handle:
-                handle.write(serialize.encode_relation(relation, "row"))
+                handle.write(serialize.encode_relation(relation, "column"))
             tables[table_name] = {
                 "rows": len(relation),
                 "version": warehouse.version(table_name),
@@ -160,7 +162,8 @@ def load_site_relation(root: str, site_id: str, entry: dict):
 
 
 def load_site(root: str, site_id: str) -> SkallaSite:
-    """Rebuild one site from its on-disk partition."""
+    """Rebuild one site from its on-disk partition, adopting each decoded
+    table's columns as they are."""
     manifest = read_manifest(root, site_id)
     warehouse = LocalWarehouse(site_id)
     for table_name, entry in manifest.get("tables", {}).items():

@@ -416,8 +416,8 @@ def _accumulate(base, detail, blocks, track_touch):
         rows = None
         if split.detail_only:
             mask = compiler.compile_mask(split.detail_only, schemas, detail_aliases)
-            rows = mask(len(detail.rows), {DETAIL_VAR: (detail_columns, None)})
-        tuples_examined += len(detail.rows) if rows is None else len(rows)
+            rows = mask(len(detail), {DETAIL_VAR: (detail_columns, None)})
+        tuples_examined += len(detail) if rows is None else len(rows)
 
         if split.hashable:
             base_key = compiler.compile_values(

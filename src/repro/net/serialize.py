@@ -17,15 +17,15 @@ A zero-attribute relation is that header and nothing else: its rows are
 empty tuples, so the count is all there is to ship. Nothing in the
 payload bounds such a count, hence :data:`MAX_ZERO_ATTRIBUTE_ROWS`.
 
-**Format v1 — codec ``row``** (the partition store's format and the test
+**Format v1 — codec ``row``** (the non-default wire codec and the test
 oracle). Per row, per attribute: 1 tag byte (0 = NULL, 1 = value)
 followed by the value — zig-zag varint for ints, IEEE double for floats,
 varint-length UTF-8 for strings, 1 byte for bools, varint ordinal for
 dates. Two implementations produce and read it:
 
-- the *reference* codec (:func:`_encode_relation_reference` /
-  :func:`_decode_relation_reference`) — the straight-line transcription,
-  kept as the differential baseline;
+- the *reference* encoder (:func:`_encode_relation_reference`) — the
+  straight-line transcription, kept as the differential baseline (its
+  decoder is the test oracle ``tests/oracle/codec.py``);
 - the *fast path* (``encode_relation(relation, "row")`` /
   :func:`decode_relation`) — header bytes precomputed per schema and the
   per-row loop *compiled* for the column layout
@@ -35,11 +35,12 @@ dates. Two implementations produce and read it:
   reference so error messages stay identical.
 
 **Format v3 — codec ``column``** (:data:`DEFAULT_CODEC`: what every
-shipped block is encoded with). A relation of zero rows is header-only.
-Otherwise one block per attribute, in schema order, each packed and
-unpacked by C loops of the standard library (``array``, ``min``/``max``,
-``dict.fromkeys``, ``map`` over C callables, ``itertools``) — Python
-statements run per column and per dictionary entry, never per value:
+shipped block and every partition store file is encoded with). A
+relation of zero rows is header-only. Otherwise one block per attribute,
+in schema order, each packed and unpacked by C loops of the standard
+library (``array``, ``min``/``max``, ``dict.fromkeys``, ``map`` over C
+callables, ``itertools``) — Python statements run per column and per
+dictionary entry, never per value:
 
 - *presence*: byte ``0`` when the column has no NULL; else byte ``1``
   and a bitmap of ``ceil(rows / 8)`` bytes, bit ``i`` (LSB-first) set
@@ -65,9 +66,12 @@ statements run per column and per dictionary entry, never per value:
 The decoder checks every declared count and length against the bytes
 that remain *before* it allocates for them, rejects stray bits past the
 end of a bitmap, width bytes other than the four above and dictionary
-codes out of range, and hands the column lists it built to the decoded
-relation (:meth:`Relation.from_columnar`), so a kernel that hoists a
-column of a received block transposes nothing.
+codes out of range, and hands the columns it built to the decoded
+relation (:meth:`Relation.from_columnar`), which builds rows only when
+asked. From :data:`TYPED_COLUMN_MIN_ROWS` rows on, a NULL-free FLOAT
+column is a ``float64`` array and a NULL-free INT column within
+``±2**53`` an ``int64`` one, read off the block with no list between:
+what a site holds of its store-loaded partition.
 
 Whatever the bytes, decoding ends in a relation or a
 :class:`~repro.errors.SerializationError` — a site server maps anything
@@ -82,12 +86,15 @@ import struct
 import sys
 import threading
 from array import array
+from functools import partial
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, is_not, sub
 from typing import Dict, Tuple
 
+import numpy as np
+
 from repro.errors import SchemaError, SerializationError
-from repro.relalg.columnar import ColumnarRelation
+from repro.relalg.columnar import EXACT_INT, ColumnarRelation
 from repro.relalg.relation import Relation
 from repro.relalg.schema import BOOL, DATE, FLOAT, INT, STR, Attribute, Schema
 
@@ -213,71 +220,6 @@ def _encode_relation_reference(relation: Relation) -> bytes:
                     f"cannot encode {value!r} as {_CODE_TYPES[code]}: {exc}"
                 ) from exc
     return bytes(buffer)
-
-
-def _decode_relation_reference(data: bytes) -> Relation:
-    """The original decoder; kept as the differential baseline."""
-    try:
-        return _decode_rows_reference(data)
-    except _CORRUPTION_ERRORS + (SchemaError,) as exc:
-        raise SerializationError(f"truncated or corrupt relation: {exc}") from exc
-
-
-def _decode_rows_reference(data: bytes) -> Relation:
-    if data[: len(_MAGIC)] != _MAGIC:
-        raise SerializationError("bad magic; not a serialized relation")
-    offset = len(_MAGIC)
-    if offset >= len(data) or data[offset] != _VERSION:
-        raise SerializationError("unsupported codec version")
-    offset += 1
-    attr_count, offset = _read_varint(data, offset)
-    attributes = []
-    type_codes = []
-    for _index in range(attr_count):
-        name_length, offset = _read_varint(data, offset)
-        name = data[offset : offset + name_length].decode("utf-8")
-        offset += name_length
-        code = data[offset]
-        offset += 1
-        if code not in _CODE_TYPES:
-            raise SerializationError(f"unknown type code {code}")
-        attributes.append(Attribute(name, _CODE_TYPES[code]))
-        type_codes.append(code)
-    schema = Schema(attributes)
-    row_count, offset = _read_varint(data, offset)
-    _check_row_count(row_count, len(type_codes), len(data) - offset)
-    rows = []
-    for _row_index in range(row_count):
-        values = []
-        for code in type_codes:
-            if offset >= len(data):
-                raise SerializationError("truncated row data")
-            tag = data[offset]
-            offset += 1
-            if tag == 0:
-                values.append(None)
-                continue
-            if tag != 1:
-                raise SerializationError(f"bad value tag {tag}")
-            if code == 0:
-                raw, offset = _read_varint(data, offset)
-                values.append(_unzigzag(raw))
-            elif code == 1:
-                values.append(_DOUBLE.unpack_from(data, offset)[0])
-                offset += _DOUBLE.size
-            elif code == 2:
-                length, offset = _read_varint(data, offset)
-                values.append(data[offset : offset + length].decode("utf-8"))
-                offset += length
-            elif code == 3:
-                values.append(bool(data[offset]))
-                offset += 1
-            elif code == 4:
-                ordinal, offset = _read_varint(data, offset)
-                values.append(datetime.date.fromordinal(ordinal))
-        rows.append(tuple(values))
-    _check_consumed(offset, len(data))
-    return Relation(schema, rows)
 
 
 def _check_zero_attribute_rows(row_count: int) -> None:
@@ -609,7 +551,7 @@ def _read_unsigned(data: bytes, offset: int, count: int, what: str) -> tuple:
     values.frombytes(data[offset + 1 : end])
     if _BIG_ENDIAN:
         values.byteswap()
-    return values.tolist(), end
+    return values, end
 
 
 # The block writers take a column's values and return its block. Handed a
@@ -735,7 +677,7 @@ def _encode_relation_column(relation: Relation) -> bytes:
     return bytes(out)
 
 
-def _read_ints(data: bytes, offset: int, count: int) -> tuple:
+def _read_ints(data: bytes, offset: int, count: int, typed: bool = False) -> tuple:
     raw, offset = _read_varint(data, offset)
     reference = _unzigzag(raw)
     if offset < len(data) and not data[offset]:
@@ -749,9 +691,13 @@ def _read_ints(data: bytes, offset: int, count: int) -> tuple:
             values.append(_unzigzag(raw))
         return values, offset
     values, offset = _read_unsigned(data, offset, count, "int column block")
-    if reference:
-        values = list(map(add, values, repeat(reference)))
-    return values, offset
+    if typed:
+        unsigned = np.asarray(values).astype(np.uint64)
+        low, high = reference + int(unsigned.min()), reference + int(unsigned.max())
+        if -EXACT_INT <= low and high <= EXACT_INT:
+            # Modulo 2**64, then read as signed: exact, every value fits.
+            return (unsigned + np.uint64(reference % 2**64)).view(np.int64), offset
+    return (list(map(add, values, repeat(reference))) if reference else values.tolist()), offset
 
 
 def _read_date_column(data: bytes, offset: int, count: int) -> tuple:
@@ -759,10 +705,12 @@ def _read_date_column(data: bytes, offset: int, count: int) -> tuple:
     return list(map(datetime.date.fromordinal, ordinals)), offset
 
 
-def _read_float_column(data: bytes, offset: int, count: int) -> tuple:
+def _read_float_column(data: bytes, offset: int, count: int, typed: bool = False) -> tuple:
     end = offset + count * 8
     if end > len(data):
         raise SerializationError("truncated float column block")
+    if typed:  # numpy's own copy: large ones get huge pages
+        return np.frombuffer(data, "<f8", count, offset).astype(np.float64), end
     values = array("d")
     values.frombytes(data[offset:end])
     if _BIG_ENDIAN:
@@ -808,6 +756,14 @@ _COLUMN_READERS = (
     _read_date_column,
 )
 
+#: Fewest rows whose NULL-free INT and FLOAT columns decode to typed arrays
+#: (by these readers): below it a numpy call per column is not worth it.
+TYPED_COLUMN_MIN_ROWS = 1 << 16
+_TYPED_READERS = {
+    _TYPE_CODES[INT]: partial(_read_ints, typed=True),
+    _TYPE_CODES[FLOAT]: partial(_read_float_column, typed=True),
+}
+
 
 def _read_column(data: bytes, offset: int, code: int, row_count: int) -> tuple:
     """One column block at ``offset``: its ``row_count`` values, and its end."""
@@ -824,8 +780,11 @@ def _read_column(data: bytes, offset: int, code: int, row_count: int) -> tuple:
         raise SerializationError(f"bad presence flag {data[offset]}")
     values: list = []
     if present:
+        read = _COLUMN_READERS[code]
+        if flags is None and row_count >= TYPED_COLUMN_MIN_ROWS:
+            read = _TYPED_READERS.get(code, read)
         try:
-            values, offset = _COLUMN_READERS[code](data, offset, present)
+            values, offset = read(data, offset, present)
         except _CORRUPTION_ERRORS as exc:
             raise SerializationError(
                 f"corrupt {_CODE_TYPES[code]} column block: {exc}"

@@ -1,21 +1,24 @@
 """Columnar storage for relations: per-column value vectors and their views.
 
 A :class:`ColumnarRelation` holds the same multiset of rows as a row-store
-:class:`~repro.relalg.relation.Relation`, as one value list per attribute
-(``None`` for NULL). The column-block wire codec (:mod:`repro.net.serialize`)
-encodes these lists per column and hands the lists it decodes straight back
-(:meth:`ColumnarRelation.from_value_lists`). Over a row store a list is
-transposed the first time something indexes it.
+:class:`~repro.relalg.relation.Relation`, one column per attribute. A
+column is a value list (``None`` for NULL) or, when a column-block decoder
+(:mod:`repro.net.serialize`) adopted it, a *typed array*: ``int64`` or
+``float64``, NULL-free, under the ``typed`` rule below. A typed array is
+what the relation holds for that attribute: its value list is derived
+(``tolist``) for each caller that asks, and never kept. Over a row store a
+list is transposed the first time something indexes it.
 
 What the vector kernels of :mod:`repro.relalg.compiler` consume are two
-cached *views*, built on first use (from the rows, keeping no list) and
-published only when complete:
+cached *views*, built on first use (from the rows or a derived list,
+keeping no list) and published only when complete:
 
 * :meth:`ColumnarRelation.typed` — a numpy array per attribute plus a
   validity mask (``None`` when nothing is NULL): ``int64`` only if every
   value is an ``int`` (not a ``bool``) with ``|v| <= 2**53``, so int/float
   mixing stays exact; ``float64`` only if every value is a ``float``; else
-  an ``object`` array of the values themselves (``None`` at NULLs).
+  an ``object`` array of the values themselves (``None`` at NULLs). An
+  adopted typed array is its own view.
 * :meth:`ColumnarRelation.codes` — the first-seen factorization
   ``(uniques, codes)`` of a tuple of attributes, one ``dict`` pass: keys
   collapse exactly as a probe ``dict`` collapses them (``1``, ``1.0`` and
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from itertools import chain, count
 from operator import itemgetter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,12 +102,13 @@ def factorize(keys: list) -> tuple:
 
 
 class _ValueLists:
-    """One value list per attribute of a row store, each built on first use.
+    """One value list per attribute, each built on first use.
 
     This is what a batch kernel receives as ``_cols`` and indexes by schema
-    position.  A list is published only once it is complete, so threads
-    racing for the same column each get a whole list (equal ones; the loser's
-    is garbage) and never see a partial one.
+    position. Over a row store a list is published only once it is
+    complete, so threads racing for the same column each get a whole list
+    (equal ones; the loser's is garbage) and never see a partial one. A
+    held typed array answers with a fresh list per request.
     """
 
     __slots__ = ("_rows", "_lists")
@@ -121,26 +125,28 @@ class _ValueLists:
         if values is None:
             values = list(map(itemgetter(position), self._rows))
             self._lists[position] = values
-        return values
+        return _as_list(values)
 
     def keys(self, positions: Sequence[int]) -> list:
         """Each row's values at ``positions`` (scalars for one position,
         tuples else), keeping no list nothing has built: a view built from
         them is what a kernel keeps instead."""
         lists = [self._lists[position] for position in positions]
-        if None in lists:
+        if any(values is None for values in lists):
             return list(map(itemgetter(*positions), self._rows))
+        lists = list(map(_as_list, lists))
         return lists[0] if len(lists) == 1 else list(zip(*lists))
 
-    def all(self) -> list:
-        """Every attribute's list, the missing ones built in one pass.
+    def held(self) -> list:
+        """Every attribute's column as held (typed arrays stay arrays), the
+        missing lists built in one pass.
 
-        For a reader of the whole relation (the column codec): flattening
-        the rows once and slicing per attribute is about half the work of
-        a ``__getitem__`` per attribute.
+        For a reader of the whole relation: flattening the rows once and
+        slicing per attribute is about half the work of a ``__getitem__``
+        per attribute.
         """
         lists = self._lists
-        if None in lists:
+        if any(values is None for values in lists):
             width = len(lists)
             flat = list(chain.from_iterable(self._rows))
             if len(flat) != width * len(self._rows):
@@ -151,9 +157,18 @@ class _ValueLists:
                     lists[position] = flat[position::width]
         return lists
 
+    def all(self) -> list:
+        """Every attribute's value list (see :meth:`held`)."""
+        return list(map(_as_list, self.held()))
+
+
+def _as_list(values) -> list:
+    """A column's value list: a typed array's is derived, never kept."""
+    return values.tolist() if type(values) is np.ndarray else values
+
 
 class ColumnarRelation:
-    """A schema plus one value list per attribute, all equal length."""
+    """A schema plus one column per attribute, all equal length."""
 
     __slots__ = ("schema", "_values", "_length", "_typed", "_codes")
 
@@ -196,12 +211,14 @@ class ColumnarRelation:
 
     @classmethod
     def from_value_lists(
-        cls, schema: Schema, lists: List[list], length: int
+        cls, schema: Schema, lists: List, length: int
     ) -> "ColumnarRelation":
-        """Adopt one ready value list per attribute, each ``length`` long.
+        """Adopt one ready column per attribute, each ``length`` long: a
+        value list, or a NULL-free typed array under the ``typed`` rule.
 
         What a column-block decoder holds when it is done: nothing is
-        copied or wrapped, and the caller vouches for the lengths.
+        copied or wrapped, and the caller vouches for the lengths and the
+        rule.
         """
         return cls.__new__(cls)._adopt(schema, _ValueLists((), lists), length)
 
@@ -231,7 +248,11 @@ class ColumnarRelation:
         """The cached typed view ``(data, valid)`` of one attribute."""
         view = self._typed.get(position)
         if view is None:
-            view = _typed_view(self._values.keys((position,)))
+            held = self._values._lists[position]
+            if type(held) is np.ndarray:
+                view = held, None
+            else:
+                view = _typed_view(self._values.keys((position,)))
             self._typed[position] = view  # published complete
         return view
 
@@ -246,7 +267,8 @@ class ColumnarRelation:
         return factorized
 
     def built_columns(self) -> Tuple[str, ...]:
-        """Names of the attributes whose value list exists, in schema order."""
+        """Names of the attributes whose column is held (a value list or a
+        typed array), in schema order."""
         return tuple(
             attribute.name
             for attribute, values in zip(self.schema.attributes, self._values._lists)
@@ -264,11 +286,33 @@ class ColumnarRelation:
             return [()] * self._length
         return list(zip(*self._values.all()))
 
-    def gather(self, indices: Iterable[int]) -> "ColumnarRelation":
-        """Rows at ``indices`` (ascending order preserves row order)."""
-        index_list = list(indices)
-        columns = [
-            Column(column.name, column.type, [column.values[i] for i in index_list])
-            for column in self.columns
+    def gather(self, indices) -> "ColumnarRelation":
+        """Rows at ``indices`` (ascending order preserves row order); a
+        typed array gathers into a typed array."""
+        positions = np.asarray(indices, dtype=np.int64)
+        index_list = positions.tolist()
+        lists = [
+            held[positions] if type(held) is np.ndarray else list(map(held.__getitem__, index_list))
+            for held in self._values.held()
         ]
-        return ColumnarRelation(self.schema, columns)
+        return ColumnarRelation.from_value_lists(self.schema, lists, len(index_list))
+
+    @classmethod
+    def concat(cls, schema: Schema, parts: Sequence["ColumnarRelation"]) -> "ColumnarRelation":
+        """The rows of ``parts``, in order (their schemas are ``schema``).
+
+        A column the first part holds as a typed array stays one when every
+        part's typed view of it is NULL-free and of that dtype; any other
+        column is a value list.
+        """
+        columns = []
+        for position in range(len(schema)):
+            held = parts[0]._values._lists[position]
+            views = [part.typed(position) for part in parts] if type(held) is np.ndarray else ()
+            if views and all(
+                valid is None and data.dtype == held.dtype for data, valid in views
+            ):
+                columns.append(np.concatenate([data for data, _valid in views]))
+            else:
+                columns.append(list(chain.from_iterable(part._values[position] for part in parts)))
+        return cls.from_value_lists(schema, columns, sum(map(len, parts)))

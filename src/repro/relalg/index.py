@@ -31,7 +31,7 @@ class HashIndex:
         for row_index, key in enumerate(zip(*key_columns)):
             setdefault(key, []).append(row_index)
         if not key_columns:
-            for row_index in range(len(relation.rows)):
+            for row_index in range(len(relation)):
                 setdefault((), []).append(row_index)
 
     def key_of(self, row: tuple) -> tuple:

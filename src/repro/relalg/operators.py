@@ -11,7 +11,6 @@ for purely-local pre-aggregation steps.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -114,24 +113,11 @@ def antijoin(left: Relation, right: Relation, pairs: Sequence[tuple]) -> Relatio
 
 
 def union_all(relations: Sequence[Relation]) -> Relation:
-    """Multiset union of one or more same-schema relations, rows in order.
-
-    One schema check per relation and one concatenation: k fragments
-    copy each row once, not once per later fragment.
-    """
+    """Multiset union of one or more same-schema relations, rows in order
+    (:meth:`Relation.union_all`)."""
     if not relations:
         raise SchemaError("union_all of zero relations")
-    first = relations[0]
-    if len(relations) == 1:
-        return first
-    for relation in relations[1:]:
-        if relation.schema != first.schema:
-            raise SchemaError(
-                f"union over incompatible schemas: {first.schema!r} vs {relation.schema!r}"
-            )
-    return Relation(
-        first.schema, chain.from_iterable(relation.rows for relation in relations)
-    )
+    return relations[0].union_all(*relations[1:])
 
 
 def difference(left: Relation, right: Relation) -> Relation:

@@ -1,4 +1,4 @@
-"""In-memory relations: a schema plus a list of row tuples.
+"""In-memory relations: a schema plus its rows, or its columns.
 
 :class:`Relation` is the unit of data everywhere in the library — local
 warehouse tables, GMDJ base-values relations, shipped sub-results and
@@ -6,13 +6,21 @@ final query answers are all relations.
 
 Relations are *multisets* of rows (duplicates allowed) unless explicitly
 deduplicated with :meth:`Relation.distinct`. Rows are plain tuples in
-schema order. The class is deliberately a simple row store: the engine's
-performance story lives in hash-based GMDJ evaluation, not storage.
+schema order. A relation is backed by one of two stores. One is its row
+tuples, with a columnar view (:meth:`Relation.to_columnar`) that transposes
+an attribute the first time a kernel reads it. The other is a
+:class:`~repro.relalg.columnar.ColumnarRelation` a column-block decoder
+handed over (:meth:`Relation.from_columnar`): a site's partition loaded
+from the store is one. Its ``rows`` are built on first access. Its length,
+:meth:`Relation.column`, :meth:`Relation.select`,
+:meth:`Relation.distinct_project` and :meth:`Relation.union_all` read the
+columns, and so does the site scan.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -35,16 +43,16 @@ def tuple_getter(positions: Sequence[int]) -> Callable:
 class Relation:
     """An immutable-by-convention multiset of rows with a fixed schema."""
 
-    __slots__ = ("schema", "rows", "_columnar")
+    __slots__ = ("schema", "_rows", "_columnar")
 
     def __init__(self, schema: Schema, rows: Iterable[tuple] = (), validate: bool = False):
         if not isinstance(schema, Schema):
             raise SchemaError(f"expected Schema, got {schema!r}")
         self.schema = schema
-        self.rows = list(map(tuple, rows))
+        self._rows = list(map(tuple, rows))
         self._columnar = None
         if validate:
-            for row in self.rows:
+            for row in self._rows:
                 schema.check_row(row)
 
     # -- constructors --------------------------------------------------------
@@ -83,13 +91,24 @@ class Relation:
 
     @classmethod
     def from_columnar(cls, columnar: ColumnarRelation) -> "Relation":
-        """Rehydrate a row relation from columns, which it adopts as its
-        column cache: a kernel that hoists one of them transposes nothing."""
+        """A relation backed by ``columnar``, which it adopts as its column
+        cache: a kernel that hoists a column transposes nothing, and the
+        rows are built only when something reads :attr:`rows`."""
         relation = cls.__new__(cls)
         relation.schema = columnar.schema
-        relation.rows = columnar.to_rows()  # tuples already: no per-row pass
+        relation._rows = None
         relation._columnar = columnar
         return relation
+
+    @property
+    def rows(self) -> list:
+        """The row tuples, in order (built from the columns on first access
+        and published complete)."""
+        rows = self._rows
+        if rows is None:
+            rows = self._columnar.to_rows()  # tuples already: no per-row pass
+            self._rows = rows
+        return rows
 
     def to_columnar(self) -> ColumnarRelation:
         """Columnar view of this relation (cached; relations are immutable).
@@ -106,13 +125,14 @@ class Relation:
     # -- basics ----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.rows)
+        rows = self._rows
+        return len(self._columnar) if rows is None else len(rows)
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)
 
     def __repr__(self) -> str:
-        return f"Relation({self.schema!r}, {len(self.rows)} rows)"
+        return f"Relation({self.schema!r}, {len(self)} rows)"
 
     def __reduce__(self):
         # The column cache is derived state: a relation pickles as what it is.
@@ -125,7 +145,9 @@ class Relation:
     def column(self, name: str) -> list:
         """All values of one attribute, in row order."""
         position = self.schema.position(name)
-        return [row[position] for row in self.rows]
+        if self._rows is None:
+            return list(self._columnar.value_lists()[position])
+        return [row[position] for row in self._rows]
 
     def row_dict(self, index: int) -> dict:
         return dict(zip(self.schema.names, self.rows[index]))
@@ -139,8 +161,10 @@ class Relation:
     def select(self, condition: Expr) -> "Relation":
         """Rows satisfying ``condition`` (fields unqualified)."""
         mask = compiler.compile_mask(condition, {None: self.schema})
-        indices = mask(len(self.rows), {None: (self.to_columnar(), None)})
-        return Relation(self.schema, map(self.rows.__getitem__, indices.tolist()))
+        indices = mask(len(self), {None: (self.to_columnar(), None)})
+        if self._rows is None:
+            return Relation.from_columnar(self._columnar.gather(indices))
+        return Relation(self.schema, map(self._rows.__getitem__, indices.tolist()))
 
     def select_fn(self, predicate: Callable) -> "Relation":
         """Rows for which ``predicate(row_tuple)`` is truthy."""
@@ -167,17 +191,33 @@ class Relation:
         positions = self.schema.positions(names)
         schema = self.schema.project(names)
         if not positions:
-            return Relation(schema, [()] if self.rows else [])
+            return Relation(schema, [()] if len(self) else [])
         uniques, _codes = self.to_columnar().codes(positions)
         return Relation(schema, zip(uniques) if len(positions) == 1 else uniques)
 
-    def union_all(self, other: "Relation") -> "Relation":
-        """Multiset union; schemas must be identical."""
-        if self.schema != other.schema:
-            raise SchemaError(
-                f"union over incompatible schemas: {self.schema!r} vs {other.schema!r}"
+    def union_all(self, *others: "Relation") -> "Relation":
+        """Multiset union, rows in order; schemas must be identical.
+
+        One schema check per relation and one concatenation: k fragments
+        copy each row once, not once per later fragment. If any of them is
+        column-backed with its rows unbuilt, the union is column-backed too
+        (:meth:`ColumnarRelation.concat`) and builds no rows.
+        """
+        relations = (self, *others)
+        for relation in others:
+            if relation.schema != self.schema:
+                raise SchemaError(
+                    f"union over incompatible schemas: {self.schema!r} vs {relation.schema!r}"
+                )
+        if not others:
+            return self
+        if any(relation._rows is None for relation in relations):
+            return Relation.from_columnar(
+                ColumnarRelation.concat(
+                    self.schema, [relation.to_columnar() for relation in relations]
+                )
             )
-        return Relation(self.schema, self.rows + other.rows)
+        return Relation(self.schema, chain.from_iterable(relation._rows for relation in relations))
 
     def extend(self, name: str, type_name: str, expression: Expr) -> "Relation":
         """Append a computed column (fields of ``expression`` unqualified)."""

@@ -10,6 +10,7 @@ correctness.
 from __future__ import annotations
 
 import contextlib
+import datetime
 import random
 import threading
 
@@ -22,7 +23,7 @@ from repro.gmdj.blocks import MDBlock, result_schema
 from repro.relalg.aggregates import AggSpec
 from repro.relalg.expressions import BASE_VAR, DETAIL_VAR
 from repro.relalg.relation import Relation
-from repro.relalg.schema import FLOAT, INT, STR, Schema
+from repro.relalg.schema import BOOL, DATE, FLOAT, INT, STR, Schema
 
 
 #: ``--hypothesis-profile=equivalence``: the engine-equivalence CI job runs
@@ -121,6 +122,35 @@ def make_flows(count: int = 200, seed: int = 3, routers: int = 4) -> Relation:
             )
         )
     return Relation(FLOW_TEST_SCHEMA, rows)
+
+
+def adversarial_tables() -> dict:
+    """Tables that hold every value a codec or a typed column could get
+    wrong: NULL in every type; NaN, ±0.0 and ±inf; ints at ±2**53, at
+    ±(2**53 + 1) and beyond int64; bools and dates; empty and non-ASCII
+    strings. Beside them, the same schema with zero rows, and a table of
+    zero attributes. One NULL-free column per type is here too: those are
+    the columns a large decode adopts as typed arrays."""
+    exact, wide, huge = 2**53, 2**53 + 1, 2**70
+    nan, inf = float("nan"), float("inf")
+    day = datetime.date(1999, 12, 31)
+    schema = Schema.of(
+        ("i", INT), ("f", FLOAT), ("s", STR), ("b", BOOL), ("d", DATE),
+        ("exact", INT), ("wide", INT), ("huge", INT), ("small", INT),
+        ("real", FLOAT), ("text", STR), ("flag", BOOL), ("when", DATE),
+    )
+    rows = [
+        (None, nan, None, None, None, exact, wide, huge, 0, nan, "", True, day),
+        (-exact, None, "", True, day, -exact, -wide, -huge, 1, -0.0, "héllo", False, day),
+        (wide, -0.0, "日本語", False, None, 0, 0, 2**63, -1, 0.0, "日本語", True, datetime.date(1, 1, 1)),
+        (-huge, inf, "héllo", None, datetime.date(1, 1, 1), 1, 1, -(2**63) - 1, 7, inf, "", False, day),
+        (None, -inf, None, True, None, 2**31, 3, 0, 2, -inf, "héllo", True, datetime.date(9999, 12, 31)),
+    ]
+    return {
+        "Palette": Relation(schema, rows),
+        "EmptyPalette": Relation(schema, []),
+        "NoAttributes": Relation(Schema.of(), [(), (), ()]),
+    }
 
 
 @pytest.fixture

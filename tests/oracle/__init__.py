@@ -2,8 +2,10 @@
 
 :mod:`oracle.scan` is the row GMDJ scan the vector scan must match by
 ``repr``; ``row_scan()`` swaps it in for the production one.
+:mod:`oracle.codec` is the format v1 reference decoder.
 """
 
+from oracle.codec import decode_relation_reference
 from oracle.scan import accumulate, row_scan
 
-__all__ = ["accumulate", "row_scan"]
+__all__ = ["accumulate", "decode_relation_reference", "row_scan"]

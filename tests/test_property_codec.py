@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import decode_relation_reference
 from repro.errors import SerializationError
 from repro.net.serialize import (
     CODECS,
-    _decode_relation_reference,
     _encode_relation_reference,
     decode_relation,
     encode_relation,
@@ -110,7 +110,7 @@ def _identity(rows) -> list:
 @given(relations())
 @settings(max_examples=150, deadline=None)
 def test_round_trip_identity(relation):
-    reference = _decode_relation_reference(_encode_relation_reference(relation))
+    reference = decode_relation_reference(_encode_relation_reference(relation))
     assert reference.schema == relation.schema
     assert _identity(reference.rows) == _identity(relation.rows)
     for codec in CODECS:
@@ -164,7 +164,7 @@ def test_size_grows_with_duplicated_rows(relation):
 @given(st.binary(max_size=200))
 @settings(max_examples=300)
 def test_arbitrary_bytes_raise_only_serialization_errors(data):
-    for decode in (decode_relation, _decode_relation_reference):
+    for decode in (decode_relation, decode_relation_reference):
         for prefix in (b"", b"SKRL\x01", b"SKRL\x03"):
             try:
                 decode(prefix + data)
@@ -191,7 +191,7 @@ def test_mutated_payloads_raise_only_serialization_errors(
         payload[position % len(payload)] ^= mask
     decoders = [decode_relation]
     if codec == "row":
-        decoders.append(_decode_relation_reference)
+        decoders.append(decode_relation_reference)
     for data in (bytes(payload), bytes(payload[: cut % (len(payload) + 1)])):
         for decode in decoders:
             try:

@@ -4,6 +4,7 @@ import datetime
 
 import pytest
 
+from oracle import decode_relation_reference
 from repro.errors import SerializationError
 from repro.net import serialize
 from repro.net.serialize import (
@@ -155,7 +156,7 @@ SAMPLES = [
         [(2**40 + index, f"name-{index}", None) for index in range(9)],
     ),
 ]
-DECODERS = [decode_relation, serialize._decode_relation_reference]
+DECODERS = [decode_relation, decode_relation_reference]
 
 
 class TestUntrustedBytes:
