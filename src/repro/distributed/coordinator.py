@@ -15,9 +15,10 @@ coordinator *assembles* X from the shipped Hᵢ themselves:
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain
 from operator import or_
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import PlanError
 from repro.gmdj import operator
@@ -107,15 +108,16 @@ class Coordinator:
         """
         held = self.x if held is None else held
         if positions is not None:
-            held = Relation(
-                held.schema, map(held.rows.__getitem__, sorted(set(positions)))
-            )
+            kept = np.zeros(len(held), dtype=bool)
+            kept[np.asarray(positions, dtype=np.int64)] = True
+            held = Relation.from_columnar(held.to_columnar().gather(np.flatnonzero(kept)))
         if any(ship_filter is None for ship_filter in ship_filters):
             return held
-        predicate = compiler.compile_predicate(
-            reduce(or_, ship_filters), {BASE_VAR: held.schema}, (BASE_VAR,)
+        mask = compiler.compile_mask(reduce(or_, ship_filters), {BASE_VAR: held.schema})
+        columnar = held.to_columnar()
+        return Relation.from_columnar(
+            columnar.gather(mask(len(held), {BASE_VAR: (columnar, None)}))
         )
-        return held.select_fn(predicate)
 
     def touched_by(self, source: str) -> Optional[Iterable[int]]:
         """Positions in X of the groups ``source`` answered with in the
@@ -127,7 +129,7 @@ class Coordinator:
         folded from it.
         """
         matches = (self._touched or {}).get(source)
-        return None if matches is None else chain.from_iterable(matches)
+        return None if matches is None else np.concatenate(matches)
 
     def begin_sync(
         self, blocks: Sequence[MDBlock], observes: bool = False

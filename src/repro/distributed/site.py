@@ -18,14 +18,16 @@ Per round, a site:
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import add, itemgetter, or_
+from operator import or_
 from typing import Sequence
+
+import numpy as np
 
 from repro.errors import WarehouseError
 from repro.gmdj import operator
 from repro.gmdj.expression import BaseSource, MDStep
-from repro.relalg.relation import Relation, tuple_getter
+from repro.relalg.columnar import ColumnarRelation
+from repro.relalg.relation import Relation
 from repro.relalg.schema import Schema
 from repro.warehouse.storage import LocalWarehouse
 
@@ -60,10 +62,10 @@ class SkallaSite:
         """
         detail = self.warehouse.table(steps[0].detail)
         current_base = base_fragment
-        key_of = tuple_getter(base_fragment.schema.positions(key_attrs))
-        # H_i's rows, column group by column group: the key attributes, then
-        # each step's sub columns (its sub-result minus its base's columns).
-        rows = map(key_of, base_fragment.rows)
+        # H_i's columns, column group by column group: the key attributes,
+        # then each step's sub columns (its sub-result minus its base's).
+        held = base_fragment.to_columnar().value_lists().held()
+        columns = [held[position] for position in base_fragment.schema.positions(key_attrs)]
         touched_any = None
 
         for index, step in enumerate(steps):
@@ -78,22 +80,21 @@ class SkallaSite:
                 full, sub, touched = operator.evaluate_both(
                     current_base, detail, step.blocks
                 )
-            sub_columns = itemgetter(slice(len(current_base.schema), None))
-            rows = map(add, rows, map(sub_columns, sub.rows))
+            columns += sub.to_columnar().value_lists().held()[len(current_base.schema):]
             touched_any = (
                 touched if touched_any is None else list(map(or_, touched_any, touched))
             )
             if not is_last:
                 current_base = full
 
-        if independent_reduction:
-            rows = compress(rows, touched_any)
-
         attributes = list(base_fragment.schema.project(key_attrs).attributes)
         for step in steps:
             for block in step.blocks:
                 attributes.extend(block.sub_attributes())
-        return Relation(Schema(attributes), rows)
+        h_i = ColumnarRelation.from_value_lists(Schema(attributes), columns, len(base_fragment))
+        if independent_reduction:
+            h_i = h_i.gather(np.flatnonzero(touched_any))
+        return Relation.from_columnar(h_i)
 
     def evaluate_merged_round(
         self,

@@ -13,9 +13,13 @@ Aggregate state has one runtime representation: **flat component
 columns**. ``columns[i]`` is the list, over base rows, of the i-th
 sub-aggregate component in ``sub_result_schema`` order — what the site
 kernel accumulates into, what H_i ships as explicit columns (Theorem 1),
-what the coordinator folds arriving fragments into, and what finalize
-reads. A holistic aggregate (centralized :func:`evaluate` only) has one
-column, each group's input values.
+what the coordinator folds arriving fragments' typed columns into (a
+*bank*), and what finalize reads. A holistic aggregate (centralized
+:func:`evaluate` only) has one column, each group's input values.
+
+Relations stay columns end to end: every output here is column-backed
+(:meth:`Relation.from_columnar`), the input's held columns plus the new
+ones, so the rows of a result are built only by a caller that reads them.
 
 Three entry points:
 
@@ -32,16 +36,19 @@ Three entry points:
 from __future__ import annotations
 
 import threading
-from operator import add
+from itertools import chain, count, repeat
 from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.errors import HolisticAggregateError
 from repro.gmdj.blocks import MDBlock, result_schema, sub_result_schema
 from repro.obs.metrics import active_registry
 from repro.relalg import compiler
-from repro.relalg.expressions import BASE_VAR, DETAIL_VAR
+from repro.relalg.columnar import ColumnarRelation, typed_view
+from repro.relalg.expressions import BASE_VAR, DETAIL_VAR, Field
 from repro.relalg.predicates import split_condition
-from repro.relalg.relation import Relation, tuple_getter
+from repro.relalg.relation import Relation
 
 # Cached counter handles for the scan hot path: the registry lookup
 # (string formatting + dict probe) per operator call is measurable at
@@ -89,17 +96,6 @@ def _sub_names(blocks) -> list:
     return [attribute.name for block in blocks for attribute in block.sub_attributes()]
 
 
-def _fresh_bank(components, count: int) -> list:
-    """One column of ``count`` initial values per component."""
-    return [
-        [component.initial()] * count
-        if component.kind in compiler.VECTORIZED_COMPONENT_KINDS
-        # A custom component's initial value may be mutable: one per row.
-        else [component.initial() for _row in range(count)]
-        for component in components
-    ]
-
-
 def _key_index(keys: Sequence, indices: Sequence[int]) -> dict:
     """Hash index ``key -> indices`` (in order) over row-aligned sequences."""
     index = dict(zip(keys, zip(indices)))
@@ -119,10 +115,12 @@ def _finalized(slots, columns) -> list:
 
 
 def _extended(base: Relation, schema, columns) -> Relation:
-    """``base`` with one more attribute per row-aligned column."""
-    if not columns:  # no blocks: ``zip()`` of nothing would drop every row
-        return Relation(schema, base.rows)
-    return Relation(schema, map(add, base.rows, zip(*columns)))
+    """``base`` with one more attribute per row-aligned column, backed by
+    the base's held columns plus ``columns``: no row is built."""
+    held = base.to_columnar().value_lists().held()
+    return Relation.from_columnar(
+        ColumnarRelation.from_value_lists(schema, [*held, *columns], len(base))
+    )
 
 
 def _reject_holistic(blocks) -> None:
@@ -137,7 +135,7 @@ def evaluate(base: Relation, detail: Relation, blocks: Sequence[MDBlock]) -> Rel
     """``MD(B, R, (l_1..l_m), (theta_1..theta_m))`` with finalized aggregates."""
     slots, columns, _touched = _accumulate(base, detail, blocks, track_touch=False)
     full = _extended(base, result_schema(base.schema, blocks), _finalized(slots, columns))
-    _hot_counters()[1].inc(len(full.rows))
+    _hot_counters()[1].inc(len(full))
     return full
 
 
@@ -154,7 +152,7 @@ def evaluate_sub(
     _reject_holistic(blocks)
     _slots, columns, touched = _accumulate(base, detail, blocks, track_touch=True)
     sub = _extended(base, sub_result_schema(base.schema, blocks), columns)
-    _hot_counters()[1].inc(len(sub.rows))
+    _hot_counters()[1].inc(len(sub))
     return sub, touched
 
 
@@ -174,7 +172,7 @@ def evaluate_both(
     slots, columns, touched = _accumulate(base, detail, blocks, track_touch=True)
     full = _extended(base, result_schema(base.schema, blocks), _finalized(slots, columns))
     sub = _extended(base, sub_result_schema(base.schema, blocks), columns)
-    _hot_counters()[1].inc(len(full.rows))
+    _hot_counters()[1].inc(len(full))
     return full, sub, touched
 
 
@@ -184,17 +182,23 @@ class SyncSession:
     Section 3.2: "the coordinator can synchronize H with those
     sub-results it has already received while receiving blocks of H from
     slower sites, rather than having to wait for all of H to be
-    assembled". A session holds the aggregate state as component columns
-    over the base rows (a *bank*), reached from K through a hash index;
-    it absorbs sub-result fragments in any order and finalizes once.
+    assembled". A session reaches the base rows from K through one hash
+    index, key -> position; it absorbs sub-result fragments in any order
+    and finalizes once, in columns: :meth:`absorb` probes each fragment
+    row once and keeps the fragment's sub-aggregate columns with each
+    row's base position; :meth:`finish` folds them into typed component
+    columns over the base rows (a *bank*) by grouped scatters
+    (:func:`repro.relalg.compiler.fold_combine`) and returns X backed by
+    the base's columns plus the finalized ones.
 
     Fragments are absorbed in *completion* order when site execution is
     parallel, which would make float super-aggregation fold-order
     dependent. To keep results bit-identical across executors, each
-    ``source`` (site) folds into its own bank, and :meth:`finish` merges
-    the banks in sorted source order — a deterministic combine tree
-    regardless of arrival order. Per-schema absorb kernels are cached so
-    row blocking does not look them up per fragment.
+    ``source`` (site) folds into its own bank in arrival order, and the
+    banks merge in sorted source order with the same fold. When no bank
+    holds two values for a group and every kind is built in, a bank's
+    entry is its one value as shipped, so both levels are one fold over
+    the sources' values in sorted source order, which is what runs.
 
     ``in_order`` is for a caller whose fragments already arrive in a
     deterministic order (the merged-base assembly, which has collected
@@ -204,9 +208,8 @@ class SyncSession:
     each absorbed row folded into — the groups that source answered with,
     as positions in the base (and so in :meth:`finish`'s relation, which
     keeps the base's row order). It is what the next round's
-    observed-distribution group reduction ships that source; the fold has
-    the positions in hand, so remembering them is one ``list.append`` per
-    absorbed row and a session that is not asked pays nothing.
+    observed-distribution group reduction ships that source: the probe's
+    positions, one array per fragment.
     """
 
     def __init__(
@@ -221,37 +224,31 @@ class SyncSession:
         self._key_attrs = tuple(key_attrs)
         self._blocks = tuple(blocks)
         self._slots, self._components = _layout(self._blocks)
-        key_of = tuple_getter(base.schema.positions(self._key_attrs))
-        self._index = _key_index(list(map(key_of, base.rows)), range(len(base.rows)))
+        self._sub_names = _sub_names(self._blocks)
+        keys = base.to_columnar().keys(base.schema.positions(self._key_attrs))
+        self._index = dict(zip(keys, count()))
+        self._overlapping = len(self._index) != len(keys)
+        if self._overlapping:  # duplicate keys in X: key -> every position
+            self._index = _key_index(keys, range(len(keys)))
         self._observes = observes
         self._in_order = in_order
-        self._banks: dict = {}  # source -> component columns
-        self._touched: dict = {}  # source -> base indices of each absorbed row
-        self._kernels: dict = {}  # h schema -> absorb kernel
+        self._banks: dict = {}  # source -> [(sub columns, base positions)] in arrival order
+        self._touched: dict = {}  # source -> [base positions per absorbed fragment]
         self._lock = threading.Lock()
 
-    def _bank_for(self, source: str) -> list:
-        bank = self._banks.get(source)
-        if bank is None:
-            with self._lock:
-                bank = self._banks.get(source)
-                if bank is None:
-                    bank = _fresh_bank(self._components, len(self._base.rows))
-                    self._banks[source] = bank
-        return bank
-
-    def _kernel_for(self, schema):
-        kernel = self._kernels.get(schema)
-        if kernel is None:
-            kernel = compiler.compile_grouped_combine(
-                self._components,
-                schema.positions(self._key_attrs),
-                schema.positions(_sub_names(self._blocks)),
-                records_touch=self._observes,
+    def _probe(self, keys: list) -> tuple:
+        """``(rows, bases)``: per (fragment row, base row) pair, row-major,
+        the row (``rows`` ``None``: every row, once) and its base position."""
+        if not self._overlapping:
+            found = np.fromiter(
+                map(self._index.get, keys, repeat(-1)), dtype=np.int64, count=len(keys)
             )
-            with self._lock:
-                self._kernels[schema] = kernel
-        return kernel
+            rows = np.flatnonzero(found >= 0)
+            return (None, found) if len(rows) == len(found) else (rows, found[rows])
+        matches = list(map(self._index.get, keys, repeat(())))
+        sizes = np.fromiter(map(len, matches), dtype=np.int64, count=len(matches))
+        bases = np.fromiter(chain.from_iterable(matches), dtype=np.int64, count=sizes.sum())
+        return np.repeat(np.arange(len(matches)), sizes), bases
 
     def absorb(self, h: Relation, source: str = "") -> None:
         """Fold one sub-result fragment into the session (O(|h|)).
@@ -260,11 +257,15 @@ class SyncSession:
         sharing a source fold together in arrival order, distinct
         sources merge deterministically at :meth:`finish`.
         """
-        touch = (
-            self._touched.setdefault(source, []).append if self._observes else None
-        )
-        bank = self._bank_for("" if self._in_order else source)
-        self._kernel_for(h.schema)(h.rows, self._index.get, bank, touch)
+        columnar = h.to_columnar()
+        held = columnar.value_lists().held()
+        rows, bases = self._probe(columnar.keys(h.schema.positions(self._key_attrs)))
+        sub_positions = h.schema.positions(self._sub_names)
+        columns = [_gather(held[position], rows) for position in sub_positions]
+        with self._lock:
+            self._banks.setdefault("" if self._in_order else source, []).append((columns, bases))
+            if self._observes:
+                self._touched.setdefault(source, []).append(bases)
 
     def reset_source(self, source: str) -> None:
         """Discard everything absorbed from one source (site).
@@ -281,33 +282,67 @@ class SyncSession:
 
     def touched(self) -> Optional[dict]:
         """What an observing session saw: per source that answered, the
-        base indices of each row folded from it (one entry per absorbed
-        row, in absorb order). ``None`` when the session was not asked."""
+        base positions each absorbed row folded into, one array per
+        absorbed fragment in absorb order. ``None`` when the session was
+        not asked."""
         return self._touched if self._observes else None
 
-    def _merged_bank(self) -> list:
+    def _bank(self) -> list:
         """All source banks combined in sorted source order."""
-        if len(self._banks) == 1:
-            return next(iter(self._banks.values()))
-        count = len(self._base.rows)
-        merged = _fresh_bank(self._components, count)
-        # A bank is a fragment keyed by base position: row ``(i, *values)``
-        # has key ``(i,)``, which is also the base indices it folds into —
-        # so ``tuple`` (the identity on tuples) is the probe.
-        fold = compiler.compile_grouped_combine(
-            self._components, (0,), range(1, len(self._components) + 1)
-        )
-        for source in sorted(self._banks):
-            fold(zip(range(count), *self._banks[source]), tuple, merged)
-        return merged
+        size = len(self._base)
+        banks = [self._banks[source] for source in sorted(self._banks)]
+        if len(banks) > 1 and not self._single_valued(banks, size):
+            merged = np.arange(size)
+            banks = [[(_fold(self._components, bank, size), merged) for bank in banks]]
+        return _fold(self._components, list(chain.from_iterable(banks)), size)
+
+    def _single_valued(self, banks: list, size: int) -> bool:
+        """Built-in kinds (``combine(initial(), v)`` is ``v``, or ``0 + v``)
+        and no bank with two values for a group: one pass folds it all."""
+        if not compiler.VECTORIZED_COMPONENT_KINDS.issuperset(
+            component.kind for component in self._components
+        ):
+            return False
+        for bank in banks:
+            groups = _groups(bank)
+            if len(groups) > size or np.bincount(groups, minlength=size).max(initial=0) > 1:
+                return False
+        return True
 
     def finish(self) -> Relation:
         """Finalize super-aggregates into the next base-result structure."""
         return _extended(
             self._base,
             result_schema(self._base.schema, self._blocks),
-            _finalized(self._slots, self._merged_bank()),
+            _finalized(self._slots, self._bank()),
         )
+
+
+def _groups(fragments: list) -> np.ndarray:
+    """The base position of every value of ``fragments``, in order."""
+    if len(fragments) == 1:
+        return fragments[0][1]
+    return np.concatenate([bases for _columns, bases in fragments] or [np.zeros(0, np.int64)])
+
+
+def _gather(column, rows):
+    """A held column's values at ``rows`` (``None``: all of them)."""
+    if rows is None:
+        return column
+    if type(column) is np.ndarray:
+        return column[rows]
+    return list(map(column.__getitem__, rows.tolist()))
+
+
+def _fold(components, fragments: list, size: int) -> list:
+    """One bank column per component: the values of ``fragments`` —
+    ``(sub columns, base positions)`` — combined into ``size`` groups, in
+    order (:func:`repro.relalg.compiler.fold_combine`)."""
+    vectors = [
+        typed_view([columns[index] for columns, _bases in fragments])
+        for index in range(len(components))
+    ]
+    return compiler.fold_combine(components, _groups(fragments), vectors, size)
 
 
 def super_aggregate(
@@ -342,25 +377,23 @@ def merge_sub_results(
 
     Rows keep the first-seen order of their keys; non-key, non-aggregate
     base attributes (if any) are taken from the first row of each key.
-    The fold is :class:`SyncSession`'s: a bank over the first-seen keys
-    and the same absorb kernel, rows in order.
+    The fold is :class:`SyncSession`'s, over the key's first-seen codes
+    (``ColumnarRelation.codes``), rows in order; the result is
+    column-backed.
     """
-    if not h.rows:
+    if not len(h):
         return h
     _slots, components = _layout(blocks)
-    key_positions = h.schema.positions(key_attrs)
+    columnar = h.to_columnar()
+    held = columnar.value_lists().held()
+    _uniques, codes = columnar.codes(h.schema.positions(key_attrs))
+    _keys, firsts = np.unique(codes, return_index=True)
     sub_positions = h.schema.positions(_sub_names(blocks))
-    first_rows: dict = {}  # key -> first row carrying it, in first-seen order
-    for key, row in zip(map(tuple_getter(key_positions), h.rows), h.rows):
-        first_rows.setdefault(key, row)
-    bank = _fresh_bank(components, len(first_rows))
-    fold = compiler.compile_grouped_combine(components, key_positions, sub_positions)
-    fold(h.rows, _key_index(first_rows, range(len(first_rows))).get, bank)
-
-    merged = list(zip(*first_rows.values()))  # the first rows, as columns
+    bank = _fold(components, [([held[position] for position in sub_positions], codes)], len(firsts))
+    merged = [_gather(column, firsts) for column in held]
     for position, column in zip(sub_positions, bank):
         merged[position] = column
-    return Relation(h.schema, zip(*merged))
+    return Relation.from_columnar(ColumnarRelation.from_value_lists(h.schema, merged, len(firsts)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,25 +426,21 @@ def _accumulate(base, detail, blocks, track_touch):
     schemas = {BASE_VAR: base.schema, DETAIL_VAR: detail.schema, None: detail.schema}
     detail_aliases = {None: DETAIL_VAR}
     detail_columns, base_columns = detail.to_columnar(), base.to_columnar()
-    base_rows = base.rows
-    touched = [False] * len(base_rows) if track_touch else None
+    touched = [False] * len(base) if track_touch else None
     state = []
     tuples_examined = 0
 
     for block in blocks:
         split = split_condition(block.condition, BASE_VAR, DETAIL_VAR)
 
+        candidate_base = range(len(base))
         if split.base_only:
             base_admits = compiler.compile_predicate(
                 split.base_only, base_schemas, (BASE_VAR,)
             )
             candidate_base = [
-                index for index, row in enumerate(base_rows) if base_admits(row)
+                index for index, row in enumerate(base.rows) if base_admits(row)
             ]
-            candidate_rows = [base_rows[index] for index in candidate_base]
-        else:
-            candidate_base = range(len(base_rows))
-            candidate_rows = base_rows
 
         rows = None
         if split.detail_only:
@@ -420,10 +449,10 @@ def _accumulate(base, detail, blocks, track_touch):
         tuples_examined += len(detail) if rows is None else len(rows)
 
         if split.hashable:
-            base_key = compiler.compile_values(
-                [atom.base_expr for atom in split.atoms], base_schemas, (BASE_VAR,)
+            base_exprs = [atom.base_expr for atom in split.atoms]
+            table = _key_index(
+                _base_keys(base, base_columns, base_exprs, candidate_base), candidate_base
             )
-            table = _key_index(list(map(base_key, candidate_rows)), candidate_base)
             # NULL keys never match under SQL equality semantics.
             for key in [key for key in table if None in key]:
                 del table[key]
@@ -445,3 +474,17 @@ def _accumulate(base, detail, blocks, track_touch):
 
     _hot_counters()[0].inc(tuples_examined)
     return slots, state, touched
+
+
+def _base_keys(base, columnar, exprs, candidates) -> list:
+    """The key tuple of each candidate base row over the equality atoms'
+    base sides: read from the key columns when every side is a plain base
+    field, else one row kernel call per row."""
+    if all(isinstance(expr, Field) and expr.relvar == BASE_VAR for expr in exprs):
+        keys = columnar.keys(base.schema.positions([expr.name for expr in exprs]))
+        if len(exprs) == 1:
+            keys = list(zip(keys))
+    else:
+        base_key = compiler.compile_values(exprs, {BASE_VAR: base.schema}, (BASE_VAR,))
+        keys = list(map(base_key, base.rows))
+    return keys if len(candidates) == len(keys) else list(map(keys.__getitem__, candidates))

@@ -638,13 +638,13 @@ _COLUMN_WRITERS = (
 def _encode_relation_column(relation: Relation) -> bytes:
     schema = relation.schema
     _row_header, header, type_codes = _encode_plan(schema)
-    rows = relation.rows
+    row_count = len(relation)
     out = bytearray(header)
-    _write_varint(out, len(rows))
-    if not rows:
+    _write_varint(out, row_count)
+    if not row_count:
         return bytes(out)
     if not type_codes:
-        _check_zero_attribute_rows(len(rows))
+        _check_zero_attribute_rows(row_count)
         return bytes(out)
     # The relation's own column view: what a kernel or an earlier encode of
     # the same relation (X goes to every site) transposed is not transposed

@@ -74,7 +74,7 @@ def _typed_view(values: list) -> tuple:
     objects = valid = None
     if type(None) in kinds:
         kinds.discard(type(None))
-        objects = np.array(values, dtype=object)
+        objects = _object_array(values)
         valid = objects != None  # noqa: E711 - elementwise NULL test
     if kinds == {float} or kinds == {int}:
         source = values if valid is None else np.where(valid, objects, 0)
@@ -87,7 +87,21 @@ def _typed_view(values: list) -> tuple:
             or -EXACT_INT <= data.min(initial=0) and data.max(initial=0) <= EXACT_INT
         ):
             return data, valid
-    return (np.array(values, dtype=object) if objects is None else objects), valid
+    return (_object_array(values) if objects is None else objects), valid
+
+
+def _object_array(values: list) -> np.ndarray:
+    """The values themselves in a 1-D ``object`` array (``np.array`` would
+    make equal-length sequences a second axis)."""
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def typed_view(columns: Sequence) -> tuple:
+    """The typed view ``(data, valid)`` of held columns (value lists or
+    typed arrays) concatenated in order."""
+    if len(columns) == 1:
+        return (columns[0], None) if type(columns[0]) is np.ndarray else _typed_view(columns[0])
+    return _typed_view(list(chain.from_iterable(map(_as_list, columns))))
 
 
 def factorize(keys: list) -> tuple:
@@ -249,20 +263,22 @@ class ColumnarRelation:
         view = self._typed.get(position)
         if view is None:
             held = self._values._lists[position]
-            if type(held) is np.ndarray:
-                view = held, None
-            else:
-                view = _typed_view(self._values.keys((position,)))
+            view = typed_view([self._values.keys((position,)) if held is None else held])
             self._typed[position] = view  # published complete
         return view
 
+    def keys(self, positions: Sequence[int]) -> list:
+        """Each row's values at ``positions``: scalars for one position,
+        tuples for several, ``()`` for none."""
+        return self._values.keys(positions) if positions else [()] * self._length
+
     def codes(self, positions: Sequence[int]) -> tuple:
-        """The cached first-seen factorization ``(uniques, codes)`` of the
-        key tuple at ``positions`` (scalars for one position, tuples else)."""
+        """The cached first-seen factorization ``(uniques, codes)`` of
+        :meth:`keys` at ``positions``."""
         positions = tuple(positions)
         factorized = self._codes.get(positions)
         if factorized is None:
-            factorized = factorize(self._values.keys(positions))
+            factorized = factorize(self.keys(positions))
             self._codes[positions] = factorized  # published complete
         return factorized
 

@@ -12,18 +12,20 @@ guarded by the left side raises in neither lowering).
 :func:`compile_values`): one generated Python function of straight-line
 statements over positional row tuples, e.g.
 ``_t1 = False if _row1[2] is None else _row1[2] >= 10``, called per row.
-They serve what is still per tuple: the coordinator's ¬ψᵢ ship filter
-(:meth:`~repro.distributed.coordinator.Coordinator.fragment_for_site`),
-the scan's base-only prefilter and its base hash key
+They serve what is still per tuple: the scan's base-only prefilter and
+a base hash key with an expression-valued side
 (:func:`repro.gmdj.operator._accumulate`) — and the tests' row oracle
 (``tests/oracle/``), which scans with them.
 
 **Vector kernels** (:func:`compile_mask`, :func:`compile_batch_scalar`,
-:func:`compile_grouped_accumulate`) serve the GMDJ scan and
-``Relation.select`` / ``extend`` / ``theta_join``: each node runs once
-per column, as numpy operations over the cached typed views of
-:class:`~repro.relalg.columnar.ColumnarRelation`, on a vector
-``(data, valid)`` whose validity mask carries NULL (``None``: no NULL).
+:func:`compile_grouped_accumulate`) serve the GMDJ scan,
+``Relation.select`` / ``extend`` / ``theta_join`` and the coordinator's
+¬ψᵢ ship filter
+(:meth:`~repro.distributed.coordinator.Coordinator.fragment_for_site`):
+each node runs once per column, as numpy operations over the cached
+typed views of :class:`~repro.relalg.columnar.ColumnarRelation`, on a
+vector ``(data, valid)`` whose validity mask carries NULL (``None``: no
+NULL).
 Every result is the Python value the row kernels compute:
 
 - *dtype*: ``int64`` holds ints with ``|v| <= 2**53`` (int/float mixing
@@ -40,10 +42,13 @@ Every result is the Python value the row kernels compute:
   pairs in detail-row order, a row-at-a-time scan's, so float sums are
   bit-identical (:func:`compile_grouped_accumulate` has each kind's rule).
 
+The coordinator's fold (:func:`fold_combine`, Theorem 1's θ_K) is the
+same ordered scatters over shipped sub-aggregate columns, by each kind's
+``Component.combine`` rule; it compiles nothing.
+
 Row kernels inline literals and are cached by expression; vector kernels
-are cached by *shape*, constants bound at call time; the coordinator's
-combine kernels (:func:`compile_grouped_combine`) by kinds and positions.
-One process-wide cache holds them all, bounded (:data:`MAX_CACHED_KERNELS`).
+are cached by *shape*, constants bound at call time. One process-wide
+cache holds them all, bounded (:data:`MAX_CACHED_KERNELS`).
 """
 
 from __future__ import annotations
@@ -810,12 +815,13 @@ def _fold(component, groups: np.ndarray, vector: tuple, pairs: np.ndarray) -> li
     return column
 
 
-def _fold_each(component, groups: np.ndarray, values: np.ndarray, size: int) -> list:
-    """One column by ``component.update`` itself: each value into its
-    group, in order, in numpy's ordered object loop, every group from its
-    own ``initial()`` (a custom kind's may be mutable). A holistic
-    ``values`` column is what that ``update`` builds — each group's values
-    in order — gathered by one stable sort of the values by group."""
+def _fold_each(component, groups: np.ndarray, values: np.ndarray, size: int, rule=None) -> list:
+    """One column by ``rule`` (default ``component.update``) itself: each
+    value into its group, in order, in numpy's ordered object loop, every
+    group from its own ``initial()`` (a custom kind's may be mutable). A
+    holistic ``values`` column is what that ``update`` builds — each
+    group's values in order — gathered by one stable sort of the values by
+    group."""
     if component.kind == "values":
         ends = np.cumsum(np.bincount(groups, minlength=size)).tolist()
         ordered = values[np.argsort(groups, kind="stable")].tolist()
@@ -823,7 +829,8 @@ def _fold_each(component, groups: np.ndarray, values: np.ndarray, size: int) -> 
     column = np.empty(size, dtype=object)
     for group in range(size):
         column[group] = component.initial()
-    np.frompyfunc(component.update, 2, 1).at(column, groups, values)
+    with np.errstate(all="ignore"):  # Python's float results, not numpy's flags
+        np.frompyfunc(rule or component.update, 2, 1).at(column, groups, values)
     return column.tolist()
 
 
@@ -989,120 +996,50 @@ def compile_grouped_accumulate(
     )
 
 
+
+
 # ---------------------------------------------------------------------------
-# Coordinator fold (row kernels over shipped sub-aggregates)
+# Coordinator fold (Theorem 1's θ_K over shipped sub-aggregates)
 # ---------------------------------------------------------------------------
 
+#: The rule each built-in kind's ``Component.combine`` follows: counts add,
+#: sums add skipping NULL (``sumsq`` and ``logsum`` ship sums already),
+#: extremes keep the first extreme.
+_COMBINE_RULES = {
+    "count_star": "count", "count": "count", "poscount": "count",
+    "sum": "sum", "sumsq": "sum", "logsum": "sum", "min": "min", "max": "max",
+}
 
-def _emit_component_combine(emitter, indent, kind, acc, value_atom):
-    """Inline one Component.combine of ``value_atom`` into ``acc`` at ``_b``.
 
-    Each branch mirrors the corresponding ``Component.combine``
-    statement-for-statement (left operand the accumulated value, right the
-    absorbed one; ``min``/``max`` keep the left operand on ties), so folding
-    shipped sub-aggregates is bit-identical to calling the method.
+def fold_combine(components: Sequence, groups: np.ndarray, vectors: Sequence, size: int) -> list:
+    """Shipped sub-aggregate values folded into one column per component.
+
+    ``groups[i]`` is the group the ``i``-th value folds into; ``vectors``
+    holds one typed view ``(data, valid)`` of the values per component.
+    Entry ``g`` of a column is ``component.combine`` folded over group
+    ``g``'s values in order, from ``initial()``, by the scan's grouped
+    scatters: counts add into ``int64`` zeros; sums add in order into
+    ``-0.0`` skipping NULL (NULL for a group with no value); ``min`` /
+    ``max`` keep the first extreme, a NaN only first. Values no dtype folds
+    exactly and kinds the kernels do not know fold through
+    ``Component.combine`` itself, in numpy's ordered object loop.
     """
-    slot = f"{acc}[_b]"
-    if kind in ("count_star", "count", "poscount"):
-        emitter.line(indent, f"{slot} += {value_atom}")
-    elif kind in ("sum", "sumsq", "logsum"):
-        emitter.line(indent, f"if {value_atom} is not None:")
-        emitter.line(indent + 1, f"_x = {acc}[_b]")
-        emitter.line(
-            indent + 1, f"{slot} = {value_atom} if _x is None else _x + {value_atom}"
-        )
-    elif kind in ("min", "max"):
-        emitter.line(indent, f"if {value_atom} is not None:")
-        emitter.line(indent + 1, f"_x = {acc}[_b]")
-        emitter.line(
-            indent + 1,
-            f"{slot} = {value_atom} if _x is None else {kind}(_x, {value_atom})",
-        )
-    else:  # pragma: no cover - guarded by VECTORIZED_COMPONENT_KINDS
-        raise ExpressionError(f"cannot vectorize component kind {kind!r}")
-
-
-def _combine_loop(components, key_positions, sub_positions) -> Callable:
-    """:func:`compile_grouped_combine` for kinds with no inlined rule."""
-    plan = [
-        (index, position, component.combine)
-        for index, (position, component) in enumerate(zip(sub_positions, components))
-    ]
-
-    def kernel(rows, probe, accs, touch=None):
-        for row in rows:
-            matches = probe(tuple(row[position] for position in key_positions))
-            if not matches:
-                continue
-            if touch is not None:
-                touch(matches)
-            for base_index in matches:
-                for index, position, combine in plan:
-                    acc = accs[index]
-                    acc[base_index] = combine(acc[base_index], row[position])
-
-    return kernel
-
-
-def compile_grouped_combine(
-    components: Sequence,
-    key_positions: Sequence[int],
-    sub_positions: Sequence[int],
-    records_touch: bool = False,
-) -> Callable:
-    """Fold sub-aggregate rows into component columns: Theorem 1's θ_K.
-
-    The returned kernel has signature::
-
-        kernel(rows, probe, accs, touch=None)
-
-    - ``rows``: row tuples carrying a key at ``key_positions`` and one
-      shipped value per component at ``sub_positions``;
-    - ``probe``: maps a key tuple to the base indices holding that key
-      (falsy when there are none) — ``index.get`` of a key index;
-    - ``accs``: the flat component columns, one per component;
-    - ``touch``: with ``records_touch``, called once per folded row with
-      the base indices it folded into (``list.append`` of the caller's
-      touched set: the fold has them in hand, no second probe finds them).
-
-    For every row and every base index its key maps to, each column's
-    entry becomes ``component.combine(entry, shipped value)``, rows in
-    order. Kinds in :data:`VECTORIZED_COMPONENT_KINDS` are inlined into
-    one generated loop, cached by (kinds, key positions, sub positions,
-    records_touch); any other kind sends the whole fold through
-    ``Component.combine``.
-    """
-    kinds = tuple(component.kind for component in components)
-    key_positions = tuple(key_positions)
-    sub_positions = tuple(sub_positions)
-    if not VECTORIZED_COMPONENT_KINDS.issuperset(kinds):
-        return _combine_loop(components, key_positions, sub_positions)
-    key = ("grouped_combine", kinds, key_positions, sub_positions, records_touch)
-
-    def build():
-        emitter = _Emitter({}, {})
-        for index in range(len(kinds)):
-            emitter.line(0, f"_acc{index} = _accs[{index}]")
-        emitter.line(0, "for _r in _rows:")
-        key_tuple = "".join(f"_r[{position}], " for position in key_positions)
-        emitter.line(1, f"_matches = _probe(({key_tuple}))")
-        emitter.line(1, "if not _matches:")
-        emitter.line(2, "continue")
-        if records_touch:
-            emitter.line(1, "_touch(_matches)")
-        for index, position in enumerate(sub_positions):
-            emitter.line(1, f"_v{index} = _r[{position}]")
-        emitter.line(1, "for _b in _matches:")
-        for index, kind in enumerate(kinds):
-            _emit_component_combine(emitter, 2, kind, f"_acc{index}", f"_v{index}")
-
-        source = "def _kernel(_rows, _probe, _accs, _touch=None):\n" + "\n".join(
-            "    " + line for line in emitter.lines
-        )
-        env = emitter.env
-        exec(compile(source, "<relalg-combine-kernel>", "exec"), env)  # noqa: S102
-        kernel = env["_kernel"]
-        kernel.__kernel_source__ = source
-        return kernel
-
-    return _cached(key, build)
+    reached = None  # the groups any value reaches, shared by the NULL-free columns
+    columns = []
+    for component, vector in zip(components, vectors):
+        (data, valid), rule = vector, _COMBINE_RULES.get(component.kind)
+        total = present = None
+        if rule == "count" and valid is None and data.dtype == _INT:
+            total = _scatter("sum", groups, data, size)  # from zeros: no group is NULL
+        elif rule in ("sum", "min", "max"):
+            kept = groups if valid is None else groups[valid]
+            with np.errstate(all="ignore"):  # IEEE results, as Python's floats give
+                total = _scatter(rule, kept, data if valid is None else data[valid], size)
+            if valid is None and reached is None:
+                reached = np.bincount(groups, minlength=size) > 0
+            present = reached if valid is None else np.bincount(kept, minlength=size) > 0
+        if total is not None:
+            columns.append(_objects((total, present)).tolist())
+        else:  # the Python rule per value
+            columns.append(_fold_each(component, groups, _objects(vector), size, component.combine))
+    return columns

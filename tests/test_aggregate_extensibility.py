@@ -156,8 +156,9 @@ class TestRegistration:
 
 
 class _AbsMaxComponent(Component):
-    """Largest magnitude seen: a kind the generated kernels do not inline,
-    so both folds of a round run the ``Component.combine`` loop."""
+    """Largest magnitude seen: a kind the kernels have no rule for, so the
+    site folds it through ``Component.update`` and the coordinator through
+    ``Component.combine``, each in the ordered object loop."""
 
     kind = "absmax"
 
@@ -186,8 +187,9 @@ class _AbsMaxFunction(AggregateFunction):
 
 class TestCustomAggregateThroughNarrowedRounds:
     """Observed-distribution group reduction with a custom component: the
-    round that is observed folds through ``_combine_loop``, which hands
-    over what it touched like the generated kernel does."""
+    round that is observed folds it through ``Component.combine`` in the
+    ordered object loop, and the probe hands over what it touched as it
+    does for the built-in kinds."""
 
     @pytest.fixture(autouse=True)
     def register_absmax(self):

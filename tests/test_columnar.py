@@ -170,6 +170,17 @@ class TestColumnarRelation:
         assert columnar.typed(0) is columnar.typed(0)  # cached
         assert Column("i", INT, [5, None, -7]).null_count() == 1
 
+    def test_sequence_values_are_one_element_each(self):
+        """Equal-length tuples or lists are values, not a second axis: the
+        object view is one-dimensional, NULLs or not."""
+        for values in ([(1, 2), (3, 4)], [[1, 2], [3, 4]], [(1, 2), None]):
+            relation = Relation(Schema.of(("t", STR),), [(value,) for value in values])
+            data, _valid = relation.to_columnar().typed(0)
+            assert data.shape == (len(values),)
+            assert data.tolist() == values
+            # A selection over the column sees each whole value.
+            assert relation.select(col.t == Const(values[0])).rows == [(values[0],)]
+
     def test_codes_first_appearance_order(self):
         relation = Relation(
             Schema.of(("s", STR), ("k", FLOAT)),

@@ -213,12 +213,15 @@ def test_kernel_source_is_attached_for_introspection():
 
 def test_new_literals_do_not_grow_the_kernel_cache():
     """A server that sees a new literal in every statement keeps a bounded
-    cache: vector kernels are cached by shape, row kernels and the
-    coordinator's combine kernels are capped."""
+    cache: vector kernels are cached by shape, row kernels are capped, and
+    the coordinator's fold is not a kernel."""
     from repro.data.flows import FlowConfig, generate_flows, router_partitioner
     from repro.distributed import ExecutionConfig, SimulatedCluster
+    from repro.gmdj.blocks import MDBlock
+    from repro.gmdj.operator import super_aggregate
     from repro.relalg import compiler
-    from repro.relalg.aggregates import SumComponent
+    from repro.relalg.aggregates import AggSpec
+    from repro.relalg.schema import INT, Attribute
     from repro.service import QueryService
 
     config = FlowConfig(flow_count=300, router_count=2)
@@ -235,7 +238,13 @@ def test_new_literals_do_not_grow_the_kernel_cache():
     for literal in range(2 * compiler.MAX_CACHED_KERNELS):
         compile_predicate(detail.v >= float(literal), _SCHEMAS, _PARAMS)
     assert kernel_cache_size() <= compiler.MAX_CACHED_KERNELS
-    # A fold per layout of shipped columns: 300 layouts, still capped.
-    for position in range(300):
-        compiler.compile_grouped_combine([SumComponent()], (0,), (position + 1,))
-    assert kernel_cache_size() <= compiler.MAX_CACHED_KERNELS
+    # The coordinator's fold compiles nothing: 300 layouts of shipped
+    # columns leave the cache as it was.
+    before = kernel_cache_size()
+    blocks = [MDBlock([AggSpec("sum", detail.v, "s")], base.k == detail.k)]
+    x = Relation(Schema.of(("k", INT)), [(1,), (2,)])
+    for width in range(300):
+        pads = [Attribute(f"p{index}", INT) for index in range(width)]
+        h = Relation(Schema([*pads, Attribute("k", INT), Attribute("s", INT)]), [(0,) * width + (2, 5)])
+        assert super_aggregate(x, h, ("k",), blocks).rows == [(1, None), (2, 5)]
+    assert kernel_cache_size() == before

@@ -1,21 +1,39 @@
-"""Property test: the flat component-column fold equals the object fold, bit for bit.
+"""Property test: the column fold equals the object fold, bit for bit.
 
 ``SyncSession`` and ``merge_sub_results`` used to keep one accumulator
 object per (group, aggregate) and fold shipped sub-values through
-``load_sub_values`` / ``merge`` / ``result``. They now fold into flat
-component columns with a generated kernel. The bodies they replaced are
-kept *here* as the reference; Hypothesis draws the aggregate functions
-(every built-in distributive/algebraic one plus a registered custom
-component kind the kernels do not inline), the sub-values, the base, the
-sources, their arrival order and row blocking — and the two sides must
-agree by ``repr``, so ``0.0`` vs ``-0.0`` and ``1`` vs ``1.0`` differ.
+``load_sub_values`` / ``merge`` / ``result``. They now fold whole columns
+with grouped scatters (``compiler.fold_combine``). The bodies they
+replaced are kept *here* as the reference; Hypothesis draws the aggregate
+functions (every built-in distributive/algebraic one plus a registered
+custom component kind with list-valued state), the sub-values (NaN, ±inf,
+ints at and past 2**53 and int64, bools among ints, ints among floats),
+the base, the sources, their arrival order, row blocking, ``observes``
+and ``in_order`` — and the two sides must agree by ``repr``, so ``0.0``
+vs ``-0.0`` and ``1`` vs ``1.0`` differ, and on what each source was
+observed to touch.
+
+A row guard rides along: an S5 round trip builds no row tuple between the
+site's ``evaluate_round`` and the coordinator's ``commit_sync``.
 """
 
+import math
+from collections import Counter
+from itertools import chain
+
+from bench_e2e.workloads import S5_FINE_GROUPS
+from conftest import assert_relations_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.tpcr import TPCRConfig, generate_tpcr, nation_partitioner, register_tpcr_fds
+from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.coordinator import Coordinator
+from repro.distributed.evaluator import ExecutionConfig, execute_query
+from repro.distributed.site import SkallaSite
 from repro.gmdj.blocks import MDBlock, result_schema
 from repro.gmdj.operator import SyncSession, merge_sub_results
+from repro.queries.sql import parse_olap_statement
 from repro.relalg.aggregates import (
     ALGEBRAIC,
     AggregateFunction,
@@ -24,6 +42,7 @@ from repro.relalg.aggregates import (
     count_star,
     register_aggregate,
 )
+from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.expressions import base, detail
 from repro.relalg.relation import Relation
 from repro.relalg.schema import INT, STR, Attribute, Schema
@@ -79,7 +98,7 @@ register_aggregate("top2", lambda star: _TopTwoFunction(), replace=True)
 class ObjectSyncSession:
     """``SyncSession`` as it was: one accumulator object per (source, group, aggregate)."""
 
-    def __init__(self, base_relation, key_attrs, blocks):
+    def __init__(self, base_relation, key_attrs, blocks, observes=False, in_order=False):
         self._base = base_relation
         self._key_attrs = tuple(key_attrs)
         self._blocks = tuple(blocks)
@@ -89,6 +108,9 @@ class ObjectSyncSession:
             key = tuple(base_row[position] for position in key_positions)
             self._lookup.setdefault(key, []).append(base_index)
         self._banks = {}
+        self._observes = observes
+        self._in_order = in_order
+        self._touched = {}  # source -> base indices each absorbed row folded into
 
     def _fresh_bank(self):
         return [
@@ -102,12 +124,15 @@ class ObjectSyncSession:
             [h.schema.positions(spec.sub_names()) for spec in block.aggregates]
             for block in self._blocks
         ]
-        if source not in self._banks:
-            self._banks[source] = self._fresh_bank()
-        accumulators = self._banks[source]
+        bank = "" if self._in_order else source
+        if bank not in self._banks:
+            self._banks[bank] = self._fresh_bank()
+        accumulators = self._banks[bank]
+        touched = self._touched.setdefault(source, [])
         for h_row in h.rows:
             key = tuple(h_row[position] for position in key_positions)
             for base_index in self._lookup.get(key, ()):
+                touched.append(base_index)
                 for block_index in range(len(self._blocks)):
                     block_accumulators = accumulators[block_index][base_index]
                     for agg_index, positions in enumerate(sub_positions[block_index]):
@@ -117,6 +142,10 @@ class ObjectSyncSession:
 
     def reset_source(self, source):
         self._banks.pop(source, None)
+        self._touched.pop(source, None)
+
+    def touched(self):
+        return self._touched if self._observes else None
 
     def _merged_bank(self):
         if len(self._banks) == 1:
@@ -211,6 +240,9 @@ numbers = (
     | st.integers(min_value=-(10**6), max_value=10**6)
     | st.floats(allow_nan=False, allow_infinity=False, width=64)
     | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310])
+    | st.sampled_from([math.nan, math.inf, -math.inf, True, False])
+    # Ints at the edge of exact float conversion, and past int64.
+    | st.sampled_from([2**53, -(2**53), 2**53 + 1, -(2**53) - 1, 2**63, -(2**63) - 1, 2**70])
 )
 #: Sums of logarithms stay where ``exp`` of their mean cannot overflow.
 logs = st.none() | st.floats(min_value=-10, max_value=10) | st.sampled_from([-0.0, 5e-324])
@@ -295,8 +327,22 @@ def assert_same_bits(actual: Relation, expected: Relation) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: 150 examples, or what ``--hypothesis-profile=equivalence`` asks if more.
+EXAMPLES = settings(deadline=None, max_examples=max(150, settings.default.max_examples))
+
+
+def assert_same_touches(actual, expected) -> None:
+    """Equal per-source multisets of touched base positions."""
+    if expected is None:
+        assert actual is None
+        return
+    assert sorted(actual) == sorted(expected)
+    for source, positions in expected.items():
+        assert Counter(chain.from_iterable(actual[source])) == Counter(positions)
+
+
 @given(data=st.data())
-@settings(max_examples=150, deadline=None)
+@EXAMPLES
 def test_sync_session_equals_object_fold(data):
     blocks = data.draw(blocks_strategy())
     key_attrs = data.draw(st.sampled_from([("g", "h"), ("h",), ("g",), ()]))
@@ -326,9 +372,10 @@ def test_sync_session_equals_object_fold(data):
     )
     victim = data.draw(st.sampled_from(sources))
     reset_after = data.draw(st.integers(min_value=0, max_value=len(arrivals)))
+    modes = {"observes": data.draw(st.booleans()), "in_order": data.draw(st.booleans())}
 
-    flat = SyncSession(base_relation, key_attrs, blocks)
-    reference = ObjectSyncSession(base_relation, key_attrs, blocks)
+    flat = SyncSession(base_relation, key_attrs, blocks, **modes)
+    reference = ObjectSyncSession(base_relation, key_attrs, blocks, **modes)
     for session in (flat, reference):
         for source, block in arrivals[:reset_after]:
             session.absorb(block, source)
@@ -340,10 +387,11 @@ def test_sync_session_equals_object_fold(data):
             if source != victim:
                 session.absorb(block, source)
     assert_same_bits(flat.finish(), reference.finish())
+    assert_same_touches(flat.touched(), reference.touched())
 
 
 @given(data=st.data())
-@settings(max_examples=150, deadline=None)
+@EXAMPLES
 def test_merge_sub_results_equals_object_fold(data):
     blocks = data.draw(blocks_strategy())
     key_attrs = data.draw(st.sampled_from([("g", "h"), ("h",), ("g",), ()]))
@@ -358,3 +406,54 @@ def test_merge_sub_results_equals_object_fold(data):
         merge_sub_results(h, key_attrs, blocks),
         object_merge_sub_results(h, key_attrs, blocks),
     )
+
+
+# ---------------------------------------------------------------------------
+# The row guard
+# ---------------------------------------------------------------------------
+
+def test_a_round_trip_builds_no_rows(monkeypatch):
+    """From the site's ``evaluate_round`` to the coordinator's
+    ``commit_sync`` an S5 round trip stays columns: Hᵢ, the column codec,
+    the fold and X. Only the caller reading the answer builds its rows."""
+    cluster = SimulatedCluster.with_sites(2)
+    cluster.load_partitioned(
+        "TPCR", generate_tpcr(TPCRConfig(scale=0.0002, seed=101)), nation_partitioner(2)
+    )
+    register_tpcr_fds(cluster.catalog)
+    window = {"open": False, "rows": 0, "commits": 0}
+
+    def wrap(method, before=None, after=None):
+        def wrapper(*args, **kwargs):
+            if before is not None:
+                before()
+            result = method(*args, **kwargs)
+            if after is not None:
+                after()
+            return result
+
+        return wrapper
+
+    def opened():
+        window["open"] = True
+
+    def closed():
+        window["open"] = False
+        window["commits"] += 1
+
+    def counted():
+        window["rows"] += window["open"]
+
+    monkeypatch.setattr(SkallaSite, "evaluate_round", wrap(SkallaSite.evaluate_round, opened))
+    monkeypatch.setattr(Coordinator, "commit_sync", wrap(Coordinator.commit_sync, after=closed))
+    monkeypatch.setattr(ColumnarRelation, "to_rows", wrap(ColumnarRelation.to_rows, counted))
+
+    statement = parse_olap_statement(S5_FINE_GROUPS)
+    # The row codec is rows by definition (format v1): the wire is columns here.
+    result = execute_query(
+        cluster, statement.expression, config=ExecutionConfig(wire_codec="column")
+    )
+    assert window["commits"] == 1 and not window["open"]
+    assert window["rows"] == 0
+    expected = statement.expression.evaluate_centralized(cluster.conceptual_tables())
+    assert_relations_equal(result.relation, expected)

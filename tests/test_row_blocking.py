@@ -1,5 +1,9 @@
 """Tests for row blocking and streaming synchronization."""
 
+import sys
+import threading
+
+import numpy as np
 import pytest
 
 from conftest import assert_relations_equal, make_flows
@@ -187,6 +191,55 @@ class TestSyncSession:
         assert_relations_equal(
             session.finish(), evaluate(base_relation, FLOW, blocks), places=6
         )
+
+    def test_concurrent_absorbs_lose_nothing(self):
+        """Sixteen sources absorb at once on more threads than cores: a lost
+        bank or touch update would change the relation or the touches."""
+        base_relation = FLOW.distinct_project(["SourceAS"])
+        blocks = [MDBlock([count_star("cnt"), AggSpec("sum", detail.NumBytes, "s")], KEY)]
+        subs = [
+            evaluate_sub(base_relation, Relation(FLOW.schema, FLOW.rows[site::16]), blocks)[0]
+            for site in range(16)
+        ]
+
+        def fold(threaded):
+            session = SyncSession(base_relation, ["SourceAS"], blocks, observes=True)
+
+            def absorb(site, sub):
+                for start in range(0, len(sub), 3):
+                    session.absorb(Relation(sub.schema, sub.rows[start : start + 3]), f"s{site}")
+
+            if not threaded:
+                for site, sub in enumerate(subs):
+                    absorb(site, sub)
+                return session
+            workers = [
+                threading.Thread(target=absorb, args=(site, sub)) for site, sub in enumerate(subs)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+            return session
+
+        serial = fold(threaded=False)
+        expected = serial.finish().rows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _attempt in range(5):
+                session = fold(threaded=True)
+                assert repr(session.finish().rows) == repr(expected)
+                assert {
+                    source: sorted(np.concatenate(positions).tolist())
+                    for source, positions in session.touched().items()
+                } == {
+                    source: sorted(np.concatenate(positions).tolist())
+                    for source, positions in serial.touched().items()
+                }
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_no_absorb_gives_empty_aggregates(self):
         base_relation = FLOW.distinct_project(["SourceAS"])

@@ -266,6 +266,18 @@ class TestColumnFormat:
             b"\x00" b"\x05"
         )
 
+    def test_encoding_a_column_backed_relation_builds_no_rows(self):
+        relation = Relation(
+            Schema.of(("k", INT), ("s", STR), ("b", BOOL)),
+            [(1000, "ab", True), (1002, None, False), (1001, "ab", True)],
+        )
+        payload = encode_relation(relation, "column")
+        decoded = decode_relation(payload)
+        assert decoded._rows is None
+        assert encode_relation(decoded, "column") == payload
+        assert decoded._rows is None
+        assert decoded.rows == relation.rows
+
     def test_empty_relation_is_header_only(self):
         row = encode_relation(Relation.empty(FULL_SCHEMA), "row")
         column = encode_relation(Relation.empty(FULL_SCHEMA), "column")
