@@ -18,7 +18,6 @@ Per round, a site:
 
 from __future__ import annotations
 
-from operator import or_
 from typing import Sequence
 
 import numpy as np
@@ -81,9 +80,7 @@ class SkallaSite:
                     current_base, detail, step.blocks
                 )
             columns += sub.to_columnar().value_lists().held()[len(current_base.schema):]
-            touched_any = (
-                touched if touched_any is None else list(map(or_, touched_any, touched))
-            )
+            touched_any = touched if touched_any is None else touched_any | touched
             if not is_last:
                 current_base = full
 

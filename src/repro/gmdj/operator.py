@@ -2,12 +2,14 @@
 
 The evaluation strategy is the hash-based MD-join of Chatziantoniou et
 al. (ICDE 2001), the paper's reference [7]: for each block, the equality
-atoms of the condition build a hash table over the base-values relation;
-a single scan of the detail relation probes it and updates per-base-row
-aggregate state, checking any residual (non-equality) conjuncts per
-candidate pair. Conditions without equality atoms degrade to a
-nested-loop scan — still correct, and exactly why GMDJ groups may
-overlap, unlike SQL ``GROUP BY`` groups.
+atoms of the condition index the base-values relation — a hash table, or
+for a key of several ``int64`` attributes the detail's sorted composite
+keys (:class:`~repro.relalg.columnar.KeyMatcher`); a single scan of the
+detail relation probes it and updates per-base-row aggregate state,
+checking any residual (non-equality) conjuncts per candidate pair.
+Conditions without equality atoms degrade to a nested-loop scan — still
+correct, and exactly why GMDJ groups may overlap, unlike SQL ``GROUP BY``
+groups.
 
 Aggregate state has one runtime representation: **flat component
 columns**. ``columns[i]`` is the list, over base rows, of the i-th
@@ -26,8 +28,8 @@ Three entry points:
 - :func:`evaluate` — the full operator, producing finalized aggregates
   (what a centralized warehouse computes);
 - :func:`evaluate_sub` — the site-side variant, producing *sub-aggregate*
-  columns and per-row touch flags (|RNG| > 0 over the disjunction of all
-  block conditions), used by Skalla sites and Proposition 1 reduction;
+  columns and per-row touch flags (a bool array: |RNG| > 0 over the
+  disjunction of all block conditions), used by Skalla sites and Proposition 1 reduction;
 - :func:`super_aggregate` — the coordinator-side second GMDJ of Theorem
   1: combines shipped sub-results ``H`` into the global result via key
   equality θ_K and super-aggregates.
@@ -116,11 +118,9 @@ def _finalized(slots, columns) -> list:
 
 def _extended(base: Relation, schema, columns) -> Relation:
     """``base`` with one more attribute per row-aligned column, backed by
-    the base's held columns plus ``columns``: no row is built."""
-    held = base.to_columnar().value_lists().held()
-    return Relation.from_columnar(
-        ColumnarRelation.from_value_lists(schema, [*held, *columns], len(base))
-    )
+    the base's held columns plus ``columns``: no row is built, and what is
+    cached about the base's columns carries over."""
+    return Relation.from_columnar(base.to_columnar().extended(schema, columns))
 
 
 def _reject_holistic(blocks) -> None:
@@ -145,9 +145,10 @@ def evaluate_sub(
     """Site-side GMDJ: sub-aggregate columns plus touch flags.
 
     Returns ``(H_i, touched)`` where ``H_i`` carries one column per
-    sub-aggregate component (Theorem 1's ``l'``) and ``touched[k]`` is
-    True iff base row ``k`` had ``|RNG(b, R_i, theta_1 v ... v theta_m)| > 0``
-    — the Proposition 1 group-reduction test.
+    sub-aggregate component (Theorem 1's ``l'``) and ``touched`` is a bool
+    array whose entry ``k`` is True iff base row ``k`` had
+    ``|RNG(b, R_i, theta_1 v ... v theta_m)| > 0`` — the Proposition 1
+    group-reduction test.
     """
     _reject_holistic(blocks)
     _slots, columns, touched = _accumulate(base, detail, blocks, track_touch=True)
@@ -182,11 +183,15 @@ class SyncSession:
     Section 3.2: "the coordinator can synchronize H with those
     sub-results it has already received while receiving blocks of H from
     slower sites, rather than having to wait for all of H to be
-    assembled". A session reaches the base rows from K through one hash
-    index, key -> position; it absorbs sub-result fragments in any order
-    and finalizes once, in columns: :meth:`absorb` probes each fragment
-    row once and keeps the fragment's sub-aggregate columns with each
-    row's base position; :meth:`finish` folds them into typed component
+    assembled". A session reaches the base rows from K through one index,
+    key -> position: when K is two or more ``int64`` attributes and the
+    base's keys are distinct, the base's composite keys
+    (:meth:`ColumnarRelation.matcher`, prepared once), which finds a
+    fragment whose keys are ``int64`` too by one ``searchsorted``; else a
+    hash index, built on first use. It absorbs sub-result fragments in any
+    order and finalizes once, in columns: :meth:`absorb` finds each
+    fragment row once and keeps the fragment's sub-aggregate columns with
+    each row's base position; :meth:`finish` folds them into typed component
     columns over the base rows (a *bank*) by grouped scatters
     (:func:`repro.relalg.compiler.fold_combine`) and returns X backed by
     the base's columns plus the finalized ones.
@@ -225,27 +230,42 @@ class SyncSession:
         self._blocks = tuple(blocks)
         self._slots, self._components = _layout(self._blocks)
         self._sub_names = _sub_names(self._blocks)
-        keys = base.to_columnar().keys(base.schema.positions(self._key_attrs))
-        self._index = dict(zip(keys, count()))
-        self._overlapping = len(self._index) != len(keys)
-        if self._overlapping:  # duplicate keys in X: key -> every position
-            self._index = _key_index(keys, range(len(keys)))
+        columnar, positions = base.to_columnar(), base.schema.positions(self._key_attrs)
+        matcher = columnar.matcher(positions)
+        # Distinct keys: a key's code is its position in the base.
+        distinct = matcher is not None and len(columnar.codes(positions)[0]) == len(base)
+        self._matcher = matcher if distinct else None
+        self._index: Optional[tuple] = None  # (hash index, overlapping), built on first use
         self._observes = observes
         self._in_order = in_order
         self._banks: dict = {}  # source -> [(sub columns, base positions)] in arrival order
         self._touched: dict = {}  # source -> [base positions per absorbed fragment]
         self._lock = threading.Lock()
 
-    def _probe(self, keys: list) -> tuple:
+    def _hash_index(self) -> tuple:
+        """``(index, overlapping)``: the base's keys -> position, or -> every
+        position when two base rows share a key."""
+        if self._index is None:
+            keys = self._base.to_columnar().keys(self._base.schema.positions(self._key_attrs))
+            index = dict(zip(keys, count()))
+            overlapping = len(index) != len(keys)
+            if overlapping:  # duplicate keys in X: key -> every position
+                index = _key_index(keys, range(len(keys)))
+            self._index = (index, overlapping)  # published complete
+        return self._index
+
+    def _probe(self, columnar, positions: Sequence[int]) -> tuple:
         """``(rows, bases)``: per (fragment row, base row) pair, row-major,
         the row (``rows`` ``None``: every row, once) and its base position."""
-        if not self._overlapping:
-            found = np.fromiter(
-                map(self._index.get, keys, repeat(-1)), dtype=np.int64, count=len(keys)
-            )
-            rows = np.flatnonzero(found >= 0)
-            return (None, found) if len(rows) == len(found) else (rows, found[rows])
-        matches = list(map(self._index.get, keys, repeat(())))
+        columns = None if self._matcher is None else columnar.int_keys(positions)
+        if columns is not None:
+            return _found(self._matcher.find(columns))
+        index, overlapping = self._hash_index()
+        keys = columnar.keys(positions)
+        if not overlapping:
+            found = np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
+            return _found(found)
+        matches = list(map(index.get, keys, repeat(())))
         sizes = np.fromiter(map(len, matches), dtype=np.int64, count=len(matches))
         bases = np.fromiter(chain.from_iterable(matches), dtype=np.int64, count=sizes.sum())
         return np.repeat(np.arange(len(matches)), sizes), bases
@@ -259,7 +279,7 @@ class SyncSession:
         """
         columnar = h.to_columnar()
         held = columnar.value_lists().held()
-        rows, bases = self._probe(columnar.keys(h.schema.positions(self._key_attrs)))
+        rows, bases = self._probe(columnar, h.schema.positions(self._key_attrs))
         sub_positions = h.schema.positions(self._sub_names)
         columns = [_gather(held[position], rows) for position in sub_positions]
         with self._lock:
@@ -316,6 +336,13 @@ class SyncSession:
             result_schema(self._base.schema, self._blocks),
             _finalized(self._slots, self._bank()),
         )
+
+
+def _found(found: np.ndarray) -> tuple:
+    """``SyncSession._probe``'s pairs when each row finds at most one base
+    position (``found``: that position, or -1)."""
+    rows = np.flatnonzero(found >= 0)
+    return (None, found) if len(rows) == len(found) else (rows, found[rows])
 
 
 def _groups(fragments: list) -> np.ndarray:
@@ -386,8 +413,7 @@ def merge_sub_results(
     _slots, components = _layout(blocks)
     columnar = h.to_columnar()
     held = columnar.value_lists().held()
-    _uniques, codes = columnar.codes(h.schema.positions(key_attrs))
-    _keys, firsts = np.unique(codes, return_index=True)
+    firsts, codes = columnar.codes(h.schema.positions(key_attrs))
     sub_positions = h.schema.positions(_sub_names(blocks))
     bank = _fold(components, [([held[position] for position in sub_positions], codes)], len(firsts))
     merged = [_gather(column, firsts) for column in held]
@@ -406,10 +432,13 @@ def _accumulate(base, detail, blocks, track_touch):
 
     ``columns`` are the flat state columns of the blocks' aggregates and
     ``slots`` their per-aggregate layout (see :func:`_layout`).
-    ``touched[base_row]`` is maintained only when ``track_touch``.
+    ``touched`` is a bool array over the base rows, maintained only when
+    ``track_touch``.
 
     Per block: the base-only conjuncts prefilter the base rows and the
-    equality atoms build a hash table over the survivors; the detail-only
+    equality atoms match the survivors' keys against the detail's distinct
+    keys — by their ``int64`` composites (:func:`_matched`) when the keys
+    allow, else through a hash table over the survivors; the detail-only
     conjuncts are one selection vector
     (:func:`repro.relalg.compiler.compile_mask`); probe, residuals,
     aggregate inputs and component folds are one vector kernel
@@ -426,7 +455,7 @@ def _accumulate(base, detail, blocks, track_touch):
     schemas = {BASE_VAR: base.schema, DETAIL_VAR: detail.schema, None: detail.schema}
     detail_aliases = {None: DETAIL_VAR}
     detail_columns, base_columns = detail.to_columnar(), base.to_columnar()
-    touched = [False] * len(base) if track_touch else None
+    touched = np.zeros(len(base), dtype=bool) if track_touch else None
     state = []
     tuples_examined = 0
 
@@ -449,15 +478,17 @@ def _accumulate(base, detail, blocks, track_touch):
         tuples_examined += len(detail) if rows is None else len(rows)
 
         if split.hashable:
-            base_exprs = [atom.base_expr for atom in split.atoms]
-            table = _key_index(
-                _base_keys(base, base_columns, base_exprs, candidate_base), candidate_base
-            )
-            # NULL keys never match under SQL equality semantics.
-            for key in [key for key in table if None in key]:
-                del table[key]
-            probe = table.get
             key_exprs = [atom.detail_expr for atom in split.atoms]
+            probe = _matched(base_columns, detail_columns, split.atoms, candidate_base)
+            if probe is None:
+                base_exprs = [atom.base_expr for atom in split.atoms]
+                table = _key_index(
+                    _base_keys(base, base_columns, base_exprs, candidate_base), candidate_base
+                )
+                # NULL keys never match under SQL equality semantics.
+                for key in [key for key in table if None in key]:
+                    del table[key]
+                probe = table.get
         else:
             probe = candidate_base
             key_exprs = None
@@ -474,6 +505,40 @@ def _accumulate(base, detail, blocks, track_touch):
 
     _hot_counters()[0].inc(tuples_examined)
     return slots, state, touched
+
+
+def _matched(base, detail, atoms, candidates) -> Optional[np.ndarray]:
+    """Per distinct detail key (the detail's cached factorization), the
+    candidate base row with that key, or -1.
+
+    Taken when every equality atom is a plain base field against a plain
+    detail field, both sides' keys are ``int64`` composites
+    (:meth:`ColumnarRelation.matcher`, cached on the detail) and no two
+    candidates share a key; ``None`` otherwise, for the hash table.
+    """
+    if len(atoms) < 2 or not all(
+        isinstance(atom.base_expr, Field) and atom.base_expr.relvar == BASE_VAR
+        and isinstance(atom.detail_expr, Field) and atom.detail_expr.relvar in (DETAIL_VAR, None)
+        for atom in atoms
+    ):
+        return None
+    matcher = detail.matcher(detail.schema.positions([atom.detail_expr.name for atom in atoms]))
+    if matcher is None:
+        return None
+    columns = base.int_keys(base.schema.positions([atom.base_expr.name for atom in atoms]))
+    if columns is None:
+        return None
+    if type(candidates) is range:
+        rows = np.arange(len(base))
+    else:
+        rows = np.asarray(candidates, dtype=np.int64)
+        columns = [data[rows] for data in columns]
+    codes = matcher.find(columns)
+    hit = codes >= 0
+    found = np.full(len(matcher), -1, dtype=np.int64)
+    found[codes[hit]] = rows[hit]
+    # Two candidates with one key (overlapping groups): the table lists both.
+    return found if np.count_nonzero(found >= 0) == np.count_nonzero(hit) else None
 
 
 def _base_keys(base, columnar, exprs, candidates) -> list:

@@ -29,7 +29,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.errors import AggregateError, HolisticAggregateError
+from repro.relalg.columnar import typed_view
 from repro.relalg.expressions import DETAIL_VAR, Expr, wrap
 from repro.relalg.schema import FLOAT, INT, Attribute
 
@@ -291,6 +294,30 @@ class AvgFunction(_BuiltinFunction):
         if not count or total is None:
             return None
         return total / count
+
+    def finalize_columns(self, columns):
+        """:meth:`finalize` over arrays when the ``sum`` view is ``int64`` or
+        ``float64`` and the ``count`` view NULL-free ``int64``.
+
+        CPython's int/int and float/int true division convert operands
+        within ``2**53`` exactly (the ``typed`` rule), then divide once, as
+        numpy does: each quotient is the same double. A NULL sum or a count
+        of 0 is NULL. Other views take :meth:`finalize` per group.
+        """
+        (total, valid), (count, count_valid) = typed_view([columns[0]]), typed_view([columns[1]])
+        if (
+            type(self).finalize is not AvgFunction.finalize
+            or total.dtype == object
+            or count.dtype != np.int64
+            or count_valid is not None
+        ):
+            return super().finalize_columns(columns)
+        with np.errstate(all="ignore"):  # IEEE results, as Python's floats give
+            quotients = (total / count).tolist()
+        null = count == 0 if valid is None else (count == 0) | ~valid
+        for group in np.flatnonzero(null).tolist():
+            quotients[group] = None
+        return quotients
 
 
 class VarFunction(_BuiltinFunction):

@@ -62,7 +62,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.errors import ExpressionError
-from repro.relalg.columnar import EXACT_INT, factorize
+from repro.relalg.columnar import EXACT_INT, as_list, factorize
 from repro.relalg.expressions import (
     _ARITH_OPS,
     _CMP_OPS,
@@ -624,7 +624,8 @@ def _lower(shape: tuple, schemas: Mapping, aliases: Mapping) -> Callable:
 
         def member(frame):
             values, (columnar, rows) = frame.consts[shape[1]], frame.sources[source]
-            uniques, codes = columnar.codes((position,))
+            firsts, codes = columnar.codes((position,))
+            uniques = as_list(columnar.take((position,), firsts)[0])
             found = np.array([u is not None and u in values for u in uniques], dtype=bool)
             return found[_compose(codes, rows)], None
 
@@ -845,13 +846,19 @@ class _ScanPlan:
         self.keys = keys and [(field(shape), lower(shape)) for shape in keys]
         self.inputs = [(field(shape), lower(shape)) for shape in inputs]
         self.residuals = list(map(lower, residuals))
+        # The detail positions the keys read, when every key is a detail field.
+        fields = [field for field, _lowered in self.keys or ()]
+        self.detail_keys = None
+        if keys and all(field and field[0] == DETAIL_VAR for field in fields):
+            self.detail_keys = [position for _relvar, position in fields]
 
     def _codes(self, frame: _Frame, detail, rows) -> tuple:
         """``(keys, codes)``: the distinct probe keys and each position's code."""
-        fields = [field for field, _lowered in self.keys]
-        if all(field and field[0] == DETAIL_VAR for field in fields):
-            uniques, codes = detail.codes([position for _relvar, position in fields])
-            return (zip(uniques) if len(fields) == 1 else uniques), _compose(codes, rows)
+        positions = self.detail_keys
+        if positions is not None:
+            firsts, codes = detail.codes(positions)
+            keys = zip(*map(as_list, detail.take(positions, firsts)))
+            return list(keys), _compose(codes, rows)
         columns = []
         for field, lowered in self.keys:
             if field and field[0] == DETAIL_VAR:  # the stored objects, as a row probe sees them
@@ -859,7 +866,9 @@ class _ScanPlan:
                 columns.append(values if rows is None else list(map(values.__getitem__, rows.tolist())))
             else:
                 columns.append(_objects(lowered(frame)).tolist())
-        return factorize(list(zip(*columns)))
+        keys = list(zip(*columns))
+        firsts, codes = factorize(keys)
+        return list(map(keys.__getitem__, firsts.tolist())), codes
 
     def _pairs(self, frame: _Frame, detail, rows, probe) -> tuple:
         """``(probing, at, bases)``: the positions that found a base row,
@@ -869,6 +878,9 @@ class _ScanPlan:
             candidates = np.fromiter(probe, dtype=np.int64)
             at = np.repeat(np.arange(frame.count), len(candidates))
             return None, at, np.tile(candidates, frame.count)
+        if type(probe) is np.ndarray:  # per distinct detail key: its base row, or -1
+            bases = probe[_compose(detail.codes(self.detail_keys)[1], rows)]
+            return _probing(bases)
         keys, codes = self._codes(frame, detail, rows)
         # A key with a NULL never matches: the table holds no such key.
         found = list(map(probe, keys, repeat(())))
@@ -877,11 +889,7 @@ class _ScanPlan:
         if sizes.max(initial=0) <= 1:
             firsts = np.full(len(found), -1, dtype=np.int64)
             firsts[sizes == 1] = flat
-            bases = firsts[codes]
-            probing = np.flatnonzero(bases >= 0)
-            if len(probing) == len(bases):
-                return None, None, bases
-            return probing, None, bases[probing]
+            return _probing(firsts[codes])
         per_row = sizes[codes]
         probing = np.flatnonzero(per_row)
         if len(probing) == len(per_row):
@@ -901,8 +909,7 @@ class _ScanPlan:
             bases, at = bases[keep], _compose(at, keep)
         pairs = np.bincount(bases, minlength=len(base))  # per base row
         if touched is not None:
-            for index in np.flatnonzero(pairs).tolist():
-                touched[index] = True
+            touched |= pairs > 0
         inputs = frame if probing is None else frame.take(probing)
         columns = []
         for (field, lowered), group in zip(self.inputs, components):
@@ -937,6 +944,15 @@ class _ScanPlan:
         return stored if pair_rows is None else stored[pair_rows]
 
 
+def _probing(bases: np.ndarray) -> tuple:
+    """``_ScanPlan._pairs``' answer when each position meets at most one
+    base row (``bases``: that row, or -1)."""
+    probing = np.flatnonzero(bases >= 0)
+    if len(probing) == len(bases):
+        return None, None, bases
+    return probing, None, bases[probing]
+
+
 def compile_grouped_accumulate(
     key_exprs,
     input_exprs: Sequence,
@@ -952,9 +968,13 @@ def compile_grouped_accumulate(
     ``detail`` / ``base`` are the :class:`ColumnarRelation` that
     ``DETAIL_VAR`` (and its aliases) / ``BASE_VAR`` fields read; ``rows``
     the detail rows to scan (``None``: all); ``probe`` is ``table.get`` of
-    the base hash table over the equality atoms, or the candidate base
-    indices when ``key_exprs is None`` (nested loop); ``touched`` per-base
-    flags set for every base row a pair reaches (``None``: not tracked).
+    the base hash table over the equality atoms (key tuple -> base rows),
+    or — when every key is a detail field and no key matches two base rows
+    — an ``int64`` array giving, per distinct detail key of the detail's
+    cached factorization (:meth:`ColumnarRelation.codes`), its base row or
+    -1; or the candidate base indices when ``key_exprs is None`` (nested
+    loop). ``touched`` is a bool array over the base rows, set for every
+    base row a pair reaches (``None``: not tracked).
     The result is one list per component of ``components`` (a tuple of
     :class:`~repro.relalg.aggregates.Component` per aggregate), one value
     per base row.

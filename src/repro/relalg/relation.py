@@ -12,7 +12,7 @@ an attribute the first time a kernel reads it. The other is a
 :class:`~repro.relalg.columnar.ColumnarRelation` a column-block decoder
 handed over (:meth:`Relation.from_columnar`): a site's partition loaded
 from the store is one. Its ``rows`` are built on first access. Its length,
-:meth:`Relation.column`, :meth:`Relation.select`,
+:meth:`Relation.column`, :meth:`Relation.select`, :meth:`Relation.distinct`,
 :meth:`Relation.distinct_project` and :meth:`Relation.union_all` read the
 columns, and so does the site scan.
 """
@@ -179,21 +179,29 @@ class Relation:
         )
 
     def distinct(self) -> "Relation":
-        """Duplicate elimination, preserving first-seen row order."""
-        return Relation(self.schema, dict.fromkeys(self.rows))
+        """Duplicate elimination, preserving first-seen row order, rows equal
+        as in :meth:`distinct_project`. A column-backed relation answers
+        from its columns, a row store from its rows: neither builds the
+        other."""
+        if self._rows is None:
+            return self._distinct(self.schema, range(len(self.schema)))
+        return Relation(self.schema, dict.fromkeys(self._rows))
 
     def distinct_project(self, names: Sequence[str]) -> "Relation":
         """``distinct(project(names))`` in one pass, first-seen order.
 
-        The answer is the cached factorization of the key, which a scan
-        grouping on the same attributes probes with.
+        Rows are equal as ``dict`` keys are (``1 == 1.0 == True``, a NaN
+        object only itself). The answer is column-backed: each distinct
+        key's first row, gathered from the key columns at the cached
+        factorization of the key, which a scan grouping on the same
+        attributes probes with.
         """
-        positions = self.schema.positions(names)
-        schema = self.schema.project(names)
+        return self._distinct(self.schema.project(names), self.schema.positions(names))
+
+    def _distinct(self, schema: Schema, positions: Sequence[int]) -> "Relation":
         if not positions:
             return Relation(schema, [()] if len(self) else [])
-        uniques, _codes = self.to_columnar().codes(positions)
-        return Relation(schema, zip(uniques) if len(positions) == 1 else uniques)
+        return Relation.from_columnar(self.to_columnar().distinct(schema, positions))
 
     def union_all(self, *others: "Relation") -> "Relation":
         """Multiset union, rows in order; schemas must be identical.

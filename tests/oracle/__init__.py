@@ -2,7 +2,9 @@
 
 :mod:`oracle.scan` is the row GMDJ scan the vector scan must match by
 ``repr``; ``row_scan()`` swaps it in for the production one.
-:mod:`oracle.codec` is the format v1 reference decoder.
+:mod:`oracle.codec` is the format v1 reference decoder. :mod:`oracle.keys`
+is the ``dict`` key path the ``int64`` composite keys must match;
+``keys.dict_keys()`` sends the production code down it.
 """
 
 from oracle.codec import decode_relation_reference

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 
+import numpy as np
 import pytest
 
 from repro.gmdj import operator
@@ -31,7 +32,7 @@ def accumulate(base, detail, blocks, track_touch):
     detail_schemas = {DETAIL_VAR: detail.schema, None: detail.schema}
     both_schemas = {BASE_VAR: base.schema, **detail_schemas}
     detail_aliases = {None: DETAIL_VAR}
-    touched = [False] * len(base.rows) if track_touch else None
+    touched = np.zeros(len(base.rows), dtype=bool) if track_touch else None
     accumulators = []
     tuples_examined = 0
 

@@ -4,6 +4,8 @@ import math
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AggregateError, HolisticAggregateError
 from repro.relalg.aggregates import (
@@ -11,6 +13,7 @@ from repro.relalg.aggregates import (
     DISTRIBUTIVE,
     HOLISTIC,
     AggSpec,
+    AvgFunction,
     SumFunction,
     count_star,
 )
@@ -207,8 +210,40 @@ class TestComponentColumns:
             def finalize(self, component_values):
                 return 2 * component_values[0]
 
+        class DoubledAvg(AvgFunction):
+            def finalize(self, component_values):
+                return 2 * super().finalize(component_values)
+
         assert SumFunction().finalize_columns([[1.0, 2.5]]) == [1.0, 2.5]
         assert DoubledSum().finalize_columns([[1.0, 2.5]]) == [2.0, 5.0]
+        assert DoubledAvg().finalize_columns([[1.0, 6], [2, 3]]) == [1.0, 4.0]
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                # Sums: one dtype per draw mostly, edge values, NULL, bools.
+                st.one_of(
+                    st.integers(-(2**53), 2**53),
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([None, -0.0, 2**53 + 1, 2**70, True]),
+                ),
+                st.one_of(st.integers(0, 2**53), st.sampled_from([0, 1, 3, None, True])),
+            ),
+            max_size=12,
+        ),
+        st.sampled_from([int, float, None]),
+    )
+    def test_avg_over_arrays_is_avg_per_group(self, groups, only):
+        """AVG's array division returns the per-group ``finalize``'s values
+        by ``repr``: int/int and float/int quotients, NULL for a NULL sum
+        or a zero count, and every other view per group."""
+        if only is not None:  # most draws: a column of one type, the array path
+            groups = [(total, count) for total, count in groups if type(total) is only]
+        sums, counts = [total for total, _ in groups], [count for _, count in groups]
+        function = AvgFunction()
+        expected = [function.finalize(values) for values in groups]
+        assert repr(function.finalize_columns([sums, counts])) == repr(expected)
 
 
 class TestAggSpec:

@@ -26,7 +26,7 @@ from repro.gmdj.blocks import MDBlock
 from repro.net import serialize
 from repro.relalg import compiler
 from repro.relalg.aggregates import AggSpec, count_star
-from repro.relalg.columnar import Column, ColumnarRelation
+from repro.relalg.columnar import Column, ColumnarRelation, as_list
 from repro.relalg.expressions import BASE_VAR, DETAIL_VAR, Const, base, col, detail
 from repro.relalg.index import HashIndex
 from repro.relalg.relation import Relation
@@ -54,6 +54,11 @@ def random_mixed_relation(count, seed, null_rate=0.2):
         for _ in range(count)
     ]
     return Relation(MIXED_SCHEMA, rows)
+
+
+def distinct_keys(columnar, positions, firsts):
+    """The distinct keys a factorization names: its first rows' key tuples."""
+    return list(zip(*map(as_list, columnar.take(positions, firsts))))
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +192,19 @@ class TestColumnarRelation:
             [("b", 1.0), ("a", 1), (None, True), ("b", 2.0), ("c", None), ("a", 1.0)],
         )
         columnar = relation.to_columnar()
-        uniques, codes = columnar.codes([0])
-        assert uniques == ["b", "a", None, "c"]
+        firsts, codes = columnar.codes([0])
+        assert distinct_keys(columnar, [0], firsts) == [("b",), ("a",), (None,), ("c",)]
         assert codes.tolist() == [0, 1, 2, 0, 3, 1]
         assert codes.dtype == np.int8
         # 1, 1.0 and True are one key, as a dict probe sees them.
-        uniques, codes = columnar.codes([1])
-        assert uniques == [1.0, 2.0, None] and codes.tolist() == [0, 0, 0, 1, 2, 0]
-        uniques, codes = columnar.codes([0, 1])
-        assert uniques == [("b", 1.0), ("a", 1), (None, True), ("b", 2.0), ("c", None)]
+        firsts, codes = columnar.codes([1])
+        assert distinct_keys(columnar, [1], firsts) == [(1.0,), (2.0,), (None,)]
+        assert codes.tolist() == [0, 0, 0, 1, 2, 0]
+        firsts, codes = columnar.codes([0, 1])
+        assert firsts.tolist() == [0, 1, 2, 3, 4]
+        assert distinct_keys(columnar, [0, 1], firsts) == [
+            ("b", 1.0), ("a", 1), (None, True), ("b", 2.0), ("c", None)
+        ]
         assert codes.tolist() == [0, 1, 2, 3, 4, 1]
         assert columnar.codes((0,)) is columnar.codes([0])
         assert columnar.built_views() == ("s", "k")
@@ -212,7 +221,8 @@ class TestColumnarRelation:
         def read():
             start.wait(timeout=10)
             data, valid = columnar.typed(1)
-            uniques, codes = columnar.codes((2, 3))
+            firsts, codes = columnar.codes((2, 3))
+            uniques = distinct_keys(columnar, (2, 3), firsts)
             seen.append((
                 [None if not ok else value for value, ok in zip(data.tolist(), valid)],
                 uniques,
@@ -393,7 +403,7 @@ class TestGMDJColumnar:
             base_relation, flows, blocks
         )
         assert columnar_sub.rows == row_sub.rows
-        assert columnar_touched == row_touched
+        assert columnar_touched.tolist() == row_touched.tolist()
 
 
 # ---------------------------------------------------------------------------

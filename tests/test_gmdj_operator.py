@@ -212,7 +212,7 @@ class TestSubAndSuper:
         assert_relations_equal(full, evaluate(BASE, FLOW, self.BLOCKS))
         expected_sub, expected_touched = evaluate_sub(BASE, FLOW, self.BLOCKS)
         assert_relations_equal(sub, expected_sub)
-        assert touched == expected_touched
+        assert touched.tolist() == expected_touched.tolist()
 
     def test_super_aggregate_on_empty_h(self):
         h, _touched = evaluate_sub(BASE, Relation.empty(FLOW.schema), self.BLOCKS)

@@ -34,6 +34,7 @@ from repro.distributed.site import SkallaSite
 from repro.gmdj.blocks import MDBlock, result_schema
 from repro.gmdj.operator import SyncSession, merge_sub_results
 from repro.queries.sql import parse_olap_statement
+from repro.relalg import columnar
 from repro.relalg.aggregates import (
     ALGEBRAIC,
     AggregateFunction,
@@ -42,7 +43,7 @@ from repro.relalg.aggregates import (
     count_star,
     register_aggregate,
 )
-from repro.relalg.columnar import ColumnarRelation
+from repro.relalg.columnar import ColumnarRelation, _ValueLists
 from repro.relalg.expressions import base, detail
 from repro.relalg.relation import Relation
 from repro.relalg.schema import INT, STR, Attribute, Schema
@@ -415,13 +416,15 @@ def test_merge_sub_results_equals_object_fold(data):
 def test_a_round_trip_builds_no_rows(monkeypatch):
     """From the site's ``evaluate_round`` to the coordinator's
     ``commit_sync`` an S5 round trip stays columns: Hᵢ, the column codec,
-    the fold and X. Only the caller reading the answer builds its rows."""
+    the fold and X. Only the caller reading the answer builds its rows.
+    Its two-attribute int key is one composite there too: no key tuple is
+    built (``_ValueLists.keys`` over several positions)."""
     cluster = SimulatedCluster.with_sites(2)
     cluster.load_partitioned(
         "TPCR", generate_tpcr(TPCRConfig(scale=0.0002, seed=101)), nation_partitioner(2)
     )
     register_tpcr_fds(cluster.catalog)
-    window = {"open": False, "rows": 0, "commits": 0}
+    window = {"open": False, "rows": 0, "key_tuples": 0, "commits": 0}
 
     def wrap(method, before=None, after=None):
         def wrapper(*args, **kwargs):
@@ -444,9 +447,17 @@ def test_a_round_trip_builds_no_rows(monkeypatch):
     def counted():
         window["rows"] += window["open"]
 
+    value_keys = _ValueLists.keys
+
+    def keys(self, positions):
+        window["key_tuples"] += window["open"] and len(positions) > 1
+        return value_keys(self, positions)
+
     monkeypatch.setattr(SkallaSite, "evaluate_round", wrap(SkallaSite.evaluate_round, opened))
     monkeypatch.setattr(Coordinator, "commit_sync", wrap(Coordinator.commit_sync, after=closed))
     monkeypatch.setattr(ColumnarRelation, "to_rows", wrap(ColumnarRelation.to_rows, counted))
+    monkeypatch.setattr(_ValueLists, "keys", keys)
+    monkeypatch.setattr(columnar, "COMPOSITE_MIN_ROWS", 0)  # a small cluster's relations
 
     statement = parse_olap_statement(S5_FINE_GROUPS)
     # The row codec is rows by definition (format v1): the wire is columns here.
@@ -455,5 +466,6 @@ def test_a_round_trip_builds_no_rows(monkeypatch):
     )
     assert window["commits"] == 1 and not window["open"]
     assert window["rows"] == 0
+    assert window["key_tuples"] == 0
     expected = statement.expression.evaluate_centralized(cluster.conceptual_tables())
     assert_relations_equal(result.relation, expected)

@@ -30,6 +30,7 @@ from repro.distributed import (
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
 from repro.gmdj.operator import evaluate, evaluate_sub, super_aggregate
+from repro.relalg import columnar
 from repro.relalg.aggregates import (
     ALGEBRAIC,
     AggregateFunction,
@@ -457,7 +458,7 @@ def outcome(function, *args):
         return ("raised", type(error).__name__)
     relations = result if isinstance(result, tuple) else (result,)
     return [
-        [repr(value) for value in row] if isinstance(relation, Relation) else relation
+        [repr(value) for value in row] if isinstance(relation, Relation) else relation.tolist()
         for relation in relations
         for row in (relation.rows if isinstance(relation, Relation) else [relation])
     ]
@@ -485,7 +486,17 @@ _NAN = math.nan
 # one object, so COUNT_DISTINCT counts it once, a computed NaN each time.
 @example([(0, 0, 1, _NAN), (0, 0, 2, _NAN), (0, 0, None, None), (1, 0, 1, -0.0), (1, 0, 2, 0.0)],
          [(0, 0, [("count_distinct", 0), ("median", 0), ("count_distinct", 9)])], 1)
+# Two NULL-free int key attributes: the composite probe, a residual, AVG.
+@example([(0, 1, 1, 1.0), (0, 2, 2, 2.0), (3, 1, 3, -0.0), (0, 1, 4, 0.5), (3, 2, 5, _NAN)],
+         [(1, 1, [("sum", 0), ("avg", 0), ("count_star", 0)])], 0)
 def test_the_scan_is_the_oracle_by_repr(rows, raw_blocks, duplicates):
+    with pytest.MonkeyPatch.context() as patch:
+        # Int keys of two attributes take the composite path at any size.
+        patch.setattr(columnar, "COMPOSITE_MIN_ROWS", 0)
+        check_the_scan_against_the_oracle(rows, raw_blocks, duplicates)
+
+
+def check_the_scan_against_the_oracle(rows, raw_blocks, duplicates):
     detail_relation = Relation(ADVERSARIAL_SCHEMA, rows)
     distinct = detail_relation.distinct_project(["g", "h"])
     # Duplicate base keys: one detail row folds into several groups.

@@ -1,12 +1,15 @@
 """Unit tests for the Relation row store."""
 
+import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError, TypeMismatchError
+from repro.relalg.columnar import ColumnarRelation, as_list
 from repro.relalg.expressions import col
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, STR, Schema
@@ -148,15 +151,34 @@ class TestOperators:
         names=st.lists(st.sampled_from(["k", "v", "name"]), unique=True, max_size=3),
     )
     def test_distinct_and_distinct_project_match_reference_loops(self, rows, names):
-        relation = Relation(SCHEMA, rows)
-        distinct = relation.distinct()
-        assert distinct.schema == SCHEMA
-        assert _typed(distinct.rows) == _typed(self.reference_distinct(relation))
-        projected = relation.distinct_project(names)
-        assert projected.schema.names == tuple(names)
-        assert _typed(projected.rows) == _typed(
-            self.reference_distinct_project(relation, names)
-        )
+        columns = [list(values) for values in zip(*rows)] if rows else [[], [], []]
+        for relation in (
+            Relation(SCHEMA, rows),
+            Relation.from_columnar(ColumnarRelation.from_value_lists(SCHEMA, columns, len(rows))),
+        ):
+            distinct = relation.distinct()
+            assert distinct.schema == SCHEMA
+            assert _typed(distinct.rows) == _typed(self.reference_distinct(relation))
+            projected = relation.distinct_project(names)
+            assert projected.schema.names == tuple(names)
+            assert _typed(projected.rows) == _typed(
+                self.reference_distinct_project(relation, names)
+            )
+
+    def test_distinct_of_a_column_backed_relation_builds_no_rows(self):
+        nan = math.nan
+        schema = Schema.of(("k", FLOAT), ("name", STR))
+        mixed = [[1, 1.0, True, 2, nan, nan, float("nan")], ["x", "x", "x", "y", None, None, None]]
+        ints = [np.array([3, 1, 3, 2]), np.array([0, 0, 0, -5])]  # the int composite
+        for columns in (mixed, ints):
+            relation = Relation.from_columnar(
+                ColumnarRelation.from_value_lists(schema, columns, len(columns[0]))
+            )
+            distinct = relation.distinct()
+            assert relation._rows is None and distinct._rows is None
+            rows = list(zip(*map(as_list, columns)))
+            assert _typed(distinct.rows) == _typed(list(dict.fromkeys(rows)))
+            assert repr(distinct.rows) == repr(relation.distinct_project(schema.names).rows)
 
     def test_union_all(self):
         combined = make().union_all(make())
