@@ -14,8 +14,8 @@ Paper's claims, asserted on the regenerated data:
 - the constant-group-count variant behaves comparably.
 
 The executor sweep (``test_fig5_executor_sweep``) additionally runs the
-same combined query at 8 sites under each execution engine (serial /
-threads / processes), reporting measured wall-clock next to the modeled
+same combined query at 8 sites under each in-process execution engine
+(serial / threads), reporting measured wall-clock next to the modeled
 max-over-sites time. Timing assertions are gated on the core count —
 equivalence (identical rows and byte accounting) is asserted always.
 
@@ -119,17 +119,15 @@ def test_fig5_executor_sweep(benchmark):
     for entry in engines.values():
         assert entry["modeled_max_over_sites_s"] <= entry["site_compute_total_s"]
     serial_wall = engines["serial"]["wall_s"]
-    parallel_walls = [
-        engines[name]["wall_s"] for name in ("threads", "processes")
-    ]
+    threads_wall = engines["threads"]["wall_s"]
     cores = os.cpu_count() or 1
     if cores >= 8:
-        assert serial_wall / min(parallel_walls) >= 3.0, (
+        assert serial_wall / threads_wall >= 3.0, (
             f"expected >=3x at {SWEEP_SITES} sites on {cores} cores, got "
-            f"{serial_wall / min(parallel_walls):.2f}x"
+            f"{serial_wall / threads_wall:.2f}x"
         )
     elif cores >= 2:
-        assert min(parallel_walls) <= serial_wall * 1.5, (
+        assert threads_wall <= serial_wall * 1.5, (
             "parallel executor slower than serial on a multi-core machine"
         )
 

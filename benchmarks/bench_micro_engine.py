@@ -7,12 +7,10 @@ pytest-benchmark's normal repeated timing, unlike the single-shot
 figure reproductions.
 """
 
-import pytest
-
 from repro.data.tpcr import TPCRConfig, generate_tpcr
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.operator import evaluate, evaluate_sub, super_aggregate
-from repro.net.serialize import CODECS, decode_relation, encode_relation
+from repro.net.serialize import decode_relation, encode_relation
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
 from repro.relalg.operators import group_by
@@ -53,35 +51,12 @@ def test_sql_group_by(benchmark):
     assert len(result) == len(BASE)
 
 
-@pytest.mark.parametrize("codec", CODECS)
-def test_codec_encode(benchmark, codec):
-    payload = benchmark(encode_relation, TPCR, codec)
+def test_codec_encode(benchmark):
+    payload = benchmark(encode_relation, TPCR)
     assert len(payload) > 0
 
 
-@pytest.mark.parametrize("codec", CODECS)
-def test_codec_decode(benchmark, codec):
-    payload = encode_relation(TPCR, codec)
+def test_codec_decode(benchmark):
+    payload = encode_relation(TPCR)
     result = benchmark(decode_relation, payload)
     assert len(result) == len(TPCR)
-
-
-def test_codec_encode_reference(benchmark):
-    """The straight-line row encoder, kept as the differential baseline.
-
-    Benchmarked next to ``test_codec_encode[row]`` so the before/after
-    rows/s of the compiled encode plan stays visible in every run.
-    """
-    from repro.net.serialize import _encode_relation_reference
-
-    payload = benchmark(_encode_relation_reference, TPCR)
-    assert payload == encode_relation(TPCR, "row")
-
-
-def test_codec_decode_reference(benchmark):
-    """The straight-line row decoder (partner of ``test_codec_decode[row]``)."""
-    from repro.net.serialize import _decode_relation_reference
-
-    payload = encode_relation(TPCR, "row")
-    result = benchmark(_decode_relation_reference, payload)
-    assert result.rows == decode_relation(payload).rows

@@ -373,7 +373,7 @@ def figure5(
 def executor_sweep(
     scale: float = 0.002,
     sites: int = 8,
-    executors: Sequence[str] = ("serial", "threads", "processes"),
+    executors: Sequence[str] = ("serial", "threads"),
     repetitions: int = 1,
     options: Optional[OptimizationOptions] = None,
 ) -> dict:

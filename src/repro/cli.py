@@ -55,7 +55,6 @@ from repro.distributed import (
 from repro.distributed.evaluator import ExecutionConfig
 from repro.distributed.executor import EXECUTORS
 from repro.distributed.recovery import FAILURE_MODES
-from repro.net import serialize
 from repro.queries.sql import parse_olap_statement
 
 
@@ -315,7 +314,7 @@ def _add_cluster_options(parser, data=None, topology=None) -> None:
         choices=EXECUTORS,
         default="serial",
         help="site execution engine, for any merge topology: "
-        "'threads'/'processes' fan site legs out across a worker pool; "
+        "'threads' fans site legs out across a thread pool; "
         "'sockets' runs each site as a separate OS process reached over "
         "TCP (flat topology only)",
     )
@@ -346,14 +345,6 @@ def _add_cluster_options(parser, data=None, topology=None) -> None:
         type=int,
         default=2,
         help="leg re-runs before a site is declared failed (retry/degrade)",
-    )
-    parser.add_argument(
-        "--wire-codec",
-        choices=serialize.CODECS,
-        default=None,
-        help="relation wire encoding: 'column' (fixed-width / dictionary "
-        "column blocks) or 'row' (a tag byte and a varint per value); "
-        f"default $REPRO_CODEC or {serialize.DEFAULT_CODEC}",
     )
     if data is not None:
         parser.add_argument(
@@ -451,14 +442,10 @@ def _config(args) -> ExecutionConfig:
         # With faults injected but no explicit mode, retrying is the only
         # default that still answers the query correctly.
         failure_mode = "retry" if getattr(args, "faults", None) else "fail_fast"
-    overrides = {}
-    if getattr(args, "wire_codec", None) is not None:
-        overrides["wire_codec"] = args.wire_codec
     return ExecutionConfig(
         executor=getattr(args, "executor", "serial"),
         failure_mode=failure_mode,
         max_retries=getattr(args, "max_retries", 2),
-        **overrides,
     )
 
 

@@ -8,7 +8,7 @@ depth-1 tree, its Section 6 multi-tiered coordinator the same round with
 a merge at interior nodes. One :class:`_RoundWalk` serves both, and one
 edge function serves every parent -> child edge of every round kind, so
 what a run is configured with (leg engine, retry/degrade, speculation,
-row blocking, codec, fault plan) is a property of an edge, not
+row blocking, fault plan) is a property of an edge, not
 of a shape. Every relation moves as encoded bytes over the edge's
 channel, so traffic numbers are real wire sizes.
 
@@ -91,12 +91,10 @@ class ExecutionConfig:
     ``executor`` picks the site-execution engine
     (:mod:`repro.distributed.executor`): ``"serial"`` runs the per-site
     legs one after another, ``"threads"`` fans them out on a thread
-    pool, ``"processes"`` additionally dispatches the site compute to
-    forked workers (real multi-core parallelism), ``"sockets"`` asks
-    ``repro site-server`` processes over TCP. All four executors produce
-    bit-identical results, byte counts and trace span sets.
-    ``max_workers`` caps the pool size; ``0`` sizes it automatically
-    (one thread per site; one process per CPU up to the site count).
+    pool, ``"sockets"`` asks ``repro site-server`` processes over TCP.
+    All three executors produce bit-identical results, byte counts and
+    trace span sets. ``max_workers`` caps the pool size; ``0`` sizes it
+    automatically (one thread per site).
 
     The ``executor`` default honours the ``REPRO_EXECUTOR`` environment
     variable (used by the CI executor matrix to run the whole test suite
@@ -122,15 +120,6 @@ class ExecutionConfig:
     max_retries: int = 2
     retry_backoff_s: float = 0.05
     leg_timeout_s: float = 0.0  # 0 = no per-leg wall-clock budget
-    #: Wire codec for shipped relations (``row | column``): ``column``,
-    #: the default, ships fixed-width / dictionary column blocks (smaller
-    #: and faster to pack); ``row`` is format v1. What the other would
-    #: have cost is two runs and a ``repro diff``. Honours ``REPRO_CODEC``.
-    wire_codec: str = field(
-        default_factory=lambda: os.environ.get(
-            "REPRO_CODEC", serialize.DEFAULT_CODEC
-        )
-    )
     #: Speculative straggler re-execution. Once at least half a round's
     #: legs have completed, a deadline arms at ``median completion *
     #: speculation_factor + speculation_slack_s``; a leg still in flight
@@ -175,11 +164,6 @@ class ExecutionConfig:
         if self.leg_timeout_s < 0:
             raise PlanError(
                 f"leg_timeout_s must be >= 0, got {self.leg_timeout_s}"
-            )
-        if self.wire_codec not in serialize.CODECS:
-            raise PlanError(
-                f"unknown wire codec {self.wire_codec!r}; "
-                f"expected one of {', '.join(serialize.CODECS)}"
             )
         if self.speculation_factor < 1.0:
             raise PlanError(
@@ -293,7 +277,6 @@ def execute_plan(
         topology="flat" if tree.is_star else f"tree:{tree.depth()}",
         failure_mode=config.failure_mode,
         query_id=query_id,
-        wire_codec=config.wire_codec,
     )
     coordinator = Coordinator(plan.expression.key, tracer)
     owns_cluster_state = network is None
@@ -422,35 +405,37 @@ class _RoundWalk:
 
         ``md_round`` is None for the base-values round; ``sites`` are the
         round's participants — a subtree holding none sits the round out.
+        The round's wall time and span cover its setup as well, so the
+        coordinator's per-round bookkeeping is attributed to the round.
         """
         coordinator = self.coordinator
-        round_stats = self.stats.new_round(kind, description)
-        round_stats.children = dict(self.combiners)
-        self.number, self.md_round, self.round_stats = number, md_round, round_stats
-        self.ships_fragment = md_round is not None and not md_round.merged_base
-        # The round after this one narrows by what this one's fold observes.
-        observes = (
-            number < len(self.plan.rounds)
-            and self.plan.rounds[number].observed_reduction
-        )
-        participating = set(sites)
-        #: Node name -> the round's sites at or beneath that node.
-        self.below = {
-            node.name: [
-                site_id for site_id in node.leaves() if site_id in participating
-            ]
-            for node in self.tree.descendants()
-        }
-        # Pre-create the edges' stats in tree order so reporting order
-        # does not depend on leg completion order.
-        for name, below in self.below.items():
-            if below:
-                round_stats.site(name)
         started = time.perf_counter()
+        round_stats = self.stats.new_round(kind, description)
         with self.tracer.span(
             "round", kind="round", index=round_stats.index, round_kind=kind,
             sites=len(sites),
         ) as round_span:
+            round_stats.children = dict(self.combiners)
+            self.number, self.md_round, self.round_stats = number, md_round, round_stats
+            self.ships_fragment = md_round is not None and not md_round.merged_base
+            # The round after this one narrows by what this one's fold observes.
+            observes = (
+                number < len(self.plan.rounds)
+                and self.plan.rounds[number].observed_reduction
+            )
+            participating = set(sites)
+            #: Node name -> the round's sites at or beneath that node.
+            self.below = {
+                node.name: [
+                    site_id for site_id in node.leaves() if site_id in participating
+                ]
+                for node in self.tree.descendants()
+            }
+            # Pre-create the edges' stats in tree order so reporting order
+            # does not depend on leg completion order.
+            for name, below in self.below.items():
+                if below:
+                    round_stats.site(name)
             # Section 3.2's streaming merge: the root folds each arriving
             # block into the session. Base and merged-base rounds must see
             # every fragment before X exists, so they collect instead.
@@ -534,7 +519,6 @@ class _RoundWalk:
         answer (a site evaluates, a combiner recurses and merges), take
         the reply in at the parent."""
         config, number, name = self.config, self.number, child.name
-        codec = config.wire_codec
         # Parent-side work is the coordinator's at the root, a relay's below.
         kind = "coordinator" if node is self.tree else "relay"
         edge = self.round_stats.site(name)
@@ -557,7 +541,7 @@ class _RoundWalk:
                 )
                 down = [
                     msg.Message.with_relation(
-                        msg.SHIP_BASE, node.name, name, number, block, codec=codec
+                        msg.SHIP_BASE, node.name, name, number, block
                     )
                     for block in config.blocks_of(fragment)
                 ]
@@ -608,7 +592,7 @@ class _RoundWalk:
                 started = time.perf_counter()
                 merged = self._merge(collected)
                 blocks = config.blocks_of(merged)
-                payloads = [serialize.encode_relation(block, codec) for block in blocks]
+                payloads = [serialize.encode_relation(block) for block in blocks]
                 self._charge(child, time.perf_counter() - started)
                 hop.set(bytes_up=_message_bytes(payloads))
             reply_kind = msg.BASE_RESULT if self.md_round is None else msg.SUB_RESULT
@@ -660,7 +644,6 @@ class _RoundWalk:
             round_number=self.number,
             traced=self.tracer.enabled,
             query_id=self.ids.get("query_id"),
-            wire_codec=self.config.wire_codec,
             compute_delay_s=compute_delay_s,
         )
         md_round = self.md_round

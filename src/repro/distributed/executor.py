@@ -1,4 +1,4 @@
-"""Site-execution engines: serial, thread-pool, process-pool and sockets.
+"""Site-execution engines: serial, thread-pool and sockets.
 
 Alg. GMDJDistribEval's per-round site work — ship the fragment down,
 evaluate the GMDJ step(s), ship H_i back — is independent across sites,
@@ -18,12 +18,6 @@ decides how legs run:
   kernels release the GIL, so site legs overlap for real; the per-group
   Python work (the base hash build, the coordinator's fold) still
   serializes;
-- ``processes`` — the site-attributed work (decode -> evaluate ->
-  encode) is dispatched to forked worker processes, sidestepping the GIL
-  for real multi-core speedups. Workers inherit the site warehouses at
-  fork time (nothing is re-pickled per round); only the compact
-  :class:`SiteRequest`/:class:`SiteReply` payloads cross the process
-  boundary;
 - ``sockets`` — the sites are ``repro site-server`` processes behind TCP;
   a leg's site work is one :meth:`~repro.net.socket_channel.\
 SocketChannel.ask`.
@@ -33,31 +27,27 @@ paper's attribution boundary: the leg (parent) does coordinator work —
 fragmenting, message framing, channel accounting, decoding H_i,
 synchronizing — while :func:`perform_site_request` does everything a
 Skalla site would be charged for. Who plays the *site end* of the leg's
-channel is the engine's business and nobody else's: the three in-process
-engines play it themselves (:func:`play_site_end`, differing only in
-where the request is performed), the sockets engine's site end is the
-server process. All four executors therefore produce identical byte
-counts, identical span *sets*, and (thanks to the deterministic bank
-merge) bit-identical result relations.
+channel is the engine's business and nobody else's: the two in-process
+engines play it themselves (:func:`play_site_end`), the sockets engine's
+site end is the server process. All three executors therefore produce
+identical byte counts, identical span *sets*, and (thanks to the
+deterministic bank merge) bit-identical result relations.
 
-Process-mode bookkeeping: a worker records spans into a private tracer
-and metric increments into a private registry, and the reply carries
-them back; the parent *replays* spans (fresh ids, parented under the
-round span) and adds counter deltas to the active registry, so traces
-and metrics look the same as a threaded run. Worker span timestamps come
-from the worker's own monotonic clock and are not comparable with the
-parent's — durations are, which is what the stats use.
+Out-of-process bookkeeping: a site server records spans into a private
+tracer and metric increments into a private registry
+(:func:`perform_isolated_request`), and the reply carries them back; the
+coordinator *replays* spans (fresh ids, parented under the round span,
+shifted by the channel's clock offset) and adds counter deltas to the
+active registry, so traces and metrics look the same as an in-process
+run.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
 import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import MultiLegError, PlanError
 from repro.net import message as msg
@@ -66,7 +56,7 @@ from repro.obs.metrics import MetricsRegistry, activate, active_registry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.relalg.relation import Relation
 
-EXECUTORS = ("serial", "threads", "processes", "sockets")
+EXECUTORS = ("serial", "threads", "sockets")
 
 
 @dataclass(frozen=True)
@@ -77,7 +67,7 @@ class SiteRequest:
     query), ``"round"`` (evaluate shipped fragment against the local
     partition), ``"merged"`` (Proposition 2: derive the base locally).
     The payload is picklable — plan step objects contain no closures —
-    so the same request drives inline, threaded and forked execution.
+    so the same request drives in-process execution and a site server.
     """
 
     kind: str
@@ -93,8 +83,6 @@ class SiteRequest:
     #: Service-assigned query identity; stamped on the site spans so a
     #: shared trace file can be filtered per query (schema v2).
     query_id: object = None
-    #: Wire codec for the encoded reply payloads (``row | column``).
-    wire_codec: str = serialize.DEFAULT_CODEC
     #: Injected straggler delay: the site sleeps this long (real wall
     #: clock) before evaluating. Set from a ``straggle`` fault rule; the
     #: speculative backup attempt gets 0 once the rule's budget is spent.
@@ -104,9 +92,9 @@ class SiteRequest:
         """The request as a REQ-frame body (the payloads cross as MSG frames).
 
         An optional field is present only when it differs from its
-        default, so a default's spelling (``wire_codec``'s, say) is never
-        on the wire. The comparison is against the dataclass default, not
-        against anything the coordinator's environment says.
+        default, so a default's spelling is never on the wire. The
+        comparison is against the dataclass default, not against anything
+        the coordinator's environment says.
         """
         return {
             spec.name: value
@@ -129,7 +117,7 @@ class SiteReply:
     ``payloads`` are the encoded reply relation blocks (the leg frames
     them into messages, so byte accounting happens on the parent's
     channels); ``compute_s`` is the site compute charge measured inside
-    the worker; ``spans``/``counters`` carry process-mode observability
+    the site; ``spans``/``counters`` carry a site server's observability
     back for replay.
     """
 
@@ -167,7 +155,6 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
         # sleep is charged to compute_s like any other site work.
         time.sleep(request.compute_delay_s)
     site_id = request.site_id
-    codec = request.wire_codec
     ids = {} if request.query_id is None else {"query_id": request.query_id}
 
     if request.kind == "base":
@@ -177,7 +164,7 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
             result = site.compute_base(request.source)
             span.set(rows=len(result))
         with tracer.span("round.encode", kind="site", site=site_id, **ids):
-            payloads = (serialize.encode_relation(result, codec),)
+            payloads = (serialize.encode_relation(result),)
         return SiteReply(
             payloads=payloads,
             rows=len(result),
@@ -219,7 +206,7 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
         "round.encode", kind="site", site=site_id, **ids
     ) as encode_span:
         payloads = tuple(
-            serialize.encode_relation(block, codec)
+            serialize.encode_relation(block)
             for block in row_blocks(h_i, request.row_block_size)
         )
         encode_span.set(
@@ -395,25 +382,13 @@ class ThreadEngine(_ThreadedLegs):
         self._legs.shutdown(wait=True, cancel_futures=True)
 
 
-#: Sites inherited by forked workers (set by ProcessEngine before the
-#: fork, read by ``_fork_perform`` inside the children). One process-pool
-#: engine at a time — engines are created per ``execute_plan`` call.
-_FORK_SITES: Optional[dict] = None
-
-
-def _fork_warmup(delay_s: float) -> int:
-    time.sleep(delay_s)
-    return os.getpid()
-
-
 def perform_isolated_request(site, request: SiteRequest) -> SiteReply:
     """Run a request under a private tracer/registry and carry both back.
 
-    The shared body for every out-of-process execution venue (forked
-    pool workers, ``repro site-server`` processes): spans land on the
-    reply as dicts for parent-side replay, counter deltas as a flat dict
-    (unlabeled counters only — labeled ones are per-site bookkeeping the
-    parent's channels already account for).
+    What a ``repro site-server`` process runs per request: spans land on
+    the reply as dicts for coordinator-side replay, counter deltas as a
+    flat dict (unlabeled counters only — labeled ones are per-site
+    bookkeeping the coordinator's channels already account for).
     """
     registry = MetricsRegistry()
     with activate(registry):
@@ -436,8 +411,8 @@ def _replay_remote(tracer, reply: SiteReply, site_id, clock_offset_s: float = 0.
     """Re-record what an out-of-process site sent back with its reply.
 
     Spans are replayed under the leg's attached span, shifted by
-    ``clock_offset_s`` (0 for forked workers, which share the machine's
-    monotonic clock); counter deltas go to the active registry.
+    ``clock_offset_s`` (the site server's clock against this process's);
+    counter deltas go to the active registry.
     """
     if reply.spans:
         tracer.replay(
@@ -450,62 +425,6 @@ def _replay_remote(tracer, reply: SiteReply, site_id, clock_offset_s: float = 0.
             registry.counter(key).inc(value)
 
 
-def _fork_perform(request: SiteRequest) -> SiteReply:
-    """Worker-side entry: run the request against the inherited site."""
-    return perform_isolated_request(_FORK_SITES[request.site_id], request)
-
-
-class ProcessEngine(_ThreadedLegs):
-    """Legs run on threads; site work is dispatched to forked workers.
-
-    Fork (not spawn) so workers inherit the simulated warehouses without
-    per-round pickling. All workers are warmed up *before* any leg
-    threads exist — forking a multi-threaded parent risks inheriting
-    held locks — and stay alive for the engine's lifetime.
-    """
-
-    name = "processes"
-
-    def __init__(self, sites, tracer, max_workers: int = 0):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise PlanError(
-                "executor 'processes' needs the fork start method, which this "
-                "platform does not provide; use 'threads' or 'serial'"
-            )
-        global _FORK_SITES
-        _FORK_SITES = sites
-        self._sites = sites
-        self._tracer = tracer
-        workers = max_workers or min(max(len(sites), 1), os.cpu_count() or 1)
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork")
-        )
-        try:
-            # Force every worker to fork now: each concurrent warm-up task
-            # occupies one worker long enough that the pool spawns all of
-            # them.
-            list(self._pool.map(_fork_warmup, [0.02] * workers))
-            self._legs = ThreadPoolExecutor(
-                max_workers=max(len(sites), 1), thread_name_prefix="skalla-leg"
-            )
-        except BaseException:
-            # Partial construction must not leak forked children.
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            raise
-
-    def _perform(self, request: SiteRequest) -> SiteReply:
-        reply = self._pool.submit(_fork_perform, request).result()
-        _replay_remote(self._tracer, reply, request.site_id)
-        return reply
-
-    def close(self) -> None:
-        self._mark_closed()
-        try:
-            self._legs.shutdown(wait=True, cancel_futures=True)
-        finally:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-
-
 class SocketEngine(_ThreadedLegs):
     """Legs run on threads; site work runs in site-server *processes*
     reached over the leg's :class:`~repro.net.socket_channel.SocketChannel`.
@@ -515,7 +434,7 @@ class SocketEngine(_ThreadedLegs):
     each :meth:`evaluate` call is given the leg's channel, so one shared
     engine (the query service keeps a single engine for its lifetime)
     works with a fresh per-query network. Spans and counters come back on
-    the reply and are replayed exactly as in process mode.
+    the reply and are replayed (:func:`_replay_remote`).
     """
 
     name = "sockets"
@@ -569,8 +488,6 @@ def create_engine(
         return SerialEngine(sites, tracer)
     if executor == "threads":
         return ThreadEngine(sites, tracer, max_workers)
-    if executor == "processes":
-        return ProcessEngine(sites, tracer, max_workers)
     if executor == "sockets":
         return SocketEngine(sites, tracer, max_workers)
     raise PlanError(

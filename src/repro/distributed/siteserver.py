@@ -109,7 +109,7 @@ def write_partition_store(cluster, root: str) -> None:
             relation = warehouse.table(table_name)
             file_name = f"{index:03d}.skrl"
             with open(os.path.join(site_dir, file_name), "wb") as handle:
-                handle.write(serialize.encode_relation(relation, "column"))
+                handle.write(serialize.encode_relation(relation))
             tables[table_name] = {
                 "rows": len(relation),
                 "version": warehouse.version(table_name),

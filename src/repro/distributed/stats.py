@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.net.costmodel import CostModel, WAN
-from repro.net.serialize import DEFAULT_CODEC
 
 
 @dataclass
@@ -216,8 +215,6 @@ class ExecutionStats:
     #: :meth:`~repro.service.service.QueryService.submit`); None for
     #: standalone runs.
     query_id: object = None
-    #: Which wire codec encoded the shipped relations (``row | column``).
-    wire_codec: str = DEFAULT_CODEC
     #: How the bytes actually moved: ``"memory"`` (simulated in-process
     #: queues) or ``"sockets"`` (real TCP to site-server processes).
     transport: str = "memory"
@@ -481,7 +478,6 @@ class ExecutionStats:
             "executor": self.executor,
             "topology": self.topology,
             "failure_mode": self.failure_mode,
-            "wire_codec": self.wire_codec,
             "rounds": [
                 {
                     "index": round_stats.index,

@@ -18,7 +18,7 @@ from repro.net.message import (
     SUB_RESULT,
     Message,
 )
-from repro.net.serialize import decode_relation, encode_relation, wire_size
+from repro.net.serialize import decode_relation, encode_relation
 
 __all__ = [
     "BASE_QUERY",
@@ -37,5 +37,4 @@ __all__ = [
     "WAN",
     "decode_relation",
     "encode_relation",
-    "wire_size",
 ]

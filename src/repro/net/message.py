@@ -77,9 +77,8 @@ class Message:
         round_index: int,
         relation: Relation,
         info: Optional[dict] = None,
-        codec: str = serialize.DEFAULT_CODEC,
     ) -> "Message":
-        payload = serialize.encode_relation(relation, codec)
+        payload = serialize.encode_relation(relation)
         return cls(kind, sender, recipient, round_index, payload, info or {})
 
     @property

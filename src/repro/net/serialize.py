@@ -6,41 +6,24 @@ those measurements honest, every shipment in the simulated cluster is
 *actually encoded* with this codec and the wire size is the length of the
 produced buffer — not an estimate.
 
-Both formats are little-endian and share a header:
+**Format v3** is what every shipped block and every partition store file
+is encoded with. It is little-endian, and starts with a header:
 
-- magic ``b"SKRL"`` + format version (1 byte);
+- magic ``b"SKRL"`` + format version (1 byte, ``3``);
 - attribute count (varint), then per attribute: name (varint-length
   UTF-8) and a 1-byte type code (0 INT, 1 FLOAT, 2 STR, 3 BOOL, 4 DATE);
 - row count (varint).
 
-A zero-attribute relation is that header and nothing else: its rows are
-empty tuples, so the count is all there is to ship. Nothing in the
-payload bounds such a count, hence :data:`MAX_ZERO_ATTRIBUTE_ROWS`.
+A relation of zero rows is header-only. A zero-attribute relation is
+that header and nothing else: its rows are empty tuples, so the count is
+all there is to ship. Nothing in the payload bounds such a count, hence
+:data:`MAX_ZERO_ATTRIBUTE_ROWS`.
 
-**Format v1 — codec ``row``** (the non-default wire codec and the test
-oracle). Per row, per attribute: 1 tag byte (0 = NULL, 1 = value)
-followed by the value — zig-zag varint for ints, IEEE double for floats,
-varint-length UTF-8 for strings, 1 byte for bools, varint ordinal for
-dates. Two implementations produce and read it:
-
-- the *reference* encoder (:func:`_encode_relation_reference`) — the
-  straight-line transcription, kept as the differential baseline (its
-  decoder is the test oracle ``tests/oracle/codec.py``);
-- the *fast path* (``encode_relation(relation, "row")`` /
-  :func:`decode_relation`) — header bytes precomputed per schema and the
-  per-row loop *compiled* for the column layout
-  (:func:`_compile_row_writer` / :func:`_compile_row_reader`, the
-  specialization idiom of :mod:`repro.relalg.compiler`), byte-for-byte
-  the reference's output. On an encoding error it defers to the
-  reference so error messages stay identical.
-
-**Format v3 — codec ``column``** (:data:`DEFAULT_CODEC`: what every
-shipped block and every partition store file is encoded with). A
-relation of zero rows is header-only. Otherwise one block per attribute,
-in schema order, each packed and unpacked by C loops of the standard
-library (``array``, ``min``/``max``, ``dict.fromkeys``, ``map`` over C
-callables, ``itertools``) — Python statements run per column and per
-dictionary entry, never per value:
+Otherwise one block per attribute follows, in schema order, each packed
+and unpacked by C loops of the standard library (``array``,
+``min``/``max``, ``dict.fromkeys``, ``map`` over C callables,
+``itertools``) — Python statements run per column and per dictionary
+entry, never per value:
 
 - *presence*: byte ``0`` when the column has no NULL; else byte ``1``
   and a bitmap of ``ceil(rows / 8)`` bytes, bit ``i`` (LSB-first) set
@@ -53,9 +36,9 @@ dictionary entry, never per value:
   unsigned array. The encoder takes the column minimum as the reference
   when that narrows the array and 0 when it does not. A column whose
   span does not fit 8 bytes is the *escape block*: reference, width byte
-  0, then one zig-zag varint per value, as v1 would write it.
+  0, then one zig-zag varint per value.
 - FLOAT: IEEE doubles, 8 bytes each, bit-exact (``-0.0``, denormals, NaN
-  payloads); an int in a FLOAT column is coerced as v1 does.
+  payloads); an int in a FLOAT column is coerced to a float.
 - STR: first-appearance dictionary — unique count (varint), the byte
   length of the uniques' concatenated UTF-8 (varint), each unique's
   length *in code points* as an unsigned array, the UTF-8 blob, then one
@@ -75,14 +58,15 @@ what a site holds of its store-loaded partition.
 
 Whatever the bytes, decoding ends in a relation or a
 :class:`~repro.errors.SerializationError` — a site server maps anything
-else to a fatal error, and a short read must stay retryable. Format v2
-(delta varints, PR 6–19) is gone; nothing persisted it.
+else to a fatal error, and a short read must stay retryable. Any other
+version byte is rejected: format v2 (delta varints) is gone, and format
+v1 (a tag byte per value) exists only as the test oracle in
+``tests/oracle/codec.py``.
 """
 
 from __future__ import annotations
 
 import datetime
-import struct
 import sys
 import threading
 from array import array
@@ -99,18 +83,7 @@ from repro.relalg.relation import Relation
 from repro.relalg.schema import BOOL, DATE, FLOAT, INT, STR, Attribute, Schema
 
 _MAGIC = b"SKRL"
-_VERSION = 1
-_COLUMN_VERSION = 3
-
-#: Wire codec names: ``row`` is format v1 (tag byte per value), ``column``
-#: is format v3 (fixed-width / dictionary column blocks). Both decode
-#: transparently — the version byte dispatches.
-CODECS = ("row", "column")
-
-#: The codec every shipped block is encoded with unless a caller names
-#: another; the one place the default is spelled (``REPRO_CODEC`` and
-#: ``--wire-codec`` override it per run).
-DEFAULT_CODEC = "column"
+_VERSION = 3
 
 #: Most rows a zero-attribute relation may carry on the wire. Every other
 #: relation's row count is bounded by its payload (a value is at least a
@@ -120,18 +93,10 @@ MAX_ZERO_ATTRIBUTE_ROWS = 1 << 16
 _TYPE_CODES = {INT: 0, FLOAT: 1, STR: 2, BOOL: 3, DATE: 4}
 _CODE_TYPES = {code: name for name, code in _TYPE_CODES.items()}
 
-_DOUBLE = struct.Struct("<d")
-
-#: What a decoder can raise on bytes that are not what they claim to be,
-#: besides the checks it makes itself: a read past the end, a short
-#: ``struct`` buffer, bad UTF-8 or a date ordinal out of range.
-_CORRUPTION_ERRORS = (IndexError, struct.error, ValueError, OverflowError)
-
-
-def validate_codec(name: str) -> str:
-    if name not in CODECS:
-        raise SerializationError(f"unknown wire codec {name!r}; expected one of {CODECS}")
-    return name
+#: What the decoder can raise on bytes that are not what they claim to be,
+#: besides the checks it makes itself: a read past the end, bad UTF-8 or a
+#: date ordinal out of range.
+_CORRUPTION_ERRORS = (IndexError, ValueError, OverflowError)
 
 
 def _write_varint(buffer: bytearray, value: int) -> None:
@@ -173,71 +138,11 @@ def _unzigzag(value: int) -> int:
     return value >> 1 if not value & 1 else -((value + 1) >> 1)
 
 
-# ---------------------------------------------------------------------------
-# Reference codec (differential baseline)
-# ---------------------------------------------------------------------------
-
-
-def _encode_relation_reference(relation: Relation) -> bytes:
-    """The original single-pass encoder; authoritative for errors."""
-    buffer = bytearray()
-    buffer += _MAGIC
-    buffer.append(_VERSION)
-    schema = relation.schema
-    _write_varint(buffer, len(schema))
-    type_codes = []
-    for attribute in schema:
-        name_bytes = attribute.name.encode("utf-8")
-        _write_varint(buffer, len(name_bytes))
-        buffer += name_bytes
-        code = _TYPE_CODES[attribute.type]
-        buffer.append(code)
-        type_codes.append(code)
-    _write_varint(buffer, len(relation.rows))
-    if not type_codes:
-        _check_zero_attribute_rows(len(relation.rows))
-    for row in relation.rows:
-        for value, code in zip(row, type_codes):
-            if value is None:
-                buffer.append(0)
-                continue
-            buffer.append(1)
-            try:
-                if code == 0:  # int
-                    _write_varint(buffer, _zigzag(int(value)))
-                elif code == 1:  # float
-                    buffer += _DOUBLE.pack(float(value))
-                elif code == 2:  # str
-                    encoded = value.encode("utf-8")
-                    _write_varint(buffer, len(encoded))
-                    buffer += encoded
-                elif code == 3:  # bool
-                    buffer.append(1 if value else 0)
-                elif code == 4:  # date
-                    _write_varint(buffer, value.toordinal())
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise SerializationError(
-                    f"cannot encode {value!r} as {_CODE_TYPES[code]}: {exc}"
-                ) from exc
-    return bytes(buffer)
-
-
 def _check_zero_attribute_rows(row_count: int) -> None:
     if row_count > MAX_ZERO_ATTRIBUTE_ROWS:
         raise SerializationError(
             f"a zero-attribute relation ships at most {MAX_ZERO_ATTRIBUTE_ROWS} "
             f"rows, got {row_count}"
-        )
-
-
-def _check_row_count(row_count: int, attr_count: int, remaining: int) -> None:
-    """Reject a v1 row count its payload cannot hold, before any row is read:
-    every value is at least its tag byte."""
-    if not attr_count:
-        _check_zero_attribute_rows(row_count)
-    elif row_count * attr_count > remaining:
-        raise SerializationError(
-            f"{row_count} rows declared but only {remaining} bytes follow"
         )
 
 
@@ -250,164 +155,17 @@ def _check_consumed(offset: int, data_length: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Fast path: per-schema encoder plans, interned decode schemas
+# Headers: per-schema encoder plans, interned decode schemas
 # ---------------------------------------------------------------------------
 
-#: schema -> (v1 header, v3 header, type codes); headers end before the row count
-_ENCODE_PLANS: Dict[Schema, Tuple[bytes, bytes, tuple]] = {}
+#: schema -> (header, type codes); the header ends before the row count
+_ENCODE_PLANS: Dict[Schema, Tuple[bytes, tuple]] = {}
 #: ((UTF-8 name, type code), ...) as read off the wire -> (Schema, type codes)
 _DECODE_SCHEMAS: Dict[tuple, Tuple[Schema, tuple]] = {}
-#: type codes -> compiled v1 row writer / reader
-_ROW_WRITERS: Dict[tuple, object] = {}
-_ROW_READERS: Dict[tuple, object] = {}
 _PLAN_LOCK = threading.Lock()
-#: Headers come off the wire, so the caches they key must not grow without
-#: bound; a program ships a handful of schemas, and a flushed one recompiles.
+#: Headers come off the wire, so the cache they key must not grow without
+#: bound; a program ships a handful of schemas, and a flushed one is rebuilt.
 _MAX_DECODE_SCHEMAS = 512
-
-
-def _compile_row_writer(type_codes: tuple):
-    """Specialize the per-row encode loop for one column layout.
-
-    The generated function writes every column of every row straight into
-    the buffer — no per-value type dispatch, no ``zip``, and the zig-zag
-    transform and varint loop are inlined (a zig-zagged value is never
-    negative, so the reference encoder's negative guard is provably dead
-    here). Value coercions (``int()``, ``float()``, ``.encode()``,
-    ``.toordinal()``) are kept exactly as the reference codec performs
-    them so the bytes cannot differ.
-    """
-
-    def emit_varint(lines, expr, indent):
-        pad = " " * indent
-        lines.append(f"{pad}varint = {expr}")
-        lines.append(f"{pad}while varint > 0x7F:")
-        lines.append(f"{pad}    append(varint & 0x7F | 0x80)")
-        lines.append(f"{pad}    varint >>= 7")
-        lines.append(f"{pad}append(varint)")
-
-    lines = [
-        "def write_rows(rows, buffer):",
-        "    append = buffer.append",
-        "    extend = buffer.extend",
-        "    for row in rows:",
-    ]
-    if not type_codes:
-        lines.append("        pass")
-    for index, code in enumerate(type_codes):
-        value = f"value_{index}"
-        lines.append(f"        {value} = row[{index}]")
-        lines.append(f"        if {value} is None:")
-        lines.append("            append(0)")
-        lines.append("        else:")
-        lines.append("            append(1)")
-        if code == 0:  # int
-            lines.append(f"            {value} = int({value})")
-            emit_varint(
-                lines,
-                f"{value} << 1 if {value} >= 0 else ((-{value}) << 1) - 1",
-                indent=12,
-            )
-        elif code == 1:  # float
-            lines.append(f"            extend(pack_double(float({value})))")
-        elif code == 2:  # str
-            lines.append(f"            encoded = {value}.encode('utf-8')")
-            emit_varint(lines, "len(encoded)", indent=12)
-            lines.append("            extend(encoded)")
-        elif code == 3:  # bool
-            lines.append(f"            append(1 if {value} else 0)")
-        else:  # date
-            emit_varint(lines, f"{value}.toordinal()", indent=12)
-    env = {"pack_double": _DOUBLE.pack}
-    exec("\n".join(lines), env)  # noqa: S102 - controlled codegen, no user input
-    return env["write_rows"]
-
-
-def _compile_row_reader(type_codes: tuple):
-    """Specialize the per-row decode loop for one column layout.
-
-    Mirrors :func:`_compile_row_writer`: one straight-line body per row
-    with the zig-zag inverse and the varint loop inlined, raising the
-    same :class:`SerializationError` messages as the reference decoder.
-    """
-
-    def emit_read_varint(lines, target, indent):
-        pad = " " * indent
-        lines.append(f"{pad}{target} = 0")
-        lines.append(f"{pad}shift = 0")
-        lines.append(f"{pad}while True:")
-        lines.append(f"{pad}    if offset >= data_length:")
-        lines.append(
-            f"{pad}        raise SerializationError('truncated varint')"
-        )
-        lines.append(f"{pad}    byte = data[offset]")
-        lines.append(f"{pad}    offset += 1")
-        lines.append(f"{pad}    {target} |= (byte & 0x7F) << shift")
-        lines.append(f"{pad}    if not byte & 0x80:")
-        lines.append(f"{pad}        break")
-        lines.append(f"{pad}    shift += 7")
-        lines.append(f"{pad}    if shift > 70:")
-        lines.append(
-            f"{pad}        raise SerializationError('varint too long')"
-        )
-
-    lines = [
-        "def read_rows(data, offset, row_count, append_row):",
-        "    data_length = len(data)",
-        "    for _row_index in range(row_count):",
-    ]
-    names = []
-    for index, code in enumerate(type_codes):
-        value = f"value_{index}"
-        names.append(value)
-        lines.append("        if offset >= data_length:")
-        lines.append("            raise SerializationError('truncated row data')")
-        lines.append("        tag = data[offset]")
-        lines.append("        offset += 1")
-        lines.append("        if tag == 0:")
-        lines.append(f"            {value} = None")
-        lines.append("        elif tag != 1:")
-        lines.append(
-            "            raise SerializationError(f'bad value tag {tag}')"
-        )
-        lines.append("        else:")
-        if code == 0:  # int
-            emit_read_varint(lines, "raw", indent=12)
-            lines.append(
-                f"            {value} = raw >> 1 if not raw & 1"
-                " else -((raw + 1) >> 1)"
-            )
-        elif code == 1:  # float
-            lines.append(f"            {value} = unpack_double(data, offset)[0]")
-            lines.append("            offset += double_size")
-        elif code == 2:  # str
-            emit_read_varint(lines, "length", indent=12)
-            lines.append(
-                f"            {value} = data[offset : offset + length]"
-                ".decode('utf-8')"
-            )
-            lines.append("            offset += length")
-        elif code == 3:  # bool
-            lines.append(f"            {value} = bool(data[offset])")
-            lines.append("            offset += 1")
-        else:  # date
-            emit_read_varint(lines, "ordinal", indent=12)
-            lines.append(f"            {value} = date_from_ordinal(ordinal)")
-    if names:
-        tuple_expr = "(" + ", ".join(names) + ("," if len(names) == 1 else "") + ")"
-    else:
-        tuple_expr = "()"
-    lines.append(f"        append_row({tuple_expr})")
-    lines.append("    return offset")
-    env = {
-        "read_varint": _read_varint,
-        "unpack_double": _DOUBLE.unpack_from,
-        "double_size": _DOUBLE.size,
-        "date_from_ordinal": datetime.date.fromordinal,
-        "SerializationError": SerializationError,
-    }
-    exec("\n".join(lines), env)  # noqa: S102 - controlled codegen, no user input
-    return env["read_rows"]
 
 
 def _cached(cache: dict, key, build, bound: int = 0):
@@ -423,8 +181,9 @@ def _cached(cache: dict, key, build, bound: int = 0):
     return value
 
 
-def _build_encode_plan(schema: Schema) -> Tuple[bytes, bytes, tuple]:
-    header = bytearray()
+def _build_encode_plan(schema: Schema) -> Tuple[bytes, tuple]:
+    header = bytearray(_MAGIC)
+    header.append(_VERSION)
     _write_varint(header, len(schema))
     type_codes = []
     for attribute in schema:
@@ -434,14 +193,10 @@ def _build_encode_plan(schema: Schema) -> Tuple[bytes, bytes, tuple]:
         code = _TYPE_CODES[attribute.type]
         header.append(code)
         type_codes.append(code)
-    return (
-        _MAGIC + bytes((_VERSION,)) + header,
-        _MAGIC + bytes((_COLUMN_VERSION,)) + header,
-        tuple(type_codes),
-    )
+    return bytes(header), tuple(type_codes)
 
 
-def _encode_plan(schema: Schema) -> Tuple[bytes, bytes, tuple]:
+def _encode_plan(schema: Schema) -> Tuple[bytes, tuple]:
     return _cached(_ENCODE_PLANS, schema, _build_encode_plan)
 
 
@@ -588,7 +343,7 @@ def _int_column_block(values) -> bytes:
     except TypeError:
         if None in values:
             raise
-        # Not all ints (a float SUM in an INT column): coerce as v1 does.
+        # Not all ints (a float SUM in an INT column): coerce with int().
         return _int_block(list(map(int, values)))
 
 
@@ -622,7 +377,7 @@ def _str_column_block(values) -> bytes:
 
 
 def _bool_column_block(values) -> bytes:
-    return _pack_bits(bytes(values))  # v1's truthiness: any non-zero byte is True
+    return _pack_bits(bytes(values))  # truthiness: any non-zero byte is True
 
 
 #: Indexed by type code.
@@ -635,9 +390,10 @@ _COLUMN_WRITERS = (
 )
 
 
-def _encode_relation_column(relation: Relation) -> bytes:
+def encode_relation(relation: Relation) -> bytes:
+    """Serialize a relation to format v3 bytes."""
     schema = relation.schema
-    _row_header, header, type_codes = _encode_plan(schema)
+    header, type_codes = _encode_plan(schema)
     row_count = len(relation)
     out = bytearray(header)
     _write_varint(out, row_count)
@@ -796,7 +552,15 @@ def _read_column(data: bytes, offset: int, code: int, row_count: int) -> tuple:
     return values, offset
 
 
-def _decode_relation_column(data: bytes) -> Relation:
+def decode_relation(data: bytes) -> Relation:
+    """Deserialize bytes produced by :func:`encode_relation`, or raise
+    :class:`~repro.errors.SerializationError`."""
+    if type(data) is not bytes:
+        data = bytes(data)  # header slices key the schema cache: hashable
+    if data[: len(_MAGIC)] != _MAGIC:
+        raise SerializationError("bad magic; not a serialized relation")
+    if len(data) <= len(_MAGIC) or data[len(_MAGIC)] != _VERSION:
+        raise SerializationError("unsupported codec version")
     schema, type_codes, row_count, offset = _read_header(data, len(_MAGIC) + 1)
     remaining = len(data) - offset
     if not type_codes:
@@ -814,58 +578,3 @@ def _decode_relation_column(data: bytes) -> Relation:
     return Relation.from_columnar(
         ColumnarRelation.from_value_lists(schema, columns, row_count)
     )
-
-
-def encode_relation(relation: Relation, codec: str = DEFAULT_CODEC) -> bytes:
-    """Serialize a relation to bytes under the named wire codec.
-
-    ``row`` (format v1) is wire-identical to the reference encoder;
-    ``column`` (format v3) produces column blocks. Either output decodes
-    with :func:`decode_relation`.
-    """
-    if codec == "column":
-        return _encode_relation_column(relation)
-    validate_codec(codec)
-    header, _column_header, type_codes = _encode_plan(relation.schema)
-    buffer = bytearray(header)
-    rows = relation.rows
-    _write_varint(buffer, len(rows))
-    if not type_codes:
-        _check_zero_attribute_rows(len(rows))
-    try:
-        _cached(_ROW_WRITERS, type_codes, _compile_row_writer)(rows, buffer)
-    except Exception:
-        # Re-run the reference encoder so the raised error (message and
-        # type) is exactly what this codec has always produced.
-        return _encode_relation_reference(relation)
-    return bytes(buffer)
-
-
-def decode_relation(data: bytes) -> Relation:
-    """Deserialize bytes produced by :func:`encode_relation` (any codec)."""
-    if type(data) is not bytes:
-        data = bytes(data)  # header slices key the schema cache: hashable
-    if data[: len(_MAGIC)] != _MAGIC:
-        raise SerializationError("bad magic; not a serialized relation")
-    version = data[len(_MAGIC)] if len(data) > len(_MAGIC) else None
-    if version == _COLUMN_VERSION:
-        return _decode_relation_column(data)
-    if version != _VERSION:
-        raise SerializationError("unsupported codec version")
-    schema, type_codes, row_count, offset = _read_header(data, len(_MAGIC) + 1)
-    _check_row_count(row_count, len(type_codes), len(data) - offset)
-    rows: list = []
-    try:
-        read_rows = _cached(
-            _ROW_READERS, type_codes, _compile_row_reader, _MAX_DECODE_SCHEMAS
-        )
-        offset = read_rows(data, offset, row_count, rows.append)
-    except _CORRUPTION_ERRORS as exc:
-        raise SerializationError(f"truncated or corrupt row data: {exc}") from exc
-    _check_consumed(offset, len(data))
-    return Relation(schema, rows)
-
-
-def wire_size(relation: Relation, codec: str = DEFAULT_CODEC) -> int:
-    """Exact wire size of a relation under the named codec."""
-    return len(encode_relation(relation, codec))

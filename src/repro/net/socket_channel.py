@@ -33,10 +33,8 @@ charged to ``net.fault.bytes`` by the policy and not re-sent; *corrupt*
 replaces the payload with one of equal length; *crash* raises before
 anything is recorded or sent.
 
-REQ/REPLY control bodies use :mod:`pickle`, the same trust model as the
-``processes`` executor (``multiprocessing`` pickles over pipes): site
-servers are our own processes on a trusted local cluster, never an
-untrusted peer.
+REQ/REPLY control bodies use :mod:`pickle`: site servers are our own
+processes on a trusted local cluster, never an untrusted peer.
 """
 
 from __future__ import annotations

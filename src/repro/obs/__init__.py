@@ -2,8 +2,8 @@
 
 Ten modules, all zero-dependency. None imports ``repro.distributed`` or
 any other execution layer, so any module may instrument itself without
-cycles; from ``repro.net`` they take only constants (the cost model the
-timeline prices bytes with, the default codec's name):
+cycles; from ``repro.net`` they take only the cost model the timeline
+prices bytes with:
 
 - :mod:`repro.obs.tracer` — span tracing with a no-op default
   (:data:`NULL_TRACER`) so untraced runs pay nothing;

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import ObservabilityError
-from repro.net.serialize import DEFAULT_CODEC
 from repro.obs.timeline import _fmt_bytes, _fmt_seconds, _segment
 
 
@@ -161,8 +160,6 @@ class QueryProfile:
     notes: tuple = ()
     #: Ground-truth byte total from the stats snapshot.
     stats_bytes_total: int = 0
-    #: Wire codec the run shipped relations with ("row" or "column").
-    wire_codec: str = DEFAULT_CODEC
     #: Merge topology the run executed with ("flat", "hierarchical:R",
     #: "chain:F") — from the stats snapshot.
     topology: str = "flat"
@@ -219,7 +216,6 @@ class QueryProfile:
             "optimizations": [impact.to_dict() for impact in self.impacts],
             "plan_description": self.plan_description,
             "notes": list(self.notes),
-            "wire_codec": self.wire_codec,
             "topology": self.topology,
             **(
                 {
@@ -320,7 +316,6 @@ def build_profile(
         plan_description=plan_description,
         notes=tuple(notes),
         stats_bytes_total=int(stats.get("bytes_total", 0)),
-        wire_codec=stats.get("wire_codec", "row"),
         topology=stats.get("topology", "flat"),
         speculative_legs=int(stats.get("speculative_legs", 0)),
         speculation_wins=int(stats.get("speculation_wins", 0)),

@@ -208,7 +208,7 @@ class Tracer:
         site_id: Optional[str] = None,
         process: Optional[str] = None,
     ) -> None:
-        """Re-record spans captured elsewhere (a site worker/process).
+        """Re-record spans captured elsewhere (a site-server process).
 
         Each replayed span gets a fresh id here; parent links *within*
         the batch are preserved, and batch roots are parented under this
@@ -216,8 +216,7 @@ class Tracer:
 
         Timestamps are shifted into this tracer's clock domain by
         ``clock_offset_s`` (remote minus local, the convention of
-        :mod:`repro.obs.skew` — 0 keeps them verbatim, correct for
-        forked workers that share the machine's monotonic clock) and
+        :mod:`repro.obs.skew` — 0 keeps them verbatim) and
         clamped into the enclosing span's bounds, so the merged timeline
         keeps ``end >= start`` and child-within-parent even when the
         residual skew after estimation exceeds a real gap. ``site_id``

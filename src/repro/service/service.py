@@ -15,7 +15,7 @@ concurrently, and the service
   :meth:`~repro.distributed.incremental.IncrementalView.refresh` instead
   of discarding it;
 - **shares** one :class:`ExecutionConfig`-selected engine (serial /
-  threads / processes) across all queries, while giving every executing
+  threads / sockets) across all queries, while giving every executing
   query its own private channel set
   (:meth:`~repro.distributed.cluster.SimulatedCluster.fresh_network`) —
   channels are plain queues, so two queries interleaving on one channel

@@ -92,8 +92,8 @@ def _sort_key(row):
 @pytest.fixture
 def row_oracle(monkeypatch):
     """The whole test scans with the row oracle (:mod:`oracle.scan`) in
-    place of the vector scan. It is installed before the test starts, so
-    a ``processes`` executor the test creates forks workers that have it."""
+    place of the vector scan, on every in-process executor. A site-server
+    process does not inherit it."""
     monkeypatch.setattr(gmdj_operator, "_accumulate", oracle.accumulate)
     return oracle.accumulate
 

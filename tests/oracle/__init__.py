@@ -2,12 +2,19 @@
 
 :mod:`oracle.scan` is the row GMDJ scan the vector scan must match by
 ``repr``; ``row_scan()`` swaps it in for the production one.
-:mod:`oracle.codec` is the format v1 reference decoder. :mod:`oracle.keys`
-is the ``dict`` key path the ``int64`` composite keys must match;
-``keys.dict_keys()`` sends the production code down it.
+:mod:`oracle.codec` is format v1, the row codec the wire format v3 is
+diffed against. :mod:`oracle.keys` is the ``dict`` key path the
+``int64`` composite keys must match; ``keys.dict_keys()`` sends the
+production code down it.
 """
 
-from oracle.codec import decode_relation_reference
+from oracle.codec import FORMATS, decode_relation_reference, encode_relation_reference
 from oracle.scan import accumulate, row_scan
 
-__all__ = ["accumulate", "decode_relation_reference", "row_scan"]
+__all__ = [
+    "FORMATS",
+    "accumulate",
+    "decode_relation_reference",
+    "encode_relation_reference",
+    "row_scan",
+]

@@ -1,34 +1,103 @@
-"""The format v1 reference decoder: the straight-line transcription of the
-row codec's specification (``repro.net.serialize``'s module docstring),
-which the compiled fast-path decoder must match value for value and error
-for error."""
+"""Format v1, the row codec: the test oracle the wire format v3 is diffed
+against.
+
+v1 shares v3's header (magic ``b"SKRL"``, version byte ``1``, attribute
+names and type codes, row count). Then, per row and per attribute, one tag
+byte (0 = NULL, 1 = value) followed by the value — zig-zag varint for
+ints, IEEE double for floats, varint-length UTF-8 for strings, 1 byte for
+bools, varint ordinal for dates. :func:`encode_relation_reference` and
+:func:`decode_relation_reference` are straight-line transcriptions of
+that; ``repro.net.serialize.decode_relation`` rejects v1 bytes.
+"""
 
 from __future__ import annotations
 
 import datetime
+import struct
 
 from repro.errors import SchemaError, SerializationError
 from repro.net.serialize import (
     _CODE_TYPES,
     _CORRUPTION_ERRORS,
-    _DOUBLE,
     _MAGIC,
-    _VERSION,
+    _TYPE_CODES,
     _check_consumed,
-    _check_row_count,
+    _check_zero_attribute_rows,
     _read_varint,
     _unzigzag,
+    _write_varint,
+    _zigzag,
+    decode_relation,
+    encode_relation,
 )
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Attribute, Schema
+
+_VERSION = 1
+_DOUBLE = struct.Struct("<d")
+
+
+def encode_relation_reference(relation: Relation) -> bytes:
+    """Encode a relation as format v1 bytes, or raise :class:`SerializationError`."""
+    buffer = bytearray()
+    buffer += _MAGIC
+    buffer.append(_VERSION)
+    schema = relation.schema
+    _write_varint(buffer, len(schema))
+    type_codes = []
+    for attribute in schema:
+        name_bytes = attribute.name.encode("utf-8")
+        _write_varint(buffer, len(name_bytes))
+        buffer += name_bytes
+        code = _TYPE_CODES[attribute.type]
+        buffer.append(code)
+        type_codes.append(code)
+    _write_varint(buffer, len(relation.rows))
+    if not type_codes:
+        _check_zero_attribute_rows(len(relation.rows))
+    for row in relation.rows:
+        for value, code in zip(row, type_codes):
+            if value is None:
+                buffer.append(0)
+                continue
+            buffer.append(1)
+            try:
+                if code == 0:  # int
+                    _write_varint(buffer, _zigzag(int(value)))
+                elif code == 1:  # float
+                    buffer += _DOUBLE.pack(float(value))
+                elif code == 2:  # str
+                    encoded = value.encode("utf-8")
+                    _write_varint(buffer, len(encoded))
+                    buffer += encoded
+                elif code == 3:  # bool
+                    buffer.append(1 if value else 0)
+                elif code == 4:  # date
+                    _write_varint(buffer, value.toordinal())
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise SerializationError(
+                    f"cannot encode {value!r} as {_CODE_TYPES[code]}: {exc}"
+                ) from exc
+    return bytes(buffer)
 
 
 def decode_relation_reference(data: bytes) -> Relation:
     """Decode format v1 bytes, or raise :class:`SerializationError`."""
     try:
         return _decode_rows(data)
-    except _CORRUPTION_ERRORS + (SchemaError,) as exc:
+    except _CORRUPTION_ERRORS + (struct.error, SchemaError) as exc:
         raise SerializationError(f"truncated or corrupt relation: {exc}") from exc
+
+
+def _check_row_count(row_count: int, attr_count: int, remaining: int) -> None:
+    """Reject a row count its payload cannot hold, before any row is read:
+    every value is at least its tag byte."""
+    if not attr_count:
+        _check_zero_attribute_rows(row_count)
+    elif row_count * attr_count > remaining:
+        raise SerializationError(
+            f"{row_count} rows declared but only {remaining} bytes follow"
+        )
 
 
 def _decode_rows(data: bytes) -> Relation:
@@ -86,3 +155,11 @@ def _decode_rows(data: bytes) -> Relation:
         rows.append(tuple(values))
     _check_consumed(offset, len(data))
     return Relation(schema, rows)
+
+
+#: Both formats as (encoder, decoder) pairs: ``column`` is the wire's
+#: format v3, ``row`` this module's format v1.
+FORMATS = {
+    "row": (encode_relation_reference, decode_relation_reference),
+    "column": (encode_relation, decode_relation),
+}

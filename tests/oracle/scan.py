@@ -169,9 +169,8 @@ def accumulate(base, detail, blocks, track_touch):
 def row_scan():
     """Every GMDJ scan started inside runs on :func:`accumulate`.
 
-    A ``processes`` executor created inside forks its workers with the
-    swap in place, so their site scans run on it too; a site-server
-    process does not inherit it.
+    That covers the site scans of the in-process executors (``serial``,
+    ``threads``); a site-server process does not inherit it.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(operator, "_accumulate", accumulate)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_gmdj, make_flows
-from oracle import row_scan
+from oracle import FORMATS, encode_relation_reference, row_scan
 from repro.errors import SchemaError, SerializationError
 from repro.gmdj import operator
 from repro.gmdj.blocks import MDBlock
@@ -442,63 +442,51 @@ class TestColumnCodec:
         relation = random_mixed_relation(
             rng.randrange(0, 200), seed=seed, null_rate=rng.uniform(0, 0.9)
         )
-        payload = serialize.encode_relation(relation, "column")
+        payload = serialize.encode_relation(relation)
         decoded = serialize.decode_relation(payload)
         assert decoded.schema == relation.schema
         assert decoded.rows == relation.rows
 
     def test_saves_bytes_on_typical_olap_rows(self):
         flows = make_flows(count=500, seed=9)
-        row_bytes = len(serialize.encode_relation(flows, "row"))
-        column_bytes = len(serialize.encode_relation(flows, "column"))
+        row_bytes = len(encode_relation_reference(flows))  # format v1
+        column_bytes = len(serialize.encode_relation(flows))
         assert column_bytes < row_bytes
 
     def test_empty_relation_round_trips(self):
         empty = Relation.empty(MIXED_SCHEMA)
-        decoded = serialize.decode_relation(
-            serialize.encode_relation(empty, "column")
-        )
+        decoded = serialize.decode_relation(serialize.encode_relation(empty))
         assert decoded.schema == MIXED_SCHEMA
         assert decoded.rows == []
 
     def test_all_null_column_round_trips(self):
         relation = Relation(Schema.of(("s", STR)), [(None,)] * 7)
-        decoded = serialize.decode_relation(
-            serialize.encode_relation(relation, "column")
-        )
+        decoded = serialize.decode_relation(serialize.encode_relation(relation))
         assert decoded.rows == relation.rows
 
     def test_version_byte_dispatches_both_codecs(self):
+        # The wire's decoder reads format v3 only; the v1 oracle's decoder
+        # reads v1 only. Each rejects the other's bytes by the version byte.
         relation = random_mixed_relation(20, seed=10)
-        for codec in serialize.CODECS:
-            payload = serialize.encode_relation(relation, codec)
-            assert serialize.decode_relation(payload).rows == relation.rows
+        for name, (encode, decode) in FORMATS.items():
+            payload = encode(relation)
+            assert payload[4] == (3 if name == "column" else 1)
+            assert decode(payload).rows == relation.rows
+            (_, other) = FORMATS["row" if name == "column" else "column"]
+            with pytest.raises(SerializationError):
+                other(payload)
 
     def test_truncated_payload_rejected(self):
-        payload = serialize.encode_relation(
-            random_mixed_relation(20, seed=11), "column"
-        )
+        payload = serialize.encode_relation(random_mixed_relation(20, seed=11))
         with pytest.raises(SerializationError):
             serialize.decode_relation(payload[:-3])
         with pytest.raises(SerializationError):
             serialize.decode_relation(payload + b"\x00")
 
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(SerializationError):
-            serialize.encode_relation(random_mixed_relation(1, seed=12), "zstd")
-        with pytest.raises(SerializationError):
-            serialize.validate_codec("parquet")
-
-    def test_wire_size_matches_encoded_length(self):
-        relation = random_mixed_relation(30, seed=13)
-        for codec in serialize.CODECS:
-            assert serialize.wire_size(relation, codec) == len(
-                serialize.encode_relation(relation, codec)
-            )
-
 
 # ---------------------------------------------------------------------------
-# Codec edge cases: zero rows and all-null columns, under BOTH codecs
+# Codec edge cases: zero rows and all-null columns, under the wire's format
+# v3 and the v1 oracle it is diffed against
 # ---------------------------------------------------------------------------
 
 
@@ -507,15 +495,14 @@ class TestCodecEdgeCases:
 
     Zero-row shipments happen whenever a site holds no qualifying
     fragment for a round, and all-null columns whenever an outer feature
-    never fires — both must survive either codec byte-exactly.
+    never fires — both must survive the wire's format and its oracle
+    (``oracle.FORMATS``) byte-exactly.
     """
 
     def test_zero_row_relation_round_trips_under_both_codecs(self):
         empty = Relation.empty(MIXED_SCHEMA)
-        for codec in serialize.CODECS:
-            decoded = serialize.decode_relation(
-                serialize.encode_relation(empty, codec)
-            )
+        for encode, decode in FORMATS.values():
+            decoded = decode(encode(empty))
             assert decoded.schema == MIXED_SCHEMA
             assert decoded.rows == []
 
@@ -525,10 +512,8 @@ class TestCodecEdgeCases:
     )
     def test_all_null_column_round_trips_under_both_codecs(self, col_type):
         relation = Relation(Schema.of(("v", col_type)), [(None,)] * 9)
-        for codec in serialize.CODECS:
-            decoded = serialize.decode_relation(
-                serialize.encode_relation(relation, codec)
-            )
+        for encode, decode in FORMATS.values():
+            decoded = decode(encode(relation))
             assert decoded.schema == relation.schema
             assert decoded.rows == relation.rows
 
@@ -537,30 +522,21 @@ class TestCodecEdgeCases:
         relation = Relation(
             Schema.of(("k", INT), ("s", STR), ("b", BOOL)), rows
         )
-        for codec in serialize.CODECS:
-            decoded = serialize.decode_relation(
-                serialize.encode_relation(relation, codec)
-            )
-            assert decoded.rows == relation.rows
+        for encode, decode in FORMATS.values():
+            assert decode(encode(relation)).rows == relation.rows
 
     def test_empty_string_stays_distinct_from_null(self):
         relation = Relation(
             Schema.of(("s", STR)), [("",), (None,), ("x",), ("",), (None,)]
         )
-        for codec in serialize.CODECS:
-            decoded = serialize.decode_relation(
-                serialize.encode_relation(relation, codec)
-            )
-            assert decoded.rows == relation.rows
+        for encode, decode in FORMATS.values():
+            assert decode(encode(relation)).rows == relation.rows
 
-    def test_zero_row_message_round_trips_under_both_codecs(self):
+    def test_zero_row_message_round_trips(self):
         from repro.net.message import SHIP_BASE, Message
 
         empty = Relation.empty(MIXED_SCHEMA)
-        for codec in serialize.CODECS:
-            message = Message.with_relation(
-                SHIP_BASE, "coordinator", "site0", 1, empty, codec=codec
-            )
-            decoded = message.relation()
-            assert decoded.schema == MIXED_SCHEMA
-            assert decoded.rows == []
+        message = Message.with_relation(SHIP_BASE, "coordinator", "site0", 1, empty)
+        decoded = message.relation()
+        assert decoded.schema == MIXED_SCHEMA
+        assert decoded.rows == []

@@ -3,8 +3,8 @@
 The GMDJ scan (numpy vector kernels) must be *bit-identical* to the row
 oracle of ``tests/oracle/`` — same rows in the same order, float folds
 included — on every query family the repo reproduces (cube,
-multifeature, unpivot), under every executor, under both wire codecs,
-and while the recovery machinery is retrying faulty legs.
+multifeature, unpivot), under every in-process executor, and while the
+recovery machinery is retrying faulty legs.
 """
 
 import contextlib
@@ -16,7 +16,6 @@ from oracle import row_scan
 from repro.distributed import OptimizationOptions, SimulatedCluster, execute_query
 from repro.distributed.evaluator import ExecutionConfig
 from repro.distributed.stats import verify_against_network
-from repro.errors import PlanError
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
 from repro.net import serialize
@@ -37,7 +36,7 @@ from repro.relalg.aggregates import AggSpec, ComponentAccumulator, count_star
 from repro.relalg.expressions import base, detail
 from repro.warehouse.partition import HashPartitioner
 
-EXECUTORS = ("serial", "threads", "processes")
+EXECUTORS = ("serial", "threads")
 AGGS = [count_star("cnt"), AggSpec("sum", detail.NumBytes, "total")]
 
 
@@ -53,9 +52,9 @@ def build_cluster(site_count=3, faults=None):
     return cluster
 
 
-def config_for(executor="serial", wire_codec="row", **kwargs):
+def config_for(executor="serial", **kwargs):
     kwargs.setdefault("retry_backoff_s", 0.0)
-    return ExecutionConfig(executor=executor, wire_codec=wire_codec, **kwargs)
+    return ExecutionConfig(executor=executor, **kwargs)
 
 
 def run_expression(expression, config, cluster=None, **cluster_kwargs):
@@ -130,15 +129,6 @@ def test_columnar_bit_identical_per_family_and_executor(family, executor):
     assert columnar == oracle  # bit-identical, order included
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_column_codec_does_not_change_any_family(family):
-    run = FAMILIES[family]
-    with row_scan():
-        oracle = run(config_for(wire_codec="row"))
-        assert run(config_for(wire_codec="column")) == oracle
-    assert run(config_for(wire_codec="column")) == oracle
-
-
 @pytest.mark.parametrize("executor", ("serial", "threads"))
 def test_columnar_engine_survives_fault_retry_bit_identical(executor):
     expression = multifeature_query(
@@ -150,21 +140,15 @@ def test_columnar_engine_survives_fault_retry_bit_identical(executor):
         clean = run_expression(expression, config_for(executor="serial")).relation.rows
     faults = "drop site=site1 round=1 dir=up times=1"
     for scan in (row_scan, contextlib.nullcontext):
-        for codec in ("row", "column"):
-            cluster = build_cluster(faults=faults)
-            with scan():
-                retried = run_expression(
-                    expression,
-                    config_for(
-                        executor=executor,
-                        wire_codec=codec,
-                        failure_mode="retry",
-                        max_retries=3,
-                    ),
-                    cluster,
-                )
-            assert retried.relation.rows == clean
-            assert retried.stats.retries >= 1
+        cluster = build_cluster(faults=faults)
+        with scan():
+            retried = run_expression(
+                expression,
+                config_for(executor=executor, failure_mode="retry", max_retries=3),
+                cluster,
+            )
+        assert retried.relation.rows == clean
+        assert retried.stats.retries >= 1
 
 
 def fine_groups_cluster():
@@ -189,9 +173,10 @@ def test_each_shipped_block_is_encoded_once(monkeypatch):
     encodes, shipped = [], []
     encode, record = serialize.encode_relation, DirectionStats.record
 
-    def counting_encode(relation, codec=serialize.DEFAULT_CODEC):
-        encodes.append(codec)
-        return encode(relation, codec)
+    def counting_encode(relation):
+        payload = encode(relation)
+        encodes.append(payload[4])
+        return payload
 
     def counting_record(self, message):
         shipped.append(message.payload is not None)
@@ -199,7 +184,6 @@ def test_each_shipped_block_is_encoded_once(monkeypatch):
 
     monkeypatch.setattr(serialize, "encode_relation", counting_encode)
     monkeypatch.setattr(DirectionStats, "record", counting_record)
-    monkeypatch.delenv("REPRO_CODEC", raising=False)
 
     def run(tracer):
         cluster, expression = fine_groups_cluster()
@@ -211,35 +195,26 @@ def test_each_shipped_block_is_encoded_once(monkeypatch):
         ).stats
 
     stats = run(None)
-    assert stats.wire_codec == serialize.DEFAULT_CODEC == "column"
     blocks = sum(shipped)
     assert blocks >= 6  # 2 sites x (base up, X down + H up, X down + H up)
-    assert encodes == ["column"] * blocks
+    assert encodes == [3] * blocks  # format v3, the only one
     untraced = stats.to_dict()
     assert all("codec" not in record for record in untraced["rounds"])
     assert "wire codec" not in stats.summary()
 
     traced = run(Tracer())
     assert sum(shipped) == blocks
-    assert encodes == ["column"] * blocks
+    assert encodes == [3] * blocks
     assert traced.bytes_total == stats.bytes_total
     snapshot = traced.to_dict()
-    assert snapshot["wire_codec"] == "column"
     assert all("codec" not in record for record in snapshot["rounds"])
     assert "wire codec" not in traced.summary()
-
-
-def test_row_codec_stats_stay_unchanged():
-    expression = multifeature_query("Flow", ["SourceAS"], [Feature(AGGS)])
-    snapshot = run_expression(expression, config_for(wire_codec="row")).stats.to_dict()
-    assert snapshot["wire_codec"] == "row"
-    assert all("codec" not in record for record in snapshot["rounds"])
 
 
 def test_unknown_engine_and_codec_are_rejected():
     with pytest.raises(TypeError):  # one scan: there is no engine to name
         ExecutionConfig(engine="row")
-    with pytest.raises(PlanError):
+    with pytest.raises(TypeError):  # one wire format: no codec to name
         ExecutionConfig(wire_codec="parquet")
 
 

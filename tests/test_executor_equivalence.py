@@ -1,4 +1,4 @@
-"""Executor equivalence: serial / threads / processes are indistinguishable.
+"""Executor equivalence: the in-process engines serial / threads are indistinguishable.
 
 The parallel engines (:mod:`repro.distributed.executor`) must not change
 *what* is computed, only how fast: for every cluster size and executor
@@ -26,7 +26,7 @@ from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
 from repro.warehouse.partition import HashPartitioner
 
-EXECUTORS = ("serial", "threads", "processes")
+EXECUTORS = ("serial", "threads")
 SITE_COUNTS = (1, 4, 8)
 
 FLOW = make_flows(count=240, seed=17, routers=8)

@@ -10,7 +10,6 @@ failure-path bugfixes (all failed sites reported, no leaked pools).
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 
 import pytest
@@ -18,7 +17,7 @@ import pytest
 from conftest import make_flows
 from repro.distributed import OptimizationOptions, SimulatedCluster, execute_query
 from repro.distributed.evaluator import ExecutionConfig
-from repro.distributed.executor import ProcessEngine, SerialEngine, ThreadEngine
+from repro.distributed.executor import SerialEngine, ThreadEngine
 from repro.distributed.recovery import EXCLUDED, RetryPolicy, guard_leg
 from repro.distributed.stats import RoundStats, verify_against_network
 from repro.errors import (
@@ -571,9 +570,8 @@ def _assert_no_leaked_workers():
     assert [
         thread.name
         for thread in threading.enumerate()
-        if thread.name.startswith(("skalla-site", "skalla-leg"))
+        if thread.name.startswith("skalla-site")
     ] == []
-    assert multiprocessing.active_children() == []
 
 
 def _crash_some_legs(engine, failing):
@@ -630,26 +628,8 @@ def test_serial_engine_raises_first_failure_directly():
     engine.close()
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="process engine needs fork",
-)
-def test_process_engine_closes_pools_after_crashing_leg():
-    engine = ProcessEngine({f"s{index}": None for index in range(2)}, NULL_TRACER)
-    try:
-        assert len(multiprocessing.active_children()) >= 1
-        with pytest.raises(MultiLegError) as excinfo:
-            _crash_some_legs(engine, failing={"bad1", "bad2"})
-        assert excinfo.value.failed_sites == ("bad1", "bad2")
-    finally:
-        engine.close()
-    _assert_no_leaked_workers()
-
-
-@pytest.mark.parametrize("executor", ["threads", "processes"])
+@pytest.mark.parametrize("executor", ["threads"])
 def test_evaluator_closes_engine_when_a_leg_crashes(executor):
-    if executor == "processes" and "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("process engine needs fork")
     with pytest.raises((SiteUnavailableError, MultiLegError)):
         run_faulty(
             executor=executor,

@@ -34,6 +34,7 @@ from repro.gmdj import operator as gmdj_operator
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
 from repro.gmdj.operator import evaluate, evaluate_sub, merge_sub_results, super_aggregate
+from repro.net.channel import DirectionStats
 from repro.net.costmodel import LAN, WAN, CostModel
 from repro.net.faults import FaultPlan
 from repro.obs import MetricsRegistry, Tracer
@@ -247,25 +248,24 @@ class TestTraffic:
     @pytest.mark.parametrize(
         "label, options_name, bytes_total, root_link_bytes",
         [
-            pytest.param("flat", "none", 5992, 5992, id="flat-5992-5992"),
-            pytest.param("flat", "all", 1144, 1144, id="flat-all-1144-1144"),
+            pytest.param("flat", "none", 4944, 4944, id="flat-4944-4944"),
+            pytest.param("flat", "all", 1168, 1168, id="flat-all-1168-1168"),
             pytest.param(
-                "hierarchical:2", "none", 7610, 1618, id="hierarchical:2-7610-1618"
+                "hierarchical:2", "none", 6288, 1344, id="hierarchical:2-6288-1344"
             ),
-            pytest.param("chain:2", "none", 10686, 1618, id="chain:2-10686-1618"),
+            pytest.param("chain:2", "none", 8832, 1344, id="chain:2-8832-1344"),
         ],
     )
-    def test_row_codec_byte_totals_are_pinned(
+    def test_byte_totals_are_pinned(
         self, label, options_name, bytes_total, root_link_bytes, row_oracle
     ):
-        """Every edge charges HEADER_BYTES + the row encoding: the totals
-        this fixture has always produced, star included, to the byte."""
+        """Every edge charges HEADER_BYTES + the v3 encoding: the totals
+        this fixture produces, star included, to the byte."""
         cluster = build_cluster(8)
         stats = run_tree(
             cluster,
             tree_for(label, cluster.site_ids),
             OPTION_SETS[options_name],
-            config=ExecutionConfig(wire_codec="row"),
         ).stats
         assert (stats.bytes_total, stats.root_link_bytes) == (
             bytes_total, root_link_bytes,
@@ -278,41 +278,41 @@ class TestConfigIsHonoured:
     def test_codec_and_engine_reach_every_edge_and_site(
         self, topology, engine, monkeypatch, request
     ):
-        """The codec reaches every edge, and every site scans with the
-        scan in place: the row oracle (the ``row_oracle`` fixture) or the
-        vector scan."""
+        """The wire format reaches every edge — each shipped block, relay
+        hops included, is format v3 — and every site scans with the scan
+        in place: the row oracle (the ``row_oracle`` fixture) or the vector
+        scan."""
         if engine == "row":
             scan = request.getfixturevalue("row_oracle")
         else:
             scan = gmdj_operator._accumulate
-        seen = set()
-        original = SkallaSite.evaluate_round
+        seen, versions = set(), set()
+        original, record = SkallaSite.evaluate_round, DirectionStats.record
 
         def spy(self, *args, **kwargs):
             seen.add(gmdj_operator._accumulate)
             return original(self, *args, **kwargs)
 
+        def spy_record(self, message):
+            if message.payload is not None:
+                versions.add(message.payload[:5])
+            return record(self, message)
+
         monkeypatch.setattr(SkallaSite, "evaluate_round", spy)
+        monkeypatch.setattr(DirectionStats, "record", spy_record)
         cluster = build_cluster(8)
         plan = plan_query(
             correlated_expression(), cluster.catalog, OptimizationOptions.none()
         )
         flat = execute_plan(cluster, plan, ExecutionConfig(executor="serial"))
         seen.clear()
-        bytes_by_codec = {}
-        for codec in ("row", "column"):
-            result = execute_plan_scheduled(
-                cluster, plan,
-                ExecutionConfig(wire_codec=codec),
-                topology=topology,
-            )
-            assert_relations_equal(flat.relation, result.relation)
-            assert result.stats.wire_codec == codec
-            bytes_by_codec[codec] = result.stats.bytes_total
+        versions.clear()
+        result = execute_plan_scheduled(cluster, plan, topology=topology)
+        assert_relations_equal(flat.relation, result.relation)
         assert seen == {scan}
-        assert bytes_by_codec["column"] < bytes_by_codec["row"]
+        assert versions == {b"SKRL\x03"}
 
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("executor", ["serial", "threads"])
     @pytest.mark.parametrize("topology", ["hierarchical:2", "chain:2"])
     def test_config_reaches_trees(self, topology, executor):
         cluster = build_cluster(8)
@@ -390,7 +390,7 @@ class TestConfigIsHonoured:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("executor", ["threads"])
     @pytest.mark.parametrize("topology", ["hierarchical:8", "chain:2"])
     def test_bounded_pool_no_deadlock(self, topology, executor):
         """More interior nodes than workers: a combiner that held a worker

@@ -165,7 +165,7 @@ def test_every_byte_flip_of_a_partition_file_loads_or_is_rejected(
 def test_a_row_count_beyond_the_payload_is_rejected_before_any_allocation(tmp_path):
     root = store_of(tmp_path, {"Palette": PALETTE})
     path = partition_file(root)
-    header = serialize.encode_relation(Relation.empty(PALETTE.schema), "column")[:-1]
+    header = serialize.encode_relation(Relation.empty(PALETTE.schema))[:-1]
     count = bytearray()
     serialize._write_varint(count, 2**60)
     with open(path, "wb") as handle:

@@ -1,7 +1,7 @@
-"""Property-based tests: both wire codecs round-trip arbitrary relations —
-format v3 (``column``) is format v1's equal on values and never its inferior
-on errors — and no byte string makes a decoder raise anything but
-:class:`~repro.errors.SerializationError`."""
+"""Property-based tests: the wire format v3 round-trips arbitrary relations
+— it is the v1 oracle's (``tests/oracle/codec.py``) equal on values and
+never its inferior on errors — and no byte string makes a decoder raise
+anything but :class:`~repro.errors.SerializationError`."""
 
 import datetime
 import struct
@@ -10,15 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import decode_relation_reference
+from oracle import FORMATS, decode_relation_reference, encode_relation_reference
 from repro.errors import SerializationError
-from repro.net.serialize import (
-    CODECS,
-    _encode_relation_reference,
-    decode_relation,
-    encode_relation,
-    wire_size,
-)
+from repro.net.serialize import decode_relation, encode_relation
 from repro.relalg.relation import Relation
 from repro.relalg.schema import BOOL, DATE, FLOAT, INT, STR, Attribute, Schema
 
@@ -110,55 +104,39 @@ def _identity(rows) -> list:
 @given(relations())
 @settings(max_examples=150, deadline=None)
 def test_round_trip_identity(relation):
-    reference = decode_relation_reference(_encode_relation_reference(relation))
+    reference = decode_relation_reference(encode_relation_reference(relation))
     assert reference.schema == relation.schema
     assert _identity(reference.rows) == _identity(relation.rows)
-    for codec in CODECS:
-        payload = encode_relation(relation, codec)
-        decoded = decode_relation(payload)
-        assert decoded.schema == relation.schema
-        assert _identity(decoded.rows) == _identity(reference.rows)
-        assert wire_size(relation, codec) == len(payload)
-        # The column decoder hands its lists over as the relation's column
-        # cache; the row decoder has none to hand over.
-        columnar = decoded.to_columnar()
-        assert columnar.built_columns() == (
-            relation.schema.names if codec == "column" else ()
-        )
-        if len(relation.schema):
-            assert _identity(columnar.to_rows()) == _identity(reference.rows)
-
-
-@given(relations(max_rows=40))
-@settings(max_examples=50, deadline=None)
-def test_row_fast_path_is_the_reference_byte_for_byte(relation):
-    assert encode_relation(relation, "row") == _encode_relation_reference(relation)
+    decoded = decode_relation(encode_relation(relation))
+    assert decoded.schema == relation.schema
+    assert _identity(decoded.rows) == _identity(reference.rows)
+    # The decoder hands its lists over as the relation's column cache.
+    columnar = decoded.to_columnar()
+    assert columnar.built_columns() == relation.schema.names
+    if len(relation.schema):
+        assert _identity(columnar.to_rows()) == _identity(reference.rows)
 
 
 @given(relations(max_rows=40))
 @settings(max_examples=50, deadline=None)
 def test_encoding_is_deterministic(relation):
-    for codec in CODECS:
-        # A second relation: the first encode may have cached column lists.
-        again = Relation(relation.schema, relation.rows)
-        assert encode_relation(relation, codec) == encode_relation(again, codec)
+    # A second relation: the first encode may have cached column lists.
+    again = Relation(relation.schema, relation.rows)
+    assert encode_relation(relation) == encode_relation(again)
 
 
 @given(relations(max_rows=25))
 @settings(max_examples=50, deadline=None)
 def test_size_grows_with_duplicated_rows(relation):
     doubled = relation.union_all(relation)
-    for codec in CODECS:
-        single = len(encode_relation(relation, codec))
-        double = len(encode_relation(doubled, codec))
-        if not relation.rows:
-            assert double == single
-        elif codec == "row" and len(relation.schema):
-            assert double > single
-        else:
-            # An all-NULL one-row column doubles into the same bitmap byte,
-            # and a zero-attribute relation is its row count.
-            assert double >= single
+    single = len(encode_relation(relation))
+    double = len(encode_relation(doubled))
+    if not relation.rows:
+        assert double == single
+    else:
+        # An all-NULL one-row column doubles into the same bitmap byte,
+        # and a zero-attribute relation is its row count.
+        assert double >= single
 
 
 @given(st.binary(max_size=200))
@@ -172,7 +150,7 @@ def test_arbitrary_bytes_raise_only_serialization_errors(data):
                 pass
 
 
-@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("codec", FORMATS)
 @given(
     relations(max_rows=30),
     st.lists(
@@ -186,15 +164,14 @@ def test_arbitrary_bytes_raise_only_serialization_errors(data):
 def test_mutated_payloads_raise_only_serialization_errors(
     codec, relation, flips, cut
 ):
-    payload = bytearray(encode_relation(relation, codec))
+    encode, decode = FORMATS[codec]
+    payload = bytearray(encode(relation))
     for position, mask in flips:
         payload[position % len(payload)] ^= mask
-    decoders = [decode_relation]
-    if codec == "row":
-        decoders.append(decode_relation_reference)
     for data in (bytes(payload), bytes(payload[: cut % (len(payload) + 1)])):
-        for decode in decoders:
+        # Each format's decoder, and the wire's on the oracle's bytes too.
+        for decoder in dict.fromkeys((decode, decode_relation)):
             try:
-                decode(data)
+                decoder(data)
             except SerializationError:
                 pass

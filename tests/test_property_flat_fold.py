@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.data.tpcr import TPCRConfig, generate_tpcr, nation_partitioner, register_tpcr_fds
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.coordinator import Coordinator
-from repro.distributed.evaluator import ExecutionConfig, execute_query
+from repro.distributed.evaluator import execute_query
 from repro.distributed.site import SkallaSite
 from repro.gmdj.blocks import MDBlock, result_schema
 from repro.gmdj.operator import SyncSession, merge_sub_results
@@ -415,7 +415,7 @@ def test_merge_sub_results_equals_object_fold(data):
 
 def test_a_round_trip_builds_no_rows(monkeypatch):
     """From the site's ``evaluate_round`` to the coordinator's
-    ``commit_sync`` an S5 round trip stays columns: Hᵢ, the column codec,
+    ``commit_sync`` an S5 round trip stays columns: Hᵢ, its v3 blocks,
     the fold and X. Only the caller reading the answer builds its rows.
     Its two-attribute int key is one composite there too: no key tuple is
     built (``_ValueLists.keys`` over several positions)."""
@@ -460,10 +460,7 @@ def test_a_round_trip_builds_no_rows(monkeypatch):
     monkeypatch.setattr(columnar, "COMPOSITE_MIN_ROWS", 0)  # a small cluster's relations
 
     statement = parse_olap_statement(S5_FINE_GROUPS)
-    # The row codec is rows by definition (format v1): the wire is columns here.
-    result = execute_query(
-        cluster, statement.expression, config=ExecutionConfig(wire_codec="column")
-    )
+    result = execute_query(cluster, statement.expression)
     assert window["commits"] == 1 and not window["open"]
     assert window["rows"] == 0
     assert window["key_tuples"] == 0

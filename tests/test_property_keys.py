@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from oracle import keys as oracle
 from repro.data.tpcr import TPCRConfig, generate_tpcr, nation_partitioner, register_tpcr_fds
 from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.evaluator import ExecutionConfig, execute_query
+from repro.distributed.evaluator import execute_query
 from repro.gmdj import operator
 from repro.queries.sql import parse_olap_statement
 from repro.relalg import columnar
@@ -148,8 +148,7 @@ def test_s5_is_one_answer_on_both_key_paths(monkeypatch):
             "TPCR", generate_tpcr(TPCRConfig(scale=0.0005, seed=101)), nation_partitioner(2)
         )
         register_tpcr_fds(cluster.catalog)
-        config = ExecutionConfig(wire_codec="column")
-        return execute_query(cluster, statement.expression, config=config).relation
+        return execute_query(cluster, statement.expression).relation
 
     answer = s5()
     with oracle.dict_keys():

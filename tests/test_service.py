@@ -125,6 +125,23 @@ class TestCache:
         assert again.source == HIT
         assert again.relation.rows == upgraded.relation.rows
 
+    @pytest.mark.parametrize(
+        "executor", [name for name in EXECUTORS if name != "sockets"]
+    )
+    def test_fresh_query_after_append_reads_the_grown_partitions(self, executor):
+        """An engine the service keeps across queries must read the
+        partitions as they are now, not as they were when it was built."""
+        cluster = build_cluster()
+        with QueryService(cluster, ExecutionConfig(executor=executor)) as service:
+            service.submit(MAX_BY_DEST)
+            per_site = make_delta(cluster)
+            service.append("Flow", per_site)
+            result = service.submit(COUNT_BY_SOURCE)
+        assert result.source == FRESH
+        assert result.relation.rows == grown_reference(
+            COUNT_BY_SOURCE, per_site
+        ).rows
+
     def test_append_bypassing_the_service_is_a_miss_not_a_wrong_hit(self):
         cluster = build_cluster()
         with QueryService(cluster) as service:

@@ -180,7 +180,7 @@ def _req_body_with_every_field(request):
     names = (
         "kind", "site_id", "round_number", "steps", "key_attrs", "source",
         "independent_reduction", "row_block_size", "traced", "query_id",
-        "wire_codec", "compute_delay_s",
+        "compute_delay_s",
     )
     return _req_body({name: getattr(request, name) for name in names}, request)
 
@@ -189,12 +189,11 @@ def _req_body_with_every_field(request):
     "optional",
     [
         {},
-        {"wire_codec": "row"},
+        {"compute_delay_s": 0.25},
         {"row_block_size": 64, "traced": True},
         {
-            "wire_codec": "row", "row_block_size": 7,
+            "independent_reduction": True, "row_block_size": 7,
             "traced": True, "query_id": 0, "compute_delay_s": 0.25,
-            "independent_reduction": True,
         },
     ],
     ids=lambda optional: "+".join(optional) or "defaults",
@@ -222,12 +221,9 @@ def test_req_body_carries_only_what_differs_from_the_defaults(optional):
     assert repr(rebuilt) == repr(request)
 
 
-@pytest.mark.parametrize("codec, version", [("row", 1), ("column", 3)])
-def test_site_servers_reply_in_the_codec_the_request_names(
-    deployed, monkeypatch, codec, version
-):
-    """``row`` crosses in the REQ body; ``column``, the default, does not
-    cross at all — the site server's own default has to be the same one."""
+def test_site_servers_reply_in_format_v3(deployed, monkeypatch):
+    """No codec crosses in the REQ body: the site server encodes its reply
+    blocks in the one wire format."""
     versions = []
     decode = serialize.decode_relation
 
@@ -237,9 +233,8 @@ def test_site_servers_reply_in_the_codec_the_request_names(
 
     # The coordinator process decodes nothing but the sites' reply blocks.
     monkeypatch.setattr(serialize, "decode_relation", recording)
-    result = run_query(deployed, correlated_expression(), "sockets", wire_codec=codec)
-    assert result.stats.wire_codec == codec
-    assert versions and set(versions) == {version}
+    run_query(deployed, correlated_expression(), "sockets")
+    assert versions and set(versions) == {3}
 
 
 def test_remote_errors_map_to_their_local_classes():
