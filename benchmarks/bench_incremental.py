@@ -3,7 +3,9 @@
 A standing per-customer report over the distributed TPC-R warehouse
 absorbs a stream of appended line items. Refresh cost should track the
 *delta* size (plus one |X| shipment down per site), while re-evaluation
-tracks the full history — the gap widens as history accumulates.
+tracks the full history — the gap widens as history accumulates. A
+refresh that finds no new group scans exactly the appended rows: its
+``gmdj.tuples_examined`` is the batch size.
 
 Run standalone for the printed report::
 
@@ -19,6 +21,7 @@ from repro.distributed import (
     SimulatedCluster,
     execute_query,
 )
+from repro.obs.metrics import MetricsRegistry, activate
 from repro.queries.olap import group_by_query
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import detail
@@ -61,8 +64,11 @@ def run_stream():
             if len(piece)
         }
         cluster.reset_network()
-        refresh = view.refresh(deltas)
+        registry = MetricsRegistry()
+        with activate(registry):
+            refresh = view.refresh(deltas)
         refresh_bytes = refresh.stats.bytes_total
+        examined = registry.value_of("gmdj.tuples_examined")
 
         # Full re-evaluation over the grown history, for comparison.
         cluster.reset_network()
@@ -77,6 +83,8 @@ def run_stream():
                 full.stats.bytes_total,
                 refresh.stats.tuples_up,
                 full.stats.tuples_total,
+                refresh.new_groups,
+                examined,
             )
         )
     return measurements
@@ -91,6 +99,8 @@ def render(measurements) -> str:
             "re-eval bytes",
             "refresh up-tuples",
             "re-eval tuples",
+            "new groups",
+            "refresh scanned",
         ],
         [[str(value) for value in row] for row in measurements],
     )
@@ -101,11 +111,17 @@ def test_incremental_refresh_cheaper_than_reevaluation(benchmark):
     print()
     print(render(measurements))
 
-    for _batch, _rows, refresh_bytes, full_bytes, refresh_up, full_tuples in measurements:
+    for (
+        _batch, rows, refresh_bytes, full_bytes, refresh_up, full_tuples, new_groups, scanned,
+    ) in measurements:
         # The refresh's up-leg carries only touched groups; the full
         # evaluation re-ships every group both ways.
         assert refresh_up < full_tuples
         assert refresh_bytes < full_bytes
+        # Without a new group the refresh round scans the appended rows only.
+        if not new_groups:
+            assert scanned == rows
+    assert any(not row[6] for row in measurements), "every batch added a group"
 
 
 if __name__ == "__main__":

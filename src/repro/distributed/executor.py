@@ -87,6 +87,11 @@ class SiteRequest:
     #: clock) before evaluating. Set from a ``straggle`` fault rule; the
     #: speculative backup attempt gets 0 once the rule's budget is spent.
     compute_delay_s: float = 0.0
+    #: A ``round`` over the detail rows appended after this table
+    #: version (an incremental refresh); 0 is the whole partition. A
+    #: ``round``'s ``source``, when set, is the distinct base those rows
+    #: grow (:meth:`~repro.distributed.site.SkallaSite.evaluate_round`).
+    since: int = 0
 
     def control(self) -> dict:
         """The request as a REQ-frame body (the payloads cross as MSG frames).
@@ -197,6 +202,8 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
                 request.steps,
                 request.key_attrs,
                 request.independent_reduction,
+                since=request.since,
+                grows=request.source,
             )
             span.set(rows=len(h_i))
     else:

@@ -3,26 +3,34 @@
 The motivating deployment (Section 1) collects flow records continuously
 at each router; analysts keep standing OLAP results that must follow the
 data. Because Skalla's aggregates ship as *mergeable sub-aggregates*
-(Theorem 1), an already-computed result can absorb new detail tuples
-without recomputation over the old data.
+(Theorem 1), an append is one more source of sub-aggregates: an
+already-computed result absorbs it without recomputation over the old
+data.
 
 :class:`IncrementalView` keeps the global state in **sub-aggregate form**
 (one merged row of component values per group — the same shape a
-regional coordinator forwards in the tree topology) and finalizes on
-read. A refresh with per-site deltas Δᵢ ships:
+regional coordinator forwards in the tree topology), finalizes on read,
+and records per site the table version it has absorbed. A refresh is an
+ordinary round — one :class:`~repro.distributed.executor.SiteRequest`
+leg per site whose version moved, played through the engine over the
+site's channel:
 
-1. the current group list down to each site, which evaluates the blocks
-   over **Δᵢ only** and returns the touched groups' delta sub-aggregates;
-2. for *new* groups appearing only in the delta (possible when the base
-   is a distinct projection), the new group keys down, which each site
-   evaluates against its **full** (post-append) partition — necessary
-   because with general GMDJ conditions old detail rows can contribute
-   to a brand-new group.
+1. the state's groups ship down, and the site evaluates the blocks over
+   the rows appended since the absorbed version only
+   (``SiteRequest.since``, ``LocalWarehouse.appended_since``), answering
+   with the touched groups' delta sub-aggregates — and, when the base is
+   a distinct projection of the appended table, with the keys of those
+   rows the groups lack;
+2. the answer's keys that the state's key codes miss are the *new*
+   groups. If there are any, a second round ships them down to every
+   site, which evaluates them against its **full** partition — with
+   general GMDJ conditions old detail rows can contribute to a brand-new
+   group.
 
-Both contributions merge into the state with
+The answers fold into the state as columns with
 :func:`repro.gmdj.operator.merge_sub_results`; the refreshed result is
-exactly what full re-evaluation over old+new data returns (tested,
-including randomized delta splits).
+what full re-evaluation over old+new data returns
+(``tests/test_property_incremental.py`` draws the append sequences).
 
 Scope: append-only (no retractions), single-GMDJ queries (possibly
 multi-block, i.e. coalesced) with distributive/algebraic aggregates.
@@ -35,15 +43,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress
-from typing import Mapping
+from typing import Mapping, Optional
+
+import numpy as np
 
 from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.executor import SerialEngine, SiteRequest
 from repro.distributed.stats import ExecutionStats
-from repro.errors import PlanError, SchemaError
+from repro.errors import PlanError
 from repro.gmdj import operator
 from repro.gmdj.expression import DistinctBase, GMDJExpression, LiteralBase
 from repro.net import message as msg
+from repro.net import serialize
+from repro.obs.tracer import NULL_TRACER
 from repro.relalg.operators import union_all
 from repro.relalg.relation import Relation
 
@@ -93,46 +105,57 @@ class IncrementalView:
         step = expression.steps[0]
         if step.has_holistic:
             raise PlanError("holistic aggregates cannot be refreshed incrementally")
+        source = expression.base_source
+        if not isinstance(source, (LiteralBase, DistinctBase)):
+            raise PlanError(f"unsupported base source {source!r}")
         self.cluster = cluster
         self.expression = expression
         self.step = step
         self.key_attrs = list(expression.key)
-        #: Global state: one merged sub-aggregate row per group.
-        self._h: Relation = self._initial_state()
+        #: The distinct base the appends to the detail table grow, if any.
+        self._grows = (
+            source if isinstance(source, DistinctBase) and source.table == step.detail
+            else None
+        )
+        #: Per site, the detail table version the state has absorbed.
+        self._versions = self._data_versions()
+        #: The state's groups (the base of the finalized result), and the
+        #: state: one merged sub-aggregate row per group, key attributes first.
+        self._base, self._h = self._initial_state()
 
     # -- construction -------------------------------------------------------------
 
-    def _initial_state(self) -> Relation:
-        base = self._current_base_relation(initial=True)
-        pieces = []
-        for site_id in self.cluster.site_ids:
-            site = self.cluster.site(site_id)
-            if not site.warehouse.has_table(self.step.detail):
-                continue
-            detail = site.warehouse.table(self.step.detail)
-            h_i, _touched = operator.evaluate_sub(base, detail, self.step.blocks)
-            pieces.append(h_i)
-        return operator.merge_sub_results(
+    def _initial_state(self) -> tuple:
+        source = self.expression.base_source
+        if isinstance(source, LiteralBase):
+            base = source.relation
+        else:
+            conceptual = self.cluster.conceptual_table(source.table)
+            base = conceptual.distinct_project(list(source.attrs))
+        pieces = [
+            self.cluster.site(site_id).evaluate_round(
+                base, (self.step,), self.key_attrs, independent_reduction=False
+            )
+            for site_id in self.cluster.site_ids
+            if self.cluster.site(site_id).warehouse.has_table(self.step.detail)
+        ]
+        return base, operator.merge_sub_results(
             union_all(pieces), self.key_attrs, self.step.blocks
         )
 
-    def _current_base_relation(self, initial: bool = False) -> Relation:
-        source = self.expression.base_source
-        if isinstance(source, LiteralBase):
-            return source.relation
-        if isinstance(source, DistinctBase):
-            if initial:
-                conceptual = self.cluster.conceptual_table(source.table)
-                return conceptual.distinct_project(list(source.attrs))
-            return self._h.distinct_project(list(source.attrs))
-        raise PlanError(f"unsupported base source {source!r}")
+    def _data_versions(self) -> dict:
+        return {
+            site_id: version
+            for _table, site_id, version in self.cluster.data_versions([self.step.detail])
+        }
 
     # -- reads ---------------------------------------------------------------------
 
     def relation(self) -> Relation:
         """The finalized result, computed from the sub-aggregate state."""
-        base = self._current_base_relation()
-        return operator.super_aggregate(base, self._h, self.key_attrs, self.step.blocks)
+        return operator.super_aggregate(
+            self._base, self._h, self.key_attrs, self.step.blocks
+        )
 
     @property
     def group_count(self) -> int:
@@ -142,131 +165,94 @@ class IncrementalView:
 
     def refresh(
         self,
-        deltas: Mapping[str, Relation],
+        deltas: Optional[Mapping[str, Relation]] = None,
         *,
-        apply_appends: bool = True,
         network=None,
+        engine=None,
     ) -> RefreshResult:
-        """Absorb per-site appended rows and return the refreshed result.
+        """Absorb the rows appended since the last refresh; return the result.
 
-        By default the deltas are also appended to the site warehouses,
-        keeping the cluster consistent for later full queries. Pass
-        ``apply_appends=False`` when the caller already applied them (the
+        ``deltas`` (per-site rows), when given, are appended to the site
+        warehouses first. Either way the refresh absorbs everything each
+        site's detail table gained since the version the view holds (the
         query service appends once, then upgrades every affected cached
-        view) — the warehouses must then hold the post-append partitions
-        before this call. ``network`` substitutes a private channel set
-        (per-query isolation under the concurrent service); default is
-        the cluster's shared network.
+        view). ``network`` substitutes a private channel set (per-query
+        isolation under the concurrent service) for the cluster's shared
+        one; ``engine`` is the leg engine to share (the service's), else
+        the legs run serially.
         """
-        detail_name = self.step.detail
+        for site_id, delta in (deltas or {}).items():
+            self.cluster.site(site_id).warehouse.append(self.step.detail, delta)
         if network is None:
             network = self.cluster.network
+        if engine is None:
+            engine = SerialEngine(self.cluster.sites, NULL_TRACER)
+        versions = self._data_versions()
+        moved = [site_id for site_id in versions if versions[site_id] != self._versions[site_id]]
+        holding = [site_id for site_id in versions if versions[site_id]]
         stats = ExecutionStats()
         round_stats = stats.new_round("md", "incremental refresh")
-
-        old_base = self._current_base_relation()
-        new_base = self._new_groups_base(deltas)
-        fragments = [self._h]
-
-        for site_id, delta in deltas.items():
-            site = self.cluster.site(site_id)
-            site_schema = site.warehouse.schema(detail_name)
-            if delta.schema != site_schema:
-                raise SchemaError(
-                    f"delta for {site_id!r} has schema {delta.schema!r}, "
-                    f"table has {site_schema!r}"
-                )
-
-            def over_delta(received_base):
-                if apply_appends:
-                    site.warehouse.append(detail_name, delta)
-                h_delta, touched = operator.evaluate_sub(
-                    received_base, delta, self.step.blocks
-                )
-                return Relation(h_delta.schema, compress(h_delta.rows, touched))
-
-            fragments.append(
-                self._site_round(network, round_stats, site_id, 0, old_base, over_delta)
-            )
-
-        # New groups must see every site's FULL data, old rows included.
-        if len(new_base):
-            for site_id in self.cluster.site_ids:
-                site = self.cluster.site(site_id)
-                if not site.warehouse.has_table(detail_name):
-                    continue
-
-                def over_partition(received_base):
-                    h_new, _touched = operator.evaluate_sub(
-                        received_base,
-                        site.warehouse.table(detail_name),
-                        self.step.blocks,
-                    )
-                    return h_new
-
-                fragments.append(
-                    self._site_round(
-                        network, round_stats, site_id, 1, new_base, over_partition
-                    )
-                )
-
-        started = time.perf_counter()
-        self._h = operator.merge_sub_results(
-            union_all(fragments), self.key_attrs, self.step.blocks
+        answers = self._round(
+            network, engine, round_stats, moved, self._base, 0, self._versions,
+            independent_reduction=True, source=self._grows,
         )
+        started = time.perf_counter()
+        merged = union_all([self._h, *answers])
+        firsts, codes = merged.to_columnar().codes(merged.schema.positions(self.key_attrs))
+        known, base = len(self._h), self._base
+        new_base = Relation.from_columnar(merged.to_columnar().gather(firsts[known:]))
+        new_base = new_base.distinct_project(self.key_attrs)
+        if len(new_base):
+            # Their rows answered over the delta give way to the second
+            # round's, over every full partition.
+            round_stats.coordinator_compute_s += time.perf_counter() - started
+            answers = self._round(
+                network, engine, round_stats, holding, new_base, 1, {},
+                independent_reduction=False,
+            )
+            started = time.perf_counter()
+            kept = merged.to_columnar().gather(np.flatnonzero(codes < known))
+            merged = union_all([Relation.from_columnar(kept), *answers])
+            base = base.union_all(new_base)
+        self._h = operator.merge_sub_results(merged, self.key_attrs, self.step.blocks)
+        self._base, self._versions = base, versions
         round_stats.coordinator_compute_s += time.perf_counter() - started
         return RefreshResult(self.relation(), stats, len(new_base))
 
-    def _site_round(
-        self, network, round_stats, site_id, round_index, base, evaluate
-    ) -> Relation:
-        """One site's exchange, both ends: ship ``base`` down, play the
-        site's turn (this process hosts the site: take the shipment,
-        ``evaluate`` it, send the sub-aggregates up), take the reply in."""
-        channel = network.channel(site_id)
-        site_stats = round_stats.site(site_id)
-        shipment = msg.Message.with_relation(
-            msg.SHIP_BASE, "coordinator", site_id, round_index, base
-        )
-        channel.send_to_site(shipment)
-        site_stats.bytes_down += shipment.size_bytes
-        site_stats.tuples_down += len(base)
-
-        (received,) = channel.take_at_site()
+    def _round(self, network, engine, round_stats, site_ids, base, number, since, **fields) -> list:
+        """One round over ``site_ids``: ``base`` down each site's channel,
+        the site's turn played by ``engine`` over the rows appended since
+        its ``since`` version (absent: the whole partition), the answer
+        decoded. Answers come back in site order, whatever order the legs
+        finish in."""
+        if not site_ids:
+            return []
         started = time.perf_counter()
-        answer = evaluate(received.relation())
-        reply = msg.Message.with_relation(
-            msg.SUB_RESULT, site_id, "coordinator", round_index, answer
-        )
-        site_stats.compute_s += time.perf_counter() - started
-        channel.send_to_coordinator(reply)
-        site_stats.bytes_up += reply.size_bytes
-        site_stats.tuples_up += len(answer)
-
-        started = time.perf_counter()
-        fragment = channel.receive_at_coordinator().relation()
+        payload = serialize.encode_relation(base)
         round_stats.coordinator_compute_s += time.perf_counter() - started
-        return fragment
+        for site_id in site_ids:
+            round_stats.site(site_id)  # reporting order is site order
 
-    def _new_groups_base(self, deltas: Mapping[str, Relation]) -> Relation:
-        """Groups appearing in the delta but not in the current state."""
-        source = self.expression.base_source
-        if not isinstance(source, DistinctBase):
-            schema = self._h.schema.project(self.key_attrs)
-            return Relation.empty(schema)
-        key_attrs = list(source.attrs)
-        known = {
-            tuple(row[position] for position in self._h.schema.positions(key_attrs))
-            for row in self._h.rows
-        }
-        fresh = []
-        seen = set(known)
-        for delta in deltas.values():
-            positions = delta.schema.positions(key_attrs)
-            for row in delta.rows:
-                key = tuple(row[position] for position in positions)
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(key)
-        schema = self._h.schema.project(key_attrs)
-        return Relation(schema, fresh)
+        def leg(site_id):
+            channel, edge = network.channel(site_id), round_stats.site(site_id)
+            shipment = msg.Message(msg.SHIP_BASE, "coordinator", site_id, number, payload)
+            channel.send_to_site(shipment)
+            edge.bytes_down += shipment.size_bytes
+            edge.tuples_down += len(base)
+            request = SiteRequest(
+                "round", site_id, number, steps=(self.step,),
+                key_attrs=tuple(self.key_attrs), since=since.get(site_id, 0), **fields,
+            )
+            reply = engine.evaluate(request, channel)
+            edge.compute_s += reply.compute_s
+            edge.bytes_up += sum(len(block) + msg.HEADER_BYTES for block in reply.payloads)
+            edge.tuples_up += reply.rows
+            started = time.perf_counter()
+            answer = union_all(
+                [channel.receive_at_coordinator().relation() for _block in reply.payloads]
+            )
+            return answer, time.perf_counter() - started
+
+        legs = engine.run_legs(site_ids, leg)
+        round_stats.coordinator_compute_s += sum(seconds for _answer, seconds in legs)
+        return [answer for answer, _seconds in legs]

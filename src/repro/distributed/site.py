@@ -18,13 +18,13 @@ Per round, a site:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import WarehouseError
 from repro.gmdj import operator
-from repro.gmdj.expression import BaseSource, MDStep
+from repro.gmdj.expression import BaseSource, DistinctBase, MDStep
 from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Schema
@@ -41,8 +41,12 @@ class SkallaSite:
     # -- round handlers ----------------------------------------------------------
 
     def compute_base(self, source: BaseSource) -> Relation:
-        """Evaluate the base-values query over the local partition."""
-        return source.evaluate(self.warehouse.tables())
+        """Evaluate the base-values query over the local partition.
+
+        Only the table the source reads is read: a full read concatenates
+        that table's append log, and no other table's."""
+        name = source.table_name
+        return source.evaluate({} if name is None else {name: self.warehouse.table(name)})
 
     def evaluate_round(
         self,
@@ -50,6 +54,8 @@ class SkallaSite:
         steps: Sequence[MDStep],
         key_attrs: Sequence[str],
         independent_reduction: bool,
+        since: int = 0,
+        grows: Optional[DistinctBase] = None,
     ) -> Relation:
         """Evaluate one round's steps locally; return the shipped Hᵢ.
 
@@ -58,8 +64,17 @@ class SkallaSite:
         each step's *finalized* output becomes the next step's base —
         correct precisely under the optimizer-verified Corollary 1
         precondition that every group's detail data is site-local.
+
+        ``since`` (a table version; 0 is the whole partition) evaluates
+        over the rows appended after it: an incremental refresh's round.
+        ``grows`` is the distinct base those rows extend: their keys the
+        fragment lacks join it as groups and are answered even untouched,
+        so the coordinator learns every new group.
         """
-        detail = self.warehouse.table(steps[0].detail)
+        detail = self._detail(steps[0].detail, since)
+        fresh_from = len(base_fragment)
+        if grows is not None:
+            base_fragment = _grown(base_fragment, detail.distinct_project(list(grows.attrs)))
         current_base = base_fragment
         # H_i's columns, column group by column group: the key attributes,
         # then each step's sub columns (its sub-result minus its base's).
@@ -90,8 +105,20 @@ class SkallaSite:
                 attributes.extend(block.sub_attributes())
         h_i = ColumnarRelation.from_value_lists(Schema(attributes), columns, len(base_fragment))
         if independent_reduction:
+            touched_any[fresh_from:] = True
             h_i = h_i.gather(np.flatnonzero(touched_any))
         return Relation.from_columnar(h_i)
+
+    def _detail(self, table_name: str, since: int) -> Relation:
+        if not since:
+            return self.warehouse.table(table_name)
+        rows = self.warehouse.appended_since(table_name, since)
+        if rows is None:
+            raise WarehouseError(
+                f"{self.site_id}: {table_name!r} was replaced after version "
+                f"{since}, so the rows appended since are unknown"
+            )
+        return rows
 
     def evaluate_merged_round(
         self,
@@ -108,3 +135,11 @@ class SkallaSite:
         return self.evaluate_round(
             local_base, steps, key_attrs, independent_reduction=False
         )
+
+
+def _grown(fragment: Relation, keys: Relation) -> Relation:
+    """``fragment`` (distinct keys) followed by the ``keys`` it lacks: the
+    first-seen rows of their concatenation's key codes."""
+    both = fragment.union_all(keys).to_columnar()
+    firsts, _codes = both.codes(range(len(fragment.schema)))
+    return Relation.from_columnar(both.gather(firsts))

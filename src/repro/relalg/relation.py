@@ -203,6 +203,13 @@ class Relation:
             return Relation(schema, [()] if len(self) else [])
         return Relation.from_columnar(self.to_columnar().distinct(schema, positions))
 
+    def tail(self, start: int) -> "Relation":
+        """The rows from position ``start`` on, in order: a slice of the
+        rows when they are built, else a gather of the columns."""
+        if self._rows is not None:
+            return Relation(self.schema, self._rows[start:])
+        return Relation.from_columnar(self._columnar.gather(range(start, len(self))))
+
     def union_all(self, *others: "Relation") -> "Relation":
         """Multiset union, rows in order; schemas must be identical.
 

@@ -23,8 +23,9 @@ concurrently, and the service
 
 Appends go through :meth:`QueryService.append`, which is
 writer-exclusive (it waits for in-flight queries to drain, so a query
-never sees a torn multi-site append) and logs every per-site delta by
-the warehouse version it produced; those logs are what make cache
+never sees a torn multi-site append) and logs, per table and site, the
+versions it produced — versions only: the rows stay at the sites, whose
+append logs a refresh round reads. Those logs are what make cache
 upgrades possible.
 
 Determinism contract: all served relations are in **canonical row
@@ -118,15 +119,16 @@ def canonical_order(relation: Relation, key_attrs) -> Relation:
     query are comparable row-for-row — distributed evaluation and
     incremental refresh build their output rows in different (both
     correct) orders.
+
+    The row indices are sorted stably by one key column's ``repr``s at
+    a time, the last attribute first, and the columns gathered: the
+    order of sorting by each row's tuple of ``repr``s, with no row built.
     """
-    positions = relation.schema.positions(list(key_attrs))
-    return Relation(
-        relation.schema,
-        sorted(
-            relation.rows,
-            key=lambda row: tuple(repr(row[position]) for position in positions),
-        ),
-    )
+    columnar = relation.to_columnar()
+    order = list(range(len(relation)))
+    for position in reversed(relation.schema.positions(list(key_attrs))):
+        order.sort(key=list(map(repr, columnar.value_lists()[position])).__getitem__)
+    return Relation.from_columnar(columnar.gather(order))
 
 
 @dataclass
@@ -200,8 +202,10 @@ class QueryService:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = ResultCache(cache_capacity)
-        #: (table, site) -> {version: delta relation} — every append this
-        #: service applied, addressable by the version it produced.
+        #: (table, site) -> (after, last): every version in ``(after, last]``
+        #: was produced by this service's own appends. ``after`` moves up to
+        #: the version an append found, when it is not ``last`` (a mutation
+        #: that bypassed the service came in between).
         self._delta_log: dict = {}
         self._gate = threading.Condition()
         self._queue: deque = deque()  # waiting tickets, FIFO
@@ -456,17 +460,13 @@ class QueryService:
                 self.metrics.counter("service.cache.hit").inc()
                 return _Served(entry.relation, HIT, entry.stats, signature)
             gaps = entry.signature.version_gaps(signature)
-            if not gaps:
-                return None
-            deltas = self._coverable_deltas(entry, gaps)
-            if deltas is None:
+            if not gaps or not self._covered(entry, gaps):
                 return None
             old_signature = entry.signature
             with self._stage("execute", stages):
                 refreshed = entry.view.refresh(
-                    deltas,
-                    apply_appends=False,
                     network=self.cluster.fresh_network(self.metrics),
+                    engine=self._engine,
                 )
             with self._stage("merge", stages):
                 relation = canonical_order(
@@ -478,30 +478,20 @@ class QueryService:
         span.set(new_groups=refreshed.new_groups)
         return _Served(relation, REFRESH, refreshed.stats, signature)
 
-    def _coverable_deltas(self, entry: CacheEntry, gaps) -> Optional[dict]:
-        """Per-site combined deltas spanning the gaps, or None if uncovered.
+    def _covered(self, entry: CacheEntry, gaps) -> bool:
+        """Whether this service's own appends produced every version in
+        the gaps.
 
-        Coverage is strict: every version in every gap must be in the
-        delta log (a register/drop, or an append that bypassed the
-        service, leaves a hole → plain miss), and only the view's detail
-        table can move (a changed base table is not refreshable).
+        Coverage is strict: a register/drop, or an append that bypassed
+        the service, leaves a hole → plain miss, and only the view's
+        detail table can move (a changed base table is not refreshable).
         """
         detail = entry.view.step.detail
-        per_site = {}
         for table, site_id, old_version, new_version in gaps:
-            if table != detail:
-                return None
-            log = self._delta_log.get((table, site_id))
-            if log is None:
-                return None
-            combined = None
-            for version in range(old_version + 1, new_version + 1):
-                delta = log.get(version)
-                if delta is None:
-                    return None
-                combined = delta if combined is None else combined.union_all(delta)
-            per_site[site_id] = combined
-        return per_site
+            after, last = self._delta_log.get((table, site_id), (0, 0))
+            if table != detail or not after <= old_version < new_version <= last:
+                return False
+        return True
 
     def _maybe_cache(self, expression, signature, relation, stats) -> None:
         if stats.degraded:
@@ -519,13 +509,12 @@ class QueryService:
     # -- appends -----------------------------------------------------------------
 
     def append(self, table_name: str, deltas: Mapping[str, Relation]) -> dict:
-        """Apply per-site appends writer-exclusively and log the deltas.
+        """Apply per-site appends writer-exclusively and log their versions.
 
         Waits until no query is in flight (a query must never observe
         site A post-append and site B pre-append), applies every delta,
-        and records each under the warehouse version it produced so
-        cached entries can be refresh-upgraded later. Returns
-        ``{site_id: new_version}``.
+        and records the warehouse version each produced so cached entries
+        can be refresh-upgraded later. Returns ``{site_id: new_version}``.
         """
         with self._gate:
             if self._closed:
@@ -539,9 +528,13 @@ class QueryService:
             versions = {}
             for site_id, delta in deltas.items():
                 warehouse = self.cluster.site(site_id).warehouse
+                found = warehouse.version(table_name)
                 warehouse.append(table_name, delta)
                 version = warehouse.version(table_name)
-                self._delta_log.setdefault((table_name, site_id), {})[version] = delta
+                after, last = self._delta_log.get((table_name, site_id), (0, 0))
+                self._delta_log[table_name, site_id] = (
+                    after if found == last else found, version
+                )
                 versions[site_id] = version
             self.metrics.counter("service.appends").inc()
             return versions

@@ -11,6 +11,7 @@ from repro.distributed.stats import ExecutionStats
 from repro.errors import PlanError, SchemaError
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, LiteralBase, MDStep
+from repro.obs.metrics import MetricsRegistry, activate
 from repro.queries.olap import QueryBuilder
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
@@ -204,3 +205,23 @@ class TestRefresh:
         result = view.refresh(small_delta)
         # Delta up-leg only carries touched groups.
         assert result.stats.tuples_up <= 10
+
+
+class TestRefreshCost:
+    def test_a_refresh_without_new_groups_scans_only_the_appended_rows(self):
+        """The refresh round reads each site's append log since the
+        version the view holds, not the partition: with one block and no
+        detail-only filter, its scans examine exactly Σ|Δᵢ| rows."""
+        cluster = build_cluster()
+        expression = single_step_expression()
+        view = IncrementalView(cluster, expression)
+        known = {row[1] for row in INITIAL.rows}
+        for seed in (126, 127):
+            rows = [row for row in make_flows(count=60, seed=seed).rows if row[1] in known]
+            deltas = deltas_for(cluster, rows)
+            registry = MetricsRegistry()
+            with activate(registry):
+                result = view.refresh(deltas)
+            assert result.new_groups == 0
+            assert registry.value_of("gmdj.tuples_examined") == len(rows) > 0
+            assert_relations_equal(result.relation, reference_result(expression, cluster))

@@ -6,7 +6,9 @@ because hits are served verbatim and refresh-upgraded answers must be
 value-identical to a fresh evaluation over the grown data.
 """
 
+import gc
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -21,6 +23,7 @@ from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
 from repro.obs import Tracer
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
+from repro.relalg.relation import Relation
 from repro.service import FRESH, HIT, REFRESH, PlanSignature, QueryService
 
 SITES = 3
@@ -157,6 +160,28 @@ class TestCache:
         assert result.relation.rows == grown_reference(
             COUNT_BY_SOURCE, per_site
         ).rows
+
+    def test_an_appended_delta_is_not_kept_past_a_full_read(self):
+        """The service logs the versions it appended, not the rows: once
+        a full read folds the sites' append logs, nothing holds a delta."""
+
+        class Delta(Relation):  # a Relation with a __weakref__ slot
+            pass
+
+        cluster = build_cluster()
+        with QueryService(cluster) as service:
+            service.submit(COUNT_BY_SOURCE)
+            per_site = {
+                site_id: Delta(delta.schema, delta.rows)
+                for site_id, delta in make_delta(cluster).items()
+            }
+            freed = [weakref.ref(delta) for delta in per_site.values()]
+            service.append("Flow", per_site)
+            assert service.submit(COUNT_BY_SOURCE).source == REFRESH
+            cluster.conceptual_table("Flow")
+            del per_site
+            gc.collect()
+            assert [ref() for ref in freed] == [None] * len(freed)
 
     def test_catalog_change_invalidates(self):
         cluster = build_cluster()

@@ -180,7 +180,7 @@ def _req_body_with_every_field(request):
     names = (
         "kind", "site_id", "round_number", "steps", "key_attrs", "source",
         "independent_reduction", "row_block_size", "traced", "query_id",
-        "compute_delay_s",
+        "compute_delay_s", "since",
     )
     return _req_body({name: getattr(request, name) for name in names}, request)
 
@@ -191,6 +191,7 @@ def _req_body_with_every_field(request):
         {},
         {"compute_delay_s": 0.25},
         {"row_block_size": 64, "traced": True},
+        {"since": 3},
         {
             "independent_reduction": True, "row_block_size": 7,
             "traced": True, "query_id": 0, "compute_delay_s": 0.25,
