@@ -464,12 +464,8 @@ def _accumulate(base, detail, blocks, track_touch):
 
         candidate_base = range(len(base))
         if split.base_only:
-            base_admits = compiler.compile_predicate(
-                split.base_only, base_schemas, (BASE_VAR,)
-            )
-            candidate_base = [
-                index for index, row in enumerate(base.rows) if base_admits(row)
-            ]
+            admits = compiler.compile_mask(split.base_only, base_schemas)
+            candidate_base = admits(len(base), {BASE_VAR: (base_columns, None)}).tolist()
 
         rows = None
         if split.detail_only:
@@ -482,9 +478,7 @@ def _accumulate(base, detail, blocks, track_touch):
             probe = _matched(base_columns, detail_columns, split.atoms, candidate_base)
             if probe is None:
                 base_exprs = [atom.base_expr for atom in split.atoms]
-                table = _key_index(
-                    _base_keys(base, base_columns, base_exprs, candidate_base), candidate_base
-                )
+                table = _key_index(_base_keys(base_columns, base_exprs, candidate_base), candidate_base)
                 # NULL keys never match under SQL equality semantics.
                 for key in [key for key in table if None in key]:
                     del table[key]
@@ -541,15 +535,22 @@ def _matched(base, detail, atoms, candidates) -> Optional[np.ndarray]:
     return found if np.count_nonzero(found >= 0) == np.count_nonzero(hit) else None
 
 
-def _base_keys(base, columnar, exprs, candidates) -> list:
+def _base_keys(base, exprs, candidates) -> list:
     """The key tuple of each candidate base row over the equality atoms'
-    base sides: read from the key columns when every side is a plain base
-    field, else one row kernel call per row."""
-    if all(isinstance(expr, Field) and expr.relvar == BASE_VAR for expr in exprs):
-        keys = columnar.keys(base.schema.positions([expr.name for expr in exprs]))
-        if len(exprs) == 1:
-            keys = list(zip(keys))
-    else:
-        base_key = compiler.compile_values(exprs, {BASE_VAR: base.schema}, (BASE_VAR,))
-        keys = list(map(base_key, base.rows))
-    return keys if len(candidates) == len(keys) else list(map(keys.__getitem__, candidates))
+    base sides: a plain base field's stored values, a computed side's from
+    one batch kernel over the candidates' columns."""
+    names = [expr.name if isinstance(expr, Field) and expr.relvar == BASE_VAR else None for expr in exprs]
+    if None not in names:
+        keys = base.keys(base.schema.positions(names))
+        keys = keys if len(names) > 1 else list(zip(keys))
+        return keys if len(candidates) == len(keys) else list(map(keys.__getitem__, candidates))
+    rows = None if len(candidates) == len(base) else np.asarray(candidates, dtype=np.int64)
+    columns = []
+    for name, expr in zip(names, exprs):
+        if name is None:
+            batch = compiler.compile_batch_scalar(expr, {BASE_VAR: base.schema})
+            columns.append(batch(len(candidates), {BASE_VAR: (base, rows)}))
+        else:
+            values = base.keys((base.schema.position(name),))
+            columns.append(values if rows is None else list(map(values.__getitem__, candidates)))
+    return list(zip(*columns))

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import AggregateError, HolisticAggregateError
 from repro.relalg.columnar import typed_view
-from repro.relalg.expressions import DETAIL_VAR, Expr, wrap
+from repro.relalg.expressions import Expr, wrap
 from repro.relalg.schema import FLOAT, INT, Attribute
 
 DISTRIBUTIVE = "distributive"
@@ -568,17 +568,6 @@ class AggSpec:
         if self.is_holistic:
             return HolisticAccumulator(self._function)
         return ComponentAccumulator(self._function)
-
-    def compile_input(self, detail_schema):
-        """Compile the input expression against the detail schema.
-
-        Returns ``None`` for COUNT(*). Unqualified fields are treated as
-        detail fields.
-        """
-        if self.input_expr is None:
-            return None
-        schemas = {DETAIL_VAR: detail_schema, None: detail_schema}
-        return self.input_expr.compile(schemas)
 
     def __str__(self):
         inner = "*" if self.input_expr is None else repr(self.input_expr)

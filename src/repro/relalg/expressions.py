@@ -19,15 +19,15 @@ Null semantics follow SQL's three-valued logic collapsed to two values:
 arithmetic over ``None`` yields ``None``; comparisons involving ``None``
 are ``False``; ``&``/``|`` treat their operands as plain booleans.
 
-For tight loops (GMDJ evaluation scans), :meth:`Expr.compile` produces a
-closure evaluating the expression against row tuples directly, avoiding
-per-row dictionary construction.
+This module only defines and interprets the AST (:meth:`Expr.eval`, the
+reference semantics); :mod:`repro.relalg.compiler` is the one module that
+lowers it, to numpy vector kernels and to row kernels.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.errors import ExpressionError, UnknownAttributeError
 
@@ -167,13 +167,6 @@ class Expr:
         """
         raise NotImplementedError
 
-    def compile(self, schemas: dict) -> Callable:
-        """Compile to ``fn(rows)`` where ``rows`` maps relvar -> row tuple.
-
-        ``schemas`` maps each referenced relvar to its :class:`Schema`.
-        """
-        raise NotImplementedError
-
     # -- misc ------------------------------------------------------------------
 
     def __hash__(self):
@@ -218,10 +211,6 @@ class Const(Expr):
     def eval(self, bindings):
         return self.value
 
-    def compile(self, schemas):
-        value = self.value
-        return lambda rows: value
-
     def __repr__(self):
         return repr(self.value)
 
@@ -255,18 +244,6 @@ class Field(Expr):
             return row[self.name]
         except KeyError:
             raise UnknownAttributeError(self.name, row.keys()) from None
-
-    def compile(self, schemas):
-        try:
-            schema = schemas[self.relvar]
-        except KeyError:
-            raise ExpressionError(
-                f"no schema for relation variable {self.relvar!r} "
-                f"(have {sorted(map(repr, schemas))})"
-            ) from None
-        position = schema.position(self.name)
-        relvar = self.relvar
-        return lambda rows: rows[relvar][position]
 
     def with_relvar(self, relvar: Optional[str]) -> "Field":
         return Field(self.name, relvar)
@@ -323,23 +300,6 @@ class Arith(Expr):
             return None
         return _ARITH_OPS[self.op](left, right)
 
-    def compile(self, schemas):
-        func = _ARITH_OPS[self.op]
-        left = self.left.compile(schemas)
-        right = self.right.compile(schemas)
-        guard_zero = self.op in ("/", "%")
-
-        def run(rows):
-            lhs = left(rows)
-            rhs = right(rows)
-            if lhs is None or rhs is None:
-                return None
-            if guard_zero and rhs == 0:
-                return None
-            return func(lhs, rhs)
-
-        return run
-
     def __repr__(self):
         return f"({self.left!r} {self.op} {self.right!r})"
 
@@ -364,15 +324,6 @@ class Neg(Expr):
     def eval(self, bindings):
         value = self.operand.eval(bindings)
         return None if value is None else -value
-
-    def compile(self, schemas):
-        operand = self.operand.compile(schemas)
-
-        def run(rows):
-            value = operand(rows)
-            return None if value is None else -value
-
-        return run
 
     def __repr__(self):
         return f"(-{self.operand!r})"
@@ -429,20 +380,6 @@ class Comparison(Expr):
             return False
         return _CMP_OPS[self.op](left, right)
 
-    def compile(self, schemas):
-        func = _CMP_OPS[self.op]
-        left = self.left.compile(schemas)
-        right = self.right.compile(schemas)
-
-        def run(rows):
-            lhs = left(rows)
-            rhs = right(rows)
-            if lhs is None or rhs is None:
-                return False
-            return func(lhs, rhs)
-
-        return run
-
     def __repr__(self):
         return f"({self.left!r} {self.op} {self.right!r})"
 
@@ -467,11 +404,6 @@ class And(Expr):
 
     def eval(self, bindings):
         return bool(self.left.eval(bindings)) and bool(self.right.eval(bindings))
-
-    def compile(self, schemas):
-        left = self.left.compile(schemas)
-        right = self.right.compile(schemas)
-        return lambda rows: bool(left(rows)) and bool(right(rows))
 
     def __repr__(self):
         return f"({self.left!r} & {self.right!r})"
@@ -498,11 +430,6 @@ class Or(Expr):
     def eval(self, bindings):
         return bool(self.left.eval(bindings)) or bool(self.right.eval(bindings))
 
-    def compile(self, schemas):
-        left = self.left.compile(schemas)
-        right = self.right.compile(schemas)
-        return lambda rows: bool(left(rows)) or bool(right(rows))
-
     def __repr__(self):
         return f"({self.left!r} | {self.right!r})"
 
@@ -526,10 +453,6 @@ class Not(Expr):
 
     def eval(self, bindings):
         return not self.operand.eval(bindings)
-
-    def compile(self, schemas):
-        operand = self.operand.compile(schemas)
-        return lambda rows: not operand(rows)
 
     def __repr__(self):
         return f"(~{self.operand!r})"
@@ -556,16 +479,6 @@ class InSet(Expr):
     def eval(self, bindings):
         value = self.operand.eval(bindings)
         return value is not None and value in self.values
-
-    def compile(self, schemas):
-        operand = self.operand.compile(schemas)
-        values = self.values
-
-        def run(rows):
-            value = operand(rows)
-            return value is not None and value in values
-
-        return run
 
     def __repr__(self):
         return f"({self.operand!r} IN {sorted(map(repr, self.values))})"
@@ -598,21 +511,6 @@ class Between(Expr):
             return False
         return low <= value <= high
 
-    def compile(self, schemas):
-        operand = self.operand.compile(schemas)
-        low = self.low.compile(schemas)
-        high = self.high.compile(schemas)
-
-        def run(rows):
-            value = operand(rows)
-            lo = low(rows)
-            hi = high(rows)
-            if value is None or lo is None or hi is None:
-                return False
-            return lo <= value <= hi
-
-        return run
-
     def __repr__(self):
         return f"({self.operand!r} BETWEEN {self.low!r} AND {self.high!r})"
 
@@ -636,10 +534,6 @@ class IsNull(Expr):
 
     def eval(self, bindings):
         return self.operand.eval(bindings) is None
-
-    def compile(self, schemas):
-        operand = self.operand.compile(schemas)
-        return lambda rows: operand(rows) is None
 
     def __repr__(self):
         return f"({self.operand!r} IS NULL)"

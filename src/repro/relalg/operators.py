@@ -4,9 +4,8 @@ These complement the cheap per-relation methods on :class:`Relation`
 (select/project/distinct/...) with the binary operators — joins, set
 operations — and conventional SQL ``GROUP BY`` aggregation.
 
-``group_by`` exists for two reasons: it is the natural baseline to
-compare GMDJ evaluation against in tests, and the OLAP front-end uses it
-for purely-local pre-aggregation steps.
+``group_by`` is the baseline the tests compare GMDJ evaluation against;
+no query path calls it.
 """
 
 from __future__ import annotations
@@ -148,7 +147,13 @@ def group_by(
     via the ``detail`` namespace.
     """
     key_positions = relation.schema.positions(keys)
-    input_funcs = [spec.compile_input(relation.schema) for spec in aggs]
+    schemas = {DETAIL_VAR: relation.schema, None: relation.schema}
+    input_funcs = [
+        None
+        if spec.input_expr is None
+        else compiler.compile_scalar(spec.input_expr, schemas, (DETAIL_VAR,), {None: DETAIL_VAR})
+        for spec in aggs
+    ]
     groups: dict = {}
     order: list = []
     for row in relation.rows:
@@ -158,9 +163,8 @@ def group_by(
             accumulators = [spec.accumulator() for spec in aggs]
             groups[key] = accumulators
             order.append(key)
-        bound = {None: row, DETAIL_VAR: row}
         for accumulator, input_func in zip(accumulators, input_funcs):
-            accumulator.update(None if input_func is None else input_func(bound))
+            accumulator.update(None if input_func is None else input_func(row))
     schema = relation.schema.project(keys).concat(
         Schema([spec.result_attribute() for spec in aggs])
     )

@@ -6,7 +6,7 @@ filter the base rows, the equality atoms build a hash table over them,
 and each detail row that passes the detail-only conjuncts probes it,
 checks the residual per candidate pair and feeds every aggregate's
 :class:`~repro.relalg.aggregates.Accumulator` of the groups it reaches
-— predicates, keys and inputs through the generated row kernels of
+— predicates, keys and inputs through the row kernels of
 :mod:`repro.relalg.compiler`. It hands its state over as the same
 columns :func:`repro.gmdj.operator._accumulate` returns, so
 :func:`row_scan` can swap it in for that function and the rest of the

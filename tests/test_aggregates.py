@@ -18,6 +18,8 @@ from repro.relalg.aggregates import (
     count_star,
 )
 from repro.relalg.expressions import col, detail
+from repro.relalg.operators import group_by
+from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, Schema
 
 
@@ -281,18 +283,21 @@ class TestAggSpec:
         names = [a.name for a in AggSpec("var", col.x, "v").sub_attributes()]
         assert names == ["v__sum", "v__sumsq", "v__count"]
 
+    # ``group_by`` lowers each aggregate's input against the detail schema.
+    _INPUTS = Relation(Schema.of(("k", INT), ("x", FLOAT)), [(0, 4.0), (0, None), (1, 1.5)])
+
     def test_compile_input_star_is_none(self):
-        assert count_star("c").compile_input(Schema.of("x")) is None
+        # COUNT(*) has no input: it counts the row whose x is NULL too.
+        result = group_by(self._INPUTS, ["k"], [count_star("c"), AggSpec("count", col.x, "n")])
+        assert result.rows == [(0, 2, 1), (1, 1, 1)]
 
     def test_compile_input_detail_namespace(self):
-        schema = Schema.of(("x", FLOAT),)
-        func = AggSpec("sum", detail.x, "s").compile_input(schema)
-        assert func({"r": (4.0,), None: (4.0,)}) == 4.0
+        result = group_by(self._INPUTS, ["k"], [AggSpec("sum", detail.x, "s")])
+        assert result.rows == [(0, 4.0), (1, 1.5)]
 
     def test_compile_input_unqualified(self):
-        schema = Schema.of(("x", FLOAT),)
-        func = AggSpec("sum", col.x * 2, "s").compile_input(schema)
-        assert func({"r": (4.0,), None: (4.0,)}) == 8.0
+        result = group_by(self._INPUTS, ["k"], [AggSpec("sum", col.x * 2, "s")])
+        assert result.rows == [(0, 8.0), (1, 3.0)]
 
     def test_str(self):
         assert "count(*)" in str(count_star("c"))

@@ -1,7 +1,7 @@
-"""Differential tests: codegen kernels vs the AST interpreter oracle.
+"""Differential tests: row and vector kernels vs the AST interpreter oracle.
 
-The compiled kernels of :mod:`repro.relalg.compiler` share no evaluation
-code with :meth:`Expr.eval`; running both over the property-test
+The kernels of :mod:`repro.relalg.compiler` share no evaluation code
+with :meth:`Expr.eval`; running both over the property-test
 expression corpus (random trees, random rows including NULLs) pins down
 NULL propagation, NULL comparisons, division by zero, and the lazy
 short-circuit behaviour of ``&``/``|``.
@@ -198,23 +198,20 @@ def test_non_finite_constants_are_not_inlined():
 
 
 def test_kernel_cache_reuses_compiled_functions():
-    expression = (base.x == detail.u) & (detail.v >= 10.0)
-    first = compile_predicate(expression, _SCHEMAS, _PARAMS)
+    """A vector kernel is cached by shape: a second condition differing
+    only in its constant reuses the first's plan, its own constant bound."""
+    first = _vector_predicate((base.x == detail.u) & (detail.v >= 10.0), _SCHEMAS, _PARAMS)
     before = kernel_cache_size()
-    second = compile_predicate(expression, _SCHEMAS, _PARAMS)
-    assert first is second
+    second = _vector_predicate((base.x == detail.u) & (detail.v >= 20.0), _SCHEMAS, _PARAMS)
     assert kernel_cache_size() == before
-
-
-def test_kernel_source_is_attached_for_introspection():
-    kernel = compile_predicate(base.x > 1.0, _SCHEMAS, _PARAMS)
-    assert "def _kernel" in kernel.__kernel_source__
+    assert first((1.0, 0.0), (1.0, 15.0)) is True
+    assert second((1.0, 0.0), (1.0, 15.0)) is False
 
 
 def test_new_literals_do_not_grow_the_kernel_cache():
     """A server that sees a new literal in every statement keeps a bounded
-    cache: vector kernels are cached by shape, row kernels are capped, and
-    the coordinator's fold is not a kernel."""
+    cache: vector kernels are cached by shape, distinct shapes are capped,
+    and the coordinator's fold is not a kernel."""
     from repro.data.flows import FlowConfig, generate_flows, router_partitioner
     from repro.distributed import ExecutionConfig, SimulatedCluster
     from repro.gmdj.blocks import MDBlock
@@ -235,8 +232,9 @@ def test_new_literals_do_not_grow_the_kernel_cache():
                 f"WHERE StartTime >= {literal} GROUP BY SourceAS"
             )
     assert kernel_cache_size() < 32
-    for literal in range(2 * compiler.MAX_CACHED_KERNELS):
-        compile_predicate(detail.v >= float(literal), _SCHEMAS, _PARAMS)
+    for index in range(2 * compiler.MAX_CACHED_KERNELS):
+        name = f"a{index}"  # a new attribute: a new shape
+        compile_mask(col[name] >= 1.0, {None: Schema.of((name, FLOAT))})
     assert kernel_cache_size() <= compiler.MAX_CACHED_KERNELS
     # The coordinator's fold compiles nothing: 300 layouts of shipped
     # columns leave the cache as it was.

@@ -44,10 +44,11 @@ class TestErrorsSurfaceAtBoundaries:
             Schema.of("a").position("z")
 
     def test_expression_boundary(self):
+        from repro.relalg.compiler import compile_scalar
         from repro.relalg.expressions import col
 
         with pytest.raises(errors.ExpressionError):
-            col.a.compile({})  # no schema for the relvar
+            compile_scalar(col.a, {}, (None,))  # no schema for the relvar
 
     def test_aggregate_boundary(self):
         from repro.relalg.aggregates import AggSpec

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ExpressionError
+from repro.relalg.compiler import compile_predicate, compile_scalar
 from repro.relalg.expressions import (
     BASE_VAR,
     DETAIL_VAR,
@@ -104,9 +105,9 @@ class TestEvaluation:
         from repro.relalg.schema import Schema, FLOAT
 
         schema = Schema.of(("a", FLOAT), ("b", FLOAT))
-        func = (col.a / col.b).compile({None: schema})
-        assert func({None: (1.0, 0.0)}) is None
-        assert func({None: (1.0, 2.0)}) == 0.5
+        func = compile_scalar(col.a / col.b, {None: schema}, (None,))
+        assert func((1.0, 0.0)) is None
+        assert func((1.0, 2.0)) == 0.5
 
     def test_comparison_null_is_false(self):
         assert evaluate(col.a > 1, u={"a": None}) is False
@@ -156,7 +157,9 @@ class TestCompile:
         base_schema = Schema.of(("k", INT), ("t", FLOAT))
         detail_schema = Schema.of(("k", INT), ("v", FLOAT))
         theta = (base.k == detail.k) & (detail.v >= base.t * 2)
-        compiled = theta.compile({BASE_VAR: base_schema, DETAIL_VAR: detail_schema})
+        compiled = compile_predicate(
+            theta, {BASE_VAR: base_schema, DETAIL_VAR: detail_schema}, (BASE_VAR, DETAIL_VAR)
+        )
         cases = [
             ((1, 2.0), (1, 4.0), True),
             ((1, 2.0), (1, 3.0), False),
@@ -164,7 +167,7 @@ class TestCompile:
             ((1, None), (1, 4.0), False),
         ]
         for base_row, detail_row, expected in cases:
-            assert compiled({BASE_VAR: base_row, DETAIL_VAR: detail_row}) is expected
+            assert compiled(base_row, detail_row) is expected
             bindings = {
                 BASE_VAR: dict(zip(("k", "t"), base_row)),
                 DETAIL_VAR: dict(zip(("k", "v"), detail_row)),
@@ -173,12 +176,12 @@ class TestCompile:
 
     def test_compile_null_arith(self):
         schema = Schema.of(("a", FLOAT),)
-        func = (col.a * 2).compile({None: schema})
-        assert func({None: (None,)}) is None
+        func = compile_scalar(col.a * 2, {None: schema}, (None,))
+        assert func((None,)) is None
 
     def test_compile_unknown_relvar_raises(self):
         with pytest.raises(ExpressionError):
-            base.k.compile({DETAIL_VAR: Schema.of("k")})
+            compile_scalar(base.k, {DETAIL_VAR: Schema.of("k")}, (DETAIL_VAR,))
 
     def test_compile_all_node_kinds(self):
         schema = Schema.of(("a", FLOAT),)
@@ -191,9 +194,9 @@ class TestCompile:
             (col.a > 0) | (col.a < -5),
         ]
         for expression in expressions:
-            compiled = expression.compile({None: schema})
+            compiled = compile_scalar(expression, {None: schema}, (None,))
             for value in (1.0, -10.0, None):
-                bound = compiled({None: (value,)})
+                bound = compiled((value,))
                 direct = expression.eval({None: {"a": value}})
                 assert bound == direct
 

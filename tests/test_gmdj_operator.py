@@ -9,6 +9,7 @@ from repro.errors import HolisticAggregateError
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.operator import evaluate, evaluate_both, evaluate_sub, super_aggregate
 from repro.relalg.aggregates import AggSpec, count_star
+from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.expressions import base, detail
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, STR, Schema
@@ -220,3 +221,27 @@ class TestSubAndSuper:
         for row in merged.rows:
             assert row[-2] == 0
             assert row[-1] is None
+
+
+def test_the_scan_builds_no_base_rows():
+    """A base-only conjunct and a computed base key run on the base's
+    columns: a column-backed base builds no rows."""
+    schema = Schema.of(("g", INT), ("h", INT))
+    base_relation = Relation.from_columnar(
+        ColumnarRelation.from_value_lists(schema, [[0, 1, 2], [5, -1, 7]], 3)
+    )
+    detail_relation = Relation(
+        Schema.of(("g", INT), ("h", INT), ("v", FLOAT)),
+        [(0, 5, 1.0), (1, -1, 2.0), (2, 7, 4.0), (0, 7, 8.0)],
+    )
+    blocks = [
+        MDBlock([count_star("c1"), AggSpec("sum", detail.v, "s1")],
+                (base.h > 0) & (base.h * 1 == detail.h)),
+        MDBlock([AggSpec("sum", detail.v, "s2")],
+                (base.g == detail.g) & (-(-base.h) == detail.h)),
+    ]
+    evaluate_sub(base_relation, detail_relation, blocks)
+    assert base_relation._rows is None
+    result = evaluate(base_relation, detail_relation, blocks)
+    assert base_relation._rows is None
+    assert result.rows == [(0, 5, 1, 1.0, 1.0), (1, -1, 0, None, 2.0), (2, 7, 2, 12.0, 4.0)]

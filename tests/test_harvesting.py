@@ -14,6 +14,7 @@ from repro.distributed import OptimizationOptions, SimulatedCluster, execute_que
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
 from repro.relalg.aggregates import AggSpec, count_star
+from repro.relalg.compiler import compile_predicate
 from repro.relalg.expressions import base, detail
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, Schema
@@ -98,9 +99,9 @@ class TestHarvesting:
         for site_id in cluster.site_ids:
             phi = cluster.catalog.phi("T", site_id)
             assert phi is not None
-            predicate = phi.compile({DETAIL_VAR: SCHEMA})
+            predicate = compile_predicate(phi, {DETAIL_VAR: SCHEMA}, (DETAIL_VAR,))
             for row in cluster.site(site_id).warehouse.table("T").rows:
-                assert predicate({DETAIL_VAR: row})
+                assert predicate(row)
 
     def test_strengthens_existing_phi(self):
         cluster = build_cluster()

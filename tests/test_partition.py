@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import WarehouseError
+from repro.relalg.compiler import compile_predicate
 from repro.relalg.expressions import DETAIL_VAR
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, Schema
@@ -25,9 +26,9 @@ def assert_phi_truthful(partitioner: Partitioner, relation: Relation):
         phi = partitioner.site_predicate(index, relation.schema)
         if phi is None:
             continue
-        predicate = phi.compile({DETAIL_VAR: relation.schema})
+        predicate = compile_predicate(phi, {DETAIL_VAR: relation.schema}, (DETAIL_VAR,))
         for row in partition.rows:
-            assert predicate({DETAIL_VAR: row}), (
+            assert predicate(row), (
                 f"row {row} at site {index} violates its phi"
             )
 

@@ -14,6 +14,7 @@ from repro.gmdj.analysis import conditions_entail, derive_ship_filter
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.operator import evaluate
 from repro.relalg.aggregates import count_star
+from repro.relalg.compiler import compile_predicate
 from repro.relalg.expressions import BASE_VAR, DETAIL_VAR, and_all, base, detail
 from repro.relalg.relation import Relation
 from repro.relalg.schema import INT, Schema
@@ -72,8 +73,8 @@ def test_ship_filter_is_sound(rows, groups, theta_indices, phi_index):
         return  # no reduction derived: trivially sound
 
     # The site's partition: detail rows satisfying phi.
-    phi_predicate = phi.compile({DETAIL_VAR: DETAIL_SCHEMA})
-    site_rows = [row for row in rows if phi_predicate({DETAIL_VAR: row})]
+    phi_predicate = compile_predicate(phi, {DETAIL_VAR: DETAIL_SCHEMA}, (DETAIL_VAR,))
+    site_rows = [row for row in rows if phi_predicate(row)]
     site_relation = Relation(DETAIL_SCHEMA, site_rows)
     base_relation = Relation(BASE_SCHEMA, groups)
 
@@ -83,12 +84,12 @@ def test_ship_filter_is_sound(rows, groups, theta_indices, phi_index):
     ]
     result = evaluate(base_relation, site_relation, blocks)
 
-    filter_predicate = ship_filter.compile({BASE_VAR: BASE_SCHEMA})
+    filter_predicate = compile_predicate(ship_filter, {BASE_VAR: BASE_SCHEMA}, (BASE_VAR,))
     count_positions = [
         result.schema.position(f"c{index}") for index in range(len(thetas))
     ]
     for base_row, result_row in zip(base_relation.rows, result.rows):
-        if not filter_predicate({BASE_VAR: base_row}):
+        if not filter_predicate(base_row):
             # Rejected tuples must have contributed nothing at this site.
             for position in count_positions:
                 assert result_row[position] == 0, (
@@ -126,7 +127,8 @@ def test_ship_filter_reads_only_the_schema_it_is_compiled_against(
         return
     assert ship_filter.relvars() <= {BASE_VAR}
     assert {field.name for field in ship_filter.fields()} <= set(BASE_SCHEMA.names)
-    ship_filter.compile({BASE_VAR: BASE_SCHEMA})  # raises on an unknown attribute
+    # Raises on an unknown attribute.
+    compile_predicate(ship_filter, {BASE_VAR: BASE_SCHEMA}, (BASE_VAR,))
 
 
 # Atoms the entailment property draws conjunctions from, NULLs included so
@@ -177,12 +179,12 @@ def test_conditions_entail_is_sound(earlier, later, pairs):
     if not conditions_entail(later_thetas, earlier_thetas):
         return
     schemas = {BASE_VAR: BASE_SCHEMA, DETAIL_VAR: DETAIL_SCHEMA}
-    later_predicates = [theta.compile(schemas) for theta in later_thetas]
-    earlier_predicates = [theta.compile(schemas) for theta in earlier_thetas]
+    params = (BASE_VAR, DETAIL_VAR)
+    later_predicates = [compile_predicate(theta, schemas, params) for theta in later_thetas]
+    earlier_predicates = [compile_predicate(theta, schemas, params) for theta in earlier_thetas]
     for base_row, detail_row in pairs:
-        bindings = {BASE_VAR: base_row, DETAIL_VAR: detail_row}
-        if any(predicate(bindings) for predicate in later_predicates):
-            assert any(predicate(bindings) for predicate in earlier_predicates), (
+        if any(predicate(base_row, detail_row) for predicate in later_predicates):
+            assert any(predicate(base_row, detail_row) for predicate in earlier_predicates), (
                 f"{later_thetas!r} does not entail {earlier_thetas!r} at "
                 f"b={base_row} r={detail_row}"
             )

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.relalg.compiler import compile_scalar
 from repro.relalg.expressions import (
     BASE_VAR,
     Const,
@@ -88,10 +89,13 @@ def both_ways(expression, base_row, detail_row):
         None: dict(zip(("u", "v"), detail_row)),
     }
     interpreted = expression.eval(bindings)
-    compiled = expression.compile(
-        {BASE_VAR: BASE_SCHEMA, DETAIL_VAR: DETAIL_SCHEMA, None: DETAIL_SCHEMA}
+    compiled = compile_scalar(
+        expression,
+        {BASE_VAR: BASE_SCHEMA, DETAIL_VAR: DETAIL_SCHEMA, None: DETAIL_SCHEMA},
+        (BASE_VAR, DETAIL_VAR),
+        {None: DETAIL_VAR},
     )
-    direct = compiled({BASE_VAR: base_row, DETAIL_VAR: detail_row, None: detail_row})
+    direct = compiled(base_row, detail_row)
     return interpreted, direct
 
 

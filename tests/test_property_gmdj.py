@@ -41,7 +41,8 @@ from repro.relalg.aggregates import (
     count_star,
     register_aggregate,
 )
-from repro.relalg.expressions import base, detail
+from repro.relalg.expressions import BASE_VAR, DETAIL_VAR, Field, base, detail
+from repro.relalg.predicates import split_condition
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, Schema
 from repro.warehouse.partition import ValueListPartitioner
@@ -341,6 +342,8 @@ ADVERSARIAL_KEYS = [
     base.h == detail.h * 1,
     (base.g == detail.g) & (base.h == -(-detail.h)),
     None,  # no equality atom: the nested loop
+    base.h * 1 == detail.h,  # a computed base side: the base key's batch kernel
+    (base.g == detail.g) & (-(-base.h) == detail.h),
 ]
 ADVERSARIAL_CONJUNCTS = [
     None,
@@ -356,6 +359,8 @@ ADVERSARIAL_CONJUNCTS = [
     detail.i + 3 >= detail.f,  # 2**53 + 3 against 2.0**53 + 4: exact, not rounded
     (detail.i * detail.i > 2**60) & (detail.f <= 1e300),
     base.h.is_null() | (detail.i - base.g == 0),
+    base.h > 0,  # base-only: the base rows' selection vector
+    base.h.is_null() | (base.g % 2 == 0),
 ]
 ADVERSARIAL_INPUTS = [
     detail.f,
@@ -372,6 +377,21 @@ ADVERSARIAL_INPUTS = [
     detail.g,
     detail.i.between(-1, 1),
 ]
+
+
+def test_the_adversarial_conditions_reach_the_base_side_paths():
+    """The oracle property diffs the base rows' selection vector and the
+    computed base key only if some drawn θ has a base-only conjunct and
+    an equality atom whose base side is not a field."""
+    for conjunct in ADVERSARIAL_CONJUNCTS[-2:]:
+        split = split_condition(conjunct, BASE_VAR, DETAIL_VAR)
+        assert [c.key() for c in split.base_only] == [conjunct.key()]
+        assert not (split.atoms or split.detail_only or split.residual)
+    for key, base_side in zip(ADVERSARIAL_KEYS[-2:], (base.h * 1, -(-base.h))):
+        split = split_condition(key, BASE_VAR, DETAIL_VAR)
+        assert not (split.base_only or split.detail_only or split.residual)
+        computed = [atom for atom in split.atoms if not isinstance(atom.base_expr, Field)]
+        assert [atom.base_expr.key() for atom in computed] == [base_side.key()]
 
 
 class _NullCount(Component):
@@ -489,6 +509,9 @@ _NAN = math.nan
 # Two NULL-free int key attributes: the composite probe, a residual, AVG.
 @example([(0, 1, 1, 1.0), (0, 2, 2, 2.0), (3, 1, 3, -0.0), (0, 1, 4, 0.5), (3, 2, 5, _NAN)],
          [(1, 1, [("sum", 0), ("avg", 0), ("count_star", 0)])], 0)
+# Base-only conjuncts prefilter the base; computed base sides key the table.
+@example([(0, 1, 1, 1.0), (1, None, 2, 2.0), (2, -1, 3, 3.0), (0, 2, 4, 4.0), (2, True, 5, 5.0)],
+         [(5, 13, [("sum", 0), ("count_star", 0)]), (6, 14, [("count", 2)])], 2)
 def test_the_scan_is_the_oracle_by_repr(rows, raw_blocks, duplicates):
     with pytest.MonkeyPatch.context() as patch:
         # Int keys of two attributes take the composite path at any size.
