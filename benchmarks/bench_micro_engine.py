@@ -1,10 +1,10 @@
 """Micro-benchmarks of the engine substrates.
 
-Not a paper figure — these time the building blocks (hash GMDJ scan,
-super-aggregation, wire codec, SQL group-by) so engine regressions are
-visible independently of the distributed experiments. These use
-pytest-benchmark's normal repeated timing, unlike the single-shot
-figure reproductions.
+Not a paper figure — these time the building blocks (hash GMDJ scan over
+many groups and over a partition key's few, super-aggregation, wire codec,
+SQL group-by) so engine regressions are visible independently of the
+distributed experiments. These use pytest-benchmark's normal repeated
+timing, unlike the single-shot figure reproductions.
 """
 
 from repro.data.tpcr import TPCRConfig, generate_tpcr
@@ -16,11 +16,20 @@ from repro.relalg.expressions import base, detail
 from repro.relalg.operators import group_by
 
 TPCR = generate_tpcr(TPCRConfig(scale=0.002, seed=12))
+# Two regimes of the scan: many small groups (CustKey) and the 25 large
+# groups of a partition-key GROUP BY (NationKey, what ``scan_heavy`` runs).
 BASE = TPCR.distinct_project(["CustKey"])
 BLOCKS = [
     MDBlock(
         [count_star("cnt"), AggSpec("avg", detail.Price, "avg_price")],
         base.CustKey == detail.CustKey,
+    )
+]
+NATION_BASE = TPCR.distinct_project(["NationKey"])
+NATION_BLOCKS = [
+    MDBlock(
+        [count_star("cnt"), AggSpec("avg", detail.Price, "m")],
+        base.NationKey == detail.NationKey,
     )
 ]
 
@@ -33,6 +42,16 @@ def test_gmdj_hash_scan(benchmark):
 def test_gmdj_sub_aggregation(benchmark):
     result, _touched = benchmark(evaluate_sub, BASE, TPCR, BLOCKS)
     assert len(result) == len(BASE)
+
+
+def test_gmdj_nation_scan(benchmark):
+    result = benchmark(evaluate, NATION_BASE, TPCR, NATION_BLOCKS)
+    assert len(result) == len(NATION_BASE)
+
+
+def test_gmdj_nation_sub_aggregation(benchmark):
+    result, _touched = benchmark(evaluate_sub, NATION_BASE, TPCR, NATION_BLOCKS)
+    assert len(result) == len(NATION_BASE)
 
 
 def test_super_aggregation(benchmark):

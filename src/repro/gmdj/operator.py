@@ -444,11 +444,15 @@ def _accumulate(base, detail, blocks, track_touch):
     aggregate inputs and component folds are one vector kernel
     (:func:`repro.relalg.compiler.compile_grouped_accumulate`) over the
     relations' cached typed views and key codes, producing the state
-    columns themselves. Every group folds its values in detail-row order
-    by ``Component.update``'s rule, custom kinds and holistic aggregates
-    included, so the result is bit-identical by ``repr`` to one
-    accumulator per (group, aggregate) fed row by row — the oracle kept
-    in ``tests/oracle/``.
+    columns themselves. When each distinct detail key meets at most one
+    base row and no base row two keys — a GROUP BY's blocks, S1's on the
+    partition key — the fold runs over the detail's key codes and one
+    gather per column puts them in base order; overlapping groups and the
+    nested loop fold over (detail, base) pairs. Either way every group
+    folds its values in detail-row order by ``Component.update``'s rule,
+    custom kinds and holistic aggregates included, so the result is
+    bit-identical by ``repr`` to one accumulator per (group, aggregate)
+    fed row by row — the oracle kept in ``tests/oracle/``.
     """
     slots, _components = _layout(blocks)
     base_schemas = {BASE_VAR: base.schema}
@@ -508,7 +512,8 @@ def _matched(base, detail, atoms, candidates) -> Optional[np.ndarray]:
     Taken when every equality atom is a plain base field against a plain
     detail field, both sides' keys are ``int64`` composites
     (:meth:`ColumnarRelation.matcher`, cached on the detail) and no two
-    candidates share a key; ``None`` otherwise, for the hash table.
+    candidates share a key — so no base row meets two keys either, and the
+    scan folds by key code; ``None`` otherwise, for the hash table.
     """
     if len(atoms) < 2 or not all(
         isinstance(atom.base_expr, Field) and atom.base_expr.relvar == BASE_VAR

@@ -615,12 +615,13 @@ def _scatter(kind: str, groups: np.ndarray, data: np.ndarray, size: int) -> Opti
     return total
 
 
-def _fold(component, groups: np.ndarray, vector: tuple, pairs: np.ndarray) -> list:
+def _fold(component, groups: np.ndarray, vector: tuple, pairs: np.ndarray, slot=None) -> list:
     """One column of a kind in :data:`VECTORIZED_COMPONENT_KINDS`:
     ``component.update`` of every pair's value into its group, pairs in
     order (see :func:`compile_grouped_accumulate`). ``groups`` / ``vector``
     hold each pair's group and value, ``pairs`` counts the pairs per group;
-    these kinds skip NULL, so only the valid values fold."""
+    these kinds skip NULL, so only the valid values fold. ``slot`` maps
+    each output row to its group (``None``: the identity)."""
     kind, size = component.kind, len(pairs)
     data, valid = vector
     present = pairs
@@ -628,41 +629,49 @@ def _fold(component, groups: np.ndarray, vector: tuple, pairs: np.ndarray) -> li
         groups, data = groups[valid], data[valid]
         present = np.bincount(groups, minlength=size)
     if kind == "count":
-        return present.tolist()
+        return _compose(present, slot).tolist()
     if kind in ("logsum", "poscount") and data.dtype != _OBJECT:
         positive = ~(data <= 0)  # a NaN passes ``value <= 0`` as in Python
         groups, data = groups[positive], data[positive]
         present = np.bincount(groups, minlength=size)
         if kind == "poscount":
-            return present.tolist()
+            return _compose(present, slot).tolist()
         # math.log per value: numpy's vector log need not round like libm.
         data = np.fromiter(map(math.log, data.tolist()), dtype=np.float64, count=len(data))
         kind = "sum"
     total = _scatter(kind, groups, data, size) if kind in ("sum", "sumsq", "min", "max") else None
     if total is None:  # the Python rule per value
-        return _fold_each(component, groups, data, size)
-    column = total.tolist()
-    for group in np.flatnonzero(present == 0).tolist():
-        column[group] = None
+        return _fold_each(component, groups, data, size, slot=slot)
+    column = _compose(total, slot).tolist()
+    for row in np.flatnonzero(_compose(present, slot) == 0).tolist():
+        column[row] = None
     return column
 
 
-def _fold_each(component, groups: np.ndarray, values: np.ndarray, size: int, rule=None) -> list:
+def _fold_each(component, groups: np.ndarray, values: np.ndarray, size: int, rule=None, slot=None) -> list:
     """One column by ``rule`` (default ``component.update``) itself: each
     value into its group, in order, in numpy's ordered object loop, every
     group from its own ``initial()`` (a custom kind's may be mutable). A
     holistic ``values`` column is what that ``update`` builds — each
     group's values in order — gathered by one stable sort of the values by
-    group."""
+    group. ``slot`` maps each output row to its group (``None``: the
+    identity); its rows in the last group, which no value reaches, each
+    get an ``initial()`` (or a list) of their own."""
     if component.kind == "values":
-        ends = np.cumsum(np.bincount(groups, minlength=size)).tolist()
+        counts = np.bincount(groups, minlength=size)
+        ends = np.cumsum(counts)
+        bounds = zip(_compose(ends - counts, slot).tolist(), _compose(ends, slot).tolist())
         ordered = values[np.argsort(groups, kind="stable")].tolist()
-        return [ordered[start:end] for start, end in zip([0, *ends], ends)]
+        return [ordered[start:end] for start, end in bounds]
     column = np.empty(size, dtype=object)
     for group in range(size):
         column[group] = component.initial()
     with np.errstate(all="ignore"):  # Python's float results, not numpy's flags
         np.frompyfunc(rule or component.update, 2, 1).at(column, groups, values)
+    if slot is not None:
+        column = column[slot]
+        for row in np.flatnonzero(slot == size - 1).tolist():
+            column[row] = component.initial()
     return column.tolist()
 
 
@@ -701,26 +710,30 @@ class _ScanPlan:
         firsts, codes = factorize(keys)
         return list(map(keys.__getitem__, firsts.tolist())), codes
 
-    def _pairs(self, frame: _Frame, detail, rows, probe) -> tuple:
-        """``(probing, at, bases)``: the positions that found a base row,
-        then per (detail, base) pair, detail-major, its index into
-        ``probing`` and its base row. ``None`` is the identity map."""
+    def _pairs(self, frame: _Frame, detail, rows, probe, base_count: int) -> tuple:
+        """``(probing, at, groups, base_of, slot)``: the positions that
+        found a base row; per (detail, base) pair, detail-major, its index
+        into ``probing`` and its group; each group's base row; each base
+        row's group. ``None`` is the identity map.
+
+        When no distinct key meets two base rows and no base row two keys,
+        a group is a key's code (:func:`_by_code`); else a group is a base
+        row and a key meeting several expands to one pair per row."""
         if self.keys is None:  # nested loop: every position meets every candidate
             candidates = np.fromiter(probe, dtype=np.int64)
             at = np.repeat(np.arange(frame.count), len(candidates))
-            return None, at, np.tile(candidates, frame.count)
+            return None, at, np.tile(candidates, frame.count), None, None
         if type(probe) is np.ndarray:  # per distinct detail key: its base row, or -1
-            bases = probe[_compose(detail.codes(self.detail_keys)[1], rows)]
-            return _probing(bases)
+            return _by_code(probe, _compose(detail.codes(self.detail_keys)[1], rows), base_count)
         keys, codes = self._codes(frame, detail, rows)
         # A key with a NULL never matches: the table holds no such key.
         found = list(map(probe, keys, repeat(())))
         sizes = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
         flat = np.fromiter(chain.from_iterable(found), dtype=np.int64, count=sizes.sum())
-        if sizes.max(initial=0) <= 1:
-            firsts = np.full(len(found), -1, dtype=np.int64)
-            firsts[sizes == 1] = flat
-            return _probing(firsts[codes])
+        if sizes.max(initial=0) <= 1 and np.bincount(flat).max(initial=0) <= 1:
+            base_of = np.full(len(found), -1, dtype=np.int64)
+            base_of[sizes == 1] = flat
+            return _by_code(base_of, codes, base_count)
         per_row = sizes[codes]
         probing = np.flatnonzero(per_row)
         if len(probing) == len(per_row):
@@ -729,18 +742,22 @@ class _ScanPlan:
             codes, per_row = codes[probing], per_row[probing]
         at = np.repeat(np.arange(len(per_row)), per_row)
         starts = np.repeat((np.cumsum(sizes) - sizes)[codes] - np.cumsum(per_row) + per_row, per_row)
-        return probing, at, flat[starts + np.arange(len(at))]
+        return probing, at, flat[starts + np.arange(len(at))], None, None
 
     def run(self, consts, components, detail, rows, base, probe, touched) -> list:
         frame = _Frame(len(detail) if rows is None else len(rows), {DETAIL_VAR: (detail, rows)}, consts)
-        probing, at, bases = self._pairs(frame, detail, rows, probe)
+        probing, at, groups, base_of, slot = self._pairs(frame, detail, rows, probe, len(base))
+        size = len(base) if slot is None else len(base_of) + 1
         if self.residuals:
-            sources = {DETAIL_VAR: (detail, _compose(rows, _compose(probing, at))), BASE_VAR: (base, bases)}
-            keep = _select(self.residuals, _Frame(len(bases), sources, consts))
-            bases, at = bases[keep], _compose(at, keep)
-        pairs = np.bincount(bases, minlength=len(base))  # per base row
+            sources = {
+                DETAIL_VAR: (detail, _compose(rows, _compose(probing, at))),
+                BASE_VAR: (base, _compose(base_of, groups)),
+            }
+            keep = _select(self.residuals, _Frame(len(groups), sources, consts))
+            groups, at = groups[keep], _compose(at, keep)
+        pairs = np.bincount(groups, minlength=size)  # per group
         if touched is not None:
-            touched |= pairs > 0
+            touched |= _compose(pairs, slot) > 0
         inputs = frame if probing is None else frame.take(probing)
         columns = []
         for (field, lowered), group in zip(self.inputs, components):
@@ -750,15 +767,15 @@ class _ScanPlan:
                 vector = _compose(data, at), None if valid is None else _compose(valid, at)
             for component in group:
                 if component.kind == "count_star":
-                    columns.append(pairs.tolist())
+                    columns.append(_compose(pairs, slot).tolist())
                 elif vector is not None and component.kind in VECTORIZED_COMPONENT_KINDS:
                     with np.errstate(all="ignore"):  # IEEE results, as Python's floats give
-                        columns.append(_fold(component, bases, vector, pairs))
+                        columns.append(_fold(component, groups, vector, pairs, slot))
                 else:  # every pair's value, NULL included
                     if values is None:
                         pair_rows = _compose(rows, _compose(probing, at))
-                        values = self._values(field, vector, detail, pair_rows, len(bases))
-                    columns.append(_fold_each(component, bases, values, len(base)))
+                        values = self._values(field, vector, detail, pair_rows, len(groups))
+                    columns.append(_fold_each(component, groups, values, size, slot=slot))
         return columns
 
     @staticmethod
@@ -775,13 +792,20 @@ class _ScanPlan:
         return stored if pair_rows is None else stored[pair_rows]
 
 
-def _probing(bases: np.ndarray) -> tuple:
-    """``_ScanPlan._pairs``' answer when each position meets at most one
-    base row (``bases``: that row, or -1)."""
-    probing = np.flatnonzero(bases >= 0)
-    if len(probing) == len(bases):
-        return None, None, bases
-    return probing, None, bases[probing]
+def _by_code(base_of: np.ndarray, codes: np.ndarray, base_count: int) -> tuple:
+    """``_ScanPlan._pairs``' answer in code space, for ``base_of`` giving
+    per distinct key its base row or -1, no row twice: each position's
+    group is its key's code, once the positions of keys with no base row
+    are dropped. Group ``len(base_of)`` holds the base rows no key meets."""
+    live = base_of >= 0
+    if live.all():
+        probing, groups = None, codes.astype(np.intp, copy=False)
+    else:
+        probing = np.flatnonzero(live[codes])
+        groups = codes[probing].astype(np.intp, copy=False)
+    slot = np.full(base_count, len(base_of), dtype=np.intp)
+    slot[base_of[live]] = np.flatnonzero(live)
+    return probing, None, groups, base_of, slot
 
 
 def compile_grouped_accumulate(
@@ -811,11 +835,19 @@ def compile_grouped_accumulate(
     per base row.
 
     The probe runs once per *distinct* detail key (the detail's cached
-    factorization when the keys are fields); a key matching several base
-    rows (overlapping groups) expands to (detail, base) pairs in
-    detail-major order. Inputs are evaluated once per detail row that
-    found a match, residual conjuncts over the pairs. Each component folds
-    its pairs' values in pair order, as ``Component.update`` would:
+    factorization when the keys are fields). When every key meets at most
+    one base row and no base row two keys (one base row per group, as on a
+    GROUP BY), the fold's groups are the keys' codes: a detail row folds
+    into its code, one more group stands for the base rows no key meets,
+    and one ``slot`` gather per column puts the groups in base order. Else
+    (a key matching several base rows: overlapping groups; the nested
+    loop) the groups are the base rows and a row expands to (detail,
+    base) pairs in detail-major order. Either way a base row's values
+    arrive in detail-row order, the oracle's. The rows of keys that meet
+    no base row are dropped first; inputs are evaluated once per detail
+    row that found a match, residual conjuncts over the pairs (a base
+    field read through the group's base row). Each component folds its
+    pairs' values in pair order, as ``Component.update`` would:
     ``count_star`` / ``count`` by ``bincount``; ``sum`` / ``sumsq`` by an
     ordered ``np.add.at`` into ``-0.0`` (IEEE addition's identity, so a
     group's first value is kept as is), NULL for a group with no value;
@@ -826,9 +858,10 @@ def compile_grouped_accumulate(
     (objects, bools, an int64 total that might overflow) fold through
     ``Component.update`` itself, in numpy's ordered object loop. So does
     every pair's value, NULL included, for a kind the kernels do not know
-    (each group from its own ``initial()``); a holistic ``values`` column
-    lists each group's values, NULL included, in pair order. Those two
-    see a detail field's stored objects, as the row kernels do.
+    (each base row from its own ``initial()``, also those no key meets);
+    a holistic ``values`` column lists each group's values, NULL
+    included, in pair order. Those two see a detail field's stored
+    objects, as the row kernels do.
     """
     components = tuple(tuple(group) for group in components)
     kinds = tuple(tuple(component.kind for component in group) for group in components)

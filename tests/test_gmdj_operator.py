@@ -5,9 +5,11 @@ import random
 import pytest
 
 from conftest import brute_force_gmdj, assert_relations_equal, make_flows
+from oracle import row_scan
 from repro.errors import HolisticAggregateError
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.operator import evaluate, evaluate_both, evaluate_sub, super_aggregate
+from repro.relalg import compiler
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.expressions import base, detail
@@ -245,3 +247,36 @@ def test_the_scan_builds_no_base_rows():
     result = evaluate(base_relation, detail_relation, blocks)
     assert base_relation._rows is None
     assert result.rows == [(0, 5, 1, 1.0, 1.0), (1, -1, 0, None, 2.0), (2, 7, 2, 12.0, 4.0)]
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_a_key_of_one_base_row_folds_by_key_code(monkeypatch, width):
+    """When every distinct detail key meets one base row and no base row
+    two keys, the fold's groups are the detail's key codes: ten keys over
+    10**5 rows fold into 11 groups (the last for the base rows no key
+    reaches), not into the 1000 base rows. One attribute takes the hash
+    table's probe, two the ``int64`` composite probe."""
+    names = ["g", "h"][:width]
+    schema = Schema.of(*((name, INT) for name in names), ("v", FLOAT))
+    base_relation = Relation(Schema.of(*((name, INT) for name in names)),
+                             [(g, g % 7)[:width] for g in range(1000)])
+    rng = random.Random(34)
+    keys = [(g, g % 7) for g in rng.sample(range(1000), 10)]
+    detail_relation = Relation.from_columnar(ColumnarRelation.from_value_lists(
+        schema,
+        [*map(list, zip(*(keys[i % 10][:width] for i in range(10**5)))),
+         [rng.uniform(-5, 5) for _ in range(10**5)]],
+        10**5,
+    ))
+    condition = base.g == detail.g
+    if width == 2:
+        condition = condition & (base.h == detail.h)
+    blocks = [MDBlock([AggSpec("sum", detail.v, "s"), AggSpec("max", detail.v, "m")], condition)]
+    sizes = []
+    fold = compiler._fold
+    monkeypatch.setattr(compiler, "_fold", lambda *args: sizes.append(len(args[3])) or fold(*args))
+    result = evaluate(base_relation, detail_relation, blocks)
+    assert sizes == [11, 11]
+    monkeypatch.undo()
+    with row_scan():
+        assert repr(result.rows) == repr(evaluate(base_relation, detail_relation, blocks).rows)

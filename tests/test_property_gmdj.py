@@ -487,43 +487,70 @@ def outcome(function, *args):
 _NAN = math.nan
 
 
-@given(rows=adversarial_rows(), raw_blocks=adversarial_blocks, duplicates=st.integers(0, 3))
+@given(
+    rows=adversarial_rows(),
+    raw_blocks=adversarial_blocks,
+    duplicates=st.integers(0, 3),
+    width=st.integers(1, 2),
+    dropped=st.frozensets(st.integers(0, 5), max_size=3),
+)
 @settings(deadline=None)  # max_examples: the hypothesis profile (CI runs more)
 # One pinned example per rule the lowering keeps; the draws explore the rest.
 # A NaN wins MIN/MAX only as a group's first value; -0.0 + -0.0 stays -0.0.
 @example([(0, 0, 1, _NAN), (0, 0, 2, 2.0), (1, 0, 3, -0.0), (1, 0, 4, 0.0), (2, 0, 5, -0.0)],
-         [(0, 0, [("min", 0), ("max", 0), ("sum", 0)])], 0)
+         [(0, 0, [("min", 0), ("max", 0), ("sum", 0)])], 0, 2, frozenset())
 # NaN passes GEOMEAN's ``value <= 0`` test; 2**53 + 3 is not 2.0**53 + 4.
 @example([(0, 0, 2**53, _NAN), (0, 0, 2**53, 2.0**53 + 4), (1, 0, 1, 2.0)],
-         [(0, 10, [("count_star", 0)]), (0, 0, [("geomean", 0)])], 1)
+         [(0, 10, [("count_star", 0)]), (0, 0, [("geomean", 0)])], 1, 2, frozenset())
 # Bools: True + True is 2 in arithmetic and in SUM, a lone True stays True.
 @example([(0, 0, True, 1.5), (0, 0, -2, 2.5), (1, 1, True, 0.5)],
-         [(1, 0, [("sum", 4), ("sum", 2), ("max", 2)])], 0)
+         [(1, 0, [("sum", 4), ("sum", 2), ("max", 2)])], 0, 2, frozenset())
 # A custom kind sees every NULL, each group counting into its own list.
 @example([(0, 0, None, 1.0), (0, 0, 1, 2.0), (1, 0, 2, 3.0)],
-         [(0, 0, [("nullcount", 2)])], 0)
+         [(0, 0, [("nullcount", 2)])], 0, 2, frozenset())
 # Holistic: each group's values in order, NULL included; a field's NaN is
 # one object, so COUNT_DISTINCT counts it once, a computed NaN each time.
 @example([(0, 0, 1, _NAN), (0, 0, 2, _NAN), (0, 0, None, None), (1, 0, 1, -0.0), (1, 0, 2, 0.0)],
-         [(0, 0, [("count_distinct", 0), ("median", 0), ("count_distinct", 9)])], 1)
+         [(0, 0, [("count_distinct", 0), ("median", 0), ("count_distinct", 9)])], 1, 2, frozenset())
 # Two NULL-free int key attributes: the composite probe, a residual, AVG.
 @example([(0, 1, 1, 1.0), (0, 2, 2, 2.0), (3, 1, 3, -0.0), (0, 1, 4, 0.5), (3, 2, 5, _NAN)],
-         [(1, 1, [("sum", 0), ("avg", 0), ("count_star", 0)])], 0)
+         [(1, 1, [("sum", 0), ("avg", 0), ("count_star", 0)])], 0, 2, frozenset())
 # Base-only conjuncts prefilter the base; computed base sides key the table.
 @example([(0, 1, 1, 1.0), (1, None, 2, 2.0), (2, -1, 3, 3.0), (0, 2, 4, 4.0), (2, True, 5, 5.0)],
-         [(5, 13, [("sum", 0), ("count_star", 0)]), (6, 14, [("count", 2)])], 2)
-def test_the_scan_is_the_oracle_by_repr(rows, raw_blocks, duplicates):
+         [(5, 13, [("sum", 0), ("count_star", 0)]), (6, 14, [("count", 2)])], 2, 2, frozenset())
+# S1's stage 2: one base row per one-field key, a residual reading the base.
+@example([(0, 1, 1, 1.0), (1, 2, 2, 2.5), (0, 2, 0, -1.0), (2, 1, 3, 0.5), (1, 1, 1, _NAN)],
+         [(0, 5, [("count_star", 0), ("sum", 0)]), (0, 7, [("avg", 1)])], 0, 1, frozenset())
+# A non-NULL key with no base row: the input never sees its rows (2.0 * "x").
+@example([(0, 0, 1, 1.0), (1, 0, "x", 2.0), (0, 1, 2, 3.0)],
+         [(0, 0, [("sum", 5), ("count_star", 0)])], 0, 1, frozenset({1}))
+# Base rows no key reaches (NULL keys), each with its own ``initial()``.
+@example([(0, None, None, 1.0), (None, 0, 1, 2.0), (0, 0, None, 3.0), (1, 0, 2, 4.0)],
+         [(1, 0, [("nullcount", 2)])], 0, 2, frozenset())
+def test_the_scan_is_the_oracle_by_repr(rows, raw_blocks, duplicates, width, dropped):
     with pytest.MonkeyPatch.context() as patch:
         # Int keys of two attributes take the composite path at any size.
         patch.setattr(columnar, "COMPOSITE_MIN_ROWS", 0)
-        check_the_scan_against_the_oracle(rows, raw_blocks, duplicates)
+        check_the_scan_against_the_oracle(rows, raw_blocks, duplicates, width, dropped)
 
 
-def check_the_scan_against_the_oracle(rows, raw_blocks, duplicates):
-    detail_relation = Relation(ADVERSARIAL_SCHEMA, rows)
+def adversarial_base(detail_relation, duplicates, width, dropped):
+    """The base: one row per distinct key of the first ``width`` of
+    ``g, h`` (its first ``(g, h)`` row), less the keys at the indices in
+    ``dropped``, then ``duplicates`` rows repeated. A key of one base row
+    each folds by key code; a dropped key's rows meet no base row."""
     distinct = detail_relation.distinct_project(["g", "h"])
+    firsts: dict = {}
+    for row in distinct.rows:
+        firsts.setdefault(row[:width], row)
+    kept = [row for index, row in enumerate(firsts.values()) if index not in dropped]
     # Duplicate base keys: one detail row folds into several groups.
-    base_relation = Relation(distinct.schema, distinct.rows + distinct.rows[:duplicates])
+    return Relation(distinct.schema, kept + kept[:duplicates])
+
+
+def check_the_scan_against_the_oracle(rows, raw_blocks, duplicates, width, dropped):
+    detail_relation = Relation(ADVERSARIAL_SCHEMA, rows)
+    base_relation = adversarial_base(detail_relation, duplicates, width, dropped)
     blocks = adversarial_gmdj(raw_blocks)
 
     def no_accumulators(self, function):
@@ -536,3 +563,17 @@ def check_the_scan_against_the_oracle(rows, raw_blocks, duplicates):
             for accumulator in (ComponentAccumulator, HolisticAccumulator):
                 patch.setattr(accumulator, "__init__", no_accumulators)
             assert outcome(run, base_relation, detail_relation, blocks) == expected
+
+
+def test_base_rows_no_key_reaches_hold_their_own_state():
+    """A scan folding by key code keeps one slot for the base rows no key
+    reaches; each such row still gets its own ``initial()``, so a mutable
+    state is never shared between groups."""
+    detail_relation = Relation(
+        ADVERSARIAL_SCHEMA, [(0, None, None, 1.0), (None, 0, 1, 2.0), (0, 0, None, 3.0), (1, 0, 2, 4.0)]
+    )
+    base_relation = adversarial_base(detail_relation, 0, 2, frozenset())
+    sub, touched = evaluate_sub(base_relation, detail_relation, adversarial_gmdj([(1, 0, [("nullcount", 2)])]))
+    states = [row[-1] for row in sub.rows]
+    assert states == [[0], [0], [1], [0]] and touched.tolist() == [False, False, True, True]
+    assert len({id(state) for state in states}) == len(states)
