@@ -607,7 +607,7 @@ def run_trace(args, out) -> int:
         MetricsRegistry,
         Tracer,
         build_trace,
-        render_timeline,
+        render_profile,
     )
     from repro.distributed.stats import verify_against_network
 
@@ -652,7 +652,7 @@ def run_trace(args, out) -> int:
     mismatches = verify_against_network(result.stats, cluster.network)
     print(result.plan.describe(), file=out)
     _print_recovery(result.stats, out)
-    print(render_timeline(result.stats, WAN), file=out)
+    print(render_profile(result.stats, WAN), file=out)
     print(
         f"trace: {len(tracer.spans)} spans, {len(registry)} metrics"
         + (f", clock-synced {len(clock_map)} site(s)" if clock_map else "")
@@ -746,7 +746,7 @@ def run_explain(args, out) -> int:
     )
     profile = build_profile(
         tracer.finished(),
-        result.stats,
+        result.stats.to_dict(WAN),
         impacts=impacts,
         plan_description=result.plan.describe(),
         notes=result.plan.notes,
@@ -754,14 +754,21 @@ def run_explain(args, out) -> int:
         topology_choice=result.topology_choice,
     )
     if args.emit_trace:
-        log = build_trace(
-            tracer, registry, result.stats,
-            model=WAN, plan=result.plan, query_id=1,
+        # The trace carries everything the profile adds to the snapshot,
+        # so `profile_from_trace` rebuilds exactly what --json prints.
+        log = build_trace(tracer, registry, result.stats, model=WAN, query_id=1)
+        log.append(
+            "plan",
+            describe=profile["plan_description"],
+            notes=profile["notes"],
+            optimizations=profile["optimizations"],
+            topology=result.topology_choice.to_dict(),
+            query_id=1,
         )
         log.dump(args.emit_trace)
     if args.json:
         print(
-            json.dumps(profile.to_dict(), indent=2, sort_keys=True, default=str),
+            json.dumps(profile, indent=2, sort_keys=True, default=str),
             file=out,
         )
     else:
@@ -769,12 +776,14 @@ def run_explain(args, out) -> int:
     _print_recovery(result.stats, out)
     if result.stats.transport == "sockets":
         print(result.stats.transport_summary(), file=out)
-    ok = profile.time_coverage() >= 0.95 and profile.bytes_coverage() >= 0.999
+    time_coverage = profile["time_coverage"]
+    bytes_coverage = profile["bytes_coverage"]
+    ok = time_coverage >= 0.95 and bytes_coverage >= 0.999
     if not ok:  # pragma: no cover - attribution invariant
         print(
             f"WARNING: attribution below acceptance bars — time "
-            f"{profile.time_coverage():.1%} (need >= 95%), bytes "
-            f"{profile.bytes_coverage():.1%} (need 100%)",
+            f"{time_coverage:.1%} (need >= 95%), bytes "
+            f"{bytes_coverage:.1%} (need 100%)",
             file=sys.stderr,
         )
     return 0 if ok else 1

@@ -26,12 +26,7 @@ from repro.distributed.evaluator import (
     execute_query,
 )
 from repro.distributed.mergetree import MergeTree, tree_for
-from repro.distributed.optimizer import (
-    OptimizationOptions,
-    plan_query,
-    plan_query_cost_based,
-    plan_query_scheduled,
-)
+from repro.distributed.optimizer import OptimizationOptions, plan_query
 from repro.distributed.scheduler import (
     TopologyChoice,
     choose_topology,
@@ -80,8 +75,6 @@ __all__ = [
     "execute_query",
     "execute_query_scheduled",
     "plan_query",
-    "plan_query_cost_based",
-    "plan_query_scheduled",
     "theorem2_bound",
     "tree_for",
 ]

@@ -124,14 +124,13 @@ class ExecutionConfig:
     #: legs have completed, a deadline arms at ``median completion *
     #: speculation_factor + speculation_slack_s``; a leg still in flight
     #: past it is abandoned and re-run (first result wins), spending at
-    #: most ``speculation_max_backups`` backups per round. Abandonment
-    #: needs a transport that can give up mid-wait, so it only fires
-    #: under the socket transport; the controller itself is harmless (and
-    #: inert) elsewhere.
+    #: most ``recovery.SPECULATION_MAX_BACKUPS`` backups per round.
+    #: Abandonment needs a transport that can give up mid-wait, so it only
+    #: fires under the socket transport; the controller itself is harmless
+    #: (and inert) elsewhere.
     speculation: bool = False
     speculation_factor: float = 3.0
     speculation_slack_s: float = 0.05
-    speculation_max_backups: int = 1
 
     def __post_init__(self):
         if self.row_block_size is None:
@@ -173,11 +172,6 @@ class ExecutionConfig:
             raise PlanError(
                 f"speculation_slack_s must be >= 0, got {self.speculation_slack_s}"
             )
-        if self.speculation_max_backups < 0:
-            raise PlanError(
-                "speculation_max_backups must be >= 0, "
-                f"got {self.speculation_max_backups}"
-            )
 
     def speculation_controller(self, site_count: int):
         """A fresh per-round controller, or None when speculation is off."""
@@ -187,7 +181,6 @@ class ExecutionConfig:
             site_count,
             factor=self.speculation_factor,
             slack_s=self.speculation_slack_s,
-            max_backups=self.speculation_max_backups,
         )
 
     def retry_policy(self) -> RetryPolicy:

@@ -65,63 +65,6 @@ class OptimizationOptions:
         return cls()
 
 
-def plan_query_cost_based(
-    expression: GMDJExpression,
-    catalog: DistributionCatalog,
-    statistics,
-    candidates: Optional[dict] = None,
-) -> Plan:
-    """Choose among candidate option sets by estimated traffic.
-
-    The paper's optimizations are individually never harmful in tuple
-    traffic, so the all-on plan should always win — but a cost-based
-    chooser keeps the optimizer honest when future rewrites with real
-    trade-offs (e.g. replication-aware routing) are added, and it gives
-    operators a predicted cost before running anything.
-
-    ``statistics`` is a :class:`~repro.distributed.costing.StatisticsStore`;
-    ``candidates`` maps names to :class:`OptimizationOptions` (defaults to
-    all-on vs all-off).
-    """
-    from repro.distributed.costing import compare_plans
-
-    candidates = candidates or {
-        "all": OptimizationOptions.all(),
-        "none": OptimizationOptions.none(),
-    }
-    plans = {
-        name: plan_query(expression, catalog, options)
-        for name, options in candidates.items()
-    }
-    ranked = compare_plans(plans, statistics, catalog)
-    best_name, _estimate = ranked[0]
-    return plans[best_name]
-
-
-def plan_query_scheduled(
-    expression: GMDJExpression,
-    catalog: DistributionCatalog,
-    statistics,
-    options: Optional[OptimizationOptions] = None,
-    model=None,
-):
-    """Plan a query and choose its merge topology in one step.
-
-    Runs the standard rewrite pipeline, then prices the flat star and
-    the two-level and deeper combiner-tree merge topologies against the
-    statistics store and returns ``(plan, TopologyChoice)``.  The choice
-    carries every priced candidate so callers (``repro explain
-    --analyze``) can report the estimated saving, and feeds straight
-    into :func:`repro.distributed.scheduler.execute_plan_scheduled`.
-    """
-    from repro.distributed.scheduler import choose_topology
-    from repro.net.costmodel import WAN
-
-    plan = plan_query(expression, catalog, options)
-    choice = choose_topology(plan, statistics, catalog, model=model or WAN)
-    return plan, choice
-
-
 def plan_query(
     expression: GMDJExpression,
     catalog: DistributionCatalog,

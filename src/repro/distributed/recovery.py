@@ -72,6 +72,9 @@ class _Excluded:
 
 EXCLUDED = _Excluded()
 
+#: Backup attempts one round may spend on speculative re-execution.
+SPECULATION_MAX_BACKUPS = 1
+
 
 class SpeculationController:
     """Per-round deadline arming for speculative straggler re-execution.
@@ -81,10 +84,10 @@ class SpeculationController:
     (elapsed from round start). A leg still in flight past the deadline
     may be *abandoned* for a fresh backup attempt — ``try_abandon`` is
     the predicate transports poll mid-wait — provided the round's backup
-    budget (``max_backups``) is not spent. First result wins: the guard
-    simply re-runs the leg, and the abandoned attempt's traffic is
-    re-accounted into the speculative buckets so byte parity with the
-    wire holds exactly.
+    budget (:data:`SPECULATION_MAX_BACKUPS`) is not spent. First result
+    wins: the guard simply re-runs the leg, and the abandoned attempt's
+    traffic is re-accounted into the speculative buckets so byte parity
+    with the wire holds exactly.
 
     Thread-safe: legs run on engine worker threads, so completion
     recording and the abandon decision are serialized under one lock.
@@ -96,7 +99,6 @@ class SpeculationController:
         *,
         factor: float = 3.0,
         slack_s: float = 0.05,
-        max_backups: int = 1,
         clock=time.perf_counter,
     ):
         if site_count < 1:
@@ -105,12 +107,9 @@ class SpeculationController:
             raise ValueError(f"factor must be >= 1.0, got {factor}")
         if slack_s < 0:
             raise ValueError(f"slack_s must be >= 0, got {slack_s}")
-        if max_backups < 0:
-            raise ValueError(f"max_backups must be >= 0, got {max_backups}")
         self.site_count = site_count
         self.factor = factor
         self.slack_s = slack_s
-        self.max_backups = max_backups
         self._clock = clock
         self._started = clock()
         self._lock = threading.Lock()
@@ -152,7 +151,7 @@ class SpeculationController:
         with self._lock:
             if self._deadline_s is None or elapsed < self._deadline_s:
                 return 0.0
-            if self._backups_used >= self.max_backups:
+            if self._backups_used >= SPECULATION_MAX_BACKUPS:
                 return 0.0
             self._backups_used += 1
             return self._deadline_s

@@ -1,20 +1,18 @@
 """Observability for the Skalla reproduction: spans, metrics, JSONL traces.
 
-Ten modules, all zero-dependency. None imports ``repro.distributed`` or
+Nine modules, all zero-dependency. None imports ``repro.distributed`` or
 any other execution layer, so any module may instrument itself without
-cycles; from ``repro.net`` they take only the cost model the timeline
-prices bytes with:
+cycles:
 
 - :mod:`repro.obs.tracer` — span tracing with a no-op default
   (:data:`NULL_TRACER`) so untraced runs pay nothing;
 - :mod:`repro.obs.metrics` — process-local counters/gauges/histograms;
 - :mod:`repro.obs.events` — the one telemetry file format (traces and
   flight dumps): schema-versioned JSONL, one loader, one validator;
-- :mod:`repro.obs.timeline` — the ASCII per-round timeline behind the
-  ``repro trace`` CLI subcommand;
-- :mod:`repro.obs.profile` — EXPLAIN ANALYZE: per-query profiles
-  attributing time/rows/bytes to plan nodes, sites and operators
-  (``repro explain --analyze``);
+- :mod:`repro.obs.profile` — EXPLAIN ANALYZE: a profile is the run's
+  stats snapshot plus operators, plan, impacts and coverage, and one
+  ASCII per-round renderer draws a snapshot (``repro trace``) or a
+  profile (``repro explain --analyze``);
 - :mod:`repro.obs.export` — Prometheus text exposition plus the stdlib
   HTTP endpoint behind ``repro serve --metrics-port``;
 - :mod:`repro.obs.top` — the polling terminal dashboard behind
@@ -67,10 +65,6 @@ from repro.obs.metrics import (
     set_active_registry,
 )
 from repro.obs.profile import (
-    OperatorProfile,
-    QueryProfile,
-    RoundProfile,
-    SiteProfile,
     build_profile,
     operator_totals,
     profile_from_trace,
@@ -84,7 +78,6 @@ from repro.obs.skew import (
     align_span,
     estimate_offset,
 )
-from repro.obs.timeline import render_timeline, timeline_totals
 from repro.obs.top import (
     cluster_sites,
     cluster_top_loop,
@@ -109,13 +102,9 @@ __all__ = [
     "MetricsServer",
     "NULL_TRACER",
     "NullTracer",
-    "OperatorProfile",
-    "QueryProfile",
-    "RoundProfile",
     "SCHEMA_VERSION",
     "SECONDS_BUCKETS",
     "SUPPORTED_SCHEMA_VERSIONS",
-    "SiteProfile",
     "Span",
     "TraceDiff",
     "Tracer",
@@ -139,7 +128,6 @@ __all__ = [
     "prometheus_text",
     "render_diff",
     "render_profile",
-    "render_timeline",
     "render_top",
     "round_totals",
     "scrape",
@@ -147,6 +135,5 @@ __all__ = [
     "site_totals",
     "start_metrics_server",
     "summarize",
-    "timeline_totals",
     "top_loop",
 ]

@@ -33,8 +33,8 @@ from typing import List, Optional, Tuple
 
 from repro.errors import ObservabilityError
 from repro.obs.profile import (
-    _profile_dict,
     operator_totals,
+    profile_from_trace,
     round_totals,
     site_totals,
 )
@@ -177,9 +177,13 @@ def diff_profiles(
     before_label: str = "before",
     after_label: str = "after",
 ) -> TraceDiff:
-    """Attribute profile deltas to rounds, sites, operators, optimizations."""
-    before = _profile_dict(before)
-    after = _profile_dict(after)
+    """Attribute profile deltas to rounds, sites, operators, optimizations.
+
+    ``before`` and ``after`` are profiles or bare stats snapshots (a
+    snapshot has no operators, optimizations or coverage to compare).
+    The query total's ``wall_s`` is the snapshot's: the sum of round
+    walls, which the rounds' own entries then split.
+    """
     entries: List[DiffEntry] = []
 
     entries.append(
@@ -300,6 +304,16 @@ def load_artifact(path: str):
     if not isinstance(data, dict):
         raise ObservabilityError(f"{path!r} does not hold a JSON object")
     if "rounds" in data:
+        if not all(
+            isinstance(round_record, dict)
+            and isinstance(round_record.get("sites"), dict)
+            for round_record in data["rounds"]
+        ):
+            raise ObservabilityError(
+                f"{path!r}: its rounds do not key sites by site id — a "
+                "profile from before profiles became the stats snapshot; "
+                "re-run `repro explain --analyze --json`"
+            )
         return "profile", data
     raise ObservabilityError(
         f"cannot classify {path!r}: expected a JSONL trace or a profile "
@@ -318,8 +332,6 @@ def diff_artifacts(
     Traces are normalized to profiles, so a trace may be compared
     against a profile JSON.
     """
-    from repro.obs.profile import profile_from_trace
-
     sides = []
     for path in (before_path, after_path):
         kind, payload = load_artifact(path)
@@ -329,7 +341,7 @@ def diff_artifacts(
                     f"{path!r}: a flight dump holds spans and events, not a "
                     "run's stats — render it with `repro trace --flight`"
                 )
-            payload = profile_from_trace(payload, query_id=query_id).to_dict()
+            payload = profile_from_trace(payload, query_id=query_id)
         sides.append(payload)
     return diff_profiles(
         *sides,

@@ -18,8 +18,10 @@ one per line:
     :class:`~repro.obs.metrics.MetricsRegistry`;
   - ``"stats"`` — the run's :class:`~repro.distributed.stats.ExecutionStats`
     snapshot (``to_dict``), the same numbers the benchmarks report;
-  - ``"plan"`` — the optimized plan's description and optimizer
-    notes, so a profile can be rebuilt from the file alone;
+  - ``"plan"`` — the optimized plan's description (``describe``) and
+    optimizer ``notes``; a trace ``repro explain --analyze`` writes also
+    carries the priced ``optimizations`` and the ``topology`` choice, so
+    the file alone rebuilds the profile ``--json`` prints;
   - ``"clock"`` — the per-site clock offset/RTT map of a socket run;
   - ``"event"`` / ``"fault"`` — what a flight ring records beside spans
     (lifecycle and per-request events, site-side errors), each with a

@@ -1,254 +1,68 @@
-"""EXPLAIN ANALYZE: per-query profiles built from a finished trace.
+"""EXPLAIN ANALYZE: a run's profile, and the one per-round renderer.
 
-The paper's Section 4 argues about *where* rounds spend traffic and
-time; this module makes one executed query answer that question. A
-:class:`QueryProfile` is assembled from the three artifacts a traced run
-already produces — the span tree (``query → round →
-round.{encode,evaluate,decode,merge}``), the run's ``ExecutionStats``
-snapshot, and the optimizer's plan/notes — and attributes:
+The paper measures a run as bytes per round and per site, plus site,
+coordinator and communication time (Section 5). ``ExecutionStats``
+records exactly that, and its ``to_dict()`` snapshot is the only record
+of a run: round records in execution order, each holding its ``sites``
+keyed by site id in tree order. A profile is that snapshot with three
+additions, made by :func:`build_profile`:
 
-- **time** per round (measured wall), per site (compute charge plus the
-  site-kind operator spans), per operator (span name aggregates);
-- **bytes and tuples** per round and per site, straight from the stats
-  (the same numbers the channels count independently, so attribution is
-  exact by construction);
-- **optimization savings**: each optimization the planner applied,
+- ``operators`` on each round record (the coordinator's spans under the
+  round) and on each site record (the spans that site ran): span names
+  aggregated into ``{name, kind, seconds, calls, rows, bytes}``, slowest
+  first, empty when the run was untraced. The byte, tuple and wall
+  numbers stay the snapshot's, so attribution is exact even with a null
+  tracer;
+- the plan (``plan_description``, ``notes``), each applied optimization
   priced by ablation in :mod:`repro.distributed.costing`
-  (:func:`~repro.distributed.costing.estimate_optimization_impacts`) and
-  annotated with the run's measured traffic. The impact objects are
-  duck-typed here so ``repro.obs`` stays import-free of the distributed
-  layer.
+  (``optimizations``: ``OptimizationImpact.to_dict()`` annotated with the
+  run's measured traffic) and, when the scheduler chose the topology,
+  why (``topology_reason``, ``topology_estimated_saving_s``,
+  ``topology_measured_saving_s``). Impacts and topology choices are
+  duck-typed, so ``repro.obs`` stays import-free of the distributed layer;
+- coverage, which makes the profile self-auditing: ``query_wall_s`` is
+  the root ``query`` span's duration (the snapshot's ``wall_s`` when the
+  run was untraced), ``time_coverage`` the share of it that the rounds
+  account for (the snapshot's ``wall_s`` is the sum of round walls; the
+  bar is >= 0.95), and ``bytes_coverage`` the share of ``bytes_total``
+  that the site records account for (1.0 unless the record is
+  inconsistent).
 
-Coverage properties make the profiler self-auditing: ``time_coverage``
-is the fraction of the root query span's wall time attributed to rounds
-(the acceptance bar is >= 0.95) and ``bytes_coverage`` compares
-round-attributed bytes to the stats total (always 1.0 unless the trace
-is inconsistent).
-
-:func:`render_profile` prints the profile as an ASCII plan tree reusing
-the :mod:`repro.obs.timeline` conventions (``<`` down transfer, ``=``
-site compute, ``>`` up transfer, ``#`` coordinator merge; same second
-and byte formatting).
+:func:`render_profile` prints a snapshot (``repro trace``) or a profile
+(``repro explain --analyze``) as one block per round and a totals footer
+that agrees with the stats to the digit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+import copy
 
 from repro.errors import ObservabilityError
-from repro.obs.timeline import _fmt_bytes, _fmt_seconds, _segment
 
 
-@dataclass
-class OperatorProfile:
-    """One span name aggregated within a round (per site or coordinator)."""
-
-    name: str
-    kind: str
-    seconds: float = 0.0
-    calls: int = 0
-    rows: int = 0
-    bytes: int = 0
-
-    def absorb(self, span) -> None:
-        self.seconds += span.duration_s
-        self.calls += 1
-        self.rows += int(span.attributes.get("rows", 0) or 0)
-        self.bytes += int(span.attributes.get("bytes", 0) or 0)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "seconds": self.seconds,
-            "calls": self.calls,
-            "rows": self.rows,
-            "bytes": self.bytes,
-        }
+def _fmt_seconds(seconds: float) -> str:
+    return f"{seconds:.6f}s"
 
 
-@dataclass
-class SiteProfile:
-    """One site's share of one round."""
-
-    site_id: str
-    bytes_down: int = 0
-    bytes_up: int = 0
-    tuples_down: int = 0
-    tuples_up: int = 0
-    compute_s: float = 0.0
-    retries: int = 0
-    operators: List[OperatorProfile] = field(default_factory=list)
-
-    @property
-    def bytes_total(self) -> int:
-        return self.bytes_down + self.bytes_up
-
-    def to_dict(self) -> dict:
-        return {
-            "site_id": self.site_id,
-            "bytes_down": self.bytes_down,
-            "bytes_up": self.bytes_up,
-            "tuples_down": self.tuples_down,
-            "tuples_up": self.tuples_up,
-            "compute_s": self.compute_s,
-            "retries": self.retries,
-            "operators": [operator.to_dict() for operator in self.operators],
-        }
+def _fmt_bytes(count: int) -> str:
+    return f"{count}B"
 
 
-@dataclass
-class RoundProfile:
-    """One plan node: a base or MD/chain round."""
-
-    index: int
-    kind: str
-    description: str = ""
-    wall_s: float = 0.0
-    coordinator_compute_s: float = 0.0
-    excluded: List[str] = field(default_factory=list)
-    sites: List[SiteProfile] = field(default_factory=list)
-    coordinator_operators: List[OperatorProfile] = field(default_factory=list)
-
-    @property
-    def bytes_down(self) -> int:
-        return sum(site.bytes_down for site in self.sites)
-
-    @property
-    def bytes_up(self) -> int:
-        return sum(site.bytes_up for site in self.sites)
-
-    @property
-    def bytes_total(self) -> int:
-        return self.bytes_down + self.bytes_up
-
-    @property
-    def tuples_total(self) -> int:
-        return sum(site.tuples_down + site.tuples_up for site in self.sites)
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "description": self.description,
-            "wall_s": self.wall_s,
-            "coordinator_compute_s": self.coordinator_compute_s,
-            "excluded": list(self.excluded),
-            "bytes_down": self.bytes_down,
-            "bytes_up": self.bytes_up,
-            "sites": [site.to_dict() for site in self.sites],
-            "coordinator_operators": [
-                operator.to_dict() for operator in self.coordinator_operators
-            ],
-        }
+def _segment(chars: str, seconds: float, scale: float) -> str:
+    if seconds <= 0:
+        return ""
+    return chars * max(1, round(seconds * scale))
 
 
-@dataclass
-class QueryProfile:
-    """The full EXPLAIN ANALYZE artifact for one executed query."""
-
-    query_id: object = None
-    executor: str = "serial"
-    failure_mode: str = "fail_fast"
-    #: Root ``query`` span duration (0.0 when the run was untraced).
-    wall_s: float = 0.0
-    rounds: List[RoundProfile] = field(default_factory=list)
-    #: Duck-typed :class:`~repro.distributed.costing.OptimizationImpact`s.
-    impacts: tuple = ()
-    plan_description: str = ""
-    notes: tuple = ()
-    #: Ground-truth byte total from the stats snapshot.
-    stats_bytes_total: int = 0
-    #: Merge topology the run executed with ("flat", "hierarchical:R",
-    #: "chain:F") — from the stats snapshot.
-    topology: str = "flat"
-    #: Why the scheduler picked it (empty when the run bypassed the
-    #: scheduler and the topology was fixed by the caller).
-    topology_reason: str = ""
-    #: Response-time saving vs the flat star predicted by the cost model,
-    #: and the saving actually measured; ``None`` when unpriced.
-    topology_estimated_saving_s: Optional[float] = None
-    topology_measured_saving_s: Optional[float] = None
-    #: Straggler speculation outcome (stats snapshot totals).
-    speculative_legs: int = 0
-    speculation_wins: int = 0
-
-    # -- attribution & coverage -------------------------------------------------
-
-    @property
-    def attributed_wall_s(self) -> float:
-        return sum(round_profile.wall_s for round_profile in self.rounds)
-
-    @property
-    def bytes_total(self) -> int:
-        return sum(round_profile.bytes_total for round_profile in self.rounds)
-
-    @property
-    def tuples_total(self) -> int:
-        return sum(round_profile.tuples_total for round_profile in self.rounds)
-
-    def time_coverage(self) -> float:
-        """Fraction of traced query wall time attributed to plan nodes."""
-        if self.wall_s <= 0:
-            return 1.0
-        return min(1.0, self.attributed_wall_s / self.wall_s)
-
-    def bytes_coverage(self) -> float:
-        """Fraction of the stats byte total attributed to plan nodes."""
-        if self.stats_bytes_total <= 0:
-            return 1.0
-        return self.bytes_total / self.stats_bytes_total
-
-    def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "executor": self.executor,
-            "failure_mode": self.failure_mode,
-            "wall_s": self.wall_s,
-            "attributed_wall_s": self.attributed_wall_s,
-            "time_coverage": self.time_coverage(),
-            "bytes_total": self.bytes_total,
-            "stats_bytes_total": self.stats_bytes_total,
-            "bytes_coverage": self.bytes_coverage(),
-            "tuples_total": self.tuples_total,
-            "rounds": [round_profile.to_dict() for round_profile in self.rounds],
-            "optimizations": [impact.to_dict() for impact in self.impacts],
-            "plan_description": self.plan_description,
-            "notes": list(self.notes),
-            "topology": self.topology,
-            **(
-                {
-                    "topology_reason": self.topology_reason,
-                    "topology_estimated_saving_s": self.topology_estimated_saving_s,
-                    "topology_measured_saving_s": self.topology_measured_saving_s,
-                }
-                if self.topology_reason
-                else {}
-            ),
-            **(
-                {
-                    "speculative_legs": self.speculative_legs,
-                    "speculation_wins": self.speculation_wins,
-                }
-                if self.speculative_legs
-                else {}
-            ),
-        }
-
-
-# ---------------------------------------------------------------------------
-# Builders
-# ---------------------------------------------------------------------------
-
-
-def _operator_of(registry: dict, order: list, name: str, kind: str) -> OperatorProfile:
-    operator = registry.get((name, kind))
-    if operator is None:
-        operator = OperatorProfile(name=name, kind=kind)
-        registry[(name, kind)] = operator
-        order.append(operator)
-    return operator
+def _snapshot(stats, model=None) -> dict:
+    """An ``ExecutionStats`` as its snapshot; a snapshot or profile as is."""
+    if hasattr(stats, "to_dict"):
+        stats = stats.to_dict(model)
+    if not isinstance(stats, dict) or "rounds" not in stats:
+        raise ObservabilityError(
+            "expected an ExecutionStats or its to_dict() snapshot"
+        )
+    return stats
 
 
 def _query_span(spans, query_id):
@@ -264,6 +78,22 @@ def _query_span(spans, query_id):
     return candidates[0] if candidates else None
 
 
+def _absorb(operators: dict, span) -> None:
+    entry = operators.setdefault(
+        (span.name, span.kind),
+        {"name": span.name, "kind": span.kind,
+         "seconds": 0.0, "calls": 0, "rows": 0, "bytes": 0},
+    )
+    entry["seconds"] += span.duration_s
+    entry["calls"] += 1
+    entry["rows"] += int(span.attributes.get("rows", 0) or 0)
+    entry["bytes"] += int(span.attributes.get("bytes", 0) or 0)
+
+
+def _slowest_first(operators: dict) -> list:
+    return sorted(operators.values(), key=lambda entry: -entry["seconds"])
+
+
 def build_profile(
     spans,
     stats,
@@ -272,137 +102,103 @@ def build_profile(
     notes=(),
     query_id=None,
     topology_choice=None,
-) -> QueryProfile:
-    """Assemble a :class:`QueryProfile` from spans plus an execution-stats
-    snapshot (an ``ExecutionStats`` or its ``to_dict()`` form).
+) -> dict:
+    """The run's snapshot plus operators, plan, impacts and coverage.
 
-    ``spans`` may be a live ``Tracer.spans`` list or
-    ``EventLog.spans()``; span-derived operator times enrich the profile
-    but the round/site byte, tuple and wall numbers come from the stats,
-    so attribution stays exact even with a null tracer.
-
-    ``topology_choice`` is a duck-typed
-    :class:`~repro.distributed.scheduler.TopologyChoice` (or its
-    ``to_dict()`` form): it supplies the scheduler's reason string and
-    the estimated/measured response-time savings vs the flat star.
+    ``stats`` is an ``ExecutionStats`` or its ``to_dict()`` snapshot (not
+    modified). ``spans`` may be a live ``Tracer.spans`` list or
+    ``EventLog.spans()``. ``impacts`` are ``OptimizationImpact``s or their
+    dicts; ``topology_choice`` is a ``TopologyChoice`` or its dict.
     """
-    if hasattr(stats, "to_dict"):
-        stats = stats.to_dict()
-    if not isinstance(stats, dict) or "rounds" not in stats:
-        raise ObservabilityError(
-            "build_profile needs an ExecutionStats or its to_dict() snapshot"
-        )
-    if query_id is None:
-        query_id = stats.get("query_id")
+    profile = copy.deepcopy(_snapshot(stats))
+    if query_id is not None:
+        profile["query_id"] = query_id
 
     spans = list(spans or ())
-    root = _query_span(spans, query_id)
+    root = _query_span(spans, profile.get("query_id"))
     children: dict = {}
     for span in spans:
         children.setdefault(span.parent_id, []).append(span)
+    round_spans = {
+        span.attributes.get("index"): span
+        for span in (
+            children.get(root.span_id, spans) if root is not None else spans
+        )
+        if span.name == "round"
+    }
 
-    round_spans = {}
-    candidates = children.get(root.span_id, spans) if root is not None else spans
-    for span in candidates:
-        if span.name == "round":
-            round_spans[span.attributes.get("index")] = span
+    for round_record in profile["rounds"]:
+        coordinator: dict = {}
+        by_site = {site_id: {} for site_id in round_record["sites"]}
+        round_span = round_spans.get(round_record["index"])
+        stack = (
+            list(children.get(round_span.span_id, ()))
+            if round_span is not None
+            else []
+        )
+        while stack:
+            span = stack.pop()
+            if span.attributes.get("speculative"):
+                # An abandoned speculative attempt: the backup leg
+                # re-recorded the same work, so absorbing this span (or
+                # its subtree) would double-count stage totals.
+                continue
+            stack.extend(children.get(span.span_id, ()))
+            site_id = span.attributes.get("site")
+            if span.kind == "site" and site_id in by_site:
+                _absorb(by_site[site_id], span)
+            else:
+                _absorb(coordinator, span)
+        round_record["operators"] = _slowest_first(coordinator)
+        for site_id, site_record in round_record["sites"].items():
+            site_record["operators"] = _slowest_first(by_site[site_id])
 
-    profile = QueryProfile(
-        query_id=query_id,
-        executor=stats.get("executor", "serial"),
-        failure_mode=stats.get("failure_mode", "fail_fast"),
-        wall_s=root.duration_s if root is not None else 0.0,
-        impacts=tuple(impacts),
-        plan_description=plan_description,
-        notes=tuple(notes),
-        stats_bytes_total=int(stats.get("bytes_total", 0)),
-        topology=stats.get("topology", "flat"),
-        speculative_legs=int(stats.get("speculative_legs", 0)),
-        speculation_wins=int(stats.get("speculation_wins", 0)),
+    wall_s = profile["wall_s"]
+    profile["query_wall_s"] = root.duration_s if root is not None else wall_s
+    profile["time_coverage"] = (
+        min(1.0, wall_s / profile["query_wall_s"])
+        if profile["query_wall_s"] > 0
+        else 1.0
     )
+    attributed_bytes = sum(
+        site["bytes_down"] + site["bytes_up"]
+        for round_record in profile["rounds"]
+        for site in round_record["sites"].values()
+    )
+    profile["bytes_coverage"] = (
+        attributed_bytes / profile["bytes_total"]
+        if profile["bytes_total"] > 0
+        else 1.0
+    )
+
+    profile["optimizations"] = [
+        impact.to_dict() if hasattr(impact, "to_dict") else dict(impact)
+        for impact in impacts
+    ]
+    profile["plan_description"] = plan_description
+    profile["notes"] = list(notes)
     if topology_choice is not None:
         if hasattr(topology_choice, "to_dict"):
             topology_choice = topology_choice.to_dict()
-        profile.topology = topology_choice.get("topology", profile.topology)
-        profile.topology_reason = topology_choice.get("reason", "")
-        profile.topology_estimated_saving_s = topology_choice.get(
+        profile["topology"] = topology_choice.get("topology", profile["topology"])
+        profile["topology_reason"] = topology_choice.get("reason", "")
+        profile["topology_estimated_saving_s"] = topology_choice.get(
             "estimated_saving_s"
         )
-        profile.topology_measured_saving_s = topology_choice.get(
+        profile["topology_measured_saving_s"] = topology_choice.get(
             "measured_saving_s"
         )
-
-    for round_record in stats["rounds"]:
-        round_profile = RoundProfile(
-            index=round_record["index"],
-            kind=round_record["kind"],
-            description=round_record.get("description", ""),
-            wall_s=round_record.get("wall_s", 0.0),
-            coordinator_compute_s=round_record.get("coordinator_compute_s", 0.0),
-            excluded=list(round_record.get("excluded", ())),
-        )
-        site_profiles = {}
-        for site_id, site_record in round_record.get("sites", {}).items():
-            site_profile = SiteProfile(
-                site_id=site_id,
-                bytes_down=site_record.get("bytes_down", 0),
-                bytes_up=site_record.get("bytes_up", 0),
-                tuples_down=site_record.get("tuples_down", 0),
-                tuples_up=site_record.get("tuples_up", 0),
-                compute_s=site_record.get("compute_s", 0.0),
-                retries=site_record.get("retries", 0),
-            )
-            site_profiles[site_id] = site_profile
-            round_profile.sites.append(site_profile)
-
-        round_span = round_spans.get(round_profile.index)
-        if round_span is not None:
-            if round_profile.wall_s <= 0:
-                round_profile.wall_s = round_span.duration_s
-            coordinator_registry: dict = {}
-            site_registries = {site_id: {} for site_id in site_profiles}
-            stack = list(children.get(round_span.span_id, ()))
-            while stack:
-                span = stack.pop()
-                if span.attributes.get("speculative"):
-                    # An abandoned speculative attempt: the backup leg
-                    # re-recorded the same work, so absorbing this span
-                    # (or its subtree) would double-count stage totals.
-                    continue
-                stack.extend(children.get(span.span_id, ()))
-                site_id = span.attributes.get("site")
-                if span.kind == "site" and site_id in site_profiles:
-                    target = site_profiles[site_id]
-                    operator = _operator_of(
-                        site_registries[site_id],
-                        target.operators,
-                        span.name,
-                        span.kind,
-                    )
-                else:
-                    operator = _operator_of(
-                        coordinator_registry,
-                        round_profile.coordinator_operators,
-                        span.name,
-                        span.kind,
-                    )
-                operator.absorb(span)
-            for operators in [round_profile.coordinator_operators] + [
-                site.operators for site in round_profile.sites
-            ]:
-                operators.sort(key=lambda operator: -operator.seconds)
-        profile.rounds.append(round_profile)
-
-    if profile.wall_s <= 0:
-        profile.wall_s = profile.attributed_wall_s
     return profile
 
 
-def profile_from_trace(log, query_id=None) -> QueryProfile:
+def profile_from_trace(log, query_id=None) -> dict:
     """Rebuild a profile from a JSONL trace (:class:`~repro.obs.events.EventLog`).
 
     With ``query_id`` the log is first filtered to that query's records;
-    the log must hold a matching ``stats`` record.
+    the log must hold a matching ``stats`` record. The last ``plan``
+    record supplies the plan, and — in a trace ``repro explain --analyze
+    --emit-trace`` wrote — the ``optimizations`` and the ``topology``
+    choice, so the rebuilt profile is the one ``--json`` prints.
     """
     if query_id is not None:
         log = log.for_query(query_id)
@@ -413,93 +209,70 @@ def profile_from_trace(log, query_id=None) -> QueryProfile:
             + (f" for query_id {query_id!r}" if query_id is not None else "")
             + "; profiles need the run's ExecutionStats snapshot"
         )
-    plan_description = ""
-    notes: tuple = ()
+    snapshot = {
+        key: value for key, value in stats_records[-1].items() if key != "record"
+    }
     plan_records = log.records_of("plan")
-    if plan_records:
-        plan_description = plan_records[-1].get("describe", "")
-        notes = tuple(plan_records[-1].get("notes", ()))
+    plan = plan_records[-1] if plan_records else {}
     return build_profile(
         log.spans(),
-        stats_records[-1],
-        plan_description=plan_description,
-        notes=notes,
+        snapshot,
+        impacts=plan.get("optimizations", ()),
+        plan_description=plan.get("describe", ""),
+        notes=plan.get("notes", ()),
         query_id=query_id,
+        topology_choice=plan.get("topology"),
     )
 
 
 # ---------------------------------------------------------------------------
-# Aggregation over profile dicts (used by ``repro diff``)
+# Aggregation over snapshots and profiles (used by ``repro diff``)
 # ---------------------------------------------------------------------------
 
 
-def _profile_dict(profile) -> dict:
-    """Accept a :class:`QueryProfile` or its ``to_dict()`` form."""
-    if hasattr(profile, "to_dict"):
-        profile = profile.to_dict()
-    if not isinstance(profile, dict) or "rounds" not in profile:
-        raise ObservabilityError(
-            "expected a QueryProfile or its to_dict() snapshot"
-        )
-    return profile
-
-
-def round_totals(profile) -> dict:
+def round_totals(profile: dict) -> dict:
     """``{"round 0 [base]": {"wall_s", "bytes", "tuples"}, ...}``."""
     totals: dict = {}
-    for round_record in _profile_dict(profile)["rounds"]:
-        key = f"round {round_record['index']} [{round_record['kind']}]"
-        sites = round_record.get("sites", ())
-        totals[key] = {
-            "wall_s": round_record.get("wall_s", 0.0),
-            "bytes": round_record.get("bytes_down", 0)
-            + round_record.get("bytes_up", 0),
+    for round_record in profile["rounds"]:
+        sites = round_record["sites"].values()
+        totals[f"round {round_record['index']} [{round_record['kind']}]"] = {
+            "wall_s": round_record["wall_s"],
+            "bytes": sum(site["bytes_down"] + site["bytes_up"] for site in sites),
             "tuples": sum(
-                site.get("tuples_down", 0) + site.get("tuples_up", 0)
-                for site in sites
+                site["tuples_down"] + site["tuples_up"] for site in sites
             ),
         }
     return totals
 
 
-def site_totals(profile) -> dict:
-    """Per-site compute/bytes/tuples summed across all rounds."""
+def site_totals(profile: dict) -> dict:
+    """Per-site compute/bytes/tuples/retries summed across all rounds."""
     totals: dict = {}
-    for round_record in _profile_dict(profile)["rounds"]:
-        for site in round_record.get("sites", ()):
+    for round_record in profile["rounds"]:
+        for site_id, site in round_record["sites"].items():
             entry = totals.setdefault(
-                site["site_id"],
+                site_id,
                 {"compute_s": 0.0, "bytes": 0, "tuples": 0, "retries": 0},
             )
-            entry["compute_s"] += site.get("compute_s", 0.0)
-            entry["bytes"] += site.get("bytes_down", 0) + site.get("bytes_up", 0)
-            entry["tuples"] += site.get("tuples_down", 0) + site.get(
-                "tuples_up", 0
-            )
-            entry["retries"] += site.get("retries", 0)
+            entry["compute_s"] += site["compute_s"]
+            entry["bytes"] += site["bytes_down"] + site["bytes_up"]
+            entry["tuples"] += site["tuples_down"] + site["tuples_up"]
+            entry["retries"] += site["retries"]
     return totals
 
 
-def operator_totals(profile) -> dict:
+def operator_totals(profile: dict) -> dict:
     """Span-name aggregates across all rounds, keyed ``"name [kind]"``."""
     totals: dict = {}
-
-    def _absorb(operator_record: dict) -> None:
-        key = f"{operator_record['name']} [{operator_record['kind']}]"
-        entry = totals.setdefault(
-            key, {"seconds": 0.0, "calls": 0, "rows": 0, "bytes": 0}
-        )
-        entry["seconds"] += operator_record.get("seconds", 0.0)
-        entry["calls"] += operator_record.get("calls", 0)
-        entry["rows"] += operator_record.get("rows", 0)
-        entry["bytes"] += operator_record.get("bytes", 0)
-
-    for round_record in _profile_dict(profile)["rounds"]:
-        for operator_record in round_record.get("coordinator_operators", ()):
-            _absorb(operator_record)
-        for site in round_record.get("sites", ()):
-            for operator_record in site.get("operators", ()):
-                _absorb(operator_record)
+    for round_record in profile["rounds"]:
+        for owner in (round_record, *round_record["sites"].values()):
+            for operator in owner.get("operators", ()):
+                entry = totals.setdefault(
+                    f"{operator['name']} [{operator['kind']}]",
+                    {"seconds": 0.0, "calls": 0, "rows": 0, "bytes": 0},
+                )
+                for metric in entry:
+                    entry[metric] += operator[metric]
     return totals
 
 
@@ -511,125 +284,178 @@ def operator_totals(profile) -> dict:
 def _format_operators(operators, limit: int = 4) -> str:
     parts = []
     for operator in operators[:limit]:
-        part = f"{operator.name} {_fmt_seconds(operator.seconds)} x{operator.calls}"
-        if operator.rows:
-            part += f" rows={operator.rows}"
+        part = (
+            f"{operator['name']} {_fmt_seconds(operator['seconds'])} "
+            f"x{operator['calls']}"
+        )
+        if operator["rows"]:
+            part += f" rows={operator['rows']}"
         parts.append(part)
     if len(operators) > limit:
         parts.append(f"+{len(operators) - limit} more")
     return "; ".join(parts)
 
 
-def render_profile(profile: QueryProfile, width: int = 48) -> str:
-    """The ASCII plan tree, timeline-style bars included.
-
-    Bar legend matches :func:`~repro.obs.timeline.render_timeline`:
-    ``<`` down transfer (here: measured site compute shares the round
-    budget, so bars scale site ``compute_s`` against the slowest site),
-    ``=`` site compute, ``#`` coordinator compute.
-    """
+def _header(profile: dict) -> list:
+    """A profile's opening lines: run, coverage, topology, speculation."""
+    query_id = profile.get("query_id")
     lines = [
-        f"EXPLAIN ANALYZE — {len(profile.rounds)} round(s), "
-        f"executor={profile.executor}, failure_mode={profile.failure_mode}"
-        + (f", query_id={profile.query_id}" if profile.query_id is not None else "")
+        f"EXPLAIN ANALYZE — {len(profile['rounds'])} round(s), "
+        f"executor={profile['executor']}, "
+        f"failure_mode={profile['failure_mode']}"
+        + (f", query_id={query_id}" if query_id is not None else ""),
+        f"wall {_fmt_seconds(profile['query_wall_s'])}; attributed to plan "
+        f"nodes {_fmt_seconds(profile['wall_s'])} "
+        f"({profile['time_coverage'] * 100:.1f}% of traced wall); "
+        f"bytes {_fmt_bytes(profile['bytes_total'])} "
+        f"({profile['bytes_coverage'] * 100:.1f}% attributed to sites)",
     ]
-    lines.append(
-        f"wall {_fmt_seconds(profile.wall_s)}; attributed to plan nodes "
-        f"{_fmt_seconds(profile.attributed_wall_s)} "
-        f"({profile.time_coverage() * 100:.1f}% of traced wall); "
-        f"bytes {_fmt_bytes(profile.bytes_total)} of "
-        f"{_fmt_bytes(profile.stats_bytes_total)} "
-        f"({profile.bytes_coverage() * 100:.1f}%)"
-    )
-    if profile.topology != "flat" or profile.topology_reason:
-        topology_line = f"merge topology [{profile.topology}]"
-        if (
-            profile.topology != "flat"
-            and profile.topology_estimated_saving_s is not None
-        ):
-            topology_line += (
-                f": estimated saving vs flat "
-                f"{_fmt_seconds(profile.topology_estimated_saving_s)}"
-            )
-            if profile.topology_measured_saving_s is not None:
-                topology_line += (
-                    f", measured {_fmt_seconds(profile.topology_measured_saving_s)}"
-                )
-        if profile.topology_reason:
-            topology_line += f" — {profile.topology_reason}"
-        lines.append(topology_line)
-    if profile.speculative_legs:
+    topology = profile["topology"]
+    reason = profile.get("topology_reason", "")
+    if topology != "flat" or reason:
+        line = f"merge topology [{topology}]"
+        estimated = profile.get("topology_estimated_saving_s")
+        if topology != "flat" and estimated is not None:
+            line += f": estimated saving vs flat {_fmt_seconds(estimated)}"
+            measured = profile.get("topology_measured_saving_s")
+            if measured is not None:
+                line += f", measured {_fmt_seconds(measured)}"
+        if reason:
+            line += f" — {reason}"
+        lines.append(line)
+    if profile["speculative_legs"]:
         lines.append(
-            f"speculation: {profile.speculative_legs} leg(s) re-executed, "
-            f"{profile.speculation_wins} backup win(s)"
+            f"speculation: {profile['speculative_legs']} leg(s) re-executed, "
+            f"{profile['speculation_wins']} backup win(s)"
         )
+    return lines
+
+
+def _sections(profile: dict) -> list:
+    """A profile's closing lines: optimizations, notes, plan."""
+    lines = []
+    if profile["optimizations"]:
+        lines.append("optimizations (measured vs unoptimized estimate):")
+        for impact in profile["optimizations"]:
+            entry = (
+                f"  - {impact['name']}: {impact['description']} — estimated "
+                f"{impact['estimated_without_tuples']:.0f} tuples without"
+            )
+            if impact["measured_tuples"] is not None:
+                entry += f", measured {impact['measured_tuples']:.0f} with"
+            else:
+                entry += f", estimated {impact['estimated_with_tuples']:.0f} with"
+            entry += f" (saved {impact['saving_fraction'] * 100:.1f}%)"
+            lines.append(entry)
+    if profile["notes"]:
+        lines.append("optimizer notes:")
+        lines.extend(f"  - {note}" for note in profile["notes"])
+    if profile["plan_description"]:
+        lines.append("plan:")
+        lines.extend(
+            f"  {line}" for line in profile["plan_description"].splitlines()
+        )
+    return lines
+
+
+def render_profile(profile, model=None, width: int = 48) -> str:
+    """One block per round, then the totals footer.
+
+    ``profile`` is an ``ExecutionStats``, its snapshot, or a profile from
+    :func:`build_profile`; a profile adds its header, each round's and
+    each site's slowest operators, and the optimizations, optimizer notes
+    and plan. Sites are listed in the snapshot's order, which is tree
+    order. Bar legend: ``<`` down transfer, ``=`` site compute, ``>`` up
+    transfer, ``#`` coordinator merge, all on one scale; the transfers
+    are priced by ``model`` (a :class:`~repro.net.costmodel.CostModel`)
+    and drawn only when one is given. The footer's modeled communication
+    comes from the snapshot's ``breakdown``, present when the snapshot
+    was taken with a model.
+    """
+    profile = _snapshot(profile, model)
+    rounds = profile["rounds"]
+
+    def transfer_s(count: int) -> float:
+        return model.transfer_time(count) if model is not None and count else 0.0
+
     longest = max(
-        [site.compute_s for round_profile in profile.rounds
-         for site in round_profile.sites]
-        + [round_profile.coordinator_compute_s for round_profile in profile.rounds]
+        [
+            transfer_s(site["bytes_down"]) + site["compute_s"]
+            + transfer_s(site["bytes_up"])
+            for round_record in rounds
+            for site in round_record["sites"].values()
+        ]
+        + [round_record["coordinator_compute_s"] for round_record in rounds]
         + [0.0]
     )
     scale = (width / longest) if longest > 0 else 0.0
+    label_width = max(
+        [len("merge")]
+        + [len(site_id) for round_record in rounds for site_id in round_record["sites"]]
+    )
 
-    for round_profile in profile.rounds:
-        header = (
-            f"+- round {round_profile.index} [{round_profile.kind}] "
-            f"{round_profile.description}".rstrip()
-        )
-        header += (
-            f"  wall={_fmt_seconds(round_profile.wall_s)} "
-            f"down={_fmt_bytes(round_profile.bytes_down)} "
-            f"up={_fmt_bytes(round_profile.bytes_up)}"
-        )
-        if round_profile.excluded:
-            header += f" EXCLUDED={','.join(round_profile.excluded)}"
-        lines.append(header)
-        label_width = max(
-            [len("merge")] + [len(site.site_id) for site in round_profile.sites]
-        )
-        for site in round_profile.sites:
-            bar = _segment("=", site.compute_s, scale)
-            lines.append(
-                f"|  +- {site.site_id.ljust(label_width)}  {bar.ljust(width)}  "
-                f"compute={_fmt_seconds(site.compute_s)} "
-                f"down={_fmt_bytes(site.bytes_down)} "
-                f"up={_fmt_bytes(site.bytes_up)} "
-                f"tuples={site.tuples_down + site.tuples_up}"
-                + (f" retries={site.retries}" if site.retries else "")
-            )
-            if site.operators:
-                lines.append(
-                    f"|  |     {_format_operators(site.operators)}"
-                )
-        merge_bar = _segment("#", round_profile.coordinator_compute_s, scale)
+    lines = _header(profile) if "time_coverage" in profile else []
+    if model is not None:
         lines.append(
-            f"|  +- {'merge'.ljust(label_width)}  {merge_bar.ljust(width)}  "
-            f"coordinator={_fmt_seconds(round_profile.coordinator_compute_s)}"
+            "per-round timeline "
+            f"(model: latency={model.latency_s}s, "
+            f"bandwidth={model.bandwidth_bytes_per_s:.0f}B/s; "
+            "bar: <down =compute >up #merge)"
         )
-        if round_profile.coordinator_operators:
+    for round_record in rounds:
+        sites = round_record["sites"]
+        header = (
+            f"+- round {round_record['index']} [{round_record['kind']}] "
+            f"{round_record['description']}".rstrip()
+            + f"  wall={_fmt_seconds(round_record['wall_s'])} "
+            f"down={_fmt_bytes(sum(site['bytes_down'] for site in sites.values()))} "
+            f"up={_fmt_bytes(sum(site['bytes_up'] for site in sites.values()))}"
+        )
+        if round_record["excluded"]:
+            header += f" EXCLUDED={','.join(round_record['excluded'])}"
+        lines.append(header)
+        for site_id, site in sites.items():
+            bar = (
+                _segment("<", transfer_s(site["bytes_down"]), scale)
+                + _segment("=", site["compute_s"], scale)
+                + _segment(">", transfer_s(site["bytes_up"]), scale)
+            )
             lines.append(
-                f"|        {_format_operators(round_profile.coordinator_operators)}"
+                f"|  +- {site_id.ljust(label_width)}  {bar.ljust(width)}  "
+                f"compute={_fmt_seconds(site['compute_s'])} "
+                f"down={_fmt_bytes(site['bytes_down'])} "
+                f"up={_fmt_bytes(site['bytes_up'])} "
+                f"tuples={site['tuples_down'] + site['tuples_up']}"
+                + (f" retries={site['retries']}" if site["retries"] else "")
             )
+            if site.get("operators"):
+                lines.append(f"|  |     {_format_operators(site['operators'])}")
+        merge_s = round_record["coordinator_compute_s"]
+        lines.append(
+            f"|  +- {'merge'.ljust(label_width)}  "
+            f"{_segment('#', merge_s, scale).ljust(width)}  "
+            f"coordinator={_fmt_seconds(merge_s)}"
+        )
+        if round_record.get("operators"):
+            lines.append(f"|        {_format_operators(round_record['operators'])}")
 
-    if profile.impacts:
-        lines.append("optimizations (measured vs unoptimized estimate):")
-        for impact in profile.impacts:
-            entry = (
-                f"  - {impact.name}: {impact.description} — "
-                f"estimated {impact.estimated_without_tuples:.0f} tuples without"
-            )
-            if impact.measured_tuples is not None:
-                entry += f", measured {impact.measured_tuples:.0f} with"
-            else:
-                entry += f", estimated {impact.estimated_with_tuples:.0f} with"
-            entry += f" (saved {impact.saving_fraction * 100:.1f}%)"
-            lines.append(entry)
-    if profile.notes:
-        lines.append("optimizer notes:")
-        for note in profile.notes:
-            lines.append(f"  - {note}")
-    if profile.plan_description:
-        lines.append("plan:")
-        for plan_line in profile.plan_description.splitlines():
-            lines.append(f"  {plan_line}")
+    lines.append(
+        f"totals: rounds={len(rounds)} "
+        f"bytes={profile['bytes_total']} "
+        f"(down={profile['bytes_down']} up={profile['bytes_up']}) "
+        f"tuples={profile['tuples_total']}"
+    )
+    footer = (
+        f"        site_compute={_fmt_seconds(profile['site_compute_s'])} "
+        f"coordinator_compute={_fmt_seconds(profile['coordinator_compute_s'])}"
+    )
+    breakdown = profile.get("breakdown")
+    if breakdown:
+        footer += (
+            f" modeled_communication={_fmt_seconds(breakdown['communication_s'])} "
+            f"total={_fmt_seconds(breakdown['total_s'])}"
+        )
+    lines.append(footer)
+    if "time_coverage" in profile:
+        lines.extend(_sections(profile))
     return "\n".join(lines)

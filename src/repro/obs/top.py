@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.export import scrape
 from repro.obs.metrics import histogram_quantile
-from repro.obs.timeline import _fmt_bytes
+from repro.obs.profile import _fmt_bytes
 
 #: Quantiles the dashboard (and the bench baseline) report.
 QUANTILES: Tuple[Tuple[float, str], ...] = ((0.5, "p50"), (0.9, "p90"), (0.99, "p99"))

@@ -109,6 +109,19 @@ class TestTrace:
         assert "merge" in output
         assert "trace:" in output and "spans" in output
 
+    def test_sites_are_listed_in_tree_order(self):
+        """`repro trace` and `explain --analyze` draw one renderer, which
+        lists a round's sites in the stats' order (site0 … site11), not
+        sorted as strings (site0, site1, site10, …)."""
+        import re
+
+        argv = [self.QUERY, "--sites", "12", "--scale", "0.0002"]
+        for command in (["trace"], ["explain", "--analyze"]):
+            code, output = run_cli([command[0], *argv, *command[1:]])
+            assert code == 0, output
+            listed = re.findall(r"(?m)^[|+\- ]*(site\d+) ", output)
+            assert listed[:12] == [f"site{index}" for index in range(12)]
+
     def test_timeline_totals_match_stats(self):
         import re
 
@@ -279,7 +292,33 @@ class TestExplain:
         )
         assert code == 0
         rebuilt = profile_from_trace(EventLog.load(path), query_id=1)
-        assert rebuilt.time_coverage() >= 0.95
+        assert rebuilt["time_coverage"] >= 0.95
+
+    def test_analyze_emit_trace_carries_what_the_profile_carries(
+        self, tmp_path
+    ):
+        """The trace `--emit-trace` writes rebuilds the very profile
+        `--json` prints — impacts and topology choice included — so
+        `repro diff` of the two finds nothing to report."""
+        import json
+
+        from repro.obs import EventLog, diff_artifacts
+        from repro.obs.profile import profile_from_trace
+
+        trace = tmp_path / "run.jsonl"
+        profile = tmp_path / "run.json"
+        code, output = run_cli(
+            ["explain", self.QUERY, "--sites", "4", "--scale", "0.001",
+             "--analyze", "--json", "--emit-trace", str(trace)]
+        )
+        assert code == 0
+        profile.write_text(output, encoding="utf-8")
+        printed = json.loads(output)
+        assert printed["optimizations"]
+        rebuilt = profile_from_trace(EventLog.load(trace), query_id=1)
+        assert rebuilt == printed
+        diff = diff_artifacts(str(trace), str(profile))
+        assert diff.regressions() == [] and diff.improvements() == []
 
     def test_estimate_json(self):
         import json

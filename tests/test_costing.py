@@ -136,6 +136,23 @@ class TestPlanComparison:
         ranked = compare_plans(plans, statistics, cluster.catalog)
         assert [name for name, _estimate in ranked] == ["all", "none"]
 
+    def test_independent_reduction_ranks_above_the_baseline(self):
+        cluster, statistics = build()
+        expression = correlated_query(HIGH_CARDINALITY_KEY)
+        plans = {
+            "baseline": plan_query(
+                expression, cluster.catalog, OptimizationOptions.none()
+            ),
+            "reductions": plan_query(
+                expression,
+                cluster.catalog,
+                OptimizationOptions(False, False, False, True, False),
+            ),
+        }
+        assert plans["reductions"].rounds[0].independent_reduction
+        ranked = compare_plans(plans, statistics, cluster.catalog)
+        assert [name for name, _estimate in ranked] == ["reductions", "baseline"]
+
     def test_bytes_estimate_positive(self):
         cluster, statistics = build()
         plan = plan_query(

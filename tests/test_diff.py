@@ -75,7 +75,7 @@ def profiled_run(cluster, expression):
 
 @pytest.fixture(scope="module")
 def profile_dict():
-    return profiled_run(build_cluster(), cube_query()).to_dict()
+    return profiled_run(build_cluster(), cube_query())
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +231,16 @@ class TestArtifacts:
         not_object = self.write(tmp_path, "list.json", [1, 2])
         with pytest.raises(ObservabilityError, match="JSON object"):
             load_artifact(not_object)
+
+    def test_a_profile_with_a_site_list_is_refused(self, tmp_path):
+        """Profiles key sites by site id, as the stats snapshot does; the
+        older list-of-sites shape is refused with a typed error."""
+        old = self.write(
+            tmp_path, "old.json",
+            {"rounds": [{"index": 0, "kind": "md", "sites": [{"site_id": "s0"}]}]},
+        )
+        with pytest.raises(ObservabilityError, match="site id"):
+            load_artifact(old)
 
     def test_trace_diffed_against_itself_is_zero(self, tmp_path):
         cluster = build_cluster()

@@ -1,4 +1,5 @@
-"""Unit tests for the observability layer: tracer, metrics, events, timeline."""
+"""Unit tests for the observability layer: tracer, metrics, events, the
+per-round renderer."""
 
 import pytest
 
@@ -15,8 +16,7 @@ from repro.obs import (
     activate,
     active_registry,
     build_trace,
-    render_timeline,
-    timeline_totals,
+    render_profile,
 )
 from repro.obs.metrics import BYTES_BUCKETS, Counter, Gauge, Histogram
 
@@ -382,17 +382,23 @@ class TestTimeline:
         from repro.net.costmodel import WAN
 
         stats = self.fake_stats()
-        totals = timeline_totals(stats, WAN)
-        assert totals["bytes_total"] == stats.bytes_total == 350
-        assert totals["bytes_down"] == stats.bytes_down
-        assert totals["bytes_up"] == stats.bytes_up
-        assert totals["tuples_total"] == stats.tuples_total
-        assert totals["site_compute_s"] == stats.site_compute_s()
-        assert totals["coordinator_compute_s"] == stats.coordinator_compute_s()
-        assert totals["total_s"] == stats.breakdown(WAN)["total_s"]
+        breakdown = stats.breakdown(WAN)
+        footer = render_profile(stats, WAN).splitlines()[-2:]
+        assert stats.bytes_total == 350
+        assert footer == [
+            f"totals: rounds={stats.round_count} bytes={stats.bytes_total} "
+            f"(down={stats.bytes_down} up={stats.bytes_up}) "
+            f"tuples={stats.tuples_total}",
+            f"        site_compute={stats.site_compute_s():.6f}s "
+            f"coordinator_compute={stats.coordinator_compute_s():.6f}s "
+            f"modeled_communication={breakdown['communication_s']:.6f}s "
+            f"total={breakdown['total_s']:.6f}s",
+        ]
 
     def test_render_contains_rows_and_footer(self):
-        text = render_timeline(self.fake_stats())
+        from repro.net.costmodel import WAN
+
+        text = render_profile(self.fake_stats(), WAN)
         assert "round 0 [md]" in text
         assert "site0" in text and "site1" in text
         assert "merge" in text and "#" in text
@@ -403,5 +409,5 @@ class TestTimeline:
     def test_render_empty_stats(self):
         from repro.distributed.stats import ExecutionStats
 
-        text = render_timeline(ExecutionStats())
+        text = render_profile(ExecutionStats())
         assert "totals: rounds=0 bytes=0" in text

@@ -82,55 +82,74 @@ def traced_profiled_run(query_id=1):
 class TestCoverage:
     def test_time_coverage_meets_acceptance_bar(self):
         *_rest, profile = traced_profiled_run()
-        assert profile.wall_s > 0
-        assert profile.time_coverage() >= 0.95
+        assert profile["query_wall_s"] > 0
+        assert profile["time_coverage"] >= 0.95
 
     def test_bytes_fully_attributed(self):
         *_rest, result, profile = traced_profiled_run()
-        assert profile.stats_bytes_total == result.stats.bytes_total
-        assert profile.bytes_coverage() == pytest.approx(1.0)
-        assert profile.bytes_total == result.stats.bytes_total
+        assert profile["bytes_total"] == result.stats.bytes_total
+        assert profile["bytes_coverage"] == pytest.approx(1.0)
+        assert sum(
+            site["bytes_down"] + site["bytes_up"]
+            for round_record in profile["rounds"]
+            for site in round_record["sites"].values()
+        ) == result.stats.bytes_total
 
     def test_every_applied_optimization_carries_a_measured_saving(self):
         *_rest, result, profile = traced_profiled_run()
         applied = {name for name, _desc in result.plan.applied_optimizations()}
         assert applied, "the Section-5 query should trigger optimizations"
-        reported = {impact.name for impact in profile.impacts}
+        reported = {impact["name"] for impact in profile["optimizations"]}
         assert reported == applied
-        for impact in profile.impacts:
-            assert impact.measured_tuples == float(result.stats.tuples_total)
-            assert impact.measured_saving_tuples is not None
+        for impact in profile["optimizations"]:
+            assert impact["measured_tuples"] == float(result.stats.tuples_total)
+            assert impact["measured_saving_tuples"] is not None
 
     def test_rounds_and_sites_mirror_stats(self):
         *_rest, result, profile = traced_profiled_run()
-        assert len(profile.rounds) == result.stats.round_count
+        assert len(profile["rounds"]) == result.stats.round_count
         stats_dict = result.stats.to_dict()
-        for round_profile, round_record in zip(profile.rounds, stats_dict["rounds"]):
-            assert round_profile.index == round_record["index"]
-            assert {site.site_id for site in round_profile.sites} == set(
-                round_record.get("sites", {})
+        for round_profile, round_record in zip(
+            profile["rounds"], stats_dict["rounds"]
+        ):
+            assert round_profile["index"] == round_record["index"]
+            assert list(round_profile["sites"]) == list(round_record["sites"])
+        # The profile is the snapshot plus its additions: every snapshot
+        # key means the same thing in both.
+        without_additions = {
+            key: value
+            for key, value in profile.items()
+            if key not in (
+                "query_wall_s", "time_coverage", "bytes_coverage",
+                "optimizations", "plan_description", "notes",
             )
+        }
+        for round_record in without_additions["rounds"]:
+            del round_record["operators"]
+            for site in round_record["sites"].values():
+                del site["operators"]
+        assert without_additions == stats_dict
 
     def test_operator_spans_enrich_sites(self):
         *_rest, profile = traced_profiled_run()
         names = {
-            operator.name
-            for round_profile in profile.rounds
-            for site in round_profile.sites
-            for operator in site.operators
+            operator["name"]
+            for round_profile in profile["rounds"]
+            for site in round_profile["sites"].values()
+            for operator in site["operators"]
         }
         assert "round.evaluate" in names
         coordinator_names = {
-            operator.name
-            for round_profile in profile.rounds
-            for operator in round_profile.coordinator_operators
+            operator["name"]
+            for round_profile in profile["rounds"]
+            for operator in round_profile["operators"]
         }
         assert "round.merge" in coordinator_names
 
     def test_query_id_taken_from_stats(self):
         *_rest, result, profile = traced_profiled_run(query_id=9)
         assert result.stats.query_id == 9
-        assert profile.query_id == 9
+        assert profile["query_id"] == 9
 
 
 class TestUntracedAndErrors:
@@ -140,13 +159,14 @@ class TestUntracedAndErrors:
             cluster, section5_expression(), OptimizationOptions.all()
         )
         profile = build_profile((), result.stats)
-        assert profile.bytes_coverage() == pytest.approx(1.0)
+        assert profile["bytes_coverage"] == pytest.approx(1.0)
         # Without a root span, wall falls back to attributed time.
-        assert profile.time_coverage() == 1.0
+        assert profile["query_wall_s"] == profile["wall_s"]
+        assert profile["time_coverage"] == 1.0
         assert not any(
-            site.operators
-            for round_profile in profile.rounds
-            for site in round_profile.sites
+            site["operators"]
+            for round_profile in profile["rounds"]
+            for site in round_profile["sites"].values()
         )
 
     def test_rejects_non_stats_input(self):
@@ -167,8 +187,8 @@ class TestRendering:
         assert "optimizer notes:" in text
         assert "plan:" in text
         # Every applied optimization shows both sides of the comparison.
-        for impact in profile.impacts:
-            assert impact.name in text
+        for impact in profile["optimizations"]:
+            assert impact["name"] in text
         assert "measured" in text
 
     def test_render_without_impacts_or_plan(self):
@@ -194,12 +214,12 @@ class TestFromTrace:
         from repro.obs import EventLog
 
         rebuilt = profile_from_trace(EventLog.load(path), query_id=1)
-        assert rebuilt.query_id == 1
-        assert rebuilt.wall_s == pytest.approx(profile.wall_s)
-        assert rebuilt.bytes_total == profile.bytes_total
-        assert rebuilt.time_coverage() >= 0.95
-        assert rebuilt.plan_description == result.plan.describe()
-        assert rebuilt.notes == tuple(result.plan.notes)
+        assert rebuilt["query_id"] == 1
+        assert rebuilt["query_wall_s"] == pytest.approx(profile["query_wall_s"])
+        assert rebuilt["bytes_total"] == profile["bytes_total"]
+        assert rebuilt["time_coverage"] >= 0.95
+        assert rebuilt["plan_description"] == result.plan.describe()
+        assert rebuilt["notes"] == list(result.plan.notes)
 
     def test_from_trace_requires_stats(self):
         from repro.obs import EventLog

@@ -13,7 +13,6 @@ from repro.distributed import (
     execute_plan_scheduled,
     execute_query_scheduled,
     plan_query,
-    plan_query_scheduled,
 )
 from repro.distributed.evaluator import ExecutionConfig
 from repro.errors import PlanError
@@ -316,20 +315,22 @@ class TestPinnedContexts:
 class TestPlannerEntryPoint:
     def test_plan_query_scheduled_returns_plan_and_choice(self):
         cluster = build_cluster(8)
-        plan, choice = plan_query_scheduled(
-            correlated_expression(),
-            cluster.catalog,
-            StatisticsStore.from_cluster(cluster),
-            OptimizationOptions.all(),
+        plan = plan_query(
+            correlated_expression(), cluster.catalog, OptimizationOptions.all()
+        )
+        choice = choose_topology(
+            plan, StatisticsStore.from_cluster(cluster), cluster.catalog
         )
         assert plan.rounds
         assert choice.topology == "flat"
         cluster2 = build_cluster(8)
-        _, contended = plan_query_scheduled(
-            correlated_expression(),
-            cluster2.catalog,
+        unoptimized = plan_query(
+            correlated_expression(), cluster2.catalog, OptimizationOptions.none()
+        )
+        contended = choose_topology(
+            unoptimized,
             StatisticsStore.from_cluster(cluster2),
-            OptimizationOptions.none(),
+            cluster2.catalog,
             model=CONTENDED,
         )
         assert contended.chosen.kind != "flat"
@@ -368,9 +369,7 @@ class TestProfileIntegration:
         profile = build_profile(
             (), result.stats, topology_choice=result.topology_choice
         )
-        assert profile.topology == "hierarchical:2"
-        assert profile.topology_reason
-        record = profile.to_dict()
-        assert record["topology"] == "hierarchical:2"
+        assert profile["topology"] == "hierarchical:2"
+        assert profile["topology_reason"]
         rendered = render_profile(profile)
         assert "merge topology [hierarchical:2]" in rendered
