@@ -156,12 +156,6 @@ def nation_partitioner(site_count: int) -> ValueListPartitioner:
     return ValueListPartitioner.spread("NationKey", range(NATION_COUNT), site_count)
 
 
-def customer_functional_dependency() -> tuple:
-    """The FD the paper notes: CustKey -> NationKey (so CustKey is a
-    partition attribute too). Returns ``(determinant, determined)``."""
-    return ("CustKey", "NationKey")
-
-
 def register_tpcr_fds(catalog) -> None:
     """Register the FDs making CustKey and CustName partition attributes.
 

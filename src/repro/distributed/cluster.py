@@ -170,52 +170,6 @@ class SimulatedCluster:
             table_name, attributes, partitions, max_values
         )
 
-    # -- traced site evaluation ---------------------------------------------------
-
-    def compute_base_at(self, site_id: str, source) -> Relation:
-        """Run one site's base-values query under a ``round.evaluate`` span."""
-        with self.tracer.span(
-            "round.evaluate", kind="site", site=site_id, phase="base"
-        ) as span:
-            result = self.site(site_id).compute_base(source)
-            span.set(rows=len(result))
-        return result
-
-    def evaluate_round_at(
-        self,
-        site_id: str,
-        base_fragment: Relation,
-        steps,
-        key_attrs,
-        independent_reduction: bool,
-    ) -> Relation:
-        """Run one site's round evaluation under a ``round.evaluate`` span."""
-        with self.tracer.span(
-            "round.evaluate",
-            kind="site",
-            site=site_id,
-            steps=len(steps),
-            fragment_rows=len(base_fragment),
-        ) as span:
-            result = self.site(site_id).evaluate_round(
-                base_fragment, steps, key_attrs, independent_reduction
-            )
-            span.set(rows=len(result))
-        return result
-
-    def evaluate_merged_round_at(
-        self, site_id: str, source, steps, key_attrs
-    ) -> Relation:
-        """Run one site's Proposition-2 round under a ``round.evaluate`` span."""
-        with self.tracer.span(
-            "round.evaluate", kind="site", site=site_id, merged_base=True
-        ) as span:
-            result = self.site(site_id).evaluate_merged_round(
-                source, steps, key_attrs
-            )
-            span.set(rows=len(result))
-        return result
-
     def data_versions(self, table_names: Sequence[str]) -> tuple:
         """Per-site data versions of the named tables, as a hashable tuple.
 

@@ -123,11 +123,6 @@ class SpeculationController:
         with self._lock:
             return self._deadline_s
 
-    @property
-    def backups_used(self) -> int:
-        with self._lock:
-            return self._backups_used
-
     def record_completion(self) -> None:
         """A leg finished; arm the deadline once a quorum has reported."""
         elapsed = self._clock() - self._started

@@ -263,10 +263,6 @@ class ExecutionStats:
         self.socket_frames = snapshot.get("frames", 0)
         self.socket_reconnects = snapshot.get("reconnects", 0)
 
-    @property
-    def socket_bytes_total(self) -> int:
-        return self.socket_bytes_down + self.socket_bytes_up
-
     def socket_parity(self) -> bool:
         """Measured socket payload bytes == modeled DirectionStats bytes.
 

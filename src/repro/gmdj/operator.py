@@ -2,11 +2,10 @@
 
 The evaluation strategy is the hash-based MD-join of Chatziantoniou et
 al. (ICDE 2001), the paper's reference [7]: for each block, the equality
-atoms of the condition index the base-values relation — a hash table, or
-for a key of several ``int64`` attributes the detail's sorted composite
-keys (:class:`~repro.relalg.columnar.KeyMatcher`); a single scan of the
-detail relation probes it and updates per-base-row aggregate state,
-checking any residual (non-equality) conjuncts per candidate pair.
+atoms of the condition match each base row to the detail's distinct keys
+(:class:`~repro.relalg.columnar.KeyMatcher`); a single scan of the
+detail relation updates per-base-row aggregate state, checking any
+residual (non-equality) conjuncts per candidate pair.
 Conditions without equality atoms degrade to a nested-loop scan — still
 correct, and exactly why GMDJ groups may overlap, unlike SQL ``GROUP BY``
 groups.
@@ -38,7 +37,8 @@ Three entry points:
 from __future__ import annotations
 
 import threading
-from itertools import chain, count, repeat
+from itertools import chain, repeat
+from operator import is_not
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,7 +47,7 @@ from repro.errors import HolisticAggregateError
 from repro.gmdj.blocks import MDBlock, result_schema, sub_result_schema
 from repro.obs.metrics import active_registry
 from repro.relalg import compiler
-from repro.relalg.columnar import ColumnarRelation, typed_view
+from repro.relalg.columnar import ColumnarRelation, group, key_matcher, typed_view
 from repro.relalg.expressions import BASE_VAR, DETAIL_VAR, Field
 from repro.relalg.predicates import split_condition
 from repro.relalg.relation import Relation
@@ -96,16 +96,6 @@ def _layout(blocks) -> tuple:
 def _sub_names(blocks) -> list:
     """Names of the blocks' sub-aggregate columns, in ``_layout`` order."""
     return [attribute.name for block in blocks for attribute in block.sub_attributes()]
-
-
-def _key_index(keys: Sequence, indices: Sequence[int]) -> dict:
-    """Hash index ``key -> indices`` (in order) over row-aligned sequences."""
-    index = dict(zip(keys, zip(indices)))
-    if len(index) != len(indices):  # duplicate keys: keep every index
-        index = {}
-        for key, position in zip(keys, indices):
-            index.setdefault(key, []).append(position)
-    return index
 
 
 def _finalized(slots, columns) -> list:
@@ -183,16 +173,14 @@ class SyncSession:
     Section 3.2: "the coordinator can synchronize H with those
     sub-results it has already received while receiving blocks of H from
     slower sites, rather than having to wait for all of H to be
-    assembled". A session reaches the base rows from K through one index,
-    key -> position: when K is two or more ``int64`` attributes and the
-    base's keys are distinct, the base's composite keys
-    (:meth:`ColumnarRelation.matcher`, prepared once), which finds a
-    fragment whose keys are ``int64`` too by one ``searchsorted``; else a
-    hash index, built on first use. It absorbs sub-result fragments in any
-    order and finalizes once, in columns: :meth:`absorb` finds each
-    fragment row once and keeps the fragment's sub-aggregate columns with
-    each row's base position; :meth:`finish` folds them into typed component
-    columns over the base rows (a *bank*) by grouped scatters
+    assembled". A session reaches the base rows from K through the base's
+    :class:`~repro.relalg.columnar.KeyMatcher` on K, whose lookup it
+    builds once (X "indexed on K", §3.2), where NULL matches NULL. It
+    absorbs sub-result fragments in any order and finalizes once, in
+    columns: :meth:`absorb` finds each fragment row once and keeps the
+    fragment's sub-aggregate columns with each base position it matches;
+    :meth:`finish` folds them into typed component columns over the base
+    rows (a *bank*) by grouped scatters
     (:func:`repro.relalg.compiler.fold_combine`) and returns X backed by
     the base's columns plus the finalized ones.
 
@@ -230,45 +218,19 @@ class SyncSession:
         self._blocks = tuple(blocks)
         self._slots, self._components = _layout(self._blocks)
         self._sub_names = _sub_names(self._blocks)
-        columnar, positions = base.to_columnar(), base.schema.positions(self._key_attrs)
-        matcher = columnar.matcher(positions)
-        # Distinct keys: a key's code is its position in the base.
-        distinct = matcher is not None and len(columnar.codes(positions)[0]) == len(base)
-        self._matcher = matcher if distinct else None
-        self._index: Optional[tuple] = None  # (hash index, overlapping), built on first use
+        self._matcher = base.to_columnar().matcher(base.schema.positions(self._key_attrs))
+        self._find = self._matcher.finder()  # X's lookup, built once per session
         self._observes = observes
         self._in_order = in_order
         self._banks: dict = {}  # source -> [(sub columns, base positions)] in arrival order
         self._touched: dict = {}  # source -> [base positions per absorbed fragment]
         self._lock = threading.Lock()
 
-    def _hash_index(self) -> tuple:
-        """``(index, overlapping)``: the base's keys -> position, or -> every
-        position when two base rows share a key."""
-        if self._index is None:
-            keys = self._base.to_columnar().keys(self._base.schema.positions(self._key_attrs))
-            index = dict(zip(keys, count()))
-            overlapping = len(index) != len(keys)
-            if overlapping:  # duplicate keys in X: key -> every position
-                index = _key_index(keys, range(len(keys)))
-            self._index = (index, overlapping)  # published complete
-        return self._index
-
     def _probe(self, columnar, positions: Sequence[int]) -> tuple:
         """``(rows, bases)``: per (fragment row, base row) pair, row-major,
         the row (``rows`` ``None``: every row, once) and its base position."""
-        columns = None if self._matcher is None else columnar.int_keys(positions)
-        if columns is not None:
-            return _found(self._matcher.find(columns))
-        index, overlapping = self._hash_index()
-        keys = columnar.keys(positions)
-        if not overlapping:
-            found = np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
-            return _found(found)
-        matches = list(map(index.get, keys, repeat(())))
-        sizes = np.fromiter(map(len, matches), dtype=np.int64, count=len(matches))
-        bases = np.fromiter(chain.from_iterable(matches), dtype=np.int64, count=sizes.sum())
-        return np.repeat(np.arange(len(matches)), sizes), bases
+        values = columnar.value_lists()
+        return self._matcher.pairs(self._find([values.held_at(p) for p in positions], len(columnar)))
 
     def absorb(self, h: Relation, source: str = "") -> None:
         """Fold one sub-result fragment into the session (O(|h|)).
@@ -336,13 +298,6 @@ class SyncSession:
             result_schema(self._base.schema, self._blocks),
             _finalized(self._slots, self._bank()),
         )
-
-
-def _found(found: np.ndarray) -> tuple:
-    """``SyncSession._probe``'s pairs when each row finds at most one base
-    position (``found``: that position, or -1)."""
-    rows = np.flatnonzero(found >= 0)
-    return (None, found) if len(rows) == len(found) else (rows, found[rows])
 
 
 def _groups(fragments: list) -> np.ndarray:
@@ -437,9 +392,8 @@ def _accumulate(base, detail, blocks, track_touch):
 
     Per block: the base-only conjuncts prefilter the base rows and the
     equality atoms match the survivors' keys against the detail's distinct
-    keys — by their ``int64`` composites (:func:`_matched`) when the keys
-    allow, else through a hash table over the survivors; the detail-only
-    conjuncts are one selection vector
+    keys (:func:`_key_probe`); the detail-only conjuncts are one selection
+    vector
     (:func:`repro.relalg.compiler.compile_mask`); probe, residuals,
     aggregate inputs and component folds are one vector kernel
     (:func:`repro.relalg.compiler.compile_grouped_accumulate`) over the
@@ -477,22 +431,12 @@ def _accumulate(base, detail, blocks, track_touch):
             rows = mask(len(detail), {DETAIL_VAR: (detail_columns, None)})
         tuples_examined += len(detail) if rows is None else len(rows)
 
+        probe = candidate_base
         if split.hashable:
-            key_exprs = [atom.detail_expr for atom in split.atoms]
-            probe = _matched(base_columns, detail_columns, split.atoms, candidate_base)
-            if probe is None:
-                base_exprs = [atom.base_expr for atom in split.atoms]
-                table = _key_index(_base_keys(base_columns, base_exprs, candidate_base), candidate_base)
-                # NULL keys never match under SQL equality semantics.
-                for key in [key for key in table if None in key]:
-                    del table[key]
-                probe = table.get
-        else:
-            probe = candidate_base
-            key_exprs = None
+            probe = _key_probe(detail_columns, rows, base_columns, candidate_base, split.atoms, schemas)
 
         kernel = compiler.compile_grouped_accumulate(
-            key_exprs,
+            split.hashable,
             [spec.input_expr for spec in block.aggregates],
             [spec.state_components() for spec in block.aggregates],
             split.residual,
@@ -505,57 +449,62 @@ def _accumulate(base, detail, blocks, track_touch):
     return slots, state, touched
 
 
-def _matched(base, detail, atoms, candidates) -> Optional[np.ndarray]:
-    """Per distinct detail key (the detail's cached factorization), the
-    candidate base row with that key, or -1.
+def _key_probe(detail, rows, base, candidates, atoms, schemas) -> tuple:
+    """``(codes, offsets, bases)``: each scanned detail row's key code and,
+    per distinct detail key, the candidate base rows with that key,
+    ascending, as CSR (key ``c``'s are ``bases[offsets[c]:offsets[c + 1]]``).
 
-    Taken when every equality atom is a plain base field against a plain
-    detail field, both sides' keys are ``int64`` composites
-    (:meth:`ColumnarRelation.matcher`, cached on the detail) and no two
-    candidates share a key — so no base row meets two keys either, and the
-    scan folds by key code; ``None`` otherwise, for the hash table.
+    The detail's keys are its cached :class:`~repro.relalg.columnar.KeyMatcher`
+    when every detail side is a field, else one over the scanned rows'
+    keys; each candidate's key finds its code there, a key with a NULL
+    finding none, as SQL equality requires. A base row finds one key, so
+    no base row meets two.
     """
-    if len(atoms) < 2 or not all(
-        isinstance(atom.base_expr, Field) and atom.base_expr.relvar == BASE_VAR
-        and isinstance(atom.detail_expr, Field) and atom.detail_expr.relvar in (DETAIL_VAR, None)
-        for atom in atoms
-    ):
-        return None
-    matcher = detail.matcher(detail.schema.positions([atom.detail_expr.name for atom in atoms]))
-    if matcher is None:
-        return None
-    columns = base.int_keys(base.schema.positions([atom.base_expr.name for atom in atoms]))
-    if columns is None:
-        return None
-    if type(candidates) is range:
-        rows = np.arange(len(base))
+    count = len(detail) if rows is None else len(rows)
+    detail_exprs = [atom.detail_expr for atom in atoms]
+    if all(isinstance(expr, Field) and expr.relvar in (DETAIL_VAR, None) for expr in detail_exprs):
+        matcher = detail.matcher(detail.schema.positions([expr.name for expr in detail_exprs]))
+        codes = matcher.codes if rows is None else matcher.codes[rows]
     else:
-        rows = np.asarray(candidates, dtype=np.int64)
-        columns = [data[rows] for data in columns]
-    codes = matcher.find(columns)
-    hit = codes >= 0
-    found = np.full(len(matcher), -1, dtype=np.int64)
-    found[codes[hit]] = rows[hit]
-    # Two candidates with one key (overlapping groups): the table lists both.
-    return found if np.count_nonzero(found >= 0) == np.count_nonzero(hit) else None
+        columns, _valid = _key_columns(detail, DETAIL_VAR, rows, count, detail_exprs, schemas)
+        matcher = key_matcher(columns, count)
+        codes = matcher.codes
+    chosen = None if type(candidates) is range else np.asarray(candidates, dtype=np.int64)
+    base_exprs = [atom.base_expr for atom in atoms]
+    columns, valid = _key_columns(base, BASE_VAR, chosen, len(candidates), base_exprs, {BASE_VAR: base.schema})
+    found = matcher.find(columns, len(candidates))
+    if valid is not None:
+        found[~valid] = -1
+    hit = np.flatnonzero(found >= 0)
+    offsets, order = group(found[hit], len(matcher))
+    return codes, offsets, (hit if chosen is None else chosen[hit])[order]
 
 
-def _base_keys(base, exprs, candidates) -> list:
-    """The key tuple of each candidate base row over the equality atoms'
-    base sides: a plain base field's stored values, a computed side's from
-    one batch kernel over the candidates' columns."""
-    names = [expr.name if isinstance(expr, Field) and expr.relvar == BASE_VAR else None for expr in exprs]
-    if None not in names:
-        keys = base.keys(base.schema.positions(names))
-        keys = keys if len(names) > 1 else list(zip(keys))
-        return keys if len(candidates) == len(keys) else list(map(keys.__getitem__, candidates))
-    rows = None if len(candidates) == len(base) else np.asarray(candidates, dtype=np.int64)
-    columns = []
-    for name, expr in zip(names, exprs):
-        if name is None:
-            batch = compiler.compile_batch_scalar(expr, {BASE_VAR: base.schema})
-            columns.append(batch(len(candidates), {BASE_VAR: (base, rows)}))
+def _key_columns(relation, relvar: str, rows, count: int, exprs, schemas) -> tuple:
+    """``(columns, valid)``: each key expression's values at ``rows`` of
+    ``relation``, bound to ``relvar`` (``None``: every row; ``count`` of
+    them), and where none is NULL (``None``: everywhere). A field reads its
+    typed view when that is a NULL-free ``int64``, else its stored values
+    (a NULL stays ``None``, not the view's 0; a NaN object is equal only to
+    itself); a computed key comes from a batch kernel."""
+    aliases = {None: DETAIL_VAR}
+    columns, valid = [], None
+    for expr in exprs:
+        if isinstance(expr, Field) and aliases.get(expr.relvar, expr.relvar) == relvar:
+            position = relation.schema.position(expr.name)
+            data, present = relation.typed(position)
+            if data.dtype != np.int64 or present is not None:
+                data = relation.value_lists().held_at(position)
+            if rows is not None:
+                data = data[rows] if type(data) is np.ndarray else relation.take((position,), rows)[0]
+                present = None if present is None else present[rows]
         else:
-            values = base.keys((base.schema.position(name),))
-            columns.append(values if rows is None else list(map(values.__getitem__, candidates)))
-    return list(zip(*columns))
+            batch = compiler.compile_batch_scalar(expr, schemas, aliases)
+            data = batch(count, {relvar: (relation, rows)})
+            present = None
+            if None in data:
+                present = np.fromiter(map(is_not, data, repeat(None)), dtype=bool, count=count)
+        columns.append(data)
+        if present is not None:
+            valid = present if valid is None else valid & present
+    return columns, valid

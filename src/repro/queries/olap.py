@@ -22,7 +22,7 @@ from repro.errors import PlanError
 from repro.gmdj.expression import DistinctBase, GMDJExpression, LiteralBase, MDStep
 from repro.gmdj.blocks import MDBlock
 from repro.relalg.aggregates import AggSpec
-from repro.relalg.expressions import BASE_VAR, DETAIL_VAR, Expr, Field, and_all
+from repro.relalg.expressions import BASE_VAR, DETAIL_VAR, Expr, Field
 from repro.relalg.predicates import key_equality_condition
 from repro.relalg.relation import Relation
 
@@ -142,8 +142,3 @@ def windowed_comparison_query(
         extra=measure >= threshold,
     )
     return builder.build()
-
-
-def and_conditions(conditions: Sequence[Expr]) -> Expr:
-    """Public convenience: conjunction of several conditions."""
-    return and_all(conditions)

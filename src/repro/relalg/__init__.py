@@ -20,7 +20,6 @@ from repro.relalg.expressions import (
     or_all,
     wrap,
 )
-from repro.relalg.index import HashIndex
 from repro.relalg.io import from_csv_text, read_csv, to_csv_text, write_csv
 from repro.relalg.operators import (
     antijoin,
@@ -46,7 +45,6 @@ __all__ = [
     "Expr",
     "FLOAT",
     "Field",
-    "HashIndex",
     "INT",
     "Relation",
     "STR",

@@ -9,9 +9,10 @@ what the relation holds for that attribute: its value list is derived
 (``tolist``) for each caller that asks, and never kept. Over a row store a
 list is transposed the first time something indexes it.
 
-What the vector kernels of :mod:`repro.relalg.compiler` consume are two
-cached *views*, built on first use (from the rows or a derived list,
-keeping no list) and published only when complete:
+What the vector kernels of :mod:`repro.relalg.compiler` consume, and
+what matches keys, are two cached *views*, built on first use (from the
+rows or a derived list, keeping no list) and published only when
+complete:
 
 * :meth:`ColumnarRelation.typed` — a numpy array per attribute plus a
   validity mask (``None`` when nothing is NULL): ``int64`` only if every
@@ -19,26 +20,36 @@ keeping no list) and published only when complete:
   mixing stays exact; ``float64`` only if every value is a ``float``; else
   an ``object`` array of the values themselves (``None`` at NULLs). An
   adopted typed array is its own view.
-* :meth:`ColumnarRelation.codes` — the first-seen factorization
-  ``(firsts, codes)`` of a tuple of attributes: ``firsts[c]`` is the first
-  row whose key has code ``c`` (so the distinct keys are a gather of the
-  key columns), codes take the narrowest integer dtype. Keys collapse
-  exactly as a probe ``dict`` collapses them (``1``, ``1.0`` and ``True``
-  are one key, a NaN object is only itself), a NULL-containing key gets a
-  code of its own.
+* :meth:`ColumnarRelation.matcher` — the :class:`KeyMatcher` of a tuple
+  of attributes, the one interface to a key. It holds the key's
+  first-seen factorization: ``firsts[c]`` is the first row whose key has
+  code ``c`` (so the distinct keys are a gather of the key columns), and
+  ``codes`` each row's code in the narrowest integer dtype
+  (:meth:`ColumnarRelation.codes`). ``find(columns, length)`` gives, per
+  row of other key columns (typed arrays or value lists), the code of the
+  equal key or -1, and ``finder()`` is a ``find`` that keeps the lookup
+  it builds for as long as a caller probing many times holds it;
+  ``pairs(found)`` expands the keys several rows share into (probing
+  row, matched row) pairs, row-major, through CSR arrays (:func:`group`,
+  :func:`expand`). The MD-join scan and the coordinator's sync both match
+  keys through it; :func:`key_matcher` serves a computed key that no
+  relation holds.
 
-A key of two or more attributes whose typed views are all NULL-free
-``int64`` is one ``int64`` per row: a mixed radix over each attribute's
-``value - min`` (when the radix product stays within ``2**62``). Under the
-``typed`` rule those are ints within ``2**53``, never bools or floats, so
-``dict`` equality is integer equality there, and the factorization of a
-relation of ``COMPOSITE_MIN_ROWS`` rows or more is a stable sort of the
-composite. Its sorted distinct composites are a :class:`KeyMatcher`
-(:meth:`ColumnarRelation.matcher`), which finds other rows' ``int64`` keys
-by one ``searchsorted``. Every other key — one attribute (already a ``dict``
-of scalars), a NULL, a float, bool or object view, a wider radix, a
-shorter relation — is factorized by one ``dict`` pass. Both give the same
-codes.
+Keys are equal as ``dict`` keys are: ``1``, ``1.0`` and ``True`` are one
+key, a NaN object is only itself, and NULL is a key like any other (the
+scan drops NULL-keyed probes itself, as SQL equality requires). Two
+implementations give the same codes and the same matches, and one
+function, ``_matcher``, chooses between them. A key of two or more
+attributes whose typed views are NULL-free ``int64``, with a radix
+product within ``COMPOSITE_LIMIT`` and ``COMPOSITE_MIN_ROWS`` rows or
+more, is one ``int64`` per row — a mixed radix over each attribute's
+``value - min`` — factorized by a stable sort and found by one
+``searchsorted``; a probing value equal to no int in range misses. Every
+other key is a ``dict`` over key values (tuples for several attributes).
+Both stay because each side of the size choice carries work: on 12–42
+rows a ``dict`` build or probe takes 1–10 µs where the composite's numpy
+calls take 25–40 µs, while on about 2 000 rows the composite is about
+twice as fast.
 
 This module deliberately does not import :mod:`repro.relalg.relation`
 (which imports the compiler, which consumes columns) — conversion entry
@@ -47,9 +58,9 @@ points live on ``Relation`` itself.
 
 from __future__ import annotations
 
-from itertools import chain, count
-from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain, count, repeat
+from operator import is_not, itemgetter
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,12 +130,12 @@ def typed_view(columns: Sequence) -> tuple:
     return _typed_view(list(chain.from_iterable(map(as_list, columns))))
 
 
-#: A composite key whose radix product passes this is factorized by ``dict``.
+#: A key whose radix product passes this keeps the ``dict``.
 COMPOSITE_LIMIT = 2**62
 
-#: A relation shorter than this factorizes every key by ``dict``: over a
-#: few hundred rows the numpy calls of the composite path cost more than
-#: the ``dict`` pass they replace.
+#: A relation shorter than this keeps the ``dict``: on 12–42 rows a ``dict``
+#: pass takes 1–10 µs where the composite's numpy calls take 25–40 µs; from
+#: about 2 000 rows the composite is twice as fast.
 COMPOSITE_MIN_ROWS = 1024
 
 
@@ -132,13 +143,29 @@ def _code_dtype(width: int):
     return np.int8 if width < 2**7 else np.int16 if width < 2**15 else np.int32
 
 
-def factorize(keys: list) -> tuple:
-    """First-seen ``(firsts, codes)`` of ``keys``, one ``dict`` pass."""
-    index: dict = {}
-    # Each row's key's first row, then its rank among those first rows.
-    firsts = np.fromiter(map(index.setdefault, keys, count()), dtype=np.int64, count=len(keys))
-    starts = np.fromiter(index.values(), dtype=np.int64, count=len(index))
-    return starts, np.searchsorted(starts, firsts).astype(_code_dtype(len(starts)))
+def group(codes: np.ndarray, size: int) -> tuple:
+    """``(offsets, order)``: the positions of ``codes`` (each in
+    ``range(size)``) grouped by code, ascending within a code, as CSR —
+    code ``c``'s positions are ``order[offsets[c]:offsets[c + 1]]``."""
+    offsets = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(codes, minlength=size), out=offsets[1:])
+    # The narrowest dtype: numpy's stable sort of 8- and 16-bit ints is a radix sort.
+    return offsets, np.argsort(codes.astype(_code_dtype(size), copy=False), kind="stable")
+
+
+def expand(found: np.ndarray, offsets: np.ndarray, flat: np.ndarray) -> tuple:
+    """``(counts, matched)``: per probing row, how many entries its code
+    (``found``; -1: none) holds in the CSR ``(offsets, flat)``, and those
+    entries, row-major."""
+    hit = found >= 0
+    codes = found[hit].astype(np.intp, copy=False)
+    counts = np.zeros(len(found), dtype=np.int64)
+    counts[hit] = offsets[codes + 1] - offsets[codes]
+    starts = np.zeros(len(found), dtype=np.int64)
+    starts[hit] = offsets[codes]
+    at = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    at += np.arange(len(at))
+    return counts, flat[at]
 
 
 def _radix(columns: Sequence) -> Optional[tuple]:
@@ -164,54 +191,201 @@ def _composite(columns: Sequence, radix: tuple) -> np.ndarray:
     return composite
 
 
+def _int_key(value) -> Optional[int]:
+    """The int within ``EXACT_INT`` equal to ``value`` as a ``dict`` key, if
+    one is: an int, a bool, an integral float."""
+    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+        if -EXACT_INT <= value <= EXACT_INT:
+            return int(value)
+    return None
+
+
+def _int_view(column) -> tuple:
+    """``(data, equal)`` of a probing key column: ``int64`` data, and where
+    a value equals that int as a ``dict`` key does (``None``: everywhere).
+    NULL, NaN, strings, dates and ints past ``EXACT_INT`` equal none of a
+    composite's keys."""
+    data, valid = (column, None) if type(column) is np.ndarray else _typed_view(column)
+    if data.dtype == np.int64:
+        return data, valid
+    if data.dtype == np.float64:
+        with np.errstate(invalid="ignore"):
+            equal = (np.abs(data) <= EXACT_INT) & (data == np.floor(data))
+        if valid is not None:
+            equal &= valid
+        return np.where(equal, data, 0).astype(np.int64), equal
+    ints = list(map(_int_key, data.tolist()))
+    equal = np.fromiter(map(is_not, ints, repeat(None)), dtype=bool, count=len(ints))
+    return np.array([value or 0 for value in ints], dtype=np.int64), equal
+
+
 class KeyMatcher:
-    """A relation's distinct keys over NULL-free ``int64`` key columns, as
-    their sorted composites (see the module docstring) and each one's code."""
+    """A relation's key at some attributes: its first-seen factorization,
+    and the lookup of other rows' keys among its distinct ones (see the
+    module docstring).
 
-    __slots__ = ("_radix", "_sorted", "_codes")
+    ``firsts[c]`` is the first row whose key has code ``c``; ``codes[r]`` is
+    row ``r``'s code, in the narrowest integer dtype.
+    """
 
-    def __init__(self, radix: tuple, ordered: np.ndarray, codes: np.ndarray):
-        self._radix = radix
-        self._sorted = ordered
-        self._codes = codes
+    __slots__ = ("firsts", "codes", "_groups")
+
+    def __init__(self, firsts: np.ndarray, codes: np.ndarray):
+        self.firsts = firsts
+        self.codes = codes
+        self._groups: Optional[tuple] = None  # (offsets, rows) per code, on first use
 
     def __len__(self) -> int:
-        return len(self._sorted)
+        return len(self.firsts)
 
-    def find(self, columns: Sequence) -> np.ndarray:
-        """Per row of ``columns`` (one ``int64`` array per key attribute),
-        the code of the equal key, or -1; a value outside the range misses."""
+    def find(self, columns: Sequence, length: int) -> np.ndarray:
+        """Per probing row (``length`` rows of ``columns``, one per key
+        attribute: a typed array or a value list), the code of the equal
+        key, or -1."""
+        return self.finder()(columns, length)
+
+    def finder(self) -> Callable:
+        """:meth:`find` for a caller that probes many times: what the
+        lookup builds (the ``dict``'s hash table) lives as long as the
+        returned function does, not as long as the cached matcher."""
+        raise NotImplementedError
+
+    def pairs(self, found: np.ndarray) -> tuple:
+        """``(rows, matched)``: per (probing row, row of this relation)
+        pair whose key is the probing row's ``found`` code, row-major, the
+        probing row (``rows`` ``None``: every probing row, once) and the
+        matched row."""
+        if len(self.firsts) == len(self.codes):  # distinct keys: row ``c`` has code ``c``
+            rows = np.flatnonzero(found >= 0)
+            return (None, found) if len(rows) == len(found) else (rows, found[rows])
+        if self._groups is None:
+            self._groups = group(self.codes, len(self.firsts))  # published complete
+        counts, matched = expand(found, *self._groups)
+        return np.repeat(np.arange(len(found)), counts), matched
+
+
+class _DictKeys(KeyMatcher):
+    """The distinct keys — a value for one attribute, a tuple for several —
+    looked up through a ``dict``.
+
+    The ``dict`` lives as long as a :meth:`finder`: what the matcher keeps
+    is one list per attribute of the distinct keys' values, references to
+    values the relation holds, so a cached matcher costs no key tuple and
+    no hash table.
+    """
+
+    __slots__ = ("_distinct",)
+
+    def __init__(self, keys: list, width: int):
+        index: dict = {}
+        # Each row's key's first row, then its rank among those first rows.
+        firsts = np.fromiter(map(index.setdefault, keys, count()), dtype=np.int64, count=len(keys))
+        starts = np.fromiter(index.values(), dtype=np.int64, count=len(index))
+        super().__init__(starts, np.searchsorted(starts, firsts).astype(_code_dtype(len(starts))))
+        self._distinct = [list(index)] if width == 1 else list(map(list, zip(*index)))
+
+    def finder(self) -> Callable:
+        index = dict(zip(_keys(self._distinct, len(self.firsts)), count()))
+
+        def find(columns: Sequence, length: int) -> np.ndarray:
+            keys = _keys(list(map(as_list, columns)), length)
+            return np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.int64, count=length)
+
+        return find
+
+
+class _SortedKeys(KeyMatcher):
+    """The distinct keys' sorted ``int64`` composites and each one's code."""
+
+    __slots__ = ("_radix", "_sorted", "_sorted_codes")
+
+    def __init__(self, firsts, codes, radix: tuple, ordered: np.ndarray, ordered_codes: np.ndarray):
+        super().__init__(firsts, codes)
+        self._radix = radix
+        self._sorted = ordered
+        self._sorted_codes = ordered_codes
+
+    @classmethod
+    def build(cls, radix: tuple, composite: np.ndarray) -> "_SortedKeys":
+        """The matcher of a key by a stable sort of its composite
+        (non-empty, under ``radix``)."""
+        order = np.argsort(composite, kind="stable")
+        ordered = composite[order]
+        new = np.empty(len(ordered), dtype=bool)
+        new[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        distinct = ordered[new]
+        del ordered
+        starts = order[new]  # each distinct key's first row (the sort is stable), in key order
+        first = np.zeros(len(order), dtype=bool)
+        first[starts] = True
+        rank = np.cumsum(first)
+        rank -= 1
+        codes = rank[starts]  # each distinct key's first-seen rank
+        np.cumsum(new, out=rank)
+        rank -= 1
+        by_row = np.empty(len(order), dtype=_code_dtype(len(starts)))
+        by_row[order] = codes[rank]
+        return cls(np.flatnonzero(first), by_row, radix, distinct, codes)
+
+    def renumbered(self) -> "_SortedKeys":
+        """This lookup over one row per distinct key, in code order."""
+        identity = np.arange(len(self.firsts))
+        return _SortedKeys(
+            identity, identity.astype(_code_dtype(len(identity))),
+            self._radix, self._sorted, self._sorted_codes,
+        )
+
+    def finder(self) -> Callable:
+        return self.find
+
+    def find(self, columns: Sequence, length: int) -> np.ndarray:
         lows, highs = self._radix
-        inside = np.ones(len(columns[0]), dtype=bool)
-        for data, low, high in zip(columns, lows, highs):
+        inside = np.ones(length, dtype=bool)
+        clipped = []
+        for column, low, high in zip(columns, lows, highs):
+            data, equal = _int_view(column)
+            if equal is not None:
+                inside &= equal
             inside &= (data >= low) & (data <= high)
-        composite = _composite(list(map(np.clip, columns, lows, highs)), self._radix)
+            clipped.append(np.clip(data, low, high))
+        composite = _composite(clipped, self._radix)
         at = np.searchsorted(self._sorted, composite)
         at[at == len(self._sorted)] = 0
-        return np.where(inside & (self._sorted[at] == composite), self._codes[at], -1)
+        return np.where(inside & (self._sorted[at] == composite), self._sorted_codes[at], -1)
 
 
-def _sort_factorize(radix: tuple, composite: np.ndarray) -> tuple:
-    """``((firsts, codes), matcher)`` of a key by a stable sort of its
-    composite (non-empty, under ``radix``)."""
-    order = np.argsort(composite, kind="stable")
-    ordered = composite[order]
-    new = np.empty(len(ordered), dtype=bool)
-    new[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    distinct = ordered[new]
-    del ordered
-    starts = order[new]  # each distinct key's first row (the sort is stable), in key order
-    first = np.zeros(len(order), dtype=bool)
-    first[starts] = True
-    rank = np.cumsum(first)
-    rank -= 1
-    codes = rank[starts]  # each distinct key's first-seen rank
-    np.cumsum(new, out=rank)
-    rank -= 1
-    by_row = np.empty(len(order), dtype=_code_dtype(len(starts)))
-    by_row[order] = codes[rank]
-    return (np.flatnonzero(first), by_row), KeyMatcher(radix, distinct, codes)
+def _matcher(length: int, positions: tuple, view, keys) -> KeyMatcher:
+    """The one choice of implementation for the key at ``positions`` of
+    ``length`` rows (``view(position)``: an attribute's typed view;
+    ``keys(positions)``: each row's key for the ``dict``)."""
+    if len(positions) >= 2 and length >= max(COMPOSITE_MIN_ROWS, 1):
+        views = [view(position) for position in positions]
+        if all(valid is None and data.dtype == np.int64 for data, valid in views):
+            columns = [data for data, _valid in views]
+            radix = _radix(columns)
+            if radix is not None:
+                composite = _composite(columns, radix)
+                del views, columns  # the key columns go before the sort
+                return _SortedKeys.build(radix, composite)
+    return _DictKeys(keys(positions), len(positions))
+
+
+def key_matcher(columns: Sequence, length: int) -> KeyMatcher:
+    """The :class:`KeyMatcher` of row-aligned key columns no relation holds
+    (value lists or typed arrays, ``length`` rows): a computed key's."""
+    return _matcher(
+        length, tuple(range(len(columns))), lambda position: typed_view([columns[position]]),
+        lambda positions: _keys([as_list(columns[position]) for position in positions], length),
+    )
+
+
+def _keys(lists: list, length: int) -> list:
+    """Each row's key over row-aligned value lists: the value for one list,
+    a tuple for several, ``()`` for none."""
+    if not lists:
+        return [()] * length
+    return lists[0] if len(lists) == 1 else list(zip(*lists))
 
 
 class _ValueLists:
@@ -297,7 +471,7 @@ def _take(columns: list, indices) -> list:
 class ColumnarRelation:
     """A schema plus one column per attribute, all equal length."""
 
-    __slots__ = ("schema", "_values", "_length", "_typed", "_codes")
+    __slots__ = ("schema", "_values", "_length", "_typed", "_matchers")
 
     def __init__(
         self, schema: Schema, columns: Sequence[Column], length: Optional[int] = None
@@ -322,7 +496,7 @@ class ColumnarRelation:
         self._values = values
         self._length = length
         self._typed: dict = {}  # position -> (data, valid)
-        self._codes: dict = {}  # positions -> (uniques, codes)
+        self._matchers: dict = {}  # positions -> KeyMatcher
         return self
 
     @classmethod
@@ -386,67 +560,24 @@ class ColumnarRelation:
             view = typed_view([self._values.keys((position,)) if held is None else held])
         return view
 
-    def keys(self, positions: Sequence[int]) -> list:
-        """Each row's values at ``positions``: scalars for one position,
-        tuples for several, ``()`` for none."""
+    def _keys(self, positions: Sequence[int]) -> list:
+        """Each row's key at ``positions``, for the ``dict``."""
         return self._values.keys(positions) if positions else [()] * self._length
 
-    def int_keys(self, positions: Sequence[int]) -> Optional[list]:
-        """The typed views' data at ``positions`` when there are two or more
-        and each is NULL-free ``int64`` (or the relation has no rows), else
-        ``None``: a key the composite of the module docstring can hold.
-
-        A view not cached yet is made for the call and not kept: the
-        factorization the key serves is what is cached, and a kept view
-        would outlive it in the relation's heap for no later reader.
-        """
-        if len(positions) < 2:
-            return None
-        views = [self._view(position) for position in positions]
-        if self._length and not all(
-            valid is None and data.dtype == np.int64 for data, valid in views
-        ):
-            return None
-        return [data.astype(np.int64, copy=False) for data, _valid in views]
-
-    def _factorized(self, positions: tuple, composite_only: bool = False) -> Optional[tuple]:
-        """``((firsts, codes), matcher)`` of the key at ``positions``, cached;
-        ``composite_only``: ``None`` instead of a ``dict`` factorization."""
-        factorized = self._codes.get(positions)
-        if factorized is None:
-            factorized = self._sort_factorized(positions) if self._composite_sized() else None
-            if factorized is None:
-                if composite_only:
-                    return None
-                factorized = (factorize(self.keys(positions)), None)
-            self._codes[positions] = factorized  # published complete
-        return factorized
-
-    def _sort_factorized(self, positions: tuple) -> Optional[tuple]:
-        """The composite path's ``((firsts, codes), matcher)``, or ``None``
-        when it does not take the key. The key columns go before the sort."""
-        columns = self.int_keys(positions)
-        radix = None if columns is None else _radix(columns)
-        if radix is None:
-            return None
-        composite = _composite(columns, radix)
-        del columns
-        return _sort_factorize(radix, composite)
+    def matcher(self, positions: Sequence[int]) -> KeyMatcher:
+        """The cached :class:`KeyMatcher` of the key at ``positions``."""
+        positions = tuple(positions)
+        matcher = self._matchers.get(positions)
+        if matcher is None:
+            matcher = _matcher(self._length, positions, self._view, self._keys)
+            self._matchers[positions] = matcher  # published complete
+        return matcher
 
     def codes(self, positions: Sequence[int]) -> tuple:
-        """The cached first-seen factorization ``(firsts, codes)`` of
-        :meth:`keys` at ``positions`` (see the module docstring)."""
-        return self._factorized(tuple(positions))[0]
-
-    def matcher(self, positions: Sequence[int]) -> Optional[KeyMatcher]:
-        """The cached :class:`KeyMatcher` of the distinct keys at
-        ``positions`` (codes as in :meth:`codes`), or ``None`` when the key
-        is not an ``int64`` composite."""
-        factorized = self._factorized(tuple(positions), composite_only=True)
-        return None if factorized is None else factorized[1]
-
-    def _composite_sized(self) -> bool:
-        return self._length > 0 and self._length >= COMPOSITE_MIN_ROWS
+        """The cached first-seen factorization ``(firsts, codes)`` of the
+        key at ``positions`` (see :class:`KeyMatcher`)."""
+        matcher = self.matcher(positions)
+        return matcher.firsts, matcher.codes
 
     def take(self, positions: Sequence[int], indices) -> list:
         """The columns at ``positions``, each at ``indices`` (a typed array
@@ -467,28 +598,25 @@ class ColumnarRelation:
         """Each distinct key's first row at ``positions`` (one or more), in
         first-seen order, under ``schema``.
 
-        A key with a :class:`KeyMatcher` hands it over: every row of the
+        A sorted composite key is handed over as it is: every row of the
         result is distinct, so a key's code is its position.
         """
-        (firsts, _codes), matcher = self._factorized(tuple(positions))
-        columns = self.take(positions, firsts)
-        result = ColumnarRelation.from_value_lists(schema, columns, len(firsts))
-        if matcher is not None:
-            identity = np.arange(len(firsts))
-            result._codes[tuple(range(len(positions)))] = (
-                (identity, identity.astype(_code_dtype(len(firsts)))), matcher
-            )
+        matcher = self.matcher(positions)
+        columns = self.take(positions, matcher.firsts)
+        result = ColumnarRelation.from_value_lists(schema, columns, len(matcher))
+        if isinstance(matcher, _SortedKeys):
+            result._matchers[tuple(range(len(positions)))] = matcher.renumbered()
         return result
 
     def extended(self, schema: Schema, columns: list) -> "ColumnarRelation":
         """This relation's held columns plus row-aligned ``columns``, under
-        ``schema``; the views and factorizations of this relation's columns
+        ``schema``; the views and matchers of this relation's columns
         carry over."""
         result = ColumnarRelation.from_value_lists(
             schema, [*self._values.held(), *columns], self._length
         )
         result._typed.update(self._typed)
-        result._codes.update(self._codes)
+        result._matchers.update(self._matchers)
         return result
 
     def built_columns(self) -> Tuple[str, ...]:
@@ -502,7 +630,7 @@ class ColumnarRelation:
 
     def built_views(self) -> Tuple[str, ...]:
         """Names of the attributes with a typed view or in a factorized key."""
-        positions = set(self._typed).union(*self._codes)
+        positions = set(self._typed).union(*self._matchers)
         return tuple(name for position, name in enumerate(self.schema.names) if position in positions)
 
     def to_rows(self) -> List[tuple]:

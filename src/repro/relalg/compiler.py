@@ -53,13 +53,12 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from itertools import chain, repeat
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ExpressionError
-from repro.relalg.columnar import EXACT_INT, as_list, factorize
+from repro.relalg.columnar import EXACT_INT, as_list, expand
 from repro.relalg.expressions import (
     _ARITH_OPS,
     _CMP_OPS,
@@ -678,75 +677,46 @@ def _fold_each(component, groups: np.ndarray, values: np.ndarray, size: int, rul
 class _ScanPlan:
     """One block's lowered scan (see :func:`compile_grouped_accumulate`)."""
 
-    def __init__(self, lower, keys, inputs, residuals, schemas: Mapping, aliases: Mapping):
+    def __init__(self, lower, keyed: bool, inputs, residuals, schemas: Mapping, aliases: Mapping):
         def field(shape):  # the (relvar, position) a field reads, else None
             return _resolve(shape, schemas, aliases) if shape and shape[0] == "field" else None
 
-        # Per key and per input: the field it reads, if it is one, and its lowering.
-        self.keys = keys and [(field(shape), lower(shape)) for shape in keys]
+        self.keyed = keyed
+        # Per input: the field it reads, if it is one, and its lowering.
         self.inputs = [(field(shape), lower(shape)) for shape in inputs]
         self.residuals = list(map(lower, residuals))
-        # The detail positions the keys read, when every key is a detail field.
-        fields = [field for field, _lowered in self.keys or ()]
-        self.detail_keys = None
-        if keys and all(field and field[0] == DETAIL_VAR for field in fields):
-            self.detail_keys = [position for _relvar, position in fields]
 
-    def _codes(self, frame: _Frame, detail, rows) -> tuple:
-        """``(keys, codes)``: the distinct probe keys and each position's code."""
-        positions = self.detail_keys
-        if positions is not None:
-            firsts, codes = detail.codes(positions)
-            keys = zip(*map(as_list, detail.take(positions, firsts)))
-            return list(keys), _compose(codes, rows)
-        columns = []
-        for field, lowered in self.keys:
-            if field and field[0] == DETAIL_VAR:  # the stored objects, as a row probe sees them
-                values = detail.value_lists().keys(field[1:])
-                columns.append(values if rows is None else list(map(values.__getitem__, rows.tolist())))
-            else:
-                columns.append(_objects(lowered(frame)).tolist())
-        keys = list(zip(*columns))
-        firsts, codes = factorize(keys)
-        return list(map(keys.__getitem__, firsts.tolist())), codes
-
-    def _pairs(self, frame: _Frame, detail, rows, probe, base_count: int) -> tuple:
+    def _pairs(self, count: int, probe, base_count: int) -> tuple:
         """``(probing, at, groups, base_of, slot)``: the positions that
         found a base row; per (detail, base) pair, detail-major, its index
         into ``probing`` and its group; each group's base row; each base
         row's group. ``None`` is the identity map.
 
-        When no distinct key meets two base rows and no base row two keys,
-        a group is a key's code (:func:`_by_code`); else a group is a base
-        row and a key meeting several expands to one pair per row."""
-        if self.keys is None:  # nested loop: every position meets every candidate
+        When no distinct key meets two base rows (and no base row meets
+        two keys, which ``probe`` rules out), a group is a key's code
+        (:func:`_by_code`); else a group is a base row and a key meeting
+        several expands to one pair per row."""
+        if not self.keyed:  # nested loop: every position meets every candidate
             candidates = np.fromiter(probe, dtype=np.int64)
-            at = np.repeat(np.arange(frame.count), len(candidates))
-            return None, at, np.tile(candidates, frame.count), None, None
-        if type(probe) is np.ndarray:  # per distinct detail key: its base row, or -1
-            return _by_code(probe, _compose(detail.codes(self.detail_keys)[1], rows), base_count)
-        keys, codes = self._codes(frame, detail, rows)
-        # A key with a NULL never matches: the table holds no such key.
-        found = list(map(probe, keys, repeat(())))
-        sizes = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
-        flat = np.fromiter(chain.from_iterable(found), dtype=np.int64, count=sizes.sum())
-        if sizes.max(initial=0) <= 1 and np.bincount(flat).max(initial=0) <= 1:
-            base_of = np.full(len(found), -1, dtype=np.int64)
-            base_of[sizes == 1] = flat
+            at = np.repeat(np.arange(count), len(candidates))
+            return None, at, np.tile(candidates, count), None, None
+        codes, offsets, bases = probe
+        sizes = np.diff(offsets)
+        if sizes.max(initial=0) <= 1:
+            base_of = np.full(len(sizes), -1, dtype=np.int64)
+            base_of[sizes == 1] = bases
             return _by_code(base_of, codes, base_count)
-        per_row = sizes[codes]
+        per_row, groups = expand(codes, offsets, bases)
         probing = np.flatnonzero(per_row)
         if len(probing) == len(per_row):
             probing = None
         else:
-            codes, per_row = codes[probing], per_row[probing]
-        at = np.repeat(np.arange(len(per_row)), per_row)
-        starts = np.repeat((np.cumsum(sizes) - sizes)[codes] - np.cumsum(per_row) + per_row, per_row)
-        return probing, at, flat[starts + np.arange(len(at))], None, None
+            per_row = per_row[probing]
+        return probing, np.repeat(np.arange(len(per_row)), per_row), groups, None, None
 
     def run(self, consts, components, detail, rows, base, probe, touched) -> list:
         frame = _Frame(len(detail) if rows is None else len(rows), {DETAIL_VAR: (detail, rows)}, consts)
-        probing, at, groups, base_of, slot = self._pairs(frame, detail, rows, probe, len(base))
+        probing, at, groups, base_of, slot = self._pairs(frame.count, probe, len(base))
         size = len(base) if slot is None else len(base_of) + 1
         if self.residuals:
             sources = {
@@ -787,7 +757,7 @@ class _ScanPlan:
             return np.full(count, None, dtype=object)
         if field is None or field[0] != DETAIL_VAR:
             return _objects(vector)
-        stored = detail.value_lists().keys(field[1:])
+        stored = detail.value_lists()[field[1]]
         stored = np.fromiter(stored, dtype=object, count=len(stored))
         return stored if pair_rows is None else stored[pair_rows]
 
@@ -809,7 +779,7 @@ def _by_code(base_of: np.ndarray, codes: np.ndarray, base_count: int) -> tuple:
 
 
 def compile_grouped_accumulate(
-    key_exprs,
+    keyed: bool,
     input_exprs: Sequence,
     components: Sequence[Sequence],
     residual_conjuncts: Sequence,
@@ -822,22 +792,18 @@ def compile_grouped_accumulate(
 
     ``detail`` / ``base`` are the :class:`ColumnarRelation` that
     ``DETAIL_VAR`` (and its aliases) / ``BASE_VAR`` fields read; ``rows``
-    the detail rows to scan (``None``: all); ``probe`` is ``table.get`` of
-    the base hash table over the equality atoms (key tuple -> base rows),
-    or — when every key is a detail field and no key matches two base rows
-    — an ``int64`` array giving, per distinct detail key of the detail's
-    cached factorization (:meth:`ColumnarRelation.codes`), its base row or
-    -1; or the candidate base indices when ``key_exprs is None`` (nested
-    loop). ``touched`` is a bool array over the base rows, set for every
-    base row a pair reaches (``None``: not tracked).
-    The result is one list per component of ``components`` (a tuple of
-    :class:`~repro.relalg.aggregates.Component` per aggregate), one value
-    per base row.
+    the detail rows to scan (``None``: all). When ``keyed``, ``probe`` is
+    ``(codes, offsets, bases)``: each scanned row's detail key code and,
+    per distinct detail key, its base rows as CSR (``bases[offsets[c]:
+    offsets[c + 1]]``, ascending; no base row under two keys); else it is
+    the candidate base indices (nested loop). ``touched`` is a bool array
+    over the base rows, set for every base row a pair reaches (``None``:
+    not tracked). The result is one list per component of ``components``
+    (a tuple of :class:`~repro.relalg.aggregates.Component` per
+    aggregate), one value per base row.
 
-    The probe runs once per *distinct* detail key (the detail's cached
-    factorization when the keys are fields). When every key meets at most
-    one base row and no base row two keys (one base row per group, as on a
-    GROUP BY), the fold's groups are the keys' codes: a detail row folds
+    When every key meets at most one base row (one base row per group, as
+    on a GROUP BY), the fold's groups are the keys' codes: a detail row folds
     into its code, one more group stands for the base rows no key meets,
     and one ``slot`` gather per column puts the groups in base order. Else
     (a key matching several base rows: overlapping groups; the nested
@@ -866,13 +832,12 @@ def compile_grouped_accumulate(
     components = tuple(tuple(group) for group in components)
     kinds = tuple(tuple(component.kind for component in group) for group in components)
     plan, consts = _vector_kernel(
-        ("grouped_accumulate", key_exprs is None, kinds),
-        (key_exprs or (), input_exprs, residual_conjuncts),
+        ("grouped_accumulate", keyed, kinds),
+        (input_exprs, residual_conjuncts),
         schemas,
         aliases,
-        lambda lower, keys, inputs, residuals: _ScanPlan(
-            lower, None if key_exprs is None else keys, inputs, residuals,
-            schemas, dict(aliases or {}),
+        lambda lower, inputs, residuals: _ScanPlan(
+            lower, keyed, inputs, residuals, schemas, dict(aliases or {})
         ),
     )
     return lambda detail, rows, base, probe, touched: plan.run(

@@ -3,9 +3,10 @@
 :mod:`oracle.scan` is the row GMDJ scan the vector scan must match by
 ``repr``; ``row_scan()`` swaps it in for the production one.
 :mod:`oracle.codec` is format v1, the row codec the wire format v3 is
-diffed against. :mod:`oracle.keys` is the ``dict`` key path the
-``int64`` composite keys must match; ``keys.dict_keys()`` sends the
-production code down it. :mod:`oracle.order` is the per-row ``repr``
+diffed against. :mod:`oracle.keys` holds the ``dict`` key mechanisms
+that both implementations of the one key interface
+(``columnar.KeyMatcher``) must match; ``keys.dict_keys()`` makes its
+selector pick the ``dict``. :mod:`oracle.order` is the per-row ``repr``
 sort the service's column sort of served rows must match.
 """
 

@@ -1,24 +1,27 @@
-"""The ``dict`` key path: what the sorted composite key path must match.
+"""The ``dict`` key mechanisms: what both implementations of the one key
+interface must match.
 
 Every key used to be a Python value — a scalar, or a tuple of several
 attributes' values — and every key mechanism a ``dict``: a factorization
 was one ``dict`` pass (:func:`factorize`), the MD-join's base table and
 the coordinator's sync index mapped each key to its positions
 (:func:`key_index`), and a probe was a lookup per key (:func:`probe`).
-Keys of two or more ``int64`` attributes now take one sorted composite
-instead (:mod:`repro.relalg.columnar`); these are kept as the reference it
-must equal, and :func:`dict_keys` sends the production code down its own
-``dict`` path for every key.
+Now every key goes through :class:`repro.relalg.columnar.KeyMatcher`,
+whose one selector picks a ``dict`` over key values or, for keys of two or
+more ``int64`` attributes on enough rows, one sorted composite. These are
+kept as the reference both must equal; :func:`dict_keys` makes the
+selector pick the ``dict`` for every key.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 
 import pytest
 
 from repro.relalg.aggregates import AggregateFunction, AvgFunction
-from repro.relalg.columnar import ColumnarRelation
+from repro.relalg import columnar
 
 
 def keys(rows, positions) -> list:
@@ -48,8 +51,9 @@ def probe(index: dict, keys) -> list:
 
 @contextlib.contextmanager
 def dict_keys():
-    """Every key takes the ``dict`` path, and AVG finalizes per group."""
+    """Every key takes the ``dict`` implementation (no relation reaches
+    ``COMPOSITE_MIN_ROWS``), and AVG finalizes per group."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ColumnarRelation, "int_keys", lambda self, positions: None)
+        patch.setattr(columnar, "COMPOSITE_MIN_ROWS", math.inf)
         patch.setattr(AvgFunction, "finalize_columns", AggregateFunction.finalize_columns)
         yield

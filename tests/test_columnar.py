@@ -3,8 +3,7 @@
 Unit-level coverage for the vector scan: the per-column relation
 representation and its cached typed views and key codes
 (:mod:`repro.relalg.columnar`), the vector kernels
-(:func:`repro.relalg.compiler.compile_mask` and friends),
-the column-array :class:`~repro.relalg.index.HashIndex` build, and the
+(:func:`repro.relalg.compiler.compile_mask` and friends), and the
 fixed-width + dictionary column codec in :mod:`repro.net.serialize` — including
 seeded property-style round trips over random relations.
 """
@@ -28,7 +27,6 @@ from repro.relalg import compiler
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.columnar import Column, ColumnarRelation, as_list
 from repro.relalg.expressions import BASE_VAR, DETAIL_VAR, Const, base, col, detail
-from repro.relalg.index import HashIndex
 from repro.relalg.relation import Relation
 from repro.relalg.schema import BOOL, DATE, FLOAT, INT, STR, Schema
 
@@ -206,7 +204,7 @@ class TestColumnarRelation:
             ("b", 1.0), ("a", 1), (None, True), ("b", 2.0), ("c", None)
         ]
         assert codes.tolist() == [0, 1, 2, 3, 4, 1]
-        assert columnar.codes((0,)) is columnar.codes([0])
+        assert columnar.matcher((0,)) is columnar.matcher([0])
         assert columnar.built_views() == ("s", "k")
 
     def test_racing_threads_get_equal_complete_views(self):
@@ -404,30 +402,6 @@ class TestGMDJColumnar:
         )
         assert columnar_sub.rows == row_sub.rows
         assert columnar_touched.tolist() == row_touched.tolist()
-
-
-# ---------------------------------------------------------------------------
-# HashIndex builds from columns
-# ---------------------------------------------------------------------------
-
-
-class TestColumnarIndex:
-    def test_lookup_matches_row_scan(self):
-        relation = random_mixed_relation(80, seed=8, null_rate=0.3)
-        index = HashIndex(relation, ["i", "s"])
-        for probe_row in relation.rows[:10]:
-            key = (probe_row[0], probe_row[2])
-            expected = [
-                row_index
-                for row_index, row in enumerate(relation.rows)
-                if (row[0], row[2]) == key
-            ]
-            assert list(index.lookup(key)) == expected
-
-    def test_build_transposes_only_the_key_columns(self):
-        relation = random_mixed_relation(80, seed=8, null_rate=0.3)
-        HashIndex(relation, ["s", "i"])
-        assert relation.to_columnar().built_columns() == ("i", "s")
 
 
 # ---------------------------------------------------------------------------

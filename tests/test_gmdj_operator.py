@@ -8,8 +8,8 @@ from conftest import brute_force_gmdj, assert_relations_equal, make_flows
 from oracle import row_scan
 from repro.errors import HolisticAggregateError
 from repro.gmdj.blocks import MDBlock
-from repro.gmdj.operator import evaluate, evaluate_both, evaluate_sub, super_aggregate
-from repro.relalg import compiler
+from repro.gmdj.operator import SyncSession, evaluate, evaluate_both, evaluate_sub, super_aggregate
+from repro.relalg import columnar, compiler
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.expressions import base, detail
@@ -280,3 +280,25 @@ def test_a_key_of_one_base_row_folds_by_key_code(monkeypatch, width):
     monkeypatch.undo()
     with row_scan():
         assert repr(result.rows) == repr(evaluate(base_relation, detail_relation, blocks).rows)
+
+
+def test_a_sync_session_builds_its_lookup_once(monkeypatch):
+    """A streaming merge absorbs one fragment per row block: the session
+    builds X's ``dict`` once, not once per fragment, and answers as one
+    scan does."""
+    base_relation = Relation(Schema.of(("g", INT)), [(g,) for g in range(100)])
+    detail_relation = Relation(
+        Schema.of(("g", INT), ("v", FLOAT)), [(g % 100, float(g)) for g in range(400)]
+    )
+    blocks = [MDBlock([count_star("c"), AggSpec("sum", detail.v, "s")], base.g == detail.g)]
+    h, _touched = evaluate_sub(base_relation, detail_relation, blocks)
+    builds = []
+    finder = columnar._DictKeys.finder
+    monkeypatch.setattr(columnar._DictKeys, "finder", lambda self: builds.append(len(self)) or finder(self))
+    session = SyncSession(base_relation, ["g"], blocks)
+    for start in range(0, len(h), 10):
+        session.absorb(Relation(h.schema, h.rows[start:start + 10]), "site0")
+    assert builds == [100]
+    with row_scan():
+        expected = evaluate(base_relation, detail_relation, blocks)
+    assert repr(session.finish().rows) == repr(expected.rows)

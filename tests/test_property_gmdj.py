@@ -527,6 +527,8 @@ _NAN = math.nan
 # Base rows no key reaches (NULL keys), each with its own ``initial()``.
 @example([(0, None, None, 1.0), (None, 0, 1, 2.0), (0, 0, None, 3.0), (1, 0, 2, 4.0)],
          [(1, 0, [("nullcount", 2)])], 0, 2, frozenset())
+# A computed detail key: a NULL in its field part is no 0 (its int64 view's fill).
+@example([(None, 0, 1, 1.0), (0, 0, 2, 2.0)], [(3, 0, [("count_star", 0)])], 0, 2, frozenset())
 def test_the_scan_is_the_oracle_by_repr(rows, raw_blocks, duplicates, width, dropped):
     with pytest.MonkeyPatch.context() as patch:
         # Int keys of two attributes take the composite path at any size.

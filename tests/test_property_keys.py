@@ -1,15 +1,19 @@
-"""The sorted composite key path against the ``dict`` path it stands beside.
+"""The one key interface against the ``dict`` oracle, on both implementations.
 
-A key of two or more attributes whose typed views are NULL-free ``int64``
-is one ``int64`` composite per row: the factorization is a stable sort of
-it, the coordinator's sync index and the MD-join's probe a
-``searchsorted`` (:mod:`repro.relalg.columnar`). Every other key stays a
-``dict`` key. The drawn key columns mix values that must stay on the
-``dict`` path — bools among ints, ``1`` beside ``1.0``, ints at ``±2**53``
-and past ``int64``, NULL, NaN — with int ranges whose radix product passes
-``2**62``, repeated left keys, empty sides and zero key attributes. Each
-mechanism must answer as the ``dict`` oracle (:mod:`oracle.keys`) does:
-the same match positions, the same codes, the same first-seen order.
+Every key match goes through :meth:`ColumnarRelation.matcher`'s
+:class:`~repro.relalg.columnar.KeyMatcher`: the factorization, ``find``,
+the coordinator's sync probe and the MD-join's per-key candidate base rows.
+One selector picks the sorted ``int64`` composite or the ``dict`` by the
+key's types and the relation's size; each check runs with the composite
+taken wherever it may be (``COMPOSITE_MIN_ROWS`` at 0) and with the
+``dict`` forced (``oracle.keys.dict_keys()``). The drawn key columns mix
+values the composite must see as the ``dict`` does — bools among ints,
+``1`` beside ``1.0``, fractional floats, ints at ``±2**53`` and past
+``int64``, NULL, NaN — with int ranges whose radix product passes
+``2**62``, repeated left keys, empty sides, zero or one key attribute and
+a computed base or detail key. Each must answer as the ``dict`` oracle
+(:mod:`oracle.keys`) does: the same codes in the same first-seen order,
+the same matches.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.evaluator import execute_query
 from repro.gmdj import operator
 from repro.queries.sql import parse_olap_statement
-from repro.relalg import columnar
+from repro.relalg import columnar, compiler
 from repro.relalg.columnar import COMPOSITE_LIMIT, EXACT_INT
-from repro.relalg.expressions import BASE_VAR, DETAIL_VAR, Field
+from repro.relalg.expressions import BASE_VAR, DETAIL_VAR, Const, Field
 from repro.relalg.predicates import EqualityAtom
 from repro.relalg.relation import Relation
 from repro.relalg.schema import INT, Attribute, Schema
@@ -38,12 +42,12 @@ from repro.relalg.schema import INT, Attribute, Schema
 EXAMPLES = settings(deadline=None, max_examples=max(150, settings.default.max_examples))
 
 ADVERSARIAL = (
-    True, False, 1.0, -0.0, None, math.nan,
+    True, False, 1.0, -0.0, 0.5, None, math.nan,
     EXACT_INT, -EXACT_INT, EXACT_INT + 1, 2**63, -(2**63) - 1,
 )
 
 POOLS = (
-    st.integers(-3, 3),  # dense ints: the composite path
+    st.integers(-3, 3),  # dense ints: the composite
     st.integers(-EXACT_INT, EXACT_INT),  # wide ints: radix products past 2**62
     st.integers(-3, 3) | st.none(),  # NULLs among ints
     st.one_of(st.integers(-3, 3), st.sampled_from(ADVERSARIAL)),
@@ -52,19 +56,22 @@ POOLS = (
 
 @st.composite
 def key_sides(draw):
-    """``(width, left rows, right rows, candidates)`` over ``width`` key
-    attributes; right rows repeat left ones, candidates are a subset of the
-    left rows (``range``: all of them)."""
+    """``(width, left rows, right rows, candidates, computed)`` over
+    ``width`` key attributes; right rows repeat left ones, candidates are a
+    subset of the left rows (``range``: all of them), ``computed``: the
+    scan's first base key (1) or first detail key (2) is ``k0 + 0``."""
     width = draw(st.integers(0, 3))
     row = st.tuples(*[draw(st.sampled_from(POOLS)) for _ in range(width)])
     left = draw(st.lists(row, max_size=12))
     if draw(st.booleans()):
         left = list(dict.fromkeys(left))  # distinct left keys
+    elif left and draw(st.booleans()):
+        left = left + draw(st.lists(st.sampled_from(left), max_size=6))  # repeated left keys
     right = draw(st.lists(st.sampled_from(left) | row if left else row, max_size=12))
     candidates = range(len(left))
     if left and draw(st.booleans()):
         candidates = sorted(draw(st.sets(st.integers(0, len(left) - 1))))
-    return width, left, right, candidates
+    return width, left, right, candidates, draw(st.integers(0, 2)) if width else 0
 
 
 def ints(rows, width) -> bool:
@@ -74,7 +81,7 @@ def ints(rows, width) -> bool:
 
 
 def composite(rows, width) -> bool:
-    """Whether the keys of ``rows`` are one ``int64`` composite."""
+    """Whether the keys of ``rows`` may be one ``int64`` composite."""
     if not rows or not ints(rows, width):
         return False
     return math.prod(
@@ -89,18 +96,32 @@ def relation(rows, width) -> Relation:
 
 @EXAMPLES
 @given(key_sides())
-@example((2, [(1, 2), (1, 3), (1, 2), (0, 2)], [(1, 2), (0, 9), (1, 3)], range(4)))
-@example((2, [(1, 2), (True, 2.0)], [(1.0, 2), (1, 2)], range(2)))
-@example((2, [(0, 0), (EXACT_INT, EXACT_INT)], [(EXACT_INT, EXACT_INT), (1, 1)], [1]))
-@example((0, [(), ()], [()], range(2)))
-@example((2, [(0, 1), (None, 1)], [(0, 1), (None, 1)], range(2)))
+@example((2, [(1, 2), (1, 3), (1, 2), (0, 2)], [(1, 2), (0, 9), (1, 3)], range(4), False))
+@example((2, [(1, 2), (True, 2.0)], [(1.0, 2), (1, 2)], range(2), False))
+@example((2, [(0, 0), (EXACT_INT, EXACT_INT)], [(EXACT_INT, EXACT_INT), (1, 1)], [1], False))
+@example((0, [(), ()], [()], range(2), False))
+@example((2, [(0, 1), (None, 1)], [(0, 1), (None, 1)], range(2), False))
+# One attribute: a key is a value, not a tuple; a NULL key matches in sync only.
+@example((1, [(1,), (None,), (2,), (1,)], [(1.0,), (None,), (True,), (3,)], range(4), False))
+# A computed base key: ``k0 + 0`` keeps ints and floats, turns True into 1.
+@example((2, [(True, 1), (2, 0), (None, 1)], [(1, 1), (2, 0), (None, 1)], range(3), True))
+# Repeated candidate keys against a composite right side: one key, two base rows.
+@example((2, [(0, 1), (2, 3), (0, 1), (2, 3)], [(0, 1), (0, 1), (2, 3), (1, 1)], [0, 2, 3], False))
+# Bools, floats and NULL probing a composite: True is 1, False and 0.0 are 0.
+@example((2, [(1, 0), (0, 0), (1, 1)], [(True, False), (1.0, 0), (False, None)], range(3), False))
+# An int64 base against a float64 detail: 1 and 1.0 are one key.
+@example((2, [(1, 2), (3, 4), (5, 6)], [(1.0, 2.0), (3.0, 4.5), (5.0, 6.0)], range(3), False))
+# A computed detail key: a NULL in its field part is no 0 (its int64 view's fill).
+@example((2, [(0, 0), (1, 1)], [(0, None), (0, 0), (1, None)], range(2), 2))
 def test_the_composite_key_path_is_the_dict_path(sides):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(columnar, "COMPOSITE_MIN_ROWS", 0)  # the drawn relations are short
-        check_both_key_paths(*sides)
+        check_the_key_interface(*sides, composite_allowed=True)
+    with oracle.dict_keys():
+        check_the_key_interface(*sides, composite_allowed=False)
 
 
-def check_both_key_paths(width, left, right, candidates):
+def check_the_key_interface(width, left, right, candidates, computed, composite_allowed):
     positions = list(range(width))
     left_keys, right_keys = oracle.keys(left, positions), oracle.keys(right, positions)
     base, detail = relation(left, width).to_columnar(), relation(right, width).to_columnar()
@@ -109,36 +130,49 @@ def check_both_key_paths(width, left, right, candidates):
     for side, rows, keys in ((base, left, left_keys), (detail, right, right_keys)):
         firsts, codes = side.codes(positions)
         assert (firsts.tolist(), codes.tolist()) == oracle.factorize(keys)
-        assert (side.matcher(positions) is not None) == composite(rows, width)
+        sorted_keys = isinstance(side.matcher(positions), columnar._SortedKeys)
+        assert sorted_keys == (composite_allowed and composite(rows, width))
 
-    # The coordinator's sync index: each right row's pairs with the left rows.
+    # find: each right row's left code, from the right side's columns as held.
+    firsts, codes = oracle.factorize(left_keys)
+    code_of = dict(zip(map(left_keys.__getitem__, firsts), range(len(firsts))))
+    held = [detail.value_lists().held_at(position) for position in positions]
+    found = base.matcher(positions).find(held, len(right))
+    assert found.tolist() == [code_of.get(key, -1) for key in right_keys]
+
+    # The coordinator's sync: each right row's pairs with the left rows.
     session = operator.SyncSession(relation(left, width), [f"k{p}" for p in positions], ())
     rows, bases = session._probe(detail, positions)
     pairs = list(zip(range(len(bases)) if rows is None else rows.tolist(), bases.tolist()))
     assert pairs == oracle.probe(oracle.key_index(left_keys, range(len(left))), right_keys)
-    distinct = len(set(left_keys)) == len(left_keys)
-    assert (session._matcher is not None) == (composite(left, width) and distinct)
 
-    # The MD-join probe: per distinct right key, its one candidate left row.
-    atoms = [EqualityAtom(Field(f"k{p}", BASE_VAR), Field(f"k{p}", DETAIL_VAR)) for p in positions]
-    found = operator._matched(base, detail, atoms, candidates)
-    table = oracle.key_index(list(map(left_keys.__getitem__, candidates)), candidates)
-    firsts, _codes = detail.codes(positions)
-    expected = [
-        [] if None in right_keys[first] else table.get(right_keys[first], [])
-        for first in firsts.tolist()
+    # The MD-join: per distinct right key, its candidate left rows; no NULL matches.
+    if not width:
+        return
+    base_exprs = [Field(f"k{p}", BASE_VAR) for p in positions]
+    detail_exprs = [Field(f"k{p}", DETAIL_VAR) for p in positions]
+    if computed == 1:
+        base_exprs[0] = base_exprs[0] + Const(0)
+    elif computed == 2:
+        detail_exprs[0] = detail_exprs[0] + Const(0)
+    atoms = list(map(EqualityAtom, base_exprs, detail_exprs))
+    schemas = {BASE_VAR: base.schema, DETAIL_VAR: detail.schema, None: detail.schema}
+    codes, offsets, matched = operator._key_probe(detail, None, base, candidates, atoms, schemas)
+    row_key = compiler.compile_values(base_exprs, {BASE_VAR: base.schema}, (BASE_VAR,))
+    kept = [index for index in candidates if None not in row_key(left[index])]
+    table = oracle.key_index([row_key(left[index]) for index in kept], kept)
+    detail_key = compiler.compile_values(detail_exprs, {DETAIL_VAR: detail.schema}, (DETAIL_VAR,))
+    right_keys = list(map(detail_key, right))
+    right_firsts, right_codes = oracle.factorize(right_keys)
+    assert codes.tolist() == right_codes
+    assert [matched[start:end].tolist() for start, end in zip(offsets[:-1], offsets[1:])] == [
+        table.get(right_keys[first], []) for first in right_firsts
     ]
-    overlapping = any(len(matches) > 1 for matches in expected)
-    if found is None:
-        assert overlapping or not (composite(right, width) and ints(left, width))
-    else:
-        assert not overlapping
-        assert found.tolist() == [matches[0] if matches else -1 for matches in expected]
 
 
 def test_s5_is_one_answer_on_both_key_paths(monkeypatch):
     """S5 (two int key attributes, AVG) through ``execute_query``: the
-    composite path and the ``dict`` path answer equal by ``repr``."""
+    composite and the ``dict`` answer equal by ``repr``."""
     monkeypatch.setattr(columnar, "COMPOSITE_MIN_ROWS", 0)
     statement = parse_olap_statement(S5_FINE_GROUPS)
 
