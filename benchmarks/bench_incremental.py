@@ -63,10 +63,11 @@ def run_stream():
             for site_id, piece in zip(cluster.site_ids, pieces)
             if len(piece)
         }
+        cluster.append("TPCR", deltas)
         cluster.reset_network()
         registry = MetricsRegistry()
         with activate(registry):
-            refresh = view.refresh(deltas)
+            refresh = view.refresh()
         refresh_bytes = refresh.stats.bytes_total
         examined = registry.value_of("gmdj.tuples_examined")
 

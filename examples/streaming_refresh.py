@@ -75,7 +75,8 @@ def main():
         batch = generate_flows(
             FlowConfig(flow_count=300, router_count=ROUTERS, seed=31 + minute)
         )
-        result = view.refresh(split_by_router(batch))
+        cluster.append("Flow", split_by_router(batch))
+        result = view.refresh()
         shipped = result.stats.bytes_total
         print(
             f"minute {minute}: +{len(batch)} flows, {result.new_groups} new ASes, "

@@ -140,6 +140,16 @@ class SimulatedCluster:
             names.update(site.warehouse.table_names())
         return {name: self.conceptual_table(name) for name in sorted(names)}
 
+    def append(self, table_name: str, deltas: Mapping[str, Relation]) -> dict:
+        """Append each site's rows (site id -> relation) to the site's append
+        log of a table; returns ``{site_id: new_version}``."""
+        versions = {}
+        for site_id, delta in deltas.items():
+            warehouse = self.site(site_id).warehouse
+            warehouse.append(table_name, delta)
+            versions[site_id] = warehouse.version(table_name)
+        return versions
+
     def load_replicated(self, table_name: str, relation: Relation) -> None:
         """Install a full copy of ``relation`` at every site.
 

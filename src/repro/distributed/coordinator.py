@@ -42,9 +42,9 @@ class Coordinator:
         self.key_attrs = tuple(key_attrs)
         self.tracer = tracer
         self._x: Optional[Relation] = None
-        #: What the last synchronization observed, when it was asked to:
-        #: source -> positions in X of the rows folded from that source.
-        self._touched: Optional[dict] = None
+        #: The finished session X came from, if it came from one: what its
+        #: fold observed (:meth:`touched_by`) and its bank (``sub_results()``).
+        self.session: Optional[operator.SyncSession] = None
 
     # -- state --------------------------------------------------------------------
 
@@ -64,10 +64,10 @@ class Coordinator:
         """Install a literal base-values relation."""
         self._install(relation)
 
-    def _install(self, x: Relation, touched: Optional[dict] = None) -> None:
-        """X and what its synchronization observed change together."""
+    def _install(self, x: Relation, session: Optional[operator.SyncSession] = None) -> None:
+        """X and the synchronization it came from change together."""
         self._x = x
-        self._touched = touched
+        self.session = session
 
     def sync_base(self, fragments: Sequence[Relation]) -> Relation:
         """Union the sites' base-query results into B₀ (deduplicated)."""
@@ -128,7 +128,8 @@ class Coordinator:
         the union of what its subtree answered, because that is what was
         folded from it.
         """
-        matches = (self._touched or {}).get(source)
+        touched = self.session and self.session.touched()
+        matches = (touched or {}).get(source)
         return None if matches is None else np.concatenate(matches)
 
     def begin_sync(
@@ -157,7 +158,7 @@ class Coordinator:
         with self.tracer.span(
             "round.merge", kind="coordinator", phase="commit"
         ) as span:
-            self._install(session.finish(), session.touched())
+            self._install(session.finish(), session)
             span.set(rows=len(self._x))
             if excluded:
                 span.set(excluded=",".join(sorted(excluded)))
@@ -206,6 +207,6 @@ class Coordinator:
                 [("", h)] if sources is None else zip(sources, sub_results)
             ):
                 session.absorb(fragment, source)
-            self._install(session.finish(), session.touched())
+            self._install(session.finish(), session)
             span.set(rows=len(self._x))
         return self._x

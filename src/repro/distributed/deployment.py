@@ -1,14 +1,15 @@
 """Process-separated cluster deployment: launching and talking to site servers.
 
 :class:`ProcessCluster` is the deployed counterpart of
-:class:`~repro.distributed.cluster.SimulatedCluster`: same evaluator-facing
-surface (``site_ids``, ``catalog``, ``network``, ``fresh_network``,
-``data_versions``, ``conceptual_tables`` …), but the partitions live in
-``repro site-server`` OS processes reached over
+:class:`~repro.distributed.cluster.SimulatedCluster`: the same surface for
+the evaluator, the query service and its incremental views (``site_ids``,
+``catalog``, ``network``, ``fresh_network``, ``data_versions``), but the
+partitions live in ``repro site-server`` OS processes reached over
 :class:`~repro.net.socket_channel.SocketNetwork` channels, and local
 site objects do not exist — indexing ``cluster.sites[...]`` raises, by
 design, because nothing on the coordinator should ever touch partition
-data directly in this mode.
+data directly in this mode; so does :meth:`ProcessCluster.append`.
+``conceptual_tables`` decodes the store for ``repro explain``'s statistics.
 
 ``deploy`` writes a ``deployment.json`` next to the partition store so a
 later ``repro cluster down`` (or a ``--cluster-dir`` attach) can find
@@ -322,6 +323,9 @@ class ProcessCluster:
         if site_id not in self.site_ids:
             raise WarehouseError(f"unknown site {site_id!r}")
         return self.sites[site_id]  # raises the targeted PlanError
+
+    def append(self, table_name: str, deltas) -> dict:
+        raise PlanError(f"no request appends to {table_name!r} at a site server")
 
     def conceptual_table(self, table_name: str):
         """The conceptual relation, decoded from the on-disk partitions."""

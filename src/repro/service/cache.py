@@ -37,7 +37,7 @@ class CacheEntry:
         self.relation = relation
         self.stats = stats
         #: IncrementalView retaining sub-aggregate state, or None when the
-        #: query is not refreshable (chain / holistic / degraded run).
+        #: query is not refreshable (chain / holistic / unsupported base).
         self.view = view
         self.expression = expression
         self.hits = 0
@@ -78,7 +78,7 @@ class ResultCache:
         """The plan's cached entry at an *older* data version, if any.
 
         Returns the entry whose signature shares ``current.plan_key``;
-        the caller decides whether the version gaps are coverable. Not an
+        the caller decides whether the version gaps are refreshable. Not an
         LRU touch — only a successful hit or upgrade promotes the entry.
         """
         with self._lock:

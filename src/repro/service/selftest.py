@@ -102,8 +102,7 @@ def run_self_test(
                     f"{upgraded.source!r} for: {sql}"
                 )
         fresh_cluster, _ = _build_cluster(sites, flow_count)
-        for site_id, delta in per_site.items():
-            fresh_cluster.site(site_id).warehouse.append("Flow", delta)
+        fresh_cluster.append("Flow", per_site)
         with QueryService(
             fresh_cluster, ExecutionConfig(executor="serial")
         ) as fresh_service:

@@ -23,10 +23,10 @@ concurrently, and the service
 
 Appends go through :meth:`QueryService.append`, which is
 writer-exclusive (it waits for in-flight queries to drain, so a query
-never sees a torn multi-site append) and logs, per table and site, the
-versions it produced — versions only: the rows stay at the sites, whose
-append logs a refresh round reads. Those logs are what make cache
-upgrades possible.
+never sees a torn multi-site append). The service keeps no record of
+them: the rows stay in the sites' append logs, which a refresh round
+reads from the version a cached view absorbed. A site whose table was
+replaced since then refuses that round, and the query is a plain miss.
 
 Determinism contract: all served relations are in **canonical row
 order** (sorted by the expression's key attributes, ``repr``-wise). A
@@ -66,9 +66,11 @@ from repro.distributed.incremental import IncrementalView
 from repro.distributed.optimizer import OptimizationOptions, plan_query
 from repro.errors import (
     AdmissionError,
+    MultiLegError,
     PlanError,
     QueryTimeoutError,
     ServiceError,
+    WarehouseError,
 )
 from repro.gmdj.expression import GMDJExpression
 from repro.obs.metrics import MetricsRegistry
@@ -202,11 +204,6 @@ class QueryService:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = ResultCache(cache_capacity)
-        #: (table, site) -> (after, last): every version in ``(after, last]``
-        #: was produced by this service's own appends. ``after`` moves up to
-        #: the version an append found, when it is not ``last`` (a mutation
-        #: that bypassed the service came in between).
-        self._delta_log: dict = {}
         self._gate = threading.Condition()
         self._queue: deque = deque()  # waiting tickets, FIFO
         self._in_flight = 0
@@ -448,7 +445,7 @@ class QueryService:
             )
         with self._stage("merge", stages):
             relation = canonical_order(result.relation, expression.key)
-            self._maybe_cache(expression, signature, relation, result.stats)
+            self._maybe_cache(expression, signature, relation, result)
         return _Served(relation, FRESH, result.stats, signature)
 
     def _try_upgrade(
@@ -460,14 +457,23 @@ class QueryService:
                 self.metrics.counter("service.cache.hit").inc()
                 return _Served(entry.relation, HIT, entry.stats, signature)
             gaps = entry.signature.version_gaps(signature)
-            if not gaps or not self._covered(entry, gaps):
-                return None
+            detail = entry.view.step.detail
+            if not gaps or any(table != detail for table, *_versions in gaps):
+                return None  # a changed base table is not refreshable
             old_signature = entry.signature
             with self._stage("execute", stages):
-                refreshed = entry.view.refresh(
-                    network=self.cluster.fresh_network(self.metrics),
-                    engine=self._engine,
-                )
+                try:
+                    refreshed = entry.view.refresh(
+                        network=self.cluster.fresh_network(self.metrics),
+                        engine=self._engine,
+                    )
+                except WarehouseError:
+                    return None  # a site's table was replaced since the view's version
+                except MultiLegError as error:
+                    causes = error.failures.values()
+                    if not all(isinstance(cause, WarehouseError) for cause in causes):
+                        raise
+                    return None
             with self._stage("merge", stages):
                 relation = canonical_order(
                     refreshed.relation, entry.expression.key
@@ -478,43 +484,28 @@ class QueryService:
         span.set(new_groups=refreshed.new_groups)
         return _Served(relation, REFRESH, refreshed.stats, signature)
 
-    def _covered(self, entry: CacheEntry, gaps) -> bool:
-        """Whether this service's own appends produced every version in
-        the gaps.
-
-        Coverage is strict: a register/drop, or an append that bypassed
-        the service, leaves a hole → plain miss, and only the view's
-        detail table can move (a changed base table is not refreshable).
-        """
-        detail = entry.view.step.detail
-        for table, site_id, old_version, new_version in gaps:
-            after, last = self._delta_log.get((table, site_id), (0, 0))
-            if table != detail or not after <= old_version < new_version <= last:
-                return False
-        return True
-
-    def _maybe_cache(self, expression, signature, relation, stats) -> None:
-        if stats.degraded:
+    def _maybe_cache(self, expression, signature, relation, run) -> None:
+        if run.stats.degraded:
             # An under-approximation must never be served as an answer to
-            # a later identical query, and Incremental refusal aside, its
-            # sub-aggregates are missing the excluded sites' tuples.
+            # a later identical query, and its sub-aggregates are missing
+            # the excluded sites' tuples.
             self.metrics.counter("service.cache.uncacheable").inc()
             return
         try:
-            view = IncrementalView(self.cluster, expression, source_stats=stats)
+            view = IncrementalView(self.cluster, expression, run)
         except PlanError:
             view = None  # chain / holistic / unsupported base: hit-only entry
-        self.cache.put(CacheEntry(signature, relation, stats, view, expression))
+        self.cache.put(CacheEntry(signature, relation, run.stats, view, expression))
 
     # -- appends -----------------------------------------------------------------
 
     def append(self, table_name: str, deltas: Mapping[str, Relation]) -> dict:
-        """Apply per-site appends writer-exclusively and log their versions.
+        """Apply per-site appends writer-exclusively.
 
         Waits until no query is in flight (a query must never observe
-        site A post-append and site B pre-append), applies every delta,
-        and records the warehouse version each produced so cached entries
-        can be refresh-upgraded later. Returns ``{site_id: new_version}``.
+        site A post-append and site B pre-append), then appends every
+        delta to its site's append log, from which the next submit of a
+        cached query refreshes. Returns ``{site_id: new_version}``.
         """
         with self._gate:
             if self._closed:
@@ -525,20 +516,11 @@ class QueryService:
                     raise ServiceError("query service is closed")
             self._writer_active = True
         try:
-            versions = {}
-            for site_id, delta in deltas.items():
-                warehouse = self.cluster.site(site_id).warehouse
-                found = warehouse.version(table_name)
-                warehouse.append(table_name, delta)
-                version = warehouse.version(table_name)
-                after, last = self._delta_log.get((table_name, site_id), (0, 0))
-                self._delta_log[table_name, site_id] = (
-                    after if found == last else found, version
-                )
-                versions[site_id] = version
+            versions = self.cluster.append(table_name, deltas)
             self.metrics.counter("service.appends").inc()
             return versions
         finally:
             with self._gate:
                 self._writer_active = False
                 self._gate.notify_all()
+

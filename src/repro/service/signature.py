@@ -17,8 +17,10 @@ The first two components match exactly or the entry is unrelated. The
 data component is where the service earns its keep: when only the data
 versions moved *forward* (append-only growth), the entry is a candidate
 for a refresh *upgrade* via the retained sub-aggregate state instead of
-a plain miss — :meth:`PlanSignature.version_gaps` computes exactly which
-(table, site) pairs must be covered by logged deltas.
+a plain miss — :meth:`PlanSignature.version_gaps` computes which
+(table, site) pairs moved. The service refreshes when only the view's
+detail table did; the refresh round reads the rows each site appended
+since, from the site's own append log.
 """
 
 from __future__ import annotations

@@ -9,22 +9,28 @@ value-identical to a fresh evaluation over the grown data.
 import gc
 import threading
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.data.flows import FlowConfig, generate_flows, router_partitioner
 from repro.distributed import SimulatedCluster
-from repro.distributed.evaluator import ExecutionConfig
+from repro.distributed.evaluator import ExecutionConfig, execute_plan
 from repro.distributed.executor import EXECUTORS
+from repro.distributed.optimizer import plan_query
+from repro.distributed.site import SkallaSite
 from repro.errors import AdmissionError, QueryTimeoutError, ServiceError
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
+from repro.net.faults import FaultPlan
 from repro.obs import Tracer
+from repro.queries.sql import parse_olap_statement
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
 from repro.relalg.relation import Relation
 from repro.service import FRESH, HIT, REFRESH, PlanSignature, QueryService
+from repro.service.service import DEGRADED
 
 SITES = 3
 FLOWS = 300
@@ -145,21 +151,92 @@ class TestCache:
             COUNT_BY_SOURCE, per_site
         ).rows
 
-    def test_append_bypassing_the_service_is_a_miss_not_a_wrong_hit(self):
+    def test_append_bypassing_the_service_refreshes_not_a_wrong_hit(self):
         cluster = build_cluster()
         with QueryService(cluster) as service:
             service.submit(COUNT_BY_SOURCE)
             per_site = make_delta(cluster)
-            # Straight to the warehouses: no delta log entry exists, so
-            # the entry cannot be upgraded — but it must also never be
-            # served stale.
+            # Straight to the warehouses: the sites' append logs hold the
+            # rows all the same, so the entry refreshes from them — and is
+            # never served stale.
             for site_id, delta in per_site.items():
                 cluster.site(site_id).warehouse.append("Flow", delta)
             result = service.submit(COUNT_BY_SOURCE)
-        assert result.source == FRESH
+        assert result.source == REFRESH
         assert result.relation.rows == grown_reference(
             COUNT_BY_SOURCE, per_site
         ).rows
+
+    @pytest.mark.parametrize("executor, replaced", [("serial", 1), ("threads", 2)])
+    def test_a_replaced_partition_is_a_miss_not_a_refresh(self, executor, replaced):
+        """A site whose table was re-registered since the cached view's
+        version refuses the refresh round (its append log starts over);
+        the submit is then a plain miss. Under the threads engine two such
+        sites fail as one MultiLegError of refusals."""
+
+        def replace(cluster, per_site):
+            for site_id in cluster.site_ids[:replaced]:
+                warehouse = cluster.site(site_id).warehouse
+                warehouse.register("Flow", warehouse.table("Flow").union_all(per_site[site_id]))
+
+        cluster = build_cluster()
+        config = ExecutionConfig(executor=executor)
+        with QueryService(cluster, config) as service:
+            service.submit(COUNT_BY_SOURCE)
+            per_site = make_delta(cluster)
+            replace(cluster, per_site)
+            result = service.submit(COUNT_BY_SOURCE)
+            again = service.submit(COUNT_BY_SOURCE)
+        cold = build_cluster()
+        replace(cold, per_site)
+        with QueryService(cold, config) as cold_service:
+            expected = cold_service.submit(COUNT_BY_SOURCE).relation
+        assert result.source == FRESH
+        assert result.relation.rows == expected.rows
+        assert again.source == HIT
+
+    def test_a_refreshable_miss_evaluates_the_plan_once(self, monkeypatch):
+        """Caching a miss adds no site work: the view starts from the run's
+        own synchronized sub-aggregates, so the sites see exactly the calls
+        of the same plan run outside the service."""
+        calls = Counter()
+        for name in ("compute_base", "evaluate_round", "evaluate_merged_round"):
+            def counted(site, *args, _name=name, _method=getattr(SkallaSite, name), **kwargs):
+                calls[_name] += 1
+                return _method(site, *args, **kwargs)
+
+            monkeypatch.setattr(SkallaSite, name, counted)
+        config = ExecutionConfig(executor="serial")
+        expression = parse_olap_statement(COUNT_BY_SOURCE).expression
+        cluster = build_cluster()
+        execute_plan(cluster, plan_query(expression, cluster.catalog), config)
+        alone = dict(calls)
+        calls.clear()
+        with QueryService(cluster, config) as service:
+            result = service.submit(expression)
+            entry = service.cache.get(result.signature)
+        assert result.source == FRESH
+        assert entry.view is not None
+        assert sum(alone.values()) > 0
+        assert dict(calls) == alone
+
+    def test_a_degraded_run_is_never_cached(self):
+        cluster = build_cluster()
+        cluster.install_faults(FaultPlan.parse("crash site=site1 times=2"))
+        config = ExecutionConfig(
+            executor="serial", failure_mode="degrade", max_retries=1
+        )
+        with QueryService(cluster, config) as service:
+            degraded = service.submit(COUNT_BY_SOURCE)
+            cluster.install_faults(None)
+            again = service.submit(COUNT_BY_SOURCE)
+            uncacheable = service.metrics.value_of("service.cache.uncacheable")
+        assert degraded.outcome == DEGRADED
+        assert again.source == FRESH
+        assert again.outcome == FRESH
+        assert uncacheable == 1
+        with QueryService(build_cluster(), ExecutionConfig(executor="serial")) as clean:
+            assert again.relation.rows == clean.submit(COUNT_BY_SOURCE).relation.rows
 
     def test_an_appended_delta_is_not_kept_past_a_full_read(self):
         """The service logs the versions it appended, not the rows: once
@@ -254,6 +331,7 @@ class TestConcurrency:
             )
             with ThreadPoolExecutor(max_workers=clients) as pool:
                 results = list(pool.map(service.submit, batch))
+            entries = [service.cache.get(result.signature) for result in results]
             metrics = service.metrics
             hits = metrics.value_of("service.cache.hit")
             misses = metrics.value_of("service.cache.miss")
@@ -266,6 +344,9 @@ class TestConcurrency:
         # and the misses are exactly the evaluations actually run.
         assert hits + misses + refreshes == queries == clients
         assert refreshes == 0
+        # Every cached entry can refresh, over sockets too: its view
+        # starts from the run, not from the sites' objects.
+        assert all(entry.view is not None for entry in entries)
         fresh_count = sum(1 for result in results if result.source == FRESH)
         assert fresh_count == misses >= 2  # both distinct queries evaluated
 
