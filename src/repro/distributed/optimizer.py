@@ -11,8 +11,8 @@ can be proved from the distribution catalog:
    entail equality on a common partition attribute chain locally without
    intermediate synchronization (Theorem 5 / Corollary 1); if
    additionally the base is a distinct-projection of the same detail
-   table and every condition entails key equality, the base round merges
-   into the first chain round (Proposition 2, Example 4).
+   table and every condition entails key equality (no site pruned), the
+   base round merges into the first chain round (Proposition 2, Example 4).
 3. **Distribution-aware group reduction** (Theorem 4) — per-site ship
    filters ¬ψᵢ derived from the *declared* site predicates φᵢ; and, from
    the *observed* distribution, a round whose every condition entails
@@ -225,7 +225,8 @@ def _plan_base(expression, catalog, options, rounds, notes) -> BaseRound:
         key_entailed = theta_entails_key(
             [block.condition for block in first.all_blocks()], source.key
         )
-        if same_table and key_entailed:
+        # A pruned site holds base groups too: only a round at every site derives B0.
+        if same_table and key_entailed and set(first.sites) == set(base_sites):
             notes.append(
                 "base-values synchronization eliminated (Proposition 2): "
                 "sites derive B0 locally inside round 1"

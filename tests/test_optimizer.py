@@ -226,6 +226,22 @@ class TestSitePruning:
         # site s0 holds nations {0, 10}: cannot satisfy nation > 10.
         assert plan.rounds[0].sites == ("s1", "s2")
 
+    def test_a_pruned_round_does_not_derive_the_base(self):
+        """Proposition 2 lets round 1's sites derive B0, but s0's groups
+        belong to the base too: with s0 pruned the base keeps its round."""
+        step = MDStep("T", [MDBlock([count_star("c")], KEY & (detail.nation > 10))])
+        expression = GMDJExpression(DistinctBase("T", ["nation", "cust"]), [step])
+        plan = plan_query(expression, make_catalog(), OptimizationOptions.all())
+        assert plan.rounds[0].sites == ("s1", "s2")
+        assert plan.base.sites == SITES
+        assert not plan.base.merged_into_chain
+        assert not plan.rounds[0].merged_base
+
+        step = MDStep("T", [MDBlock([count_star("c")], KEY & (detail.nation > 9))])
+        expression = GMDJExpression(DistinctBase("T", ["nation", "cust"]), [step])
+        plan = plan_query(expression, make_catalog(), OptimizationOptions.all())
+        assert plan.base.merged_into_chain
+
 
 class TestObservedReduction:
     """Theorem 4 from the observed distribution: proved or not applied."""

@@ -3,10 +3,11 @@
 Hypothesis draws a single-GMDJ query over a distinct base of one or two
 key attributes — an equi-join block, a non-equi block (``StartTime <=
 b.SourceAS``, under which old rows contribute to a brand-new group), or
-both coalesced into one step — an initial table, and a sequence of
-appends split over three sites: empty deltas, keys the view has never
-seen, several appends before one refresh, and full reads of the tables
-between them (the warehouse concatenates its append log there, so the
+both coalesced into one step, or an equi-join block on router 0 only
+(site pruning keeps one site for the round, while the other sites still
+hold groups) — an initial table, and a sequence of appends split over
+three sites: empty deltas, keys the view has never seen, several appends
+before one refresh, and full reads of the tables between them (the warehouse concatenates its append log there, so the
 next refresh reads across that fold). After every refresh the view must
 equal centralized evaluation over the grown data by ``repr``, under the
 ``serial`` and ``threads`` engines, and count exactly the keys the base
@@ -70,6 +71,10 @@ def expression(keys, blocks):
             [count_star("early"), AggSpec("max", detail.NumBytes, "top")],
             detail.StartTime <= base.SourceAS,
         ),
+        "router": MDBlock(
+            [count_star("routed"), AggSpec("sum", detail.NumBytes, "routed_total")],
+            equi & (detail.RouterId == 0),
+        ),
     }
     step = MDStep("Flow", [drawn[name] for name in blocks])
     return GMDJExpression(DistinctBase("Flow", keys), [step])
@@ -78,7 +83,9 @@ def expression(keys, blocks):
 @st.composite
 def histories(draw):
     keys = draw(st.sampled_from([["SourceAS"], ["SourceAS", "DestAS"]]))
-    blocks = draw(st.sampled_from([("equi",), ("early",), ("equi", "early")]))
+    blocks = draw(
+        st.sampled_from([("equi",), ("early",), ("equi", "early"), ("router",)])
+    )
     initial = draw(rows(st.integers(0, 4), min_size=1))
     # Each step: appends (new keys up to 8), then a full read or not, then
     # a refresh or not — unrefreshed appends coalesce into the next one.
