@@ -142,7 +142,10 @@ class Coordinator:
         caller commits the finalized structure with :meth:`commit_sync`.
         ``observes`` asks the session to remember which rows of X each
         source folded into (:meth:`touched_by`, for the round after).
+        The session before it keeps only that: its bank is never read.
         """
+        if self.session is not None:
+            self.session.release()
         return operator.SyncSession(self.x, self.key_attrs, blocks, observes=observes)
 
     def commit_sync(

@@ -39,7 +39,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.coordinator import Coordinator
@@ -72,6 +72,13 @@ from repro.obs.metrics import MetricsRegistry, activate
 from repro.obs.tracer import NULL_TRACER
 from repro.relalg.operators import union_all
 from repro.relalg.relation import Relation
+
+
+#: The :class:`ExecutionConfig` fields no run can take a negative of.
+_NON_NEGATIVE = (
+    "row_block_size", "max_workers", "max_retries", "retry_backoff_s",
+    "leg_timeout_s", "speculation_slack_s",
+)
 
 
 @dataclass(frozen=True)
@@ -138,39 +145,22 @@ class ExecutionConfig:
                 "row_block_size must be an int; use 0 (not None) to ship "
                 "each relation whole"
             )
-        if self.row_block_size < 0:
-            raise PlanError(
-                f"row_block_size must be >= 0, got {self.row_block_size}"
-            )
+        for name in _NON_NEGATIVE:
+            if getattr(self, name) < 0:
+                raise PlanError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.executor not in EXECUTORS:
             raise PlanError(
                 f"unknown executor {self.executor!r}; "
                 f"expected one of {', '.join(EXECUTORS)}"
             )
-        if self.max_workers < 0:
-            raise PlanError(f"max_workers must be >= 0, got {self.max_workers}")
         if self.failure_mode not in FAILURE_MODES:
             raise PlanError(
                 f"unknown failure mode {self.failure_mode!r}; "
                 f"expected one of {', '.join(FAILURE_MODES)}"
             )
-        if self.max_retries < 0:
-            raise PlanError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff_s < 0:
-            raise PlanError(
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}"
-            )
-        if self.leg_timeout_s < 0:
-            raise PlanError(
-                f"leg_timeout_s must be >= 0, got {self.leg_timeout_s}"
-            )
         if self.speculation_factor < 1.0:
             raise PlanError(
                 f"speculation_factor must be >= 1.0, got {self.speculation_factor}"
-            )
-        if self.speculation_slack_s < 0:
-            raise PlanError(
-                f"speculation_slack_s must be >= 0, got {self.speculation_slack_s}"
             )
 
     def speculation_controller(self, site_count: int):
@@ -236,75 +226,13 @@ def execute_plan(
     is the flat star over the cluster's sites. Whatever the shape, every
     round is one :class:`_RoundWalk` and every edge gets the same
     treatment, so engines, recovery, speculation and row blocking hold
-    for any tree.
-
-    ``tracer`` (default: the shared no-op tracer) records the run's span
-    tree; ``metrics`` (optional) becomes the active registry for the
-    duration, so operator counters land next to the run's channel
-    counters.
-
-    ``engine``/``network`` support concurrent callers (the query
-    service): an externally supplied engine is shared across calls and
-    *not* closed here, and a supplied network replaces ``cluster.network``
-    for this run only — its channels carry this run's fragments, its
-    fault events feed this run's stats, and the cluster's own
-    tracer/network state is left untouched (two runs mutating
-    ``cluster.tracer`` concurrently would cross their span trees).
-
-    ``query_id`` (optional) tags the run for per-query trace filtering:
-    it lands on the root ``query`` span, on every site-worker and
-    combiner span, and on the returned
-    :class:`~repro.distributed.stats.ExecutionStats`.
+    for any tree. The other arguments are :func:`open_run`'s.
     """
-    if tracer is None:
-        tracer = NULL_TRACER
-    config = config or ExecutionConfig()
-    if tree is None:
-        tree = MergeTree.flat(cluster.site_ids)
-    tree.validate()
-    if tree.is_leaf:
-        raise NetworkError("the root of a merge tree must merge, not be a site")
-    missing = set(plan.sites) - set(tree.leaves())
-    if missing:
-        raise PlanError(f"merge tree does not cover sites {sorted(missing)}")
-    watching = activate(metrics) if metrics is not None else contextlib.nullcontext()
-    stats = ExecutionStats(
-        executor=config.executor,
-        topology="flat" if tree.is_star else f"tree:{tree.depth()}",
-        failure_mode=config.failure_mode,
-        query_id=query_id,
-    )
-    coordinator = Coordinator(plan.expression.key, tracer)
-    owns_cluster_state = network is None
-    if network is None:
-        network = cluster.network
-    if owns_cluster_state:
-        previous_tracer = cluster.tracer
-        previous_network_tracer = network.tracer
-        cluster.tracer = tracer
-    network.tracer = tracer
-    # Socket transport: estimate per-site clock offsets up front (a few
-    # PING exchanges per site) so shipped site spans replay onto this
-    # process's clock. Memory-transport networks have no sync_clocks and
-    # need none — everything already shares one clock.
-    sync_clocks = getattr(network, "sync_clocks", None)
-    if tracer.enabled and sync_clocks is not None:
-        try:
-            stats.record_clocks(sync_clocks())
-        except ReproError:
-            pass
-    external_engine = engine
-    try:
-        if engine is None:
-            engine = create_engine(
-                config.executor, cluster.sites, tracer, config.max_workers,
-                network=network,
-            )
-        walk = _RoundWalk(
-            tree, plan, config, tracer, network, engine, coordinator, stats,
-            query_id,
-        )
-        with watching, tracer.span(
+    with open_run(
+        cluster, plan, config, tracer, metrics, engine, network, query_id, tree
+    ) as walk:
+        coordinator, stats = walk.coordinator, walk.stats
+        with walk.tracer.span(
             "query", kind="query", rounds=len(plan.rounds),
             sites=cluster.site_count, **walk.ids,
         ):
@@ -332,6 +260,86 @@ def execute_plan(
                     "chain" if md_round.is_chain else "md",
                     f"steps={len(md_round.steps)} sites={len(md_round.sites)}",
                 )
+    h = coordinator.session.sub_results() if len(plan.expression.steps) == 1 else None
+    return DistributedResult(coordinator.x, stats, plan, sub_results=h)
+
+
+@contextlib.contextmanager
+def open_run(
+    cluster, plan, config=None, tracer=None, metrics=None, engine=None,
+    network=None, query_id=None, tree=None,
+) -> Iterator["_RoundWalk"]:
+    """The :class:`_RoundWalk` of one run — a plan's, or an incremental
+    refresh's — set up and torn down; ``tree`` is :func:`execute_plan`'s.
+
+    ``tracer`` (default: the shared no-op tracer) records the run's span
+    tree; ``metrics`` (optional) becomes the active registry for the
+    duration, so operator counters land next to the run's channel
+    counters.
+
+    ``engine``/``network`` support concurrent callers (the query
+    service): an externally supplied engine is shared across calls and
+    *not* closed here, and a supplied network replaces ``cluster.network``
+    for this run only — its channels carry this run's fragments, its
+    fault events feed this run's stats, and the cluster's own
+    tracer/network state is left untouched (two runs mutating
+    ``cluster.tracer`` concurrently would cross their span trees).
+
+    ``query_id`` (optional) tags the run for per-query trace filtering:
+    it lands on the root ``query`` span, on every site-worker and
+    combiner span, and on the walk's
+    :class:`~repro.distributed.stats.ExecutionStats`. On the way out the
+    run's faults and transport land on those stats, and a deployed
+    cluster's flight recorder notes the run.
+    """
+    if tracer is None:
+        tracer = NULL_TRACER
+    config = config or ExecutionConfig()
+    if tree is None:
+        tree = MergeTree.flat(cluster.site_ids)
+    tree.validate()
+    if tree.is_leaf:
+        raise NetworkError("the root of a merge tree must merge, not be a site")
+    missing = set(plan.sites) - set(tree.leaves())
+    if missing:
+        raise PlanError(f"merge tree does not cover sites {sorted(missing)}")
+    watching = activate(metrics) if metrics is not None else contextlib.nullcontext()
+    stats = ExecutionStats(
+        executor=config.executor,
+        topology="flat" if tree.is_star else f"tree:{tree.depth()}",
+        failure_mode=config.failure_mode,
+        query_id=query_id,
+    )
+    owns_cluster_state = network is None
+    if network is None:
+        network = cluster.network
+    if owns_cluster_state:
+        previous_tracer = cluster.tracer
+        previous_network_tracer = network.tracer
+        cluster.tracer = tracer
+    network.tracer = tracer
+    # Socket transport: estimate per-site clock offsets up front (a few
+    # PING exchanges per site) so shipped site spans replay onto this
+    # process's clock. Memory-transport networks have no sync_clocks and
+    # need none — everything already shares one clock.
+    sync_clocks = getattr(network, "sync_clocks", None)
+    if tracer.enabled and sync_clocks is not None:
+        try:
+            stats.record_clocks(sync_clocks())
+        except ReproError:
+            pass
+    external_engine = engine
+    try:
+        if engine is None:
+            engine = create_engine(
+                config.executor, cluster.sites, tracer, config.max_workers,
+                network=network,
+            )
+        with watching:
+            yield _RoundWalk(
+                tree, plan, config, tracer, network, engine,
+                Coordinator(plan.expression.key, tracer), stats, query_id,
+            )
     finally:
         if owns_cluster_state:
             cluster.tracer = previous_tracer
@@ -354,8 +362,6 @@ def execute_plan(
                 flight.record_spans(tracer.finished())
         if engine is not None and engine is not external_engine:
             engine.close()
-    h = coordinator.session.sub_results() if len(plan.expression.steps) == 1 else None
-    return DistributedResult(coordinator.x, stats, plan, sub_results=h)
 
 
 class _RoundWalk:
@@ -397,15 +403,22 @@ class _RoundWalk:
         self.answered: frozenset = frozenset()
         self._lock = threading.Lock()
 
-    def round(self, number, md_round, sites, kind, description) -> None:
+    def round(self, number, md_round, sites, kind, description, held=None, since=None, grows=None):
         """Walk one round from the root and synchronize what comes back.
 
         ``md_round`` is None for the base-values round; ``sites`` are the
         round's participants — a subtree holding none sits the round out.
         The round's wall time and span cover its setup as well, so the
         coordinator's per-round bookkeeping is attributed to the round.
+
+        Given ``held``, the round *collects* (an incremental refresh's):
+        ``held`` ships whole down every edge, ``since`` and ``grows`` go on
+        the site requests, and the answers come back by child name, X
+        untouched. Every round returns its answers (a streaming round's
+        are placeholders).
         """
         coordinator = self.coordinator
+        collects = held is not None
         started = time.perf_counter()
         round_stats = self.stats.new_round(kind, description)
         with self.tracer.span(
@@ -414,6 +427,7 @@ class _RoundWalk:
         ) as round_span:
             round_stats.children = dict(self.combiners)
             self.number, self.md_round, self.round_stats = number, md_round, round_stats
+            self.since, self.grows = since or {}, grows
             self.ships_fragment = md_round is not None and not md_round.merged_base
             # The round after this one narrows by what this one's fold observes.
             observes = (
@@ -436,21 +450,23 @@ class _RoundWalk:
             # Section 3.2's streaming merge: the root folds each arriving
             # block into the session. Base and merged-base rounds must see
             # every fragment before X exists, so they collect instead.
-            self.session = (
-                coordinator.begin_sync(md_round.all_blocks(), observes=observes)
-                if self.ships_fragment
-                else None
-            )
-            held = coordinator.x if self.ships_fragment else None
+            self.session = None
+            if self.ships_fragment and not collects:
+                self.session = coordinator.begin_sync(
+                    md_round.all_blocks(), observes=observes
+                )
+                held = coordinator.x
             answers = self.descend(self.tree, held, round_span)
             collected = list(answers.values())
-            if len(round_stats.excluded) == len(sites):
+            if len(round_stats.excluded) == len(sites) and not collects:
                 raise PlanError(
                     f"round {number}: every participating site was excluded "
                     f"({', '.join(round_stats.excluded)}); nothing to synchronize"
                 )
             merge_started = time.perf_counter()
-            if md_round is None:
+            if collects:
+                pass  # the caller folds what came back
+            elif md_round is None:
                 coordinator.sync_base(collected)
             elif md_round.merged_base:
                 coordinator.assemble_from_chain(
@@ -471,6 +487,7 @@ class _RoundWalk:
                 round_span.set(excluded=",".join(round_stats.excluded))
         self.answered = participating.difference(round_stats.excluded)
         round_stats.wall_s = time.perf_counter() - started
+        return answers
 
     def descend(self, node: MergeTree, held: Optional[Relation], span) -> dict:
         """What ``node``'s children answer, by child name, each subtree
@@ -656,6 +673,8 @@ class _RoundWalk:
         return SiteRequest(
             kind="round",
             independent_reduction=md_round.independent_reduction,
+            since=self.since.get(site_id, 0),
+            source=self.grows,
             **shared,
         )
 

@@ -14,17 +14,18 @@ and records per site the table version it has absorbed. The state starts
 as the run that answered the query left it: the coordinator's Theorem-1
 synchronization already holds every group's merged components
 (``DistributedResult.sub_results``), so no site evaluates the query a
-second time. Appends land in the sites' append logs; a refresh is an
-ordinary round — one :class:`~repro.distributed.executor.SiteRequest`
-leg per site whose version moved, played through the engine over the
-site's channel:
+second time. Appends land in the sites' append logs; a refresh is up to
+two ordinary rounds of Alg. GMDJDistribEval, walked by the evaluator like
+any other (:func:`~repro.distributed.evaluator.open_run`), so retry and
+degrade, speculation, row blocking and round spans hold for them, and
+fault rules name them as rounds 1 and 2:
 
-1. the state's groups ship down, and the site evaluates the blocks over
-   the rows appended since the absorbed version only
-   (``SiteRequest.since``, ``LocalWarehouse.appended_since``), answering
-   with the touched groups' delta sub-aggregates — and, when the base is
-   a distinct projection of the appended table, with the keys of those
-   rows the groups lack;
+1. the state's groups ship down to every site whose version moved, and
+   the site evaluates the blocks over the rows appended since the
+   absorbed version only (the round's ``since``,
+   ``LocalWarehouse.appended_since``), answering with the touched groups'
+   delta sub-aggregates — and, when the base is a distinct projection of
+   the appended table, with the keys of those rows the groups lack;
 2. the answer's keys that the state's key codes miss are the *new*
    groups. If there are any, a second round ships them down to every
    site, which evaluates them against its **full** partition — with
@@ -50,14 +51,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.executor import SerialEngine, SiteRequest
-from repro.distributed.stats import ExecutionStats, SiteRoundStats
+from repro.distributed.plan import MDRound
+from repro.distributed.stats import ExecutionStats
 from repro.errors import PlanError
 from repro.gmdj import operator
 from repro.gmdj.expression import DistinctBase, GMDJExpression, LiteralBase
-from repro.net import message as msg
-from repro.net import serialize
-from repro.obs.tracer import NULL_TRACER
 from repro.relalg.operators import union_all
 from repro.relalg.relation import Relation
 
@@ -122,6 +120,7 @@ class IncrementalView:
         #: The sites a fresh evaluation reads the detail table at (one replica
         #: of a replicated table; every base site, pruned ones too, when the
         #: appends grow the base), and per site the version the state absorbed.
+        self._plan = run.plan
         self._sites = run.plan.base.sites if self._grows else run.plan.rounds[0].sites
         self._versions = self._data_versions()
         #: The state (one merged sub-aggregate row per group, key attributes
@@ -153,88 +152,58 @@ class IncrementalView:
 
     # -- maintenance -----------------------------------------------------------------
 
-    def refresh(self, *, network=None, engine=None) -> RefreshResult:
+    def refresh(self, config=None, tracer=None, engine=None, network=None) -> RefreshResult:
         """Absorb the rows appended since the last refresh; return the result.
 
         The refresh reads everything each site's detail table gained since
         the version the view holds, whoever appended it
         (:meth:`~repro.distributed.cluster.SimulatedCluster.append`; the
         query service appends once, then upgrades every affected cached
-        view). ``network`` substitutes a private channel set (per-query
-        isolation under the concurrent service) for the cluster's shared
-        one; ``engine`` is the leg engine to share (the service's), else
-        the legs run serially.
+        view). Its rounds are the evaluator's, numbered 1 and 2, with its
+        retry and degrade, speculation, row blocking and spans; they take
+        ``config``/``tracer``/``engine``/``network`` as
+        :func:`~repro.distributed.evaluator.execute_plan` does. A round
+        that excluded a site leaves the view as it was, and
+        ``stats.degraded`` says so.
         """
-        if network is None:
-            network = self.cluster.network
-        if engine is None:
-            engine = SerialEngine(self.cluster.sites, NULL_TRACER)
+        # Not a module import: it slows every start-up that imports this.
+        from repro.distributed.evaluator import open_run
+
         versions = self._data_versions()
-        moved = [site_id for site_id in versions if versions[site_id] != self._versions[site_id]]
-        holding = [site_id for site_id in versions if versions[site_id]]
-        stats = ExecutionStats()
-        round_stats = stats.new_round("md", "incremental refresh")
-        answers = self._round(
-            network, engine, round_stats, moved, self._base, 0, self._versions,
-            independent_reduction=True, source=self._grows,
-        )
-        started = time.perf_counter()
-        merged = union_all([self._h, *answers])
-        firsts, codes = merged.to_columnar().codes(merged.schema.positions(self.key_attrs))
-        known, base = len(self._h), self._base
-        new_base = Relation.from_columnar(merged.to_columnar().gather(firsts[known:]))
-        new_base = new_base.distinct_project(self.key_attrs)
-        if len(new_base):
-            # Their rows answered over the delta give way to the second
-            # round's, over every full partition.
-            round_stats.coordinator_compute_s += time.perf_counter() - started
-            answers = self._round(
-                network, engine, round_stats, holding, new_base, 1, {},
-                independent_reduction=False,
+        moved = tuple(site for site in versions if versions[site] != self._versions[site])
+        holding = tuple(site for site in versions if versions[site])
+        if not moved:
+            return RefreshResult(self.relation(), ExecutionStats(), 0)
+        steps = (self.step,)
+        with open_run(
+            self.cluster, self._plan, config, tracer, engine=engine, network=network
+        ) as walk:
+            answers = walk.round(
+                1, MDRound(steps, moved, independent_reduction=True), moved,
+                "md", "incremental refresh: appended rows",
+                held=self._base, since=self._versions, grows=self._grows,
             )
             started = time.perf_counter()
-            kept = merged.to_columnar().gather(np.flatnonzero(codes < known))
-            merged = union_all([Relation.from_columnar(kept), *answers])
-            base = base.union_all(new_base)
-        self._h = operator.merge_sub_results(merged, self.key_attrs, self.step.blocks)
-        self._base, self._versions = base, versions
-        round_stats.coordinator_compute_s += time.perf_counter() - started
-        return RefreshResult(self.relation(), stats, len(new_base))
-
-    def _round(self, network, engine, round_stats, site_ids, base, number, since, **fields) -> list:
-        """One round over ``site_ids``: ``base`` down each site's channel,
-        the site's turn played by ``engine`` over the rows appended since
-        its ``since`` version (absent: the whole partition), the answer
-        decoded. Answers come back in site order, whatever order the legs
-        finish in."""
-        if not site_ids:
-            return []
-        started = time.perf_counter()
-        payload = serialize.encode_relation(base)
-        round_stats.coordinator_compute_s += time.perf_counter() - started
-        for site_id in site_ids:  # reporting order is site order
-            round_stats.sites.setdefault(site_id, SiteRoundStats())
-
-        def leg(site_id):
-            channel, edge = network.channel(site_id), round_stats.sites[site_id]
-            shipment = msg.Message(msg.SHIP_BASE, "coordinator", site_id, number, payload)
-            channel.send_to_site(shipment)
-            edge.bytes_down += shipment.size_bytes
-            edge.tuples_down += len(base)
-            request = SiteRequest(
-                "round", site_id, number, steps=(self.step,),
-                key_attrs=tuple(self.key_attrs), since=since.get(site_id, 0), **fields,
-            )
-            reply = engine.evaluate(request, channel)
-            edge.compute_s += reply.compute_s
-            edge.bytes_up += sum(len(block) + msg.HEADER_BYTES for block in reply.payloads)
-            edge.tuples_up += reply.rows
-            started = time.perf_counter()
-            answer = union_all(
-                [channel.receive_at_coordinator().relation() for _block in reply.payloads]
-            )
-            return answer, time.perf_counter() - started
-
-        legs = engine.run_legs(site_ids, leg)
-        round_stats.coordinator_compute_s += sum(seconds for _answer, seconds in legs)
-        return [answer for answer, _seconds in legs]
+            merged = union_all([self._h, *answers.values()])
+            firsts, codes = merged.to_columnar().codes(merged.schema.positions(self.key_attrs))
+            known, base = len(self._h), self._base
+            new_base = Relation.from_columnar(merged.to_columnar().gather(firsts[known:]))
+            new_base = new_base.distinct_project(self.key_attrs)
+            if len(new_base) and not walk.stats.degraded:
+                # Their rows answered over the delta give way to the second
+                # round's, over every full partition.
+                walk.stats.rounds[-1].coordinator_compute_s += time.perf_counter() - started
+                answers = walk.round(
+                    2, MDRound(steps, holding), holding,
+                    "md", "incremental refresh: new groups", held=new_base,
+                )
+                started = time.perf_counter()
+                kept = merged.to_columnar().gather(np.flatnonzero(codes < known))
+                merged = union_all([Relation.from_columnar(kept), *answers.values()])
+                base = base.union_all(new_base)
+            if walk.stats.degraded:
+                return RefreshResult(self.relation(), walk.stats, 0)
+            self._h = operator.merge_sub_results(merged, self.key_attrs, self.step.blocks)
+            self._base, self._versions = base, versions
+            walk.stats.rounds[-1].coordinator_compute_s += time.perf_counter() - started
+        return RefreshResult(self.relation(), walk.stats, len(new_base))

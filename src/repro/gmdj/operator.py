@@ -302,6 +302,11 @@ class SyncSession:
             _finalized(self._slots, self._folded),
         )
 
+    def release(self) -> None:
+        """Drop the folded bank and the base it folded into, keeping what
+        was observed (:meth:`touched`) — all the round after reads."""
+        self._folded = self._base = None
+
     def sub_results(self) -> Relation:
         """Theorem 1's H once :meth:`finish` has run: the key attributes
         and the folded sub-aggregate columns, one row per base row — what

@@ -464,8 +464,8 @@ class QueryService:
             with self._stage("execute", stages):
                 try:
                     refreshed = entry.view.refresh(
-                        network=self.cluster.fresh_network(self.metrics),
-                        engine=self._engine,
+                        self.config, self.tracer, self._engine,
+                        self.cluster.fresh_network(self.metrics),
                     )
                 except WarehouseError:
                     return None  # a site's table was replaced since the view's version
@@ -474,6 +474,8 @@ class QueryService:
                     if not all(isinstance(cause, WarehouseError) for cause in causes):
                         raise
                     return None
+            if refreshed.stats.degraded:
+                return None  # the view is as it was; a full evaluation answers
             with self._stage("merge", stages):
                 relation = canonical_order(
                     refreshed.relation, entry.expression.key

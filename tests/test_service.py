@@ -238,6 +238,102 @@ class TestCache:
         with QueryService(build_cluster(), ExecutionConfig(executor="serial")) as clean:
             assert again.relation.rows == clean.submit(COUNT_BY_SOURCE).relation.rows
 
+    def test_a_refresh_retries_a_dropped_reply(self):
+        """A refresh's rounds are the evaluator's: under ``retry`` a reply
+        lost on its way up is asked for again, as in a fresh run."""
+        cluster = build_cluster()
+        config = ExecutionConfig(failure_mode="retry", retry_backoff_s=0.0)
+        with QueryService(cluster, config) as service:
+            service.submit(COUNT_BY_SOURCE)
+            per_site = make_delta(cluster)
+            service.append("Flow", per_site)
+            cluster.install_faults(
+                FaultPlan.parse("drop site=site0 round=1 dir=up times=1")
+            )
+            refreshed = service.submit(COUNT_BY_SOURCE)
+        assert refreshed.source == REFRESH
+        assert refreshed.stats.retries >= 1
+        assert refreshed.relation.rows == grown_reference(
+            COUNT_BY_SOURCE, per_site
+        ).rows
+
+    def test_a_degraded_refresh_is_a_miss_and_leaves_the_view(self):
+        """A refresh round that excluded a site would fold a delta without
+        that site's rows: the submit is a full evaluation instead, and the
+        view still refreshes exactly once the site is back."""
+        cluster = build_cluster()
+        config = ExecutionConfig(
+            failure_mode="degrade", max_retries=1, retry_backoff_s=0.0
+        )
+        with QueryService(cluster, config) as service:
+            service.submit(COUNT_BY_SOURCE)
+            per_site = make_delta(cluster)
+            service.append("Flow", per_site)
+            # Each submit's network crashes site1 twice in round 1: the
+            # refresh and the full evaluation after it both lose the site.
+            cluster.install_faults(FaultPlan.parse("crash site=site1 round=1 times=2"))
+            degraded = service.submit(COUNT_BY_SOURCE)
+            cluster.install_faults(None)
+            again = service.submit(COUNT_BY_SOURCE)
+        assert degraded.source == FRESH
+        assert degraded.outcome == DEGRADED
+        assert again.source == REFRESH
+        assert again.relation.rows == grown_reference(COUNT_BY_SOURCE, per_site).rows
+
+    def test_a_refresh_is_traced_round_by_round(self):
+        tracer = Tracer()
+        cluster = build_cluster()
+        with QueryService(cluster, tracer=tracer) as service:
+            service.submit(COUNT_BY_SOURCE)
+            service.append("Flow", make_delta(cluster))
+            mark = len(tracer.spans)
+            refreshed = service.submit(COUNT_BY_SOURCE)
+        spans = list(tracer.spans)[mark:]
+        by_id = {span.span_id: span for span in tracer.spans}
+
+        def ancestors(span):
+            while span.parent_id is not None:
+                span = by_id[span.parent_id]
+                yield span.name
+
+        assert refreshed.source == REFRESH
+        rounds = [span for span in spans if span.name == "round"]
+        assert len(rounds) == len(refreshed.stats.rounds) >= 1
+        evaluated = [span for span in spans if span.name == "round.evaluate"]
+        assert evaluated
+        assert all("round" in ancestors(span) for span in evaluated)
+        encoded = {span.kind for span in spans if span.name == "round.encode"}
+        assert encoded == {"coordinator", "site"}
+
+    def test_a_refresh_ships_row_blocks(self):
+        """The refresh's site requests carry the config's row block size,
+        so its replies come up in more messages than whole ones."""
+        per_site = make_delta(build_cluster())
+
+        def refresh_up_messages(row_block_size):
+            cluster = build_cluster()
+            config = ExecutionConfig(row_block_size=row_block_size)
+            with QueryService(cluster, config) as service:
+                service.submit(COUNT_BY_SOURCE)
+                service.append("Flow", per_site)
+
+                def up_messages():
+                    return sum(
+                        service.metrics.value_of("net.messages", direction="up", site=site_id)
+                        for site_id in cluster.site_ids
+                    )
+
+                before = up_messages()
+                refreshed = service.submit(COUNT_BY_SOURCE)
+                assert refreshed.source == REFRESH
+                assert refreshed.relation.rows == grown_reference(
+                    COUNT_BY_SOURCE, per_site
+                ).rows
+                return up_messages() - before
+
+        whole = refresh_up_messages(0)
+        assert refresh_up_messages(4) > whole > 0
+
     def test_an_appended_delta_is_not_kept_past_a_full_read(self):
         """The service logs the versions it appended, not the rows: once
         a full read folds the sites' append logs, nothing holds a delta."""
