@@ -1,8 +1,8 @@
 """Micro-benchmarks of the engine substrates.
 
 Not a paper figure — these time the building blocks (hash GMDJ scan over
-many groups and over a partition key's few, super-aggregation, wire codec,
-SQL group-by) so engine regressions are visible independently of the
+many groups and over a partition key's few, super-aggregation, wire codec)
+so engine regressions are visible independently of the
 distributed experiments. These use pytest-benchmark's normal repeated
 timing, unlike the single-shot figure reproductions.
 """
@@ -13,7 +13,6 @@ from repro.gmdj.operator import evaluate, evaluate_sub, super_aggregate
 from repro.net.serialize import decode_relation, encode_relation
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
-from repro.relalg.operators import group_by
 
 TPCR = generate_tpcr(TPCRConfig(scale=0.002, seed=12))
 # Two regimes of the scan: many small groups (CustKey) and the 25 large
@@ -57,16 +56,6 @@ def test_gmdj_nation_sub_aggregation(benchmark):
 def test_super_aggregation(benchmark):
     h, _touched = evaluate_sub(BASE, TPCR, BLOCKS)
     result = benchmark(super_aggregate, BASE, h, ["CustKey"], BLOCKS)
-    assert len(result) == len(BASE)
-
-
-def test_sql_group_by(benchmark):
-    result = benchmark(
-        group_by,
-        TPCR,
-        ["CustKey"],
-        [count_star("cnt"), AggSpec("avg", detail.Price, "avg_price")],
-    )
     assert len(result) == len(BASE)
 
 

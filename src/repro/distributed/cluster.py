@@ -21,7 +21,6 @@ from repro.distributed.site import SkallaSite
 from repro.net.channel import Network
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
-from repro.relalg.operators import union_all
 from repro.relalg.relation import Relation
 from repro.warehouse.catalog import DistributionCatalog
 from repro.warehouse.partition import Partitioner
@@ -131,7 +130,7 @@ class SimulatedCluster:
             table_name
         ):
             return pieces[0]
-        return union_all(pieces)
+        return Relation.union_all(*pieces)
 
     def conceptual_tables(self) -> dict:
         """All conceptual tables, for centralized reference evaluation."""

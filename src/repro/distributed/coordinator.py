@@ -26,7 +26,6 @@ from repro.gmdj.blocks import MDBlock
 from repro.obs.tracer import NULL_TRACER
 from repro.relalg import compiler
 from repro.relalg.expressions import BASE_VAR, Expr
-from repro.relalg.operators import union_all
 from repro.relalg.relation import Relation
 
 
@@ -76,7 +75,7 @@ class Coordinator:
         with self.tracer.span(
             "round.merge", kind="coordinator", phase="base", fragments=len(fragments)
         ) as span:
-            self._install(union_all(fragments).distinct())
+            self._install(Relation.union_all(*fragments).distinct())
             span.set(rows=len(self._x))
         return self._x
 
@@ -200,7 +199,7 @@ class Coordinator:
             phase="assemble",
             fragments=len(sub_results),
         ) as span:
-            h = union_all(sub_results)
+            h = Relation.union_all(*sub_results)
             base = h.distinct_project(self.key_attrs)
             session = operator.SyncSession(
                 base, self.key_attrs, blocks,

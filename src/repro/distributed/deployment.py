@@ -41,7 +41,6 @@ from repro.net.socket_channel import SocketNetwork
 from repro.obs.flightrec import FlightRecorder, flight_path
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
-from repro.relalg.operators import union_all
 
 DEPLOYMENT_SPEC = "deployment.json"
 
@@ -341,7 +340,7 @@ class ProcessCluster:
             table_name
         ):
             return pieces[0]
-        return union_all(pieces)
+        return pieces[0].union_all(*pieces[1:])
 
     def conceptual_tables(self) -> dict:
         names = set()

@@ -70,7 +70,6 @@ from repro.net.channel import Channel
 from repro.net.costmodel import CostModel
 from repro.obs.metrics import MetricsRegistry, activate
 from repro.obs.tracer import NULL_TRACER
-from repro.relalg.operators import union_all
 from repro.relalg.relation import Relation
 
 
@@ -595,7 +594,7 @@ class _RoundWalk:
             ) as hop:
                 started = time.perf_counter()
                 held_below = (
-                    union_all([shipment.relation() for shipment in received])
+                    Relation.union_all(*(shipment.relation() for shipment in received))
                     if self.ships_fragment
                     else None
                 )
@@ -631,7 +630,7 @@ class _RoundWalk:
                 else:
                     answer.append(block)
         self._charge(node, time.perf_counter() - started)
-        return union_all(answer) if answer else None
+        return Relation.union_all(*answer) if answer else None
 
     def _observed_positions(self, node: MergeTree, name: str):
         """Which rows of X the root ships down edge ``name`` in an
@@ -680,7 +679,7 @@ class _RoundWalk:
 
     def _merge(self, collected) -> Relation:
         """What a combiner forwards: its children's results, one row per key."""
-        combined = union_all(collected)
+        combined = Relation.union_all(*collected)
         if self.md_round is None:
             return combined.distinct()
         return merge_sub_results(

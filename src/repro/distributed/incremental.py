@@ -56,7 +56,6 @@ from repro.distributed.stats import ExecutionStats
 from repro.errors import PlanError
 from repro.gmdj import operator
 from repro.gmdj.expression import DistinctBase, GMDJExpression, LiteralBase
-from repro.relalg.operators import union_all
 from repro.relalg.relation import Relation
 
 
@@ -184,7 +183,7 @@ class IncrementalView:
                 held=self._base, since=self._versions, grows=self._grows,
             )
             started = time.perf_counter()
-            merged = union_all([self._h, *answers.values()])
+            merged = self._h.union_all(*answers.values())
             firsts, codes = merged.to_columnar().codes(merged.schema.positions(self.key_attrs))
             known, base = len(self._h), self._base
             new_base = Relation.from_columnar(merged.to_columnar().gather(firsts[known:]))
@@ -199,7 +198,7 @@ class IncrementalView:
                 )
                 started = time.perf_counter()
                 kept = merged.to_columnar().gather(np.flatnonzero(codes < known))
-                merged = union_all([Relation.from_columnar(kept), *answers.values()])
+                merged = Relation.from_columnar(kept).union_all(*answers.values())
                 base = base.union_all(new_base)
             if walk.stats.degraded:
                 return RefreshResult(self.relation(), walk.stats, 0)

@@ -26,9 +26,12 @@ precision of the analysis.
 
 from __future__ import annotations
 
+import datetime
 import math
 from typing import Optional, Sequence
 
+from repro.relalg import compiler
+from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.expressions import (
     BASE_VAR,
     Between,
@@ -54,6 +57,7 @@ from repro.relalg.predicates import (
     sides,
     split_condition,
 )
+from repro.relalg.schema import FLOAT, INT, STR, Attribute, Schema, infer_type
 
 _INF = math.inf
 
@@ -136,19 +140,19 @@ def _detail_conjunct_satisfiable(conjunct: Expr, domains: dict) -> bool:
     """Conservatively check a detail-only conjunct against the domains.
 
     When the conjunct touches a single attribute with a *finite* known
-    domain, satisfiability is decided exactly by evaluating the conjunct
-    on every candidate value; otherwise interval/set reasoning applies
-    (widened, hence conservative).
+    domain, satisfiability is decided exactly: one selection vector of the
+    conjunct over a one-column relation of the candidate values. Otherwise
+    interval/set reasoning applies (widened, hence conservative).
     """
     referenced = [field for field in conjunct.fields() if field.relvar == DETAIL_VAR]
     if len(referenced) == 1:
         domain = domains.get(referenced[0].name)
         if domain is not None and domain.values is not None:
-            name = referenced[0].name
-            return any(
-                bool(conjunct.eval({DETAIL_VAR: {name: value}}))
-                for value in domain.values
-            )
+            values = list(domain.values)
+            schema = Schema([Attribute(referenced[0].name, _column_type(values))])
+            mask = compiler.compile_mask(conjunct, {DETAIL_VAR: schema})
+            candidates = ColumnarRelation.from_value_lists(schema, [values], len(values))
+            return len(mask(len(values), {DETAIL_VAR: (candidates, None)})) > 0
     single = domains_from_predicate(conjunct, DETAIL_VAR)
     for name, constraint in single.items():
         known = domains.get(name)
@@ -160,6 +164,21 @@ def _detail_conjunct_satisfiable(conjunct: Expr, domains: dict) -> bool:
             if not known.interval.intersects(constraint.interval):
                 return False
     return True
+
+
+def _column_type(values) -> str:
+    """The attribute type of a column of ``values``: INT or FLOAT when all
+    are numbers, else their one type, else STR. The label names the kernel
+    shape only; the column's typed view is read from the values, and an
+    ``object`` view applies Python's operators to each."""
+    kinds = {type(value) for value in values if value is not None}
+    if kinds <= {int}:
+        return INT
+    if kinds <= {int, float}:
+        return FLOAT
+    if len(kinds) == 1 and kinds <= {bool, datetime.date}:
+        return infer_type(next(value for value in values if value is not None))
+    return STR
 
 
 def _relax_mixed_conjunct(conjunct: Expr, domains: dict) -> Optional[Expr]:

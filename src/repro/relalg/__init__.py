@@ -1,9 +1,13 @@
 """``repro.relalg`` — the in-memory relational engine substrate.
 
-Provides schemas, relations, a scalar expression language, SQL aggregate
-functions with sub-/super-aggregate decomposition, relational operators
-and hash indexes. Everything above this layer (GMDJ evaluation, the
-distributed Skalla runtime) is built from these primitives.
+Provides schemas, relations over rows or typed columns, a scalar
+expression language and its one lowering (:mod:`repro.relalg.compiler`),
+SQL aggregate functions with sub-/super-aggregate decomposition, and key
+matching. Everything above this layer (GMDJ evaluation, the distributed
+Skalla runtime) is built from these primitives, and every public
+definition here has a caller there (``tests/test_relalg_callers.py``).
+Joins, SQL ``GROUP BY``, the expression interpreter and per-group row
+accumulators are the tests' baselines, in ``tests/oracle/``.
 """
 
 from repro.relalg.aggregates import AggSpec, count_star, register_aggregate
@@ -21,17 +25,6 @@ from repro.relalg.expressions import (
     wrap,
 )
 from repro.relalg.io import from_csv_text, read_csv, to_csv_text, write_csv
-from repro.relalg.operators import (
-    antijoin,
-    cross,
-    difference,
-    equi_join,
-    group_by,
-    natural_join,
-    semijoin,
-    theta_join,
-    union_all,
-)
 from repro.relalg.relation import Relation
 from repro.relalg.schema import BOOL, DATE, FLOAT, INT, STR, Attribute, Schema
 
@@ -50,25 +43,16 @@ __all__ = [
     "STR",
     "Schema",
     "and_all",
-    "antijoin",
     "base",
     "col",
     "count_star",
-    "cross",
     "detail",
-    "difference",
-    "equi_join",
     "expr_equals",
     "from_csv_text",
-    "group_by",
-    "natural_join",
     "or_all",
     "read_csv",
     "register_aggregate",
-    "semijoin",
-    "theta_join",
     "to_csv_text",
-    "union_all",
     "wrap",
     "write_csv",
 ]

@@ -551,9 +551,6 @@ class AggSpec:
             attributes.append(Attribute(name, type_name))
         return tuple(attributes)
 
-    def sub_names(self) -> tuple:
-        return tuple(attribute.name for attribute in self.sub_attributes())
-
     # -- runtime ------------------------------------------------------------------
 
     def state_components(self) -> tuple:
@@ -564,11 +561,6 @@ class AggSpec:
             return (_VALUES,)
         return tuple(component for _suffix, component in self._function.components())
 
-    def accumulator(self) -> "Accumulator":
-        if self.is_holistic:
-            return HolisticAccumulator(self._function)
-        return ComponentAccumulator(self._function)
-
     def __str__(self):
         inner = "*" if self.input_expr is None else repr(self.input_expr)
         return f"{self.func}({inner}) -> {self.output}"
@@ -577,90 +569,3 @@ class AggSpec:
 def count_star(output: str) -> AggSpec:
     """Convenience constructor for ``COUNT(*) -> output``."""
     return AggSpec("count", None, output)
-
-
-# ---------------------------------------------------------------------------
-# Accumulators
-# ---------------------------------------------------------------------------
-
-
-class Accumulator:
-    """Mutable per-group aggregate state."""
-
-    def update(self, value) -> None:
-        raise NotImplementedError
-
-    def merge(self, other: "Accumulator") -> None:
-        raise NotImplementedError
-
-    def sub_values(self) -> tuple:
-        """Component values to ship as sub-aggregate columns."""
-        raise NotImplementedError
-
-    def load_sub_values(self, values: tuple) -> None:
-        """Absorb shipped sub-aggregate component values (super-aggregation)."""
-        raise NotImplementedError
-
-    def result(self):
-        raise NotImplementedError
-
-
-class ComponentAccumulator(Accumulator):
-    """Accumulator for distributive/algebraic functions."""
-
-    __slots__ = ("_components", "_values", "_function")
-
-    def __init__(self, function: AggregateFunction):
-        self._function = function
-        self._components = tuple(component for _suffix, component in function.components())
-        self._values = [component.initial() for component in self._components]
-
-    def update(self, value):
-        values = self._values
-        for index, component in enumerate(self._components):
-            values[index] = component.update(values[index], value)
-
-    def merge(self, other):
-        values = self._values
-        for index, component in enumerate(self._components):
-            values[index] = component.combine(values[index], other._values[index])
-
-    def sub_values(self):
-        return tuple(self._values)
-
-    def load_sub_values(self, values):
-        own = self._values
-        for index, component in enumerate(self._components):
-            own[index] = component.combine(own[index], values[index])
-
-    def result(self):
-        return self._function.finalize(tuple(self._values))
-
-
-class HolisticAccumulator(Accumulator):
-    """Accumulator for holistic functions: keeps the raw value multiset."""
-
-    __slots__ = ("_function", "_values")
-
-    def __init__(self, function: _HolisticFunction):
-        self._function = function
-        self._values = []
-
-    def update(self, value):
-        self._values.append(value)
-
-    def merge(self, other):
-        self._values.extend(other._values)
-
-    def sub_values(self):
-        raise HolisticAggregateError(
-            f"{self._function.name.upper()} has no shippable sub-aggregates"
-        )
-
-    def load_sub_values(self, values):
-        raise HolisticAggregateError(
-            f"{self._function.name.upper()} has no shippable sub-aggregates"
-        )
-
-    def result(self):
-        return self._function.holistic_result(self._values)

@@ -90,9 +90,6 @@ class Column:
     def __repr__(self) -> str:
         return f"Column({self.name}:{self.type}, {len(self.values)} values)"
 
-    def null_count(self) -> int:
-        return sum(1 for value in self.values if value is None)
-
 
 def _typed_view(values: list) -> tuple:
     """``(data, valid)`` of a value list: see the module docstring."""

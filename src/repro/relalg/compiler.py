@@ -1,24 +1,29 @@
 """Expression compiler: row kernels per tuple, vector kernels for the scan.
 
 The closed node set of :mod:`repro.relalg.expressions` lowers two ways,
-both with the interpreter's semantics exactly (:meth:`Expr.eval` is the
-oracle, see ``tests/test_compiler.py``): arithmetic over ``None`` and
-``/`` or ``%`` by zero yield ``None``; comparisons, ``BETWEEN`` and ``IN``
-with a ``None`` operand are ``False``; ``&`` / ``|`` never evaluate their
-right operand where the left decides (so a type-incompatible comparison
-guarded by the left side raises in neither lowering).
+both with the semantics of the tests' interpreter exactly
+(``tests/oracle/interp.py`` is the oracle, see ``tests/test_compiler.py``):
+arithmetic over ``None`` and ``/`` or ``%`` by zero yield ``None``;
+comparisons, ``BETWEEN`` and ``IN`` with a ``None`` operand are
+``False``; ``&`` / ``|`` never evaluate their right operand where the
+left decides (so a type-incompatible comparison guarded by the left side
+raises in neither lowering).
 
 **Row kernels** (:func:`compile_scalar`, :func:`compile_predicate`,
 :func:`compile_values`): a tree of closures over positional row tuples,
-one per node, called per row. No query path builds one: they serve
-:func:`~repro.relalg.operators.group_by` (the tests' GROUP BY baseline)
-and the tests' row oracle (``tests/oracle/``), which scans with them.
+one per node, called per row. No query path builds one: they serve the
+tests' row oracle and GROUP BY baseline (``tests/oracle/``). They stay
+here because the benchmark's ``relalg.compile`` hooks name them
+(``bench_e2e/hooks.py``) and its ``test_hooks.py`` asserts that each
+resolves; once those hooks name only the vector kernels, the row kernels
+can follow into ``tests/oracle/``.
 
 **Vector kernels** (:func:`compile_mask`, :func:`compile_batch_scalar`,
 :func:`compile_grouped_accumulate`) serve the GMDJ scan,
-``Relation.select`` / ``extend`` / ``theta_join`` and the coordinator's
-¬ψᵢ ship filter
-(:meth:`~repro.distributed.coordinator.Coordinator.fragment_for_site`):
+``Relation.select`` / ``extend``, the coordinator's ¬ψᵢ ship filter
+(:meth:`~repro.distributed.coordinator.Coordinator.fragment_for_site`)
+and the planner's test of a detail conjunct against a finite domain
+(:mod:`repro.gmdj.analysis`):
 each node runs once per column, as numpy operations over the cached
 typed views of :class:`~repro.relalg.columnar.ColumnarRelation`, on a
 vector ``(data, valid)`` whose validity mask carries NULL (``None``: no
@@ -146,7 +151,7 @@ def _param_map(params: Sequence, aliases: Optional[Mapping]) -> dict:
 
 def _row(node: Expr, schemas: Mapping, slot_of: Mapping) -> Callable:
     """``fn(rows) -> value`` for ``node``, ``rows`` the tuple of the
-    kernel's row arguments: one closure per node, as :meth:`Expr.eval`."""
+    kernel's row arguments: one closure per node."""
     if isinstance(node, Const):
         value = node.value
         return lambda rows: value

@@ -19,9 +19,10 @@ Null semantics follow SQL's three-valued logic collapsed to two values:
 arithmetic over ``None`` yields ``None``; comparisons involving ``None``
 are ``False``; ``&``/``|`` treat their operands as plain booleans.
 
-This module only defines and interprets the AST (:meth:`Expr.eval`, the
-reference semantics); :mod:`repro.relalg.compiler` is the one module that
-lowers it, to numpy vector kernels and to row kernels.
+This module only defines the AST. :mod:`repro.relalg.compiler` is the one
+module that lowers it, to numpy vector kernels and to row kernels. The
+reference semantics both must match is the tests' interpreter,
+``tests/oracle/interp.py`` (one Python call per node over dict bindings).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Optional
 
-from repro.errors import ExpressionError, UnknownAttributeError
+from repro.errors import ExpressionError
 
 #: Relation-variable names conventionally used in GMDJ conditions.
 BASE_VAR = "b"
@@ -158,15 +159,6 @@ class Expr:
             return frozenset(field.name for field in self.fields())
         return frozenset(field.name for field in self.fields() if field.relvar == relvar)
 
-    # -- evaluation -----------------------------------------------------------
-
-    def eval(self, bindings: dict):
-        """Evaluate against ``bindings``: relvar -> mapping of attr -> value.
-
-        Unqualified fields are looked up under the ``None`` key.
-        """
-        raise NotImplementedError
-
     # -- misc ------------------------------------------------------------------
 
     def __hash__(self):
@@ -208,9 +200,6 @@ class Const(Expr):
     def rebuild(self, children):
         return self
 
-    def eval(self, bindings):
-        return self.value
-
     def __repr__(self):
         return repr(self.value)
 
@@ -234,16 +223,6 @@ class Field(Expr):
 
     def rebuild(self, children):
         return self
-
-    def eval(self, bindings):
-        try:
-            row = bindings[self.relvar]
-        except KeyError:
-            raise ExpressionError(f"no binding for relation variable {self.relvar!r}") from None
-        try:
-            return row[self.name]
-        except KeyError:
-            raise UnknownAttributeError(self.name, row.keys()) from None
 
     def with_relvar(self, relvar: Optional[str]) -> "Field":
         return Field(self.name, relvar)
@@ -291,15 +270,6 @@ class Arith(Expr):
     def rebuild(self, children):
         return Arith(self.op, *children)
 
-    def eval(self, bindings):
-        left = self.left.eval(bindings)
-        right = self.right.eval(bindings)
-        if left is None or right is None:
-            return None
-        if right == 0 and self.op in ("/", "%"):
-            return None
-        return _ARITH_OPS[self.op](left, right)
-
     def __repr__(self):
         return f"({self.left!r} {self.op} {self.right!r})"
 
@@ -320,10 +290,6 @@ class Neg(Expr):
 
     def rebuild(self, children):
         return Neg(children[0])
-
-    def eval(self, bindings):
-        value = self.operand.eval(bindings)
-        return None if value is None else -value
 
     def __repr__(self):
         return f"(-{self.operand!r})"
@@ -373,13 +339,6 @@ class Comparison(Expr):
     def negated(self) -> "Comparison":
         return Comparison(NEGATED_CMP[self.op], self.left, self.right)
 
-    def eval(self, bindings):
-        left = self.left.eval(bindings)
-        right = self.right.eval(bindings)
-        if left is None or right is None:
-            return False
-        return _CMP_OPS[self.op](left, right)
-
     def __repr__(self):
         return f"({self.left!r} {self.op} {self.right!r})"
 
@@ -401,9 +360,6 @@ class And(Expr):
 
     def rebuild(self, children):
         return And(*children)
-
-    def eval(self, bindings):
-        return bool(self.left.eval(bindings)) and bool(self.right.eval(bindings))
 
     def __repr__(self):
         return f"({self.left!r} & {self.right!r})"
@@ -427,9 +383,6 @@ class Or(Expr):
     def rebuild(self, children):
         return Or(*children)
 
-    def eval(self, bindings):
-        return bool(self.left.eval(bindings)) or bool(self.right.eval(bindings))
-
     def __repr__(self):
         return f"({self.left!r} | {self.right!r})"
 
@@ -450,9 +403,6 @@ class Not(Expr):
 
     def rebuild(self, children):
         return Not(children[0])
-
-    def eval(self, bindings):
-        return not self.operand.eval(bindings)
 
     def __repr__(self):
         return f"(~{self.operand!r})"
@@ -475,10 +425,6 @@ class InSet(Expr):
 
     def rebuild(self, children):
         return InSet(children[0], self.values)
-
-    def eval(self, bindings):
-        value = self.operand.eval(bindings)
-        return value is not None and value in self.values
 
     def __repr__(self):
         return f"({self.operand!r} IN {sorted(map(repr, self.values))})"
@@ -503,14 +449,6 @@ class Between(Expr):
     def rebuild(self, children):
         return Between(*children)
 
-    def eval(self, bindings):
-        value = self.operand.eval(bindings)
-        low = self.low.eval(bindings)
-        high = self.high.eval(bindings)
-        if value is None or low is None or high is None:
-            return False
-        return low <= value <= high
-
     def __repr__(self):
         return f"({self.operand!r} BETWEEN {self.low!r} AND {self.high!r})"
 
@@ -531,9 +469,6 @@ class IsNull(Expr):
 
     def rebuild(self, children):
         return IsNull(children[0])
-
-    def eval(self, bindings):
-        return self.operand.eval(bindings) is None
 
     def __repr__(self):
         return f"({self.operand!r} IS NULL)"

@@ -3,7 +3,7 @@
 This module provides the reasoning primitives used by the Skalla
 optimizer (``repro.gmdj.analysis``):
 
-- decomposition of conditions into conjuncts and disjuncts;
+- decomposition of conditions into conjuncts;
 - classification of which relation variables an expression touches;
 - extraction of base/detail *equality atoms* from GMDJ conditions (these
   drive hash-based GMDJ evaluation and key-entailment checks);
@@ -32,7 +32,6 @@ from repro.relalg.expressions import (
     Field,
     InSet,
     Neg,
-    Or,
 )
 
 # ---------------------------------------------------------------------------
@@ -47,21 +46,6 @@ def conjuncts(expression: Expr) -> list:
     while stack:
         node = stack.pop()
         if isinstance(node, And):
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            result.append(node)
-    result.reverse()
-    return result
-
-
-def disjuncts(expression: Expr) -> list:
-    """Flatten a tree of ``Or`` nodes into a list of disjuncts."""
-    result = []
-    stack = [expression]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Or):
             stack.append(node.right)
             stack.append(node.left)
         else:
@@ -214,10 +198,6 @@ class Interval:
     @classmethod
     def unbounded(cls) -> "Interval":
         return cls()
-
-    @property
-    def is_point(self) -> bool:
-        return self.low == self.high
 
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.low + other.low, self.high + other.high)

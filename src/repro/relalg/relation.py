@@ -22,13 +22,13 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError
 from repro.relalg import compiler
 from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.expressions import Expr
-from repro.relalg.schema import Attribute, Schema, infer_type
+from repro.relalg.schema import Attribute, Schema
 
 
 def tuple_getter(positions: Sequence[int]) -> Callable:
@@ -56,34 +56,6 @@ class Relation:
                 schema.check_row(row)
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def from_dicts(cls, schema: Schema, records: Iterable[dict]) -> "Relation":
-        """Build a relation from dict records; missing keys become ``None``."""
-        names = schema.names
-        return cls(schema, (tuple(record.get(name) for name in names) for record in records))
-
-    @classmethod
-    def infer(cls, records: Sequence[dict], names: Optional[Sequence[str]] = None) -> "Relation":
-        """Build a relation from dict records, inferring the schema.
-
-        Types are inferred from the first non-``None`` value of each
-        attribute; attributes that are ``None`` everywhere default to FLOAT.
-        """
-        if names is None:
-            if not records:
-                raise SchemaError("cannot infer schema from zero records without names")
-            names = list(records[0].keys())
-        attributes = []
-        for name in names:
-            type_name = "float"
-            for record in records:
-                value = record.get(name)
-                if value is not None:
-                    type_name = infer_type(value)
-                    break
-            attributes.append(Attribute(name, type_name))
-        return cls.from_dicts(Schema(attributes), records)
 
     @classmethod
     def empty(cls, schema: Schema) -> "Relation":
@@ -138,10 +110,6 @@ class Relation:
         # The column cache is derived state: a relation pickles as what it is.
         return Relation, (self.schema, self.rows)
 
-    def to_dicts(self) -> list:
-        names = self.schema.names
-        return [dict(zip(names, row)) for row in self.rows]
-
     def column(self, name: str) -> list:
         """All values of one attribute, in row order."""
         position = self.schema.position(name)
@@ -149,14 +117,7 @@ class Relation:
             return list(self._columnar.value_lists()[position])
         return [row[position] for row in self._rows]
 
-    def row_dict(self, index: int) -> dict:
-        return dict(zip(self.schema.names, self.rows[index]))
-
-    # -- core relational operators ----------------------------------------------
-    #
-    # Join/rename/etc. live in repro.relalg.operators; the operators used in
-    # inner loops of GMDJ evaluation are defined here as methods for
-    # convenience and speed.
+    # -- relational operators -----------------------------------------------------
 
     def select(self, condition: Expr) -> "Relation":
         """Rows satisfying ``condition`` (fields unqualified)."""
@@ -165,10 +126,6 @@ class Relation:
         if self._rows is None:
             return Relation.from_columnar(self._columnar.gather(indices))
         return Relation(self.schema, map(self._rows.__getitem__, indices.tolist()))
-
-    def select_fn(self, predicate: Callable) -> "Relation":
-        """Rows for which ``predicate(row_tuple)`` is truthy."""
-        return Relation(self.schema, (row for row in self.rows if predicate(row)))
 
     def project(self, names: Sequence[str]) -> "Relation":
         """Projection (multiset — does not deduplicate, per SQL)."""
@@ -262,10 +219,6 @@ class Relation:
 
     def row_multiset(self) -> Counter:
         return Counter(self.rows)
-
-    def same_rows(self, other: "Relation") -> bool:
-        """Multiset equality of rows, requiring identical schemas."""
-        return self.schema == other.schema and self.row_multiset() == other.row_multiset()
 
     def same_rows_any_order_of_columns(self, other: "Relation") -> bool:
         """Multiset equality after aligning ``other``'s columns to ours."""

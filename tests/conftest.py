@@ -17,7 +17,9 @@ import threading
 import pytest
 from hypothesis import settings
 
-import oracle
+from oracle import scan
+from oracle.accumulate import accumulator
+from oracle.interp import evaluate
 from repro.gmdj import operator as gmdj_operator
 from repro.gmdj.blocks import MDBlock, result_schema
 from repro.relalg.aggregates import AggSpec
@@ -49,19 +51,24 @@ def brute_force_gmdj(base: Relation, detail: Relation, blocks) -> Relation:
             for detail_row in detail.rows:
                 detail_dict = dict(zip(detail_names, detail_row))
                 bindings = {BASE_VAR: base_dict, DETAIL_VAR: detail_dict, None: detail_dict}
-                if block.condition.eval(bindings):
+                if evaluate(block.condition, bindings):
                     matching.append(detail_dict)
             for spec in block.aggregates:
-                accumulator = spec.accumulator()
+                state = accumulator(spec)
                 for detail_dict in matching:
                     if spec.input_expr is None:
-                        accumulator.update(None)
+                        state.update(None)
                     else:
                         bindings = {DETAIL_VAR: detail_dict, None: detail_dict}
-                        accumulator.update(spec.input_expr.eval(bindings))
-                out.append(accumulator.result())
+                        state.update(evaluate(spec.input_expr, bindings))
+                out.append(state.result())
         rows.append(tuple(out))
     return Relation(result_schema(base.schema, blocks), rows)
+
+
+def same_rows(left: Relation, right: Relation) -> bool:
+    """Multiset equality of rows, requiring identical schemas."""
+    return left.schema == right.schema and left.row_multiset() == right.row_multiset()
 
 
 def assert_relations_equal(left: Relation, right: Relation, places: int = 9):
@@ -94,8 +101,8 @@ def row_oracle(monkeypatch):
     """The whole test scans with the row oracle (:mod:`oracle.scan`) in
     place of the vector scan, on every in-process executor. A site-server
     process does not inherit it."""
-    monkeypatch.setattr(gmdj_operator, "_accumulate", oracle.accumulate)
-    return oracle.accumulate
+    monkeypatch.setattr(gmdj_operator, "_accumulate", scan.accumulate)
+    return scan.accumulate
 
 
 # ---------------------------------------------------------------------------

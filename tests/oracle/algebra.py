@@ -1,11 +1,11 @@
-"""Relational algebra operators over :class:`Relation`.
+"""Relational algebra over :class:`~repro.relalg.relation.Relation`: the
+baselines the tests compare GMDJ evaluation against.
 
-These complement the cheap per-relation methods on :class:`Relation`
-(select/project/distinct/...) with the binary operators — joins, set
-operations — and conventional SQL ``GROUP BY`` aggregation.
-
-``group_by`` is the baseline the tests compare GMDJ evaluation against;
-no query path calls it.
+The pipeline evaluates a query as GMDJ rounds, whose groups may overlap
+(Section 2.2 of the paper); it runs no join and no SQL ``GROUP BY``.
+These operators are kept beside the suite as the conventional answers:
+joins, multiset difference and :func:`group_by`, which folds one
+:mod:`oracle.accumulate` object per (group, aggregate) row by row.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from oracle.accumulate import accumulator
 from repro.errors import SchemaError
 from repro.relalg import compiler
 from repro.relalg.aggregates import AggSpec
@@ -81,42 +82,29 @@ def theta_join(left: Relation, right: Relation, condition: Expr) -> Relation:
     return Relation(schema, rows)
 
 
+def _keys(relation: Relation, names: Sequence[str]) -> set:
+    positions = relation.schema.positions(names)
+    return {tuple(row[position] for position in positions) for row in relation.rows}
+
+
 def semijoin(left: Relation, right: Relation, pairs: Sequence[tuple]) -> Relation:
     """Left rows with at least one equi-match in ``right``."""
-    left_positions = left.schema.positions([pair[0] for pair in pairs])
-    right_positions = right.schema.positions([pair[1] for pair in pairs])
-    keys = {tuple(row[position] for position in right_positions) for row in right.rows}
+    keys = _keys(right, [pair[1] for pair in pairs])
+    positions = left.schema.positions([pair[0] for pair in pairs])
     return Relation(
         left.schema,
-        (
-            row
-            for row in left.rows
-            if tuple(row[position] for position in left_positions) in keys
-        ),
+        (row for row in left.rows if tuple(row[position] for position in positions) in keys),
     )
 
 
 def antijoin(left: Relation, right: Relation, pairs: Sequence[tuple]) -> Relation:
     """Left rows with no equi-match in ``right``."""
-    left_positions = left.schema.positions([pair[0] for pair in pairs])
-    right_positions = right.schema.positions([pair[1] for pair in pairs])
-    keys = {tuple(row[position] for position in right_positions) for row in right.rows}
+    keys = _keys(right, [pair[1] for pair in pairs])
+    positions = left.schema.positions([pair[0] for pair in pairs])
     return Relation(
         left.schema,
-        (
-            row
-            for row in left.rows
-            if tuple(row[position] for position in left_positions) not in keys
-        ),
+        (row for row in left.rows if tuple(row[position] for position in positions) not in keys),
     )
-
-
-def union_all(relations: Sequence[Relation]) -> Relation:
-    """Multiset union of one or more same-schema relations, rows in order
-    (:meth:`Relation.union_all`)."""
-    if not relations:
-        raise SchemaError("union_all of zero relations")
-    return relations[0].union_all(*relations[1:])
 
 
 def difference(left: Relation, right: Relation) -> Relation:
@@ -139,12 +127,11 @@ def group_by(
     aggs: Sequence[AggSpec],
     having: Optional[Expr] = None,
 ) -> Relation:
-    """Conventional SQL GROUP BY aggregation (disjoint groups).
+    """Conventional SQL GROUP BY aggregation (disjoint groups), groups in
+    first-seen order.
 
-    This is *not* how GMDJs are evaluated (their groups may overlap, see
-    Section 2.2 of the paper) — it is the baseline / local-utility
-    operator. Aggregate input expressions see the relation unqualified or
-    via the ``detail`` namespace.
+    Aggregate input expressions see the relation unqualified or via the
+    ``detail`` namespace.
     """
     key_positions = relation.schema.positions(keys)
     schemas = {DETAIL_VAR: relation.schema, None: relation.schema}
@@ -155,23 +142,20 @@ def group_by(
         for spec in aggs
     ]
     groups: dict = {}
-    order: list = []
     for row in relation.rows:
         key = tuple(row[position] for position in key_positions)
         accumulators = groups.get(key)
         if accumulators is None:
-            accumulators = [spec.accumulator() for spec in aggs]
-            groups[key] = accumulators
-            order.append(key)
-        for accumulator, input_func in zip(accumulators, input_funcs):
-            accumulator.update(None if input_func is None else input_func(row))
+            accumulators = groups[key] = [accumulator(spec) for spec in aggs]
+        for state, input_func in zip(accumulators, input_funcs):
+            state.update(None if input_func is None else input_func(row))
     schema = relation.schema.project(keys).concat(
         Schema([spec.result_attribute() for spec in aggs])
     )
-    rows = []
-    for key in order:
-        rows.append(key + tuple(accumulator.result() for accumulator in groups[key]))
-    result = Relation(schema, rows)
+    result = Relation(
+        schema,
+        [key + tuple(state.result() for state in states) for key, states in groups.items()],
+    )
     if having is not None:
         result = result.select(having)
     return result

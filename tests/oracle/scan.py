@@ -5,7 +5,7 @@ kept unchanged as their reference: per block, the base-only conjuncts
 filter the base rows, the equality atoms build a hash table over them,
 and each detail row that passes the detail-only conjuncts probes it,
 checks the residual per candidate pair and feeds every aggregate's
-:class:`~repro.relalg.aggregates.Accumulator` of the groups it reaches
+:class:`oracle.accumulate.Accumulator` of the groups it reaches
 — predicates, keys and inputs through the row kernels of
 :mod:`repro.relalg.compiler`. It hands its state over as the same
 columns :func:`repro.gmdj.operator._accumulate` returns, so
@@ -20,6 +20,7 @@ import contextlib
 import numpy as np
 import pytest
 
+from oracle.accumulate import accumulator
 from repro.gmdj import operator
 from repro.relalg import compiler
 from repro.relalg.expressions import BASE_VAR, DETAIL_VAR
@@ -38,7 +39,7 @@ def accumulate(base, detail, blocks, track_touch):
 
     for block in blocks:
         block_accumulators = [
-            [spec.accumulator() for spec in block.aggregates] for _row in base.rows
+            [accumulator(spec) for spec in block.aggregates] for _row in base.rows
         ]
         accumulators.append(block_accumulators)
         input_kernels = [
@@ -122,10 +123,10 @@ def accumulate(base, detail, blocks, track_touch):
                         continue
                     if track_touch:
                         touched[base_index] = True
-                    for accumulator, value in zip(
+                    for state, value in zip(
                         block_accumulators[base_index], input_values
                     ):
-                        accumulator.update(value)
+                        state.update(value)
         else:
             # No equality atoms: nested-loop evaluation, O(|B| * |R|).
             for detail_row in detail_rows:
@@ -140,10 +141,10 @@ def accumulate(base, detail, blocks, track_touch):
                         continue
                     if track_touch:
                         touched[base_index] = True
-                    for accumulator, value in zip(
+                    for state, value in zip(
                         block_accumulators[base_index], input_values
                     ):
-                        accumulator.update(value)
+                        state.update(value)
 
     operator._hot_counters()[0].inc(tuples_examined)
     slots: list = []
@@ -153,9 +154,9 @@ def accumulate(base, detail, blocks, track_touch):
             per_row = [row[agg_index] for row in block_accumulators]
             if spec.is_holistic:
                 # The one state column: each group's input values.
-                own = [[accumulator._values for accumulator in per_row]]
+                own = [[state._values for state in per_row]]
             else:
-                values = [accumulator.sub_values() for accumulator in per_row]
+                values = [state.sub_values() for state in per_row]
                 own = [
                     [row_values[position] for row_values in values]
                     for position in range(len(spec.function.components()))

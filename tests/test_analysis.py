@@ -6,20 +6,26 @@ a hypothesis property test in test_property_analysis.py; here we check
 the specific derivations the paper describes.
 """
 
+from hypothesis import given
+from hypothesis import strategies as st
+from oracle.interp import evaluate as interpret
+from test_property_expressions import _values, condition_exprs, examples
+
 from repro.gmdj.analysis import (
+    _detail_conjunct_satisfiable,
     conditions_entail,
     derive_ship_filter,
     entailed_partition_attribute,
     site_can_match,
     theta_entails_key,
 )
-from repro.relalg.expressions import BASE_VAR, Const, base, detail
-from repro.relalg.predicates import is_trivially_false
+from repro.relalg.expressions import BASE_VAR, Const, DETAIL_VAR, Field, base, detail
+from repro.relalg.predicates import Domain, is_trivially_false
 
 
 def filter_admits(ship_filter, **base_row):
     predicate_input = {BASE_VAR: base_row}
-    return bool(ship_filter.eval(predicate_input))
+    return bool(interpret(ship_filter, predicate_input))
 
 
 class TestDeriveShipFilter:
@@ -242,3 +248,77 @@ class TestSiteCanMatch:
 
     def test_no_knowledge_means_maybe(self):
         assert site_can_match([base.K == detail.K], Const(True))
+
+
+# ---------------------------------------------------------------------------
+# A detail conjunct over a finite domain: one vector call, the interpreter's answer
+# ---------------------------------------------------------------------------
+
+
+def on_u(expression):
+    """``expression`` with every field read as the detail attribute ``u``."""
+    if isinstance(expression, Field):
+        return Field("u", DETAIL_VAR)
+    children = expression.children()
+    return expression.rebuild(tuple(map(on_u, children))) if children else expression
+
+
+def interpreted(conjunct, values) -> bool:
+    """Some candidate value satisfies ``conjunct``, one value at a time."""
+    return any(bool(interpret(conjunct, {DETAIL_VAR: {"u": value}})) for value in values)
+
+
+def decided(conjunct, values) -> bool:
+    return _detail_conjunct_satisfiable(conjunct, {"u": Domain.of_values(values)})
+
+
+#: Numbers a domain may hold: the corpus's floats, small ints, ints past
+#: 2**53 (object columns), and NULL.
+_numbers = (
+    _values
+    | st.integers(min_value=-100, max_value=100)
+    | st.integers(min_value=2**53 + 1, max_value=2**60)
+    | st.integers(min_value=-(2**60), max_value=-(2**53) - 1)
+)
+#: Strings beside ints: only ``==`` and ``IN`` compare them without a
+#: ``TypeError`` (an ordering raises in both forms, not always on the
+#: same value, so the interpreter's early exit could hide it).
+_labels = st.none() | st.integers(min_value=-3, max_value=3) | st.text(alphabet="ab", max_size=2)
+
+@given(expression=condition_exprs(), values=st.lists(_numbers, max_size=6))
+@examples(200)
+def test_a_numeric_domain_is_decided_as_the_interpreter_decides(expression, values):
+    conjunct = on_u(expression)
+    if conjunct.fields():
+        assert decided(conjunct, values) == interpreted(conjunct, Domain.of_values(values).values)
+
+
+@given(
+    values=st.lists(_labels, max_size=6),
+    probe=st.lists(_labels, min_size=1, max_size=3),
+    membership=st.booleans(),
+)
+@examples(200)
+def test_a_mixed_domain_is_decided_as_the_interpreter_decides(values, probe, membership):
+    conjunct = detail.u.is_in(probe) if membership else detail.u == probe[0]
+    assert decided(conjunct, values) == interpreted(conjunct, Domain.of_values(values).values)
+
+
+class TestDetailConjunctOverADomain:
+    def test_an_int_and_float_in_domain(self):
+        values = [1, 2.5, 2**53 + 1]
+        assert decided(detail.u.is_in([2.5]), values)
+        assert decided(detail.u.is_in([1.0]), values)  # 1 == 1.0, as in Python
+        assert not decided(detail.u.is_in([3, 2**53]), values)
+        assert decided(detail.u > 2**53, values)
+        assert not decided(detail.u * 2 == 4, values)
+
+    def test_a_domain_of_only_null(self):
+        assert decided(detail.u.is_null(), [None])
+        assert not decided(detail.u == 1, [None])
+        assert not decided(detail.u.is_in([None, 1]), [None])
+        assert decided(~(detail.u == 1), [None])
+
+    def test_an_empty_domain_satisfies_nothing(self):
+        for conjunct in (detail.u.is_null(), detail.u == 1, ~(detail.u == 1)):
+            assert not decided(conjunct, [])

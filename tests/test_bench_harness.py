@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import same_rows
+
 from repro.bench.harness import (
     ShapeCheckError,
     format_table,
@@ -54,7 +56,7 @@ class TestClusterBuilders:
     def test_scaleup_cluster(self):
         cluster = scaleup_cluster(TPCRConfig(scale=0.0002, seed=3), sites=4)
         assert cluster.site_count == 4
-        assert cluster.conceptual_table("TPCR").same_rows(TPCR)
+        assert same_rows(cluster.conceptual_table("TPCR"), TPCR)
 
 
 class TestRunArms:

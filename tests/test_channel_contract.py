@@ -47,7 +47,6 @@ from repro.net.socket_channel import (
 )
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
-from repro.relalg.operators import union_all
 from repro.relalg.relation import Relation
 from repro.relalg.schema import INT, Schema
 from repro.warehouse.storage import LocalWarehouse
@@ -116,7 +115,7 @@ def run_leg(channel, turn):
         blocks = [channel.receive_at_coordinator().relation() for _ in payloads]
     except (NetworkError, SerializationError) as error:
         return step, type(error), delay_s, None
-    return "done", None, delay_s, sorted(union_all(blocks).rows)
+    return "done", None, delay_s, sorted(Relation.union_all(*blocks).rows)
 
 
 def ledger(channel):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import make_flows
+from conftest import make_flows, same_rows
 from repro.distributed.cluster import SimulatedCluster, default_site_ids
 from repro.errors import WarehouseError
 from repro.warehouse.partition import RoundRobinPartitioner, ValueListPartitioner
@@ -63,7 +63,7 @@ class TestLoading:
             {"site0": halves[0], "site1": halves[1]},
             partition_attrs=(),
         )
-        assert cluster.conceptual_table("Flow").same_rows(FLOW)
+        assert same_rows(cluster.conceptual_table("Flow"), FLOW)
 
     def test_load_manual_unknown_site(self):
         cluster = SimulatedCluster.with_sites(1)
@@ -75,7 +75,7 @@ class TestViews:
     def test_conceptual_table_is_union(self):
         cluster = SimulatedCluster.with_sites(3)
         cluster.load_partitioned("Flow", FLOW, RoundRobinPartitioner(3))
-        assert cluster.conceptual_table("Flow").same_rows(FLOW)
+        assert same_rows(cluster.conceptual_table("Flow"), FLOW)
 
     def test_conceptual_table_missing(self):
         cluster = SimulatedCluster.with_sites(1)

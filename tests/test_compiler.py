@@ -1,7 +1,7 @@
 """Differential tests: row and vector kernels vs the AST interpreter oracle.
 
 The kernels of :mod:`repro.relalg.compiler` share no evaluation code
-with :meth:`Expr.eval`; running both over the property-test
+with the interpreter of ``tests/oracle/interp.py``; running both over the property-test
 expression corpus (random trees, random rows including NULLs) pins down
 NULL propagation, NULL comparisons, division by zero, and the lazy
 short-circuit behaviour of ``&``/``|``.
@@ -12,6 +12,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
+from oracle.interp import evaluate as interpret
 from test_property_expressions import (
     BASE_SCHEMA,
     DETAIL_SCHEMA,
@@ -50,7 +51,7 @@ def _oracle(expression, base_row, detail_row):
         BASE_VAR: dict(zip(("x", "y"), base_row)),
         DETAIL_VAR: dict(zip(("u", "v"), detail_row)),
     }
-    return expression.eval(bindings)
+    return interpret(expression, bindings)
 
 
 @given(expression=numeric_exprs(), base_row=_rows, detail_row=_rows)
@@ -143,7 +144,7 @@ def test_and_short_circuits_lazily():
         with pytest.raises(TypeError):
             kernel(("alice", 200.0))  # the interpreter raises here too
     with pytest.raises(TypeError):
-        guarded.eval({None: {"name": "alice", "score": 200.0}})
+        interpret(guarded, {None: {"name": "alice", "score": 200.0}})
 
 
 def test_or_short_circuits_lazily():

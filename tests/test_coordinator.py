@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import assert_relations_equal, make_flows
+from conftest import assert_relations_equal, make_flows, same_rows
 from repro.distributed.coordinator import Coordinator
 from repro.errors import PlanError
 from repro.gmdj import operator
@@ -42,7 +42,7 @@ class TestBase:
         coordinator = Coordinator(KEY_ATTRS)
         fragments = [piece.distinct_project(KEY_ATTRS) for piece in split_three()]
         merged = coordinator.sync_base(fragments)
-        assert merged.same_rows(FLOW.distinct_project(KEY_ATTRS))
+        assert same_rows(merged, FLOW.distinct_project(KEY_ATTRS))
 
     def test_sync_base_empty_list_raises(self):
         with pytest.raises(PlanError):

@@ -35,7 +35,7 @@ class TestGrandTotalExpression:
         expression = grand_total_expression("Flow", AGGS)
         result = execute_query(cluster, expression, OptimizationOptions.none())
         assert len(result.relation) == 1
-        row = result.relation.row_dict(0)
+        row = dict(zip(result.relation.schema.names, result.relation.rows[0]))
         assert row["flows"] == len(FLOW)
         expected_avg = sum(FLOW.column("NumBytes")) / len(FLOW)
         assert row["avg_nb"] == pytest.approx(expected_avg)

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import make_flows
 from oracle import row_scan
+from oracle.accumulate import ComponentAccumulator
 from repro.distributed import OptimizationOptions, SimulatedCluster, execute_query
 from repro.distributed.evaluator import ExecutionConfig
 from repro.distributed.stats import verify_against_network
@@ -32,7 +33,7 @@ from repro.queries import (
     multifeature_query,
 )
 from repro.queries.sql import parse_olap_statement
-from repro.relalg.aggregates import AggSpec, ComponentAccumulator, count_star
+from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
 from repro.warehouse.partition import HashPartitioner
 

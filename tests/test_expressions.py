@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracle.interp import evaluate as interpret
 from repro.errors import ExpressionError
 from repro.relalg.compiler import compile_predicate, compile_scalar
 from repro.relalg.expressions import (
@@ -37,7 +38,7 @@ def evaluate(expression, **rows):
     bindings = {}
     for key, value in rows.items():
         bindings[{"b": BASE_VAR, "r": DETAIL_VAR, "u": None}[key]] = value
-    return expression.eval(bindings)
+    return interpret(expression, bindings)
 
 
 class TestBuilders:
@@ -149,7 +150,7 @@ class TestEvaluation:
 
     def test_missing_binding_raises(self):
         with pytest.raises(ExpressionError):
-            (base.k == detail.k).eval({BASE_VAR: {"k": 1}})
+            interpret(base.k == detail.k, {BASE_VAR: {"k": 1}})
 
 
 class TestCompile:
@@ -172,7 +173,7 @@ class TestCompile:
                 BASE_VAR: dict(zip(("k", "t"), base_row)),
                 DETAIL_VAR: dict(zip(("k", "v"), detail_row)),
             }
-            assert theta.eval(bindings) is expected
+            assert interpret(theta, bindings) is expected
 
     def test_compile_null_arith(self):
         schema = Schema.of(("a", FLOAT),)
@@ -197,7 +198,7 @@ class TestCompile:
             compiled = compile_scalar(expression, {None: schema}, (None,))
             for value in (1.0, -10.0, None):
                 bound = compiled((value,))
-                direct = expression.eval({None: {"a": value}})
+                direct = interpret(expression, {None: {"a": value}})
                 assert bound == direct
 
 
@@ -246,10 +247,10 @@ class TestStructural:
 
 class TestConjunctionHelpers:
     def test_and_all_empty_is_true(self):
-        assert and_all([]).eval({}) is True
+        assert interpret(and_all([]), {}) is True
 
     def test_or_all_empty_is_false(self):
-        assert or_all([]).eval({}) is False
+        assert interpret(or_all([]), {}) is False
 
     def test_and_all(self):
         expression = and_all([col.a > 0, col.a < 10])

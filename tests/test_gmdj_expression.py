@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import assert_relations_equal, brute_force_gmdj, make_flows
+from conftest import assert_relations_equal, brute_force_gmdj, make_flows, same_rows
 from repro.errors import PlanError, SchemaError
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import (
@@ -31,7 +31,7 @@ class TestSources:
         assert source.key == ("SourceAS",)
         assert source.table_name == "Flow"
         evaluated = source.evaluate(TABLES)
-        assert evaluated.same_rows(FLOW.distinct_project(["SourceAS"]))
+        assert same_rows(evaluated, FLOW.distinct_project(["SourceAS"]))
         assert source.schema({"Flow": FLOW.schema}).names == ("SourceAS",)
 
     def test_distinct_base_needs_attrs(self):

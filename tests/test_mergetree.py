@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_relations_equal, make_flows
+from conftest import assert_relations_equal, make_flows, same_rows
 from repro.distributed import (
     MergeTree,
     OptimizationOptions,
@@ -177,7 +177,7 @@ class TestMergeSubResults:
         blocks = [MDBlock([count_star("cnt")], KEY)]
         h, _touched = evaluate_sub(base_relation, FLOW, blocks)
         once = merge_sub_results(h, ["SourceAS"], blocks)
-        assert once.same_rows(merge_sub_results(once, ["SourceAS"], blocks))
+        assert same_rows(once, merge_sub_results(once, ["SourceAS"], blocks))
 
 
 class TestCorrectness:
@@ -329,7 +329,7 @@ class TestConfigIsHonoured:
         result = execute_plan_scheduled(
             cluster, plan, config, tracer=tracer, topology=topology
         )
-        assert result.relation.same_rows(flat.relation)
+        assert same_rows(result.relation, flat.relation)
         assert result.stats.executor == executor
         assert result.stats.failure_mode == "retry"
         assert verify_against_network(result.stats, cluster.network) == []
@@ -350,7 +350,7 @@ class TestConfigIsHonoured:
         blocked = execute_plan_scheduled(
             cluster, plan, ExecutionConfig(row_block_size=3), topology="chain:2"
         )
-        assert blocked.relation.same_rows(whole.relation)
+        assert same_rows(blocked.relation, whole.relation)
         assert blocked.stats.tuples_total == whole.stats.tuples_total
         # Headers plus the repeated schema of each extra block, per edge.
         assert blocked.stats.bytes_total > whole.stats.bytes_total
@@ -384,7 +384,7 @@ class TestConfigIsHonoured:
         try:
             for _attempt in range(10):
                 threaded = run("threads")
-                assert threaded.relation.same_rows(serial.relation)
+                assert same_rows(threaded.relation, serial.relation)
                 assert threaded.stats.bytes_total == serial.stats.bytes_total
                 assert threaded.stats.retries == serial.stats.retries == 3
         finally:
@@ -412,7 +412,7 @@ class TestConfigIsHonoured:
         runner.start()
         runner.join(timeout=60)
         assert not runner.is_alive(), f"{topology} under {executor} deadlocked"
-        assert finished[0].relation.same_rows(flat.relation)
+        assert same_rows(finished[0].relation, flat.relation)
 
 
 class TestHopSpans:

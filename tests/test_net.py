@@ -5,6 +5,8 @@ import pathlib
 
 import pytest
 
+from conftest import same_rows
+
 import repro.net
 
 from repro.errors import NetworkError, SerializationError
@@ -31,7 +33,7 @@ class TestMessage:
     def test_with_relation_round_trips(self):
         message = Message.with_relation(SHIP_BASE, "coordinator", "site0", 1, RELATION)
         assert message.size_bytes > HEADER_BYTES
-        assert message.relation().same_rows(RELATION)
+        assert same_rows(message.relation(), RELATION)
 
     def test_unknown_kind(self):
         with pytest.raises(SerializationError):

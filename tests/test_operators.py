@@ -1,11 +1,10 @@
-"""Unit tests for relational algebra operators."""
+"""Unit tests for the relational algebra baselines (:mod:`oracle.algebra`)
+and the one production union, :meth:`Relation.union_all`."""
 
 import pytest
 
-from repro.errors import SchemaError
-from repro.relalg.aggregates import AggSpec, count_star
-from repro.relalg.expressions import base, col, detail
-from repro.relalg.operators import (
+from conftest import same_rows
+from oracle.algebra import (
     antijoin,
     cross,
     difference,
@@ -14,8 +13,10 @@ from repro.relalg.operators import (
     natural_join,
     semijoin,
     theta_join,
-    union_all,
 )
+from repro.errors import SchemaError
+from repro.relalg.aggregates import AggSpec, count_star
+from repro.relalg.expressions import base, col, detail
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, STR, Schema
 
@@ -89,18 +90,14 @@ class TestSemiAntiJoin:
 
 class TestSetOperations:
     def test_union_all(self):
-        assert len(union_all([LEFT, LEFT, LEFT])) == 9
-
-    def test_union_all_empty_list(self):
-        with pytest.raises(SchemaError):
-            union_all([])
+        assert len(LEFT.union_all(LEFT, LEFT)) == 9
 
     def test_union_all_keeps_fragment_and_row_order(self):
         fragments = [
             Relation(LEFT.schema, [(10 * index + offset, "x") for offset in range(index % 3)])
             for index in range(8)
         ]
-        combined = union_all(fragments)
+        combined = Relation.union_all(*fragments)
         assert combined.schema == LEFT.schema
         assert combined.rows == [row for fragment in fragments for row in fragment.rows]
 
@@ -108,12 +105,12 @@ class TestSetOperations:
         fragments = [LEFT] * 8
         fragments[4] = RIGHT
         with pytest.raises(SchemaError, match="incompatible schemas"):
-            union_all(fragments)
+            Relation.union_all(*fragments)
 
     def test_difference_multiset(self):
         doubled = LEFT.union_all(LEFT)
         result = difference(doubled, LEFT)
-        assert result.same_rows(LEFT)
+        assert same_rows(result, LEFT)
 
     def test_difference_schema_mismatch(self):
         with pytest.raises(SchemaError):

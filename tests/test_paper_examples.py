@@ -8,6 +8,7 @@ implementation back to the prose.
 import pytest
 
 from conftest import assert_relations_equal
+from oracle.interp import evaluate as interpret
 from repro.data.flows import FlowConfig, generate_flows, router_partitioner
 from repro.distributed import (
     OptimizationOptions,
@@ -83,7 +84,7 @@ class TestExample2:
         theta = (base.SourceAS == detail.SourceAS) & (base.DestAS == detail.DestAS)
         ship_filter = derive_ship_filter([theta], phi)
         assert ship_filter is not None
-        admit = lambda **row: bool(ship_filter.eval({BASE_VAR: row}))
+        admit = lambda **row: bool(interpret(ship_filter, {BASE_VAR: row}))
         assert admit(SourceAS=1, DestAS=9)
         assert admit(SourceAS=25, DestAS=9)
         assert not admit(SourceAS=26, DestAS=9)
@@ -96,7 +97,7 @@ class TestExample2:
         phi = detail.SourceAS.between(1, 25)
         theta = base.DestAS + base.SourceAS < detail.SourceAS * 2
         ship_filter = derive_ship_filter([theta], phi)
-        admit = lambda **row: bool(ship_filter.eval({BASE_VAR: row}))
+        admit = lambda **row: bool(interpret(ship_filter, {BASE_VAR: row}))
         assert admit(DestAS=24, SourceAS=25)
         assert not admit(DestAS=26, SourceAS=24)
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import same_rows
+
 from repro.errors import WarehouseError
 from repro.relalg.compiler import compile_predicate
 from repro.relalg.expressions import DETAIL_VAR
@@ -110,7 +112,7 @@ class TestHashPartitioner:
         first = partitioner.split(RELATION)
         second = partitioner.split(RELATION)
         for left, right in zip(first, second):
-            assert left.same_rows(right)
+            assert same_rows(left, right)
         assert sum(len(partition) for partition in first) == len(RELATION)
 
     def test_single_attribute_is_partition_attribute(self):
@@ -144,7 +146,7 @@ class TestRoundRobinPartitioner:
         partitioner = RoundRobinPartitioner(2)
         first = partitioner.split(RELATION)
         second = partitioner.split(RELATION)
-        assert first[0].same_rows(second[0])
+        assert same_rows(first[0], second[0])
 
 
 class TestPartitionerBase:

@@ -40,7 +40,6 @@ from repro.errors import DeploymentError, SerializationError
 from repro.net import serialize
 from repro.queries import sql
 from repro.relalg.expressions import col
-from repro.relalg.operators import union_all
 from repro.relalg.relation import Relation
 from repro.warehouse.storage import LocalWarehouse
 
@@ -199,8 +198,7 @@ def test_union_all_reads_the_columns(tmp_path, typed_decode):
     expected = repr(PALETTE.rows + PALETTE.rows + PALETTE.rows)
     for union in (
         first.union_all(second, PALETTE),
-        union_all([first, second, PALETTE]),
-        union_all([PALETTE, first, second]),
+        PALETTE.union_all(first, second),
     ):
         assert union._rows is None
         assert len(union) == 3 * len(PALETTE)

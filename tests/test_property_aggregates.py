@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle.accumulate import accumulator
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import col
 
@@ -39,10 +40,10 @@ splits_strategy = st.lists(st.integers(min_value=0, max_value=30), max_size=4)
 
 
 def direct(spec, values):
-    accumulator = spec.accumulator()
+    state = accumulator(spec)
     for value in values:
-        accumulator.update(value)
-    return accumulator.result()
+        state.update(value)
+    return state.result()
 
 
 def split_points(raw_splits, length):
@@ -55,9 +56,9 @@ def split_points(raw_splits, length):
 def test_any_partitioning_matches_direct(spec, values, raw_splits):
     points = [0, *split_points(raw_splits, len(values)), len(values)]
     pieces = [values[start:end] for start, end in zip(points, points[1:])]
-    combined = spec.accumulator()
+    combined = accumulator(spec)
     for piece in pieces:
-        partial = spec.accumulator()
+        partial = accumulator(spec)
         for value in piece:
             partial.update(value)
         combined.load_sub_values(partial.sub_values())
@@ -77,10 +78,10 @@ def test_merge_is_commutative(spec, values, pivot):
     first, second = values[:pivot], values[pivot:]
 
     def partial(piece):
-        accumulator = spec.accumulator()
+        state = accumulator(spec)
         for value in piece:
-            accumulator.update(value)
-        return accumulator
+            state.update(value)
+        return state
 
     left_right = partial(first)
     left_right.merge(partial(second))
@@ -99,12 +100,12 @@ def test_merge_is_commutative(spec, values, pivot):
 @settings(max_examples=30, deadline=None)
 def test_identity_element(spec, values):
     """Merging an empty partition never changes the result."""
-    accumulator = spec.accumulator()
+    state = accumulator(spec)
     for value in values:
-        accumulator.update(value)
-    before = accumulator.result()
-    accumulator.load_sub_values(spec.accumulator().sub_values())
-    after = accumulator.result()
+        state.update(value)
+    before = state.result()
+    state.load_sub_values(accumulator(spec).sub_values())
+    after = state.result()
     if before is None:
         assert after is None
     else:

@@ -1,10 +1,12 @@
 """Property test: compiled expressions agree with interpreted evaluation.
 
 Random expression trees over two relations are evaluated both ways —
-``Expr.eval`` with dict bindings and ``Expr.compile`` against row tuples
-— on random rows including NULLs. The two paths share no evaluation
-code, so agreement pins down the semantics (NULL propagation, NULL
-comparisons, division by zero) across every node kind.
+the interpreter of ``tests/oracle/interp.py`` with dict bindings and a row
+kernel of :mod:`repro.relalg.compiler` against row tuples — on random
+rows including NULLs. The two paths share no evaluation code, so
+agreement pins down the semantics (NULL propagation, NULL comparisons,
+division by zero) across every node kind. ``--hypothesis-profile=
+equivalence`` runs each property longer.
 """
 
 import math
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle.interp import evaluate as interpret
 from repro.relalg.compiler import compile_scalar
 from repro.relalg.expressions import (
     BASE_VAR,
@@ -82,13 +85,18 @@ def condition_exprs(draw, depth=0):
 _rows = st.tuples(_values, _values)
 
 
+#: At least ``floor`` examples; ``--hypothesis-profile=equivalence`` runs more.
+def examples(floor: int) -> settings:
+    return settings(deadline=None, max_examples=max(floor, settings.default.max_examples))
+
+
 def both_ways(expression, base_row, detail_row):
     bindings = {
         BASE_VAR: dict(zip(("x", "y"), base_row)),
         DETAIL_VAR: dict(zip(("u", "v"), detail_row)),
         None: dict(zip(("u", "v"), detail_row)),
     }
-    interpreted = expression.eval(bindings)
+    interpreted = interpret(expression, bindings)
     compiled = compile_scalar(
         expression,
         {BASE_VAR: BASE_SCHEMA, DETAIL_VAR: DETAIL_SCHEMA, None: DETAIL_SCHEMA},
@@ -100,7 +108,7 @@ def both_ways(expression, base_row, detail_row):
 
 
 @given(expression=numeric_exprs(), base_row=_rows, detail_row=_rows)
-@settings(max_examples=200, deadline=None)
+@examples(200)
 def test_numeric_eval_equals_compile(expression, base_row, detail_row):
     interpreted, direct = both_ways(expression, base_row, detail_row)
     if interpreted is None or direct is None:
@@ -112,14 +120,14 @@ def test_numeric_eval_equals_compile(expression, base_row, detail_row):
 
 
 @given(expression=condition_exprs(), base_row=_rows, detail_row=_rows)
-@settings(max_examples=200, deadline=None)
+@examples(200)
 def test_condition_eval_equals_compile(expression, base_row, detail_row):
     interpreted, direct = both_ways(expression, base_row, detail_row)
     assert bool(interpreted) == bool(direct)
 
 
 @given(expression=condition_exprs(), base_row=_rows, detail_row=_rows)
-@settings(max_examples=100, deadline=None)
+@examples(100)
 def test_rebuild_preserves_semantics(expression, base_row, detail_row):
     rebuilt = expression.rebuild(expression.children()) if expression.children() else expression
     original, _direct = both_ways(expression, base_row, detail_row)

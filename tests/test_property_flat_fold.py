@@ -25,6 +25,7 @@ from bench_e2e.workloads import S5_FINE_GROUPS
 from conftest import assert_relations_equal
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle.accumulate import accumulator
 
 from repro.data.tpcr import TPCRConfig, generate_tpcr, nation_partitioner, register_tpcr_fds
 from repro.distributed.cluster import SimulatedCluster
@@ -96,6 +97,11 @@ register_aggregate("top2", lambda star: _TopTwoFunction(), replace=True)
 # ---------------------------------------------------------------------------
 
 
+def sub_names(spec) -> list:
+    """The names of ``spec``'s shipped sub-aggregate columns."""
+    return [attribute.name for attribute in spec.sub_attributes()]
+
+
 class ObjectSyncSession:
     """``SyncSession`` as it was: one accumulator object per (source, group, aggregate)."""
 
@@ -115,14 +121,14 @@ class ObjectSyncSession:
 
     def _fresh_bank(self):
         return [
-            [[spec.accumulator() for spec in block.aggregates] for _row in self._base.rows]
+            [[accumulator(spec) for spec in block.aggregates] for _row in self._base.rows]
             for block in self._blocks
         ]
 
     def absorb(self, h, source=""):
         key_positions = h.schema.positions(self._key_attrs)
         sub_positions = [
-            [h.schema.positions(spec.sub_names()) for spec in block.aggregates]
+            [h.schema.positions(sub_names(spec)) for spec in block.aggregates]
             for block in self._blocks
         ]
         bank = "" if self._in_order else source
@@ -168,8 +174,8 @@ class ObjectSyncSession:
         for base_index, base_row in enumerate(self._base.rows):
             extra = []
             for block_index in range(len(self._blocks)):
-                for accumulator in accumulators[block_index][base_index]:
-                    extra.append(accumulator.result())
+                for state in accumulators[block_index][base_index]:
+                    extra.append(state.result())
             rows.append(base_row + tuple(extra))
         return Relation(result_schema(self._base.schema, self._blocks), rows)
 
@@ -178,7 +184,7 @@ def object_merge_sub_results(h, key_attrs, blocks):
     """``merge_sub_results`` as it was: key -> accumulators -> ``load_sub_values``."""
     key_positions = h.schema.positions(key_attrs)
     sub_positions = [
-        [h.schema.positions(spec.sub_names()) for spec in block.aggregates]
+        [h.schema.positions(sub_names(spec)) for spec in block.aggregates]
         for block in blocks
     ]
     order = []
@@ -190,7 +196,7 @@ def object_merge_sub_results(h, key_attrs, blocks):
             order.append(key)
             first_row[key] = row
             accumulators[key] = [
-                [spec.accumulator() for spec in block.aggregates] for block in blocks
+                [accumulator(spec) for spec in block.aggregates] for block in blocks
             ]
         for block_index, block in enumerate(blocks):
             for agg_index, _spec in enumerate(block.aggregates):
@@ -206,8 +212,8 @@ def object_merge_sub_results(h, key_attrs, blocks):
         template = list(first_row[key])
         flat_values = []
         for per_agg in accumulators[key]:
-            for accumulator in per_agg:
-                flat_values.extend(accumulator.sub_values())
+            for state in per_agg:
+                flat_values.extend(state.sub_values())
         for position, value in zip(all_sub_positions, flat_values):
             template[position] = value
         rows.append(tuple(template))

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_relations_equal, brute_force_gmdj
 from oracle import row_scan
+from oracle.accumulate import ComponentAccumulator, HolisticAccumulator
 from repro.distributed import (
     ExecutionConfig,
     OptimizationOptions,
@@ -36,8 +37,6 @@ from repro.relalg.aggregates import (
     AggregateFunction,
     AggSpec,
     Component,
-    ComponentAccumulator,
-    HolisticAccumulator,
     count_star,
     register_aggregate,
 )

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from conftest import assert_relations_equal
+from oracle.algebra import group_by
 from repro.errors import PlanError
 from repro.queries.cube import (
     combine_lattice_results,
@@ -15,7 +16,6 @@ from repro.queries.cube import (
 )
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import col, detail
-from repro.relalg.operators import group_by
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, STR, Schema
 

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import assert_relations_equal, make_flows
+from oracle.algebra import group_by
 from repro.distributed import OptimizationOptions, SimulatedCluster, execute_query
 from repro.errors import PlanError
 from repro.gmdj.expression import LiteralBase
@@ -14,7 +15,6 @@ from repro.queries.olap import (
 )
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
-from repro.relalg.operators import group_by
 from repro.relalg.relation import Relation
 from repro.relalg.schema import INT, Schema
 from repro.warehouse.partition import ValueListPartitioner

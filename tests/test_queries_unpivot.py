@@ -2,11 +2,11 @@
 
 import pytest
 
+from oracle.algebra import group_by
 from repro.errors import PlanError
 from repro.queries.unpivot import combine_marginals, marginal_queries
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import detail
-from repro.relalg.operators import group_by
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, STR, Schema
 

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import same_rows
+
 from repro.errors import SchemaError, TypeMismatchError
 from repro.relalg.columnar import ColumnarRelation, as_list
 from repro.relalg.expressions import col
@@ -51,33 +53,13 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             Relation(("k",), [])
 
-    def test_from_dicts_fills_missing_with_none(self):
-        relation = Relation.from_dicts(SCHEMA, [{"k": 1}])
-        assert relation.rows == [(1, None, None)]
-
-    def test_infer(self):
-        relation = Relation.infer([{"a": 1, "b": "x"}, {"a": 2, "b": None}])
-        assert relation.schema["a"].type == INT
-        assert relation.schema["b"].type == STR
-
-    def test_infer_empty_needs_names(self):
-        with pytest.raises(SchemaError):
-            Relation.infer([])
-
     def test_empty(self):
         assert len(Relation.empty(SCHEMA)) == 0
-
-    def test_to_dicts_round_trip(self):
-        relation = make()
-        assert Relation.from_dicts(SCHEMA, relation.to_dicts()).same_rows(relation)
 
 
 class TestAccessors:
     def test_column(self):
         assert make().column("k") == [1, 1, 2, 2]
-
-    def test_row_dict(self):
-        assert make().row_dict(0) == {"k": 1, "v": 10.0, "name": "a"}
 
     def test_iteration(self):
         assert list(make())[0] == (1, 10.0, "a")
@@ -91,10 +73,6 @@ class TestOperators:
     def test_select_null_comparison_excludes(self):
         result = make().select(col.v > 0)
         assert len(result) == 3  # the NULL v row is excluded
-
-    def test_select_fn(self):
-        result = make().select_fn(lambda row: row[0] == 2)
-        assert len(result) == 2
 
     def test_project_is_multiset(self):
         result = make().project(["k"])
@@ -216,11 +194,11 @@ class TestOperators:
 class TestComparison:
     def test_same_rows_ignores_order(self):
         shuffled = Relation(SCHEMA, list(reversed(ROWS)))
-        assert make().same_rows(shuffled)
+        assert same_rows(make(), shuffled)
 
     def test_same_rows_respects_multiplicity(self):
         duplicated = Relation(SCHEMA, ROWS + [ROWS[0]])
-        assert not make().same_rows(duplicated)
+        assert not same_rows(make(), duplicated)
 
     def test_same_rows_any_order_of_columns(self):
         reordered = make().project(["name", "v", "k"])

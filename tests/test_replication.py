@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import assert_relations_equal, make_flows
+from conftest import assert_relations_equal, make_flows, same_rows
 from repro.distributed import OptimizationOptions, SimulatedCluster, execute_query
 from repro.errors import CatalogError
 from repro.gmdj.blocks import MDBlock
@@ -48,7 +48,7 @@ class TestCatalogFlags:
 
     def test_conceptual_table_is_one_replica(self):
         cluster = build_cluster()
-        assert cluster.conceptual_table("ASInfo").same_rows(AS_INFO)
+        assert same_rows(cluster.conceptual_table("ASInfo"), AS_INFO)
 
 
 class TestReplicatedQueries:

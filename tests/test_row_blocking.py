@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import assert_relations_equal, make_flows
+from conftest import assert_relations_equal, make_flows, same_rows
 from repro.distributed import (
     ExecutionConfig,
     OptimizationOptions,
@@ -66,7 +66,7 @@ class TestExecutionConfig:
         reassembled = blocks[0]
         for block in blocks[1:]:
             reassembled = reassembled.union_all(block)
-        assert reassembled.same_rows(FLOW)
+        assert same_rows(reassembled, FLOW)
 
     def test_blocks_of_empty_relation(self):
         empty = Relation.empty(FLOW.schema)
@@ -155,7 +155,7 @@ class TestSyncSession:
         backward = SyncSession(base_relation, ["SourceAS"], self.BLOCKS)
         for sub in reversed(subs):
             backward.absorb(sub)
-        assert forward.finish().same_rows(backward.finish())
+        assert same_rows(forward.finish(), backward.finish())
 
     def test_row_blocks_equal_whole_fragments(self):
         base_relation = FLOW.distinct_project(["SourceAS"])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import make_flows
+from conftest import make_flows, same_rows
 from repro.distributed.site import SkallaSite
 from repro.errors import WarehouseError
 from repro.gmdj.blocks import MDBlock
@@ -40,7 +40,7 @@ class TestComputeBase:
     def test_distinct_base(self):
         site = make_site()
         result = site.compute_base(DistinctBase("Flow", KEY_ATTRS))
-        assert result.same_rows(FLOW.distinct_project(KEY_ATTRS))
+        assert same_rows(result, FLOW.distinct_project(KEY_ATTRS))
 
 
 class TestEvaluateRound:
@@ -53,7 +53,7 @@ class TestEvaluateRound:
         )
         # H is projected to key + sub columns.
         assert h.schema.names == expected.schema.names  # key is the whole base here
-        assert h.same_rows(expected)
+        assert same_rows(h, expected)
 
     def test_key_projection_drops_extra_base_attrs(self):
         site = make_site()
@@ -150,4 +150,4 @@ class TestMergedRound:
         expected = site.evaluate_round(
             FLOW.distinct_project(KEY_ATTRS), [inner_step()], KEY_ATTRS, False
         )
-        assert h.same_rows(expected)
+        assert same_rows(h, expected)
