@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,8 +86,10 @@ class Coordinator:
         *ship_filters: Optional[Expr],
         held: Optional[Relation] = None,
         positions: Optional[Iterable[int]] = None,
-    ) -> Relation:
-        """The fragment shipped down one edge, after aware group reduction.
+        fields: Optional[Sequence[str]] = None,
+    ) -> Tuple[Relation, Optional[np.ndarray]]:
+        """The fragment shipped down one edge, after aware group reduction,
+        and the rows of ``held`` it keeps (``None``: all of them, in order).
 
         Theorem 4 has two sources for what the sites an edge leads to can
         use, and both are necessary conditions, so they compose:
@@ -103,20 +105,31 @@ class Coordinator:
           sites can use it. A ``None`` filter means that site needs every
           row.
 
-        ``held`` defaults to all of X.
+        ``fields`` projects the fragment to those attributes of ``held``
+        (in ``held``'s order): the fields the round reads. ``None`` keeps
+        every attribute. ``held`` defaults to all of X. An answer by row
+        address names the fragment's rows, and the kept rows say which
+        rows of ``held`` those are.
         """
         held = self.x if held is None else held
+        rows = None
         if positions is not None:
             kept = np.zeros(len(held), dtype=bool)
             kept[np.asarray(positions, dtype=np.int64)] = True
-            held = Relation.from_columnar(held.to_columnar().gather(np.flatnonzero(kept)))
-        if any(ship_filter is None for ship_filter in ship_filters):
-            return held
-        mask = compiler.compile_mask(reduce(or_, ship_filters), {BASE_VAR: held.schema})
-        columnar = held.to_columnar()
-        return Relation.from_columnar(
-            columnar.gather(mask(len(held), {BASE_VAR: (columnar, None)}))
-        )
+            rows = np.flatnonzero(kept)
+        if not any(ship_filter is None for ship_filter in ship_filters):
+            cut = held if rows is None else Relation.from_columnar(held.to_columnar().gather(rows))
+            mask = compiler.compile_mask(reduce(or_, ship_filters), {BASE_VAR: cut.schema})
+            admitted = mask(len(cut), {BASE_VAR: (cut.to_columnar(), None)})
+            rows = np.asarray(admitted if rows is None else rows[admitted], dtype=np.int64)
+        fragment = held
+        if fields is not None:
+            names = [name for name in held.schema.names if name in fields]
+            if len(names) < len(held.schema):
+                fragment = held.project(names)
+        if rows is not None:
+            fragment = Relation.from_columnar(fragment.to_columnar().gather(rows))
+        return fragment, rows
 
     def touched_by(self, source: str) -> Optional[Iterable[int]]:
         """Positions in X of the groups ``source`` answered with in the

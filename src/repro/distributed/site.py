@@ -12,8 +12,9 @@ Per round, a site:
 3. optionally applies distribution-independent group reduction
    (Proposition 1): rows with |RNG| = 0 across all of the round's
    conditions are dropped from Hᵢ;
-4. ships Hᵢ — projected to the key attributes plus sub-aggregate columns
-   — back to the coordinator.
+4. ships Hᵢ — its sub-aggregate columns, with the fragment rows they
+   answer (by row address) or, when the round ships no fragment or grows
+   the base, with the key attributes — back to the coordinator.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from repro.errors import WarehouseError
 from repro.gmdj import operator
 from repro.gmdj.expression import BaseSource, DistinctBase, MDStep
+from repro.net.serialize import carried_keys
 from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Schema
@@ -56,6 +58,7 @@ class SkallaSite:
         independent_reduction: bool,
         since: int = 0,
         grows: Optional[DistinctBase] = None,
+        addressed: bool = False,
     ) -> Relation:
         """Evaluate one round's steps locally; return the shipped Hᵢ.
 
@@ -70,12 +73,20 @@ class SkallaSite:
         ``grows`` is the distinct base those rows extend: their keys the
         fragment lacks join it as groups and are answered even untouched,
         so the coordinator learns every new group.
+
+        ``addressed`` answers by row address and returns ``(Hᵢ,
+        answered)``: Hᵢ over every fragment row, in order, with the key
+        attributes only if the fragment carries all of them (a fragment
+        carries the fields its round reads), and the rows Proposition 1
+        keeps (``None`` without ``independent_reduction``).
         """
         detail = self._detail(steps[0].detail, since)
         fresh_from = len(base_fragment)
         if grows is not None:
             base_fragment = _grown(base_fragment, detail.distinct_project(list(grows.attrs)))
         current_base = base_fragment
+        if addressed:
+            key_attrs = carried_keys(key_attrs, base_fragment.schema.names)
         # H_i's columns, column group by column group: the key attributes,
         # then each step's sub columns (its sub-result minus its base's).
         held = base_fragment.to_columnar().value_lists().held()
@@ -104,6 +115,9 @@ class SkallaSite:
             for block in step.blocks:
                 attributes.extend(block.sub_attributes())
         h_i = ColumnarRelation.from_value_lists(Schema(attributes), columns, len(base_fragment))
+        if addressed:
+            answered = np.flatnonzero(touched_any) if independent_reduction else None
+            return Relation.from_columnar(h_i), answered
         if independent_reduction:
             touched_any[fresh_from:] = True
             h_i = h_i.gather(np.flatnonzero(touched_any))

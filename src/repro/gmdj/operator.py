@@ -175,7 +175,9 @@ class SyncSession:
     slower sites, rather than having to wait for all of H to be
     assembled". A session reaches the base rows from K through the base's
     :class:`~repro.relalg.columnar.KeyMatcher` on K, whose lookup it
-    builds once (X "indexed on K", §3.2), where NULL matches NULL. It
+    builds once, on the first probe (X "indexed on K", §3.2), where NULL
+    matches NULL — a fragment answered by row address comes with its base
+    positions and probes nothing. It
     absorbs sub-result fragments in any order and finalizes once, in
     columns: :meth:`absorb` finds each fragment row once and keeps the
     fragment's sub-aggregate columns with each base position it matches;
@@ -218,8 +220,7 @@ class SyncSession:
         self._blocks = tuple(blocks)
         self._slots, self._components = _layout(self._blocks)
         self._sub_names = _sub_names(self._blocks)
-        self._matcher = base.to_columnar().matcher(base.schema.positions(self._key_attrs))
-        self._find = self._matcher.finder()  # X's lookup, built once per session
+        self._matcher = self._find = None  # X's lookup, built on the first probe
         self._observes = observes
         self._in_order = in_order
         self._banks: dict = {}  # source -> [(sub columns, base positions)] in arrival order
@@ -229,19 +230,32 @@ class SyncSession:
     def _probe(self, columnar, positions: Sequence[int]) -> tuple:
         """``(rows, bases)``: per (fragment row, base row) pair, row-major,
         the row (``rows`` ``None``: every row, once) and its base position."""
+        with self._lock:
+            if self._find is None:
+                base = self._base
+                self._matcher = base.to_columnar().matcher(base.schema.positions(self._key_attrs))
+                self._find = self._matcher.finder()  # built once per session
+            matcher, find = self._matcher, self._find
         values = columnar.value_lists()
-        return self._matcher.pairs(self._find([values.held_at(p) for p in positions], len(columnar)))
+        return matcher.pairs(find([values.held_at(p) for p in positions], len(columnar)))
 
-    def absorb(self, h: Relation, source: str = "") -> None:
+    def absorb(self, h: Relation, source: str = "", positions=None) -> None:
         """Fold one sub-result fragment into the session (O(|h|)).
 
         ``source`` identifies the fragment's origin (site id); fragments
         sharing a source fold together in arrival order, distinct
         sources merge deterministically at :meth:`finish`.
+
+        ``positions`` (an ``int64`` array) are the base rows ``h``'s rows
+        answer, one each — an answer by row address, which needs no key
+        attributes and no probe; ``None`` finds them by K.
         """
         columnar = h.to_columnar()
         held = columnar.value_lists().held()
-        rows, bases = self._probe(columnar, h.schema.positions(self._key_attrs))
+        if positions is None:
+            rows, bases = self._probe(columnar, h.schema.positions(self._key_attrs))
+        else:
+            rows, bases = None, positions
         sub_positions = h.schema.positions(self._sub_names)
         columns = [_gather(held[position], rows) for position in sub_positions]
         with self._lock:
@@ -361,6 +375,27 @@ def super_aggregate(
     session = SyncSession(base, key_attrs, blocks)
     session.absorb(h)
     return session.finish()
+
+
+def merge_addressed(parts: Sequence[tuple], blocks: Sequence[MDBlock]) -> tuple:
+    """Sub-results answered by row address, one row per address.
+
+    ``parts`` are ``(h, positions)`` pairs: ``h``'s sub-aggregate columns
+    and the row each of its rows answers. Returns the same pair for their
+    union, positions ascending, each row the fold of the rows answering it
+    in order — :func:`merge_sub_results` with addresses for keys.
+    """
+    h = parts[0][0].union_all(*(part for part, _positions in parts[1:]))
+    positions, codes = np.unique(
+        np.concatenate([positions for _part, positions in parts]), return_inverse=True
+    )
+    _slots, components = _layout(blocks)
+    held = h.to_columnar().value_lists().held()
+    names = _sub_names(blocks)
+    columns = [held[position] for position in h.schema.positions(names)]
+    bank = _fold(components, [(columns, codes)], len(positions))
+    merged = ColumnarRelation.from_value_lists(h.schema.project(names), bank, len(positions))
+    return Relation.from_columnar(merged), positions
 
 
 def merge_sub_results(

@@ -636,6 +636,16 @@ class ColumnarRelation:
             return [()] * self._length
         return list(zip(*self._values.all()))
 
+    def project(self, positions: Sequence[int]) -> "ColumnarRelation":
+        """The attributes at ``positions``, in that order, their held
+        columns shared."""
+        positions = list(positions)
+        held = self._values.held()
+        schema = Schema([self.schema.attributes[position] for position in positions])
+        return ColumnarRelation.from_value_lists(
+            schema, [held[position] for position in positions], self._length
+        )
+
     def gather(self, indices) -> "ColumnarRelation":
         """Rows at ``indices`` (ascending order preserves row order); a
         typed array gathers into a typed array."""

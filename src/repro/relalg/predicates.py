@@ -40,7 +40,9 @@ from repro.relalg.expressions import (
 
 
 def conjuncts(expression: Expr) -> list:
-    """Flatten a tree of ``And`` nodes into a list of conjuncts."""
+    """Flatten a tree of ``And`` nodes into a list of conjuncts, in written
+    order: a left-hand guard stays ahead of what it guards, as ``&``
+    evaluates left to right."""
     result = []
     stack = [expression]
     while stack:
@@ -50,7 +52,6 @@ def conjuncts(expression: Expr) -> list:
             stack.append(node.left)
         else:
             result.append(node)
-    result.reverse()
     return result
 
 

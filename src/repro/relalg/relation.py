@@ -128,8 +128,11 @@ class Relation:
         return Relation(self.schema, map(self._rows.__getitem__, indices.tolist()))
 
     def project(self, names: Sequence[str]) -> "Relation":
-        """Projection (multiset — does not deduplicate, per SQL)."""
+        """Projection (multiset — does not deduplicate, per SQL); a
+        column-backed relation projects its columns and builds no rows."""
         positions = self.schema.positions(names)
+        if self._rows is None:
+            return Relation.from_columnar(self._columnar.project(positions))
         return Relation(
             self.schema.project(names),
             map(tuple_getter(positions), self.rows),

@@ -35,6 +35,7 @@ from repro.gmdj.expression import MDStep
 from repro.net.channel import Channel
 from repro.net.faults import FaultEvent, FaultPlan
 from repro.net.message import HEADER_BYTES, SHIP_BASE, SUB_RESULT, Message
+from repro.net.serialize import decode_reply
 from repro.net.socket_channel import (
     FRAME_HELLO,
     FRAME_MSG,
@@ -112,10 +113,17 @@ def run_leg(channel, turn):
             )
         )
         step = "receive"
-        blocks = [channel.receive_at_coordinator().relation() for _ in payloads]
+        # Hᵢ answers by row address: each row with the key of its fragment row.
+        answers, start = [], 0
+        for _ in payloads:
+            block, rows = decode_reply(
+                channel.receive_at_coordinator().payload, ("k",), len(BASE), start
+            )
+            start = int(rows[-1]) + 1 if len(rows) else start
+            answers += [(BASE.rows[row][0], *values) for row, values in zip(rows.tolist(), block.rows)]
     except (NetworkError, SerializationError) as error:
         return step, type(error), delay_s, None
-    return "done", None, delay_s, sorted(Relation.union_all(*blocks).rows)
+    return "done", None, delay_s, sorted(answers)
 
 
 def ledger(channel):

@@ -53,12 +53,13 @@ class TestFragments:
     def test_no_filter_ships_everything(self):
         coordinator = Coordinator(KEY_ATTRS)
         coordinator.set_base(FLOW.distinct_project(KEY_ATTRS))
-        assert coordinator.fragment_for_site(None) is coordinator.x
+        fragment, kept = coordinator.fragment_for_site(None)
+        assert fragment is coordinator.x and kept is None
 
     def test_filter_restricts(self):
         coordinator = Coordinator(KEY_ATTRS)
         coordinator.set_base(FLOW.distinct_project(KEY_ATTRS))
-        fragment = coordinator.fragment_for_site(base.SourceAS < 4)
+        fragment, kept = coordinator.fragment_for_site(base.SourceAS < 4)
         assert len(fragment) < len(coordinator.x)
         assert all(row[0] < 4 for row in fragment.rows)
 
@@ -67,19 +68,20 @@ class TestFragments:
         coordinator.set_base(FLOW.distinct_project(KEY_ATTRS))
         rows = coordinator.x.rows
         # Any order, repeats allowed: the fragment is a subsequence of X.
-        fragment = coordinator.fragment_for_site(None, positions=[5, 0, 2, 5])
+        fragment, kept = coordinator.fragment_for_site(None, positions=[5, 0, 2, 5])
         assert fragment.schema == coordinator.x.schema
         assert fragment.rows == [rows[0], rows[2], rows[5]]
+        assert kept.tolist() == [0, 2, 5]  # the rows of X it keeps
 
     def test_positions_and_filter_compose(self):
         coordinator = Coordinator(KEY_ATTRS)
         coordinator.set_base(FLOW.distinct_project(KEY_ATTRS))
         rows = coordinator.x.rows
         positions = range(0, len(rows), 2)
-        fragment = coordinator.fragment_for_site(base.SourceAS < 4, positions=positions)
+        fragment, kept = coordinator.fragment_for_site(base.SourceAS < 4, positions=positions)
         assert fragment.rows == [rows[i] for i in positions if rows[i][0] < 4]
         # One site beneath the edge needs every row: positions still cut.
-        fragment = coordinator.fragment_for_site(
+        fragment, kept = coordinator.fragment_for_site(
             base.SourceAS < 4, None, positions=positions
         )
         assert fragment.rows == [rows[i] for i in positions]
@@ -88,7 +90,7 @@ class TestFragments:
         coordinator = Coordinator(KEY_ATTRS)
         coordinator.set_base(FLOW.distinct_project(KEY_ATTRS))
         for filters in [(None,), (base.SourceAS < 4,)]:
-            fragment = coordinator.fragment_for_site(*filters, positions=[])
+            fragment, kept = coordinator.fragment_for_site(*filters, positions=[])
             assert fragment.schema == coordinator.x.schema
             assert len(fragment) == 0
 
@@ -96,8 +98,20 @@ class TestFragments:
         coordinator = Coordinator(KEY_ATTRS)
         coordinator.set_base(FLOW.distinct_project(KEY_ATTRS))
         held = Relation(coordinator.x.schema, coordinator.x.rows[3:8])
-        fragment = coordinator.fragment_for_site(None, held=held, positions=[1, 4])
+        fragment, kept = coordinator.fragment_for_site(None, held=held, positions=[1, 4])
         assert fragment.rows == [held.rows[1], held.rows[4]]
+
+    def test_fields_project_in_the_held_order(self):
+        coordinator = Coordinator(KEY_ATTRS)
+        coordinator.set_base(FLOW.distinct_project(["SourceAS", "DestAS"]))
+        fragment, kept = coordinator.fragment_for_site(
+            base.SourceAS < 4, fields=("DestAS", "SourceAS")
+        )
+        assert fragment.schema.names == ("SourceAS", "DestAS")
+        fragment, kept = coordinator.fragment_for_site(base.SourceAS < 4, fields=("DestAS",))
+        x = coordinator.x
+        assert fragment.rows == [(x.rows[row][1],) for row in kept.tolist()]
+        assert all(x.rows[row][0] < 4 for row in kept.tolist())
 
 
 class TestObservedSets:
@@ -130,7 +144,7 @@ class TestObservedSets:
             session.absorb(Relation(h.schema, h.rows[3:]), f"s{index}")
         x = coordinator.commit_sync(session)
         for index, h in enumerate(subs):
-            fragment = coordinator.fragment_for_site(
+            fragment, kept = coordinator.fragment_for_site(
                 None, positions=coordinator.touched_by(f"s{index}")
             )
             assert sorted(row[0] for row in fragment.rows) == sorted(
@@ -150,7 +164,7 @@ class TestObservedSets:
         session.absorb(first, "s1")
         session.reset_source("s1")  # excluded: never answers
         coordinator.commit_sync(session)
-        fragment = coordinator.fragment_for_site(
+        fragment, kept = coordinator.fragment_for_site(
             None, positions=coordinator.touched_by("s0")
         )
         assert sorted(row[0] for row in fragment.rows) == sorted(
@@ -171,7 +185,7 @@ class TestObservedSets:
         )
         assert observed.rows == plain.rows  # bit-identical, floats included
         for index, h in enumerate(subs):
-            fragment = coordinator.fragment_for_site(
+            fragment, kept = coordinator.fragment_for_site(
                 None, positions=coordinator.touched_by(f"s{index}")
             )
             assert {row[0] for row in fragment.rows} == {row[0] for row in h.rows}

@@ -248,12 +248,12 @@ class TestTraffic:
     @pytest.mark.parametrize(
         "label, options_name, bytes_total, root_link_bytes",
         [
-            pytest.param("flat", "none", 4944, 4944, id="flat-4944-4944"),
-            pytest.param("flat", "all", 1168, 1168, id="flat-all-1168-1168"),
+            pytest.param("flat", "none", 4152, 4152, id="flat-4152-4152"),
+            pytest.param("flat", "all", 1144, 1144, id="flat-all-1144-1144"),
             pytest.param(
-                "hierarchical:2", "none", 6288, 1344, id="hierarchical:2-6288-1344"
+                "hierarchical:2", "none", 5298, 1146, id="hierarchical:2-5298-1146"
             ),
-            pytest.param("chain:2", "none", 8832, 1344, id="chain:2-8832-1344"),
+            pytest.param("chain:2", "none", 7446, 1146, id="chain:2-7446-1146"),
         ],
     )
     def test_byte_totals_are_pinned(

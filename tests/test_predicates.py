@@ -4,6 +4,10 @@ import math
 
 import pytest
 
+from oracle.interp import evaluate as interpret
+from repro.gmdj import operator
+from repro.gmdj.blocks import MDBlock
+from repro.relalg.aggregates import count_star
 from repro.relalg.expressions import (
     BASE_VAR,
     DETAIL_VAR,
@@ -25,6 +29,8 @@ from repro.relalg.predicates import (
     references_only,
     split_condition,
 )
+from repro.relalg.relation import Relation
+from repro.relalg.schema import INT, STR, Schema
 
 INF = math.inf
 
@@ -37,6 +43,27 @@ class TestBooleanStructure:
 
     def test_conjuncts_single(self):
         assert len(conjuncts(base.a == detail.a)) == 1
+
+    def test_conjuncts_keep_the_written_order(self):
+        parts = [base.a == detail.a, detail.v > 1, base.b == detail.b, detail.w < 2]
+        theta = (parts[0] & parts[1]) & (parts[2] & parts[3])
+        assert [part.key() for part in conjuncts(theta)] == [part.key() for part in parts]
+
+    def test_a_left_hand_guard_still_guards_in_the_scan(self):
+        """``&`` evaluates left to right, so the interpreter never compares a
+        string with an int here; the scan, handed the conjuncts in the
+        written order, does not either."""
+        base_relation = Relation(Schema.of(("k", INT)), [(1,)])
+        detail_relation = Relation(Schema.of(("k", INT), ("s", STR)), [(1, "a"), (1, "b")])
+        condition = (base.k == detail.k) & (detail.s == 5) & (detail.s < 5)
+        answer = operator.evaluate(
+            base_relation, detail_relation, [MDBlock([count_star("n")], condition)]
+        )
+        expected = sum(
+            interpret(condition, {BASE_VAR: {"k": 1}, DETAIL_VAR: dict(zip(("k", "s"), row))})
+            for row in detail_relation.rows
+        )
+        assert answer.rows == [(1, expected)] == [(1, 0)]
 
     def test_trivial_constants(self):
         assert is_trivially_true(Const(True))

@@ -7,12 +7,18 @@ import datetime
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import FORMATS, decode_relation_reference, encode_relation_reference
 from repro.errors import SerializationError
-from repro.net.serialize import decode_relation, encode_relation
+from repro.net.serialize import (
+    ADDRESS,
+    decode_relation,
+    decode_reply,
+    encode_relation,
+    encode_reply,
+)
 from repro.relalg.relation import Relation
 from repro.relalg.schema import BOOL, DATE, FLOAT, INT, STR, Attribute, Schema
 
@@ -175,3 +181,77 @@ def test_mutated_payloads_raise_only_serialization_errors(
                 decoder(data)
             except SerializationError:
                 pass
+
+
+@given(relations(max_rows=60), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_repeated_column_ships_as_a_back_reference(relation, data):
+    """A copy of a column costs its header and at most a two-byte block,
+    and decodes to the same values, bit for bit."""
+    assume(len(relation.schema))
+    source = data.draw(st.integers(min_value=0, max_value=len(relation.schema) - 1))
+    attribute = relation.schema.attributes[source]
+    name = "copy of " + attribute.name
+    widened = Relation(
+        Schema([*relation.schema.attributes, Attribute(name, attribute.type)]),
+        [row + (row[source],) for row in relation.rows],
+    )
+    payload = encode_relation(widened)
+    assert _identity(decode_relation(payload).rows) == _identity(widened.rows)
+    header = 1 + len(name.encode("utf-8")) + 1
+    if relation.rows:
+        assert len(payload) <= len(encode_relation(relation)) + header + 2
+
+
+@st.composite
+def keyed_answers(draw):
+    """``(fragment, keys, keyed Hᵢ, answered rows)``: a shipped fragment
+    whose first attributes are the key, and the keyed answer to the rows
+    ``answered`` of it (its sub-aggregate columns drawn freely)."""
+    fragment = draw(relations(max_rows=80))
+    assume(len(fragment.schema))
+    keys = draw(st.integers(min_value=1, max_value=min(2, len(fragment.schema))))
+    answered = sorted(
+        draw(st.sets(st.integers(min_value=0, max_value=max(len(fragment) - 1, 0))))
+        if len(fragment) else set()
+    )
+    sub_types = draw(st.lists(st.sampled_from(list(_VALUE_STRATEGIES)), min_size=1, max_size=3))
+    subs = draw(
+        st.lists(
+            st.tuples(*(st.none() | _VALUE_STRATEGIES[type_name] for type_name in sub_types)),
+            min_size=len(answered),
+            max_size=len(answered),
+        )
+    )
+    attributes = [
+        *fragment.schema.attributes[:keys],
+        *(Attribute(f"{ADDRESS} {index}", type_name) for index, type_name in enumerate(sub_types)),
+    ]
+    rows = [fragment.rows[row][:keys] + values for row, values in zip(answered, subs)]
+    return fragment, keys, Relation(Schema(attributes), rows), answered
+
+
+@given(keyed_answers(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_an_addressed_reply_is_never_larger_than_the_keyed_one(answer, data):
+    """Whatever the key's types and the rows answered, the reply by row
+    address is no larger than the keyed Hᵢ, and re-keying it from the
+    fragment gives that Hᵢ back exactly."""
+    fragment, keys, keyed, answered = answer
+    start = data.draw(st.integers(min_value=0, max_value=answered[0] if answered else 0))
+    h = Relation(
+        Schema([*keyed.schema.attributes, Attribute(ADDRESS, INT)]),
+        [row + (address,) for row, address in zip(keyed.rows, answered)],
+    )
+    payload = encode_reply(h, keys, start)
+    assert len(payload) <= len(encode_relation(keyed))
+    names = keyed.schema.names[:keys]
+    relation, rows = decode_reply(payload, names, len(fragment), start)
+    if rows is not None:
+        assert rows.tolist() == answered
+        relation = Relation(
+            keyed.schema,
+            [fragment.rows[row][:keys] + values for row, values in zip(answered, relation.rows)],
+        )
+    assert relation.schema == keyed.schema
+    assert _identity(relation.rows) == _identity(keyed.rows)

@@ -115,9 +115,9 @@ class TestBlockedExecution:
         absorbed = []
         original = SyncSession.absorb
 
-        def recording(self, h, source=""):
+        def recording(self, h, source="", positions=None):
             absorbed.append((h, source))
-            original(self, h, source)
+            original(self, h, source, positions)
 
         monkeypatch.setattr(SyncSession, "absorb", recording)
         result = execute_query(

@@ -562,7 +562,9 @@ def test_observed_reduction_is_carried_byte_for_byte(sites, tmp_path):
     assert stats.socket_bytes_up == stats.bytes_up
     assert stats.socket_parity() and plain.stats.socket_parity()
     assert stats.rounds[1].bytes_down < plain.stats.rounds[1].bytes_down
-    assert stats.rounds[1].bytes_up == plain.stats.rounds[1].bytes_up
+    # Narrowed, a site answers every row it was shipped: its reply needs no
+    # row addresses.
+    assert stats.rounds[1].bytes_up <= plain.stats.rounds[1].bytes_up
     for site_id in simulated.site_ids:
         assert (
             stats.rounds[1].sites[site_id].tuples_down
