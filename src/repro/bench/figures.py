@@ -26,6 +26,8 @@ COUNT and an AVG aggregate on each GMDJ operator"):
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -373,14 +375,16 @@ def figure5(
 def executor_sweep(
     scale: float = 0.002,
     sites: int = 8,
-    executors: Sequence[str] = ("serial", "threads"),
+    executors: Sequence[str] = ("serial", "sockets"),
     repetitions: int = 1,
     options: Optional[OptimizationOptions] = None,
 ) -> dict:
     """Tentpole experiment: one query, one cluster, every execution engine.
 
     Runs the combined-reductions query on a ``sites``-site scale-up
-    cluster once per executor and reports, per engine:
+    cluster once per executor — ``serial`` in this process, ``sockets``
+    on site-server processes deployed from the same cluster for the
+    sweep and shut down after it — and reports, per engine:
 
     - ``wall_s`` — measured wall-clock of the round loop (best of
       ``repetitions``, via :meth:`ExecutionStats.wall_time_s`);
@@ -399,6 +403,7 @@ def executor_sweep(
     """
     from repro.bench.harness import ShapeCheckError
     from repro.distributed import execute_query
+    from repro.distributed.deployment import ProcessCluster
     from repro.distributed.evaluator import ExecutionConfig
 
     if repetitions < 1:
@@ -408,14 +413,22 @@ def executor_sweep(
     report: dict = {"sites": sites, "scale": scale, "executors": {}}
     baseline = None
     for executor in executors:
-        cluster = scaleup_cluster(TPCRConfig(scale=scale), sites)
         config = ExecutionConfig(executor=executor)
         best = None
-        for _repetition in range(repetitions):
-            cluster.reset_network()
-            result = execute_query(cluster, query, options, config=config)
-            if best is None or result.stats.wall_time_s() < best.stats.wall_time_s():
-                best = result
+        with contextlib.ExitStack() as deployed:
+            cluster = scaleup_cluster(TPCRConfig(scale=scale), sites)
+            if executor == "sockets":
+                cluster = deployed.enter_context(
+                    ProcessCluster.from_simulated(
+                        cluster, tempfile.mkdtemp(prefix="repro-sweep-"),
+                        ephemeral=True,
+                    )
+                )
+            for _repetition in range(repetitions):
+                cluster.reset_network()
+                result = execute_query(cluster, query, options, config=config)
+                if best is None or result.stats.wall_time_s() < best.stats.wall_time_s():
+                    best = result
         stats = best.stats
         accounting = [
             (round_stats.index, site_id, site.bytes_down, site.bytes_up, site.tuples_up)

@@ -313,10 +313,10 @@ def _add_cluster_options(parser, data=None, topology=None) -> None:
         "--executor",
         choices=EXECUTORS,
         default="serial",
-        help="site execution engine, for any merge topology: "
-        "'threads' fans site legs out across a thread pool; "
-        "'sockets' runs each site as a separate OS process reached over "
-        "TCP (flat topology only)",
+        help="site execution engine: 'serial' runs the sites in this "
+        "process, one after another (any merge topology); 'sockets' runs "
+        "each site as a separate OS process reached over TCP, all at once "
+        "(flat topology only)",
     )
     parser.add_argument(
         "--cluster-dir",

@@ -35,10 +35,9 @@ pays nothing beyond a handful of no-op calls per round.
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -82,7 +81,7 @@ from repro.relalg.schema import Schema
 
 #: The :class:`ExecutionConfig` fields no run can take a negative of.
 _NON_NEGATIVE = (
-    "row_block_size", "max_workers", "max_retries", "retry_backoff_s",
+    "row_block_size", "max_retries", "retry_backoff_s",
     "leg_timeout_s", "speculation_slack_s",
 )
 
@@ -102,16 +101,12 @@ class ExecutionConfig:
     rejected.
 
     ``executor`` picks the site-execution engine
-    (:mod:`repro.distributed.executor`): ``"serial"`` runs the per-site
-    legs one after another, ``"threads"`` fans them out on a thread
-    pool, ``"sockets"`` asks ``repro site-server`` processes over TCP.
-    All three executors produce bit-identical results, byte counts and
-    trace span sets. ``max_workers`` caps the pool size; ``0`` sizes it
-    automatically (one thread per site).
-
-    The ``executor`` default honours the ``REPRO_EXECUTOR`` environment
-    variable (used by the CI executor matrix to run the whole test suite
-    under each engine); an explicit value always wins.
+    (:mod:`repro.distributed.executor`): ``"serial"`` (the default) runs
+    the per-site legs one after another in this process, ``"sockets"``
+    asks ``repro site-server`` processes over TCP, one leg thread per
+    site, and runs only against a deployed process cluster. Both
+    executors produce bit-identical results, byte counts and trace span
+    sets.
 
     ``failure_mode`` selects how the coordinator reacts when a site leg
     fails with a transport/codec error (see
@@ -125,10 +120,7 @@ class ExecutionConfig:
     """
 
     row_block_size: int = 0  # 0 = unlimited (one message per relation)
-    executor: str = field(
-        default_factory=lambda: os.environ.get("REPRO_EXECUTOR", "serial")
-    )
-    max_workers: int = 0
+    executor: str = "serial"
     failure_mode: str = FAIL_FAST
     max_retries: int = 2
     retry_backoff_s: float = 0.05
@@ -337,10 +329,7 @@ def open_run(
     external_engine = engine
     try:
         if engine is None:
-            engine = create_engine(
-                config.executor, cluster.sites, tracer, config.max_workers,
-                network=network,
-            )
+            engine = create_engine(config.executor, cluster.sites, tracer, network)
         with watching:
             yield _RoundWalk(
                 tree, plan, config, tracer, network, engine,

@@ -1,37 +1,32 @@
-"""Site-execution engines: serial, thread-pool and sockets.
+"""Site-execution engines: serial and sockets.
 
 Alg. GMDJDistribEval's per-round site work — ship the fragment down,
 evaluate the GMDJ step(s), ship H_i back — is independent across sites,
 so a real deployment overlaps it perfectly (the paper's response-time
 model in :mod:`repro.distributed.stats` already assumes max-over-sites).
-This module makes the *simulated* evaluation actually run that way: the
-evaluator expresses each round as one *leg* per site, and an engine
+The evaluator expresses each round as one *leg* per site, and an engine
 decides how legs run:
 
-- ``serial`` — legs run inline, one site after another (the historic
-  behaviour, and the differential baseline);
-- ``threads`` — legs run on a thread pool. Channels, stats, metrics and
-  tracer are all safe under concurrent writers, and the coordinator's
-  :class:`~repro.gmdj.operator.SyncSession` absorbs fragments in
-  completion order (Section 3.2's streaming merge) while staying
-  bit-identical via per-source accumulator banks. The site scan's numpy
-  kernels release the GIL, so site legs overlap for real; the per-group
-  Python work (the base hash build, the coordinator's fold) still
-  serializes;
-- ``sockets`` — the sites are ``repro site-server`` processes behind TCP;
-  a leg's site work is one :meth:`~repro.net.socket_channel.\
-SocketChannel.ask`.
+- ``serial`` — legs run inline, one site after another: the in-process
+  differential baseline;
+- ``sockets`` — the sites are ``repro site-server`` processes behind TCP
+  and legs fan out on one thread per site; a leg's site work is one
+  :meth:`~repro.net.socket_channel.SocketChannel.ask`, so sites compute
+  at the same time with no interpreter lock shared between them. The
+  coordinator's :class:`~repro.gmdj.operator.SyncSession` absorbs
+  fragments in completion order (Section 3.2's streaming merge) while
+  staying bit-identical via per-source accumulator banks.
 
 The split between a leg and :func:`perform_site_request` is exactly the
 paper's attribution boundary: the leg (parent) does coordinator work —
 fragmenting, message framing, channel accounting, decoding H_i,
 synchronizing — while :func:`perform_site_request` does everything a
 Skalla site would be charged for. Who plays the *site end* of the leg's
-channel is the engine's business and nobody else's: the two in-process
-engines play it themselves (:func:`play_site_end`), the sockets engine's
-site end is the server process. All three executors therefore produce
-identical byte counts, identical span *sets*, and (thanks to the
-deterministic bank merge) bit-identical result relations.
+channel is the engine's business and nobody else's: the serial engine
+plays it itself (:func:`play_site_end`), the sockets engine's site end is
+the server process. Both executors therefore produce identical byte
+counts, identical span *sets*, and (thanks to the deterministic bank
+merge) bit-identical result relations.
 
 Out-of-process bookkeeping: a site server records spans into a private
 tracer and metric increments into a private registry
@@ -58,7 +53,7 @@ from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.relation import Relation
 from repro.relalg.schema import INT, Attribute, Schema
 
-EXECUTORS = ("serial", "threads", "sockets")
+EXECUTORS = ("serial", "sockets")
 
 
 @dataclass(frozen=True)
@@ -369,12 +364,12 @@ def _collect_leg_results(site_ids: Sequence[str], futures) -> list:
 
 
 class _EngineLifecycle:
-    """Shared close-once semantics, and the in-process site's turn.
+    """Shared close-once semantics.
 
-    Engines used to live for exactly one ``execute_plan`` call; the query
-    service keeps one engine alive across many concurrent queries, which
-    makes use-after-close a real hazard (a pool shutdown mid-round hangs
-    or drops legs silently). Every engine now fails fast instead.
+    The query service keeps one engine alive across many concurrent
+    queries, which makes use-after-close a real hazard (a pool shutdown
+    mid-round hangs or drops legs silently), so every engine fails fast
+    instead.
     """
 
     _closed = False
@@ -383,18 +378,8 @@ class _EngineLifecycle:
         if self._closed:
             raise PlanError(f"{self.name} engine used after close()")
 
-    def _mark_closed(self) -> None:
+    def close(self) -> None:
         self._closed = True
-
-    def evaluate(self, request: SiteRequest, channel) -> SiteReply:
-        """One site's turn of a leg, over the leg's channel."""
-        self._check_open()
-        return play_site_end(channel, request, self._perform)
-
-    def _perform(self, request: SiteRequest) -> SiteReply:
-        return perform_site_request(
-            self._sites[request.site_id], request, self._tracer
-        )
 
 
 class SerialEngine(_EngineLifecycle):
@@ -409,52 +394,20 @@ class SerialEngine(_EngineLifecycle):
     def run_legs(self, site_ids: Sequence[str], leg, parent_span=None) -> list:
         # Serially a failed leg aborts the round before later legs start,
         # so the first exception *is* the complete failure report and
-        # propagates unchanged (parallel engines, where several legs can
-        # fail concurrently, aggregate into MultiLegError instead).
+        # propagates unchanged (the sockets engine, where several legs can
+        # fail concurrently, aggregates into MultiLegError instead).
         self._check_open()
         return [leg(site_id) for site_id in site_ids]
 
-    def close(self) -> None:
-        self._mark_closed()
-
-
-class _ThreadedLegs(_EngineLifecycle):
-    """The fan-out every parallel engine shares: legs on ``self._legs``.
-
-    Results come back in *site order* regardless of completion order.
-    Failures are collected from *every* leg — a single failed leg
-    re-raises its original exception, several raise
-    :class:`~repro.errors.MultiLegError` with all failed site ids.
-    """
-
-    def run_legs(self, site_ids: Sequence[str], leg, parent_span=None) -> list:
+    def evaluate(self, request: SiteRequest, channel) -> SiteReply:
+        """One site's turn of a leg, played in this process over the leg's channel."""
         self._check_open()
-        tracer = self._tracer
+        return play_site_end(channel, request, self._perform)
 
-        def attached(site_id):
-            with tracer.attach(parent_span):
-                return leg(site_id)
-
-        futures = [self._legs.submit(attached, site_id) for site_id in site_ids]
-        return _collect_leg_results(site_ids, futures)
-
-
-class ThreadEngine(_ThreadedLegs):
-    """Legs fan out on a thread pool; site work stays in the leg's thread."""
-
-    name = "threads"
-
-    def __init__(self, sites, tracer, max_workers: int = 0):
-        self._sites = sites
-        self._tracer = tracer
-        workers = max_workers or max(len(sites), 1)
-        self._legs = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="skalla-site"
+    def _perform(self, request: SiteRequest) -> SiteReply:
+        return perform_site_request(
+            self._sites[request.site_id], request, self._tracer
         )
-
-    def close(self) -> None:
-        self._mark_closed()
-        self._legs.shutdown(wait=True, cancel_futures=True)
 
 
 def perform_isolated_request(site, request: SiteRequest) -> SiteReply:
@@ -500,35 +453,42 @@ def _replay_remote(tracer, reply: SiteReply, site_id, clock_offset_s: float = 0.
             registry.counter(key).inc(value)
 
 
-class SocketEngine(_ThreadedLegs):
-    """Legs run on threads; site work runs in site-server *processes*
-    reached over the leg's :class:`~repro.net.socket_channel.SocketChannel`.
+class SocketEngine(_EngineLifecycle):
+    """Legs fan out on one thread per site; site work runs in site-server
+    *processes* reached over the leg's
+    :class:`~repro.net.socket_channel.SocketChannel`.
 
-    Unlike the other engines this one holds no site objects at all — the
-    partitions live behind TCP in ``repro site-server`` processes, and
-    each :meth:`evaluate` call is given the leg's channel, so one shared
-    engine (the query service keeps a single engine for its lifetime)
-    works with a fresh per-query network. Spans and counters come back on
-    the reply and are replayed (:func:`_replay_remote`).
+    The engine holds no site objects — the partitions live behind TCP in
+    ``repro site-server`` processes, and each :meth:`evaluate` call is
+    given the leg's channel, so one shared engine (the query service keeps
+    a single engine for its lifetime) works with a fresh per-query
+    network. Spans and counters come back on the reply and are replayed
+    (:func:`_replay_remote`).
     """
 
     name = "sockets"
 
-    def __init__(self, sites, tracer, max_workers: int = 0):
+    def __init__(self, sites, tracer):
         self._tracer = tracer
-        workers = max_workers or max(len(sites), 1)
         self._legs = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="skalla-socket-leg"
+            max_workers=max(len(sites), 1), thread_name_prefix="skalla-socket-leg"
         )
+
+    def run_legs(self, site_ids: Sequence[str], leg, parent_span=None) -> list:
+        """Run ``leg`` once per site on the pool; results in *site order*,
+        failures from every leg (:func:`_collect_leg_results`)."""
+        self._check_open()
+        tracer = self._tracer
+
+        def attached(site_id):
+            with tracer.attach(parent_span):
+                return leg(site_id)
+
+        futures = [self._legs.submit(attached, site_id) for site_id in site_ids]
+        return _collect_leg_results(site_ids, futures)
 
     def evaluate(self, request: SiteRequest, channel) -> SiteReply:
         self._check_open()
-        if not hasattr(channel, "ask"):
-            raise PlanError(
-                "the sockets engine needs a SocketChannel per leg — run it "
-                "against a deployed process cluster (repro cluster up / "
-                "--executor sockets), not a simulated one"
-            )
         meta, payloads = channel.ask(request)
         reply = SiteReply(
             payloads=payloads,
@@ -546,25 +506,27 @@ class SocketEngine(_ThreadedLegs):
         return reply
 
     def close(self) -> None:
-        self._mark_closed()
+        super().close()
         self._legs.shutdown(wait=True, cancel_futures=True)
 
 
-def create_engine(
-    executor: str, sites, tracer, max_workers: int = 0, network=None
-):
+def create_engine(executor: str, sites, tracer, network):
     """Build the engine for an :class:`ExecutionConfig` executor name.
 
-    ``network`` is advisory — only the sockets engine cares, and even it
-    binds to a channel per :meth:`~SocketEngine.evaluate` call, so a
-    shared engine survives per-query network replacement.
+    The sockets engine binds to a channel per :meth:`~SocketEngine.evaluate`
+    call; ``network`` only says whether it can run at all, refused here
+    over in-process channels before any leg starts.
     """
     if executor == "serial":
         return SerialEngine(sites, tracer)
-    if executor == "threads":
-        return ThreadEngine(sites, tracer, max_workers)
     if executor == "sockets":
-        return SocketEngine(sites, tracer, max_workers)
+        if getattr(network, "transport", None) != "sockets":
+            raise PlanError(
+                "the sockets engine needs site-server processes — run it "
+                "against a deployed process cluster (repro cluster up / "
+                "--executor sockets), not a simulated one"
+            )
+        return SocketEngine(sites, tracer)
     raise PlanError(
         f"unknown executor {executor!r}; expected one of {', '.join(EXECUTORS)}"
     )

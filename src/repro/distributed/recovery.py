@@ -289,7 +289,7 @@ def guard_leg(
                 # them: the backup attempt re-records the same work, and
                 # counting both would double-charge the stage totals.
                 # The site filter keeps interleaved spans from other
-                # legs (threads engine) untouched.
+                # legs (the sockets engine runs them at once) untouched.
                 for span in list(tracer.spans)[span_mark:]:
                     if span.attributes.get("site") == site_id:
                         span.set(speculative=True)

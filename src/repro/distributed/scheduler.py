@@ -194,7 +194,7 @@ def execute_plan_scheduled(
     choice's reason (``auto``) or raised (forced).
     """
     config = config or ExecutionConfig()
-    pinned_reason = _pinned_to_flat_reason(cluster, config)
+    pinned_reason = _pinned_to_flat_reason(cluster)
 
     if statistics is None and isinstance(cluster, SimulatedCluster):
         statistics = StatisticsStore.from_cluster(cluster)
@@ -266,8 +266,8 @@ def execute_query_scheduled(
     )
 
 
-def _pinned_to_flat_reason(cluster, config: ExecutionConfig) -> Optional[str]:
-    """Why this execution context cannot run a non-flat topology.
+def _pinned_to_flat_reason(cluster) -> Optional[str]:
+    """Why this cluster cannot run a non-flat topology.
 
     Only the transport can: combiners are hosted in the coordinator
     process, so with sites behind a real wire a tree's merged streams
@@ -277,8 +277,6 @@ def _pinned_to_flat_reason(cluster, config: ExecutionConfig) -> Optional[str]:
     """
     if not isinstance(cluster, SimulatedCluster):
         return "non-flat merging needs in-process sites (simulated cluster)"
-    if config.executor == "sockets":
-        return "socket transport runs the flat star protocol"
     return None
 
 

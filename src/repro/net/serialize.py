@@ -50,8 +50,9 @@ Two more presence bytes stand for a whole block:
 
 - ``2``, a *back-reference*: the index (varint) of an earlier column of
   the same type whose block this one repeats byte for byte; the encoder
-  writes one wherever it is shorter than the block. An AVG's count beside
-  a COUNT of the same rows ships as two bytes.
+  writes one wherever it is shorter than the block and within
+  :func:`_copies_fit`. An AVG's count beside a COUNT of the same rows
+  ships as two bytes.
 - ``3``, a *row bitmap* (INT only, no NULL): the first value (varint),
   the span (varint) and a bitmap of ``ceil(span / 8)`` bytes whose set bit
   ``i`` is the value ``first + i``; as many bits are set as there are rows.
@@ -69,7 +70,8 @@ The decoder checks every declared count and length against the bytes
 that remain *before* it allocates for them, rejects stray bits past the
 end of a bitmap, width bytes other than the four above, dictionary
 codes out of range, a back-reference to a column that is not an earlier
-one of the same type and a row bitmap whose count disagrees, and hands
+one of the same type or past :func:`_copies_fit`, a row bitmap whose
+count disagrees, and hands
 the columns it built to the decoded relation
 (:meth:`Relation.from_columnar`), which builds rows only when asked.
 From :data:`TYPED_COLUMN_MIN_ROWS` rows on, a NULL-free FLOAT column is
@@ -470,8 +472,10 @@ def encode_relation(relation: Relation) -> bytes:
     # again. Not ``zip(*rows)``: its one live iterator per row ages into the
     # oldest GC generation and buys a full collection every few blocks.
     position = 0
-    #: (type code, block length) -> [(position, block)] of the blocks written
+    #: (type code, block length) -> [(position, offset in out)] of the blocks
+    #: written: a repeat is found in ``out`` itself, so no block is kept twice.
     written: dict = {}
+    body, copied = len(out), 0
     try:
         columns = relation.to_columnar().value_lists().all()
         for position, values in enumerate(columns):
@@ -479,16 +483,20 @@ def encode_relation(relation: Relation) -> bytes:
             block = _column_block(values, code)
             if code == _INT_CODE and schema.attributes[position].name == ADDRESS:
                 block = _row_bitmap(values, len(block)) or block
-            earlier = written.setdefault((code, len(block)), [])
-            for source, seen in earlier:
-                if seen == block:
+            length = len(block)
+            earlier = written.setdefault((code, length), [])
+            for source, start in earlier:
+                if out.startswith(block, start):
                     reference = bytearray((_BACK_REFERENCE,))
                     _write_varint(reference, source)
-                    if len(reference) < len(block):
+                    if len(reference) < length and _copies_fit(
+                        copied + row_count, len(out) + len(reference) - body
+                    ):
                         block = reference
+                        copied += row_count
                     break
             else:
-                earlier.append((position, block))
+                earlier.append((position, len(out)))
             out += block
     except (AttributeError, IndexError, TypeError, ValueError, OverflowError) as exc:
         attribute = schema.attributes[position]
@@ -637,10 +645,24 @@ def _read_column(data: bytes, offset: int, code: int, row_count: int) -> tuple:
     return values, offset
 
 
-def _read_back_reference(data: bytes, offset: int, columns: list, type_codes: tuple, position: int) -> tuple:
+def _copies_fit(rows: int, body_bytes: int) -> bool:
+    """Whether back-references copying ``rows`` rows fit the column blocks'
+    first ``body_bytes``: eight rows a byte, as a bit per row bounds a block."""
+    return rows <= 8 * body_bytes
+
+
+def _read_back_reference(
+    data: bytes, offset: int, columns: list, type_codes: tuple, position: int,
+    copied: int, body: int,
+) -> tuple:
     """A back-reference block past its presence byte: a copy of the earlier
-    column it names, and its end."""
+    column it names, and its end. ``copied`` rows are copied by it and the
+    back-references before it, in column blocks from offset ``body`` on."""
     source, offset = _read_varint(data, offset)
+    if not _copies_fit(copied, offset - body):
+        raise SerializationError(
+            f"back-references copy {copied} rows in {offset - body} bytes"
+        )
     if source >= len(type_codes):
         raise SerializationError(f"back-reference to column {source} of {len(type_codes)}")
     if source >= position:
@@ -669,17 +691,20 @@ def decode_relation(data: bytes) -> Relation:
     remaining = len(data) - offset
     if not type_codes:
         _check_zero_attribute_rows(row_count)
-    elif len(type_codes) * ((row_count + 7) >> 3) > remaining:
-        # A column is at least a bit per row, bitmap or bit-packed.
+    elif (row_count + 7) >> 3 > remaining:
+        # The first column is a block of its own: at least a bit per row,
+        # bitmap or bit-packed.
         raise SerializationError(
             f"{row_count} rows declared but only {remaining} bytes follow"
         )
     columns: list = [[] for _code in type_codes]
     if row_count:  # else header-only
+        body, copied = offset, 0
         for position, code in enumerate(type_codes):
             if offset < len(data) and data[offset] == _BACK_REFERENCE:
+                copied += row_count
                 columns[position], offset = _read_back_reference(
-                    data, offset + 1, columns, type_codes, position
+                    data, offset + 1, columns, type_codes, position, copied, body
                 )
             else:
                 columns[position], offset = _read_column(data, offset, code, row_count)

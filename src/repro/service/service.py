@@ -15,7 +15,7 @@ concurrently, and the service
   :meth:`~repro.distributed.incremental.IncrementalView.refresh` instead
   of discarding it;
 - **shares** one :class:`ExecutionConfig`-selected engine (serial /
-  threads / sockets) across all queries, while giving every executing
+  sockets) across all queries, while giving every executing
   query its own private channel set
   (:meth:`~repro.distributed.cluster.SimulatedCluster.fresh_network`) —
   channels are plain queues, so two queries interleaving on one channel
@@ -231,7 +231,7 @@ class QueryService:
         for outcome in OUTCOMES:
             self.metrics.histogram("service.latency_by_outcome_s", outcome=outcome)
         self._engine = create_engine(
-            self.config.executor, cluster.sites, self.tracer, self.config.max_workers
+            self.config.executor, cluster.sites, self.tracer, cluster.network
         )
 
     # -- lifecycle ---------------------------------------------------------------

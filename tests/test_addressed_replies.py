@@ -149,16 +149,14 @@ def test_a_round_the_next_one_observes_drops_every_untouched_group(sync_heavy):
     "setup",
     [
         dict(executor="serial"),
-        dict(executor="threads"),
         dict(executor="serial", topology="hierarchical:2"),
-        dict(executor="threads", topology="hierarchical:2"),
         dict(executor="serial", row_block_size=64),
         dict(
             executor="serial", failure_mode="retry",
             faults="drop site=site1 round=2 dir=up times=1",
         ),
     ],
-    ids=["serial", "threads", "hierarchical-serial", "hierarchical-threads", "blocks-64", "retry"],
+    ids=["serial", "hierarchical-serial", "blocks-64", "retry"],
 )
 def test_answers_equal_the_keyed_replies(sync_heavy, setup):
     result = run(sync_heavy, **setup)

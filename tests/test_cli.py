@@ -33,6 +33,14 @@ class TestDemo:
         assert "NationKey" in output
 
 
+class TestServe:
+    def test_self_test_refuses_sockets_in_one_line(self):
+        code, output = run_cli(["serve", "--self-test", "--executor", "sockets"])
+        assert code != 0
+        assert output.count("\n") == 1
+        assert "appends" in output
+
+
 class TestSql:
     QUERY = (
         "SELECT NationKey, COUNT(*) AS cnt FROM TPCR GROUP BY NationKey "

@@ -3,8 +3,8 @@
 The GMDJ scan (numpy vector kernels) must be *bit-identical* to the row
 oracle of ``tests/oracle/`` — same rows in the same order, float folds
 included — on every query family the repo reproduces (cube,
-multifeature, unpivot), under every in-process executor, and while the
-recovery machinery is retrying faulty legs.
+multifeature, unpivot), and while the recovery machinery is retrying
+faulty legs.
 """
 
 import contextlib
@@ -37,7 +37,6 @@ from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
 from repro.warehouse.partition import HashPartitioner
 
-EXECUTORS = ("serial", "threads")
 AGGS = [count_star("cnt"), AggSpec("sum", detail.NumBytes, "total")]
 
 
@@ -53,9 +52,9 @@ def build_cluster(site_count=3, faults=None):
     return cluster
 
 
-def config_for(executor="serial", **kwargs):
+def config_for(**kwargs):
     kwargs.setdefault("retry_backoff_s", 0.0)
-    return ExecutionConfig(executor=executor, **kwargs)
+    return ExecutionConfig(**kwargs)
 
 
 def run_expression(expression, config, cluster=None, **cluster_kwargs):
@@ -121,31 +120,28 @@ FAMILIES = {
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("executor", EXECUTORS)
-def test_columnar_bit_identical_per_family_and_executor(family, executor):
+def test_columnar_bit_identical_per_family(family):
     run = FAMILIES[family]
     with row_scan():
-        oracle = run(config_for(executor="serial"))
-    columnar = run(config_for(executor=executor))
-    assert columnar == oracle  # bit-identical, order included
+        oracle = run(config_for())
+    assert run(config_for()) == oracle  # bit-identical, order included
 
 
-@pytest.mark.parametrize("executor", ("serial", "threads"))
-def test_columnar_engine_survives_fault_retry_bit_identical(executor):
+def test_columnar_engine_survives_fault_retry_bit_identical():
     expression = multifeature_query(
         "Flow",
         ["SourceAS"],
         [Feature([count_star("cnt"), AggSpec("sum", detail.NumBytes, "total")])],
     )
     with row_scan():
-        clean = run_expression(expression, config_for(executor="serial")).relation.rows
+        clean = run_expression(expression, config_for()).relation.rows
     faults = "drop site=site1 round=1 dir=up times=1"
     for scan in (row_scan, contextlib.nullcontext):
         cluster = build_cluster(faults=faults)
         with scan():
             retried = run_expression(
                 expression,
-                config_for(executor=executor, failure_mode="retry", max_retries=3),
+                config_for(failure_mode="retry", max_retries=3),
                 cluster,
             )
         assert retried.relation.rows == clean

@@ -4,8 +4,8 @@ Covers the recovery subsystem end to end: the FaultPlan spec formats and
 faulted-channel semantics per fault kind, message/bookkeeper validation,
 the evaluator's fail_fast / retry / degrade modes (including the
 acceptance scenario: drop + crash-for-two-rounds on one of four sites),
-engine equivalence under a seeded fault schedule, and the executor
-failure-path bugfixes (all failed sites reported, no leaked pools).
+and the executor failure paths (all failed sites reported, no leaked
+pools).
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ import threading
 
 import pytest
 
-from conftest import make_flows
+from conftest import InProcessFanOut, make_flows
 from repro.distributed import OptimizationOptions, SimulatedCluster, execute_query
+from repro.distributed import evaluator as evaluator_module
 from repro.distributed.evaluator import ExecutionConfig
-from repro.distributed.executor import SerialEngine, ThreadEngine
+from repro.distributed.executor import SerialEngine, SocketEngine, create_engine
 from repro.distributed.recovery import EXCLUDED, RetryPolicy, guard_leg
 from repro.distributed.stats import RoundStats, verify_against_network
 from repro.errors import (
@@ -409,7 +410,7 @@ def test_guard_leg_does_not_retry_programming_errors():
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: the acceptance scenario and engine equivalence
+# End-to-end: the acceptance scenario
 # ---------------------------------------------------------------------------
 
 FLOW = make_flows(count=240, seed=17, routers=8)
@@ -519,59 +520,9 @@ def test_degrade_survives_a_base_round_crash():
     assert len(degraded.relation) <= len(clean.relation)
 
 
-@pytest.mark.parametrize("failure_mode", ["retry", "degrade"])
-def test_serial_and_threads_agree_under_seeded_faults(failure_mode):
-    """Same seeded FaultPlan, different engines: identical everything."""
-    plan = FaultPlan.scatter(
-        [f"site{index}" for index in range(4)],
-        seed=23,
-        rounds=3,
-        drop=0.25,
-        delay=0.25,
-        duplicate=0.25,
-        corrupt=0.2,
-    )
-    assert plan.rules, "seed produced an empty schedule"
-
-    def observe(executor):
-        result = run_faulty(
-            executor=executor,
-            faults=plan,
-            failure_mode=failure_mode,
-            max_retries=4,
-        )
-        per_round = [
-            (
-                round_stats.index,
-                tuple(round_stats.excluded),
-                tuple(
-                    sorted(
-                        (site_id, site.bytes_down, site.bytes_up,
-                         site.tuples_up, site.retries)
-                        for site_id, site in round_stats.sites.items()
-                    )
-                ),
-            )
-            for round_stats in result.stats.rounds
-        ]
-        return result.relation.rows, per_round, result.stats.faults
-
-    serial_state = observe("serial")
-    threads_state = observe("threads")
-    assert threads_state == serial_state
-
-
 # ---------------------------------------------------------------------------
 # Executor failure paths: all failures reported, no leaked pools
 # ---------------------------------------------------------------------------
-
-
-def _assert_no_leaked_workers():
-    assert [
-        thread.name
-        for thread in threading.enumerate()
-        if thread.name.startswith("skalla-site")
-    ] == []
 
 
 def _crash_some_legs(engine, failing):
@@ -583,8 +534,17 @@ def _crash_some_legs(engine, failing):
     return engine.run_legs(tuple(sorted(failing | {"ok1", "ok2"})), leg)
 
 
-def test_thread_engine_reports_every_failed_site():
-    engine = ThreadEngine({f"s{index}": None for index in range(4)}, NULL_TRACER)
+def _leg_threads():
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith("skalla-socket-leg")
+    ]
+
+
+def test_socket_engine_reports_every_failed_site():
+    # The fan-out needs no socket: the legs here never reach a channel.
+    engine = SocketEngine({f"s{index}": None for index in range(4)}, NULL_TRACER)
     try:
         with pytest.raises(MultiLegError) as excinfo:
             _crash_some_legs(engine, failing={"bad1", "bad2"})
@@ -594,13 +554,13 @@ def test_thread_engine_reports_every_failed_site():
         } == {"NetworkError"}
     finally:
         engine.close()
-    _assert_no_leaked_workers()
+    assert _leg_threads() == []
 
 
 def test_single_failure_keeps_its_original_exception_type():
-    # Pool sized to the leg count (the evaluator's contract): every leg
+    # Pool sized to the leg count (one thread per site): every leg
     # starts, so a lone failure re-raises its original exception.
-    engine = ThreadEngine({f"s{index}": None for index in range(3)}, NULL_TRACER)
+    engine = SocketEngine({f"s{index}": None for index in range(3)}, NULL_TRACER)
     try:
         with pytest.raises(NetworkError, match="bad1 went dark"):
             _crash_some_legs(engine, failing={"bad1"})
@@ -609,9 +569,9 @@ def test_single_failure_keeps_its_original_exception_type():
 
 
 def test_undersized_pool_reports_cancelled_legs():
-    # With one worker, legs behind a failure never start; they are
-    # reported as cancelled rather than silently abandoned.
-    engine = ThreadEngine({"s0": None}, NULL_TRACER, max_workers=1)
+    # A one-site engine running three legs: legs behind a failure never
+    # start; they are reported as cancelled rather than silently abandoned.
+    engine = SocketEngine({"s0": None}, NULL_TRACER)
     try:
         with pytest.raises(MultiLegError) as excinfo:
             _crash_some_legs(engine, failing={"bad1"})
@@ -619,6 +579,7 @@ def test_undersized_pool_reports_cancelled_legs():
         assert set(excinfo.value.cancelled) == {"ok1", "ok2"}
     finally:
         engine.close()
+    assert _leg_threads() == []
 
 
 def test_serial_engine_raises_first_failure_directly():
@@ -628,15 +589,29 @@ def test_serial_engine_raises_first_failure_directly():
     engine.close()
 
 
-@pytest.mark.parametrize("executor", ["threads"])
-def test_evaluator_closes_engine_when_a_leg_crashes(executor):
+@pytest.mark.parametrize("legs", ["serial", "threads"])
+def test_evaluator_closes_engine_when_a_leg_crashes(legs, monkeypatch):
+    # "threads" fans the legs out at once (the sockets engine's pool over
+    # in-process sites), so both crashed sites fail in the same round.
+    engines = []
+
+    def tracked_engine(executor, sites, tracer, network):
+        engine = (
+            InProcessFanOut(sites, tracer)
+            if legs == "threads"
+            else create_engine(executor, sites, tracer, network)
+        )
+        engines.append(engine)
+        return engine
+
+    monkeypatch.setattr(evaluator_module, "create_engine", tracked_engine)
     with pytest.raises((SiteUnavailableError, MultiLegError)):
         run_faulty(
-            executor=executor,
             faults="crash site=site0 times=0; crash site=site2 times=0",
             failure_mode="fail_fast",
         )
-    _assert_no_leaked_workers()
+    assert len(engines) == 1 and engines[0]._closed
+    assert _leg_threads() == []
 
 
 def test_multi_leg_error_message_lists_sites_and_causes():

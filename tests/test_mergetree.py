@@ -3,8 +3,6 @@ any tree (paper future work, Section 6) and the tree-shaped round
 statistics."""
 
 import itertools
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +34,6 @@ from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
 from repro.gmdj.operator import evaluate, evaluate_sub, merge_sub_results, super_aggregate
 from repro.net.channel import DirectionStats
 from repro.net.costmodel import LAN, WAN, CostModel
-from repro.net.faults import FaultPlan
 from repro.obs import MetricsRegistry, Tracer
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
@@ -312,9 +309,8 @@ class TestConfigIsHonoured:
         assert seen == {scan}
         assert versions == {b"SKRL\x03"}
 
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
     @pytest.mark.parametrize("topology", ["hierarchical:2", "chain:2"])
-    def test_config_reaches_trees(self, topology, executor):
+    def test_config_reaches_trees(self, topology):
         cluster = build_cluster(8)
         plan = plan_query(
             correlated_expression(), cluster.catalog, OptimizationOptions.none()
@@ -322,15 +318,14 @@ class TestConfigIsHonoured:
         flat = execute_plan(cluster, plan, ExecutionConfig(executor="serial"))
         cluster.reset_network()
         config = ExecutionConfig(
-            executor=executor, max_workers=2, failure_mode="retry", max_retries=5,
-            leg_timeout_s=1.0,
+            failure_mode="retry", max_retries=5, leg_timeout_s=1.0,
         )
         tracer = Tracer()
         result = execute_plan_scheduled(
             cluster, plan, config, tracer=tracer, topology=topology
         )
         assert same_rows(result.relation, flat.relation)
-        assert result.stats.executor == executor
+        assert result.stats.executor == "serial"
         assert result.stats.failure_mode == "retry"
         assert verify_against_network(result.stats, cluster.network) == []
         # The root's own encode/decode work is on the trace, per edge.
@@ -355,65 +350,6 @@ class TestConfigIsHonoured:
         # Headers plus the repeated schema of each extra block, per edge.
         assert blocked.stats.bytes_total > whole.stats.bytes_total
 
-    def test_threaded_legs_under_combiners_stress(self):
-        """More leg threads than cores, switching every 10 µs: a lost
-        update on a shared edge or session bank would change the bytes,
-        the retry count or the relation."""
-        cluster = build_cluster(8)
-        plan = plan_query(
-            correlated_expression(), cluster.catalog, OptimizationOptions.none()
-        )
-        faults = FaultPlan.parse(
-            "drop site=site1 round=1 dir=up; crash site=site5 rounds=0-2 times=2"
-        )
-        tree = tree_for("chain:2", cluster.site_ids)
-
-        def run(executor):
-            cluster.install_faults(faults)
-            config = ExecutionConfig(
-                executor=executor, row_block_size=2, failure_mode="retry",
-                max_retries=4, retry_backoff_s=0.0,
-            )
-            result = execute_plan(cluster, plan, config, tree=tree)
-            assert verify_against_network(result.stats, cluster.network) == []
-            return result
-
-        serial = run("serial")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for _attempt in range(10):
-                threaded = run("threads")
-                assert same_rows(threaded.relation, serial.relation)
-                assert threaded.stats.bytes_total == serial.stats.bytes_total
-                assert threaded.stats.retries == serial.stats.retries == 3
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("executor", ["threads"])
-    @pytest.mark.parametrize("topology", ["hierarchical:8", "chain:2"])
-    def test_bounded_pool_no_deadlock(self, topology, executor):
-        """More interior nodes than workers: a combiner that held a worker
-        while its own children queued behind it would hang here."""
-        cluster = build_cluster(8)
-        plan = plan_query(correlated_expression(), cluster.catalog)
-        flat = execute_plan(cluster, plan, ExecutionConfig(executor="serial"))
-        finished = []
-        runner = threading.Thread(
-            target=lambda: finished.append(
-                execute_plan_scheduled(
-                    cluster, plan,
-                    ExecutionConfig(executor=executor, max_workers=1),
-                    topology=topology,
-                )
-            ),
-            daemon=True,
-        )
-        runner.start()
-        runner.join(timeout=60)
-        assert not runner.is_alive(), f"{topology} under {executor} deadlocked"
-        assert same_rows(finished[0].relation, flat.relation)
-
 
 class TestHopSpans:
     def test_hop_encloses_the_work_below_it(self):
@@ -436,9 +372,7 @@ class TestHopSpans:
             assert {span.attributes["site"] for span in below} == set(
                 result.stats.rounds[0].children[hop.attributes["node"]]
             )
-            # Enclosed in time: under the threads executor the legs below a
-            # hop overlap (the site kernels release the GIL), so their
-            # durations may add up to more than the hop's wall clock.
+            # Enclosed in time.
             for span in below:
                 assert hop.start_s <= span.start_s <= span.end_s <= hop.end_s
             assert sum(span.duration_s for span in below) > 0
@@ -563,17 +497,16 @@ def merge_trees(draw):
     toggles=st.tuples(
         st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.booleans()
     ),
-    executor=st.sampled_from(["serial", "threads"]),
     row_block_size=st.sampled_from([0, 3]),
 )
 @settings(max_examples=40, deadline=None)
-def test_random_nesting_matches_centralized(tree, toggles, executor, row_block_size):
+def test_random_nesting_matches_centralized(tree, toggles, row_block_size):
     cluster = build_cluster(len(PROPERTY_SITES))
     registry = MetricsRegistry()
     cluster.reset_network(metrics=registry)
     result = run_tree(
         cluster, tree, OptimizationOptions(*toggles), metrics=registry,
-        config=ExecutionConfig(executor=executor, row_block_size=row_block_size),
+        config=ExecutionConfig(row_block_size=row_block_size),
     )
     reference = correlated_expression().evaluate_centralized(
         cluster.conceptual_tables()
@@ -596,12 +529,11 @@ def test_random_nesting_matches_centralized(tree, toggles, executor, row_block_s
     tree=merge_trees(),
     toggles=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
     on_the_key=st.booleans(),
-    executor=st.sampled_from(["serial", "threads"]),
     row_block_size=st.sampled_from([0, 3]),
 )
 @settings(max_examples=30, deadline=None)
 def test_random_nesting_observed_reduction_on_and_off(
-    tree, toggles, on_the_key, executor, row_block_size
+    tree, toggles, on_the_key, row_block_size
 ):
     """Narrowing the root's edges to what each subtree answered with
     changes what is shipped, on any nesting, and nothing else."""
@@ -610,7 +542,7 @@ def test_random_nesting_observed_reduction_on_and_off(
         None if on_the_key else RoundRobinPartitioner(len(PROPERTY_SITES)),
     )
     coalescing, sync_reduction, independent, pruning = toggles
-    config = ExecutionConfig(executor=executor, row_block_size=row_block_size)
+    config = ExecutionConfig(row_block_size=row_block_size)
 
     def run(aware):
         cluster.reset_network()

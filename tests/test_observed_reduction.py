@@ -110,15 +110,11 @@ class TestExactCounts:
             <= plain.stats.rounds[1].tuples_down
         )
 
-    def test_row_blocking_and_threads_change_nothing(self):
+    def test_row_blocking_changes_nothing(self):
         cluster = build(4)
         reference = run(cluster)
-        for config in [
-            dict(row_block_size=7),
-            dict(executor="threads"),
-            dict(executor="threads", row_block_size=5),
-        ]:
-            result = run(cluster, **config)
+        for row_block_size in (7, 5):
+            result = run(cluster, row_block_size=row_block_size)
             assert result.relation.rows == reference.relation.rows
             for site_id in cluster.site_ids:
                 assert (
@@ -152,12 +148,9 @@ class TestRecovery:
             "corrupt site=site3 round=1 dir=up times=1; drop site=site3 round=2 dir=up times=1",
         ],
     )
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
-    def test_retry_gives_the_fault_free_answer_and_fragments(self, faults, executor):
-        clean = run(build(4), executor=executor)
-        retried = run(
-            build(4, faults), executor=executor, failure_mode="retry", max_retries=4
-        )
+    def test_retry_gives_the_fault_free_answer_and_fragments(self, faults):
+        clean = run(build(4))
+        retried = run(build(4, faults), failure_mode="retry", max_retries=4)
         assert retried.stats.retries > 0
         assert retried.relation.rows == clean.relation.rows
         for site_id in ("site0", "site1", "site2", "site3"):

@@ -236,12 +236,11 @@ def nested_expression(stages):
     site_count=st.sampled_from([1, 2, 3, 4, 8]),
     partition_attr=st.sampled_from(["g", "w"]),  # a key / not a key
     toggles=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
-    executor=st.sampled_from(["serial", "threads"]),
     row_block_size=st.sampled_from([0, 2]),
 )
 @settings(max_examples=60, deadline=None)
 def test_observed_reduction_changes_traffic_never_the_answer(
-    rows, stages, site_count, partition_attr, toggles, executor, row_block_size,
+    rows, stages, site_count, partition_attr, toggles, row_block_size,
 ):
     cluster = SimulatedCluster.with_sites(site_count)
     cluster.load_partitioned(
@@ -251,7 +250,7 @@ def test_observed_reduction_changes_traffic_never_the_answer(
     )
     expression = nested_expression(stages)
     coalescing, sync_reduction, independent, pruning = toggles
-    config = ExecutionConfig(executor=executor, row_block_size=row_block_size)
+    config = ExecutionConfig(row_block_size=row_block_size)
 
     def run(aware):
         options = OptimizationOptions(

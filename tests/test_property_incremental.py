@@ -9,9 +9,9 @@ hold groups) — an initial table, and a sequence of appends split over
 three sites: empty deltas, keys the view has never seen, several appends
 before one refresh, and full reads of the tables between them (the warehouse concatenates its append log there, so the
 next refresh reads across that fold). After every refresh the view must
-equal centralized evaluation over the grown data by ``repr``, under the
-``serial`` and ``threads`` engines, with refresh replies whole or in row
-blocks of three, and count exactly the keys the base gained as new groups.
+equal centralized evaluation over the grown data by ``repr``, with refresh
+replies whole or in row blocks of three, and count exactly the keys the
+base gained as new groups.
 
 Float sums are over small integral values, so every partitioning and
 fold order gives the same double and ``repr`` equality is a fair test.
@@ -23,11 +23,9 @@ from hypothesis import strategies as st
 
 from repro.distributed import SimulatedCluster
 from repro.distributed.evaluator import ExecutionConfig
-from repro.distributed.executor import create_engine
 from repro.distributed.incremental import IncrementalView
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
-from repro.obs.tracer import NULL_TRACER
 from repro.relalg import columnar
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
@@ -106,10 +104,9 @@ def by_repr(relation):
     return sorted(map(repr, relation.rows))
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads"])
 @settings(deadline=None)
 @given(histories())
-def test_a_refreshed_view_is_full_reevaluation_by_repr(executor, history):
+def test_a_refreshed_view_is_full_reevaluation_by_repr(history):
     keys, blocks, initial, steps, composite, row_block_size = history
     with pytest.MonkeyPatch.context() as patch:
         if composite:  # the drawn relations are short
@@ -119,23 +116,19 @@ def test_a_refreshed_view_is_full_reevaluation_by_repr(executor, history):
         query = expression(keys, blocks)
         view = IncrementalView(cluster, query)
         groups = len(cluster.conceptual_table("Flow").distinct_project(keys))
-        engine = create_engine(executor, cluster.sites, NULL_TRACER)
-        try:
-            for appends, full_read, refresh in steps + [([], False, True)]:
-                for appended in appends:
-                    pieces = PARTITIONER.split(Relation(SCHEMA, appended))
-                    for site_id, piece in zip(cluster.site_ids, pieces):
-                        cluster.site(site_id).warehouse.append("Flow", piece)
-                if full_read:
-                    cluster.conceptual_table("Flow")
-                if not refresh:
-                    continue
-                result = view.refresh(ExecutionConfig(row_block_size=row_block_size), engine=engine)
-                tables = cluster.conceptual_tables()
-                reference = query.evaluate_centralized(tables)
-                assert by_repr(result.relation) == by_repr(reference)
-                grown = len(tables["Flow"].distinct_project(keys))
-                assert result.new_groups == grown - groups
-                groups = grown
-        finally:
-            engine.close()
+        for appends, full_read, refresh in steps + [([], False, True)]:
+            for appended in appends:
+                pieces = PARTITIONER.split(Relation(SCHEMA, appended))
+                for site_id, piece in zip(cluster.site_ids, pieces):
+                    cluster.site(site_id).warehouse.append("Flow", piece)
+            if full_read:
+                cluster.conceptual_table("Flow")
+            if not refresh:
+                continue
+            result = view.refresh(ExecutionConfig(row_block_size=row_block_size))
+            tables = cluster.conceptual_tables()
+            reference = query.evaluate_centralized(tables)
+            assert by_repr(result.relation) == by_repr(reference)
+            grown = len(tables["Flow"].distinct_project(keys))
+            assert result.new_groups == grown - groups
+            groups = grown

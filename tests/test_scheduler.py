@@ -305,7 +305,7 @@ class TestPinnedContexts:
         assert "in-process sites" in auto.topology_choice.reason
         with pytest.raises(PlanError, match="in-process sites"):
             execute_plan_scheduled(deployment, plan, topology="hierarchical:2")
-        with pytest.raises(PlanError, match="socket transport"):
+        with pytest.raises(PlanError, match="process cluster"):
             execute_plan_scheduled(
                 cluster, plan, ExecutionConfig(executor="sockets"),
                 topology="hierarchical:2",

@@ -423,6 +423,29 @@ class TestRepeatedBlocks:
         with pytest.raises(SerializationError, match="str column 1 refers to int column 0"):
             decode_relation(two_ints(b"\x02\x00", second=("s", STR)))
 
+    def test_a_copied_bit_packed_column_decodes(self):
+        # Five bytes of bits and two of reference: fewer than a bit per row
+        # for each of the two columns.
+        flags = [index % 3 == 0 for index in range(25)]
+        relation = Relation(Schema.of(("a", BOOL), ("b", BOOL)), list(zip(flags, flags)))
+        payload = encode_relation(relation)
+        assert payload.endswith(b"\x02\x00")
+        assert decode_relation(payload).rows == relation.rows
+
+    def test_back_references_copy_at_most_eight_rows_a_byte(self):
+        flags = [index % 3 == 0 for index in range(120)]
+        schema = Schema.of(*((f"c{column}", BOOL) for column in range(10)))
+        relation = Relation(schema, [(flag,) * 10 for flag in flags])
+        payload = encode_relation(relation)
+        # Past the budget a repeated column ships whole, and everything decodes.
+        assert payload.count(column_block(flags, BOOL)) > 1
+        assert decode_relation(payload).rows == relation.rows
+        # 16 bytes of block: a second copy of its 120 rows is past 8 a byte.
+        header = encode_relation(Relation(schema, []))[:-1] + bytes([len(flags)])
+        copies = header + column_block(flags, BOOL) + b"\x02\x00" * 9
+        with pytest.raises(SerializationError, match="copy 240 rows in 20 bytes"):
+            decode_relation(copies)
+
 
 def addressed(rows, values=None) -> Relation:
     """Sub column ``v`` answering the fragment rows ``rows`` (an ADDRESS

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from conftest import InProcessFanOut
 from repro.data.flows import FlowConfig, generate_flows, router_partitioner
 from repro.distributed import SimulatedCluster
 from repro.distributed.evaluator import ExecutionConfig, execute_plan
@@ -30,6 +31,7 @@ from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
 from repro.relalg.relation import Relation
 from repro.service import FRESH, HIT, REFRESH, PlanSignature, QueryService
+from repro.service import service as service_module
 from repro.service.service import DEGRADED
 
 SITES = 3
@@ -134,14 +136,11 @@ class TestCache:
         assert again.source == HIT
         assert again.relation.rows == upgraded.relation.rows
 
-    @pytest.mark.parametrize(
-        "executor", [name for name in EXECUTORS if name != "sockets"]
-    )
-    def test_fresh_query_after_append_reads_the_grown_partitions(self, executor):
+    def test_fresh_query_after_append_reads_the_grown_partitions(self):
         """An engine the service keeps across queries must read the
         partitions as they are now, not as they were when it was built."""
         cluster = build_cluster()
-        with QueryService(cluster, ExecutionConfig(executor=executor)) as service:
+        with QueryService(cluster) as service:
             service.submit(MAX_BY_DEST)
             per_site = make_delta(cluster)
             service.append("Flow", per_site)
@@ -167,12 +166,17 @@ class TestCache:
             COUNT_BY_SOURCE, per_site
         ).rows
 
-    @pytest.mark.parametrize("executor, replaced", [("serial", 1), ("threads", 2)])
-    def test_a_replaced_partition_is_a_miss_not_a_refresh(self, executor, replaced):
+    @pytest.mark.parametrize("legs, replaced", [("serial", 1), ("fanout", 2)])
+    def test_a_replaced_partition_is_a_miss_not_a_refresh(self, legs, replaced, monkeypatch):
         """A site whose table was re-registered since the cached view's
         version refuses the refresh round (its append log starts over);
-        the submit is then a plain miss. Under the threads engine two such
+        the submit is then a plain miss. With the legs fanned out, two such
         sites fail as one MultiLegError of refusals."""
+        if legs == "fanout":
+            monkeypatch.setattr(
+                service_module, "create_engine",
+                lambda _executor, sites, tracer, _network: InProcessFanOut(sites, tracer),
+            )
 
         def replace(cluster, per_site):
             for site_id in cluster.site_ids[:replaced]:
@@ -180,7 +184,7 @@ class TestCache:
                 warehouse.register("Flow", warehouse.table("Flow").union_all(per_site[site_id]))
 
         cluster = build_cluster()
-        config = ExecutionConfig(executor=executor)
+        config = ExecutionConfig()
         with QueryService(cluster, config) as service:
             service.submit(COUNT_BY_SOURCE)
             per_site = make_delta(cluster)
@@ -453,10 +457,7 @@ class TestConcurrency:
             (COUNT_BY_SOURCE, MAX_BY_DEST)[index % 2] for index in range(clients)
         ]
         with QueryService(
-            build_cluster(),
-            ExecutionConfig(executor="threads"),
-            tracer=tracer,
-            max_in_flight=3,
+            build_cluster(), tracer=tracer, max_in_flight=3
         ) as service:
             with ThreadPoolExecutor(max_workers=clients) as pool:
                 results = list(pool.map(service.submit, batch))
@@ -487,9 +488,7 @@ class TestConcurrency:
 
     def test_append_is_writer_exclusive_and_upgrade_survives_races(self):
         cluster = build_cluster()
-        with QueryService(
-            cluster, ExecutionConfig(executor="threads"), max_in_flight=4
-        ) as service:
+        with QueryService(cluster, max_in_flight=4) as service:
             service.submit(COUNT_BY_SOURCE)
             per_site = make_delta(cluster)
             service.append("Flow", per_site)

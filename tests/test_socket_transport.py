@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pickle
 import socket
+import threading
 
 import pytest
 
@@ -417,6 +418,10 @@ def test_fail_fast_propagates_a_crash_over_sockets(deployed):
             deployed, "sockets", "crash site=site1 rounds=0-9 times=0",
             failure_mode="fail_fast",
         )
+    # The run's engine was closed on the way out: no leg thread outlives it.
+    assert not any(
+        thread.name.startswith("skalla-socket-leg") for thread in threading.enumerate()
+    )
 
 
 # ---------------------------------------------------------------------------
