@@ -97,8 +97,10 @@ class Coordinator:
         - ``positions`` — the *observed* distribution: row positions in
           ``held`` of the groups those sites answered with in the round
           before (:meth:`touched_by`; any order, repeats allowed). The
-          fragment keeps only those rows, in ``held``'s order. ``None``
-          means nothing was observed: every row qualifies.
+          fragment keeps only those rows, in the order of ``positions``
+          (a repeat is kept once, where it first comes): a site's answer
+          order, so the fragment can ship positionally against it.
+          ``None`` means nothing was observed: every row qualifies.
         - ``ship_filters`` — the optimizer's ¬ψᵢ over base fields (relvar
           ``"b"``) from the *declared* φᵢ — one for a site's own edge, one
           per site beneath a combiner's: a row stays when *some* of those
@@ -114,9 +116,12 @@ class Coordinator:
         held = self.x if held is None else held
         rows = None
         if positions is not None:
-            kept = np.zeros(len(held), dtype=bool)
-            kept[np.asarray(positions, dtype=np.int64)] = True
-            rows = np.flatnonzero(kept)
+            rows = np.asarray(positions, dtype=np.int64)
+            seen = np.zeros(len(held), dtype=bool)
+            seen[rows] = True
+            if np.count_nonzero(seen) < len(rows):  # a repeat: keep the first
+                _groups, firsts = np.unique(rows, return_index=True)
+                rows = rows[np.sort(firsts)]
         if not any(ship_filter is None for ship_filter in ship_filters):
             cut = held if rows is None else Relation.from_columnar(held.to_columnar().gather(rows))
             mask = compiler.compile_mask(reduce(or_, ship_filters), {BASE_VAR: cut.schema})

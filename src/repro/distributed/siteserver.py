@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 
 from repro.distributed.executor import SiteRequest, perform_isolated_request
 from repro.distributed.site import SkallaSite
-from repro.errors import DeploymentError, NetworkError, ReproError
+from repro.errors import DeploymentError, NetworkError, ReproError, StateMismatch
 from repro.net import serialize
 from repro.net.message import BASE_RESULT, SHIP_BASE, SUB_RESULT
 from repro.net.socket_channel import (
@@ -402,6 +402,11 @@ class SiteServer:
                 )
             request = SiteRequest.from_control(control, pending)
             reply = perform_isolated_request(self.site, request)
+        except StateMismatch as error:
+            # No fault: the coordinator resends the fragment keyed.
+            self.registry.counter("site.round_state_misses").inc()
+            self._send_error(conn, error)
+            return
         except Exception as error:  # noqa: BLE001 - shipped to the coordinator
             self.registry.counter("site.errors").inc()
             self.flight.record_fault(

@@ -63,6 +63,14 @@ class SerializationError(ReproError):
     """A relation or message could not be encoded or decoded."""
 
 
+class StateMismatch(ReproError):
+    """A site holds no answer for the round state a positional fragment
+    names: it restarted, is a replica, evicted the entry, or the digest or
+    the row count does not match what it answered. Not transient: the
+    coordinator resends the keyed fragment on the same leg instead of
+    retrying the positional one."""
+
+
 class NetworkError(ReproError):
     """A simulated network operation failed (unknown site, closed channel)."""
 

@@ -16,7 +16,8 @@ A :class:`Channel` is one edge. It has
   server process, reached by
   :meth:`repro.net.socket_channel.SocketChannel.ask`;
 - the **recovery hooks** the retry layer drives: ``begin_attempt``,
-  ``next_straggle``, ``arm_speculation``, ``drain_pending``.
+  ``next_straggle``, ``next_state_loss``, ``arm_speculation``,
+  ``drain_pending``.
 
 Every message, in either direction, on either transport, is handled
 once: validated (it is addressed to, or comes from, this edge's site) ->
@@ -30,8 +31,8 @@ not.
 The fault policy answers one question per message, ``judge(message,
 direction) -> (message to carry, DELIVER | LOST | LATE)`` (raising
 :class:`~repro.errors.SiteUnavailableError` while the site is down for
-the attempt), plus ``require_up``, ``begin_attempt``, ``next_straggle``
-and the ``events`` it fired. A perfect link has :data:`PERFECT_LINK`; a
+the attempt), plus ``require_up``, ``begin_attempt``, ``next_straggle``,
+``next_state_loss`` and the ``events`` it fired. A perfect link has :data:`PERFECT_LINK`; a
 :class:`~repro.net.faults.FaultPlan` builds the other kind. What a
 verdict means on the wire is the transport's business: here a LOST
 message is recorded and not queued and a LATE one fails one receive; on
@@ -171,6 +172,9 @@ class _PerfectLink:
     def next_straggle(self, round_index: int) -> float:
         return 0.0
 
+    def next_state_loss(self, round_index: int) -> bool:
+        return False
+
     def require_up(self) -> None:
         pass
 
@@ -292,6 +296,10 @@ class Channel:
     def next_straggle(self, round_index: int) -> float:
         """Injected compute delay for this leg attempt (0 on a perfect link)."""
         return self.policy.next_straggle(round_index)
+
+    def next_state_loss(self, round_index: int) -> bool:
+        """Whether the site loses its kept answers before this leg attempt."""
+        return self.policy.next_state_loss(round_index)
 
     def arm_speculation(self, should_abandon) -> None:
         """Install (or clear, with None) the round's abandon predicate.

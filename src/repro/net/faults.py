@@ -25,6 +25,11 @@ declare, up front and reproducibly, exactly which messages misbehave:
   exercise the speculative re-execution path, where a backup leg races
   the sleeping straggler. The ``times`` budget means a backup attempt
   after the first firing runs at full speed.
+- ``lose_state`` — the site forgets the answers it kept for positional
+  fragments before the leg attempt, as a restart or a replica would: the
+  leg's site request says so, so an in-process site and a site server
+  lose the same state. A fragment positional against a lost answer is
+  answered with :class:`~repro.errors.StateMismatch` and resent keyed.
 
 A :class:`FaultPlan` is an immutable ordered rule list; all firing state
 lives in the per-channel :class:`FaultInjector` it builds — the fault
@@ -60,8 +65,11 @@ DUPLICATE = "duplicate"
 CORRUPT = "corrupt"
 CRASH = "crash"
 STRAGGLE = "straggle"
+LOSE_STATE = "lose_state"
 
-FAULT_KINDS = (DROP, DELAY, DUPLICATE, CORRUPT, CRASH, STRAGGLE)
+FAULT_KINDS = (DROP, DELAY, DUPLICATE, CORRUPT, CRASH, STRAGGLE, LOSE_STATE)
+#: Kinds that fire once per leg attempt, not per message: no direction.
+_ATTEMPT_KINDS = (CRASH, STRAGGLE, LOSE_STATE)
 
 #: Wildcard for ``site`` and ``direction`` rule fields.
 ANY = "*"
@@ -116,7 +124,7 @@ class FaultRule:
         if self.rounds and round_index not in self.rounds:
             return False
         if (
-            self.kind not in (CRASH, STRAGGLE)
+            self.kind not in _ATTEMPT_KINDS
             and self.direction != ANY
             and direction != ANY
             and self.direction != direction
@@ -477,6 +485,15 @@ class FaultInjector:
             return 0.0
         self._record(STRAGGLE, round_index, ANY, delay_s=rule.delay_s)
         return rule.delay_s
+
+    def next_state_loss(self, round_index: int) -> bool:
+        """Whether the site forgets its kept answers before this leg
+        attempt; consumes one firing of the first unspent ``lose_state``
+        rule."""
+        if self._consume((LOSE_STATE,), round_index, ANY) is None:
+            return False
+        self._record(LOSE_STATE, round_index, ANY)
+        return True
 
     def require_up(self) -> None:
         """Raise if the site is down for the whole of this attempt."""

@@ -66,6 +66,25 @@ ascending row numbers), or, without one, the rows from the one after the
 previous block's last, one per row. A block may instead carry the key
 attributes when that is smaller. :func:`decode_reply` reads one back.
 
+**Positional fragments.** In a round that ships each site only the groups
+it answered with in the round before (observed reduction), the fragment to
+a site lists those groups in the site's own answer order, so it need not
+carry the key attributes K: the site kept them. Its first block
+(:func:`encode_positional`) is the magic ``b"SKRP"``, a length byte
+(:data:`DIGEST_BYTES`), the digest of the answer it is positional against,
+and then a format v3 relation of the round's other fields; any further
+row block is a plain v3 relation. :func:`decode_fragment` reads either
+kind of first block. The digest is :func:`answer_digest`: the first
+:data:`DIGEST_BYTES` bytes of SHA-256 over the blocks the site was
+shipped in that round and the blocks it answered with, each list and
+each block preceded by its length as 8 little-endian bytes. Both ends
+hold those bytes, and they fix the key list: a keyed answer carries its
+keys, an answer by row address names rows of a fragment that carried
+them (or was itself positional against an earlier digest). A site keeps
+an answer's keys only when every key attribute is there and none is
+FLOAT (:func:`positional_keys`): ``-0.0`` equals ``0.0`` as a key, so a
+site's own key value could differ in its bits from the coordinator's.
+
 The decoder checks every declared count and length against the bytes
 that remain *before* it allocates for them, rejects stray bits past the
 end of a bitmap, width bytes other than the four above, dictionary
@@ -90,13 +109,14 @@ v1 (a tag byte per value) exists only as the test oracle in
 from __future__ import annotations
 
 import datetime
+import hashlib
 import sys
 import threading
 from array import array
 from functools import partial
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, is_not, sub
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -681,6 +701,24 @@ def _read_back_reference(
 def decode_relation(data: bytes) -> Relation:
     """Deserialize bytes produced by :func:`encode_relation`, or raise
     :class:`~repro.errors.SerializationError`."""
+    relation, _body, _end = _decode(data)
+    return relation
+
+
+def decode_leading(data: bytes, count: int) -> tuple:
+    """``(relation, bytes)``: the first ``count`` attributes of a relation
+    :func:`encode_relation` wrote, and the bytes their column blocks take;
+    nothing past those blocks is read. What a site keeps of its own keyed
+    answer is its leading key columns
+    (:meth:`~repro.distributed.site.SkallaSite.remember_answer`)."""
+    relation, body, end = _decode(data, count)
+    return relation, end - body
+
+
+def _decode(data: bytes, columns: Optional[int] = None) -> tuple:
+    """``(relation, body offset, end offset)`` of :func:`decode_relation`,
+    or of its first ``columns`` attributes, which leave the bytes past
+    their blocks unread."""
     if type(data) is not bytes:
         data = bytes(data)  # header slices key the schema cache: hashable
     if data[: len(_MAGIC)] != _MAGIC:
@@ -688,7 +726,9 @@ def decode_relation(data: bytes) -> Relation:
     if len(data) <= len(_MAGIC) or data[len(_MAGIC)] != _VERSION:
         raise SerializationError("unsupported codec version")
     schema, type_codes, row_count, offset = _read_header(data, len(_MAGIC) + 1)
-    remaining = len(data) - offset
+    if columns is not None:
+        schema, type_codes = schema.project(schema.names[:columns]), type_codes[:columns]
+    start, remaining = offset, len(data) - offset
     if not type_codes:
         _check_zero_attribute_rows(row_count)
     elif (row_count + 7) >> 3 > remaining:
@@ -697,21 +737,23 @@ def decode_relation(data: bytes) -> Relation:
         raise SerializationError(
             f"{row_count} rows declared but only {remaining} bytes follow"
         )
-    columns: list = [[] for _code in type_codes]
+    held: list = [[] for _code in type_codes]
     if row_count:  # else header-only
         body, copied = offset, 0
         for position, code in enumerate(type_codes):
             if offset < len(data) and data[offset] == _BACK_REFERENCE:
                 copied += row_count
-                columns[position], offset = _read_back_reference(
-                    data, offset + 1, columns, type_codes, position, copied, body
+                held[position], offset = _read_back_reference(
+                    data, offset + 1, held, type_codes, position, copied, body
                 )
             else:
-                columns[position], offset = _read_column(data, offset, code, row_count)
-    _check_consumed(offset, len(data))
-    return Relation.from_columnar(
-        ColumnarRelation.from_value_lists(schema, columns, row_count)
+                held[position], offset = _read_column(data, offset, code, row_count)
+    if columns is None:
+        _check_consumed(offset, len(data))
+    relation = Relation.from_columnar(
+        ColumnarRelation.from_value_lists(schema, held, row_count)
     )
+    return relation, start, offset
 
 
 # ---------------------------------------------------------------------------
@@ -794,3 +836,81 @@ def decode_reply(data: bytes, key_attrs, shipped: int, start: int = 0) -> tuple:
             f"{length} rows answer from row {start} of a fragment of {shipped}"
         )
     return relation, np.arange(start, start + length)
+
+
+# ---------------------------------------------------------------------------
+# Positional fragments: shipped against the site's own previous answer
+# ---------------------------------------------------------------------------
+
+_POSITIONAL_MAGIC = b"SKRP"
+#: Bytes of a round-state digest (:func:`answer_digest`).
+DIGEST_BYTES = 16
+#: What a positional first block adds to its relation: magic, length, digest.
+POSITIONAL_PREFIX_BYTES = len(_POSITIONAL_MAGIC) + 1 + DIGEST_BYTES
+
+
+def answer_digest(shipped, answered) -> bytes:
+    """The digest naming a site's answer to one round: the blocks it was
+    ``shipped`` and the blocks it ``answered`` with, as the module
+    docstring specifies. The site and the coordinator both call this."""
+    digest = hashlib.sha256()
+    for payloads in (shipped, answered):
+        digest.update(len(payloads).to_bytes(8, "little"))
+        for payload in payloads:
+            digest.update(len(payload).to_bytes(8, "little"))
+            digest.update(payload)
+    return digest.digest()[:DIGEST_BYTES]
+
+
+def encode_positional(relation: Relation, digest: bytes) -> bytes:
+    """The first block of a fragment positional against the answer
+    ``digest`` names: the prefix, then ``relation`` in format v3."""
+    if type(digest) is not bytes or len(digest) != DIGEST_BYTES:
+        raise SerializationError(f"a round-state digest is {DIGEST_BYTES} bytes, got {digest!r}")
+    return _POSITIONAL_MAGIC + bytes((DIGEST_BYTES,)) + digest + encode_relation(relation)
+
+
+def key_bytes_at_least(schema: Schema, key_attrs, rows: int) -> int:
+    """A lower bound on what the ``key_attrs`` add to a relation of
+    ``schema`` and ``rows`` rows: a header entry each (a length byte, the
+    name, a type code) and a column block each — at least a presence byte
+    and a bit per row, or two bytes where it could back-reference an
+    earlier column of its type."""
+    total, earlier = 0, set()
+    for attribute in schema:
+        if attribute.name in key_attrs:
+            total += len(attribute.name.encode("utf-8")) + 2
+            if rows:
+                total += 2 if attribute.type in earlier else 1 + ((rows + 7) >> 3)
+        earlier.add(attribute.type)
+    return total
+
+
+def decode_fragment(data: bytes) -> tuple:
+    """``(relation, digest)`` of a fragment's first block: ``digest`` is
+    ``None`` for a plain v3 relation, else the answer the block is
+    positional against. A digest of any length but :data:`DIGEST_BYTES`
+    raises :class:`~repro.errors.SerializationError`."""
+    if data[: len(_POSITIONAL_MAGIC)] != _POSITIONAL_MAGIC:
+        return decode_relation(data), None
+    start = len(_POSITIONAL_MAGIC) + 1
+    if len(data) < start or data[start - 1] != DIGEST_BYTES:
+        raise SerializationError(
+            f"a positional fragment's digest must be {DIGEST_BYTES} bytes"
+        )
+    end = start + DIGEST_BYTES
+    if len(data) < end:
+        raise SerializationError("truncated round-state digest")
+    return decode_relation(data[end:]), bytes(data[start:end])
+
+
+def positional_keys(schema: Schema, key_attrs) -> tuple:
+    """The key attributes a site remembers an answer by, so that the next
+    round can ship it positionally: all of ``key_attrs`` when ``schema``
+    holds them all and none is FLOAT, else none."""
+    names = schema.names
+    if not set(key_attrs) <= set(names):
+        return ()
+    if any(schema.attributes[names.index(name)].type == FLOAT for name in key_attrs):
+        return ()
+    return tuple(key_attrs)

@@ -12,7 +12,10 @@ additions, made by :func:`build_profile`:
   aggregated into ``{name, kind, seconds, calls, rows, bytes}``, slowest
   first, empty when the run was untraced. The byte, tuple and wall
   numbers stay the snapshot's, so attribution is exact even with a null
-  tracer;
+  tracer; and ``positional`` on each round record: per site whose
+  fragment shipped positionally against its own answer, the bytes of the
+  key columns it kept and the fragment did not carry (the site's traced
+  ``round.decode`` span says so, so it is empty when untraced);
 - the plan (``plan_description``, ``notes``), each applied optimization
   priced by ablation in :mod:`repro.distributed.costing`
   (``optimizations``: ``OptimizationImpact.to_dict()`` annotated with the
@@ -130,6 +133,7 @@ def build_profile(
     for round_record in profile["rounds"]:
         coordinator: dict = {}
         by_site = {site_id: {} for site_id in round_record["sites"]}
+        positional: dict = {}  # site -> key bytes its fragment left behind
         round_span = round_spans.get(round_record["index"])
         stack = (
             list(children.get(round_span.span_id, ()))
@@ -147,9 +151,15 @@ def build_profile(
             site_id = span.attributes.get("site")
             if span.kind == "site" and site_id in by_site:
                 _absorb(by_site[site_id], span)
+                if span.name == "round.decode" and span.attributes.get("positional"):
+                    positional[site_id] = int(span.attributes.get("keys_bytes", 0))
             else:
                 _absorb(coordinator, span)
         round_record["operators"] = _slowest_first(coordinator)
+        round_record["positional"] = {
+            site_id: positional[site_id] for site_id in round_record["sites"]
+            if site_id in positional
+        }
         for site_id, site_record in round_record["sites"].items():
             site_record["operators"] = _slowest_first(by_site[site_id])
 
@@ -414,6 +424,18 @@ def render_profile(profile, model=None, width: int = 48) -> str:
         if round_record["excluded"]:
             header += f" EXCLUDED={','.join(round_record['excluded'])}"
         lines.append(header)
+        positional = round_record.get("positional")
+        if positional:
+            shipped = (
+                "each site" if len(positional) == len(sites)
+                else f"{len(positional)} of {len(sites)} sites"
+            )
+            lines.append(
+                f"|  round {round_record['index']} shipped {shipped} positionally "
+                f"against its own answer: {sum(positional.values())} key bytes saved ("
+                + ", ".join(f"{site_id} {count}" for site_id, count in positional.items())
+                + ")"
+            )
         for site_id, site in sites.items():
             bar = (
                 _segment("<", transfer_s(site["bytes_down"]), scale)

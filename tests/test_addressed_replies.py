@@ -75,10 +75,12 @@ def run(cluster, faults=None, topology=None, **config):
 
 def test_s5_bytes_per_round_and_direction(sync_heavy, monkeypatch):
     """Round 1 (Proposition 2's merged base) answers keyed, its AVG count a
-    back-reference to ``cnt``; round 2 ships ``PartKey, SuppKey, m`` and
-    is answered with ``above`` alone: ``site1`` touches 4 799 of the 4 801
-    rows it is shipped, and answering the two others costs fewer bytes than
-    the row bitmap that would leave them out."""
+    back-reference to ``cnt``; round 2 ships each site ``m`` alone, in the
+    order of the site's own round-1 answer and positionally against it (the
+    site kept ``PartKey, SuppKey``), and is answered with ``above`` alone:
+    ``site1`` touches 4 799 of the 4 801 rows it is shipped, and answering
+    the two others costs fewer bytes than the row bitmap that would leave
+    them out. Keyed, round 2 down was 62 444 and 57 680 bytes."""
     shipped = []
     record = DirectionStats.record
 
@@ -95,13 +97,14 @@ def test_s5_bytes_per_round_and_direction(sync_heavy, monkeypatch):
     ]
     assert per_round == [
         {"site0": (32, 67_667), "site1": (32, 62_506)},
-        {"site0": (62_444, 5_248), "site1": (57_680, 4_851)},
+        {"site0": (41_649, 5_248), "site1": (38_473, 4_851)},
     ]
     assert [edge.tuples_up for edge in result.stats.rounds[1].sites.values()] == [5_198, 4_801]
-    assert result.stats.bytes_total == 260_460  # 320 510 keyed, whole fragments
+    # 260 460 with keyed fragments; 320 510 keyed, whole fragments
+    assert result.stats.bytes_total == 220_458
     schemas = {
         (message.kind, message.round_index, message.sender): (
-            serialize.decode_relation(message.payload).schema.names
+            serialize.decode_fragment(message.payload)[0].schema.names
         )
         for message in shipped
         if message.payload is not None
@@ -110,7 +113,7 @@ def test_s5_bytes_per_round_and_direction(sync_heavy, monkeypatch):
     assert schemas == {
         (SUB_RESULT, 1, "site0"): round1,
         (SUB_RESULT, 1, "site1"): round1,
-        (SHIP_BASE, 2, "coordinator"): ("PartKey", "SuppKey", "m"),
+        (SHIP_BASE, 2, "coordinator"): ("m",),
         (SUB_RESULT, 2, "site0"): ("above",),
         (SUB_RESULT, 2, "site1"): ("above",),
     }
@@ -137,7 +140,10 @@ def test_a_round_the_next_one_observes_drops_every_untouched_group(sync_heavy):
         for stats in result.stats.rounds[1:]
     ]
     assert site1 == [(4_801, 4_799), (4_799, 4_799)]
-    assert result.stats.bytes_total == 551_269  # 551 304 answering both rounds whole
+    # Rounds 2 and 3 ship positionally, round 3 against round 2's answer by
+    # row address: 551 269 with keyed fragments, 551 304 answering both
+    # rounds whole.
+    assert result.stats.bytes_total == 471_274
     unobserved = execute_query(
         sync_heavy, parse_olap_query(three),
         OptimizationOptions(aware_group_reduction=False), config,

@@ -67,11 +67,12 @@ class TestFragments:
         coordinator = Coordinator(KEY_ATTRS)
         coordinator.set_base(FLOW.distinct_project(KEY_ATTRS))
         rows = coordinator.x.rows
-        # Any order, repeats allowed: the fragment is a subsequence of X.
+        # Any order, repeats allowed: the fragment keeps the order of the
+        # positions (a site's answer order), each row once, where it first comes.
         fragment, kept = coordinator.fragment_for_site(None, positions=[5, 0, 2, 5])
         assert fragment.schema == coordinator.x.schema
-        assert fragment.rows == [rows[0], rows[2], rows[5]]
-        assert kept.tolist() == [0, 2, 5]  # the rows of X it keeps
+        assert fragment.rows == [rows[5], rows[0], rows[2]]
+        assert kept.tolist() == [5, 0, 2]  # the rows of X it keeps
 
     def test_positions_and_filter_compose(self):
         coordinator = Coordinator(KEY_ATTRS)

@@ -193,6 +193,48 @@ class TestUntrustedBytes:
                 except SerializationError:
                     pass
 
+    @pytest.mark.parametrize("sample", range(len(SAMPLES)))
+    def test_a_positional_block_decodes_or_is_rejected(self, sample):
+        """A positional fragment's first block (digest prefix, then a v3
+        relation): every strict prefix is rejected, every single-byte
+        mutation decodes — to a relation and a digest of the right
+        length — or is rejected."""
+        answer = serialize.answer_digest((), (b"an answer",))
+        payload = serialize.encode_positional(SAMPLES[sample], answer)
+        relation, digest = serialize.decode_fragment(payload)
+        assert relation.rows == SAMPLES[sample].rows and digest == answer
+        for cut in range(len(payload)):
+            with pytest.raises(SerializationError):
+                serialize.decode_fragment(payload[:cut])
+        for position in range(len(payload)):
+            for flip in (0x01, 0x80, 0xFF):
+                mutated = bytearray(payload)
+                mutated[position] ^= flip
+                try:
+                    _relation, digest = serialize.decode_fragment(bytes(mutated))
+                except SerializationError:
+                    continue
+                assert digest is None or len(digest) == serialize.DIGEST_BYTES
+
+    def test_a_leading_decode_reads_no_further_than_its_columns(self):
+        payload = encode_relation(SAMPLES[0])
+        whole = decode_relation(payload)
+        leading, size = serialize.decode_leading(payload + b"unread", 2)
+        assert leading.schema.names == whole.schema.names[:2]
+        assert leading.rows == [row[:2] for row in whole.rows]
+        first, first_size = serialize.decode_leading(payload, 1)
+        assert 0 < first_size < size < len(payload)
+
+    @pytest.mark.parametrize("length", [0, 8, 15, 17, 255])
+    def test_a_digest_of_another_length_is_rejected(self, length):
+        body = encode_relation(SAMPLES[0])
+        payload = b"SKRP" + bytes((length,)) + b"\x07" * length + body
+        with pytest.raises(SerializationError, match="digest"):
+            serialize.decode_fragment(payload)
+        for bad in (b"\x07" * length, "0123456789abcdef", 16):
+            with pytest.raises(SerializationError, match="digest"):
+                serialize.encode_positional(SAMPLES[0], bad)
+
     def test_format_v2_is_gone(self):
         # (k INT, s STR) x [(1, "a"), (2, NULL), (3, "a")] as PR 6-19's
         # delta/dictionary codec wrote it. Nothing persisted the format.
