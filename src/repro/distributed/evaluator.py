@@ -247,7 +247,7 @@ def execute_plan(
                     raise PlanError(
                         f"non-distributed base must be literal, got {base.source!r}"
                     )
-                round_stats = stats.new_round("base", "literal base at coordinator")
+                round_stats = stats.new_round(0, "base", "literal base at coordinator")
                 started = time.perf_counter()
                 coordinator.set_base(base.source.relation)
                 round_stats.coordinator_compute_s += time.perf_counter() - started
@@ -434,7 +434,7 @@ class _RoundWalk:
         coordinator = self.coordinator
         collects = held is not None
         started = time.perf_counter()
-        round_stats = self.stats.new_round(kind, description)
+        round_stats = self.stats.new_round(number, kind, description)
         with self.tracer.span(
             "round", kind="round", index=round_stats.index, round_kind=kind,
             sites=len(sites),

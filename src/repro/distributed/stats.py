@@ -232,8 +232,9 @@ class ExecutionStats:
     #: transport only): ``{site_id: {"offset_s": ..., "rtt_s": ...}}``.
     clock_offsets: dict = field(default_factory=dict)
 
-    def new_round(self, kind: str, description: str = "") -> RoundStats:
-        stats = RoundStats(index=len(self.rounds), kind=kind, description=description)
+    def new_round(self, number: int, kind: str, description: str = "") -> RoundStats:
+        """Record round ``number`` as the plan numbers it (the base 0)."""
+        stats = RoundStats(index=number, kind=kind, description=description)
         self.rounds.append(stats)
         return stats
 

@@ -93,10 +93,12 @@ one of the same type or past :func:`_copies_fit`, a row bitmap whose
 count disagrees, and hands
 the columns it built to the decoded relation
 (:meth:`Relation.from_columnar`), which builds rows only when asked.
-From :data:`TYPED_COLUMN_MIN_ROWS` rows on, a NULL-free FLOAT column is
-a ``float64`` array and a NULL-free INT column within
-``±2**53`` an ``int64`` one, read off the block with no list between:
-what a site holds of its store-loaded partition.
+At every row count a NULL-free FLOAT column is a ``float64`` array and a
+NULL-free INT column within ``±2**53`` an ``int64`` one, read off the
+block with no list between. An INT block's header bounds its values
+(``reference`` to ``reference + 2**(8 * width) - 1``); only where that
+range passes ``±2**53`` are the values themselves checked, and a column
+past it, an escape block or a column with a NULL is a value list.
 
 Whatever the bytes, decoding ends in a relation or a
 :class:`~repro.errors.SerializationError` — a site server maps anything
@@ -113,7 +115,6 @@ import hashlib
 import sys
 import threading
 from array import array
-from functools import partial
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, is_not, sub
 from typing import Dict, Optional, Tuple
@@ -121,7 +122,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import SchemaError, SerializationError
-from repro.relalg.columnar import EXACT_INT, ColumnarRelation
+from repro.relalg.columnar import EXACT_INT, ColumnarRelation, as_list
 from repro.relalg.relation import Relation
 from repro.relalg.schema import BOOL, DATE, FLOAT, INT, STR, Attribute, Schema
 
@@ -293,6 +294,8 @@ def _build_schema(pairs: tuple) -> Tuple[Schema, tuple]:
 _BIG_ENDIAN = sys.byteorder == "big"
 #: Byte width -> ``array`` typecode of the unsigned integer that wide.
 _UNSIGNED = {array(code).itemsize: code for code in "BHILQ"}
+#: Byte width -> the numpy dtype of the little-endian unsigned integer that wide.
+_LITTLE_UNSIGNED = {width: np.dtype(f"<u{width}") for width in _UNSIGNED}
 _WIDTH_LIMITS = ((1, 1 << 8), (2, 1 << 16), (4, 1 << 32), (8, 1 << 64))
 #: Flag bytes (0 = unset, anything else = set) -> the digits ``int(text, 2)``
 #: reads, and the digits ``bin`` writes -> 0/1 bytes.
@@ -336,17 +339,23 @@ def _pack_unsigned(values, width: int) -> bytes:
     return bytes((width,)) + packed.tobytes()
 
 
-def _read_unsigned(data: bytes, offset: int, count: int, what: str) -> tuple:
-    """``count`` values of the unsigned array at ``offset``, and its end."""
+def _unsigned_end(data: bytes, offset: int, count: int, what: str) -> int:
+    """The end of the unsigned array of ``count`` values at ``offset``,
+    its width byte checked."""
     if offset >= len(data):
         raise SerializationError(f"truncated {what}")
-    typecode = _UNSIGNED.get(data[offset])
-    if typecode is None:
+    if data[offset] not in _UNSIGNED:
         raise SerializationError(f"bad width byte {data[offset]} in {what}")
     end = offset + 1 + count * data[offset]
     if end > len(data):
         raise SerializationError(f"truncated {what}")
-    values = array(typecode)
+    return end
+
+
+def _read_unsigned(data: bytes, offset: int, count: int, what: str) -> tuple:
+    """``count`` values of the unsigned array at ``offset``, and its end."""
+    end = _unsigned_end(data, offset, count, what)
+    values = array(_UNSIGNED[data[offset]])
     values.frombytes(data[offset + 1 : end])
     if _BIG_ENDIAN:
         values.byteswap()
@@ -526,7 +535,7 @@ def encode_relation(relation: Relation) -> bytes:
     return bytes(out)
 
 
-def _read_ints(data: bytes, offset: int, count: int, typed: bool = False) -> tuple:
+def _read_ints(data: bytes, offset: int, count: int) -> tuple:
     raw, offset = _read_varint(data, offset)
     reference = _unzigzag(raw)
     if offset < len(data) and not data[offset]:
@@ -539,32 +548,33 @@ def _read_ints(data: bytes, offset: int, count: int, typed: bool = False) -> tup
             raw, offset = _read_varint(data, offset)
             values.append(_unzigzag(raw))
         return values, offset
-    values, offset = _read_unsigned(data, offset, count, "int column block")
-    if typed:
-        unsigned = np.asarray(values).astype(np.uint64)
-        low, high = reference + int(unsigned.min()), reference + int(unsigned.max())
-        if -EXACT_INT <= low and high <= EXACT_INT:
-            # Modulo 2**64, then read as signed: exact, every value fits.
-            return (unsigned + np.uint64(reference % 2**64)).view(np.int64), offset
-    return (list(map(add, values, repeat(reference))) if reference else values.tolist()), offset
+    end = _unsigned_end(data, offset, count, "int column block")
+    width = data[offset]
+    unsigned = np.frombuffer(data, _LITTLE_UNSIGNED[width], count, offset + 1)
+    if -EXACT_INT <= reference and reference + (1 << 8 * width) <= EXACT_INT + 1:
+        # The header bounds every value within 2**53: no pass to find out.
+        values = unsigned.astype(np.int64)
+        if reference:
+            values += reference
+        return values, end
+    unsigned = unsigned.astype(np.uint64)
+    low, high = reference + int(unsigned.min()), reference + int(unsigned.max())
+    if -EXACT_INT <= low and high <= EXACT_INT:
+        # Modulo 2**64, then read as signed: exact, every value fits.
+        return (unsigned + np.uint64(reference % 2**64)).view(np.int64), end
+    return list(map(add, unsigned.tolist(), repeat(reference))), end
 
 
 def _read_date_column(data: bytes, offset: int, count: int) -> tuple:
     ordinals, offset = _read_ints(data, offset, count)
-    return list(map(datetime.date.fromordinal, ordinals)), offset
+    return list(map(datetime.date.fromordinal, as_list(ordinals))), offset
 
 
-def _read_float_column(data: bytes, offset: int, count: int, typed: bool = False) -> tuple:
+def _read_float_column(data: bytes, offset: int, count: int) -> tuple:
     end = offset + count * 8
     if end > len(data):
         raise SerializationError("truncated float column block")
-    if typed:  # numpy's own copy: large ones get huge pages
-        return np.frombuffer(data, "<f8", count, offset).astype(np.float64), end
-    values = array("d")
-    values.frombytes(data[offset:end])
-    if _BIG_ENDIAN:
-        values.byteswap()
-    return values.tolist(), end
+    return np.frombuffer(data, "<f8", count, offset).astype(np.float64), end
 
 
 def _read_str_column(data: bytes, offset: int, count: int) -> tuple:
@@ -605,15 +615,6 @@ _COLUMN_READERS = (
     _read_date_column,
 )
 
-#: Fewest rows whose NULL-free INT and FLOAT columns decode to typed arrays
-#: (by these readers): below it a numpy call per column is not worth it.
-TYPED_COLUMN_MIN_ROWS = 1 << 16
-_TYPED_READERS = {
-    _TYPE_CODES[INT]: partial(_read_ints, typed=True),
-    _TYPE_CODES[FLOAT]: partial(_read_float_column, typed=True),
-}
-
-
 def _read_row_bitmap(data: bytes, offset: int, code: int, row_count: int) -> tuple:
     """A row-bitmap block past its presence byte: ``row_count`` strictly
     ascending ints, and its end."""
@@ -629,7 +630,7 @@ def _read_row_bitmap(data: bytes, offset: int, code: int, row_count: int) -> tup
         )
     if first + span > EXACT_INT:
         raise SerializationError(f"a row bitmap past 2**53, from {first}")
-    return (rows + first).tolist(), end
+    return rows + first, end
 
 
 def _read_column(data: bytes, offset: int, code: int, row_count: int) -> tuple:
@@ -649,18 +650,15 @@ def _read_column(data: bytes, offset: int, code: int, row_count: int) -> tuple:
         raise SerializationError(f"bad presence flag {data[offset]}")
     values: list = []
     if present:
-        read = _COLUMN_READERS[code]
-        if flags is None and row_count >= TYPED_COLUMN_MIN_ROWS:
-            read = _TYPED_READERS.get(code, read)
         try:
-            values, offset = read(data, offset, present)
+            values, offset = _COLUMN_READERS[code](data, offset, present)
         except _CORRUPTION_ERRORS as exc:
             raise SerializationError(
                 f"corrupt {_CODE_TYPES[code]} column block: {exc}"
             ) from exc
     if flags is not None:
         # Scatter: each flag picks the stream its row's value comes from.
-        streams = (repeat(None), iter(values))
+        streams = (repeat(None), iter(as_list(values)))
         values = list(map(next, map(streams.__getitem__, flags)))
     return values, offset
 

@@ -2,12 +2,15 @@
 
 A :class:`ColumnarRelation` holds the same multiset of rows as a row-store
 :class:`~repro.relalg.relation.Relation`, one column per attribute. A
-column is a value list (``None`` for NULL) or, when a column-block decoder
-(:mod:`repro.net.serialize`) adopted it, a *typed array*: ``int64`` or
-``float64``, NULL-free, under the ``typed`` rule below. A typed array is
-what the relation holds for that attribute: its value list is derived
-(``tolist``) for each caller that asks, and never kept. Over a row store a
-list is transposed the first time something indexes it.
+column is a value list (``None`` for NULL) or a *typed array*: ``int64``
+or ``float64``, NULL-free, under the ``typed`` rule below. The column-block
+decoder (:mod:`repro.net.serialize`) hands over every NULL-free INT column
+within ``±2**53`` and every NULL-free FLOAT column as one, at any row
+count; a gather, a projection or a concatenation of typed arrays stays
+one. A typed array is what the relation holds for that attribute: its
+value list is derived (``tolist``) for each caller that asks, and never
+kept. Over a row store a list is transposed the first time something
+indexes it.
 
 What the vector kernels of :mod:`repro.relalg.compiler` consume, and
 what matches keys, are two cached *views*, built on first use (from the
@@ -19,7 +22,8 @@ complete:
   value is an ``int`` (not a ``bool``) with ``|v| <= 2**53``, so int/float
   mixing stays exact; ``float64`` only if every value is a ``float``; else
   an ``object`` array of the values themselves (``None`` at NULLs). An
-  adopted typed array is its own view.
+  adopted typed array is its own view, and typed arrays of one dtype
+  concatenate into theirs (:func:`typed_view`).
 * :meth:`ColumnarRelation.matcher` — the :class:`KeyMatcher` of a tuple
   of attributes, the one interface to a key. It holds the key's
   first-seen factorization: ``firsts[c]`` is the first row whose key has
@@ -122,8 +126,12 @@ def _object_array(values: list) -> np.ndarray:
 def typed_view(columns: Sequence) -> tuple:
     """The typed view ``(data, valid)`` of held columns (value lists or
     typed arrays) concatenated in order."""
+    if all(type(column) is np.ndarray for column in columns) and len(
+        {column.dtype for column in columns}
+    ) == 1:
+        return (columns[0] if len(columns) == 1 else np.concatenate(columns)), None
     if len(columns) == 1:
-        return (columns[0], None) if type(columns[0]) is np.ndarray else _typed_view(columns[0])
+        return _typed_view(columns[0])
     return _typed_view(list(chain.from_iterable(map(as_list, columns))))
 
 

@@ -177,7 +177,7 @@ def test_a_degraded_round_equals_the_keyed_one(sync_heavy):
         sync_heavy, executor="serial", failure_mode="degrade", max_retries=1,
         faults="drop site=site1 round=2 dir=up times=0",
     )
-    assert result.stats.excluded_sites == ((1, "site1"),)
+    assert result.stats.excluded_sites == ((2, "site1"),)
     assert digest(result) == KEYED_DIGEST_WITHOUT_SITE1
 
 

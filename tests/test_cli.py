@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.queries.sql import SqlError
+from test_addressed_replies import S5
 
 
 def run_cli(argv):
@@ -255,6 +256,18 @@ class TestExplain:
         assert "optimizations (measured vs unoptimized estimate)" in output
         assert "+- site0" in output
         assert "+- merge" in output
+
+    def test_analyze_numbers_rounds_as_the_plan_does(self):
+        """A merged base leaves no round 0: the tree, the positional line
+        and the plan's optimization line all name round 2."""
+        code, output = run_cli(
+            ["explain", S5, "--sites", "2", "--scale", "0.0005", "--analyze"]
+        )
+        assert code == 0, output
+        assert "+- round 0" not in output
+        assert "+- round 2 [md]" in output
+        assert "|  round 2 shipped each site positionally" in output
+        assert "observed distribution: round 2 ships each site" in output
 
     def test_analyze_reports_the_chosen_merge_topology(self):
         code, output = run_cli(

@@ -368,7 +368,7 @@ class TestTimeline:
         from repro.distributed.stats import ExecutionStats
 
         stats = ExecutionStats()
-        round_stats = stats.new_round("md", "steps=1 sites=2")
+        round_stats = stats.new_round(0, "md", "steps=1 sites=2")
         round_stats.site("site0").bytes_down = 100
         round_stats.site("site0").bytes_up = 200
         round_stats.site("site0").compute_s = 0.004

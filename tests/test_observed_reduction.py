@@ -187,7 +187,7 @@ class TestRecovery:
         unnarrowed = run(
             build(4, faults), PLAIN, failure_mode="degrade", max_retries=1
         )
-        assert degraded.stats.excluded_sites == ((0, "site1"),)  # stats index rounds from 0
+        assert degraded.stats.excluded_sites == ((1, "site1"),)
         assert degraded.relation.rows == unnarrowed.relation.rows
         # site1 did not answer round 1: nothing was observed of it.
         assert edges(degraded, 1)["site1"].tuples_down == len(degraded.relation)
@@ -222,5 +222,5 @@ class TestRecovery:
         unnarrowed = run(
             build(4, faults), PLAIN, failure_mode="degrade", max_retries=1
         )
-        assert degraded.stats.excluded_sites == ((1, "site2"),)
+        assert degraded.stats.excluded_sites == ((2, "site2"),)
         assert degraded.relation.rows == unnarrowed.relation.rows

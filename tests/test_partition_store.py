@@ -2,9 +2,9 @@
 
 The partition store is format v3, one relation per file. A site server
 loads it with :func:`~repro.distributed.siteserver.load_site`, which adopts
-the decoded columns: from ``TYPED_COLUMN_MIN_ROWS`` rows on, a NULL-free
-INT column within ``±2**53`` is an ``int64`` array and a NULL-free FLOAT
-column a ``float64`` one. Rows are built only for a caller that reads them.
+the decoded columns: at every row count a NULL-free INT column within
+``±2**53`` is an ``int64`` array and a NULL-free FLOAT column a ``float64``
+one. Rows are built only for a caller that reads them.
 These tests pin what the store's bytes may do to a loader, which readers
 keep the rows unbuilt, and how much a loaded site holds while it answers
 the benchmark's scan statements.
@@ -47,12 +47,6 @@ PALETTE = adversarial_tables()["Palette"]
 TYPED = {"exact": np.int64, "small": np.int64, "real": np.float64}
 
 
-@pytest.fixture
-def typed_decode(monkeypatch):
-    """Every NULL-free INT and FLOAT column decodes as a large one does."""
-    monkeypatch.setattr(serialize, "TYPED_COLUMN_MIN_ROWS", 0)
-
-
 def store_of(root, tables: dict) -> str:
     cluster = SimulatedCluster.with_sites(1)
     for name, relation in tables.items():
@@ -82,15 +76,13 @@ def test_every_partition_file_is_format_v3(tmp_path):
             assert handle.read(5) == b"SKRL\x03"
 
 
-def test_a_large_decode_holds_typed_arrays_and_derives_the_lists(tmp_path, monkeypatch):
+def test_a_large_decode_holds_typed_arrays_and_derives_the_lists(tmp_path):
     root = store_of(tmp_path, {"Palette": PALETTE})
-    as_lists = loaded(root)
-    monkeypatch.setattr(serialize, "TYPED_COLUMN_MIN_ROWS", 0)
     as_arrays = loaded(root)
     held = as_arrays.to_columnar().value_lists()._lists
     for position, name in enumerate(PALETTE.schema.names):
         derived = as_arrays.to_columnar().value_lists()[position]
-        assert repr(derived) == repr(as_lists.to_columnar().value_lists()[position])
+        assert repr(derived) == repr([row[position] for row in PALETTE.rows])
         if name in TYPED:
             assert type(held[position]) is np.ndarray
             assert held[position].dtype == TYPED[name]
@@ -100,12 +92,12 @@ def test_a_large_decode_holds_typed_arrays_and_derives_the_lists(tmp_path, monke
             assert derived is not as_arrays.to_columnar().value_lists()[position]
         else:  # NULLs, beyond ±2**53, or not a number: a value list
             assert type(held[position]) is list
-    assert as_arrays._rows is None and as_lists._rows is None
+    assert as_arrays._rows is None
     assert len(as_arrays) == len(PALETTE)
     assert repr(as_arrays.rows) == repr(PALETTE.rows)
 
 
-def test_a_column_beyond_2_to_the_53_stays_a_list(tmp_path, typed_decode):
+def test_a_column_beyond_2_to_the_53_stays_a_list(tmp_path):
     for edge in (2**53, -(2**53)):
         for beyond in (edge + (1 if edge > 0 else -1), 2**64, -(2**64)):
             relation = Relation(PALETTE.schema.project(["small"]), [(edge,), (beyond,)])
@@ -122,10 +114,7 @@ def test_a_column_beyond_2_to_the_53_stays_a_list(tmp_path, typed_decode):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("min_rows", [0, None])
-def test_every_strict_prefix_of_a_partition_file_is_rejected(tmp_path, monkeypatch, min_rows):
-    if min_rows is not None:
-        monkeypatch.setattr(serialize, "TYPED_COLUMN_MIN_ROWS", min_rows)
+def test_every_strict_prefix_of_a_partition_file_is_rejected(tmp_path):
     root = store_of(tmp_path, {"Palette": PALETTE})
     path = partition_file(root)
     with open(path, "rb") as handle:
@@ -137,12 +126,7 @@ def test_every_strict_prefix_of_a_partition_file_is_rejected(tmp_path, monkeypat
             load_site(root, "site0")
 
 
-@pytest.mark.parametrize("min_rows", [0, None])
-def test_every_byte_flip_of_a_partition_file_loads_or_is_rejected(
-    tmp_path, monkeypatch, min_rows
-):
-    if min_rows is not None:
-        monkeypatch.setattr(serialize, "TYPED_COLUMN_MIN_ROWS", min_rows)
+def test_every_byte_flip_of_a_partition_file_loads_or_is_rejected(tmp_path):
     root = store_of(tmp_path, {"Palette": PALETTE})
     path = partition_file(root)
     with open(path, "rb") as handle:
@@ -184,7 +168,7 @@ def test_a_row_count_beyond_the_payload_is_rejected_before_any_allocation(tmp_pa
 # ---------------------------------------------------------------------------
 
 
-def test_column_reads_the_columns(tmp_path, typed_decode):
+def test_column_reads_the_columns(tmp_path):
     table = loaded(store_of(tmp_path, {"Palette": PALETTE}))
     for position, name in enumerate(PALETTE.schema.names):
         assert repr(table.column(name)) == repr([row[position] for row in PALETTE.rows])
@@ -192,7 +176,7 @@ def test_column_reads_the_columns(tmp_path, typed_decode):
     assert table._rows is None
 
 
-def test_union_all_reads_the_columns(tmp_path, typed_decode):
+def test_union_all_reads_the_columns(tmp_path):
     root = store_of(tmp_path, {"Palette": PALETTE})
     first, second = loaded(root), loaded(root)
     expected = repr(PALETTE.rows + PALETTE.rows + PALETTE.rows)
@@ -209,7 +193,7 @@ def test_union_all_reads_the_columns(tmp_path, typed_decode):
     assert first._rows is None and second._rows is None
 
 
-def test_appending_to_a_store_loaded_table_builds_no_rows(tmp_path, typed_decode):
+def test_appending_to_a_store_loaded_table_builds_no_rows(tmp_path):
     warehouse = LocalWarehouse("site0")
     warehouse.register("Palette", loaded(store_of(tmp_path, {"Palette": PALETTE})))
     warehouse.append("Palette", Relation(PALETTE.schema, PALETTE.rows[:2]))
@@ -218,7 +202,7 @@ def test_appending_to_a_store_loaded_table_builds_no_rows(tmp_path, typed_decode
     assert repr(table.rows) == repr(PALETTE.rows + PALETTE.rows[:2])
 
 
-def test_select_and_distinct_project_read_the_columns(tmp_path, typed_decode):
+def test_select_and_distinct_project_read_the_columns(tmp_path):
     table = loaded(store_of(tmp_path, {"Palette": PALETTE}))
     selected = table.select(col.small >= 1)
     distinct = table.distinct_project(["text", "flag"])
@@ -248,7 +232,6 @@ def answers(cluster) -> list:
 
 def test_a_loaded_site_answers_the_scan_statements_from_its_columns(tmp_path):
     tpcr = generate_tpcr(TPCRConfig(scale=100_000 / 6_000_000, seed=101))
-    assert len(tpcr) >= serialize.TYPED_COLUMN_MIN_ROWS
     built = SimulatedCluster.with_sites(1)
     built.load_partitioned("TPCR", tpcr, nation_partitioner(1))
     register_tpcr_fds(built.catalog)
@@ -267,7 +250,11 @@ def test_a_loaded_site_answers_the_scan_statements_from_its_columns(tmp_path):
         tracemalloc.stop()
 
     assert peak < PEAK_BOUND_MIB * 2**20, f"peak {peak / 2**20:.1f} MiB"
-    assert site.warehouse.table("TPCR")._rows is None
+    table = site.warehouse.table("TPCR")
+    assert table._rows is None
+    for position, attribute in enumerate(table.schema):
+        if attribute.type in ("int", "float"):  # TPCR has no NULL, no int past 2**53
+            assert type(table.to_columnar().value_lists().held_at(position)) is np.ndarray
     assert [repr(answer.rows) for answer in got] == [
         repr(answer.rows) for answer in answers(built)
     ]

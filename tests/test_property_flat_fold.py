@@ -472,3 +472,33 @@ def test_a_round_trip_builds_no_rows(monkeypatch):
     assert window["key_tuples"] == 0
     expected = statement.expression.evaluate_centralized(cluster.conceptual_tables())
     assert_relations_equal(result.relation, expected)
+
+
+def test_an_s5_op_rebuilds_few_typed_views_from_lists(monkeypatch):
+    """The v3 decoder hands over NULL-free INT and FLOAT blocks as typed
+    arrays at every row count, and a view over several sites' arrays
+    concatenates them, so the replies, the bank fold and the positional
+    fragments build no array from a list. What is left of a warm S5 op at
+    ``sync_heavy``'s shape (10 000 rows, 2 sites, seed 101) in process:
+    the key views of the base each site derives in round 1 (Proposition 2)
+    from its in-memory partition, whose columns are lists (2 sites x 2 key
+    attributes), and the AVG's finalization over the folded bank (2). With
+    the blocks decoded to lists, one op made 22."""
+    cluster = SimulatedCluster.with_sites(2)
+    cluster.load_partitioned(
+        "TPCR", generate_tpcr(TPCRConfig(scale=10_000 / 6_000_000, seed=101)),
+        nation_partitioner(2),
+    )
+    register_tpcr_fds(cluster.catalog)
+    expression = parse_olap_statement(S5_FINE_GROUPS).expression
+    execute_query(cluster, expression)  # the partitions' own views, cached from here on
+    calls = []
+    typed_view = columnar._typed_view
+
+    def spy(values):
+        calls.append(len(values))
+        return typed_view(values)
+
+    monkeypatch.setattr(columnar, "_typed_view", spy)
+    execute_query(cluster, expression)
+    assert len(calls) == 6, calls

@@ -175,7 +175,7 @@ class TestPositionalRounds:
             sync_heavy, executor="serial", failure_mode="degrade", max_retries=1,
             faults="lose_state site=site0 round=2; drop site=site1 round=2 dir=up times=0",
         )
-        assert result.stats.excluded_sites == ((1, "site1"),)
+        assert result.stats.excluded_sites == ((2, "site1"),)
         assert digest(result) == KEYED_DIGEST_WITHOUT_SITE1
 
     def test_round_3_ships_against_round_2s_answer_by_row_address(self, sync_heavy):
@@ -232,9 +232,10 @@ class TestObservability:
         saved = profile["rounds"][1]["positional"]
         assert list(saved) == ["site0", "site1"] and all(saved.values())
         assert profile["rounds"][0]["positional"] == {}
+        assert [record["index"] for record in profile["rounds"]] == [1, 2]
         text = render_profile(profile)
         assert (
-            "round 1 shipped each site positionally against its own answer: "
+            "round 2 shipped each site positionally against its own answer: "
             f"{sum(saved.values())} key bytes saved" in text
         )
 

@@ -2,6 +2,7 @@
 
 import datetime
 
+import numpy as np
 import pytest
 
 from oracle import FORMATS, decode_relation_reference, encode_relation_reference
@@ -15,6 +16,7 @@ from repro.net.serialize import (
     encode_relation,
     encode_reply,
 )
+from repro.relalg.columnar import as_list
 from repro.relalg.relation import Relation
 from repro.relalg.schema import BOOL, DATE, FLOAT, INT, STR, Schema
 
@@ -410,6 +412,72 @@ class TestColumnFormat:
         relation = Relation(Schema.of(("i", INT),), [(2.75,), (3,), (None,)])
         for encode, decode in FORMATS.values():
             assert decode(encode(relation)).rows == [(2,), (3,), (None,)]
+
+
+class TestTypedColumns:
+    """A NULL-free INT block whose values lie within ``±2**53`` and a
+    NULL-free FLOAT block decode to ``int64`` and ``float64`` arrays at
+    every row count; anything else is a value list."""
+
+    @staticmethod
+    def held(relation: Relation) -> list:
+        return decode_relation(encode_relation(relation)).to_columnar().value_lists()._lists
+
+    @pytest.mark.parametrize("rows", [1, 12, 5_000])
+    def test_int_and_float_columns_decode_to_typed_arrays(self, rows):
+        schema = Schema.of(("small", INT), ("wide", INT), ("negative", INT), ("real", FLOAT))
+        values = [
+            (index % 7, index * 2**40, -3 - index, index / 3 - 0.0) for index in range(rows)
+        ]
+        relation = Relation(schema, values)
+        held = self.held(relation)
+        for column, dtype in zip(held, (np.int64, np.int64, np.int64, np.float64)):
+            assert type(column) is np.ndarray and column.dtype == dtype
+        assert repr(list(zip(*(column.tolist() for column in held)))) == repr(relation.rows)
+
+    @pytest.mark.parametrize("rows", [1, 12, 5_000])
+    def test_the_edges_of_2_to_the_53_stay_exact(self, rows):
+        for edge in (2**53, -(2**53)):
+            for other in (edge, 0, -edge):
+                relation = Relation(
+                    Schema.of(("x", INT)), [(edge,)] + [(other,)] * (rows - 1)
+                )
+                [column] = self.held(relation)
+                assert type(column) is np.ndarray and column.dtype == np.int64
+                assert column.tolist() == [row[0] for row in relation.rows]
+
+    @pytest.mark.parametrize("rows", [1, 12, 5_000])
+    def test_a_column_beyond_2_to_the_53_stays_a_list(self, rows):
+        for edge in (2**53, -(2**53)):
+            for beyond in (edge + (1 if edge > 0 else -1), 2**64, -(2**64)):
+                relation = Relation(
+                    Schema.of(("x", INT)), [(edge,)] * (rows - 1) + [(beyond,)]
+                )
+                [column] = self.held(relation)
+                assert type(column) is list
+                assert repr(column) == repr([row[0] for row in relation.rows])
+
+    def test_the_header_bound_is_exact(self):
+        """A width-1 block's values lie in ``[reference, reference + 255]``:
+        the whole range within ``±2**53`` is read without a pass over the
+        values, one past it is checked value by value."""
+        for values, typed in (
+            ([2**53 - 255, 2**53], True),
+            ([2**53 - 254, 2**53 + 1], False),
+            ([2**53 - 254, 2**53], True),
+            ([-(2**53), -(2**53) + 255], True),
+            ([-(2**53) - 1, -(2**53) + 254], False),
+        ):
+            [column] = self.held(Relation(Schema.of(("x", INT)), [(value,) for value in values]))
+            assert (type(column) is np.ndarray) is typed
+            assert list(column) == values and all(type(value) is int for value in as_list(column))
+
+    def test_a_null_keeps_the_column_a_value_list(self):
+        relation = Relation(Schema.of(("i", INT), ("f", FLOAT)), [(1, 0.5), (None, None), (3, -0.0)])
+        held = self.held(relation)
+        assert [type(column) for column in held] == [list, list]
+        assert repr(held) == repr([[1, None, 3], [0.5, None, -0.0]])
+        assert all(type(value) in (int, float, type(None)) for column in held for value in column)
 
 
 def column_block(values, type_name=INT) -> bytes:

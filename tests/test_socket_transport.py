@@ -254,29 +254,27 @@ def test_remote_errors_map_to_their_local_classes():
 # ---------------------------------------------------------------------------
 
 
-def test_partition_store_round_trips_every_site(tmp_path, monkeypatch):
+def test_partition_store_round_trips_every_site(tmp_path):
     """By ``repr`` (``-0.0`` is not ``0.0``, a NaN is a NaN), the rows and
-    every typed view, whether a column decodes to a list or, as a large
-    partition's NULL-free INT and FLOAT columns do, to a typed array."""
+    every typed view, whether a column decodes to a list or, as every
+    NULL-free INT and FLOAT column does, to a typed array."""
     cluster = build_simulated()
     for name, relation in adversarial_tables().items():
         cluster.sites[cluster.site_ids[0]].warehouse.register(name, relation)
     root = str(tmp_path / "store")
     write_partition_store(cluster, root)
-    for min_rows in (serialize.TYPED_COLUMN_MIN_ROWS, 0):
-        monkeypatch.setattr(serialize, "TYPED_COLUMN_MIN_ROWS", min_rows)
-        for site_id in cluster.site_ids:
-            reloaded = load_site(root, site_id)
-            original = cluster.sites[site_id].warehouse
-            assert reloaded.warehouse.table_names() == original.table_names()
-            for table_name in original.table_names():
-                table, expected = (
-                    warehouse.table(table_name) for warehouse in (reloaded.warehouse, original)
-                )
-                assert table.schema == expected.schema
-                for position in range(len(table.schema)):
-                    assert typed_repr(table, position) == typed_repr(expected, position)
-                assert repr(table.rows) == repr(expected.rows)
+    for site_id in cluster.site_ids:
+        reloaded = load_site(root, site_id)
+        original = cluster.sites[site_id].warehouse
+        assert reloaded.warehouse.table_names() == original.table_names()
+        for table_name in original.table_names():
+            table, expected = (
+                warehouse.table(table_name) for warehouse in (reloaded.warehouse, original)
+            )
+            assert table.schema == expected.schema
+            for position in range(len(table.schema)):
+                assert typed_repr(table, position) == typed_repr(expected, position)
+            assert repr(table.rows) == repr(expected.rows)
 
 
 def typed_repr(relation, position: int) -> tuple:

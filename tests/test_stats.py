@@ -15,14 +15,14 @@ MODEL = CostModel(latency_s=0.01, bandwidth_bytes_per_s=1000)
 
 def populated_stats():
     stats = ExecutionStats()
-    base_round = stats.new_round("base", "b")
+    base_round = stats.new_round(0, "base", "b")
     site = base_round.site("s0")
     site.bytes_up = 500
     site.tuples_up = 10
     site.compute_s = 0.2
     base_round.coordinator_compute_s = 0.1
 
-    md_round = stats.new_round("md", "m")
+    md_round = stats.new_round(1, "md", "m")
     for site_id, (down, up) in {"s0": (1000, 300), "s1": (2000, 100)}.items():
         site = md_round.site(site_id)
         site.bytes_down = down
