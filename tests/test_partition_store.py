@@ -114,8 +114,31 @@ def test_a_column_beyond_2_to_the_53_stays_a_list(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_every_strict_prefix_of_a_partition_file_is_rejected(tmp_path):
-    root = store_of(tmp_path, {"Palette": PALETTE})
+def palette_with_tail(tail) -> Relation:
+    """PALETTE and one more row whose ``TYPED`` columns hold ``tail``.
+
+    With ``tail`` 0 those columns decode as typed arrays; with ``None``
+    they hold a NULL and decode as value lists. The corruption tests run
+    over both, so each decode path meets every damaged byte."""
+    row = list(PALETTE.rows[-1])
+    for position, name in enumerate(PALETTE.schema.names):
+        if name in TYPED:
+            row[position] = None if tail is None else TYPED[name](tail).item()
+    return Relation(PALETTE.schema, PALETTE.rows + [tuple(row)])
+
+
+def store_with_tail(root, tail) -> str:
+    root = store_of(root, {"Palette": palette_with_tail(tail)})
+    held = loaded(root).to_columnar().value_lists()._lists
+    for position, name in enumerate(PALETTE.schema.names):
+        if name in TYPED:
+            assert type(held[position]) is (list if tail is None else np.ndarray)
+    return root
+
+
+@pytest.mark.parametrize("tail", [0, None])
+def test_every_strict_prefix_of_a_partition_file_is_rejected(tmp_path, tail):
+    root = store_with_tail(tmp_path, tail)
     path = partition_file(root)
     with open(path, "rb") as handle:
         payload = handle.read()
@@ -126,8 +149,9 @@ def test_every_strict_prefix_of_a_partition_file_is_rejected(tmp_path):
             load_site(root, "site0")
 
 
-def test_every_byte_flip_of_a_partition_file_loads_or_is_rejected(tmp_path):
-    root = store_of(tmp_path, {"Palette": PALETTE})
+@pytest.mark.parametrize("tail", [0, None])
+def test_every_byte_flip_of_a_partition_file_loads_or_is_rejected(tmp_path, tail):
+    root = store_with_tail(tmp_path, tail)
     path = partition_file(root)
     with open(path, "rb") as handle:
         payload = handle.read()
