@@ -901,7 +901,7 @@ def _with_keys(held, keys, subs, positions) -> Relation:
     those rows' ``keys`` attributes in front."""
     attributes = [*held.schema.project(keys).attributes, *subs.schema.attributes]
     columns = held.to_columnar().take(held.schema.positions(keys), positions)
-    columns += subs.to_columnar().value_lists().held()
+    columns += subs.to_columnar().held()
     return Relation.from_columnar(
         ColumnarRelation.from_value_lists(Schema(attributes), columns, len(positions))
     )
@@ -911,8 +911,8 @@ def _keyed_rows(fragment: Relation, block: Relation, keys) -> tuple:
     """``(block, rows)``: a keyed answer's rows that are rows of the
     ``fragment`` shipped, and which rows those are."""
     matcher = fragment.to_columnar().matcher(fragment.schema.positions(keys))
-    values = block.to_columnar().value_lists()
-    found = matcher.find([values.held_at(p) for p in block.schema.positions(keys)], len(block))
+    held = block.to_columnar().held()
+    found = matcher.find([held[p] for p in block.schema.positions(keys)], len(block))
     rows, matched = matcher.pairs(found)
     if rows is not None:
         block = Relation.from_columnar(block.to_columnar().gather(rows))

@@ -149,9 +149,10 @@ def row_blocks(relation: Relation, size: int) -> list:
     """
     if not size or len(relation) <= size:
         return [relation]
+    columnar, rows = relation.to_columnar(), range(len(relation))
     return [
-        Relation(relation.schema, relation.rows[start : start + size])
-        for start in range(0, len(relation), size)
+        Relation.from_columnar(columnar.gather(rows[start : start + size]))
+        for start in rows[::size]
     ]
 
 
@@ -176,14 +177,14 @@ def encode_answer(
     schema = Schema([*h.schema.attributes, Attribute(serialize.ADDRESS, INT)])
     addressed = Relation.from_columnar(
         ColumnarRelation.from_value_lists(
-            schema, [*columnar.value_lists().held(), rows], len(h)
+            schema, [*columnar.held(), rows], len(h)
         )
     )
     payloads, start = [], 0
     for block in row_blocks(addressed, row_block_size):
         payloads.append(serialize.encode_reply(block, keys, start))
         if len(block):
-            start = int(block.to_columnar().value_lists().held()[-1][-1]) + 1
+            start = int(block.to_columnar().held()[-1][-1]) + 1
     return tuple(payloads)
 
 

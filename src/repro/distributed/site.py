@@ -151,8 +151,8 @@ class SkallaSite:
                 f"{fragment.schema.names}"
             )
         columns = [
-            *keys.to_columnar().value_lists().held(),
-            *fragment.to_columnar().value_lists().held(),
+            *keys.to_columnar().held(),
+            *fragment.to_columnar().held(),
         ]
         schema = Schema([*keys.schema.attributes, *fragment.schema.attributes])
         keyed = ColumnarRelation.from_value_lists(schema, columns, rows)
@@ -207,7 +207,7 @@ class SkallaSite:
             key_attrs = carried_keys(key_attrs, base_fragment.schema.names)
         # H_i's columns, column group by column group: the key attributes,
         # then each step's sub columns (its sub-result minus its base's).
-        held = base_fragment.to_columnar().value_lists().held()
+        held = base_fragment.to_columnar().held()
         columns = [held[position] for position in base_fragment.schema.positions(key_attrs)]
         touched_any = None
 
@@ -223,7 +223,7 @@ class SkallaSite:
                 full, sub, touched = operator.evaluate_both(
                     current_base, detail, step.blocks
                 )
-            columns += sub.to_columnar().value_lists().held()[len(current_base.schema):]
+            columns += sub.to_columnar().held()[len(current_base.schema):]
             touched_any = touched if touched_any is None else touched_any | touched
             if not is_last:
                 current_base = full

@@ -236,8 +236,7 @@ class SyncSession:
                 self._matcher = base.to_columnar().matcher(base.schema.positions(self._key_attrs))
                 self._find = self._matcher.finder()  # built once per session
             matcher, find = self._matcher, self._find
-        values = columnar.value_lists()
-        return matcher.pairs(find([values.held_at(p) for p in positions], len(columnar)))
+        return matcher.pairs(find([columnar.held_at(p) for p in positions], len(columnar)))
 
     def absorb(self, h: Relation, source: str = "", positions=None) -> None:
         """Fold one sub-result fragment into the session (O(|h|)).
@@ -251,7 +250,7 @@ class SyncSession:
         attributes and no probe; ``None`` finds them by K.
         """
         columnar = h.to_columnar()
-        held = columnar.value_lists().held()
+        held = columnar.held()
         if positions is None:
             rows, bases = self._probe(columnar, h.schema.positions(self._key_attrs))
         else:
@@ -325,8 +324,8 @@ class SyncSession:
         """Theorem 1's H once :meth:`finish` has run: the key attributes
         and the folded sub-aggregate columns, one row per base row — what
         :func:`merge_sub_results` makes of the sub-results absorbed."""
-        values, schema = self._base.to_columnar().value_lists(), self._base.schema
-        keys = [values.held_at(position) for position in schema.positions(self._key_attrs)]
+        held, schema = self._base.to_columnar().held(), self._base.schema
+        keys = [held[position] for position in schema.positions(self._key_attrs)]
         schema = sub_result_schema(schema.project(self._key_attrs), self._blocks)
         columnar = ColumnarRelation.from_value_lists(schema, keys + self._folded, len(self._base))
         return Relation.from_columnar(columnar)
@@ -390,7 +389,7 @@ def merge_addressed(parts: Sequence[tuple], blocks: Sequence[MDBlock]) -> tuple:
         np.concatenate([positions for _part, positions in parts]), return_inverse=True
     )
     _slots, components = _layout(blocks)
-    held = h.to_columnar().value_lists().held()
+    held = h.to_columnar().held()
     names = _sub_names(blocks)
     columns = [held[position] for position in h.schema.positions(names)]
     bank = _fold(components, [(columns, codes)], len(positions))
@@ -420,7 +419,7 @@ def merge_sub_results(
         return h
     _slots, components = _layout(blocks)
     columnar = h.to_columnar()
-    held = columnar.value_lists().held()
+    held = columnar.held()
     firsts, codes = columnar.codes(h.schema.positions(key_attrs))
     sub_positions = h.schema.positions(_sub_names(blocks))
     bank = _fold(components, [([held[position] for position in sub_positions], codes)], len(firsts))
@@ -547,7 +546,7 @@ def _key_columns(relation, relvar: str, rows, count: int, exprs, schemas) -> tup
             position = relation.schema.position(expr.name)
             data, present = relation.typed(position)
             if data.dtype != np.int64 or present is not None:
-                data = relation.value_lists().held_at(position)
+                data = relation.held_at(position)
             if rows is not None:
                 data = data[rows] if type(data) is np.ndarray else relation.take((position,), rows)[0]
                 present = None if present is None else present[rows]

@@ -95,7 +95,10 @@ the columns it built to the decoded relation
 (:meth:`Relation.from_columnar`), which builds rows only when asked.
 At every row count a NULL-free FLOAT column is a ``float64`` array and a
 NULL-free INT column within ``±2**53`` an ``int64`` one, read off the
-block with no list between. An INT block's header bounds its values
+block with no list between: the rule a relation made from rows holds its
+columns by (:func:`~repro.relalg.columnar.held_column`). The encoder
+writes such an array by one ``astype``, to the bytes its values would
+write. An INT block's header bounds its values
 (``reference`` to ``reference + 2**(8 * width) - 1``); only where that
 range passes ``±2**53`` are the values themselves checked, and a column
 past it, an escape block or a column with a NULL is a value list.
@@ -137,6 +140,7 @@ MAX_ZERO_ATTRIBUTE_ROWS = 1 << 16
 _TYPE_CODES = {INT: 0, FLOAT: 1, STR: 2, BOOL: 3, DATE: 4}
 _CODE_TYPES = {code: name for name, code in _TYPE_CODES.items()}
 _INT_CODE = _TYPE_CODES[INT]
+_FLOAT_CODE = _TYPE_CODES[FLOAT]
 
 #: What the decoder can raise on bytes that are not what they claim to be,
 #: besides the checks it makes itself: a read past the end, bad UTF-8 or a
@@ -390,6 +394,21 @@ def _int_block(values) -> bytes:
     return block + _pack_unsigned(map(sub, values, repeat(reference)), width)
 
 
+def _int_array_block(data: np.ndarray) -> bytes:
+    """:func:`_int_block` of a NULL-free ``int64`` array, byte for byte: the
+    same reference and width, the values written by one ``astype``."""
+    reference, largest = int(data.min()), int(data.max())
+    if reference >= 0 and largest < 1 << 8:
+        return b"\x00\x01" + data.astype(np.uint8).tobytes()
+    width = _width_of(largest - reference)
+    if reference >= 0 and _width_of(largest) == width:
+        return b"\x00" + bytes((width,)) + data.astype(_LITTLE_UNSIGNED[width]).tobytes()
+    block = bytearray()
+    _write_varint(block, _zigzag(reference))
+    block.append(width)
+    return block + (data - reference).astype(_LITTLE_UNSIGNED[width]).tobytes()
+
+
 def _int_column_block(values) -> bytes:
     try:
         return _int_block(values)
@@ -472,7 +491,14 @@ def _row_bitmap(values, limit: int) -> bytes:
 
 
 def _column_block(values, code: int) -> bytes:
-    """One column's block, its presence byte included."""
+    """One column's block, its presence byte included; a typed array's
+    bytes are its value list's."""
+    if type(values) is np.ndarray:
+        if code == _INT_CODE and values.dtype == np.int64:
+            return b"\x00" + _int_array_block(values)
+        if code == _FLOAT_CODE:
+            return b"\x00" + values.astype("<f8").tobytes()
+        values = values.tolist()
     block_of = _COLUMN_WRITERS[code]
     try:
         return b"\x00" + block_of(values)
@@ -496,18 +522,15 @@ def encode_relation(relation: Relation) -> bytes:
     if not type_codes:
         _check_zero_attribute_rows(row_count)
         return bytes(out)
-    # The relation's own column view: what a kernel or an earlier encode of
-    # the same relation (X goes to every site) transposed is not transposed
-    # again. Not ``zip(*rows)``: its one live iterator per row ages into the
-    # oldest GC generation and buys a full collection every few blocks.
+    # The relation's own columns: a typed array is written as one, a value
+    # list value by value.
     position = 0
     #: (type code, block length) -> [(position, offset in out)] of the blocks
     #: written: a repeat is found in ``out`` itself, so no block is kept twice.
     written: dict = {}
     body, copied = len(out), 0
     try:
-        columns = relation.to_columnar().value_lists().all()
-        for position, values in enumerate(columns):
+        for position, values in enumerate(relation.to_columnar().held()):
             code = type_codes[position]
             block = _column_block(values, code)
             if code == _INT_CODE and schema.attributes[position].name == ADDRESS:
@@ -779,7 +802,7 @@ def encode_reply(h: Relation, keys: int, start: int = 0) -> bytes:
     """
     columnar = h.to_columnar()
     width, length = len(h.schema), len(h)
-    rows = columnar.value_lists().held()[-1]
+    rows = columnar.held()[-1]
     subs = list(range(keys, width - 1))
     if not length or (int(rows[0]) == start and int(rows[-1]) - start == length - 1):
         return encode_relation(Relation.from_columnar(columnar.project(subs)))
@@ -816,7 +839,7 @@ def decode_reply(data: bytes, key_attrs, shipped: int, start: int = 0) -> tuple:
         position = names.index(ADDRESS)
         columnar = relation.to_columnar()
         try:
-            rows = np.asarray(columnar.value_lists().held_at(position), dtype=np.int64)
+            rows = np.asarray(columnar.held_at(position), dtype=np.int64)
         except (OverflowError, TypeError, ValueError) as exc:
             raise SerializationError(f"bad row addresses: {exc}") from exc
         if length and (

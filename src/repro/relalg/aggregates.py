@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import AggregateError, HolisticAggregateError
-from repro.relalg.columnar import typed_view
+from repro.relalg.columnar import as_list, typed_view
 from repro.relalg.expressions import Expr, wrap
 from repro.relalg.schema import FLOAT, INT, Attribute
 
@@ -221,12 +221,12 @@ class AggregateFunction:
     def finalize_columns(self, columns: Sequence[list]) -> list:
         """:meth:`finalize` over component columns: one value per row.
 
-        ``columns`` holds this function's component lists, in
-        :meth:`components` order and row-aligned — the runtime
-        representation of aggregate state.
+        ``columns`` holds this function's component columns (value lists
+        or typed arrays), in :meth:`components` order and row-aligned — the
+        runtime representation of aggregate state.
         """
         finalize = self.finalize
-        return [finalize(values) for values in zip(*columns)]
+        return [finalize(values) for values in zip(*map(as_list, columns))]
 
 
 class _BuiltinFunction(AggregateFunction):

@@ -1,21 +1,22 @@
 """Columnar storage for relations: per-column value vectors and their views.
 
-A :class:`ColumnarRelation` holds the same multiset of rows as a row-store
-:class:`~repro.relalg.relation.Relation`, one column per attribute. A
-column is a value list (``None`` for NULL) or a *typed array*: ``int64``
-or ``float64``, NULL-free, under the ``typed`` rule below. The column-block
-decoder (:mod:`repro.net.serialize`) hands over every NULL-free INT column
-within ``±2**53`` and every NULL-free FLOAT column as one, at any row
-count; a gather, a projection or a concatenation of typed arrays stays
-one. A typed array is what the relation holds for that attribute: its
-value list is derived (``tolist``) for each caller that asks, and never
-kept. Over a row store a list is transposed the first time something
-indexes it.
+A :class:`ColumnarRelation` is what every
+:class:`~repro.relalg.relation.Relation` holds: one column per attribute,
+all equal length, fixed when the relation is made. A column is a value
+list (``None`` for NULL) or a *typed array*: ``int64`` or ``float64``,
+NULL-free. One rule (:func:`held_column`) says which: a NULL-free INT
+column of ints within ``±2**53`` is ``int64``, a NULL-free FLOAT column of
+floats is ``float64``, any other column a value list. A relation made
+from rows transposes them once and applies it (:func:`held_columns`); the
+column-block decoder (:mod:`repro.net.serialize`) makes the same choice
+from its block headers, so a partition in process and one loaded by a
+site server hold the same kinds of column. A gather, a projection or a
+concatenation of typed arrays stays one. A typed array's value list is
+derived (``tolist``) for each caller that asks, and never kept.
 
 What the vector kernels of :mod:`repro.relalg.compiler` consume, and
-what matches keys, are two cached *views*, built on first use (from the
-rows or a derived list, keeping no list) and published only when
-complete:
+what matches keys, are two cached *views*, built on first use (from a
+held or derived list, keeping no list) and published only when complete:
 
 * :meth:`ColumnarRelation.typed` — a numpy array per attribute plus a
   validity mask (``None`` when nothing is NULL): ``int64`` only if every
@@ -41,7 +42,11 @@ complete:
 
 Keys are equal as ``dict`` keys are: ``1``, ``1.0`` and ``True`` are one
 key, a NaN object is only itself, and NULL is a key like any other (the
-scan drops NULL-keyed probes itself, as SQL equality requires). Two
+scan drops NULL-keyed probes itself, as SQL equality requires). A NaN of
+a NULL-free FLOAT column is a new object at every read of the
+``float64`` array, so it equals no key at all: each NaN-keyed row is a
+group of its own that no detail row matches, in process and over the
+codec alike, as ``NaN == NaN`` is false. Two
 implementations give the same codes and the same matches, and one
 function, ``_matcher``, chooses between them. A key of two or more
 attributes whose typed views are NULL-free ``int64``, with a radix
@@ -63,13 +68,13 @@ points live on ``Relation`` itself.
 from __future__ import annotations
 
 from itertools import chain, count, repeat
-from operator import is_not, itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple
+from operator import is_not
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SchemaError
-from repro.relalg.schema import Schema
+from repro.relalg.schema import FLOAT, INT, Schema
 
 #: Integers beyond this magnitude stay Python objects: every int64 value
 #: then converts to float64 exactly, as Python's mixed arithmetic does.
@@ -133,6 +138,50 @@ def typed_view(columns: Sequence) -> tuple:
     if len(columns) == 1:
         return _typed_view(columns[0])
     return _typed_view(list(chain.from_iterable(map(as_list, columns))))
+
+
+#: The typed array each attribute type may be held as, and the one Python
+#: type every value must have for it.
+_TYPED_HOLDINGS = {INT: (int, np.int64), FLOAT: (float, np.float64)}
+
+
+def held_column(values: list, type_name: str):
+    """A column of ``type_name`` as a relation holds it: an ``int64`` array
+    when every value is an ``int`` (not a ``bool``) within ``EXACT_INT``, a
+    ``float64`` array when every value of a FLOAT column is a ``float``,
+    else ``values`` themselves (the column-block decoder's choice, made
+    from the values). A typed array is returned as it is."""
+    kind, dtype = _TYPED_HOLDINGS.get(type_name, (None, None))
+    if kind is None or type(values) is not list or not values or set(map(type, values)) != {kind}:
+        return values
+    try:
+        data = np.array(values, dtype=dtype)
+    except OverflowError:  # an int beyond int64
+        return values
+    if kind is int and not (-EXACT_INT <= data.min() and data.max() <= EXACT_INT):
+        return values
+    return data
+
+
+def held_columns(schema: Schema, rows: list) -> list:
+    """The held columns (:func:`held_column`) of schema-width ``rows``.
+
+    One pass flattens the rows and one slice per attribute takes its
+    values: about half the work of an ``itemgetter`` pass per attribute,
+    and no ``zip(*rows)``, whose one live iterator per row ages into the
+    oldest GC generation and buys a full collection every few blocks.
+    """
+    width = len(schema)
+    widths = set(map(len, rows))
+    if widths - {width}:
+        raise SchemaError(
+            f"rows of {sorted(widths - {width})} values under a schema of {width} attributes"
+        )
+    flat = list(chain.from_iterable(rows))
+    return [
+        held_column(flat if width == 1 else flat[position::width], attribute.type)
+        for position, attribute in enumerate(schema.attributes)
+    ]
 
 
 #: A key whose radix product passes this keeps the ``dict``.
@@ -393,71 +442,6 @@ def _keys(lists: list, length: int) -> list:
     return lists[0] if len(lists) == 1 else list(zip(*lists))
 
 
-class _ValueLists:
-    """One value list per attribute, each built on first use.
-
-    This is what a batch kernel receives as ``_cols`` and indexes by schema
-    position. Over a row store a list is published only once it is
-    complete, so threads racing for the same column each get a whole list
-    (equal ones; the loser's is garbage) and never see a partial one. A
-    held typed array answers with a fresh list per request.
-    """
-
-    __slots__ = ("_rows", "_lists")
-
-    def __init__(self, rows: Sequence[tuple], lists: list):
-        self._rows = rows
-        self._lists = lists
-
-    def __len__(self) -> int:
-        return len(self._lists)
-
-    def __getitem__(self, position: int) -> list:
-        return as_list(self.held_at(position))
-
-    def held_at(self, position: int):
-        """One attribute's column as held (a typed array stays an array)."""
-        values = self._lists[position]
-        if values is None:
-            values = list(map(itemgetter(position), self._rows))
-            self._lists[position] = values
-        return values
-
-    def keys(self, positions: Sequence[int]) -> list:
-        """Each row's values at ``positions`` (scalars for one position,
-        tuples else), keeping no list nothing has built: a view built from
-        them is what a kernel keeps instead."""
-        lists = [self._lists[position] for position in positions]
-        if any(values is None for values in lists):
-            return list(map(itemgetter(*positions), self._rows))
-        lists = list(map(as_list, lists))
-        return lists[0] if len(lists) == 1 else list(zip(*lists))
-
-    def held(self) -> list:
-        """Every attribute's column as held (typed arrays stay arrays), the
-        missing lists built in one pass.
-
-        For a reader of the whole relation: flattening the rows once and
-        slicing per attribute is about half the work of a ``__getitem__``
-        per attribute.
-        """
-        lists = self._lists
-        if any(values is None for values in lists):
-            width = len(lists)
-            flat = list(chain.from_iterable(self._rows))
-            if len(flat) != width * len(self._rows):
-                # Rows off the schema's width: let each column say so.
-                return [self[position] for position in range(width)]
-            for position, values in enumerate(lists):
-                if values is None:
-                    lists[position] = flat[position::width]
-        return lists
-
-    def all(self) -> list:
-        """Every attribute's value list (see :meth:`held`)."""
-        return list(map(as_list, self.held()))
-
-
 def as_list(values) -> list:
     """A column's value list: a typed array's is derived, never kept."""
     return values.tolist() if type(values) is np.ndarray else values
@@ -474,9 +458,9 @@ def _take(columns: list, indices) -> list:
 
 
 class ColumnarRelation:
-    """A schema plus one column per attribute, all equal length."""
+    """A schema plus one held column per attribute, all equal length."""
 
-    __slots__ = ("schema", "_values", "_length", "_typed", "_matchers")
+    __slots__ = ("schema", "_columns", "_length", "_typed", "_matchers")
 
     def __init__(
         self, schema: Schema, columns: Sequence[Column], length: Optional[int] = None
@@ -494,26 +478,15 @@ class ColumnarRelation:
                     f"expected {length}"
                 )
         # ``length`` survives the zero-column case (pure row-count relations).
-        self._adopt(schema, _ValueLists((), [column.values for column in columns]), length or 0)
+        self._adopt(schema, [column.values for column in columns], length or 0)
 
-    def _adopt(self, schema: Schema, values: _ValueLists, length: int) -> "ColumnarRelation":
+    def _adopt(self, schema: Schema, columns: list, length: int) -> "ColumnarRelation":
         self.schema = schema
-        self._values = values
+        self._columns = columns
         self._length = length
         self._typed: dict = {}  # position -> (data, valid)
         self._matchers: dict = {}  # positions -> KeyMatcher
         return self
-
-    @classmethod
-    def from_rows(cls, schema: Schema, rows: Sequence[tuple]) -> "ColumnarRelation":
-        """Columnar view of ``rows`` (kept, not copied); no column is built yet.
-
-        Rows are schema-width tuples, so the columns cannot be ragged and
-        nothing has to be transposed to know it.
-        """
-        return cls.__new__(cls)._adopt(
-            schema, _ValueLists(rows, [None] * len(schema)), len(rows)
-        )
 
     @classmethod
     def from_value_lists(
@@ -522,11 +495,11 @@ class ColumnarRelation:
         """Adopt one ready column per attribute, each ``length`` long: a
         value list, or a NULL-free typed array under the ``typed`` rule.
 
-        What a column-block decoder holds when it is done: nothing is
-        copied or wrapped, and the caller vouches for the lengths and the
-        rule.
+        What a column-block decoder or a kernel holds when it is done:
+        nothing is copied or wrapped, and the caller vouches for the
+        lengths and the rule.
         """
-        return cls.__new__(cls)._adopt(schema, _ValueLists((), lists), length)
+        return cls.__new__(cls)._adopt(schema, lists, length)
 
     def __len__(self) -> int:
         return self._length
@@ -536,19 +509,29 @@ class ColumnarRelation:
 
     @property
     def columns(self) -> Tuple[Column, ...]:
-        """Every attribute as a :class:`Column` (builds the ones not yet built)."""
+        """Every attribute as a :class:`Column` of its value list."""
         return tuple(
-            Column(attribute.name, attribute.type, values)
-            for attribute, values in zip(self.schema.attributes, self._values.all())
+            Column(attribute.name, attribute.type, as_list(held))
+            for attribute, held in zip(self.schema.attributes, self._columns)
         )
 
     def column(self, name: str) -> Column:
         position = self.schema.position(name)
-        return Column(name, self.schema.attributes[position].type, self._values[position])
+        return Column(name, self.schema.attributes[position].type, self.values(position))
 
-    def value_lists(self) -> _ValueLists:
-        """The per-column value lists, indexable by schema position."""
-        return self._values
+    def held(self) -> list:
+        """Every attribute's column as held (a typed array stays an array),
+        in schema order."""
+        return self._columns
+
+    def held_at(self, position: int):
+        """One attribute's column as held."""
+        return self._columns[position]
+
+    def values(self, position: int) -> list:
+        """One attribute's value list: a held list itself, or a typed
+        array's, derived for this caller."""
+        return as_list(self._columns[position])
 
     def typed(self, position: int) -> tuple:
         """The cached typed view ``(data, valid)`` of one attribute."""
@@ -560,14 +543,11 @@ class ColumnarRelation:
     def _view(self, position: int) -> tuple:
         """The typed view of one attribute: the cached one, else made anew."""
         view = self._typed.get(position)
-        if view is None:
-            held = self._values._lists[position]
-            view = typed_view([self._values.keys((position,)) if held is None else held])
-        return view
+        return typed_view([self._columns[position]]) if view is None else view
 
     def _keys(self, positions: Sequence[int]) -> list:
         """Each row's key at ``positions``, for the ``dict``."""
-        return self._values.keys(positions) if positions else [()] * self._length
+        return _keys(list(map(self.values, positions)), self._length)
 
     def matcher(self, positions: Sequence[int]) -> KeyMatcher:
         """The cached :class:`KeyMatcher` of the key at ``positions``."""
@@ -586,18 +566,8 @@ class ColumnarRelation:
 
     def take(self, positions: Sequence[int], indices) -> list:
         """The columns at ``positions``, each at ``indices`` (a typed array
-        gathers into a typed array); a column not built is read from the
-        rows at ``indices`` and stays unbuilt."""
-        values = self._values
-        held = [values._lists[position] for position in positions]
-        gathered = _take([column for column in held if column is not None], indices)
-        if len(gathered) == len(held):
-            return gathered
-        rows, built = _take([values._rows], indices)[0], iter(gathered)
-        return [
-            list(map(itemgetter(position), rows)) if column is None else next(built)
-            for position, column in zip(positions, held)
-        ]
+        gathers into a typed array)."""
+        return _take([self._columns[position] for position in positions], indices)
 
     def distinct(self, schema: Schema, positions: Sequence[int]) -> "ColumnarRelation":
         """Each distinct key's first row at ``positions`` (one or more), in
@@ -618,64 +588,59 @@ class ColumnarRelation:
         ``schema``; the views and matchers of this relation's columns
         carry over."""
         result = ColumnarRelation.from_value_lists(
-            schema, [*self._values.held(), *columns], self._length
+            schema, [*self._columns, *columns], self._length
         )
         result._typed.update(self._typed)
         result._matchers.update(self._matchers)
         return result
-
-    def built_columns(self) -> Tuple[str, ...]:
-        """Names of the attributes whose column is held (a value list or a
-        typed array), in schema order."""
-        return tuple(
-            attribute.name
-            for attribute, values in zip(self.schema.attributes, self._values._lists)
-            if values is not None
-        )
 
     def built_views(self) -> Tuple[str, ...]:
         """Names of the attributes with a typed view or in a factorized key."""
         positions = set(self._typed).union(*self._matchers)
         return tuple(name for position, name in enumerate(self.schema.names) if position in positions)
 
+    def iter_rows(self) -> Iterator[tuple]:
+        """The row tuples, in order, each built as it is read."""
+        if not self._columns:
+            return repeat((), self._length)
+        return zip(*map(as_list, self._columns))
+
     def to_rows(self) -> List[tuple]:
         """Transpose back to row tuples, preserving row order."""
-        if not len(self.schema):
-            return [()] * self._length
-        return list(zip(*self._values.all()))
+        return list(self.iter_rows())
 
     def project(self, positions: Sequence[int]) -> "ColumnarRelation":
         """The attributes at ``positions``, in that order, their held
         columns shared."""
         positions = list(positions)
-        held = self._values.held()
         schema = Schema([self.schema.attributes[position] for position in positions])
         return ColumnarRelation.from_value_lists(
-            schema, [held[position] for position in positions], self._length
+            schema, [self._columns[position] for position in positions], self._length
         )
 
     def gather(self, indices) -> "ColumnarRelation":
         """Rows at ``indices`` (ascending order preserves row order); a
         typed array gathers into a typed array."""
-        lists = _take(self._values.held(), indices)
+        lists = _take(self._columns, indices)
         return ColumnarRelation.from_value_lists(self.schema, lists, len(indices))
 
     @classmethod
     def concat(cls, schema: Schema, parts: Sequence["ColumnarRelation"]) -> "ColumnarRelation":
         """The rows of ``parts``, in order (their schemas are ``schema``).
 
-        A column the first part holds as a typed array stays one when every
-        part's typed view of it is NULL-free and of that dtype; any other
-        column is a value list.
+        A column the first non-empty part holds as a typed array stays one
+        when every non-empty part's typed view of it is NULL-free and of
+        that dtype; any other column is a value list.
         """
+        parts = [part for part in parts if len(part)] or parts[:1]
         columns = []
         for position in range(len(schema)):
-            held = parts[0]._values._lists[position]
+            held = parts[0]._columns[position]
             views = [part.typed(position) for part in parts] if type(held) is np.ndarray else ()
             if views and all(
                 valid is None and data.dtype == held.dtype for data, valid in views
             ):
                 columns.append(np.concatenate([data for data, _valid in views]))
             else:
-                columns.append(list(chain.from_iterable(part._values[position] for part in parts)))
+                columns.append(list(chain.from_iterable(part.values(position) for part in parts)))
         return cls.from_value_lists(schema, columns, sum(map(len, parts)))

@@ -762,7 +762,7 @@ class _ScanPlan:
             return np.full(count, None, dtype=object)
         if field is None or field[0] != DETAIL_VAR:
             return _objects(vector)
-        stored = detail.value_lists()[field[1]]
+        stored = detail.values(field[1])
         stored = np.fromiter(stored, dtype=object, count=len(stored))
         return stored if pair_rows is None else stored[pair_rows]
 
@@ -865,6 +865,16 @@ _COMBINE_RULES = {
 }
 
 
+def _bank_column(total: np.ndarray, present: Optional[np.ndarray]):
+    """A folded column as a relation holds it: the typed array itself when
+    every group is present and it meets the ``typed`` rule, else its
+    values (``None`` where no value reached a group)."""
+    if len(total) and (present is None or present.all()):
+        if total.dtype == np.float64 or total.dtype == _INT and _magnitude(total) <= EXACT_INT:
+            return total
+    return _objects((total, present)).tolist()
+
+
 def fold_combine(components: Sequence, groups: np.ndarray, vectors: Sequence, size: int) -> list:
     """Shipped sub-aggregate values folded into one column per component.
 
@@ -876,7 +886,9 @@ def fold_combine(components: Sequence, groups: np.ndarray, vectors: Sequence, si
     ``-0.0`` skipping NULL (NULL for a group with no value); ``min`` /
     ``max`` keep the first extreme, a NaN only first. Values no dtype folds
     exactly and kinds the kernels do not know fold through
-    ``Component.combine`` itself, in numpy's ordered object loop.
+    ``Component.combine`` itself, in numpy's ordered object loop. A column
+    every group reaches stays the typed array it folded into when that
+    meets the ``typed`` rule (:func:`_bank_column`).
     """
     reached = None  # the groups any value reaches, shared by the NULL-free columns
     columns = []
@@ -893,7 +905,7 @@ def fold_combine(components: Sequence, groups: np.ndarray, vectors: Sequence, si
                 reached = np.bincount(groups, minlength=size) > 0
             present = reached if valid is None else np.bincount(kept, minlength=size) > 0
         if total is not None:
-            columns.append(_objects((total, present)).tolist())
+            columns.append(_bank_column(total, present))
         else:  # the Python rule per value
             columns.append(_fold_each(component, groups, _objects(vector), size, component.combine))
     return columns

@@ -1,59 +1,49 @@
-"""In-memory relations: a schema plus its rows, or its columns.
+"""In-memory relations: a schema plus its columns.
 
 :class:`Relation` is the unit of data everywhere in the library — local
 warehouse tables, GMDJ base-values relations, shipped sub-results and
 final query answers are all relations.
 
 Relations are *multisets* of rows (duplicates allowed) unless explicitly
-deduplicated with :meth:`Relation.distinct`. Rows are plain tuples in
-schema order. A relation is backed by one of two stores. One is its row
-tuples, with a columnar view (:meth:`Relation.to_columnar`) that transposes
-an attribute the first time a kernel reads it. The other is a
-:class:`~repro.relalg.columnar.ColumnarRelation` a column-block decoder
-handed over (:meth:`Relation.from_columnar`): a site's partition loaded
-from the store is one. Its ``rows`` are built on first access. Its length,
-:meth:`Relation.column`, :meth:`Relation.select`, :meth:`Relation.distinct`,
-:meth:`Relation.distinct_project` and :meth:`Relation.union_all` read the
-columns, and so does the site scan.
+deduplicated with :meth:`Relation.distinct`. A relation holds one store,
+its :class:`~repro.relalg.columnar.ColumnarRelation`
+(:meth:`Relation.to_columnar`): made from rows, it transposes them once
+and holds each column as the column-block decoder would
+(:func:`~repro.relalg.columnar.held_column`); handed columns
+(:meth:`Relation.from_columnar`), it adopts them. Every operator reads and
+makes columns. :attr:`Relation.rows` — tuples in schema order — is for
+output: derived from the columns on first read and kept.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError
 from repro.relalg import compiler
-from repro.relalg.columnar import ColumnarRelation
+from repro.relalg.columnar import ColumnarRelation, held_column, held_columns
 from repro.relalg.expressions import Expr
 from repro.relalg.schema import Attribute, Schema
-
-
-def tuple_getter(positions: Sequence[int]) -> Callable:
-    """``row -> tuple(row[p] for p in positions)`` without a Python frame per row."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    if positions:
-        return itemgetter(slice(positions[0], positions[0] + 1))
-    return lambda row: ()
 
 
 class Relation:
     """An immutable-by-convention multiset of rows with a fixed schema."""
 
-    __slots__ = ("schema", "_rows", "_columnar")
+    __slots__ = ("schema", "_columnar", "_rows")
 
     def __init__(self, schema: Schema, rows: Iterable[tuple] = (), validate: bool = False):
         if not isinstance(schema, Schema):
             raise SchemaError(f"expected Schema, got {schema!r}")
-        self.schema = schema
-        self._rows = list(map(tuple, rows))
-        self._columnar = None
+        rows = rows if type(rows) is list else list(rows)
         if validate:
-            for row in self._rows:
+            for row in rows:
                 schema.check_row(row)
+        self.schema = schema
+        self._columnar = ColumnarRelation.from_value_lists(
+            schema, held_columns(schema, rows), len(rows)
+        )
+        self._rows = None  # derived on first read
 
     # -- constructors --------------------------------------------------------
 
@@ -63,13 +53,12 @@ class Relation:
 
     @classmethod
     def from_columnar(cls, columnar: ColumnarRelation) -> "Relation":
-        """A relation backed by ``columnar``, which it adopts as its column
-        cache: a kernel that hoists a column transposes nothing, and the
-        rows are built only when something reads :attr:`rows`."""
+        """A relation holding ``columnar``: nothing is copied, and the rows
+        are built only when something reads :attr:`rows`."""
         relation = cls.__new__(cls)
         relation.schema = columnar.schema
-        relation._rows = None
         relation._columnar = columnar
+        relation._rows = None
         return relation
 
     @property
@@ -78,27 +67,17 @@ class Relation:
         and published complete)."""
         rows = self._rows
         if rows is None:
-            rows = self._columnar.to_rows()  # tuples already: no per-row pass
-            self._rows = rows
+            rows = self._rows = self._columnar.to_rows()
         return rows
 
     def to_columnar(self) -> ColumnarRelation:
-        """Columnar view of this relation (cached; relations are immutable).
-
-        The view shares ``rows`` and transposes an attribute the first time
-        it is indexed, so asking for it costs nothing until a column is read.
-        """
-        columnar = self._columnar
-        if columnar is None:
-            columnar = ColumnarRelation.from_rows(self.schema, self.rows)
-            self._columnar = columnar
-        return columnar
+        """The columns this relation holds."""
+        return self._columnar
 
     # -- basics ----------------------------------------------------------------
 
     def __len__(self) -> int:
-        rows = self._rows
-        return len(self._columnar) if rows is None else len(rows)
+        return len(self._columnar)
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)
@@ -107,78 +86,58 @@ class Relation:
         return f"Relation({self.schema!r}, {len(self)} rows)"
 
     def __reduce__(self):
-        # The column cache is derived state: a relation pickles as what it is.
-        return Relation, (self.schema, self.rows)
+        # A relation pickles as its schema and rows; rows built here are not kept.
+        rows = self._rows
+        return Relation, (self.schema, self._columnar.to_rows() if rows is None else rows)
 
     def column(self, name: str) -> list:
         """All values of one attribute, in row order."""
-        position = self.schema.position(name)
-        if self._rows is None:
-            return list(self._columnar.value_lists()[position])
-        return [row[position] for row in self._rows]
+        return list(self._columnar.values(self.schema.position(name)))
 
     # -- relational operators -----------------------------------------------------
 
     def select(self, condition: Expr) -> "Relation":
         """Rows satisfying ``condition`` (fields unqualified)."""
         mask = compiler.compile_mask(condition, {None: self.schema})
-        indices = mask(len(self), {None: (self.to_columnar(), None)})
-        if self._rows is None:
-            return Relation.from_columnar(self._columnar.gather(indices))
-        return Relation(self.schema, map(self._rows.__getitem__, indices.tolist()))
+        indices = mask(len(self), {None: (self._columnar, None)})
+        return Relation.from_columnar(self._columnar.gather(indices))
 
     def project(self, names: Sequence[str]) -> "Relation":
-        """Projection (multiset — does not deduplicate, per SQL); a
-        column-backed relation projects its columns and builds no rows."""
-        positions = self.schema.positions(names)
-        if self._rows is None:
-            return Relation.from_columnar(self._columnar.project(positions))
-        return Relation(
-            self.schema.project(names),
-            map(tuple_getter(positions), self.rows),
-        )
+        """Projection (multiset — does not deduplicate, per SQL); the
+        columns are shared."""
+        return Relation.from_columnar(self._columnar.project(self.schema.positions(names)))
 
     def distinct(self) -> "Relation":
         """Duplicate elimination, preserving first-seen row order, rows equal
-        as in :meth:`distinct_project`. A column-backed relation answers
-        from its columns, a row store from its rows: neither builds the
-        other."""
-        if self._rows is None:
-            return self._distinct(self.schema, range(len(self.schema)))
-        return Relation(self.schema, dict.fromkeys(self._rows))
+        as in :meth:`distinct_project`."""
+        return self._distinct(self.schema, range(len(self.schema)))
 
     def distinct_project(self, names: Sequence[str]) -> "Relation":
         """``distinct(project(names))`` in one pass, first-seen order.
 
         Rows are equal as ``dict`` keys are (``1 == 1.0 == True``, a NaN
-        object only itself). The answer is column-backed: each distinct
-        key's first row, gathered from the key columns at the cached
-        factorization of the key, which a scan grouping on the same
-        attributes probes with.
+        object only itself). The answer is each distinct key's first row,
+        gathered from the key columns at the cached factorization of the
+        key, which a scan grouping on the same attributes probes with.
         """
         return self._distinct(self.schema.project(names), self.schema.positions(names))
 
     def _distinct(self, schema: Schema, positions: Sequence[int]) -> "Relation":
         if not positions:
             return Relation(schema, [()] if len(self) else [])
-        return Relation.from_columnar(self.to_columnar().distinct(schema, positions))
+        return Relation.from_columnar(self._columnar.distinct(schema, positions))
 
     def tail(self, start: int) -> "Relation":
-        """The rows from position ``start`` on, in order: a slice of the
-        rows when they are built, else a gather of the columns."""
-        if self._rows is not None:
-            return Relation(self.schema, self._rows[start:])
+        """The rows from position ``start`` on, in order."""
         return Relation.from_columnar(self._columnar.gather(range(start, len(self))))
 
     def union_all(self, *others: "Relation") -> "Relation":
         """Multiset union, rows in order; schemas must be identical.
 
-        One schema check per relation and one concatenation: k fragments
-        copy each row once, not once per later fragment. If any of them is
-        column-backed with its rows unbuilt, the union is column-backed too
-        (:meth:`ColumnarRelation.concat`) and builds no rows.
+        One schema check per relation and one concatenation per column
+        (:meth:`ColumnarRelation.concat`): k fragments copy each value once,
+        not once per later fragment.
         """
-        relations = (self, *others)
         for relation in others:
             if relation.schema != self.schema:
                 raise SchemaError(
@@ -186,37 +145,38 @@ class Relation:
                 )
         if not others:
             return self
-        if any(relation._rows is None for relation in relations):
-            return Relation.from_columnar(
-                ColumnarRelation.concat(
-                    self.schema, [relation.to_columnar() for relation in relations]
-                )
-            )
-        return Relation(self.schema, chain.from_iterable(relation._rows for relation in relations))
+        parts = [relation._columnar for relation in (self, *others)]
+        return Relation.from_columnar(ColumnarRelation.concat(self.schema, parts))
 
     def extend(self, name: str, type_name: str, expression: Expr) -> "Relation":
         """Append a computed column (fields of ``expression`` unqualified)."""
         schema = self.schema.concat(Schema([Attribute(name, type_name)]))
         batch = compiler.compile_batch_scalar(expression, {None: self.schema})
-        values = batch(len(self.rows), {None: (self.to_columnar(), None)})
-        return Relation(schema, (row + (value,) for row, value in zip(self.rows, values)))
+        values = batch(len(self), {None: (self._columnar, None)})
+        return Relation.from_columnar(
+            self._columnar.extended(schema, [held_column(values, type_name)])
+        )
 
     def rename(self, mapping: dict) -> "Relation":
-        return Relation(self.schema.rename(mapping), self.rows)
+        columnar = self._columnar
+        return Relation.from_columnar(
+            ColumnarRelation.from_value_lists(
+                self.schema.rename(mapping), columnar.held(), len(columnar)
+            )
+        )
 
     def sorted_by(self, names: Sequence[str], descending: bool = False) -> "Relation":
         """Rows ordered by the given attributes (``None`` sorts first)."""
-        positions = self.schema.positions(names)
+        columns = [self._columnar.values(position) for position in self.schema.positions(names)]
 
         def sort_key(row):
-            return tuple(
-                (row[position] is not None, row[position]) for position in positions
-            )
+            return tuple((column[row] is not None, column[row]) for column in columns)
 
-        return Relation(self.schema, sorted(self.rows, key=sort_key, reverse=descending))
+        order = sorted(range(len(self)), key=sort_key, reverse=descending)
+        return Relation.from_columnar(self._columnar.gather(order))
 
     def limit(self, count: int) -> "Relation":
-        return Relation(self.schema, self.rows[:count])
+        return Relation.from_columnar(self._columnar.gather(range(len(self))[:count]))
 
     # -- comparison helpers (tests, synchronization checks) ----------------------
 

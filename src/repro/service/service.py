@@ -129,7 +129,7 @@ def canonical_order(relation: Relation, key_attrs) -> Relation:
     columnar = relation.to_columnar()
     order = list(range(len(relation)))
     for position in reversed(relation.schema.positions(list(key_attrs))):
-        order.sort(key=list(map(repr, columnar.value_lists()[position])).__getitem__)
+        order.sort(key=list(map(repr, columnar.values(position))).__getitem__)
     return Relation.from_columnar(columnar.gather(order))
 
 

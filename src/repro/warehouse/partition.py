@@ -18,7 +18,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.errors import WarehouseError
+from repro.relalg.columnar import ColumnarRelation, held_column
 from repro.relalg.expressions import Expr, Field, DETAIL_VAR
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Schema
@@ -45,18 +48,30 @@ class Partitioner:
         return ()
 
     def split(self, relation: Relation) -> list:
-        """Partition a relation into ``site_count`` relations."""
-        buckets = [[] for _index in range(self.site_count)]
-        schema = relation.schema
-        for row in relation.rows:
-            index = self.assign(row, schema)
-            if not 0 <= index < self.site_count:
-                raise WarehouseError(
-                    f"partitioner assigned site {index}, valid range is "
-                    f"0..{self.site_count - 1}"
-                )
-            buckets[index].append(row)
-        return [Relation(schema, bucket) for bucket in buckets]
+        """Partition a relation into ``site_count`` relations: each row's
+        site, then each site's rows gathered from the columns."""
+        schema, columnar = relation.schema, relation.to_columnar()
+        assign = self.assign
+        sites = np.array([assign(row, schema) for row in columnar.iter_rows()], dtype=np.int64)
+        wrong = (sites < 0) | (sites >= self.site_count)
+        if wrong.any():
+            raise WarehouseError(
+                f"partitioner assigned site {sites[wrong][0]}, valid range is "
+                f"0..{self.site_count - 1}"
+            )
+        partitions = []
+        for index in range(self.site_count):
+            part = columnar.gather(np.flatnonzero(sites == index))
+            # A site's rows may meet the typed rule where the whole did not
+            # (its NULLs went elsewhere): hold them as a site server would.
+            columns = [
+                held_column(column, attribute.type)
+                for column, attribute in zip(part.held(), schema.attributes)
+            ]
+            partitions.append(
+                Relation.from_columnar(ColumnarRelation.from_value_lists(schema, columns, len(part)))
+            )
+        return partitions
 
 
 class ValueListPartitioner(Partitioner):

@@ -132,13 +132,13 @@ def make_flows(count: int = 200, seed: int = 3, routers: int = 4) -> Relation:
     return Relation(FLOW_TEST_SCHEMA, rows)
 
 
-def adversarial_tables() -> dict:
+def adversarial_rows() -> dict:
     """Tables that hold every value a codec or a typed column could get
-    wrong: NULL in every type; NaN, ±0.0 and ±inf; ints at ±2**53, at
-    ±(2**53 + 1) and beyond int64; bools and dates; empty and non-ASCII
-    strings. Beside them, the same schema with zero rows, and a table of
-    zero attributes. One NULL-free column per type is here too: those are
-    the columns a large decode adopts as typed arrays."""
+    wrong, as ``(schema, rows)``: NULL in every type; NaN, ±0.0 and ±inf;
+    ints at ±2**53, at ±(2**53 + 1) and beyond int64; bools and dates;
+    empty and non-ASCII strings. Beside them, the same schema with zero
+    rows, and a table of zero attributes. One NULL-free column per type is
+    here too: those are the columns held as typed arrays."""
     exact, wide, huge = 2**53, 2**53 + 1, 2**70
     nan, inf = float("nan"), float("inf")
     day = datetime.date(1999, 12, 31)
@@ -155,10 +155,15 @@ def adversarial_tables() -> dict:
         (None, -inf, None, True, None, 2**31, 3, 0, 2, -inf, "héllo", True, datetime.date(9999, 12, 31)),
     ]
     return {
-        "Palette": Relation(schema, rows),
-        "EmptyPalette": Relation(schema, []),
-        "NoAttributes": Relation(Schema.of(), [(), (), ()]),
+        "Palette": (schema, rows),
+        "EmptyPalette": (schema, []),
+        "NoAttributes": (Schema.of(), [(), (), ()]),
     }
+
+
+def adversarial_tables() -> dict:
+    """:func:`adversarial_rows` as relations."""
+    return {name: Relation(schema, rows) for name, (schema, rows) in adversarial_rows().items()}
 
 
 @pytest.fixture

@@ -67,7 +67,7 @@ def distinct_keys(columnar, positions, firsts):
 class TestColumnarRelation:
     def test_round_trip_preserves_rows_and_order(self):
         relation = random_mixed_relation(100, seed=1)
-        columnar = ColumnarRelation.from_rows(relation.schema, relation.rows)
+        columnar = relation.to_columnar()
         assert columnar.to_rows() == list(relation.rows)
         assert len(columnar) == 100
 
@@ -102,52 +102,17 @@ class TestColumnarRelation:
             ColumnarRelation(Schema.of(("a", INT)), [])
 
     def test_zero_column_relation_keeps_length(self):
-        columnar = ColumnarRelation.from_rows(Schema.of(), [(), (), ()])
+        columnar = Relation(Schema.of(), [(), (), ()]).to_columnar()
         assert len(columnar) == 3
         assert columnar.to_rows() == [(), (), ()]
 
-    def test_from_rows_builds_a_column_only_when_it_is_read(self):
-        relation = random_mixed_relation(30, seed=40)
-        columnar = relation.to_columnar()
-        assert columnar.built_columns() == ()
-        assert columnar.value_lists()[2] == [row[2] for row in relation.rows]
-        assert columnar.built_columns() == ("s",)
-        assert columnar.column("f").values == [row[1] for row in relation.rows]
-        assert columnar.built_columns() == ("f", "s")
-        assert [column.name for column in columnar.columns] == ["i", "f", "s", "b", "d"]
-        assert columnar.built_columns() == ("i", "f", "s", "b", "d")
-
     def test_a_built_column_is_wrapped_not_copied(self):
         columnar = random_mixed_relation(10, seed=41).to_columnar()
-        values = columnar.value_lists()[0]
-        assert columnar.column("i").values is values
-        assert columnar.columns[0].values is values
-        assert columnar.value_lists()[0] is values
-
-    def test_racing_threads_get_equal_complete_columns(self):
-        relation = random_mixed_relation(4000, seed=42)
-        expected = [row[1] for row in relation.rows]
-        columnar = relation.to_columnar()
-        start = threading.Barrier(8)
-        seen = []
-
-        def read():
-            start.wait(timeout=10)
-            seen.append(list(columnar.value_lists()[1]))
-
-        threads = [threading.Thread(target=read) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert seen == [expected] * 8
-        assert columnar.value_lists()[1] == expected
+        values = columnar.held_at(2)  # STR: a value list
+        assert type(values) is list
+        assert columnar.column("s").values is values
+        assert columnar.columns[2].values is values
+        assert columnar.values(2) is values
 
     def test_typed_views_pick_an_exact_dtype(self):
         relation = Relation(
@@ -360,13 +325,10 @@ class TestGMDJColumnar:
             .stage([count_star("above")], extra=detail.Price >= base.m)
             .build()
         )
-        tpcr.distinct()
-        assert tpcr.to_columnar().built_columns() == ()
         columnar_result = expression.evaluate_centralized({"TPCR": tpcr})
         # The base-values query and both scans read NationKey's codes and
-        # Price's typed view; no value list is kept, none is transposed.
+        # Price's typed view, and no other attribute's.
         assert tpcr.to_columnar().built_views() == ("NationKey", "Price")
-        assert tpcr.to_columnar().built_columns() == ()
         with row_scan():
             row_result = expression.evaluate_centralized({"TPCR": tpcr})
         assert columnar_result.rows == row_result.rows

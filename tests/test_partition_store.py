@@ -41,6 +41,7 @@ from repro.net import serialize
 from repro.queries import sql
 from repro.relalg.expressions import col
 from repro.relalg.relation import Relation
+from repro.warehouse.partition import RoundRobinPartitioner
 from repro.warehouse.storage import LocalWarehouse
 
 PALETTE = adversarial_tables()["Palette"]
@@ -79,9 +80,9 @@ def test_every_partition_file_is_format_v3(tmp_path):
 def test_a_large_decode_holds_typed_arrays_and_derives_the_lists(tmp_path):
     root = store_of(tmp_path, {"Palette": PALETTE})
     as_arrays = loaded(root)
-    held = as_arrays.to_columnar().value_lists()._lists
+    held = as_arrays.to_columnar().held()
     for position, name in enumerate(PALETTE.schema.names):
-        derived = as_arrays.to_columnar().value_lists()[position]
+        derived = as_arrays.to_columnar().values(position)
         assert repr(derived) == repr([row[position] for row in PALETTE.rows])
         if name in TYPED:
             assert type(held[position]) is np.ndarray
@@ -89,7 +90,7 @@ def test_a_large_decode_holds_typed_arrays_and_derives_the_lists(tmp_path):
             data, valid = as_arrays.to_columnar().typed(position)
             assert data is held[position] and valid is None
             # Derived per request, never kept.
-            assert derived is not as_arrays.to_columnar().value_lists()[position]
+            assert derived is not as_arrays.to_columnar().values(position)
         else:  # NULLs, beyond ±2**53, or not a number: a value list
             assert type(held[position]) is list
     assert as_arrays._rows is None
@@ -97,12 +98,44 @@ def test_a_large_decode_holds_typed_arrays_and_derives_the_lists(tmp_path):
     assert repr(as_arrays.rows) == repr(PALETTE.rows)
 
 
+def kinds(relation: Relation) -> list:
+    """Each attribute's column kind: an array's dtype, or ``list``."""
+    return [
+        column.dtype if type(column) is np.ndarray else type(column)
+        for column in relation.to_columnar().held()
+    ]
+
+
+def test_a_site_in_process_and_a_loaded_site_hold_the_same_column_kinds(tmp_path):
+    """One representation: a partition the cluster split in process and
+    the same partition a site server loads from the store hold each
+    attribute as the same kind of column, typed arrays of one dtype or
+    value lists."""
+    tpcr = generate_tpcr(TPCRConfig(scale=0.0005, seed=101))
+    for name, relation, partitioner in (
+        ("TPCR", tpcr, nation_partitioner(2)),
+        ("Palette", PALETTE, RoundRobinPartitioner(2)),
+    ):
+        built = SimulatedCluster.with_sites(2)
+        built.load_partitioned(name, relation, partitioner)
+        root = str(tmp_path / name)
+        write_partition_store(built, root)
+        for site_id in built.site_ids:
+            in_process = built.site(site_id).warehouse.table(name)
+            served = load_site(root, site_id).warehouse.table(name)
+            assert kinds(in_process) == kinds(served), (name, site_id)
+            assert in_process._rows is None and served._rows is None
+            assert repr(in_process.rows) == repr(served.rows)
+        if name == "TPCR":
+            assert kinds(in_process).count(list) == 2  # CustName (STR), Returned (BOOL)
+
+
 def test_a_column_beyond_2_to_the_53_stays_a_list(tmp_path):
     for edge in (2**53, -(2**53)):
         for beyond in (edge + (1 if edge > 0 else -1), 2**64, -(2**64)):
             relation = Relation(PALETTE.schema.project(["small"]), [(edge,), (beyond,)])
             root = store_of(tmp_path / str(beyond), {"Palette": relation})
-            held = loaded(root).to_columnar().value_lists()._lists[0]
+            held = loaded(root).to_columnar().held()[0]
             assert type(held) is list and repr(held) == repr([edge, beyond])
         relation = Relation(PALETTE.schema.project(["small"]), [(edge,), (0,)])
         held = loaded(store_of(tmp_path / str(edge), {"Palette": relation}))
@@ -129,7 +162,7 @@ def palette_with_tail(tail) -> Relation:
 
 def store_with_tail(root, tail) -> str:
     root = store_of(root, {"Palette": palette_with_tail(tail)})
-    held = loaded(root).to_columnar().value_lists()._lists
+    held = loaded(root).to_columnar().held()
     for position, name in enumerate(PALETTE.schema.names):
         if name in TYPED:
             assert type(held[position]) is (list if tail is None else np.ndarray)
@@ -207,12 +240,14 @@ def test_union_all_reads_the_columns(tmp_path):
     for union in (
         first.union_all(second, PALETTE),
         PALETTE.union_all(first, second),
+        Relation.empty(PALETTE.schema).union_all(first, second, PALETTE),
     ):
         assert union._rows is None
         assert len(union) == 3 * len(PALETTE)
         for name, dtype in TYPED.items():
             data, valid = union.to_columnar().typed(PALETTE.schema.position(name))
             assert data.dtype == dtype and valid is None
+            assert data is union.to_columnar().held_at(PALETTE.schema.position(name))
         assert repr(union.rows) == expected
     assert first._rows is None and second._rows is None
 
@@ -278,7 +313,7 @@ def test_a_loaded_site_answers_the_scan_statements_from_its_columns(tmp_path):
     assert table._rows is None
     for position, attribute in enumerate(table.schema):
         if attribute.type in ("int", "float"):  # TPCR has no NULL, no int past 2**53
-            assert type(table.to_columnar().value_lists().held_at(position)) is np.ndarray
+            assert type(table.to_columnar().held_at(position)) is np.ndarray
     assert [repr(answer.rows) for answer in got] == [
         repr(answer.rows) for answer in answers(built)
     ]

@@ -19,6 +19,7 @@ from repro.net.serialize import (
     encode_relation,
     encode_reply,
 )
+from repro.relalg.columnar import held_column
 from repro.relalg.relation import Relation
 from repro.relalg.schema import BOOL, DATE, FLOAT, INT, STR, Attribute, Schema
 
@@ -116,9 +117,11 @@ def test_round_trip_identity(relation):
     decoded = decode_relation(encode_relation(relation))
     assert decoded.schema == relation.schema
     assert _identity(decoded.rows) == _identity(reference.rows)
-    # The decoder hands its lists over as the relation's column cache.
+    # The decoder holds each column as a relation made from its values would.
     columnar = decoded.to_columnar()
-    assert columnar.built_columns() == relation.schema.names
+    for position, attribute in enumerate(relation.schema.attributes):
+        rule = held_column(columnar.values(position), attribute.type)
+        assert type(columnar.held_at(position)) is type(rule)
     if len(relation.schema):
         assert _identity(columnar.to_rows()) == _identity(reference.rows)
 

@@ -44,7 +44,7 @@ from repro.relalg.aggregates import (
     count_star,
     register_aggregate,
 )
-from repro.relalg.columnar import ColumnarRelation, _ValueLists
+from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.expressions import base, detail
 from repro.relalg.relation import Relation
 from repro.relalg.schema import INT, STR, Attribute, Schema
@@ -424,7 +424,7 @@ def test_a_round_trip_builds_no_rows(monkeypatch):
     ``commit_sync`` an S5 round trip stays columns: Hᵢ, its v3 blocks,
     the fold and X. Only the caller reading the answer builds its rows.
     Its two-attribute int key is one composite there too: no key tuple is
-    built (``_ValueLists.keys`` over several positions)."""
+    built (``ColumnarRelation._keys`` over several positions)."""
     cluster = SimulatedCluster.with_sites(2)
     cluster.load_partitioned(
         "TPCR", generate_tpcr(TPCRConfig(scale=0.0002, seed=101)), nation_partitioner(2)
@@ -453,7 +453,7 @@ def test_a_round_trip_builds_no_rows(monkeypatch):
     def counted():
         window["rows"] += window["open"]
 
-    value_keys = _ValueLists.keys
+    value_keys = ColumnarRelation._keys
 
     def keys(self, positions):
         window["key_tuples"] += window["open"] and len(positions) > 1
@@ -462,7 +462,7 @@ def test_a_round_trip_builds_no_rows(monkeypatch):
     monkeypatch.setattr(SkallaSite, "evaluate_round", wrap(SkallaSite.evaluate_round, opened))
     monkeypatch.setattr(Coordinator, "commit_sync", wrap(Coordinator.commit_sync, after=closed))
     monkeypatch.setattr(ColumnarRelation, "to_rows", wrap(ColumnarRelation.to_rows, counted))
-    monkeypatch.setattr(_ValueLists, "keys", keys)
+    monkeypatch.setattr(ColumnarRelation, "_keys", keys)
     monkeypatch.setattr(columnar, "COMPOSITE_MIN_ROWS", 0)  # a small cluster's relations
 
     statement = parse_olap_statement(S5_FINE_GROUPS)
@@ -475,14 +475,15 @@ def test_a_round_trip_builds_no_rows(monkeypatch):
 
 
 def test_an_s5_op_rebuilds_few_typed_views_from_lists(monkeypatch):
-    """The v3 decoder hands over NULL-free INT and FLOAT blocks as typed
-    arrays at every row count, and a view over several sites' arrays
-    concatenates them, so the replies, the bank fold and the positional
-    fragments build no array from a list. What is left of a warm S5 op at
-    ``sync_heavy``'s shape (10 000 rows, 2 sites, seed 101) in process:
-    the key views of the base each site derives in round 1 (Proposition 2)
-    from its in-memory partition, whose columns are lists (2 sites x 2 key
-    attributes), and the AVG's finalization over the folded bank (2). With
+    """No array of a warm S5 op is built from a list, in process at
+    ``sync_heavy``'s shape (10 000 rows, 2 sites, seed 101). The v3 decoder
+    hands over NULL-free INT and FLOAT blocks as typed arrays, and a view
+    over several sites' arrays concatenates them, so the replies, the bank
+    fold and the positional fragments build none. An in-memory partition
+    holds its key columns as the same arrays, so the key views of the base
+    each site derives in round 1 build none (they built 4 while a
+    partition held row tuples). The folded bank stays typed, so the AVG's
+    finalization builds none (it built 2 while the bank was lists). With
     the blocks decoded to lists, one op made 22."""
     cluster = SimulatedCluster.with_sites(2)
     cluster.load_partitioned(
@@ -501,4 +502,4 @@ def test_an_s5_op_rebuilds_few_typed_views_from_lists(monkeypatch):
 
     monkeypatch.setattr(columnar, "_typed_view", spy)
     execute_query(cluster, expression)
-    assert len(calls) == 6, calls
+    assert len(calls) == 0, calls

@@ -136,7 +136,7 @@ def check_the_key_interface(width, left, right, candidates, computed, composite_
     # find: each right row's left code, from the right side's columns as held.
     firsts, codes = oracle.factorize(left_keys)
     code_of = dict(zip(map(left_keys.__getitem__, firsts), range(len(firsts))))
-    held = [detail.value_lists().held_at(position) for position in positions]
+    held = [detail.held_at(position) for position in positions]
     found = base.matcher(positions).find(held, len(right))
     assert found.tolist() == [code_of.get(key, -1) for key in right_keys]
 

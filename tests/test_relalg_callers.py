@@ -26,7 +26,6 @@ ALLOWED = {
     "compile_values": "row kernel named by bench_e2e/hooks.py (lines 89-91)",
     "kernel_cache_size": "kernel-cache introspection the tests read",
     "clear_kernel_cache": "kernel-cache reset the tests call",
-    "built_columns": "column introspection the tests read",
     "built_views": "column introspection the tests read",
 }
 

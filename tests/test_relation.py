@@ -1,4 +1,4 @@
-"""Unit tests for the Relation row store."""
+"""Unit tests for Relation: a schema and its columns."""
 
 import math
 import pickle
@@ -48,6 +48,22 @@ class TestConstruction:
     def test_rows_are_tuples_even_from_lists(self):
         relation = Relation(SCHEMA, [[1, 2.0, "x"]])
         assert isinstance(relation.rows[0], tuple)
+
+    def test_a_row_of_the_wrong_width_is_refused_at_construction(self):
+        # The last case has as many values as two rows of three.
+        for rows in ([(1, 2.0)], [(1, 2.0, "x"), (1, 2.0, "x", 4)], [()], [(1,), (1, 2.0, "x", 4, 5)]):
+            with pytest.raises(SchemaError):
+                Relation(SCHEMA, rows)
+
+    def test_a_relation_holds_its_columns_and_derives_its_rows(self):
+        relation = make()
+        held = relation.to_columnar().held()
+        assert type(held[0]) is np.ndarray and held[0].dtype == np.int64
+        assert type(held[1]) is list  # a NULL
+        assert type(held[2]) is list
+        assert relation._rows is None
+        assert relation.rows == ROWS
+        assert relation.rows is relation.rows  # kept once derived
 
     def test_requires_schema(self):
         with pytest.raises(SchemaError):
@@ -229,9 +245,41 @@ class TestPickle:
         cold = pickle.dumps(relation)
         relation.select(col.k > 3)  # a typed view
         relation.distinct_project(["k"])  # key codes
-        relation.to_columnar().value_lists()[0]  # a transposed column
+        relation.rows  # derived from the columns, and kept
         warm = pickle.dumps(relation)
         assert len(warm) == len(cold)
         back = pickle.loads(warm)
         assert back.schema == relation.schema and back.rows == relation.rows
         assert back.to_columnar().built_views() == ()
+
+
+class TestNaNKeys:
+    """A NaN of a NULL-free FLOAT column is a new object at every read of
+    its ``float64`` array, so it equals no key, not even the NaN of another
+    row that held the same object: each NaN-keyed row is a group of its own,
+    and no detail row matches it, as ``NaN == NaN`` is false. That holds in
+    process, over the codec and across sites alike."""
+
+    SCHEMA = Schema.of(("k", FLOAT), ("v", FLOAT))
+    ROWS = [(math.nan, 1.0), (1.0, 2.0), (math.nan, 3.0), (float("nan"), 4.0), (1.0, 5.0)]
+    QUERY = "SELECT k, COUNT(*) AS c, SUM(v) AS s FROM T GROUP BY k"
+    GROUPED = ["(nan, 0, None)", "(1.0, 2, 7.0)", "(nan, 0, None)", "(nan, 0, None)"]
+
+    def test_each_nan_key_is_a_group_of_its_own(self):
+        from repro.distributed import SimulatedCluster, execute_query
+        from repro.net.serialize import decode_relation, encode_relation
+        from repro.queries.sql import parse_olap_statement
+        from repro.warehouse.partition import RoundRobinPartitioner
+
+        statement = parse_olap_statement(self.QUERY)
+        relation = Relation(self.SCHEMA, self.ROWS)
+        decoded = decode_relation(encode_relation(relation))
+        for table in (relation, decoded):
+            assert type(table.to_columnar().held_at(0)) is np.ndarray
+            assert repr(table.distinct_project(["k"]).rows) == "[(nan,), (1.0,), (nan,), (nan,)]"
+            grouped = statement.apply_post(statement.expression.evaluate_centralized({"T": table}))
+            assert list(map(repr, grouped.rows)) == self.GROUPED
+        cluster = SimulatedCluster.with_sites(2)
+        cluster.load_partitioned("T", relation, RoundRobinPartitioner(2))
+        spread = statement.apply_post(execute_query(cluster, statement.expression).relation)
+        assert sorted(map(repr, spread.rows)) == sorted(self.GROUPED)
