@@ -17,6 +17,11 @@ Traffic volumes are heavy-tailed (Zipf-like over a lognormal body), web
 ports dominate, and timestamps cover a configurable number of hours —
 enough structure for the example analyses ("fraction of flows due to Web
 traffic per hour", Example 1's special-traffic query) to be interesting.
+
+The relation is born as columns: the generator's numpy arrays are held
+as they are (INT as ``int64``, FLOAT as ``float64``, the rule of
+:func:`~repro.relalg.columnar.held_column`) and the address strings as
+value lists. No row tuple is built.
 """
 
 from __future__ import annotations
@@ -100,28 +105,30 @@ def generate_flows(config: FlowConfig = FlowConfig()) -> Relation:
     source_hosts = rng.integers(1, 255, size=count)
     dest_hosts = rng.integers(1, 255, size=count)
 
-    rows = []
-    for index in range(count):
-        s_as = int(source_as[index])
-        d_as = int(dest_as[index])
-        rows.append(
-            (
-                int(routers[index]),
-                f"10.{s_as % 256}.{(s_as * 7) % 256}.{int(source_hosts[index])}",
-                int(source_ports[index]),
-                24,
-                s_as,
-                f"172.16.{d_as % 256}.{int(dest_hosts[index])}",
-                int(ports[index]),
-                24,
-                d_as,
-                int(start[index]),
-                int(start[index] + duration[index]),
-                int(packets[index]),
-                float(num_bytes[index]),
-            )
-        )
-    return Relation(FLOW_SCHEMA, rows)
+    masks = np.full(count, 24, dtype=np.int64)
+    source_ips = [
+        f"10.{s_as % 256}.{(s_as * 7) % 256}.{host}"
+        for s_as, host in zip(source_as.tolist(), source_hosts.tolist())
+    ]
+    dest_ips = [
+        f"172.16.{d_as % 256}.{host}" for d_as, host in zip(dest_as.tolist(), dest_hosts.tolist())
+    ]
+    columns = [
+        routers,
+        source_ips,
+        source_ports,
+        masks,
+        source_as,
+        dest_ips,
+        ports,
+        masks,
+        dest_as,
+        start,
+        start + duration,
+        packets,
+        num_bytes,
+    ]
+    return Relation.of_columns(FLOW_SCHEMA, columns, count)
 
 
 def router_partitioner(config: FlowConfig) -> ValueListPartitioner:

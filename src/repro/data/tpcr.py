@@ -35,6 +35,11 @@ Price      float extended price
 Discount   float 0..0.10
 Returned   bool  ~5% true
 ========== ===== ====================================================
+
+The relation is born as columns: the generator's numpy arrays are held
+as they are (INT as ``int64``, FLOAT as ``float64``, the rule of
+:func:`~repro.relalg.columnar.held_column`), and the STR and BOOL columns
+as value lists. No row tuple is built.
 """
 
 from __future__ import annotations
@@ -127,28 +132,23 @@ def generate_tpcr(config: TPCRConfig = TPCRConfig()) -> Relation:
     discounts = np.round(rng.integers(0, 11, size=count) / 100.0, 2)
     returned = rng.random(size=count) < 0.05
 
-    rows = []
-    for index in range(count):
-        cust_key = int(cust_keys[index])
-        rows.append(
-            (
-                int(order_keys[index]),
-                int(line_numbers[index]),
-                cust_key,
-                f"Customer#{cust_key:09d}",
-                int(nation_keys[index]),
-                int(region_keys[index]),
-                int(supp_keys[index]),
-                int(part_keys[index]),
-                int(order_years[index]),
-                int(order_months[index]),
-                float(quantities[index]),
-                float(prices[index]),
-                float(discounts[index]),
-                bool(returned[index]),
-            )
-        )
-    return Relation(TPCR_SCHEMA, rows)
+    columns = [
+        order_keys,
+        line_numbers,
+        cust_keys,
+        [f"Customer#{cust_key:09d}" for cust_key in cust_keys.tolist()],
+        nation_keys,
+        region_keys,
+        supp_keys,
+        part_keys,
+        order_years,
+        order_months,
+        quantities,
+        prices,
+        discounts,
+        returned.tolist(),
+    ]
+    return Relation.of_columns(TPCR_SCHEMA, columns, count)
 
 
 def nation_partitioner(site_count: int) -> ValueListPartitioner:

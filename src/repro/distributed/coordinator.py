@@ -75,7 +75,8 @@ class Coordinator:
         with self.tracer.span(
             "round.merge", kind="coordinator", phase="base", fragments=len(fragments)
         ) as span:
-            self._install(Relation.union_all(*fragments).distinct())
+            merged = Relation.union_all(*fragments)
+            self._install(merged.distinct_project(merged.schema.names))
             span.set(rows=len(self._x))
         return self._x
 
@@ -123,9 +124,9 @@ class Coordinator:
                 _groups, firsts = np.unique(rows, return_index=True)
                 rows = rows[np.sort(firsts)]
         if not any(ship_filter is None for ship_filter in ship_filters):
-            cut = held if rows is None else Relation.from_columnar(held.to_columnar().gather(rows))
+            cut = held if rows is None else held.gather(rows)
             mask = compiler.compile_mask(reduce(or_, ship_filters), {BASE_VAR: cut.schema})
-            admitted = mask(len(cut), {BASE_VAR: (cut.to_columnar(), None)})
+            admitted = mask(len(cut), {BASE_VAR: (cut, None)})
             rows = np.asarray(admitted if rows is None else rows[admitted], dtype=np.int64)
         fragment = held
         if fields is not None:
@@ -133,7 +134,7 @@ class Coordinator:
             if len(names) < len(held.schema):
                 fragment = held.project(names)
         if rows is not None:
-            fragment = Relation.from_columnar(fragment.to_columnar().gather(rows))
+            fragment = fragment.gather(rows)
         return fragment, rows
 
     def touched_by(self, source: str) -> Optional[Iterable[int]]:

@@ -73,7 +73,6 @@ from repro.net.channel import Channel
 from repro.net.costmodel import CostModel
 from repro.obs.metrics import MetricsRegistry, activate, active_registry
 from repro.obs.tracer import NULL_TRACER
-from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.expressions import BASE_VAR
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Schema
@@ -878,7 +877,7 @@ class _RoundWalk:
             return merge_addressed(collected, self.md_round.all_blocks())
         combined = Relation.union_all(*collected)
         if self.md_round is None:
-            return combined.distinct()
+            return combined.distinct_project(combined.schema.names)
         return merge_sub_results(
             combined, self.plan.expression.key, self.md_round.all_blocks()
         )
@@ -900,22 +899,20 @@ def _with_keys(held, keys, subs, positions) -> Relation:
     """``subs``, whose rows answer the rows ``positions`` of ``held``, with
     those rows' ``keys`` attributes in front."""
     attributes = [*held.schema.project(keys).attributes, *subs.schema.attributes]
-    columns = held.to_columnar().take(held.schema.positions(keys), positions)
-    columns += subs.to_columnar().held()
-    return Relation.from_columnar(
-        ColumnarRelation.from_value_lists(Schema(attributes), columns, len(positions))
-    )
+    columns = held.take(held.schema.positions(keys), positions)
+    columns += subs.held()
+    return Relation.of_columns(Schema(attributes), columns, len(positions))
 
 
 def _keyed_rows(fragment: Relation, block: Relation, keys) -> tuple:
     """``(block, rows)``: a keyed answer's rows that are rows of the
     ``fragment`` shipped, and which rows those are."""
-    matcher = fragment.to_columnar().matcher(fragment.schema.positions(keys))
-    held = block.to_columnar().held()
+    matcher = fragment.matcher(fragment.schema.positions(keys))
+    held = block.held()
     found = matcher.find([held[p] for p in block.schema.positions(keys)], len(block))
     rows, matched = matcher.pairs(found)
     if rows is not None:
-        block = Relation.from_columnar(block.to_columnar().gather(rows))
+        block = block.gather(rows)
     return block, np.asarray(matched, dtype=np.int64)
 
 

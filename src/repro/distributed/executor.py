@@ -49,7 +49,6 @@ from repro.net import message as msg
 from repro.net import serialize
 from repro.obs.metrics import MetricsRegistry, activate, active_registry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.relation import Relation
 from repro.relalg.schema import INT, Attribute, Schema
 
@@ -149,11 +148,8 @@ def row_blocks(relation: Relation, size: int) -> list:
     """
     if not size or len(relation) <= size:
         return [relation]
-    columnar, rows = relation.to_columnar(), range(len(relation))
-    return [
-        Relation.from_columnar(columnar.gather(rows[start : start + size]))
-        for start in rows[::size]
-    ]
+    rows = range(len(relation))
+    return [relation.gather(rows[start : start + size]) for start in rows[::size]]
 
 
 def encode_answer(
@@ -173,18 +169,13 @@ def encode_answer(
         # Every row in order: the blocks are the sub-aggregate columns alone.
         subs = h.project(h.schema.names[keys:])
         return tuple(map(serialize.encode_relation, row_blocks(subs, row_block_size)))
-    columnar = h.to_columnar()
     schema = Schema([*h.schema.attributes, Attribute(serialize.ADDRESS, INT)])
-    addressed = Relation.from_columnar(
-        ColumnarRelation.from_value_lists(
-            schema, [*columnar.held(), rows], len(h)
-        )
-    )
+    addressed = Relation.of_columns(schema, [*h.held(), rows], len(h))
     payloads, start = [], 0
     for block in row_blocks(addressed, row_block_size):
         payloads.append(serialize.encode_reply(block, keys, start))
         if len(block):
-            start = int(block.to_columnar().held()[-1][-1]) + 1
+            start = int(block.held()[-1][-1]) + 1
     return tuple(payloads)
 
 
@@ -203,7 +194,7 @@ def _answer(
     """
     if keys is None or answered is None or len(answered) == len(h):
         return encode_answer(h, row_block_size, keys), None
-    kept = Relation.from_columnar(h.to_columnar().gather(answered))
+    kept = h.gather(answered)
     reduced = encode_answer(kept, row_block_size, keys, answered)
     if not observed:
         whole = encode_answer(h, row_block_size, keys)
@@ -342,10 +333,10 @@ def _remember(site, request: SiteRequest, h_i: Relation, keyed: bool, shipped, p
     if keyed:
         blocks = payloads
     else:
-        columnar = h_i.to_columnar().project(h_i.schema.positions(keys))
+        kept = h_i.project(keys)
         if shipped is not None:
-            columnar = columnar.gather(shipped)
-        blocks = (serialize.encode_relation(Relation.from_columnar(columnar)),)
+            kept = kept.gather(shipped)
+        blocks = (serialize.encode_relation(kept),)
     site.remember_answer(
         request.query_id,
         serialize.answer_digest(request.down_payloads, payloads),

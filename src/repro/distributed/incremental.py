@@ -184,9 +184,9 @@ class IncrementalView:
             )
             started = time.perf_counter()
             merged = self._h.union_all(*answers.values())
-            firsts, codes = merged.to_columnar().codes(merged.schema.positions(self.key_attrs))
+            firsts, codes = merged.codes(merged.schema.positions(self.key_attrs))
             known, base = len(self._h), self._base
-            new_base = Relation.from_columnar(merged.to_columnar().gather(firsts[known:]))
+            new_base = merged.gather(firsts[known:])
             new_base = new_base.distinct_project(self.key_attrs)
             if len(new_base) and not walk.stats.degraded:
                 # Their rows answered over the delta give way to the second
@@ -197,8 +197,8 @@ class IncrementalView:
                     "md", "incremental refresh: new groups", held=new_base,
                 )
                 started = time.perf_counter()
-                kept = merged.to_columnar().gather(np.flatnonzero(codes < known))
-                merged = Relation.from_columnar(kept).union_all(*answers.values())
+                kept = merged.gather(np.flatnonzero(codes < known))
+                merged = kept.union_all(*answers.values())
                 base = base.union_all(new_base)
             if walk.stats.degraded:
                 return RefreshResult(self.relation(), walk.stats, 0)

@@ -35,7 +35,6 @@ from repro.gmdj import operator
 from repro.gmdj.expression import BaseSource, DistinctBase, MDStep
 from repro.net import serialize
 from repro.net.serialize import carried_keys
-from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Schema
 from repro.warehouse.storage import LocalWarehouse
@@ -150,13 +149,9 @@ class SkallaSite:
                 f"{keys.schema.names}, not {tuple(key_attrs)} beside "
                 f"{fragment.schema.names}"
             )
-        columns = [
-            *keys.to_columnar().held(),
-            *fragment.to_columnar().held(),
-        ]
         schema = Schema([*keys.schema.attributes, *fragment.schema.attributes])
-        keyed = ColumnarRelation.from_value_lists(schema, columns, rows)
-        return Relation.from_columnar(keyed), sum(size for _part, size in parts)
+        keyed = Relation.of_columns(schema, [*keys.held(), *fragment.held()], rows)
+        return keyed, sum(size for _part, size in parts)
 
     # -- round handlers ----------------------------------------------------------
 
@@ -207,7 +202,7 @@ class SkallaSite:
             key_attrs = carried_keys(key_attrs, base_fragment.schema.names)
         # H_i's columns, column group by column group: the key attributes,
         # then each step's sub columns (its sub-result minus its base's).
-        held = base_fragment.to_columnar().held()
+        held = base_fragment.held()
         columns = [held[position] for position in base_fragment.schema.positions(key_attrs)]
         touched_any = None
 
@@ -223,7 +218,7 @@ class SkallaSite:
                 full, sub, touched = operator.evaluate_both(
                     current_base, detail, step.blocks
                 )
-            columns += sub.to_columnar().held()[len(current_base.schema):]
+            columns += sub.held()[len(current_base.schema):]
             touched_any = touched if touched_any is None else touched_any | touched
             if not is_last:
                 current_base = full
@@ -232,14 +227,14 @@ class SkallaSite:
         for step in steps:
             for block in step.blocks:
                 attributes.extend(block.sub_attributes())
-        h_i = ColumnarRelation.from_value_lists(Schema(attributes), columns, len(base_fragment))
+        h_i = Relation.of_columns(Schema(attributes), columns, len(base_fragment))
         if addressed:
             answered = np.flatnonzero(touched_any) if independent_reduction else None
-            return Relation.from_columnar(h_i), answered
+            return h_i, answered
         if independent_reduction:
             touched_any[fresh_from:] = True
             h_i = h_i.gather(np.flatnonzero(touched_any))
-        return Relation.from_columnar(h_i)
+        return h_i
 
     def _detail(self, table_name: str, since: int) -> Relation:
         if not since:
@@ -272,6 +267,6 @@ class SkallaSite:
 def _grown(fragment: Relation, keys: Relation) -> Relation:
     """``fragment`` (distinct keys) followed by the ``keys`` it lacks: the
     first-seen rows of their concatenation's key codes."""
-    both = fragment.union_all(keys).to_columnar()
+    both = fragment.union_all(keys)
     firsts, _codes = both.codes(range(len(fragment.schema)))
-    return Relation.from_columnar(both.gather(firsts))
+    return both.gather(firsts)

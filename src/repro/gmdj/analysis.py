@@ -31,7 +31,6 @@ import math
 from typing import Optional, Sequence
 
 from repro.relalg import compiler
-from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.expressions import (
     BASE_VAR,
     Between,
@@ -57,6 +56,7 @@ from repro.relalg.predicates import (
     sides,
     split_condition,
 )
+from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, STR, Attribute, Schema, infer_type
 
 _INF = math.inf
@@ -151,7 +151,7 @@ def _detail_conjunct_satisfiable(conjunct: Expr, domains: dict) -> bool:
             values = list(domain.values)
             schema = Schema([Attribute(referenced[0].name, _column_type(values))])
             mask = compiler.compile_mask(conjunct, {DETAIL_VAR: schema})
-            candidates = ColumnarRelation.from_value_lists(schema, [values], len(values))
+            candidates = Relation.of_columns(schema, [values], len(values))
             return len(mask(len(values), {DETAIL_VAR: (candidates, None)})) > 0
     single = domains_from_predicate(conjunct, DETAIL_VAR)
     for name, constraint in single.items():

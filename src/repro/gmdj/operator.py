@@ -18,8 +18,8 @@ what the coordinator folds arriving fragments' typed columns into (a
 *bank*), and what finalize reads. A holistic aggregate (centralized
 :func:`evaluate` only) has one column, each group's input values.
 
-Relations stay columns end to end: every output here is column-backed
-(:meth:`Relation.from_columnar`), the input's held columns plus the new
+Relations stay columns end to end: every output here adopts columns
+(:meth:`Relation.of_columns`), the input's held columns plus the new
 ones, so the rows of a result are built only by a caller that reads them.
 
 Three entry points:
@@ -47,7 +47,7 @@ from repro.errors import HolisticAggregateError
 from repro.gmdj.blocks import MDBlock, result_schema, sub_result_schema
 from repro.obs.metrics import active_registry
 from repro.relalg import compiler
-from repro.relalg.columnar import ColumnarRelation, group, key_matcher, typed_view
+from repro.relalg.columnar import group, key_matcher, typed_view
 from repro.relalg.expressions import BASE_VAR, DETAIL_VAR, Field
 from repro.relalg.predicates import split_condition
 from repro.relalg.relation import Relation
@@ -106,13 +106,6 @@ def _finalized(slots, columns) -> list:
     ]
 
 
-def _extended(base: Relation, schema, columns) -> Relation:
-    """``base`` with one more attribute per row-aligned column, backed by
-    the base's held columns plus ``columns``: no row is built, and what is
-    cached about the base's columns carries over."""
-    return Relation.from_columnar(base.to_columnar().extended(schema, columns))
-
-
 def _reject_holistic(blocks) -> None:
     for block in blocks:
         if block.has_holistic:
@@ -124,7 +117,7 @@ def _reject_holistic(blocks) -> None:
 def evaluate(base: Relation, detail: Relation, blocks: Sequence[MDBlock]) -> Relation:
     """``MD(B, R, (l_1..l_m), (theta_1..theta_m))`` with finalized aggregates."""
     slots, columns, _touched = _accumulate(base, detail, blocks, track_touch=False)
-    full = _extended(base, result_schema(base.schema, blocks), _finalized(slots, columns))
+    full = base.extended(result_schema(base.schema, blocks), _finalized(slots, columns))
     _hot_counters()[1].inc(len(full))
     return full
 
@@ -142,7 +135,7 @@ def evaluate_sub(
     """
     _reject_holistic(blocks)
     _slots, columns, touched = _accumulate(base, detail, blocks, track_touch=True)
-    sub = _extended(base, sub_result_schema(base.schema, blocks), columns)
+    sub = base.extended(sub_result_schema(base.schema, blocks), columns)
     _hot_counters()[1].inc(len(sub))
     return sub, touched
 
@@ -161,8 +154,8 @@ def evaluate_both(
     """
     _reject_holistic(blocks)
     slots, columns, touched = _accumulate(base, detail, blocks, track_touch=True)
-    full = _extended(base, result_schema(base.schema, blocks), _finalized(slots, columns))
-    sub = _extended(base, sub_result_schema(base.schema, blocks), columns)
+    full = base.extended(result_schema(base.schema, blocks), _finalized(slots, columns))
+    sub = base.extended(sub_result_schema(base.schema, blocks), columns)
     _hot_counters()[1].inc(len(full))
     return full, sub, touched
 
@@ -227,16 +220,16 @@ class SyncSession:
         self._touched: dict = {}  # source -> [base positions per absorbed fragment]
         self._lock = threading.Lock()
 
-    def _probe(self, columnar, positions: Sequence[int]) -> tuple:
+    def _probe(self, h: Relation, positions: Sequence[int]) -> tuple:
         """``(rows, bases)``: per (fragment row, base row) pair, row-major,
         the row (``rows`` ``None``: every row, once) and its base position."""
         with self._lock:
             if self._find is None:
                 base = self._base
-                self._matcher = base.to_columnar().matcher(base.schema.positions(self._key_attrs))
+                self._matcher = base.matcher(base.schema.positions(self._key_attrs))
                 self._find = self._matcher.finder()  # built once per session
             matcher, find = self._matcher, self._find
-        return matcher.pairs(find([columnar.held_at(p) for p in positions], len(columnar)))
+        return matcher.pairs(find([h.held_at(p) for p in positions], len(h)))
 
     def absorb(self, h: Relation, source: str = "", positions=None) -> None:
         """Fold one sub-result fragment into the session (O(|h|)).
@@ -249,10 +242,9 @@ class SyncSession:
         answer, one each — an answer by row address, which needs no key
         attributes and no probe; ``None`` finds them by K.
         """
-        columnar = h.to_columnar()
-        held = columnar.held()
+        held = h.held()
         if positions is None:
-            rows, bases = self._probe(columnar, h.schema.positions(self._key_attrs))
+            rows, bases = self._probe(h, h.schema.positions(self._key_attrs))
         else:
             rows, bases = None, positions
         sub_positions = h.schema.positions(self._sub_names)
@@ -309,8 +301,7 @@ class SyncSession:
         keeping only the folded bank (:meth:`sub_results`)."""
         self._folded, self._banks = self._bank(), {}
         self._find = self._matcher = None
-        return _extended(
-            self._base,
+        return self._base.extended(
             result_schema(self._base.schema, self._blocks),
             _finalized(self._slots, self._folded),
         )
@@ -324,11 +315,10 @@ class SyncSession:
         """Theorem 1's H once :meth:`finish` has run: the key attributes
         and the folded sub-aggregate columns, one row per base row — what
         :func:`merge_sub_results` makes of the sub-results absorbed."""
-        held, schema = self._base.to_columnar().held(), self._base.schema
+        held, schema = self._base.held(), self._base.schema
         keys = [held[position] for position in schema.positions(self._key_attrs)]
         schema = sub_result_schema(schema.project(self._key_attrs), self._blocks)
-        columnar = ColumnarRelation.from_value_lists(schema, keys + self._folded, len(self._base))
-        return Relation.from_columnar(columnar)
+        return Relation.of_columns(schema, keys + self._folded, len(self._base))
 
 
 def _groups(fragments: list) -> np.ndarray:
@@ -389,12 +379,11 @@ def merge_addressed(parts: Sequence[tuple], blocks: Sequence[MDBlock]) -> tuple:
         np.concatenate([positions for _part, positions in parts]), return_inverse=True
     )
     _slots, components = _layout(blocks)
-    held = h.to_columnar().held()
+    held = h.held()
     names = _sub_names(blocks)
     columns = [held[position] for position in h.schema.positions(names)]
     bank = _fold(components, [(columns, codes)], len(positions))
-    merged = ColumnarRelation.from_value_lists(h.schema.project(names), bank, len(positions))
-    return Relation.from_columnar(merged), positions
+    return Relation.of_columns(h.schema.project(names), bank, len(positions)), positions
 
 
 def merge_sub_results(
@@ -412,21 +401,20 @@ def merge_sub_results(
     Rows keep the first-seen order of their keys; non-key, non-aggregate
     base attributes (if any) are taken from the first row of each key.
     The fold is :class:`SyncSession`'s, over the key's first-seen codes
-    (``ColumnarRelation.codes``), rows in order; the result is
+    (:meth:`Relation.codes`), rows in order; the result is
     column-backed.
     """
     if not len(h):
         return h
     _slots, components = _layout(blocks)
-    columnar = h.to_columnar()
-    held = columnar.held()
-    firsts, codes = columnar.codes(h.schema.positions(key_attrs))
+    held = h.held()
+    firsts, codes = h.codes(h.schema.positions(key_attrs))
     sub_positions = h.schema.positions(_sub_names(blocks))
     bank = _fold(components, [([held[position] for position in sub_positions], codes)], len(firsts))
     merged = [_gather(column, firsts) for column in held]
     for position, column in zip(sub_positions, bank):
         merged[position] = column
-    return Relation.from_columnar(ColumnarRelation.from_value_lists(h.schema, merged, len(firsts)))
+    return Relation.of_columns(h.schema, merged, len(firsts))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +452,6 @@ def _accumulate(base, detail, blocks, track_touch):
     base_schemas = {BASE_VAR: base.schema}
     schemas = {BASE_VAR: base.schema, DETAIL_VAR: detail.schema, None: detail.schema}
     detail_aliases = {None: DETAIL_VAR}
-    detail_columns, base_columns = detail.to_columnar(), base.to_columnar()
     touched = np.zeros(len(base), dtype=bool) if track_touch else None
     state = []
     tuples_examined = 0
@@ -475,17 +462,17 @@ def _accumulate(base, detail, blocks, track_touch):
         candidate_base = range(len(base))
         if split.base_only:
             admits = compiler.compile_mask(split.base_only, base_schemas)
-            candidate_base = admits(len(base), {BASE_VAR: (base_columns, None)}).tolist()
+            candidate_base = admits(len(base), {BASE_VAR: (base, None)}).tolist()
 
         rows = None
         if split.detail_only:
             mask = compiler.compile_mask(split.detail_only, schemas, detail_aliases)
-            rows = mask(len(detail), {DETAIL_VAR: (detail_columns, None)})
+            rows = mask(len(detail), {DETAIL_VAR: (detail, None)})
         tuples_examined += len(detail) if rows is None else len(rows)
 
         probe = candidate_base
         if split.hashable:
-            probe = _key_probe(detail_columns, rows, base_columns, candidate_base, split.atoms, schemas)
+            probe = _key_probe(detail, rows, base, candidate_base, split.atoms, schemas)
 
         kernel = compiler.compile_grouped_accumulate(
             split.hashable,
@@ -495,7 +482,7 @@ def _accumulate(base, detail, blocks, track_touch):
             schemas,
             detail_aliases,
         )
-        state.extend(kernel(detail_columns, rows, base_columns, probe, touched))
+        state.extend(kernel(detail, rows, base, probe, touched))
 
     _hot_counters()[0].inc(tuples_examined)
     return slots, state, touched

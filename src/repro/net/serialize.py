@@ -92,7 +92,7 @@ codes out of range, a back-reference to a column that is not an earlier
 one of the same type or past :func:`_copies_fit`, a row bitmap whose
 count disagrees, and hands
 the columns it built to the decoded relation
-(:meth:`Relation.from_columnar`), which builds rows only when asked.
+(:meth:`Relation.of_columns`), which builds rows only when asked.
 At every row count a NULL-free FLOAT column is a ``float64`` array and a
 NULL-free INT column within ``±2**53`` an ``int64`` one, read off the
 block with no list between: the rule a relation made from rows holds its
@@ -125,7 +125,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import SchemaError, SerializationError
-from repro.relalg.columnar import EXACT_INT, ColumnarRelation, as_list
+from repro.relalg.columnar import EXACT_INT, as_list
 from repro.relalg.relation import Relation
 from repro.relalg.schema import BOOL, DATE, FLOAT, INT, STR, Attribute, Schema
 
@@ -530,7 +530,7 @@ def encode_relation(relation: Relation) -> bytes:
     written: dict = {}
     body, copied = len(out), 0
     try:
-        for position, values in enumerate(relation.to_columnar().held()):
+        for position, values in enumerate(relation.held()):
             code = type_codes[position]
             block = _column_block(values, code)
             if code == _INT_CODE and schema.attributes[position].name == ADDRESS:
@@ -771,9 +771,7 @@ def _decode(data: bytes, columns: Optional[int] = None) -> tuple:
                 held[position], offset = _read_column(data, offset, code, row_count)
     if columns is None:
         _check_consumed(offset, len(data))
-    relation = Relation.from_columnar(
-        ColumnarRelation.from_value_lists(schema, held, row_count)
-    )
+    relation = Relation.of_columns(schema, held, row_count)
     return relation, start, offset
 
 
@@ -800,15 +798,14 @@ def encode_reply(h: Relation, keys: int, start: int = 0) -> bytes:
     - or the keyed answer (key attributes and sub-aggregate columns) when
       that is smaller: so a reply is never larger than the keyed one.
     """
-    columnar = h.to_columnar()
-    width, length = len(h.schema), len(h)
-    rows = columnar.held()[-1]
-    subs = list(range(keys, width - 1))
+    names, length = h.schema.names, len(h)
+    rows = h.held_at(len(names) - 1)
+    subs = names[keys:-1]
     if not length or (int(rows[0]) == start and int(rows[-1]) - start == length - 1):
-        return encode_relation(Relation.from_columnar(columnar.project(subs)))
-    addressed = encode_relation(Relation.from_columnar(columnar.project(subs + [width - 1])))
+        return encode_relation(h.project(subs))
+    addressed = encode_relation(h.project([*subs, ADDRESS]))
     if keys:
-        keyed = encode_relation(Relation.from_columnar(columnar.project(range(width - 1))))
+        keyed = encode_relation(h.project(names[:-1]))
         if len(keyed) < len(addressed):
             return keyed
     return addressed
@@ -837,9 +834,8 @@ def decode_reply(data: bytes, key_attrs, shipped: int, start: int = 0) -> tuple:
     length = len(relation)
     if ADDRESS in names:
         position = names.index(ADDRESS)
-        columnar = relation.to_columnar()
         try:
-            rows = np.asarray(columnar.held_at(position), dtype=np.int64)
+            rows = np.asarray(relation.held_at(position), dtype=np.int64)
         except (OverflowError, TypeError, ValueError) as exc:
             raise SerializationError(f"bad row addresses: {exc}") from exc
         if length and (
@@ -848,8 +844,7 @@ def decode_reply(data: bytes, key_attrs, shipped: int, start: int = 0) -> tuple:
             raise SerializationError(
                 f"row addresses are not strictly ascending within {start} to {shipped}"
             )
-        others = [index for index in range(len(names)) if index != position]
-        return Relation.from_columnar(columnar.project(others)), rows
+        return relation.project([name for name in names if name != ADDRESS]), rows
     if key_attrs and all(name in names for name in key_attrs):
         return relation, None
     if start + length > shipped:

@@ -1,44 +1,46 @@
-"""Columnar storage for relations: per-column value vectors and their views.
+"""Columns and their views: the functions a relation's columns go through.
 
-A :class:`ColumnarRelation` is what every
-:class:`~repro.relalg.relation.Relation` holds: one column per attribute,
-all equal length, fixed when the relation is made. A column is a value
-list (``None`` for NULL) or a *typed array*: ``int64`` or ``float64``,
-NULL-free. One rule (:func:`held_column`) says which: a NULL-free INT
-column of ints within ``±2**53`` is ``int64``, a NULL-free FLOAT column of
-floats is ``float64``, any other column a value list. A relation made
-from rows transposes them once and applies it (:func:`held_columns`); the
-column-block decoder (:mod:`repro.net.serialize`) makes the same choice
-from its block headers, so a partition in process and one loaded by a
-site server hold the same kinds of column. A gather, a projection or a
-concatenation of typed arrays stays one. A typed array's value list is
-derived (``tolist``) for each caller that asks, and never kept.
+Every :class:`~repro.relalg.relation.Relation` holds one column per
+attribute, all equal length, fixed when the relation is made. A column is
+a value list (``None`` for NULL) or a *typed array*: ``int64`` or
+``float64``, NULL-free. One rule (:func:`held_column`) says which: a
+NULL-free INT column of ints within ``±2**53`` is ``int64``, a NULL-free
+FLOAT column of floats is ``float64``, any other column a value list. A
+relation made from rows transposes them once and applies it
+(:func:`held_columns`); the data generators hand over columns the rule
+already holds, and the column-block decoder (:mod:`repro.net.serialize`)
+makes the same choice from its block headers, so a partition in process
+and one loaded by a site server hold the same kinds of column. A gather,
+a projection or a concatenation of typed arrays stays one. A typed
+array's value list is derived (``tolist``) for each caller that asks, and
+never kept.
 
 What the vector kernels of :mod:`repro.relalg.compiler` consume, and
-what matches keys, are two cached *views*, built on first use (from a
-held or derived list, keeping no list) and published only when complete:
+what matches keys, are two views a relation caches, built on first use
+(from a held or derived list, keeping no list) and published only when
+complete:
 
-* :meth:`ColumnarRelation.typed` — a numpy array per attribute plus a
-  validity mask (``None`` when nothing is NULL): ``int64`` only if every
-  value is an ``int`` (not a ``bool``) with ``|v| <= 2**53``, so int/float
-  mixing stays exact; ``float64`` only if every value is a ``float``; else
-  an ``object`` array of the values themselves (``None`` at NULLs). An
+* ``Relation.typed`` — a numpy array per attribute plus a validity mask
+  (``None`` when nothing is NULL): ``int64`` only if every value is an
+  ``int`` (not a ``bool``) with ``|v| <= 2**53``, so int/float mixing
+  stays exact; ``float64`` only if every value is a ``float``; else an
+  ``object`` array of the values themselves (``None`` at NULLs). An
   adopted typed array is its own view, and typed arrays of one dtype
   concatenate into theirs (:func:`typed_view`).
-* :meth:`ColumnarRelation.matcher` — the :class:`KeyMatcher` of a tuple
-  of attributes, the one interface to a key. It holds the key's
-  first-seen factorization: ``firsts[c]`` is the first row whose key has
-  code ``c`` (so the distinct keys are a gather of the key columns), and
-  ``codes`` each row's code in the narrowest integer dtype
-  (:meth:`ColumnarRelation.codes`). ``find(columns, length)`` gives, per
-  row of other key columns (typed arrays or value lists), the code of the
-  equal key or -1, and ``finder()`` is a ``find`` that keeps the lookup
-  it builds for as long as a caller probing many times holds it;
-  ``pairs(found)`` expands the keys several rows share into (probing
-  row, matched row) pairs, row-major, through CSR arrays (:func:`group`,
-  :func:`expand`). The MD-join scan and the coordinator's sync both match
-  keys through it; :func:`key_matcher` serves a computed key that no
-  relation holds.
+* ``Relation.matcher`` — the :class:`KeyMatcher` of a tuple of
+  attributes, the one interface to a key. It holds the key's first-seen
+  factorization: ``firsts[c]`` is the first row whose key has code ``c``
+  (so the distinct keys are a gather of the key columns), and ``codes``
+  each row's code in the narrowest integer dtype (``Relation.codes``).
+  ``find(columns, length)`` gives, per row of other key columns (typed
+  arrays or value lists), the code of the equal key or -1, and
+  ``finder()`` is a ``find`` that keeps the lookup it builds for as long
+  as a caller probing many times holds it; ``pairs(found)`` expands the
+  keys several rows share into (probing row, matched row) pairs,
+  row-major, through CSR arrays (:func:`group`, :func:`expand`). The
+  MD-join scan, the coordinator's sync and the value-list partitioner
+  all match keys through it; :func:`key_matcher` serves a computed key
+  that no relation holds.
 
 Keys are equal as ``dict`` keys are: ``1``, ``1.0`` and ``True`` are one
 key, a NaN object is only itself, and NULL is a key like any other (the
@@ -61,15 +63,15 @@ calls take 25–40 µs, while on about 2 000 rows the composite is about
 twice as fast.
 
 This module deliberately does not import :mod:`repro.relalg.relation`
-(which imports the compiler, which consumes columns) — conversion entry
-points live on ``Relation`` itself.
+(which imports the compiler, which imports this module): the relation
+holds the columns and their caches, and calls the functions here.
 """
 
 from __future__ import annotations
 
 from itertools import chain, count, repeat
 from operator import is_not
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -79,25 +81,6 @@ from repro.relalg.schema import FLOAT, INT, Schema
 #: Integers beyond this magnitude stay Python objects: every int64 value
 #: then converts to float64 exactly, as Python's mixed arithmetic does.
 EXACT_INT = 2**53
-
-
-class Column:
-    """One attribute's values, in row order, with NULLs kept as ``None``."""
-
-    __slots__ = ("name", "type", "values")
-
-    def __init__(self, name: str, type_name: str, values: Sequence):
-        self.name = name
-        self.type = type_name
-        # A list is adopted, not copied: columns are immutable by convention,
-        # and a freshly transposed or decoded vector must not exist twice.
-        self.values = values if type(values) is list else list(values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __repr__(self) -> str:
-        return f"Column({self.name}:{self.type}, {len(self.values)} values)"
 
 
 def _typed_view(values: list) -> tuple:
@@ -455,192 +438,3 @@ def _take(columns: list, indices) -> list:
         held[positions] if type(held) is np.ndarray else list(map(held.__getitem__, index_list))
         for held in columns
     ]
-
-
-class ColumnarRelation:
-    """A schema plus one held column per attribute, all equal length."""
-
-    __slots__ = ("schema", "_columns", "_length", "_typed", "_matchers")
-
-    def __init__(
-        self, schema: Schema, columns: Sequence[Column], length: Optional[int] = None
-    ):
-        if len(columns) != len(schema):
-            raise SchemaError(
-                f"schema has {len(schema)} attributes but got {len(columns)} columns"
-            )
-        for column in columns:
-            if length is None:
-                length = len(column)
-            elif len(column) != length:
-                raise SchemaError(
-                    f"ragged columns: {column.name!r} has {len(column)} values, "
-                    f"expected {length}"
-                )
-        # ``length`` survives the zero-column case (pure row-count relations).
-        self._adopt(schema, [column.values for column in columns], length or 0)
-
-    def _adopt(self, schema: Schema, columns: list, length: int) -> "ColumnarRelation":
-        self.schema = schema
-        self._columns = columns
-        self._length = length
-        self._typed: dict = {}  # position -> (data, valid)
-        self._matchers: dict = {}  # positions -> KeyMatcher
-        return self
-
-    @classmethod
-    def from_value_lists(
-        cls, schema: Schema, lists: List, length: int
-    ) -> "ColumnarRelation":
-        """Adopt one ready column per attribute, each ``length`` long: a
-        value list, or a NULL-free typed array under the ``typed`` rule.
-
-        What a column-block decoder or a kernel holds when it is done:
-        nothing is copied or wrapped, and the caller vouches for the
-        lengths and the rule.
-        """
-        return cls.__new__(cls)._adopt(schema, lists, length)
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __repr__(self) -> str:
-        return f"ColumnarRelation({self.schema!r}, {self._length} rows)"
-
-    @property
-    def columns(self) -> Tuple[Column, ...]:
-        """Every attribute as a :class:`Column` of its value list."""
-        return tuple(
-            Column(attribute.name, attribute.type, as_list(held))
-            for attribute, held in zip(self.schema.attributes, self._columns)
-        )
-
-    def column(self, name: str) -> Column:
-        position = self.schema.position(name)
-        return Column(name, self.schema.attributes[position].type, self.values(position))
-
-    def held(self) -> list:
-        """Every attribute's column as held (a typed array stays an array),
-        in schema order."""
-        return self._columns
-
-    def held_at(self, position: int):
-        """One attribute's column as held."""
-        return self._columns[position]
-
-    def values(self, position: int) -> list:
-        """One attribute's value list: a held list itself, or a typed
-        array's, derived for this caller."""
-        return as_list(self._columns[position])
-
-    def typed(self, position: int) -> tuple:
-        """The cached typed view ``(data, valid)`` of one attribute."""
-        view = self._typed.get(position)
-        if view is None:
-            view = self._typed[position] = self._view(position)  # published complete
-        return view
-
-    def _view(self, position: int) -> tuple:
-        """The typed view of one attribute: the cached one, else made anew."""
-        view = self._typed.get(position)
-        return typed_view([self._columns[position]]) if view is None else view
-
-    def _keys(self, positions: Sequence[int]) -> list:
-        """Each row's key at ``positions``, for the ``dict``."""
-        return _keys(list(map(self.values, positions)), self._length)
-
-    def matcher(self, positions: Sequence[int]) -> KeyMatcher:
-        """The cached :class:`KeyMatcher` of the key at ``positions``."""
-        positions = tuple(positions)
-        matcher = self._matchers.get(positions)
-        if matcher is None:
-            matcher = _matcher(self._length, positions, self._view, self._keys)
-            self._matchers[positions] = matcher  # published complete
-        return matcher
-
-    def codes(self, positions: Sequence[int]) -> tuple:
-        """The cached first-seen factorization ``(firsts, codes)`` of the
-        key at ``positions`` (see :class:`KeyMatcher`)."""
-        matcher = self.matcher(positions)
-        return matcher.firsts, matcher.codes
-
-    def take(self, positions: Sequence[int], indices) -> list:
-        """The columns at ``positions``, each at ``indices`` (a typed array
-        gathers into a typed array)."""
-        return _take([self._columns[position] for position in positions], indices)
-
-    def distinct(self, schema: Schema, positions: Sequence[int]) -> "ColumnarRelation":
-        """Each distinct key's first row at ``positions`` (one or more), in
-        first-seen order, under ``schema``.
-
-        A sorted composite key is handed over as it is: every row of the
-        result is distinct, so a key's code is its position.
-        """
-        matcher = self.matcher(positions)
-        columns = self.take(positions, matcher.firsts)
-        result = ColumnarRelation.from_value_lists(schema, columns, len(matcher))
-        if isinstance(matcher, _SortedKeys):
-            result._matchers[tuple(range(len(positions)))] = matcher.renumbered()
-        return result
-
-    def extended(self, schema: Schema, columns: list) -> "ColumnarRelation":
-        """This relation's held columns plus row-aligned ``columns``, under
-        ``schema``; the views and matchers of this relation's columns
-        carry over."""
-        result = ColumnarRelation.from_value_lists(
-            schema, [*self._columns, *columns], self._length
-        )
-        result._typed.update(self._typed)
-        result._matchers.update(self._matchers)
-        return result
-
-    def built_views(self) -> Tuple[str, ...]:
-        """Names of the attributes with a typed view or in a factorized key."""
-        positions = set(self._typed).union(*self._matchers)
-        return tuple(name for position, name in enumerate(self.schema.names) if position in positions)
-
-    def iter_rows(self) -> Iterator[tuple]:
-        """The row tuples, in order, each built as it is read."""
-        if not self._columns:
-            return repeat((), self._length)
-        return zip(*map(as_list, self._columns))
-
-    def to_rows(self) -> List[tuple]:
-        """Transpose back to row tuples, preserving row order."""
-        return list(self.iter_rows())
-
-    def project(self, positions: Sequence[int]) -> "ColumnarRelation":
-        """The attributes at ``positions``, in that order, their held
-        columns shared."""
-        positions = list(positions)
-        schema = Schema([self.schema.attributes[position] for position in positions])
-        return ColumnarRelation.from_value_lists(
-            schema, [self._columns[position] for position in positions], self._length
-        )
-
-    def gather(self, indices) -> "ColumnarRelation":
-        """Rows at ``indices`` (ascending order preserves row order); a
-        typed array gathers into a typed array."""
-        lists = _take(self._columns, indices)
-        return ColumnarRelation.from_value_lists(self.schema, lists, len(indices))
-
-    @classmethod
-    def concat(cls, schema: Schema, parts: Sequence["ColumnarRelation"]) -> "ColumnarRelation":
-        """The rows of ``parts``, in order (their schemas are ``schema``).
-
-        A column the first non-empty part holds as a typed array stays one
-        when every non-empty part's typed view of it is NULL-free and of
-        that dtype; any other column is a value list.
-        """
-        parts = [part for part in parts if len(part)] or parts[:1]
-        columns = []
-        for position in range(len(schema)):
-            held = parts[0]._columns[position]
-            views = [part.typed(position) for part in parts] if type(held) is np.ndarray else ()
-            if views and all(
-                valid is None and data.dtype == held.dtype for data, valid in views
-            ):
-                columns.append(np.concatenate([data for data, _valid in views]))
-            else:
-                columns.append(list(chain.from_iterable(part.values(position) for part in parts)))
-        return cls.from_value_lists(schema, columns, sum(map(len, parts)))

@@ -25,7 +25,7 @@ can follow into ``tests/oracle/``.
 and the planner's test of a detail conjunct against a finite domain
 (:mod:`repro.gmdj.analysis`):
 each node runs once per column, as numpy operations over the cached
-typed views of :class:`~repro.relalg.columnar.ColumnarRelation`, on a
+typed views of a :class:`~repro.relalg.relation.Relation`, on a
 vector ``(data, valid)`` whose validity mask carries NULL (``None``: no
 NULL).
 Every result is the Python value the row kernels compute:
@@ -290,8 +290,11 @@ _NEGATE = np.frompyfunc(operator.neg, 1, 1)
 class _Frame:
     """``count`` positions, each one row of every source relation.
 
-    ``sources[relvar]`` is ``(ColumnarRelation, rows)``: position ``i``
-    reads row ``rows[i]``, or row ``i`` when ``rows`` is ``None``.
+    ``sources[relvar]`` is ``(Relation, rows)``: position ``i`` reads row
+    ``rows[i]``, or row ``i`` when ``rows`` is ``None``. The relation is
+    read only through its typed views, codes and held columns, so this
+    module needs no import of :mod:`repro.relalg.relation`, which imports
+    it.
     ``consts`` holds the constants of the expression shape being run.
     """
 
@@ -547,7 +550,7 @@ def compile_mask(conditions, schemas: Mapping, aliases: Optional[Mapping] = None
     """Compile a conjunction to ``mask(count, sources) -> positions``.
 
     The selection vector of a scan: ``sources`` maps each
-    relation variable to ``(ColumnarRelation, rows)`` as in
+    relation variable to ``(Relation, rows)`` as in
     :class:`_Frame`, and the result is the ascending positions satisfying
     every conjunct (the early exit of :func:`compile_predicate`).
     """
@@ -795,7 +798,7 @@ def compile_grouped_accumulate(
 
         kernel(detail, rows, base, probe, touched) -> columns
 
-    ``detail`` / ``base`` are the :class:`ColumnarRelation` that
+    ``detail`` / ``base`` are the relations that
     ``DETAIL_VAR`` (and its aliases) / ``BASE_VAR`` fields read; ``rows``
     the detail rows to scan (``None``: all). When ``keyed``, ``probe`` is
     ``(codes, offsets, bases)``: each scanned row's detail key code and,

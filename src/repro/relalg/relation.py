@@ -5,32 +5,54 @@ warehouse tables, GMDJ base-values relations, shipped sub-results and
 final query answers are all relations.
 
 Relations are *multisets* of rows (duplicates allowed) unless explicitly
-deduplicated with :meth:`Relation.distinct`. A relation holds one store,
-its :class:`~repro.relalg.columnar.ColumnarRelation`
-(:meth:`Relation.to_columnar`): made from rows, it transposes them once
-and holds each column as the column-block decoder would
-(:func:`~repro.relalg.columnar.held_column`); handed columns
-(:meth:`Relation.from_columnar`), it adopts them. Every operator reads and
-makes columns. :attr:`Relation.rows` — tuples in schema order — is for
-output: derived from the columns on first read and kept.
+deduplicated with :meth:`Relation.distinct_project`. A relation holds one
+column per attribute, all equal length, fixed when it is made: a value
+list (``None`` for NULL) or a NULL-free ``int64``/``float64`` array, as
+:func:`~repro.relalg.columnar.held_column` rules. It is made one of two
+ways. :meth:`Relation.of_columns` adopts ready columns: what the data
+generators, the column-block decoder and every operator hand over, with
+nothing copied. ``Relation(schema, rows)`` transposes row tuples once and
+applies the rule: for literals, tests, CSV and unpickling.
+:attr:`Relation.rows` — tuples in schema order — is for output: derived
+from the columns on first read and kept.
+
+Beside its columns a relation caches the two views of
+:mod:`repro.relalg.columnar`, each built on first use and published only
+when complete: an attribute's typed view (:meth:`Relation.typed`), which
+the vector kernels of :mod:`repro.relalg.compiler` read, and a key's
+:class:`~repro.relalg.columnar.KeyMatcher` (:meth:`Relation.matcher`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterator, Iterable, Sequence
+
+import numpy as np
 
 from repro.errors import SchemaError
 from repro.relalg import compiler
-from repro.relalg.columnar import ColumnarRelation, held_column, held_columns
+from repro.relalg.columnar import (
+    KeyMatcher,
+    _SortedKeys,
+    _keys,
+    _matcher,
+    _take,
+    as_list,
+    held_column,
+    held_columns,
+    typed_view,
+)
 from repro.relalg.expressions import Expr
 from repro.relalg.schema import Attribute, Schema
 
 
 class Relation:
-    """An immutable-by-convention multiset of rows with a fixed schema."""
+    """An immutable-by-convention multiset of rows with a fixed schema,
+    held as one column per attribute."""
 
-    __slots__ = ("schema", "_columnar", "_rows")
+    __slots__ = ("schema", "_columns", "_length", "_typed", "_matchers", "_rows")
 
     def __init__(self, schema: Schema, rows: Iterable[tuple] = (), validate: bool = False):
         if not isinstance(schema, Schema):
@@ -39,27 +61,43 @@ class Relation:
         if validate:
             for row in rows:
                 schema.check_row(row)
+        self._adopt(schema, held_columns(schema, rows), len(rows))
+
+    def _adopt(self, schema: Schema, columns: list, length: int) -> "Relation":
         self.schema = schema
-        self._columnar = ColumnarRelation.from_value_lists(
-            schema, held_columns(schema, rows), len(rows)
-        )
+        self._columns = columns
+        # ``length`` survives the zero-column case (pure row-count relations).
+        self._length = length
+        self._typed: dict = {}  # position -> (data, valid)
+        self._matchers: dict = {}  # positions -> KeyMatcher
         self._rows = None  # derived on first read
+        return self
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def empty(cls, schema: Schema) -> "Relation":
-        return cls(schema, ())
+    def of_columns(cls, schema: Schema, columns: list, length: int) -> "Relation":
+        """Adopt one ready column per attribute, each ``length`` long: a
+        value list, or a NULL-free typed array under
+        :func:`~repro.relalg.columnar.held_column`'s rule.
+
+        Nothing is copied or wrapped, and the caller vouches for the rule.
+        """
+        if len(columns) != len(schema):
+            raise SchemaError(
+                f"schema has {len(schema)} attributes but got {len(columns)} columns"
+            )
+        for attribute, column in zip(schema.attributes, columns):
+            if len(column) != length:
+                raise SchemaError(
+                    f"ragged columns: {attribute.name!r} has {len(column)} values, "
+                    f"expected {length}"
+                )
+        return cls.__new__(cls)._adopt(schema, columns, length)
 
     @classmethod
-    def from_columnar(cls, columnar: ColumnarRelation) -> "Relation":
-        """A relation holding ``columnar``: nothing is copied, and the rows
-        are built only when something reads :attr:`rows`."""
-        relation = cls.__new__(cls)
-        relation.schema = columnar.schema
-        relation._columnar = columnar
-        relation._rows = None
-        return relation
+    def empty(cls, schema: Schema) -> "Relation":
+        return cls(schema, ())
 
     @property
     def rows(self) -> list:
@@ -67,17 +105,18 @@ class Relation:
         and published complete)."""
         rows = self._rows
         if rows is None:
-            rows = self._rows = self._columnar.to_rows()
+            rows = self._rows = self._transposed()
         return rows
 
-    def to_columnar(self) -> ColumnarRelation:
-        """The columns this relation holds."""
-        return self._columnar
+    def _transposed(self) -> list:
+        if not self._columns:
+            return [()] * self._length
+        return list(zip(*map(as_list, self._columns)))
 
     # -- basics ----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._columnar)
+        return self._length
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)
@@ -88,55 +127,128 @@ class Relation:
     def __reduce__(self):
         # A relation pickles as its schema and rows; rows built here are not kept.
         rows = self._rows
-        return Relation, (self.schema, self._columnar.to_rows() if rows is None else rows)
+        return Relation, (self.schema, self._transposed() if rows is None else rows)
 
     def column(self, name: str) -> list:
         """All values of one attribute, in row order."""
-        return list(self._columnar.values(self.schema.position(name)))
+        return list(self.values(self.schema.position(name)))
+
+    # -- columns and their views ---------------------------------------------
+
+    def held(self) -> list:
+        """Every attribute's column as held (a typed array stays an array),
+        in schema order."""
+        return self._columns
+
+    def held_at(self, position: int):
+        """One attribute's column as held."""
+        return self._columns[position]
+
+    def values(self, position: int) -> list:
+        """One attribute's value list: a held list itself, or a typed
+        array's, derived for this caller."""
+        return as_list(self._columns[position])
+
+    def typed(self, position: int) -> tuple:
+        """The cached typed view ``(data, valid)`` of one attribute."""
+        view = self._typed.get(position)
+        if view is None:
+            view = self._typed[position] = self._view(position)  # published complete
+        return view
+
+    def _view(self, position: int) -> tuple:
+        """The typed view of one attribute: the cached one, else made anew."""
+        view = self._typed.get(position)
+        return typed_view([self._columns[position]]) if view is None else view
+
+    def _keys(self, positions: Sequence[int]) -> list:
+        """Each row's key at ``positions``, for the ``dict``."""
+        return _keys(list(map(self.values, positions)), self._length)
+
+    def matcher(self, positions: Sequence[int]) -> KeyMatcher:
+        """The cached :class:`~repro.relalg.columnar.KeyMatcher` of the key
+        at ``positions``."""
+        positions = tuple(positions)
+        matcher = self._matchers.get(positions)
+        if matcher is None:
+            matcher = _matcher(self._length, positions, self._view, self._keys)
+            self._matchers[positions] = matcher  # published complete
+        return matcher
+
+    def codes(self, positions: Sequence[int]) -> tuple:
+        """The cached first-seen factorization ``(firsts, codes)`` of the
+        key at ``positions`` (see :class:`~repro.relalg.columnar.KeyMatcher`)."""
+        matcher = self.matcher(positions)
+        return matcher.firsts, matcher.codes
+
+    def take(self, positions: Sequence[int], indices) -> list:
+        """The columns at ``positions``, each at ``indices`` (a typed array
+        gathers into a typed array)."""
+        return _take([self._columns[position] for position in positions], indices)
+
+    def gather(self, indices) -> "Relation":
+        """Rows at ``indices`` (ascending order preserves row order); a
+        typed array gathers into a typed array."""
+        return Relation.of_columns(self.schema, _take(self._columns, indices), len(indices))
+
+    def extended(self, schema: Schema, columns: list) -> "Relation":
+        """This relation's held columns plus row-aligned ``columns``, under
+        ``schema``; the views and matchers of this relation's columns
+        carry over."""
+        result = Relation.of_columns(schema, [*self._columns, *columns], self._length)
+        result._typed.update(self._typed)
+        result._matchers.update(self._matchers)
+        return result
+
+    def built_views(self) -> tuple:
+        """Names of the attributes with a typed view or in a factorized key."""
+        positions = set(self._typed).union(*self._matchers)
+        return tuple(name for position, name in enumerate(self.schema.names) if position in positions)
 
     # -- relational operators -----------------------------------------------------
 
     def select(self, condition: Expr) -> "Relation":
         """Rows satisfying ``condition`` (fields unqualified)."""
         mask = compiler.compile_mask(condition, {None: self.schema})
-        indices = mask(len(self), {None: (self._columnar, None)})
-        return Relation.from_columnar(self._columnar.gather(indices))
+        return self.gather(mask(len(self), {None: (self, None)}))
 
     def project(self, names: Sequence[str]) -> "Relation":
         """Projection (multiset — does not deduplicate, per SQL); the
         columns are shared."""
-        return Relation.from_columnar(self._columnar.project(self.schema.positions(names)))
-
-    def distinct(self) -> "Relation":
-        """Duplicate elimination, preserving first-seen row order, rows equal
-        as in :meth:`distinct_project`."""
-        return self._distinct(self.schema, range(len(self.schema)))
+        columns = [self._columns[position] for position in self.schema.positions(names)]
+        return Relation.of_columns(self.schema.project(names), columns, self._length)
 
     def distinct_project(self, names: Sequence[str]) -> "Relation":
-        """``distinct(project(names))`` in one pass, first-seen order.
+        """``project(names)`` without duplicates, in first-seen order.
 
         Rows are equal as ``dict`` keys are (``1 == 1.0 == True``, a NaN
         object only itself). The answer is each distinct key's first row,
         gathered from the key columns at the cached factorization of the
-        key, which a scan grouping on the same attributes probes with.
+        key, which a scan grouping on the same attributes probes with. A
+        sorted composite key is handed over as it is: every row of the
+        result is distinct, so a key's code is its position.
         """
-        return self._distinct(self.schema.project(names), self.schema.positions(names))
-
-    def _distinct(self, schema: Schema, positions: Sequence[int]) -> "Relation":
+        schema, positions = self.schema.project(names), self.schema.positions(names)
         if not positions:
             return Relation(schema, [()] if len(self) else [])
-        return Relation.from_columnar(self._columnar.distinct(schema, positions))
+        matcher = self.matcher(positions)
+        result = Relation.of_columns(schema, self.take(positions, matcher.firsts), len(matcher))
+        if isinstance(matcher, _SortedKeys):
+            result._matchers[tuple(range(len(positions)))] = matcher.renumbered()
+        return result
 
     def tail(self, start: int) -> "Relation":
         """The rows from position ``start`` on, in order."""
-        return Relation.from_columnar(self._columnar.gather(range(start, len(self))))
+        return self.gather(range(start, len(self)))
 
     def union_all(self, *others: "Relation") -> "Relation":
         """Multiset union, rows in order; schemas must be identical.
 
-        One schema check per relation and one concatenation per column
-        (:meth:`ColumnarRelation.concat`): k fragments copy each value once,
-        not once per later fragment.
+        One schema check per relation and one concatenation per column:
+        k fragments copy each value once, not once per later fragment. A
+        column the first non-empty part holds as a typed array stays one
+        when every non-empty part's typed view of it is NULL-free and of
+        that dtype; any other column is a value list.
         """
         for relation in others:
             if relation.schema != self.schema:
@@ -145,38 +257,40 @@ class Relation:
                 )
         if not others:
             return self
-        parts = [relation._columnar for relation in (self, *others)]
-        return Relation.from_columnar(ColumnarRelation.concat(self.schema, parts))
+        parts = [part for part in (self, *others) if len(part)] or [self]
+        columns = []
+        for position in range(len(self.schema)):
+            held = parts[0]._columns[position]
+            views = [part.typed(position) for part in parts] if type(held) is np.ndarray else ()
+            if views and all(
+                valid is None and data.dtype == held.dtype for data, valid in views
+            ):
+                columns.append(np.concatenate([data for data, _valid in views]))
+            else:
+                columns.append(list(chain.from_iterable(part.values(position) for part in parts)))
+        return Relation.of_columns(self.schema, columns, sum(map(len, parts)))
 
     def extend(self, name: str, type_name: str, expression: Expr) -> "Relation":
         """Append a computed column (fields of ``expression`` unqualified)."""
         schema = self.schema.concat(Schema([Attribute(name, type_name)]))
         batch = compiler.compile_batch_scalar(expression, {None: self.schema})
-        values = batch(len(self), {None: (self._columnar, None)})
-        return Relation.from_columnar(
-            self._columnar.extended(schema, [held_column(values, type_name)])
-        )
+        values = batch(len(self), {None: (self, None)})
+        return self.extended(schema, [held_column(values, type_name)])
 
     def rename(self, mapping: dict) -> "Relation":
-        columnar = self._columnar
-        return Relation.from_columnar(
-            ColumnarRelation.from_value_lists(
-                self.schema.rename(mapping), columnar.held(), len(columnar)
-            )
-        )
+        return Relation.of_columns(self.schema.rename(mapping), self._columns, self._length)
 
     def sorted_by(self, names: Sequence[str], descending: bool = False) -> "Relation":
         """Rows ordered by the given attributes (``None`` sorts first)."""
-        columns = [self._columnar.values(position) for position in self.schema.positions(names)]
+        columns = [self.values(position) for position in self.schema.positions(names)]
 
         def sort_key(row):
             return tuple((column[row] is not None, column[row]) for column in columns)
 
-        order = sorted(range(len(self)), key=sort_key, reverse=descending)
-        return Relation.from_columnar(self._columnar.gather(order))
+        return self.gather(sorted(range(len(self)), key=sort_key, reverse=descending))
 
     def limit(self, count: int) -> "Relation":
-        return Relation.from_columnar(self._columnar.gather(range(len(self))[:count]))
+        return self.gather(range(len(self))[:count])
 
     # -- comparison helpers (tests, synchronization checks) ----------------------
 

@@ -126,11 +126,10 @@ def canonical_order(relation: Relation, key_attrs) -> Relation:
     a time, the last attribute first, and the columns gathered: the
     order of sorting by each row's tuple of ``repr``s, with no row built.
     """
-    columnar = relation.to_columnar()
     order = list(range(len(relation)))
     for position in reversed(relation.schema.positions(list(key_attrs))):
-        order.sort(key=list(map(repr, columnar.values(position))).__getitem__)
-    return Relation.from_columnar(columnar.gather(order))
+        order.sort(key=list(map(repr, relation.values(position))).__getitem__)
+    return relation.gather(order)
 
 
 @dataclass

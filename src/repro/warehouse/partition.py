@@ -1,9 +1,12 @@
 """Partitioners: how a conceptual fact relation is split across sites.
 
 In the paper, data is partitioned by collection point (RouterId for
-flows, NationKey for the TPC-R experiments). A :class:`Partitioner`
-assigns each detail row to a site and — when possible — *describes* the
-distribution so the catalog can exploit it:
+flows, NationKey for the TPC-R experiments). A :class:`Partitioner` is a
+function of a relation's columns: :meth:`Partitioner.assign` gives every
+row's site as one array, and :meth:`Partitioner.split` gathers each
+site's rows from the columns, building no row tuple. When possible a
+partitioner also *describes* the distribution so the catalog can exploit
+it:
 
 - :meth:`Partitioner.site_predicate` returns φᵢ, a predicate every row at
   site *i* satisfies (Theorem 4's hypothesis), or ``None`` when the
@@ -21,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import WarehouseError
-from repro.relalg.columnar import ColumnarRelation, held_column
+from repro.relalg.columnar import as_list, held_column
 from repro.relalg.expressions import Expr, Field, DETAIL_VAR
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Schema
@@ -35,8 +38,8 @@ class Partitioner:
             raise WarehouseError(f"need at least one site, got {site_count}")
         self.site_count = site_count
 
-    def assign(self, row: tuple, schema: Schema) -> int:
-        """Site index in ``range(site_count)`` for one row."""
+    def assign(self, relation: Relation) -> np.ndarray:
+        """Each row's site index, in ``range(site_count)``, in row order."""
         raise NotImplementedError
 
     def site_predicate(self, site_index: int, schema: Schema) -> Optional[Expr]:
@@ -50,27 +53,24 @@ class Partitioner:
     def split(self, relation: Relation) -> list:
         """Partition a relation into ``site_count`` relations: each row's
         site, then each site's rows gathered from the columns."""
-        schema, columnar = relation.schema, relation.to_columnar()
-        assign = self.assign
-        sites = np.array([assign(row, schema) for row in columnar.iter_rows()], dtype=np.int64)
+        sites = self.assign(relation)
         wrong = (sites < 0) | (sites >= self.site_count)
         if wrong.any():
             raise WarehouseError(
                 f"partitioner assigned site {sites[wrong][0]}, valid range is "
                 f"0..{self.site_count - 1}"
             )
+        schema, positions = relation.schema, range(len(relation.schema))
         partitions = []
         for index in range(self.site_count):
-            part = columnar.gather(np.flatnonzero(sites == index))
+            rows = np.flatnonzero(sites == index)
             # A site's rows may meet the typed rule where the whole did not
             # (its NULLs went elsewhere): hold them as a site server would.
             columns = [
                 held_column(column, attribute.type)
-                for column, attribute in zip(part.held(), schema.attributes)
+                for column, attribute in zip(relation.take(positions, rows), schema.attributes)
             ]
-            partitions.append(
-                Relation.from_columnar(ColumnarRelation.from_value_lists(schema, columns, len(part)))
-            )
+            partitions.append(Relation.of_columns(schema, columns, len(rows)))
         return partitions
 
 
@@ -97,14 +97,21 @@ class ValueListPartitioner(Partitioner):
         assignment = {value: index % site_count for index, value in enumerate(sorted(values))}
         return cls(attribute, assignment, site_count)
 
-    def assign(self, row, schema):
-        value = row[schema.position(self.attribute)]
-        try:
-            return self.assignment[value]
-        except KeyError:
-            raise WarehouseError(
-                f"value {value!r} of {self.attribute!r} has no assigned site"
-            ) from None
+    def assign(self, relation):
+        """One lookup per distinct value, keys equal as ``dict`` keys are
+        (the relation's cached factorization of the attribute), then a
+        gather by each row's code."""
+        position = (relation.schema.position(self.attribute),)
+        firsts, codes = relation.codes(position)
+        sites = []
+        for value in as_list(relation.take(position, firsts)[0]):
+            site = self.assignment.get(value)
+            if site is None:
+                raise WarehouseError(
+                    f"value {value!r} of {self.attribute!r} has no assigned site"
+                )
+            sites.append(site)
+        return np.array(sites, dtype=np.int64)[codes]
 
     def site_predicate(self, site_index, schema):
         values = frozenset(
@@ -141,14 +148,16 @@ class RangePartitioner(Partitioner):
         self.attribute = attribute
         self.boundaries = boundaries
 
-    def assign(self, row, schema):
-        value = row[schema.position(self.attribute)]
-        if value is None:
+    def assign(self, relation):
+        """The first boundary at or above each value, by one binary search.
+        NULL and NaN satisfy no φᵢ, so they are refused."""
+        data, valid = relation.typed(relation.schema.position(self.attribute))
+        if valid is not None and not valid.all():
             raise WarehouseError(f"NULL {self.attribute!r} cannot be range-partitioned")
-        for index, bound in enumerate(self.boundaries):
-            if value <= bound:
-                return index
-        return self.site_count - 1
+        if (data != data).any():  # NaN, the one value unequal to itself
+            raise WarehouseError(f"NaN {self.attribute!r} cannot be range-partitioned")
+        boundaries = np.array(self.boundaries, dtype=object if data.dtype == object else None)
+        return np.searchsorted(boundaries, data, side="left")
 
     def site_predicate(self, site_index, schema):
         field = Field(self.attribute, DETAIL_VAR)
@@ -178,9 +187,13 @@ class HashPartitioner(Partitioner):
         if not self.attributes:
             raise WarehouseError("hash partitioner needs at least one attribute")
 
-    def assign(self, row, schema):
-        key = tuple(row[schema.position(name)] for name in self.attributes)
-        return _stable_hash(key) % self.site_count
+    def assign(self, relation):
+        """The hash of each row's key values' ``repr``s, once per distinct
+        text: ``1``, ``1.0`` and ``True`` hash apart."""
+        columns = [relation.values(position) for position in relation.schema.positions(self.attributes)]
+        texts = list(map("".join, zip(*[map(repr, column) for column in columns])))
+        site_of = {text: _stable_hash(text) % self.site_count for text in dict.fromkeys(texts)}
+        return np.fromiter(map(site_of.__getitem__, texts), dtype=np.int64, count=len(texts))
 
     def partition_attributes(self):
         # A combination of attributes is a partition "attribute" only when
@@ -196,25 +209,15 @@ class RoundRobinPartitioner(Partitioner):
     every site — used as the "no knowledge" baseline in tests.
     """
 
-    def assign(self, row, schema):
-        index = self._counter
-        self._counter = (index + 1) % self.site_count
-        return index
-
-    def split(self, relation):
-        self._counter = 0
-        return super().split(relation)
-
-    def __init__(self, site_count: int):
-        super().__init__(site_count)
-        self._counter = 0
+    def assign(self, relation):
+        return np.arange(len(relation)) % self.site_count
 
 
-def _stable_hash(key: tuple) -> int:
-    """A process-independent hash (Python's ``hash`` is salted for str)."""
+def _stable_hash(text: str) -> int:
+    """A process-independent hash (Python's ``hash`` is salted for str):
+    FNV-1a over the UTF-8 bytes of ``text``."""
     result = 1469598103934665603  # FNV-1a offset basis
-    for part in key:
-        for byte in repr(part).encode("utf-8"):
-            result ^= byte
-            result = (result * 1099511628211) % (1 << 64)
+    for byte in text.encode("utf-8"):
+        result ^= byte
+        result = (result * 1099511628211) % (1 << 64)
     return result

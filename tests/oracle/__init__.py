@@ -12,6 +12,8 @@ holds the ``dict`` key mechanisms that both implementations of the one
 key interface (``columnar.KeyMatcher``) must match; ``keys.dict_keys()``
 makes its selector pick the ``dict``. :mod:`oracle.order` is the per-row
 ``repr`` sort the service's column sort of served rows must match.
+:mod:`oracle.partition` places rows one at a time, the rule every
+partitioner's column-wise ``assign`` must match.
 """
 
 from oracle.codec import FORMATS, decode_relation_reference, encode_relation_reference

@@ -68,14 +68,13 @@ def theta_join(left: Relation, right: Relation, condition: Expr) -> Relation:
     schemas = {BASE_VAR: left.schema, DETAIL_VAR: right.schema}
     # One selection vector over the right relation's columns per left row.
     mask = compiler.compile_mask(condition, schemas)
-    left_columns, right_columns = left.to_columnar(), right.to_columnar()
     right_count = len(right.rows)
     right_rows = right.rows
     rows = []
     for index, l_row in enumerate(left.rows):
         sources = {
-            BASE_VAR: (left_columns, np.full(right_count, index)),
-            DETAIL_VAR: (right_columns, None),
+            BASE_VAR: (left, np.full(right_count, index)),
+            DETAIL_VAR: (right, None),
         }
         for r_index in mask(right_count, sources).tolist():
             rows.append(l_row + right_rows[r_index])

@@ -14,7 +14,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle import canonical_order_reference
-from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, STR, Attribute, Schema
 from repro.service import canonical_order
@@ -49,8 +48,7 @@ def relations(draw):
                 else np.array(values, dtype=np.float64) if kinds == {float}
                 else values
             )
-        columnar = ColumnarRelation.from_value_lists(schema, columns, len(rows))
-        relation = Relation.from_columnar(columnar)
+        relation = Relation.of_columns(schema, columns, len(rows))
     return relation, keys
 
 

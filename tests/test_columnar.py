@@ -25,7 +25,7 @@ from repro.gmdj.blocks import MDBlock
 from repro.net import serialize
 from repro.relalg import compiler
 from repro.relalg.aggregates import AggSpec, count_star
-from repro.relalg.columnar import Column, ColumnarRelation, as_list
+from repro.relalg.columnar import as_list
 from repro.relalg.expressions import BASE_VAR, DETAIL_VAR, Const, base, col, detail
 from repro.relalg.relation import Relation
 from repro.relalg.schema import BOOL, DATE, FLOAT, INT, STR, Schema
@@ -54,9 +54,9 @@ def random_mixed_relation(count, seed, null_rate=0.2):
     return Relation(MIXED_SCHEMA, rows)
 
 
-def distinct_keys(columnar, positions, firsts):
+def distinct_keys(relation, positions, firsts):
     """The distinct keys a factorization names: its first rows' key tuples."""
-    return list(zip(*map(as_list, columnar.take(positions, firsts))))
+    return list(zip(*map(as_list, relation.take(positions, firsts))))
 
 
 # ---------------------------------------------------------------------------
@@ -67,52 +67,53 @@ def distinct_keys(columnar, positions, firsts):
 class TestColumnarRelation:
     def test_round_trip_preserves_rows_and_order(self):
         relation = random_mixed_relation(100, seed=1)
-        columnar = relation.to_columnar()
-        assert columnar.to_rows() == list(relation.rows)
-        assert len(columnar) == 100
+        rebuilt = Relation.of_columns(relation.schema, relation.held(), len(relation))
+        assert rebuilt._rows is None
+        assert rebuilt.rows == list(relation.rows)
+        assert len(rebuilt) == 100
 
-    def test_relation_to_columnar_is_cached(self):
+    def test_a_relation_holds_its_columns_once(self):
         relation = random_mixed_relation(10, seed=2)
-        assert relation.to_columnar() is relation.to_columnar()
+        assert relation.held() is relation.held()
+        assert len(relation.held()) == len(relation.schema)
 
-    def test_from_columnar_seeds_the_cache(self):
+    def test_of_columns_adopts_the_columns_it_is_handed(self):
         relation = random_mixed_relation(10, seed=3)
-        columnar = relation.to_columnar()
-        rebuilt = Relation.from_columnar(columnar)
+        columns = relation.held()
+        rebuilt = Relation.of_columns(relation.schema, columns, len(relation))
         assert rebuilt.rows == relation.rows
-        assert rebuilt.to_columnar() is columnar
+        assert rebuilt.held() is columns
 
     def test_gather_selects_rows_by_index(self):
         relation = random_mixed_relation(20, seed=4)
-        columnar = relation.to_columnar()
-        gathered = columnar.gather([3, 0, 17])
-        assert gathered.to_rows() == [
+        gathered = relation.gather([3, 0, 17])
+        assert gathered.rows == [
             relation.rows[3], relation.rows[0], relation.rows[17]
         ]
 
     def test_ragged_columns_rejected(self):
         with pytest.raises(SchemaError):
-            ColumnarRelation(
-                Schema.of(("a", INT), ("b", INT)),
-                [Column("a", INT, [1, 2]), Column("b", INT, [1])],
-            )
+            Relation.of_columns(Schema.of(("a", INT), ("b", INT)), [[1, 2], [1]], 2)
+        with pytest.raises(SchemaError):
+            Relation.of_columns(Schema.of(("a", INT)), [np.arange(3)], 2)
 
     def test_column_count_must_match_schema(self):
         with pytest.raises(SchemaError):
-            ColumnarRelation(Schema.of(("a", INT)), [])
+            Relation.of_columns(Schema.of(("a", INT)), [], 0)
 
     def test_zero_column_relation_keeps_length(self):
-        columnar = Relation(Schema.of(), [(), (), ()]).to_columnar()
-        assert len(columnar) == 3
-        assert columnar.to_rows() == [(), (), ()]
+        relation = Relation(Schema.of(), [(), (), ()])
+        assert len(relation) == 3
+        assert relation._transposed() == [(), (), ()]
+        assert Relation.of_columns(Schema.of(), [], 3).rows == [(), (), ()]
 
     def test_a_built_column_is_wrapped_not_copied(self):
-        columnar = random_mixed_relation(10, seed=41).to_columnar()
-        values = columnar.held_at(2)  # STR: a value list
+        relation = random_mixed_relation(10, seed=41)
+        values = relation.held_at(2)  # STR: a value list
         assert type(values) is list
-        assert columnar.column("s").values is values
-        assert columnar.columns[2].values is values
-        assert columnar.values(2) is values
+        assert relation.project(["s"]).held_at(0) is values
+        assert relation.held()[2] is values
+        assert relation.values(2) is values
 
     def test_typed_views_pick_an_exact_dtype(self):
         relation = Relation(
@@ -123,26 +124,25 @@ class TestColumnarRelation:
                 (-7, -0.0, 3, 2, "y"),
             ],
         )
-        columnar = relation.to_columnar()
-        data, valid = columnar.typed(0)
+        data, valid = relation.typed(0)
         assert data.dtype == np.int64 and data.tolist() == [5, 0, -7]
         assert valid.tolist() == [True, False, True]
-        data, valid = columnar.typed(1)
+        data, valid = relation.typed(1)
         assert data.dtype == np.float64 and [repr(v) for v in data[[0, 2]].tolist()] == ["1.5", "-0.0"]
         # A bool among ints, an int past 2**53, a string: the values themselves.
         for position in (2, 3, 4):
-            data, valid = columnar.typed(position)
+            data, valid = relation.typed(position)
             assert data.dtype == object
             assert data.tolist() == [row[position] for row in relation.rows]
-        assert type(columnar.typed(2)[0][0]) is bool
-        assert columnar.typed(0) is columnar.typed(0)  # cached
+        assert type(relation.typed(2)[0][0]) is bool
+        assert relation.typed(0) is relation.typed(0)  # cached
 
     def test_sequence_values_are_one_element_each(self):
         """Equal-length tuples or lists are values, not a second axis: the
         object view is one-dimensional, NULLs or not."""
         for values in ([(1, 2), (3, 4)], [[1, 2], [3, 4]], [(1, 2), None]):
             relation = Relation(Schema.of(("t", STR),), [(value,) for value in values])
-            data, _valid = relation.to_columnar().typed(0)
+            data, _valid = relation.typed(0)
             assert data.shape == (len(values),)
             assert data.tolist() == values
             # A selection over the column sees each whole value.
@@ -153,38 +153,36 @@ class TestColumnarRelation:
             Schema.of(("s", STR), ("k", FLOAT)),
             [("b", 1.0), ("a", 1), (None, True), ("b", 2.0), ("c", None), ("a", 1.0)],
         )
-        columnar = relation.to_columnar()
-        firsts, codes = columnar.codes([0])
-        assert distinct_keys(columnar, [0], firsts) == [("b",), ("a",), (None,), ("c",)]
+        firsts, codes = relation.codes([0])
+        assert distinct_keys(relation, [0], firsts) == [("b",), ("a",), (None,), ("c",)]
         assert codes.tolist() == [0, 1, 2, 0, 3, 1]
         assert codes.dtype == np.int8
         # 1, 1.0 and True are one key, as a dict probe sees them.
-        firsts, codes = columnar.codes([1])
-        assert distinct_keys(columnar, [1], firsts) == [(1.0,), (2.0,), (None,)]
+        firsts, codes = relation.codes([1])
+        assert distinct_keys(relation, [1], firsts) == [(1.0,), (2.0,), (None,)]
         assert codes.tolist() == [0, 0, 0, 1, 2, 0]
-        firsts, codes = columnar.codes([0, 1])
+        firsts, codes = relation.codes([0, 1])
         assert firsts.tolist() == [0, 1, 2, 3, 4]
-        assert distinct_keys(columnar, [0, 1], firsts) == [
+        assert distinct_keys(relation, [0, 1], firsts) == [
             ("b", 1.0), ("a", 1), (None, True), ("b", 2.0), ("c", None)
         ]
         assert codes.tolist() == [0, 1, 2, 3, 4, 1]
-        assert columnar.matcher((0,)) is columnar.matcher([0])
-        assert columnar.built_views() == ("s", "k")
+        assert relation.matcher((0,)) is relation.matcher([0])
+        assert relation.built_views() == ("s", "k")
 
     def test_racing_threads_get_equal_complete_views(self):
         relation = random_mixed_relation(20000, seed=43)
         expected_floats = [row[1] for row in relation.rows]
         expected_keys = list(dict.fromkeys((row[2], row[3]) for row in relation.rows))
-        columnar = relation.to_columnar()
         threads_count = 4 * (os.cpu_count() or 1) + 4
         start = threading.Barrier(threads_count)
         seen = []
 
         def read():
             start.wait(timeout=10)
-            data, valid = columnar.typed(1)
-            firsts, codes = columnar.codes((2, 3))
-            uniques = distinct_keys(columnar, (2, 3), firsts)
+            data, valid = relation.typed(1)
+            firsts, codes = relation.codes((2, 3))
+            uniques = distinct_keys(relation, (2, 3), firsts)
             seen.append((
                 [None if not ok else value for value, ok in zip(data.tolist(), valid)],
                 uniques,
@@ -220,7 +218,7 @@ class TestBatchKernels:
         predicate = compiler.compile_predicate(
             condition, {None: relation.schema}, (None,)
         )
-        indices = mask(len(relation), {None: (relation.to_columnar(), None)})
+        indices = mask(len(relation), {None: (relation, None)})
         expected = [
             index for index, row in enumerate(relation.rows) if predicate(row)
         ]
@@ -229,7 +227,7 @@ class TestBatchKernels:
     def test_mask_null_comparisons_are_false(self):
         relation = Relation(Schema.of(("i", INT)), [(None,), (1,), (-1,)])
         mask = compiler.compile_mask(col.i > Const(0), {None: relation.schema})
-        assert mask(3, {None: (relation.to_columnar(), None)}).tolist() == [1]
+        assert mask(3, {None: (relation, None)}).tolist() == [1]
 
     def test_batch_scalar_matches_row_scalar(self):
         relation = random_mixed_relation(150, seed=6)
@@ -238,7 +236,7 @@ class TestBatchKernels:
         scalar = compiler.compile_scalar(
             expression, {None: relation.schema}, (None,)
         )
-        values = batch(len(relation), {None: (relation.to_columnar(), None)})
+        values = batch(len(relation), {None: (relation, None)})
         assert values == [scalar(row) for row in relation.rows]
 
     def test_select_and_extend_identical_across_engines(self):
@@ -328,7 +326,7 @@ class TestGMDJColumnar:
         columnar_result = expression.evaluate_centralized({"TPCR": tpcr})
         # The base-values query and both scans read NationKey's codes and
         # Price's typed view, and no other attribute's.
-        assert tpcr.to_columnar().built_views() == ("NationKey", "Price")
+        assert tpcr.built_views() == ("NationKey", "Price")
         with row_scan():
             row_result = expression.evaluate_centralized({"TPCR": tpcr})
         assert columnar_result.rows == row_result.rows

@@ -109,7 +109,7 @@ _MIXED = Schema.of(("name", STR), ("score", FLOAT))
 def _sources(schemas, params, rows):
     """One row per relation variable, as the vector kernels' sources."""
     return {
-        relvar: (Relation(schemas[relvar], [row]).to_columnar(), None)
+        relvar: (Relation(schemas[relvar], [row]), None)
         for relvar, row in zip(params, rows)
     }
 

@@ -11,7 +11,6 @@ from repro.gmdj.blocks import MDBlock
 from repro.gmdj.operator import SyncSession, evaluate, evaluate_both, evaluate_sub, super_aggregate
 from repro.relalg import columnar, compiler
 from repro.relalg.aggregates import AggSpec, count_star
-from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.expressions import base, detail
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, STR, Schema
@@ -229,9 +228,7 @@ def test_the_scan_builds_no_base_rows():
     """A base-only conjunct and a computed base key run on the base's
     columns: a column-backed base builds no rows."""
     schema = Schema.of(("g", INT), ("h", INT))
-    base_relation = Relation.from_columnar(
-        ColumnarRelation.from_value_lists(schema, [[0, 1, 2], [5, -1, 7]], 3)
-    )
+    base_relation = Relation.of_columns(schema, [[0, 1, 2], [5, -1, 7]], 3)
     detail_relation = Relation(
         Schema.of(("g", INT), ("h", INT), ("v", FLOAT)),
         [(0, 5, 1.0), (1, -1, 2.0), (2, 7, 4.0), (0, 7, 8.0)],
@@ -262,12 +259,12 @@ def test_a_key_of_one_base_row_folds_by_key_code(monkeypatch, width):
                              [(g, g % 7)[:width] for g in range(1000)])
     rng = random.Random(34)
     keys = [(g, g % 7) for g in rng.sample(range(1000), 10)]
-    detail_relation = Relation.from_columnar(ColumnarRelation.from_value_lists(
+    detail_relation = Relation.of_columns(
         schema,
         [*map(list, zip(*(keys[i % 10][:width] for i in range(10**5)))),
          [rng.uniform(-5, 5) for _ in range(10**5)]],
         10**5,
-    ))
+    )
     condition = base.g == detail.g
     if width == 2:
         condition = condition & (base.h == detail.h)

@@ -1,5 +1,6 @@
 """Unit tests for partitioners, including the φᵢ truthfulness contract."""
 
+import numpy as np
 import pytest
 
 from conftest import same_rows
@@ -105,6 +106,13 @@ class TestRangePartitioner:
         with pytest.raises(WarehouseError):
             partitioner.split(relation)
 
+    def test_phi_truthful_over_nan(self):
+        """NaN satisfies no φᵢ (``v > 5.0`` is false for it), so a NaN row
+        is refused as a NULL one is, rather than placed where φᵢ fails."""
+        relation = Relation(SCHEMA, [(1, 1.0), (2, float("nan")), (9, 9.0)])
+        with pytest.raises(WarehouseError, match="NaN"):
+            assert_phi_truthful(RangePartitioner("v", [5.0], 2), relation)
+
 
 class TestHashPartitioner:
     def test_deterministic_and_complete(self):
@@ -156,8 +164,8 @@ class TestPartitionerBase:
 
     def test_bad_assignment_detected(self):
         class Broken(Partitioner):
-            def assign(self, row, schema):
-                return 99
+            def assign(self, relation):
+                return np.full(len(relation), 99)
 
         with pytest.raises(WarehouseError):
             Broken(2).split(RELATION)

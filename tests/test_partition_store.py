@@ -80,17 +80,17 @@ def test_every_partition_file_is_format_v3(tmp_path):
 def test_a_large_decode_holds_typed_arrays_and_derives_the_lists(tmp_path):
     root = store_of(tmp_path, {"Palette": PALETTE})
     as_arrays = loaded(root)
-    held = as_arrays.to_columnar().held()
+    held = as_arrays.held()
     for position, name in enumerate(PALETTE.schema.names):
-        derived = as_arrays.to_columnar().values(position)
+        derived = as_arrays.values(position)
         assert repr(derived) == repr([row[position] for row in PALETTE.rows])
         if name in TYPED:
             assert type(held[position]) is np.ndarray
             assert held[position].dtype == TYPED[name]
-            data, valid = as_arrays.to_columnar().typed(position)
+            data, valid = as_arrays.typed(position)
             assert data is held[position] and valid is None
             # Derived per request, never kept.
-            assert derived is not as_arrays.to_columnar().values(position)
+            assert derived is not as_arrays.values(position)
         else:  # NULLs, beyond ±2**53, or not a number: a value list
             assert type(held[position]) is list
     assert as_arrays._rows is None
@@ -102,7 +102,7 @@ def kinds(relation: Relation) -> list:
     """Each attribute's column kind: an array's dtype, or ``list``."""
     return [
         column.dtype if type(column) is np.ndarray else type(column)
-        for column in relation.to_columnar().held()
+        for column in relation.held()
     ]
 
 
@@ -135,11 +135,11 @@ def test_a_column_beyond_2_to_the_53_stays_a_list(tmp_path):
         for beyond in (edge + (1 if edge > 0 else -1), 2**64, -(2**64)):
             relation = Relation(PALETTE.schema.project(["small"]), [(edge,), (beyond,)])
             root = store_of(tmp_path / str(beyond), {"Palette": relation})
-            held = loaded(root).to_columnar().held()[0]
+            held = loaded(root).held()[0]
             assert type(held) is list and repr(held) == repr([edge, beyond])
         relation = Relation(PALETTE.schema.project(["small"]), [(edge,), (0,)])
         held = loaded(store_of(tmp_path / str(edge), {"Palette": relation}))
-        assert held.to_columnar().typed(0)[0].tolist() == [edge, 0]
+        assert held.typed(0)[0].tolist() == [edge, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def palette_with_tail(tail) -> Relation:
 
 def store_with_tail(root, tail) -> str:
     root = store_of(root, {"Palette": palette_with_tail(tail)})
-    held = loaded(root).to_columnar().held()
+    held = loaded(root).held()
     for position, name in enumerate(PALETTE.schema.names):
         if name in TYPED:
             assert type(held[position]) is (list if tail is None else np.ndarray)
@@ -245,9 +245,9 @@ def test_union_all_reads_the_columns(tmp_path):
         assert union._rows is None
         assert len(union) == 3 * len(PALETTE)
         for name, dtype in TYPED.items():
-            data, valid = union.to_columnar().typed(PALETTE.schema.position(name))
+            data, valid = union.typed(PALETTE.schema.position(name))
             assert data.dtype == dtype and valid is None
-            assert data is union.to_columnar().held_at(PALETTE.schema.position(name))
+            assert data is union.held_at(PALETTE.schema.position(name))
         assert repr(union.rows) == expected
     assert first._rows is None and second._rows is None
 
@@ -313,7 +313,7 @@ def test_a_loaded_site_answers_the_scan_statements_from_its_columns(tmp_path):
     assert table._rows is None
     for position, attribute in enumerate(table.schema):
         if attribute.type in ("int", "float"):  # TPCR has no NULL, no int past 2**53
-            assert type(table.to_columnar().held_at(position)) is np.ndarray
+            assert type(table.held_at(position)) is np.ndarray
     assert [repr(answer.rows) for answer in got] == [
         repr(answer.rows) for answer in answers(built)
     ]

@@ -118,12 +118,11 @@ def test_round_trip_identity(relation):
     assert decoded.schema == relation.schema
     assert _identity(decoded.rows) == _identity(reference.rows)
     # The decoder holds each column as a relation made from its values would.
-    columnar = decoded.to_columnar()
     for position, attribute in enumerate(relation.schema.attributes):
-        rule = held_column(columnar.values(position), attribute.type)
-        assert type(columnar.held_at(position)) is type(rule)
+        rule = held_column(decoded.values(position), attribute.type)
+        assert type(decoded.held_at(position)) is type(rule)
     if len(relation.schema):
-        assert _identity(columnar.to_rows()) == _identity(reference.rows)
+        assert _identity(decoded._transposed()) == _identity(reference.rows)
 
 
 @given(relations(max_rows=40))

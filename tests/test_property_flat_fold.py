@@ -44,7 +44,6 @@ from repro.relalg.aggregates import (
     count_star,
     register_aggregate,
 )
-from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.expressions import base, detail
 from repro.relalg.relation import Relation
 from repro.relalg.schema import INT, STR, Attribute, Schema
@@ -424,7 +423,7 @@ def test_a_round_trip_builds_no_rows(monkeypatch):
     ``commit_sync`` an S5 round trip stays columns: Hᵢ, its v3 blocks,
     the fold and X. Only the caller reading the answer builds its rows.
     Its two-attribute int key is one composite there too: no key tuple is
-    built (``ColumnarRelation._keys`` over several positions)."""
+    built (``Relation._keys`` over several positions)."""
     cluster = SimulatedCluster.with_sites(2)
     cluster.load_partitioned(
         "TPCR", generate_tpcr(TPCRConfig(scale=0.0002, seed=101)), nation_partitioner(2)
@@ -453,7 +452,7 @@ def test_a_round_trip_builds_no_rows(monkeypatch):
     def counted():
         window["rows"] += window["open"]
 
-    value_keys = ColumnarRelation._keys
+    value_keys = Relation._keys
 
     def keys(self, positions):
         window["key_tuples"] += window["open"] and len(positions) > 1
@@ -461,8 +460,8 @@ def test_a_round_trip_builds_no_rows(monkeypatch):
 
     monkeypatch.setattr(SkallaSite, "evaluate_round", wrap(SkallaSite.evaluate_round, opened))
     monkeypatch.setattr(Coordinator, "commit_sync", wrap(Coordinator.commit_sync, after=closed))
-    monkeypatch.setattr(ColumnarRelation, "to_rows", wrap(ColumnarRelation.to_rows, counted))
-    monkeypatch.setattr(ColumnarRelation, "_keys", keys)
+    monkeypatch.setattr(Relation, "_transposed", wrap(Relation._transposed, counted))
+    monkeypatch.setattr(Relation, "_keys", keys)
     monkeypatch.setattr(columnar, "COMPOSITE_MIN_ROWS", 0)  # a small cluster's relations
 
     statement = parse_olap_statement(S5_FINE_GROUPS)

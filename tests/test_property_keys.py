@@ -1,6 +1,6 @@
 """The one key interface against the ``dict`` oracle, on both implementations.
 
-Every key match goes through :meth:`ColumnarRelation.matcher`'s
+Every key match goes through :meth:`Relation.matcher`'s
 :class:`~repro.relalg.columnar.KeyMatcher`: the factorization, ``find``,
 the coordinator's sync probe and the MD-join's per-key candidate base rows.
 One selector picks the sorted ``int64`` composite or the ``dict`` by the
@@ -124,7 +124,7 @@ def test_the_composite_key_path_is_the_dict_path(sides):
 def check_the_key_interface(width, left, right, candidates, computed, composite_allowed):
     positions = list(range(width))
     left_keys, right_keys = oracle.keys(left, positions), oracle.keys(right, positions)
-    base, detail = relation(left, width).to_columnar(), relation(right, width).to_columnar()
+    base, detail = relation(left, width), relation(right, width)
 
     # Codes: the same first rows and codes, in first-seen order.
     for side, rows, keys in ((base, left, left_keys), (detail, right, right_keys)):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import adversarial_rows
 from repro.net.serialize import encode_relation
-from repro.relalg.columnar import EXACT_INT, ColumnarRelation
+from repro.relalg.columnar import EXACT_INT
 from repro.relalg.relation import Relation
 from repro.relalg.schema import BOOL, DATE, FLOAT, INT, STR, Attribute, Schema
 
@@ -75,12 +75,11 @@ def check_rows_round_trip(schema: Schema, rows: list) -> None:
     relation = Relation(schema, rows)
     assert relation._rows is None  # no row tuple is kept
     assert len(relation) == len(rows)
-    columnar = relation.to_columnar()
     for position, attribute in enumerate(schema.attributes):
         values = [row[position] for row in rows]
-        held = columnar.held_at(position)
+        held = relation.held_at(position)
         assert (type(held) is np.ndarray) == typed_by_rule(attribute.type, values)
-        assert repr(columnar.values(position)) == repr(values)
+        assert repr(relation.values(position)) == repr(values)
     assert repr(relation.rows) == repr(rows)
 
 
@@ -111,7 +110,7 @@ def encoded_both_ways(attribute: Attribute, values: list) -> tuple:
     schema = Schema([attribute])
     dtype = np.int64 if attribute.type == INT else np.float64
     as_list, as_array = (
-        Relation.from_columnar(ColumnarRelation.from_value_lists(schema, [column], len(values)))
+        Relation.of_columns(schema, [column], len(values))
         for column in (list(values), np.array(values, dtype=dtype))
     )
     return encode_relation(as_list), encode_relation(as_array)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import same_rows
 
 from repro.errors import SchemaError, TypeMismatchError
-from repro.relalg.columnar import ColumnarRelation, as_list
+from repro.relalg.columnar import as_list
 from repro.relalg.expressions import col
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, STR, Schema
@@ -57,7 +57,7 @@ class TestConstruction:
 
     def test_a_relation_holds_its_columns_and_derives_its_rows(self):
         relation = make()
-        held = relation.to_columnar().held()
+        held = relation.held()
         assert type(held[0]) is np.ndarray and held[0].dtype == np.int64
         assert type(held[1]) is list  # a NULL
         assert type(held[2]) is list
@@ -101,7 +101,7 @@ class TestOperators:
 
     def test_distinct(self):
         relation = Relation(SCHEMA, ROWS + ROWS)
-        assert len(relation.distinct()) == 4
+        assert len(relation.distinct_project(relation.schema.names)) == 4
 
     def test_distinct_project(self):
         result = make().distinct_project(["k"])
@@ -148,9 +148,9 @@ class TestOperators:
         columns = [list(values) for values in zip(*rows)] if rows else [[], [], []]
         for relation in (
             Relation(SCHEMA, rows),
-            Relation.from_columnar(ColumnarRelation.from_value_lists(SCHEMA, columns, len(rows))),
+            Relation.of_columns(SCHEMA, columns, len(rows)),
         ):
-            distinct = relation.distinct()
+            distinct = relation.distinct_project(relation.schema.names)
             assert distinct.schema == SCHEMA
             assert _typed(distinct.rows) == _typed(self.reference_distinct(relation))
             projected = relation.distinct_project(names)
@@ -165,10 +165,8 @@ class TestOperators:
         mixed = [[1, 1.0, True, 2, nan, nan, float("nan")], ["x", "x", "x", "y", None, None, None]]
         ints = [np.array([3, 1, 3, 2]), np.array([0, 0, 0, -5])]  # the int composite
         for columns in (mixed, ints):
-            relation = Relation.from_columnar(
-                ColumnarRelation.from_value_lists(schema, columns, len(columns[0]))
-            )
-            distinct = relation.distinct()
+            relation = Relation.of_columns(schema, columns, len(columns[0]))
+            distinct = relation.distinct_project(relation.schema.names)
             assert relation._rows is None and distinct._rows is None
             rows = list(zip(*map(as_list, columns)))
             assert _typed(distinct.rows) == _typed(list(dict.fromkeys(rows)))
@@ -250,7 +248,7 @@ class TestPickle:
         assert len(warm) == len(cold)
         back = pickle.loads(warm)
         assert back.schema == relation.schema and back.rows == relation.rows
-        assert back.to_columnar().built_views() == ()
+        assert back.built_views() == ()
 
 
 class TestNaNKeys:
@@ -275,7 +273,7 @@ class TestNaNKeys:
         relation = Relation(self.SCHEMA, self.ROWS)
         decoded = decode_relation(encode_relation(relation))
         for table in (relation, decoded):
-            assert type(table.to_columnar().held_at(0)) is np.ndarray
+            assert type(table.held_at(0)) is np.ndarray
             assert repr(table.distinct_project(["k"]).rows) == "[(nan,), (1.0,), (nan,), (nan,)]"
             grouped = statement.apply_post(statement.expression.evaluate_centralized({"T": table}))
             assert list(map(repr, grouped.rows)) == self.GROUPED

@@ -401,10 +401,10 @@ class TestColumnFormat:
         by_column = decode_relation(encode_relation(relation))
         by_row = decode_relation_reference(encode_relation_reference(relation))
         assert by_column.rows == by_row.rows == relation.rows
-        kinds = [type(column) for column in relation.to_columnar().held()]
-        assert [type(column) for column in by_column.to_columnar().held()] == kinds
-        assert [type(column) for column in by_row.to_columnar().held()] == kinds
-        assert [by_column.to_columnar().values(position) for position in range(5)] == [
+        kinds = [type(column) for column in relation.held()]
+        assert [type(column) for column in by_column.held()] == kinds
+        assert [type(column) for column in by_row.held()] == kinds
+        assert [by_column.values(position) for position in range(5)] == [
             [row[position] for row in relation.rows] for position in range(5)
         ]
 
@@ -421,7 +421,7 @@ class TestTypedColumns:
 
     @staticmethod
     def held(relation: Relation) -> list:
-        return decode_relation(encode_relation(relation)).to_columnar().held()
+        return decode_relation(encode_relation(relation)).held()
 
     @pytest.mark.parametrize("rows", [1, 12, 5_000])
     def test_int_and_float_columns_decode_to_typed_arrays(self, rows):
@@ -503,7 +503,7 @@ class TestRepeatedBlocks:
         assert payload == two_ints(b"\x02\x00")
         decoded = decode_relation(payload)
         assert decoded.rows == relation.rows
-        first, second = decoded.to_columnar().held()
+        first, second = decoded.held()
         assert first is not second  # a copy: no two columns share a list
 
     def test_equal_values_of_another_type_are_not_referenced(self):

@@ -278,7 +278,7 @@ def test_partition_store_round_trips_every_site(tmp_path):
 
 
 def typed_repr(relation, position: int) -> tuple:
-    data, valid = relation.to_columnar().typed(position)
+    data, valid = relation.typed(position)
     return data.dtype, repr(data.tolist()), None if valid is None else valid.tolist()
 
 

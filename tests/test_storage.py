@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.errors import SchemaError, WarehouseError
-from repro.relalg.columnar import ColumnarRelation
 from repro.relalg.relation import Relation
 from repro.relalg.schema import INT, Schema
 from repro.warehouse.storage import LocalWarehouse
@@ -141,9 +140,7 @@ class TestAppendLog:
             assert len({id(table) for table in seen}) == 1
 
     def test_appended_since_slices_a_column_backed_table(self):
-        held = Relation.from_columnar(
-            ColumnarRelation.from_value_lists(SCHEMA, [np.arange(4, dtype=np.int64)], 4)
-        )
+        held = Relation.of_columns(SCHEMA, [np.arange(4, dtype=np.int64)], 4)
         warehouse = LocalWarehouse("w", {"T": held})
         warehouse.append("T", Relation(SCHEMA, [(4,)]))
         warehouse.append("T", Relation(SCHEMA, [(5,)]))
