@@ -150,6 +150,21 @@ class Coordinator:
         matches = (touched or {}).get(source)
         return None if matches is None else np.concatenate(matches)
 
+    def shared_rows(self) -> Optional[np.ndarray]:
+        """Per row of X, whether more than one source answered it in the
+        round just synchronized, or ``None`` when that round was not
+        observing (:meth:`touched_by`). A row one source answered holds
+        that source's own sub-aggregates, folded and finalized (Theorem 1)."""
+        touched = self.session and self.session.touched()
+        if touched is None:
+            return None
+        answered = np.zeros(len(self.x), dtype=np.int64)
+        for matches in touched.values():
+            rows = np.zeros(len(answered), dtype=bool)
+            rows[np.concatenate(matches)] = True
+            answered += rows
+        return answered > 1
+
     def begin_sync(
         self, blocks: Sequence[MDBlock], observes: bool = False
     ) -> operator.SyncSession:

@@ -65,6 +65,7 @@ from repro.distributed.recovery import (
 )
 from repro.distributed.stats import ExecutionStats, check_theorem2
 from repro.errors import NetworkError, PlanError, ReproError, StateMismatch
+from repro.gmdj.blocks import block_output_attributes
 from repro.gmdj.expression import GMDJExpression, LiteralBase
 from repro.gmdj.operator import merge_addressed, merge_sub_results
 from repro.net import message as msg
@@ -73,9 +74,10 @@ from repro.net.channel import Channel
 from repro.net.costmodel import CostModel
 from repro.obs.metrics import MetricsRegistry, activate, active_registry
 from repro.obs.tracer import NULL_TRACER
+from repro.relalg.compiler import VECTORIZED_COMPONENT_KINDS
 from repro.relalg.expressions import BASE_VAR
 from repro.relalg.relation import Relation
-from repro.relalg.schema import Schema
+from repro.relalg.schema import INT, Attribute, Schema
 
 
 #: The :class:`ExecutionConfig` fields no run can take a negative of.
@@ -381,6 +383,12 @@ class _RoundWalk:
     lost the answer (:class:`~repro.errors.StateMismatch`): on the same
     leg, both shipments counted. A later attempt of the leg (a retry, a
     speculative backup) ships keyed at once: the first took the answer.
+
+    Such a fragment is also *sparse* where that ships fewer bytes: the
+    round before's outputs ship only at the rows more than one source
+    answered (``Coordinator.shared_rows``). At every other row X holds
+    the one answering site's own sub-aggregates, folded and finalized,
+    which the site kept and finalizes itself (``SkallaSite.rejoin``).
     """
 
     def __init__(
@@ -413,6 +421,13 @@ class _RoundWalk:
         #: site kept that answer's keys (the round after observes).
         self.answers_kept: dict = {}
         self._keeping: dict = {}  # the same, filled by the round walking
+        #: The outputs of the round before that a site can finalize from
+        #: its own answer: all of them when every component is a built-in
+        #: kind, whose fold over one source is what X holds.
+        self.derivable: frozenset = frozenset()
+        #: Per row of X, whether more than one source answered it in the
+        #: round before; ``None`` when no fragment ships positionally.
+        self.shared = None
         self._lock = threading.Lock()
         self._encode_lock = threading.Lock()
 
@@ -475,7 +490,10 @@ class _RoundWalk:
             # block into the session. Base and merged-base rounds must see
             # every fragment before X exists, so they collect instead.
             self.session = None
+            self.shared = None
             if self.ships_fragment and not collects:
+                if self.answers_kept and self.derivable:
+                    self.shared = coordinator.shared_rows()
                 self.session = coordinator.begin_sync(
                     md_round.all_blocks(), observes=observes
                 )
@@ -516,6 +534,7 @@ class _RoundWalk:
                 round_span.set(excluded=",".join(round_stats.excluded))
         self.answered = participating.difference(round_stats.excluded)
         self.answers_kept = self._keeping
+        self.derivable = _derivable(md_round)
         round_stats.wall_s = time.perf_counter() - started
         return answers
 
@@ -580,9 +599,13 @@ class _RoundWalk:
         if self.ships_fragment:
             started = time.perf_counter()
             with self.tracer.span("round.encode", kind=kind, site=name) as encode_span:
-                fragment, kept, payloads, positional = self._fragment(node, child, held)
+                fragment, kept, payloads, positional, shared = self._fragment(
+                    node, child, held
+                )
                 if positional:
                     encode_span.set(positional=True)
+                if shared is not None:
+                    encode_span.set(shared_rows=shared)
                 down = self._shipments(node.name, name, payloads, encode_span, len(fragment))
             self._charge(node, time.perf_counter() - started)
             tuples_down = len(fragment)
@@ -757,9 +780,10 @@ class _RoundWalk:
         return frozenset(fields)
 
     def _fragment(self, node: MergeTree, child: MergeTree, held: Relation) -> tuple:
-        """``(fragment, kept, payloads, positional)`` shipped down the edge
-        to ``child``: :meth:`Coordinator.fragment_for_site`'s fragment and
-        kept rows of ``held``, and the row blocks that ship it, encoded.
+        """``(fragment, kept, payloads, positional, shared)`` shipped down
+        the edge to ``child``: :meth:`Coordinator.fragment_for_site`'s
+        fragment and kept rows of ``held``, and the row blocks that ship
+        it, encoded.
 
         The fragment carries the fields the round reads, and a combiner's
         also those its sites' ship filters read. When it is all of ``held``
@@ -767,7 +791,8 @@ class _RoundWalk:
         it is projected and encoded once per round for every edge that
         ships it. ``positional``: the blocks leave K out, positionally
         against the answer the site gave in the round before
-        (:meth:`_positional`).
+        (:meth:`_positional`); ``shared``: how many rows carry the round
+        before's outputs when the fragment is sparse, else ``None``.
         """
         name = child.name
         filters = [self.md_round.ship_filter(site_id) for site_id in self.below[name]]
@@ -791,10 +816,11 @@ class _RoundWalk:
                 # finds the answer taken at the site, so it ships keyed.
                 digest = self.answers_kept.pop(name, None)
             if digest is not None and positions is not None and len(kept) == len(positions):
-                payloads = self._positional(fragment, digest)
-                if payloads is not None:
-                    return fragment, kept, payloads, True
-            return fragment, kept, _encoded(config.blocks_of(fragment)), False
+                positional = self._positional(fragment, kept, digest)
+                if positional is not None:
+                    payloads, shared = positional
+                    return fragment, kept, payloads, True, shared
+            return fragment, kept, _encoded(config.blocks_of(fragment)), False, None
         with self._encode_lock:
             whole = self._whole.get((held, fields))
             if whole is None:
@@ -802,25 +828,74 @@ class _RoundWalk:
                 whole = self._whole[held, fields] = (
                     fragment, _encoded(config.blocks_of(fragment)),
                 )
-        return whole[0], None, whole[1], False
+        return whole[0], None, whole[1], False, None
 
-    def _positional(self, fragment: Relation, digest: bytes):
-        """``fragment``'s blocks without K, the first positional against
-        the answer ``digest`` names — ``fragment``'s rows, in its order —
-        or None when that could be larger than the keyed blocks, or there
-        is nothing else and more rows than a zero-attribute block may
-        count."""
+    def _positional(self, fragment: Relation, kept: np.ndarray, digest: bytes):
+        """``(payloads, shared)``: ``fragment``'s blocks without K,
+        the first positional against the answer ``digest`` names —
+        ``fragment``'s rows, the rows ``kept`` of X, in its order — and
+        sparse where that is smaller (:meth:`_sparse`); or None when that
+        could be larger than the keyed blocks, or there is nothing else and
+        more rows than a zero-attribute block may count."""
         key = serialize.carried_keys(self.plan.expression.key, fragment.schema.names)
-        rest = [name for name in fragment.schema.names if name not in key]
+        rest = fragment.project(
+            [name for name in fragment.schema.names if name not in key]
+        )
         first = min(len(fragment), self.config.row_block_size or len(fragment))
-        if (not rest and len(fragment) > serialize.MAX_ZERO_ATTRIBUTE_ROWS) or (
+        if (not len(rest.schema) and len(fragment) > serialize.MAX_ZERO_ATTRIBUTE_ROWS) or (
             # K's share of the first keyed block must outweigh the digest.
             serialize.key_bytes_at_least(fragment.schema, key, first)
             <= serialize.POSITIONAL_PREFIX_BYTES
         ):
             return None
-        blocks = self.config.blocks_of(fragment.project(rest))
-        return [serialize.encode_positional(blocks[0], digest), *_encoded(blocks[1:])]
+        sparse = self._sparse(rest, kept, digest)
+        if sparse is not None:
+            return sparse
+        blocks = self.config.blocks_of(rest)
+        return [serialize.encode_positional(blocks[0], digest), *_encoded(blocks[1:])], None
+
+    def _sparse(self, rest: Relation, kept: np.ndarray, digest: bytes):
+        """``(payloads, shared rows)``: the positional blocks of
+        ``rest`` (the fragment without K, the rows ``kept`` of X) with the
+        round before's outputs left out but at the rows more than one
+        source answered, which the first block carries by row address
+        (``serialize.encode_positional``); or None when no output of the
+        round before is left to the site, or that could ship more bytes.
+
+        It costs the shared rows' block and its length, and saves at least
+        what those columns add to each dense row block
+        (``serialize.column_bytes_at_least``): the outputs are the last
+        columns of X, so leaving them out moves no back-reference, and a
+        block of no columns ships as one."""
+        names = rest.schema.names
+        derived = tuple(name for name in names if name in self.derivable)
+        if self.shared is None or not len(rest) or not derived:
+            return None
+        if names[-len(derived):] != derived:
+            return None
+        dense = rest.project(names[: -len(derived)])
+        if not len(dense.schema) and len(rest) > serialize.MAX_ZERO_ATTRIBUTE_ROWS:
+            return None
+        rows = np.flatnonzero(self.shared[kept])
+        values = rest.project(derived).gather(rows)
+        schema = Schema([*values.schema.attributes, Attribute(serialize.ADDRESS, INT)])
+        shared = serialize.encode_reply(
+            Relation.of_columns(schema, [*values.held(), rows], len(rows)), 0
+        )
+        # The shared rows' block and its varint length, seven bits a byte.
+        cost = len(shared) + (len(shared).bit_length() + 6) // 7
+        size = self.config.row_block_size or len(rest)
+        saved = 0
+        for start in range(0, len(rest), size):  # until it pays
+            saved += serialize.column_bytes_at_least(rest, derived, start, start + size)
+            if saved > cost:
+                break
+        else:
+            return None
+        blocks = self.config.blocks_of(dense) if len(dense.schema) else [dense]
+        return [
+            serialize.encode_positional(blocks[0], digest, shared), *_encoded(blocks[1:])
+        ], len(rows)
 
     def _observed_positions(self, node: MergeTree, name: str):
         """Which rows of X the root ships down edge ``name`` in an
@@ -893,6 +968,24 @@ class _RoundWalk:
 
 def _encoded(blocks) -> list:
     return [serialize.encode_relation(block) for block in blocks]
+
+
+def _derivable(md_round) -> frozenset:
+    """The names of ``md_round``'s outputs a site finalizes from its own
+    answer where it alone answered a group: all of them when every
+    aggregate's components are built-in kinds, whose fold of one value is
+    the same whatever other sources fold beside it; none otherwise."""
+    if md_round is None:
+        return frozenset()
+    blocks = md_round.all_blocks()
+    if not VECTORIZED_COMPONENT_KINDS.issuperset(
+        component.kind
+        for block in blocks
+        for spec in block.aggregates
+        for component in spec.state_components()
+    ):
+        return frozenset()
+    return frozenset(attribute.name for attribute in block_output_attributes(blocks))
 
 
 def _with_keys(held, keys, subs, positions) -> Relation:

@@ -94,7 +94,7 @@ class SiteRequest:
     observed: bool = False
     #: The round after this one ships the site its fragment positionally
     #: against this answer (the site is a child of the root), so the site
-    #: keeps the answer's key list
+    #: keeps the answer's key list and sub-aggregates
     #: (:meth:`~repro.distributed.site.SkallaSite.remember_answer`).
     keep_answer: bool = False
     #: Set from a ``lose_state`` fault rule: the site drops every answer
@@ -261,15 +261,23 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
             span.set(rows=len(h_i))
     elif request.kind == "round":
         with tracer.span("round.decode", kind="site", site=site_id, **ids) as decode_span:
-            fragment, digest = serialize.decode_fragment(request.down_payloads[0])
+            fragment, digest, shared = serialize.decode_fragment(request.down_payloads[0])
             for extra in request.down_payloads[1:]:
                 fragment = fragment.union_all(serialize.decode_relation(extra))
+            if shared is not None:
+                # The rows more than one site answered; the site finalizes the rest.
+                shared = serialize.decode_reply(shared, (), len(fragment))
+                derived = len(fragment) - len(shared[1])
             if digest is not None:
                 fragment, keys_bytes = site.rejoin(
-                    answers, digest, fragment, request.key_attrs
+                    answers, digest, fragment, request.key_attrs, shared
                 )
-                active_registry().counter("site.round_state_hits").inc()
+                registry = active_registry()
+                registry.counter("site.round_state_hits").inc()
                 decode_span.set(positional=True, keys_bytes=keys_bytes)
+                if shared is not None:
+                    registry.counter("site.rows_derived").inc(derived)
+                    decode_span.set(derived_rows=derived)
         with tracer.span(
             "round.evaluate",
             kind="site",
@@ -320,13 +328,15 @@ def _charged(started: float, request: SiteRequest) -> float:
 
 
 def _remember(site, request: SiteRequest, h_i: Relation, keyed: bool, shipped, payloads) -> None:
-    """Keep the key list of the answer ``payloads`` (``h_i``'s rows
-    ``shipped``; ``None``: all of them) for the next round's positional
-    fragment, when ``h_i`` holds keys it can be shipped against.
+    """Keep the key list and sub-aggregates of the answer ``payloads``
+    (``h_i``'s rows ``shipped``; ``None``: all of them) for the next
+    round's positional fragment, when ``h_i`` holds keys it can be shipped
+    against.
 
-    A ``keyed`` answer is kept as its own blocks, which lead with K, so
-    keeping it encodes nothing more. An answer by row address carries no
-    K, so its key columns are encoded to keep."""
+    A ``keyed`` answer is kept as its own blocks, which lead with K and
+    hold the sub-aggregates, so keeping it encodes nothing more. An answer
+    by row address carries no K, so its key columns are encoded to keep,
+    beside its blocks."""
     keys = serialize.positional_keys(h_i.schema, request.key_attrs)
     if not keys:
         return
@@ -342,6 +352,8 @@ def _remember(site, request: SiteRequest, h_i: Relation, keyed: bool, shipped, p
         serialize.answer_digest(request.down_payloads, payloads),
         blocks,
         len(h_i) if shipped is None else len(shipped),
+        replies=None if keyed else payloads,
+        steps=request.steps,
     )
 
 

@@ -17,53 +17,83 @@ Per round, a site:
    the base, with the key attributes — back to the coordinator;
 5. when the next round ships it only the groups it answered with
    (observed reduction) and the site is a child of the root, keeps that
-   answer's key list, so the next fragment can come without K,
-   positionally against it (:meth:`SkallaSite.remember_answer`,
-   :meth:`SkallaSite.rejoin`).
+   answer's key list and sub-aggregates, so the next fragment can come
+   without K, positionally against it, and without the round's outputs
+   at the groups only this site answered: the site finalizes those
+   itself (:meth:`SkallaSite.remember_answer`, :meth:`SkallaSite.rejoin`).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import SerializationError, StateMismatch, WarehouseError
 from repro.gmdj import operator
+from repro.gmdj.blocks import block_output_attributes
 from repro.gmdj.expression import BaseSource, DistinctBase, MDStep
 from repro.net import serialize
 from repro.net.serialize import carried_keys
+from repro.relalg.columnar import as_list
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Schema
 from repro.warehouse.storage import LocalWarehouse
 
 
 #: Most bytes of answers a site keeps for positional fragments: format v3
-#: blocks that lead with the key columns of the rows answered (a keyed
-#: answer's own reply blocks; an answer by row address, its key columns).
-#: Every request of a query takes that query's kept answers out
-#: (:meth:`SkallaSite.take_answers`), the one its fragment names or none,
-#: so an answer outlives its query's next request to the site only when
-#: that request never comes (the site is excluded from the next round, or
-#: the query fails); then it stays until the oldest query's answers go
-#: first. S5 at 10 000 rows keeps about 65 kB a site from round 1 to round 2.
+#: blocks that lead with the key columns of the rows answered, and the
+#: blocks that hold the round's sub-aggregates of those rows (a keyed
+#: answer's own reply blocks are both; an answer by row address keeps its
+#: key columns and its reply blocks). Every request of a query takes that
+#: query's kept answers out (:meth:`SkallaSite.take_answers`), the one its
+#: fragment names or none, so an answer outlives its query's next request
+#: to the site only when that request never comes (the site is excluded
+#: from the next round, or the query fails); then it stays until the
+#: oldest query's answers go first. S5 at 10 000 rows on 2 sites keeps
+#: 67 635 and 62 474 bytes from round 1 to round 2, K and the round's
+#: sub-aggregates in the same blocks: its round 1 answers keyed. An answer
+#: by row address keeps its reply blocks beside its K block: round 2 of
+#: S5 with a third round keeps 67 647 and 63 071 bytes (20 kB of them K).
 ROUND_STATE_BYTES = 16 << 20
 
 
-def _size(entry: tuple) -> int:
-    """Bytes of a kept answer ``(rows, blocks)``."""
-    return sum(map(len, entry[1]))
+class KeptAnswer(NamedTuple):
+    """An answer a site keeps for the next round's positional fragment."""
+
+    #: Rows answered, in answer order.
+    rows: int
+    #: Format v3 blocks leading with the key columns of those rows.
+    blocks: tuple
+    #: The reply blocks that hold the rows' sub-aggregates, in order: the
+    #: ``blocks`` themselves for a keyed answer.
+    replies: tuple
+    #: The steps of the round that answered, whose outputs the site
+    #: finalizes from the sub-aggregates (:meth:`SkallaSite.rejoin`).
+    steps: tuple
+
+    @property
+    def size(self) -> int:
+        """Bytes kept."""
+        kept = sum(map(len, self.blocks))
+        return kept if self.replies is self.blocks else kept + sum(map(len, self.replies))
 
 
 class SkallaSite:
-    """One local data warehouse plus its query-evaluation logic."""
+    """One local data warehouse plus its query-evaluation logic.
+
+    Between two rounds of a query whose next round ships it positionally,
+    the site keeps its answer: K *and* the round's sub-aggregates, with
+    the round's steps (:meth:`remember_answer`). The next fragment leaves
+    K out, and the round's outputs wherever the site alone answered a
+    group: the site finalizes those from what it kept (:meth:`rejoin`)."""
 
     def __init__(self, site_id: str, warehouse: LocalWarehouse):
         self.site_id = site_id
         self.warehouse = warehouse
-        #: query id -> {digest: (rows, blocks leading with K)}, oldest query first.
+        #: query id -> {digest: KeptAnswer}, oldest query first.
         self._answers: OrderedDict = OrderedDict()
         self._answer_bytes = 0
         self._answers_lock = threading.Lock()
@@ -71,36 +101,42 @@ class SkallaSite:
     # -- round state -------------------------------------------------------------
 
     def remember_answer(
-        self, query, digest: bytes, blocks: Sequence[bytes], rows: int
+        self, query, digest: bytes, blocks: Sequence[bytes], rows: int,
+        replies: Optional[Sequence[bytes]] = None, steps: Sequence[MDStep] = (),
     ) -> None:
-        """Keep the key list of query ``query``'s answer under the digest
-        that names it (:func:`~repro.net.serialize.answer_digest`), within
+        """Keep the key list and sub-aggregates of query ``query``'s answer
+        under the digest that names it
+        (:func:`~repro.net.serialize.answer_digest`), within
         :data:`ROUND_STATE_BYTES`: the format v3 ``blocks``, ``rows`` rows
         in all, lead with the key columns, one row per answered row in
-        answer order."""
-        size = sum(map(len, blocks))
-        if size > ROUND_STATE_BYTES:
+        answer order; the ``replies`` (``None``: the ``blocks``) hold the
+        same rows' sub-aggregate columns for the round's ``steps``."""
+        blocks = tuple(blocks)
+        entry = KeptAnswer(
+            rows, blocks, blocks if replies is None else tuple(replies), tuple(steps)
+        )
+        if entry.size > ROUND_STATE_BYTES:
             return
         with self._answers_lock:
             kept = self._answers.setdefault(query, {})
             self._answers.move_to_end(query)
             earlier = kept.pop(digest, None)
             if earlier is not None:
-                self._answer_bytes -= _size(earlier)
-            kept[digest] = (rows, tuple(blocks))
-            self._answer_bytes += size
+                self._answer_bytes -= earlier.size
+            kept[digest] = entry
+            self._answer_bytes += entry.size
             while self._answer_bytes > ROUND_STATE_BYTES:
                 _query, evicted = self._answers.popitem(last=False)
-                self._answer_bytes -= sum(map(_size, evicted.values()))
+                self._answer_bytes -= sum(answer.size for answer in evicted.values())
 
     def take_answers(self, query) -> dict:
         """Take out the answers kept for query ``query``, as ``{digest:
-        (rows, blocks)}``. The query's next request to the
+        KeptAnswer}``. The query's next request to the
         site does, whether its fragment is positional or keyed: a later
         request (a retry, a backup of the same leg) finds none."""
         with self._answers_lock:
             kept = self._answers.pop(query, {})
-            self._answer_bytes -= sum(map(_size, kept.values()))
+            self._answer_bytes -= sum(answer.size for answer in kept.values())
         return kept
 
     def forget_answers(self) -> None:
@@ -115,7 +151,8 @@ class SkallaSite:
         return self._answer_bytes
 
     def rejoin(
-        self, answers: dict, digest: bytes, fragment: Relation, key_attrs: Sequence[str]
+        self, answers: dict, digest: bytes, fragment: Relation, key_attrs: Sequence[str],
+        shared: Optional[tuple] = None,
     ) -> tuple:
         """``(keyed fragment, key bytes)``: the fragment a positional one
         stands for — the key columns of the answer ``digest`` names among
@@ -123,9 +160,19 @@ class SkallaSite:
         ``fragment``'s — and the bytes of those columns' blocks, which the
         fragment did not ship.
 
+        ``shared`` is a sparse fragment's shared rows' block, as
+        :func:`~repro.net.serialize.decode_reply` reads it: ``(relation,
+        rows)``, the values of some outputs of the answer's round at the
+        fragment rows more than one site answered. Those outputs follow,
+        at every other row finalized from the answer's own sub-aggregates
+        (:func:`~repro.gmdj.operator.finalize_alone`: the fold and finalize
+        of :meth:`~repro.gmdj.operator.SyncSession.finish` over this one
+        source) — what the coordinator's fold made of them.
+
         Raises :class:`~repro.errors.StateMismatch` when ``answers`` holds
-        none under ``digest``, or it has other keys or another row count,
-        and :class:`~repro.errors.SerializationError` for a digest that is
+        none under ``digest``, or it has other keys, another row count or
+        a round without the outputs ``shared`` names, and
+        :class:`~repro.errors.SerializationError` for a digest that is
         not :data:`~repro.net.serialize.DIGEST_BYTES` bytes.
         """
         if type(digest) is not bytes or len(digest) != serialize.DIGEST_BYTES:
@@ -135,23 +182,51 @@ class SkallaSite:
         entry = answers.get(digest)
         if entry is None:
             raise StateMismatch(f"{self.site_id}: no answer {digest.hex()} kept")
-        rows, blocks = entry
+        rows = entry.rows
         if rows != len(fragment):
             raise StateMismatch(
                 f"{self.site_id}: answer {digest.hex()} has {rows} rows, "
                 f"the fragment positional against it {len(fragment)}"
             )
-        parts = [serialize.decode_leading(block, len(key_attrs)) for block in blocks]
+        parts = [serialize.decode_leading(block, len(key_attrs)) for block in entry.blocks]
         keys = parts[0][0].union_all(*(part for part, _size in parts[1:]))
-        if keys.schema.names != tuple(key_attrs) or set(key_attrs) & set(fragment.schema.names):
+        derived = () if shared is None else shared[0].schema.names
+        if keys.schema.names != tuple(key_attrs) or set(key_attrs) & {
+            *fragment.schema.names, *derived
+        } or set(fragment.schema.names) & set(derived):
             raise StateMismatch(
                 f"{self.site_id}: answer {digest.hex()} is keyed by "
                 f"{keys.schema.names}, not {tuple(key_attrs)} beside "
-                f"{fragment.schema.names}"
+                f"{fragment.schema.names} and {derived}"
             )
-        schema = Schema([*keys.schema.attributes, *fragment.schema.attributes])
-        keyed = Relation.of_columns(schema, [*keys.held(), *fragment.held()], rows)
+        attributes = [*keys.schema.attributes, *fragment.schema.attributes]
+        columns = [*keys.held(), *fragment.held()]
+        if shared is not None:
+            attributes += shared[0].schema.attributes
+            columns += self._derived(entry, digest, *shared)
+        keyed = Relation.of_columns(Schema(attributes), columns, rows)
         return keyed, sum(size for _part, size in parts)
+
+    def _derived(self, entry: KeptAnswer, digest: bytes, shared: Relation, at) -> list:
+        """The columns of ``shared`` over every row of the kept answer
+        ``entry``: its values at the rows ``at``, and elsewhere the
+        outputs of the answer's round finalized from its sub-aggregates."""
+        blocks = [block for step in entry.steps for block in step.blocks]
+        outputs = set(block_output_attributes(blocks))
+        if not outputs.issuperset(shared.schema.attributes):
+            raise StateMismatch(
+                f"{self.site_id}: answer {digest.hex()}'s round outputs no "
+                f"{[a.name for a in shared.schema.attributes if a not in outputs]}"
+            )
+        names = [attribute.name for block in blocks for attribute in block.sub_attributes()]
+        parts = [serialize.decode_relation(block).project(names) for block in entry.replies]
+        finalized = operator.finalize_alone(
+            parts[0].union_all(*parts[1:]), blocks, shared.schema.names
+        )
+        return [
+            _overlay(finalized[name], at, column)
+            for name, column in zip(shared.schema.names, shared.held())
+        ]
 
     # -- round handlers ----------------------------------------------------------
 
@@ -262,6 +337,21 @@ class SkallaSite:
         return self.evaluate_round(
             local_base, steps, key_attrs, independent_reduction=False
         )
+
+
+def _overlay(column, rows: np.ndarray, values):
+    """``column`` with ``values`` at ``rows``: a typed array where both
+    are of one dtype, else a value list."""
+    if not len(rows):
+        return column
+    if type(column) is np.ndarray and type(values) is np.ndarray and column.dtype == values.dtype:
+        merged = column.copy()
+        merged[rows] = values
+        return merged
+    merged = list(as_list(column))
+    for row, value in zip(rows.tolist(), as_list(values)):
+        merged[row] = value
+    return merged
 
 
 def _grown(fragment: Relation, keys: Relation) -> Relation:

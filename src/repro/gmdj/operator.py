@@ -321,6 +321,27 @@ class SyncSession:
         return Relation.of_columns(schema, keys + self._folded, len(self._base))
 
 
+def finalize_alone(h: Relation, blocks: Sequence[MDBlock], outputs) -> dict:
+    """``{output: column}``: the ``outputs`` of ``blocks``' aggregates,
+    finalized from ``h``'s sub-aggregate columns where one source answered
+    each group once — what :meth:`SyncSession.finish` makes of a group that
+    source alone answered: the same fold from ``initial()``
+    (:func:`repro.relalg.compiler.fold_combine`), then the same finalize."""
+    slots, components = _layout(blocks)
+    names = _sub_names(blocks)
+    held, positions = h.held(), {name: at for at, name in enumerate(h.schema.names)}
+    groups = np.arange(len(h))
+    finalized = {}
+    specs = (spec for block in blocks for spec in block.aggregates)
+    for spec, (function, offset, count) in zip(specs, slots):
+        if spec.output in outputs:
+            own = slice(offset, offset + count)
+            vectors = [typed_view([held[positions[name]]]) for name in names[own]]
+            folded = compiler.fold_combine(components[own], groups, vectors, len(h))
+            finalized[spec.output] = function.finalize_columns(folded)
+    return finalized
+
+
 def _groups(fragments: list) -> np.ndarray:
     """The base position of every value of ``fragments``, in order."""
     if len(fragments) == 1:

@@ -73,7 +73,7 @@ carry the key attributes K: the site kept them. Its first block
 (:func:`encode_positional`) is the magic ``b"SKRP"``, a length byte
 (:data:`DIGEST_BYTES`), the digest of the answer it is positional against,
 and then a format v3 relation of the round's other fields; any further
-row block is a plain v3 relation. :func:`decode_fragment` reads either
+row block is a plain v3 relation. :func:`decode_fragment` reads any
 kind of first block. The digest is :func:`answer_digest`: the first
 :data:`DIGEST_BYTES` bytes of SHA-256 over the blocks the site was
 shipped in that round and the blocks it answered with, each list and
@@ -84,6 +84,24 @@ them (or was itself positional against an earlier digest). A site keeps
 an answer's keys only when every key attribute is there and none is
 FLOAT (:func:`positional_keys`): ``-0.0`` equals ``0.0`` as a key, so a
 site's own key value could differ in its bits from the coordinator's.
+
+**Sparse positional fragments.** A group only one site answered in the
+round before has that site's own sub-aggregates as its super-aggregate
+(Theorem 1), and the site kept them with its keys. So the columns the
+round before output (its *derived* columns, the last of the fragment's)
+need to ship only at the rows more than one site answered. Such a first
+block is the magic ``b"SKRS"``, the length byte and the digest as above,
+then the *shared* rows' block as a varint byte length and that many
+bytes: an :func:`encode_reply` block of the derived columns, whose
+:data:`ADDRESS` column (or its absence: every row from the first, in
+order) names the shared rows by row number in the fragment — the site's
+answer order. A format v3 relation of the fragment's other fields ends
+the block (zero attributes when there are none, its row count the
+fragment's); any further row block carries those fields alone. The site
+reads the shared block with :func:`decode_reply` against the fragment's
+row count, so an address out of range, addresses that do not ascend or
+more rows than the fragment holds raise
+:class:`~repro.errors.SerializationError`.
 
 The decoder checks every declared count and length against the bytes
 that remain *before* it allocates for them, rejects stray bits past the
@@ -125,7 +143,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import SchemaError, SerializationError
-from repro.relalg.columnar import EXACT_INT, as_list
+from repro.relalg.columnar import EXACT_INT, as_list, typed_view
 from repro.relalg.relation import Relation
 from repro.relalg.schema import BOOL, DATE, FLOAT, INT, STR, Attribute, Schema
 
@@ -859,6 +877,7 @@ def decode_reply(data: bytes, key_attrs, shipped: int, start: int = 0) -> tuple:
 # ---------------------------------------------------------------------------
 
 _POSITIONAL_MAGIC = b"SKRP"
+_SPARSE_MAGIC = b"SKRS"
 #: Bytes of a round-state digest (:func:`answer_digest`).
 DIGEST_BYTES = 16
 #: What a positional first block adds to its relation: magic, length, digest.
@@ -878,12 +897,20 @@ def answer_digest(shipped, answered) -> bytes:
     return digest.digest()[:DIGEST_BYTES]
 
 
-def encode_positional(relation: Relation, digest: bytes) -> bytes:
+def encode_positional(relation: Relation, digest: bytes, shared: Optional[bytes] = None) -> bytes:
     """The first block of a fragment positional against the answer
-    ``digest`` names: the prefix, then ``relation`` in format v3."""
+    ``digest`` names: the prefix, then ``relation`` in format v3 — and,
+    given the ``shared`` rows' block (:func:`encode_reply`), the sparse
+    form, which carries it between the two."""
     if type(digest) is not bytes or len(digest) != DIGEST_BYTES:
         raise SerializationError(f"a round-state digest is {DIGEST_BYTES} bytes, got {digest!r}")
-    return _POSITIONAL_MAGIC + bytes((DIGEST_BYTES,)) + digest + encode_relation(relation)
+    if shared is None:
+        return _POSITIONAL_MAGIC + bytes((DIGEST_BYTES,)) + digest + encode_relation(relation)
+    block = bytearray(_SPARSE_MAGIC)
+    block.append(DIGEST_BYTES)
+    block += digest
+    _write_varint(block, len(shared))
+    return bytes(block) + shared + encode_relation(relation)
 
 
 def key_bytes_at_least(schema: Schema, key_attrs, rows: int) -> int:
@@ -902,13 +929,67 @@ def key_bytes_at_least(schema: Schema, key_attrs, rows: int) -> int:
     return total
 
 
+def column_bytes_at_least(relation: Relation, names, start: int, stop: int) -> int:
+    """A lower bound on what the columns ``names`` add to the format v3
+    encoding of ``relation``'s rows ``start`` to ``stop``: a header entry
+    each and a column block each (:func:`_block_bytes_at_least`), or two
+    bytes where the block could back-reference an earlier column of its
+    type."""
+    total, earlier = 0, []
+    rows = max(0, min(stop, len(relation)) - start)
+    for attribute, column in zip(relation.schema, relation.held()):
+        column = column[start:stop]
+        if attribute.name in names:
+            total += len(attribute.name.encode("utf-8")) + 2
+            if rows:
+                repeats = any(
+                    _could_repeat(column, other) for kind, other in earlier if kind == attribute.type
+                )
+                total += 2 if repeats else _block_bytes_at_least(column, attribute.type)
+        earlier.append((attribute.type, column))
+    return total
+
+
+def _block_bytes_at_least(column, type_name: str) -> int:
+    """A column block's presence byte (and bitmap, with a NULL), then at
+    least 8 bytes a value for FLOAT; a reference, a width byte and a byte
+    a value for INT and DATE; a bit a value for any other type."""
+    rows = len(column)
+    present = rows if type(column) is np.ndarray else rows - column.count(None)
+    total = 1 if present == rows else 1 + ((rows + 7) >> 3)
+    if type_name == FLOAT:
+        return total + 8 * present
+    if type_name in (INT, DATE) and present:
+        return total + 2 + present
+    return total + ((present + 7) >> 3)
+
+
+def _could_repeat(column, other) -> bool:
+    """Whether ``column``'s block could repeat ``other``'s, an earlier
+    column of its type: not when their typed views tell their values or
+    their NULLs apart."""
+    (data, valid), (other_data, other_valid) = typed_view([column]), typed_view([other])
+    if data.dtype == object or data.dtype != other_data.dtype:
+        return True
+    if (valid is None) != (other_valid is None):
+        return False
+    if valid is not None:
+        if not np.array_equal(valid, other_valid):
+            return False
+        data, other_data = data[valid], other_data[valid]
+    return data.tobytes() == other_data.tobytes()
+
+
 def decode_fragment(data: bytes) -> tuple:
-    """``(relation, digest)`` of a fragment's first block: ``digest`` is
-    ``None`` for a plain v3 relation, else the answer the block is
-    positional against. A digest of any length but :data:`DIGEST_BYTES`
-    raises :class:`~repro.errors.SerializationError`."""
-    if data[: len(_POSITIONAL_MAGIC)] != _POSITIONAL_MAGIC:
-        return decode_relation(data), None
+    """``(relation, digest, shared)`` of a fragment's first block:
+    ``digest`` is ``None`` for a plain v3 relation, else the answer the
+    block is positional against; ``shared`` is the sparse form's shared
+    rows' block, still encoded (:func:`decode_reply` reads it against the
+    fragment's row count), else ``None``. A digest of any length but
+    :data:`DIGEST_BYTES` raises :class:`~repro.errors.SerializationError`."""
+    magic = data[: len(_POSITIONAL_MAGIC)]
+    if magic != _POSITIONAL_MAGIC and magic != _SPARSE_MAGIC:
+        return decode_relation(data), None, None
     start = len(_POSITIONAL_MAGIC) + 1
     if len(data) < start or data[start - 1] != DIGEST_BYTES:
         raise SerializationError(
@@ -917,7 +998,16 @@ def decode_fragment(data: bytes) -> tuple:
     end = start + DIGEST_BYTES
     if len(data) < end:
         raise SerializationError("truncated round-state digest")
-    return decode_relation(data[end:]), bytes(data[start:end])
+    digest, shared = bytes(data[start:end]), None
+    if magic == _SPARSE_MAGIC:
+        length, offset = _read_varint(data, end)
+        end = offset + length
+        if end > len(data):
+            raise SerializationError(
+                f"the shared rows' block of {length} bytes runs past the fragment's"
+            )
+        shared = bytes(data[offset:end])
+    return decode_relation(data[end:]), digest, shared
 
 
 def positional_keys(schema: Schema, key_attrs) -> tuple:

@@ -15,7 +15,11 @@ additions, made by :func:`build_profile`:
   tracer; and ``positional`` on each round record: per site whose
   fragment shipped positionally against its own answer, the bytes of the
   key columns it kept and the fragment did not carry (the site's traced
-  ``round.decode`` span says so, so it is empty when untraced);
+  ``round.decode`` span says so, so it is empty when untraced), and
+  ``sparse``: per site whose positional fragment shipped the round
+  before's outputs only at the rows more than one site answered,
+  ``[rows shipped with them, fragment rows]`` (the coordinator's traced
+  ``round.encode`` span);
 - the plan (``plan_description``, ``notes``), each applied optimization
   priced by ablation in :mod:`repro.distributed.costing`
   (``optimizations``: ``OptimizationImpact.to_dict()`` annotated with the
@@ -134,6 +138,7 @@ def build_profile(
         coordinator: dict = {}
         by_site = {site_id: {} for site_id in round_record["sites"]}
         positional: dict = {}  # site -> key bytes its fragment left behind
+        sparse: dict = {}  # site -> [rows shipped the outputs, fragment rows]
         round_span = round_spans.get(round_record["index"])
         stack = (
             list(children.get(round_span.span_id, ()))
@@ -155,10 +160,17 @@ def build_profile(
                     positional[site_id] = int(span.attributes.get("keys_bytes", 0))
             else:
                 _absorb(coordinator, span)
+                if span.name == "round.encode" and "shared_rows" in span.attributes:
+                    sparse[site_id] = [
+                        int(span.attributes["shared_rows"]), int(span.attributes.get("rows", 0))
+                    ]
         round_record["operators"] = _slowest_first(coordinator)
         round_record["positional"] = {
             site_id: positional[site_id] for site_id in round_record["sites"]
             if site_id in positional
+        }
+        round_record["sparse"] = {
+            site_id: sparse[site_id] for site_id in round_record["sites"] if site_id in sparse
         }
         for site_id, site_record in round_record["sites"].items():
             site_record["operators"] = _slowest_first(by_site[site_id])
@@ -435,6 +447,17 @@ def render_profile(profile, model=None, width: int = 48) -> str:
                 f"against its own answer: {sum(positional.values())} key bytes saved ("
                 + ", ".join(f"{site_id} {count}" for site_id, count in positional.items())
                 + ")"
+            )
+        sparse = round_record.get("sparse")
+        if sparse:
+            lines.append(
+                f"|  round {round_record['index']} outputs of the round before: positional, "
+                f"{sum(shipped for shipped, _rows in sparse.values())} of "
+                f"{sum(rows for _shipped, rows in sparse.values())} rows shipped ("
+                + ", ".join(
+                    f"{site_id} {shipped} of {rows}" for site_id, (shipped, rows) in sparse.items()
+                )
+                + "); each site finalized the rest from its own answer"
             )
         for site_id, site in sites.items():
             bar = (

@@ -302,7 +302,9 @@ class AvgFunction(_BuiltinFunction):
         CPython's int/int and float/int true division convert operands
         within ``2**53`` exactly (the ``typed`` rule), then divide once, as
         numpy does: each quotient is the same double. A NULL sum or a count
-        of 0 is NULL. Other views take :meth:`finalize` per group.
+        of 0 is NULL. Other views take :meth:`finalize` per group. Without
+        a NULL the column is the ``float64`` array of quotients, as a
+        relation holds a NULL-free FLOAT column.
         """
         (total, valid), (count, count_valid) = typed_view([columns[0]]), typed_view([columns[1]])
         if (
@@ -313,8 +315,11 @@ class AvgFunction(_BuiltinFunction):
         ):
             return super().finalize_columns(columns)
         with np.errstate(all="ignore"):  # IEEE results, as Python's floats give
-            quotients = (total / count).tolist()
+            quotients = total / count
         null = count == 0 if valid is None else (count == 0) | ~valid
+        if len(quotients) and not null.any():
+            return quotients
+        quotients = quotients.tolist()
         for group in np.flatnonzero(null).tolist():
             quotients[group] = None
         return quotients

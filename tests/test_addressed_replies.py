@@ -77,10 +77,13 @@ def test_s5_bytes_per_round_and_direction(sync_heavy, monkeypatch):
     """Round 1 (Proposition 2's merged base) answers keyed, its AVG count a
     back-reference to ``cnt``; round 2 ships each site ``m`` alone, in the
     order of the site's own round-1 answer and positionally against it (the
-    site kept ``PartKey, SuppKey``), and is answered with ``above`` alone:
-    ``site1`` touches 4 799 of the 4 801 rows it is shipped, and answering
-    the two others costs fewer bytes than the row bitmap that would leave
-    them out. Keyed, round 2 down was 62 444 and 57 680 bytes."""
+    site kept ``PartKey, SuppKey``) — and only at the 2 rows both sites
+    answered: the site finalizes every other row's ``m`` from the
+    sub-aggregates it kept. It is answered with ``above`` alone: ``site1``
+    touches 4 799 of the 4 801 rows it is shipped, and answering the two
+    others costs fewer bytes than the row bitmap that would leave them out.
+    Keyed, round 2 down was 62 444 and 57 680 bytes; positional with ``m``
+    at every row, 41 649 and 38 473."""
     shipped = []
     record = DirectionStats.record
 
@@ -97,18 +100,20 @@ def test_s5_bytes_per_round_and_direction(sync_heavy, monkeypatch):
     ]
     assert per_round == [
         {"site0": (32, 67_667), "site1": (32, 62_506)},
-        {"site0": (41_649, 5_248), "site1": (38_473, 4_851)},
+        {"site0": (102, 5_248), "site1": (102, 4_851)},
     ]
     assert [edge.tuples_up for edge in result.stats.rounds[1].sites.values()] == [5_198, 4_801]
-    # 260 460 with keyed fragments; 320 510 keyed, whole fragments
-    assert result.stats.bytes_total == 220_458
-    schemas = {
-        (message.kind, message.round_index, message.sender): (
-            serialize.decode_fragment(message.payload)[0].schema.names
-        )
-        for message in shipped
-        if message.payload is not None
-    }
+    # 220 458 with m at every row; 260 460 with keyed fragments; 320 510
+    # keyed, whole fragments
+    assert result.stats.bytes_total == 140_540
+    schemas = {}
+    for message in shipped:
+        if message.payload is not None:
+            fragment, _digest, shared = serialize.decode_fragment(message.payload)
+            if shared is not None:
+                fragment, rows = serialize.decode_reply(shared, (), len(fragment))
+                assert len(rows) == 2
+            schemas[message.kind, message.round_index, message.sender] = fragment.schema.names
     round1 = ("PartKey", "SuppKey", "cnt", "m__sum", "m__count")
     assert schemas == {
         (SUB_RESULT, 1, "site0"): round1,
@@ -141,9 +146,11 @@ def test_a_round_the_next_one_observes_drops_every_untouched_group(sync_heavy):
     ]
     assert site1 == [(4_801, 4_799), (4_799, 4_799)]
     # Rounds 2 and 3 ship positionally, round 3 against round 2's answer by
-    # row address: 551 269 with keyed fragments, 551 304 answering both
+    # row address, each sparse in the outputs of the round before (round 3
+    # ships m2 at no row, m at every row): 471 274 with those outputs at
+    # every row, 551 269 with keyed fragments, 551 304 answering both
     # rounds whole.
-    assert result.stats.bytes_total == 471_274
+    assert result.stats.bytes_total == 311_394
     unobserved = execute_query(
         sync_heavy, parse_olap_query(three),
         OptimizationOptions(aware_group_reduction=False), config,

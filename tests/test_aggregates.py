@@ -3,6 +3,7 @@
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from repro.relalg.aggregates import (
     SumFunction,
     count_star,
 )
+from repro.relalg.columnar import as_list
 from repro.relalg.expressions import col, detail
 from repro.relalg.relation import Relation
 from repro.relalg.schema import FLOAT, INT, Schema
@@ -240,13 +242,17 @@ class TestComponentColumns:
     def test_avg_over_arrays_is_avg_per_group(self, groups, only):
         """AVG's array division returns the per-group ``finalize``'s values
         by ``repr``: int/int and float/int quotients, NULL for a NULL sum
-        or a zero count, and every other view per group."""
+        or a zero count, and every other view per group. A column without
+        a NULL is the ``float64`` array of those values."""
         if only is not None:  # most draws: a column of one type, the array path
             groups = [(total, count) for total, count in groups if type(total) is only]
         sums, counts = [total for total, _ in groups], [count for _, count in groups]
         function = AvgFunction()
         expected = [function.finalize(values) for values in groups]
-        assert repr(function.finalize_columns([sums, counts])) == repr(expected)
+        column = function.finalize_columns([sums, counts])
+        assert repr(as_list(column)) == repr(expected)
+        if type(column) is np.ndarray:
+            assert column.dtype == np.float64 and None not in expected
 
 
 class TestAggSpec:

@@ -269,6 +269,19 @@ class TestExplain:
         assert "|  round 2 shipped each site positionally" in output
         assert "observed distribution: round 2 ships each site" in output
 
+    def test_analyze_says_how_many_rows_shipped_the_round_befores_outputs(self):
+        """S5's round 2 ships ``m`` only at the groups both sites answered:
+        at 0.0005 one group a site, of about 3 000."""
+        code, output = run_cli(
+            ["explain", S5, "--sites", "2", "--scale", "0.0005", "--analyze"]
+        )
+        assert code == 0, output
+        assert (
+            "|  round 2 outputs of the round before: positional, 2 of 2999 rows shipped "
+            "(site0 1 of 1582, site1 1 of 1417); each site finalized the rest from its "
+            "own answer" in output
+        )
+
     def test_analyze_reports_the_chosen_merge_topology(self):
         code, output = run_cli(
             ["explain", self.QUERY, "--sites", "8", "--scale", "0.0003",

@@ -127,6 +127,7 @@ class TestCoverage:
         for round_record in without_additions["rounds"]:
             del round_record["operators"]
             del round_record["positional"]
+            del round_record["sparse"]
             for site in round_record["sites"].values():
                 del site["operators"]
         assert without_additions == stats_dict

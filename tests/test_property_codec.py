@@ -14,6 +14,7 @@ from oracle import FORMATS, decode_relation_reference, encode_relation_reference
 from repro.errors import SerializationError
 from repro.net.serialize import (
     ADDRESS,
+    column_bytes_at_least,
     decode_relation,
     decode_reply,
     encode_relation,
@@ -145,6 +146,22 @@ def test_size_grows_with_duplicated_rows(relation):
         # An all-NULL one-row column doubles into the same bitmap byte,
         # and a zero-attribute relation is its row count.
         assert double >= single
+
+
+@given(relations(max_rows=40), st.data())
+@settings(max_examples=300, deadline=None)
+def test_trailing_columns_take_at_least_their_bound(relation, data):
+    """What leaving a row block's last columns out saves is never less
+    than ``column_bytes_at_least`` says: a sparse positional fragment is
+    smaller than the dense one whenever the bound says so."""
+    names = relation.schema.names
+    assume(names)
+    count = data.draw(st.integers(1, len(names)))
+    start = data.draw(st.integers(0, len(relation)))
+    stop = data.draw(st.integers(start, len(relation)))
+    block = relation.gather(range(start, stop))
+    saved = len(encode_relation(block)) - len(encode_relation(block.project(names[:-count])))
+    assert column_bytes_at_least(relation, names[-count:], start, stop) <= saved
 
 
 @given(st.binary(max_size=200))

@@ -9,8 +9,11 @@ keyed evaluation's digest from ``test_addressed_replies``.
 """
 
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed.coordinator import Coordinator
 from repro.distributed.deployment import ProcessCluster
@@ -20,16 +23,20 @@ from repro.distributed.optimizer import plan_query
 from repro.distributed.scheduler import execute_plan_scheduled
 from repro.distributed.site import ROUND_STATE_BYTES, SkallaSite
 from repro.errors import FaultSpecError, SerializationError, StateMismatch
-from repro.gmdj.expression import DistinctBase
+from repro.gmdj.blocks import MDBlock, sub_result_schema
+from repro.gmdj.expression import DistinctBase, MDStep
 from repro.net import serialize
 from repro.net.channel import DirectionStats
 from repro.net.faults import LOSE_STATE, FaultPlan, FaultRule
 from repro.net.message import SHIP_BASE
 from repro.obs import MetricsRegistry, Tracer
+from repro.obs.metrics import activate
 from repro.obs.profile import build_profile, render_profile
 from repro.queries.sql import parse_olap_query
+from repro.relalg.aggregates import AggSpec, count_star
+from repro.relalg.expressions import base, detail
 from repro.relalg.relation import Relation
-from repro.relalg.schema import FLOAT, INT, Schema
+from repro.relalg.schema import FLOAT, INT, STR, Attribute, Schema
 from repro.warehouse.storage import LocalWarehouse
 from test_addressed_replies import (  # noqa: F401 - sync_heavy is a fixture
     KEYED_DIGEST,
@@ -39,9 +46,13 @@ from test_addressed_replies import (  # noqa: F401 - sync_heavy is a fixture
     sync_heavy,
 )
 
-#: S5's round 2 down, bytes per site: positional, and keyed (what a miss resends).
-POSITIONAL_DOWN = {"site0": 41_649, "site1": 38_473}
+#: S5's round 2 down, bytes per site: positional and sparse, and keyed (what
+#: a miss resends). Positional with ``m`` at every row, it was 41 649 and 38 473.
+POSITIONAL_DOWN = {"site0": 102, "site1": 102}
 KEYED_DOWN = {"site0": 62_444, "site1": 57_680}
+#: S5's round 2: rows shipped to each site, and those more than one site answered.
+FRAGMENT_ROWS = {"site0": 5_198, "site1": 4_801}
+SHARED_ROWS = {"site0": 2, "site1": 2}
 
 
 def run(cluster, faults=None, topology=None, tracer=None, metrics=None, **config):
@@ -92,11 +103,17 @@ class TestPositionalRounds:
         assert result.respects_theorem2()
         down = {name: edge.bytes_down for name, edge in result.stats.rounds[1].sites.items()}
         assert down == POSITIONAL_DOWN
-        for _site, payload in shipped:
-            fragment, answer = serialize.decode_fragment(payload)
-            assert fragment.schema.names == ("m",)
+        for site, payload in shipped:
+            # No K, and ``m`` only at the rows another site answered too.
+            fragment, answer, shared = serialize.decode_fragment(payload)
+            assert fragment.schema.names == () and len(fragment) == FRAGMENT_ROWS[site]
             assert len(answer) == serialize.DIGEST_BYTES
+            values, rows = serialize.decode_reply(shared, (), len(fragment))
+            assert values.schema.names == ("m",) and len(rows) == SHARED_ROWS[site]
         assert counters(registry) == {"site.round_state_hits": 2}
+        assert registry.snapshot()["site.rows_derived"]["value"] == sum(
+            FRAGMENT_ROWS[site] - SHARED_ROWS[site] for site in FRAGMENT_ROWS
+        )
 
     @pytest.mark.parametrize("faults", [
         "lose_state site=site1 round=2",
@@ -120,9 +137,10 @@ class TestPositionalRounds:
             if name in lost:
                 assert edge.bytes_down == POSITIONAL_DOWN[name] + KEYED_DOWN[name]
                 positional, keyed = (serialize.decode_fragment(p) for p in payloads)
-                assert positional[0].schema.names == ("m",) and keyed[1] is None
+                assert positional[0].schema.names == () and keyed[1] is None
                 assert keyed[0].schema.names == ("PartKey", "SuppKey", "m")
-                assert [row[2] for row in keyed[0].rows] == [row[0] for row in positional[0].rows]
+                values, rows = serialize.decode_reply(positional[2], (), len(positional[0]))
+                assert [keyed[0].rows[row][2] for row in rows.tolist()] == values.column("m")
             else:
                 assert edge.bytes_down == POSITIONAL_DOWN[name]
                 assert len(payloads) == 1
@@ -333,6 +351,135 @@ class TestTheSiteKeepsAnswers:
         with pytest.raises(StateMismatch):
             site.rejoin(site.take_answers(0), digests[0], fragment, ("k",))
         assert ROUND_STATE_BYTES == 16 << 20
+
+
+class TestUntrustedSparseBlocks:
+    """A sparse positional first block is untrusted bytes like any other
+    (``tests/test_serialize.py::TestUntrustedBytes``): every strict prefix,
+    every single-byte flip and arbitrary bytes behind its prefix end in an
+    answer, a :class:`~repro.errors.SerializationError` or a
+    :class:`~repro.errors.StateMismatch` — in bounded time and memory."""
+
+    DIGEST = serialize.answer_digest((), (b"round 1",))
+    ROWS = 6
+    #: Round 1 (``n``, ``m``) by ``k``, and round 2, which reads ``m``.
+    ROUND_1 = (MDStep("T", [MDBlock(
+        [count_star("n"), AggSpec("sum", detail.v, "m")], base.k == detail.k,
+    )]),)
+    ROUND_2 = (MDStep("T", [MDBlock(
+        [count_star("above")], (base.k == detail.k) & (detail.v >= base.m),
+    )]),)
+
+    def site(self) -> SkallaSite:
+        table = Relation(
+            Schema.of(("k", INT), ("v", FLOAT)),
+            [(key, float(key) - 2.5) for key in range(self.ROWS) for _copy in range(2)],
+        )
+        return SkallaSite("s0", LocalWarehouse("s0", {"T": table}))
+
+    def kept(self, site) -> None:
+        schema = sub_result_schema(Schema.of(("k", INT)), self.ROUND_1[0].blocks)
+        answer = Relation(schema, [(key, 2, 2.0 * key - 5.0) for key in range(self.ROWS)])
+        site.remember_answer(
+            None, self.DIGEST, (serialize.encode_relation(answer),), self.ROWS,
+            steps=self.ROUND_1,
+        )
+
+    def shared(self, values, rows, attribute=Attribute("m", FLOAT)) -> bytes:
+        schema = Schema([attribute, Attribute(serialize.ADDRESS, INT)])
+        return serialize.encode_relation(Relation(schema, list(zip(values, rows))))
+
+    def payload(self, shared: bytes, rows: int = ROWS) -> bytes:
+        dense = Relation.of_columns(Schema([]), [], rows)
+        return serialize.encode_positional(dense, self.DIGEST, shared)
+
+    def ask(self, payload: bytes):
+        """What the site makes of ``payload``: the rows it answers, or the
+        name of the typed error it raises. Anything else fails the test."""
+        site = self.site()
+        self.kept(site)
+        request = SiteRequest(
+            kind="round", site_id="s0", round_number=2, steps=self.ROUND_2,
+            key_attrs=("k",), down_payloads=(payload,),
+        )
+        try:
+            return perform_site_request(site, request).rows
+        except (SerializationError, StateMismatch) as error:
+            return type(error).__name__
+
+    def test_a_sparse_block_is_answered(self):
+        """``m`` shipped at row 2 overrides the site's own 2 * 2 - 5; every
+        other row's ``m`` is the site's, so ``v >= m`` holds at rows 0-1."""
+        site = self.site()
+        self.kept(site)
+        registry = MetricsRegistry()
+        request = SiteRequest(
+            kind="round", site_id="s0", round_number=2, steps=self.ROUND_2,
+            key_attrs=("k",), down_payloads=(self.payload(self.shared([99.0], [2])),),
+        )
+        with activate(registry):
+            reply = perform_site_request(site, request)
+        above = serialize.decode_relation(reply.payloads[0]).column("above")
+        assert above == [2, 2, 0, 0, 0, 0]
+        assert registry.counter("site.rows_derived").value == self.ROWS - 1
+
+    @pytest.mark.parametrize("case, error", [
+        ("out of range", "SerializationError"),
+        ("descending", "SerializationError"),
+        ("repeated", "SerializationError"),
+        ("more rows than kept", "SerializationError"),
+        ("fewer dense rows", "StateMismatch"),
+        ("another type", "StateMismatch"),
+        ("another name", "StateMismatch"),
+        ("a key", "StateMismatch"),
+        ("no answer", "StateMismatch"),
+    ])
+    def test_a_bad_sparse_block_is_a_typed_error(self, case, error):
+        shared = {
+            "out of range": self.shared([1.0], [self.ROWS]),
+            "descending": self.shared([1.0, 2.0], [3, 1]),
+            "repeated": self.shared([1.0, 2.0], [3, 3]),
+            # No addresses: the rows from the first, one each — too many.
+            "more rows than kept": serialize.encode_relation(
+                Relation(Schema.of(("m", FLOAT)), [(1.0,)] * (self.ROWS + 1))
+            ),
+            "fewer dense rows": self.shared([1.0], [0]),
+            "another type": self.shared(["1"], [0], Attribute("m", STR)),
+            "another name": self.shared([1.0], [0], Attribute("n2", FLOAT)),
+            "a key": self.shared([1], [0], Attribute("k", INT)),
+            "no answer": self.shared([1.0], [0]),
+        }[case]
+        payload = self.payload(shared, self.ROWS - 1 if case == "fewer dense rows" else self.ROWS)
+        if case == "no answer":
+            payload = payload.replace(self.DIGEST, bytes(serialize.DIGEST_BYTES))
+        assert self.ask(payload) == error
+
+    def test_every_prefix_and_flip_ends_typed(self):
+        payload = self.payload(self.shared([99.0, 1.5], [2, 4]))
+        assert self.ask(payload) == self.ROWS
+        for cut in range(len(payload)):
+            assert self.ask(payload[:cut]) in ("SerializationError", "StateMismatch")
+        for position in range(len(payload)):
+            for flip in (0x01, 0x80, 0xFF):
+                mutated = bytearray(payload)
+                mutated[position] ^= flip
+                outcome = self.ask(bytes(mutated))
+                assert outcome in (self.ROWS, "SerializationError", "StateMismatch")
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes_behind_the_prefix_end_typed(self, data):
+        prefix = b"SKRS" + bytes((serialize.DIGEST_BYTES,)) + self.DIGEST
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            outcome = self.ask(prefix + data)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcome in (self.ROWS, "SerializationError", "StateMismatch")
+        assert time.perf_counter() - started < 5.0
+        assert peak < 8 << 20
 
 
 class TestComputeIsCpuTime:

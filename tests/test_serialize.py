@@ -203,8 +203,8 @@ class TestUntrustedBytes:
         length — or is rejected."""
         answer = serialize.answer_digest((), (b"an answer",))
         payload = serialize.encode_positional(SAMPLES[sample], answer)
-        relation, digest = serialize.decode_fragment(payload)
-        assert relation.rows == SAMPLES[sample].rows and digest == answer
+        relation, digest, shared = serialize.decode_fragment(payload)
+        assert relation.rows == SAMPLES[sample].rows and digest == answer and shared is None
         for cut in range(len(payload)):
             with pytest.raises(SerializationError):
                 serialize.decode_fragment(payload[:cut])
@@ -213,7 +213,7 @@ class TestUntrustedBytes:
                 mutated = bytearray(payload)
                 mutated[position] ^= flip
                 try:
-                    _relation, digest = serialize.decode_fragment(bytes(mutated))
+                    _relation, digest, _shared = serialize.decode_fragment(bytes(mutated))
                 except SerializationError:
                     continue
                 assert digest is None or len(digest) == serialize.DIGEST_BYTES
