@@ -138,40 +138,48 @@ class SumSquaresComponent(Component):
 
 
 class MinComponent(Component):
+    """MIN(expr): the least non-NULL value, the first of equals. A NaN
+    ranks above every number (as in PostgreSQL), so it is a group's MIN
+    only when every value is one, in whatever order the values fold."""
+
     kind = "min"
 
     def initial(self):
         return None
 
     def update(self, accumulator, value):
-        if value is None:
-            return accumulator
-        return value if accumulator is None else min(accumulator, value)
+        return self.combine(accumulator, value)
 
     def combine(self, left, right):
         if left is None:
             return right
-        if right is None:
+        if right is None or right != right:
             return left
+        if left != left:
+            return right
         return min(left, right)
 
 
 class MaxComponent(Component):
+    """MAX(expr): the greatest non-NULL value, the first of equals. A NaN
+    ranks above every number (as in PostgreSQL): a group's first NaN is
+    its MAX, in whatever order the values fold."""
+
     kind = "max"
 
     def initial(self):
         return None
 
     def update(self, accumulator, value):
-        if value is None:
-            return accumulator
-        return value if accumulator is None else max(accumulator, value)
+        return self.combine(accumulator, value)
 
     def combine(self, left, right):
         if left is None:
             return right
-        if right is None:
+        if right is None or left != left:
             return left
+        if right != right:
+            return right
         return max(left, right)
 
 

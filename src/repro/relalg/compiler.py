@@ -585,20 +585,25 @@ VECTORIZED_COMPONENT_KINDS = frozenset(
 
 
 def _float_extreme(kind: str, groups: np.ndarray, data: np.ndarray, size: int) -> np.ndarray:
-    """``min``/``max`` as Python folds floats: the first value equal to the
-    extreme wins (ties, ``±0.0``) and a NaN only as a group's first value."""
+    """``min``/``max`` as :class:`~repro.relalg.aggregates.MinComponent`
+    and ``MaxComponent`` fold floats: the first value equal to the extreme
+    wins (ties, ``±0.0``), and a NaN ranks above every number — a group's
+    first NaN is its ``max``, and its ``min`` only when every value is one."""
     count = len(data)
     order = np.arange(count)
-    first = np.full(size, count, dtype=np.int64)
-    np.minimum.at(first, groups, order)
     number = ~np.isnan(data)
     extreme = np.full(size, np.inf if kind == "min" else -np.inf)
     (np.minimum if kind == "min" else np.maximum).at(extreme, groups[number], data[number])
     hit = number & (data == extreme[groups])
     pick = np.full(size, count, dtype=np.int64)
     np.minimum.at(pick, groups[hit], order[hit])
-    padded = np.append(data, np.nan)  # position ``count``: a group with no value
-    return padded[np.where(np.isnan(padded[first]), first, pick)]
+    first_nan = np.full(size, count, dtype=np.int64)
+    np.minimum.at(first_nan, groups[~number], order[~number])
+    if kind == "min":
+        chosen = np.where(pick < count, pick, first_nan)
+    else:
+        chosen = np.where(first_nan < count, first_nan, pick)
+    return np.append(data, np.nan)[chosen]  # position ``count``: a group with no value
 
 
 def _scatter(kind: str, groups: np.ndarray, data: np.ndarray, size: int) -> Optional[np.ndarray]:
@@ -826,8 +831,8 @@ def compile_grouped_accumulate(
     ordered ``np.add.at`` into ``-0.0`` (IEEE addition's identity, so a
     group's first value is kept as is), NULL for a group with no value;
     ``min`` / ``max`` as the value at the first position equal to the
-    group's extreme (ties and ``±0.0`` keep the first seen) and a NaN only
-    as a group's first value; ``logsum`` / ``poscount`` over ``not v <= 0``
+    group's extreme (ties and ``±0.0`` keep the first seen), a NaN ranking
+    above every number; ``logsum`` / ``poscount`` over ``not v <= 0``
     with ``math.log`` per value. Values no typed dtype folds exactly
     (objects, bools, an int64 total that might overflow) fold through
     ``Component.update`` itself, in numpy's ordered object loop. So does
@@ -887,7 +892,7 @@ def fold_combine(components: Sequence, groups: np.ndarray, vectors: Sequence, si
     ``g``'s values in order, from ``initial()``, by the scan's grouped
     scatters: counts add into ``int64`` zeros; sums add in order into
     ``-0.0`` skipping NULL (NULL for a group with no value); ``min`` /
-    ``max`` keep the first extreme, a NaN only first. Values no dtype folds
+    ``max`` keep the first extreme, a NaN ranking above every number. Values no dtype folds
     exactly and kinds the kernels do not know fold through
     ``Component.combine`` itself, in numpy's ordered object loop. A column
     every group reaches stays the typed array it folded into when that

@@ -82,8 +82,10 @@ def test_s5_bytes_per_round_and_direction(sync_heavy, monkeypatch):
     sub-aggregates it kept. It is answered with ``above`` alone: ``site1``
     touches 4 799 of the 4 801 rows it is shipped, and answering the two
     others costs fewer bytes than the row bitmap that would leave them out.
-    Keyed, round 2 down was 62 444 and 57 680 bytes; positional with ``m``
-    at every row, 41 649 and 38 473."""
+    The whole-number ``m__sum`` ships as a scaled FLOAT block (integers,
+    not doubles). With raw doubles, round 1 up was 67 667 and 62 506
+    bytes and round 2 down 102 each; keyed, round 2 down was 62 444 and
+    57 680; positional with ``m`` at every row, 41 649 and 38 473."""
     shipped = []
     record = DirectionStats.record
 
@@ -99,13 +101,13 @@ def test_s5_bytes_per_round_and_direction(sync_heavy, monkeypatch):
         for stats in result.stats.rounds
     ]
     assert per_round == [
-        {"site0": (32, 67_667), "site1": (32, 62_506)},
-        {"site0": (102, 5_248), "site1": (102, 4_851)},
+        {"site0": (32, 46_878), "site1": (32, 43_305)},
+        {"site0": (93, 5_248), "site1": (93, 4_851)},
     ]
     assert [edge.tuples_up for edge in result.stats.rounds[1].sites.values()] == [5_198, 4_801]
-    # 220 458 with m at every row; 260 460 with keyed fragments; 320 510
-    # keyed, whole fragments
-    assert result.stats.bytes_total == 140_540
+    # 140 540 with raw doubles; before that, 220 458 with m at every row,
+    # 260 460 with keyed fragments, 320 510 keyed, whole fragments
+    assert result.stats.bytes_total == 100_532
     schemas = {}
     for message in shipped:
         if message.payload is not None:
@@ -147,10 +149,10 @@ def test_a_round_the_next_one_observes_drops_every_untouched_group(sync_heavy):
     assert site1 == [(4_801, 4_799), (4_799, 4_799)]
     # Rounds 2 and 3 ship positionally, round 3 against round 2's answer by
     # row address, each sparse in the outputs of the round before (round 3
-    # ships m2 at no row, m at every row): 471 274 with those outputs at
-    # every row, 551 269 with keyed fragments, 551 304 answering both
-    # rounds whole.
-    assert result.stats.bytes_total == 311_394
+    # ships m2 at no row, m at every row): 311 394 with raw doubles; before
+    # that, 471 274 with those outputs at every row, 551 269 with keyed
+    # fragments, 551 304 answering both rounds whole.
+    assert result.stats.bytes_total == 191_422
     unobserved = execute_query(
         sync_heavy, parse_olap_query(three),
         OptimizationOptions(aware_group_reduction=False), config,

@@ -1,5 +1,6 @@
 """Unit tests for aggregate functions and their sub/super decomposition."""
 
+import itertools
 import math
 import pickle
 
@@ -20,6 +21,7 @@ from repro.relalg.aggregates import (
     SumFunction,
     count_star,
 )
+from repro.relalg import compiler
 from repro.relalg.columnar import as_list
 from repro.relalg.expressions import col, detail
 from repro.relalg.relation import Relation
@@ -71,6 +73,24 @@ class TestSemantics:
         assert run(AggSpec("min", col.x, "m"), values) == 1.0
         assert run(AggSpec("max", col.x, "m"), values) == 5.0
         assert run(AggSpec("min", col.x, "m"), []) is None
+
+    @pytest.mark.parametrize("kind, expected", [("min", "-0.0"), ("max", "nan")])
+    def test_a_nan_ranks_above_every_number_in_any_fold_order(self, kind, expected):
+        """Row by row, split and merged, or by the vector fold: the same
+        answer for every order of a NaN among numbers (and NaN alone only
+        when every value is one)."""
+        spec = AggSpec(kind, col.x, "m")
+        for values in itertools.permutations([math.nan, -0.0, 1.0, None]):
+            values = list(values)
+            if kind == "min":
+                values = [value for value in values if value != 1.0]
+            answers = {repr(run(spec, values))}
+            answers |= {repr(run_split(spec, values, split)) for split in range(len(values) + 1)}
+            data = np.array([value for value in values if value is not None])
+            vector = compiler._float_extreme(kind, np.zeros(len(data), dtype=np.int64), data, 1)
+            answers.add(repr(float(vector[0])))
+            assert answers == {expected}
+        assert repr(run(spec, [math.nan, None, math.nan])) == "nan"
 
     def test_avg(self):
         assert run(AggSpec("avg", col.x, "a"), [1.0, 2.0, None, 3.0]) == 2.0

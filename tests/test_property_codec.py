@@ -4,6 +4,7 @@ never its inferior on errors — and no byte string makes a decoder raise
 anything but :class:`~repro.errors.SerializationError`."""
 
 import datetime
+import math
 import struct
 
 import pytest
@@ -14,6 +15,7 @@ from oracle import FORMATS, decode_relation_reference, encode_relation_reference
 from repro.errors import SerializationError
 from repro.net.serialize import (
     ADDRESS,
+    MAX_SCALE_EXPONENT,
     column_bytes_at_least,
     decode_relation,
     decode_reply,
@@ -34,6 +36,18 @@ _FLOAT_EDGES = [
     float("inf"), float("-inf"), float("nan"),
     struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000123))[0],  # NaN payload
 ]
+#: Decimal-shaped doubles, the ones a scaled block holds: ``k / 10**e``
+#: (correctly rounded, as a decimal literal parses) and whole numbers at
+#: the edge of ``2**53``, past which a double is no exact integer.
+_DECIMALS = st.builds(
+    lambda whole, exponent: whole / 10**exponent,
+    st.integers(min_value=-(10**12), max_value=10**12) | st.integers(-300, 300),
+    st.integers(min_value=0, max_value=MAX_SCALE_EXPONENT + 1),
+) | st.builds(
+    lambda whole, sign: sign * float(whole),
+    st.integers(min_value=2**53 - 4, max_value=2**53 + 4),
+    st.sampled_from([1, -1]),
+)
 _TEXT_EDGES = [
     "", "\x00", "a\x00b", "\U0001F600", "\U00010348\U0001F3F3",  # NUL, astral
     "é", "ạ̈", "‍",  # combining, joiner
@@ -43,7 +57,7 @@ _VALUE_STRATEGIES = {
     INT: st.sampled_from(_INT_EDGES)
     | st.integers(min_value=-(2**62), max_value=2**62)
     | st.integers(min_value=0, max_value=300),
-    FLOAT: st.sampled_from(_FLOAT_EDGES) | st.floats(width=64),
+    FLOAT: st.sampled_from(_FLOAT_EDGES) | st.floats(width=64) | _DECIMALS,
     STR: st.sampled_from(_TEXT_EDGES)
     | st.text(max_size=40)
     | st.sampled_from(["alpha", "beta", "gamma"]),
@@ -162,6 +176,89 @@ def test_trailing_columns_take_at_least_their_bound(relation, data):
     block = relation.gather(range(start, stop))
     saved = len(encode_relation(block)) - len(encode_relation(block.project(names[:-count])))
     assert column_bytes_at_least(relation, names[-count:], start, stop) <= saved
+
+
+@st.composite
+def decimal_columns(draw):
+    """A FLOAT column of decimals at one drawn exponent — ``k / 10**e``,
+    or whole numbers near ``±2**53`` — with NULLs or none, and at times one
+    value no scaled block holds (``-0.0``, NaN, ``±inf``, a non-decimal
+    quotient, a number past ``2**53``) mixed in at a drawn row."""
+    exponent = draw(st.integers(min_value=0, max_value=MAX_SCALE_EXPONENT + 1))
+    bound = draw(st.sampled_from([9, 300, 10**6, 10**12]))
+    decimals = st.integers(-bound, bound).map(lambda whole: whole / 10**exponent)
+    values = draw(st.lists(
+        decimals | st.integers(2**53 - 4, 2**53 + 8).map(float) | st.just(-(2.0**53)),
+        min_size=1, max_size=120,
+    ) | st.lists(decimals, min_size=1, max_size=120))
+    if draw(st.booleans()):
+        intruder = draw(st.sampled_from(
+            [-0.0, float("nan"), float("inf"), float("-inf"), 1 / 3, 2.0**53 + 2, 0.1 + 0.2]
+        ))
+        values.insert(draw(st.integers(0, len(values))), intruder)
+    if draw(st.booleans()):
+        values = [draw(st.none() | st.just(value)) for value in values]
+    return values
+
+
+def _scaled_bytes(values) -> int:
+    """What a scaled block of the present ``values`` takes past its
+    presence bytes, by a Python fold of the rule: the smallest exponent at
+    which every value is ``round(v * 10**e) / 10**e`` bit for bit, the
+    integer within ``±2**53``; then an exponent byte and the INT block of
+    those integers. ``None`` when no exponent holds them all."""
+    for exponent in range(MAX_SCALE_EXPONENT + 1):
+        scale = 10.0**exponent
+        integers = []
+        for value in values:
+            whole = round(value * scale) if math.isfinite(value * scale) else None
+            if whole is None or abs(whole) > 2**53:
+                break
+            if struct.pack("<d", float(whole) / scale) != struct.pack("<d", value):
+                break
+            integers.append(whole)
+        else:
+            # The exponent byte, then the INT block past its presence byte.
+            ints = Relation(Schema.of(("f", INT)), [(whole,) for whole in integers])
+            return len(_sole_block(ints))
+    return None
+
+
+def _sole_block(relation) -> bytes:
+    """The column block of a one-attribute relation: past the header and
+    the row count (a varint)."""
+    header = len(encode_relation(Relation.empty(relation.schema))) - 1
+    rows = len(relation)
+    return encode_relation(relation)[header + 1 + max(rows.bit_length() - 1, 0) // 7:]
+
+
+@given(decimal_columns())
+@settings(max_examples=300, deadline=None)
+def test_a_decimal_column_round_trips_by_repr(values):
+    relation = Relation(Schema.of(("f", FLOAT), ("g", FLOAT)), [(value, value) for value in values])
+    decoded = decode_relation(encode_relation(relation))
+    assert repr(decoded.rows) == repr(relation.rows)
+    assert _identity(decoded.rows) == _identity(relation.rows)
+    rule = held_column(decoded.values(0), FLOAT)
+    assert type(decoded.held_at(0)) is type(rule)
+
+
+@given(decimal_columns())
+@settings(max_examples=300, deadline=None)
+def test_the_scaled_form_ships_exactly_where_it_is_shorter(values):
+    """A column ships scaled (presence byte 4, or 5 with NULLs) exactly
+    when the scaled block the rule gives is shorter than 8 bytes a present
+    value, and then at that length; else it ships raw."""
+    block = _sole_block(Relation(Schema.of(("f", FLOAT)), [(value,) for value in values]))
+    present = [value for value in values if value is not None]
+    presence = 1 if len(present) == len(values) else 1 + (len(values) + 7) // 8
+    scaled = _scaled_bytes(present)
+    if scaled is not None and scaled < 8 * len(present):
+        assert block[0] == (4 if len(present) == len(values) else 5)
+        assert len(block) == presence + scaled
+    else:
+        assert block[0] in (0, 1)
+        assert len(block) == presence + 8 * len(present)
 
 
 @given(st.binary(max_size=200))

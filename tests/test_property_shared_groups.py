@@ -13,13 +13,14 @@ site's kept answer lost — the keyed fragments of the path before.
 
 import math
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_relations_equal
 from repro.distributed import evaluator
 from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.evaluator import ExecutionConfig
+from repro.distributed.evaluator import ExecutionConfig, execute_query
 from repro.distributed.optimizer import plan_query
 from repro.distributed.scheduler import execute_plan_scheduled
 from repro.distributed.site import SkallaSite
@@ -132,15 +133,30 @@ def test_a_sparse_round_is_the_keyed_one(parts, kind, row_block_size, topology, 
     if not excluded and topology == "flat":
         # A tree's relays add hops Theorem 2's star does not count.
         assert result.respects_theorem2()
-    nan = any(value != value for rows in parts.values() for *_key, value in rows)
-    # MIN and MAX keep a NaN only as a group's first value, so with a NaN
-    # the sites' and the coordinator's folds answer otherwise than one fold
-    # over the whole group does — keyed or sparse alike.
-    if not excluded and not (nan and kind in ("MIN", "MAX")):
+    if not excluded:
         reference = parse_olap_query(statement(kind)).evaluate_centralized(
             cluster.conceptual_tables()
         )
         assert_relations_equal(without_nan(reference), without_nan(result.relation))
+
+
+@pytest.mark.parametrize("kind, expected", [("MAX", "nan"), ("MIN", "-0.0")])
+def test_a_nan_ranks_above_every_number_at_every_site(kind, expected):
+    """MIN and MAX fold the same whichever site holds a NaN: NaN ranks
+    above every number, so folding each site's values and then the sites'
+    answers is one fold over the group. (When a NaN counted only as a
+    group's first value, site1's MAX was its NaN, and folding ``-0.0``
+    then that NaN answered ``-0.0``; centralized, the answer was 1.0.)"""
+    schema = Schema.of(("a", INT), ("b", INT), ("v", FLOAT))
+    cluster = SimulatedCluster.with_sites(2)
+    cluster.load_manual("T", {
+        "site0": Relation(schema, [(0, 0, -0.0)]),
+        "site1": Relation(schema, [(0, 0, math.nan), (0, 0, 1.0)]),
+    })
+    query = parse_olap_query(f"SELECT a, b, {kind}(v) AS m FROM T GROUP BY a, b")
+    centralized = query.evaluate_centralized(cluster.conceptual_tables())
+    distributed = execute_query(cluster, query).relation
+    assert repr(distributed.rows) == repr(centralized.rows) == f"[(0, 0, {expected})]"
 
 
 def test_the_rejoined_fragment_is_the_coordinators(monkeypatch):

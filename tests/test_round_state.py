@@ -47,9 +47,11 @@ from test_addressed_replies import (  # noqa: F401 - sync_heavy is a fixture
 )
 
 #: S5's round 2 down, bytes per site: positional and sparse, and keyed (what
-#: a miss resends). Positional with ``m`` at every row, it was 41 649 and 38 473.
-POSITIONAL_DOWN = {"site0": 102, "site1": 102}
-KEYED_DOWN = {"site0": 62_444, "site1": 57_680}
+#: a miss resends), ``m`` shipping as a scaled FLOAT block where it is one.
+#: With raw doubles they were 102 and 62 444 / 57 680; positional with ``m``
+#: at every row, 41 649 and 38 473.
+POSITIONAL_DOWN = {"site0": 93, "site1": 93}
+KEYED_DOWN = {"site0": 41_655, "site1": 38_479}
 #: S5's round 2: rows shipped to each site, and those more than one site answered.
 FRAGMENT_ROWS = {"site0": 5_198, "site1": 4_801}
 SHARED_ROWS = {"site0": 2, "site1": 2}

@@ -1,6 +1,9 @@
 """Unit tests for the wire codec."""
 
 import datetime
+import struct
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +156,11 @@ SAMPLES = [
         Schema.of(("k", INT), ("s", STR), ("n", BOOL)),
         [(2**40 + index, f"name-{index}", None) for index in range(9)],
     ),
+    # Scaled FLOAT blocks, NULL-free and with the presence bitmap.
+    Relation(
+        Schema.of(("price", FLOAT), ("discount", FLOAT)),
+        [(1999.0, 0.05), (None, 0.1), (-250.0, None), (3.5, 0.07)],
+    ),
     # Repeated column blocks (back-references) and row addresses dense
     # enough for a row bitmap.
     Relation(
@@ -289,6 +297,68 @@ class TestUntrustedBytes:
         payload[unique_count] = 100
         with pytest.raises(SerializationError, match="dictionary of 100 entries"):
             decode_relation(bytes(payload))
+
+    @staticmethod
+    def rejected(block: bytes, match: str, code: int = 1, rows: int = 1) -> None:
+        """A one-attribute relation of type ``code`` and ``rows`` rows whose
+        column block is ``block`` is rejected, quickly and in little memory."""
+        payload = b"SKRL\x03\x01\x01x" + bytes((code, rows)) + block
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(SerializationError, match=match):
+                decode_relation(payload)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - started < 1.0
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("code", [0, 2, 3, 4])
+    @pytest.mark.parametrize("presence", [b"\x04", b"\x05\x01"])
+    def test_a_scaled_block_outside_a_float_column_is_rejected(self, code, presence):
+        self.rejected(presence + b"\x00\x00\x01\x05", "scaled block in a", code)
+
+    def test_a_scaled_exponent_past_the_constant_is_rejected(self):
+        for exponent in (serialize.MAX_SCALE_EXPONENT + 1, 255):
+            self.rejected(b"\x04" + bytes((exponent,)) + b"\x00\x01\x05", "exponent")
+
+    def test_a_scaled_block_refuses_the_escape(self):
+        # Reference 0, then width 0 and one varint: an INT column's escape.
+        self.rejected(b"\x04\x00\x00\x00\x05", "bad width byte 0")
+
+    @pytest.mark.parametrize("reference, width, value", [
+        (2**53 + 1, 1, 0),  # the reference itself
+        (-(2**53) - 1, 1, 5),
+        (0, 8, 2**53 + 1),  # a value past the bound a width 8 header gives
+        (2**52, 8, 2**52 + 1),
+        (-(2**53), 8, 2**53 + 2),  # the sum within 2**53, the value not
+    ])
+    def test_a_scaled_block_past_2_to_the_53_is_rejected(self, reference, width, value):
+        block = bytearray(b"\x04\x00")
+        serialize._write_varint(block, serialize._zigzag(reference))
+        block += bytes((width,)) + value.to_bytes(width, "little")
+        self.rejected(bytes(block), "2\\*\\*53")
+
+    def test_a_scaled_block_within_2_to_the_53_decodes(self):
+        block = bytearray(b"\x04\x00")
+        serialize._write_varint(block, serialize._zigzag(-(2**53)))
+        block += b"\x08" + (2**53).to_bytes(8, "little")
+        decoded = decode_relation(b"SKRL\x03\x01\x01x\x01\x01" + bytes(block))
+        assert repr(decoded.rows) == "[(0.0,)]"
+
+    @pytest.mark.parametrize("block", [
+        b"\x04", b"\x04\x00", b"\x04\x00\x00", b"\x04\x00\x00\x01",
+        b"\x04\x00\x80", b"\x05", b"\x05\x01\x00\x00\x01",
+    ])
+    def test_a_truncated_scaled_block_is_rejected(self, block):
+        self.rejected(block, "truncated")
+
+    def test_a_scaled_block_must_hold_what_its_bitmap_counts(self):
+        # Three rows, two present by the bitmap: one value is too few,
+        # three too many.
+        self.rejected(b"\x05\x05\x00\x00\x01\x07", "truncated", rows=3)
+        self.rejected(b"\x05\x05\x00\x00\x01\x07\x08\x09", "trailing bytes", rows=3)
 
     def test_decode_cache_of_wire_headers_is_bounded(self):
         for index in range(serialize._MAX_DECODE_SCHEMAS + 8):
@@ -478,6 +548,79 @@ class TestTypedColumns:
         assert [type(column) for column in held] == [list, list]
         assert repr(held) == repr([[1, None, 3], [0.5, None, -0.0]])
         assert all(type(value) in (int, float, type(None)) for column in held for value in column)
+
+
+class TestScaledFloats:
+    """A FLOAT column of short decimals ships as integers ``v * 10**e``:
+    presence byte 4 (5 with the bitmap), the exponent byte and an INT
+    frame-of-reference block — only where that is shorter than the
+    doubles, and only where every value comes back bit for bit."""
+
+    def test_the_bytes_of_a_scaled_block(self):
+        assert column_block([1.5, None, 2.25], FLOAT) == (
+            # bitmap 0b101; exponent 2; reference 0, width 1: 150, 225
+            b"\x05\x05" b"\x02" b"\x00\x01" b"\x96\xe1"
+        )
+        assert column_block([1999.0, -250.0], FLOAT) == (
+            # exponent 0; reference -250 (zig-zag 499), width 2: 2249, 0
+            b"\x04" b"\x00" b"\xf3\x03\x02" b"\xc9\x08\x00\x00"
+        )
+
+    @pytest.mark.parametrize("stray", [
+        -0.0, float("nan"), float("inf"), float("-inf"), 1 / 3, 2.0**53 + 2, 1e-16,
+    ])
+    def test_a_value_that_does_not_scale_keeps_the_column_raw(self, stray):
+        values = [1.5, 2.0, stray, 3.25]
+        block = column_block(values, FLOAT)
+        assert block[0] == 0 and len(block) == 1 + 8 * len(values)
+        assert repr(decode_relation(encode_relation(
+            Relation(Schema.of(("x", FLOAT)), [(value,) for value in values])
+        )).rows) == repr([(value,) for value in values])
+
+    def test_integers_past_2_to_the_53_keep_the_column_raw(self):
+        # Three bytes of header and a byte a value would be shorter, but the
+        # decoder's float64 arithmetic is exact only within 2**53.
+        for values in (
+            [2.0**53 + 2, 2.0**53 + 4, 2.0**53 + 6],
+            [-(2.0**53) - 2, -(2.0**53)],
+            # Round-trips as rint(v * 10**4) / 10**4 only: that is 2.9e16.
+            [2901320001864.1904] * 3,
+        ):
+            assert column_block(values, FLOAT)[0] == 0
+        assert column_block([2.0**53 - 2, 2.0**53], FLOAT)[:2] == b"\x04\x00"
+
+    def test_the_smallest_exponent_is_taken_past_the_sample(self):
+        # The first 40 values are whole, the last needs three decimals.
+        values = [float(index) for index in range(40)] + [0.125]
+        block = column_block(values, FLOAT)
+        assert block[:2] == b"\x04\x03"
+        assert decode_relation(encode_relation(
+            Relation(Schema.of(("x", FLOAT)), [(value,) for value in values])
+        )).values(0) == values
+
+    def test_a_scaled_block_is_never_longer(self):
+        # Integers a width 8 array holds: the doubles are shorter.
+        assert column_block([0.0, 2.0**40], FLOAT)[0] == 0
+        assert len(column_block([0.0, 2.0**31], FLOAT)) == 1 + 1 + 2 + 4 * 2
+
+    def test_a_raw_block_as_written_before_the_scaled_form_decodes(self):
+        header = b"SKRL\x03\x01\x01x\x01"
+        no_null = header + b"\x02\x00" + struct.pack("<2d", 1.0, 2.5)
+        with_null = header + b"\x03\x01\x05" + struct.pack("<2d", 1.0, -0.0)
+        assert repr(decode_relation(no_null).rows) == "[(1.0,), (2.5,)]"
+        assert repr(decode_relation(with_null).rows) == "[(1.0,), (None,), (-0.0,)]"
+
+    @pytest.mark.parametrize("rows", [1, 12, 5_000])
+    def test_a_null_free_scaled_column_decodes_to_a_float64_array(self, rows):
+        schema = Schema.of(("x", FLOAT))
+        relation = Relation(schema, [(index / 4,) for index in range(rows)])
+        payload = encode_relation(relation)
+        [column] = decode_relation(payload).held()
+        header = bytearray(encode_relation(Relation.empty(schema))[:-1])
+        serialize._write_varint(header, rows)
+        assert payload[len(header)] == 4 and len(payload) < len(header) + 1 + 8 * rows
+        assert type(column) is np.ndarray and column.dtype == np.float64
+        assert repr(column.tolist()) == repr([row[0] for row in relation.rows])
 
 
 def column_block(values, type_name=INT) -> bytes:
