@@ -147,8 +147,7 @@ class Coordinator:
         folded from it.
         """
         touched = self.session and self.session.touched()
-        matches = (touched or {}).get(source)
-        return None if matches is None else np.concatenate(matches)
+        return (touched or {}).get(source)
 
     def shared_rows(self) -> Optional[np.ndarray]:
         """Per row of X, whether more than one source answered it in the
@@ -161,7 +160,7 @@ class Coordinator:
         answered = np.zeros(len(self.x), dtype=np.int64)
         for matches in touched.values():
             rows = np.zeros(len(answered), dtype=bool)
-            rows[np.concatenate(matches)] = True
+            rows[matches] = True
             answered += rows
         return answered > 1
 
@@ -170,9 +169,9 @@ class Coordinator:
     ) -> operator.SyncSession:
         """Open an incremental synchronization round against current X.
 
-        Fragments (whole site sub-results, or row blocks of them) are
-        absorbed as they arrive — Section 3.2's streaming merge — and the
-        caller commits the finalized structure with :meth:`commit_sync`.
+        Site sub-results are absorbed as they arrive — Section 3.2's
+        streaming merge — and the caller commits the finalized structure
+        with :meth:`commit_sync`.
         ``observes`` asks the session to remember which rows of X each
         source folded into (:meth:`touched_by`, for the round after).
         The session before it keeps only that: its bank is never read.

@@ -8,9 +8,9 @@ depth-1 tree, its Section 6 multi-tiered coordinator the same round with
 a merge at interior nodes. One :class:`_RoundWalk` serves both, and one
 edge function serves every parent -> child edge of every round kind, so
 what a run is configured with (leg engine, retry/degrade, speculation,
-row blocking, fault plan) is a property of an edge, not
-of a shape. Every relation moves as encoded bytes over the edge's
-channel, so traffic numbers are real wire sizes.
+fault plan) is a property of an edge, not of a shape. Every relation
+moves as one encoded block over the edge's channel, so traffic numbers
+are real wire sizes.
 
 Attribution rules for the measured times:
 
@@ -50,7 +50,6 @@ from repro.distributed.executor import (
     create_engine,
     encode_answer,
     message_bytes,
-    row_blocks,
 )
 from repro.distributed.mergetree import MergeTree
 from repro.distributed.optimizer import OptimizationOptions, plan_query
@@ -82,24 +81,14 @@ from repro.relalg.schema import INT, Attribute, Schema
 
 #: The :class:`ExecutionConfig` fields no run can take a negative of.
 _NON_NEGATIVE = (
-    "row_block_size", "max_retries", "retry_backoff_s",
-    "leg_timeout_s", "speculation_slack_s",
+    "max_retries", "retry_backoff_s", "leg_timeout_s", "speculation_slack_s",
 )
 
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """Runtime knobs of Alg. GMDJDistribEval.
-
-    ``row_block_size`` enables *row blocking* (mentioned among the
-    classical optimizations in Section 4): relations are shipped as a
-    sequence of blocks of at most that many rows, each block its own
-    message. More messages means more header bytes, but the coordinator
-    synchronizes each arriving block immediately (Section 3.2's
-    streaming merge), which in a real deployment overlaps transfer with
-    merge work. ``0`` — the default and the *only* "unlimited" sentinel
-    — ships each relation whole, one message per relation; ``None`` is
-    rejected.
+    """Runtime knobs of Alg. GMDJDistribEval. Every relation on a leg
+    ships whole, one message per relation in each direction.
 
     ``executor`` picks the site-execution engine
     (:mod:`repro.distributed.executor`): ``"serial"`` (the default) runs
@@ -120,7 +109,6 @@ class ExecutionConfig:
     the run's :class:`~repro.distributed.stats.ExecutionStats`.
     """
 
-    row_block_size: int = 0  # 0 = unlimited (one message per relation)
     executor: str = "serial"
     failure_mode: str = FAIL_FAST
     max_retries: int = 2
@@ -139,11 +127,6 @@ class ExecutionConfig:
     speculation_slack_s: float = 0.05
 
     def __post_init__(self):
-        if self.row_block_size is None:
-            raise PlanError(
-                "row_block_size must be an int; use 0 (not None) to ship "
-                "each relation whole"
-            )
         for name in _NON_NEGATIVE:
             if getattr(self, name) < 0:
                 raise PlanError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -174,10 +157,6 @@ class ExecutionConfig:
 
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy.from_config(self)
-
-    def blocks_of(self, relation: Relation) -> list:
-        """Split a relation into shipping blocks per this config."""
-        return row_blocks(relation, self.row_block_size)
 
 
 @dataclass
@@ -224,8 +203,8 @@ def execute_plan(
     at the root, combiners (hosted in this process) in between. ``None``
     is the flat star over the cluster's sites. Whatever the shape, every
     round is one :class:`_RoundWalk` and every edge gets the same
-    treatment, so engines, recovery, speculation and row blocking hold
-    for any tree. The other arguments are :func:`open_run`'s.
+    treatment, so engines, recovery and speculation hold for any tree.
+    The other arguments are :func:`open_run`'s.
     """
     with open_run(
         cluster, plan, config, tracer, metrics, engine, network, query_id, tree
@@ -487,7 +466,7 @@ class _RoundWalk:
                 if below:
                     round_stats.site(name)
             # Section 3.2's streaming merge: the root folds each arriving
-            # block into the session. Base and merged-base rounds must see
+            # answer into the session. Base and merged-base rounds must see
             # every fragment before X exists, so they collect instead.
             self.session = None
             self.shared = None
@@ -581,7 +560,7 @@ class _RoundWalk:
         """One parent -> child edge, both ways: ship down, let the child
         answer (a site evaluates, a combiner recurses and merges), take
         the reply in at the parent."""
-        config, number, name = self.config, self.number, child.name
+        number, name = self.number, child.name
         # Parent-side work is the coordinator's at the root, a relay's below.
         kind = "coordinator" if node is self.tree else "relay"
         edge = self.round_stats.site(name)
@@ -636,18 +615,14 @@ class _RoundWalk:
             tuples_up = reply.rows
         else:
             # This process hosts the combiner, so it plays the child end.
-            received = channel.take_at_site()
+            (received,) = channel.take_at_site()
             with self.tracer.span(
                 "combiner.hop", kind="relay", node=name,
                 round=self.round_stats.index, children=len(child.children),
                 **self.ids,
             ) as hop:
                 started = time.perf_counter()
-                held_below = (
-                    Relation.union_all(*(shipment.relation() for shipment in received))
-                    if self.ships_fragment
-                    else None
-                )
+                held_below = received.relation() if self.ships_fragment else None
                 self._charge(child, time.perf_counter() - started)
                 collected = list(self.descend(child, held_below, hop).values())
                 if not collected:
@@ -662,10 +637,10 @@ class _RoundWalk:
                     )
                     payloads = encode_answer(
                         _with_keys(held_below, keys, merged, positions),
-                        config.row_block_size, len(keys), positions,
+                        len(keys), positions,
                     )
                 else:
-                    payloads = encode_answer(merged, config.row_block_size)
+                    payloads = encode_answer(merged)
                 self._charge(child, time.perf_counter() - started)
                 hop.set(bytes_up=message_bytes(payloads))
             reply_kind = msg.BASE_RESULT if self.md_round is None else msg.SUB_RESULT
@@ -678,46 +653,35 @@ class _RoundWalk:
         edge.bytes_up += message_bytes(payloads)
         edge.tuples_up += tuples_up
 
-        # Streaming merge: the root of an ordinary round absorbs each block
+        # Streaming merge: the root of an ordinary round absorbs the answer
         # on arrival.
         absorbs = self.session is not None and node is self.tree
-        if self.addressed:
-            # Only a fragment that carried K can be answered keyed.
-            key = serialize.carried_keys(self.plan.expression.key, fragment.schema.names)
-        answer, answered = [], []
+        positions = None
         started = time.perf_counter()
         with self.tracer.span("round.decode", kind=kind, site=name):
-            start = 0  # the fragment row after the last one answered so far
-            for _payload in payloads:
-                message = channel.receive_at_coordinator()
-                answered.append(message.payload)
-                if not self.addressed:
-                    block = message.relation()
-                    if absorbs:
-                        self.session.absorb(block, source=name)
-                    else:
-                        answer.append(block)
-                    continue
-                block, rows = serialize.decode_reply(message.payload, key, len(fragment), start)
+            message = channel.receive_at_coordinator()
+            if self.addressed:
+                # Only a fragment that carried K can be answered keyed.
+                key = serialize.carried_keys(self.plan.expression.key, fragment.schema.names)
+                answer, rows = serialize.decode_reply(message.payload, key, len(fragment))
                 if rows is None:
-                    block, rows = _keyed_rows(fragment, block, key)
-                if len(rows):
-                    start = int(rows[-1]) + 1
+                    answer, rows = _keyed_rows(fragment, answer, key)
                 # The rows this node holds that it shipped as the rows answered.
                 positions = rows if kept is None else kept[rows]
-                if absorbs:
-                    self.session.absorb(block, source=name, positions=positions)
-                else:
-                    answer.append((block.project(self.sub_names), positions))
+            else:
+                answer = message.relation()
+            if absorbs:
+                self.session.absorb(answer, source=name, positions=positions)
             if self.observes and child.is_leaf and node is self.tree:
-                self._keep(name, fragment if self.addressed else block, down, answered)
+                self._keep(
+                    name, fragment if self.addressed else answer, down, [message.payload]
+                )
         self._charge(node, time.perf_counter() - started)
-        if not answer:
+        if absorbs:
             return None
         if self.addressed:
-            blocks, positions = zip(*answer)
-            return blocks[0].union_all(*blocks[1:]), np.concatenate(positions)
-        return Relation.union_all(*answer)
+            return answer.project(self.sub_names), positions
+        return answer
 
     def _shipments(self, parent, name, payloads, span, rows) -> list:
         """The messages carrying ``payloads`` down edge ``name``, as the
@@ -747,7 +711,7 @@ class _RoundWalk:
         with self.tracer.span(
             "round.encode", kind="coordinator", site=name, resend=True
         ) as encode_span:
-            keyed = _encoded(self.config.blocks_of(fragment))
+            keyed = [serialize.encode_relation(fragment)]
             down = self._shipments(node.name, name, keyed, encode_span, len(fragment))
         self._charge(node, time.perf_counter() - started)
         self._ship(channel, edge, down, len(fragment))
@@ -782,14 +746,13 @@ class _RoundWalk:
     def _fragment(self, node: MergeTree, child: MergeTree, held: Relation) -> tuple:
         """``(fragment, kept, payloads, positional, shared)`` shipped down
         the edge to ``child``: :meth:`Coordinator.fragment_for_site`'s
-        fragment and kept rows of ``held``, and the row blocks that ship
-        it, encoded.
+        fragment and kept rows of ``held``, and the payload that ships it.
 
         The fragment carries the fields the round reads, and a combiner's
         also those its sites' ship filters read. When it is all of ``held``
         — nothing observed narrows it and some site below needs every row —
         it is projected and encoded once per round for every edge that
-        ships it. ``positional``: the blocks leave K out, positionally
+        ships it. ``positional``: the payload leaves K out, positionally
         against the answer the site gave in the round before
         (:meth:`_positional`); ``shared``: how many rows carry the round
         before's outputs when the fragment is sparse, else ``None``.
@@ -806,7 +769,7 @@ class _RoundWalk:
         # row count.
         fields = tuple(field for field in held.schema.names if field in wanted)
         fields = fields or held.schema.names[:1]
-        coordinator, config = self.coordinator, self.config
+        coordinator = self.coordinator
         if positions is not None or all(ship_filter is not None for ship_filter in filters):
             fragment, kept = coordinator.fragment_for_site(
                 *filters, held=held, positions=positions, fields=fields
@@ -820,53 +783,50 @@ class _RoundWalk:
                 if positional is not None:
                     payloads, shared = positional
                     return fragment, kept, payloads, True, shared
-            return fragment, kept, _encoded(config.blocks_of(fragment)), False, None
+            return fragment, kept, [serialize.encode_relation(fragment)], False, None
         with self._encode_lock:
             whole = self._whole.get((held, fields))
             if whole is None:
                 fragment, _kept = coordinator.fragment_for_site(None, held=held, fields=fields)
                 whole = self._whole[held, fields] = (
-                    fragment, _encoded(config.blocks_of(fragment)),
+                    fragment, [serialize.encode_relation(fragment)],
                 )
         return whole[0], None, whole[1], False, None
 
     def _positional(self, fragment: Relation, kept: np.ndarray, digest: bytes):
-        """``(payloads, shared)``: ``fragment``'s blocks without K,
-        the first positional against the answer ``digest`` names —
-        ``fragment``'s rows, the rows ``kept`` of X, in its order — and
-        sparse where that is smaller (:meth:`_sparse`); or None when that
-        could be larger than the keyed blocks, or there is nothing else and
-        more rows than a zero-attribute block may count."""
+        """``(payloads, shared)``: ``fragment`` without K, positional
+        against the answer ``digest`` names — ``fragment``'s rows, the rows
+        ``kept`` of X, in its order — and sparse where that is smaller
+        (:meth:`_sparse`); or None when that could be larger than the keyed
+        fragment, or there is nothing else and more rows than a
+        zero-attribute relation may count."""
         key = serialize.carried_keys(self.plan.expression.key, fragment.schema.names)
         rest = fragment.project(
             [name for name in fragment.schema.names if name not in key]
         )
-        first = min(len(fragment), self.config.row_block_size or len(fragment))
         if (not len(rest.schema) and len(fragment) > serialize.MAX_ZERO_ATTRIBUTE_ROWS) or (
-            # K's share of the first keyed block must outweigh the digest.
-            serialize.key_bytes_at_least(fragment.schema, key, first)
+            # K's share of the keyed fragment must outweigh the digest.
+            serialize.key_bytes_at_least(fragment.schema, key, len(fragment))
             <= serialize.POSITIONAL_PREFIX_BYTES
         ):
             return None
         sparse = self._sparse(rest, kept, digest)
         if sparse is not None:
             return sparse
-        blocks = self.config.blocks_of(rest)
-        return [serialize.encode_positional(blocks[0], digest), *_encoded(blocks[1:])], None
+        return [serialize.encode_positional(rest, digest)], None
 
     def _sparse(self, rest: Relation, kept: np.ndarray, digest: bytes):
-        """``(payloads, shared rows)``: the positional blocks of
-        ``rest`` (the fragment without K, the rows ``kept`` of X) with the
-        round before's outputs left out but at the rows more than one
-        source answered, which the first block carries by row address
-        (``serialize.encode_positional``); or None when no output of the
-        round before is left to the site, or that could ship more bytes.
+        """``(payloads, shared rows)``: ``rest`` (the fragment without
+        K, the rows ``kept`` of X) positional, with the round before's
+        outputs left out but at the rows more than one source answered,
+        which it carries by row address (``serialize.encode_positional``);
+        or None when no output of the round before is left to the site, or
+        that could ship more bytes.
 
         It costs the shared rows' block and its length, and saves at least
-        what those columns add to each dense row block
+        what those columns add to ``rest``
         (``serialize.column_bytes_at_least``): the outputs are the last
-        columns of X, so leaving them out moves no back-reference, and a
-        block of no columns ships as one."""
+        columns of X, so leaving them out moves no back-reference."""
         names = rest.schema.names
         derived = tuple(name for name in names if name in self.derivable)
         if self.shared is None or not len(rest) or not derived:
@@ -884,18 +844,9 @@ class _RoundWalk:
         )
         # The shared rows' block and its varint length, seven bits a byte.
         cost = len(shared) + (len(shared).bit_length() + 6) // 7
-        size = self.config.row_block_size or len(rest)
-        saved = 0
-        for start in range(0, len(rest), size):  # until it pays
-            saved += serialize.column_bytes_at_least(rest, derived, start, start + size)
-            if saved > cost:
-                break
-        else:
+        if serialize.column_bytes_at_least(rest, derived) <= cost:
             return None
-        blocks = self.config.blocks_of(dense) if len(dense.schema) else [dense]
-        return [
-            serialize.encode_positional(blocks[0], digest, shared), *_encoded(blocks[1:])
-        ], len(rows)
+        return [serialize.encode_positional(dense, digest, shared)], len(rows)
 
     def _observed_positions(self, node: MergeTree, name: str):
         """Which rows of X the root ships down edge ``name`` in an
@@ -931,7 +882,6 @@ class _RoundWalk:
         shared.update(
             steps=tuple(md_round.steps),
             key_attrs=tuple(self.plan.expression.key),
-            row_block_size=self.config.row_block_size,
             keep_answer=keep_answer and self.observes,
         )
         if md_round.merged_base:
@@ -964,10 +914,6 @@ class _RoundWalk:
                 self.round_stats.coordinator_compute_s += seconds
             else:
                 self.round_stats.site(node.name).compute_s += seconds
-
-
-def _encoded(blocks) -> list:
-    return [serialize.encode_relation(block) for block in blocks]
 
 
 def _derivable(md_round) -> frozenset:

@@ -44,7 +44,7 @@ from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence, Tuple
 
-from repro.errors import MultiLegError, PlanError
+from repro.errors import MultiLegError, PlanError, ProtocolError
 from repro.net import message as msg
 from repro.net import serialize
 from repro.obs.metrics import MetricsRegistry, activate, active_registry
@@ -73,7 +73,6 @@ class SiteRequest:
     key_attrs: tuple = ()
     source: object = None
     independent_reduction: bool = False
-    row_block_size: int = 0
     down_payloads: tuple = ()
     traced: bool = False
     #: Service-assigned query identity; stamped on the site spans so a
@@ -127,8 +126,8 @@ class SiteRequest:
 class SiteReply:
     """The site-attributed outcome of one request.
 
-    ``payloads`` are the encoded reply relation blocks (the leg frames
-    them into messages, so byte accounting happens on the parent's
+    ``payloads`` are the encoded reply, one block (the leg frames it
+    into a message, so byte accounting happens on the parent's
     channels); ``compute_s`` is the site compute charge measured inside
     the site; ``spans``/``counters`` carry a site server's observability
     back for replay.
@@ -141,47 +140,26 @@ class SiteReply:
     counters: dict = field(default_factory=dict)
 
 
-def row_blocks(relation: Relation, size: int) -> list:
-    """Row blocking: ``relation`` as blocks of at most ``size`` rows.
-
-    ``0`` (unlimited) or a relation that already fits ships whole.
-    """
-    if not size or len(relation) <= size:
-        return [relation]
-    rows = range(len(relation))
-    return [relation.gather(rows[start : start + size]) for start in rows[::size]]
-
-
-def encode_answer(
-    h: Relation, row_block_size: int, keys: Optional[int] = None, rows=None
-) -> tuple:
-    """An answer's payloads: its row blocks, each encoded.
+def encode_answer(h: Relation, keys: Optional[int] = None, rows=None) -> tuple:
+    """An answer's payloads: ``h`` as one encoded block.
 
     ``keys`` marks an answer by row address: ``h`` starts with that many
     key attributes, and its rows answer the rows ``rows`` of the fragment
-    shipped (ascending; ``None``: every row, in order). Its blocks are
-    :func:`~repro.net.serialize.encode_reply`'s, each block's addresses
-    past the block before.
+    shipped (ascending; ``None``: every row, in order). Its block is
+    :func:`~repro.net.serialize.encode_reply`'s.
     """
     if keys is None:
-        return tuple(map(serialize.encode_relation, row_blocks(h, row_block_size)))
+        return (serialize.encode_relation(h),)
     if rows is None:
-        # Every row in order: the blocks are the sub-aggregate columns alone.
-        subs = h.project(h.schema.names[keys:])
-        return tuple(map(serialize.encode_relation, row_blocks(subs, row_block_size)))
+        # Every row in order: the block is the sub-aggregate columns alone.
+        return (serialize.encode_relation(h.project(h.schema.names[keys:])),)
     schema = Schema([*h.schema.attributes, Attribute(serialize.ADDRESS, INT)])
     addressed = Relation.of_columns(schema, [*h.held(), rows], len(h))
-    payloads, start = [], 0
-    for block in row_blocks(addressed, row_block_size):
-        payloads.append(serialize.encode_reply(block, keys, start))
-        if len(block):
-            start = int(block.held()[-1][-1]) + 1
-    return tuple(payloads)
+    return (serialize.encode_reply(addressed, keys),)
 
 
 def _answer(
-    h: Relation, row_block_size: int, keys: Optional[int] = None, answered=None,
-    observed: bool = False,
+    h: Relation, keys: Optional[int] = None, answered=None, observed: bool = False
 ) -> tuple:
     """``(payloads, rows shipped)`` of a site's answer (:func:`encode_answer`);
     the rows are ``None`` when every row of ``h`` ships.
@@ -193,11 +171,11 @@ def _answer(
     down again in it.
     """
     if keys is None or answered is None or len(answered) == len(h):
-        return encode_answer(h, row_block_size, keys), None
+        return encode_answer(h, keys), None
     kept = h.gather(answered)
-    reduced = encode_answer(kept, row_block_size, keys, answered)
+    reduced = encode_answer(kept, keys, answered)
     if not observed:
-        whole = encode_answer(h, row_block_size, keys)
+        whole = encode_answer(h, keys)
         if message_bytes(whole) <= message_bytes(reduced):
             return whole, None
     return reduced, answered
@@ -260,10 +238,13 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
             )
             span.set(rows=len(h_i))
     elif request.kind == "round":
+        if len(request.down_payloads) != 1:
+            raise ProtocolError(
+                f"a round ships its fragment as one block, "
+                f"got {len(request.down_payloads)}"
+            )
         with tracer.span("round.decode", kind="site", site=site_id, **ids) as decode_span:
             fragment, digest, shared = serialize.decode_fragment(request.down_payloads[0])
-            for extra in request.down_payloads[1:]:
-                fragment = fragment.union_all(serialize.decode_relation(extra))
             if shared is not None:
                 # The rows more than one site answered; the site finalizes the rest.
                 shared = serialize.decode_reply(shared, (), len(fragment))
@@ -307,9 +288,7 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
     with tracer.span(
         "round.encode", kind="site", site=site_id, **ids
     ) as encode_span:
-        payloads, shipped = _answer(
-            h_i, request.row_block_size, keys, answered, request.observed
-        )
+        payloads, shipped = _answer(h_i, keys, answered, request.observed)
         rows = len(h_i) if shipped is None else len(shipped)
         encode_span.set(rows=rows, messages=len(payloads), bytes=message_bytes(payloads))
         if request.keep_answer:
@@ -333,26 +312,27 @@ def _remember(site, request: SiteRequest, h_i: Relation, keyed: bool, shipped, p
     round's positional fragment, when ``h_i`` holds keys it can be shipped
     against.
 
-    A ``keyed`` answer is kept as its own blocks, which lead with K and
-    hold the sub-aggregates, so keeping it encodes nothing more. An answer
+    A ``keyed`` answer is kept as its own block, which leads with K and
+    holds the sub-aggregates, so keeping it encodes nothing more. An answer
     by row address carries no K, so its key columns are encoded to keep,
-    beside its blocks."""
+    beside its block."""
     keys = serialize.positional_keys(h_i.schema, request.key_attrs)
     if not keys:
         return
+    (reply,) = payloads
     if keyed:
-        blocks = payloads
+        block = reply
     else:
         kept = h_i.project(keys)
         if shipped is not None:
             kept = kept.gather(shipped)
-        blocks = (serialize.encode_relation(kept),)
+        block = serialize.encode_relation(kept)
     site.remember_answer(
         request.query_id,
         serialize.answer_digest(request.down_payloads, payloads),
-        blocks,
+        block,
         len(h_i) if shipped is None else len(shipped),
-        replies=None if keyed else payloads,
+        reply=None if keyed else reply,
         steps=request.steps,
     )
 
@@ -361,8 +341,8 @@ def play_site_end(channel, request: SiteRequest, perform) -> SiteReply:
     """The site's turn on ``channel``, played in this process.
 
     Take what the parent shipped (the channel raises if any of it was
-    lost or is late), hand a ``round`` request its fragment blocks,
-    ``perform`` the request, send each reply block up to whoever shipped.
+    lost or is late), hand a ``round`` request its fragment,
+    ``perform`` the request, send the reply up to whoever shipped.
     """
     shipped = channel.take_at_site()
     if request.kind == "round":

@@ -17,8 +17,8 @@ synchronization already holds every group's merged components
 second time. Appends land in the sites' append logs; a refresh is up to
 two ordinary rounds of Alg. GMDJDistribEval, walked by the evaluator like
 any other (:func:`~repro.distributed.evaluator.open_run`), so retry and
-degrade, speculation, row blocking and round spans hold for them, and
-fault rules name them as rounds 1 and 2:
+degrade, speculation and round spans hold for them, and fault rules name
+them as rounds 1 and 2:
 
 1. the state's groups ship down to every site whose version moved, and
    the site evaluates the blocks over the rows appended since the
@@ -159,7 +159,7 @@ class IncrementalView:
         (:meth:`~repro.distributed.cluster.SimulatedCluster.append`; the
         query service appends once, then upgrades every affected cached
         view). Its rounds are the evaluator's, numbered 1 and 2, with its
-        retry and degrade, speculation, row blocking and spans; they take
+        retry and degrade, speculation and spans; they take
         ``config``/``tracer``/``engine``/``network`` as
         :func:`~repro.distributed.evaluator.execute_plan` does. A round
         that excluded a site leaves the view as it was, and

@@ -43,19 +43,19 @@ from repro.relalg.schema import Schema
 from repro.warehouse.storage import LocalWarehouse
 
 
-#: Most bytes of answers a site keeps for positional fragments: format v3
-#: blocks that lead with the key columns of the rows answered, and the
-#: blocks that hold the round's sub-aggregates of those rows (a keyed
-#: answer's own reply blocks are both; an answer by row address keeps its
-#: key columns and its reply blocks). Every request of a query takes that
+#: Most bytes of answers a site keeps for positional fragments: a format
+#: v3 block that leads with the key columns of the rows answered, and the
+#: block that holds the round's sub-aggregates of those rows (a keyed
+#: answer's own reply block is both; an answer by row address keeps its
+#: key columns and its reply block). Every request of a query takes that
 #: query's kept answers out (:meth:`SkallaSite.take_answers`), the one its
 #: fragment names or none, so an answer outlives its query's next request
 #: to the site only when that request never comes (the site is excluded
 #: from the next round, or the query fails); then it stays until the
 #: oldest query's answers go first. S5 at 10 000 rows on 2 sites keeps
 #: 67 635 and 62 474 bytes from round 1 to round 2, K and the round's
-#: sub-aggregates in the same blocks: its round 1 answers keyed. An answer
-#: by row address keeps its reply blocks beside its K block: round 2 of
+#: sub-aggregates in the same block: its round 1 answers keyed. An answer
+#: by row address keeps its reply block beside its K block: round 2 of
 #: S5 with a third round keeps 67 647 and 63 071 bytes (20 kB of them K).
 ROUND_STATE_BYTES = 16 << 20
 
@@ -65,11 +65,11 @@ class KeptAnswer(NamedTuple):
 
     #: Rows answered, in answer order.
     rows: int
-    #: Format v3 blocks leading with the key columns of those rows.
-    blocks: tuple
-    #: The reply blocks that hold the rows' sub-aggregates, in order: the
-    #: ``blocks`` themselves for a keyed answer.
-    replies: tuple
+    #: A format v3 block leading with the key columns of those rows.
+    block: bytes
+    #: The reply block that holds the rows' sub-aggregates: ``block``
+    #: itself for a keyed answer.
+    reply: bytes
     #: The steps of the round that answered, whose outputs the site
     #: finalizes from the sub-aggregates (:meth:`SkallaSite.rejoin`).
     steps: tuple
@@ -77,8 +77,7 @@ class KeptAnswer(NamedTuple):
     @property
     def size(self) -> int:
         """Bytes kept."""
-        kept = sum(map(len, self.blocks))
-        return kept if self.replies is self.blocks else kept + sum(map(len, self.replies))
+        return len(self.block) + (0 if self.reply is self.block else len(self.reply))
 
 
 class SkallaSite:
@@ -101,20 +100,17 @@ class SkallaSite:
     # -- round state -------------------------------------------------------------
 
     def remember_answer(
-        self, query, digest: bytes, blocks: Sequence[bytes], rows: int,
-        replies: Optional[Sequence[bytes]] = None, steps: Sequence[MDStep] = (),
+        self, query, digest: bytes, block: bytes, rows: int,
+        reply: Optional[bytes] = None, steps: Sequence[MDStep] = (),
     ) -> None:
         """Keep the key list and sub-aggregates of query ``query``'s answer
         under the digest that names it
         (:func:`~repro.net.serialize.answer_digest`), within
-        :data:`ROUND_STATE_BYTES`: the format v3 ``blocks``, ``rows`` rows
-        in all, lead with the key columns, one row per answered row in
-        answer order; the ``replies`` (``None``: the ``blocks``) hold the
-        same rows' sub-aggregate columns for the round's ``steps``."""
-        blocks = tuple(blocks)
-        entry = KeptAnswer(
-            rows, blocks, blocks if replies is None else tuple(replies), tuple(steps)
-        )
+        :data:`ROUND_STATE_BYTES`: the format v3 ``block`` of ``rows`` rows
+        leads with the key columns, one row per answered row in answer
+        order; the ``reply`` (``None``: the ``block``) holds the same rows'
+        sub-aggregate columns for the round's ``steps``."""
+        entry = KeptAnswer(rows, block, block if reply is None else reply, tuple(steps))
         if entry.size > ROUND_STATE_BYTES:
             return
         with self._answers_lock:
@@ -157,8 +153,8 @@ class SkallaSite:
         """``(keyed fragment, key bytes)``: the fragment a positional one
         stands for — the key columns of the answer ``digest`` names among
         ``answers`` (:meth:`take_answers`), row for row, then
-        ``fragment``'s — and the bytes of those columns' blocks, which the
-        fragment did not ship.
+        ``fragment``'s — and the bytes those columns take in the kept block,
+        which the fragment did not ship.
 
         ``shared`` is a sparse fragment's shared rows' block, as
         :func:`~repro.net.serialize.decode_reply` reads it: ``(relation,
@@ -188,8 +184,7 @@ class SkallaSite:
                 f"{self.site_id}: answer {digest.hex()} has {rows} rows, "
                 f"the fragment positional against it {len(fragment)}"
             )
-        parts = [serialize.decode_leading(block, len(key_attrs)) for block in entry.blocks]
-        keys = parts[0][0].union_all(*(part for part, _size in parts[1:]))
+        keys, keys_bytes = serialize.decode_leading(entry.block, len(key_attrs))
         derived = () if shared is None else shared[0].schema.names
         if keys.schema.names != tuple(key_attrs) or set(key_attrs) & {
             *fragment.schema.names, *derived
@@ -205,7 +200,7 @@ class SkallaSite:
             attributes += shared[0].schema.attributes
             columns += self._derived(entry, digest, *shared)
         keyed = Relation.of_columns(Schema(attributes), columns, rows)
-        return keyed, sum(size for _part, size in parts)
+        return keyed, keys_bytes
 
     def _derived(self, entry: KeptAnswer, digest: bytes, shared: Relation, at) -> list:
         """The columns of ``shared`` over every row of the kept answer
@@ -219,9 +214,8 @@ class SkallaSite:
                 f"{[a.name for a in shared.schema.attributes if a not in outputs]}"
             )
         names = [attribute.name for block in blocks for attribute in block.sub_attributes()]
-        parts = [serialize.decode_relation(block).project(names) for block in entry.replies]
         finalized = operator.finalize_alone(
-            parts[0].union_all(*parts[1:]), blocks, shared.schema.names
+            serialize.decode_relation(entry.reply).project(names), blocks, shared.schema.names
         )
         return [
             _overlay(finalized[name], at, column)

@@ -6,7 +6,7 @@ startup, and then serves the frame protocol of
 :mod:`repro.net.socket_channel` forever: buffering shipped-down
 ``SHIP_BASE`` payloads per connection, running
 :func:`~repro.distributed.executor.perform_isolated_request` on REQ, and
-streaming the reply payloads back as MSG frames before the REPLY.
+sending the reply back as one MSG frame before the REPLY.
 
 Because the partition lives on disk, a killed site process can be
 restarted and *rejoin* the cluster serving exactly the data it held
@@ -35,7 +35,13 @@ from typing import Optional, Tuple
 
 from repro.distributed.executor import SiteRequest, perform_isolated_request
 from repro.distributed.site import SkallaSite
-from repro.errors import DeploymentError, NetworkError, ReproError, StateMismatch
+from repro.errors import (
+    DeploymentError,
+    NetworkError,
+    ProtocolError,
+    ReproError,
+    StateMismatch,
+)
 from repro.net import serialize
 from repro.net.message import BASE_RESULT, SHIP_BASE, SUB_RESULT
 from repro.net.socket_channel import (
@@ -369,10 +375,11 @@ class SiteServer:
                     )
         except OSError:
             pass  # the client went away; its reconnect starts clean
-        except NetworkError as error:
-            # A frame this server cannot parse (or is not meant for it):
-            # say so where the socket still allows and close *this*
-            # connection — the stream is out of step, the server is not.
+        except (NetworkError, ProtocolError) as error:
+            # A frame this server cannot parse (or is not meant for it), or
+            # an answer too long to frame: say so where the socket still
+            # allows and close *this* connection — the stream is out of
+            # step, the server is not.
             self.registry.counter("site.errors").inc()
             self._send_error(conn, error)
         finally:

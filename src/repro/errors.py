@@ -71,6 +71,12 @@ class StateMismatch(ReproError):
     retrying the positional one."""
 
 
+class ProtocolError(ReproError):
+    """A peer would break the wire protocol: a frame longer than the
+    reader's cap, or a leg that carries a relation as other than one
+    block. Not transient: sending the same again breaks it again."""
+
+
 class NetworkError(ReproError):
     """A simulated network operation failed (unknown site, closed channel)."""
 

@@ -197,7 +197,7 @@ class SyncSession:
     as positions in the base (and so in :meth:`finish`'s relation, which
     keeps the base's row order). It is what the next round's
     observed-distribution group reduction ships that source: the probe's
-    positions, one array per fragment.
+    positions, one array per source.
     """
 
     def __init__(
@@ -217,7 +217,7 @@ class SyncSession:
         self._observes = observes
         self._in_order = in_order
         self._banks: dict = {}  # source -> [(sub columns, base positions)] in arrival order
-        self._touched: dict = {}  # source -> [base positions per absorbed fragment]
+        self._touched: dict = {}  # source -> base positions, in absorb order
         self._lock = threading.Lock()
 
     def _probe(self, h: Relation, positions: Sequence[int]) -> tuple:
@@ -252,7 +252,10 @@ class SyncSession:
         with self._lock:
             self._banks.setdefault("" if self._in_order else source, []).append((columns, bases))
             if self._observes:
-                self._touched.setdefault(source, []).append(bases)
+                earlier = self._touched.get(source)
+                self._touched[source] = (
+                    bases if earlier is None else np.concatenate((earlier, bases))
+                )
 
     def reset_source(self, source: str) -> None:
         """Discard everything absorbed from one source (site).
@@ -269,9 +272,8 @@ class SyncSession:
 
     def touched(self) -> Optional[dict]:
         """What an observing session saw: per source that answered, the
-        base positions each absorbed row folded into, one array per
-        absorbed fragment in absorb order. ``None`` when the session was
-        not asked."""
+        base positions each absorbed row folded into, one array in absorb
+        order. ``None`` when the session was not asked."""
         return self._touched if self._observes else None
 
     def _bank(self) -> list:

@@ -10,7 +10,7 @@ A :class:`Channel` is one edge. It has
   ``receive_at_coordinator`` takes the next reply in;
 - a **site end**, played by *whoever hosts the site*. In process that is
   the calling thread: ``take_at_site`` (everything shipped since the last
-  take), evaluate, ``send_to_coordinator`` per reply block — written once,
+  take), evaluate, ``send_to_coordinator`` with the reply — written once,
   in the executor's ``play_site_end`` (a combiner's host makes the same
   two calls for the combiner). Over TCP it is the site's
   server process, reached by

@@ -81,21 +81,20 @@ Two more presence bytes stand for a whole block:
 
 **Answers by row address.** A site answers a shipped fragment
 (:func:`encode_reply`) with its sub-aggregate columns and no key: the
-fragment's rows it answers are the block's :data:`ADDRESS` column (strictly
-ascending row numbers), or, without one, the rows from the one after the
-previous block's last, one per row. A block may instead carry the key
-attributes when that is smaller. :func:`decode_reply` reads one back.
+fragment's rows it answers are the reply's :data:`ADDRESS` column (strictly
+ascending row numbers), or, without one, every row from the first, one per
+row. The reply may instead carry the key attributes when that is smaller.
+:func:`decode_reply` reads one back.
 
 **Positional fragments.** In a round that ships each site only the groups
 it answered with in the round before (observed reduction), the fragment to
 a site lists those groups in the site's own answer order, so it need not
-carry the key attributes K: the site kept them. Its first block
+carry the key attributes K: the site kept them. Such a fragment
 (:func:`encode_positional`) is the magic ``b"SKRP"``, a length byte
 (:data:`DIGEST_BYTES`), the digest of the answer it is positional against,
-and then a format v3 relation of the round's other fields; any further
-row block is a plain v3 relation. :func:`decode_fragment` reads any
-kind of first block. The digest is :func:`answer_digest`: the first
-:data:`DIGEST_BYTES` bytes of SHA-256 over the blocks the site was
+and then a format v3 relation of the round's other fields.
+:func:`decode_fragment` reads any kind of fragment. The digest is
+:func:`answer_digest`: the first :data:`DIGEST_BYTES` bytes of SHA-256 over the blocks the site was
 shipped in that round and the blocks it answered with, each list and
 each block preceded by its length as 8 little-endian bytes. Both ends
 hold those bytes, and they fix the key list: a keyed answer carries its
@@ -109,18 +108,17 @@ site's own key value could differ in its bits from the coordinator's.
 round before has that site's own sub-aggregates as its super-aggregate
 (Theorem 1), and the site kept them with its keys. So the columns the
 round before output (its *derived* columns, the last of the fragment's)
-need to ship only at the rows more than one site answered. Such a first
-block is the magic ``b"SKRS"``, the length byte and the digest as above,
+need to ship only at the rows more than one site answered. Such a
+fragment is the magic ``b"SKRS"``, the length byte and the digest as above,
 then the *shared* rows' block as a varint byte length and that many
 bytes: an :func:`encode_reply` block of the derived columns, whose
 :data:`ADDRESS` column (or its absence: every row from the first, in
 order) names the shared rows by row number in the fragment — the site's
 answer order. A format v3 relation of the fragment's other fields ends
-the block (zero attributes when there are none, its row count the
-fragment's); any further row block carries those fields alone. The site
-reads the shared block with :func:`decode_reply` against the fragment's
-row count, so an address out of range, addresses that do not ascend or
-more rows than the fragment holds raise
+it (zero attributes when there are none, its row count the fragment's).
+The site reads the shared block with :func:`decode_reply` against the
+fragment's row count, so an address out of range, addresses that do not
+ascend or more rows than the fragment holds raise
 :class:`~repro.errors.SerializationError`.
 
 The decoder checks every declared count and length against the bytes
@@ -947,19 +945,18 @@ def _decode(data: bytes, columns: Optional[int] = None) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def encode_reply(h: Relation, keys: int, start: int = 0) -> bytes:
-    """One block of the answer to a shipped fragment, as the smallest of
-    three relations.
+def encode_reply(h: Relation, keys: int) -> bytes:
+    """The answer to a shipped fragment, as the smallest of three
+    relations.
 
     ``h`` is the answer keyed and addressed: its first ``keys`` attributes
     are the key attributes (``0`` when the fragment did not carry them),
     its last is :data:`ADDRESS` — per row, the fragment row it answers,
-    strictly ascending from at least ``start`` (the row after the last one
-    an earlier block of the same answer addressed) — and the sub-aggregate
-    columns lie between. What ships is
+    strictly ascending — and the sub-aggregate columns lie between. What
+    ships is
 
     - the sub-aggregate columns alone when the rows answer the fragment
-      rows from ``start`` on, one each: there are no addresses;
+      rows from the first on, one each: there are no addresses;
     - else the sub-aggregate columns and :data:`ADDRESS`, whose block is
       the smaller of the numbers and a bitmap over the rows they span;
     - or the keyed answer (key attributes and sub-aggregate columns) when
@@ -968,7 +965,7 @@ def encode_reply(h: Relation, keys: int, start: int = 0) -> bytes:
     names, length = h.schema.names, len(h)
     rows = h.held_at(len(names) - 1)
     subs = names[keys:-1]
-    if not length or (int(rows[0]) == start and int(rows[-1]) - start == length - 1):
+    if not length or (int(rows[0]) == 0 and int(rows[-1]) == length - 1):
         return encode_relation(h.project(subs))
     addressed = encode_relation(h.project([*subs, ADDRESS]))
     if keys:
@@ -985,15 +982,15 @@ def carried_keys(key_attrs, names) -> tuple:
     return tuple(key_attrs) if set(key_attrs) <= set(names) else ()
 
 
-def decode_reply(data: bytes, key_attrs, shipped: int, start: int = 0) -> tuple:
-    """``(relation, rows)`` of one :func:`encode_reply` block answering a
-    fragment of ``shipped`` rows, the block before it having addressed the
-    rows below ``start``.
+def decode_reply(data: bytes, key_attrs, shipped: int) -> tuple:
+    """``(relation, rows)`` of an :func:`encode_reply` block answering a
+    fragment of ``shipped`` rows.
 
     ``rows`` are the fragment rows the relation's rows answer, one each;
     ``None`` for a keyed block (its ``key_attrs`` say which rows). The
     relation has no :data:`ADDRESS` attribute. Addresses that are not
-    strictly ascending, or fall outside ``start`` to ``shipped``, raise
+    strictly ascending or fall outside ``0`` to ``shipped``, and more rows
+    than ``shipped`` without them, raise
     :class:`~repro.errors.SerializationError`.
     """
     relation = decode_relation(data)
@@ -1006,19 +1003,17 @@ def decode_reply(data: bytes, key_attrs, shipped: int, start: int = 0) -> tuple:
         except (OverflowError, TypeError, ValueError) as exc:
             raise SerializationError(f"bad row addresses: {exc}") from exc
         if length and (
-            rows[0] < start or rows[-1] >= shipped or (np.diff(rows) <= 0).any()
+            rows[0] < 0 or rows[-1] >= shipped or (np.diff(rows) <= 0).any()
         ):
             raise SerializationError(
-                f"row addresses are not strictly ascending within {start} to {shipped}"
+                f"row addresses are not strictly ascending within 0 to {shipped}"
             )
         return relation.project([name for name in names if name != ADDRESS]), rows
     if key_attrs and all(name in names for name in key_attrs):
         return relation, None
-    if start + length > shipped:
-        raise SerializationError(
-            f"{length} rows answer from row {start} of a fragment of {shipped}"
-        )
-    return relation, np.arange(start, start + length)
+    if length > shipped:
+        raise SerializationError(f"{length} rows answer a fragment of {shipped}")
+    return relation, np.arange(length)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,7 +1024,7 @@ _POSITIONAL_MAGIC = b"SKRP"
 _SPARSE_MAGIC = b"SKRS"
 #: Bytes of a round-state digest (:func:`answer_digest`).
 DIGEST_BYTES = 16
-#: What a positional first block adds to its relation: magic, length, digest.
+#: What a positional fragment adds to its relation: magic, length, digest.
 POSITIONAL_PREFIX_BYTES = len(_POSITIONAL_MAGIC) + 1 + DIGEST_BYTES
 
 
@@ -1047,10 +1042,10 @@ def answer_digest(shipped, answered) -> bytes:
 
 
 def encode_positional(relation: Relation, digest: bytes, shared: Optional[bytes] = None) -> bytes:
-    """The first block of a fragment positional against the answer
-    ``digest`` names: the prefix, then ``relation`` in format v3 — and,
-    given the ``shared`` rows' block (:func:`encode_reply`), the sparse
-    form, which carries it between the two."""
+    """A fragment positional against the answer ``digest`` names: the
+    prefix, then ``relation`` in format v3 — and, given the ``shared``
+    rows' block (:func:`encode_reply`), the sparse form, which carries it
+    between the two."""
     if type(digest) is not bytes or len(digest) != DIGEST_BYTES:
         raise SerializationError(f"a round-state digest is {DIGEST_BYTES} bytes, got {digest!r}")
     if shared is None:
@@ -1078,19 +1073,16 @@ def key_bytes_at_least(schema: Schema, key_attrs, rows: int) -> int:
     return total
 
 
-def column_bytes_at_least(relation: Relation, names, start: int, stop: int) -> int:
+def column_bytes_at_least(relation: Relation, names) -> int:
     """A lower bound on what the columns ``names`` add to the format v3
-    encoding of ``relation``'s rows ``start`` to ``stop``: a header entry
-    each and a column block each (:func:`_block_bytes_at_least`), or two
-    bytes where the block could back-reference an earlier column of its
-    type."""
+    encoding of ``relation``: a header entry each and a column block each
+    (:func:`_block_bytes_at_least`), or two bytes where the block could
+    back-reference an earlier column of its type."""
     total, earlier = 0, []
-    rows = max(0, min(stop, len(relation)) - start)
     for attribute, column in zip(relation.schema, relation.held()):
-        column = column[start:stop]
         if attribute.name in names:
             total += len(attribute.name.encode("utf-8")) + 2
-            if rows:
+            if len(relation):
                 repeats = any(
                     _could_repeat(column, other) for kind, other in earlier if kind == attribute.type
                 )
@@ -1132,9 +1124,9 @@ def _could_repeat(column, other) -> bool:
 
 
 def decode_fragment(data: bytes) -> tuple:
-    """``(relation, digest, shared)`` of a fragment's first block:
-    ``digest`` is ``None`` for a plain v3 relation, else the answer the
-    block is positional against; ``shared`` is the sparse form's shared
+    """``(relation, digest, shared)`` of a fragment: ``digest`` is
+    ``None`` for a plain v3 relation, else the answer the fragment is
+    positional against; ``shared`` is the sparse form's shared
     rows' block, still encoded (:func:`decode_reply` reads it against the
     fragment's row count), else ``None``. A digest of any length but
     :data:`DIGEST_BYTES` raises :class:`~repro.errors.SerializationError`."""

@@ -50,6 +50,7 @@ import repro.errors as errors_module
 from repro.errors import (
     LegDeadlineExceeded,
     NetworkError,
+    ProtocolError,
     RemoteSiteError,
     ReproError,
     SiteUnavailableError,
@@ -163,14 +164,23 @@ def decode_wire_message(body: bytes) -> Tuple[str, int, int, bytes]:
 
 
 def write_frame(sock: socket.socket, frame_type: int, body: bytes = b"") -> int:
-    """Write one frame; returns total bytes put on the wire."""
+    """Write one frame; returns total bytes put on the wire.
+
+    A body the peer would refuse, one past :data:`MAX_FRAME_BYTES`, raises
+    :class:`~repro.errors.ProtocolError` before a byte is written.
+    """
+    if len(body) + 1 > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"a frame of {len(body) + 1} bytes is past the {MAX_FRAME_BYTES}-byte cap"
+        )
     frame = struct.pack(">IB", len(body) + 1, frame_type) + body
     sock.sendall(frame)
     return len(frame)
 
 
-#: Largest frame either end agrees to read: far above the largest block
-#: the system ships, far below what one flipped length bit would claim.
+#: Largest frame either end agrees to read or write: far above the largest
+#: relation the system ships, far below what one flipped length bit would
+#: claim. A relation ships as one block, so this bounds any answer.
 MAX_FRAME_BYTES = 1 << 28
 
 #: Most bytes asked of one ``recv`` (which allocates what it is asked for).
@@ -452,9 +462,11 @@ class SocketChannel(Channel):
         that differ from their defaults (minus payloads) plus the count
         of blocks the server should be holding, so it can detect desync
         after a partial failure. If any of the shipment was lost or is
-        late the turn fails here, before REQ. Each reply MSG frame is
+        late the turn fails here, before REQ. The reply MSG frame is
         shown to the policy, recorded and queued for
-        ``receive_at_coordinator`` as it arrives.
+        ``receive_at_coordinator`` as it arrives; a reply of other than
+        one MSG frame raises :class:`~repro.errors.ProtocolError` and drops
+        the connection, at the second frame or at the REPLY.
 
         While a speculative-abandon predicate is armed (see
         :meth:`~repro.net.channel.Channel.arm_speculation`), the reply
@@ -484,6 +496,11 @@ LegDeadlineExceeded` raised, reporting what ``upstream`` recorded for the
                 while True:
                     frame_type, body = self._read("reply from", should_abandon)
                     if frame_type == FRAME_MSG:
+                        if payloads:
+                            self._drop_connection()
+                            raise ProtocolError(
+                                f"site {self.site_id!r} answered in more than one block"
+                            )
                         kind, round_index, _flags, payload = decode_wire_message(
                             body
                         )
@@ -499,6 +516,11 @@ LegDeadlineExceeded` raised, reporting what ``upstream`` recorded for the
                         self._enqueue(UP, carried, verdict)
                         payloads.append(payload)
                     elif frame_type == FRAME_REPLY:
+                        if not payloads:
+                            self._drop_connection()
+                            raise ProtocolError(
+                                f"site {self.site_id!r} replied without an answer"
+                            )
                         return pickle.loads(body), tuple(payloads)
                     elif frame_type == FRAME_ERROR:
                         detail = pickle.loads(body)

@@ -165,13 +165,12 @@ def test_a_round_the_next_one_observes_drops_every_untouched_group(sync_heavy):
     [
         dict(executor="serial"),
         dict(executor="serial", topology="hierarchical:2"),
-        dict(executor="serial", row_block_size=64),
         dict(
             executor="serial", failure_mode="retry",
             faults="drop site=site1 round=2 dir=up times=1",
         ),
     ],
-    ids=["serial", "hierarchical-serial", "blocks-64", "retry"],
+    ids=["serial", "hierarchical-serial", "retry"],
 )
 def test_answers_equal_the_keyed_replies(sync_heavy, setup):
     result = run(sync_heavy, **setup)

@@ -6,12 +6,7 @@ import pytest
 
 from conftest import assert_relations_equal, make_flows
 from oracle.accumulate import accumulator
-from repro.distributed import (
-    ExecutionConfig,
-    OptimizationOptions,
-    SimulatedCluster,
-    execute_query,
-)
+from repro.distributed import OptimizationOptions, SimulatedCluster, execute_query
 from repro.errors import AggregateError
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
@@ -207,20 +202,13 @@ class TestCustomAggregateThroughNarrowedRounds:
         ]
         return GMDJExpression(DistinctBase("Flow", ["SourceAS", "DestAS"]), steps)
 
-    @pytest.mark.parametrize("row_block_size", [0, 4])
-    def test_narrowed_equals_unnarrowed_equals_centralized(self, row_block_size):
+    def test_narrowed_equals_unnarrowed_equals_centralized(self):
         cluster = SimulatedCluster.with_sites(3)
         cluster.load_partitioned("Flow", FLOW, RoundRobinPartitioner(3))
         expression = self.expression()
-        config = ExecutionConfig(row_block_size=row_block_size)
-        narrowed = execute_query(
-            cluster, expression, OptimizationOptions.all(), config=config
-        )
+        narrowed = execute_query(cluster, expression, OptimizationOptions.all())
         plain = execute_query(
-            cluster,
-            expression,
-            OptimizationOptions(aware_group_reduction=False),
-            config=config,
+            cluster, expression, OptimizationOptions(aware_group_reduction=False)
         )
         assert [r.observed_reduction for r in narrowed.plan.rounds] == [
             False, True, True,

@@ -21,7 +21,6 @@ from repro.distributed.executor import (
     SiteRequest,
     perform_site_request,
     play_site_end,
-    row_blocks,
 )
 from repro.distributed.site import SkallaSite
 from repro.errors import (
@@ -62,9 +61,6 @@ STEP = MDStep(
     "T",
     [MDBlock([count_star("cnt"), AggSpec("sum", detail.v, "s")], detail.k == base.k)],
 )
-#: Rows per block: the fragment goes down, and Hᵢ comes up, as two messages.
-BLOCK = 3
-
 TRANSPORTS = ("memory", "socket")
 
 
@@ -101,26 +97,24 @@ def run_leg(channel, turn):
     try:
         channel.begin_attempt(ROUND)
         delay_s = channel.next_straggle(ROUND)
-        for block in row_blocks(BASE, BLOCK):
-            channel.send_to_site(
-                Message.with_relation(SHIP_BASE, "coordinator", SITE, ROUND, block)
-            )
+        channel.send_to_site(
+            Message.with_relation(SHIP_BASE, "coordinator", SITE, ROUND, BASE)
+        )
         step = "turn"
-        payloads = turn(
+        turn(
             SiteRequest(
                 kind="round", site_id=SITE, round_number=ROUND, steps=(STEP,),
-                key_attrs=("k",), row_block_size=BLOCK,
+                key_attrs=("k",),
             )
         )
         step = "receive"
         # Hᵢ answers by row address: each row with the key of its fragment row.
-        answers, start = [], 0
-        for _ in payloads:
-            block, rows = decode_reply(
-                channel.receive_at_coordinator().payload, ("k",), len(BASE), start
-            )
-            start = int(rows[-1]) + 1 if len(rows) else start
-            answers += [(BASE.rows[row][0], *values) for row, values in zip(rows.tolist(), block.rows)]
+        answer, rows = decode_reply(
+            channel.receive_at_coordinator().payload, ("k",), len(BASE)
+        )
+        answers = [
+            (BASE.rows[row][0], *values) for row, values in zip(rows.tolist(), answer.rows)
+        ]
     except (NetworkError, SerializationError) as error:
         return step, type(error), delay_s, None
     return "done", None, delay_s, sorted(answers)

@@ -140,7 +140,7 @@ class TestObservedSets:
         subs = self.sub_results(coordinator.x)
         session = coordinator.begin_sync(BLOCKS, observes=True)
         for index, h in enumerate(subs):
-            # Two blocks per source, as under row blocking.
+            # Two fragments per source: a session folds them as one.
             session.absorb(Relation(h.schema, h.rows[:3]), f"s{index}")
             session.absorb(Relation(h.schema, h.rows[3:]), f"s{index}")
         x = coordinator.commit_sync(session)

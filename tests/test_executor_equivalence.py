@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 
 from conftest import make_flows
-from repro.distributed import SimulatedCluster, execute_query
+from repro.distributed import OptimizationOptions, SimulatedCluster, execute_query
 from repro.distributed.deployment import ProcessCluster
 from repro.distributed.evaluator import ExecutionConfig
 from repro.distributed.executor import SocketEngine
@@ -26,6 +26,7 @@ from repro.distributed.stats import verify_against_network
 from repro.errors import PlanError
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
+from repro.gmdj.operator import SyncSession
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.relalg.aggregates import AggSpec, count_star
@@ -105,13 +106,13 @@ def clusters(tmp_path_factory):
         cluster.close()
 
 
-def run(expression, cluster, executor, row_block_size=0):
+def run(expression, cluster, executor, options=None):
     tracer = Tracer()
     metrics = MetricsRegistry()
     cluster.reset_network(metrics)
-    config = ExecutionConfig(executor=executor, row_block_size=row_block_size)
+    config = ExecutionConfig(executor=executor)
     result = execute_query(
-        cluster, expression, config=config, tracer=tracer, metrics=metrics
+        cluster, expression, options, config=config, tracer=tracer, metrics=metrics
     )
     assert verify_against_network(result.stats, cluster.network) == []
     return result, tracer, metrics
@@ -162,17 +163,32 @@ def test_executors_are_observationally_identical(clusters, site_count, make_expr
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
-def test_row_blocking_composes_with_executors(clusters, executor):
-    """Blocked shipping (streaming absorb) stays equivalent in parallel."""
+def test_one_absorb_per_answering_source_per_round(clusters, executor, monkeypatch):
+    """Each site's answer to a streaming round is one relation, folded
+    once: ``bench_e2e`` counts ``coordinator.sync_rows_per_s`` from the
+    relations handed to ``SyncSession.absorb``."""
+    absorbed = []  # (session, source, rows); holding the session keeps it apart
+    original = SyncSession.absorb
+
+    def recording(self, h, source="", positions=None):
+        absorbed.append((self, source, len(h)))
+        original(self, h, source, positions)
+
+    monkeypatch.setattr(SyncSession, "absorb", recording)
     cluster = clusters(4)[executor]
-    whole, _tracer, _metrics = run(single_step_expression(), cluster, executor)
-    blocked, _tracer, _metrics = run(
-        single_step_expression(), cluster, executor, row_block_size=3
+    result, _tracer, _metrics = run(
+        correlated_expression(), cluster, executor, OptimizationOptions.none()
     )
-    assert blocked.relation.rows == whole.relation.rows
-    # Blocking moves more header bytes, never fewer payload tuples.
-    assert blocked.stats.tuples_up == whole.stats.tuples_up
-    assert blocked.stats.bytes_total >= whole.stats.bytes_total
+    streaming = [stats for stats in result.stats.rounds if stats.kind != "base"]
+    sessions = []
+    for session, _source, _rows in absorbed:
+        if not any(session is seen for seen in sessions):
+            sessions.append(session)
+    assert len(sessions) == len(streaming) == 2
+    for session, round_stats in zip(sessions, streaming):
+        sources = [source for seen, source, _rows in absorbed if seen is session]
+        assert sorted(sources) == sorted(round_stats.sites) == sorted(cluster.site_ids)
+    assert sum(rows for _session, _source, rows in absorbed) == result.stats.tuples_up_md()
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)

@@ -1,10 +1,12 @@
 """GMDJ operator semantics, validated against a brute-force Definition 1."""
 
 import random
+import sys
+import threading
 
 import pytest
 
-from conftest import brute_force_gmdj, assert_relations_equal, make_flows
+from conftest import brute_force_gmdj, assert_relations_equal, make_flows, same_rows
 from oracle import row_scan
 from repro.errors import HolisticAggregateError
 from repro.gmdj.blocks import MDBlock
@@ -280,9 +282,9 @@ def test_a_key_of_one_base_row_folds_by_key_code(monkeypatch, width):
 
 
 def test_a_sync_session_builds_its_lookup_once(monkeypatch):
-    """A streaming merge absorbs one fragment per row block: the session
-    builds X's ``dict`` once, not once per fragment, and answers as one
-    scan does."""
+    """A session absorbs many fragments (one per source, or a source's
+    answer in parts): it builds X's ``dict`` once, not once per fragment,
+    and answers as one scan does."""
     base_relation = Relation(Schema.of(("g", INT)), [(g,) for g in range(100)])
     detail_relation = Relation(
         Schema.of(("g", INT), ("v", FLOAT)), [(g % 100, float(g)) for g in range(400)]
@@ -299,3 +301,136 @@ def test_a_sync_session_builds_its_lookup_once(monkeypatch):
     with row_scan():
         expected = evaluate(base_relation, detail_relation, blocks)
     assert repr(session.finish().rows) == repr(expected.rows)
+
+
+SYNC_FLOW = make_flows(count=300, seed=61)
+SYNC_KEY = base.SourceAS == detail.SourceAS
+
+
+class TestSyncSession:
+    """A :class:`SyncSession` takes any number of fragments per source, in
+    any order, and folds them as one."""
+
+    BLOCKS = [
+        MDBlock([count_star("cnt"), AggSpec("avg", detail.NumBytes, "m")], SYNC_KEY)
+    ]
+
+    def test_absorb_order_irrelevant(self):
+        base_relation = SYNC_FLOW.distinct_project(["SourceAS"])
+        pieces = [Relation(SYNC_FLOW.schema, SYNC_FLOW.rows[start::3]) for start in range(3)]
+        subs = [
+            evaluate_sub(base_relation, piece, self.BLOCKS)[0] for piece in pieces
+        ]
+        forward = SyncSession(base_relation, ["SourceAS"], self.BLOCKS)
+        for sub in subs:
+            forward.absorb(sub)
+        backward = SyncSession(base_relation, ["SourceAS"], self.BLOCKS)
+        for sub in reversed(subs):
+            backward.absorb(sub)
+        assert same_rows(forward.finish(), backward.finish())
+
+    def test_split_fragments_equal_whole_ones(self):
+        base_relation = SYNC_FLOW.distinct_project(["SourceAS"])
+        sub, _touched = evaluate_sub(base_relation, SYNC_FLOW, self.BLOCKS)
+        whole = SyncSession(base_relation, ["SourceAS"], self.BLOCKS)
+        whole.absorb(sub)
+        split = SyncSession(base_relation, ["SourceAS"], self.BLOCKS)
+        for start in range(0, len(sub.rows), 5):
+            split.absorb(Relation(sub.schema, sub.rows[start : start + 5]))
+        assert_relations_equal(whole.finish(), split.finish())
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            [AggSpec("var", detail.NumBytes, "v"), AggSpec("std", detail.NumBytes, "s")],
+            [AggSpec("geomean", detail.NumBytes, "g"), count_star("cnt")],
+        ],
+        ids=["var_std", "geomean"],
+    )
+    def test_multi_component_functions(self, specs):
+        # Three sources, each split in parts: the three-component VAR/STD
+        # and the logsum/poscount pair go through per-source banks and
+        # their merge.
+        blocks = [MDBlock(specs, SYNC_KEY)]
+        base_relation = SYNC_FLOW.distinct_project(["SourceAS"])
+        session = SyncSession(base_relation, ["SourceAS"], blocks)
+        for site in range(3):
+            piece = Relation(SYNC_FLOW.schema, SYNC_FLOW.rows[site::3])
+            sub, _touched = evaluate_sub(base_relation, piece, blocks)
+            for start in range(0, len(sub.rows), 5):
+                session.absorb(
+                    Relation(sub.schema, sub.rows[start : start + 5]), f"site{site}"
+                )
+        assert_relations_equal(
+            session.finish(), evaluate(base_relation, SYNC_FLOW, blocks), places=6
+        )
+
+    def test_concurrent_absorbs_lose_nothing(self):
+        """Sixteen sources absorb at once on more threads than cores: a lost
+        bank or touch update would change the relation or the touches."""
+        base_relation = SYNC_FLOW.distinct_project(["SourceAS"])
+        blocks = [
+            MDBlock([count_star("cnt"), AggSpec("sum", detail.NumBytes, "s")], SYNC_KEY)
+        ]
+        subs = [
+            evaluate_sub(
+                base_relation, Relation(SYNC_FLOW.schema, SYNC_FLOW.rows[site::16]), blocks
+            )[0]
+            for site in range(16)
+        ]
+
+        def fold(threaded):
+            session = SyncSession(base_relation, ["SourceAS"], blocks, observes=True)
+
+            def absorb(site, sub):
+                for start in range(0, len(sub), 3):
+                    session.absorb(Relation(sub.schema, sub.rows[start : start + 3]), f"s{site}")
+
+            if not threaded:
+                for site, sub in enumerate(subs):
+                    absorb(site, sub)
+                return session
+            workers = [
+                threading.Thread(target=absorb, args=(site, sub)) for site, sub in enumerate(subs)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+            return session
+
+        serial = fold(threaded=False)
+        expected = serial.finish().rows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _attempt in range(5):
+                session = fold(threaded=True)
+                assert repr(session.finish().rows) == repr(expected)
+                assert {
+                    source: sorted(positions.tolist())
+                    for source, positions in session.touched().items()
+                } == {
+                    source: sorted(positions.tolist())
+                    for source, positions in serial.touched().items()
+                }
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_absorb_gives_empty_aggregates(self):
+        base_relation = SYNC_FLOW.distinct_project(["SourceAS"])
+        session = SyncSession(base_relation, ["SourceAS"], self.BLOCKS)
+        result = session.finish()
+        for row in result.rows:
+            assert row[-2] == 0
+            assert row[-1] is None
+
+    def test_matches_direct_evaluation(self):
+        base_relation = SYNC_FLOW.distinct_project(["SourceAS"])
+        sub, _touched = evaluate_sub(base_relation, SYNC_FLOW, self.BLOCKS)
+        session = SyncSession(base_relation, ["SourceAS"], self.BLOCKS)
+        session.absorb(sub)
+        assert_relations_equal(
+            session.finish(), evaluate(base_relation, SYNC_FLOW, self.BLOCKS)
+        )

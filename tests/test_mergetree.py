@@ -338,18 +338,6 @@ class TestConfigIsHonoured:
             }
             assert traced == root_edges
 
-    def test_row_blocking_costs_only_headers_on_a_tree(self):
-        cluster = build_cluster(8)
-        plan = plan_query(correlated_expression(), cluster.catalog)
-        whole = execute_plan_scheduled(cluster, plan, topology="chain:2")
-        blocked = execute_plan_scheduled(
-            cluster, plan, ExecutionConfig(row_block_size=3), topology="chain:2"
-        )
-        assert same_rows(blocked.relation, whole.relation)
-        assert blocked.stats.tuples_total == whole.stats.tuples_total
-        # Headers plus the repeated schema of each extra block, per edge.
-        assert blocked.stats.bytes_total > whole.stats.bytes_total
-
 
 class TestHopSpans:
     def test_hop_encloses_the_work_below_it(self):
@@ -497,16 +485,14 @@ def merge_trees(draw):
     toggles=st.tuples(
         st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.booleans()
     ),
-    row_block_size=st.sampled_from([0, 3]),
 )
-@settings(max_examples=40, deadline=None)
-def test_random_nesting_matches_centralized(tree, toggles, row_block_size):
+@settings(deadline=None)
+def test_random_nesting_matches_centralized(tree, toggles):
     cluster = build_cluster(len(PROPERTY_SITES))
     registry = MetricsRegistry()
     cluster.reset_network(metrics=registry)
     result = run_tree(
         cluster, tree, OptimizationOptions(*toggles), metrics=registry,
-        config=ExecutionConfig(row_block_size=row_block_size),
     )
     reference = correlated_expression().evaluate_centralized(
         cluster.conceptual_tables()
@@ -529,12 +515,9 @@ def test_random_nesting_matches_centralized(tree, toggles, row_block_size):
     tree=merge_trees(),
     toggles=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
     on_the_key=st.booleans(),
-    row_block_size=st.sampled_from([0, 3]),
 )
-@settings(max_examples=30, deadline=None)
-def test_random_nesting_observed_reduction_on_and_off(
-    tree, toggles, on_the_key, row_block_size
-):
+@settings(deadline=None)
+def test_random_nesting_observed_reduction_on_and_off(tree, toggles, on_the_key):
     """Narrowing the root's edges to what each subtree answered with
     changes what is shipped, on any nesting, and nothing else."""
     cluster = build_cluster(
@@ -542,14 +525,13 @@ def test_random_nesting_observed_reduction_on_and_off(
         None if on_the_key else RoundRobinPartitioner(len(PROPERTY_SITES)),
     )
     coalescing, sync_reduction, independent, pruning = toggles
-    config = ExecutionConfig(row_block_size=row_block_size)
 
     def run(aware):
         cluster.reset_network()
         options = OptimizationOptions(
             coalescing, sync_reduction, aware, independent, pruning
         )
-        result = run_tree(cluster, tree, options, config=config)
+        result = run_tree(cluster, tree, options)
         assert verify_against_network(result.stats, cluster.network) == []
         return result
 

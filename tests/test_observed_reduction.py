@@ -110,18 +110,6 @@ class TestExactCounts:
             <= plain.stats.rounds[1].tuples_down
         )
 
-    def test_row_blocking_changes_nothing(self):
-        cluster = build(4)
-        reference = run(cluster)
-        for row_block_size in (7, 5):
-            result = run(cluster, row_block_size=row_block_size)
-            assert result.relation.rows == reference.relation.rows
-            for site_id in cluster.site_ids:
-                assert (
-                    edges(result, 1)[site_id].tuples_down
-                    == edges(reference, 1)[site_id].tuples_down
-                )
-
     def test_an_empty_site_gets_an_empty_fragment_and_still_answers(self):
         # Two of the 25 nations: sites 2.. of 4 hold no rows at all.
         position = TPCR.schema.position("NationKey")
@@ -170,10 +158,10 @@ class TestRecovery:
         assert [r.observed_reduction for r in clean.plan.rounds] == [False, True]
         retried = run(
             build(4, "drop site=site1 round=1 dir=up times=1"), options,
-            failure_mode="retry", row_block_size=5,
+            failure_mode="retry",
         )
         assert retried.stats.retries == 1
-        assert retried.relation.rows == run(build(4), options, row_block_size=5).relation.rows
+        assert retried.relation.rows == clean.relation.rows
         for site_id in ("site0", "site1", "site2", "site3"):
             assert (
                 edges(retried, 2)[site_id].tuples_down

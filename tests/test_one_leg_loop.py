@@ -2,7 +2,7 @@
 
 Every round — a plan's, or an incremental refresh's — goes through
 ``distributed/evaluator.py``'s walk, which is where retry and degrade,
-speculation, row blocking and round spans live. A second loop elsewhere
+speculation and round spans live. A second loop elsewhere
 would lack them, so no other module under ``src/repro`` may call an
 engine's ``run_legs`` or ``evaluate`` or a channel's ``send_to_site``.
 The engines that define those methods, and whatever an ``evaluate`` call

@@ -8,7 +8,8 @@ replaced are kept *here* as the reference; Hypothesis draws the aggregate
 functions (every built-in distributive/algebraic one plus a registered
 custom component kind with list-valued state), the sub-values (NaN, ±inf,
 ints at and past 2**53 and int64, bools among ints, ints among floats),
-the base, the sources, their arrival order, row blocking, ``observes``
+the base, the sources, their arrival order, each source's answer split
+into fragments, ``observes``
 and ``in_order`` — and the two sides must agree by ``repr``, so ``0.0``
 vs ``-0.0`` and ``1`` vs ``1.0`` differ, and on what each source was
 observed to touch.
@@ -19,7 +20,6 @@ site's ``evaluate_round`` and the coordinator's ``commit_sync``.
 
 import math
 from collections import Counter
-from itertools import chain
 
 from bench_e2e.workloads import S5_FINE_GROUPS
 from conftest import assert_relations_equal
@@ -316,7 +316,7 @@ def h_relation(blocks, key_attrs, rows, reverse_columns=False) -> Relation:
     return Relation(Schema(attributes), rows)
 
 
-def row_blocks(relation: Relation, size: int) -> list:
+def split(relation: Relation, size: int) -> list:
     return [
         Relation(relation.schema, relation.rows[start : start + size])
         for start in range(0, len(relation.rows), size)
@@ -344,7 +344,7 @@ def assert_same_touches(actual, expected) -> None:
         return
     assert sorted(actual) == sorted(expected)
     for source, positions in expected.items():
-        assert Counter(chain.from_iterable(actual[source])) == Counter(positions)
+        assert Counter(actual[source].tolist()) == Counter(positions)
 
 
 @given(data=st.data())
@@ -370,7 +370,7 @@ def test_sync_session_equals_object_fold(data):
             reverse_columns=data.draw(st.booleans()),
         )
         size = data.draw(st.integers(min_value=1, max_value=13))
-        fragments[source] = row_blocks(relation, size)
+        fragments[source] = split(relation, size)
     arrivals = data.draw(
         st.permutations(
             [(source, block) for source in sources for block in fragments[source]]

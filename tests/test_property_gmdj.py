@@ -23,7 +23,6 @@ from conftest import assert_relations_equal, brute_force_gmdj
 from oracle import row_scan
 from oracle.accumulate import ComponentAccumulator, HolisticAccumulator
 from repro.distributed import (
-    ExecutionConfig,
     OptimizationOptions,
     SimulatedCluster,
     execute_query,
@@ -236,11 +235,10 @@ def nested_expression(stages):
     site_count=st.sampled_from([1, 2, 3, 4, 8]),
     partition_attr=st.sampled_from(["g", "w"]),  # a key / not a key
     toggles=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
-    row_block_size=st.sampled_from([0, 2]),
 )
 @settings(max_examples=60, deadline=None)
 def test_observed_reduction_changes_traffic_never_the_answer(
-    rows, stages, site_count, partition_attr, toggles, row_block_size,
+    rows, stages, site_count, partition_attr, toggles,
 ):
     cluster = SimulatedCluster.with_sites(site_count)
     cluster.load_partitioned(
@@ -250,13 +248,12 @@ def test_observed_reduction_changes_traffic_never_the_answer(
     )
     expression = nested_expression(stages)
     coalescing, sync_reduction, independent, pruning = toggles
-    config = ExecutionConfig(row_block_size=row_block_size)
 
     def run(aware):
         options = OptimizationOptions(
             coalescing, sync_reduction, aware, independent, pruning
         )
-        return execute_query(cluster, expression, options, config=config)
+        return execute_query(cluster, expression, options)
 
     narrowed, plain = run(True), run(False)
     with row_scan():

@@ -9,9 +9,8 @@ hold groups) — an initial table, and a sequence of appends split over
 three sites: empty deltas, keys the view has never seen, several appends
 before one refresh, and full reads of the tables between them (the warehouse concatenates its append log there, so the
 next refresh reads across that fold). After every refresh the view must
-equal centralized evaluation over the grown data by ``repr``, with refresh
-replies whole or in row blocks of three, and count exactly the keys the
-base gained as new groups.
+equal centralized evaluation over the grown data by ``repr``, and count
+exactly the keys the base gained as new groups.
 
 Float sums are over small integral values, so every partitioning and
 fold order gives the same double and ``repr`` equality is a fair test.
@@ -22,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distributed import SimulatedCluster
-from repro.distributed.evaluator import ExecutionConfig
 from repro.distributed.incremental import IncrementalView
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
@@ -96,8 +94,7 @@ def histories(draw):
         )
     )
     composite = draw(st.booleans())
-    row_block_size = draw(st.sampled_from([0, 3]))
-    return keys, blocks, initial, steps, composite, row_block_size
+    return keys, blocks, initial, steps, composite
 
 
 def by_repr(relation):
@@ -107,7 +104,7 @@ def by_repr(relation):
 @settings(deadline=None)
 @given(histories())
 def test_a_refreshed_view_is_full_reevaluation_by_repr(history):
-    keys, blocks, initial, steps, composite, row_block_size = history
+    keys, blocks, initial, steps, composite = history
     with pytest.MonkeyPatch.context() as patch:
         if composite:  # the drawn relations are short
             patch.setattr(columnar, "COMPOSITE_MIN_ROWS", 0)
@@ -125,7 +122,7 @@ def test_a_refreshed_view_is_full_reevaluation_by_repr(history):
                 cluster.conceptual_table("Flow")
             if not refresh:
                 continue
-            result = view.refresh(ExecutionConfig(row_block_size=row_block_size))
+            result = view.refresh()
             tables = cluster.conceptual_tables()
             reference = query.evaluate_centralized(tables)
             assert by_repr(result.relation) == by_repr(reference)

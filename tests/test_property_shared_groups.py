@@ -5,7 +5,7 @@ more than one site answered in round 1; the site finalizes every other
 group's ``m`` from the sub-aggregates it kept (Theorem 1 over one
 source). Drawn here: groups that lie at one site or are split across
 sites (the split fraction drawn, 0 and 1 included), adversarial floats,
-every built-in step-1 aggregate kind, 2-4 sites, row blocks, flat and
+every built-in step-1 aggregate kind, 2-4 sites, flat and
 hierarchical trees, and a round-1 site exclusion. Every run equals the
 centralized evaluation, and equals by ``repr`` the same run with every
 site's kept answer lost — the keyed fragments of the path before.
@@ -100,25 +100,24 @@ def without_nan(relation: Relation) -> Relation:
 @given(
     parts=tables(),
     kind=st.sampled_from(KINDS),
-    row_block_size=st.sampled_from([0, 1, 3]),
     topology=st.sampled_from(["flat", "hierarchical:2"]),
     excluded=st.booleans(),
 )
 @example(  # every group at one site: every m is the site's own
     parts={"site0": [(0, 0, -0.0), (1, 0, 5e-324)], "site1": [(2, 0, math.nan)]},
-    kind="SUM", row_block_size=0, topology="flat", excluded=False,
+    kind="SUM", topology="flat", excluded=False,
 )
 @example(  # every group split: m ships at every row
     parts={"site0": [(0, 0, 1.0), (1, 0, -0.0)], "site1": [(0, 0, math.inf), (1, 0, -0.0)]},
-    kind="VAR", row_block_size=1, topology="flat", excluded=False,
+    kind="VAR", topology="flat", excluded=False,
 )
 @example(  # a site with no group: its fragment has no row
     parts={"site0": [(0, 0, -0.0)], "site1": []},
-    kind="AVG", row_block_size=0, topology="flat", excluded=False,
+    kind="AVG", topology="flat", excluded=False,
 )
-def test_a_sparse_round_is_the_keyed_one(parts, kind, row_block_size, topology, excluded):
+def test_a_sparse_round_is_the_keyed_one(parts, kind, topology, excluded):
     cluster = cluster_of(parts)
-    config = dict(executor="serial", row_block_size=row_block_size)
+    config = dict(executor="serial")
     faults = None
     if excluded:
         # Degrade drops site1 from round 1: its fragment in round 2 ships keyed.

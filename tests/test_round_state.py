@@ -156,14 +156,14 @@ class TestPositionalRounds:
     @pytest.mark.parametrize(
         "setup",
         [
-            dict(executor="serial", row_block_size=64, faults="lose_state site=site0 round=2"),
+            dict(executor="serial", faults="lose_state site=site0 round=2"),
             dict(executor="serial", topology="hierarchical:2", faults="lose_state round=2"),
             dict(
                 executor="serial", failure_mode="retry",
                 faults="lose_state site=site1 round=2; drop site=site1 round=2 dir=up",
             ),
         ],
-        ids=["blocks-64", "hierarchical", "retry"],
+        ids=["site0", "hierarchical", "retry"],
     )
     def test_state_loss_changes_no_answer(self, sync_heavy, setup):
         result = run(sync_heavy, **setup)
@@ -267,7 +267,7 @@ def keep(site, answer, count: int, start: int = 0, query=None) -> None:
         Schema.of(("k", INT), ("n", INT)),
         [(value, 1) for value in range(start, start + count)],
     )
-    site.remember_answer(query, answer, (serialize.encode_relation(keyed),), count)
+    site.remember_answer(query, answer, serialize.encode_relation(keyed), count)
 
 
 class TestTheSiteKeepsAnswers:
@@ -383,7 +383,7 @@ class TestUntrustedSparseBlocks:
         schema = sub_result_schema(Schema.of(("k", INT)), self.ROUND_1[0].blocks)
         answer = Relation(schema, [(key, 2, 2.0 * key - 5.0) for key in range(self.ROWS)])
         site.remember_answer(
-            None, self.DIGEST, (serialize.encode_relation(answer),), self.ROWS,
+            None, self.DIGEST, serialize.encode_relation(answer), self.ROWS,
             steps=self.ROUND_1,
         )
 

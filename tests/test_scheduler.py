@@ -203,7 +203,7 @@ class TestScheduledExecution:
 
 
 class TestEdgesOnTrees:
-    """Recovery, speculation and row blocking are applied per edge, so
+    """Recovery and speculation are applied per edge, so
     they neither pin ``auto`` to the star nor refuse a forced tree."""
 
     #: A dropped sub-result plus a bounded crash schedule on one site.
@@ -252,9 +252,8 @@ class TestEdgesOnTrees:
         [
             (ExecutionConfig(failure_mode="retry"), True),
             (ExecutionConfig(speculation=True), False),
-            (ExecutionConfig(row_block_size=3), False),
         ],
-        ids=["faults", "speculation", "row_blocking"],
+        ids=["faults", "speculation"],
     )
     def test_auto_is_not_pinned_by_them(self, config, faulty):
         cluster = build_cluster(8)

@@ -758,30 +758,30 @@ class TestRowAddresses:
             decode_relation(bytes(header) + bytes(body))
 
     @pytest.mark.parametrize(
-        "rows, shipped, start",
+        "rows, shipped",
         [
-            ([3, 1], 10, 0),  # unsorted
-            ([1, 1], 10, 0),  # repeated
-            ([2, 10], 10, 0),  # past the rows shipped
-            ([2, 4], 10, 3),  # before the block's start
+            ([3, 1], 10),  # unsorted
+            ([1, 1], 10),  # repeated
+            ([2, 10], 10),  # past the rows shipped
+            ([-1, 4], 10),  # before the first row
         ],
     )
-    def test_addresses_out_of_order_or_range_are_rejected(self, rows, shipped, start):
+    def test_addresses_out_of_order_or_range_are_rejected(self, rows, shipped):
         payload = encode_relation(addressed(rows))
         with pytest.raises(SerializationError, match="strictly ascending"):
-            decode_reply(payload, ("k",), shipped, start)
+            decode_reply(payload, ("k",), shipped)
 
     def test_unaddressed_rows_must_fit_the_fragment(self):
         payload = encode_relation(Relation(Schema.of(("v", INT)), [(1,), (2,)]))
-        assert decode_reply(payload, ("k",), 5, 3)[1].tolist() == [3, 4]
-        with pytest.raises(SerializationError, match="answer from row 4 of a fragment of 5"):
-            decode_reply(payload, ("k",), 5, 4)
+        assert decode_reply(payload, ("k",), 5)[1].tolist() == [0, 1]
+        with pytest.raises(SerializationError, match="2 rows answer a fragment of 1"):
+            decode_reply(payload, ("k",), 1)
 
     def test_every_answer_is_the_smallest_of_three(self):
         keys = [(key,) for key in range(100)]
-        # All rows from the block's start: no addresses, no keys.
-        h = Relation(Schema.of(("k", INT), ("v", INT), (ADDRESS, INT)), [(k, 1, k + 4) for (k,) in keys])
-        payload = encode_reply(h, 1, start=4)
+        # All rows from the first: no addresses, no keys.
+        h = Relation(Schema.of(("k", INT), ("v", INT), (ADDRESS, INT)), [(k, 1, k) for (k,) in keys])
+        payload = encode_reply(h, 1)
         assert decode_relation(payload).schema.names == ("v",)
         # A sparse subset of a large fragment whose keys are dense: keyed.
         rows = list(range(0, 100_000, 5_000))

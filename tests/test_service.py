@@ -309,35 +309,6 @@ class TestCache:
         encoded = {span.kind for span in spans if span.name == "round.encode"}
         assert encoded == {"coordinator", "site"}
 
-    def test_a_refresh_ships_row_blocks(self):
-        """The refresh's site requests carry the config's row block size,
-        so its replies come up in more messages than whole ones."""
-        per_site = make_delta(build_cluster())
-
-        def refresh_up_messages(row_block_size):
-            cluster = build_cluster()
-            config = ExecutionConfig(row_block_size=row_block_size)
-            with QueryService(cluster, config) as service:
-                service.submit(COUNT_BY_SOURCE)
-                service.append("Flow", per_site)
-
-                def up_messages():
-                    return sum(
-                        service.metrics.value_of("net.messages", direction="up", site=site_id)
-                        for site_id in cluster.site_ids
-                    )
-
-                before = up_messages()
-                refreshed = service.submit(COUNT_BY_SOURCE)
-                assert refreshed.source == REFRESH
-                assert refreshed.relation.rows == grown_reference(
-                    COUNT_BY_SOURCE, per_site
-                ).rows
-                return up_messages() - before
-
-        whole = refresh_up_messages(0)
-        assert refresh_up_messages(4) > whole > 0
-
     def test_an_appended_delta_is_not_kept_past_a_full_read(self):
         """The service logs the versions it appended, not the rows: once
         a full read folds the sites' append logs, nothing holds a delta."""

@@ -180,7 +180,7 @@ def _req_body_with_every_field(request):
     """The REQ body as it would be if every field always crossed."""
     names = (
         "kind", "site_id", "round_number", "steps", "key_attrs", "source",
-        "independent_reduction", "row_block_size", "traced", "query_id",
+        "independent_reduction", "traced", "query_id",
         "compute_delay_s", "since",
     )
     return _req_body({name: getattr(request, name) for name in names}, request)
@@ -191,10 +191,10 @@ def _req_body_with_every_field(request):
     [
         {},
         {"compute_delay_s": 0.25},
-        {"row_block_size": 64, "traced": True},
+        {"traced": True},
         {"since": 3},
         {
-            "independent_reduction": True, "row_block_size": 7,
+            "independent_reduction": True,
             "traced": True, "query_id": 0, "compute_delay_s": 0.25,
         },
     ],
@@ -207,7 +207,7 @@ def test_req_body_carries_only_what_differs_from_the_defaults(optional):
         round_number=1,
         steps=tuple(correlated_expression().steps),
         key_attrs=("SourceAS", "DestAS"),
-        down_payloads=(b"block-1", b"block-2"),
+        down_payloads=(b"fragment",),
         **optional,
     )
     control = request.control()
@@ -217,7 +217,7 @@ def test_req_body_carries_only_what_differs_from_the_defaults(optional):
     body = _req_body(control, request)
     assert len(body) < len(_req_body_with_every_field(request))
     received = pickle.loads(body)
-    assert received.pop("expected_payloads") == 2
+    assert received.pop("expected_payloads") == 1
     rebuilt = SiteRequest.from_control(received, request.down_payloads)
     # Not ``==``: the steps hold expressions, whose ``==`` builds an atom.
     assert repr(rebuilt) == repr(request)
@@ -233,7 +233,7 @@ def test_site_servers_reply_in_format_v3(deployed, monkeypatch):
         versions.append(data[4])
         return decode(data)
 
-    # The coordinator process decodes nothing but the sites' reply blocks.
+    # The coordinator process decodes nothing but the sites' replies.
     monkeypatch.setattr(serialize, "decode_relation", recording)
     run_query(deployed, correlated_expression(), "sockets")
     assert versions and set(versions) == {3}

@@ -1,5 +1,6 @@
 """Bytes off a socket are untrusted: the frame reader, the site server,
-and a positional fragment's reference to an answer the site kept.
+a positional fragment's reference to an answer the site kept, and a leg
+that carries a relation as other than one block.
 
 In the idiom of ``tests/test_serialize.py::TestUntrustedBytes``: every
 strict prefix and every single-byte mutation of a valid HELLO·MSG·REQ
@@ -10,6 +11,7 @@ frame stream ends in frames, a ``NetworkError`` or a ``ConnectionError``
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pickle
 import socket
@@ -20,11 +22,13 @@ import time
 import pytest
 
 from conftest import serving
-from repro.errors import NetworkError
+from repro.distributed.executor import SiteRequest
+from repro.distributed.recovery import TRANSIENT_ERRORS
+from repro.errors import NetworkError, ProtocolError
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, MDStep
-from repro.net import serialize
-from repro.net.message import SHIP_BASE
+from repro.net import serialize, socket_channel
+from repro.net.message import BASE_RESULT, SHIP_BASE
 from repro.net.serialize import encode_relation
 from repro.net.socket_channel import (
     FRAME_ERROR,
@@ -36,9 +40,11 @@ from repro.net.socket_channel import (
     FRAME_TELEMETRY,
     FRAME_WELCOME,
     MAX_FRAME_BYTES,
+    SocketChannel,
     decode_wire_message,
     encode_wire_message,
     read_frame,
+    write_frame,
 )
 from repro.relalg.aggregates import count_star
 from repro.relalg.expressions import base, detail
@@ -144,6 +150,39 @@ class TestFrameReader:
             right.close()
 
 
+class TestFrameWriter:
+    def test_a_body_past_the_cap_is_refused_before_a_byte_is_written(self, monkeypatch):
+        """The writer refuses what the reader would, and not as a transient
+        error: a retry would encode and send the same too-long body again."""
+        monkeypatch.setattr(socket_channel, "MAX_FRAME_BYTES", 64)
+        left, right = socket.socketpair()
+        try:
+            right.settimeout(5)
+            assert write_frame(left, FRAME_MSG, b"x" * 63) == 4 + 64  # the largest frame
+            assert read_frame(right) == (FRAME_MSG, b"x" * 63)
+            with pytest.raises(ProtocolError, match="65 bytes is past the 64-byte cap"):
+                write_frame(left, FRAME_MSG, b"x" * 64)
+            left.close()
+            assert right.recv(1024) == b""  # the peer reads nothing of it
+        finally:
+            left.close()
+            right.close()
+        assert not issubclass(ProtocolError, TRANSIENT_ERRORS)
+
+    def test_an_answer_past_the_cap_is_an_error_frame_from_the_site(self, monkeypatch):
+        monkeypatch.setattr(socket_channel, "MAX_FRAME_BYTES", 1024)
+        wide = {"T": Relation(Schema.of(("k", INT)), [(k,) for k in range(2000)])}
+        with serving(wide) as server:
+            # A base request: no MSG frame down, an answer of 2000 keys up.
+            request = dict(pickle.loads(REQ[5:]), expected_payloads=0)
+            with socket.create_connection((server.host, server.port), timeout=5) as sock:
+                sock.sendall(HELLO + frame(FRAME_REQ, pickle.dumps(request)))
+                assert read_frame(sock)[0] == FRAME_WELCOME
+                frame_type, body = read_frame(sock)
+            assert frame_type == FRAME_ERROR
+            assert pickle.loads(body)["error"] == "ProtocolError"
+
+
 def converse(server, data: bytes) -> list:
     """Send ``data`` on a fresh connection, half-close, read what comes back.
 
@@ -245,9 +284,9 @@ class TestPositionalFragments:
     ``SerializationError`` — found before anything is allocated for it."""
 
     DIGEST = serialize.answer_digest((), (b"an answer",))
-    #: A keyed answer of three rows, as the site's reply blocks kept it.
-    ANSWER = (
-        encode_relation(Relation(Schema.of(("k", INT), ("n", INT)), [(0, 3), (1, 3), (2, 3)])),
+    #: A keyed answer of three rows, as the site's reply block kept it.
+    ANSWER = encode_relation(
+        Relation(Schema.of(("k", INT), ("n", INT)), [(0, 3), (1, 3), (2, 3)])
     )
 
     @staticmethod
@@ -322,3 +361,92 @@ class TestPositionalFragments:
         with serving(TABLES) as server:
             server.site.remember_answer(None, self.DIGEST, self.ANSWER, 3)
             assert self.error_of(server, payload) == "SerializationError"
+
+
+@contextlib.contextmanager
+def answering(*frames: bytes):
+    """A one-connection site that answers HELLO with WELCOME and REQ with
+    ``frames``, then reads on until the coordinator hangs up; yields its
+    address."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _address = listener.accept()
+        with conn:
+            conn.settimeout(10)
+            try:
+                while True:
+                    frame_type, _body = read_frame(conn)
+                    if frame_type == FRAME_HELLO:
+                        write_frame(conn, FRAME_WELCOME, b'{"site_id": "s0"}')
+                    elif frame_type == FRAME_REQ:
+                        conn.sendall(b"".join(frames))
+            except OSError:
+                pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        listener.close()
+        thread.join(timeout=15)
+        assert not thread.is_alive()
+
+
+class TestOneBlockPerLeg:
+    """Every relation on a leg is one block, in each direction: a leg that
+    carries another count is refused with a ``ProtocolError``, which the
+    retry layer does not retry, within a bounded time."""
+
+    ANSWER = frame(
+        FRAME_MSG, encode_wire_message(BASE_RESULT, 1, encode_relation(TABLES["T"]))
+    )
+    REPLY = frame(
+        FRAME_REPLY, pickle.dumps({"rows": 9, "compute_s": 0.0, "spans": (), "counters": {}})
+    )
+
+    def test_a_round_of_two_fragment_blocks_is_refused_at_the_site(self):
+        block = frame(
+            FRAME_MSG, encode_wire_message(SHIP_BASE, 2, encode_relation(TABLES["T"]))
+        )
+        control = {
+            "kind": "round", "site_id": "s0", "round_number": 2,
+            "steps": (MDStep("T", [MDBlock([count_star("n")], base.k == detail.k)]),),
+            "key_attrs": ("k",), "expected_payloads": 2,
+        }
+        with serving(TABLES) as server:
+            with socket.create_connection((server.host, server.port), timeout=5) as sock:
+                sock.sendall(HELLO + block + block + frame(FRAME_REQ, pickle.dumps(control)))
+                assert read_frame(sock)[0] == FRAME_WELCOME
+                frame_type, body = read_frame(sock)
+            assert frame_type == FRAME_ERROR
+            error = pickle.loads(body)
+            assert error["error"] == "ProtocolError"
+            assert "one block, got 2" in error["message"]
+            # The request was refused, not the connection: the server serves on.
+            assert converse(server, STREAM) == [FRAME_WELCOME, FRAME_MSG, FRAME_REPLY]
+
+    @pytest.mark.parametrize(
+        "frames, message",
+        [
+            ((ANSWER, ANSWER), "more than one block"),  # no REPLY: refused at the second
+            ((REPLY,), "without an answer"),
+        ],
+        ids=["two-blocks", "no-block"],
+    )
+    def test_a_reply_of_other_than_one_block_is_refused_at_the_coordinator(
+        self, frames, message
+    ):
+        request = SiteRequest(
+            kind="base", site_id="s0", round_number=1, source=DistinctBase("T", ["k"])
+        )
+        with answering(*frames) as address:
+            channel = SocketChannel("s0", address, io_timeout_s=5)
+            started = time.monotonic()
+            try:
+                with pytest.raises(ProtocolError, match=message):
+                    channel.ask(request)
+            finally:
+                channel.close()
+        assert time.monotonic() - started < 5  # no wait for a frame that never comes
