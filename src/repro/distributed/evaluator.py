@@ -445,7 +445,7 @@ class _RoundWalk:
                 for block in (md_round.all_blocks() if md_round is not None else ())
                 for attribute in block.sub_attributes()
             ]
-            self._whole = {}  # (held, fields) -> the fragment of all of held, its payloads
+            self._whole = {}  # (held, fields) -> the fragment of all of held, its payload
             self._keeping = {}
             # The round after this one narrows by what this one's fold observes.
             self.observes = observes = (
@@ -578,20 +578,20 @@ class _RoundWalk:
         if self.ships_fragment:
             started = time.perf_counter()
             with self.tracer.span("round.encode", kind=kind, site=name) as encode_span:
-                fragment, kept, payloads, positional, shared = self._fragment(
+                fragment, kept, payload, positional, shared = self._fragment(
                     node, child, held
                 )
                 if positional:
                     encode_span.set(positional=True)
                 if shared is not None:
                     encode_span.set(shared_rows=shared)
-                down = self._shipments(node.name, name, payloads, encode_span, len(fragment))
+                down = self._shipment(node.name, name, payload, encode_span, len(fragment))
             self._charge(node, time.perf_counter() - started)
             tuples_down = len(fragment)
         else:
             # Base values / Proposition 2: no shipment down beyond the
             # request header.
-            down = [msg.Message(msg.BASE_QUERY, node.name, name, number)]
+            down = msg.Message(msg.BASE_QUERY, node.name, name, number)
             tuples_down = 0
         self._ship(channel, edge, down, tuples_down)
 
@@ -611,7 +611,7 @@ class _RoundWalk:
                     replace(request, compute_delay_s=0.0, lose_state=False), channel
                 )
             edge.compute_s += reply.compute_s
-            payloads = reply.payloads
+            payload = reply.payload
             tuples_up = reply.rows
         else:
             # This process hosts the combiner, so it plays the child end.
@@ -635,22 +635,21 @@ class _RoundWalk:
                     keys = serialize.carried_keys(
                         self.plan.expression.key, held_below.schema.names
                     )
-                    payloads = encode_answer(
+                    payload = encode_answer(
                         _with_keys(held_below, keys, merged, positions),
                         len(keys), positions,
                     )
                 else:
-                    payloads = encode_answer(merged)
+                    payload = encode_answer(merged)
                 self._charge(child, time.perf_counter() - started)
-                hop.set(bytes_up=message_bytes(payloads))
+                hop.set(bytes_up=message_bytes(payload))
             reply_kind = msg.BASE_RESULT if self.md_round is None else msg.SUB_RESULT
-            for payload in payloads:
-                channel.send_to_coordinator(
-                    msg.Message(reply_kind, name, node.name, number, payload)
-                )
+            channel.send_to_coordinator(
+                msg.Message(reply_kind, name, node.name, number, payload)
+            )
             tuples_up = len(merged)
         # RoundStats keeps its own tally of what came up, from the reply.
-        edge.bytes_up += message_bytes(payloads)
+        edge.bytes_up += message_bytes(payload)
         edge.tuples_up += tuples_up
 
         # Streaming merge: the root of an ordinary round absorbs the answer
@@ -673,9 +672,7 @@ class _RoundWalk:
             if absorbs:
                 self.session.absorb(answer, source=name, positions=positions)
             if self.observes and child.is_leaf and node is self.tree:
-                self._keep(
-                    name, fragment if self.addressed else answer, down, [message.payload]
-                )
+                self._keep(name, fragment if self.addressed else answer, down, message.payload)
         self._charge(node, time.perf_counter() - started)
         if absorbs:
             return None
@@ -683,36 +680,29 @@ class _RoundWalk:
             return answer.project(self.sub_names), positions
         return answer
 
-    def _shipments(self, parent, name, payloads, span, rows) -> list:
-        """The messages carrying ``payloads`` down edge ``name``, as the
-        encode ``span`` records them."""
-        down = [
-            msg.Message(msg.SHIP_BASE, parent, name, self.number, payload)
-            for payload in payloads
-        ]
-        span.set(
-            rows=rows, messages=len(down),
-            bytes=sum(shipment.size_bytes for shipment in down),
-        )
+    def _shipment(self, parent, name, payload, span, rows) -> msg.Message:
+        """The message carrying ``payload`` down edge ``name``, as the
+        encode ``span`` records it."""
+        down = msg.Message(msg.SHIP_BASE, parent, name, self.number, payload)
+        span.set(rows=rows, bytes=down.size_bytes)
         return down
 
-    def _ship(self, channel, edge, down, tuples: int) -> None:
-        for shipment in down:
-            channel.send_to_site(shipment)
-            edge.bytes_down += shipment.size_bytes
+    def _ship(self, channel, edge, down: msg.Message, tuples: int) -> None:
+        channel.send_to_site(down)
+        edge.bytes_down += down.size_bytes
         edge.tuples_down += tuples
 
-    def _resend_keyed(self, node, name, channel, edge, fragment) -> list:
+    def _resend_keyed(self, node, name, channel, edge, fragment) -> msg.Message:
         """A miss: the site keeps no answer the positional fragment names,
         so the keyed ``fragment`` follows on the same leg. Returns the
-        messages shipped."""
+        message shipped."""
         active_registry().counter("site.round_state_misses").inc()
         started = time.perf_counter()
         with self.tracer.span(
             "round.encode", kind="coordinator", site=name, resend=True
         ) as encode_span:
-            keyed = [serialize.encode_relation(fragment)]
-            down = self._shipments(node.name, name, keyed, encode_span, len(fragment))
+            keyed = serialize.encode_relation(fragment)
+            down = self._shipment(node.name, name, keyed, encode_span, len(fragment))
         self._charge(node, time.perf_counter() - started)
         self._ship(channel, edge, down, len(fragment))
         return down
@@ -726,8 +716,7 @@ class _RoundWalk:
         ):
             return
         digest = serialize.answer_digest(
-            [shipment.payload for shipment in down if shipment.payload is not None],
-            answered,
+            () if down.payload is None else (down.payload,), (answered,)
         )
         with self._lock:
             self._keeping[name] = digest
@@ -744,7 +733,7 @@ class _RoundWalk:
         return frozenset(fields)
 
     def _fragment(self, node: MergeTree, child: MergeTree, held: Relation) -> tuple:
-        """``(fragment, kept, payloads, positional, shared)`` shipped down
+        """``(fragment, kept, payload, positional, shared)`` shipped down
         the edge to ``child``: :meth:`Coordinator.fragment_for_site`'s
         fragment and kept rows of ``held``, and the payload that ships it.
 
@@ -781,20 +770,20 @@ class _RoundWalk:
             if digest is not None and positions is not None and len(kept) == len(positions):
                 positional = self._positional(fragment, kept, digest)
                 if positional is not None:
-                    payloads, shared = positional
-                    return fragment, kept, payloads, True, shared
-            return fragment, kept, [serialize.encode_relation(fragment)], False, None
+                    payload, shared = positional
+                    return fragment, kept, payload, True, shared
+            return fragment, kept, serialize.encode_relation(fragment), False, None
         with self._encode_lock:
             whole = self._whole.get((held, fields))
             if whole is None:
                 fragment, _kept = coordinator.fragment_for_site(None, held=held, fields=fields)
                 whole = self._whole[held, fields] = (
-                    fragment, [serialize.encode_relation(fragment)],
+                    fragment, serialize.encode_relation(fragment),
                 )
         return whole[0], None, whole[1], False, None
 
     def _positional(self, fragment: Relation, kept: np.ndarray, digest: bytes):
-        """``(payloads, shared)``: ``fragment`` without K, positional
+        """``(payload, shared)``: ``fragment`` without K, positional
         against the answer ``digest`` names — ``fragment``'s rows, the rows
         ``kept`` of X, in its order — and sparse where that is smaller
         (:meth:`_sparse`); or None when that could be larger than the keyed
@@ -813,10 +802,10 @@ class _RoundWalk:
         sparse = self._sparse(rest, kept, digest)
         if sparse is not None:
             return sparse
-        return [serialize.encode_positional(rest, digest)], None
+        return serialize.encode_positional(rest, digest), None
 
     def _sparse(self, rest: Relation, kept: np.ndarray, digest: bytes):
-        """``(payloads, shared rows)``: ``rest`` (the fragment without
+        """``(payload, shared rows)``: ``rest`` (the fragment without
         K, the rows ``kept`` of X) positional, with the round before's
         outputs left out but at the rows more than one source answered,
         which it carries by row address (``serialize.encode_positional``);
@@ -846,7 +835,7 @@ class _RoundWalk:
         cost = len(shared) + (len(shared).bit_length() + 6) // 7
         if serialize.column_bytes_at_least(rest, derived) <= cost:
             return None
-        return [serialize.encode_positional(dense, digest, shared)], len(rows)
+        return serialize.encode_positional(dense, digest, shared), len(rows)
 
     def _observed_positions(self, node: MergeTree, name: str):
         """Which rows of X the root ships down edge ``name`` in an

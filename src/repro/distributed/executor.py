@@ -42,9 +42,9 @@ from __future__ import annotations
 import time
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.errors import MultiLegError, PlanError, ProtocolError
+from repro.errors import MultiLegError, PlanError
 from repro.net import message as msg
 from repro.net import serialize
 from repro.obs.metrics import MetricsRegistry, activate, active_registry
@@ -73,7 +73,8 @@ class SiteRequest:
     key_attrs: tuple = ()
     source: object = None
     independent_reduction: bool = False
-    down_payloads: tuple = ()
+    #: A ``round``'s fragment as shipped (None for ``base`` and ``merged``).
+    fragment: Optional[bytes] = None
     traced: bool = False
     #: Service-assigned query identity; stamped on the site spans so a
     #: shared trace file can be filtered per query (schema v2).
@@ -101,7 +102,8 @@ class SiteRequest:
     lose_state: bool = False
 
     def control(self) -> dict:
-        """The request as a REQ-frame body (the payloads cross as MSG frames).
+        """The request as the REQ body's pickled part (the fragment crosses
+        before it, as the REQ's message).
 
         An optional field is present only when it differs from its
         default, so a default's spelling is never on the wire. The
@@ -111,37 +113,37 @@ class SiteRequest:
         return {
             spec.name: value
             for spec in fields(self)
-            if spec.name != "down_payloads"
+            if spec.name != "fragment"
             # A required field's default is MISSING, which nothing equals.
             and (value := getattr(self, spec.name)) != spec.default
         }
 
     @classmethod
-    def from_control(cls, control: dict, down_payloads: Sequence[bytes]) -> "SiteRequest":
+    def from_control(cls, control: dict, fragment: Optional[bytes]) -> "SiteRequest":
         """The site's end of :meth:`control`: absent fields take the same defaults."""
-        return cls(**control, down_payloads=tuple(down_payloads))
+        return cls(**control, fragment=fragment)
 
 
 @dataclass
 class SiteReply:
     """The site-attributed outcome of one request.
 
-    ``payloads`` are the encoded reply, one block (the leg frames it
-    into a message, so byte accounting happens on the parent's
-    channels); ``compute_s`` is the site compute charge measured inside
+    ``payload`` is the encoded reply, one block (the leg frames it into
+    a message, so byte accounting happens on the parent's channels);
+    ``compute_s`` is the site compute charge measured inside
     the site; ``spans``/``counters`` carry a site server's observability
     back for replay.
     """
 
-    payloads: Tuple[bytes, ...]
+    payload: bytes
     rows: int
     compute_s: float
     spans: tuple = ()
     counters: dict = field(default_factory=dict)
 
 
-def encode_answer(h: Relation, keys: Optional[int] = None, rows=None) -> tuple:
-    """An answer's payloads: ``h`` as one encoded block.
+def encode_answer(h: Relation, keys: Optional[int] = None, rows=None) -> bytes:
+    """An answer's payload: ``h`` as one encoded block.
 
     ``keys`` marks an answer by row address: ``h`` starts with that many
     key attributes, and its rows answer the rows ``rows`` of the fragment
@@ -149,19 +151,19 @@ def encode_answer(h: Relation, keys: Optional[int] = None, rows=None) -> tuple:
     :func:`~repro.net.serialize.encode_reply`'s.
     """
     if keys is None:
-        return (serialize.encode_relation(h),)
+        return serialize.encode_relation(h)
     if rows is None:
         # Every row in order: the block is the sub-aggregate columns alone.
-        return (serialize.encode_relation(h.project(h.schema.names[keys:])),)
+        return serialize.encode_relation(h.project(h.schema.names[keys:]))
     schema = Schema([*h.schema.attributes, Attribute(serialize.ADDRESS, INT)])
     addressed = Relation.of_columns(schema, [*h.held(), rows], len(h))
-    return (serialize.encode_reply(addressed, keys),)
+    return serialize.encode_reply(addressed, keys)
 
 
 def _answer(
     h: Relation, keys: Optional[int] = None, answered=None, observed: bool = False
 ) -> tuple:
-    """``(payloads, rows shipped)`` of a site's answer (:func:`encode_answer`);
+    """``(payload, rows shipped)`` of a site's answer (:func:`encode_answer`);
     the rows are ``None`` when every row of ``h`` ships.
 
     Answering by row address, Proposition 1 drops the rows not
@@ -181,9 +183,9 @@ def _answer(
     return reduced, answered
 
 
-def message_bytes(payloads) -> int:
-    """What ``payloads`` weigh as messages, one header each."""
-    return sum(len(payload) + msg.HEADER_BYTES for payload in payloads)
+def message_bytes(payload: bytes) -> int:
+    """What ``payload`` weighs as a message, its header included."""
+    return len(payload) + msg.HEADER_BYTES
 
 
 def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> SiteReply:
@@ -221,9 +223,9 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
             result = site.compute_base(request.source)
             span.set(rows=len(result))
         with tracer.span("round.encode", kind="site", site=site_id, **ids):
-            payloads = (serialize.encode_relation(result),)
+            payload = serialize.encode_relation(result)
         return SiteReply(
-            payloads=payloads,
+            payload=payload,
             rows=len(result),
             compute_s=_charged(started, request),
         )
@@ -238,13 +240,8 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
             )
             span.set(rows=len(h_i))
     elif request.kind == "round":
-        if len(request.down_payloads) != 1:
-            raise ProtocolError(
-                f"a round ships its fragment as one block, "
-                f"got {len(request.down_payloads)}"
-            )
         with tracer.span("round.decode", kind="site", site=site_id, **ids) as decode_span:
-            fragment, digest, shared = serialize.decode_fragment(request.down_payloads[0])
+            fragment, digest, shared = serialize.decode_fragment(request.fragment)
             if shared is not None:
                 # The rows more than one site answered; the site finalizes the rest.
                 shared = serialize.decode_reply(shared, (), len(fragment))
@@ -288,13 +285,13 @@ def perform_site_request(site, request: SiteRequest, tracer=NULL_TRACER) -> Site
     with tracer.span(
         "round.encode", kind="site", site=site_id, **ids
     ) as encode_span:
-        payloads, shipped = _answer(h_i, keys, answered, request.observed)
+        payload, shipped = _answer(h_i, keys, answered, request.observed)
         rows = len(h_i) if shipped is None else len(shipped)
-        encode_span.set(rows=rows, messages=len(payloads), bytes=message_bytes(payloads))
+        encode_span.set(rows=rows, bytes=message_bytes(payload))
         if request.keep_answer:
-            _remember(site, request, h_i, keys is None, shipped, payloads)
+            _remember(site, request, h_i, keys is None, shipped, payload)
     return SiteReply(
-        payloads=payloads,
+        payload=payload,
         rows=rows,
         compute_s=_charged(started, request),
     )
@@ -306,8 +303,8 @@ def _charged(started: float, request: SiteRequest) -> float:
     return time.thread_time() - started + request.compute_delay_s
 
 
-def _remember(site, request: SiteRequest, h_i: Relation, keyed: bool, shipped, payloads) -> None:
-    """Keep the key list and sub-aggregates of the answer ``payloads``
+def _remember(site, request: SiteRequest, h_i: Relation, keyed: bool, shipped, reply) -> None:
+    """Keep the key list and sub-aggregates of the answer ``reply``
     (``h_i``'s rows ``shipped``; ``None``: all of them) for the next
     round's positional fragment, when ``h_i`` holds keys it can be shipped
     against.
@@ -319,7 +316,6 @@ def _remember(site, request: SiteRequest, h_i: Relation, keyed: bool, shipped, p
     keys = serialize.positional_keys(h_i.schema, request.key_attrs)
     if not keys:
         return
-    (reply,) = payloads
     if keyed:
         block = reply
     else:
@@ -329,7 +325,9 @@ def _remember(site, request: SiteRequest, h_i: Relation, keyed: bool, shipped, p
         block = serialize.encode_relation(kept)
     site.remember_answer(
         request.query_id,
-        serialize.answer_digest(request.down_payloads, payloads),
+        serialize.answer_digest(
+            () if request.fragment is None else (request.fragment,), (reply,)
+        ),
         block,
         len(h_i) if shipped is None else len(shipped),
         reply=None if keyed else reply,
@@ -340,24 +338,21 @@ def _remember(site, request: SiteRequest, h_i: Relation, keyed: bool, shipped, p
 def play_site_end(channel, request: SiteRequest, perform) -> SiteReply:
     """The site's turn on ``channel``, played in this process.
 
-    Take what the parent shipped (the channel raises if any of it was
-    lost or is late), hand a ``round`` request its fragment,
+    Take the one message the parent shipped (the channel raises if it
+    was lost or is late), hand a ``round`` request its fragment,
     ``perform`` the request, send the reply up to whoever shipped.
     """
-    shipped = channel.take_at_site()
+    (shipment,) = channel.take_at_site()
     if request.kind == "round":
-        request = replace(
-            request, down_payloads=tuple(shipment.payload for shipment in shipped)
-        )
+        request = replace(request, fragment=shipment.payload)
     reply = perform(request)
     kind = msg.BASE_RESULT if request.kind == "base" else msg.SUB_RESULT
-    for payload in reply.payloads:
-        channel.send_to_coordinator(
-            msg.Message(
-                kind, request.site_id, shipped[0].sender, request.round_number,
-                payload,
-            )
+    channel.send_to_coordinator(
+        msg.Message(
+            kind, request.site_id, shipment.sender, request.round_number,
+            reply.payload,
         )
+    )
     return reply
 
 
@@ -535,9 +530,9 @@ class SocketEngine(_EngineLifecycle):
 
     def evaluate(self, request: SiteRequest, channel) -> SiteReply:
         self._check_open()
-        meta, payloads = channel.ask(request)
+        meta, payload = channel.ask(request)
         reply = SiteReply(
-            payloads=payloads,
+            payload=payload,
             rows=meta["rows"],
             compute_s=meta["compute_s"],
             spans=tuple(meta.get("spans", ())),

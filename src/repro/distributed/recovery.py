@@ -86,7 +86,7 @@ class SpeculationController:
     the predicate transports poll mid-wait — provided the round's backup
     budget (:data:`SPECULATION_MAX_BACKUPS`) is not spent. First result
     wins: the guard simply re-runs the leg, and the abandoned attempt's
-    traffic is re-accounted into the speculative buckets so byte parity
+    shipment is re-accounted into the speculative bucket so byte parity
     with the wire holds exactly.
 
     Thread-safe: legs run on engine worker threads, so completion
@@ -232,7 +232,7 @@ def guard_leg(
     With a :class:`SpeculationController` (``speculation``), each attempt
     is armed with the controller's abandon predicate. An attempt the
     transport abandons (:class:`~repro.errors.LegDeadlineExceeded`) is
-    *not* a failure: its byte charges move to the speculative buckets,
+    *not* a failure: its down-bytes move to the speculative bucket,
     the slate is cleaned exactly as for a retry, and the leg re-runs
     immediately without consuming retry budget — first result wins.
     ``LegDeadlineExceeded`` subclasses ``NetworkError``, so the abandon
@@ -257,7 +257,7 @@ def guard_leg(
         while True:
             site_stats = round_stats.site(site_id)
             # Snapshot the down-side charges so an abandoned attempt's
-            # contribution can be moved to the speculative buckets.
+            # contribution can be moved to the speculative bucket.
             snap_bytes_down = site_stats.bytes_down
             snap_tuples_down = site_stats.tuples_down
             # Mark where this attempt's spans begin so an abandoned
@@ -269,17 +269,16 @@ def guard_leg(
                 result = leg(site_id)
             except LegDeadlineExceeded as error:
                 # The speculative deadline fired mid-flight. The
-                # attempt's traffic really crossed the wire, so its byte
-                # charges move (not vanish): down-side to the
-                # speculative bucket, partial up-frames (already counted
-                # by the channel oracle) likewise. The tuple charge is
-                # rolled back — the backup re-ships them.
+                # attempt's shipment really crossed the wire, so its byte
+                # charge moves (not vanishes) to the speculative bucket;
+                # its reply is recorded whole or not at all, so nothing
+                # of it was charged. The tuple charge is rolled back —
+                # the backup re-ships them.
                 site_stats.speculative_bytes_down += (
                     site_stats.bytes_down - snap_bytes_down
                 )
                 site_stats.bytes_down = snap_bytes_down
                 site_stats.tuples_down = snap_tuples_down
-                site_stats.speculative_bytes_up += error.partial_up_bytes
                 site_stats.speculative_attempts += 1
                 abandoned += 1
                 channel.drain_pending()

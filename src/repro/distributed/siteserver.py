@@ -3,10 +3,9 @@
 A site server owns one on-disk partition store directory, loads its
 site's tables into a :class:`~repro.warehouse.storage.LocalWarehouse` at
 startup, and then serves the frame protocol of
-:mod:`repro.net.socket_channel` forever: buffering shipped-down
-``SHIP_BASE`` payloads per connection, running
-:func:`~repro.distributed.executor.perform_isolated_request` on REQ, and
-sending the reply back as one MSG frame before the REPLY.
+:mod:`repro.net.socket_channel` forever: each REQ carries one request and
+its fragment, is answered by one REPLY (or ERROR) carrying the answer, and
+leaves nothing behind for the next.
 
 Because the partition lives on disk, a killed site process can be
 restarted and *rejoin* the cluster serving exactly the data it held
@@ -45,15 +44,14 @@ from repro.errors import (
 from repro.net import serialize
 from repro.net.message import BASE_RESULT, SHIP_BASE, SUB_RESULT
 from repro.net.socket_channel import (
+    DOWN_KINDS,
     FLAG_DROPPED,
     FRAME_BYE,
     FRAME_ERROR,
     FRAME_HELLO,
-    FRAME_MSG,
     FRAME_PING,
     FRAME_REPLY,
     FRAME_REQ,
-    FRAME_RESET,
     FRAME_SHUTDOWN,
     FRAME_TELEMETRY,
     FRAME_WELCOME,
@@ -197,12 +195,42 @@ def _json_object(body: bytes) -> dict:
     return value
 
 
+def _request(body: bytes) -> Optional[SiteRequest]:
+    """The request a REQ body carries, or None when its message was lost
+    in (simulated) flight: the coordinator fails the turn without waiting
+    for an answer.
+
+    A body that is not one down message and a request, or whose message
+    does not fit its request — a ``round`` ships its fragment as a
+    ``SHIP_BASE`` payload, any other request ships none — raises: the
+    connection is out of step and closes.
+    """
+    kind, _round, flags, payload, control = decode_wire_message(body)
+    if flags & FLAG_DROPPED:
+        return None
+    if kind not in DOWN_KINDS:
+        raise ProtocolError(f"a REQ carries a down message, not a {kind} one")
+    try:
+        request = SiteRequest.from_control(pickle.loads(control), payload or None)
+    except Exception as error:  # noqa: BLE001 - any unpickling failure
+        raise ProtocolError(
+            f"a REQ's control is not a request: {type(error).__name__}: {error}"
+        ) from None
+    if request.kind == "round":
+        if kind != SHIP_BASE or not payload:
+            raise ProtocolError("a round ships its fragment as one SHIP_BASE payload")
+    elif payload:
+        raise ProtocolError(
+            f"a {request.kind} request ships no payload, got {len(payload)} bytes"
+        )
+    return request
+
+
 class SiteServer:
     """Serves one site's frame protocol on a listening TCP socket.
 
-    One thread per accepted connection; per-connection state is just the
-    buffer of shipped-down payloads (cleared by RESET, and implicitly by
-    a reconnect, which by definition starts a fresh connection).
+    One thread per accepted connection, which keeps nothing between two
+    frames: a REQ holds the whole request, fragment included.
     """
 
     def __init__(
@@ -228,7 +256,6 @@ class SiteServer:
         self.registry = MetricsRegistry()
         self.registry.counter("site.requests")
         self.registry.counter("site.errors")
-        self.registry.gauge("site.queue.depth")
         self.registry.gauge("site.connections")
         self.flight = FlightRecorder(
             capacity=flight_capacity,
@@ -300,7 +327,6 @@ class SiteServer:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass
-        pending: list = []
         self.registry.gauge("site.connections").add(1)
         try:
             while True:
@@ -342,24 +368,10 @@ class SiteServer:
                         }
                     ).encode("utf-8")
                     write_frame(conn, FRAME_WELCOME, welcome)
-                elif frame_type == FRAME_MSG:
-                    kind, _round, flags, payload = decode_wire_message(body)
-                    if flags & FLAG_DROPPED:
-                        continue  # lost in (simulated) flight: bytes only
-                    if kind == SHIP_BASE:
-                        pending.append(payload)
-                        self.registry.gauge("site.queue.depth").set(
-                            float(len(pending))
-                        )
-                    # BASE_QUERY and friends are header-only prompts; the
-                    # REQ frame carries the actual work description.
-                elif frame_type == FRAME_RESET:
-                    pending.clear()
-                    self.registry.gauge("site.queue.depth").set(0.0)
                 elif frame_type == FRAME_REQ:
-                    self._handle_request(conn, body, pending)
-                    pending.clear()
-                    self.registry.gauge("site.queue.depth").set(0.0)
+                    request = _request(body)
+                    if request is not None:
+                        self._handle_request(conn, request)
                 elif frame_type == FRAME_SHUTDOWN:
                     try:
                         write_frame(conn, FRAME_BYE)
@@ -370,16 +382,14 @@ class SiteServer:
                     self.shutdown()
                     return
                 else:
-                    self._send_error(
-                        conn, NetworkError(f"unexpected frame type {frame_type}")
-                    )
+                    raise NetworkError(f"unexpected frame type {frame_type}")
         except OSError:
             pass  # the client went away; its reconnect starts clean
         except (NetworkError, ProtocolError) as error:
-            # A frame this server cannot parse (or is not meant for it), or
-            # an answer too long to frame: say so where the socket still
-            # allows and close *this* connection — the stream is out of
-            # step, the server is not.
+            # A frame this server cannot parse (or is not meant for it), a
+            # REQ it cannot take, or an answer too long to frame: say so
+            # where the socket still allows and close *this* connection —
+            # the stream is out of step, the server is not.
             self.registry.counter("site.errors").inc()
             self._send_error(conn, error)
         finally:
@@ -389,25 +399,14 @@ class SiteServer:
             except OSError:
                 pass
 
-    def _handle_request(self, conn, body: bytes, pending: list) -> None:
+    def _handle_request(self, conn, request: SiteRequest) -> None:
         started = time.perf_counter()
-        request = None
         try:
-            control = pickle.loads(body)
-            expected = control.pop("expected_payloads", 0)
-            if control.get("site_id") != self.site.site_id:
+            if request.site_id != self.site.site_id:
                 raise NetworkError(
-                    f"request for site {control.get('site_id')!r} reached "
+                    f"request for site {request.site_id!r} reached "
                     f"site {self.site.site_id!r}"
                 )
-            if expected != len(pending):
-                # A partial prior attempt left the buffer out of step —
-                # transient, so the coordinator drains and retries.
-                raise NetworkError(
-                    f"payload desync at site {self.site.site_id!r}: "
-                    f"expected {expected} shipped blocks, have {len(pending)}"
-                )
-            request = SiteRequest.from_control(control, pending)
             reply = perform_isolated_request(self.site, request)
         except StateMismatch as error:
             # No fault: the coordinator resends the fragment keyed.
@@ -419,15 +418,15 @@ class SiteServer:
             self.flight.record_fault(
                 error=type(error).__name__,
                 message=str(error),
-                kind=getattr(request, "kind", None),
-                round=getattr(request, "round_number", None),
+                kind=request.kind,
+                round=request.round_number,
             )
             self._dump_flight()
             self._send_error(conn, error)
             return
         elapsed = time.perf_counter() - started
-        bytes_down = sum(len(payload) for payload in pending)
-        bytes_up = sum(len(payload) for payload in reply.payloads)
+        bytes_down = len(request.fragment or b"")
+        bytes_up = len(reply.payload)
         self.registry.counter("site.requests").inc()
         self.registry.counter("site.requests.by_kind", kind=request.kind).inc()
         self.registry.counter("site.rows").inc(reply.rows)
@@ -459,19 +458,18 @@ class SiteServer:
         # on-disk ring is the only telemetry a killed site leaves.
         self._dump_flight()
         up_kind = BASE_RESULT if request.kind == "base" else SUB_RESULT
-        for payload in reply.payloads:
-            write_frame(
-                conn,
-                FRAME_MSG,
-                encode_wire_message(up_kind, request.round_number, payload),
-            )
         meta = {
             "rows": reply.rows,
             "compute_s": reply.compute_s,
             "spans": spans,
             "counters": dict(reply.counters),
         }
-        write_frame(conn, FRAME_REPLY, pickle.dumps(meta))
+        write_frame(
+            conn,
+            FRAME_REPLY,
+            encode_wire_message(up_kind, request.round_number, reply.payload)
+            + pickle.dumps(meta),
+        )
 
     def _skewed_span(self, span: dict) -> dict:
         """Shift a shipped span's timestamps onto the site's skewed clock.

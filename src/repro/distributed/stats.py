@@ -54,14 +54,14 @@ class SiteRoundStats:
     compute_s: float = 0.0
     #: Leg re-runs the recovery layer performed for this site this round.
     retries: int = 0
-    #: Bytes charged by leg attempts that a speculative deadline
-    #: abandoned. They crossed the wire (the simulated oracle and the
-    #: socket transport both counted them) but did not contribute to the
-    #: result — the winning attempt's traffic stays in ``bytes_down`` /
-    #: ``bytes_up``, the loser's moves here, so
-    #: ``bytes + speculative_bytes`` reconciles with both bookkeepers.
+    #: Down-bytes charged by leg attempts that a speculative deadline
+    #: abandoned. They crossed the wire (the channel and the socket
+    #: transport both counted them) but did not contribute to the result
+    #: — the winning attempt's shipment stays in ``bytes_down``, the
+    #: loser's moves here, so ``bytes_down + speculative_bytes_down``
+    #: reconciles with both bookkeepers. An abandoned attempt's reply is
+    #: recorded whole or not at all, so it has no up-side bucket.
     speculative_bytes_down: int = 0
-    speculative_bytes_up: int = 0
     #: Attempts abandoned by the speculative deadline this round.
     speculative_attempts: int = 0
     #: True when a backup attempt (raced after an abandonment) produced
@@ -134,10 +134,6 @@ class RoundStats:
     @property
     def speculative_bytes_down(self) -> int:
         return sum(stats.speculative_bytes_down for stats in self.sites.values())
-
-    @property
-    def speculative_bytes_up(self) -> int:
-        return sum(stats.speculative_bytes_up for stats in self.sites.values())
 
     @property
     def speculative_attempts(self) -> int:
@@ -268,8 +264,8 @@ class ExecutionStats:
         """Measured socket payload bytes == modeled DirectionStats bytes.
 
         Only meaningful for socket runs; always True in memory transport.
-        Abandoned speculative attempts still crossed the wire, so the
-        modeled side is ``bytes + speculative_bytes`` per direction.
+        Abandoned speculative attempts' shipments still crossed the wire,
+        so the modeled down side is ``bytes_down + speculative_bytes_down``.
         On a faulted run that lost a connection mid-transmit the measured
         side may fall short of the modeled side (partial frames are not
         counted), so callers gate hard assertions on clean runs.
@@ -279,8 +275,7 @@ class ExecutionStats:
         return (
             self.socket_bytes_down
             == self.bytes_down + self.speculative_bytes_down
-            and self.socket_bytes_up
-            == self.bytes_up + self.speculative_bytes_up
+            and self.socket_bytes_up == self.bytes_up
         )
 
     def transport_summary(self) -> str:
@@ -290,7 +285,7 @@ class ExecutionStats:
             if self.socket_parity()
             else (
                 f"modeled down={self.bytes_down + self.speculative_bytes_down}B "
-                f"up={self.bytes_up + self.speculative_bytes_up}B "
+                f"up={self.bytes_up}B "
                 "(divergence: partial transmit or mid-run attach)"
             )
         )
@@ -316,11 +311,6 @@ class ExecutionStats:
     def speculative_bytes_down(self) -> int:
         """Down-bytes of abandoned speculative attempts, all rounds."""
         return sum(stats.speculative_bytes_down for stats in self.rounds)
-
-    @property
-    def speculative_bytes_up(self) -> int:
-        """Up-bytes of abandoned speculative attempts, all rounds."""
-        return sum(stats.speculative_bytes_up for stats in self.rounds)
 
     @property
     def speculative_legs(self) -> int:
@@ -494,7 +484,6 @@ class ExecutionStats:
                             **(
                                 {
                                     "speculative_bytes_down": site.speculative_bytes_down,
-                                    "speculative_bytes_up": site.speculative_bytes_up,
                                     "speculative_attempts": site.speculative_attempts,
                                     "speculation_won": site.speculation_won,
                                 }
@@ -511,7 +500,6 @@ class ExecutionStats:
             "speculative_legs": self.speculative_legs,
             "speculation_wins": self.speculation_wins,
             "speculative_bytes_down": self.speculative_bytes_down,
-            "speculative_bytes_up": self.speculative_bytes_up,
             "excluded_sites": [list(entry) for entry in self.excluded_sites],
             "faults": [
                 {
@@ -559,8 +547,7 @@ class ExecutionStats:
             lines.append(
                 f"speculation: legs={self.speculative_legs} "
                 f"wins={self.speculation_wins} "
-                f"abandoned bytes down={self.speculative_bytes_down} "
-                f"up={self.speculative_bytes_up}"
+                f"abandoned bytes down={self.speculative_bytes_down}"
             )
         if self.transport == "sockets":
             lines.extend(self.transport_summary().splitlines())
@@ -622,12 +609,12 @@ def verify_against_network(stats: ExecutionStats, network) -> list:
         for site_id in network.site_ids
         if site_id in round_stats.sites
     ]
-    # The channels count abandoned speculative attempts too (the traffic
-    # really moved), so the stats side adds its speculative buckets back.
+    # The channels count abandoned speculative attempts' shipments too (the
+    # traffic really moved), so the stats side adds its speculative bucket back.
     stats_down = sum(
         edge.bytes_down + edge.speculative_bytes_down for edge in site_edges
     )
-    stats_up = sum(edge.bytes_up + edge.speculative_bytes_up for edge in site_edges)
+    stats_up = sum(edge.bytes_up for edge in site_edges)
     if stats_down != down:
         problems.append(f"bytes_down: stats={stats_down} network={down}")
     if stats_up != up:
@@ -635,10 +622,7 @@ def verify_against_network(stats: ExecutionStats, network) -> list:
     for site_id in network.site_ids:
         channel = network.channel(site_id)
         stats_total = sum(
-            site.bytes_down
-            + site.bytes_up
-            + site.speculative_bytes_down
-            + site.speculative_bytes_up
+            site.bytes_down + site.bytes_up + site.speculative_bytes_down
             for round_stats in stats.rounds
             for observed_id, site in round_stats.sites.items()
             if observed_id == site_id

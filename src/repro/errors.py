@@ -73,8 +73,8 @@ class StateMismatch(ReproError):
 
 class ProtocolError(ReproError):
     """A peer would break the wire protocol: a frame longer than the
-    reader's cap, or a leg that carries a relation as other than one
-    block. Not transient: sending the same again breaks it again."""
+    reader's cap, or a REQ or REPLY that is not the one message its leg
+    carries. Not transient: sending the same again breaks it again."""
 
 
 class NetworkError(ReproError):
@@ -98,18 +98,14 @@ SpeculationController` decides the leg is a straggler. It is a
     :class:`NetworkError` so a fail-fast configuration without the
     speculation branch still treats it as a (transient) leg failure, but
     ``guard_leg`` catches it *before* the retry machinery: the abandoned
-    attempt costs no retry budget and its bytes move to the speculative
-    accounts instead of staying charged to the leg.
-
-    ``partial_up_bytes`` carries the wire bytes of any reply messages
-    already consumed when the deadline fired, so byte parity with the
-    measured transport still reconciles exactly.
+    attempt costs no retry budget and its shipment's bytes move to the
+    speculative account instead of staying charged to the leg. Its reply
+    is one frame, recorded whole or not at all, so none of it was.
     """
 
-    def __init__(self, site_id, deadline_s, partial_up_bytes=0):
+    def __init__(self, site_id, deadline_s):
         self.site_id = site_id
         self.deadline_s = deadline_s
-        self.partial_up_bytes = partial_up_bytes
         super().__init__(
             f"site {site_id!r} exceeded the speculative deadline "
             f"({deadline_s:.3f}s); leg abandoned for a backup"

@@ -21,8 +21,11 @@ A :class:`Channel` is one edge. It has
 
 Every message, in either direction, on either transport, is handled
 once: validated (it is addressed to, or comes from, this edge's site) ->
-shown once to the channel's **fault policy** -> moved -> recorded once in
-the direction's :class:`DirectionStats`, at the moment its bytes move.
+shown once to the channel's **fault policy** -> recorded once in the
+direction's :class:`DirectionStats` -> moved. A down message is recorded
+when ``send_to_site`` takes it (over TCP it then crosses in the leg's
+REQ), an up message when it is sent up, or over TCP when its REPLY is
+read.
 All data moves as encoded :class:`~repro.net.message.Message` payloads —
 the receiving side *decodes* the bytes into fresh objects, so sites and
 coordinator never share mutable state, exactly as separate machines would
@@ -36,8 +39,9 @@ the attempt), plus ``require_up``, ``begin_attempt``, ``next_straggle``,
 :class:`~repro.net.faults.FaultPlan` builds the other kind. What a
 verdict means on the wire is the transport's business: here a LOST
 message is recorded and not queued and a LATE one fails one receive; on
-TCP both cross flagged ``DROPPED`` (the bytes left the sender) and the
-site's turn then fails transiently before it is asked for.
+TCP both cross in a REQ flagged ``DROPPED`` (the bytes left the sender),
+which the site discards unanswered, and the site's turn fails
+transiently.
 
 There are two byte ledgers and neither is derived from the other: the
 channel's :class:`DirectionStats` (``net.messages{direction,site}``,

@@ -2,39 +2,48 @@
 
 A :class:`SocketChannel` keeps the :class:`~repro.net.channel.Channel`
 contract (see that module's docstring) over a length-prefixed TCP
-connection: ``send_to_site`` writes one MSG frame per message, and the
-site's turn is one :meth:`SocketChannel.ask` — a REQ frame out, the
-reply's MSG frames and a REPLY (or ERROR) frame back. Each message is
-shown once to the channel's fault policy and recorded once in
-``DirectionStats``, where its frame is written or read; nothing is kept
-in memory on the side except the replies waiting for
-``receive_at_coordinator``.
+connection. A leg is exactly two frames: one REQ down, one REPLY (or
+ERROR) up. ``send_to_site`` connects, shows the leg's one down message to
+the channel's fault policy, records it in ``DirectionStats`` and holds
+it; :meth:`SocketChannel.ask` writes it in the REQ and reads the REPLY,
+whose one up message is shown to the policy, recorded and queued for
+``receive_at_coordinator``. The site server keeps nothing between two
+requests.
 
 Wire format (all integers big-endian):
 
-- frame    = ``length(4) | type(1) | body(length-1)`` — ``length``
+- frame      = ``length(4) | type(1) | body(length-1)`` — ``length``
   counts the type byte plus the body and is checked against
   :data:`MAX_FRAME_BYTES` before anything is read;
-- MSG body = the 32-byte message header (magic ``SM``, kind code, flags,
-  round index, payload length, zero padding — exactly
+- MSG body   = the 32-byte message header (magic ``SM``, kind code,
+  flags, round index, payload length, zero padding — exactly
   :data:`~repro.net.message.HEADER_BYTES` bytes, so a MSG body is
   bit-for-bit as long as the modeled ``Message.size_bytes``) followed by
-  the codec payload;
-- control frames (HELLO/WELCOME/REQ/REPLY/ERROR/RESET/SHUTDOWN/BYE)
-  carry JSON or pickled bodies and are charged entirely to *framing
-  overhead*, never to payload bytes.
+  the codec payload. It ends where its header's payload length says, so
+  it needs no length of its own;
+- REQ body   = the leg's down message as a MSG body (``SHIP_BASE`` with
+  the fragment for a ``round``, a header-only ``BASE_QUERY`` for a
+  ``base`` or ``merged`` request), then the pickled
+  :meth:`~repro.distributed.executor.SiteRequest.control`;
+- REPLY body = the site's up message as a MSG body (``BASE_RESULT`` or
+  ``SUB_RESULT``, one block), then the pickled reply metadata;
+- every other frame (HELLO/WELCOME/ERROR/SHUTDOWN/BYE/PING/TELEMETRY)
+  carries a JSON or pickled body.
 
-Parity invariant: measured MSG body bytes per direction equal the
-``DirectionStats`` bytes exactly, under every fault kind. A message the
-policy judges LOST or LATE still crosses the wire, flagged ``DROPPED``
-(the bytes left the sender; the site discards it) and the site's turn
-then fails transiently in ``ask``, before REQ; a *duplicate* copy is
+The MSG bodies inside REQ and REPLY are *payload*; everything else — the
+5 bytes before every frame, the pickled parts, every other frame — is
+*framing overhead*. Parity invariant: measured payload bytes per
+direction equal the ``DirectionStats`` bytes exactly, under every fault
+kind. A message the policy judges LOST or LATE still crosses, in a REQ
+whose header is flagged ``DROPPED`` (the bytes left the sender); the site
+discards that REQ without answering, and the turn fails transiently at
+the coordinator without waiting for a REPLY. A *duplicate* copy is
 charged to ``net.fault.bytes`` by the policy and not re-sent; *corrupt*
 replaces the payload with one of equal length; *crash* raises before
 anything is recorded or sent.
 
-REQ/REPLY control bodies use :mod:`pickle`: site servers are our own
-processes on a trusted local cluster, never an untrusted peer.
+The pickled parts of REQ and REPLY use :mod:`pickle`: site servers are
+our own processes on a trusted local cluster, never an untrusted peer.
 """
 
 from __future__ import annotations
@@ -70,11 +79,9 @@ from repro.net.message import (
 
 FRAME_HELLO = 1  # client -> server: {"site_id": ...}
 FRAME_WELCOME = 2  # server -> client: {"site_id": ..., "tables": {...}}
-FRAME_MSG = 3  # either direction: 32-byte message header + payload
-FRAME_REQ = 4  # client -> server: pickled SiteRequest.control() (sans payloads)
-FRAME_REPLY = 5  # server -> client: pickled reply metadata
+FRAME_REQ = 4  # client -> server: MSG body + pickled SiteRequest.control()
+FRAME_REPLY = 5  # server -> client: MSG body + pickled reply metadata
 FRAME_ERROR = 6  # server -> client: pickled {"error": class, "message": str}
-FRAME_RESET = 7  # client -> server: discard buffered down payloads
 FRAME_SHUTDOWN = 8  # client -> server: stop serving
 FRAME_BYE = 9  # server -> client: shutdown acknowledged
 FRAME_PING = 10  # either direction: JSON clock-sync sample (see obs.skew)
@@ -86,18 +93,16 @@ FRAME_OVERHEAD_BYTES = 5
 _FRAME_NAMES = {
     FRAME_HELLO: "HELLO",
     FRAME_WELCOME: "WELCOME",
-    FRAME_MSG: "MSG",
     FRAME_REQ: "REQ",
     FRAME_REPLY: "REPLY",
     FRAME_ERROR: "ERROR",
-    FRAME_RESET: "RESET",
     FRAME_SHUTDOWN: "SHUTDOWN",
     FRAME_BYE: "BYE",
     FRAME_PING: "PING",
     FRAME_TELEMETRY: "TELEMETRY",
 }
 
-# -- MSG wire header ---------------------------------------------------------------
+# -- MSG body ----------------------------------------------------------------------
 
 _WIRE_MAGIC = b"SM"
 _KIND_CODES = {
@@ -108,6 +113,10 @@ _KIND_CODES = {
     FINAL_RESULT: 4,
 }
 _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
+
+#: The kinds a REQ carries down, and a REPLY up.
+DOWN_KINDS = frozenset((BASE_QUERY, SHIP_BASE))
+UP_KINDS = frozenset((BASE_RESULT, SUB_RESULT))
 
 #: Header flag: the fault policy judged this message lost (or late) in
 #: flight — the bytes cross the wire (they left the sender), the receiver
@@ -121,7 +130,7 @@ assert _HEADER_STRUCT.size == HEADER_BYTES
 def encode_wire_message(
     kind: str, round_index: int, payload: Optional[bytes], flags: int = 0
 ) -> bytes:
-    """A MSG frame body: exactly ``HEADER_BYTES + len(payload)`` bytes.
+    """A MSG body: exactly ``HEADER_BYTES + len(payload)`` bytes.
 
     The body length equals :attr:`Message.size_bytes` for the same
     message — this is what makes measured socket payload bytes reconcile
@@ -137,27 +146,28 @@ def encode_wire_message(
     ) + body
 
 
-def decode_wire_message(body: bytes) -> Tuple[str, int, int, bytes]:
-    """``(kind, round_index, flags, payload)`` from a MSG frame body."""
+def decode_wire_message(body: bytes) -> Tuple[str, int, int, bytes, bytes]:
+    """``(kind, round_index, flags, payload, rest)``: the MSG body that
+    starts ``body``, and the bytes after it."""
     if len(body) < HEADER_BYTES:
         raise NetworkError(
-            f"short MSG frame: {len(body)} bytes < {HEADER_BYTES}-byte header"
+            f"short MSG body: {len(body)} bytes < {HEADER_BYTES}-byte header"
         )
-    magic, code, flags, round_index, payload_len, _pad = _HEADER_STRUCT.unpack(
-        body[:HEADER_BYTES]
+    magic, code, flags, round_index, payload_len, _pad = _HEADER_STRUCT.unpack_from(
+        body
     )
     if magic != _WIRE_MAGIC:
         raise NetworkError(f"bad MSG magic {magic!r}")
     kind = _CODE_KINDS.get(code)
     if kind is None:
         raise NetworkError(f"unknown MSG kind code {code}")
-    payload = body[HEADER_BYTES:]
-    if len(payload) != payload_len:
+    end = HEADER_BYTES + payload_len
+    if len(body) < end:
         raise NetworkError(
-            f"MSG payload length mismatch: header says {payload_len}, "
-            f"frame carries {len(payload)}"
+            f"short MSG body: its header says {payload_len} payload bytes, "
+            f"the frame carries {len(body) - HEADER_BYTES}"
         )
-    return kind, round_index, flags, payload
+    return kind, round_index, flags, body[HEADER_BYTES:end], body[end:]
 
 
 # -- blocking frame I/O ------------------------------------------------------------
@@ -263,10 +273,9 @@ def map_remote_error(name: str, text: str) -> ReproError:
 class SocketChannel(Channel):
     """A channel whose messages cross a real TCP connection.
 
-    Down messages are written as they are sent; up messages cross during
-    :meth:`ask` (the site server streams MSG frames back before its
-    REPLY) and wait, already judged and recorded, for
-    ``receive_at_coordinator``.
+    A down message is held from ``send_to_site`` until :meth:`ask` writes
+    it in the leg's REQ; the up message crosses in the REPLY and waits,
+    already judged and recorded, for ``receive_at_coordinator``.
     """
 
     def __init__(
@@ -285,10 +294,9 @@ class SocketChannel(Channel):
         self._sock: Optional[socket.socket] = None
         self._io_lock = threading.RLock()
         self._connected_once = False
-        #: SHIP_BASE blocks the server holds since the last REQ/RESET, and
-        #: whether anything shipped since then was lost or is late.
-        self._buffered = 0
-        self._undelivered = False
+        #: The leg's down message, judged and recorded, and its verdict:
+        #: what the next :meth:`ask` writes in its REQ.
+        self._held: Optional[Tuple[Message, str]] = None
         #: Measured wire accounting (mirrored into registry counters).
         self._totals = dict.fromkeys(
             ("payload_down", "payload_up", "framing", "frames", "reconnects"), 0
@@ -301,16 +309,14 @@ class SocketChannel(Channel):
 
     # -- accounting --------------------------------------------------------------
 
-    def _count(self, direction: str, frame_type: int, body_bytes: int) -> None:
-        """Book one frame: a MSG body is payload, all else is framing."""
-        framing = FRAME_OVERHEAD_BYTES
-        if frame_type == FRAME_MSG:
-            self._totals["payload_" + direction] += body_bytes
+    def _count(self, direction: str, body_bytes: int, payload_bytes: int = 0) -> None:
+        """Book one frame: the MSG body it carries is payload, all else framing."""
+        framing = FRAME_OVERHEAD_BYTES + body_bytes - payload_bytes
+        if payload_bytes:
+            self._totals["payload_" + direction] += payload_bytes
             self.metrics.counter(
                 "net.socket.bytes", direction=direction, site=self.site_id
-            ).inc(body_bytes)
-        else:
-            framing += body_bytes
+            ).inc(payload_bytes)
         self._totals["frames"] += 1
         self._totals["framing"] += framing
         self.metrics.counter(
@@ -357,6 +363,7 @@ class SocketChannel(Channel):
         self._sock = sock
         self._send(FRAME_HELLO, json.dumps({"site_id": self.site_id}).encode("utf-8"))
         frame_type, body = self._read("handshake with")
+        self._count(UP, len(body))
         try:
             if frame_type != FRAME_WELCOME:
                 raise NetworkError(
@@ -373,7 +380,7 @@ class SocketChannel(Channel):
             self._drop_connection()
             raise
 
-    def _send(self, frame_type: int, body: bytes = b"") -> None:
+    def _send(self, frame_type: int, body: bytes = b"", payload_bytes: int = 0) -> None:
         """Write one frame on the open socket and count it."""
         try:
             write_frame(self._sock, frame_type, body)
@@ -382,12 +389,13 @@ class SocketChannel(Channel):
             raise NetworkError(
                 f"socket to site {self.site_id!r} failed mid-send: {error}"
             ) from None
-        self._count(DOWN, frame_type, len(body))
+        self._count(DOWN, len(body), payload_bytes)
 
     def _read(self, what: str, should_abandon=None) -> Tuple[int, bytes]:
-        """Read one frame and count it; a dead or desynced socket is dropped."""
+        """Read one frame, uncounted (its reader knows what of it is
+        payload); a dead or desynced socket is dropped."""
         try:
-            frame_type, body = read_frame(self._sock, should_abandon)
+            return read_frame(self._sock, should_abandon)
         except OSError as error:
             self._drop_connection()
             raise NetworkError(
@@ -396,24 +404,18 @@ class SocketChannel(Channel):
         except NetworkError:
             self._drop_connection()
             raise
-        self._count(UP, frame_type, len(body))
-        return frame_type, body
-
-    def _transmit(self, frame_type: int, body: bytes = b"") -> None:
-        """Send one frame, connecting first if need be."""
-        with self._io_lock:
-            self._ensure_connected()
-            self._send(frame_type, body)
 
     def _control(self, frame_type: int, body: bytes, what: str) -> dict:
         """One control exchange: a frame out, the same type (JSON) back.
 
-        Control frames are charged entirely to framing overhead, so MSG
-        byte parity is untouched.
+        Control frames are charged entirely to framing overhead, so
+        payload byte parity is untouched.
         """
         with self._io_lock:
-            self._transmit(frame_type, body)
+            self._ensure_connected()
+            self._send(frame_type, body)
             got, reply = self._read(what)
+            self._count(UP, len(reply))
         if got != frame_type:
             raise NetworkError(
                 f"expected {_FRAME_NAMES[frame_type]} from site "
@@ -431,21 +433,8 @@ class SocketChannel(Channel):
         with self._io_lock:
             self._ensure_connected()
             carried, verdict = self._admit(message, DOWN)
-            delivered = verdict is DELIVER
-            self._send(
-                FRAME_MSG,
-                encode_wire_message(
-                    carried.kind,
-                    carried.round_index,
-                    carried.payload,
-                    0 if delivered else FLAG_DROPPED,
-                ),
-            )
         self.downstream.record(carried)
-        if not delivered:
-            self._undelivered = True
-        elif carried.kind == SHIP_BASE:
-            self._buffered += 1
+        self._held = carried, verdict
 
     # -- site end: the server process --------------------------------------------
 
@@ -455,96 +444,87 @@ class SocketChannel(Channel):
         )
 
     def ask(self, request) -> tuple:
-        """The site's turn, remotely: ``(REPLY body, payloads as sent)``.
+        """The site's turn, remotely: ``(reply metadata, payload as sent)``.
 
-        The down payloads were already streamed as MSG frames by
-        :meth:`send_to_site`; the REQ frame carries the request fields
-        that differ from their defaults (minus payloads) plus the count
-        of blocks the server should be holding, so it can detect desync
-        after a partial failure. If any of the shipment was lost or is
-        late the turn fails here, before REQ. The reply MSG frame is
-        shown to the policy, recorded and queued for
-        ``receive_at_coordinator`` as it arrives; a reply of other than
-        one MSG frame raises :class:`~repro.errors.ProtocolError` and drops
-        the connection, at the second frame or at the REPLY.
+        Writes the REQ — the message :meth:`send_to_site` holds, then the
+        request's fields that differ from their defaults — and reads the
+        one frame that answers it. A message that was lost or is late
+        crosses flagged ``DROPPED``, and the turn fails here, with no
+        answer to wait for. The REPLY's up message is shown to the
+        policy, recorded and queued for ``receive_at_coordinator``; a
+        REPLY that does not start with one up message raises
+        :class:`~repro.errors.ProtocolError` and drops the connection.
 
         While a speculative-abandon predicate is armed (see
         :meth:`~repro.net.channel.Channel.arm_speculation`), the reply
         wait polls it between short receive timeouts; when it fires the
         connection is dropped and :class:`~repro.errors.\
-LegDeadlineExceeded` raised, reporting what ``upstream`` recorded for the
-        attempt as ``partial_up_bytes``.
+LegDeadlineExceeded` raised. Nothing of the reply was recorded: it is
+        recorded whole or not at all.
         """
         self.policy.require_up()
-        buffered, undelivered = self._buffered, self._undelivered
-        self._buffered, self._undelivered = 0, False
-        if undelivered:
-            raise NetworkError(
-                f"message for channel {self.site_id!r} was lost or is "
-                "delayed in flight"
-            )
-        control = request.control()
-        control["expected_payloads"] = buffered
+        (carried, verdict), self._held = self._held, None
+        delivered = verdict is DELIVER
+        message = encode_wire_message(
+            carried.kind,
+            carried.round_index,
+            carried.payload,
+            0 if delivered else FLAG_DROPPED,
+        )
         should_abandon = self._should_abandon
         with self._io_lock:
-            self._transmit(FRAME_REQ, pickle.dumps(control))
+            self._ensure_connected()
+            self._send(
+                FRAME_REQ, message + pickle.dumps(request.control()), len(message)
+            )
+            if not delivered:
+                raise NetworkError(
+                    f"message for channel {self.site_id!r} was lost or is "
+                    "delayed in flight"
+                )
             if should_abandon is not None:
                 self._sock.settimeout(_SPECULATION_POLL_S)
-            payloads = []
-            arrived_up_bytes = 0
             try:
-                while True:
-                    frame_type, body = self._read("reply from", should_abandon)
-                    if frame_type == FRAME_MSG:
-                        if payloads:
-                            self._drop_connection()
-                            raise ProtocolError(
-                                f"site {self.site_id!r} answered in more than one block"
-                            )
-                        kind, round_index, _flags, payload = decode_wire_message(
-                            body
-                        )
-                        carried, verdict = self._admit(
-                            Message(
-                                kind, self.site_id, "coordinator", round_index,
-                                payload,
-                            ),
-                            UP,
-                        )
-                        self.upstream.record(carried)
-                        arrived_up_bytes += carried.size_bytes
-                        self._enqueue(UP, carried, verdict)
-                        payloads.append(payload)
-                    elif frame_type == FRAME_REPLY:
-                        if not payloads:
-                            self._drop_connection()
-                            raise ProtocolError(
-                                f"site {self.site_id!r} replied without an answer"
-                            )
-                        return pickle.loads(body), tuple(payloads)
-                    elif frame_type == FRAME_ERROR:
-                        detail = pickle.loads(body)
-                        raise map_remote_error(
-                            detail.get("error", "ReproError"),
-                            detail.get("message", "site server failure"),
-                        )
-                    else:
-                        raise NetworkError(
-                            f"unexpected {_FRAME_NAMES.get(frame_type, frame_type)} "
-                            f"frame from site {self.site_id!r} during request"
-                        )
-            except _AbandonLeg as verdict:
-                # The straggler is abandoned for a backup; the guard books
-                # the reply bytes that did arrive as speculative.
+                frame_type, body = self._read("reply from", should_abandon)
+            except _AbandonLeg as abandoned:
+                # The straggler is abandoned for a backup.
                 self._drop_connection()
                 raise LegDeadlineExceeded(
-                    self.site_id,
-                    float(verdict.args[0]),
-                    partial_up_bytes=arrived_up_bytes,
+                    self.site_id, float(abandoned.args[0])
                 ) from None
             finally:
                 if should_abandon is not None and self._sock is not None:
                     self._sock.settimeout(self.io_timeout_s)
+            if frame_type != FRAME_REPLY:
+                self._count(UP, len(body))
+                if frame_type == FRAME_ERROR:
+                    detail = pickle.loads(body)
+                    raise map_remote_error(
+                        detail.get("error", "ReproError"),
+                        detail.get("message", "site server failure"),
+                    )
+                raise NetworkError(
+                    f"unexpected {_FRAME_NAMES.get(frame_type, frame_type)} "
+                    f"frame from site {self.site_id!r} during request"
+                )
+            try:
+                kind, round_index, _flags, payload, meta = decode_wire_message(body)
+                if kind not in UP_KINDS:
+                    raise NetworkError(f"a {kind} message answers nothing")
+            except NetworkError as error:
+                self._count(UP, len(body))
+                self._drop_connection()
+                raise ProtocolError(
+                    f"site {self.site_id!r} replied with other than one up "
+                    f"message: {error}"
+                ) from None
+            self._count(UP, len(body), len(body) - len(meta))
+        carried, verdict = self._admit(
+            Message(kind, self.site_id, "coordinator", round_index, payload), UP
+        )
+        self.upstream.record(carried)
+        self._enqueue(UP, carried, verdict)
+        return pickle.loads(meta), payload
 
     # -- telemetry ---------------------------------------------------------------
 
@@ -594,19 +574,8 @@ LegDeadlineExceeded` raised, reporting what ``upstream`` recorded for the
     # -- recovery hooks ----------------------------------------------------------
 
     def drain_pending(self) -> int:
-        discarded = super().drain_pending()
-        self._buffered, self._undelivered = 0, False
-        # Tell the site server to forget buffered down payloads so the
-        # retried attempt starts from a clean slate. Best effort: if the
-        # connection is gone, the reconnect gets a fresh per-connection
-        # buffer anyway.
-        with self._io_lock:
-            if self._sock is not None:
-                try:
-                    self._send(FRAME_RESET)
-                except NetworkError:
-                    pass
-        return discarded
+        held, self._held = self._held, None
+        return super().drain_pending() + (held is not None)
 
     def close(self) -> None:
         self._drop_connection()

@@ -170,9 +170,9 @@ def cluster_sites(samples: Samples) -> dict:
 
     Reads the families :meth:`repro.distributed.deployment.ProcessCluster.scrape`
     aggregates out of each siteserver's own registry — liveness
-    (``site_up``/``site_pid``), request/row/byte counters, queue depth,
-    RSS — keyed by the ``site=`` label; the scrape is the only road these
-    take, so each appears once per site. Empty dict when the exposition
+    (``site_up``/``site_pid``), request/row/byte counters, RSS — keyed
+    by the ``site=`` label; the scrape is the only road these take, so
+    each appears once per site. Empty dict when the exposition
     has no site families, which is how the dashboard decides whether to
     show the panel.
     """
@@ -189,7 +189,6 @@ def cluster_sites(samples: Samples) -> dict:
                 "rows": 0,
                 "down": 0,
                 "up_bytes": 0,
-                "queue_depth": 0,
                 "rss_bytes": 0,
                 "request_ms": {},
             },
@@ -201,7 +200,6 @@ def cluster_sites(samples: Samples) -> dict:
         ("site_requests_total", "requests"),
         ("site_errors_total", "errors"),
         ("site_rows_total", "rows"),
-        ("site_queue_depth", "queue_depth"),
         ("site_rss_bytes", "rss_bytes"),
     )
     for family, field in simple:
@@ -340,7 +338,6 @@ def render_top(summary: dict, url: str = "", iteration: Optional[int] = None) ->
                 f"rows={entry['rows']}",
                 f"down={_fmt_bytes(entry['down'])}",
                 f"up={_fmt_bytes(entry['up_bytes'])}",
-                f"queue={entry['queue_depth']}",
                 f"rss={_fmt_bytes(entry['rss_bytes'])}",
             ]
             request_ms = entry.get("request_ms") or {}

@@ -33,15 +33,13 @@ from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import MDStep
 from repro.net.channel import Channel
 from repro.net.faults import FaultEvent, FaultPlan
-from repro.net.message import HEADER_BYTES, SHIP_BASE, SUB_RESULT, Message
+from repro.net.message import BASE_QUERY, HEADER_BYTES, SHIP_BASE, Message
 from repro.net.serialize import decode_reply
 from repro.net.socket_channel import (
     FRAME_HELLO,
-    FRAME_MSG,
     FRAME_REQ,
     FRAME_WELCOME,
     SocketChannel,
-    encode_wire_message,
     read_frame,
     write_frame,
 )
@@ -80,7 +78,7 @@ def open_edge(transport, spec, server):
         def turn(request):
             return play_site_end(
                 channel, request, lambda filled: perform_site_request(site, filled)
-            ).payloads
+            ).payload
 
     else:
         channel = SocketChannel(SITE, (server.host, server.port), faults=plan)
@@ -197,8 +195,8 @@ def test_both_transports_keep_the_contract_alike(spec, server):
     assert after_first["events"] == [FaultEvent(kind, SITE, ROUND, direction)]
     assert first[2] == (0.01 if kind == "straggle" else 0.0)
     # The rule's budget is spent and the drain left nothing stale behind
-    # (over TCP: the server's buffer was RESET too, or its block count
-    # would not match the second attempt's): the retry is the clean leg.
+    # (over TCP: no held message, and a site that keeps nothing between
+    # requests): the retry is the clean leg.
     assert second == REFERENCE
     assert final["events"] == after_first["events"]
     if kind == "duplicate":
@@ -234,9 +232,9 @@ def test_an_unreachable_site_consumes_no_rule_and_records_nothing(server):
 
 
 def test_an_abandoned_ask_reports_what_upstream_recorded():
-    """A site that streams one reply block and then stalls is abandoned;
-    the bytes that did arrive are in ``upstream`` and in the report."""
-    payload = Message.with_relation(SUB_RESULT, SITE, "coordinator", ROUND, BASE).payload
+    """A site that stalls before its REPLY is abandoned. A reply is one
+    frame, recorded whole or not at all: nothing of it was recorded
+    upstream, and no payload came up."""
     listener = socket.create_server(("127.0.0.1", 0))
     release = threading.Event()
 
@@ -248,9 +246,6 @@ def test_an_abandoned_ask_reports_what_upstream_recorded():
                 if frame_type == FRAME_HELLO:
                     write_frame(conn, FRAME_WELCOME, b'{"site_id": "s0"}')
                 elif frame_type == FRAME_REQ:
-                    write_frame(
-                        conn, FRAME_MSG, encode_wire_message(SUB_RESULT, ROUND, payload)
-                    )
                     release.wait(timeout=10)
                     return
 
@@ -260,6 +255,7 @@ def test_an_abandoned_ask_reports_what_upstream_recorded():
     verdicts = iter([0.0, 0.5])
     channel.arm_speculation(lambda: next(verdicts))
     try:
+        channel.send_to_site(Message(BASE_QUERY, "coordinator", SITE, ROUND))
         with pytest.raises(LegDeadlineExceeded) as abandoned:
             channel.ask(SiteRequest(kind="base", site_id=SITE, round_number=ROUND))
     finally:
@@ -269,6 +265,7 @@ def test_an_abandoned_ask_reports_what_upstream_recorded():
         listener.close()
     assert not thread.is_alive()
     assert abandoned.value.deadline_s == 0.5
-    assert abandoned.value.partial_up_bytes == HEADER_BYTES + len(payload)
-    assert channel.upstream.bytes == abandoned.value.partial_up_bytes
-    assert channel.socket_totals()["payload_up"] == channel.upstream.bytes
+    assert (channel.upstream.bytes, channel.upstream.messages) == (0, 0)
+    assert channel.socket_totals()["payload_up"] == 0
+    # The shipment did cross: one header-only message.
+    assert channel.socket_totals()["payload_down"] == channel.downstream.bytes == HEADER_BYTES

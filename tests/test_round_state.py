@@ -402,7 +402,7 @@ class TestUntrustedSparseBlocks:
         self.kept(site)
         request = SiteRequest(
             kind="round", site_id="s0", round_number=2, steps=self.ROUND_2,
-            key_attrs=("k",), down_payloads=(payload,),
+            key_attrs=("k",), fragment=payload,
         )
         try:
             return perform_site_request(site, request).rows
@@ -417,11 +417,11 @@ class TestUntrustedSparseBlocks:
         registry = MetricsRegistry()
         request = SiteRequest(
             kind="round", site_id="s0", round_number=2, steps=self.ROUND_2,
-            key_attrs=("k",), down_payloads=(self.payload(self.shared([99.0], [2])),),
+            key_attrs=("k",), fragment=self.payload(self.shared([99.0], [2])),
         )
         with activate(registry):
             reply = perform_site_request(site, request)
-        above = serialize.decode_relation(reply.payloads[0]).column("above")
+        above = serialize.decode_relation(reply.payload).column("above")
         assert above == [2, 2, 0, 0, 0, 0]
         assert registry.counter("site.rows_derived").value == self.ROWS - 1
 

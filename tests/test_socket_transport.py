@@ -16,10 +16,12 @@ from __future__ import annotations
 import pickle
 import socket
 import threading
+from collections import Counter
 
 import pytest
 
 from conftest import adversarial_tables, make_flows
+from repro.data.tpcr import TPCRConfig, generate_tpcr, nation_partitioner, register_tpcr_fds
 from repro.distributed import OptimizationOptions, SimulatedCluster, execute_query
 from repro.distributed.deployment import ProcessCluster
 from repro.distributed.evaluator import ExecutionConfig
@@ -35,13 +37,17 @@ from repro.errors import (
 )
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
-from repro.net import serialize
+from repro.net import serialize, socket_channel
 from repro.net.faults import FaultPlan
 from repro.net.message import HEADER_BYTES, SHIP_BASE
 from repro.net.socket_channel import (
     FLAG_DROPPED,
-    FRAME_MSG,
+    FRAME_HELLO,
     FRAME_OVERHEAD_BYTES,
+    FRAME_PING,
+    FRAME_REPLY,
+    FRAME_REQ,
+    FRAME_WELCOME,
     decode_wire_message,
     encode_wire_message,
     map_remote_error,
@@ -49,6 +55,7 @@ from repro.net.socket_channel import (
     write_frame,
 )
 from repro.queries.cube import cube_lattice_queries
+from repro.queries.sql import parse_olap_query
 from repro.queries.unpivot import marginal_queries
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
@@ -128,13 +135,19 @@ def test_wire_message_round_trips_and_matches_modeled_size():
     payload = b"\x01" * 57
     body = encode_wire_message(SHIP_BASE, 3, payload)
     assert len(body) == HEADER_BYTES + len(payload)  # == Message.size_bytes
-    kind, round_index, flags, decoded = decode_wire_message(body)
-    assert (kind, round_index, flags, decoded) == (SHIP_BASE, 3, 0, payload)
+    kind, round_index, flags, decoded, rest = decode_wire_message(body)
+    assert (kind, round_index, flags, decoded, rest) == (SHIP_BASE, 3, 0, payload, b"")
+    # It ends where its header says: what follows is the frame's own.
+    assert decode_wire_message(body + b"control") == (
+        SHIP_BASE, 3, 0, payload, b"control",
+    )
+    with pytest.raises(NetworkError, match="short MSG body"):
+        decode_wire_message(body[:-1])
 
 
 def test_wire_message_carries_the_dropped_flag():
     body = encode_wire_message(SHIP_BASE, 0, b"x", flags=FLAG_DROPPED)
-    _kind, _round, flags, _payload = decode_wire_message(body)
+    _kind, _round, flags, _payload, _rest = decode_wire_message(body)
     assert flags & FLAG_DROPPED
 
 
@@ -150,11 +163,11 @@ def test_wire_message_rejects_garbage():
 def test_frames_round_trip_over_a_real_socket_with_known_overhead():
     left, right = socket.socketpair()
     try:
-        body = encode_wire_message(SHIP_BASE, 1, b"payload")
-        wire_bytes = write_frame(left, FRAME_MSG, body)
+        body = encode_wire_message(SHIP_BASE, 1, b"payload") + pickle.dumps({})
+        wire_bytes = write_frame(left, FRAME_REQ, body)
         assert wire_bytes == FRAME_OVERHEAD_BYTES + len(body)
         frame_type, received = read_frame(right)
-        assert frame_type == FRAME_MSG
+        assert frame_type == FRAME_REQ
         assert received == body
     finally:
         left.close()
@@ -173,7 +186,9 @@ def test_read_frame_raises_on_closed_peer():
 
 def _req_body(control, request):
     """What ``SocketChannel.ask`` puts in the REQ frame for ``control``."""
-    return pickle.dumps({**control, "expected_payloads": len(request.down_payloads)})
+    return encode_wire_message(SHIP_BASE, request.round_number, request.fragment) + (
+        pickle.dumps(control)
+    )
 
 
 def _req_body_with_every_field(request):
@@ -207,7 +222,7 @@ def test_req_body_carries_only_what_differs_from_the_defaults(optional):
         round_number=1,
         steps=tuple(correlated_expression().steps),
         key_attrs=("SourceAS", "DestAS"),
-        down_payloads=(b"fragment",),
+        fragment=b"fragment",
         **optional,
     )
     control = request.control()
@@ -216,9 +231,9 @@ def test_req_body_carries_only_what_differs_from_the_defaults(optional):
     }
     body = _req_body(control, request)
     assert len(body) < len(_req_body_with_every_field(request))
-    received = pickle.loads(body)
-    assert received.pop("expected_payloads") == 1
-    rebuilt = SiteRequest.from_control(received, request.down_payloads)
+    kind, _round, _flags, fragment, control_bytes = decode_wire_message(body)
+    assert (kind, fragment) == (SHIP_BASE, b"fragment")
+    rebuilt = SiteRequest.from_control(pickle.loads(control_bytes), fragment)
     # Not ``==``: the steps hold expressions, whose ``==`` builds an atom.
     assert repr(rebuilt) == repr(request)
 
@@ -321,6 +336,48 @@ def test_every_query_family_is_bit_identical_over_sockets(
     # Framing is real overhead, reported separately, never zero.
     assert stats.socket_framing_bytes > 0
     assert stats.socket_frames > 0
+
+
+def test_a_leg_is_one_frame_each_way(tmp_path, monkeypatch):
+    """A clean S5 run on 2 sites: past each connection's handshake (and
+    any clock PING), every leg is one REQ and one REPLY, and the payload
+    they carry is the modeled bytes exactly."""
+    simulated = SimulatedCluster.with_sites(2)
+    tpcr = generate_tpcr(TPCRConfig(scale=2_000 / 6_000_000, seed=101))
+    simulated.load_partitioned("TPCR", tpcr, nation_partitioner(2))
+    register_tpcr_fds(simulated.catalog)
+    s5 = parse_olap_query(
+        "SELECT PartKey, SuppKey, COUNT(*) AS cnt, AVG(Price) AS m FROM TPCR "
+        "GROUP BY PartKey, SuppKey THEN SELECT COUNT(*) AS above WHERE Price >= m"
+    )
+    frames = Counter()
+    write, read = socket_channel.write_frame, socket_channel.read_frame
+
+    def writing(sock, frame_type, body=b""):
+        frames[frame_type] += 1
+        return write(sock, frame_type, body)
+
+    def reading(sock, should_abandon=None):
+        frame = read(sock, should_abandon)
+        frames[frame[0]] += 1
+        return frame
+
+    with ProcessCluster.from_simulated(simulated, str(tmp_path)) as cluster:
+        cluster.reset_network()
+        monkeypatch.setattr(socket_channel, "write_frame", writing)
+        monkeypatch.setattr(socket_channel, "read_frame", reading)
+        result = execute_query(cluster, s5, config=ExecutionConfig(executor="sockets"))
+        monkeypatch.undo()
+        assert verify_against_network(result.stats, cluster.network) == []
+    stats = result.stats
+    legs = sum(len(round_stats.sites) for round_stats in stats.rounds)
+    assert legs == 4  # two rounds (the base merged into the first), two sites
+    assert frames[FRAME_HELLO] == frames[FRAME_WELCOME] == 2
+    assert frames[FRAME_REQ] == frames[FRAME_REPLY] == legs
+    handshakes = frames[FRAME_HELLO] + frames[FRAME_WELCOME] + frames[FRAME_PING]
+    assert stats.socket_frames == sum(frames.values()) == 2 * legs + handshakes
+    assert stats.socket_bytes_down == stats.bytes_down
+    assert stats.socket_bytes_up == stats.bytes_up
 
 
 def test_transport_shows_up_in_stats_dict_and_summary(deployed):
@@ -467,9 +524,8 @@ def test_straggler_speculation_is_bit_identical_with_byte_parity(
     assert stats.socket_bytes_down == (
         stats.bytes_down + stats.speculative_bytes_down
     )
-    assert stats.socket_bytes_up == (
-        stats.bytes_up + stats.speculative_bytes_up
-    )
+    # The abandoned attempt's reply never arrived whole, so none of it counts.
+    assert stats.socket_bytes_up == stats.bytes_up
     # run_query already ran verify_against_network: per-site totals
     # reconciled with the channels including the speculative buckets.
 

@@ -481,14 +481,14 @@ class TestMergeSnapshot:
 
     def test_gauges_and_histograms_carry_labels(self):
         source = MetricsRegistry()
-        source.gauge("site.queue.depth").set(4)
+        source.gauge("site.connections").set(4)
         source.histogram("site.request.seconds", boundaries=(0.1, 1.0)).observe(
             0.5
         )
         target = MetricsRegistry()
         target.merge_snapshot(source.snapshot(), site="s3")
         text = prometheus_text(target)
-        assert 'site_queue_depth{site="s3"} 4' in text
+        assert 'site_connections{site="s3"} 4' in text
         assert 'site_request_seconds_bucket{le="1",site="s3"} 1' in text
 
 
@@ -545,7 +545,6 @@ class TestClusterPanel:
         registry.counter("site.rows", site="s0").inc(125)
         registry.counter("site.bytes", site="s0", direction="down").inc(2048)
         registry.counter("site.bytes", site="s0", direction="up").inc(4096)
-        registry.gauge("site.queue.depth", site="s0").set(2)
         registry.gauge("site.rss.bytes", site="s0").set(1 << 20)
         return parse_prometheus_text(prometheus_text(registry))
 
@@ -558,7 +557,6 @@ class TestClusterPanel:
         assert per_site["s0"]["rows"] == 125
         assert per_site["s0"]["down"] == 2048
         assert per_site["s0"]["up_bytes"] == 4096
-        assert per_site["s0"]["queue_depth"] == 2
 
     def test_render_top_shows_cluster_panel(self):
         frame = render_top(summarize(self.samples()), "cluster demo")

@@ -1,12 +1,14 @@
 """Bytes off a socket are untrusted: the frame reader, the site server,
 a positional fragment's reference to an answer the site kept, and a leg
-that carries a relation as other than one block.
+that is other than one REQ down and one REPLY up.
 
 In the idiom of ``tests/test_serialize.py::TestUntrustedBytes``: every
-strict prefix and every single-byte mutation of a valid HELLO·MSG·REQ
-frame stream ends in frames, a ``NetworkError`` or a ``ConnectionError``
-— never a hang or a read larger than ``MAX_FRAME_BYTES`` — and a live
-``SiteServer`` sent the same garbage keeps serving the next connection.
+strict prefix and every single-byte mutation of a valid HELLO·REQ frame
+stream — the REQ's message header, its payload length, its payload and
+its control — ends in frames, a ``NetworkError`` or a
+``ConnectionError``, never a hang or a read larger than
+``MAX_FRAME_BYTES``; and a live ``SiteServer`` sent the same garbage
+keeps serving the next connection.
 """
 
 from __future__ import annotations
@@ -28,12 +30,17 @@ from repro.errors import NetworkError, ProtocolError
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, MDStep
 from repro.net import serialize, socket_channel
-from repro.net.message import BASE_RESULT, SHIP_BASE
+from repro.net.message import (
+    BASE_QUERY,
+    BASE_RESULT,
+    SHIP_BASE,
+    SUB_RESULT,
+    Message,
+)
 from repro.net.serialize import encode_relation
 from repro.net.socket_channel import (
     FRAME_ERROR,
     FRAME_HELLO,
-    FRAME_MSG,
     FRAME_PING,
     FRAME_REPLY,
     FRAME_REQ,
@@ -52,26 +59,33 @@ from repro.relalg.relation import Relation
 from repro.relalg.schema import INT, Schema
 
 TABLES = {"T": Relation(Schema.of(("k", INT)), [(k % 3,) for k in range(9)])}
+STEPS = (MDStep("T", [MDBlock([count_star("n")], base.k == detail.k)]),)
+#: The controls of a ``round``, a ``base`` and a ``merged`` request.
+ROUND = {
+    "kind": "round", "site_id": "s0", "round_number": 1, "steps": STEPS,
+    "key_attrs": ("k",),
+}
+BASE = {
+    "kind": "base", "site_id": "s0", "round_number": 0,
+    "source": DistinctBase("T", ["k"]),
+}
+MERGED = {**BASE, "kind": "merged", "round_number": 1, "steps": STEPS, "key_attrs": ("k",)}
+FRAGMENT = encode_relation(Relation(Schema.of(("k", INT)), [(0,), (1,), (2,)]))
 
 
 def frame(frame_type: int, body: bytes = b"") -> bytes:
     return struct.pack(">IB", len(body) + 1, frame_type) + body
 
 
+def req(control: dict, kind: str = SHIP_BASE, payload: bytes = None) -> bytes:
+    """A REQ frame: ``control``'s request, shipping one ``kind`` message."""
+    message = encode_wire_message(kind, control["round_number"], payload)
+    return frame(FRAME_REQ, message + pickle.dumps(control))
+
+
 HELLO = frame(FRAME_HELLO, json.dumps({"site_id": "s0"}).encode("utf-8"))
-MSG = frame(
-    FRAME_MSG, encode_wire_message(SHIP_BASE, 1, encode_relation(TABLES["T"]))
-)
-REQ = frame(
-    FRAME_REQ,
-    pickle.dumps(
-        {
-            "kind": "base", "site_id": "s0", "round_number": 0,
-            "source": DistinctBase("T", ["k"]), "expected_payloads": 1,
-        }
-    ),
-)
-STREAM = HELLO + MSG + REQ
+REQ = req(ROUND, SHIP_BASE, FRAGMENT)
+STREAM = HELLO + REQ
 
 
 def garbage(stream: bytes, start: int = 0, stop: int = None):
@@ -109,8 +123,8 @@ def read_all(data: bytes):
         try:
             while True:
                 frame_type, body = read_frame(watched)
-                if frame_type == FRAME_MSG:
-                    decode_wire_message(body)
+                if frame_type == FRAME_REQ:
+                    decode_wire_message(body)  # its message, then its control
                 frames.append(frame_type)
         except (NetworkError, ConnectionError) as error:
             assert watched.largest <= MAX_FRAME_BYTES
@@ -123,14 +137,18 @@ def read_all(data: bytes):
 class TestFrameReader:
     def test_the_valid_stream_reads_back(self):
         frames, ending = read_all(STREAM)
-        assert frames == [FRAME_HELLO, FRAME_MSG, FRAME_REQ]
+        assert frames == [FRAME_HELLO, FRAME_REQ]
         assert isinstance(ending, ConnectionError)  # a clean end of stream
 
     def test_every_prefix_and_mutation_ends_in_a_typed_error(self):
+        short = 0
         for data in garbage(STREAM):
             frames, ending = read_all(data)
             assert isinstance(ending, (NetworkError, ConnectionError))
-            assert len(frames) <= 3
+            assert len(frames) <= 2
+            short += "short MSG body" in str(ending)
+        # A payload length flipped past the frame's end is one of them.
+        assert short
 
     @pytest.mark.parametrize("length", [0, MAX_FRAME_BYTES + 1, 0x80000010, 2**32 - 1])
     def test_an_impossible_length_is_rejected_before_anything_is_read(self, length):
@@ -142,7 +160,7 @@ class TestFrameReader:
     def test_the_largest_frame_is_still_a_frame(self):
         left, right = socket.socketpair()
         try:
-            left.sendall(struct.pack(">IB", MAX_FRAME_BYTES, FRAME_MSG))
+            left.sendall(struct.pack(">IB", MAX_FRAME_BYTES, FRAME_REQ))
             left.close()
             with pytest.raises(ConnectionError):  # accepted, then cut short
                 read_frame(right)
@@ -158,10 +176,10 @@ class TestFrameWriter:
         left, right = socket.socketpair()
         try:
             right.settimeout(5)
-            assert write_frame(left, FRAME_MSG, b"x" * 63) == 4 + 64  # the largest frame
-            assert read_frame(right) == (FRAME_MSG, b"x" * 63)
+            assert write_frame(left, FRAME_REQ, b"x" * 63) == 4 + 64  # the largest frame
+            assert read_frame(right) == (FRAME_REQ, b"x" * 63)
             with pytest.raises(ProtocolError, match="65 bytes is past the 64-byte cap"):
-                write_frame(left, FRAME_MSG, b"x" * 64)
+                write_frame(left, FRAME_REQ, b"x" * 64)
             left.close()
             assert right.recv(1024) == b""  # the peer reads nothing of it
         finally:
@@ -173,10 +191,9 @@ class TestFrameWriter:
         monkeypatch.setattr(socket_channel, "MAX_FRAME_BYTES", 1024)
         wide = {"T": Relation(Schema.of(("k", INT)), [(k,) for k in range(2000)])}
         with serving(wide) as server:
-            # A base request: no MSG frame down, an answer of 2000 keys up.
-            request = dict(pickle.loads(REQ[5:]), expected_payloads=0)
+            # A base request: a header down, an answer of 2000 keys up.
             with socket.create_connection((server.host, server.port), timeout=5) as sock:
-                sock.sendall(HELLO + frame(FRAME_REQ, pickle.dumps(request)))
+                sock.sendall(HELLO + req(BASE, BASE_QUERY))
                 assert read_frame(sock)[0] == FRAME_WELCOME
                 frame_type, body = read_frame(sock)
             assert frame_type == FRAME_ERROR
@@ -217,13 +234,14 @@ class TestSiteServer:
     def test_garbage_closes_its_own_connection_and_nothing_else(self, monkeypatch):
         crashes = []
         monkeypatch.setattr(threading, "excepthook", crashes.append)
-        # REQ bodies are pickle, trusted by design (ROADMAP: off the wire in
-        # its own PR), so mutations stop at the REQ frame's length and type.
-        req_body = len(HELLO) + len(MSG) + 5
+        # Every byte of the REQ: its message's header, payload length and
+        # payload, and its pickled control, which a mutation can leave a
+        # pickle of something other than a request. (Pickle itself stays
+        # trusted by design until ROADMAP item 11 takes it off the wire.)
         with serving(TABLES) as server:
             threads_before = threading.active_count()
-            assert converse(server, STREAM) == [FRAME_WELCOME, FRAME_MSG, FRAME_REPLY]
-            for data in garbage(STREAM, stop=req_body):
+            assert converse(server, STREAM) == [FRAME_WELCOME, FRAME_REPLY]
+            for data in garbage(STREAM):
                 converse(server, data)
             for body in (b"not json", b"[1, 2]", b"\xff\xfe"):
                 assert converse(server, frame(FRAME_HELLO, body)) == [FRAME_ERROR]
@@ -231,12 +249,12 @@ class TestSiteServer:
             assert converse(server, frame(FRAME_TELEMETRY, b'{"want": 5}')) == [
                 FRAME_ERROR
             ]
-            assert converse(server, frame(FRAME_MSG, b"short")) == [FRAME_ERROR]
+            assert converse(server, frame(FRAME_REQ, b"short")) == [FRAME_ERROR]
             oversize = struct.pack(">I", MAX_FRAME_BYTES + 1)
             assert converse(server, oversize) == [FRAME_ERROR]
             # A second, healthy connection is answered as if nothing happened.
             assert converse(server, STREAM + frame(FRAME_PING, b"{}")) == [
-                FRAME_WELCOME, FRAME_MSG, FRAME_REPLY, FRAME_PING,
+                FRAME_WELCOME, FRAME_REPLY, FRAME_PING,
             ]
             settle(server, threads_before)
         assert crashes == []  # no connection thread died of an exception
@@ -255,16 +273,18 @@ class TestSiteServer:
         goes home by the TELEMETRY scrape or its flight dump."""
 
         def reply_to(server, **asked) -> dict:
-            control = dict(pickle.loads(REQ[5:]), **asked)
-            stream = HELLO + MSG + frame(FRAME_REQ, pickle.dumps(control))
+            stream = HELLO + req({**ROUND, **asked}, SHIP_BASE, FRAGMENT)
             with socket.create_connection(
                 (server.host, server.port), timeout=5
             ) as sock:
                 sock.sendall(stream)
-                for expected in (FRAME_WELCOME, FRAME_MSG, FRAME_REPLY):
+                for expected in (FRAME_WELCOME, FRAME_REPLY):
                     frame_type, body = read_frame(sock)
                     assert frame_type == expected
-                return pickle.loads(body)
+            # The answer's one message, then the metadata.
+            kind, _round, _flags, _payload, meta = decode_wire_message(body)
+            assert kind == SUB_RESULT
+            return pickle.loads(meta)
 
         with serving(TABLES) as server:
             untraced = reply_to(server)
@@ -293,16 +313,7 @@ class TestPositionalFragments:
     def ask(server, payload: bytes) -> list:
         """``(frame type, body)`` of the server's answer to a round over
         ``payload``: what it sent back before closing."""
-        control = {
-            "kind": "round", "site_id": "s0", "round_number": 2,
-            "steps": (MDStep("T", [MDBlock([count_star("n")], base.k == detail.k)]),),
-            "key_attrs": ("k",), "expected_payloads": 1,
-        }
-        stream = (
-            HELLO
-            + frame(FRAME_MSG, encode_wire_message(SHIP_BASE, 2, payload))
-            + frame(FRAME_REQ, pickle.dumps(control))
-        )
+        stream = HELLO + req({**ROUND, "round_number": 2}, SHIP_BASE, payload)
         with socket.create_connection((server.host, server.port), timeout=5) as sock:
             sock.sendall(stream)
             sock.shutdown(socket.SHUT_WR)
@@ -334,8 +345,8 @@ class TestPositionalFragments:
         with serving(TABLES) as server:
             server.site.remember_answer(None, self.DIGEST, self.ANSWER, 3)
             answers = self.ask(server, self.positional(3))
-            assert [frame_type for frame_type, _body in answers] == [FRAME_MSG, FRAME_REPLY]
-            reply = pickle.loads(answers[-1][1])
+            assert [frame_type for frame_type, _body in answers] == [FRAME_REPLY]
+            reply = pickle.loads(decode_wire_message(answers[0][1])[4])
             assert reply["rows"] == 3
             assert reply["counters"]["site.round_state_hits"] == 1
 
@@ -367,8 +378,9 @@ class TestPositionalFragments:
 def answering(*frames: bytes):
     """A one-connection site that answers HELLO with WELCOME and REQ with
     ``frames``, then reads on until the coordinator hangs up; yields its
-    address."""
+    address and an event set when the connection ended."""
     listener = socket.create_server(("127.0.0.1", 0))
+    ended = threading.Event()
 
     def serve():
         conn, _address = listener.accept()
@@ -382,71 +394,95 @@ def answering(*frames: bytes):
                     elif frame_type == FRAME_REQ:
                         conn.sendall(b"".join(frames))
             except OSError:
-                pass
+                ended.set()
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     try:
-        yield listener.getsockname()
+        yield listener.getsockname(), ended
     finally:
         listener.close()
         thread.join(timeout=15)
         assert not thread.is_alive()
 
 
+def refusal(server, data: bytes) -> dict:
+    """The ERROR a live site answers ``data`` with, after a HELLO; the site
+    must then close the connection rather than wait for more."""
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(HELLO + data)
+        assert read_frame(sock)[0] == FRAME_WELCOME
+        frame_type, body = read_frame(sock)
+        assert frame_type == FRAME_ERROR
+        with pytest.raises(ConnectionError):  # closed, not a TimeoutError
+            read_frame(sock)
+    return pickle.loads(body)
+
+
 class TestOneBlockPerLeg:
-    """Every relation on a leg is one block, in each direction: a leg that
-    carries another count is refused with a ``ProtocolError``, which the
-    retry layer does not retry, within a bounded time."""
+    """A leg is one REQ down and one REPLY up, and each carries one
+    message: one block each way. A REQ or a REPLY that is not one message
+    its request can take is refused with a non-transient error, within a
+    bounded time, and the connection it came on is closed."""
 
-    ANSWER = frame(
-        FRAME_MSG, encode_wire_message(BASE_RESULT, 1, encode_relation(TABLES["T"]))
-    )
-    REPLY = frame(
-        FRAME_REPLY, pickle.dumps({"rows": 9, "compute_s": 0.0, "spans": (), "counters": {}})
-    )
+    META = pickle.dumps({"rows": 9, "compute_s": 0.0, "spans": (), "counters": {}})
+    BLOCK = encode_relation(TABLES["T"])
 
-    def test_a_round_of_two_fragment_blocks_is_refused_at_the_site(self):
-        block = frame(
-            FRAME_MSG, encode_wire_message(SHIP_BASE, 2, encode_relation(TABLES["T"]))
-        )
-        control = {
-            "kind": "round", "site_id": "s0", "round_number": 2,
-            "steps": (MDStep("T", [MDBlock([count_star("n")], base.k == detail.k)]),),
-            "key_attrs": ("k",), "expected_payloads": 2,
-        }
+    def test_a_malformed_req_is_refused_at_the_site(self):
+        shipped = encode_wire_message(SHIP_BASE, 1, FRAGMENT)
+        cases = [
+            # (what, REQ or other frame, error class, message)
+            ("a message past the body", frame(FRAME_REQ, shipped[:-1]),
+             "NetworkError", "short MSG body"),
+            ("a round of a header", req(ROUND, BASE_QUERY),
+             "ProtocolError", "as one SHIP_BASE payload"),
+            ("a round of an empty SHIP_BASE", req(ROUND, SHIP_BASE),
+             "ProtocolError", "as one SHIP_BASE payload"),
+            ("a round shipping BASE_QUERY", req(ROUND, BASE_QUERY, FRAGMENT),
+             "ProtocolError", "as one SHIP_BASE payload"),
+            ("a base request with a payload", req(BASE, BASE_QUERY, FRAGMENT),
+             "ProtocolError", "ships no payload"),
+            ("a merged request with a payload", req(MERGED, SHIP_BASE, FRAGMENT),
+             "ProtocolError", "ships no payload"),
+            ("an up message", req(BASE, BASE_RESULT),
+             "ProtocolError", "carries a down message"),
+            ("a MSG frame", frame(3, shipped), "NetworkError", "unexpected frame type 3"),
+            ("a RESET frame", frame(7), "NetworkError", "unexpected frame type 7"),
+        ]
         with serving(TABLES) as server:
-            with socket.create_connection((server.host, server.port), timeout=5) as sock:
-                sock.sendall(HELLO + block + block + frame(FRAME_REQ, pickle.dumps(control)))
-                assert read_frame(sock)[0] == FRAME_WELCOME
-                frame_type, body = read_frame(sock)
-            assert frame_type == FRAME_ERROR
-            error = pickle.loads(body)
-            assert error["error"] == "ProtocolError"
-            assert "one block, got 2" in error["message"]
-            # The request was refused, not the connection: the server serves on.
-            assert converse(server, STREAM) == [FRAME_WELCOME, FRAME_MSG, FRAME_REPLY]
+            for what, data, error, message in cases:
+                detail = refusal(server, data)
+                assert (detail["error"], message in detail["message"]) == (error, True), what
+            # The requests were refused, not the server: it serves on.
+            assert converse(server, STREAM) == [FRAME_WELCOME, FRAME_REPLY]
+            assert converse(server, HELLO + req(BASE, BASE_QUERY)) == [
+                FRAME_WELCOME, FRAME_REPLY,
+            ]
 
     @pytest.mark.parametrize(
-        "frames, message",
+        "body, message",
         [
-            ((ANSWER, ANSWER), "more than one block"),  # no REPLY: refused at the second
-            ((REPLY,), "without an answer"),
+            (encode_wire_message(BASE_RESULT, 1, BLOCK)[:-1], "short MSG body"),
+            (encode_wire_message(SHIP_BASE, 1, BLOCK) + META, "answers nothing"),
+            (META, "bad MSG magic"),  # metadata and no answer
         ],
-        ids=["two-blocks", "no-block"],
+        ids=["short", "down-kind", "no-message"],
     )
     def test_a_reply_of_other_than_one_block_is_refused_at_the_coordinator(
-        self, frames, message
+        self, body, message
     ):
         request = SiteRequest(
             kind="base", site_id="s0", round_number=1, source=DistinctBase("T", ["k"])
         )
-        with answering(*frames) as address:
+        with answering(frame(FRAME_REPLY, body)) as (address, ended):
             channel = SocketChannel("s0", address, io_timeout_s=5)
             started = time.monotonic()
             try:
+                channel.send_to_site(Message(BASE_QUERY, "coordinator", "s0", 1))
                 with pytest.raises(ProtocolError, match=message):
                     channel.ask(request)
+                assert ended.wait(timeout=5)  # the coordinator dropped the connection
             finally:
                 channel.close()
         assert time.monotonic() - started < 5  # no wait for a frame that never comes
+        assert channel.upstream.messages == 0
