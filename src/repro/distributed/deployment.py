@@ -48,9 +48,9 @@ _READY_TIMEOUT_S = 30.0
 
 
 class _RemoteSites:
-    """Site-count-only stand-in for the evaluator's ``cluster.sites``.
+    """Site-ids-only stand-in for the evaluator's ``cluster.sites``.
 
-    Engines size their pools from ``len(sites)``; anything that tries to
+    The sites live in their server processes: anything that tries to
     *evaluate against* a site object locally gets a targeted error
     instead of an AttributeError three frames deeper.
     """

@@ -35,7 +35,6 @@ pays nothing beyond a handful of no-op calls per round.
 from __future__ import annotations
 
 import contextlib
-import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
@@ -50,6 +49,7 @@ from repro.distributed.executor import (
     create_engine,
     encode_answer,
     message_bytes,
+    run_inline,
 )
 from repro.distributed.mergetree import MergeTree
 from repro.distributed.optimizer import OptimizationOptions, plan_query
@@ -91,12 +91,11 @@ class ExecutionConfig:
     ships whole, one message per relation in each direction.
 
     ``executor`` picks the site-execution engine
-    (:mod:`repro.distributed.executor`): ``"serial"`` (the default) runs
-    the per-site legs one after another in this process, ``"sockets"``
-    asks ``repro site-server`` processes over TCP, one leg thread per
-    site, and runs only against a deployed process cluster. Both
-    executors produce bit-identical results, byte counts and trace span
-    sets.
+    (:mod:`repro.distributed.executor`, whose docstring says how each
+    runs a round's legs): ``"serial"`` (the default) plays the sites in
+    this process, ``"sockets"`` asks ``repro site-server`` processes over
+    TCP and runs only against a deployed process cluster. Both executors
+    produce bit-identical results, byte counts and trace span sets.
 
     ``failure_mode`` selects how the coordinator reacts when a site leg
     fails with a transport/codec error (see
@@ -116,12 +115,11 @@ class ExecutionConfig:
     leg_timeout_s: float = 0.0  # 0 = no per-leg wall-clock budget
     #: Speculative straggler re-execution. Once at least half a round's
     #: legs have completed, a deadline arms at ``median completion *
-    #: speculation_factor + speculation_slack_s``; a leg still in flight
-    #: past it is abandoned and re-run (first result wins), spending at
-    #: most ``recovery.SPECULATION_MAX_BACKUPS`` backups per round.
-    #: Abandonment needs a transport that can give up mid-wait, so it only
-    #: fires under the socket transport; the controller itself is harmless
-    #: (and inert) elsewhere.
+    #: speculation_factor + speculation_slack_s``; a leg still waiting for
+    #: its reply past it is abandoned and re-run (first result wins),
+    #: spending at most ``recovery.SPECULATION_MAX_BACKUPS`` backups per
+    #: round. Only the sockets engine has legs waiting at once, so it only
+    #: fires there; the controller is inert under the serial engine.
     speculation: bool = False
     speculation_factor: float = 3.0
     speculation_slack_s: float = 0.05
@@ -407,8 +405,6 @@ class _RoundWalk:
         #: Per row of X, whether more than one source answered it in the
         #: round before; ``None`` when no fragment ships positionally.
         self.shared = None
-        self._lock = threading.Lock()
-        self._encode_lock = threading.Lock()
 
     def round(self, number, md_round, sites, kind, description, held=None, since=None, grows=None):
         """Walk one round from the root and synchronize what comes back.
@@ -477,7 +473,7 @@ class _RoundWalk:
                     md_round.all_blocks(), observes=observes
                 )
                 held = coordinator.x
-            answers = self.descend(self.tree, held, round_span)
+            answers = self.descend(self.tree, held)
             if collects and self.addressed:
                 answers = {
                     name: _with_keys(held, self.plan.expression.key, *answer)
@@ -517,7 +513,7 @@ class _RoundWalk:
         round_stats.wall_s = time.perf_counter() - started
         return answers
 
-    def descend(self, node: MergeTree, held: Optional[Relation], span) -> dict:
+    def descend(self, node: MergeTree, held: Optional[Relation]) -> dict:
         """What ``node``'s children answer, by child name, each subtree
         already merged.
 
@@ -527,20 +523,21 @@ class _RoundWalk:
         ``degrade`` excluded; the root of a streaming round has absorbed
         them already and gets placeholders.
 
-        Combiner children run on the calling thread and only site legs go
-        through the engine, so no leg ever waits on another leg of the
-        same bounded pool.
+        Combiner children run first, each straight through (its own sites'
+        legs are a round of their own on the engine); then the engine runs
+        the site legs.
         """
         active = {
             child.name: child for child in node.children if self.below[child.name]
         }
         answers = {
-            name: self._edge(node, child, held)
+            name: run_inline(self._edge(node, child, held))
             for name, child in active.items()
             if not child.is_leaf
         }
         legs = [name for name, child in active.items() if child.is_leaf]
         if legs:
+            speculation = self.config.speculation_controller(len(legs))
             guarded = guard_leg(
                 lambda site_id: self._edge(node, active[site_id], held),
                 policy=self.config.retry_policy(),
@@ -549,9 +546,9 @@ class _RoundWalk:
                 round_stats=self.round_stats,
                 tracer=self.tracer,
                 session=self.session if node is self.tree else None,
-                speculation=self.config.speculation_controller(len(legs)),
+                speculation=speculation,
             )
-            answers.update(zip(legs, self.engine.run_legs(legs, guarded, span)))
+            answers.update(zip(legs, self.engine.run_legs(legs, guarded, speculation)))
         return {
             name: answers[name] for name in active if answers[name] is not EXCLUDED
         }
@@ -559,7 +556,9 @@ class _RoundWalk:
     def _edge(self, node: MergeTree, child: MergeTree, held: Optional[Relation]):
         """One parent -> child edge, both ways: ship down, let the child
         answer (a site evaluates, a combiner recurses and merges), take
-        the reply in at the parent."""
+        the reply in at the parent. A leg generator (see
+        :mod:`repro.distributed.executor`): a site's turn yields while the
+        site computes; no span is open across it."""
         number, name = self.number, child.name
         # Parent-side work is the coordinator's at the root, a relay's below.
         kind = "coordinator" if node is self.tree else "relay"
@@ -602,12 +601,12 @@ class _RoundWalk:
                 name, compute_delay_s, lose_state, keep_answer=node is self.tree
             )
             try:
-                reply = self.engine.evaluate(request, channel)
+                reply = yield from self.engine.evaluate(request, channel)
             except StateMismatch:
                 if not positional:
                     raise
                 down = self._resend_keyed(node, name, channel, edge, fragment)
-                reply = self.engine.evaluate(
+                reply = yield from self.engine.evaluate(
                     replace(request, compute_delay_s=0.0, lose_state=False), channel
                 )
             edge.compute_s += reply.compute_s
@@ -624,7 +623,7 @@ class _RoundWalk:
                 started = time.perf_counter()
                 held_below = received.relation() if self.ships_fragment else None
                 self._charge(child, time.perf_counter() - started)
-                collected = list(self.descend(child, held_below, hop).values())
+                collected = list(self.descend(child, held_below).values())
                 if not collected:
                     return EXCLUDED  # every site below was
                 started = time.perf_counter()
@@ -715,11 +714,9 @@ class _RoundWalk:
             keyed_by.schema, self.plan.expression.key
         ):
             return
-        digest = serialize.answer_digest(
+        self._keeping[name] = serialize.answer_digest(
             () if down.payload is None else (down.payload,), (answered,)
         )
-        with self._lock:
-            self._keeping[name] = digest
 
     def _read_fields(self) -> frozenset:
         """The fields of X the round's sites read: its conditions' and
@@ -763,23 +760,21 @@ class _RoundWalk:
             fragment, kept = coordinator.fragment_for_site(
                 *filters, held=held, positions=positions, fields=fields
             )
-            with self._lock:
-                # Once: a later attempt of this leg (a retry, a backup)
-                # finds the answer taken at the site, so it ships keyed.
-                digest = self.answers_kept.pop(name, None)
+            # Once: a later attempt of this leg (a retry, a backup) finds
+            # the answer taken at the site, so it ships keyed.
+            digest = self.answers_kept.pop(name, None)
             if digest is not None and positions is not None and len(kept) == len(positions):
                 positional = self._positional(fragment, kept, digest)
                 if positional is not None:
                     payload, shared = positional
                     return fragment, kept, payload, True, shared
             return fragment, kept, serialize.encode_relation(fragment), False, None
-        with self._encode_lock:
-            whole = self._whole.get((held, fields))
-            if whole is None:
-                fragment, _kept = coordinator.fragment_for_site(None, held=held, fields=fields)
-                whole = self._whole[held, fields] = (
-                    fragment, serialize.encode_relation(fragment),
-                )
+        whole = self._whole.get((held, fields))
+        if whole is None:
+            fragment, _kept = coordinator.fragment_for_site(None, held=held, fields=fields)
+            whole = self._whole[held, fields] = (
+                fragment, serialize.encode_relation(fragment),
+            )
         return whole[0], None, whole[1], False, None
 
     def _positional(self, fragment: Relation, kept: np.ndarray, digest: bytes):
@@ -898,11 +893,10 @@ class _RoundWalk:
 
     def _charge(self, node, seconds: float) -> None:
         """Book compute time to the node that spent it."""
-        with self._lock:  # legs of one parent finish on different threads
-            if node is self.tree:
-                self.round_stats.coordinator_compute_s += seconds
-            else:
-                self.round_stats.site(node.name).compute_s += seconds
+        if node is self.tree:
+            self.round_stats.coordinator_compute_s += seconds
+        else:
+            self.round_stats.site(node.name).compute_s += seconds
 
 
 def _derivable(md_round) -> frozenset:

@@ -9,13 +9,22 @@ decides how legs run:
 
 - ``serial`` — legs run inline, one site after another: the in-process
   differential baseline;
-- ``sockets`` — the sites are ``repro site-server`` processes behind TCP
-  and legs fan out on one thread per site; a leg's site work is one
-  :meth:`~repro.net.socket_channel.SocketChannel.ask`, so sites compute
-  at the same time with no interpreter lock shared between them. The
-  coordinator's :class:`~repro.gmdj.operator.SyncSession` absorbs
-  fragments in completion order (Section 3.2's streaming merge) while
-  staying bit-identical via per-source accumulator banks.
+- ``sockets`` — the sites are ``repro site-server`` processes behind TCP.
+  A round runs on the calling thread: every leg writes its REQ
+  (:meth:`~repro.net.socket_channel.SocketChannel.ask`), so the sites
+  compute at the same time, then one selector waits on all the round's
+  sockets and each REPLY is read as it lands. The coordinator's
+  :class:`~repro.gmdj.operator.SyncSession` absorbs fragments in that
+  arrival order (Section 3.2's streaming merge) while staying
+  bit-identical via per-source accumulator banks.
+
+A leg is a generator: it yields what it waits for — a channel whose
+REPLY it awaits, or a retry's backoff in seconds — and returns its
+result. Each engine's :meth:`evaluate` is such a generator too, so the
+evaluator writes one leg for both engines; the serial engine drives a
+leg straight through (:func:`run_inline`), the sockets engine
+interleaves a round's legs (:func:`_interleave`). No span stays open
+across a yield, and no engine starts a thread.
 
 The split between a leg and :func:`perform_site_request` is exactly the
 paper's attribution boundary: the leg (parent) does coordinator work —
@@ -39,12 +48,12 @@ run.
 
 from __future__ import annotations
 
+import selectors
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
-from repro.errors import MultiLegError, PlanError
+from repro.errors import LegDeadlineExceeded, MultiLegError, NetworkError, PlanError
 from repro.net import message as msg
 from repro.net import serialize
 from repro.obs.metrics import MetricsRegistry, activate, active_registry
@@ -361,56 +370,110 @@ def play_site_end(channel, request: SiteRequest, perform) -> SiteReply:
 # ---------------------------------------------------------------------------
 
 
-def _raise_leg_failures(failures: dict, cancelled: Sequence[str]) -> None:
-    """Raise the collected leg failures.
+def run_inline(leg, sleep=time.sleep):
+    """Drive one leg generator to its result on this thread.
 
-    A single failure with nothing cancelled re-raises the original
-    exception unchanged (callers and tests match on the concrete type);
-    anything more is a :class:`~repro.errors.MultiLegError` carrying
-    *every* failed site id and cause.
+    A backoff (a float: seconds) is slept; a reply wait (a channel)
+    resumes at once, and the channel's read blocks until the reply lands.
     """
-    if len(failures) == 1 and not cancelled:
-        raise next(iter(failures.values()))
-    raise MultiLegError(failures, cancelled)
+    try:
+        while True:
+            wait = leg.send(None)
+            if isinstance(wait, float):
+                sleep(wait)
+    except StopIteration as done:
+        return done.value
 
 
-def _collect_leg_results(site_ids: Sequence[str], futures) -> list:
-    """Gather leg futures in site order without losing any failure.
+def _interleave(site_ids: Sequence[str], leg, speculation) -> list:
+    """Run one leg per site on this thread; results in *site order*.
 
-    Waits for *every* future (cancelling the not-yet-started ones after
-    the first failure is observed), so one failing leg can neither
-    swallow a later leg's exception nor abandon in-flight work. Results
-    come back in site order; on any failure raises via
-    :func:`_raise_leg_failures`.
+    Each leg is a generator. It runs until it yields what it waits for —
+    a channel whose REQ it wrote, or a backoff in seconds — and is resumed
+    when its REPLY is readable (one selector over the round's sockets,
+    so replies are taken in arrival order) or its backoff has passed. A
+    wait longer than the channel's ``io_timeout_s`` is thrown a
+    :class:`~repro.errors.NetworkError`; once ``speculation``'s deadline
+    passes, a leg still waiting is thrown a
+    :class:`~repro.errors.LegDeadlineExceeded` while the round has a
+    backup to spend. A failed leg does not stop the others: every REQ
+    is written before any reply is read, so every leg runs to its end,
+    and a single failure re-raises its own exception, several a
+    :class:`~repro.errors.MultiLegError`.
     """
+    legs = {site_id: leg(site_id) for site_id in site_ids}
+    results: dict = {}
     failures: dict = {}
-    seen_failure = False
-    results = []
-    cancelled = []
-    for site_id, future in zip(site_ids, futures):
-        if seen_failure:
-            # Legs that have not started yet are pointless once the
-            # round is doomed; running ones are awaited below.
-            future.cancel()
+    replying: dict = {}  # site -> (channel, when its wait times out)
+    waking: dict = {}  # site -> when its backoff ends
+    selector = selectors.DefaultSelector()
+
+    def step(site_id, error=None):
         try:
-            results.append(future.result())
-        except CancelledError:
-            cancelled.append(site_id)
-        except BaseException as error:  # noqa: BLE001 - reported, not hidden
-            failures[site_id] = error
-            seen_failure = True
+            if error is None:
+                wait = legs[site_id].send(None)
+            else:
+                wait = legs[site_id].throw(error)
+        except StopIteration as done:
+            results[site_id] = done.value
+        except Exception as failure:  # noqa: BLE001 - reported, not hidden
+            failures[site_id] = failure
+        else:
+            now = time.perf_counter()
+            if isinstance(wait, float):
+                waking[site_id] = now + wait
+            else:
+                selector.register(wait, selectors.EVENT_READ, site_id)
+                replying[site_id] = wait, now + wait.io_timeout_s
+
+    def resume(site_id, error=None):
+        channel, _timeout = replying.pop(site_id)
+        selector.unregister(channel)
+        step(site_id, error)
+
+    try:
+        for site_id in site_ids:
+            step(site_id)
+        while replying or waking:
+            due = [*waking.values(), *(at for _channel, at in replying.values())]
+            abandon_at = speculation.abandon_at() if speculation is not None else None
+            if abandon_at is not None and replying:
+                due.append(abandon_at)
+            for key, _events in selector.select(max(0.0, min(due) - time.perf_counter())):
+                resume(key.data)
+            now = time.perf_counter()
+            for site_id in [site for site, at in waking.items() if at <= now]:
+                del waking[site_id]
+                step(site_id)
+            for site_id, (channel, at) in list(replying.items()):
+                if at <= now:
+                    resume(site_id, NetworkError(
+                        f"no reply from site {site_id!r} within "
+                        f"{channel.io_timeout_s} s"
+                    ))
+            abandon_at = speculation.abandon_at() if speculation is not None else None
+            if abandon_at is not None and abandon_at <= now:
+                for site_id in [site for site in site_ids if site in replying]:
+                    resume(site_id, LegDeadlineExceeded(site_id, speculation.abandon()))
+                    if speculation.abandon_at() is None:
+                        break
+    finally:
+        selector.close()
+        for generator in legs.values():
+            generator.close()  # a leg cut short drops its connection
+    if len(failures) == 1:
+        raise next(iter(failures.values()))
     if failures:
-        _raise_leg_failures(failures, cancelled)
-    return results
+        raise MultiLegError(failures)
+    return [results[site_id] for site_id in site_ids]
 
 
 class _EngineLifecycle:
     """Shared close-once semantics.
 
-    The query service keeps one engine alive across many concurrent
-    queries, which makes use-after-close a real hazard (a pool shutdown
-    mid-round hangs or drops legs silently), so every engine fails fast
-    instead.
+    The query service keeps one engine across many concurrent queries,
+    so an engine used after ``close()`` fails fast instead of running a
+    round half torn down.
     """
 
     _closed = False
@@ -424,7 +487,7 @@ class _EngineLifecycle:
 
 
 class SerialEngine(_EngineLifecycle):
-    """Legs run inline on the calling thread — the differential baseline."""
+    """Legs run inline, one after another — the differential baseline."""
 
     name = "serial"
 
@@ -432,18 +495,20 @@ class SerialEngine(_EngineLifecycle):
         self._sites = sites
         self._tracer = tracer
 
-    def run_legs(self, site_ids: Sequence[str], leg, parent_span=None) -> list:
+    def run_legs(self, site_ids: Sequence[str], leg, speculation=None) -> list:
         # Serially a failed leg aborts the round before later legs start,
         # so the first exception *is* the complete failure report and
-        # propagates unchanged (the sockets engine, where several legs can
-        # fail concurrently, aggregates into MultiLegError instead).
+        # propagates unchanged. Nothing here waits mid-leg, so nothing is
+        # abandoned: ``speculation`` is inert.
         self._check_open()
-        return [leg(site_id) for site_id in site_ids]
+        return [run_inline(leg(site_id)) for site_id in site_ids]
 
-    def evaluate(self, request: SiteRequest, channel) -> SiteReply:
-        """One site's turn of a leg, played in this process over the leg's channel."""
+    def evaluate(self, request: SiteRequest, channel):
+        """One site's turn of a leg, played in this process over the leg's
+        channel: a generator, as every engine's turn is, that never waits."""
         self._check_open()
         return play_site_end(channel, request, self._perform)
+        yield  # pragma: no cover - unreachable; makes the turn a generator
 
     def _perform(self, request: SiteRequest) -> SiteReply:
         return perform_site_request(
@@ -479,7 +544,8 @@ def perform_isolated_request(site, request: SiteRequest) -> SiteReply:
 def _replay_remote(tracer, reply: SiteReply, site_id, clock_offset_s: float = 0.0) -> None:
     """Re-record what an out-of-process site sent back with its reply.
 
-    Spans are replayed under the leg's attached span, shifted by
+    Spans are replayed under the span open on this thread (the round's,
+    or a combiner hop's), shifted by
     ``clock_offset_s`` (the site server's clock against this process's);
     counter deltas go to the active registry.
     """
@@ -495,15 +561,15 @@ def _replay_remote(tracer, reply: SiteReply, site_id, clock_offset_s: float = 0.
 
 
 class SocketEngine(_EngineLifecycle):
-    """Legs fan out on one thread per site; site work runs in site-server
-    *processes* reached over the leg's
-    :class:`~repro.net.socket_channel.SocketChannel`.
+    """Site work runs in site-server *processes*, each leg's turn over its
+    :class:`~repro.net.socket_channel.SocketChannel`, and a round's legs
+    interleave on the calling thread (:func:`_interleave`).
 
-    The engine holds no site objects — the partitions live behind TCP in
-    ``repro site-server`` processes, and each :meth:`evaluate` call is
-    given the leg's channel, so one shared engine (the query service keeps
-    a single engine for its lifetime) works with a fresh per-query
-    network. Spans and counters come back on the reply and are replayed
+    The engine holds no site objects and no thread: each :meth:`evaluate`
+    call is given the leg's channel, so one shared engine (the query
+    service keeps a single engine for its lifetime) works with a fresh
+    per-query network, and an engine per query costs nothing to build.
+    Spans and counters come back on the reply and are replayed
     (:func:`_replay_remote`).
     """
 
@@ -511,26 +577,29 @@ class SocketEngine(_EngineLifecycle):
 
     def __init__(self, sites, tracer):
         self._tracer = tracer
-        self._legs = ThreadPoolExecutor(
-            max_workers=max(len(sites), 1), thread_name_prefix="skalla-socket-leg"
-        )
 
-    def run_legs(self, site_ids: Sequence[str], leg, parent_span=None) -> list:
-        """Run ``leg`` once per site on the pool; results in *site order*,
-        failures from every leg (:func:`_collect_leg_results`)."""
+    def run_legs(self, site_ids: Sequence[str], leg, speculation=None) -> list:
+        """Run ``leg`` once per site, interleaved on this thread; results
+        in *site order*, failures from every leg."""
         self._check_open()
-        tracer = self._tracer
+        return _interleave(site_ids, leg, speculation)
 
-        def attached(site_id):
-            with tracer.attach(parent_span):
-                return leg(site_id)
+    def evaluate(self, request: SiteRequest, channel):
+        """One site's turn, a generator: write the REQ, yield ``channel``
+        until its REPLY is readable, read it and replay what it carries.
 
-        futures = [self._legs.submit(attached, site_id) for site_id in site_ids]
-        return _collect_leg_results(site_ids, futures)
-
-    def evaluate(self, request: SiteRequest, channel) -> SiteReply:
+        Anything thrown in while it waits (an abandon, a timeout, the
+        round's end) drops the connection: a REPLY still on its way must
+        not answer the channel's next REQ.
+        """
         self._check_open()
-        meta, payload = channel.ask(request)
+        channel.ask(request)
+        try:
+            yield channel
+        except BaseException:
+            channel.abandon()
+            raise
+        meta, payload = channel.answer()
         reply = SiteReply(
             payload=payload,
             rows=meta["rows"],
@@ -545,10 +614,6 @@ class SocketEngine(_EngineLifecycle):
             self._tracer, reply, request.site_id, channel.clock_offset_s
         )
         return reply
-
-    def close(self) -> None:
-        super().close()
-        self._legs.shutdown(wait=True, cancel_futures=True)
 
 
 def create_engine(executor: str, sites, tracer, network):

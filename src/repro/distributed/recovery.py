@@ -31,7 +31,6 @@ traffic really crossed the wire.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 
@@ -81,16 +80,14 @@ class SpeculationController:
 
     Legs report their completion times; once at least half the round's
     legs have finished, a deadline arms at ``median * factor + slack_s``
-    (elapsed from round start). A leg still in flight past the deadline
-    may be *abandoned* for a fresh backup attempt — ``try_abandon`` is
-    the predicate transports poll mid-wait — provided the round's backup
-    budget (:data:`SPECULATION_MAX_BACKUPS`) is not spent. First result
-    wins: the guard simply re-runs the leg, and the abandoned attempt's
-    shipment is re-accounted into the speculative bucket so byte parity
-    with the wire holds exactly.
-
-    Thread-safe: legs run on engine worker threads, so completion
-    recording and the abandon decision are serialized under one lock.
+    (elapsed from round start). From :meth:`abandon_at` on, the engine
+    may throw a leg still waiting for its reply a
+    :class:`~repro.errors.LegDeadlineExceeded` (:meth:`abandon` spends
+    the backup), while the round's budget
+    (:data:`SPECULATION_MAX_BACKUPS`) lasts. First result wins: the
+    guard simply re-runs the leg, and the abandoned attempt's shipment
+    is re-accounted into the speculative bucket so byte parity with the
+    wire holds exactly.
     """
 
     def __init__(
@@ -112,44 +109,33 @@ class SpeculationController:
         self.slack_s = slack_s
         self._clock = clock
         self._started = clock()
-        self._lock = threading.Lock()
         self._completions: list = []
-        self._deadline_s = None
+        #: The armed deadline (elapsed seconds), or None while unarmed.
+        self.deadline_s = None
         self._backups_used = 0
-
-    @property
-    def deadline_s(self):
-        """The armed deadline (elapsed seconds), or None while unarmed."""
-        with self._lock:
-            return self._deadline_s
 
     def record_completion(self) -> None:
         """A leg finished; arm the deadline once a quorum has reported."""
-        elapsed = self._clock() - self._started
-        with self._lock:
-            self._completions.append(elapsed)
-            quorum = (self.site_count + 1) // 2
-            if self._deadline_s is None and len(self._completions) >= quorum:
-                ordered = sorted(self._completions)
-                median = ordered[len(ordered) // 2]
-                self._deadline_s = median * self.factor + self.slack_s
+        self._completions.append(self._clock() - self._started)
+        quorum = (self.site_count + 1) // 2
+        if self.deadline_s is None and len(self._completions) >= quorum:
+            ordered = sorted(self._completions)
+            median = ordered[len(ordered) // 2]
+            self.deadline_s = median * self.factor + self.slack_s
 
-    def try_abandon(self):
-        """Abandon verdict for an in-flight leg.
+    def abandon_at(self):
+        """The clock time from which a leg still in flight may be
+        abandoned; None while the deadline is unarmed or the round's
+        backups are spent."""
+        if self.deadline_s is None or self._backups_used >= SPECULATION_MAX_BACKUPS:
+            return None
+        return self._started + self.deadline_s
 
-        Returns the armed deadline (a truthy float) when the leg should
-        give up — consuming one unit of backup budget — else ``0.0``.
-        Called from transport polling loops, possibly many times per
-        second, so it must stay cheap.
-        """
-        elapsed = self._clock() - self._started
-        with self._lock:
-            if self._deadline_s is None or elapsed < self._deadline_s:
-                return 0.0
-            if self._backups_used >= SPECULATION_MAX_BACKUPS:
-                return 0.0
-            self._backups_used += 1
-            return self._deadline_s
+    def abandon(self) -> float:
+        """Spend one backup; returns the deadline (elapsed seconds) it
+        was spent at."""
+        self._backups_used += 1
+        return self.deadline_s
 
 
 @dataclass(frozen=True)
@@ -207,50 +193,43 @@ def guard_leg(
     tracer,
     session=None,
     speculation=None,
-    sleep=time.sleep,
     clock=time.perf_counter,
 ):
-    """Wrap a per-site leg callable with the retry/degrade policy.
+    """Wrap a per-site leg with the retry/degrade policy.
 
-    Returns a callable with the same ``leg(site_id)`` signature for the
-    execution engine. The wrapper re-runs the leg on transient errors per
-    ``policy``; in ``degrade`` mode an exhausted site yields the
-    :data:`EXCLUDED` sentinel instead of raising, and the exclusion is
-    recorded on ``round_stats``. Each attempt begins with
+    ``leg(site_id)`` returns a leg generator (see
+    :mod:`repro.distributed.executor`); so does the wrapper, with the same
+    signature, for the execution engine. The wrapper re-runs the leg on
+    transient errors per ``policy``; in ``degrade`` mode an exhausted
+    site yields the :data:`EXCLUDED` sentinel instead of raising, and the
+    exclusion is recorded on ``round_stats``. Each attempt begins with
     ``channel.begin_attempt`` so injected crash schedules advance
     deterministically no matter which engine runs the leg.
 
     Budget discipline: the exhaustion decision (attempts *and* wall
-    clock) is made before any backoff sleep, so a leg never sleeps after
-    its final attempt's failure; and each sleep is capped by the leg's
-    remaining ``leg_timeout_s`` budget, so the total slept time can never
+    clock) is made before any backoff, so a leg never backs off after
+    its final attempt's failure; and each backoff is capped by the leg's
+    remaining ``leg_timeout_s`` budget, so the total backoff can never
     push the leg past its configured timeout — the remaining slice is
     still spent on one last (shorter-backoff) attempt rather than
-    forfeited. ``sleep``/``clock`` are injectable so tests can drive the
-    schedule deterministically; both must tell the same time story.
+    forfeited. A backoff is *yielded* (seconds, a float) for the engine
+    to wait out, so a round's other legs run meanwhile. ``clock`` is
+    injectable so tests can drive the schedule deterministically.
 
-    With a :class:`SpeculationController` (``speculation``), each attempt
-    is armed with the controller's abandon predicate. An attempt the
-    transport abandons (:class:`~repro.errors.LegDeadlineExceeded`) is
-    *not* a failure: its down-bytes move to the speculative bucket,
-    the slate is cleaned exactly as for a retry, and the leg re-runs
-    immediately without consuming retry budget — first result wins.
-    ``LegDeadlineExceeded`` subclasses ``NetworkError``, so the abandon
-    branch must (and does) come before the transient-retry branch.
+    With a :class:`SpeculationController` (``speculation``), each
+    completion is recorded against the round's deadline. An attempt the
+    engine abandons (:class:`~repro.errors.LegDeadlineExceeded`, thrown
+    in while it waits) is *not* a failure: its down-bytes move to the
+    speculative bucket, the slate is cleaned exactly as for a retry, and
+    the leg re-runs immediately without consuming retry budget — first
+    result wins. ``LegDeadlineExceeded`` subclasses ``NetworkError``, so
+    the abandon branch must (and does) come before the transient-retry
+    branch.
     """
     metrics = network.metrics
 
     def guarded(site_id):
         channel = network.channel(site_id)
-        if speculation is not None:
-            channel.arm_speculation(speculation.try_abandon)
-        try:
-            return _run_attempts(site_id, channel)
-        finally:
-            if speculation is not None:
-                channel.arm_speculation(None)
-
-    def _run_attempts(site_id, channel):
         started = clock()
         retry_number = 0
         abandoned = 0
@@ -266,7 +245,7 @@ def guard_leg(
             span_mark = len(tracer.spans)
             channel.begin_attempt(round_index)
             try:
-                result = leg(site_id)
+                result = yield from leg(site_id)
             except LegDeadlineExceeded as error:
                 # The speculative deadline fired mid-flight. The
                 # attempt's shipment really crossed the wire, so its byte
@@ -288,7 +267,7 @@ def guard_leg(
                 # them: the backup attempt re-records the same work, and
                 # counting both would double-charge the stage totals.
                 # The site filter keeps interleaved spans from other
-                # legs (the sockets engine runs them at once) untouched.
+                # legs (the round's legs take turns) untouched.
                 for span in list(tracer.spans)[span_mark:]:
                     if span.attributes.get("site") == site_id:
                         span.set(speculative=True)
@@ -320,7 +299,7 @@ def guard_leg(
                     remaining is not None and remaining <= 0
                 )
                 if exhausted:
-                    # No trailing sleep: nothing runs after this point,
+                    # No trailing backoff: nothing runs after this point,
                     # so backing off would only delay the raise/exclude.
                     metrics.counter(
                         "net.retry.exhausted", site=site_id, mode=policy.mode
@@ -360,7 +339,7 @@ def guard_leg(
                 ):
                     pass
                 if backoff > 0:
-                    sleep(backoff)
+                    yield float(backoff)
             else:
                 if speculation is not None:
                     speculation.record_completion()

@@ -92,8 +92,8 @@ class FaultSpecError(NetworkError):
 class LegDeadlineExceeded(NetworkError):
     """A speculative deadline fired while a site leg was still in flight.
 
-    Raised by channels that support mid-request abandonment (the socket
-    transport) when the round's :class:`~repro.distributed.scheduler.\
+    Thrown into a leg waiting for its reply by the sockets engine when
+    the round's :class:`~repro.distributed.recovery.\
 SpeculationController` decides the leg is a straggler. It is a
     :class:`NetworkError` so a fail-fast configuration without the
     speculation branch still treats it as a (transient) leg failure, but
@@ -141,27 +141,22 @@ class RetryExhaustedError(NetworkError):
 
 
 class MultiLegError(ReproError):
-    """One or more site legs of a round failed.
+    """More than one site leg of a round failed.
 
     Carries *every* failed site and its cause (``failures``: site id →
-    exception) plus the legs that were cancelled before they started
-    (``cancelled``), so a multi-site failure is never reported as just
-    the first leg that happened to be collected.
+    exception), so a multi-site failure is never reported as just the
+    first leg that happened to be collected.
     """
 
-    def __init__(self, failures, cancelled=()):
+    def __init__(self, failures):
         self.failures = dict(failures)
-        self.cancelled = tuple(cancelled)
         parts = [
             f"{site_id}: {type(error).__name__}: {error}"
             for site_id, error in sorted(self.failures.items())
         ]
-        message = f"{len(self.failures)} site leg(s) failed — " + "; ".join(parts)
-        if self.cancelled:
-            message += (
-                f" (cancelled before start: {', '.join(sorted(self.cancelled))})"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"{len(self.failures)} site leg(s) failed — " + "; ".join(parts)
+        )
 
     @property
     def failed_sites(self) -> tuple:

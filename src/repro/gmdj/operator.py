@@ -36,7 +36,6 @@ Three entry points:
 
 from __future__ import annotations
 
-import threading
 from itertools import chain, repeat
 from operator import is_not
 from typing import Optional, Sequence
@@ -218,18 +217,15 @@ class SyncSession:
         self._in_order = in_order
         self._banks: dict = {}  # source -> [(sub columns, base positions)] in arrival order
         self._touched: dict = {}  # source -> base positions, in absorb order
-        self._lock = threading.Lock()
 
     def _probe(self, h: Relation, positions: Sequence[int]) -> tuple:
         """``(rows, bases)``: per (fragment row, base row) pair, row-major,
         the row (``rows`` ``None``: every row, once) and its base position."""
-        with self._lock:
-            if self._find is None:
-                base = self._base
-                self._matcher = base.matcher(base.schema.positions(self._key_attrs))
-                self._find = self._matcher.finder()  # built once per session
-            matcher, find = self._matcher, self._find
-        return matcher.pairs(find([h.held_at(p) for p in positions], len(h)))
+        if self._find is None:
+            base = self._base
+            self._matcher = base.matcher(base.schema.positions(self._key_attrs))
+            self._find = self._matcher.finder()  # built once per session
+        return self._matcher.pairs(self._find([h.held_at(p) for p in positions], len(h)))
 
     def absorb(self, h: Relation, source: str = "", positions=None) -> None:
         """Fold one sub-result fragment into the session (O(|h|)).
@@ -249,13 +245,12 @@ class SyncSession:
             rows, bases = None, positions
         sub_positions = h.schema.positions(self._sub_names)
         columns = [_gather(held[position], rows) for position in sub_positions]
-        with self._lock:
-            self._banks.setdefault("" if self._in_order else source, []).append((columns, bases))
-            if self._observes:
-                earlier = self._touched.get(source)
-                self._touched[source] = (
-                    bases if earlier is None else np.concatenate((earlier, bases))
-                )
+        self._banks.setdefault("" if self._in_order else source, []).append((columns, bases))
+        if self._observes:
+            earlier = self._touched.get(source)
+            self._touched[source] = (
+                bases if earlier is None else np.concatenate((earlier, bases))
+            )
 
     def reset_source(self, source: str) -> None:
         """Discard everything absorbed from one source (site).
@@ -266,9 +261,8 @@ class SyncSession:
         into its own bank, dropping the bank is an exact undo — and what
         the abandoned attempt was observed to touch goes with it.
         """
-        with self._lock:
-            self._banks.pop(source, None)
-            self._touched.pop(source, None)
+        self._banks.pop(source, None)
+        self._touched.pop(source, None)
 
     def touched(self) -> Optional[dict]:
         """What an observing session saw: per source that answered, the

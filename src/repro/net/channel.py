@@ -16,8 +16,7 @@ A :class:`Channel` is one edge. It has
   server process, reached by
   :meth:`repro.net.socket_channel.SocketChannel.ask`;
 - the **recovery hooks** the retry layer drives: ``begin_attempt``,
-  ``next_straggle``, ``next_state_loss``, ``arm_speculation``,
-  ``drain_pending``.
+  ``next_straggle``, ``next_state_loss``, ``drain_pending``.
 
 Every message, in either direction, on either transport, is handled
 once: validated (it is addressed to, or comes from, this edge's site) ->
@@ -218,8 +217,6 @@ class Channel:
         self._shipped = 0
         #: Receives that must still fail, one per LATE message, by direction.
         self._late = {DOWN: 0, UP: 0}
-        #: Round-scoped speculative-abandon predicate (see arm_speculation).
-        self._should_abandon = None
 
     @property
     def events(self):
@@ -304,17 +301,6 @@ class Channel:
     def next_state_loss(self, round_index: int) -> bool:
         """Whether the site loses its kept answers before this leg attempt."""
         return self.policy.next_state_loss(round_index)
-
-    def arm_speculation(self, should_abandon) -> None:
-        """Install (or clear, with None) the round's abandon predicate.
-
-        Transports that can give up on an in-flight request mid-wait (the
-        socket channel) poll the predicate between reads and raise
-        :class:`~repro.errors.LegDeadlineExceeded` when it returns True.
-        The in-memory channel blocks nowhere, so there is no moment to
-        abandon — the hook just records the callback for symmetry.
-        """
-        self._should_abandon = should_abandon
 
     def drain_pending(self) -> int:
         """Discard undelivered messages in both directions.

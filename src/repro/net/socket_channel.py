@@ -5,10 +5,12 @@ contract (see that module's docstring) over a length-prefixed TCP
 connection. A leg is exactly two frames: one REQ down, one REPLY (or
 ERROR) up. ``send_to_site`` connects, shows the leg's one down message to
 the channel's fault policy, records it in ``DirectionStats`` and holds
-it; :meth:`SocketChannel.ask` writes it in the REQ and reads the REPLY,
-whose one up message is shown to the policy, recorded and queued for
-``receive_at_coordinator``. The site server keeps nothing between two
-requests.
+it; :meth:`SocketChannel.ask` writes it in the REQ, and
+:meth:`SocketChannel.answer` reads the REPLY once the socket is readable
+(the sockets engine waits on a whole round's channels with one
+selector). The REPLY's one up message is shown to the policy, recorded
+and queued for ``receive_at_coordinator``. The site server keeps nothing
+between two requests.
 
 Wire format (all integers big-endian):
 
@@ -57,7 +59,6 @@ from typing import Dict, Optional, Tuple
 
 import repro.errors as errors_module
 from repro.errors import (
-    LegDeadlineExceeded,
     NetworkError,
     ProtocolError,
     RemoteSiteError,
@@ -196,51 +197,25 @@ MAX_FRAME_BYTES = 1 << 28
 #: Most bytes asked of one ``recv`` (which allocates what it is asked for).
 _RECV_CHUNK = 1 << 20
 
-#: Receive-poll interval while a speculative-abandon predicate is armed:
-#: short enough that the deadline is enforced promptly, long enough that
-#: an unarmed fast reply never notices.
-_SPECULATION_POLL_S = 0.02
-
-
-class _AbandonLeg(Exception):
-    """Internal: the armed abandon predicate fired mid-receive.
-
-    ``args[0]`` carries the predicate's verdict (the deadline seconds, a
-    truthy float) so :meth:`SocketChannel.ask` can surface it on the
-    public :class:`~repro.errors.LegDeadlineExceeded`.
-    """
-
-
-def read_frame(sock: socket.socket, should_abandon=None) -> Tuple[int, bytes]:
+def read_frame(sock: socket.socket) -> Tuple[int, bytes]:
     """Read one frame; returns ``(frame_type, body)``.
 
     Raises :class:`ConnectionError` (an ``OSError``) on a cleanly closed
     peer so callers have a single ``except OSError`` path, and
     :class:`~repro.errors.NetworkError` on a length no frame can have.
-    With ``should_abandon`` (and a short socket timeout) the predicate is
-    polled on every timeout; partial bytes survive across polls, so a
-    slow frame is never desynced and abandonment can fire at any byte.
     """
-    (length,) = struct.unpack(">I", _recv_exact(sock, 4, should_abandon))
+    (length,) = struct.unpack(">I", _recv_exact(sock, 4))
     if not 1 <= length <= MAX_FRAME_BYTES:
         raise NetworkError(f"invalid frame length {length}")
-    blob = _recv_exact(sock, length, should_abandon)
+    blob = _recv_exact(sock, length)
     return blob[0], blob[1:]
 
 
-def _recv_exact(sock: socket.socket, count: int, should_abandon=None) -> bytes:
+def _recv_exact(sock: socket.socket, count: int) -> bytes:
     chunks = []
     remaining = count
     while remaining:
-        try:
-            chunk = sock.recv(min(remaining, _RECV_CHUNK))
-        except socket.timeout:
-            if should_abandon is None:
-                raise
-            verdict = should_abandon()
-            if verdict:
-                raise _AbandonLeg(verdict) from None
-            continue
+        chunk = sock.recv(min(remaining, _RECV_CHUNK))
         if not chunk:
             raise ConnectionError("peer closed the connection")
         chunks.append(chunk)
@@ -274,8 +249,9 @@ class SocketChannel(Channel):
     """A channel whose messages cross a real TCP connection.
 
     A down message is held from ``send_to_site`` until :meth:`ask` writes
-    it in the leg's REQ; the up message crosses in the REPLY and waits,
-    already judged and recorded, for ``receive_at_coordinator``.
+    it in the leg's REQ; the up message crosses in the REPLY, which
+    :meth:`answer` reads, and waits, already judged and recorded, for
+    ``receive_at_coordinator``.
     """
 
     def __init__(
@@ -293,6 +269,8 @@ class SocketChannel(Channel):
         self.io_timeout_s = io_timeout_s
         self._sock: Optional[socket.socket] = None
         self._io_lock = threading.RLock()
+        #: A REQ is written and its answer not yet read (see ask).
+        self._asked = False
         self._connected_once = False
         #: The leg's down message, judged and recorded, and its verdict:
         #: what the next :meth:`ask` writes in its REQ.
@@ -301,6 +279,7 @@ class SocketChannel(Channel):
         self._totals = dict.fromkeys(
             ("payload_down", "payload_up", "framing", "frames", "reconnects"), 0
         )
+        self._counters: dict = {}  # (name, direction) -> registry counter
         # Best (minimum-RTT) NTP-style clock sample against the site
         # process; see repro.obs.skew. Zero until ping() succeeds, which
         # leaves site spans replaying uncorrected rather than wrongly.
@@ -314,17 +293,22 @@ class SocketChannel(Channel):
         framing = FRAME_OVERHEAD_BYTES + body_bytes - payload_bytes
         if payload_bytes:
             self._totals["payload_" + direction] += payload_bytes
-            self.metrics.counter(
-                "net.socket.bytes", direction=direction, site=self.site_id
-            ).inc(payload_bytes)
+            self._counter("net.socket.bytes", direction).inc(payload_bytes)
         self._totals["frames"] += 1
         self._totals["framing"] += framing
-        self.metrics.counter(
-            "net.socket.frames", direction=direction, site=self.site_id
-        ).inc()
-        self.metrics.counter("net.socket.framing.bytes", site=self.site_id).inc(
-            framing
-        )
+        self._counter("net.socket.frames", direction).inc()
+        self._counter("net.socket.framing.bytes").inc(framing)
+
+    def _counter(self, name: str, direction: Optional[str] = None):
+        """This channel's ``name`` counter (per ``direction`` when given),
+        looked up in the registry once."""
+        counter = self._counters.get((name, direction))
+        if counter is None:
+            labels = {} if direction is None else {"direction": direction}
+            counter = self._counters[name, direction] = self.metrics.counter(
+                name, site=self.site_id, **labels
+            )
+        return counter
 
     def socket_totals(self) -> dict:
         return dict(self._totals)
@@ -391,11 +375,11 @@ class SocketChannel(Channel):
             ) from None
         self._count(DOWN, len(body), payload_bytes)
 
-    def _read(self, what: str, should_abandon=None) -> Tuple[int, bytes]:
+    def _read(self, what: str) -> Tuple[int, bytes]:
         """Read one frame, uncounted (its reader knows what of it is
         payload); a dead or desynced socket is dropped."""
         try:
-            return read_frame(self._sock, should_abandon)
+            return read_frame(self._sock)
         except OSError as error:
             self._drop_connection()
             raise NetworkError(
@@ -443,24 +427,17 @@ class SocketChannel(Channel):
             f"site {self.site_id!r} is a server process: ask() plays its end"
         )
 
-    def ask(self, request) -> tuple:
-        """The site's turn, remotely: ``(reply metadata, payload as sent)``.
+    def ask(self, request) -> None:
+        """Put the site's turn to it: write the REQ — the message
+        :meth:`send_to_site` holds, then the request's fields that differ
+        from their defaults. :meth:`answer` reads what answers it, once
+        the socket is readable; :meth:`abandon` gives up on it.
 
-        Writes the REQ — the message :meth:`send_to_site` holds, then the
-        request's fields that differ from their defaults — and reads the
-        one frame that answers it. A message that was lost or is late
-        crosses flagged ``DROPPED``, and the turn fails here, with no
-        answer to wait for. The REPLY's up message is shown to the
-        policy, recorded and queued for ``receive_at_coordinator``; a
-        REPLY that does not start with one up message raises
-        :class:`~repro.errors.ProtocolError` and drops the connection.
-
-        While a speculative-abandon predicate is armed (see
-        :meth:`~repro.net.channel.Channel.arm_speculation`), the reply
-        wait polls it between short receive timeouts; when it fires the
-        connection is dropped and :class:`~repro.errors.\
-LegDeadlineExceeded` raised. Nothing of the reply was recorded: it is
-        recorded whole or not at all.
+        A message that was lost or is late crosses flagged ``DROPPED``,
+        and the turn fails here, with no answer to wait for. From a
+        written REQ until its answer is read or abandoned the channel's
+        I/O lock stays held, so no other thread's control frame can take
+        the REPLY.
         """
         self.policy.require_up()
         (carried, verdict), self._held = self._held, None
@@ -471,7 +448,6 @@ LegDeadlineExceeded` raised. Nothing of the reply was recorded: it is
             carried.payload,
             0 if delivered else FLAG_DROPPED,
         )
-        should_abandon = self._should_abandon
         with self._io_lock:
             self._ensure_connected()
             self._send(
@@ -482,19 +458,25 @@ LegDeadlineExceeded` raised. Nothing of the reply was recorded: it is
                     f"message for channel {self.site_id!r} was lost or is "
                     "delayed in flight"
                 )
-            if should_abandon is not None:
-                self._sock.settimeout(_SPECULATION_POLL_S)
-            try:
-                frame_type, body = self._read("reply from", should_abandon)
-            except _AbandonLeg as abandoned:
-                # The straggler is abandoned for a backup.
-                self._drop_connection()
-                raise LegDeadlineExceeded(
-                    self.site_id, float(abandoned.args[0])
-                ) from None
-            finally:
-                if should_abandon is not None and self._sock is not None:
-                    self._sock.settimeout(self.io_timeout_s)
+            self._io_lock.acquire()  # released by answer() or abandon()
+            self._asked = True
+
+    def fileno(self) -> int:
+        """The connection's descriptor, for a selector to wait on."""
+        return self._sock.fileno()
+
+    def answer(self) -> tuple:
+        """``(reply metadata, payload as sent)``: read the one frame that
+        answers the REQ :meth:`ask` wrote.
+
+        The REPLY's up message is shown to the policy, recorded and
+        queued for ``receive_at_coordinator``; an ERROR frame raises the
+        site's error; a REPLY that does not start with one up message
+        raises :class:`~repro.errors.ProtocolError` and drops the
+        connection. A reply is recorded whole or not at all.
+        """
+        try:
+            frame_type, body = self._read("reply from")
             if frame_type != FRAME_REPLY:
                 self._count(UP, len(body))
                 if frame_type == FRAME_ERROR:
@@ -519,12 +501,27 @@ LegDeadlineExceeded` raised. Nothing of the reply was recorded: it is
                     f"message: {error}"
                 ) from None
             self._count(UP, len(body), len(body) - len(meta))
+        finally:
+            self._settle()
         carried, verdict = self._admit(
             Message(kind, self.site_id, "coordinator", round_index, payload), UP
         )
         self.upstream.record(carried)
         self._enqueue(UP, carried, verdict)
         return pickle.loads(meta), payload
+
+    def abandon(self) -> None:
+        """Give up on the REQ :meth:`ask` wrote (a straggler abandoned for a
+        backup, a wait timed out): the connection is dropped, so its REPLY
+        can answer nothing, and nothing of it is recorded."""
+        self._drop_connection()
+        self._settle()
+
+    def _settle(self) -> None:
+        """The asked turn is over: release the I/O lock :meth:`ask` kept."""
+        if self._asked:
+            self._asked = False
+            self._io_lock.release()
 
     # -- telemetry ---------------------------------------------------------------
 

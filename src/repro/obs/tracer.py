@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -126,11 +125,10 @@ class Tracer:
 
     Spans appear in :attr:`spans` in *opening* order (ties broken by
     which thread wins the id lock); nesting is encoded by ``parent_id``.
-    Each thread keeps its own open-span stack, so spans opened by
-    parallel site workers nest correctly without cross-thread
-    interference. A worker thread starts with an empty stack and no
-    parent — use :meth:`attach` to parent its spans under a span opened
-    elsewhere (the evaluator attaches each site leg to its round span).
+    Each thread keeps its own open-span stack, so the spans of queries
+    run at once on different threads nest correctly without
+    cross-thread interference. A span must close on the thread, and in
+    the order, it opened.
     """
 
     enabled = True
@@ -146,24 +144,6 @@ class Tracer:
         """Open a span as a context manager: ``with tracer.span("round"):``."""
         return _SpanHandle(self, name, kind, attributes)
 
-    @contextmanager
-    def attach(self, span: Optional[Span]):
-        """Parent this thread's top-level spans under ``span``.
-
-        Used when fanning work out to a pool: the worker thread has no
-        open spans of its own, so without attachment its spans would
-        become parentless roots.
-        """
-        previous = getattr(self._local, "base_parent_id", None)
-        previous_span = getattr(self._local, "base_parent_span", None)
-        self._local.base_parent_id = None if span is None else span.span_id
-        self._local.base_parent_span = span
-        try:
-            yield
-        finally:
-            self._local.base_parent_id = previous
-            self._local.base_parent_span = previous_span
-
     def _thread_stack(self) -> list:
         stack = getattr(self._local, "stack", None)
         if stack is None:
@@ -172,10 +152,7 @@ class Tracer:
 
     def _open(self, name: str, kind: str, attributes: dict) -> Span:
         stack = self._thread_stack()
-        if stack:
-            parent_id = stack[-1].span_id
-        else:
-            parent_id = getattr(self._local, "base_parent_id", None)
+        parent_id = stack[-1].span_id if stack else None
         start_s = self._clock()
         with self._lock:
             span = Span(
@@ -211,8 +188,8 @@ class Tracer:
         """Re-record spans captured elsewhere (a site-server process).
 
         Each replayed span gets a fresh id here; parent links *within*
-        the batch are preserved, and batch roots are parented under this
-        thread's attached span (see :meth:`attach`).
+        the batch are preserved, and batch roots are parented under the
+        span open on this thread.
 
         Timestamps are shifted into this tracer's clock domain by
         ``clock_offset_s`` (remote minus local, the convention of
@@ -226,12 +203,8 @@ class Tracer:
         from repro.obs.skew import align_span
 
         stack = self._thread_stack()
-        if stack:
-            base_parent_id = stack[-1].span_id
-            base_parent = stack[-1]
-        else:
-            base_parent_id = getattr(self._local, "base_parent_id", None)
-            base_parent = getattr(self._local, "base_parent_span", None)
+        base_parent = stack[-1] if stack else None
+        base_parent_id = None if base_parent is None else base_parent.span_id
         now = self._clock()
         if base_parent is not None:
             base_bounds = (
@@ -317,10 +290,6 @@ class NullTracer:
     __slots__ = ()
 
     def span(self, name: str, kind: str = "span", **attributes) -> _NullSpan:
-        return _NULL_SPAN
-
-    def attach(self, span) -> _NullSpan:
-        """No-op attachment (the null span is also a null context)."""
         return _NULL_SPAN
 
     def replay(self, span_dicts, **_kwargs) -> None:

@@ -208,8 +208,9 @@ def count_and_sum_blocks(key: str = "SourceAS", measure: str = "NumBytes"):
 
 
 class InProcessFanOut(SocketEngine):
-    """The sockets engine's fan-out with the in-process sites' evaluate:
-    legs run at once, so several of them can fail in one round."""
+    """The sockets engine's round with the in-process sites' evaluate:
+    every leg runs whatever the others do, so several of them can fail in
+    one round."""
 
     def __init__(self, sites, tracer):
         super().__init__(sites, tracer)

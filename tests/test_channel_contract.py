@@ -19,6 +19,7 @@ import pytest
 from conftest import serving
 from repro.distributed.executor import (
     SiteRequest,
+    SocketEngine,
     perform_site_request,
     play_site_end,
 )
@@ -43,6 +44,7 @@ from repro.net.socket_channel import (
     read_frame,
     write_frame,
 )
+from repro.obs.tracer import NULL_TRACER
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
 from repro.relalg.relation import Relation
@@ -84,7 +86,8 @@ def open_edge(transport, spec, server):
         channel = SocketChannel(SITE, (server.host, server.port), faults=plan)
 
         def turn(request):
-            return channel.ask(request)[1]
+            channel.ask(request)
+            return channel.answer()[1]
 
     return channel, turn
 
@@ -249,15 +252,32 @@ def test_an_abandoned_ask_reports_what_upstream_recorded():
                     release.wait(timeout=10)
                     return
 
+    class PassedDeadline:
+        """A round's speculation deadline, already passed, with one backup."""
+
+        backups = 1
+
+        def abandon_at(self):
+            return 0.0 if self.backups else None
+
+        def abandon(self):
+            self.backups -= 1
+            return 0.5
+
     thread = threading.Thread(target=stalling_site, daemon=True)
     thread.start()
     channel = SocketChannel(SITE, listener.getsockname()[:2])
-    verdicts = iter([0.0, 0.5])
-    channel.arm_speculation(lambda: next(verdicts))
+    engine = SocketEngine({}, NULL_TRACER)
+
+    def leg(site_id):
+        channel.send_to_site(Message(BASE_QUERY, "coordinator", site_id, ROUND))
+        request = SiteRequest(kind="base", site_id=site_id, round_number=ROUND)
+        return (yield from engine.evaluate(request, channel))
+
     try:
-        channel.send_to_site(Message(BASE_QUERY, "coordinator", SITE, ROUND))
         with pytest.raises(LegDeadlineExceeded) as abandoned:
-            channel.ask(SiteRequest(kind="base", site_id=SITE, round_number=ROUND))
+            engine.run_legs([SITE], leg, PassedDeadline())
+        assert channel._sock is None  # the REPLY on its way can answer nothing
     finally:
         release.set()
         thread.join(timeout=5)

@@ -10,15 +10,13 @@ pools).
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from conftest import InProcessFanOut, make_flows
 from repro.distributed import OptimizationOptions, SimulatedCluster, execute_query
 from repro.distributed import evaluator as evaluator_module
 from repro.distributed.evaluator import ExecutionConfig
-from repro.distributed.executor import SerialEngine, SocketEngine, create_engine
+from repro.distributed.executor import SerialEngine, SocketEngine, create_engine, run_inline
 from repro.distributed.recovery import EXCLUDED, RetryPolicy, guard_leg
 from repro.distributed.stats import RoundStats, verify_against_network
 from repro.errors import (
@@ -292,6 +290,16 @@ def test_retry_policy_validation_and_backoff_cap():
     assert RetryPolicy(mode="fail_fast").attempts == 1
 
 
+def never_waits(function):
+    """A leg generator that runs ``function`` and never waits."""
+
+    def leg(site_id):
+        return function(site_id)
+        yield  # unreachable: makes ``leg`` a generator
+
+    return leg
+
+
 def test_guard_leg_sleeps_backoff_and_heals():
     network = Network(
         ("s0",), faults=FaultPlan.parse("crash site=s0 round=0 times=2")
@@ -299,6 +307,7 @@ def test_guard_leg_sleeps_backoff_and_heals():
     round_stats = RoundStats(0, "md")
     sleeps = []
 
+    @never_waits
     def leg(site_id):
         network.channel(site_id).send_to_site(_down())
         return "ok"
@@ -310,9 +319,8 @@ def test_guard_leg_sleeps_backoff_and_heals():
         round_index=0,
         round_stats=round_stats,
         tracer=NULL_TRACER,
-        sleep=sleeps.append,
     )
-    assert guarded("s0") == "ok"
+    assert run_inline(guarded("s0"), sleep=sleeps.append) == "ok"
     assert sleeps == [0.25, 0.5]
     assert round_stats.site("s0").retries == 2
     assert network.metrics.counter("net.retry.attempts", site="s0").value == 2
@@ -336,6 +344,7 @@ def test_guard_leg_caps_backoff_by_remaining_budget():
         sleeps.append(seconds)
         now[0] += seconds
 
+    @never_waits
     def leg(site_id):
         network.channel(site_id).send_to_site(_down())
 
@@ -348,11 +357,10 @@ def test_guard_leg_caps_backoff_by_remaining_budget():
         round_index=0,
         round_stats=round_stats,
         tracer=NULL_TRACER,
-        sleep=fake_sleep,
         clock=lambda: now[0],
     )
     with pytest.raises(RetryExhaustedError) as excinfo:
-        guarded("s0")
+        run_inline(guarded("s0"), sleep=fake_sleep)
     # Backoffs 0.4 then 0.8-capped-to-0.6 fill the 1.0s budget exactly;
     # the third attempt runs at t=1.0 and only then is the leg exhausted.
     assert sleeps == [pytest.approx(0.4), pytest.approx(0.6)]
@@ -369,6 +377,7 @@ def test_guard_leg_never_sleeps_after_final_attempt():
     round_stats = RoundStats(0, "md")
     sleeps = []
 
+    @never_waits
     def leg(site_id):
         network.channel(site_id).send_to_site(_down())
 
@@ -379,10 +388,9 @@ def test_guard_leg_never_sleeps_after_final_attempt():
         round_index=0,
         round_stats=round_stats,
         tracer=NULL_TRACER,
-        sleep=sleeps.append,
     )
     with pytest.raises(RetryExhaustedError) as excinfo:
-        guarded("s0")
+        run_inline(guarded("s0"), sleep=sleeps.append)
     assert excinfo.value.attempts == 2
     # One sleep between the two attempts, none after the final failure.
     assert sleeps == [pytest.approx(0.25)]
@@ -392,6 +400,7 @@ def test_guard_leg_does_not_retry_programming_errors():
     network = Network(("s0",))
     calls = []
 
+    @never_waits
     def leg(site_id):
         calls.append(site_id)
         raise ZeroDivisionError("bug, not weather")
@@ -405,7 +414,7 @@ def test_guard_leg_does_not_retry_programming_errors():
         tracer=NULL_TRACER,
     )
     with pytest.raises(ZeroDivisionError):
-        guarded("s0")
+        run_inline(guarded("s0"))
     assert calls == ["s0"]
 
 
@@ -521,11 +530,12 @@ def test_degrade_survives_a_base_round_crash():
 
 
 # ---------------------------------------------------------------------------
-# Executor failure paths: all failures reported, no leaked pools
+# Executor failure paths: all failures reported, the engine closed
 # ---------------------------------------------------------------------------
 
 
 def _crash_some_legs(engine, failing):
+    @never_waits
     def leg(site_id):
         if site_id in failing:
             raise NetworkError(f"{site_id} went dark")
@@ -534,16 +544,8 @@ def _crash_some_legs(engine, failing):
     return engine.run_legs(tuple(sorted(failing | {"ok1", "ok2"})), leg)
 
 
-def _leg_threads():
-    return [
-        thread.name
-        for thread in threading.enumerate()
-        if thread.name.startswith("skalla-socket-leg")
-    ]
-
-
 def test_socket_engine_reports_every_failed_site():
-    # The fan-out needs no socket: the legs here never reach a channel.
+    # The round needs no socket: the legs here never reach a channel.
     engine = SocketEngine({f"s{index}": None for index in range(4)}, NULL_TRACER)
     try:
         with pytest.raises(MultiLegError) as excinfo:
@@ -554,32 +556,17 @@ def test_socket_engine_reports_every_failed_site():
         } == {"NetworkError"}
     finally:
         engine.close()
-    assert _leg_threads() == []
 
 
 def test_single_failure_keeps_its_original_exception_type():
-    # Pool sized to the leg count (one thread per site): every leg
-    # starts, so a lone failure re-raises its original exception.
+    # Every leg runs whatever the others do, so a lone failure re-raises
+    # its original exception.
     engine = SocketEngine({f"s{index}": None for index in range(3)}, NULL_TRACER)
     try:
         with pytest.raises(NetworkError, match="bad1 went dark"):
             _crash_some_legs(engine, failing={"bad1"})
     finally:
         engine.close()
-
-
-def test_undersized_pool_reports_cancelled_legs():
-    # A one-site engine running three legs: legs behind a failure never
-    # start; they are reported as cancelled rather than silently abandoned.
-    engine = SocketEngine({"s0": None}, NULL_TRACER)
-    try:
-        with pytest.raises(MultiLegError) as excinfo:
-            _crash_some_legs(engine, failing={"bad1"})
-        assert excinfo.value.failed_sites == ("bad1",)
-        assert set(excinfo.value.cancelled) == {"ok1", "ok2"}
-    finally:
-        engine.close()
-    assert _leg_threads() == []
 
 
 def test_serial_engine_raises_first_failure_directly():
@@ -589,16 +576,17 @@ def test_serial_engine_raises_first_failure_directly():
     engine.close()
 
 
-@pytest.mark.parametrize("legs", ["serial", "threads"])
+@pytest.mark.parametrize("legs", ["serial", "interleaved"])
 def test_evaluator_closes_engine_when_a_leg_crashes(legs, monkeypatch):
-    # "threads" fans the legs out at once (the sockets engine's pool over
-    # in-process sites), so both crashed sites fail in the same round.
+    # "interleaved" runs every leg of a round whatever the others do (the
+    # sockets engine's round over in-process sites), so both crashed sites
+    # fail in the same round.
     engines = []
 
     def tracked_engine(executor, sites, tracer, network):
         engine = (
             InProcessFanOut(sites, tracer)
-            if legs == "threads"
+            if legs == "interleaved"
             else create_engine(executor, sites, tracer, network)
         )
         engines.append(engine)
@@ -611,18 +599,13 @@ def test_evaluator_closes_engine_when_a_leg_crashes(legs, monkeypatch):
             failure_mode="fail_fast",
         )
     assert len(engines) == 1 and engines[0]._closed
-    assert _leg_threads() == []
 
 
 def test_multi_leg_error_message_lists_sites_and_causes():
-    error = MultiLegError(
-        {"s2": NetworkError("boom"), "s0": ValueError("bad")},
-        cancelled=("s3",),
-    )
+    error = MultiLegError({"s2": NetworkError("boom"), "s0": ValueError("bad")})
     assert error.failed_sites == ("s0", "s2")
     assert "s0: ValueError: bad" in str(error)
     assert "s2: NetworkError: boom" in str(error)
-    assert "cancelled before start: s3" in str(error)
 
 
 # ---------------------------------------------------------------------------

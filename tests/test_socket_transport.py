@@ -357,8 +357,8 @@ def test_a_leg_is_one_frame_each_way(tmp_path, monkeypatch):
         frames[frame_type] += 1
         return write(sock, frame_type, body)
 
-    def reading(sock, should_abandon=None):
-        frame = read(sock, should_abandon)
+    def reading(sock):
+        frame = read(sock)
         frames[frame[0]] += 1
         return frame
 
@@ -473,10 +473,41 @@ def test_fail_fast_propagates_a_crash_over_sockets(deployed):
             deployed, "sockets", "crash site=site1 rounds=0-9 times=0",
             failure_mode="fail_fast",
         )
-    # The run's engine was closed on the way out: no leg thread outlives it.
-    assert not any(
-        thread.name.startswith("skalla-socket-leg") for thread in threading.enumerate()
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Counts ``threading.Thread.start`` calls in this process."""
+    starts = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
+
+
+def test_a_socket_round_starts_no_thread(deployed, thread_starts):
+    """Every socket round runs on the calling thread — fail-fast, a retried
+    crash and a speculative backup alike — so a query starts no thread and
+    leaves none behind."""
+    threads = threading.active_count()
+    with pytest.raises(SiteUnavailableError):
+        run_faulty(
+            deployed, "sockets", "crash site=site1 rounds=0-9 times=0",
+            failure_mode="fail_fast",
+        )
+    retried = run_faulty(
+        deployed, "sockets", "crash site=site2 round=1 times=1",
+        failure_mode="retry",
     )
+    assert retried.stats.retries == 1
+    raced = run_straggled(deployed, speculation=True)
+    assert raced.stats.speculative_legs == 1
+    assert thread_starts == []
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +588,43 @@ def test_speculation_is_inert_without_stragglers(deployed):
     assert result.stats.speculative_bytes_down == 0
     assert result.stats.socket_parity()
 
+
+#: A site slow on every attempt of round 1, its backups included.
+SLOW_EVERY_TIME = "straggle site=site1 round=1 delay=0.5 times=0"
+
+
+@pytest.mark.parametrize(
+    "knob, low, high, fixed",
+    [
+        ("speculation_factor", 1.0, 1000.0, {"speculation_slack_s": 0.25}),
+        ("speculation_slack_s", 0.25, 1.0, {"speculation_factor": 2.0}),
+    ],
+)
+def test_each_speculation_knob_setting_wins_a_case(deployed, knob, low, high, fixed):
+    """Each deadline knob trades a straggler caught early against a backup
+    spent on a site that is as slow the second time: its low setting wins
+    the first case and its high one the second, so neither setting is a
+    default that always wins."""
+
+    def wall(faults, setting):
+        result = run_faulty(
+            deployed, "sockets", faults, speculation=True, **{knob: setting}, **fixed
+        )
+        return max(r.wall_s for r in result.stats.rounds), result.stats
+
+    straggler = FaultPlan.stragglers(
+        deployed.site_ids, seed=7, delay_s=STRAGGLE_DELAY_S, rounds=(1,)
+    )
+    caught, caught_stats = wall(straggler, low)
+    waited, _stats = wall(straggler, high)
+    assert caught_stats.speculation_wins == 1
+    assert caught < waited
+
+    spent, spent_stats = wall(SLOW_EVERY_TIME, low)
+    patient, patient_stats = wall(SLOW_EVERY_TIME, high)
+    assert spent_stats.speculative_legs == 1 and spent_stats.speculative_bytes_down > 0
+    assert patient_stats.speculative_legs == 0
+    assert patient < spent
 
 # ---------------------------------------------------------------------------
 # Observed-distribution group reduction, byte for byte over TCP

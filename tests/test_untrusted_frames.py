@@ -479,8 +479,9 @@ class TestOneBlockPerLeg:
             started = time.monotonic()
             try:
                 channel.send_to_site(Message(BASE_QUERY, "coordinator", "s0", 1))
+                channel.ask(request)
                 with pytest.raises(ProtocolError, match=message):
-                    channel.ask(request)
+                    channel.answer()
                 assert ended.wait(timeout=5)  # the coordinator dropped the connection
             finally:
                 channel.close()
