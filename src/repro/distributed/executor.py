@@ -54,8 +54,8 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 from repro.errors import LegDeadlineExceeded, MultiLegError, NetworkError, PlanError
+from repro.net import bodies, serialize
 from repro.net import message as msg
-from repro.net import serialize
 from repro.obs.metrics import MetricsRegistry, activate, active_registry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.relalg.relation import Relation
@@ -71,8 +71,8 @@ class SiteRequest:
     ``kind`` selects the handler: ``"base"`` (compute the base-values
     query), ``"round"`` (evaluate shipped fragment against the local
     partition), ``"merged"`` (Proposition 2: derive the base locally).
-    The payload is picklable — plan step objects contain no closures —
-    so the same request drives in-process execution and a site server.
+    The same request drives in-process execution and a site server, which
+    gets it as a typed control (:meth:`control`, :mod:`repro.net.bodies`).
     """
 
     kind: str
@@ -110,27 +110,32 @@ class SiteRequest:
     #: it kept before it performs the request, as a restart would.
     lose_state: bool = False
 
-    def control(self) -> dict:
-        """The request as the REQ body's pickled part (the fragment crosses
-        before it, as the REQ's message).
+    def control(self) -> bytes:
+        """The request as the REQ body's typed control
+        (:func:`~repro.net.bodies.encode_control`); the fragment crosses
+        before it, as the REQ's message, and the site is the connection's.
 
-        An optional field is present only when it differs from its
-        default, so a default's spelling is never on the wire. The
-        comparison is against the dataclass default, not against anything
-        the coordinator's environment says.
+        An optional field is sent only when it differs from its default,
+        so a default's spelling is never on the wire. The comparison is
+        against the dataclass default, not against anything the
+        coordinator's environment says.
         """
-        return {
+        return bodies.encode_control({
             spec.name: value
             for spec in fields(self)
-            if spec.name != "fragment"
+            if spec.name not in ("fragment", "site_id")
             # A required field's default is MISSING, which nothing equals.
             and (value := getattr(self, spec.name)) != spec.default
-        }
+        })
 
     @classmethod
-    def from_control(cls, control: dict, fragment: Optional[bytes]) -> "SiteRequest":
-        """The site's end of :meth:`control`: absent fields take the same defaults."""
-        return cls(**control, fragment=fragment)
+    def from_control(
+        cls, control: bytes, fragment: Optional[bytes], site_id: str
+    ) -> "SiteRequest":
+        """The site's end of :meth:`control`: absent fields take the same
+        defaults. Bytes that are not a request raise
+        :class:`~repro.errors.ProtocolError`."""
+        return cls(**bodies.decode_control(control), site_id=site_id, fragment=fragment)
 
 
 @dataclass

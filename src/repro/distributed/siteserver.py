@@ -41,7 +41,7 @@ from repro.errors import (
     ReproError,
     StateMismatch,
 )
-from repro.net import serialize
+from repro.net import bodies, serialize
 from repro.net.message import BASE_RESULT, SHIP_BASE, SUB_RESULT
 from repro.net.socket_channel import (
     DOWN_KINDS,
@@ -195,10 +195,10 @@ def _json_object(body: bytes) -> dict:
     return value
 
 
-def _request(body: bytes) -> Optional[SiteRequest]:
-    """The request a REQ body carries, or None when its message was lost
-    in (simulated) flight: the coordinator fails the turn without waiting
-    for an answer.
+def _request(body: bytes, site_id: str) -> Optional[SiteRequest]:
+    """The request a REQ body carries to site ``site_id``, or None when its
+    message was lost in (simulated) flight: the coordinator fails the turn
+    without waiting for an answer.
 
     A body that is not one down message and a request, or whose message
     does not fit its request — a ``round`` ships its fragment as a
@@ -210,12 +210,7 @@ def _request(body: bytes) -> Optional[SiteRequest]:
         return None
     if kind not in DOWN_KINDS:
         raise ProtocolError(f"a REQ carries a down message, not a {kind} one")
-    try:
-        request = SiteRequest.from_control(pickle.loads(control), payload or None)
-    except Exception as error:  # noqa: BLE001 - any unpickling failure
-        raise ProtocolError(
-            f"a REQ's control is not a request: {type(error).__name__}: {error}"
-        ) from None
+    request = SiteRequest.from_control(control, payload or None, site_id)
     if request.kind == "round":
         if kind != SHIP_BASE or not payload:
             raise ProtocolError("a round ships its fragment as one SHIP_BASE payload")
@@ -328,6 +323,7 @@ class SiteServer:
         except OSError:
             pass
         self.registry.gauge("site.connections").add(1)
+        greeted = False
         try:
             while True:
                 frame_type, body = read_frame(conn)
@@ -355,7 +351,13 @@ class SiteServer:
                         ).encode("utf-8"),
                     )
                 elif frame_type == FRAME_HELLO:
-                    wanted = _json_object(body).get("site_id")
+                    hello = _json_object(body)
+                    if hello.get("protocol") != bodies.PROTOCOL_VERSION:
+                        raise ProtocolError(
+                            f"this server speaks protocol {bodies.PROTOCOL_VERSION}, "
+                            f"not {hello.get('protocol')!r}"
+                        )
+                    wanted = hello.get("site_id")
                     if wanted not in (None, self.site.site_id):
                         raise NetworkError(
                             f"this server is site {self.site.site_id!r}, "
@@ -365,11 +367,15 @@ class SiteServer:
                         {
                             "site_id": self.site.site_id,
                             "tables": list(self.site.warehouse.table_names()),
+                            "protocol": bodies.PROTOCOL_VERSION,
                         }
                     ).encode("utf-8")
                     write_frame(conn, FRAME_WELCOME, welcome)
+                    greeted = True
                 elif frame_type == FRAME_REQ:
-                    request = _request(body)
+                    if not greeted:
+                        raise ProtocolError("a REQ before the connection's HELLO")
+                    request = _request(body, self.site.site_id)
                     if request is not None:
                         self._handle_request(conn, request)
                 elif frame_type == FRAME_SHUTDOWN:
@@ -402,11 +408,6 @@ class SiteServer:
     def _handle_request(self, conn, request: SiteRequest) -> None:
         started = time.perf_counter()
         try:
-            if request.site_id != self.site.site_id:
-                raise NetworkError(
-                    f"request for site {request.site_id!r} reached "
-                    f"site {self.site.site_id!r}"
-                )
             reply = perform_isolated_request(self.site, request)
         except StateMismatch as error:
             # No fault: the coordinator resends the fragment keyed.
@@ -458,17 +459,11 @@ class SiteServer:
         # on-disk ring is the only telemetry a killed site leaves.
         self._dump_flight()
         up_kind = BASE_RESULT if request.kind == "base" else SUB_RESULT
-        meta = {
-            "rows": reply.rows,
-            "compute_s": reply.compute_s,
-            "spans": spans,
-            "counters": dict(reply.counters),
-        }
         write_frame(
             conn,
             FRAME_REPLY,
             encode_wire_message(up_kind, request.round_number, reply.payload)
-            + pickle.dumps(meta),
+            + bodies.encode_meta(reply.rows, reply.compute_s, reply.counters, spans),
         )
 
     def _skewed_span(self, span: dict) -> dict:
@@ -490,9 +485,8 @@ class SiteServer:
         name = type(error).__name__
         if not isinstance(error, ReproError):
             name = "RemoteSiteError"
-        detail = {"error": name, "message": str(error)}
         try:
-            write_frame(conn, FRAME_ERROR, pickle.dumps(detail))
+            write_frame(conn, FRAME_ERROR, bodies.encode_error(name, str(error)))
         except OSError:
             pass
 

@@ -220,8 +220,13 @@ class ExecutionStats:
     socket_bytes_down: int = 0
     socket_bytes_up: int = 0
     #: Transport overhead the simulation does not model: frame prefixes
-    #: plus whole control frames (handshakes, requests, replies).
+    #: plus whole control frames (handshakes, requests, replies). It is the
+    #: sum of the three after it: the 5-byte frame headers, what else went
+    #: down (REQ controls, control frames) and up (REPLY metas, the rest).
     socket_framing_bytes: int = 0
+    socket_header_bytes: int = 0
+    socket_control_bytes: int = 0
+    socket_meta_bytes: int = 0
     socket_frames: int = 0
     socket_reconnects: int = 0
     #: Per-site clock estimates from the pre-query PING sync (socket
@@ -257,6 +262,9 @@ class ExecutionStats:
         self.socket_bytes_down = snapshot.get("payload_down", 0)
         self.socket_bytes_up = snapshot.get("payload_up", 0)
         self.socket_framing_bytes = snapshot.get("framing", 0)
+        self.socket_header_bytes = snapshot.get("headers", 0)
+        self.socket_control_bytes = snapshot.get("control", 0)
+        self.socket_meta_bytes = snapshot.get("meta", 0)
         self.socket_frames = snapshot.get("frames", 0)
         self.socket_reconnects = snapshot.get("reconnects", 0)
 
@@ -294,7 +302,9 @@ class ExecutionStats:
             f"down={self.socket_bytes_down}B up={self.socket_bytes_up}B "
             f"— {parity}",
             f"framing overhead: +{self.socket_framing_bytes}B "
-            f"({self.socket_frames} frames, "
+            f"(headers {self.socket_header_bytes}B, "
+            f"control {self.socket_control_bytes}B, "
+            f"meta {self.socket_meta_bytes}B; {self.socket_frames} frames, "
             f"{self.socket_reconnects} reconnects) — "
             "excluded from modeled bytes",
         ]
@@ -525,6 +535,9 @@ class ExecutionStats:
                 "bytes_down": self.socket_bytes_down,
                 "bytes_up": self.socket_bytes_up,
                 "framing_bytes": self.socket_framing_bytes,
+                "header_bytes": self.socket_header_bytes,
+                "control_bytes": self.socket_control_bytes,
+                "meta_bytes": self.socket_meta_bytes,
                 "frames": self.socket_frames,
                 "reconnects": self.socket_reconnects,
                 "parity": self.socket_parity(),

@@ -25,16 +25,18 @@ Wire format (all integers big-endian):
   it needs no length of its own;
 - REQ body   = the leg's down message as a MSG body (``SHIP_BASE`` with
   the fragment for a ``round``, a header-only ``BASE_QUERY`` for a
-  ``base`` or ``merged`` request), then the pickled
-  :meth:`~repro.distributed.executor.SiteRequest.control`;
+  ``base`` or ``merged`` request), then the request's typed control
+  (:meth:`~repro.distributed.executor.SiteRequest.control`);
 - REPLY body = the site's up message as a MSG body (``BASE_RESULT`` or
-  ``SUB_RESULT``, one block), then the pickled reply metadata;
-- every other frame (HELLO/WELCOME/ERROR/SHUTDOWN/BYE/PING/TELEMETRY)
-  carries a JSON or pickled body.
+  ``SUB_RESULT``, one block), then the typed reply meta;
+- ERROR body = the error's class name and message, typed;
+- every other frame (HELLO/WELCOME/SHUTDOWN/BYE/PING/TELEMETRY) carries
+  a JSON body; HELLO and WELCOME carry the protocol version.
 
-The MSG bodies inside REQ and REPLY are *payload*; everything else — the
-5 bytes before every frame, the pickled parts, every other frame — is
-*framing overhead*. Parity invariant: measured payload bytes per
+:mod:`repro.net.bodies`'s docstring is the typed parts' spec. The MSG
+bodies inside REQ and REPLY are *payload*; the rest is *framing*: 5
+``headers`` bytes a frame, ``control`` (the rest of each frame sent down)
+and ``meta`` (up). Parity invariant: measured payload bytes per
 direction equal the ``DirectionStats`` bytes exactly, under every fault
 kind. A message the policy judges LOST or LATE still crosses, in a REQ
 whose header is flagged ``DROPPED`` (the bytes left the sender); the site
@@ -43,18 +45,15 @@ the coordinator without waiting for a REPLY. A *duplicate* copy is
 charged to ``net.fault.bytes`` by the policy and not re-sent; *corrupt*
 replaces the payload with one of equal length; *crash* raises before
 anything is recorded or sent.
-
-The pickled parts of REQ and REPLY use :mod:`pickle`: site servers are
-our own processes on a trusted local cluster, never an untrusted peer.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import socket
 import struct
 import threading
+import time
 from typing import Dict, Optional, Tuple
 
 import repro.errors as errors_module
@@ -65,6 +64,7 @@ from repro.errors import (
     ReproError,
     SiteUnavailableError,
 )
+from repro.net import bodies
 from repro.net.channel import DELIVER, DOWN, UP, Channel, Network
 from repro.net.message import (
     BASE_QUERY,
@@ -78,11 +78,11 @@ from repro.net.message import (
 
 # -- frame types -------------------------------------------------------------------
 
-FRAME_HELLO = 1  # client -> server: {"site_id": ...}
-FRAME_WELCOME = 2  # server -> client: {"site_id": ..., "tables": {...}}
-FRAME_REQ = 4  # client -> server: MSG body + pickled SiteRequest.control()
-FRAME_REPLY = 5  # server -> client: MSG body + pickled reply metadata
-FRAME_ERROR = 6  # server -> client: pickled {"error": class, "message": str}
+FRAME_HELLO = 1  # client -> server: {"site_id": ..., "protocol": ...}
+FRAME_WELCOME = 2  # server -> client: {"site_id": ..., "tables": [...], "protocol": ...}
+FRAME_REQ = 4  # client -> server: MSG body + typed SiteRequest.control()
+FRAME_REPLY = 5  # server -> client: MSG body + typed reply meta
+FRAME_ERROR = 6  # server -> client: typed error class and message
 FRAME_SHUTDOWN = 8  # client -> server: stop serving
 FRAME_BYE = 9  # server -> client: shutdown acknowledged
 FRAME_PING = 10  # either direction: JSON clock-sync sample (see obs.skew)
@@ -90,6 +90,10 @@ FRAME_TELEMETRY = 11  # client -> server: JSON request; server -> client: JSON b
 
 #: Bytes of pure framing around every frame: 4-byte length prefix + type.
 FRAME_OVERHEAD_BYTES = 5
+
+#: What :meth:`SocketChannel.socket_totals` counts, in bytes but the last two.
+SOCKET_TOTALS = ("payload_down", "payload_up", "headers", "control", "meta",
+                 "framing", "frames", "reconnects")
 
 _FRAME_NAMES = {
     FRAME_HELLO: "HELLO",
@@ -276,9 +280,7 @@ class SocketChannel(Channel):
         #: what the next :meth:`ask` writes in its REQ.
         self._held: Optional[Tuple[Message, str]] = None
         #: Measured wire accounting (mirrored into registry counters).
-        self._totals = dict.fromkeys(
-            ("payload_down", "payload_up", "framing", "frames", "reconnects"), 0
-        )
+        self._totals = dict.fromkeys(SOCKET_TOTALS, 0)
         self._counters: dict = {}  # (name, direction) -> registry counter
         # Best (minimum-RTT) NTP-style clock sample against the site
         # process; see repro.obs.skew. Zero until ping() succeeds, which
@@ -289,12 +291,14 @@ class SocketChannel(Channel):
     # -- accounting --------------------------------------------------------------
 
     def _count(self, direction: str, body_bytes: int, payload_bytes: int = 0) -> None:
-        """Book one frame: the MSG body it carries is payload, all else framing."""
+        """Book one frame: its MSG body is payload, the rest framing."""
         framing = FRAME_OVERHEAD_BYTES + body_bytes - payload_bytes
         if payload_bytes:
             self._totals["payload_" + direction] += payload_bytes
             self._counter("net.socket.bytes", direction).inc(payload_bytes)
         self._totals["frames"] += 1
+        self._totals["headers"] += FRAME_OVERHEAD_BYTES
+        self._totals["control" if direction == DOWN else "meta"] += body_bytes - payload_bytes
         self._totals["framing"] += framing
         self._counter("net.socket.frames", direction).inc()
         self._counter("net.socket.framing.bytes").inc(framing)
@@ -345,22 +349,28 @@ class SocketChannel(Channel):
             self.metrics.counter("net.socket.reconnects", site=self.site_id).inc()
         self._connected_once = True
         self._sock = sock
-        self._send(FRAME_HELLO, json.dumps({"site_id": self.site_id}).encode("utf-8"))
+        hello = {"site_id": self.site_id, "protocol": bodies.PROTOCOL_VERSION}
+        self._send(FRAME_HELLO, json.dumps(hello).encode("utf-8"))
         frame_type, body = self._read("handshake with")
         self._count(UP, len(body))
         try:
+            if frame_type == FRAME_ERROR:
+                raise map_remote_error(*bodies.decode_error(body))
             if frame_type != FRAME_WELCOME:
                 raise NetworkError(
                     f"expected WELCOME from site {self.site_id!r}, got "
                     f"{_FRAME_NAMES.get(frame_type, frame_type)}"
                 )
             info = json.loads(body.decode("utf-8"))
+            if info.get("protocol") != bodies.PROTOCOL_VERSION:
+                raise ProtocolError(f"site {self.site_id!r} speaks protocol "
+                                    f"{info.get('protocol')!r}, not {bodies.PROTOCOL_VERSION}")
             if info.get("site_id") != self.site_id:
                 raise NetworkError(
                     f"connected to wrong site: wanted {self.site_id!r}, "
                     f"server is {info.get('site_id')!r}"
                 )
-        except NetworkError:
+        except ReproError:
             self._drop_connection()
             raise
 
@@ -390,11 +400,8 @@ class SocketChannel(Channel):
             raise
 
     def _control(self, frame_type: int, body: bytes, what: str) -> dict:
-        """One control exchange: a frame out, the same type (JSON) back.
-
-        Control frames are charged entirely to framing overhead, so
-        payload byte parity is untouched.
-        """
+        """One control exchange: a frame out, the same type (JSON) back,
+        charged wholly to framing, so payload byte parity is untouched."""
         with self._io_lock:
             self._ensure_connected()
             self._send(frame_type, body)
@@ -450,9 +457,7 @@ class SocketChannel(Channel):
         )
         with self._io_lock:
             self._ensure_connected()
-            self._send(
-                FRAME_REQ, message + pickle.dumps(request.control()), len(message)
-            )
+            self._send(FRAME_REQ, message + request.control(), len(message))
             if not delivered:
                 raise NetworkError(
                     f"message for channel {self.site_id!r} was lost or is "
@@ -466,41 +471,42 @@ class SocketChannel(Channel):
         return self._sock.fileno()
 
     def answer(self) -> tuple:
-        """``(reply metadata, payload as sent)``: read the one frame that
+        """``(reply meta, payload as sent)``: read the one frame that
         answers the REQ :meth:`ask` wrote.
 
         The REPLY's up message is shown to the policy, recorded and
         queued for ``receive_at_coordinator``; an ERROR frame raises the
-        site's error; a REPLY that does not start with one up message
-        raises :class:`~repro.errors.ProtocolError` and drops the
-        connection. A reply is recorded whole or not at all.
+        site's error; a REPLY that is not one up message and its meta, or
+        an ERROR that is not an error, raises
+        :class:`~repro.errors.ProtocolError` and drops the connection. A
+        reply is recorded whole or not at all.
         """
         try:
             frame_type, body = self._read("reply from")
-            if frame_type != FRAME_REPLY:
-                self._count(UP, len(body))
-                if frame_type == FRAME_ERROR:
-                    detail = pickle.loads(body)
-                    raise map_remote_error(
-                        detail.get("error", "ReproError"),
-                        detail.get("message", "site server failure"),
-                    )
-                raise NetworkError(
-                    f"unexpected {_FRAME_NAMES.get(frame_type, frame_type)} "
-                    f"frame from site {self.site_id!r} during request"
-                )
             try:
-                kind, round_index, _flags, payload, meta = decode_wire_message(body)
-                if kind not in UP_KINDS:
-                    raise NetworkError(f"a {kind} message answers nothing")
-            except NetworkError as error:
+                if frame_type == FRAME_ERROR:
+                    error = map_remote_error(*bodies.decode_error(body))
+                elif frame_type == FRAME_REPLY:
+                    kind, round_index, _flags, payload, meta = decode_wire_message(body)
+                    if kind not in UP_KINDS:
+                        raise NetworkError(f"a {kind} message answers nothing")
+                    meta = bodies.decode_meta(meta)
+            except (NetworkError, ProtocolError) as failure:
                 self._count(UP, len(body))
                 self._drop_connection()
                 raise ProtocolError(
                     f"site {self.site_id!r} replied with other than one up "
-                    f"message: {error}"
+                    f"message and its meta, or an error: {failure}"
                 ) from None
-            self._count(UP, len(body), len(body) - len(meta))
+            if frame_type != FRAME_REPLY:
+                self._count(UP, len(body))
+                if frame_type == FRAME_ERROR:
+                    raise error
+                raise NetworkError(
+                    f"unexpected {_FRAME_NAMES.get(frame_type, frame_type)} "
+                    f"frame from site {self.site_id!r} during request"
+                )
+            self._count(UP, len(body), HEADER_BYTES + len(payload))
         finally:
             self._settle()
         carried, verdict = self._admit(
@@ -508,7 +514,7 @@ class SocketChannel(Channel):
         )
         self.upstream.record(carried)
         self._enqueue(UP, carried, verdict)
-        return pickle.loads(meta), payload
+        return meta, payload
 
     def abandon(self) -> None:
         """Give up on the REQ :meth:`ask` wrote (a straggler abandoned for a
@@ -533,8 +539,6 @@ class SocketChannel(Channel):
         ``perf_counter`` timestamps into this process's clock domain:
         ``local_time = site_time - clock_offset_s``.
         """
-        import time
-
         from repro.obs.skew import estimate_offset
 
         if samples < 1:
@@ -607,13 +611,7 @@ class SocketNetwork(Network):
 
     def socket_totals(self) -> dict:
         """Aggregate measured wire accounting across every channel."""
-        totals = {
-            "payload_down": 0,
-            "payload_up": 0,
-            "framing": 0,
-            "frames": 0,
-            "reconnects": 0,
-        }
+        totals = dict.fromkeys(SOCKET_TOTALS, 0)
         for channel in self._channels.values():
             for key, value in channel.socket_totals().items():
                 totals[key] += value

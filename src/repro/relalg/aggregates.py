@@ -264,17 +264,7 @@ class CountFunction(_DistributiveFunction):
     result_type = INT
 
     def __init__(self, star: bool):
-        self._component = CountStarComponent() if star else CountComponent()
-        self._components = (("", self._component),)
-
-    # A REQ frame pickles its steps' AggSpecs, function included: the
-    # derived tuple stays out of it, so the frame's bytes do not move.
-    def __getstate__(self):
-        return {"_component": self._component}
-
-    def __setstate__(self, state):
-        self._component = state["_component"]
-        self._components = (("", self._component),)
+        self._components = (("", CountStarComponent() if star else CountComponent()),)
 
 
 class SumFunction(_DistributiveFunction):

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -201,19 +200,6 @@ class TestComponentColumns:
     def test_components_are_built_once(self, name):
         spec = built_in_spec(name)
         assert spec.function.components() is spec.function.components()
-
-    @pytest.mark.parametrize("name", BUILT_IN)
-    def test_pickle_carries_no_derived_state(self, name):
-        # A REQ frame pickles its steps' AggSpecs: the cached tuple must not
-        # ride along (wire bytes are pinned per seed by the benchmark).
-        spec = built_in_spec(name)
-        data = pickle.dumps(spec)
-        assert b"_components" not in data
-        clone = pickle.loads(data)
-        assert clone.function.components() is clone.function.components()
-        assert [
-            (suffix, type(component)) for suffix, component in clone.function.components()
-        ] == [(suffix, type(component)) for suffix, component in spec.function.components()]
 
     @pytest.mark.parametrize("name", BUILT_IN)
     def test_finalize_columns_equals_finalize_per_row(self, name):

@@ -11,6 +11,7 @@ share the coordinator end and the ledger, not a fault base class.
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 
@@ -32,6 +33,7 @@ from repro.errors import (
 )
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import MDStep
+from repro.net import bodies
 from repro.net.channel import Channel
 from repro.net.faults import FaultEvent, FaultPlan
 from repro.net.message import BASE_QUERY, HEADER_BYTES, SHIP_BASE, Message
@@ -247,7 +249,8 @@ def test_an_abandoned_ask_reports_what_upstream_recorded():
             while True:
                 frame_type, _body = read_frame(conn)
                 if frame_type == FRAME_HELLO:
-                    write_frame(conn, FRAME_WELCOME, b'{"site_id": "s0"}')
+                    welcome = {"site_id": "s0", "protocol": bodies.PROTOCOL_VERSION}
+                    write_frame(conn, FRAME_WELCOME, json.dumps(welcome).encode())
                 elif frame_type == FRAME_REQ:
                     release.wait(timeout=10)
                     return

@@ -13,7 +13,6 @@ partition from disk and heals the answer).
 
 from __future__ import annotations
 
-import pickle
 import socket
 import threading
 from collections import Counter
@@ -37,7 +36,7 @@ from repro.errors import (
 )
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
-from repro.net import serialize, socket_channel
+from repro.net import bodies, serialize, socket_channel
 from repro.net.faults import FaultPlan
 from repro.net.message import HEADER_BYTES, SHIP_BASE
 from repro.net.socket_channel import (
@@ -94,6 +93,22 @@ def query_families():
         break
     families.append(("multifeature:correlated", correlated_expression()))
     return families
+
+
+@pytest.fixture(autouse=True)
+def every_request_round_trips(monkeypatch):
+    """Every request this module's runs build crosses as a typed control
+    that decodes to the same request."""
+    control = SiteRequest.control
+
+    def checked(request):
+        data = control(request)
+        rebuilt = SiteRequest.from_control(data, request.fragment, request.site_id)
+        # Not ``==``: the steps hold expressions, whose ``==`` builds an atom.
+        assert repr(rebuilt) == repr(request)
+        return data
+
+    monkeypatch.setattr(SiteRequest, "control", checked)
 
 
 def build_simulated():
@@ -163,7 +178,9 @@ def test_wire_message_rejects_garbage():
 def test_frames_round_trip_over_a_real_socket_with_known_overhead():
     left, right = socket.socketpair()
     try:
-        body = encode_wire_message(SHIP_BASE, 1, b"payload") + pickle.dumps({})
+        body = encode_wire_message(SHIP_BASE, 1, b"payload") + bodies.encode_control(
+            {"kind": "round", "round_number": 1}
+        )
         wire_bytes = write_frame(left, FRAME_REQ, body)
         assert wire_bytes == FRAME_OVERHEAD_BYTES + len(body)
         frame_type, received = read_frame(right)
@@ -187,14 +204,14 @@ def test_read_frame_raises_on_closed_peer():
 def _req_body(control, request):
     """What ``SocketChannel.ask`` puts in the REQ frame for ``control``."""
     return encode_wire_message(SHIP_BASE, request.round_number, request.fragment) + (
-        pickle.dumps(control)
+        bodies.encode_control(control)
     )
 
 
 def _req_body_with_every_field(request):
-    """The REQ body as it would be if every field always crossed."""
+    """The REQ body as it would be if every field with a value always crossed."""
     names = (
-        "kind", "site_id", "round_number", "steps", "key_attrs", "source",
+        "kind", "round_number", "steps", "key_attrs",
         "independent_reduction", "traced", "query_id",
         "compute_delay_s", "since",
     )
@@ -225,15 +242,13 @@ def test_req_body_carries_only_what_differs_from_the_defaults(optional):
         fragment=b"fragment",
         **optional,
     )
-    control = request.control()
-    assert set(control) == {
-        "kind", "site_id", "round_number", "steps", "key_attrs", *optional
-    }
+    control = bodies.decode_control(request.control())
+    assert set(control) == {"kind", "round_number", "steps", "key_attrs", *optional}
     body = _req_body(control, request)
     assert len(body) < len(_req_body_with_every_field(request))
     kind, _round, _flags, fragment, control_bytes = decode_wire_message(body)
     assert (kind, fragment) == (SHIP_BASE, b"fragment")
-    rebuilt = SiteRequest.from_control(pickle.loads(control_bytes), fragment)
+    rebuilt = SiteRequest.from_control(control_bytes, fragment, "site2")
     # Not ``==``: the steps hold expressions, whose ``==`` builds an atom.
     assert repr(rebuilt) == repr(request)
 

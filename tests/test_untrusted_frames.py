@@ -5,17 +5,18 @@ that is other than one REQ down and one REPLY up.
 In the idiom of ``tests/test_serialize.py::TestUntrustedBytes``: every
 strict prefix and every single-byte mutation of a valid HELLO·REQ frame
 stream — the REQ's message header, its payload length, its payload and
-its control — ends in frames, a ``NetworkError`` or a
+its typed control — ends in frames, a ``NetworkError`` or a
 ``ConnectionError``, never a hang or a read larger than
 ``MAX_FRAME_BYTES``; and a live ``SiteServer`` sent the same garbage
-keeps serving the next connection.
+keeps serving the next connection. The typed bodies themselves (REQ
+control, REPLY meta, ERROR) are held to the same rule in
+``TestTypedBodies``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import pickle
 import socket
 import struct
 import threading
@@ -29,7 +30,7 @@ from repro.distributed.recovery import TRANSIENT_ERRORS
 from repro.errors import NetworkError, ProtocolError
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, MDStep
-from repro.net import serialize, socket_channel
+from repro.net import bodies, serialize, socket_channel
 from repro.net.message import (
     BASE_QUERY,
     BASE_RESULT,
@@ -61,14 +62,8 @@ from repro.relalg.schema import INT, Schema
 TABLES = {"T": Relation(Schema.of(("k", INT)), [(k % 3,) for k in range(9)])}
 STEPS = (MDStep("T", [MDBlock([count_star("n")], base.k == detail.k)]),)
 #: The controls of a ``round``, a ``base`` and a ``merged`` request.
-ROUND = {
-    "kind": "round", "site_id": "s0", "round_number": 1, "steps": STEPS,
-    "key_attrs": ("k",),
-}
-BASE = {
-    "kind": "base", "site_id": "s0", "round_number": 0,
-    "source": DistinctBase("T", ["k"]),
-}
+ROUND = {"kind": "round", "round_number": 1, "steps": STEPS, "key_attrs": ("k",)}
+BASE = {"kind": "base", "round_number": 0, "source": DistinctBase("T", ["k"])}
 MERGED = {**BASE, "kind": "merged", "round_number": 1, "steps": STEPS, "key_attrs": ("k",)}
 FRAGMENT = encode_relation(Relation(Schema.of(("k", INT)), [(0,), (1,), (2,)]))
 
@@ -80,10 +75,17 @@ def frame(frame_type: int, body: bytes = b"") -> bytes:
 def req(control: dict, kind: str = SHIP_BASE, payload: bytes = None) -> bytes:
     """A REQ frame: ``control``'s request, shipping one ``kind`` message."""
     message = encode_wire_message(kind, control["round_number"], payload)
-    return frame(FRAME_REQ, message + pickle.dumps(control))
+    return frame(FRAME_REQ, message + bodies.encode_control(control))
 
 
-HELLO = frame(FRAME_HELLO, json.dumps({"site_id": "s0"}).encode("utf-8"))
+def hello(protocol=bodies.PROTOCOL_VERSION) -> bytes:
+    return frame(
+        FRAME_HELLO, json.dumps({"site_id": "s0", "protocol": protocol}).encode("utf-8")
+    )
+
+
+HELLO = hello()
+WELCOME = json.dumps({"site_id": "s0", "protocol": bodies.PROTOCOL_VERSION}).encode()
 REQ = req(ROUND, SHIP_BASE, FRAGMENT)
 STREAM = HELLO + REQ
 
@@ -197,7 +199,7 @@ class TestFrameWriter:
                 assert read_frame(sock)[0] == FRAME_WELCOME
                 frame_type, body = read_frame(sock)
             assert frame_type == FRAME_ERROR
-            assert pickle.loads(body)["error"] == "ProtocolError"
+            assert bodies.decode_error(body)[0] == "ProtocolError"
 
 
 def converse(server, data: bytes) -> list:
@@ -235,9 +237,8 @@ class TestSiteServer:
         crashes = []
         monkeypatch.setattr(threading, "excepthook", crashes.append)
         # Every byte of the REQ: its message's header, payload length and
-        # payload, and its pickled control, which a mutation can leave a
-        # pickle of something other than a request. (Pickle itself stays
-        # trusted by design until ROADMAP item 11 takes it off the wire.)
+        # payload, and its typed control, which a mutation can leave the
+        # control of another request or of none.
         with serving(TABLES) as server:
             threads_before = threading.active_count()
             assert converse(server, STREAM) == [FRAME_WELCOME, FRAME_REPLY]
@@ -284,7 +285,7 @@ class TestSiteServer:
             # The answer's one message, then the metadata.
             kind, _round, _flags, _payload, meta = decode_wire_message(body)
             assert kind == SUB_RESULT
-            return pickle.loads(meta)
+            return bodies.decode_meta(meta)
 
         with serving(TABLES) as server:
             untraced = reply_to(server)
@@ -329,7 +330,7 @@ class TestPositionalFragments:
     def error_of(self, server, payload: bytes) -> str:
         answers = self.ask(server, payload)
         assert [frame_type for frame_type, _body in answers] == [FRAME_ERROR]
-        return pickle.loads(answers[0][1])["error"]
+        return bodies.decode_error(answers[0][1])[0]
 
     def positional(self, rows: int) -> bytes:
         fragment = Relation(Schema.of(("x", INT)), [(value,) for value in range(rows)])
@@ -346,7 +347,7 @@ class TestPositionalFragments:
             server.site.remember_answer(None, self.DIGEST, self.ANSWER, 3)
             answers = self.ask(server, self.positional(3))
             assert [frame_type for frame_type, _body in answers] == [FRAME_REPLY]
-            reply = pickle.loads(decode_wire_message(answers[0][1])[4])
+            reply = bodies.decode_meta(decode_wire_message(answers[0][1])[4])
             assert reply["rows"] == 3
             assert reply["counters"]["site.round_state_hits"] == 1
 
@@ -390,7 +391,7 @@ def answering(*frames: bytes):
                 while True:
                     frame_type, _body = read_frame(conn)
                     if frame_type == FRAME_HELLO:
-                        write_frame(conn, FRAME_WELCOME, b'{"site_id": "s0"}')
+                        write_frame(conn, FRAME_WELCOME, WELCOME)
                     elif frame_type == FRAME_REQ:
                         conn.sendall(b"".join(frames))
             except OSError:
@@ -416,7 +417,8 @@ def refusal(server, data: bytes) -> dict:
         assert frame_type == FRAME_ERROR
         with pytest.raises(ConnectionError):  # closed, not a TimeoutError
             read_frame(sock)
-    return pickle.loads(body)
+    error, message = bodies.decode_error(body)
+    return {"error": error, "message": message}
 
 
 class TestOneBlockPerLeg:
@@ -425,7 +427,7 @@ class TestOneBlockPerLeg:
     its request can take is refused with a non-transient error, within a
     bounded time, and the connection it came on is closed."""
 
-    META = pickle.dumps({"rows": 9, "compute_s": 0.0, "spans": (), "counters": {}})
+    META = bodies.encode_meta(9, 0.0, {})
     BLOCK = encode_relation(TABLES["T"])
 
     def test_a_malformed_req_is_refused_at_the_site(self):
@@ -464,7 +466,7 @@ class TestOneBlockPerLeg:
         [
             (encode_wire_message(BASE_RESULT, 1, BLOCK)[:-1], "short MSG body"),
             (encode_wire_message(SHIP_BASE, 1, BLOCK) + META, "answers nothing"),
-            (META, "bad MSG magic"),  # metadata and no answer
+            (META, "short MSG body"),  # metadata and no answer
         ],
         ids=["short", "down-kind", "no-message"],
     )
