@@ -393,7 +393,7 @@ def executor_sweep(
       across engines by construction, which is what keeps sequential
       runs reproducible for the paper's speed-up figures;
     - ``site_compute_total_s`` — work done across *all* sites (the
-      serial engine's wall-clock floor);
+      in-process run's wall-clock floor);
     - byte totals and result rows.
 
     Executor equivalence is asserted, not assumed: result rows must be

@@ -313,7 +313,7 @@ def _add_cluster_options(parser, data=None, topology=None) -> None:
         "--executor",
         choices=EXECUTORS,
         default="serial",
-        help="site execution engine: 'serial' runs the sites in this "
+        help="transport to the sites: 'serial' runs the sites in this "
         "process, one after another (any merge topology); 'sockets' runs "
         "each site as a separate OS process reached over TCP, all at once "
         "(flat topology only)",

@@ -17,10 +17,10 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from repro.errors import WarehouseError
+from repro.distributed.executor import perform_site_request
 from repro.distributed.site import SkallaSite
 from repro.net.channel import Network
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER
 from repro.relalg.relation import Relation
 from repro.warehouse.catalog import DistributionCatalog
 from repro.warehouse.partition import Partitioner
@@ -50,10 +50,7 @@ class SimulatedCluster:
         #: installed via :meth:`install_faults` and re-applied on every
         #: :meth:`reset_network`.
         self.fault_plan = None
-        self.network = Network(site_ids)
-        #: Span tracer for per-site evaluation; the evaluator installs a
-        #: live one per traced run (default: record nothing).
-        self.tracer = NULL_TRACER
+        self.network = Network(site_ids, perform=self._perform)
 
     @classmethod
     def with_sites(cls, site_count: int) -> "SimulatedCluster":
@@ -203,7 +200,9 @@ class SimulatedCluster:
         warehouses. The installed fault plan is applied with fresh firing
         state, same as a reset.
         """
-        return Network(self.site_ids, metrics=metrics, faults=self.fault_plan)
+        return Network(
+            self.site_ids, metrics=metrics, faults=self.fault_plan, perform=self._perform
+        )
 
     def install_faults(self, plan) -> None:
         """Install a :class:`~repro.net.faults.FaultPlan` (or ``None`` to
@@ -231,7 +230,12 @@ class SimulatedCluster:
         """
         if faults is not None:
             self.fault_plan = faults
-        self.network = Network(self.site_ids, metrics=metrics, faults=self.fault_plan)
+        self.network = self.fresh_network(metrics)
+
+    def _perform(self, request, tracer):
+        """Host a site's turn in this process: every network of this
+        cluster plays its sites' ends with this."""
+        return perform_site_request(self.sites[request.site_id], request, tracer)
 
     @property
     def site_count(self) -> int:

@@ -5,10 +5,10 @@
 the evaluator, the query service and its incremental views (``site_ids``,
 ``catalog``, ``network``, ``fresh_network``, ``data_versions``), but the
 partitions live in ``repro site-server`` OS processes reached over
-:class:`~repro.net.socket_channel.SocketNetwork` channels, and local
-site objects do not exist — indexing ``cluster.sites[...]`` raises, by
-design, because nothing on the coordinator should ever touch partition
-data directly in this mode; so does :meth:`ProcessCluster.append`.
+:class:`~repro.net.socket_channel.SocketNetwork` channels, and no site
+object exists on the coordinator — it has no ``sites`` and no ``site()``,
+because nothing there should ever touch partition data directly in this
+mode; :meth:`ProcessCluster.append` raises for the same reason.
 ``conceptual_tables`` decodes the store for ``repro explain``'s statistics.
 
 ``deploy`` writes a ``deployment.json`` next to the partition store so a
@@ -40,38 +40,10 @@ from repro.errors import DeploymentError, PlanError, ReproError, WarehouseError
 from repro.net.socket_channel import SocketNetwork
 from repro.obs.flightrec import FlightRecorder, flight_path
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER
 
 DEPLOYMENT_SPEC = "deployment.json"
 
 _READY_TIMEOUT_S = 30.0
-
-
-class _RemoteSites:
-    """Site-ids-only stand-in for the evaluator's ``cluster.sites``.
-
-    The sites live in their server processes: anything that tries to
-    *evaluate against* a site object locally gets a targeted error
-    instead of an AttributeError three frames deeper.
-    """
-
-    def __init__(self, site_ids: Sequence[str]):
-        self._site_ids = tuple(site_ids)
-
-    def __len__(self) -> int:
-        return len(self._site_ids)
-
-    def __iter__(self):
-        return iter(self._site_ids)
-
-    def __contains__(self, site_id) -> bool:
-        return site_id in self._site_ids
-
-    def __getitem__(self, site_id):
-        raise PlanError(
-            f"site {site_id!r} runs in a separate process; its data is only "
-            "reachable over the socket transport (--executor sockets)"
-        )
 
 
 def _site_log_path(root: str, site_id: str) -> str:
@@ -186,13 +158,9 @@ class ProcessCluster:
         self._owns_processes = owns_processes
         self._ephemeral = ephemeral
         self._closed = False
-        self.sites = _RemoteSites(self.site_ids)
         self.catalog = load_catalog(root)
         self.fault_plan = None
         self.network = SocketNetwork(self._endpoints(), metrics=metrics)
-        #: Evaluator-installed per-run tracer (unused locally — remote
-        #: sites trace into their replies — but the evaluator sets it).
-        self.tracer = NULL_TRACER
         #: Coordinator-side flight recorder: deployment lifecycle events
         #: plus recent query spans (the evaluator feeds it), dumped by
         #: ``repro cluster dump`` or a SIGTERM handler.
@@ -317,11 +285,6 @@ class ProcessCluster:
     @property
     def site_count(self) -> int:
         return len(self.site_ids)
-
-    def site(self, site_id: str):
-        if site_id not in self.site_ids:
-            raise WarehouseError(f"unknown site {site_id!r}")
-        return self.sites[site_id]  # raises the targeted PlanError
 
     def append(self, table_name: str, deltas) -> dict:
         raise PlanError(f"no request appends to {table_name!r} at a site server")

@@ -90,17 +90,22 @@ class ExecutionConfig:
     """Runtime knobs of Alg. GMDJDistribEval. Every relation on a leg
     ships whole, one message per relation in each direction.
 
-    ``executor`` picks the site-execution engine
-    (:mod:`repro.distributed.executor`, whose docstring says how each
-    runs a round's legs): ``"serial"`` (the default) plays the sites in
-    this process, ``"sockets"`` asks ``repro site-server`` processes over
-    TCP and runs only against a deployed process cluster. Both executors
-    produce bit-identical results, byte counts and trace span sets.
+    ``executor`` names the transport the run expects
+    (:mod:`repro.distributed.executor`, whose docstring says how the one
+    engine runs a round's legs over each): ``"serial"`` (the default)
+    in-memory channels whose host plays the sites in this process — a
+    :class:`~repro.distributed.cluster.SimulatedCluster` —, ``"sockets"``
+    socket channels to ``repro site-server`` processes — a deployed
+    process cluster. A run over the other transport is refused with a
+    :class:`~repro.errors.PlanError` before any leg starts. Both produce
+    bit-identical results, byte counts and trace span sets.
 
     ``failure_mode`` selects how the coordinator reacts when a site leg
     fails with a transport/codec error (see
     :mod:`repro.distributed.recovery`): ``"fail_fast"`` propagates the
-    first failure, ``"retry"`` re-runs the leg with exponential backoff
+    failure (the round's other legs still run; one failed leg raises its
+    own error, several a :class:`~repro.errors.MultiLegError`),
+    ``"retry"`` re-runs the leg with exponential backoff
     (``retry_backoff_s`` base, doubling, capped) up to ``max_retries``
     re-runs and at most ``leg_timeout_s`` wall-clock per leg (0 = no
     clock budget), and ``"degrade"`` spends the same budget but then
@@ -118,8 +123,8 @@ class ExecutionConfig:
     #: speculation_factor + speculation_slack_s``; a leg still waiting for
     #: its reply past it is abandoned and re-run (first result wins),
     #: spending at most ``recovery.SPECULATION_MAX_BACKUPS`` backups per
-    #: round. Only the sockets engine has legs waiting at once, so it only
-    #: fires there; the controller is inert under the serial engine.
+    #: round. Only a socket leg waits for its reply, so it only fires
+    #: there; in process no leg waits and the controller is inert.
     speculation: bool = False
     speculation_factor: float = 3.0
     speculation_slack_s: float = 0.05
@@ -257,9 +262,9 @@ def open_run(
     service): an externally supplied engine is shared across calls and
     *not* closed here, and a supplied network replaces ``cluster.network``
     for this run only — its channels carry this run's fragments, its
-    fault events feed this run's stats, and the cluster's own
-    tracer/network state is left untouched (two runs mutating
-    ``cluster.tracer`` concurrently would cross their span trees).
+    fault events feed this run's stats, and the cluster's own network
+    is left untouched (two runs setting one network's tracer concurrently
+    would cross their span trees).
 
     ``query_id`` (optional) tags the run for per-query trace filtering:
     it lands on the root ``query`` span, on every site-worker and
@@ -286,13 +291,13 @@ def open_run(
         failure_mode=config.failure_mode,
         query_id=query_id,
     )
-    owns_cluster_state = network is None
-    if network is None:
+    owns_network = network is None
+    if owns_network:
         network = cluster.network
-    if owns_cluster_state:
-        previous_tracer = cluster.tracer
-        previous_network_tracer = network.tracer
-        cluster.tracer = tracer
+        previous_tracer = network.tracer
+    external_engine = engine
+    if engine is None:
+        engine = create_engine(config.executor, network)
     network.tracer = tracer
     # Socket transport: estimate per-site clock offsets up front (a few
     # PING exchanges per site) so shipped site spans replay onto this
@@ -304,19 +309,15 @@ def open_run(
             stats.record_clocks(sync_clocks())
         except ReproError:
             pass
-    external_engine = engine
     try:
-        if engine is None:
-            engine = create_engine(config.executor, cluster.sites, tracer, network)
         with watching:
             yield _RoundWalk(
                 tree, plan, config, tracer, network, engine,
                 Coordinator(plan.expression.key, tracer), stats, query_id,
             )
     finally:
-        if owns_cluster_state:
-            cluster.tracer = previous_tracer
-            network.tracer = previous_network_tracer
+        if owns_network:
+            network.tracer = previous_tracer
         stats.record_faults(network.fault_events())
         stats.record_transport(network)
         # Deployed clusters keep a coordinator-side flight recorder; a
@@ -595,8 +596,8 @@ class _RoundWalk:
         self._ship(channel, edge, down, tuples_down)
 
         if child.is_leaf:
-            # Whoever hosts the site plays its end of the channel: the
-            # engine in process, the site's server over TCP.
+            # The channel plays the site's end: its host in process, the
+            # site's server over TCP.
             request = self._site_request(
                 name, compute_delay_s, lose_state, keep_answer=node is self.tree
             )

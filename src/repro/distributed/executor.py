@@ -1,56 +1,57 @@
-"""Site-execution engines: serial and sockets.
+"""The leg engine: one engine, two transports.
 
 Alg. GMDJDistribEval's per-round site work — ship the fragment down,
 evaluate the GMDJ step(s), ship H_i back — is independent across sites,
 so a real deployment overlaps it perfectly (the paper's response-time
 model in :mod:`repro.distributed.stats` already assumes max-over-sites).
-The evaluator expresses each round as one *leg* per site, and an engine
-decides how legs run:
+The evaluator expresses each round as one *leg* per site, and one
+:class:`Engine` runs every leg, whatever carries it. The two transports
+differ only in their channel, and the site end belongs to the channel:
 
-- ``serial`` — legs run inline, one site after another: the in-process
-  differential baseline;
-- ``sockets`` — the sites are ``repro site-server`` processes behind TCP.
-  A round runs on the calling thread: every leg writes its REQ
-  (:meth:`~repro.net.socket_channel.SocketChannel.ask`), so the sites
-  compute at the same time, then one selector waits on all the round's
-  sockets and each REPLY is read as it lands. The coordinator's
-  :class:`~repro.gmdj.operator.SyncSession` absorbs fragments in that
-  arrival order (Section 3.2's streaming merge) while staying
-  bit-identical via per-source accumulator banks.
+- in memory (executor ``serial``, a
+  :class:`~repro.distributed.cluster.SimulatedCluster`), the channel's
+  :meth:`~repro.net.channel.Channel.ask` plays the site's turn at once
+  for the network's host, so a leg never waits for a reply and a round's
+  legs run one after another, in site order;
+- over TCP (executor ``sockets``, a deployed
+  :class:`~repro.distributed.deployment.ProcessCluster`), ``ask`` writes
+  the REQ to a ``repro site-server`` process and the leg waits. Every
+  leg writes its REQ, so the sites compute at the same time, then one
+  selector waits on all the round's sockets and each REPLY is read as it
+  lands. The coordinator's :class:`~repro.gmdj.operator.SyncSession`
+  absorbs fragments in that arrival order (Section 3.2's streaming
+  merge) while staying bit-identical via per-source accumulator banks.
 
 A leg is a generator: it yields what it waits for — a channel whose
 REPLY it awaits, or a retry's backoff in seconds — and returns its
-result. Each engine's :meth:`evaluate` is such a generator too, so the
-evaluator writes one leg for both engines; the serial engine drives a
-leg straight through (:func:`run_inline`), the sockets engine
-interleaves a round's legs (:func:`_interleave`). No span stays open
+result. :meth:`Engine.evaluate` is such a generator too, so the
+evaluator writes one leg for both transports, and :func:`_interleave`
+runs a round's legs on the calling thread: a failed leg stops none of
+the others, and a backoff lets them run meanwhile. No span stays open
 across a yield, and no engine starts a thread.
 
 The split between a leg and :func:`perform_site_request` is exactly the
 paper's attribution boundary: the leg (parent) does coordinator work —
 fragmenting, message framing, channel accounting, decoding H_i,
 synchronizing — while :func:`perform_site_request` does everything a
-Skalla site would be charged for. Who plays the *site end* of the leg's
-channel is the engine's business and nobody else's: the serial engine
-plays it itself (:func:`play_site_end`), the sockets engine's site end is
-the server process. Both executors therefore produce identical byte
-counts, identical span *sets*, and (thanks to the deterministic bank
-merge) bit-identical result relations.
+Skalla site would be charged for. Both transports therefore produce
+identical byte counts, identical span *sets*, and (thanks to the
+deterministic bank merge) bit-identical result relations.
 
 Out-of-process bookkeeping: a site server records spans into a private
 tracer and metric increments into a private registry
 (:func:`perform_isolated_request`), and the reply carries them back; the
-coordinator *replays* spans (fresh ids, parented under the round span,
-shifted by the channel's clock offset) and adds counter deltas to the
-active registry, so traces and metrics look the same as an in-process
-run.
+engine *replays* spans through the channel's tracer (fresh ids, parented
+under the round span, shifted by the channel's clock offset) and adds
+counter deltas to the active registry, so traces and metrics look the
+same as an in-process run.
 """
 
 from __future__ import annotations
 
 import selectors
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from repro.errors import LegDeadlineExceeded, MultiLegError, NetworkError, PlanError
@@ -349,27 +350,6 @@ def _remember(site, request: SiteRequest, h_i: Relation, keyed: bool, shipped, r
     )
 
 
-def play_site_end(channel, request: SiteRequest, perform) -> SiteReply:
-    """The site's turn on ``channel``, played in this process.
-
-    Take the one message the parent shipped (the channel raises if it
-    was lost or is late), hand a ``round`` request its fragment,
-    ``perform`` the request, send the reply up to whoever shipped.
-    """
-    (shipment,) = channel.take_at_site()
-    if request.kind == "round":
-        request = replace(request, fragment=shipment.payload)
-    reply = perform(request)
-    kind = msg.BASE_RESULT if request.kind == "base" else msg.SUB_RESULT
-    channel.send_to_coordinator(
-        msg.Message(
-            kind, request.site_id, shipment.sender, request.round_number,
-            reply.payload,
-        )
-    )
-    return reply
-
-
 # ---------------------------------------------------------------------------
 # Engines
 # ---------------------------------------------------------------------------
@@ -393,27 +373,30 @@ def run_inline(leg, sleep=time.sleep):
 def _interleave(site_ids: Sequence[str], leg, speculation) -> list:
     """Run one leg per site on this thread; results in *site order*.
 
-    Each leg is a generator. It runs until it yields what it waits for —
-    a channel whose REQ it wrote, or a backoff in seconds — and is resumed
-    when its REPLY is readable (one selector over the round's sockets,
-    so replies are taken in arrival order) or its backoff has passed. A
-    wait longer than the channel's ``io_timeout_s`` is thrown a
+    Each leg is a generator, started in site order. It runs until it
+    yields what it waits for — a channel whose REQ it wrote, or a backoff
+    in seconds — and is resumed when its REPLY is readable (one selector
+    over the round's sockets, built when a leg first waits on one, so
+    replies are taken in arrival order) or its backoff has passed. A leg
+    over an in-memory channel never waits for a reply, so it runs to its
+    end (or to a backoff) before the next leg starts. A wait longer than
+    the channel's ``io_timeout_s`` is thrown a
     :class:`~repro.errors.NetworkError`; once ``speculation``'s deadline
     passes, a leg still waiting is thrown a
     :class:`~repro.errors.LegDeadlineExceeded` while the round has a
-    backup to spend. A failed leg does not stop the others: every REQ
-    is written before any reply is read, so every leg runs to its end,
-    and a single failure re-raises its own exception, several a
-    :class:`~repro.errors.MultiLegError`.
+    backup to spend. A failed leg does not stop the others: every leg
+    runs to its end, and a single failure re-raises its own exception,
+    several a :class:`~repro.errors.MultiLegError`.
     """
     legs = {site_id: leg(site_id) for site_id in site_ids}
     results: dict = {}
     failures: dict = {}
     replying: dict = {}  # site -> (channel, when its wait times out)
     waking: dict = {}  # site -> when its backoff ends
-    selector = selectors.DefaultSelector()
+    selector = None
 
     def step(site_id, error=None):
+        nonlocal selector
         try:
             if error is None:
                 wait = legs[site_id].send(None)
@@ -428,6 +411,8 @@ def _interleave(site_ids: Sequence[str], leg, speculation) -> list:
             if isinstance(wait, float):
                 waking[site_id] = now + wait
             else:
+                if selector is None:
+                    selector = selectors.DefaultSelector()
                 selector.register(wait, selectors.EVENT_READ, site_id)
                 replying[site_id] = wait, now + wait.io_timeout_s
 
@@ -444,8 +429,12 @@ def _interleave(site_ids: Sequence[str], leg, speculation) -> list:
             abandon_at = speculation.abandon_at() if speculation is not None else None
             if abandon_at is not None and replying:
                 due.append(abandon_at)
-            for key, _events in selector.select(max(0.0, min(due) - time.perf_counter())):
-                resume(key.data)
+            timeout = max(0.0, min(due) - time.perf_counter())
+            if replying:
+                for key, _events in selector.select(timeout):
+                    resume(key.data)
+            else:
+                time.sleep(timeout)
             now = time.perf_counter()
             for site_id in [site for site, at in waking.items() if at <= now]:
                 del waking[site_id]
@@ -463,7 +452,8 @@ def _interleave(site_ids: Sequence[str], leg, speculation) -> list:
                     if speculation.abandon_at() is None:
                         break
     finally:
-        selector.close()
+        if selector is not None:
+            selector.close()
         for generator in legs.values():
             generator.close()  # a leg cut short drops its connection
     if len(failures) == 1:
@@ -471,54 +461,6 @@ def _interleave(site_ids: Sequence[str], leg, speculation) -> list:
     if failures:
         raise MultiLegError(failures)
     return [results[site_id] for site_id in site_ids]
-
-
-class _EngineLifecycle:
-    """Shared close-once semantics.
-
-    The query service keeps one engine across many concurrent queries,
-    so an engine used after ``close()`` fails fast instead of running a
-    round half torn down.
-    """
-
-    _closed = False
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise PlanError(f"{self.name} engine used after close()")
-
-    def close(self) -> None:
-        self._closed = True
-
-
-class SerialEngine(_EngineLifecycle):
-    """Legs run inline, one after another — the differential baseline."""
-
-    name = "serial"
-
-    def __init__(self, sites, tracer):
-        self._sites = sites
-        self._tracer = tracer
-
-    def run_legs(self, site_ids: Sequence[str], leg, speculation=None) -> list:
-        # Serially a failed leg aborts the round before later legs start,
-        # so the first exception *is* the complete failure report and
-        # propagates unchanged. Nothing here waits mid-leg, so nothing is
-        # abandoned: ``speculation`` is inert.
-        self._check_open()
-        return [run_inline(leg(site_id)) for site_id in site_ids]
-
-    def evaluate(self, request: SiteRequest, channel):
-        """One site's turn of a leg, played in this process over the leg's
-        channel: a generator, as every engine's turn is, that never waits."""
-        self._check_open()
-        return play_site_end(channel, request, self._perform)
-        yield  # pragma: no cover - unreachable; makes the turn a generator
-
-    def _perform(self, request: SiteRequest) -> SiteReply:
-        return perform_site_request(
-            self._sites[request.site_id], request, self._tracer
-        )
 
 
 def perform_isolated_request(site, request: SiteRequest) -> SiteReply:
@@ -565,23 +507,21 @@ def _replay_remote(tracer, reply: SiteReply, site_id, clock_offset_s: float = 0.
             registry.counter(key).inc(value)
 
 
-class SocketEngine(_EngineLifecycle):
-    """Site work runs in site-server *processes*, each leg's turn over its
-    :class:`~repro.net.socket_channel.SocketChannel`, and a round's legs
-    interleave on the calling thread (:func:`_interleave`).
+class Engine:
+    """Runs a round's legs on the calling thread, over either transport:
+    the leg's channel plays the site's turn (:meth:`evaluate`), and
+    :func:`_interleave` runs the round.
 
-    The engine holds no site objects and no thread: each :meth:`evaluate`
-    call is given the leg's channel, so one shared engine (the query
-    service keeps a single engine for its lifetime) works with a fresh
-    per-query network, and an engine per query costs nothing to build.
-    Spans and counters come back on the reply and are replayed
-    (:func:`_replay_remote`).
+    The engine holds no site object, no tracer and no thread: each
+    :meth:`evaluate` call is given the leg's channel and replays through
+    that channel's tracer, so one shared engine (the query service keeps
+    a single engine for its lifetime) works with a fresh per-query
+    network, and an engine per query costs nothing to build. An engine
+    used after ``close()`` fails fast instead of running a round half
+    torn down.
     """
 
-    name = "sockets"
-
-    def __init__(self, sites, tracer):
-        self._tracer = tracer
+    _closed = False
 
     def run_legs(self, site_ids: Sequence[str], leg, speculation=None) -> list:
         """Run ``leg`` once per site, interleaved on this thread; results
@@ -590,20 +530,22 @@ class SocketEngine(_EngineLifecycle):
         return _interleave(site_ids, leg, speculation)
 
     def evaluate(self, request: SiteRequest, channel):
-        """One site's turn, a generator: write the REQ, yield ``channel``
-        until its REPLY is readable, read it and replay what it carries.
+        """One site's turn, a generator: ask, yield ``channel`` while it
+        waits for the site's answer, take the answer and replay what it
+        carries (:func:`_replay_remote`).
 
         Anything thrown in while it waits (an abandon, a timeout, the
-        round's end) drops the connection: a REPLY still on its way must
-        not answer the channel's next REQ.
+        round's end) abandons the turn: a REPLY still on its way must not
+        answer the channel's next REQ.
         """
         self._check_open()
         channel.ask(request)
-        try:
-            yield channel
-        except BaseException:
-            channel.abandon()
-            raise
+        if channel.waiting:
+            try:
+                yield channel
+            except BaseException:
+                channel.abandon()
+                raise
         meta, payload = channel.answer()
         reply = SiteReply(
             payload=payload,
@@ -615,29 +557,53 @@ class SocketEngine(_EngineLifecycle):
         # Site-server processes run their own monotonic clock; the
         # channel's PING-estimated offset (see repro.obs.skew) maps the
         # shipped timestamps into this process's domain.
-        _replay_remote(
-            self._tracer, reply, request.site_id, channel.clock_offset_s
-        )
+        _replay_remote(channel.tracer, reply, request.site_id, channel.clock_offset_s)
         return reply
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise PlanError(f"{self.name} engine used after close()")
 
-def create_engine(executor: str, sites, tracer, network):
+    def close(self) -> None:
+        self._closed = True
+
+
+# One class per executor, though they differ only in name:
+# ``bench_e2e/hooks.py`` wraps ``run_legs`` (and ``evaluate``) on each
+# class by name, and one class under both names would be wrapped twice,
+# counting every round twice in a traced run.
+class SerialEngine(Engine):
+    """The engine over in-memory channels: the sites live in this process."""
+
+    name = "serial"
+
+
+class SocketEngine(Engine):
+    """The engine over socket channels: the sites are site-server processes."""
+
+    name = "sockets"
+
+
+def create_engine(executor: str, network):
     """Build the engine for an :class:`ExecutionConfig` executor name.
 
-    The sockets engine binds to a channel per :meth:`~SocketEngine.evaluate`
-    call; ``network`` only says whether it can run at all, refused here
-    over in-process channels before any leg starts.
+    The executor names the transport the run expects — ``serial``
+    in-memory channels, ``sockets`` socket channels — and ``network``
+    must be it. A mismatch is a configuration mistake, not a transient
+    fault, so it is refused here, before any leg starts: no retry re-runs
+    it and no degrade excludes a site for it.
     """
-    if executor == "serial":
-        return SerialEngine(sites, tracer)
-    if executor == "sockets":
-        if getattr(network, "transport", None) != "sockets":
-            raise PlanError(
-                "the sockets engine needs site-server processes — run it "
-                "against a deployed process cluster (repro cluster up / "
-                "--executor sockets), not a simulated one"
-            )
-        return SocketEngine(sites, tracer)
-    raise PlanError(
-        f"unknown executor {executor!r}; expected one of {', '.join(EXECUTORS)}"
-    )
+    if executor not in EXECUTORS:
+        raise PlanError(
+            f"unknown executor {executor!r}; expected one of {', '.join(EXECUTORS)}"
+        )
+    expected = "sockets" if executor == "sockets" else "memory"
+    transport = getattr(network, "transport", "memory")
+    if transport != expected:
+        raise PlanError(
+            f"the {executor} executor runs over {expected} channels, and this "
+            f"cluster's are {transport}: run serial on a simulated cluster and "
+            "sockets on a deployed process cluster (repro cluster up / "
+            "--executor sockets)"
+        )
+    return SocketEngine() if executor == "sockets" else SerialEngine()

@@ -5,7 +5,9 @@ answer from every participating site. When a leg fails — an injected
 fault from :mod:`repro.net.faults`, or any transport/codec error — the
 coordinator has three choices, selected by ``ExecutionConfig.failure_mode``:
 
-- ``fail_fast`` — propagate the first failure (historic behaviour);
+- ``fail_fast`` — propagate the failure: the round's other legs still
+  run, and the round raises one failed leg's own error, several legs'
+  as a :class:`~repro.errors.MultiLegError`;
 - ``retry`` — re-run the failed leg with exponential backoff until it
   succeeds or the budget (``max_retries`` attempts and the
   ``leg_timeout_s`` wall clock) is spent, then raise

@@ -92,7 +92,7 @@ class FaultSpecError(NetworkError):
 class LegDeadlineExceeded(NetworkError):
     """A speculative deadline fired while a site leg was still in flight.
 
-    Thrown into a leg waiting for its reply by the sockets engine when
+    Thrown into a leg waiting for its reply by the engine when
     the round's :class:`~repro.distributed.recovery.\
 SpeculationController` decides the leg is a straggler. It is a
     :class:`NetworkError` so a fail-fast configuration without the

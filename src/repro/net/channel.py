@@ -8,13 +8,17 @@ A :class:`Channel` is one edge. It has
 
 - a **coordinator end** — ``send_to_site`` ships a message down,
   ``receive_at_coordinator`` takes the next reply in;
-- a **site end**, played by *whoever hosts the site*. In process that is
-  the calling thread: ``take_at_site`` (everything shipped since the last
-  take), evaluate, ``send_to_coordinator`` with the reply — written once,
-  in the executor's ``play_site_end`` (a combiner's host makes the same
-  two calls for the combiner). Over TCP it is the site's
-  server process, reached by
-  :meth:`repro.net.socket_channel.SocketChannel.ask`;
+- a **leg**, the site's turn, which each transport's channel plays
+  through the same three calls: ``ask(request)`` puts the turn to the
+  site, ``answer()`` returns ``(reply meta, payload as sent)``,
+  ``abandon()`` gives the turn up. In memory, ``ask`` plays the site end
+  at once for the network's *host* (the ``perform`` callable it was built
+  with): ``take_at_site`` (everything shipped since the last take),
+  perform, ``send_to_coordinator`` with the reply — so a memory channel
+  is never ``waiting``. Over TCP, ``ask`` writes the REQ to the site's
+  server process, and the channel is ``waiting`` until ``answer`` reads
+  the REPLY (:class:`repro.net.socket_channel.SocketChannel`). A
+  combiner's host makes the two site-end calls itself;
 - the **recovery hooks** the retry layer drives: ``begin_attempt``,
   ``next_straggle``, ``next_state_loss``, ``drain_pending``.
 
@@ -57,10 +61,11 @@ same bytes, same failure at the same step — is a test that runs both
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import Dict, Optional
 
-from repro.errors import NetworkError
-from repro.net.message import HEADER_BYTES, Message
+from repro.errors import NetworkError, PlanError
+from repro.net.message import BASE_RESULT, HEADER_BYTES, SUB_RESULT, Message
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 
@@ -194,23 +199,40 @@ class Channel:
 
     ``faults`` is a :class:`~repro.net.faults.FaultPlan` (or None); the
     channel asks it for its own policy object, so sites fail
-    independently and deterministically whichever engine runs their legs.
+    independently and deterministically whatever order their legs run in.
+    ``perform(request, tracer)`` is the site's host: it performs one
+    request against the site and returns its reply (a payload, ``rows``
+    and ``compute_s``); :meth:`ask` plays the site's turn with it. A
+    channel without one (a combiner's edge) has its site end played by
+    whoever holds it.
     :class:`~repro.net.socket_channel.SocketChannel` keeps this class's
     coordinator end and ledger and replaces how a message moves.
     """
 
-    #: Span tracer used for fault events (installed per traced run by the
-    #: evaluator via :attr:`Network.tracer`); a perfect link never emits.
+    #: Span tracer for fault events and the site's own spans (installed
+    #: per run by the evaluator via :attr:`Network.tracer`).
     tracer = NULL_TRACER
+    #: Whether an asked turn is still to be answered: never here, since
+    #: :meth:`ask` plays the whole turn.
+    waiting = False
+    #: The site's clock against this process's: the same clock here.
+    clock_offset_s = 0.0
 
     def __init__(
-        self, site_id: str, metrics: Optional[MetricsRegistry] = None, faults=None
+        self,
+        site_id: str,
+        metrics: Optional[MetricsRegistry] = None,
+        faults=None,
+        perform=None,
     ):
         self.site_id = site_id
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.downstream = DirectionStats(self.metrics, site_id, DOWN)
         self.upstream = DirectionStats(self.metrics, site_id, UP)
         self.policy = faults.injector(self) if faults else PERFECT_LINK
+        self._perform = perform
+        #: The reply of the turn :meth:`ask` played, until :meth:`answer`.
+        self._reply = None
         #: Messages in flight, by the direction they travel.
         self._queues = {DOWN: deque(), UP: deque()}
         #: Messages sent down since the site end last took its shipment.
@@ -287,6 +309,35 @@ class Channel:
         self.upstream.record(carried)
         self._enqueue(UP, carried, verdict)
 
+    # -- the leg -----------------------------------------------------------------
+
+    def ask(self, request) -> None:
+        """Play the site's turn now: take the one message shipped down
+        (which raises if it was lost or is late), hand a ``round`` request
+        its fragment, have the host perform it, send the reply up to
+        whoever shipped. :meth:`answer` returns what it answered."""
+        if self._perform is None:
+            raise PlanError(f"nothing hosts site {self.site_id!r} in this process")
+        (shipment,) = self.take_at_site()
+        if request.kind == "round":
+            request = replace(request, fragment=shipment.payload)
+        reply = self._perform(request, self.tracer)
+        kind = BASE_RESULT if request.kind == "base" else SUB_RESULT
+        self.send_to_coordinator(
+            Message(kind, request.site_id, shipment.sender, request.round_number, reply.payload)
+        )
+        self._reply = reply
+
+    def answer(self) -> tuple:
+        """``(reply meta, payload as sent)`` of the turn :meth:`ask` played;
+        its up message waits for ``receive_at_coordinator``."""
+        reply, self._reply = self._reply, None
+        return {"rows": reply.rows, "compute_s": reply.compute_s}, reply.payload
+
+    def abandon(self) -> None:
+        """Give up on the turn :meth:`ask` played: its reply is dropped."""
+        self._reply = None
+
     # -- recovery hooks ----------------------------------------------------------
 
     def begin_attempt(self, round_index: int) -> None:
@@ -326,7 +377,9 @@ class Network:
     Construct with a :class:`~repro.net.faults.FaultPlan` and every
     channel consults it: the plan's deterministic
     drop/delay/duplicate/corrupt/crash/straggle schedule, with fresh
-    firing state per channel.
+    firing state per channel. ``perform`` hosts the sites in this
+    process: every channel's :meth:`Channel.ask` plays its site's turn
+    with it.
     """
 
     def __init__(
@@ -334,9 +387,11 @@ class Network:
         site_ids,
         metrics: Optional[MetricsRegistry] = None,
         faults=None,
+        perform=None,
     ):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.faults = faults
+        self._perform = perform
         self._channels = {site_id: self._open(site_id) for site_id in site_ids}
         if not self._channels:
             raise NetworkError("a network needs at least one site")
@@ -344,7 +399,7 @@ class Network:
 
     def _open(self, site_id: str) -> Channel:
         """One site's channel: the only thing a transport's network overrides."""
-        return Channel(site_id, self.metrics, self.faults)
+        return Channel(site_id, self.metrics, self.faults, self._perform)
 
     def channel(self, site_id: str) -> Channel:
         try:

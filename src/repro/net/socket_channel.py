@@ -7,9 +7,10 @@ ERROR) up. ``send_to_site`` connects, shows the leg's one down message to
 the channel's fault policy, records it in ``DirectionStats`` and holds
 it; :meth:`SocketChannel.ask` writes it in the REQ, and
 :meth:`SocketChannel.answer` reads the REPLY once the socket is readable
-(the sockets engine waits on a whole round's channels with one
-selector). The REPLY's one up message is shown to the policy, recorded
-and queued for ``receive_at_coordinator``. The site server keeps nothing
+(the engine waits on a whole round's socket channels with one
+selector, while the channel is ``waiting``). The REPLY's one up message
+is shown to the policy, recorded and queued for
+``receive_at_coordinator``. The site server keeps nothing
 between two requests.
 
 Wire format (all integers big-endian):
@@ -274,7 +275,7 @@ class SocketChannel(Channel):
         self._sock: Optional[socket.socket] = None
         self._io_lock = threading.RLock()
         #: A REQ is written and its answer not yet read (see ask).
-        self._asked = False
+        self.waiting = False
         self._connected_once = False
         #: The leg's down message, judged and recorded, and its verdict:
         #: what the next :meth:`ask` writes in its REQ.
@@ -427,12 +428,7 @@ class SocketChannel(Channel):
         self.downstream.record(carried)
         self._held = carried, verdict
 
-    # -- site end: the server process --------------------------------------------
-
-    def take_at_site(self) -> list:
-        raise NetworkError(
-            f"site {self.site_id!r} is a server process: ask() plays its end"
-        )
+    # -- the leg: the server process plays the site end ---------------------------
 
     def ask(self, request) -> None:
         """Put the site's turn to it: write the REQ — the message
@@ -464,7 +460,7 @@ class SocketChannel(Channel):
                     "delayed in flight"
                 )
             self._io_lock.acquire()  # released by answer() or abandon()
-            self._asked = True
+            self.waiting = True
 
     def fileno(self) -> int:
         """The connection's descriptor, for a selector to wait on."""
@@ -525,8 +521,8 @@ class SocketChannel(Channel):
 
     def _settle(self) -> None:
         """The asked turn is over: release the I/O lock :meth:`ask` kept."""
-        if self._asked:
-            self._asked = False
+        if self.waiting:
+            self.waiting = False
             self._io_lock.release()
 
     # -- telemetry ---------------------------------------------------------------

@@ -229,9 +229,7 @@ class QueryService:
             self.metrics.histogram("service.stage_s", stage=stage)
         for outcome in OUTCOMES:
             self.metrics.histogram("service.latency_by_outcome_s", outcome=outcome)
-        self._engine = create_engine(
-            self.config.executor, cluster.sites, self.tracer, cluster.network
-        )
+        self._engine = create_engine(self.config.executor, cluster.network)
 
     # -- lifecycle ---------------------------------------------------------------
 

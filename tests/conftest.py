@@ -20,7 +20,6 @@ from hypothesis import settings
 from oracle import scan
 from oracle.accumulate import accumulator
 from oracle.interp import evaluate
-from repro.distributed.executor import SerialEngine, SocketEngine
 from repro.gmdj import operator as gmdj_operator
 from repro.gmdj.blocks import MDBlock, result_schema
 from repro.relalg.aggregates import AggSpec
@@ -200,24 +199,6 @@ def count_and_sum_blocks(key: str = "SourceAS", measure: str = "NumBytes"):
             condition,
         )
     ]
-
-
-# ---------------------------------------------------------------------------
-# Engines without a process
-# ---------------------------------------------------------------------------
-
-
-class InProcessFanOut(SocketEngine):
-    """The sockets engine's round with the in-process sites' evaluate:
-    every leg runs whatever the others do, so several of them can fail in
-    one round."""
-
-    def __init__(self, sites, tracer):
-        super().__init__(sites, tracer)
-        self._sites = sites
-
-    evaluate = SerialEngine.evaluate
-    _perform = SerialEngine._perform
 
 
 # ---------------------------------------------------------------------------

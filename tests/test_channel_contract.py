@@ -1,8 +1,9 @@
 """One ``Channel`` contract, two transports — parity as a test.
 
-The same leg (*send -> site's turn -> receive*) runs over the in-memory
-``Channel`` with the in-process site end and over a ``SocketChannel``
-against a live ``SiteServer``, under the same fault schedule, and must
+The same leg (*send -> site's turn -> receive*, the turn being ``ask``
+then ``answer``) runs over the in-memory ``Channel`` whose host performs
+the site in this process and over a ``SocketChannel`` against a live
+``SiteServer``, under the same fault schedule, and must
 leave the same fault events, the same ``DirectionStats``, the same
 ``net.fault.*`` counters and the same failure at the same step. Nothing
 in the production code makes that hold "by construction": the transports
@@ -18,12 +19,7 @@ import threading
 import pytest
 
 from conftest import serving
-from repro.distributed.executor import (
-    SiteRequest,
-    SocketEngine,
-    perform_site_request,
-    play_site_end,
-)
+from repro.distributed.executor import SiteRequest, SocketEngine, perform_site_request
 from repro.distributed.site import SkallaSite
 from repro.errors import (
     LegDeadlineExceeded,
@@ -46,7 +42,6 @@ from repro.net.socket_channel import (
     read_frame,
     write_frame,
 )
-from repro.obs.tracer import NULL_TRACER
 from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
 from repro.relalg.relation import Relation
@@ -73,23 +68,21 @@ def server():
 
 
 def open_edge(transport, spec, server):
-    """``(channel, turn)``: one edge and whoever plays its site end."""
+    """``(channel, turn)``: one edge, and the site's turn on it — the same
+    ``ask`` then ``answer`` on either transport."""
     plan = FaultPlan.parse(spec) if spec else None
     if transport == "memory":
-        channel = Channel(SITE, faults=plan)
         site = SkallaSite(SITE, LocalWarehouse(SITE, TABLES))
-
-        def turn(request):
-            return play_site_end(
-                channel, request, lambda filled: perform_site_request(site, filled)
-            ).payload
-
+        channel = Channel(
+            SITE, faults=plan,
+            perform=lambda request, tracer: perform_site_request(site, request, tracer),
+        )
     else:
         channel = SocketChannel(SITE, (server.host, server.port), faults=plan)
 
-        def turn(request):
-            channel.ask(request)
-            return channel.answer()[1]
+    def turn(request):
+        channel.ask(request)
+        return channel.answer()[1]
 
     return channel, turn
 
@@ -270,7 +263,7 @@ def test_an_abandoned_ask_reports_what_upstream_recorded():
     thread = threading.Thread(target=stalling_site, daemon=True)
     thread.start()
     channel = SocketChannel(SITE, listener.getsockname()[:2])
-    engine = SocketEngine({}, NULL_TRACER)
+    engine = SocketEngine()
 
     def leg(site_id):
         channel.send_to_site(Message(BASE_QUERY, "coordinator", site_id, ROUND))

@@ -1,18 +1,20 @@
-"""Executor equivalence: the ``serial`` and ``sockets`` engines are indistinguishable.
+"""Executor equivalence: the ``serial`` and ``sockets`` transports are indistinguishable.
 
-The sockets engine (:mod:`repro.distributed.executor`) runs each site in
-a site-server process and its legs at the same time; it must not change
-*what* is computed, only how fast. For every cluster size both engines
-run the same data — ``sockets`` on a :class:`ProcessCluster` deployed
-from the simulated cluster ``serial`` runs on — and the final relation
-must be bit-identical (same rows in the same order — the per-source
-accumulator banks make float folds order-independent), the per-round
+Over sockets the one engine (:mod:`repro.distributed.executor`) runs each
+site in a site-server process and a round's legs at the same time; that
+must not change *what* is computed, only how fast. For every cluster
+size both transports run the same data — ``sockets`` on a
+:class:`ProcessCluster` deployed from the simulated cluster ``serial``
+runs on — and the final relation must be bit-identical (same rows in
+the same order — the per-source accumulator banks make float folds
+order-independent), the per-round
 per-site byte accounting must match exactly (the Theorem-2 bound is
 checked against these numbers), the trace must contain the same span
 *set* (order may differ — legs finish when they finish), and the site
 operator counters must agree.
 """
 
+import selectors
 from collections import Counter
 
 import pytest
@@ -22,11 +24,13 @@ from repro.distributed import OptimizationOptions, SimulatedCluster, execute_que
 from repro.distributed.deployment import ProcessCluster
 from repro.distributed.evaluator import ExecutionConfig
 from repro.distributed.executor import SocketEngine
+from repro.distributed.recovery import FAILURE_MODES
 from repro.distributed.stats import verify_against_network
 from repro.errors import PlanError
 from repro.gmdj.blocks import MDBlock
 from repro.gmdj.expression import DistinctBase, GMDJExpression, MDStep
 from repro.gmdj.operator import SyncSession
+from repro.net.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.relalg.aggregates import AggSpec, count_star
@@ -189,6 +193,84 @@ def test_one_absorb_per_answering_source_per_round(clusters, executor, monkeypat
         sources = [source for seen, source, _rows in absorbed if seen is session]
         assert sorted(sources) == sorted(round_stats.sites) == sorted(cluster.site_ids)
     assert sum(rows for _session, _source, rows in absorbed) == result.stats.tuples_up_md()
+
+
+#: Per in-process run: its recovery, its fault plan, and the order the
+#: sites' answers to round 1 are absorbed in. A retry's backoff lets the
+#: round's other legs run meanwhile, so the retried site comes last.
+IN_PROCESS_RUNS = {
+    "fail_fast": ({}, None, ["site0", "site1", "site2", "site3"]),
+    "retry": (
+        {"failure_mode": "retry", "retry_backoff_s": 0.001},
+        "crash site=site1 round=1 times=1",
+        ["site0", "site2", "site3", "site1"],
+    ),
+    "degrade": (
+        {"failure_mode": "degrade", "max_retries": 0},
+        "crash site=site1 round=1 times=0",
+        ["site0", "site2", "site3"],
+    ),
+}
+
+
+def test_only_socket_legs_build_a_selector_and_memory_legs_run_in_site_order(
+    clusters, monkeypatch
+):
+    """A round over in-memory channels never waits on a socket, so it
+    builds no selector, and its legs run one after another in site order;
+    a round over sockets builds exactly one."""
+    built = []
+    original = selectors.DefaultSelector
+
+    def counted():
+        built.append(1)
+        return original()
+
+    absorbed = []  # (session, source)
+    absorb = SyncSession.absorb
+
+    def recording(self, h, source="", positions=None):
+        absorbed.append((self, source))
+        absorb(self, h, source, positions)
+
+    monkeypatch.setattr(selectors, "DefaultSelector", counted)
+    monkeypatch.setattr(SyncSession, "absorb", recording)
+    over = clusters(4)
+    for name, (recovery, faults, order) in IN_PROCESS_RUNS.items():
+        cluster = simulated(4)
+        if faults is not None:
+            cluster.install_faults(FaultPlan.parse(faults))
+        absorbed.clear()
+        execute_query(
+            cluster, correlated_expression(), OptimizationOptions.none(),
+            config=ExecutionConfig(**recovery),
+        )
+        assert built == [], name
+        first = absorbed[0][0]
+        assert [source for session, source in absorbed if session is first] == order, name
+    result, _tracer, _metrics = run(
+        correlated_expression(), over["sockets"], "sockets", OptimizationOptions.none()
+    )
+    assert len(built) == len(result.stats.rounds) == 3
+
+
+@pytest.mark.parametrize("failure_mode", FAILURE_MODES)
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_a_transport_mismatch_is_refused_before_any_leg(clusters, executor, failure_mode):
+    """``serial`` over socket channels, ``sockets`` over in-memory ones:
+    one PlanError before a leg starts, in every failure mode. A
+    configuration mistake is no transient fault to retry or degrade."""
+    cluster = clusters(4)["sockets" if executor == "serial" else "serial"]
+    cluster.reset_network(MetricsRegistry())
+    with pytest.raises(PlanError, match="process cluster"):
+        execute_query(
+            cluster, single_step_expression(),
+            config=ExecutionConfig(executor=executor, failure_mode=failure_mode),
+        )
+    assert cluster.network.bytes_by_direction() == (0, 0)
+    if executor == "serial":
+        totals = cluster.network.socket_totals()
+        assert (totals["payload_down"], totals["payload_up"]) == (0, 0)
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)

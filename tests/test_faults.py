@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import InProcessFanOut, make_flows
+from conftest import make_flows
 from repro.distributed import OptimizationOptions, SimulatedCluster, execute_query
 from repro.distributed import evaluator as evaluator_module
 from repro.distributed.evaluator import ExecutionConfig
@@ -446,7 +446,9 @@ def correlated_expression():
     return GMDJExpression(DistinctBase("Flow", ["SourceAS", "DestAS"]), [inner, outer])
 
 
-def run_faulty(executor="serial", faults=None, site_count=4, **config_kwargs):
+def run_faulty(
+    executor="serial", faults=None, site_count=4, retry_backoff_s=0.0, **config_kwargs
+):
     cluster = SimulatedCluster.with_sites(site_count)
     cluster.load_partitioned(
         "Flow", FLOW, HashPartitioner(["SourceAS"], site_count)
@@ -455,7 +457,7 @@ def run_faulty(executor="serial", faults=None, site_count=4, **config_kwargs):
         plan = faults if isinstance(faults, FaultPlan) else FaultPlan.parse(faults)
         cluster.install_faults(plan)
     config = ExecutionConfig(
-        executor=executor, retry_backoff_s=0.0, **config_kwargs
+        executor=executor, retry_backoff_s=retry_backoff_s, **config_kwargs
     )
     result = execute_query(
         cluster,
@@ -544,9 +546,11 @@ def _crash_some_legs(engine, failing):
     return engine.run_legs(tuple(sorted(failing | {"ok1", "ok2"})), leg)
 
 
-def test_socket_engine_reports_every_failed_site():
-    # The round needs no socket: the legs here never reach a channel.
-    engine = SocketEngine({f"s{index}": None for index in range(4)}, NULL_TRACER)
+@pytest.mark.parametrize("executor", ["serial", "sockets"])
+def test_socket_engine_reports_every_failed_site(executor):
+    # The round needs no channel: the legs here never reach one. A failed
+    # leg stops none of the others, whichever transport the engine is for.
+    engine = (SocketEngine if executor == "sockets" else SerialEngine)()
     try:
         with pytest.raises(MultiLegError) as excinfo:
             _crash_some_legs(engine, failing={"bad1", "bad2"})
@@ -561,7 +565,7 @@ def test_socket_engine_reports_every_failed_site():
 def test_single_failure_keeps_its_original_exception_type():
     # Every leg runs whatever the others do, so a lone failure re-raises
     # its original exception.
-    engine = SocketEngine({f"s{index}": None for index in range(3)}, NULL_TRACER)
+    engine = SerialEngine()
     try:
         with pytest.raises(NetworkError, match="bad1 went dark"):
             _crash_some_legs(engine, failing={"bad1"})
@@ -569,35 +573,29 @@ def test_single_failure_keeps_its_original_exception_type():
         engine.close()
 
 
-def test_serial_engine_raises_first_failure_directly():
-    engine = SerialEngine({}, NULL_TRACER)
-    with pytest.raises(NetworkError, match="bad1 went dark"):
-        _crash_some_legs(engine, failing={"bad1", "bad2"})
-    engine.close()
-
-
 @pytest.mark.parametrize("legs", ["serial", "interleaved"])
 def test_evaluator_closes_engine_when_a_leg_crashes(legs, monkeypatch):
-    # "interleaved" runs every leg of a round whatever the others do (the
-    # sockets engine's round over in-process sites), so both crashed sites
-    # fail in the same round.
+    # Two sites crash for good, so both fail in the same round: the legs
+    # run one after another under fail_fast, and interleave under retry,
+    # where a leg's backoff lets the round's other legs run meanwhile.
     engines = []
 
-    def tracked_engine(executor, sites, tracer, network):
-        engine = (
-            InProcessFanOut(sites, tracer)
-            if legs == "interleaved"
-            else create_engine(executor, sites, tracer, network)
-        )
+    def tracked_engine(executor, network):
+        engine = create_engine(executor, network)
         engines.append(engine)
         return engine
 
     monkeypatch.setattr(evaluator_module, "create_engine", tracked_engine)
-    with pytest.raises((SiteUnavailableError, MultiLegError)):
-        run_faulty(
-            faults="crash site=site0 times=0; crash site=site2 times=0",
-            failure_mode="fail_fast",
-        )
+    recovery = (
+        {"failure_mode": "fail_fast"}
+        if legs == "serial"
+        else {"failure_mode": "retry", "max_retries": 1, "retry_backoff_s": 0.01}
+    )
+    with pytest.raises(MultiLegError) as excinfo:
+        run_faulty(faults="crash site=site0 times=0; crash site=site2 times=0", **recovery)
+    assert excinfo.value.failed_sites == ("site0", "site2")
+    failure = SiteUnavailableError if legs == "serial" else RetryExhaustedError
+    assert {type(error) for error in excinfo.value.failures.values()} == {failure}
     assert len(engines) == 1 and engines[0]._closed
 
 

@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import InProcessFanOut
 from repro.data.flows import FlowConfig, generate_flows, router_partitioner
 from repro.distributed import SimulatedCluster
 from repro.distributed.evaluator import ExecutionConfig, execute_plan
@@ -31,7 +30,6 @@ from repro.relalg.aggregates import AggSpec, count_star
 from repro.relalg.expressions import base, detail
 from repro.relalg.relation import Relation
 from repro.service import FRESH, HIT, REFRESH, PlanSignature, QueryService
-from repro.service import service as service_module
 from repro.service.service import DEGRADED
 
 SITES = 3
@@ -166,17 +164,12 @@ class TestCache:
             COUNT_BY_SOURCE, per_site
         ).rows
 
-    @pytest.mark.parametrize("legs, replaced", [("serial", 1), ("fanout", 2)])
-    def test_a_replaced_partition_is_a_miss_not_a_refresh(self, legs, replaced, monkeypatch):
+    @pytest.mark.parametrize("replaced", [1, 2])
+    def test_a_replaced_partition_is_a_miss_not_a_refresh(self, replaced):
         """A site whose table was re-registered since the cached view's
         version refuses the refresh round (its append log starts over);
-        the submit is then a plain miss. With the legs fanned out, two such
-        sites fail as one MultiLegError of refusals."""
-        if legs == "fanout":
-            monkeypatch.setattr(
-                service_module, "create_engine",
-                lambda _executor, sites, tracer, _network: InProcessFanOut(sites, tracer),
-            )
+        the submit is then a plain miss. Every leg of the round runs, so
+        two such sites fail as one MultiLegError of refusals."""
 
         def replace(cluster, per_site):
             for site_id in cluster.site_ids[:replaced]:

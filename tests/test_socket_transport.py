@@ -29,7 +29,6 @@ from repro.distributed.siteserver import load_site, write_partition_store
 from repro.distributed.stats import verify_against_network
 from repro.errors import (
     NetworkError,
-    PlanError,
     RemoteSiteError,
     SerializationError,
     SiteUnavailableError,
@@ -320,9 +319,8 @@ def test_deployed_cluster_mirrors_the_simulated_surface(sim_cluster, deployed):
         == sim_cluster.conceptual_table("Flow").rows
     )
     assert deployed.data_versions(["Flow"]) == sim_cluster.data_versions(["Flow"])
-    # Site *data* lives in another process; reaching for it is a loud error.
-    with pytest.raises(PlanError, match="separate process"):
-        deployed.site(deployed.site_ids[0])
+    # Site *data* lives in another process: the coordinator holds no site.
+    assert not hasattr(deployed, "sites") and not hasattr(deployed, "site")
 
 
 # ---------------------------------------------------------------------------
